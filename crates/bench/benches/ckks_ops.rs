@@ -8,14 +8,16 @@
 //! recorded as group metadata. `bench_gadget` measures the hybrid
 //! gadget against the per-prime baseline in-process at the top of the
 //! 13-limb default chain and fails the bench if the hybrid
-//! relinearisation is not ≥ 1.5× faster single-core.
+//! relinearisation is not ≥ 1.5× faster single-core; `bench_hoist`
+//! fails it if 8 rotations of one ciphertext from one key-switch
+//! decomposition do not cost < 0.6× eight standalone rotations.
 //! Emits `BENCH_ckks.json` through the criterion shim's JSON hook; CI
 //! diffs a timed run against the committed
 //! `BENCH_ckks.reference.json` so hot-path regressions fail the build.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use smartpaf_ckks::modular::ntt_primes;
-use smartpaf_ckks::{cost, par, CkksParams, Evaluator, KeyChain, NttTable};
+use smartpaf_ckks::{cost, par, CkksParams, DiagMatrix, Evaluator, KeyChain, NttTable};
 use smartpaf_tensor::Rng64;
 use std::time::{Duration, Instant};
 
@@ -111,7 +113,29 @@ fn bench_cipher_ops_at(c: &mut Criterion, params: CkksParams) {
     g.bench_function("mul_const", |b| {
         b.iter(|| std::hint::black_box(ev.mul_const(&ct, 0.5)))
     });
+    // Eight rotations of one ciphertext: one decomposition, eight key
+    // applications (compare 8 × `rotate`).
+    let _ = ev.rotate_many(&ct, &HOISTED_STEPS); // Galois keys + index tables
+    g.bench_function("rotate_hoisted_x8", |b| {
+        b.iter(|| std::hint::black_box(ev.rotate_many(&ct, &HOISTED_STEPS)))
+    });
+    // Dense 16×16 BSGS product: 3 hoisted baby steps + 3 giant steps.
+    let dense: Vec<Vec<f64>> = (0..16)
+        .map(|i| {
+            (0..16)
+                .map(|j| ((i * 16 + j) % 7) as f64 / 7.0 - 0.4)
+                .collect()
+        })
+        .collect();
+    let mat = DiagMatrix::from_rows(&dense);
+    let _ = ev.matvec_bsgs(&mat, &ct); // diagonal encodings + Galois keys
+    g.bench_function("matvec_bsgs_16x16", |b| {
+        b.iter(|| std::hint::black_box(ev.matvec_bsgs(&mat, &ct)))
+    });
 }
+
+/// The eight rotation steps of the hoisting rows and gate.
+const HOISTED_STEPS: [i64; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
 
 fn bench_cipher_ops(c: &mut Criterion) {
     bench_cipher_ops_at(c, CkksParams::default_params());
@@ -197,11 +221,50 @@ fn bench_gadget(c: &mut Criterion) {
     }
 }
 
+/// The hoisting acceptance gate: eight rotations of one ciphertext at
+/// the top of the default 13-limb chain, hoisted (one decomposition,
+/// eight applications) against standalone (eight of each), single-core
+/// so the comparison isolates the shared decomposition. The timed run
+/// must show hoisted < 0.6× standalone; `--test` mode only checks that
+/// both paths execute.
+fn bench_hoist(_c: &mut Criterion) {
+    let ctx = CkksParams::default_params().build();
+    let mut rng = Rng64::new(11);
+    let keys = KeyChain::generate(&ctx, &mut rng);
+    let ev = Evaluator::new(&keys);
+    let ct = ev.encrypt_values(&[0.25, -0.5, 0.75], &mut rng);
+    let singles = || {
+        for &s in &HOISTED_STEPS {
+            std::hint::black_box(ev.rotate(&ct, s));
+        }
+    };
+    let hoisted = || {
+        std::hint::black_box(ev.rotate_many(&ct, &HOISTED_STEPS));
+    };
+    // Warm pools, key caches and index tables on both paths.
+    singles();
+    hoisted();
+    if std::env::args().any(|a| a == "--test") {
+        return;
+    }
+    let (single, hoist) =
+        par::with_thread_budget(1, || (min_time(5, singles), min_time(5, hoisted)));
+    let ratio = hoist.as_secs_f64() / single.as_secs_f64();
+    println!(
+        "hoist gate: 8 hoisted rotations {hoist:?} vs 8 standalone {single:?} \
+         single-core → {ratio:.2}x"
+    );
+    assert!(
+        ratio < 0.6,
+        "8 hoisted rotations must cost < 0.6x 8 standalone rotations (got {ratio:.2}x)"
+    );
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(10)
         .json_output("BENCH_ckks.json");
-    targets = bench_ntt, bench_cipher_ops, bench_gadget
+    targets = bench_ntt, bench_cipher_ops, bench_gadget, bench_hoist
 }
 criterion_main!(benches);

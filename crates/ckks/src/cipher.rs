@@ -1,7 +1,7 @@
 //! Ciphertexts and homomorphic operations.
 
 use crate::encoding::{Encoder, Plaintext};
-use crate::keys::{truncate, KeyChain, DIGIT_BITS};
+use crate::keys::{truncate, KeyChain, KeySwitchGadget};
 use crate::rns::{CkksContext, RnsPoly};
 use smartpaf_tensor::Rng64;
 use std::sync::Arc;
@@ -48,6 +48,54 @@ impl Ciphertext {
             self.c1.drop_last_limb();
         }
     }
+}
+
+/// The output of the key switch's decompose phase: every gadget digit
+/// of one polynomial, lifted to the basis the keys live over and in
+/// NTT form ([`Evaluator::decompose`]). A "hoisted" handle: computed
+/// once per input and shared by every key applied to it. The digits
+/// live in one pooled scratch buffer of `rows × width` limbs, returned
+/// to the pool on drop.
+#[derive(Debug)]
+pub(crate) struct Hoisted {
+    data: Vec<u64>,
+    /// Gadget digits (= key components).
+    rows: usize,
+    /// Limbs per digit: the chain limbs, plus the special limbs under
+    /// the hybrid gadget.
+    width: usize,
+    /// Chain limbs of the decomposed polynomial.
+    num_limbs: usize,
+}
+
+impl Hoisted {
+    /// Chain limbs (level + 1) of the decomposed polynomial.
+    pub(crate) fn num_limbs(&self) -> usize {
+        self.num_limbs
+    }
+
+    /// Limb `t` of raised digit `j`.
+    #[inline]
+    fn row(&self, j: usize, t: usize, n: usize) -> &[u64] {
+        let at = (j * self.width + t) * n;
+        &self.data[at..at + n]
+    }
+}
+
+impl Drop for Hoisted {
+    fn drop(&mut self) {
+        crate::pool::release_scratch(std::mem::take(&mut self.data));
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Key-switch decompositions and applications executed on this
+    /// thread, so tests can hold the analytic schedule counts to the
+    /// executed loops. Meaningful at a thread budget of 1.
+    pub(crate) static DECOMPOSITIONS: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(0) };
+    pub(crate) static APPLICATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Homomorphic evaluator bound to a context and key chain.
@@ -264,86 +312,22 @@ impl Evaluator {
     }
 
     /// Key-switches the degree-2 component back to a linear ciphertext
-    /// using the context's key-switch gadget.
+    /// using the context's key-switch gadget: decompose, then apply the
+    /// relinearisation key once.
     fn relinearize_d2(&self, d2: &RnsPoly) -> (RnsPoly, RnsPoly) {
         let rk = self.keys.relin_key(d2.num_limbs());
-        self.key_switch_with(d2, &rk)
+        self.apply_key(&self.decompose(d2), &rk, None)
     }
 
-    /// Gadget-decomposes `p` and applies a key-switching key: returns
-    /// `(k0, k1)` with `k0 + k1·s ≈ p·s'` for the key's embedded
-    /// switched-from secret `s'`. Dispatches on the key's gadget
-    /// layout (which follows the context's [`crate::KeySwitchGadget`]).
-    pub(crate) fn key_switch_with(
-        &self,
-        p: &RnsPoly,
-        key: &crate::keys::RelinKey,
-    ) -> (RnsPoly, RnsPoly) {
-        let nl = p.num_limbs();
-        assert_eq!(key.num_limbs(), nl, "key level mismatch");
-        match &key.inner {
-            crate::keys::KskInner::PerPrime(components) => self.key_switch_per_prime(p, components),
-            crate::keys::KskInner::Hybrid(ksk) => self.key_switch_hybrid(p, ksk),
-        }
-    }
-
-    /// The legacy per-prime digit gadget: one component per
-    /// `(prime, base-2^16 digit)` pair.
-    fn key_switch_per_prime(
-        &self,
-        p: &RnsPoly,
-        components: &[crate::keys::RelinComponent],
-    ) -> (RnsPoly, RnsPoly) {
-        let nl = p.num_limbs();
-        let mut d2c = p.clone();
-        d2c.to_coeff();
-        let n = self.ctx.n();
-        let mask = (1u64 << DIGIT_BITS) - 1;
-        // Lazy accumulation: pile raw 128-bit products into wide
-        // scratch buffers and Barrett-reduce once at the end. The sum
-        // mod q_i is identical to the eager reduce-per-product chain,
-        // but the inner loop sheds one reduction per component per
-        // accumulator — the single largest cost in relinearisation
-        // after the NTTs. Headroom (how many products fit before a
-        // flush) is ~2^8 for 60-bit primes, above any component count.
-        let mut lazy0 = crate::pool::acquire_wide_zeroed(nl * n);
-        let mut lazy1 = crate::pool::acquire_wide_zeroed(nl * n);
-        let headroom = self.ctx.lazy_acc_headroom(nl);
-        let mut pending = 0usize;
-        let mut digit_coeffs = crate::pool::acquire(n);
-        for comp in components {
-            // Extract this component's digit of the residues mod q_i.
-            let src = d2c.limb(comp.prime_index);
-            let shift = DIGIT_BITS * comp.digit;
-            let mut all_zero = true;
-            for (dst, &c) in digit_coeffs.iter_mut().zip(src) {
-                *dst = (c >> shift) & mask;
-                all_zero &= *dst == 0;
-            }
-            if all_zero {
-                continue;
-            }
-            let mut u = RnsPoly::from_unsigned_coeffs(&self.ctx, &digit_coeffs, nl);
-            u.to_ntt();
-            if pending == headroom {
-                RnsPoly::reduce_lazy_in_place(&self.ctx, &mut lazy0, nl);
-                RnsPoly::reduce_lazy_in_place(&self.ctx, &mut lazy1, nl);
-                pending = 0;
-            }
-            u.mul_into_lazy(&comp.b, &mut lazy0);
-            u.mul_into_lazy(&comp.a, &mut lazy1);
-            pending += 1;
-        }
-        crate::pool::release(digit_coeffs);
-        let acc0 = RnsPoly::from_lazy_accumulator(&self.ctx, &lazy0, nl, true);
-        let acc1 = RnsPoly::from_lazy_accumulator(&self.ctx, &lazy1, nl, true);
-        crate::pool::release_wide(lazy0);
-        crate::pool::release_wide(lazy1);
-        (acc0, acc1)
-    }
-
-    /// The hybrid ω-limb gadget. Pipeline per digit `j` covering chain
-    /// limbs `[start, end)` with modulus `Q_j = ∏ q_i`:
+    /// Key-switch phase 1 (**decompose**): splits `p` (NTT form) into
+    /// the context's gadget digits, lifts each digit to the basis the
+    /// keys live over, and forward-NTTs it. Everything here depends on
+    /// `p` alone, so one [`Hoisted`] handle serves any number of
+    /// [`Evaluator::apply_key`] calls — every rotation of one
+    /// ciphertext shares it. This is the only place digits are raised.
+    ///
+    /// Hybrid gadget, per digit `j` covering chain limbs
+    /// `[start, end)` with modulus `Q_j = ∏ q_i`:
     ///
     /// 1. `y_i = x_i · [(Q_j/q_i)^{-1}]_{q_i}` on the in-group limbs
     ///    (coefficient domain);
@@ -352,85 +336,69 @@ impl Evaluator {
     ///    (in-group targets are an exact copy of `x_t`); the lift
     ///    overshoots by at most `ω·Q_j`, which the huge special
     ///    modulus `P` absorbs as noise;
-    /// 3. NTT the raised digit and lazily accumulate
-    ///    `c̃_j ⊙ b_j` / `c̃_j ⊙ a_j` in `u128` per extended limb;
-    /// 4. mod-down by `P`: inverse-NTT the special limbs, base-convert
-    ///    their residues back to the chain, and scale by
-    ///    `[P^{-1}]_{q_t}` (approximate base conversion again — error
-    ///    ≤ `k` per coefficient, far below the noise floor).
+    /// 3. forward NTT of every raised limb.
     ///
-    /// Every limb of steps 2–4 is independent, so the whole pipeline
-    /// fans out across [`crate::par`] when the thread budget allows,
-    /// bit-identically to the sequential loop.
-    fn key_switch_hybrid(&self, p: &RnsPoly, ksk: &crate::keys::HybridKsk) -> (RnsPoly, RnsPoly) {
+    /// Per-prime gadget: the base-`2^16` digits of each limb's
+    /// residues are small non-negative integers, so "lifting" one to
+    /// the other chain limbs is a copy.
+    ///
+    /// Every (digit, limb) row is independent, so the raise fans out
+    /// across [`crate::par`] bit-identically to the sequential loop.
+    pub(crate) fn decompose(&self, p: &RnsPoly) -> Hoisted {
+        assert!(p.is_ntt(), "decompose expects NTT form");
+        #[cfg(test)]
+        DECOMPOSITIONS.with(|c| c.set(c.get() + 1));
         let ctx = &self.ctx;
-        let nl = ksk.num_limbs;
-        let k = ksk.k;
-        let ext = nl + k;
+        let nl = p.num_limbs();
         let n = ctx.n();
-        let ndigits = ksk.digits.len();
-        // The lazy accumulators take one u128 product per digit with
-        // no intermediate flush; headroom is ~2^8 for 60-bit primes,
-        // far above any ⌈L/ω⌉.
-        assert!(
-            ndigits <= ctx.lazy_acc_headroom_ext(nl, k),
-            "digit count exceeds lazy accumulator headroom"
-        );
-
-        let mut d2c = p.clone();
-        d2c.to_coeff();
-
-        // Step 1: per-limb digit scaling (the in-group inverse CRT
-        // factors), limb-parallel.
-        let mut y = crate::pool::acquire(nl * n);
-        let mut inv_by_limb = vec![(0u64, 0u64); nl];
-        for d in &ksk.digits {
-            inv_by_limb[d.start..d.end].copy_from_slice(&d.inv_qhat[..d.end - d.start]);
-        }
-        crate::par::for_each_chunk_mut(&mut y, n, |i, dst| {
-            let arith = ctx.arith(i);
-            let (inv, shoup) = inv_by_limb[i];
-            for (out, &x) in dst.iter_mut().zip(d2c.limb(i)) {
-                *out = arith.mul_shoup(x, inv, shoup);
+        let mut coeff = p.clone();
+        coeff.to_coeff();
+        match KeySwitchGadget::of(ctx) {
+            KeySwitchGadget::PerPrime { digit_bits } => {
+                let mask = (1u64 << digit_bits) - 1;
+                let rows = crate::keys::per_prime_rows(ctx, nl);
+                let mut data = crate::pool::acquire_scratch(rows.len() * nl * n);
+                crate::par::for_each_chunk_mut(&mut data, n, |idx, raised| {
+                    let (prime, digit) = rows[idx / nl];
+                    let shift = digit * digit_bits;
+                    for (dst, &c) in raised.iter_mut().zip(coeff.limb(prime)) {
+                        *dst = (c >> shift) & mask;
+                    }
+                    ctx.ntt(idx % nl).forward(raised);
+                });
+                Hoisted {
+                    data,
+                    rows: rows.len(),
+                    width: nl,
+                    num_limbs: nl,
+                }
             }
-        });
-
-        // Steps 2–3, parallel over extended-basis target limbs. Each
-        // task owns limb `t` of both accumulators and its own raised
-        // scratch.
-        let mut lazy0 = crate::pool::acquire_wide_zeroed(ext * n);
-        let mut lazy1 = crate::pool::acquire_wide_zeroed(ext * n);
-        let mut acc0 = crate::pool::acquire(ext * n);
-        let mut acc1 = crate::pool::acquire(ext * n);
-        {
-            let lazy0_base = lazy0.as_mut_ptr() as usize;
-            let lazy1_base = lazy1.as_mut_ptr() as usize;
-            let acc0_base = acc0.as_mut_ptr() as usize;
-            let acc1_base = acc1.as_mut_ptr() as usize;
-            let y = &y[..];
-            crate::par::run(ext, |t| {
-                // SAFETY: tasks receive distinct `t`, so the limb
-                // slices are disjoint; the buffers outlive the `run`
-                // call, which blocks until all tasks finish.
-                let (l0, l1, a0, a1) = unsafe {
-                    (
-                        std::slice::from_raw_parts_mut((lazy0_base as *mut u128).add(t * n), n),
-                        std::slice::from_raw_parts_mut((lazy1_base as *mut u128).add(t * n), n),
-                        std::slice::from_raw_parts_mut((acc0_base as *mut u64).add(t * n), n),
-                        std::slice::from_raw_parts_mut((acc1_base as *mut u64).add(t * n), n),
-                    )
-                };
-                let arith = ctx.ext_arith(nl, t);
-                let table = ctx.ext_ntt(nl, t);
-                let mut raised = crate::pool::acquire(n);
-                for digit in &ksk.digits {
-                    let group = digit.end - digit.start;
+            KeySwitchGadget::Hybrid { .. } => {
+                let basis = self.keys.hybrid_basis(nl);
+                let ext = nl + basis.k;
+                // Step 1: per-limb digit scaling (the in-group inverse
+                // CRT factors), limb-parallel.
+                let mut y = crate::pool::acquire(nl * n);
+                crate::par::for_each_chunk_mut(&mut y, n, |i, dst| {
+                    let digit = &basis.digits[i / basis.k];
+                    let (inv, shoup) = digit.inv_qhat[i - digit.start];
+                    let arith = ctx.arith(i);
+                    for (out, &x) in dst.iter_mut().zip(coeff.limb(i)) {
+                        *out = arith.mul_shoup(x, inv, shoup);
+                    }
+                });
+                // Steps 2–3, one task per (digit, extended limb) row.
+                let mut data = crate::pool::acquire_scratch(basis.digits.len() * ext * n);
+                crate::par::for_each_chunk_mut(&mut data, n, |idx, raised| {
+                    let (digit, t) = (&basis.digits[idx / ext], idx % ext);
                     if t >= digit.start && t < digit.end {
                         // In-group target: the lifted digit's residue
                         // mod q_t is exactly the input residue.
-                        raised.copy_from_slice(d2c.limb(t));
+                        raised.copy_from_slice(coeff.limb(t));
                     } else {
-                        let qh = &digit.qhat[t * group..t * group + group];
+                        let group = digit.end - digit.start;
+                        let qh = &digit.qhat[t * group..(t + 1) * group];
+                        let arith = ctx.ext_arith(nl, t);
                         for (c, out) in raised.iter_mut().enumerate() {
                             // ω ≤ 8 terms of < 2^124 each: fits u128.
                             let mut sum = 0u128;
@@ -440,79 +408,182 @@ impl Evaluator {
                             *out = arith.reduce_u128(sum);
                         }
                     }
-                    table.forward(&mut raised);
-                    let bt = &digit.b[t * n..(t + 1) * n];
-                    let at = &digit.a[t * n..(t + 1) * n];
-                    for c in 0..n {
-                        l0[c] += raised[c] as u128 * bt[c] as u128;
-                        l1[c] += raised[c] as u128 * at[c] as u128;
-                    }
+                    ctx.ext_ntt(nl, t).forward(raised);
+                });
+                crate::pool::release(y);
+                Hoisted {
+                    data,
+                    rows: basis.digits.len(),
+                    width: ext,
+                    num_limbs: nl,
                 }
-                crate::pool::release(raised);
-                for c in 0..n {
-                    a0[c] = arith.reduce_u128(l0[c]);
-                    a1[c] = arith.reduce_u128(l1[c]);
-                }
-            });
+            }
         }
-        crate::pool::release_wide(lazy0);
-        crate::pool::release_wide(lazy1);
-        crate::pool::release(y);
-        drop(d2c);
-
-        // Step 4: scale both accumulators down by P.
-        let k0 = self.hybrid_mod_down(&mut acc0, ksk);
-        let k1 = self.hybrid_mod_down(&mut acc1, ksk);
-        crate::pool::release(acc0);
-        crate::pool::release(acc1);
-        (k0, k1)
     }
 
-    /// Divides an extended-basis accumulator (NTT form, flat
-    /// limb-major, `(nl + k)·n` entries) by the special modulus `P`,
-    /// returning the chain-basis result. Approximate fast base
-    /// conversion: per-coefficient error at most `k`, negligible
-    /// against the noise floor. Consumes the special limbs of `acc`
-    /// as scratch.
-    fn hybrid_mod_down(&self, acc: &mut [u64], ksk: &crate::keys::HybridKsk) -> RnsPoly {
+    /// Key-switch phase 2 (**apply**): returns `(k0, k1)` with
+    /// `k0 + k1·s ≈ φ(p)·s'` for the polynomial `p` behind `hoisted`,
+    /// the key's embedded switched-from secret `s'`, and `φ` the
+    /// Galois automorphism whose NTT-domain index table is `perm`
+    /// (`None` = identity, the relinearisation case).
+    ///
+    /// `φ` of a raised digit is itself a valid raise of `φ(p)`'s digit
+    /// — same congruence mod `Q_j`, same coefficient magnitudes — and
+    /// in NTT form it is the gather `row[perm[c]]`, identical for
+    /// every limb, so a rotation costs no transform before the inner
+    /// product. Per basis limb, the products `Σ_j φ(c̃_j) ⊙ b_j` and
+    /// `Σ_j φ(c̃_j) ⊙ a_j` accumulate exactly in `u128` and reduce
+    /// once. Under the hybrid gadget both sums are then scaled down by
+    /// `P` ([`Evaluator::hybrid_mod_down`]); per-prime keys live over
+    /// the chain itself and need no mod-down.
+    ///
+    /// Limbs are independent, so this fans out across [`crate::par`]
+    /// bit-identically to the sequential loop.
+    pub(crate) fn apply_key(
+        &self,
+        hoisted: &Hoisted,
+        key: &crate::keys::RelinKey,
+        perm: Option<&[u32]>,
+    ) -> (RnsPoly, RnsPoly) {
+        // Coefficients per accumulation block: both `u128` partial-sum
+        // arrays stay in L1 while the digit rows stream past.
+        const BLOCK: usize = 128;
+        #[cfg(test)]
+        APPLICATIONS.with(|c| c.set(c.get() + 1));
         let ctx = &self.ctx;
-        let nl = ksk.num_limbs;
-        let k = ksk.k;
+        let nl = hoisted.num_limbs;
         let n = ctx.n();
-        let (chain_acc, sp) = acc.split_at_mut(nl * n);
-        // Special limbs → coefficient domain, scaled by
-        // [(P/p_l)^{-1}]_{p_l}; limb-parallel, in place.
-        crate::par::for_each_chunk_mut(sp, n, |l, limb| {
+        let (rows, width) = (hoisted.rows, hoisted.width);
+        assert_eq!(key.num_limbs(), nl, "key level mismatch");
+        assert_eq!(key.component_count(), rows, "key gadget mismatch");
+        // Raw products that fit one `u128` accumulator. Hybrid digit
+        // counts sit far below it; the per-prime gadget's
+        // `limbs × ⌈bits/16⌉` rows pass it on deep chains of 61/62-bit
+        // primes (headroom 64/16) and flush to residues in between.
+        let headroom = ctx.lazy_acc_headroom(nl, width - nl);
+        assert!(headroom >= 2, "moduli leave no lazy accumulator headroom");
+        // Limb `t` of the b-sum lands in chunk `2t`, of the a-sum in
+        // chunk `2t + 1`, so one task owns both outputs of its limb.
+        let mut acc = crate::pool::acquire_scratch(2 * width * n);
+        crate::par::for_each_chunk_mut(&mut acc, 2 * n, |t, out| {
+            let arith = ctx.ext_arith(nl, t);
+            let (out0, out1) = out.split_at_mut(n);
+            let mut sum0 = [0u128; BLOCK];
+            let mut sum1 = [0u128; BLOCK];
+            for base in (0..n).step_by(BLOCK) {
+                let len = BLOCK.min(n - base);
+                sum0[..len].fill(0);
+                sum1[..len].fill(0);
+                let mut pending = 0usize;
+                for j in 0..rows {
+                    if pending == headroom {
+                        // A flushed residue is below one product.
+                        for c in 0..len {
+                            sum0[c] = arith.reduce_u128(sum0[c]) as u128;
+                            sum1[c] = arith.reduce_u128(sum1[c]) as u128;
+                        }
+                        pending = 1;
+                    }
+                    pending += 1;
+                    let row = hoisted.row(j, t, n);
+                    let (b, a) = key.component_limb(j, t, n);
+                    let (b, a) = (&b[base..base + len], &a[base..base + len]);
+                    match perm {
+                        None => {
+                            for (c, &r) in row[base..base + len].iter().enumerate() {
+                                sum0[c] += r as u128 * b[c] as u128;
+                                sum1[c] += r as u128 * a[c] as u128;
+                            }
+                        }
+                        Some(perm) => {
+                            for (c, &p) in perm[base..base + len].iter().enumerate() {
+                                let r = row[p as usize] as u128;
+                                sum0[c] += r * b[c] as u128;
+                                sum1[c] += r * a[c] as u128;
+                            }
+                        }
+                    }
+                }
+                for c in 0..len {
+                    out0[base + c] = arith.reduce_u128(sum0[c]);
+                    out1[base + c] = arith.reduce_u128(sum1[c]);
+                }
+            }
+        });
+        let out = match KeySwitchGadget::of(ctx) {
+            KeySwitchGadget::PerPrime { .. } => {
+                let mut k0 = RnsPoly::uninit(ctx, nl, true);
+                let mut k1 = RnsPoly::uninit(ctx, nl, true);
+                for (t, pair) in acc.chunks_exact(2 * n).enumerate() {
+                    k0.limb_mut(t).copy_from_slice(&pair[..n]);
+                    k1.limb_mut(t).copy_from_slice(&pair[n..]);
+                }
+                (k0, k1)
+            }
+            KeySwitchGadget::Hybrid { .. } => self.hybrid_mod_down(&mut acc, nl),
+        };
+        crate::pool::release_scratch(acc);
+        out
+    }
+
+    /// Divides both extended-basis accumulators of
+    /// [`Evaluator::apply_key`] (NTT form, `2·(nl + k)` chunks of `n`
+    /// with the two sums interleaved per limb) by the special modulus
+    /// `P`, returning the chain-basis pair:
+    ///
+    /// 1. inverse-NTT the special limbs and scale them by
+    ///    `[(P/p_l)^{-1}]_{p_l}`;
+    /// 2. base-convert their residues back to each chain limb,
+    ///    forward-NTT that correction, subtract it and scale by
+    ///    `[P^{-1}]_{q_t}`.
+    ///
+    /// Approximate fast base conversion: per-coefficient error at most
+    /// `k`, negligible against the noise floor. Consumes the special
+    /// limbs of `acc` as scratch.
+    fn hybrid_mod_down(&self, acc: &mut [u64], nl: usize) -> (RnsPoly, RnsPoly) {
+        let ctx = &self.ctx;
+        let basis = self.keys.hybrid_basis(nl);
+        let k = basis.k;
+        let n = ctx.n();
+        let (chain_acc, sp) = acc.split_at_mut(2 * nl * n);
+        // Special limbs → coefficient domain, scaled; chunk `2l + w`
+        // is special limb `l` of sum `w`.
+        crate::par::for_each_chunk_mut(sp, n, |i, limb| {
+            let l = i / 2;
             ctx.ntt_special(l).inverse(limb);
             let arith = ctx.arith_special(l);
-            let (inv, shoup) = ksk.inv_phat[l];
+            let (inv, shoup) = basis.inv_phat[l];
             for v in limb.iter_mut() {
                 *v = arith.mul_shoup(*v, inv, shoup);
             }
         });
-        let sp = &sp[..];
-        let chain_acc = &chain_acc[..];
-        let mut out = RnsPoly::uninit(ctx, nl, true);
-        crate::par::for_each_chunk_mut(out.data_mut(), n, |t, dst| {
-            let arith = ctx.arith(t);
-            let (p_inv, p_inv_shoup) = ksk.p_inv[t];
-            let mut corr = crate::pool::acquire(n);
-            for (c, out_c) in corr.iter_mut().enumerate() {
-                // k ≤ 8 terms: fits u128 without intermediate reduce.
-                let mut sum = 0u128;
-                for l in 0..k {
-                    sum += sp[l * n + c] as u128 * ksk.phat[t * k + l] as u128;
+        let (sp, chain_acc) = (&sp[..], &chain_acc[..]);
+        let mod_down = |w: usize| {
+            let mut out = RnsPoly::uninit(ctx, nl, true);
+            crate::par::for_each_chunk_mut(out.data_mut(), n, |t, dst| {
+                let arith = ctx.arith(t);
+                let (p_inv, p_inv_shoup) = basis.p_inv[t];
+                let phat = &basis.phat[t * k..(t + 1) * k];
+                let mut corr = crate::pool::acquire(n);
+                for (c, out_c) in corr.iter_mut().enumerate() {
+                    // k ≤ 8 terms: fits u128 without intermediate reduce.
+                    let mut sum = 0u128;
+                    for (l, &ph) in phat.iter().enumerate() {
+                        sum += sp[(2 * l + w) * n + c] as u128 * ph as u128;
+                    }
+                    *out_c = arith.reduce_u128(sum);
                 }
-                *out_c = arith.reduce_u128(sum);
-            }
-            ctx.ntt(t).forward(&mut corr);
-            for c in 0..n {
-                let diff = arith.sub(chain_acc[t * n + c], corr[c]);
-                dst[c] = arith.mul_shoup(diff, p_inv, p_inv_shoup);
-            }
-            crate::pool::release(corr);
-        });
-        out
+                ctx.ntt(t).forward(&mut corr);
+                let src = &chain_acc[(2 * t + w) * n..(2 * t + w + 1) * n];
+                for c in 0..n {
+                    let diff = arith.sub(src[c], corr[c]);
+                    dst[c] = arith.mul_shoup(diff, p_inv, p_inv_shoup);
+                }
+                crate::pool::release(corr);
+            });
+            out
+        };
+        (mod_down(0), mod_down(1))
     }
 
     /// Rescales a ciphertext: divides by the last prime and drops it.
@@ -701,6 +772,39 @@ mod tests {
                 "steady-state mul+rescale must not hit the allocator: {stats:?}"
             );
             assert!(stats.reuses > 0, "pipeline must actually use the pool");
+            assert_eq!(stats.dropped, 0, "free list churn must stay bounded");
+        });
+    }
+
+    #[test]
+    fn warm_rotate_allocates_nothing() {
+        // The same contract for rotations: the hoisted digits, the
+        // interleaved accumulators and the permuted polys all come off
+        // the free list once one decomposition of each shape has run.
+        // Budget 1 for the reason above.
+        crate::par::with_thread_budget(1, || {
+            let (ev, mut rng) = setup(56);
+            let ct = ev.encrypt_values(&[0.4, -0.2, 0.1], &mut rng);
+            let pipeline = || {
+                let one = ev.rotate(&ct, 1);
+                let many = ev.rotate_many(&one, &[2, -3, 0, 5]);
+                (one, many)
+            };
+            // Warm-up: generates the Galois keys and index tables and
+            // seeds the pool with every buffer shape.
+            for _ in 0..2 {
+                std::hint::black_box(pipeline());
+            }
+            crate::pool::reset_stats();
+            for _ in 0..4 {
+                std::hint::black_box(pipeline());
+            }
+            let stats = crate::pool::stats();
+            assert_eq!(
+                stats.fresh_allocs, 0,
+                "steady-state rotations must not hit the allocator: {stats:?}"
+            );
+            assert!(stats.reuses > 0, "rotations must actually use the pool");
             assert_eq!(stats.dropped, 0, "free list churn must stay bounded");
         });
     }

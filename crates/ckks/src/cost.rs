@@ -35,8 +35,15 @@ fn digits_for(bits: u32) -> usize {
 /// ω clamped to the chain length. Only meaningful when
 /// `params.ks_digit_limbs > 0`.
 pub fn hybrid_digits(params: &CkksParams, limbs: usize) -> usize {
+    hybrid_shape(params, limbs).2
+}
+
+/// `(ω, ext, digits)` of the hybrid gadget at `limbs` limbs: the
+/// clamped digit size (also the special-prime count `k`), the
+/// extended-basis width `limbs + k` and the digit count.
+fn hybrid_shape(params: &CkksParams, limbs: usize) -> (usize, usize, usize) {
     let omega = params.ks_digit_limbs.min(limbs).max(1);
-    limbs.div_ceil(omega)
+    (omega, limbs + omega, limbs.div_ceil(omega))
 }
 
 /// NTT passes consumed by one key switch at `limbs` limbs under the
@@ -45,54 +52,74 @@ pub fn hybrid_digits(params: &CkksParams, limbs: usize) -> usize {
 /// Per-prime (`ks_digit_limbs == 0`): one digit-lift NTT per
 /// (prime, base-2^16 digit) component.
 ///
-/// Hybrid ω: `limbs` inverse NTTs of the input, one forward NTT per
-/// (digit, extended-basis limb) of the raised decomposition, then the
-/// mod-down round trip — per accumulator component, `k` inverse NTTs
-/// of the special limbs plus `limbs` forward NTTs of the correction.
+/// Hybrid ω: the decompose phase's `limbs` inverse NTTs of the input
+/// and one forward NTT per (digit, extended-basis limb) of the raised
+/// decomposition, then the apply phase's mod-down round trip — per
+/// accumulator component, `k` inverse NTTs of the special limbs plus
+/// `limbs` forward NTTs of the correction. At 13 limbs, ω = 3:
+/// `13 + 5·16` once per input, `2·(3 + 13)` per key applied.
 pub fn key_switch_ntts(params: &CkksParams, limbs: usize) -> usize {
     if params.ks_digit_limbs == 0 {
         limbs * digits_for(params.scale_prime_bits)
     } else {
-        let omega = params.ks_digit_limbs.min(limbs).max(1);
-        let k = omega;
-        let ext = limbs + k;
-        let digits = limbs.div_ceil(omega);
+        let (k, ext, digits) = hybrid_shape(params, limbs);
         limbs + digits * ext + 2 * (k + limbs)
     }
 }
 
-/// Modular multiplies of one key switch at `limbs` limbs under the
-/// configured gadget (the relinearisation/rotation core, excluding the
-/// tensor product or automorphism around it).
+/// Modular multiplies of the key switch's **decompose** phase at
+/// `limbs` limbs: everything that depends on the input polynomial
+/// only, paid once however many keys (rotations) are then applied.
+///
+/// Hybrid ω (exact counts for the implemented kernel): the input's
+/// inverse NTTs and the raised digits' forward NTTs at n mults each,
+/// Shoup scaling by (Q_j/q_i)^-1 (`limbs`·n), and the raised
+/// accumulation Σ yᵢ·(Q_j/q_i) into the out-of-group extended limbs
+/// (`digits·(ext−ω)·ω`·n).
+///
+/// Per-prime: 0 — the frozen pre-gadget model never charged the digit
+/// lift to the key switch (see [`key_switch_apply_modmuls`]).
+pub fn key_switch_decompose_modmuls(params: &CkksParams, limbs: usize) -> u128 {
+    if params.ks_digit_limbs == 0 {
+        return 0;
+    }
+    let (omega, ext, digits) = hybrid_shape(params, limbs);
+    let ntts = limbs + digits * ext;
+    let scale = limbs;
+    let raise = digits * (ext - omega) * omega;
+    ((ntts + scale + raise) as u128) * params.n as u128
+}
+
+/// Modular multiplies of the key switch's **apply** phase at `limbs`
+/// limbs: the per-key work, paid once per relinearisation or rotation.
+///
+/// Hybrid ω (exact counts): the inner products of the raised digits
+/// against both key components (`2·digits·ext`·n; a rotation gathers
+/// the digits through its permutation table in the same pass, at no
+/// multiply), and the mod-down by P — `2·(k + limbs)` NTT passes at n
+/// mults each plus `2·(k + limbs·k + limbs)`·n per-coefficient work.
 ///
 /// Per-prime: 2 key-component ring mults per (prime, digit) component
 /// against each of `limbs` input limbs — the digit-lift NTTs are
 /// tracked separately in [`key_switch_ntts`], mirroring the pre-gadget
 /// model so recorded plans re-price identically.
-///
-/// Hybrid ω (exact counts for the implemented kernel): the NTT passes
-/// above at n mults each, plus per-coefficient work — Shoup scaling by
-/// (Q_j/q_i)^-1 (`limbs`·n), the raised accumulation Σ yᵢ·(Q_j/q_i)
-/// into the out-of-group extended limbs (`digits·(ext−ω)·ω`·n), the
-/// lazy inner products against both key components (`2·digits·ext`·n),
-/// and the mod-down by P (`2·(k + limbs·k + limbs)`·n).
-pub fn key_switch_modmuls(params: &CkksParams, limbs: usize) -> u128 {
+pub fn key_switch_apply_modmuls(params: &CkksParams, limbs: usize) -> u128 {
     let n = params.n as u128;
     if params.ks_digit_limbs == 0 {
         let digits = digits_for(params.scale_prime_bits);
-        2 * (limbs as u128) * ((limbs * digits) as u128) * n
-    } else {
-        let omega = params.ks_digit_limbs.min(limbs).max(1);
-        let k = omega;
-        let ext = limbs + k;
-        let digits = limbs.div_ceil(omega);
-        let ntts = key_switch_ntts(params, limbs) as u128;
-        let scale = limbs as u128;
-        let raise = (digits * (ext - omega) * omega) as u128;
-        let accumulate = 2 * (digits * ext) as u128;
-        let mod_down = 2 * (k + limbs * k + limbs) as u128;
-        (ntts + scale + raise + accumulate + mod_down) * n
+        return 2 * (limbs as u128) * ((limbs * digits) as u128) * n;
     }
+    let (k, ext, digits) = hybrid_shape(params, limbs);
+    let accumulate = 2 * digits * ext;
+    let mod_down = 2 * (k + limbs) + 2 * (k + limbs * k + limbs);
+    ((accumulate + mod_down) as u128) * n
+}
+
+/// Modular multiplies of one whole key switch (decompose + apply once)
+/// at `limbs` limbs under the configured gadget — the relinearisation
+/// core, excluding the tensor product around it.
+pub fn key_switch_modmuls(params: &CkksParams, limbs: usize) -> u128 {
+    key_switch_decompose_modmuls(params, limbs) + key_switch_apply_modmuls(params, limbs)
 }
 
 /// Work of one ciphertext-ciphertext multiply + relinearisation at
@@ -194,29 +221,42 @@ pub fn project_seconds(counts: &OpCounts, seconds_per_modmul: f64) -> f64 {
     counts.modmuls as f64 * seconds_per_modmul
 }
 
-/// Work of one slot rotation (Galois automorphism + key switch) at the
-/// given limb count, in 64-bit modular multiplies.
+/// Work of applying one rotation to an already-decomposed ciphertext
+/// (the per-Galois-element half of a rotation) at `limbs` limbs, in
+/// 64-bit modular multiplies.
 ///
-/// A rotation costs the same key-switch as a relinearisation plus the
-/// automorphism permutation, and consumes no level.
-pub fn rotation_modmuls(params: &CkksParams, limbs: usize) -> u128 {
-    let n = params.n as u128;
+/// Hybrid: exactly [`key_switch_apply_modmuls`] — in NTT form the
+/// automorphism of `c0` and of the raised digits is an index
+/// permutation, no transform and no multiply.
+///
+/// Per-prime: the frozen pre-gadget closed form of a whole rotation
+/// (two coefficient-domain round trips and the digit-lift NTTs at n
+/// mults each, plus the key switch), so plans recorded with
+/// `ks_digit_limbs = 0` — whose traces carry no decomposition count —
+/// re-price identically.
+pub fn rotation_apply_modmuls(params: &CkksParams, limbs: usize) -> u128 {
     if params.ks_digit_limbs == 0 {
-        // iNTT to coefficient form (2 components), permutation
-        // (free-ish), then the per-prime key switch. The digit-lift
-        // NTTs are charged here at n mults each, as before the gadget.
         let ntts = 2 * limbs + key_switch_ntts(params, limbs);
-        (ntts as u128) * n + key_switch_modmuls(params, limbs)
+        (ntts as u128) * params.n as u128 + key_switch_apply_modmuls(params, limbs)
     } else {
-        // c0's automorphism round trip; the hybrid key switch of c1
-        // already prices its own NTT passes.
-        2 * (limbs as u128) * n + key_switch_modmuls(params, limbs)
+        key_switch_apply_modmuls(params, limbs)
     }
+}
+
+/// Work of one standalone slot rotation (decompose, then apply one
+/// Galois element) at the given limb count, in 64-bit modular
+/// multiplies. Consumes no level. `r` rotations of one ciphertext
+/// cost one [`key_switch_decompose_modmuls`] plus `r`
+/// [`rotation_apply_modmuls`], not `r` of these.
+pub fn rotation_modmuls(params: &CkksParams, limbs: usize) -> u128 {
+    key_switch_decompose_modmuls(params, limbs) + rotation_apply_modmuls(params, limbs)
 }
 
 /// Work of one Halevi–Shoup matrix–vector product with `diagonals`
 /// nonzero diagonals using the baby-step/giant-step schedule, in
-/// modular multiplies.
+/// modular multiplies: the baby steps rotate the same input and share
+/// one decomposition; each giant step rotates its own partial sum and
+/// pays a whole rotation.
 pub fn matvec_bsgs_modmuls(
     params: &CkksParams,
     dim: usize,
@@ -226,29 +266,38 @@ pub fn matvec_bsgs_modmuls(
     let n = params.n as u128;
     let g1 = (dim as f64).sqrt().ceil() as usize;
     let g2 = dim.div_ceil(g1);
-    let rotations = (g1.min(diagonals).saturating_sub(1) + g2.min(diagonals)) as u128;
+    let baby = g1.min(diagonals).saturating_sub(1) as u128;
+    let giant = g2.min(diagonals) as u128;
     let plain_mults = diagonals as u128 * (limbs as u128) * n;
-    rotations * rotation_modmuls(params, limbs) + plain_mults
+    u128::from(baby > 0) * key_switch_decompose_modmuls(params, limbs)
+        + baby * rotation_apply_modmuls(params, limbs)
+        + giant * rotation_modmuls(params, limbs)
+        + plain_mults
 }
 
 /// Modeled cost of one simulated bootstrap, in modular multiplies.
 ///
 /// Calibrated to the published CKKS bootstrapping structure: roughly
-/// `slots`-dependent homomorphic encode/decode (CoeffToSlot/SlotToCoeff,
-/// ~2·log2(slots) rotations each at full level) plus an EvalMod sine
-/// approximation of multiplicative depth ~10. This makes the
-/// leveled-vs-bootstrapped trade-off in the latency model concrete: at
-/// default parameters one bootstrap costs as much as several 27-degree
-/// PAF evaluations, which is why the paper's low-degree PAFs avoid it.
+/// `slots`-dependent homomorphic encode/decode (CoeffToSlot and
+/// SlotToCoeff, each a baby-step/giant-step linear transform of
+/// ~2·log2(slots) rotations at full level — half of them baby steps
+/// sharing one decomposition, half giant steps paying their own) plus
+/// an EvalMod sine approximation of multiplicative depth ~10. This
+/// makes the leveled-vs-bootstrapped trade-off in the latency model
+/// concrete: at default parameters one bootstrap costs as much as
+/// several 27-degree PAF evaluations, which is why the paper's
+/// low-degree PAFs avoid it.
 pub fn bootstrap_modmuls(params: &CkksParams) -> u128 {
     let full = params.depth + 1;
     let slots = (params.n / 2) as u128;
     let log_slots = 128 - slots.leading_zeros() as u128;
-    let linear_rotations = 4 * log_slots; // CoeffToSlot + SlotToCoeff
-    let rot = rotation_modmuls(params, full);
+    // One of CoeffToSlot / SlotToCoeff.
+    let transform = key_switch_decompose_modmuls(params, full)
+        + log_slots * rotation_apply_modmuls(params, full)
+        + log_slots * rotation_modmuls(params, full);
     // EvalMod: a depth-10 odd polynomial ≈ 14 ct-mults at full level.
     let ct_mult = ct_mult_modmuls(params, full);
-    linear_rotations * rot + 14 * ct_mult
+    2 * transform + 14 * ct_mult
 }
 
 #[cfg(test)]

@@ -4,13 +4,28 @@
 //! With the encoder's orbit slot ordering (slot `j` evaluates the
 //! plaintext at the primitive `2n`-th root with exponent `5^j mod 2n`),
 //! the automorphism `X ↦ X^{5^r}` cyclically rotates the `n/2` slots
-//! left by `r`, and `X ↦ X^{2n−1}` conjugates every slot. Each
-//! application needs one key switch (same gadget as relinearisation)
-//! and consumes **no** level — rotations are depth-free, which is what
-//! makes the diagonal matrix-vector method (see [`crate::linear`])
+//! left by `r`, and `X ↦ X^{2n−1}` conjugates every slot. Neither
+//! consumes a level — rotations are depth-free, which is what makes
+//! the diagonal matrix-vector method (see [`crate::linear`])
 //! affordable inside a leveled budget.
+//!
+//! An automorphism is a key switch in two phases (same gadget as
+//! relinearisation; docs/ARCHITECTURE.md, "Hoisted key switch"):
+//!
+//! - **decompose** `c1` into raised NTT-form gadget digits — work that
+//!   depends on the input ciphertext only, *not* on the Galois
+//!   element;
+//! - **apply** one element: permute the digits (and `c0`) with that
+//!   element's cached NTT-domain index table — the automorphism is a
+//!   pure permutation in NTT form, no transform — then inner-product
+//!   them against the element's Galois key and mod-down.
+//!
+//! [`Evaluator::rotate`] and [`Evaluator::apply_galois`] decompose and
+//! apply once; [`Evaluator::rotate_many`] and the matvecs in
+//! [`crate::linear`] decompose once and apply per rotation, so `r`
+//! rotations of one ciphertext cost one decomposition, not `r`.
 
-use crate::cipher::{Ciphertext, Evaluator};
+use crate::cipher::{Ciphertext, Evaluator, Hoisted};
 
 /// Returns the Galois element `5^steps mod 2n` implementing a left
 /// rotation by `steps` slots.
@@ -50,20 +65,40 @@ impl Evaluator {
         if g == 1 {
             return ct.clone();
         }
-        let nl = ct.num_limbs();
-        let mut c0g = ct.c0.automorphism(g);
-        c0g.to_ntt();
-        let c1g = ct.c1.automorphism(g); // key_switch converts internally
-        let key = self.keys().galois_key(g, nl);
-        let mut c1g_ntt = c1g;
-        c1g_ntt.to_ntt();
-        let (k0, k1) = self.key_switch_with(&c1g_ntt, &key);
-        c0g.add_assign(&k0);
+        self.apply_galois_hoisted(ct, &self.decompose(&ct.c1), g)
+    }
+
+    /// [`Evaluator::apply_galois`] given `ct.c1`'s decomposition: the
+    /// per-element half of the key switch only. `c0` is permuted in
+    /// NTT form with the same index table as the digits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is not a valid odd Galois element or `hoisted`
+    /// was decomposed at another level.
+    fn apply_galois_hoisted(&self, ct: &Ciphertext, hoisted: &Hoisted, g: usize) -> Ciphertext {
+        assert_eq!(
+            hoisted.num_limbs(),
+            ct.num_limbs(),
+            "hoisted level mismatch"
+        );
+        let perm = self.context().galois_perm(g);
+        let key = self.keys().galois_key(g, ct.num_limbs());
+        let (k0, k1) = self.apply_key(hoisted, &key, Some(&perm));
+        let mut c0 = ct.c0.automorphism_ntt(&perm);
+        c0.add_assign(&k0);
         Ciphertext {
-            c0: c0g,
+            c0,
             c1: k1,
             scale: ct.scale,
         }
+    }
+
+    /// The Galois element of a left rotation by `steps` slots
+    /// (negative = right); 1 when the rotation is the identity.
+    fn rotation_element_of(&self, steps: i64) -> usize {
+        let r = steps.rem_euclid(self.context().slots() as i64) as usize;
+        rotation_element(self.context().n(), r)
     }
 
     /// Rotates the slot vector left by `steps` (negative = right).
@@ -72,12 +107,24 @@ impl Evaluator {
     /// vector of length `m` cyclically, replicate it to fill the slots
     /// (see [`Evaluator::encrypt_replicated`]).
     pub fn rotate(&self, ct: &Ciphertext, steps: i64) -> Ciphertext {
-        let slots = self.context().slots();
-        let r = steps.rem_euclid(slots as i64) as usize;
-        if r == 0 {
-            return ct.clone();
-        }
-        self.apply_galois(ct, rotation_element(self.context().n(), r))
+        self.apply_galois(ct, self.rotation_element_of(steps))
+    }
+
+    /// Rotates one ciphertext by each of `steps`, decomposing it once:
+    /// element `i` of the result is byte-identical to
+    /// `rotate(ct, steps[i])`, at the cost of one decomposition plus
+    /// one key application per non-identity step. The applications fan
+    /// out across [`crate::par`].
+    pub fn rotate_many(&self, ct: &Ciphertext, steps: &[i64]) -> Vec<Ciphertext> {
+        let elements: Vec<usize> = steps.iter().map(|&s| self.rotation_element_of(s)).collect();
+        let hoisted = elements
+            .iter()
+            .any(|&g| g != 1)
+            .then(|| self.decompose(&ct.c1));
+        crate::par::map(elements.len(), |i| match &hoisted {
+            Some(h) if elements[i] != 1 => self.apply_galois_hoisted(ct, h, elements[i]),
+            _ => ct.clone(),
+        })
     }
 
     /// Conjugates every slot. For real-valued slots this is the
@@ -231,6 +278,40 @@ mod tests {
         let or = ev.decrypt_values(&rhs, slots);
         for j in (0..slots).step_by(13) {
             assert!((ol[j] - or[j]).abs() < 2e-3, "slot {j}");
+        }
+    }
+
+    #[test]
+    fn per_prime_rows_beyond_lazy_headroom_flush() {
+        // A 62-bit base prime leaves 16 raw products of headroom; six
+        // limbs of per-prime digits are 4 + 5·4 = 24 rows, so the key
+        // switch must flush its accumulators mid-sum. Rotate and
+        // relinearise across that boundary.
+        let params = CkksParams {
+            n: 64,
+            base_prime_bits: 62,
+            scale_prime_bits: 50,
+            depth: 5,
+            ks_digit_limbs: 0,
+        };
+        let ctx = params.build();
+        assert!(crate::keys::per_prime_rows(&ctx, 6).len() > ctx.lazy_acc_headroom(6, 0));
+        let mut rng = Rng64::new(40);
+        let ev = Evaluator::new(&KeyChain::generate(&ctx, &mut rng));
+        let slots = ctx.slots();
+        let vals = ramp(slots);
+        let ct = ev.encrypt_values(&vals, &mut rng);
+        let rot = ev.rotate(&ct, 3);
+        let mut sq = ev.square(&rot);
+        ev.rescale(&mut sq);
+        let out = ev.decrypt_values(&sq, slots);
+        for j in 0..slots {
+            let want = vals[(j + 3) % slots].powi(2);
+            assert!(
+                (out[j] - want).abs() < 1e-6,
+                "slot {j}: {} vs {want}",
+                out[j]
+            );
         }
     }
 

@@ -17,7 +17,13 @@
 //! level and caches them. A production deployment would generate all
 //! levels offline once; the lazy generation here is a simulator
 //! convenience and is excluded from benchmark timings by Criterion's
-//! warm-up iterations.
+//! warm-up iterations. Each lazy key's randomness is a function of the
+//! chain's seed and the key's `(kind, g, limbs)` tag alone, so which
+//! keys were requested first — or from which thread — never changes
+//! key material. The hybrid gadget's key-independent constants
+//! ([`HybridBasis`]: digit partition, raise and mod-down factors) are
+//! built for every level at key generation, so one key-switch
+//! decomposition serves every key of its level.
 
 use crate::modular::inv_mod;
 use crate::rns::{CkksContext, RnsPoly};
@@ -85,23 +91,33 @@ pub struct PublicKey {
     pub(crate) a: RnsPoly,
 }
 
-/// One key-switching component for a `(prime index, digit)` pair:
-/// `(b, a)` with `b = -a·s + e + B^t·ĝ_i·s'` for the switched-from
-/// secret `s'` (`s²` for relinearisation, `φ_g(s)` for Galois keys).
+/// One key-switching component for a `(prime index, digit)` pair of
+/// [`per_prime_rows`]: `(b, a)` with `b = -a·s + e + B^t·ĝ_i·s'` for
+/// the switched-from secret `s'` (`s²` for relinearisation, `φ_g(s)`
+/// for Galois keys).
 #[derive(Debug, Clone)]
 pub(crate) struct RelinComponent {
     pub(crate) b: RnsPoly,
     pub(crate) a: RnsPoly,
-    pub(crate) prime_index: usize,
-    pub(crate) digit: u32,
 }
 
-/// One digit of a hybrid key-switching key: the grouped chain-limb
-/// range, the fast-base-conversion constants for lifting that digit to
-/// the extended basis, and the `(b, a)` pair over the extended basis
-/// with `b = -a·s + e + (P·G_j)·s'`.
+/// The per-prime gadget's components at `num_limbs` limbs as
+/// `(prime index, digit)` pairs, prime-major — the one order shared by
+/// key generation and the evaluator's decomposition.
+pub(crate) fn per_prime_rows(ctx: &CkksContext, num_limbs: usize) -> Vec<(usize, u32)> {
+    (0..num_limbs)
+        .flat_map(|i| {
+            let bits = 64 - ctx.primes()[i].leading_zeros();
+            (0..bits.div_ceil(DIGIT_BITS)).map(move |digit| (i, digit))
+        })
+        .collect()
+}
+
+/// The fast-base-conversion constants of one hybrid gadget digit: the
+/// grouped chain-limb range and the factors that lift that digit to
+/// the extended basis. Level-specific, key-independent.
 #[derive(Debug, Clone)]
-pub(crate) struct HybridDigit {
+pub(crate) struct HybridDigitBasis {
     /// First chain limb of the group.
     pub(crate) start: usize,
     /// One past the last chain limb of the group.
@@ -113,22 +129,19 @@ pub(crate) struct HybridDigit {
     /// `[(Q_j/q_i)] mod m_t`, laid out `t`-major
     /// (`qhat[t * group + i]`).
     pub(crate) qhat: Vec<u64>,
-    /// `b` over the extended basis, flat limb-major, NTT form.
-    pub(crate) b: Vec<u64>,
-    /// `a` over the extended basis, flat limb-major, NTT form.
-    pub(crate) a: Vec<u64>,
 }
 
-/// A hybrid key-switching key for one level: the per-digit components
-/// plus the mod-down-by-`P` constants.
+/// Everything the hybrid key switch needs at one level that does not
+/// depend on the key: the digit partition with its raise constants
+/// (the decompose phase) and the mod-down-by-`P` constants (the apply
+/// phase). Built once per level at key generation, so a decomposition
+/// can be shared by every key at that level.
 #[derive(Debug, Clone)]
-pub(crate) struct HybridKsk {
-    /// Level (chain limb count) the key was generated for.
-    pub(crate) num_limbs: usize,
+pub(crate) struct HybridBasis {
     /// Special primes in use: `k = min(ω, num_limbs)`.
     pub(crate) k: usize,
     /// The digits, covering `0..num_limbs` in order.
-    pub(crate) digits: Vec<HybridDigit>,
+    pub(crate) digits: Vec<HybridDigitBasis>,
     /// Per special limb `l`: `[(P/p_l)^{-1}]_{p_l}` and Shoup companion.
     pub(crate) inv_phat: Vec<(u64, u64)>,
     /// Per chain limb `t`, per special limb `l`: `(P/p_l) mod q_t`,
@@ -136,6 +149,26 @@ pub(crate) struct HybridKsk {
     pub(crate) phat: Vec<u64>,
     /// Per chain limb `t`: `[P^{-1}]_{q_t}` and Shoup companion.
     pub(crate) p_inv: Vec<(u64, u64)>,
+    /// Per chain limb `t`: `P mod q_t` (the gadget factor keys embed).
+    pub(crate) p_mod: Vec<u64>,
+}
+
+/// One digit of a hybrid key-switching key: the `(b, a)` pair over the
+/// extended basis with `b = -a·s + e + (P·G_j)·s'`.
+#[derive(Debug, Clone)]
+pub(crate) struct HybridDigit {
+    /// `b` over the extended basis, flat limb-major, NTT form.
+    pub(crate) b: Vec<u64>,
+    /// `a` over the extended basis, flat limb-major, NTT form.
+    pub(crate) a: Vec<u64>,
+}
+
+/// A hybrid key-switching key for one level: one `(b, a)` pair per
+/// digit of that level's [`HybridBasis`].
+#[derive(Debug, Clone)]
+pub(crate) struct HybridKsk {
+    /// The digits, in [`HybridBasis::digits`] order.
+    pub(crate) digits: Vec<HybridDigit>,
 }
 
 /// The two key-switching key layouts; which one a [`KeyChain`]
@@ -176,6 +209,19 @@ impl RelinKey {
             KskInner::Hybrid(ksk) => ksk.digits.len(),
         }
     }
+
+    /// Limb `t` of component `j`'s `(b, a)` pair (NTT form), over the
+    /// key's own basis: chain limbs for per-prime keys, the extended
+    /// basis for hybrid ones.
+    pub(crate) fn component_limb(&self, j: usize, t: usize, n: usize) -> (&[u64], &[u64]) {
+        match &self.inner {
+            KskInner::PerPrime(components) => (components[j].b.limb(t), components[j].a.limb(t)),
+            KskInner::Hybrid(ksk) => {
+                let d = &ksk.digits[j];
+                (&d.b[t * n..(t + 1) * n], &d.a[t * n..(t + 1) * n])
+            }
+        }
+    }
 }
 
 /// Holds the key material and lazily generates per-level relin keys
@@ -188,9 +234,16 @@ pub struct KeyChain {
     /// `RnsPoly` cannot produce.
     sk_coeffs: Vec<i64>,
     pk: PublicKey,
+    /// Hybrid gadget constants per level (`bases[num_limbs - 1]`);
+    /// empty under the per-prime gadget.
+    bases: Vec<HybridBasis>,
     relin_cache: Mutex<HashMap<usize, Arc<RelinKey>>>,
     galois_cache: Mutex<HashMap<(usize, usize), Arc<RelinKey>>>,
-    relin_rng: Mutex<Rng64>,
+    /// Parent of every lazily generated key's RNG. Never advanced:
+    /// each key forks a *copy* by its `(kind, g, limbs)` tag, so key
+    /// material does not depend on the order (or the thread) keys are
+    /// first requested in.
+    ksk_rng: Rng64,
 }
 
 impl std::fmt::Debug for KeyChain {
@@ -216,15 +269,38 @@ impl KeyChain {
         let mut e = RnsPoly::random_error(ctx, full, rng);
         e.to_ntt();
         let b = a.mul(&s).neg().add(&e);
+        let bases = match KeySwitchGadget::of(ctx) {
+            KeySwitchGadget::PerPrime { .. } => Vec::new(),
+            KeySwitchGadget::Hybrid { .. } => {
+                (1..=full).map(|nl| HybridBasis::new(ctx, nl)).collect()
+            }
+        };
         Arc::new(KeyChain {
             ctx: Arc::clone(ctx),
             sk: SecretKey { s },
             sk_coeffs,
             pk: PublicKey { b, a },
+            bases,
             relin_cache: Mutex::new(HashMap::new()),
             galois_cache: Mutex::new(HashMap::new()),
-            relin_rng: Mutex::new(rng.fork(0x52454C4E)),
+            ksk_rng: rng.fork(0x52454C4E),
         })
+    }
+
+    /// The RNG of the lazily generated key tagged `tag`: a function of
+    /// the chain's seed and the tag alone.
+    fn key_rng(&self, tag: u64) -> Rng64 {
+        self.ksk_rng.clone().fork(tag)
+    }
+
+    /// The hybrid gadget constants for `num_limbs` limbs.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the per-prime gadget or if `num_limbs` is zero or
+    /// exceeds the chain length.
+    pub(crate) fn hybrid_basis(&self, num_limbs: usize) -> &HybridBasis {
+        &self.bases[num_limbs - 1]
     }
 
     /// Shared context.
@@ -254,20 +330,20 @@ impl KeyChain {
         if let Some(k) = self.relin_cache.lock().expect("poisoned").get(&num_limbs) {
             return Arc::clone(k);
         }
+        // Generated outside the lock; a racing thread derives the
+        // identical key from the same tag, and the first insert wins.
         let key = Arc::new(self.generate_relin(num_limbs));
-        self.relin_cache
-            .lock()
-            .expect("poisoned")
-            .insert(num_limbs, Arc::clone(&key));
-        key
+        Arc::clone(
+            self.relin_cache
+                .lock()
+                .expect("poisoned")
+                .entry(num_limbs)
+                .or_insert(key),
+        )
     }
 
     fn generate_relin(&self, num_limbs: usize) -> RelinKey {
-        let mut rng = self
-            .relin_rng
-            .lock()
-            .expect("poisoned")
-            .fork(num_limbs as u64);
+        let mut rng = self.key_rng(num_limbs as u64);
         match KeySwitchGadget::of(&self.ctx) {
             KeySwitchGadget::PerPrime { .. } => {
                 let s_trunc = truncate(&self.sk.s, num_limbs);
@@ -299,11 +375,7 @@ impl KeyChain {
         if let Some(k) = self.galois_cache.lock().expect("poisoned").get(&cache_key) {
             return Arc::clone(k);
         }
-        let mut rng = self
-            .relin_rng
-            .lock()
-            .expect("poisoned")
-            .fork(0x47414C ^ ((g as u64) << 16) ^ num_limbs as u64);
+        let mut rng = self.key_rng(0x47414C ^ ((g as u64) << 16) ^ num_limbs as u64);
         let key = match KeySwitchGadget::of(&self.ctx) {
             KeySwitchGadget::PerPrime { .. } => {
                 let s_trunc = truncate(&self.sk.s, num_limbs);
@@ -320,12 +392,14 @@ impl KeyChain {
                 num_limbs,
             },
         };
-        let key = Arc::new(key);
-        self.galois_cache
-            .lock()
-            .expect("poisoned")
-            .insert(cache_key, Arc::clone(&key));
-        key
+        // As in `relin_key`: racing generations are identical.
+        Arc::clone(
+            self.galois_cache
+                .lock()
+                .expect("poisoned")
+                .entry(cache_key)
+                .or_insert(Arc::new(key)),
+        )
     }
 
     /// Generates a gadget-decomposed key-switching key embedding the
@@ -333,11 +407,9 @@ impl KeyChain {
     fn generate_ksk(&self, s_prime: &RnsPoly, num_limbs: usize, rng: &mut Rng64) -> RelinKey {
         let ctx = &self.ctx;
         let s_trunc = truncate(&self.sk.s, num_limbs);
-        let mut components = Vec::new();
-        for prime_index in 0..num_limbs {
-            let q_bits = 64 - ctx.primes()[prime_index].leading_zeros();
-            let digits = q_bits.div_ceil(DIGIT_BITS);
-            for digit in 0..digits {
+        let components = per_prime_rows(ctx, num_limbs)
+            .into_iter()
+            .map(|(prime_index, digit)| {
                 let a = RnsPoly::random_uniform(ctx, num_limbs, rng);
                 let mut e = RnsPoly::random_error(ctx, num_limbs, rng);
                 e.to_ntt();
@@ -348,14 +420,9 @@ impl KeyChain {
                 scalars[prime_index] = mod_pow2(DIGIT_BITS * digit, q_i);
                 let gadget_sp = s_prime.mul_scalar_residues(&scalars);
                 let b = a.mul(&s_trunc).neg().add(&e).add(&gadget_sp);
-                components.push(RelinComponent {
-                    b,
-                    a,
-                    prime_index,
-                    digit,
-                });
-            }
-        }
+                RelinComponent { b, a }
+            })
+            .collect();
         RelinKey {
             inner: KskInner::PerPrime(components),
             num_limbs,
@@ -387,9 +454,9 @@ impl KeyChain {
     }
 
     /// Generates a hybrid key-switching key embedding the
-    /// switched-from secret (`s²` or `φ_g(s)`), with all base
-    /// conversion and mod-down constants precomputed. One-time per
-    /// (kind, level) — cached by the callers.
+    /// switched-from secret (`s²` or `φ_g(s)`) over the digits of the
+    /// level's [`HybridBasis`]. One-time per (kind, level) — cached by
+    /// the callers.
     fn generate_hybrid_ksk(
         &self,
         which: SwitchedSecret,
@@ -398,11 +465,9 @@ impl KeyChain {
     ) -> HybridKsk {
         let ctx = &self.ctx;
         let n = ctx.n();
-        let omega = ctx.special_primes().len();
-        let omega_eff = omega.min(num_limbs);
-        let k = omega_eff;
+        let basis = self.hybrid_basis(num_limbs);
+        let k = basis.k;
         let ext = num_limbs + k;
-        let mulmod = |a: u64, b: u64, m: u64| ((a as u128 * b as u128) % m as u128) as u64;
 
         // Secrets over the extended basis (NTT form, flat limb-major).
         let s_ext = self.ext_residues_ntt(&self.sk_coeffs, num_limbs, k);
@@ -431,6 +496,63 @@ impl KeyChain {
                 self.ext_residues_ntt(&coeffs, num_limbs, k)
             }
         };
+
+        let digits = basis
+            .digits
+            .iter()
+            .map(|digit| {
+                // Component (b, a) over the extended basis. Draw order
+                // is limb-major like `random_uniform` / `random_error`.
+                let mut a = vec![0u64; ext * n];
+                for t in 0..ext {
+                    let m = ctx.ext_modulus(num_limbs, t);
+                    for dst in &mut a[t * n..(t + 1) * n] {
+                        *dst = rng.next_u64() % m;
+                    }
+                }
+                let sigma = ctx.sigma();
+                let e_coeffs: Vec<i64> = (0..n)
+                    .map(|_| (rng.next_gaussian() as f64 * sigma).round() as i64)
+                    .collect();
+                let e_ext = self.ext_residues_ntt(&e_coeffs, num_limbs, k);
+                // b = -a·s + e + gadget·s', where the gadget residue is
+                // `P mod q_t` on in-group chain limbs and 0 elsewhere
+                // (every special prime divides P, and G_j ≡ 0 modulo
+                // out-of-group chain primes).
+                let mut b = vec![0u64; ext * n];
+                for t in 0..ext {
+                    let arith = ctx.ext_arith(num_limbs, t);
+                    let gadget = if t >= digit.start && t < digit.end {
+                        basis.p_mod[t]
+                    } else {
+                        0
+                    };
+                    let (bt, at) = (&mut b[t * n..(t + 1) * n], &a[t * n..(t + 1) * n]);
+                    let st = &s_ext[t * n..(t + 1) * n];
+                    let spt = &sp_ext[t * n..(t + 1) * n];
+                    let et = &e_ext[t * n..(t + 1) * n];
+                    for c in 0..n {
+                        let neg_as = arith.q() - arith.mul(at[c], st[c]);
+                        let neg_as = if neg_as == arith.q() { 0 } else { neg_as };
+                        let g_sp = arith.mul(gadget, spt[c]);
+                        bt[c] = arith.add(arith.add(neg_as, et[c]), g_sp);
+                    }
+                }
+                HybridDigit { b, a }
+            })
+            .collect();
+        HybridKsk { digits }
+    }
+}
+
+impl HybridBasis {
+    /// Precomputes the digit partition, base-conversion and mod-down
+    /// constants for `num_limbs` limbs of `ctx`'s chain.
+    fn new(ctx: &CkksContext, num_limbs: usize) -> Self {
+        let omega_eff = ctx.special_primes().len().min(num_limbs);
+        let k = omega_eff;
+        let ext = num_limbs + k;
+        let mulmod = |a: u64, b: u64, m: u64| ((a as u128 * b as u128) % m as u128) as u64;
 
         // Mod-down constants: P = ∏ special[..k].
         let mut p_mod = vec![0u64; num_limbs];
@@ -505,58 +627,22 @@ impl KeyChain {
                     qhat[t * group + i] = hat;
                 }
             }
-
-            // Component (b, a) over the extended basis. Draw order is
-            // limb-major like `random_uniform` / `random_error`.
-            let mut a = vec![0u64; ext * n];
-            for t in 0..ext {
-                let m = ctx.ext_modulus(num_limbs, t);
-                for dst in &mut a[t * n..(t + 1) * n] {
-                    *dst = rng.next_u64() % m;
-                }
-            }
-            let sigma = ctx.sigma();
-            let e_coeffs: Vec<i64> = (0..n)
-                .map(|_| (rng.next_gaussian() as f64 * sigma).round() as i64)
-                .collect();
-            let e_ext = self.ext_residues_ntt(&e_coeffs, num_limbs, k);
-            // b = -a·s + e + gadget·s', where the gadget residue is
-            // `P mod q_t` on in-group chain limbs and 0 elsewhere
-            // (every special prime divides P, and G_j ≡ 0 modulo
-            // out-of-group chain primes).
-            let mut b = vec![0u64; ext * n];
-            for t in 0..ext {
-                let arith = ctx.ext_arith(num_limbs, t);
-                let gadget = if t >= start && t < end { p_mod[t] } else { 0 };
-                let (bt, at) = (&mut b[t * n..(t + 1) * n], &a[t * n..(t + 1) * n]);
-                let st = &s_ext[t * n..(t + 1) * n];
-                let spt = &sp_ext[t * n..(t + 1) * n];
-                let et = &e_ext[t * n..(t + 1) * n];
-                for c in 0..n {
-                    let neg_as = arith.q() - arith.mul(at[c], st[c]);
-                    let neg_as = if neg_as == arith.q() { 0 } else { neg_as };
-                    let g_sp = arith.mul(gadget, spt[c]);
-                    bt[c] = arith.add(arith.add(neg_as, et[c]), g_sp);
-                }
-            }
-            digits.push(HybridDigit {
+            digits.push(HybridDigitBasis {
                 start,
                 end,
                 inv_qhat,
                 qhat,
-                b,
-                a,
             });
             start = end;
         }
 
-        HybridKsk {
-            num_limbs,
+        HybridBasis {
             k,
             digits,
             inv_phat,
             phat,
             p_inv,
+            p_mod,
         }
     }
 }
@@ -635,10 +721,10 @@ mod tests {
         let KskInner::PerPrime(components) = &rk.inner else {
             panic!("per-prime context produced a hybrid key");
         };
-        for comp in components.iter().take(4) {
+        for (comp, (prime_index, digit)) in components.iter().zip(per_prime_rows(&ctx, nl)).take(4)
+        {
             let mut scalars = vec![0u64; nl];
-            scalars[comp.prime_index] =
-                mod_pow2(DIGIT_BITS * comp.digit, ctx.primes()[comp.prime_index]);
+            scalars[prime_index] = mod_pow2(DIGIT_BITS * digit, ctx.primes()[prime_index]);
             let gadget_s2 = s2.mul_scalar_residues(&scalars);
             let mut resid = comp.b.add(&comp.a.mul(&s)).sub(&gadget_s2);
             resid.to_coeff();
@@ -677,10 +763,10 @@ mod tests {
         let KskInner::PerPrime(components) = &gk.inner else {
             panic!("per-prime context produced a hybrid key");
         };
-        for comp in components.iter().take(4) {
+        for (comp, (prime_index, digit)) in components.iter().zip(per_prime_rows(&ctx, nl)).take(4)
+        {
             let mut scalars = vec![0u64; nl];
-            scalars[comp.prime_index] =
-                mod_pow2(DIGIT_BITS * comp.digit, ctx.primes()[comp.prime_index]);
+            scalars[prime_index] = mod_pow2(DIGIT_BITS * digit, ctx.primes()[prime_index]);
             let gadget_sg = s_g.mul_scalar_residues(&scalars);
             let mut resid = comp.b.add(&comp.a.mul(&s)).sub(&gadget_sg);
             resid.to_coeff();
@@ -701,6 +787,75 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         let c = kc.galois_key(25, 2);
         assert!(!Arc::ptr_eq(&a, &c));
+    }
+
+    /// Every word of a key, component by component.
+    fn key_words(key: &RelinKey, ctx: &CkksContext) -> Vec<u64> {
+        let n = ctx.n();
+        let width = match &key.inner {
+            KskInner::PerPrime(_) => key.num_limbs(),
+            KskInner::Hybrid(ksk) => ksk.digits[0].b.len() / n,
+        };
+        let mut words = Vec::new();
+        for j in 0..key.component_count() {
+            for t in 0..width {
+                let (b, a) = key.component_limb(j, t, n);
+                words.extend_from_slice(b);
+                words.extend_from_slice(a);
+            }
+        }
+        words
+    }
+
+    #[test]
+    fn lazy_keys_do_not_depend_on_request_order() {
+        // Two chains from one seed, asked for the same keys in
+        // opposite orders — one of them from 4 threads released
+        // together — must hold byte-identical key material: each key's
+        // RNG is a function of the chain seed and the key's tag alone.
+        #[derive(Clone, Copy)]
+        enum Req {
+            Relin(usize),
+            Galois(usize, usize),
+        }
+        let reqs = [
+            Req::Relin(3),
+            Req::Galois(5, 2),
+            Req::Galois(25, 2),
+            Req::Relin(2),
+            Req::Galois(5, 3),
+            Req::Galois(511, 2),
+        ];
+        let fetch = |kc: &KeyChain, r: Req| match r {
+            Req::Relin(nl) => kc.relin_key(nl),
+            Req::Galois(g, nl) => kc.galois_key(g, nl),
+        };
+        for ctx in [CkksParams::toy().build(), per_prime_ctx()] {
+            let forward = KeyChain::generate(&ctx, &mut Rng64::new(17));
+            let backward = KeyChain::generate(&ctx, &mut Rng64::new(17));
+            for &r in &reqs {
+                fetch(&forward, r);
+            }
+            let barrier = std::sync::Barrier::new(4);
+            std::thread::scope(|scope| {
+                for shift in 0..4 {
+                    let (backward, barrier, reqs) = (&backward, &barrier, &reqs);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        for i in (0..reqs.len()).rev() {
+                            fetch(backward, reqs[(i + shift) % reqs.len()]);
+                        }
+                    });
+                }
+            });
+            for &r in &reqs {
+                assert_eq!(
+                    key_words(&fetch(&forward, r), &ctx),
+                    key_words(&fetch(&backward, r), &ctx),
+                    "key material must not depend on request order"
+                );
+            }
+        }
     }
 
     #[test]
@@ -742,11 +897,11 @@ mod tests {
     /// Checks the hybrid key relation `b + a·s − gadget·s' = e` limb
     /// by limb over the extended basis: the residual must be a
     /// centered-small error in every limb.
-    fn assert_hybrid_relation(kc: &KeyChain, ksk: &HybridKsk, sp_coeffs_check: &str) {
+    fn assert_hybrid_relation(kc: &KeyChain, ksk: &HybridKsk, nl: usize, sp_coeffs_check: &str) {
         let ctx = kc.context();
         let n = ctx.n();
-        let nl = ksk.num_limbs;
-        let k = ksk.k;
+        let basis = kc.hybrid_basis(nl);
+        let k = basis.k;
         let ext = nl + k;
         let s_ext = kc.ext_residues_ntt(&kc.sk_coeffs, nl, k);
         // P mod q_t, recomputed independently of keygen.
@@ -771,10 +926,10 @@ mod tests {
             }
             _ => unreachable!(),
         };
-        for digit in &ksk.digits {
+        for (digit, range) in ksk.digits.iter().zip(&basis.digits) {
             for t in 0..ext {
                 let arith = ctx.ext_arith(nl, t);
-                let gadget = if t >= digit.start && t < digit.end {
+                let gadget = if t >= range.start && t < range.end {
                     p_mod[t]
                 } else {
                     0
@@ -796,8 +951,8 @@ mod tests {
                     assert!(
                         centered.abs() < 64,
                         "digit [{},{}) limb {t} coeff {c}: residual {centered}",
-                        digit.start,
-                        digit.end
+                        range.start,
+                        range.end
                     );
                 }
             }
@@ -815,8 +970,8 @@ mod tests {
                 panic!("hybrid context produced a per-prime key");
             };
             assert_eq!(ksk.digits.len(), nl.div_ceil(3.min(nl)));
-            assert_eq!(ksk.k, 3.min(nl));
-            assert_hybrid_relation(&kc, ksk, "square");
+            assert_eq!(kc.hybrid_basis(nl).k, 3.min(nl));
+            assert_hybrid_relation(&kc, ksk, nl, "square");
         }
     }
 
@@ -826,12 +981,8 @@ mod tests {
         let mut rng = Rng64::new(13);
         let kc = KeyChain::generate(&ctx, &mut rng);
         for nl in [1, 3, 4, 7, 13] {
-            let rk = kc.relin_key(nl);
-            let KskInner::Hybrid(ksk) = &rk.inner else {
-                panic!("hybrid context produced a per-prime key");
-            };
             let mut expect_start = 0;
-            for d in &ksk.digits {
+            for d in &kc.hybrid_basis(nl).digits {
                 assert_eq!(d.start, expect_start);
                 assert!(d.end > d.start && d.end <= nl);
                 assert!(d.end - d.start <= 3);

@@ -16,7 +16,7 @@
 use crate::cipher::{Ciphertext, Evaluator};
 use crate::encoding::Plaintext;
 use smartpaf_tensor::Rng64;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
 /// Cache key for an encoded diagonal: (diagonal offset, plaintext
@@ -291,7 +291,7 @@ impl DiagMatrix {
     /// `d mod g1`, plus one per nonempty giant group `k ≥ 1`
     /// (rotation by zero is a clone, not a key switch).
     pub fn bsgs_rotations(&self) -> usize {
-        Self::bsgs_rotations_of(self.dim, self.diags.keys().copied())
+        self.bsgs_rotations_lanes(1)
     }
 
     /// Exact rotation count of `matvec_bsgs` on
@@ -305,33 +305,38 @@ impl DiagMatrix {
     ///
     /// Panics unless `lanes` is a power of two.
     pub fn bsgs_rotations_lanes(&self, lanes: usize) -> usize {
-        assert!(lanes.is_power_of_two(), "lanes must be a power of two");
-        if lanes == 1 {
-            return self.bsgs_rotations();
-        }
-        let offsets = self.diags.keys().flat_map(|&d| {
-            let wrap = (d > 0).then(|| (lanes - 1) * self.dim + d);
-            std::iter::once(d).chain(wrap)
-        });
-        Self::bsgs_rotations_of(self.dim * lanes, offsets)
+        Self::bsgs_counts(std::slice::from_ref(self), lanes).rotations
     }
 
-    /// Rotation count of the BSGS schedule over `offsets` at square
-    /// dimension `dim` (mirrors the loops of
-    /// [`Evaluator::matvec_bsgs`] exactly).
-    fn bsgs_rotations_of(dim: usize, offsets: impl Iterator<Item = usize>) -> usize {
-        let g1 = (dim as f64).sqrt().ceil() as usize;
-        let mut baby = std::collections::BTreeSet::new();
-        let mut giant = std::collections::BTreeSet::new();
-        for d in offsets {
-            if d % g1 != 0 {
-                baby.insert(d % g1);
-            }
-            if d / g1 > 0 {
-                giant.insert(d / g1);
-            }
-        }
-        baby.len() + giant.len()
+    /// Exact key-switch work of [`Evaluator::matvec_bsgs_many`] on
+    /// `mats` block-diagonally expanded to `lanes` lanes (priced from
+    /// the offsets alone, like [`DiagMatrix::bsgs_rotations_lanes`]).
+    /// The matrices share their baby steps: a baby rotation several of
+    /// them need is counted — and executed — once.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `lanes` is a power of two and all `mats` share
+    /// one dimension.
+    pub fn bsgs_counts(mats: &[DiagMatrix], lanes: usize) -> BsgsCounts {
+        assert!(lanes.is_power_of_two(), "lanes must be a power of two");
+        let Some(first) = mats.first() else {
+            return BsgsCounts::default();
+        };
+        assert!(
+            mats.iter().all(|mat| mat.dim == first.dim),
+            "matrices must share one dimension"
+        );
+        let offsets = mats.iter().map(|mat| {
+            mat.diags
+                .keys()
+                .flat_map(|&d| {
+                    let wrap = (lanes > 1 && d > 0).then(|| (lanes - 1) * mat.dim + d);
+                    std::iter::once(d).chain(wrap)
+                })
+                .collect()
+        });
+        BsgsSchedule::new(first.dim * lanes, offsets).counts()
     }
 
     /// Fraction of entries that are nonzero (density diagnostics for
@@ -343,6 +348,64 @@ impl DiagMatrix {
             .map(|d| d.iter().filter(|&&v| v != 0.0).count())
             .sum();
         nnz as f64 / (self.dim * self.dim) as f64
+    }
+}
+
+/// Exact key-switch work of one baby-step/giant-step schedule
+/// ([`DiagMatrix::bsgs_counts`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BsgsCounts {
+    /// Key-switch applications: one per shared baby step plus one per
+    /// giant step.
+    pub rotations: usize,
+    /// Key-switch decompositions: one for all the baby steps (they
+    /// rotate the same input) plus one per giant step (each rotates its
+    /// own partial sum).
+    pub decompositions: usize,
+}
+
+/// The rotation schedule of the baby-step/giant-step product of one
+/// or more same-dimension matrices with one input. Pricing
+/// ([`DiagMatrix::bsgs_counts`]) and execution
+/// ([`Evaluator::matvec_bsgs_many`]) both read it, so the analytic
+/// counts mirror the executed loops by construction.
+struct BsgsSchedule {
+    /// Baby-step modulus `⌈√dim⌉`: diagonal `d` is baby step `d mod g1`
+    /// of giant group `d / g1`.
+    g1: usize,
+    /// The distinct nonzero baby steps any matrix needs, ascending.
+    baby: Vec<usize>,
+    /// Per matrix, its nonempty giant groups `k`, ascending. Group
+    /// `k = 0` needs no rotation of its own.
+    giant: Vec<Vec<usize>>,
+}
+
+impl BsgsSchedule {
+    /// Schedules matrices of square dimension `dim` given each one's
+    /// nonzero diagonal offsets.
+    fn new(dim: usize, offsets: impl Iterator<Item = Vec<usize>>) -> Self {
+        let g1 = (dim as f64).sqrt().ceil() as usize;
+        let mut baby = BTreeSet::new();
+        let giant = offsets
+            .map(|offsets| {
+                baby.extend(offsets.iter().map(|d| d % g1).filter(|&j| j != 0));
+                let groups: BTreeSet<usize> = offsets.iter().map(|d| d / g1).collect();
+                groups.into_iter().collect()
+            })
+            .collect();
+        BsgsSchedule {
+            g1,
+            baby: baby.into_iter().collect(),
+            giant,
+        }
+    }
+
+    fn counts(&self) -> BsgsCounts {
+        let giant_rotations = self.giant.iter().flatten().filter(|&&k| k > 0).count();
+        BsgsCounts {
+            rotations: self.baby.len() + giant_rotations,
+            decompositions: usize::from(!self.baby.is_empty()) + giant_rotations,
+        }
     }
 }
 
@@ -376,9 +439,20 @@ impl Evaluator {
         self.encrypt_values(&tiled, rng)
     }
 
+    /// The product of `ct` with the all-zero matrix, before the
+    /// rescale: a zero ciphertext at product scale.
+    fn zero_product(&self, ct: &Ciphertext) -> Ciphertext {
+        let pt = self
+            .encoder()
+            .encode_constant(0.0, self.context().scale(), ct.num_limbs());
+        self.mul_plain(ct, &pt)
+    }
+
     /// Matrix–vector product by the naive diagonal method: one rotation
-    /// and one plaintext multiply per nonzero diagonal. Consumes one
-    /// level.
+    /// and one plaintext multiply per nonzero diagonal. Every rotation
+    /// is of the same input, so they share one key-switch
+    /// decomposition ([`Evaluator::rotate_many`], which holds all of
+    /// them at once — this is the reference path). Consumes one level.
     ///
     /// # Panics
     ///
@@ -389,23 +463,15 @@ impl Evaluator {
             slots.is_multiple_of(mat.dim()),
             "matrix dim must divide slots"
         );
-        let mut acc: Option<Ciphertext> = None;
-        for &d in mat.diags.keys() {
-            let rot = self.rotate(ct, d as i64);
-            let pt = mat.encoded_diag(self, d, 0);
-            let term = self.mul_plain(&rot, &pt);
-            acc = Some(match acc {
-                None => term,
-                Some(a) => self.add(&a, &term),
-            });
-        }
-        let mut out = acc.unwrap_or_else(|| {
-            // All-zero matrix: a zero ciphertext at product scale.
-            let pt = self
-                .encoder()
-                .encode_constant(0.0, self.context().scale(), ct.num_limbs());
-            self.mul_plain(ct, &pt)
-        });
+        let steps: Vec<i64> = mat.diags.keys().map(|&d| d as i64).collect();
+        let rotated = self.rotate_many(ct, &steps);
+        let mut out = mat
+            .diags
+            .keys()
+            .zip(&rotated)
+            .map(|(&d, rot)| self.mul_plain(rot, &mat.encoded_diag(self, d, 0)))
+            .reduce(|a, term| self.add(&a, &term))
+            .unwrap_or_else(|| self.zero_product(ct));
         self.rescale(&mut out);
         out
     }
@@ -414,60 +480,98 @@ impl Evaluator {
     /// scheduling: `O(√m)` ciphertext rotations instead of `O(m)`,
     /// trading them for plaintext pre-rotations of the diagonals.
     /// Consumes one level; result matches [`Evaluator::matvec`].
+    /// The many-of-one case of [`Evaluator::matvec_bsgs_many`].
     ///
     /// # Panics
     ///
     /// Panics unless `mat.dim()` divides the slot count.
     pub fn matvec_bsgs(&self, mat: &DiagMatrix, ct: &Ciphertext) -> Ciphertext {
+        self.matvec_bsgs_many(std::slice::from_ref(mat), ct)
+            .pop()
+            .expect("one matrix in, one product out")
+    }
+
+    /// Baby-step/giant-step products of several same-dimension
+    /// matrices with one ciphertext (the tap selections of a max
+    /// pool): element `i` is `mats[i] · ct`, one level down.
+    ///
+    /// The baby steps `rot_j(ct)` rotate the *same* input, so the
+    /// union of the `j` any matrix needs is computed once, from one
+    /// key-switch decomposition of `ct`; each matrix then runs only
+    /// its own giant steps (one decomposition each — they rotate
+    /// distinct partial sums). The baby rotations, then each matrix's
+    /// giant steps, fan out across [`crate::par`]; results land in
+    /// schedule order, so the output is byte-identical at every thread
+    /// budget.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless all `mats` share one dimension dividing the slot
+    /// count.
+    pub fn matvec_bsgs_many(&self, mats: &[DiagMatrix], ct: &Ciphertext) -> Vec<Ciphertext> {
+        let Some(first) = mats.first() else {
+            return Vec::new();
+        };
         let slots = self.context().slots();
-        let m = mat.dim();
+        let m = first.dim();
         assert!(slots.is_multiple_of(m), "matrix dim must divide slots");
-        if mat.diags.is_empty() {
-            return self.matvec(mat, ct); // zero path
-        }
-        let g1 = (m as f64).sqrt().ceil() as usize;
-        let g2 = m.div_ceil(g1);
+        assert!(
+            mats.iter().all(|mat| mat.dim() == m),
+            "matrices must share one dimension"
+        );
+        let sched = BsgsSchedule::new(
+            m,
+            mats.iter().map(|mat| mat.diags.keys().copied().collect()),
+        );
+        let g1 = sched.g1;
 
-        // Baby steps: rot_j(v) for exactly the j values some diagonal
-        // needs.
-        let mut baby: Vec<Option<Ciphertext>> = vec![None; g1];
-        for &d in mat.diags.keys() {
-            let j = d % g1;
-            if baby[j].is_none() {
-                baby[j] = Some(self.rotate(ct, j as i64));
-            }
+        // Baby steps: rot_j(ct) for exactly the j values some diagonal
+        // of some matrix needs, all from one decomposition (released
+        // before the giant steps allocate theirs).
+        let steps: Vec<i64> = sched.baby.iter().map(|&j| j as i64).collect();
+        let rotated = self.rotate_many(ct, &steps);
+        let mut baby: Vec<Option<&Ciphertext>> = vec![None; g1];
+        baby[0] = Some(ct);
+        for (&j, rot) in sched.baby.iter().zip(&rotated) {
+            baby[j] = Some(rot);
         }
 
-        // Giant steps: group diagonals by k = d / g1 and pre-rotate the
-        // plaintext diagonal by -k·g1 so one outer rotation finishes
-        // the job.
-        let mut outer: Option<Ciphertext> = None;
-        for k in 0..g2 {
-            let mut inner: Option<Ciphertext> = None;
-            for &d in mat.diags.range(k * g1..(k + 1) * g1).map(|(d, _)| d) {
-                let j = d - k * g1;
-                let rot_v = baby[j].as_ref().expect("baby step precomputed");
-                // Plaintext rotation of the tiled diagonal by -k·g1
-                // (done inside the cached encode).
-                let shift = (k * g1) % slots;
-                let pt = mat.encoded_diag(self, d, shift);
-                let term = self.mul_plain(rot_v, &pt);
-                inner = Some(match inner {
-                    None => term,
-                    Some(a) => self.add(&a, &term),
+        // Giant steps, one matrix at a time (so only one matrix's
+        // partial sums are ever alive): group k sums its diagonals
+        // d ∈ [k·g1, (k+1)·g1) against the baby steps, the plaintext
+        // diagonal pre-rotated by -k·g1 (inside the cached encode), so
+        // one outer rotation by k·g1 finishes the job. The groups fold
+        // in ascending k, then the product rescales.
+        mats.iter()
+            .zip(&sched.giant)
+            .map(|(mat, ks)| {
+                let groups = crate::par::map(ks.len(), |i| {
+                    let k = ks[i];
+                    let shift = (k * g1) % slots;
+                    let mut inner: Option<Ciphertext> = None;
+                    for &d in mat.diags.range(k * g1..(k + 1) * g1).map(|(d, _)| d) {
+                        let rot_v = baby[d - k * g1].expect("baby step precomputed");
+                        let term = self.mul_plain(rot_v, &mat.encoded_diag(self, d, shift));
+                        inner = Some(match inner {
+                            None => term,
+                            Some(a) => self.add(&a, &term),
+                        });
+                    }
+                    let sum = inner.expect("scheduled groups are nonempty");
+                    if k == 0 {
+                        sum
+                    } else {
+                        self.rotate(&sum, (k * g1) as i64)
+                    }
                 });
-            }
-            if let Some(sum) = inner {
-                let rotated = self.rotate(&sum, (k * g1) as i64);
-                outer = Some(match outer {
-                    None => rotated,
-                    Some(a) => self.add(&a, &rotated),
-                });
-            }
-        }
-        let mut out = outer.expect("at least one diagonal");
-        self.rescale(&mut out);
-        out
+                let mut out = groups
+                    .into_iter()
+                    .reduce(|a, group| self.add(&a, &group))
+                    .unwrap_or_else(|| self.zero_product(ct));
+                self.rescale(&mut out);
+                out
+            })
+            .collect()
     }
 
     /// Adds a replicated plaintext bias at the ciphertext's scale.
@@ -849,26 +953,78 @@ mod tests {
         }
     }
 
+    /// `(decompositions, applications)` the evaluator executes inside
+    /// `f`, sequentially (the counters are per thread).
+    fn executed_key_switches(f: impl FnOnce()) -> BsgsCounts {
+        use crate::cipher::{APPLICATIONS, DECOMPOSITIONS};
+        crate::par::with_thread_budget(1, || {
+            DECOMPOSITIONS.with(|c| c.set(0));
+            APPLICATIONS.with(|c| c.set(0));
+            f();
+            BsgsCounts {
+                rotations: APPLICATIONS.with(|c| c.get()),
+                decompositions: DECOMPOSITIONS.with(|c| c.get()),
+            }
+        })
+    }
+
+    /// A circulant shift by `offset` at dimension 16: one diagonal.
+    fn shift_matrix(offset: usize) -> DiagMatrix {
+        let mut rows = vec![vec![0.0; 16]; 16];
+        for (i, row) in rows.iter_mut().enumerate() {
+            row[(i + offset) % 16] = 1.0;
+        }
+        DiagMatrix::from_rows(&rows)
+    }
+
     #[test]
     fn bsgs_rotation_count_mirrors_the_schedule() {
-        // Identity: the single 0-diagonal needs no rotation at all.
+        let one = |mat: &DiagMatrix| DiagMatrix::bsgs_counts(std::slice::from_ref(mat), 1);
+        // Identity: the single 0-diagonal needs no key switch at all.
         assert_eq!(DiagMatrix::identity(16).bsgs_rotations(), 0);
+        assert_eq!(one(&DiagMatrix::identity(16)), BsgsCounts::default());
         // Dense 16×16: g1 = 4, all 16 diagonals present → 3 nonzero
-        // baby steps + 3 nonempty giant groups beyond k = 0.
+        // baby steps + 3 nonempty giant groups beyond k = 0; the baby
+        // steps share one decomposition, each giant step has its own.
         let mut rng = Rng64::new(54);
         let dense = DiagMatrix::from_rows(&random_matrix(16, 16, &mut rng));
         assert_eq!(dense.num_diagonals(), 16);
         assert_eq!(dense.bsgs_rotations(), 6);
+        assert_eq!(one(&dense).decompositions, 4);
         // And never more than one rotation per diagonal (naive bound).
-        let sparse = DiagMatrix::from_rows(&{
-            let mut rows = vec![vec![0.0; 16]; 16];
-            for (i, row) in rows.iter_mut().enumerate() {
-                row[(i + 5) % 16] = 1.0;
-            }
-            rows
-        });
+        let sparse = shift_matrix(5);
         assert_eq!(sparse.num_diagonals(), 1);
         assert!(sparse.bsgs_rotations() <= 2);
+
+        // Shared baby steps: offsets 5 and 9 both need baby step 1, 6
+        // needs 2 — two baby rotations, not three — and each matrix
+        // keeps its own giant step.
+        let taps = [shift_matrix(5), shift_matrix(9), shift_matrix(6)];
+        let shared = DiagMatrix::bsgs_counts(&taps, 1);
+        assert_eq!(shared.rotations, 2 + 3);
+        assert_eq!(shared.decompositions, 1 + 3);
+        assert!(shared.rotations < taps.iter().map(DiagMatrix::bsgs_rotations).sum());
+
+        // The analytic counts are the executed loops', exactly.
+        let (ev, mut rng) = setup(56);
+        let ct = ev.encrypt_replicated(&random_vec(16, &mut rng), &mut rng);
+        for mats in [
+            std::slice::from_ref(&dense),
+            std::slice::from_ref(&sparse),
+            &taps[..],
+            &[DiagMatrix::identity(16), shift_matrix(4)][..],
+        ] {
+            let executed = executed_key_switches(|| {
+                ev.matvec_bsgs_many(mats, &ct);
+            });
+            assert_eq!(executed, DiagMatrix::bsgs_counts(mats, 1));
+        }
+        // The naive method hoists too: one decomposition, one
+        // application per nonzero diagonal offset.
+        let executed = executed_key_switches(|| {
+            ev.matvec(&dense, &ct);
+        });
+        assert_eq!((executed.decompositions, executed.rotations), (1, 15));
     }
 
     #[test]
@@ -876,11 +1032,11 @@ mod tests {
         // The lane planner's oracle: pricing block_diag's wrap-diagonal
         // doubling from the offsets alone must agree exactly with
         // counting on the materialized expanded matrix, for dense,
-        // sparse, and diagonal-free shapes alike.
+        // sparse, and diagonal-free shapes alike — singly and as a set
+        // of taps sharing their baby steps.
         let mut rng = Rng64::new(55);
         let shapes: Vec<DiagMatrix> = vec![
             DiagMatrix::from_rows(&random_matrix(8, 8, &mut rng)),
-            DiagMatrix::from_rows(&random_matrix(16, 16, &mut rng)),
             DiagMatrix::identity(8),
             DiagMatrix::from_rows(&{
                 let mut rows = vec![vec![0.0; 8]; 8];
@@ -890,9 +1046,10 @@ mod tests {
                 }
                 rows
             }),
+            DiagMatrix::from_rows(&random_matrix(16, 16, &mut rng)),
         ];
-        for mat in &shapes {
-            for lanes in [1usize, 2, 4, 8] {
+        for lanes in [1usize, 2, 4, 8] {
+            for mat in &shapes {
                 assert_eq!(
                     mat.bsgs_rotations_lanes(lanes),
                     mat.block_diag(lanes).bsgs_rotations(),
@@ -900,11 +1057,55 @@ mod tests {
                     mat.dim()
                 );
             }
+            let taps = &shapes[..3];
+            let expanded: Vec<DiagMatrix> = taps.iter().map(|t| t.block_diag(lanes)).collect();
+            assert_eq!(
+                DiagMatrix::bsgs_counts(taps, lanes),
+                DiagMatrix::bsgs_counts(&expanded, 1),
+                "shared taps at lanes {lanes}"
+            );
         }
+        // The expansion's executed loops match the lane-priced counts.
+        let (ev, mut rng) = setup(57);
+        let taps = &shapes[..3];
+        let expanded: Vec<DiagMatrix> = taps.iter().map(|t| t.block_diag(4)).collect();
+        let ct = ev.encrypt_replicated(&random_vec(32, &mut rng), &mut rng);
+        let executed = executed_key_switches(|| {
+            ev.matvec_bsgs_many(&expanded, &ct);
+        });
+        assert_eq!(executed, DiagMatrix::bsgs_counts(taps, 4));
         // Wrap diagonals make packed rotations strictly costlier than
         // lanes·1 would suggest for any matrix with off-diagonals.
-        let dense = &shapes[1];
+        let dense = &shapes[3];
         assert!(dense.bsgs_rotations_lanes(4) > dense.bsgs_rotations());
+    }
+
+    #[test]
+    fn shared_baby_steps_leave_each_product_unchanged() {
+        // Sharing changes which call computes a baby rotation, not its
+        // bytes: every product of the many-matrix form is byte-equal
+        // to the single-matrix product, at any thread budget.
+        let (ev, mut rng) = setup(58);
+        let mats: Vec<DiagMatrix> = (0..3)
+            .map(|_| DiagMatrix::from_rows(&random_matrix(16, 16, &mut rng)))
+            .chain([DiagMatrix::from_rows(&vec![vec![0.0; 16]; 16])])
+            .collect();
+        let ct = ev.encrypt_replicated(&random_vec(16, &mut rng), &mut rng);
+        let singles: Vec<Ciphertext> = mats.iter().map(|m| ev.matvec_bsgs(m, &ct)).collect();
+        for budget in [1, 2, 8] {
+            let many = crate::par::with_thread_budget(budget, || ev.matvec_bsgs_many(&mats, &ct));
+            assert_eq!(many.len(), singles.len());
+            for (a, b) in many.iter().zip(&singles) {
+                assert_eq!(
+                    a.c0.limbs().collect::<Vec<_>>(),
+                    b.c0.limbs().collect::<Vec<_>>()
+                );
+                assert_eq!(
+                    a.c1.limbs().collect::<Vec<_>>(),
+                    b.c1.limbs().collect::<Vec<_>>()
+                );
+            }
+        }
     }
 
     #[test]

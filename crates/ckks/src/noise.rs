@@ -9,7 +9,7 @@
 //! charging the analytic cost model ([`crate::cost`]). It reproduces
 //! the *accounting* of bootstrapping (when it triggers, what it costs),
 //! not the cryptographic procedure itself; this substitution is
-//! documented in DESIGN.md.
+//! documented in docs/ARCHITECTURE.md ("Execution backends").
 
 use crate::cipher::{Ciphertext, Evaluator};
 use smartpaf_tensor::Rng64;

@@ -35,7 +35,7 @@ pub struct NttTable {
     n_inv_shoup: u64,
 }
 
-fn bit_reverse(i: usize, log_n: u32) -> usize {
+pub(crate) fn bit_reverse(i: usize, log_n: u32) -> usize {
     i.reverse_bits() >> (usize::BITS - log_n)
 }
 

@@ -22,12 +22,23 @@
 //! threads in `BatchRunner` each warm their own pool). At most
 //! [`MAX_POOLED`] buffers are retained per thread; excess buffers are
 //! simply dropped.
+//!
+//! The key switch's scratch — raised digits and accumulators, several
+//! polys wide — is a size class of its own (`acquire_scratch`, at most
+//! [`MAX_SCRATCH`] retained): in the poly list a 2.6 MB digit buffer
+//! ends up backing a 0.4 MB poly, the next decomposition allocates
+//! another, and resident memory creeps up by capacity nobody reads.
 
 use std::cell::RefCell;
 
 /// Maximum free buffers retained per thread; beyond this, released
 /// buffers are dropped. Steady-state pipelines keep well under this.
 pub const MAX_POOLED: usize = 32;
+
+/// Maximum free key-switch scratch buffers retained per thread: one
+/// decomposition and one accumulator are live at a time, at two sizes
+/// when a relinearisation level interleaves with a rotation level.
+pub const MAX_SCRATCH: usize = 4;
 
 /// Debug-build poison word written into recycled buffers so code that
 /// reads pooled memory before initializing it fails deterministically.
@@ -49,47 +60,34 @@ pub struct PoolStats {
 }
 
 struct PoolInner {
+    /// Free poly-sized buffers.
     buffers: Vec<Vec<u64>>,
-    /// Wide (128-bit) scratch buffers for the lazy key-switch
-    /// accumulators; pooled separately because element width differs.
-    wide: Vec<Vec<u128>>,
+    /// Free key-switch scratch buffers.
+    scratch: Vec<Vec<u64>>,
     stats: PoolStats,
     enabled: bool,
 }
 
-thread_local! {
-    static POOL: RefCell<PoolInner> = RefCell::new(PoolInner {
-        buffers: Vec::new(),
-        wide: Vec::new(),
-        stats: PoolStats::default(),
-        enabled: true,
-    });
-}
-
-/// Acquires a buffer of exactly `len` words with unspecified contents.
-/// Callers must overwrite every word before reading.
-pub(crate) fn acquire(len: usize) -> Vec<u64> {
-    POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        if !p.enabled {
-            p.stats.fresh_allocs += 1;
+impl PoolInner {
+    /// Best-fit acquisition from one free list: the smallest buffer
+    /// with enough capacity, else a fresh allocation.
+    fn acquire(&mut self, scratch: bool, len: usize) -> Vec<u64> {
+        if !self.enabled {
+            self.stats.fresh_allocs += 1;
             return vec![0u64; len];
         }
-        // Best fit: smallest pooled buffer with enough capacity, so
-        // large buffers stay available for large requests.
-        let mut best: Option<usize> = None;
-        for (i, b) in p.buffers.iter().enumerate() {
-            if b.capacity() >= len {
-                match best {
-                    Some(j) if p.buffers[j].capacity() <= b.capacity() => {}
-                    _ => best = Some(i),
-                }
-            }
-        }
+        let list = if scratch {
+            &mut self.scratch
+        } else {
+            &mut self.buffers
+        };
+        let best = (0..list.len())
+            .filter(|&i| list[i].capacity() >= len)
+            .min_by_key(|&i| list[i].capacity());
         match best {
             Some(i) => {
-                let mut b = p.buffers.swap_remove(i);
-                p.stats.reuses += 1;
+                let mut b = list.swap_remove(i);
+                self.stats.reuses += 1;
                 // Capacity suffices, so neither branch reallocates;
                 // resize only zero-fills the extension region.
                 if b.len() >= len {
@@ -100,11 +98,51 @@ pub(crate) fn acquire(len: usize) -> Vec<u64> {
                 b
             }
             None => {
-                p.stats.fresh_allocs += 1;
+                self.stats.fresh_allocs += 1;
                 vec![0u64; len]
             }
         }
-    })
+    }
+
+    /// Returns `buf` to one free list, or drops it if that list is
+    /// full or the pool is disabled.
+    fn release(&mut self, scratch: bool, mut buf: Vec<u64>) {
+        let (list, cap) = if scratch {
+            (&mut self.scratch, MAX_SCRATCH)
+        } else {
+            (&mut self.buffers, MAX_POOLED)
+        };
+        if !self.enabled || list.len() >= cap {
+            self.stats.dropped += 1;
+            return;
+        }
+        if cfg!(debug_assertions) {
+            buf.fill(POISON);
+        }
+        self.stats.released += 1;
+        list.push(buf);
+    }
+}
+
+thread_local! {
+    static POOL: RefCell<PoolInner> = RefCell::new(PoolInner {
+        buffers: Vec::new(),
+        scratch: Vec::new(),
+        stats: PoolStats::default(),
+        enabled: true,
+    });
+}
+
+/// Acquires a buffer of exactly `len` words with unspecified contents.
+/// Callers must overwrite every word before reading.
+pub(crate) fn acquire(len: usize) -> Vec<u64> {
+    POOL.with(|p| p.borrow_mut().acquire(false, len))
+}
+
+/// [`acquire`] from the key-switch scratch class; pair with
+/// [`release_scratch`].
+pub(crate) fn acquire_scratch(len: usize) -> Vec<u64> {
+    POOL.with(|p| p.borrow_mut().acquire(true, len))
 }
 
 /// Acquires a buffer of `len` words, zero-filled.
@@ -116,73 +154,17 @@ pub(crate) fn acquire_zeroed(len: usize) -> Vec<u64> {
 
 /// Returns a buffer to the current thread's free list (or drops it if
 /// the list is full or the pool is disabled).
-pub(crate) fn release(mut buf: Vec<u64>) {
-    if buf.capacity() == 0 {
-        return;
+pub(crate) fn release(buf: Vec<u64>) {
+    if buf.capacity() != 0 {
+        POOL.with(|p| p.borrow_mut().release(false, buf));
     }
-    POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        if !p.enabled || p.buffers.len() >= MAX_POOLED {
-            p.stats.dropped += 1;
-            return;
-        }
-        if cfg!(debug_assertions) {
-            buf.fill(POISON);
-        }
-        p.stats.released += 1;
-        p.buffers.push(buf);
-    });
 }
 
-/// Acquires a zero-filled `u128` scratch buffer of `len` elements
-/// (lazy product accumulators in the key switch). Same reuse contract
-/// and counters as `acquire`.
-pub(crate) fn acquire_wide_zeroed(len: usize) -> Vec<u128> {
-    POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        if !p.enabled {
-            p.stats.fresh_allocs += 1;
-            return vec![0u128; len];
-        }
-        let mut best: Option<usize> = None;
-        for (i, b) in p.wide.iter().enumerate() {
-            if b.capacity() >= len {
-                match best {
-                    Some(j) if p.wide[j].capacity() <= b.capacity() => {}
-                    _ => best = Some(i),
-                }
-            }
-        }
-        match best {
-            Some(i) => {
-                let mut b = p.wide.swap_remove(i);
-                p.stats.reuses += 1;
-                b.clear();
-                b.resize(len, 0);
-                b
-            }
-            None => {
-                p.stats.fresh_allocs += 1;
-                vec![0u128; len]
-            }
-        }
-    })
-}
-
-/// Returns a wide scratch buffer to the current thread's free list.
-pub(crate) fn release_wide(buf: Vec<u128>) {
-    if buf.capacity() == 0 {
-        return;
+/// [`release`] into the key-switch scratch class.
+pub(crate) fn release_scratch(buf: Vec<u64>) {
+    if buf.capacity() != 0 {
+        POOL.with(|p| p.borrow_mut().release(true, buf));
     }
-    POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        if !p.enabled || p.wide.len() >= MAX_POOLED {
-            p.stats.dropped += 1;
-            return;
-        }
-        p.stats.released += 1;
-        p.wide.push(buf);
-    });
 }
 
 /// Snapshot of the current thread's pool counters.
@@ -202,7 +184,7 @@ pub fn trim() {
     POOL.with(|p| {
         let mut p = p.borrow_mut();
         p.buffers.clear();
-        p.wide.clear();
+        p.scratch.clear();
     });
 }
 
@@ -261,6 +243,31 @@ mod tests {
     }
 
     #[test]
+    fn scratch_is_a_size_class_of_its_own() {
+        // A poly request never takes a scratch buffer (nor the other
+        // way round), so the large buffer is still there for the next
+        // large request.
+        trim();
+        reset_stats();
+        let large = acquire_scratch(1024);
+        let ptr = large.as_ptr();
+        release_scratch(large);
+        let poly = acquire(64);
+        assert_ne!(poly.as_ptr(), ptr);
+        release(poly);
+        let smaller = acquire_scratch(512);
+        assert_eq!(smaller.as_ptr(), ptr, "scratch reused across levels");
+        release_scratch(smaller);
+        assert_eq!(stats().fresh_allocs, 2);
+        assert_eq!(stats().reuses, 1);
+        // Bounded like the poly list.
+        let bufs: Vec<_> = (0..MAX_SCRATCH + 1).map(|_| acquire_scratch(8)).collect();
+        bufs.into_iter().for_each(release_scratch);
+        assert_eq!(stats().dropped, 1);
+        trim();
+    }
+
+    #[test]
     fn disabled_pool_always_allocates_zeroed() {
         trim();
         with_pool_disabled(|| {
@@ -284,24 +291,6 @@ mod tests {
         let z = acquire_zeroed(32);
         assert!(z.iter().all(|&x| x == 0));
         release(z);
-    }
-
-    #[test]
-    fn wide_pool_reuses_and_zeroes() {
-        trim();
-        reset_stats();
-        let mut b = acquire_wide_zeroed(16);
-        b.fill(u128::MAX);
-        let ptr = b.as_ptr();
-        release_wide(b);
-        let b2 = acquire_wide_zeroed(16);
-        assert_eq!(b2.as_ptr(), ptr, "expected wide buffer reuse");
-        assert!(b2.iter().all(|&x| x == 0), "wide acquire must zero");
-        let s = stats();
-        assert_eq!(s.reuses, 1);
-        assert_eq!(s.fresh_allocs, 1);
-        release_wide(b2);
-        trim();
     }
 
     #[test]

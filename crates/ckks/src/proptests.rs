@@ -331,6 +331,99 @@ proptest! {
         prop_assert_eq!(out_seq, out_par);
     }
 
+    /// The NTT-domain index permutation *is* the automorphism: for
+    /// random odd `g` (and conjugation) and ring sizes 2⁴–2¹², permuting
+    /// a transformed limb equals transforming the coefficient-domain
+    /// automorphism, byte for byte, on chain and special limbs alike.
+    #[test]
+    fn ntt_domain_permutation_is_the_automorphism(
+        log_n in 4u32..13,
+        g_idx in 0usize..4096,
+        conjugate in proptest::bool::ANY,
+        seed in 0u64..1_000_000,
+    ) {
+        use crate::rns::RnsPoly;
+        let n = 1usize << log_n;
+        let ctx = CkksParams {
+            n,
+            base_prime_bits: 60,
+            scale_prime_bits: 40,
+            depth: 2,
+            ks_digit_limbs: 2,
+        }
+        .build();
+        let g = if conjugate { 2 * n - 1 } else { 2 * (g_idx % n) + 1 };
+        let perm = ctx.galois_perm(g);
+        let mut rng = Rng64::new(seed);
+        // Chain limbs, through the poly-level API.
+        let p = RnsPoly::random_uniform(&ctx, ctx.primes().len(), &mut rng);
+        let mut want = p.automorphism(g);
+        want.to_ntt();
+        let got = p.automorphism_ntt(&perm);
+        prop_assert_eq!(got.limbs().collect::<Vec<_>>(), want.limbs().collect::<Vec<_>>());
+        // Special limbs: the coefficient-domain map written out.
+        for (l, &m) in ctx.special_primes().iter().enumerate() {
+            let table = ctx.ntt_special(l);
+            let coeffs: Vec<u64> = (0..n).map(|_| rng.next_u64() % m).collect();
+            let mut mapped = vec![0u64; n];
+            for (i, &c) in coeffs.iter().enumerate() {
+                let e = (i * g) % (2 * n);
+                if e < n {
+                    mapped[e] = c;
+                } else {
+                    mapped[e - n] = if c == 0 { 0 } else { m - c };
+                }
+            }
+            table.forward(&mut mapped);
+            let mut transformed = coeffs;
+            table.forward(&mut transformed);
+            let permuted: Vec<u64> = perm.iter().map(|&i| transformed[i as usize]).collect();
+            prop_assert_eq!(permuted, mapped, "special limb {}", l);
+        }
+    }
+
+    /// Hoisting changes when the decomposition runs, never what it
+    /// computes: rotating one ciphertext by many steps from one
+    /// decomposition is byte-identical to rotating it one step at a
+    /// time, for both gadgets (ω = 0 is per-prime), random levels and
+    /// ring sizes, and every thread budget from 1 through 8 — and the
+    /// rotations land on the right slots.
+    #[test]
+    fn hoisted_rotations_match_one_at_a_time(
+        omega in 0usize..5,
+        log_n in 5u32..9,
+        level_limbs in 1usize..6,
+        workers in 1usize..9,
+        steps in proptest::collection::vec(-40i64..40, 1..6),
+        vals in proptest::collection::vec(-1.0f64..1.0, 8),
+        seed in 0u64..1000,
+    ) {
+        let ctx = CkksParams {
+            n: 1usize << log_n,
+            base_prime_bits: 60,
+            scale_prime_bits: 40,
+            depth: 5,
+            ks_digit_limbs: omega,
+        }
+        .build();
+        let keys = KeyChain::generate(&ctx, &mut Rng64::new(seed ^ 0x5EED));
+        let ev = Evaluator::new(&keys);
+        let mut ct = ev.encrypt_replicated(&vals, &mut Rng64::new(seed));
+        ct.drop_to(level_limbs);
+        let many = crate::par::with_thread_budget(workers, || ev.rotate_many(&ct, &steps));
+        prop_assert_eq!(many.len(), steps.len());
+        for (rot, &s) in many.iter().zip(&steps) {
+            let one = crate::par::with_thread_budget(1, || ev.rotate(&ct, s));
+            prop_assert_eq!(rot.c0.limbs().collect::<Vec<_>>(), one.c0.limbs().collect::<Vec<_>>());
+            prop_assert_eq!(rot.c1.limbs().collect::<Vec<_>>(), one.c1.limbs().collect::<Vec<_>>());
+            let out = ev.decrypt_values(rot, 8);
+            for j in 0..8 {
+                let want = vals[(j as i64 + s).rem_euclid(8) as usize];
+                prop_assert!((out[j] - want).abs() < 5e-3, "step {s} slot {j}: {} vs {want}", out[j]);
+            }
+        }
+    }
+
     /// A bootstrap refresh preserves slot values and restores the top
     /// level regardless of how deep the input sits.
     #[test]

@@ -18,7 +18,8 @@ use crate::modular::{add_mod, inv_mod, sub_mod, PrimeArith};
 use crate::ntt::NttTable;
 use crate::pool;
 use smartpaf_tensor::Rng64;
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 /// Precomputed constants for one rescale step: dividing by the prime
 /// at `last_idx` inside the limb at `i < last_idx`.
@@ -48,6 +49,9 @@ pub struct CkksContext {
     /// `rescale_pre[last_idx]` holds constants for limbs
     /// `0..last_idx` when rescaling away the prime at `last_idx`.
     rescale_pre: Vec<Vec<RescalePre>>,
+    /// NTT-domain index tables of the Galois automorphisms used so
+    /// far, by element (see [`CkksContext::galois_perm`]).
+    galois_perms: Mutex<HashMap<usize, Arc<[u32]>>>,
     scale: f64,
     sigma: f64,
 }
@@ -113,6 +117,7 @@ impl CkksContext {
             special,
             ntt_sp,
             rescale_pre,
+            galois_perms: Mutex::new(HashMap::new()),
             scale,
             sigma: 3.2,
         })
@@ -208,35 +213,57 @@ impl CkksContext {
         self.ext_ntt(num_limbs, t).arith()
     }
 
-    /// How many raw `u128` products `(q_i-1)^2` can pile up in a lazy
-    /// accumulator (on top of one canonical carry-in `< q_i`) before
-    /// it must be flushed, minimized over the first `num_limbs`
-    /// primes. For 60-bit primes this is ~256, far above any gadget
-    /// component count, so the key switch never flushes in practice.
-    pub(crate) fn lazy_acc_headroom(&self, num_limbs: usize) -> usize {
-        self.primes[..num_limbs]
-            .iter()
-            .map(|&q| {
-                let max_prod = (q as u128 - 1) * (q as u128 - 1);
-                ((u128::MAX - (q as u128 - 1)) / max_prod) as usize
-            })
-            .min()
-            .expect("non-empty chain")
-    }
-
-    /// [`CkksContext::lazy_acc_headroom`] over the *extended* basis of
-    /// `num_limbs` chain primes plus the first `k` special primes; the
-    /// hybrid key-switch accumulates over all of them.
-    pub(crate) fn lazy_acc_headroom_ext(&self, num_limbs: usize, k: usize) -> usize {
+    /// How many raw `u128` products `(m-1)^2` fit in one lazy `u128`
+    /// accumulator, minimized over the extended basis of `num_limbs`
+    /// chain primes plus the first `k` special primes (`k = 0` for the
+    /// chain alone). For 60-bit primes this is 256, above any hybrid
+    /// digit count, so the key switch sums every digit product
+    /// unreduced and reduces once; 62-bit primes leave 16, which a deep
+    /// per-prime gadget exceeds — `apply_key` flushes to residues there.
+    pub(crate) fn lazy_acc_headroom(&self, num_limbs: usize, k: usize) -> usize {
         self.primes[..num_limbs]
             .iter()
             .chain(self.special[..k].iter())
             .map(|&q| {
                 let max_prod = (q as u128 - 1) * (q as u128 - 1);
-                ((u128::MAX - (q as u128 - 1)) / max_prod) as usize
+                (u128::MAX / max_prod) as usize
             })
             .min()
             .expect("non-empty chain")
+    }
+
+    /// The NTT-domain index table of the Galois automorphism
+    /// `φ_g: X ↦ X^g`: for an element `a` in NTT form (any limb, chain
+    /// or special), `NTT(φ_g(a))[i] = NTT(a)[perm[i]]`.
+    ///
+    /// Slot `i` of the forward transform holds the evaluation at
+    /// `ψ^{2·brv(i)+1}`, and `φ_g(a)(ψ^e) = a(ψ^{e·g})`, so the table
+    /// depends only on `(n, g)` — one table serves every limb, and in
+    /// NTT form the automorphism is a pure permutation (the sign flips
+    /// of the coefficient-domain map are absorbed by the evaluation
+    /// points). Tables are built on first use and cached for the
+    /// context's lifetime (`4n` bytes per element).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is even or not in `1..2n`.
+    pub fn galois_perm(&self, g: usize) -> Arc<[u32]> {
+        let n = self.n;
+        assert!(
+            g % 2 == 1 && g >= 1 && g < 2 * n,
+            "invalid Galois element {g}"
+        );
+        let mut cache = self.galois_perms.lock().expect("galois cache poisoned");
+        Arc::clone(cache.entry(g).or_insert_with(|| {
+            let log_n = n.trailing_zeros();
+            let brv = |i: usize| crate::ntt::bit_reverse(i, log_n);
+            (0..n)
+                .map(|i| {
+                    let e = ((2 * brv(i) + 1) * g) % (2 * n);
+                    brv((e - 1) / 2) as u32
+                })
+                .collect()
+        }))
     }
 }
 
@@ -683,64 +710,6 @@ impl RnsPoly {
         }
     }
 
-    /// Accumulates raw 128-bit products `self[k] * other[k]` into a
-    /// flat lazy accumulator without reducing (both operands NTT form,
-    /// same level; `acc` is limb-major like the poly data). The caller
-    /// owns overflow accounting via
-    /// [`CkksContext::lazy_acc_headroom`] and
-    /// [`RnsPoly::reduce_lazy_in_place`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on level/domain mismatch or accumulator length mismatch.
-    pub(crate) fn mul_into_lazy(&self, other: &RnsPoly, acc: &mut [u128]) {
-        assert!(
-            self.is_ntt && other.is_ntt,
-            "lazy accumulation requires NTT form"
-        );
-        self.assert_binop_compatible(other);
-        assert_eq!(acc.len(), self.data.len(), "accumulator length mismatch");
-        for ((dst, &x), &y) in acc.iter_mut().zip(&self.data).zip(&other.data) {
-            *dst += x as u128 * y as u128;
-        }
-    }
-
-    /// Flushes a lazy accumulator in place: every element becomes its
-    /// canonical residue (as a `u128`), restoring full headroom.
-    pub(crate) fn reduce_lazy_in_place(ctx: &CkksContext, acc: &mut [u128], num_limbs: usize) {
-        let n = ctx.n();
-        assert_eq!(acc.len(), num_limbs * n, "accumulator length mismatch");
-        for (i, chunk) in acc.chunks_exact_mut(n).enumerate() {
-            let pa = *ctx.arith(i);
-            for x in chunk {
-                *x = pa.reduce_u128(*x) as u128;
-            }
-        }
-    }
-
-    /// Materializes a lazy accumulator as a canonical poly. Computes
-    /// exactly `Σ products mod q_i` per element — the same value an
-    /// eager `mul_acc` chain produces, so swapping accumulation
-    /// strategies cannot change any ciphertext bit.
-    pub(crate) fn from_lazy_accumulator(
-        ctx: &Arc<CkksContext>,
-        acc: &[u128],
-        num_limbs: usize,
-        is_ntt: bool,
-    ) -> RnsPoly {
-        let n = ctx.n();
-        assert_eq!(acc.len(), num_limbs * n, "accumulator length mismatch");
-        let mut out = Self::uninit(ctx, num_limbs, is_ntt);
-        for i in 0..num_limbs {
-            let pa = *ctx.arith(i);
-            let src = &acc[i * n..(i + 1) * n];
-            for (dst, &x) in out.limb_mut(i).iter_mut().zip(src) {
-                *dst = pa.reduce_u128(x);
-            }
-        }
-        out
-    }
-
     /// Negation.
     pub fn neg(&self) -> RnsPoly {
         let mut out = self.clone();
@@ -891,6 +860,28 @@ impl RnsPoly {
         out
     }
 
+    /// Applies the Galois automorphism to an NTT-form element as a
+    /// pure permutation, `out[i] = self[perm[i]]` per limb, with `perm`
+    /// from [`CkksContext::galois_perm`]. Bit-identical to
+    /// [`RnsPoly::automorphism`] followed by [`RnsPoly::to_ntt`], with
+    /// no transform at all.
+    ///
+    /// # Panics
+    ///
+    /// Panics in coefficient form or if `perm.len() != n`.
+    pub fn automorphism_ntt(&self, perm: &[u32]) -> RnsPoly {
+        assert!(self.is_ntt, "NTT-domain automorphism requires NTT form");
+        let n = self.ctx.n();
+        assert_eq!(perm.len(), n, "permutation length mismatch");
+        let mut out = Self::uninit(&self.ctx, self.num_limbs, true);
+        for (dst, src) in out.data.chunks_exact_mut(n).zip(self.data.chunks_exact(n)) {
+            for (d, &p) in dst.iter_mut().zip(perm) {
+                *d = src[p as usize];
+            }
+        }
+        out
+    }
+
     /// Reconstructs the centered signed value of coefficient `idx`
     /// using the first `use_limbs` limbs via exact CRT in `i128`.
     ///
@@ -1025,49 +1016,6 @@ mod tests {
     }
 
     #[test]
-    fn lazy_accumulator_matches_eager_mul_acc() {
-        let c = ctx();
-        let mut rng = Rng64::new(77);
-        let polys: Vec<(RnsPoly, RnsPoly)> = (0..6)
-            .map(|_| {
-                (
-                    RnsPoly::random_uniform(&c, 3, &mut rng),
-                    RnsPoly::random_uniform(&c, 3, &mut rng),
-                )
-            })
-            .collect();
-        let mut eager = RnsPoly::zero(&c, 3);
-        for (a, b) in &polys {
-            eager.mul_acc(a, b);
-        }
-        let mut acc = vec![0u128; 3 * 64];
-        for (a, b) in &polys {
-            a.mul_into_lazy(b, &mut acc);
-        }
-        // A gratuitous mid-stream flush must not change the result.
-        let mut acc_flushed = vec![0u128; 3 * 64];
-        for (i, (a, b)) in polys.iter().enumerate() {
-            a.mul_into_lazy(b, &mut acc_flushed);
-            if i == 2 {
-                RnsPoly::reduce_lazy_in_place(&c, &mut acc_flushed, 3);
-            }
-        }
-        let lazy = RnsPoly::from_lazy_accumulator(&c, &acc, 3, true);
-        let flushed = RnsPoly::from_lazy_accumulator(&c, &acc_flushed, 3, true);
-        for i in 0..3 {
-            assert_eq!(eager.limb(i), lazy.limb(i), "limb {i}");
-            assert_eq!(eager.limb(i), flushed.limb(i), "flushed limb {i}");
-        }
-    }
-
-    #[test]
-    fn lazy_headroom_is_generous_for_real_chains() {
-        let c = ctx();
-        // 50-bit top prime: ~(2^50)^2 products leave ~2^28 of headroom.
-        assert!(c.lazy_acc_headroom(4) >= (1 << 27));
-    }
-
-    #[test]
     fn mul_matches_negacyclic_reference() {
         let c = ctx();
         // a = X + 2, b = X^63 (so a*b = X^64 + 2X^63 = -1 + 2X^63).
@@ -1087,6 +1035,33 @@ mod tests {
         for i in 1..63 {
             assert_eq!(prod.coeff_to_i128(i, 2), 0);
         }
+    }
+
+    #[test]
+    fn lazy_headroom_is_generous_for_real_chains() {
+        let c = ctx();
+        // 50-bit top prime: ~(2^50)^2 products leave ~2^28 of headroom.
+        assert!(c.lazy_acc_headroom(4, 0) >= (1 << 27));
+        assert!(c.lazy_acc_headroom(4, 0) < (1 << 29));
+        // The 40-bit limbs alone leave more; the minimum is what counts.
+        let chain_40 = CkksContext::new(64, ntt_primes(40, 3, 64), (1u64 << 30) as f64);
+        assert!(chain_40.lazy_acc_headroom(3, 0) >= (1 << 47));
+    }
+
+    #[test]
+    fn lazy_headroom_covers_the_special_primes() {
+        // The first `k` special primes join the minimum: a 62-bit
+        // special prime drags the 50-bit chain's 2^28 down to 16.
+        let chain = ctx().primes().to_vec();
+        let special = crate::modular::ntt_primes_excluding(62, 2, 64, &chain);
+        let c = CkksContext::with_special_primes(64, chain, special, (1u64 << 30) as f64);
+        assert!(c.lazy_acc_headroom(4, 0) >= (1 << 27));
+        for k in 1..=2 {
+            assert!((16..32).contains(&c.lazy_acc_headroom(4, k)), "k = {k}");
+        }
+        // Default-shaped basis (60-bit base and special primes): 2^8.
+        let chain = CkksContext::new(64, ntt_primes(60, 1, 64), 1.0);
+        assert!((256..512).contains(&chain.lazy_acc_headroom(1, 0)));
     }
 
     #[test]

@@ -227,13 +227,12 @@ impl InferenceBackend for CkksBackend<'_> {
             });
         }
         self.ensure(v, 1, label)?;
-        // Tap matvecs are independent; fan them out across the shared
-        // intra-op worker pool. Results land in tap order, so the fold
-        // below is bit-identical to the sequential schedule.
-        let mut items: Vec<Ciphertext> = {
-            let v = &*v;
-            smartpaf_ckks::par::map(taps.len(), |i| ev.matvec_bsgs(&taps[i], v))
-        };
+        // Every tap selects from the same `v`, so the taps share one
+        // decomposition and one set of baby rotations; the baby and
+        // giant rotations fan out across the intra-op worker pool and
+        // land in tap order, so the fold below is bit-identical to the
+        // sequential schedule.
+        let mut items: Vec<Ciphertext> = ev.matvec_bsgs_many(taps, v);
         // Pairwise tree fold with per-round refresh; all items sit at
         // the same level each round.
         while items.len() > 1 {
@@ -302,12 +301,18 @@ pub struct StageTrace {
     /// evaluation, plus one per ReLU/max product; affine stages cost
     /// only ciphertext-plaintext work and count zero).
     pub ct_mults: usize,
-    /// Exact ciphertext rotations (each a Galois key switch): the BSGS
-    /// schedule of every affine matvec and maxpool tap selection, at
-    /// the trace's lane count ([`TraceBackend::with_lanes`]) — wrap
-    /// diagonals of the lane-expanded block-diagonal matrices are
-    /// priced without materializing them.
+    /// Exact ciphertext rotations (each one Galois key-switch
+    /// *application*): the BSGS schedule of every affine matvec and
+    /// maxpool tap selection, at the trace's lane count
+    /// ([`TraceBackend::with_lanes`]) — wrap diagonals of the
+    /// lane-expanded block-diagonal matrices are priced without
+    /// materializing them, and a baby rotation several pool taps need
+    /// counts once ([`DiagMatrix::bsgs_counts`]).
     pub rotations: usize,
+    /// Exact key-switch *decompositions* behind those rotations: one
+    /// per stage for all of its baby steps (hoisted — they rotate the
+    /// same input) plus one per giant step.
+    pub decompositions: usize,
 }
 
 /// Aggregate result of a trace dry run.
@@ -340,6 +345,11 @@ impl TraceReport {
         self.stages.iter().map(|s| s.rotations).sum()
     }
 
+    /// Total key-switch decompositions behind those rotations.
+    pub fn total_decompositions(&self) -> usize {
+        self.stages.iter().map(|s| s.decompositions).sum()
+    }
+
     /// The PAF-slot records only (stages with a
     /// [`StageTrace::slot`] index), in slot order — one row per entry
     /// of a per-slot form vector.
@@ -357,6 +367,7 @@ impl Serialize for StageTrace {
             ("bootstraps", self.bootstraps.serialize()),
             ("ct_mults", self.ct_mults.serialize()),
             ("rotations", self.rotations.serialize()),
+            ("decompositions", self.decompositions.serialize()),
         ])
     }
 }
@@ -371,6 +382,11 @@ impl Deserialize for StageTrace {
             ct_mults: usize::deserialize(value.req("ct_mults")?)?,
             // Absent from traces recorded before rotation pricing.
             rotations: match value.get("rotations") {
+                Some(v) => usize::deserialize(v)?,
+                None => 0,
+            },
+            // Absent from traces recorded before hoisted rotations.
+            decompositions: match value.get("decompositions") {
                 Some(v) => usize::deserialize(v)?,
                 None => 0,
             },
@@ -508,13 +524,15 @@ impl InferenceBackend for TraceBackend {
     ) -> Result<(), RunError> {
         let boots = self.ensure(1, label, false)?;
         self.level -= 1;
+        let key_switches = DiagMatrix::bsgs_counts(std::slice::from_ref(mat), self.lanes);
         self.stages.push(StageTrace {
             label: label.to_string(),
             slot: None,
             levels: 1,
             bootstraps: boots,
             ct_mults: 0,
-            rotations: mat.bsgs_rotations_lanes(self.lanes),
+            rotations: key_switches.rotations,
+            decompositions: key_switches.decompositions,
         });
         Ok(())
     }
@@ -546,6 +564,7 @@ impl InferenceBackend for TraceBackend {
             // multiplications are plaintext-constant, not ct-ct.
             ct_mults: op.engine.exact_ct_mults() + 1,
             rotations: 0,
+            decompositions: 0,
         });
         Ok(())
     }
@@ -609,16 +628,16 @@ impl InferenceBackend for TraceBackend {
             before - self.level
         };
         let slot = self.take_slot();
+        // The taps share their baby steps, as in `CkksBackend`.
+        let key_switches = DiagMatrix::bsgs_counts(taps, self.lanes);
         self.stages.push(StageTrace {
             label: label.to_string(),
             slot: Some(slot),
             levels,
             bootstraps: boots,
             ct_mults,
-            rotations: taps
-                .iter()
-                .map(|t| t.bsgs_rotations_lanes(self.lanes))
-                .sum(),
+            rotations: key_switches.rotations,
+            decompositions: key_switches.decompositions,
         });
         Ok(())
     }
@@ -665,7 +684,7 @@ impl HePipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::PipelineBuilder;
+    use crate::pipeline::{PipelineBuilder, Stage};
     use smartpaf_ckks::{Bootstrapper, CkksParams, Evaluator, KeyChain};
     use smartpaf_nn::{Conv2d, Linear};
     use smartpaf_polyfit::{CompositePaf, PafForm};
@@ -885,15 +904,89 @@ mod tests {
     }
 
     #[test]
+    fn shared_tap_pool_matches_per_tap_matvecs_and_fold() {
+        // The pool stage computes its taps' shared baby rotations once;
+        // that must decrypt to what one `matvec_bsgs` per tap followed
+        // by the same pairwise fold gives, unpacked and with all 32
+        // lanes of the toy ring in use, and land on the plain pool.
+        let (pe, mut rng) = setup(109);
+        let ev = pe.evaluator();
+        let paf = CompositePaf::from_form(PafForm::F1G2);
+        let base = PipelineBuilder::new(&[1, 2, 2])
+            .paf_maxpool(2, 2, &paf, 1.0)
+            .compile();
+        for lanes in [1usize, 32] {
+            let pipe = base.expand_lanes(lanes);
+            let x: Vec<f64> = (0..pipe.dim())
+                .map(|i| ((i * 7) % 13) as f64 / 13.0 - 0.5)
+                .collect();
+            let ct = ev.encrypt_replicated(&x, &mut rng);
+            let refresher = |seed| Bootstrapper::new(ev.clone(), pipe.dim(), seed);
+
+            let (bs_shared, bs_per_tap) = (refresher(5), refresher(5));
+            let (shared, _) = pipe.eval_encrypted(&pe, Some(&bs_shared), &ct);
+
+            let Stage::PafMax {
+                taps,
+                paf,
+                post_scale,
+            } = &pipe.stages()[0]
+            else {
+                panic!("a pool-only pipeline has one PafMax stage");
+            };
+            assert_eq!(*post_scale, 1.0);
+            let fold_need = PafEvaluator::relu_depth(paf);
+            let mut items: Vec<Ciphertext> = taps.iter().map(|t| ev.matvec_bsgs(t, &ct)).collect();
+            while items.len() > 1 {
+                if items[0].level() < fold_need {
+                    items = items.iter().map(|c| bs_per_tap.refresh(c)).collect();
+                }
+                items = items
+                    .chunks(2)
+                    .map(|pair| match pair {
+                        [a, b] => pe.max(a, b, paf),
+                        [a] => a.clone(),
+                        _ => unreachable!("chunks(2)"),
+                    })
+                    .collect();
+            }
+            assert_eq!(bs_shared.refresh_count(), bs_per_tap.refresh_count());
+
+            let got = ev.decrypt_values(&shared, pipe.dim());
+            let per_tap = ev.decrypt_values(&items[0], pipe.dim());
+            for lane in 0..lanes {
+                let want = base.eval_plain(&x[lane * 4..(lane + 1) * 4]);
+                for (k, w) in want.iter().enumerate() {
+                    let at = lane * base.dim() + k;
+                    assert!(
+                        (got[at] - per_tap[at]).abs() < 1e-2,
+                        "lanes {lanes} slot {at}: shared {} vs per-tap {}",
+                        got[at],
+                        per_tap[at]
+                    );
+                    assert!((got[at] - w).abs() < 0.1, "lanes {lanes} slot {at}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn stage_trace_rotations_default_for_old_recordings() {
         // Traces serialized before rotation pricing lack the field and
         // must deserialize to zero rotations.
         let old = r#"{"label":"fc","slot":null,"levels":1,"bootstraps":0,"ct_mults":0}"#;
         let st = StageTrace::deserialize(&serde::json::from_str(old).unwrap()).unwrap();
         assert_eq!(st.rotations, 0);
-        // Round trip keeps the recorded count.
+        assert_eq!(st.decompositions, 0);
+        // Traces recorded before hoisting carry rotations only.
+        let pre_hoist =
+            r#"{"label":"fc","slot":null,"levels":1,"bootstraps":0,"ct_mults":0,"rotations":5}"#;
+        let st5 = StageTrace::deserialize(&serde::json::from_str(pre_hoist).unwrap()).unwrap();
+        assert_eq!((st5.rotations, st5.decompositions), (5, 0));
+        // Round trip keeps the recorded counts.
         let mut st = st;
         st.rotations = 7;
+        st.decompositions = 4;
         let back = StageTrace::deserialize(&st.serialize()).unwrap();
         assert_eq!(back, st);
     }

@@ -26,7 +26,7 @@
 //! 5. **Level management** — stages declare their depth; a
 //!    [`Bootstrapper`](smartpaf_ckks::Bootstrapper) refreshes the
 //!    ciphertext when the chain runs dry (simulated bootstrap,
-//!    DESIGN.md §2).
+//!    docs/ARCHITECTURE.md "Execution backends").
 //!
 //! # Execution backends
 //!

@@ -61,7 +61,10 @@ use crate::latency::LatencyRig;
 use crate::pareto::{vector_pareto_frontier, ParetoPoint, VectorParetoPoint};
 use crate::registry::PlanRegistry;
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
-use smartpaf_ckks::cost::{bootstrap_modmuls, ct_mult_modmuls, rescale_modmuls, rotation_modmuls};
+use smartpaf_ckks::cost::{
+    bootstrap_modmuls, ct_mult_modmuls, key_switch_decompose_modmuls, rescale_modmuls,
+    rotation_apply_modmuls,
+};
 use smartpaf_ckks::{Bootstrapper, CkksParams, Evaluator, KeyChain, PafEvaluator};
 use smartpaf_heinfer::{
     BatchRun, BatchRunner, HePipeline, LanePacker, PackError, PipelineBuilder, RunError, RunStats,
@@ -1641,8 +1644,10 @@ impl fmt::Display for PlanReport {
 /// Converts a traced schedule into modelled 64-bit modular multiplies:
 /// every exact ct-mult (plus its rescale) is charged at the trace's
 /// mean live limb count, every traced rotation at the same limb
-/// count's Galois key-switch cost, and every forced refresh at the
-/// full analytic bootstrap cost. All three prices dispatch on the
+/// count's key-switch *apply* cost and every traced decomposition at
+/// its *decompose* cost (hoisted rotations share decompositions, so
+/// the two counts differ), and every forced refresh at the
+/// full analytic bootstrap cost. All these prices dispatch on the
 /// parameters' key-switch gadget (`CkksParams::ks_digit_limbs`), so a
 /// plan re-priced under the hybrid gadget reflects its cheaper
 /// relinearisations. The one conversion behind the planner's frontier
@@ -1653,7 +1658,8 @@ pub fn trace_modmuls(params: &CkksParams, report: &TraceReport) -> u128 {
     let per_ct_mult =
         ct_mult_modmuls(params, avg_limbs) + rescale_modmuls(params, avg_limbs.saturating_sub(1));
     report.total_ct_mults() as u128 * per_ct_mult
-        + report.total_rotations() as u128 * rotation_modmuls(params, avg_limbs)
+        + report.total_rotations() as u128 * rotation_apply_modmuls(params, avg_limbs)
+        + report.total_decompositions() as u128 * key_switch_decompose_modmuls(params, avg_limbs)
         + report.total_bootstraps() as u128 * bootstrap_modmuls(params)
 }
 
