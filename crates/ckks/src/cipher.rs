@@ -253,13 +253,20 @@ impl Evaluator {
         }
     }
 
-    /// Multiplies by a scalar constant, consuming one level (encode at
-    /// the default scale, multiply, rescale).
+    /// Multiplies by a scalar constant at the default scale and
+    /// rescales, consuming one level. The constant's plaintext has the
+    /// same residue in every NTT position, so both components are
+    /// scaled by that residue per limb — the bytes a
+    /// [`Self::mul_plain`] by the encoded constant would give, without
+    /// building it.
     pub fn mul_const(&self, a: &Ciphertext, value: f64) -> Ciphertext {
-        let pt = self
-            .encoder
-            .encode_constant(value, self.ctx.scale(), a.num_limbs());
-        let mut out = self.mul_plain(a, &pt);
+        let scale = self.ctx.scale();
+        let residues = self.encoder.constant_residues(value, scale, a.num_limbs());
+        let mut out = Ciphertext {
+            c0: a.c0.mul_scalar_residues(&residues),
+            c1: a.c1.mul_scalar_residues(&residues),
+            scale: a.scale * scale,
+        };
         self.rescale(&mut out);
         out
     }
@@ -332,11 +339,12 @@ impl Evaluator {
     /// 1. `y_i = x_i · [(Q_j/q_i)^{-1}]_{q_i}` on the in-group limbs
     ///    (coefficient domain);
     /// 2. fast base conversion lifts the digit to every limb of the
-    ///    extended basis: `c̃_j mod m_t = Σ_i y_i · [(Q_j/q_i)]_{m_t}`
-    ///    (in-group targets are an exact copy of `x_t`); the lift
-    ///    overshoots by at most `ω·Q_j`, which the huge special
-    ///    modulus `P` absorbs as noise;
-    /// 3. forward NTT of every raised limb.
+    ///    extended basis: `c̃_j mod m_t = Σ_i y_i · [(Q_j/q_i)]_{m_t}`;
+    ///    the lift overshoots by at most `ω·Q_j`, which the huge
+    ///    special modulus `P` absorbs as noise;
+    /// 3. forward NTT of every raised out-of-group limb. An in-group
+    ///    target is exactly `x_t`, so it copies `p`'s limb as it stands
+    ///    in NTT form and skips the pass.
     ///
     /// Per-prime gadget: the base-`2^16` digits of each limb's
     /// residues are small non-negative integers, so "lifting" one to
@@ -393,20 +401,21 @@ impl Evaluator {
                     let (digit, t) = (&basis.digits[idx / ext], idx % ext);
                     if t >= digit.start && t < digit.end {
                         // In-group target: the lifted digit's residue
-                        // mod q_t is exactly the input residue.
-                        raised.copy_from_slice(coeff.limb(t));
-                    } else {
-                        let group = digit.end - digit.start;
-                        let qh = &digit.qhat[t * group..(t + 1) * group];
-                        let arith = ctx.ext_arith(nl, t);
-                        for (c, out) in raised.iter_mut().enumerate() {
-                            // ω ≤ 8 terms of < 2^124 each: fits u128.
-                            let mut sum = 0u128;
-                            for (i, &w) in qh.iter().enumerate() {
-                                sum += y[(digit.start + i) * n + c] as u128 * w as u128;
-                            }
-                            *out = arith.reduce_u128(sum);
+                        // mod q_t is exactly the input residue, whose
+                        // transform the input already holds.
+                        raised.copy_from_slice(p.limb(t));
+                        return;
+                    }
+                    let group = digit.end - digit.start;
+                    let qh = &digit.qhat[t * group..(t + 1) * group];
+                    let arith = ctx.ext_arith(nl, t);
+                    for (c, out) in raised.iter_mut().enumerate() {
+                        // ω ≤ 8 terms of < 2^124 each: fits u128.
+                        let mut sum = 0u128;
+                        for (i, &w) in qh.iter().enumerate() {
+                            sum += y[(digit.start + i) * n + c] as u128 * w as u128;
                         }
+                        *out = arith.reduce_u128(sum);
                     }
                     ctx.ext_ntt(nl, t).forward(raised);
                 });
@@ -807,6 +816,86 @@ mod tests {
             assert!(stats.reuses > 0, "rotations must actually use the pool");
             assert_eq!(stats.dropped, 0, "free list churn must stay bounded");
         });
+    }
+
+    /// NTT passes the evaluator executes inside `f`, sequentially (the
+    /// counter is per thread).
+    fn executed_ntt_passes<T>(f: impl FnOnce() -> T) -> usize {
+        use crate::ntt::NTT_PASSES;
+        crate::par::with_thread_budget(1, || {
+            NTT_PASSES.with(|c| c.set(0));
+            std::hint::black_box(f());
+            NTT_PASSES.with(|c| c.get())
+        })
+    }
+
+    #[test]
+    fn analytic_ntt_counts_are_the_executed_passes() {
+        // cost.rs prices the hybrid key switch and the rescale by their
+        // transform passes; hold both to the kernels at every level of
+        // the toy chain (ω = 3, so 1–5 digits, partial last groups
+        // included).
+        use crate::cost::{key_switch_ntts, rescale_ntts};
+        let params = CkksParams::toy();
+        let (ev, mut rng) = setup(57);
+        let fresh = ev.encrypt_values(&[0.4, -0.2], &mut rng);
+        for limbs in 1..=fresh.num_limbs() {
+            let mut ct = fresh.clone();
+            ct.drop_to(limbs);
+            // Lazy keys are generated on first touch, which is not the
+            // op being counted.
+            let _ = (ev.mul(&ct, &ct), ev.rotate_many(&ct, &[1, 2, 3]));
+            let key_switch = key_switch_ntts(&params, limbs);
+            assert_eq!(executed_ntt_passes(|| ev.mul(&ct, &ct)), key_switch);
+            assert_eq!(executed_ntt_passes(|| ev.square(&ct)), key_switch);
+            assert_eq!(executed_ntt_passes(|| ev.rotate(&ct, 1)), key_switch);
+            // Two more rotations of the same input pay two more
+            // mod-downs and no second decomposition.
+            let apply = 2 * (params.ks_digit_limbs.min(limbs) + limbs);
+            assert_eq!(
+                executed_ntt_passes(|| ev.rotate_many(&ct, &[1, 2, 3])),
+                key_switch + 2 * apply,
+                "{limbs} limbs"
+            );
+            if limbs > 1 {
+                let mut product = ev.mul(&ct, &ct);
+                assert_eq!(
+                    executed_ntt_passes(|| ev.rescale(&mut product)),
+                    rescale_ntts(limbs - 1)
+                );
+                // A constant is its residue in every NTT position: the
+                // multiply transforms nothing, only the rescale does.
+                assert_eq!(
+                    executed_ntt_passes(|| ev.mul_const(&ct, 0.5)),
+                    rescale_ntts(limbs - 1)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn mul_const_is_mul_plain_by_the_encoded_constant() {
+        // Scaling by the constant's per-limb residues is byte-identical
+        // to multiplying by its encoding, negative constants included.
+        let (ev, mut rng) = setup(58);
+        let mut ct = ev.encrypt_values(&[0.5, -1.0, 0.25], &mut rng);
+        for (limbs, value) in [(13, -2.0), (7, 0.3), (2, 1e-3)] {
+            ct.drop_to(limbs);
+            let pt = ev
+                .encoder()
+                .encode_constant(value, ev.context().scale(), limbs);
+            let mut want = ev.mul_plain(&ct, &pt);
+            ev.rescale(&mut want);
+            let got = ev.mul_const(&ct, value);
+            assert_eq!(got.scale, want.scale);
+            for (g, w) in [(&got.c0, &want.c0), (&got.c1, &want.c1)] {
+                assert_eq!(
+                    g.limbs().collect::<Vec<_>>(),
+                    w.limbs().collect::<Vec<_>>(),
+                    "{limbs} limbs, constant {value}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -53,18 +53,27 @@ fn hybrid_shape(params: &CkksParams, limbs: usize) -> (usize, usize, usize) {
 /// (prime, base-2^16 digit) component.
 ///
 /// Hybrid ω: the decompose phase's `limbs` inverse NTTs of the input
-/// and one forward NTT per (digit, extended-basis limb) of the raised
-/// decomposition, then the apply phase's mod-down round trip — per
-/// accumulator component, `k` inverse NTTs of the special limbs plus
-/// `limbs` forward NTTs of the correction. At 13 limbs, ω = 3:
-/// `13 + 5·16` once per input, `2·(3 + 13)` per key applied.
+/// and one forward NTT per *out-of-group* (digit, extended-basis limb)
+/// row of the raised decomposition — each chain limb is in-group for
+/// exactly one digit and copies the input's NTT limb there, so the
+/// phase totals `digits·ext` — then the apply phase's mod-down round
+/// trip: per accumulator component, `k` inverse NTTs of the special
+/// limbs plus `limbs` forward NTTs of the correction. At 13 limbs,
+/// ω = 3: `5·16` once per input, `2·(3 + 13)` per key applied.
 pub fn key_switch_ntts(params: &CkksParams, limbs: usize) -> usize {
     if params.ks_digit_limbs == 0 {
         limbs * digits_for(params.scale_prime_bits)
     } else {
         let (k, ext, digits) = hybrid_shape(params, limbs);
-        limbs + digits * ext + 2 * (k + limbs)
+        digits * ext + 2 * (k + limbs)
     }
+}
+
+/// NTT passes of one ciphertext rescale leaving `limbs` limbs: per
+/// component, one inverse pass of the dropped limb and one forward
+/// pass of its correction per surviving limb.
+pub fn rescale_ntts(limbs: usize) -> usize {
+    2 * (limbs + 1)
 }
 
 /// Modular multiplies of the key switch's **decompose** phase at
@@ -72,7 +81,8 @@ pub fn key_switch_ntts(params: &CkksParams, limbs: usize) -> usize {
 /// only, paid once however many keys (rotations) are then applied.
 ///
 /// Hybrid ω (exact counts for the implemented kernel): the input's
-/// inverse NTTs and the raised digits' forward NTTs at n mults each,
+/// inverse NTTs and the out-of-group raised rows' forward NTTs
+/// (`digits·ext` passes, see [`key_switch_ntts`]) at n mults each,
 /// Shoup scaling by (Q_j/q_i)^-1 (`limbs`·n), and the raised
 /// accumulation Σ yᵢ·(Q_j/q_i) into the out-of-group extended limbs
 /// (`digits·(ext−ω)·ω`·n).
@@ -84,7 +94,7 @@ pub fn key_switch_decompose_modmuls(params: &CkksParams, limbs: usize) -> u128 {
         return 0;
     }
     let (omega, ext, digits) = hybrid_shape(params, limbs);
-    let ntts = limbs + digits * ext;
+    let ntts = digits * ext;
     let scale = limbs;
     let raise = digits * (ext - omega) * omega;
     ((ntts + scale + raise) as u128) * params.n as u128
@@ -130,8 +140,9 @@ pub fn ct_mult_modmuls(params: &CkksParams, limbs: usize) -> u128 {
     4 * (limbs as u128) * (params.n as u128) + key_switch_modmuls(params, limbs)
 }
 
-/// Work of one rescale leaving `limbs` limbs, in modular multiplies
-/// (iNTT + NTT per remaining limb plus the division pass).
+/// Work of one rescale leaving `limbs` limbs, in modular multiplies:
+/// modelled as three passes per remaining limb (the executed NTT
+/// passes are [`rescale_ntts`]).
 pub fn rescale_modmuls(params: &CkksParams, limbs: usize) -> u128 {
     (limbs as u128) * (params.n as u128) * 3
 }
@@ -164,7 +175,7 @@ pub fn relu_op_counts(params: &CkksParams, paf: &CompositePaf) -> OpCounts {
     };
     let add_rescale = |c: &mut OpCounts, limbs: usize| {
         c.rescales += 1;
-        c.ntts += 2 * limbs;
+        c.ntts += rescale_ntts(limbs);
         c.modmuls += rescale_modmuls(params, limbs);
     };
     let add_const = |c: &mut OpCounts, limbs: usize| {

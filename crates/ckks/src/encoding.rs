@@ -158,23 +158,45 @@ impl Encoder {
         Plaintext { poly, scale }
     }
 
-    /// Encodes a single scalar replicated into every slot. Constants
-    /// have a constant-polynomial representation, so this skips the FFT
-    /// entirely.
+    /// The residues of the integer `round(value · scale)` modulo the
+    /// first `num_limbs` chain primes: a scalar replicated into every
+    /// slot is the constant polynomial with that coefficient, whose NTT
+    /// is the same residue in every position — so multiplying by it
+    /// needs no plaintext at all
+    /// ([`RnsPoly::mul_scalar_residues`]).
+    pub fn constant_residues(&self, value: f64, scale: f64, num_limbs: usize) -> Vec<u64> {
+        let c = (value * scale).round() as i128;
+        self.ctx.primes()[..num_limbs]
+            .iter()
+            .map(|&q| c.rem_euclid(q as i128) as u64)
+            .collect()
+    }
+
+    /// Encodes a single scalar replicated into every slot: each limb is
+    /// filled with its [`Encoder::constant_residues`] entry, with no
+    /// FFT and no NTT.
     pub fn encode_constant(&self, value: f64, scale: f64, num_limbs: usize) -> Plaintext {
-        let n = self.ctx.n();
-        let mut coeffs = vec![0i128; n];
-        coeffs[0] = (value * scale).round() as i128;
-        let mut poly = RnsPoly::from_signed_coeffs_i128(&self.ctx, &coeffs, num_limbs);
-        poly.to_ntt();
+        let mut poly = RnsPoly::uninit(&self.ctx, num_limbs, true);
+        for (i, r) in self
+            .constant_residues(value, scale, num_limbs)
+            .into_iter()
+            .enumerate()
+        {
+            poly.limb_mut(i).fill(r);
+        }
         Plaintext { poly, scale }
     }
 
     /// Decodes a plaintext back to `count` real slot values.
     ///
-    /// Uses exact CRT over the first `min(2, limbs)` primes, so the
-    /// (noisy) coefficients must fit in that product — true for every
-    /// parameter set in this crate.
+    /// Uses exact CRT over the first `min(2, limbs)` primes, so every
+    /// (noisy) coefficient must be smaller in magnitude than half that
+    /// product. A coefficient is at most `scale` times the largest slot
+    /// magnitude, so a **level-0** plaintext — one limb, which is where
+    /// the level schedule leaves every result — decodes slots up to
+    /// `q₀ / (2·scale)`: about 2¹⁹ with the presets' 60-bit base prime
+    /// at Δ = 2⁴⁰. Larger values wrap silently; two or more limbs leave
+    /// 2⁵⁹ of room.
     ///
     /// # Panics
     ///
@@ -290,6 +312,53 @@ mod tests {
         let out = enc.decode(&pt, 32);
         for &v in &out {
             assert!((v - 0.75).abs() < 1e-6, "{v}");
+        }
+    }
+
+    #[test]
+    fn constant_encoding_is_the_transformed_constant_polynomial() {
+        // Filling each limb with the scalar's residue is byte-identical
+        // to transforming the constant polynomial, negatives included.
+        let (ctx, enc) = setup();
+        for value in [0.75, -0.75, 0.0, -1e-7, 123.456] {
+            let mut coeffs = vec![0i128; ctx.n()];
+            coeffs[0] = (value * ctx.scale()).round() as i128;
+            let mut want = RnsPoly::from_signed_coeffs_i128(&ctx, &coeffs, 3);
+            want.to_ntt();
+            let got = enc.encode_constant(value, ctx.scale(), 3);
+            assert!(got.poly.is_ntt());
+            assert_eq!(
+                got.poly.limbs().collect::<Vec<_>>(),
+                want.limbs().collect::<Vec<_>>(),
+                "constant {value}"
+            );
+        }
+    }
+
+    #[test]
+    fn level_zero_decodes_up_to_half_the_base_prime_over_the_scale() {
+        // One limb is where the level schedule leaves every result. At
+        // the presets' shape — 60-bit base prime, Δ = 2⁴⁰ — a slot
+        // magnitude just under q₀/(2Δ) ≈ 2¹⁹ survives the single-limb
+        // decode and one just over it wraps; a second limb lifts the
+        // bound.
+        let ctx = crate::params::CkksParams::toy().build();
+        let enc = Encoder::new(&ctx);
+        let bound = ctx.primes()[0] as f64 / (2.0 * ctx.scale());
+        assert!((18.9..19.1).contains(&bound.log2()), "{}", bound.log2());
+        for (value, limbs, survives) in [
+            (0.99 * bound, 1, true),
+            (-0.99 * bound, 1, true),
+            (1.01 * bound, 1, false),
+            (1.01 * bound, 2, true),
+        ] {
+            let pt = enc.encode_constant(value, ctx.scale(), limbs);
+            let got = enc.decode(&pt, 1)[0];
+            assert_eq!(
+                (got - value).abs() < 1e-3,
+                survives,
+                "{value} on {limbs} limb(s) decoded as {got}"
+            );
         }
     }
 

@@ -30,8 +30,7 @@ impl PafEvaluator {
     /// plus one for the `x·sign(x)` product). A PAF-Max costs the same
     /// — sign of the difference plus the `(x−y)·sign(x−y)` product —
     /// so this is also the atomic depth of each round of an encrypted
-    /// max-pool fold (`smartpaf-heinfer`'s `PafOp::atomic_depth`
-    /// delegates here).
+    /// max-pool fold (`smartpaf-heinfer`'s level schedule reads it).
     pub fn relu_depth(paf: &CompositePaf) -> usize {
         paf.mult_depth() + 1
     }

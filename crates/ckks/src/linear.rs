@@ -435,8 +435,24 @@ impl Evaluator {
     ///
     /// Panics unless `v.len()` divides the slot count.
     pub fn encrypt_replicated(&self, v: &[f64], rng: &mut Rng64) -> Ciphertext {
-        let tiled = replicate(v, self.context().slots());
-        self.encrypt_values(&tiled, rng)
+        self.encrypt_replicated_at(v, self.context().max_level(), rng)
+    }
+
+    /// [`Evaluator::encrypt_replicated`] at `level` instead of the top
+    /// of the chain: the vector is encoded and encrypted on `level + 1`
+    /// limbs, for a consumer known to use no more — the ciphertext is
+    /// that much smaller and cheaper to produce than a full-chain one
+    /// with its spare limbs dropped afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `v.len()` divides the slot count and `level` is on
+    /// the chain.
+    pub fn encrypt_replicated_at(&self, v: &[f64], level: usize, rng: &mut Rng64) -> Ciphertext {
+        let ctx = self.context();
+        let tiled = replicate(v, ctx.slots());
+        let pt = self.encoder().encode(&tiled, ctx.scale(), level + 1);
+        self.encrypt(&pt, rng)
     }
 
     /// The product of `ct` with the all-zero matrix, before the
@@ -760,6 +776,29 @@ mod tests {
         let before = ct.level();
         assert_eq!(ev.matvec(&mat, &ct).level(), before - 1);
         assert_eq!(ev.matvec_bsgs(&mat, &ct).level(), before - 1);
+    }
+
+    #[test]
+    fn encrypting_at_a_level_is_the_full_chain_ciphertext_truncated() {
+        // The randomness of an encryption does not depend on its limb
+        // count, so encrypting below the top of the chain produces,
+        // byte for byte, the prefix a drop would have kept.
+        let (ev, mut rng) = setup(59);
+        let v = random_vec(8, &mut rng);
+        let full = ev.encrypt_replicated(&v, &mut Rng64::new(2));
+        for level in [0, 3, ev.context().max_level()] {
+            let at = ev.encrypt_replicated_at(&v, level, &mut Rng64::new(2));
+            assert_eq!(at.level(), level);
+            let mut dropped = full.clone();
+            dropped.drop_to(level + 1);
+            for (a, d) in [(&at.c0, &dropped.c0), (&at.c1, &dropped.c1)] {
+                assert_eq!(a.limbs().collect::<Vec<_>>(), d.limbs().collect::<Vec<_>>());
+            }
+            let got = ev.decrypt_values(&at, 8);
+            for (g, w) in got.iter().zip(&v) {
+                assert!((g - w).abs() < 1e-4, "level {level}: {g} vs {w}");
+            }
+        }
     }
 
     #[test]

@@ -35,6 +35,14 @@ pub struct NttTable {
     n_inv_shoup: u64,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Transform passes (forward and inverse) executed on this thread,
+    /// so tests can hold `cost.rs`'s analytic NTT counts to the
+    /// executed kernels. Meaningful at a thread budget of 1.
+    pub(crate) static NTT_PASSES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 pub(crate) fn bit_reverse(i: usize, log_n: u32) -> usize {
     i.reverse_bits() >> (usize::BITS - log_n)
 }
@@ -105,6 +113,8 @@ impl NttTable {
     /// Panics if `a.len() != n`.
     pub fn forward(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "length mismatch");
+        #[cfg(test)]
+        NTT_PASSES.with(|c| c.set(c.get() + 1));
         let pa = self.arith;
         let two_q = pa.two_q();
         if self.n == 1 {
@@ -157,6 +167,8 @@ impl NttTable {
     /// Panics if `a.len() != n`.
     pub fn inverse(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "length mismatch");
+        #[cfg(test)]
+        NTT_PASSES.with(|c| c.set(c.get() + 1));
         let pa = self.arith;
         let two_q = pa.two_q();
         let mut t = 1;

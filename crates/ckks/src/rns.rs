@@ -775,50 +775,69 @@ impl RnsPoly {
     /// that limb. Input may be in either domain; output stays in the
     /// input domain.
     ///
-    /// Runs allocation-free: the last limb is read in place through a
-    /// split borrow of the flat buffer while the surviving limbs are
-    /// rewritten, then truncated away.
+    /// `Round(X / q_last) = (X − l′) / q_last` with `l′` the centred
+    /// remainder of `X mod q_last`, so only the dropped limb has to be
+    /// read as coefficients. An NTT-form input therefore transforms
+    /// that limb alone: inverse it, lift `l′` to each surviving limb,
+    /// forward-NTT the lift and subtract it there — `L` passes where a
+    /// round trip through coefficient form takes `2L − 1`, and by the
+    /// transform's linearity the same residues. The surviving limbs are
+    /// independent, so they fan out across [`crate::par`].
+    ///
+    /// The last limb is read in place through a split borrow of the
+    /// flat buffer while the surviving limbs are rewritten, then
+    /// truncated away.
     ///
     /// # Panics
     ///
     /// Panics if only one limb remains.
     pub fn rescale(&mut self) {
         assert!(self.num_limbs() > 1, "cannot rescale the last limb");
-        let was_ntt = self.is_ntt;
-        self.to_coeff();
         let n = self.ctx.n();
+        let ctx = &self.ctx;
         let last_idx = self.num_limbs - 1;
-        let q_last = self.ctx.primes()[last_idx];
+        let q_last = ctx.primes()[last_idx];
         let half = q_last / 2;
-        let pre = &self.ctx.rescale_pre[last_idx];
+        let pre = &ctx.rescale_pre[last_idx];
         let (head, last) = self.data.split_at_mut(last_idx * n);
-        let last = &last[..n];
-        for (i, limb) in head.chunks_exact_mut(n).enumerate() {
-            let pa = self.ctx.arith(i);
-            let q = pa.q();
-            let RescalePre {
-                q_last_mod,
-                inv,
-                inv_shoup,
-            } = pre[i];
-            for (x, &l) in limb.iter_mut().zip(last) {
-                // Round(X / q_last) = (X - l') / q_last where l' is the
-                // centered remainder of X mod q_last.
-                let mut l_centered = pa.reduce_u128(l as u128);
-                if l >= half {
-                    l_centered = sub_mod(l_centered, q_last_mod, q);
+        let last = &mut last[..n];
+        // `l′ mod q_i` and the division by `q_last` in limb `i`.
+        let lift = |i: usize, l: u64| {
+            let pa = ctx.arith(i);
+            let l_centered = pa.reduce_u128(l as u128);
+            if l >= half {
+                sub_mod(l_centered, pre[i].q_last_mod, pa.q())
+            } else {
+                l_centered
+            }
+        };
+        let divide = |i: usize, x: u64, l_centered: u64| {
+            let pa = ctx.arith(i);
+            pa.mul_shoup(sub_mod(x, l_centered, pa.q()), pre[i].inv, pre[i].inv_shoup)
+        };
+        if self.is_ntt {
+            ctx.ntt[last_idx].inverse(last);
+            let last = &*last;
+            crate::par::for_each_chunk_mut(head, n, |i, limb| {
+                let mut corr = pool::acquire(n);
+                for (c, &l) in corr.iter_mut().zip(last) {
+                    *c = lift(i, l);
                 }
-                let num = sub_mod(*x, l_centered, q);
-                *x = pa.mul_shoup(num, inv, inv_shoup);
+                ctx.ntt[i].forward(&mut corr);
+                for (x, &c) in limb.iter_mut().zip(&corr) {
+                    *x = divide(i, *x, c);
+                }
+                pool::release(corr);
+            });
+        } else {
+            for (i, limb) in head.chunks_exact_mut(n).enumerate() {
+                for (x, &l) in limb.iter_mut().zip(&*last) {
+                    *x = divide(i, *x, lift(i, l));
+                }
             }
         }
         self.num_limbs = last_idx;
         self.data.truncate(self.num_limbs * n);
-        if was_ntt {
-            self.to_ntt();
-        } else {
-            self.is_ntt = false;
-        }
     }
 
     /// Applies the Galois automorphism `X ↦ X^g` for odd `g`.
@@ -1088,6 +1107,48 @@ mod tests {
         for (i, &v) in coeffs.iter().enumerate() {
             let got = p.coeff_to_i128(i, 2);
             assert!((got - v as i128).abs() <= 1, "coeff {i}: {got} vs {v}");
+        }
+    }
+
+    /// The rescale as it ran before NTT-form inputs stopped leaving the
+    /// transform domain: every limb to coefficient form, divide there,
+    /// every surviving limb back.
+    fn rescale_through_coefficient_form(p: &mut RnsPoly) {
+        let was_ntt = p.is_ntt;
+        p.to_coeff();
+        p.rescale();
+        if was_ntt {
+            p.to_ntt();
+        }
+    }
+
+    #[test]
+    fn ntt_form_rescale_matches_the_coefficient_round_trip() {
+        // Transforming only the dropped limb is byte-identical to the
+        // full round trip, on both benchmark rings, at every level and
+        // thread budget, down the whole chain.
+        for params in [
+            crate::params::CkksParams::toy(),
+            crate::params::CkksParams::default_params(),
+        ] {
+            let c = params.build();
+            let mut rng = Rng64::new(params.n as u64);
+            for limbs in 2..=13 {
+                let fresh = RnsPoly::random_uniform(&c, limbs, &mut rng);
+                let mut want = fresh.clone();
+                rescale_through_coefficient_form(&mut want);
+                for budget in [1, 2, 8] {
+                    let mut got = fresh.clone();
+                    crate::par::with_thread_budget(budget, || got.rescale());
+                    assert!(got.is_ntt());
+                    assert_eq!(got.num_limbs(), limbs - 1);
+                    assert_eq!(
+                        got.data, want.data,
+                        "n {} limbs {limbs} budget {budget}",
+                        params.n
+                    );
+                }
+            }
         }
     }
 

@@ -2,17 +2,19 @@
 //!
 //! - [`PlainBackend`] — batched `f64` slices through the prepared
 //!   `polyfit` evaluation engines (the exact plaintext reference).
-//! - [`CkksBackend`] — leveled CKKS execution with level accounting
-//!   and bootstrap-on-exhaustion, absorbing the former
-//!   `eval_encrypted` body.
-//! - [`TraceBackend`] — no arithmetic at all: simulates the level /
-//!   bootstrap schedule and records exact ciphertext-multiplication
-//!   counts per stage, giving schedulers an instant dry-run cost
-//!   oracle.
+//! - [`CkksBackend`] — leveled CKKS execution of the run's
+//!   [`LevelSchedule`]: refresh where a segment starts, enter every
+//!   atomic op at the level the rest of its segment consumes.
+//! - [`TraceBackend`] — no arithmetic at all: records the same
+//!   schedule's levels and refreshes plus exact ciphertext-multiplication
+//!   and key-switch counts per stage, giving schedulers an instant
+//!   dry-run cost oracle.
 
 use crate::exec::{InferenceBackend, PafOp, RunError, RunStats};
 use crate::pipeline::HePipeline;
+use crate::schedule::{AtomicOp, LevelSchedule, ScheduledOp};
 use serde::{Deserialize, Error, Serialize, Value};
+use smartpaf_ckks::linear::BsgsCounts;
 use smartpaf_ckks::{Bootstrapper, Ciphertext, DiagMatrix, PafEvaluator};
 
 /// The batched plaintext backend: the activation is a padded `f64`
@@ -92,9 +94,12 @@ impl InferenceBackend for PlainBackend {
 }
 
 /// The leveled CKKS backend: wraps a [`PafEvaluator`] and an optional
-/// [`Bootstrapper`], refreshing the ciphertext when a stage needs more
-/// levels than remain — exactly the constraint that makes high-degree
-/// PAFs expensive in the paper.
+/// [`Bootstrapper`] and executes the run's [`LevelSchedule`] — it
+/// refreshes where the schedule starts a segment and enters every
+/// atomic op at exactly the level the rest of its segment consumes, so
+/// no NTT, key switch or rescale carries a limb the segment will not
+/// use. That limb count is the cost that makes high-degree PAFs
+/// expensive in the paper.
 ///
 /// Slot-packed execution (see [`crate::pack`]) needs no special
 /// backend support: a lane-expanded pipeline is an ordinary
@@ -109,6 +114,22 @@ pub struct CkksBackend<'a> {
     bootstrapper: Option<&'a Bootstrapper>,
     max_level: usize,
     bootstraps: usize,
+    /// The pipeline's atomic ops, held from `begin` until the first
+    /// stage shows the level the input arrived at.
+    ops: Vec<AtomicOp>,
+    /// `ops` cut for that input level.
+    schedule: Option<LevelSchedule>,
+    /// Stages executed so far.
+    stage: usize,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The level every stage executed on this thread actually entered
+    /// its first op at, so tests can hold the trace's
+    /// [`StageTrace::level_in`] to the executed run.
+    pub(crate) static ENTRY_LEVELS: std::cell::RefCell<Vec<usize>> =
+        const { std::cell::RefCell::new(Vec::new()) };
 }
 
 impl<'a> CkksBackend<'a> {
@@ -119,36 +140,46 @@ impl<'a> CkksBackend<'a> {
             bootstrapper,
             max_level: pe.evaluator().context().max_level(),
             bootstraps: 0,
+            ops: Vec::new(),
+            schedule: None,
+            stage: 0,
         }
     }
 
-    /// Refreshes `v` when it cannot afford `need` more levels. The
-    /// `need` must be an *atomic* depth (a single PAF evaluation at
-    /// most) — larger stages refresh between their atomic ops.
-    fn ensure(&mut self, v: &mut Ciphertext, need: usize, label: &str) -> Result<(), RunError> {
-        if need > self.max_level {
-            return Err(RunError::AtomicDepthExceeded {
-                label: label.to_string(),
-                needed: need,
-                max_level: self.max_level,
-            });
+    /// Brings `v` to the level the schedule enters `op` at: a refresh
+    /// when a segment starts here, then a drop of the limbs the segment
+    /// will not consume (a truncation — exact, and a no-op inside a
+    /// segment).
+    fn enter(&mut self, v: &mut Ciphertext, op: &ScheduledOp) {
+        if op.refresh {
+            let bs = self
+                .bootstrapper
+                .expect("a schedule cut without a refresher has no refresh");
+            self.bootstraps += 1;
+            *v = bs.refresh(v);
         }
-        if v.level() >= need {
-            return Ok(());
-        }
-        match self.bootstrapper {
-            Some(bs) => {
-                self.bootstraps += 1;
-                *v = bs.refresh(v);
-                Ok(())
-            }
-            None => Err(RunError::OutOfLevels {
-                label: label.to_string(),
-                available: v.level(),
-                needed: need,
-                mid_stage: false,
-            }),
-        }
+        v.drop_to(op.level_in + 1);
+    }
+
+    /// Starts the next stage: returns its scheduled ops with `v`
+    /// already entered into the first, or the error that stops the run
+    /// inside the stage. The first stage of a run is where the level
+    /// the input arrived at shows, so that is where the schedule is cut.
+    fn enter_stage(
+        &mut self,
+        v: &mut Ciphertext,
+        label: &str,
+    ) -> Result<Vec<ScheduledOp>, RunError> {
+        let schedule = self.schedule.get_or_insert_with(|| {
+            let refresher = self.bootstrapper.is_some();
+            LevelSchedule::cut(&self.ops, v.level(), self.max_level, refresher)
+        });
+        let ops = schedule.stage(self.stage, label)?.to_vec();
+        self.stage += 1;
+        self.enter(v, &ops[0]);
+        #[cfg(test)]
+        ENTRY_LEVELS.with(|levels| levels.borrow_mut().push(v.level()));
+        Ok(ops)
     }
 }
 
@@ -163,6 +194,9 @@ impl InferenceBackend for CkksBackend<'_> {
                 slots,
             });
         }
+        self.ops = pipe.atomic_ops();
+        self.schedule = None;
+        self.stage = 0;
         Ok(())
     }
 
@@ -173,7 +207,7 @@ impl InferenceBackend for CkksBackend<'_> {
         bias: &[f64],
         label: &str,
     ) -> Result<(), RunError> {
-        self.ensure(v, 1, label)?;
+        self.enter_stage(v, label)?;
         let ev = self.pe.evaluator();
         let y = ev.matvec_bsgs(mat, v);
         *v = ev.add_bias_replicated(&y, bias);
@@ -188,15 +222,8 @@ impl InferenceBackend for CkksBackend<'_> {
         post_scale: f64,
         label: &str,
     ) -> Result<(), RunError> {
+        self.enter_stage(v, label)?;
         let ev = self.pe.evaluator();
-        let mut need = op.atomic_depth();
-        if pre_scale != 1.0 {
-            need += 1;
-        }
-        if post_scale != 1.0 {
-            need += 1;
-        }
-        self.ensure(v, need, label)?;
         if pre_scale != 1.0 {
             *v = ev.mul_const(v, pre_scale);
         }
@@ -215,42 +242,23 @@ impl InferenceBackend for CkksBackend<'_> {
         post_scale: f64,
         label: &str,
     ) -> Result<(), RunError> {
+        // The stage's ops after the tap selection: one per fold round,
+        // then the post-scale when there is one.
+        let ops = self.enter_stage(v, label)?;
+        let mut rest = ops[1..].iter();
         let ev = self.pe.evaluator();
-        let fold_need = op.atomic_depth();
-        // A single-tap pool runs no fold at all, so only a real fold
-        // can demand the PAF-max atomic depth from the chain.
-        if taps.len() > 1 && fold_need > self.max_level {
-            return Err(RunError::AtomicDepthExceeded {
-                label: label.to_string(),
-                needed: fold_need,
-                max_level: self.max_level,
-            });
-        }
-        self.ensure(v, 1, label)?;
         // Every tap selects from the same `v`, so the taps share one
         // decomposition and one set of baby rotations; the baby and
         // giant rotations fan out across the intra-op worker pool and
         // land in tap order, so the fold below is bit-identical to the
         // sequential schedule.
         let mut items: Vec<Ciphertext> = ev.matvec_bsgs_many(taps, v);
-        // Pairwise tree fold with per-round refresh; all items sit at
-        // the same level each round.
+        // Pairwise tree fold; all items sit at the same level each
+        // round and are refreshed together.
         while items.len() > 1 {
-            if items[0].level() < fold_need {
-                match self.bootstrapper {
-                    Some(bs) => {
-                        self.bootstraps += items.len();
-                        items = items.iter().map(|c| bs.refresh(c)).collect();
-                    }
-                    None => {
-                        return Err(RunError::OutOfLevels {
-                            label: label.to_string(),
-                            available: items[0].level(),
-                            needed: fold_need,
-                            mid_stage: true,
-                        })
-                    }
-                }
+            let round = rest.next().expect("one scheduled op per fold round");
+            for item in &mut items {
+                self.enter(item, round);
             }
             let mut next = Vec::with_capacity(items.len().div_ceil(2));
             let mut it = items.into_iter();
@@ -264,7 +272,8 @@ impl InferenceBackend for CkksBackend<'_> {
         }
         let mut m = items.pop().expect("at least one tap");
         if post_scale != 1.0 {
-            self.ensure(&mut m, 1, label)?;
+            let scale = rest.next().expect("the post-scale is a scheduled op");
+            self.enter(&mut m, scale);
             m = ev.mul_const(&m, post_scale);
         }
         *v = m;
@@ -291,10 +300,14 @@ pub struct StageTrace {
     /// ([`crate::HePipeline::with_pafs`]), so planners can read
     /// per-slot levels/bootstraps/ct-mults straight off the trace.
     pub slot: Option<usize>,
-    /// Levels the stage consumed (nominal depth when a refresh fired
-    /// mid-stage, mirroring the measured-stats convention).
+    /// The level the stage's first atomic op is entered at
+    /// ([`ScheduledOp::level_in`]), after any refresh before it: the
+    /// stage starts on `level_in + 1` limbs. Zero in traces recorded
+    /// before the level schedule (no stage runs from level 0).
+    pub level_in: usize,
+    /// Levels the stage consumes ([`crate::Stage::levels`]).
     pub levels: usize,
-    /// Bootstraps triggered by this stage.
+    /// Ciphertexts refreshed by this stage, before or inside it.
     pub bootstraps: usize,
     /// Exact ciphertext-ciphertext multiplications
     /// ([`smartpaf_polyfit::OddPowerSchedule::exact_ct_mults`] per PAF
@@ -363,6 +376,7 @@ impl Serialize for StageTrace {
         Value::object([
             ("label", self.label.serialize()),
             ("slot", self.slot.serialize()),
+            ("level_in", self.level_in.serialize()),
             ("levels", self.levels.serialize()),
             ("bootstraps", self.bootstraps.serialize()),
             ("ct_mults", self.ct_mults.serialize()),
@@ -377,6 +391,11 @@ impl Deserialize for StageTrace {
         Ok(StageTrace {
             label: String::deserialize(value.req("label")?)?,
             slot: Option::<usize>::deserialize(value.req("slot")?)?,
+            // Absent from traces recorded before the level schedule.
+            level_in: match value.get("level_in") {
+                Some(v) => usize::deserialize(v)?,
+                None => 0,
+            },
             levels: usize::deserialize(value.req("levels")?)?,
             bootstraps: usize::deserialize(value.req("bootstraps")?)?,
             ct_mults: usize::deserialize(value.req("ct_mults")?)?,
@@ -412,19 +431,20 @@ impl Deserialize for TraceReport {
     }
 }
 
-/// The arithmetic-free cost backend: replays the exact level /
-/// bootstrap schedule of [`CkksBackend`] without touching a single
-/// coefficient, recording per-stage levels, bootstraps, and exact
-/// ct-mult counts. A full dry run costs microseconds, so schedulers
-/// can query it per candidate configuration.
+/// The arithmetic-free cost backend: records, per stage, the levels and
+/// refreshes of the [`LevelSchedule`] that [`CkksBackend`] executes,
+/// plus exact ct-mult and key-switch counts, without touching a single
+/// coefficient. A full dry run costs microseconds, so schedulers can
+/// query it per candidate configuration.
 #[derive(Debug, Clone)]
 pub struct TraceBackend {
     max_level: usize,
-    level: usize,
+    start_level: usize,
     allow_bootstrap: bool,
-    bootstraps: usize,
-    next_slot: usize,
     lanes: usize,
+    /// The run's schedule, cut in `begin`.
+    schedule: LevelSchedule,
+    next_slot: usize,
     stages: Vec<StageTrace>,
 }
 
@@ -437,11 +457,11 @@ impl TraceBackend {
     pub fn new(max_level: usize, allow_bootstrap: bool) -> Self {
         TraceBackend {
             max_level,
-            level: max_level,
+            start_level: max_level,
             allow_bootstrap,
-            bootstraps: 0,
-            next_slot: 0,
             lanes: 1,
+            schedule: LevelSchedule::cut(&[], max_level, max_level, allow_bootstrap),
+            next_slot: 0,
             stages: Vec::new(),
         }
     }
@@ -463,18 +483,11 @@ impl TraceBackend {
         self
     }
 
-    /// Claims the next PAF slot index (stage order).
-    fn take_slot(&mut self) -> usize {
-        let slot = self.next_slot;
-        self.next_slot += 1;
-        slot
-    }
-
     /// Starts the trace below the top of the chain (a partially
-    /// consumed input ciphertext).
+    /// consumed input ciphertext): the level the schedule is cut from.
     pub fn with_start_level(mut self, level: usize) -> Self {
         assert!(level <= self.max_level, "start level above the chain");
-        self.level = level;
+        self.start_level = level;
         self
     }
 
@@ -482,38 +495,56 @@ impl TraceBackend {
     pub fn report(&self) -> TraceReport {
         TraceReport {
             stages: self.stages.clone(),
-            final_level: self.level,
+            final_level: self.level(),
         }
     }
 
-    fn ensure(&mut self, need: usize, label: &str, mid_stage: bool) -> Result<usize, RunError> {
-        if need > self.max_level {
-            return Err(RunError::AtomicDepthExceeded {
-                label: label.to_string(),
-                needed: need,
-                max_level: self.max_level,
-            });
-        }
-        if self.level >= need {
-            return Ok(0);
-        }
-        if self.allow_bootstrap {
-            self.level = self.max_level;
-            self.bootstraps += 1;
-            Ok(1)
-        } else {
-            Err(RunError::OutOfLevels {
-                label: label.to_string(),
-                available: self.level,
-                needed: need,
-                mid_stage,
-            })
-        }
+    /// The level the run stands at after the stages recorded so far.
+    fn level(&self) -> usize {
+        self.schedule.level_after(self.stages.len())
+    }
+
+    /// Records the next stage off the schedule: its levels and
+    /// refreshes are the scheduled ops', `ct_mults` is computed from
+    /// them, and a PAF stage claims the next slot index.
+    fn record(
+        &mut self,
+        label: &str,
+        is_paf: bool,
+        ct_mults: impl FnOnce(&[ScheduledOp]) -> usize,
+        key_switches: BsgsCounts,
+    ) -> Result<(), RunError> {
+        let ops = self.schedule.stage(self.stages.len(), label)?;
+        let trace = StageTrace {
+            label: label.to_string(),
+            slot: is_paf.then_some(self.next_slot),
+            level_in: ops[0].level_in,
+            levels: ops.iter().map(|o| o.op.need).sum(),
+            bootstraps: ops.iter().map(ScheduledOp::refreshes).sum(),
+            ct_mults: ct_mults(ops),
+            rotations: key_switches.rotations,
+            decompositions: key_switches.decompositions,
+        };
+        self.next_slot += usize::from(is_paf);
+        self.stages.push(trace);
+        Ok(())
     }
 }
 
 impl InferenceBackend for TraceBackend {
     type Value = ();
+
+    fn begin(&mut self, pipe: &HePipeline) -> Result<(), RunError> {
+        self.schedule = LevelSchedule::cut(
+            &pipe.atomic_ops(),
+            self.start_level,
+            self.max_level,
+            self.allow_bootstrap,
+        );
+        self.next_slot = 0;
+        self.stages.clear();
+        Ok(())
+    }
 
     fn affine(
         &mut self,
@@ -522,51 +553,22 @@ impl InferenceBackend for TraceBackend {
         _bias: &[f64],
         label: &str,
     ) -> Result<(), RunError> {
-        let boots = self.ensure(1, label, false)?;
-        self.level -= 1;
         let key_switches = DiagMatrix::bsgs_counts(std::slice::from_ref(mat), self.lanes);
-        self.stages.push(StageTrace {
-            label: label.to_string(),
-            slot: None,
-            levels: 1,
-            bootstraps: boots,
-            ct_mults: 0,
-            rotations: key_switches.rotations,
-            decompositions: key_switches.decompositions,
-        });
-        Ok(())
+        self.record(label, false, |_| 0, key_switches)
     }
 
     fn paf_relu(
         &mut self,
         _v: &mut (),
         op: &PafOp<'_>,
-        pre_scale: f64,
-        post_scale: f64,
+        _pre_scale: f64,
+        _post_scale: f64,
         label: &str,
     ) -> Result<(), RunError> {
-        let mut need = op.atomic_depth();
-        if pre_scale != 1.0 {
-            need += 1;
-        }
-        if post_scale != 1.0 {
-            need += 1;
-        }
-        let boots = self.ensure(need, label, false)?;
-        self.level -= need;
-        let slot = self.take_slot();
-        self.stages.push(StageTrace {
-            label: label.to_string(),
-            slot: Some(slot),
-            levels: need,
-            bootstraps: boots,
-            // Sign stages + the x·sign(x) product; the scale
-            // multiplications are plaintext-constant, not ct-ct.
-            ct_mults: op.engine.exact_ct_mults() + 1,
-            rotations: 0,
-            decompositions: 0,
-        });
-        Ok(())
+        // Sign stages + the x·sign(x) product; the scale
+        // multiplications are plaintext-constant, not ct-ct.
+        let ct_mults = op.engine.exact_ct_mults() + 1;
+        self.record(label, true, |_| ct_mults, BsgsCounts::default())
     }
 
     fn paf_max(
@@ -574,80 +576,29 @@ impl InferenceBackend for TraceBackend {
         _v: &mut (),
         taps: &[DiagMatrix],
         op: &PafOp<'_>,
-        post_scale: f64,
+        _post_scale: f64,
         label: &str,
     ) -> Result<(), RunError> {
-        let before = self.level;
-        let fold_need = op.atomic_depth();
-        // Mirror CkksBackend: a single-tap pool runs no fold, so the
-        // atomic-depth check only applies when a fold will execute.
-        if taps.len() > 1 && fold_need > self.max_level {
-            return Err(RunError::AtomicDepthExceeded {
-                label: label.to_string(),
-                needed: fold_need,
-                max_level: self.max_level,
-            });
-        }
-        let mut boots = self.ensure(1, label, false)?;
-        self.level -= 1; // tap selection matvecs (all items in lockstep)
+        // One PAF-max per pair of every fold round (the ops wider than
+        // one ciphertext); the taps share their baby steps, as in
+        // `CkksBackend`.
         let per_max = op.engine.exact_ct_mults() + 1;
-        let mut ct_mults = 0;
-        let mut items = taps.len();
-        // Mirror the encrypted pairwise fold: all surviving items sit
-        // at the same level, refreshed together when a round cannot
-        // afford one more PAF-max.
-        while items > 1 {
-            if self.level < fold_need {
-                if self.allow_bootstrap {
-                    self.bootstraps += items;
-                    boots += items;
-                    self.level = self.max_level;
-                } else {
-                    return Err(RunError::OutOfLevels {
-                        label: label.to_string(),
-                        available: self.level,
-                        needed: fold_need,
-                        mid_stage: true,
-                    });
-                }
-            }
-            let pairs = items / 2;
-            ct_mults += pairs * per_max;
-            self.level -= fold_need;
-            items = pairs + items % 2;
-        }
-        if post_scale != 1.0 {
-            boots += self.ensure(1, label, false)?;
-            self.level -= 1;
-        }
-        let levels = if boots > 0 {
-            // Nominal stage depth; a refresh makes the delta meaningless.
-            let rounds = taps.len().next_power_of_two().trailing_zeros() as usize;
-            1 + rounds * fold_need + usize::from(post_scale != 1.0)
-        } else {
-            before - self.level
-        };
-        let slot = self.take_slot();
-        // The taps share their baby steps, as in `CkksBackend`.
-        let key_switches = DiagMatrix::bsgs_counts(taps, self.lanes);
-        self.stages.push(StageTrace {
-            label: label.to_string(),
-            slot: Some(slot),
-            levels,
-            bootstraps: boots,
+        let ct_mults =
+            |ops: &[ScheduledOp]| ops.iter().map(|o| o.op.width / 2 * per_max).sum::<usize>();
+        self.record(
+            label,
+            true,
             ct_mults,
-            rotations: key_switches.rotations,
-            decompositions: key_switches.decompositions,
-        });
-        Ok(())
+            DiagMatrix::bsgs_counts(taps, self.lanes),
+        )
     }
 
     fn level_of(&self, _v: &()) -> Option<usize> {
-        Some(self.level)
+        Some(self.level())
     }
 
     fn bootstraps(&self) -> usize {
-        self.bootstraps
+        self.stages.iter().map(|s| s.bootstraps).sum()
     }
 }
 
@@ -761,6 +712,134 @@ mod tests {
         assert_eq!(trace_stats.bootstraps, enc_stats.bootstraps);
         assert_eq!(trace_stats.stage_levels, enc_stats.stage_levels);
         assert_eq!(report.total_bootstraps(), enc_stats.bootstraps);
+    }
+
+    #[test]
+    fn executed_entry_levels_are_the_traced_ones() {
+        // One schedule, two readers: the level every stage of an
+        // encrypted run actually enters at is the trace's `level_in` —
+        // on a CNN with a pool, an MLP, and the MLP at all 32 lanes of
+        // the toy ring, under both key-switch gadgets. Without a
+        // refresher the CNN cannot complete: both backends then stop at
+        // the same stage with the same error, and nothing was dropped
+        // on the way there.
+        let paf = CompositePaf::from_form(PafForm::F1G2);
+        let mut rng = Rng64::new(110);
+        let cnn = PipelineBuilder::new(&[1, 4, 4])
+            .affine(Conv2d::new(1, 1, 3, 1, 1, &mut rng))
+            .paf_relu(&paf, 4.0)
+            .paf_maxpool(2, 2, &paf, 4.0)
+            .affine(smartpaf_nn::Flatten::new())
+            .affine(Linear::new(4, 4, &mut rng))
+            .compile()
+            .fold_scales();
+        let mlp = PipelineBuilder::new(&[4])
+            .affine(Linear::new(4, 4, &mut rng))
+            .paf_relu(&paf, 2.0)
+            .affine(Linear::new(4, 4, &mut rng))
+            .compile()
+            .fold_scales();
+        let mlp_packed = mlp.expand_lanes(32);
+        for omega in [0, 3] {
+            let params = CkksParams {
+                ks_digit_limbs: omega,
+                ..CkksParams::toy()
+            };
+            let keys = KeyChain::generate(&params.build(), &mut rng);
+            let pe = PafEvaluator::new(Evaluator::new(&keys));
+            let max_level = pe.evaluator().context().max_level();
+            for (name, pipe) in [("cnn", &cnn), ("mlp", &mlp), ("mlp x32", &mlp_packed)] {
+                let x: Vec<f64> = (0..pipe.input_dim())
+                    .map(|i| ((i * 7) % 11) as f64 / 5.5 - 1.0)
+                    .collect();
+                let ct = pe
+                    .evaluator()
+                    .encrypt_replicated(&pipe.pad_input(&x), &mut rng);
+                let bs = Bootstrapper::new(pe.evaluator().clone(), pipe.dim(), 11);
+                for refresher in [Some(&bs), None] {
+                    let case = format!("{name}, omega {omega}, refresher {}", refresher.is_some());
+                    ENTRY_LEVELS.with(|levels| levels.borrow_mut().clear());
+                    let executed = pipe.try_eval_encrypted(&pe, refresher, &ct);
+                    let entered = ENTRY_LEVELS.with(|levels| levels.take());
+                    match (executed, pipe.dry_run(max_level, refresher.is_some())) {
+                        (Ok((_, stats)), Ok((report, trace_stats))) => {
+                            let traced: Vec<usize> =
+                                report.stages.iter().map(|s| s.level_in).collect();
+                            assert_eq!(entered, traced, "{case}");
+                            assert_eq!(stats.bootstraps, trace_stats.bootstraps, "{case}");
+                            assert_eq!(stats.final_level, 0, "{case}");
+                            assert_eq!(report.final_level, 0, "{case}");
+                        }
+                        (Err(executed), Err(traced)) => {
+                            assert_eq!((name, refresher.is_some()), ("cnn", false), "{case}");
+                            assert_eq!(executed, traced, "{case}");
+                            let mut undropped = max_level;
+                            for (level, stage) in entered.iter().zip(pipe.stages()) {
+                                assert_eq!(*level, undropped, "{case}");
+                                undropped -= stage.levels();
+                            }
+                        }
+                        (executed, traced) => panic!(
+                            "{case}: executed {:?} but traced {:?}",
+                            executed.map(|(_, stats)| stats),
+                            traced.map(|(report, _)| report)
+                        ),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn overflow_without_a_refresher_reports_the_undropped_walk() {
+        // A pipeline that cannot complete has no segment to trim, so
+        // the error carries what a walk from the top of the chain finds
+        // — the values this error has always carried — at a stage
+        // boundary and inside a pool fold alike.
+        let (pe, mut rng) = setup(111);
+        let max_level = pe.evaluator().context().max_level();
+        let relu = CompositePaf::from_form(PafForm::F1G2);
+        let mut b = PipelineBuilder::new(&[4]);
+        for _ in 0..3 {
+            b = b.affine(Linear::new(4, 4, &mut rng)).paf_relu(&relu, 2.0);
+        }
+        // Unfolded, a ReLU takes 8 levels: 12 → 11 → 3 → 2, then 2 < 8.
+        let blocks = b.compile();
+        let pool = PipelineBuilder::new(&[1, 4, 4])
+            .paf_maxpool(2, 2, &CompositePaf::from_form(PafForm::Alpha7), 4.0)
+            .compile();
+        for (pipe, want) in [
+            (
+                &blocks,
+                RunError::OutOfLevels {
+                    label: "paf-relu[depth=5]".into(),
+                    available: 2,
+                    needed: 8,
+                    mid_stage: false,
+                },
+            ),
+            (
+                // Taps 12 → 11, one fold round 11 → 4, then 4 < 7.
+                &pool,
+                RunError::OutOfLevels {
+                    label: "paf-max[taps=4 depth=6]".into(),
+                    available: 4,
+                    needed: 7,
+                    mid_stage: true,
+                },
+            ),
+        ] {
+            let x = vec![0.25; pipe.input_dim()];
+            let ct = pe
+                .evaluator()
+                .encrypt_replicated(&pipe.pad_input(&x), &mut rng);
+            let executed = pipe
+                .try_eval_encrypted(&pe, None, &ct)
+                .map(|(_, stats)| stats);
+            assert_eq!(executed.expect_err("no refresher"), want);
+            let traced = pipe.dry_run(max_level, false).map(|(report, _)| report);
+            assert_eq!(traced.expect_err("no refresher"), want);
+        }
     }
 
     #[test]
@@ -978,6 +1057,9 @@ mod tests {
         let st = StageTrace::deserialize(&serde::json::from_str(old).unwrap()).unwrap();
         assert_eq!(st.rotations, 0);
         assert_eq!(st.decompositions, 0);
+        // Nor do traces from before the level schedule say where their
+        // stages were entered.
+        assert_eq!(st.level_in, 0);
         // Traces recorded before hoisting carry rotations only.
         let pre_hoist =
             r#"{"label":"fc","slot":null,"levels":1,"bootstraps":0,"ct_mults":0,"rotations":5}"#;
@@ -987,6 +1069,7 @@ mod tests {
         let mut st = st;
         st.rotations = 7;
         st.decompositions = 4;
+        st.level_in = 9;
         let back = StageTrace::deserialize(&st.serialize()).unwrap();
         assert_eq!(back, st);
     }

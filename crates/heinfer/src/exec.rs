@@ -4,13 +4,14 @@
 //! executes — batched `f64` arithmetic, leveled CKKS, or a pure cost
 //! trace — is a backend concern. This module owns the single
 //! interpreter loop ([`HePipeline::run`]) that walks the stage list,
-//! delegates every operation to an [`InferenceBackend`], and does the
-//! level/bootstrap bookkeeping that used to be duplicated between
-//! `eval_plain` and `eval_encrypted`. The three backends live in
-//! [`crate::backends`]; the threaded batch driver in [`crate::batch`].
+//! delegates every operation to an [`InferenceBackend`], and reports
+//! the run's level/bootstrap statistics. Where a run refreshes and the
+//! level each op is entered at is the [`crate::LevelSchedule`]'s
+//! business; the three backends live in [`crate::backends`], the
+//! threaded batch driver in [`crate::batch`].
 
 use crate::pipeline::{HePipeline, Stage};
-use smartpaf_ckks::{DiagMatrix, PafEvaluator};
+use smartpaf_ckks::DiagMatrix;
 use smartpaf_polyfit::{CompositeEval, CompositePaf};
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -166,8 +167,7 @@ impl std::error::Error for RunError {}
 /// Execution statistics of one pipeline run.
 #[derive(Debug, Clone)]
 pub struct RunStats {
-    /// Levels consumed per stage, in order. Backends without level
-    /// semantics (the plain backend) report each stage's nominal
+    /// Levels consumed per stage, in order: each stage's
     /// [`Stage::levels`].
     pub stage_levels: Vec<usize>,
     /// Bootstraps (simulated refreshes) triggered.
@@ -194,15 +194,6 @@ pub struct PafOp<'a> {
     pub paf: &'a CompositePaf,
     /// The prepared plaintext engine (built once at pipeline compile).
     pub engine: &'a CompositeEval,
-}
-
-impl PafOp<'_> {
-    /// Levels one ReLU / one max-fold round with this PAF consumes —
-    /// the ciphertext evaluator's own depth formula, so the backends
-    /// can never drift from what [`PafEvaluator`] actually consumes.
-    pub fn atomic_depth(&self) -> usize {
-        PafEvaluator::relu_depth(self.paf)
-    }
 }
 
 /// One execution mode of a compiled pipeline.
@@ -254,8 +245,7 @@ pub trait InferenceBackend {
     ) -> Result<(), RunError>;
 
     /// Remaining rescale budget of a value, for backends with level
-    /// semantics. The interpreter uses this for per-stage consumption
-    /// accounting; `None` falls back to nominal stage depths.
+    /// semantics; the interpreter reads the run's final level off it.
     fn level_of(&self, _v: &Self::Value) -> Option<usize> {
         None
     }
@@ -271,11 +261,10 @@ impl HePipeline {
     /// interpreter loop behind `eval_plain`, `eval_encrypted`, and the
     /// trace dry run.
     ///
-    /// Per-stage level consumption is measured from
-    /// [`InferenceBackend::level_of`] when the stage ran without a
-    /// refresh, and falls back to the nominal [`Stage::levels`]
-    /// otherwise (a refresh resets the level mid-stage, making the
-    /// difference meaningless).
+    /// Each stage is charged the levels its atomic ops consume
+    /// ([`Stage::levels`]) on every backend: entering a refresh-free
+    /// segment below the level the ciphertext arrived at drops limbs
+    /// nobody would have used, which is not consumption.
     pub fn run<B: InferenceBackend>(
         &self,
         backend: &mut B,
@@ -283,16 +272,8 @@ impl HePipeline {
     ) -> Result<(B::Value, RunStats), RunError> {
         backend.begin(self)?;
         let start = Instant::now();
-        let mut stats = RunStats {
-            stage_levels: Vec::with_capacity(self.stages.len()),
-            bootstraps: 0,
-            final_level: 0,
-            wall: Duration::ZERO,
-        };
         for (stage, prepared) in self.stages.iter().zip(self.prepared_engines()) {
             let label = stage.label();
-            let before = backend.level_of(&value);
-            let refreshes_before = backend.bootstraps();
             match stage {
                 Stage::Affine { mat, bias } => backend.affine(&mut value, mat, bias, &label)?,
                 Stage::PafRelu {
@@ -318,15 +299,13 @@ impl HePipeline {
                     backend.paf_max(&mut value, taps, &op, *post_scale, &label)?
                 }
             }
-            let consumed = match (before, backend.level_of(&value)) {
-                (Some(b), Some(a)) if backend.bootstraps() == refreshes_before => b - a,
-                _ => stage.levels(),
-            };
-            stats.stage_levels.push(consumed);
         }
-        stats.bootstraps = backend.bootstraps();
-        stats.final_level = backend.level_of(&value).unwrap_or(0);
-        stats.wall = start.elapsed();
+        let stats = RunStats {
+            stage_levels: self.stages.iter().map(Stage::levels).collect(),
+            bootstraps: backend.bootstraps(),
+            final_level: backend.level_of(&value).unwrap_or(0),
+            wall: start.elapsed(),
+        };
         Ok((value, stats))
     }
 }

@@ -23,10 +23,13 @@
 //! 4. **Scale folding** — the optional [`HePipeline::fold_scales`]
 //!    pass absorbs the `1/s` and `s` multiplications into neighbouring
 //!    affine matrices, saving two levels per activation.
-//! 5. **Level management** — stages declare their depth; a
+//! 5. **Level management** — a [`LevelSchedule`] cuts the run's atomic
+//!    ops into refresh-free segments: a
 //!    [`Bootstrapper`](smartpaf_ckks::Bootstrapper) refreshes the
-//!    ciphertext when the chain runs dry (simulated bootstrap,
-//!    docs/ARCHITECTURE.md "Execution backends").
+//!    ciphertext where the next op no longer fits (simulated bootstrap,
+//!    docs/ARCHITECTURE.md "Execution backends"), and every segment is
+//!    entered at exactly the level it consumes, so no op carries a limb
+//!    nobody will use (docs/ARCHITECTURE.md "Level schedule").
 //!
 //! # Execution backends
 //!
@@ -35,11 +38,15 @@
 //!
 //! - [`PlainBackend`] — batched `f64` slices through the prepared
 //!   evaluation engines; `eval_plain` is a thin wrapper over it.
-//! - [`CkksBackend`] — leveled CKKS with bootstrap-on-exhaustion;
+//! - [`CkksBackend`] — leveled CKKS executing the run's
+//!   [`LevelSchedule`]: refresh where a segment starts, enter every op
+//!   on exactly the limbs the rest of its segment consumes;
 //!   `eval_encrypted` is a thin wrapper over it.
-//! - [`TraceBackend`] — no arithmetic: records per-stage levels,
-//!   bootstraps, and exact ct-mult counts ([`HePipeline::dry_run`]),
-//!   an instant cost oracle for schedulers.
+//! - [`TraceBackend`] — no arithmetic: records the same schedule's
+//!   per-stage entry level, levels and bootstraps plus exact ct-mult
+//!   and key-switch counts ([`HePipeline::dry_run`]), an instant cost
+//!   oracle for schedulers whose levels are the executed ones by
+//!   construction.
 //!
 //! [`BatchRunner`] shards batches of inputs across `std::thread`
 //! workers over any of these, with deterministic input-order results;
@@ -94,6 +101,7 @@ mod pipeline;
 #[cfg(test)]
 mod proptests;
 mod runner;
+mod schedule;
 pub mod serve;
 
 pub use backends::{CkksBackend, PlainBackend, StageTrace, TraceBackend, TraceReport};
@@ -103,4 +111,5 @@ pub use exec::{InferenceBackend, PafOp, RunError, RunStats};
 pub use maxpool::pool_taps;
 pub use pack::{LanePacker, PackError, PackedBatch, SlotLayout};
 pub use pipeline::{HePipeline, PipelineBuilder, Stage};
+pub use schedule::{AtomicOp, LevelSchedule, ScheduledOp};
 pub use serve::{BatchService, ServeConfig, ServeError, ServeStats, Server, TenantId, Ticket};

@@ -44,38 +44,12 @@ pub enum Stage {
 }
 
 impl Stage {
-    /// Multiplicative levels this stage consumes.
+    /// Multiplicative levels this stage consumes: the sum over its
+    /// atomic ops (see [`crate::LevelSchedule`]).
     pub fn levels(&self) -> usize {
-        match self {
-            Stage::Affine { .. } => 1,
-            Stage::PafRelu {
-                paf,
-                pre_scale,
-                post_scale,
-            } => {
-                let mut l = paf.mult_depth() + 1; // sign + ReLU product
-                if *pre_scale != 1.0 {
-                    l += 1;
-                }
-                if *post_scale != 1.0 {
-                    l += 1;
-                }
-                l
-            }
-            Stage::PafMax {
-                taps,
-                paf,
-                post_scale,
-            } => {
-                // Pairwise tree fold: ceil(log2(taps)) rounds deep.
-                let rounds = taps.len().next_power_of_two().trailing_zeros() as usize;
-                let mut l = 1 + rounds * (paf.mult_depth() + 1);
-                if *post_scale != 1.0 {
-                    l += 1;
-                }
-                l
-            }
-        }
+        let mut levels = 0;
+        self.for_each_atomic_op(|need, _| levels += need);
+        levels
     }
 
     /// Short label for logs.

@@ -1,11 +1,13 @@
 //! Property-based tests for pipeline compilation and the execution
 //! backends.
 
+use crate::backends::ENTRY_LEVELS;
 use crate::pack::LanePacker;
 use crate::pipeline::PipelineBuilder;
+use crate::schedule::LevelSchedule;
 use proptest::prelude::*;
-use smartpaf_ckks::{CkksParams, Evaluator, KeyChain, PafEvaluator};
-use smartpaf_nn::Linear;
+use smartpaf_ckks::{Bootstrapper, CkksParams, Evaluator, KeyChain, PafEvaluator};
+use smartpaf_nn::{Conv2d, Layer, Linear};
 use smartpaf_polyfit::{CompositePaf, PafForm};
 use smartpaf_tensor::Rng64;
 
@@ -172,5 +174,87 @@ proptest! {
         prop_assert_eq!(trace_stats.bootstraps, enc_stats.bootstraps);
         prop_assert_eq!(trace_stats.final_level, enc_stats.final_level);
         prop_assert_eq!(report.total_levels(), enc_stats.total_levels());
+    }
+
+    /// Random affine / ReLU / max-pool sequences on chains of 6 to 14
+    /// levels run the schedule they trace: every refresh-free segment
+    /// is entered at exactly the levels it consumes, the last one ends
+    /// on the last limb, the stages of the encrypted run enter where
+    /// the trace says, and the decrypted result still matches the plain
+    /// backend within the simulator's noise bound.
+    #[test]
+    fn random_pipelines_run_their_level_schedule(
+        seed in 0u64..500,
+        max_level in 6usize..15,
+        kinds in proptest::collection::vec(0usize..3, 1..6),
+        x in proptest::collection::vec(-1.0f64..1.0, 16),
+    ) {
+        let mut rng = Rng64::new(seed);
+        // A 3×3 convolution scaled to an ℓ¹ norm of one: no sequence of
+        // stages can push a value out of the PAF's domain.
+        let mut contraction = || {
+            let mut conv = Conv2d::new(1, 1, 3, 1, 1, &mut rng);
+            let weight = &mut conv.params_mut()[0].value;
+            let norm: f32 = weight.data().iter().map(|w| w.abs()).sum();
+            weight.map_in_place(|w| w / norm);
+            conv
+        };
+        let paf = CompositePaf::from_form(PafForm::F1G2);
+        let mut builder = PipelineBuilder::new(&[1, 4, 4]);
+        let mut side = 4;
+        for kind in kinds {
+            builder = match kind {
+                1 => builder.paf_relu(&paf, 2.0),
+                // A 1×1 map has no window left to pool.
+                2 if side > 1 => {
+                    side /= 2;
+                    builder.paf_maxpool(2, 2, &paf, 2.0)
+                }
+                _ => builder.affine(contraction()),
+            };
+        }
+        let pipe = builder.compile().fold_scales();
+
+        let params = CkksParams { depth: max_level, ..CkksParams::toy() };
+        let keys = KeyChain::generate(&params.build(), &mut rng);
+        let pe = PafEvaluator::new(Evaluator::new(&keys));
+        let bs = Bootstrapper::new(pe.evaluator().clone(), pipe.dim(), seed);
+        let ct = pe
+            .evaluator()
+            .encrypt_replicated(&pipe.pad_input(&x), &mut rng);
+        ENTRY_LEVELS.with(|levels| levels.borrow_mut().clear());
+        let executed = pipe.try_eval_encrypted(&pe, Some(&bs), &ct);
+        let entered = ENTRY_LEVELS.with(|levels| levels.take());
+        match pipe.dry_run(max_level, true) {
+            Ok((report, trace_stats)) => {
+                // The schedule itself: a segment starts at the input
+                // and at every refresh, and each op is entered at what
+                // the rest of its segment consumes.
+                let schedule = LevelSchedule::cut(&pipe.atomic_ops(), max_level, max_level, true);
+                let mut rest_of_segment = 0;
+                for op in schedule.ops().iter().rev() {
+                    rest_of_segment += op.op.need;
+                    prop_assert_eq!(op.level_in, rest_of_segment);
+                    if op.refresh {
+                        rest_of_segment = 0;
+                    }
+                }
+
+                let (out_ct, stats) = executed.expect("a traceable pipeline runs");
+                let traced: Vec<usize> = report.stages.iter().map(|s| s.level_in).collect();
+                prop_assert_eq!(entered, traced);
+                prop_assert_eq!(stats.bootstraps, trace_stats.bootstraps);
+                prop_assert_eq!(stats.bootstraps, bs.refresh_count());
+                prop_assert_eq!(stats.final_level, 0);
+                let plain = pipe.eval_plain(&x);
+                let dec = pe.evaluator().decrypt_values(&out_ct, plain.len());
+                for (i, (p, d)) in plain.iter().zip(&dec).enumerate() {
+                    prop_assert!((p - d).abs() < 0.1, "slot {i}: plain {p} vs decrypted {d}");
+                }
+            }
+            // A stage deeper than the whole chain stops both backends
+            // alike.
+            Err(traced) => prop_assert_eq!(executed.map(|(_, stats)| stats).unwrap_err(), traced),
+        }
     }
 }

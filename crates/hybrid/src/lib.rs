@@ -392,7 +392,9 @@ mod tests {
     fn traced_rows_stay_in_the_analytic_regime() {
         // The trace-driven rows price the same ct-mult schedule the
         // old analytic-only model counted, so a ReLU-only workload
-        // must land within a small constant factor of it.
+        // must land within a small constant factor of it — with the
+        // analytic model asked about a chain as deep as the ReLU, which
+        // is the level the schedule enters a lone ReLU at.
         let w = WorkloadSpec {
             relu_elements: 1_000_000,
             maxpool_elements: 0,
@@ -406,7 +408,12 @@ mod tests {
             (Scheme::Fhe27Degree, PafForm::MinimaxDeg27),
         ] {
             let traced = scheme_cost(scheme, &w, &net).latency_sec;
-            let counts = relu_op_counts(&params, &CompositePaf::from_form(form));
+            let paf = CompositePaf::from_form(form);
+            let entered = CkksParams {
+                depth: paf.mult_depth() + 1,
+                ..params.clone()
+            };
+            let counts = relu_op_counts(&entered, &paf);
             let analytic =
                 w.relu_elements as f64 * project_seconds(&counts, SECONDS_PER_MODMUL) / slots;
             let ratio = traced / analytic;

@@ -65,7 +65,7 @@ use smartpaf_ckks::cost::{
     bootstrap_modmuls, ct_mult_modmuls, key_switch_decompose_modmuls, rescale_modmuls,
     rotation_apply_modmuls,
 };
-use smartpaf_ckks::{Bootstrapper, CkksParams, Evaluator, KeyChain, PafEvaluator};
+use smartpaf_ckks::{Bootstrapper, Ciphertext, CkksParams, Evaluator, KeyChain, PafEvaluator};
 use smartpaf_heinfer::{
     BatchRun, BatchRunner, HePipeline, LanePacker, PackError, PipelineBuilder, RunError, RunStats,
     Stage, TraceReport,
@@ -960,6 +960,12 @@ pub struct PlannedCandidate {
 }
 
 impl PlannedCandidate {
+    /// See [`Plan::input_level`].
+    fn input_level(&self) -> usize {
+        let first = self.trace.stages.first();
+        first.expect("a planned pipeline has a stage").level_in
+    }
+
     /// The single form when every slot agrees (`None` for genuinely
     /// mixed vectors and for pipelines without PAF slots).
     pub fn uniform_form(&self) -> Option<PafForm> {
@@ -1131,6 +1137,13 @@ impl Plan {
         self.candidates[self.chosen].cost.bootstraps
     }
 
+    /// The level the chosen vector's schedule enters its first stage
+    /// at: all its first refresh-free segment consumes, so all a request
+    /// ciphertext needs to carry (`input_level() + 1` limbs).
+    pub fn input_level(&self) -> usize {
+        self.candidates[self.chosen].input_level()
+    }
+
     /// Every feasible vector evaluated, in evaluation order (uniform
     /// candidates first, then searched vectors).
     pub fn candidates(&self) -> &[PlannedCandidate] {
@@ -1281,15 +1294,21 @@ pub struct CompiledSession {
 }
 
 impl CompiledSession {
+    /// Encrypts a padded input at the plan's [`Plan::input_level`]: the
+    /// backend would drop any limb above it before the first stage.
+    fn encrypt_input(&mut self, padded: &[f64]) -> Ciphertext {
+        let level = self.chosen.input_level();
+        self.pe
+            .evaluator()
+            .encrypt_replicated_at(padded, level, &mut self.rng)
+    }
+
     /// Encrypts `x`, runs the pipeline under CKKS (bootstrapping when
     /// the chain runs dry), and decrypts the logical output. The run's
     /// statistics are retained in [`CompiledSession::last_stats`].
     pub fn infer(&mut self, x: &[f64]) -> Result<Vec<f64>, SessionError> {
         let padded = self.pipeline.try_pad_input(x)?;
-        let ct = self
-            .pe
-            .evaluator()
-            .encrypt_replicated(&padded, &mut self.rng);
+        let ct = self.encrypt_input(&padded);
         let (out_ct, stats) =
             self.pipeline
                 .try_eval_encrypted(&self.pe, Some(&self.bootstrapper), &ct)?;
@@ -1309,11 +1328,7 @@ impl CompiledSession {
         let mut cts = Vec::with_capacity(inputs.len());
         for x in inputs {
             let padded = self.pipeline.try_pad_input(x)?;
-            cts.push(
-                self.pe
-                    .evaluator()
-                    .encrypt_replicated(&padded, &mut self.rng),
-            );
+            cts.push(self.encrypt_input(&padded));
         }
         let run =
             self.runner
@@ -1397,9 +1412,13 @@ impl CompiledSession {
         let (packer, bs) = self.packers.get(&lanes).expect("cached above");
         let mut batches = Vec::with_capacity(inputs.len().div_ceil(lanes));
         let mut cts = Vec::with_capacity(batches.capacity());
+        // Lane expansion leaves the level schedule as it is, so a packed
+        // request enters at the same level as an unpacked one.
+        let level = self.chosen.input_level();
         for group in inputs.chunks(lanes) {
             let batch = packer.pack(group)?;
-            cts.push(packer.encrypt(&batch, self.pe.evaluator(), &mut self.rng));
+            let ev = self.pe.evaluator();
+            cts.push(ev.encrypt_replicated_at(batch.values(), level, &mut self.rng));
             batches.push(batch);
         }
         let run = self.runner.run_packed(packer, &self.pe, Some(bs), &cts)?;
@@ -1641,26 +1660,42 @@ impl fmt::Display for PlanReport {
     }
 }
 
-/// Converts a traced schedule into modelled 64-bit modular multiplies:
-/// every exact ct-mult (plus its rescale) is charged at the trace's
-/// mean live limb count, every traced rotation at the same limb
-/// count's key-switch *apply* cost and every traced decomposition at
-/// its *decompose* cost (hoisted rotations share decompositions, so
-/// the two counts differ), and every forced refresh at the
-/// full analytic bootstrap cost. All these prices dispatch on the
-/// parameters' key-switch gadget (`CkksParams::ks_digit_limbs`), so a
-/// plan re-priced under the hybrid gadget reflects its cheaper
-/// relinearisations. The one conversion behind the planner's frontier
-/// pricing and the hybrid crate's Tab. 1 rows.
+/// Converts a traced schedule into modelled 64-bit modular multiplies,
+/// stage by stage at the limb counts the stage runs on
+/// ([`StageTrace::level_in`](smartpaf_heinfer::StageTrace)): its
+/// rotations at their key-switch *apply* cost and its decompositions at
+/// their *decompose* cost (hoisted rotations share decompositions, so
+/// the two counts differ), both on the `level_in + 1` limbs the stage
+/// is entered on — its key switches all sit in its first atomic op;
+/// every exact ct-mult (plus its rescale) at the mean of the stage's
+/// entry and exit limb counts; and every forced refresh at the full
+/// analytic bootstrap cost. A stage that consumes more levels than it
+/// is entered at refreshed inside and ran on from the top of the chain,
+/// so its ct-mults are priced over the whole chain. All these prices
+/// dispatch on the parameters' key-switch gadget
+/// (`CkksParams::ks_digit_limbs`), so a plan re-priced under the hybrid
+/// gadget reflects its cheaper relinearisations. The one conversion
+/// behind the planner's frontier pricing and the hybrid crate's Tab. 1
+/// rows.
 pub fn trace_modmuls(params: &CkksParams, report: &TraceReport) -> u128 {
-    let top = params.depth + 1;
-    let avg_limbs = (top + report.final_level + 1).div_ceil(2).max(1);
-    let per_ct_mult =
-        ct_mult_modmuls(params, avg_limbs) + rescale_modmuls(params, avg_limbs.saturating_sub(1));
-    report.total_ct_mults() as u128 * per_ct_mult
-        + report.total_rotations() as u128 * rotation_apply_modmuls(params, avg_limbs)
-        + report.total_decompositions() as u128 * key_switch_decompose_modmuls(params, avg_limbs)
-        + report.total_bootstraps() as u128 * bootstrap_modmuls(params)
+    report
+        .stages
+        .iter()
+        .map(|stage| {
+            let entry_limbs = stage.level_in + 1;
+            let (top, exit) = match stage.level_in.checked_sub(stage.levels) {
+                Some(exit) => (stage.level_in, exit),
+                None => (params.depth, 0),
+            };
+            let mean_limbs = (top + exit + 2).div_ceil(2);
+            let per_ct_mult =
+                ct_mult_modmuls(params, mean_limbs) + rescale_modmuls(params, mean_limbs - 1);
+            stage.ct_mults as u128 * per_ct_mult
+                + stage.rotations as u128 * rotation_apply_modmuls(params, entry_limbs)
+                + stage.decompositions as u128 * key_switch_decompose_modmuls(params, entry_limbs)
+                + stage.bootstraps as u128 * bootstrap_modmuls(params)
+        })
+        .sum()
 }
 
 /// Prices a traced schedule in milliseconds with
@@ -1972,6 +2007,84 @@ mod tests {
         // The runtime dry run replays the plan-time trace verbatim.
         let (runtime_trace, _) = session.dry_run().expect("traceable");
         assert_eq!(runtime_trace, trace);
+    }
+
+    #[test]
+    fn a_trace_is_priced_at_the_limbs_each_stage_runs_on() {
+        use smartpaf_heinfer::StageTrace;
+        let params = CkksParams::default_params();
+        let stage = |level_in, levels, ct_mults, rotations| StageTrace {
+            label: "stage".into(),
+            slot: None,
+            level_in,
+            levels,
+            bootstraps: 0,
+            ct_mults,
+            rotations,
+            decompositions: rotations,
+        };
+        let price = |stages: Vec<StageTrace>| {
+            trace_modmuls(
+                &params,
+                &TraceReport {
+                    stages,
+                    final_level: 0,
+                },
+            )
+        };
+        // A matvec's key switches sit on the limbs the stage enters on.
+        assert_eq!(
+            price(vec![stage(1, 1, 0, 4)]),
+            4 * (rotation_apply_modmuls(&params, 2) + key_switch_decompose_modmuls(&params, 2))
+        );
+        assert!(price(vec![stage(1, 1, 0, 4)]) < price(vec![stage(12, 1, 0, 4)]));
+        // A ReLU entered at 6 runs from 7 limbs down to 1: mean 4.
+        assert_eq!(
+            price(vec![stage(6, 6, 7, 0)]),
+            7 * (ct_mult_modmuls(&params, 4) + rescale_modmuls(&params, 3))
+        );
+        // A pool fold that refreshes inside (14 levels from level 1)
+        // ran on from the top of the chain: 13 limbs down to 1, mean 7.
+        assert_eq!(
+            price(vec![stage(1, 14, 21, 0)]),
+            21 * (ct_mult_modmuls(&params, 7) + rescale_modmuls(&params, 6))
+        );
+        // Stages add up, and a refresh is the analytic bootstrap.
+        let mut refreshed = stage(1, 1, 0, 0);
+        refreshed.bootstraps = 2;
+        assert_eq!(
+            price(vec![stage(6, 6, 7, 0), refreshed]),
+            price(vec![stage(6, 6, 7, 0)]) + 2 * bootstrap_modmuls(&params)
+        );
+    }
+
+    #[test]
+    fn requests_are_encrypted_at_the_plans_input_level() {
+        // One block consumes 1 + 6 + 1 of the toy chain's 12 levels
+        // (affine, ReLU, its post-scale). Of two blocks the second ReLU
+        // no longer fits, so the first segment is affine, ReLU, affine:
+        // 1 + 6 + 1 again, then a refresh. Either way the request
+        // ciphertext carries exactly that many levels, and serving it
+        // agrees with the reference.
+        for (blocks, input_level) in [(1, 8), (2, 8)] {
+            let plan = builder(blocks, 4.0, 23)
+                .objective(Objective::FixedForm(PafForm::F1G2))
+                .plan()
+                .expect("plannable");
+            assert_eq!(plan.input_level(), input_level);
+            let mut session = plan.compile().expect("toy ring compiles");
+            let x = [0.4, -0.8, 0.2, -0.1];
+            let padded = session.pipeline.try_pad_input(&x).expect("fits");
+            assert_eq!(session.encrypt_input(&padded).level(), input_level);
+            let enc = session.infer(&x).expect("serves");
+            for (e, p) in enc
+                .iter()
+                .zip(&session.infer_plain(&x).expect("valid input"))
+            {
+                assert!((e - p).abs() < 0.1, "{e} vs {p}");
+            }
+            assert_eq!(session.last_stats().expect("recorded").final_level, 0);
+        }
     }
 
     #[test]

@@ -235,3 +235,93 @@ fn default_candidates_honour_the_chain_depth() {
     assert_eq!(planned, CompositePaf::candidate_forms(8));
     assert!(!planned.contains(&PafForm::MinimaxDeg27));
 }
+
+#[test]
+fn level_schedule_moves_entry_levels_and_no_count() {
+    // Entering each refresh-free segment at exactly what it consumes
+    // changes the level every stage runs at and nothing else: on the
+    // two benchmark models, for every form, refreshes, ct-mults,
+    // rotations and decompositions are the numbers the top-of-chain
+    // entry produced (recorded at the commit before the schedule), also
+    // when priced at 32 lanes.
+    let cnn = |form| {
+        let mut rng = Rng64::new(9001);
+        Session::builder(&[1, 8, 8])
+            .affine(Conv2d::new(1, 1, 3, 1, 1, &mut rng))
+            .relu(4.0)
+            .maxpool(2, 2, 4.0)
+            .affine(Flatten::new())
+            .affine(Linear::new(16, 16, &mut rng))
+            .params(CkksParams::default_params())
+            .objective(Objective::FixedForm(form))
+            .plan()
+            .expect("every form runs on the default chain with refreshes")
+    };
+    let mlp = |form| {
+        let mut rng = Rng64::new(9001);
+        Session::builder(&[16])
+            .affine(Linear::new(16, 16, &mut rng))
+            .relu(2.0)
+            .affine(Linear::new(16, 4, &mut rng))
+            .params(CkksParams::toy())
+            .objective(Objective::FixedForm(form))
+            .plan()
+            .expect("every form runs on the toy chain with refreshes")
+    };
+    // (form, CNN refreshes, CNN ct-mults, MLP refreshes, MLP ct-mults)
+    let recorded = [
+        (PafForm::F1G2, 5, 28, 0, 7),
+        (PafForm::F2G2, 6, 36, 0, 9),
+        (PafForm::F2G3, 6, 44, 0, 11),
+        (PafForm::Alpha7, 6, 52, 0, 13),
+        (PafForm::F1SqG1Sq, 6, 36, 0, 9),
+        (PafForm::MinimaxDeg27, 4, 100, 1, 25),
+    ];
+    assert_eq!(recorded.map(|row| row.0), PafForm::all());
+    for (form, cnn_refreshes, cnn_ct_mults, mlp_refreshes, mlp_ct_mults) in recorded {
+        for (plan, refreshes, ct_mults, key_switches, key_switches_32) in [
+            (cnn(form), cnn_refreshes, cnn_ct_mults, (40, 27), (95, 18)),
+            (mlp(form), mlp_refreshes, mlp_ct_mults, (12, 8), (48, 6)),
+        ] {
+            let trace = plan.chosen_trace();
+            assert_eq!(trace.total_bootstraps(), refreshes, "{form}");
+            assert_eq!(trace.total_ct_mults(), ct_mults, "{form}");
+            assert_eq!(
+                (trace.total_rotations(), trace.total_decompositions()),
+                key_switches,
+                "{form}"
+            );
+            let (packed, _) = plan
+                .pipeline()
+                .dry_run_lanes(plan.params().depth, true, 32)
+                .expect("lanes change no level");
+            assert_eq!(
+                (packed.total_rotations(), packed.total_decompositions()),
+                key_switches_32,
+                "{form} at 32 lanes"
+            );
+            assert_eq!(packed.total_bootstraps(), refreshes, "{form} at 32 lanes");
+            // What did move: the run ends on its last limb, and the
+            // request enters on as many as its first segment consumes.
+            assert_eq!(trace.final_level, 0, "{form}");
+            assert_eq!(plan.input_level(), trace.stages[0].level_in);
+            assert!(plan.input_level() <= plan.params().depth);
+        }
+    }
+    // The benchmark's CNN under f1∘g2: segments of 9, 12 and 1 levels
+    // where every one used to be entered at 12.
+    let levels_in: Vec<usize> = cnn(PafForm::F1G2)
+        .chosen_trace()
+        .stages
+        .iter()
+        .map(|s| s.level_in)
+        .collect();
+    assert_eq!(levels_in, [9, 8, 1, 1]);
+    let levels_in: Vec<usize> = mlp(PafForm::F1G2)
+        .chosen_trace()
+        .stages
+        .iter()
+        .map(|s| s.level_in)
+        .collect();
+    assert_eq!(levels_in, [8, 7, 1]);
+}
