@@ -5,12 +5,9 @@
 //! three ring sizes, and the ciphertext pipeline (encrypt, add,
 //! mul+relin, rescale, rotate, mul_const) at N = 4096 and N = 8192,
 //! with the key-switch gadget's digit count and the host core count
-//! recorded as group metadata. `bench_gadget` measures the hybrid
-//! gadget against the per-prime baseline in-process at the top of the
-//! 13-limb default chain and fails the bench if the hybrid
-//! relinearisation is not ≥ 1.5× faster single-core; `bench_hoist`
-//! fails it if 8 rotations of one ciphertext from one key-switch
-//! decomposition do not cost < 0.6× eight standalone rotations.
+//! recorded as group metadata. `bench_hoist` fails the bench if 8
+//! rotations of one ciphertext from one key-switch decomposition do
+//! not cost < 0.6× eight standalone rotations.
 //! Emits `BENCH_ckks.json` through the criterion shim's JSON hook; CI
 //! diffs a timed run against the committed
 //! `BENCH_ckks.reference.json` so hot-path regressions fail the build.
@@ -59,14 +56,7 @@ fn bench_cipher_ops_at(c: &mut Criterion, params: CkksParams) {
     let top_limbs = params.depth + 1;
     let mut g = c.benchmark_group(format!("ckks_n{n}"));
     g.meta("ks_digit_limbs", params.ks_digit_limbs)
-        .meta(
-            "digits",
-            if params.ks_digit_limbs == 0 {
-                top_limbs // per-prime: one group per prime
-            } else {
-                cost::hybrid_digits(&params, top_limbs)
-            },
-        )
+        .meta("digits", cost::hybrid_digits(&params, top_limbs))
         .meta("cores", host_cores())
         .meta("threads", par::max_intra_workers());
     let ctx = params.build();
@@ -154,73 +144,6 @@ fn min_time(iters: usize, mut f: impl FnMut()) -> Duration {
         .expect("at least one iteration")
 }
 
-/// The gadget acceptance gate: hybrid vs per-prime relinearisation at
-/// the top of the default 13-limb chain, in one process, pinned to a
-/// single core so the comparison isolates the gadget (not the worker
-/// pool). The timed run must show the hybrid ct_mult+relin ≥ 1.5×
-/// faster; `--test` mode only checks that both paths execute.
-fn bench_gadget(c: &mut Criterion) {
-    let hybrid_params = CkksParams::default_params();
-    assert!(hybrid_params.ks_digit_limbs > 0, "default must be hybrid");
-    let per_prime_params = CkksParams {
-        ks_digit_limbs: 0,
-        ..hybrid_params
-    };
-    let top_limbs = hybrid_params.depth + 1;
-    assert!(top_limbs >= 13, "gate needs a >= 13-level chain");
-    let vals: Vec<f64> = (0..64).map(|i| i as f64 / 64.0 - 0.5).collect();
-    let test_mode = std::env::args().any(|a| a == "--test");
-
-    let mut mins = [Duration::ZERO; 2];
-    for (slot, params) in [per_prime_params, hybrid_params].into_iter().enumerate() {
-        let label = if params.ks_digit_limbs == 0 {
-            "per_prime"
-        } else {
-            "hybrid"
-        };
-        let digits = if params.ks_digit_limbs == 0 {
-            top_limbs
-        } else {
-            cost::hybrid_digits(&params, top_limbs)
-        };
-        let ctx = params.build();
-        let mut rng = Rng64::new(7);
-        let keys = KeyChain::generate(&ctx, &mut rng);
-        let ev = Evaluator::new(&keys);
-        let ct = ev.encrypt_values(&vals, &mut rng);
-        let _ = ev.mul(&ct, &ct); // warm pools and key caches
-        let mut g = c.benchmark_group(format!("ckks_gadget_n{}", params.n));
-        g.meta("ks_digit_limbs", params.ks_digit_limbs)
-            .meta("digits", digits)
-            .meta("limbs", top_limbs)
-            .meta("cores", host_cores());
-        g.bench_function(format!("mul_relin_{label}"), |b| {
-            b.iter(|| std::hint::black_box(ev.mul(&ct, &ct)))
-        });
-        drop(g);
-        if !test_mode {
-            mins[slot] = par::with_thread_budget(1, || {
-                min_time(5, || {
-                    std::hint::black_box(ev.mul(&ct, &ct));
-                })
-            });
-        }
-    }
-    if !test_mode {
-        let [per_prime, hybrid] = mins;
-        let ratio = per_prime.as_secs_f64() / hybrid.as_secs_f64();
-        println!(
-            "gadget gate: per-prime {per_prime:?} vs hybrid {hybrid:?} \
-             at {top_limbs} limbs single-core → {ratio:.2}x"
-        );
-        assert!(
-            ratio >= 1.5,
-            "hybrid relinearisation must be >= 1.5x faster than the \
-             per-prime baseline at {top_limbs} limbs (got {ratio:.2}x)"
-        );
-    }
-}
-
 /// The hoisting acceptance gate: eight rotations of one ciphertext at
 /// the top of the default 13-limb chain, hoisted (one decomposition,
 /// eight applications) against standalone (eight of each), single-core
@@ -265,6 +188,6 @@ criterion_group! {
     config = Criterion::default()
         .sample_size(10)
         .json_output("BENCH_ckks.json");
-    targets = bench_ntt, bench_cipher_ops, bench_gadget, bench_hoist
+    targets = bench_ntt, bench_cipher_ops, bench_hoist
 }
 criterion_main!(benches);

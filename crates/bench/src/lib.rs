@@ -4,7 +4,7 @@
 //!
 //! * `test` (default) — minutes-scale runs exercising every code path
 //!   with tiny models and few epochs;
-//! * `harness` — the EXPERIMENTS.md configuration (tens of minutes);
+//! * `harness` — mid-scale models and epoch counts (tens of minutes);
 //! * `paper` — paper-faithful epoch counts (E = 20; hours).
 
 use smartpaf::{TrainConfig, Workbench};
@@ -17,7 +17,7 @@ use smartpaf_tensor::Rng64;
 pub enum Scale {
     /// Tiny CI-friendly runs.
     Test,
-    /// The EXPERIMENTS.md configuration.
+    /// Mid-scale models and epoch counts.
     Harness,
     /// Paper-faithful epochs.
     Paper,
@@ -66,8 +66,7 @@ pub fn width(scale: Scale) -> f32 {
 }
 
 /// The synthetic ImageNet substitute, class count reduced below paper
-/// scale so the width-scaled models can learn it (documented in
-/// EXPERIMENTS.md).
+/// scale so the width-scaled models can learn it.
 pub fn imagenet_like(scale: Scale, seed: u64) -> SynthSpec {
     let mut spec = SynthSpec::imagenet_like(seed);
     spec.classes = match scale {

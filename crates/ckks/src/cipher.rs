@@ -1,7 +1,7 @@
 //! Ciphertexts and homomorphic operations.
 
 use crate::encoding::{Encoder, Plaintext};
-use crate::keys::{truncate, KeyChain, KeySwitchGadget};
+use crate::keys::{truncate, KeyChain};
 use crate::rns::{CkksContext, RnsPoly};
 use smartpaf_tensor::Rng64;
 use std::sync::Arc;
@@ -61,8 +61,7 @@ pub(crate) struct Hoisted {
     data: Vec<u64>,
     /// Gadget digits (= key components).
     rows: usize,
-    /// Limbs per digit: the chain limbs, plus the special limbs under
-    /// the hybrid gadget.
+    /// Limbs per digit: the chain limbs plus the special limbs.
     width: usize,
     /// Chain limbs of the decomposed polynomial.
     num_limbs: usize,
@@ -318,23 +317,22 @@ impl Evaluator {
         &self.keys
     }
 
-    /// Key-switches the degree-2 component back to a linear ciphertext
-    /// using the context's key-switch gadget: decompose, then apply the
-    /// relinearisation key once.
+    /// Key-switches the degree-2 component back to a linear ciphertext:
+    /// decompose, then apply the relinearisation key once.
     fn relinearize_d2(&self, d2: &RnsPoly) -> (RnsPoly, RnsPoly) {
         let rk = self.keys.relin_key(d2.num_limbs());
         self.apply_key(&self.decompose(d2), &rk, None)
     }
 
     /// Key-switch phase 1 (**decompose**): splits `p` (NTT form) into
-    /// the context's gadget digits, lifts each digit to the basis the
+    /// the gadget digits, lifts each digit to the extended basis the
     /// keys live over, and forward-NTTs it. Everything here depends on
     /// `p` alone, so one [`Hoisted`] handle serves any number of
     /// [`Evaluator::apply_key`] calls — every rotation of one
     /// ciphertext shares it. This is the only place digits are raised.
     ///
-    /// Hybrid gadget, per digit `j` covering chain limbs
-    /// `[start, end)` with modulus `Q_j = ∏ q_i`:
+    /// Per digit `j` covering chain limbs `[start, end)` with modulus
+    /// `Q_j = ∏ q_i`:
     ///
     /// 1. `y_i = x_i · [(Q_j/q_i)^{-1}]_{q_i}` on the in-group limbs
     ///    (coefficient domain);
@@ -345,10 +343,6 @@ impl Evaluator {
     /// 3. forward NTT of every raised out-of-group limb. An in-group
     ///    target is exactly `x_t`, so it copies `p`'s limb as it stands
     ///    in NTT form and skips the pass.
-    ///
-    /// Per-prime gadget: the base-`2^16` digits of each limb's
-    /// residues are small non-negative integers, so "lifting" one to
-    /// the other chain limbs is a copy.
     ///
     /// Every (digit, limb) row is independent, so the raise fans out
     /// across [`crate::par`] bit-identically to the sequential loop.
@@ -361,72 +355,49 @@ impl Evaluator {
         let n = ctx.n();
         let mut coeff = p.clone();
         coeff.to_coeff();
-        match KeySwitchGadget::of(ctx) {
-            KeySwitchGadget::PerPrime { digit_bits } => {
-                let mask = (1u64 << digit_bits) - 1;
-                let rows = crate::keys::per_prime_rows(ctx, nl);
-                let mut data = crate::pool::acquire_scratch(rows.len() * nl * n);
-                crate::par::for_each_chunk_mut(&mut data, n, |idx, raised| {
-                    let (prime, digit) = rows[idx / nl];
-                    let shift = digit * digit_bits;
-                    for (dst, &c) in raised.iter_mut().zip(coeff.limb(prime)) {
-                        *dst = (c >> shift) & mask;
-                    }
-                    ctx.ntt(idx % nl).forward(raised);
-                });
-                Hoisted {
-                    data,
-                    rows: rows.len(),
-                    width: nl,
-                    num_limbs: nl,
-                }
+        let basis = self.keys.hybrid_basis(nl);
+        let ext = nl + basis.k;
+        // Step 1: per-limb digit scaling (the in-group inverse
+        // CRT factors), limb-parallel.
+        let mut y = crate::pool::acquire(nl * n);
+        crate::par::for_each_chunk_mut(&mut y, n, |i, dst| {
+            let digit = &basis.digits[i / basis.k];
+            let (inv, shoup) = digit.inv_qhat[i - digit.start];
+            let arith = ctx.arith(i);
+            for (out, &x) in dst.iter_mut().zip(coeff.limb(i)) {
+                *out = arith.mul_shoup(x, inv, shoup);
             }
-            KeySwitchGadget::Hybrid { .. } => {
-                let basis = self.keys.hybrid_basis(nl);
-                let ext = nl + basis.k;
-                // Step 1: per-limb digit scaling (the in-group inverse
-                // CRT factors), limb-parallel.
-                let mut y = crate::pool::acquire(nl * n);
-                crate::par::for_each_chunk_mut(&mut y, n, |i, dst| {
-                    let digit = &basis.digits[i / basis.k];
-                    let (inv, shoup) = digit.inv_qhat[i - digit.start];
-                    let arith = ctx.arith(i);
-                    for (out, &x) in dst.iter_mut().zip(coeff.limb(i)) {
-                        *out = arith.mul_shoup(x, inv, shoup);
-                    }
-                });
-                // Steps 2–3, one task per (digit, extended limb) row.
-                let mut data = crate::pool::acquire_scratch(basis.digits.len() * ext * n);
-                crate::par::for_each_chunk_mut(&mut data, n, |idx, raised| {
-                    let (digit, t) = (&basis.digits[idx / ext], idx % ext);
-                    if t >= digit.start && t < digit.end {
-                        // In-group target: the lifted digit's residue
-                        // mod q_t is exactly the input residue, whose
-                        // transform the input already holds.
-                        raised.copy_from_slice(p.limb(t));
-                        return;
-                    }
-                    let group = digit.end - digit.start;
-                    let qh = &digit.qhat[t * group..(t + 1) * group];
-                    let arith = ctx.ext_arith(nl, t);
-                    for (c, out) in raised.iter_mut().enumerate() {
-                        // ω ≤ 8 terms of < 2^124 each: fits u128.
-                        let mut sum = 0u128;
-                        for (i, &w) in qh.iter().enumerate() {
-                            sum += y[(digit.start + i) * n + c] as u128 * w as u128;
-                        }
-                        *out = arith.reduce_u128(sum);
-                    }
-                    ctx.ext_ntt(nl, t).forward(raised);
-                });
-                crate::pool::release(y);
-                Hoisted {
-                    data,
-                    rows: basis.digits.len(),
-                    width: ext,
-                    num_limbs: nl,
-                }
+        });
+        // Steps 2–3, one task per (digit, extended limb) row.
+        let mut data = crate::pool::acquire_scratch(basis.digits.len() * ext * n);
+        crate::par::for_each_chunk_mut(&mut data, n, |idx, raised| {
+            let (digit, t) = (&basis.digits[idx / ext], idx % ext);
+            if t >= digit.start && t < digit.end {
+                // In-group target: the lifted digit's residue
+                // mod q_t is exactly the input residue, whose
+                // transform the input already holds.
+                raised.copy_from_slice(p.limb(t));
+                return;
             }
+            let group = digit.end - digit.start;
+            let qh = &digit.qhat[t * group..(t + 1) * group];
+            let arith = ctx.ext_arith(nl, t);
+            for (c, out) in raised.iter_mut().enumerate() {
+                // ω ≤ 8 terms of < 2^124 each: fits u128.
+                let mut sum = 0u128;
+                for (i, &w) in qh.iter().enumerate() {
+                    sum += y[(digit.start + i) * n + c] as u128 * w as u128;
+                }
+                *out = arith.reduce_u128(sum);
+            }
+            ctx.ext_ntt(nl, t).forward(raised);
+        });
+        crate::pool::release(y);
+        Hoisted {
+            data,
+            rows: basis.digits.len(),
+            width: ext,
+            num_limbs: nl,
         }
     }
 
@@ -442,9 +413,8 @@ impl Evaluator {
     /// every limb, so a rotation costs no transform before the inner
     /// product. Per basis limb, the products `Σ_j φ(c̃_j) ⊙ b_j` and
     /// `Σ_j φ(c̃_j) ⊙ a_j` accumulate exactly in `u128` and reduce
-    /// once. Under the hybrid gadget both sums are then scaled down by
-    /// `P` ([`Evaluator::hybrid_mod_down`]); per-prime keys live over
-    /// the chain itself and need no mod-down.
+    /// once; both sums are then scaled down by `P`
+    /// ([`Evaluator::hybrid_mod_down`]).
     ///
     /// Limbs are independent, so this fans out across [`crate::par`]
     /// bit-identically to the sequential loop.
@@ -465,10 +435,9 @@ impl Evaluator {
         let (rows, width) = (hoisted.rows, hoisted.width);
         assert_eq!(key.num_limbs(), nl, "key level mismatch");
         assert_eq!(key.component_count(), rows, "key gadget mismatch");
-        // Raw products that fit one `u128` accumulator. Hybrid digit
-        // counts sit far below it; the per-prime gadget's
-        // `limbs × ⌈bits/16⌉` rows pass it on deep chains of 61/62-bit
-        // primes (headroom 64/16) and flush to residues in between.
+        // Raw products that fit one `u128` accumulator: 256 at 60-bit
+        // primes, above any digit count, but 16 at 62 bits, which ω = 1
+        // passes from 17 limbs on — the sum flushes to residues there.
         let headroom = ctx.lazy_acc_headroom(nl, width - nl);
         assert!(headroom >= 2, "moduli leave no lazy accumulator headroom");
         // Limb `t` of the b-sum lands in chunk `2t`, of the a-sum in
@@ -519,18 +488,7 @@ impl Evaluator {
                 }
             }
         });
-        let out = match KeySwitchGadget::of(ctx) {
-            KeySwitchGadget::PerPrime { .. } => {
-                let mut k0 = RnsPoly::uninit(ctx, nl, true);
-                let mut k1 = RnsPoly::uninit(ctx, nl, true);
-                for (t, pair) in acc.chunks_exact(2 * n).enumerate() {
-                    k0.limb_mut(t).copy_from_slice(&pair[..n]);
-                    k1.limb_mut(t).copy_from_slice(&pair[n..]);
-                }
-                (k0, k1)
-            }
-            KeySwitchGadget::Hybrid { .. } => self.hybrid_mod_down(&mut acc, nl),
-        };
+        let out = self.hybrid_mod_down(&mut acc, nl);
         crate::pool::release_scratch(acc);
         out
     }
@@ -816,6 +774,40 @@ mod tests {
             assert!(stats.reuses > 0, "rotations must actually use the pool");
             assert_eq!(stats.dropped, 0, "free list churn must stay bounded");
         });
+    }
+
+    #[test]
+    fn digits_beyond_lazy_headroom_flush() {
+        // A 62-bit base prime leaves 16 raw products of headroom; at
+        // ω = 1 eighteen limbs are eighteen digits, so the key switch
+        // must flush its accumulators mid-sum. Rotate and relinearise
+        // across that boundary.
+        let params = CkksParams {
+            n: 64,
+            base_prime_bits: 62,
+            scale_prime_bits: 50,
+            depth: 17,
+            ks_digit_limbs: 1,
+        };
+        let ctx = params.build();
+        assert!(crate::cost::hybrid_digits(&params, 18) > ctx.lazy_acc_headroom(18, 1));
+        let mut rng = Rng64::new(40);
+        let ev = Evaluator::new(&KeyChain::generate(&ctx, &mut rng));
+        let slots = ctx.slots();
+        let vals: Vec<f64> = (0..slots).map(|i| i as f64 / slots as f64 - 0.5).collect();
+        let ct = ev.encrypt_values(&vals, &mut rng);
+        let rot = ev.rotate(&ct, 3);
+        let mut sq = ev.square(&rot);
+        ev.rescale(&mut sq);
+        let out = ev.decrypt_values(&sq, slots);
+        for j in 0..slots {
+            let want = vals[(j + 3) % slots].powi(2);
+            assert!(
+                (out[j] - want).abs() < 1e-6,
+                "slot {j}: {} vs {want}",
+                out[j]
+            );
+        }
     }
 
     /// NTT passes the evaluator executes inside `f`, sequentially (the

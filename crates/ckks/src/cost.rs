@@ -25,15 +25,8 @@ pub struct OpCounts {
     pub modmuls: u128,
 }
 
-/// Digit count of the relinearisation gadget for a prime of `bits`
-/// bits (mirrors `keys::DIGIT_BITS`).
-fn digits_for(bits: u32) -> usize {
-    bits.div_ceil(crate::keys::DIGIT_BITS) as usize
-}
-
 /// Digit count of the hybrid gadget at `limbs` limbs: ⌈limbs/ω⌉ with
-/// ω clamped to the chain length. Only meaningful when
-/// `params.ks_digit_limbs > 0`.
+/// ω clamped to the chain length.
 pub fn hybrid_digits(params: &CkksParams, limbs: usize) -> usize {
     hybrid_shape(params, limbs).2
 }
@@ -42,31 +35,22 @@ pub fn hybrid_digits(params: &CkksParams, limbs: usize) -> usize {
 /// clamped digit size (also the special-prime count `k`), the
 /// extended-basis width `limbs + k` and the digit count.
 fn hybrid_shape(params: &CkksParams, limbs: usize) -> (usize, usize, usize) {
-    let omega = params.ks_digit_limbs.min(limbs).max(1);
+    let omega = params.ks_digit_limbs.min(limbs);
     (omega, limbs + omega, limbs.div_ceil(omega))
 }
 
-/// NTT passes consumed by one key switch at `limbs` limbs under the
-/// configured gadget.
-///
-/// Per-prime (`ks_digit_limbs == 0`): one digit-lift NTT per
-/// (prime, base-2^16 digit) component.
-///
-/// Hybrid ω: the decompose phase's `limbs` inverse NTTs of the input
-/// and one forward NTT per *out-of-group* (digit, extended-basis limb)
-/// row of the raised decomposition — each chain limb is in-group for
+/// NTT passes consumed by one key switch at `limbs` limbs: the
+/// decompose phase's `limbs` inverse NTTs of the input and one forward
+/// NTT per *out-of-group* (digit, extended-basis limb) row of the
+/// raised decomposition — each chain limb is in-group for
 /// exactly one digit and copies the input's NTT limb there, so the
 /// phase totals `digits·ext` — then the apply phase's mod-down round
 /// trip: per accumulator component, `k` inverse NTTs of the special
 /// limbs plus `limbs` forward NTTs of the correction. At 13 limbs,
 /// ω = 3: `5·16` once per input, `2·(3 + 13)` per key applied.
 pub fn key_switch_ntts(params: &CkksParams, limbs: usize) -> usize {
-    if params.ks_digit_limbs == 0 {
-        limbs * digits_for(params.scale_prime_bits)
-    } else {
-        let (k, ext, digits) = hybrid_shape(params, limbs);
-        digits * ext + 2 * (k + limbs)
-    }
+    let (k, ext, digits) = hybrid_shape(params, limbs);
+    digits * ext + 2 * (k + limbs)
 }
 
 /// NTT passes of one ciphertext rescale leaving `limbs` limbs: per
@@ -80,19 +64,13 @@ pub fn rescale_ntts(limbs: usize) -> usize {
 /// `limbs` limbs: everything that depends on the input polynomial
 /// only, paid once however many keys (rotations) are then applied.
 ///
-/// Hybrid ω (exact counts for the implemented kernel): the input's
-/// inverse NTTs and the out-of-group raised rows' forward NTTs
-/// (`digits·ext` passes, see [`key_switch_ntts`]) at n mults each,
+/// Exact counts for the implemented kernel: the input's inverse NTTs
+/// and the out-of-group raised rows' forward NTTs (`digits·ext`
+/// passes, see [`key_switch_ntts`]) at n mults each,
 /// Shoup scaling by (Q_j/q_i)^-1 (`limbs`·n), and the raised
 /// accumulation Σ yᵢ·(Q_j/q_i) into the out-of-group extended limbs
 /// (`digits·(ext−ω)·ω`·n).
-///
-/// Per-prime: 0 — the frozen pre-gadget model never charged the digit
-/// lift to the key switch (see [`key_switch_apply_modmuls`]).
 pub fn key_switch_decompose_modmuls(params: &CkksParams, limbs: usize) -> u128 {
-    if params.ks_digit_limbs == 0 {
-        return 0;
-    }
     let (omega, ext, digits) = hybrid_shape(params, limbs);
     let ntts = digits * ext;
     let scale = limbs;
@@ -103,31 +81,20 @@ pub fn key_switch_decompose_modmuls(params: &CkksParams, limbs: usize) -> u128 {
 /// Modular multiplies of the key switch's **apply** phase at `limbs`
 /// limbs: the per-key work, paid once per relinearisation or rotation.
 ///
-/// Hybrid ω (exact counts): the inner products of the raised digits
-/// against both key components (`2·digits·ext`·n; a rotation gathers
-/// the digits through its permutation table in the same pass, at no
-/// multiply), and the mod-down by P — `2·(k + limbs)` NTT passes at n
+/// Exact counts: the inner products of the raised digits against both
+/// key components (`2·digits·ext`·n; a rotation gathers the digits
+/// through its permutation table in the same pass, at no multiply), and the mod-down by P — `2·(k + limbs)` NTT passes at n
 /// mults each plus `2·(k + limbs·k + limbs)`·n per-coefficient work.
-///
-/// Per-prime: 2 key-component ring mults per (prime, digit) component
-/// against each of `limbs` input limbs — the digit-lift NTTs are
-/// tracked separately in [`key_switch_ntts`], mirroring the pre-gadget
-/// model so recorded plans re-price identically.
 pub fn key_switch_apply_modmuls(params: &CkksParams, limbs: usize) -> u128 {
-    let n = params.n as u128;
-    if params.ks_digit_limbs == 0 {
-        let digits = digits_for(params.scale_prime_bits);
-        return 2 * (limbs as u128) * ((limbs * digits) as u128) * n;
-    }
     let (k, ext, digits) = hybrid_shape(params, limbs);
     let accumulate = 2 * digits * ext;
     let mod_down = 2 * (k + limbs) + 2 * (k + limbs * k + limbs);
-    ((accumulate + mod_down) as u128) * n
+    ((accumulate + mod_down) as u128) * params.n as u128
 }
 
 /// Modular multiplies of one whole key switch (decompose + apply once)
-/// at `limbs` limbs under the configured gadget — the relinearisation
-/// core, excluding the tensor product around it.
+/// at `limbs` limbs — the relinearisation core, excluding the tensor
+/// product around it.
 pub fn key_switch_modmuls(params: &CkksParams, limbs: usize) -> u128 {
     key_switch_decompose_modmuls(params, limbs) + key_switch_apply_modmuls(params, limbs)
 }
@@ -236,22 +203,11 @@ pub fn project_seconds(counts: &OpCounts, seconds_per_modmul: f64) -> f64 {
 /// (the per-Galois-element half of a rotation) at `limbs` limbs, in
 /// 64-bit modular multiplies.
 ///
-/// Hybrid: exactly [`key_switch_apply_modmuls`] — in NTT form the
-/// automorphism of `c0` and of the raised digits is an index
-/// permutation, no transform and no multiply.
-///
-/// Per-prime: the frozen pre-gadget closed form of a whole rotation
-/// (two coefficient-domain round trips and the digit-lift NTTs at n
-/// mults each, plus the key switch), so plans recorded with
-/// `ks_digit_limbs = 0` — whose traces carry no decomposition count —
-/// re-price identically.
+/// Exactly [`key_switch_apply_modmuls`] — in NTT form the automorphism
+/// of `c0` and of the raised digits is an index permutation, no
+/// transform and no multiply.
 pub fn rotation_apply_modmuls(params: &CkksParams, limbs: usize) -> u128 {
-    if params.ks_digit_limbs == 0 {
-        let ntts = 2 * limbs + key_switch_ntts(params, limbs);
-        (ntts as u128) * params.n as u128 + key_switch_apply_modmuls(params, limbs)
-    } else {
-        key_switch_apply_modmuls(params, limbs)
-    }
+    key_switch_apply_modmuls(params, limbs)
 }
 
 /// Work of one standalone slot rotation (decompose, then apply one
@@ -417,58 +373,13 @@ mod tests {
     }
 
     #[test]
-    fn per_prime_pricing_unchanged_by_gadget_refactor() {
-        // Plans recorded before the hybrid gadget carry
-        // ks_digit_limbs = 0 and must re-price to the exact pre-gadget
-        // closed forms.
-        let params = CkksParams {
-            ks_digit_limbs: 0,
-            ..CkksParams::default_params()
-        };
-        let n = params.n as u128;
-        let digits = digits_for(params.scale_prime_bits);
-        for limbs in [1usize, 5, 13] {
-            assert_eq!(
-                ct_mult_modmuls(&params, limbs),
-                (limbs as u128) * n * (4 + 2 * (limbs * digits) as u128)
-            );
-            let ntts = 2 * limbs + limbs * digits;
-            assert_eq!(
-                rotation_modmuls(&params, limbs),
-                (ntts as u128) * n + (limbs as u128) * n * (2 * (limbs * digits) as u128)
-            );
-            assert_eq!(key_switch_ntts(&params, limbs), limbs * digits);
-        }
-    }
-
-    #[test]
-    fn hybrid_gadget_prices_below_per_prime() {
-        // The point of the gadget: at a deep chain the modeled relin
-        // cost drops by the same >= 1.5x the measured kernel shows.
-        let hybrid = CkksParams::default_params();
-        assert_eq!(hybrid.ks_digit_limbs, 3);
-        let per_prime = CkksParams {
-            ks_digit_limbs: 0,
-            ..hybrid
-        };
-        let limbs = hybrid.depth + 1; // 13 at defaults
-        let h = ct_mult_modmuls(&hybrid, limbs);
-        let p = ct_mult_modmuls(&per_prime, limbs);
-        assert!(
-            p as f64 / h as f64 >= 1.5,
-            "hybrid {h} vs per-prime {p} modmuls"
-        );
-        assert!(rotation_modmuls(&hybrid, limbs) < rotation_modmuls(&per_prime, limbs));
-        assert_eq!(hybrid_digits(&hybrid, limbs), 5);
-    }
-
-    #[test]
     fn hybrid_digit_count_clamps_to_chain() {
         let params = CkksParams::default_params();
         assert_eq!(hybrid_digits(&params, 1), 1);
         assert_eq!(hybrid_digits(&params, 2), 1);
         assert_eq!(hybrid_digits(&params, 3), 1);
         assert_eq!(hybrid_digits(&params, 4), 2);
+        assert_eq!(hybrid_digits(&params, 13), 5);
         // Cost stays monotone in the chain length.
         let mut prev = 0u128;
         for limbs in 1..=params.depth + 1 {

@@ -282,40 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn per_prime_rows_beyond_lazy_headroom_flush() {
-        // A 62-bit base prime leaves 16 raw products of headroom; six
-        // limbs of per-prime digits are 4 + 5·4 = 24 rows, so the key
-        // switch must flush its accumulators mid-sum. Rotate and
-        // relinearise across that boundary.
-        let params = CkksParams {
-            n: 64,
-            base_prime_bits: 62,
-            scale_prime_bits: 50,
-            depth: 5,
-            ks_digit_limbs: 0,
-        };
-        let ctx = params.build();
-        assert!(crate::keys::per_prime_rows(&ctx, 6).len() > ctx.lazy_acc_headroom(6, 0));
-        let mut rng = Rng64::new(40);
-        let ev = Evaluator::new(&KeyChain::generate(&ctx, &mut rng));
-        let slots = ctx.slots();
-        let vals = ramp(slots);
-        let ct = ev.encrypt_values(&vals, &mut rng);
-        let rot = ev.rotate(&ct, 3);
-        let mut sq = ev.square(&rot);
-        ev.rescale(&mut sq);
-        let out = ev.decrypt_values(&sq, slots);
-        for j in 0..slots {
-            let want = vals[(j + 3) % slots].powi(2);
-            assert!(
-                (out[j] - want).abs() < 1e-6,
-                "slot {j}: {} vs {want}",
-                out[j]
-            );
-        }
-    }
-
-    #[test]
     fn rotated_product_matches_plaintext() {
         // Rotations after a genuine multiply+rescale still decrypt
         // correctly (exercises Galois keys at a reduced level).

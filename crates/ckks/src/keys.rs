@@ -1,16 +1,12 @@
-//! Key generation: secret/public keys and key-switching keys under one
-//! of two gadgets.
+//! Key generation: secret/public keys and key-switching keys under
+//! the hybrid (special-prime) gadget.
 //!
-//! - **Per-prime** (legacy): BV-style base-`2^16` digit decomposition
-//!   within each RNS limb — `L × ⌈bits/16⌉` components at `L` limbs.
-//! - **Hybrid**: ω RNS limbs group into one digit against ω special
-//!   primes `P = ∏ p_l`; each digit is raised to the extended basis by
-//!   fast base conversion and the accumulated result is scaled back
-//!   down by `P` — only `⌈L/ω⌉` components, which is what makes
-//!   relinearisation at the top of a deep chain cheap.
-//!
-//! The gadget is a context property: [`CkksContext::special_primes`]
-//! non-empty selects hybrid with ω = its length.
+//! ω RNS limbs group into one digit against ω special primes
+//! `P = ∏ p_l`; each digit is raised to the extended basis by fast base
+//! conversion and the accumulated result is scaled back down by `P` —
+//! `⌈L/ω⌉` components at `L` limbs, which is what makes relinearisation
+//! at the top of a deep chain cheap. ω is the context's
+//! [`CkksContext::special_primes`] count.
 //!
 //! Key-switching keys are level-specific (the RNS gadget depends on
 //! the active prime set), so [`KeyChain`] generates them lazily per
@@ -31,53 +27,6 @@ use smartpaf_tensor::Rng64;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// Digit width for the per-prime relinearisation gadget
-/// (base `2^DIGIT_BITS`).
-pub const DIGIT_BITS: u32 = 16;
-
-/// Which key-switch gadget a context uses. Determined by
-/// [`CkksContext::special_primes`]; see the module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KeySwitchGadget {
-    /// Base-`2^digit_bits` digit decomposition within each RNS limb.
-    PerPrime {
-        /// Digit width in bits.
-        digit_bits: u32,
-    },
-    /// ω-limb digits raised against the special-prime modulus `P`.
-    Hybrid {
-        /// Digit size in RNS limbs.
-        omega: usize,
-    },
-}
-
-impl KeySwitchGadget {
-    /// The gadget `ctx` is configured for.
-    pub fn of(ctx: &CkksContext) -> Self {
-        if ctx.special_primes().is_empty() {
-            KeySwitchGadget::PerPrime {
-                digit_bits: DIGIT_BITS,
-            }
-        } else {
-            KeySwitchGadget::Hybrid {
-                omega: ctx.special_primes().len(),
-            }
-        }
-    }
-
-    /// Number of key-switch components for a ciphertext with
-    /// `num_limbs` limbs over the chain `primes`.
-    pub fn component_count(&self, primes: &[u64], num_limbs: usize) -> usize {
-        match *self {
-            KeySwitchGadget::PerPrime { digit_bits } => primes[..num_limbs]
-                .iter()
-                .map(|&q| ((64 - q.leading_zeros()).div_ceil(digit_bits)) as usize)
-                .sum(),
-            KeySwitchGadget::Hybrid { omega } => num_limbs.div_ceil(omega.min(num_limbs)),
-        }
-    }
-}
-
 /// The secret key: a ternary ring element (NTT form, full chain).
 #[derive(Debug, Clone)]
 pub struct SecretKey {
@@ -89,28 +38,6 @@ pub struct SecretKey {
 pub struct PublicKey {
     pub(crate) b: RnsPoly,
     pub(crate) a: RnsPoly,
-}
-
-/// One key-switching component for a `(prime index, digit)` pair of
-/// [`per_prime_rows`]: `(b, a)` with `b = -a·s + e + B^t·ĝ_i·s'` for
-/// the switched-from secret `s'` (`s²` for relinearisation, `φ_g(s)`
-/// for Galois keys).
-#[derive(Debug, Clone)]
-pub(crate) struct RelinComponent {
-    pub(crate) b: RnsPoly,
-    pub(crate) a: RnsPoly,
-}
-
-/// The per-prime gadget's components at `num_limbs` limbs as
-/// `(prime index, digit)` pairs, prime-major — the one order shared by
-/// key generation and the evaluator's decomposition.
-pub(crate) fn per_prime_rows(ctx: &CkksContext, num_limbs: usize) -> Vec<(usize, u32)> {
-    (0..num_limbs)
-        .flat_map(|i| {
-            let bits = 64 - ctx.primes()[i].leading_zeros();
-            (0..bits.div_ceil(DIGIT_BITS)).map(move |digit| (i, digit))
-        })
-        .collect()
 }
 
 /// The fast-base-conversion constants of one hybrid gadget digit: the
@@ -163,32 +90,16 @@ pub(crate) struct HybridDigit {
     pub(crate) a: Vec<u64>,
 }
 
-/// A hybrid key-switching key for one level: one `(b, a)` pair per
-/// digit of that level's [`HybridBasis`].
-#[derive(Debug, Clone)]
-pub(crate) struct HybridKsk {
-    /// The digits, in [`HybridBasis::digits`] order.
-    pub(crate) digits: Vec<HybridDigit>,
-}
-
-/// The two key-switching key layouts; which one a [`KeyChain`]
-/// produces follows the context's [`KeySwitchGadget`].
-#[derive(Debug, Clone)]
-pub(crate) enum KskInner {
-    /// Per-prime digit components.
-    PerPrime(Vec<RelinComponent>),
-    /// Hybrid ω-limb digits.
-    Hybrid(HybridKsk),
-}
-
-/// A gadget-decomposed key-switching key for one level.
+/// A gadget-decomposed key-switching key for one level: one `(b, a)`
+/// pair per gadget digit.
 ///
 /// The same structure serves relinearisation (switching from `s²`) and
 /// Galois rotations (switching from `φ_g(s)`); only the embedded
 /// secret differs.
 #[derive(Debug, Clone)]
 pub struct RelinKey {
-    pub(crate) inner: KskInner,
+    /// The digits, in [`HybridBasis::digits`] order.
+    pub(crate) digits: Vec<HybridDigit>,
     pub(crate) num_limbs: usize,
 }
 
@@ -204,23 +115,14 @@ impl RelinKey {
 
     /// Number of gadget components (digits) in this key.
     pub fn component_count(&self) -> usize {
-        match &self.inner {
-            KskInner::PerPrime(components) => components.len(),
-            KskInner::Hybrid(ksk) => ksk.digits.len(),
-        }
+        self.digits.len()
     }
 
-    /// Limb `t` of component `j`'s `(b, a)` pair (NTT form), over the
-    /// key's own basis: chain limbs for per-prime keys, the extended
-    /// basis for hybrid ones.
+    /// Limb `t` of component `j`'s `(b, a)` pair (NTT form) over the
+    /// extended basis.
     pub(crate) fn component_limb(&self, j: usize, t: usize, n: usize) -> (&[u64], &[u64]) {
-        match &self.inner {
-            KskInner::PerPrime(components) => (components[j].b.limb(t), components[j].a.limb(t)),
-            KskInner::Hybrid(ksk) => {
-                let d = &ksk.digits[j];
-                (&d.b[t * n..(t + 1) * n], &d.a[t * n..(t + 1) * n])
-            }
-        }
+        let d = &self.digits[j];
+        (&d.b[t * n..(t + 1) * n], &d.a[t * n..(t + 1) * n])
     }
 }
 
@@ -234,8 +136,7 @@ pub struct KeyChain {
     /// `RnsPoly` cannot produce.
     sk_coeffs: Vec<i64>,
     pk: PublicKey,
-    /// Hybrid gadget constants per level (`bases[num_limbs - 1]`);
-    /// empty under the per-prime gadget.
+    /// Hybrid gadget constants per level (`bases[num_limbs - 1]`).
     bases: Vec<HybridBasis>,
     relin_cache: Mutex<HashMap<usize, Arc<RelinKey>>>,
     galois_cache: Mutex<HashMap<(usize, usize), Arc<RelinKey>>>,
@@ -257,7 +158,17 @@ impl std::fmt::Debug for KeyChain {
 
 impl KeyChain {
     /// Generates a fresh key set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ctx` has no special primes ([`CkksContext::new`]
+    /// builds the ring only; key switching needs
+    /// [`CkksContext::with_special_primes`]).
     pub fn generate(ctx: &Arc<CkksContext>, rng: &mut Rng64) -> Arc<Self> {
+        assert!(
+            !ctx.special_primes().is_empty(),
+            "key generation needs a context with special primes"
+        );
         let full = ctx.primes().len();
         // Same draws as `RnsPoly::random_ternary` (keygen determinism
         // per seed is pinned by tests), but the raw coefficients are
@@ -269,12 +180,7 @@ impl KeyChain {
         let mut e = RnsPoly::random_error(ctx, full, rng);
         e.to_ntt();
         let b = a.mul(&s).neg().add(&e);
-        let bases = match KeySwitchGadget::of(ctx) {
-            KeySwitchGadget::PerPrime { .. } => Vec::new(),
-            KeySwitchGadget::Hybrid { .. } => {
-                (1..=full).map(|nl| HybridBasis::new(ctx, nl)).collect()
-            }
-        };
+        let bases = (1..=full).map(|nl| HybridBasis::new(ctx, nl)).collect();
         Arc::new(KeyChain {
             ctx: Arc::clone(ctx),
             sk: SecretKey { s },
@@ -297,8 +203,7 @@ impl KeyChain {
     ///
     /// # Panics
     ///
-    /// Panics under the per-prime gadget or if `num_limbs` is zero or
-    /// exceeds the chain length.
+    /// Panics if `num_limbs` is zero or exceeds the chain length.
     pub(crate) fn hybrid_basis(&self, num_limbs: usize) -> &HybridBasis {
         &self.bases[num_limbs - 1]
     }
@@ -332,7 +237,8 @@ impl KeyChain {
         }
         // Generated outside the lock; a racing thread derives the
         // identical key from the same tag, and the first insert wins.
-        let key = Arc::new(self.generate_relin(num_limbs));
+        let mut rng = self.key_rng(num_limbs as u64);
+        let key = Arc::new(self.generate_hybrid_ksk(SwitchedSecret::Square, num_limbs, &mut rng));
         Arc::clone(
             self.relin_cache
                 .lock()
@@ -340,25 +246,6 @@ impl KeyChain {
                 .entry(num_limbs)
                 .or_insert(key),
         )
-    }
-
-    fn generate_relin(&self, num_limbs: usize) -> RelinKey {
-        let mut rng = self.key_rng(num_limbs as u64);
-        match KeySwitchGadget::of(&self.ctx) {
-            KeySwitchGadget::PerPrime { .. } => {
-                let s_trunc = truncate(&self.sk.s, num_limbs);
-                let s2 = s_trunc.mul(&s_trunc);
-                self.generate_ksk(&s2, num_limbs, &mut rng)
-            }
-            KeySwitchGadget::Hybrid { .. } => RelinKey {
-                inner: KskInner::Hybrid(self.generate_hybrid_ksk(
-                    SwitchedSecret::Square,
-                    num_limbs,
-                    &mut rng,
-                )),
-                num_limbs,
-            },
-        }
     }
 
     /// Returns (generating and caching if needed) the Galois key for
@@ -376,22 +263,7 @@ impl KeyChain {
             return Arc::clone(k);
         }
         let mut rng = self.key_rng(0x47414C ^ ((g as u64) << 16) ^ num_limbs as u64);
-        let key = match KeySwitchGadget::of(&self.ctx) {
-            KeySwitchGadget::PerPrime { .. } => {
-                let s_trunc = truncate(&self.sk.s, num_limbs);
-                let mut s_g = s_trunc.automorphism(g);
-                s_g.to_ntt();
-                self.generate_ksk(&s_g, num_limbs, &mut rng)
-            }
-            KeySwitchGadget::Hybrid { .. } => RelinKey {
-                inner: KskInner::Hybrid(self.generate_hybrid_ksk(
-                    SwitchedSecret::Auto(g),
-                    num_limbs,
-                    &mut rng,
-                )),
-                num_limbs,
-            },
-        };
+        let key = self.generate_hybrid_ksk(SwitchedSecret::Auto(g), num_limbs, &mut rng);
         // As in `relin_key`: racing generations are identical.
         Arc::clone(
             self.galois_cache
@@ -400,33 +272,6 @@ impl KeyChain {
                 .entry(cache_key)
                 .or_insert(Arc::new(key)),
         )
-    }
-
-    /// Generates a gadget-decomposed key-switching key embedding the
-    /// switched-from secret `s_prime` (NTT form, `num_limbs` limbs).
-    fn generate_ksk(&self, s_prime: &RnsPoly, num_limbs: usize, rng: &mut Rng64) -> RelinKey {
-        let ctx = &self.ctx;
-        let s_trunc = truncate(&self.sk.s, num_limbs);
-        let components = per_prime_rows(ctx, num_limbs)
-            .into_iter()
-            .map(|(prime_index, digit)| {
-                let a = RnsPoly::random_uniform(ctx, num_limbs, rng);
-                let mut e = RnsPoly::random_error(ctx, num_limbs, rng);
-                e.to_ntt();
-                // gadget = B^digit * ĝ_i, which in RNS is the vector
-                // that is B^digit at limb prime_index and 0 elsewhere.
-                let mut scalars = vec![0u64; num_limbs];
-                let q_i = ctx.primes()[prime_index];
-                scalars[prime_index] = mod_pow2(DIGIT_BITS * digit, q_i);
-                let gadget_sp = s_prime.mul_scalar_residues(&scalars);
-                let b = a.mul(&s_trunc).neg().add(&e).add(&gadget_sp);
-                RelinComponent { b, a }
-            })
-            .collect();
-        RelinKey {
-            inner: KskInner::PerPrime(components),
-            num_limbs,
-        }
     }
 
     /// Residues of signed coefficients modulo every limb of the
@@ -462,7 +307,7 @@ impl KeyChain {
         which: SwitchedSecret,
         num_limbs: usize,
         rng: &mut Rng64,
-    ) -> HybridKsk {
+    ) -> RelinKey {
         let ctx = &self.ctx;
         let n = ctx.n();
         let basis = self.hybrid_basis(num_limbs);
@@ -541,7 +386,7 @@ impl KeyChain {
                 HybridDigit { b, a }
             })
             .collect();
-        HybridKsk { digits }
+        RelinKey { digits, num_limbs }
     }
 }
 
@@ -655,15 +500,6 @@ enum SwitchedSecret {
     Auto(usize),
 }
 
-/// `2^e mod q` without overflow.
-fn mod_pow2(e: u32, q: u64) -> u64 {
-    let mut acc = 1u64 % q;
-    for _ in 0..e {
-        acc = (acc * 2) % q;
-    }
-    acc
-}
-
 /// Copies the first `num_limbs` limbs of an NTT-form element (one
 /// flat prefix `memcpy` into a pooled buffer).
 pub(crate) fn truncate(p: &RnsPoly, num_limbs: usize) -> RnsPoly {
@@ -676,15 +512,6 @@ mod tests {
     use super::*;
     use crate::params::CkksParams;
 
-    /// Toy context forced onto the legacy per-prime gadget.
-    fn per_prime_ctx() -> Arc<CkksContext> {
-        CkksParams {
-            ks_digit_limbs: 0,
-            ..CkksParams::toy()
-        }
-        .build()
-    }
-
     #[test]
     fn keygen_deterministic_per_seed() {
         let ctx = CkksParams::toy().build();
@@ -693,6 +520,14 @@ mod tests {
         let k1 = KeyChain::generate(&ctx, &mut r1);
         let k2 = KeyChain::generate(&ctx, &mut r2);
         assert_eq!(k1.public_key().a.limb(0), k2.public_key().a.limb(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "key generation needs a context with special primes")]
+    fn keygen_rejects_a_ring_only_context() {
+        let toy = CkksParams::toy().build();
+        let ring_only = CkksContext::new(toy.n(), toy.primes().to_vec(), toy.scale());
+        KeyChain::generate(&ring_only, &mut Rng64::new(7));
     }
 
     #[test]
@@ -709,35 +544,6 @@ mod tests {
     }
 
     #[test]
-    fn relin_key_gadget_relation() {
-        // b + a·s = e + B^t ĝ_i s², so (b + a·s) - gadget·s² is small.
-        let ctx = per_prime_ctx();
-        let mut rng = Rng64::new(9);
-        let kc = KeyChain::generate(&ctx, &mut rng);
-        let nl = 3;
-        let rk = kc.relin_key(nl);
-        let s = truncate(&kc.sk.s, nl);
-        let s2 = s.mul(&s);
-        let KskInner::PerPrime(components) = &rk.inner else {
-            panic!("per-prime context produced a hybrid key");
-        };
-        for (comp, (prime_index, digit)) in components.iter().zip(per_prime_rows(&ctx, nl)).take(4)
-        {
-            let mut scalars = vec![0u64; nl];
-            scalars[prime_index] = mod_pow2(DIGIT_BITS * digit, ctx.primes()[prime_index]);
-            let gadget_s2 = s2.mul_scalar_residues(&scalars);
-            let mut resid = comp.b.add(&comp.a.mul(&s)).sub(&gadget_s2);
-            resid.to_coeff();
-            // Residual is just the error e: check a handful of coeffs
-            // via single-limb reconstruction (e is tiny).
-            for i in (0..ctx.n()).step_by(17) {
-                let r = resid.coeff_to_i128(i, 1);
-                assert!(r.abs() < 64, "relin residual {r}");
-            }
-        }
-    }
-
-    #[test]
     fn relin_cache_reuses() {
         let ctx = CkksParams::toy().build();
         let mut rng = Rng64::new(1);
@@ -745,36 +551,6 @@ mod tests {
         let a = kc.relin_key(2);
         let b = kc.relin_key(2);
         assert!(Arc::ptr_eq(&a, &b));
-    }
-
-    #[test]
-    fn galois_key_gadget_relation() {
-        // b + a·s = e + B^t ĝ_i φ_g(s), so (b + a·s) - gadget·φ_g(s)
-        // must be small.
-        let ctx = per_prime_ctx();
-        let mut rng = Rng64::new(21);
-        let kc = KeyChain::generate(&ctx, &mut rng);
-        let nl = 2;
-        let g = 5;
-        let gk = kc.galois_key(g, nl);
-        let s = truncate(&kc.sk.s, nl);
-        let mut s_g = s.automorphism(g);
-        s_g.to_ntt();
-        let KskInner::PerPrime(components) = &gk.inner else {
-            panic!("per-prime context produced a hybrid key");
-        };
-        for (comp, (prime_index, digit)) in components.iter().zip(per_prime_rows(&ctx, nl)).take(4)
-        {
-            let mut scalars = vec![0u64; nl];
-            scalars[prime_index] = mod_pow2(DIGIT_BITS * digit, ctx.primes()[prime_index]);
-            let gadget_sg = s_g.mul_scalar_residues(&scalars);
-            let mut resid = comp.b.add(&comp.a.mul(&s)).sub(&gadget_sg);
-            resid.to_coeff();
-            for i in (0..ctx.n()).step_by(13) {
-                let r = resid.coeff_to_i128(i, 1);
-                assert!(r.abs() < 64, "galois residual {r}");
-            }
-        }
     }
 
     #[test]
@@ -789,22 +565,12 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &c));
     }
 
-    /// Every word of a key, component by component.
-    fn key_words(key: &RelinKey, ctx: &CkksContext) -> Vec<u64> {
-        let n = ctx.n();
-        let width = match &key.inner {
-            KskInner::PerPrime(_) => key.num_limbs(),
-            KskInner::Hybrid(ksk) => ksk.digits[0].b.len() / n,
-        };
-        let mut words = Vec::new();
-        for j in 0..key.component_count() {
-            for t in 0..width {
-                let (b, a) = key.component_limb(j, t, n);
-                words.extend_from_slice(b);
-                words.extend_from_slice(a);
-            }
-        }
-        words
+    /// Every word of a key, digit by digit.
+    fn key_words(key: &RelinKey) -> Vec<u64> {
+        key.digits
+            .iter()
+            .flat_map(|d| d.b.iter().chain(&d.a).copied())
+            .collect()
     }
 
     #[test]
@@ -830,76 +596,40 @@ mod tests {
             Req::Relin(nl) => kc.relin_key(nl),
             Req::Galois(g, nl) => kc.galois_key(g, nl),
         };
-        for ctx in [CkksParams::toy().build(), per_prime_ctx()] {
-            let forward = KeyChain::generate(&ctx, &mut Rng64::new(17));
-            let backward = KeyChain::generate(&ctx, &mut Rng64::new(17));
-            for &r in &reqs {
-                fetch(&forward, r);
+        let ctx = CkksParams::toy().build();
+        let forward = KeyChain::generate(&ctx, &mut Rng64::new(17));
+        let backward = KeyChain::generate(&ctx, &mut Rng64::new(17));
+        for &r in &reqs {
+            fetch(&forward, r);
+        }
+        let barrier = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for shift in 0..4 {
+                let (backward, barrier, reqs) = (&backward, &barrier, &reqs);
+                scope.spawn(move || {
+                    barrier.wait();
+                    for i in (0..reqs.len()).rev() {
+                        fetch(backward, reqs[(i + shift) % reqs.len()]);
+                    }
+                });
             }
-            let barrier = std::sync::Barrier::new(4);
-            std::thread::scope(|scope| {
-                for shift in 0..4 {
-                    let (backward, barrier, reqs) = (&backward, &barrier, &reqs);
-                    scope.spawn(move || {
-                        barrier.wait();
-                        for i in (0..reqs.len()).rev() {
-                            fetch(backward, reqs[(i + shift) % reqs.len()]);
-                        }
-                    });
-                }
-            });
-            for &r in &reqs {
-                assert_eq!(
-                    key_words(&fetch(&forward, r), &ctx),
-                    key_words(&fetch(&backward, r), &ctx),
-                    "key material must not depend on request order"
-                );
-            }
+        });
+        for &r in &reqs {
+            assert_eq!(
+                key_words(&fetch(&forward, r)),
+                key_words(&fetch(&backward, r)),
+                "key material must not depend on request order"
+            );
         }
     }
 
-    #[test]
-    fn mod_pow2_values() {
-        assert_eq!(mod_pow2(0, 97), 1);
-        assert_eq!(mod_pow2(10, 97), 1024 % 97);
-    }
-
-    #[test]
-    fn gadget_selection_follows_context() {
-        assert_eq!(
-            KeySwitchGadget::of(&per_prime_ctx()),
-            KeySwitchGadget::PerPrime {
-                digit_bits: DIGIT_BITS
-            }
-        );
-        assert_eq!(
-            KeySwitchGadget::of(&CkksParams::toy().build()),
-            KeySwitchGadget::Hybrid { omega: 3 }
-        );
-    }
-
-    #[test]
-    fn hybrid_component_count_beats_per_prime() {
-        let ctx = CkksParams::toy().build();
-        let per_prime = KeySwitchGadget::PerPrime {
-            digit_bits: DIGIT_BITS,
-        };
-        let hybrid = KeySwitchGadget::of(&ctx);
-        // 13 limbs: 60-bit base → 4 digits + 12 × 40-bit → 3 each = 40
-        // per-prime components, vs ⌈13/3⌉ = 5 hybrid digits.
-        assert_eq!(per_prime.component_count(ctx.primes(), 13), 40);
-        assert_eq!(hybrid.component_count(ctx.primes(), 13), 5);
-        // Level-aware digit selection: ω clamps to the live limb count.
-        assert_eq!(hybrid.component_count(ctx.primes(), 2), 1);
-        assert_eq!(hybrid.component_count(ctx.primes(), 1), 1);
-    }
-
-    /// Checks the hybrid key relation `b + a·s − gadget·s' = e` limb
-    /// by limb over the extended basis: the residual must be a
+    /// Checks the hybrid key relation `b + a·s − P·G_j·s' = e` limb by
+    /// limb over the extended basis: the residual must be a
     /// centered-small error in every limb.
-    fn assert_hybrid_relation(kc: &KeyChain, ksk: &HybridKsk, nl: usize, sp_coeffs_check: &str) {
+    fn assert_hybrid_relation(kc: &KeyChain, key: &RelinKey, which: SwitchedSecret) {
         let ctx = kc.context();
         let n = ctx.n();
+        let nl = key.num_limbs();
         let basis = kc.hybrid_basis(nl);
         let k = basis.k;
         let ext = nl + k;
@@ -913,20 +643,20 @@ mod tests {
                 })
             })
             .collect();
-        let sp_ext = match sp_coeffs_check {
-            "square" => {
-                let mut sq = s_ext.clone();
-                for t in 0..ext {
-                    let arith = ctx.ext_arith(nl, t);
-                    for v in &mut sq[t * n..(t + 1) * n] {
-                        *v = arith.mul(*v, *v);
-                    }
-                }
-                sq
+        // s' in NTT form, likewise: a pointwise square, or the
+        // NTT-domain gather of φ_g (keygen maps coefficients instead).
+        let sp_ext: Vec<u64> = match which {
+            SwitchedSecret::Square => (0..ext * n)
+                .map(|i| ctx.ext_arith(nl, i / n).mul(s_ext[i], s_ext[i]))
+                .collect(),
+            SwitchedSecret::Auto(g) => {
+                let perm = ctx.galois_perm(g);
+                (0..ext * n)
+                    .map(|i| s_ext[i / n * n + perm[i % n] as usize])
+                    .collect()
             }
-            _ => unreachable!(),
         };
-        for (digit, range) in ksk.digits.iter().zip(&basis.digits) {
+        for (digit, range) in key.digits.iter().zip(&basis.digits) {
             for t in 0..ext {
                 let arith = ctx.ext_arith(nl, t);
                 let gadget = if t >= range.start && t < range.end {
@@ -966,12 +696,23 @@ mod tests {
         let kc = KeyChain::generate(&ctx, &mut rng);
         for nl in [1, 2, 5, 13] {
             let rk = kc.relin_key(nl);
-            let KskInner::Hybrid(ksk) = &rk.inner else {
-                panic!("hybrid context produced a per-prime key");
-            };
-            assert_eq!(ksk.digits.len(), nl.div_ceil(3.min(nl)));
+            assert_eq!(rk.digits.len(), nl.div_ceil(3.min(nl)));
             assert_eq!(kc.hybrid_basis(nl).k, 3.min(nl));
-            assert_hybrid_relation(&kc, ksk, nl, "square");
+            assert_hybrid_relation(&kc, &rk, SwitchedSecret::Square);
+        }
+    }
+
+    #[test]
+    fn galois_key_gadget_relation() {
+        // A rotation and the conjugation, at full and partial digits.
+        let ctx = CkksParams::toy().build();
+        let mut rng = Rng64::new(21);
+        let kc = KeyChain::generate(&ctx, &mut rng);
+        for g in [5, 2 * ctx.n() - 1] {
+            for nl in [1, 2, 5, 13] {
+                let gk = kc.galois_key(g, nl);
+                assert_hybrid_relation(&kc, &gk, SwitchedSecret::Auto(g));
+            }
         }
     }
 

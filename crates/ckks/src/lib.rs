@@ -53,7 +53,7 @@ mod rns;
 pub use cipher::{Ciphertext, Evaluator};
 pub use encoding::{Encoder, Plaintext};
 pub use eval::PafEvaluator;
-pub use keys::{KeyChain, KeySwitchGadget, KeySwitchKey, PublicKey, RelinKey, SecretKey};
+pub use keys::{KeyChain, KeySwitchKey, PublicKey, RelinKey, SecretKey};
 pub use linear::DiagMatrix;
 pub use noise::Bootstrapper;
 pub use ntt::NttTable;

@@ -288,22 +288,7 @@ impl PrimeArith {
 /// Panics if not enough primes exist above `2^(bits-1)` (never happens
 /// for the parameter ranges used here) or if `bits > 62`.
 pub fn ntt_primes(bits: u32, count: usize, n: usize) -> Vec<u64> {
-    assert!(bits <= 62, "primes above 62 bits unsupported");
-    assert!(n.is_power_of_two(), "ring dimension must be a power of two");
-    let step = 2 * n as u64;
-    let mut candidate = (1u64 << bits) - ((1u64 << bits) % step) + 1;
-    let floor = 1u64 << (bits - 1);
-    let mut out = Vec::with_capacity(count);
-    while out.len() < count {
-        if candidate <= floor {
-            panic!("ran out of {bits}-bit NTT primes for n={n}");
-        }
-        if is_prime(candidate) {
-            out.push(candidate);
-        }
-        candidate -= step;
-    }
-    out
+    ntt_primes_excluding(bits, count, n, &[])
 }
 
 /// Like [`ntt_primes`], but skips any candidate already present in

@@ -24,11 +24,9 @@ pub struct CkksParams {
     pub scale_prime_bits: u32,
     /// Number of rescaling primes = supported multiplication depth.
     pub depth: usize,
-    /// Key-switch gadget digit size ω in RNS limbs: `0` selects the
-    /// legacy per-prime digit decomposition; `1..=8` selects the hybrid
-    /// gadget that groups ω limbs per digit against ω special primes,
-    /// so a ciphertext with `L` limbs pays `⌈L/ω⌉` key-switch
-    /// components instead of `L × ⌈bits/16⌉`.
+    /// Key-switch gadget digit size ω in RNS limbs, `1..=8`: ω limbs
+    /// group per digit against ω special primes, so a ciphertext with
+    /// `L` limbs pays `⌈L/ω⌉` key-switch components.
     pub ks_digit_limbs: usize,
 }
 
@@ -92,33 +90,55 @@ impl CkksParams {
         self.base_prime_bits + self.scale_prime_bits * self.depth as u32
     }
 
-    /// Builds the runtime context (generates primes and NTT tables).
-    ///
-    /// With `ks_digit_limbs > 0` this also generates ω special primes
-    /// (same bit size as the base prime, disjoint from the chain) that
-    /// back the hybrid key-switch gadget.
+    /// Checks the conditions every consumer of the parameters relies
+    /// on: `n` a power of two ≥ 8, both prime sizes in
+    /// `(log2(2n), 62]` bits (an NTT-friendly prime exceeds `2n`; the
+    /// kernels need moduli below 2^62) and `ks_digit_limbs` in
+    /// `1..=MAX_KS_DIGIT_LIMBS`.
+    pub fn validate(&self) -> Result<(), String> {
+        if !self.n.is_power_of_two() || self.n < 8 {
+            return Err(format!(
+                "ring dimension {} is not a power of two >= 8",
+                self.n
+            ));
+        }
+        let log_2n = self.n.ilog2() + 1;
+        for (name, bits) in [
+            ("base_prime_bits", self.base_prime_bits),
+            ("scale_prime_bits", self.scale_prime_bits),
+        ] {
+            if bits <= log_2n || bits > 62 {
+                return Err(format!("{name} {bits} is outside ({log_2n}, 62]"));
+            }
+        }
+        if self.ks_digit_limbs == 0 || self.ks_digit_limbs > MAX_KS_DIGIT_LIMBS {
+            return Err(format!(
+                "ks_digit_limbs {} is outside 1..={MAX_KS_DIGIT_LIMBS}",
+                self.ks_digit_limbs
+            ));
+        }
+        Ok(())
+    }
+
+    /// Builds the runtime context: generates the chain primes, the ω
+    /// special primes (same bit size as the larger chain prime,
+    /// disjoint from the chain) that back the key-switch gadget, and
+    /// the NTT tables.
     ///
     /// # Panics
     ///
-    /// Panics on invalid dimensions (non-power-of-two `n`, prime sizes
-    /// above 62 bits, `ks_digit_limbs > MAX_KS_DIGIT_LIMBS`).
+    /// Panics with [`CkksParams::validate`]'s message on invalid
+    /// parameters.
     pub fn build(&self) -> Arc<CkksContext> {
-        assert!(
-            self.ks_digit_limbs <= MAX_KS_DIGIT_LIMBS,
-            "ks_digit_limbs {} exceeds the supported maximum {}",
-            self.ks_digit_limbs,
-            MAX_KS_DIGIT_LIMBS
-        );
+        if let Err(message) = self.validate() {
+            panic!("invalid CKKS parameters: {message}");
+        }
         let mut primes = ntt_primes(self.base_prime_bits, 1, self.n);
         primes.extend(ntt_primes(self.scale_prime_bits, self.depth, self.n));
         let scale = 2f64.powi(self.scale_prime_bits as i32);
-        if self.ks_digit_limbs == 0 {
-            CkksContext::new(self.n, primes, scale)
-        } else {
-            let bits = self.base_prime_bits.max(self.scale_prime_bits);
-            let special = ntt_primes_excluding(bits, self.ks_digit_limbs, self.n, &primes);
-            CkksContext::with_special_primes(self.n, primes, special, scale)
-        }
+        let bits = self.base_prime_bits.max(self.scale_prime_bits);
+        let special = ntt_primes_excluding(bits, self.ks_digit_limbs, self.n, &primes);
+        CkksContext::with_special_primes(self.n, primes, special, scale)
     }
 }
 
@@ -141,32 +161,11 @@ impl Deserialize for CkksParams {
             base_prime_bits: u32::deserialize(value.req("base_prime_bits")?)?,
             scale_prime_bits: u32::deserialize(value.req("scale_prime_bits")?)?,
             depth: usize::deserialize(value.req("depth")?)?,
-            // Artifacts recorded before the hybrid gadget carry no
-            // gadget field; they were priced and served per-prime, so
-            // keep that semantics on load.
-            ks_digit_limbs: match value.get("ks_digit_limbs") {
-                Some(v) => usize::deserialize(v)?,
-                None => 0,
-            },
+            ks_digit_limbs: usize::deserialize(value.req("ks_digit_limbs")?)?,
         };
-        // The same conditions `build()` would panic on, reported as
-        // parse errors so a corrupt artifact cannot take the process
-        // down later.
-        if !params.n.is_power_of_two() || params.n < 8 {
-            return Err(Error::custom(format!(
-                "ring dimension {} is not a power of two >= 8",
-                params.n
-            )));
-        }
-        if params.base_prime_bits > 62 || params.scale_prime_bits > 62 {
-            return Err(Error::custom("prime sizes above 62 bits are unsupported"));
-        }
-        if params.ks_digit_limbs > MAX_KS_DIGIT_LIMBS {
-            return Err(Error::custom(format!(
-                "ks_digit_limbs {} exceeds the supported maximum {}",
-                params.ks_digit_limbs, MAX_KS_DIGIT_LIMBS
-            )));
-        }
+        // Reported as a parse error so a corrupt artifact cannot take
+        // the process down in `build()` later.
+        params.validate().map_err(Error::custom)?;
         Ok(params)
     }
 }
@@ -184,28 +183,17 @@ mod tests {
             p
         );
         for bad in [
-            r#"{"n":300,"base_prime_bits":60,"scale_prime_bits":40,"depth":12}"#,
-            r#"{"n":256,"base_prime_bits":63,"scale_prime_bits":40,"depth":12}"#,
-            r#"{"n":256,"base_prime_bits":60,"depth":12}"#,
+            r#"{"n":300,"base_prime_bits":60,"scale_prime_bits":40,"depth":12,"ks_digit_limbs":3}"#,
+            r#"{"n":256,"base_prime_bits":63,"scale_prime_bits":40,"depth":12,"ks_digit_limbs":3}"#,
+            r#"{"n":256,"base_prime_bits":60,"depth":12,"ks_digit_limbs":3}"#,
             r#"{"n":256,"base_prime_bits":60,"scale_prime_bits":40,"depth":12,"ks_digit_limbs":9}"#,
+            r#"{"n":256,"base_prime_bits":60,"scale_prime_bits":40,"depth":12}"#,
+            r#"{"n":256,"base_prime_bits":60,"scale_prime_bits":40,"depth":12,"ks_digit_limbs":0}"#,
+            r#"{"n":256,"base_prime_bits":60,"scale_prime_bits":0,"depth":12,"ks_digit_limbs":3}"#,
         ] {
             let v = serde::json::from_str(bad).unwrap();
             assert!(CkksParams::deserialize(&v).is_err(), "{bad}");
         }
-    }
-
-    #[test]
-    fn missing_gadget_field_defaults_to_per_prime() {
-        // Pre-gadget artifacts carry only the original four fields and
-        // must keep loading — as per-prime, matching how they were
-        // priced when recorded.
-        let v = serde::json::from_str(
-            r#"{"n":256,"base_prime_bits":60,"scale_prime_bits":40,"depth":12}"#,
-        )
-        .unwrap();
-        let p = CkksParams::deserialize(&v).unwrap();
-        assert_eq!(p.ks_digit_limbs, 0);
-        assert!(p.build().special_primes().is_empty());
     }
 
     #[test]

@@ -40,9 +40,8 @@ pub struct CkksContext {
     n: usize,
     primes: Vec<u64>,
     ntt: Vec<NttTable>,
-    /// Hybrid key-switch special primes (empty selects the legacy
-    /// per-prime digit gadget). Disjoint from `primes`; their count is
-    /// the gadget digit size ω.
+    /// Key-switch special primes (empty in a ring-only context).
+    /// Disjoint from `primes`; their count is the gadget digit size ω.
     special: Vec<u64>,
     /// NTT tables for the special primes, same order as `special`.
     ntt_sp: Vec<NttTable>,
@@ -57,8 +56,10 @@ pub struct CkksContext {
 }
 
 impl CkksContext {
-    /// Builds a context with the legacy per-prime key-switch gadget
-    /// (no special primes).
+    /// Builds a ring-only context (no special primes): polynomial
+    /// arithmetic and encoding work, key generation does not
+    /// ([`crate::KeyChain::generate`] needs
+    /// [`CkksContext::with_special_primes`]).
     ///
     /// # Panics
     ///
@@ -165,9 +166,8 @@ impl CkksContext {
         self.ntt[i].arith()
     }
 
-    /// The hybrid key-switch special primes (empty when the context
-    /// uses the per-prime gadget). Their count is the gadget digit
-    /// size ω.
+    /// The key-switch special primes (empty in a ring-only context).
+    /// Their count is the gadget digit size ω.
     pub fn special_primes(&self) -> &[u64] {
         &self.special
     }
@@ -216,10 +216,10 @@ impl CkksContext {
     /// How many raw `u128` products `(m-1)^2` fit in one lazy `u128`
     /// accumulator, minimized over the extended basis of `num_limbs`
     /// chain primes plus the first `k` special primes (`k = 0` for the
-    /// chain alone). For 60-bit primes this is 256, above any hybrid
-    /// digit count, so the key switch sums every digit product
-    /// unreduced and reduces once; 62-bit primes leave 16, which a deep
-    /// per-prime gadget exceeds — `apply_key` flushes to residues there.
+    /// chain alone). For 60-bit primes this is 256, above any digit
+    /// count, so the key switch sums every digit product unreduced and
+    /// reduces once; 62-bit primes leave 16, which ω = 1 exceeds from
+    /// 17 limbs on — `apply_key` flushes to residues there.
     pub(crate) fn lazy_acc_headroom(&self, num_limbs: usize, k: usize) -> usize {
         self.primes[..num_limbs]
             .iter()

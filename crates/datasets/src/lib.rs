@@ -1,9 +1,9 @@
 //! Deterministic synthetic image-classification datasets.
 //!
 //! The paper evaluates on CIFAR-10 and ImageNet-1k, neither of which
-//! is available in this environment. Per the substitution rule
-//! (DESIGN.md §2) we replace them with *synthetic* tasks at two
-//! difficulty levels that preserve the paper's relevant structure:
+//! is available in this environment. We replace them with
+//! *synthetic* tasks at two difficulty levels that preserve the
+//! paper's relevant structure:
 //!
 //! * [`SynthSpec::cifar_like`] — 10 classes, mild intra-class
 //!   variation: easy, like CIFAR-10 relative to ImageNet.

@@ -302,8 +302,7 @@ pub struct StageTrace {
     pub slot: Option<usize>,
     /// The level the stage's first atomic op is entered at
     /// ([`ScheduledOp::level_in`]), after any refresh before it: the
-    /// stage starts on `level_in + 1` limbs. Zero in traces recorded
-    /// before the level schedule (no stage runs from level 0).
+    /// stage starts on `level_in + 1` limbs.
     pub level_in: usize,
     /// Levels the stage consumes ([`crate::Stage::levels`]).
     pub levels: usize,
@@ -391,24 +390,12 @@ impl Deserialize for StageTrace {
         Ok(StageTrace {
             label: String::deserialize(value.req("label")?)?,
             slot: Option::<usize>::deserialize(value.req("slot")?)?,
-            // Absent from traces recorded before the level schedule.
-            level_in: match value.get("level_in") {
-                Some(v) => usize::deserialize(v)?,
-                None => 0,
-            },
+            level_in: usize::deserialize(value.req("level_in")?)?,
             levels: usize::deserialize(value.req("levels")?)?,
             bootstraps: usize::deserialize(value.req("bootstraps")?)?,
             ct_mults: usize::deserialize(value.req("ct_mults")?)?,
-            // Absent from traces recorded before rotation pricing.
-            rotations: match value.get("rotations") {
-                Some(v) => usize::deserialize(v)?,
-                None => 0,
-            },
-            // Absent from traces recorded before hoisted rotations.
-            decompositions: match value.get("decompositions") {
-                Some(v) => usize::deserialize(v)?,
-                None => 0,
-            },
+            rotations: usize::deserialize(value.req("rotations")?)?,
+            decompositions: usize::deserialize(value.req("decompositions")?)?,
         })
     }
 }
@@ -719,7 +706,7 @@ mod tests {
         // One schedule, two readers: the level every stage of an
         // encrypted run actually enters at is the trace's `level_in` —
         // on a CNN with a pool, an MLP, and the MLP at all 32 lanes of
-        // the toy ring, under both key-switch gadgets. Without a
+        // the toy ring, at two key-switch digit sizes. Without a
         // refresher the CNN cannot complete: both backends then stop at
         // the same stage with the same error, and nothing was dropped
         // on the way there.
@@ -740,7 +727,7 @@ mod tests {
             .compile()
             .fold_scales();
         let mlp_packed = mlp.expand_lanes(32);
-        for omega in [0, 3] {
+        for omega in [1, 3] {
             let params = CkksParams {
                 ks_digit_limbs: omega,
                 ..CkksParams::toy()
@@ -1050,28 +1037,33 @@ mod tests {
     }
 
     #[test]
-    fn stage_trace_rotations_default_for_old_recordings() {
-        // Traces serialized before rotation pricing lack the field and
-        // must deserialize to zero rotations.
-        let old = r#"{"label":"fc","slot":null,"levels":1,"bootstraps":0,"ct_mults":0}"#;
-        let st = StageTrace::deserialize(&serde::json::from_str(old).unwrap()).unwrap();
-        assert_eq!(st.rotations, 0);
-        assert_eq!(st.decompositions, 0);
-        // Nor do traces from before the level schedule say where their
-        // stages were entered.
-        assert_eq!(st.level_in, 0);
-        // Traces recorded before hoisting carry rotations only.
-        let pre_hoist =
-            r#"{"label":"fc","slot":null,"levels":1,"bootstraps":0,"ct_mults":0,"rotations":5}"#;
-        let st5 = StageTrace::deserialize(&serde::json::from_str(pre_hoist).unwrap()).unwrap();
-        assert_eq!((st5.rotations, st5.decompositions), (5, 0));
-        // Round trip keeps the recorded counts.
-        let mut st = st;
-        st.rotations = 7;
-        st.decompositions = 4;
-        st.level_in = 9;
-        let back = StageTrace::deserialize(&st.serialize()).unwrap();
-        assert_eq!(back, st);
+    fn stage_trace_round_trips_and_requires_every_field() {
+        let st = StageTrace {
+            label: "fc".to_string(),
+            slot: None,
+            level_in: 9,
+            levels: 1,
+            bootstraps: 0,
+            ct_mults: 0,
+            rotations: 7,
+            decompositions: 4,
+        };
+        let wire = st.serialize();
+        assert_eq!(StageTrace::deserialize(&wire).unwrap(), st);
+        // No field has a default (format v1 let three be absent): a
+        // record missing any one of them is a parse error.
+        let Value::Object(fields) = &wire else {
+            panic!("a stage record serializes to an object");
+        };
+        assert_eq!(fields.len(), 8);
+        for missing in 0..fields.len() {
+            let mut partial = fields.clone();
+            let (name, _) = partial.remove(missing);
+            assert!(
+                StageTrace::deserialize(&Value::Object(partial)).is_err(),
+                "a record without `{name}` must not parse"
+            );
+        }
     }
 
     #[test]

@@ -95,8 +95,8 @@ impl PafForm {
 
     /// The degree value the paper reports in Tab. 2 for this form.
     ///
-    /// The paper's degree accounting is not self-consistent (see
-    /// EXPERIMENTS.md); these are the verbatim published values.
+    /// The paper's degree accounting is not self-consistent; these
+    /// are the verbatim published values.
     pub fn paper_reported_degree(&self) -> usize {
         match self {
             PafForm::F1G2 => 5,

@@ -4,8 +4,7 @@
 //! coefficients ("baby steps") and combines them with powers of `x^k`
 //! ("giant steps"): non-scalar multiplication count drops from `O(d)`
 //! to `O(sqrt(d))`, the classic trade against the
-//! exponentiation-by-squaring schedule used by the CKKS evaluator
-//! (DESIGN.md §5 ablation).
+//! exponentiation-by-squaring schedule used by the CKKS evaluator.
 
 use crate::poly::Polynomial;
 use crate::polyeval::{EvalPlan, PolyEval};

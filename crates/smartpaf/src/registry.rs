@@ -75,7 +75,7 @@ use crate::session::Objective;
 /// Version of the on-disk envelope this build reads and writes.
 /// Bumped on any breaking schema change; readers reject other versions
 /// with [`RegistryError::VersionMismatch`] instead of guessing.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// The envelope's `format` marker, so arbitrary JSON is rejected
 /// before any field is interpreted.
@@ -194,12 +194,17 @@ pub enum GcPolicy {
 /// What one [`PlanRegistry::gc`] sweep did.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GcReport {
-    /// Content keys of the removed artifacts, in removal order
+    /// Content keys of the removed artifacts, in removal order:
+    /// superseded-format files first, then the policy's victims
     /// (oldest first).
     pub removed: Vec<String>,
     /// Artifacts still in the registry after the sweep.
     pub retained: usize,
 }
+
+/// A file under the registry root with its vetted envelope, or why
+/// vetting failed.
+type Vetted = (PathBuf, Result<Value, RegistryError>);
 
 /// A content-addressed, directory-backed store of planning outcomes.
 /// See the [module docs](self) for the deployment story and
@@ -396,36 +401,40 @@ impl PlanRegistry {
         ))
     }
 
-    /// Every readable artifact in the registry, sorted by content key.
-    /// Files that are not well-formed plan artifacts are skipped (the
-    /// registry is a cache; listing stays usable next to a corrupt
-    /// entry — loading one reports the corruption instead).
-    pub fn list(&self) -> Result<Vec<ArtifactInfo>, RegistryError> {
-        let entries = fs::read_dir(&self.root).map_err(|e| RegistryError::Io {
+    /// Every `.json` file under the root with the outcome of vetting
+    /// its envelope ([`parse_envelope`]), sorted by path. Unreadable
+    /// files are skipped.
+    fn scan(&self) -> Result<Vec<Vetted>, RegistryError> {
+        let dir_err = |e: io::Error| RegistryError::Io {
             path: self.root.clone(),
             message: e.to_string(),
-        })?;
-        let mut infos = Vec::new();
-        for entry in entries {
-            let entry = entry.map_err(|e| RegistryError::Io {
-                path: self.root.clone(),
-                message: e.to_string(),
-            })?;
-            let path = entry.path();
+        };
+        let mut files = Vec::new();
+        for entry in fs::read_dir(&self.root).map_err(dir_err)? {
+            let path = entry.map_err(dir_err)?.path();
             if path.extension().and_then(|e| e.to_str()) != Some("json") {
                 continue;
             }
             let Ok(text) = fs::read_to_string(&path) else {
                 continue;
             };
-            let Ok(envelope) = parse_envelope(&path, &text) else {
-                continue;
-            };
-            let Some(info) = artifact_info(&path, &envelope) else {
-                continue;
-            };
-            infos.push(info);
+            let vetted = parse_envelope(&path, &text);
+            files.push((path, vetted));
         }
+        files.sort_by(|a, b| a.0.cmp(&b.0));
+        Ok(files)
+    }
+
+    /// Every readable artifact in the registry, sorted by content key.
+    /// Files that are not well-formed plan artifacts are skipped (the
+    /// registry is a cache; listing stays usable next to a corrupt
+    /// entry — loading one reports the corruption instead).
+    pub fn list(&self) -> Result<Vec<ArtifactInfo>, RegistryError> {
+        let mut infos: Vec<ArtifactInfo> = self
+            .scan()?
+            .iter()
+            .filter_map(|(path, vetted)| artifact_info(path, vetted.as_ref().ok()?))
+            .collect();
         infos.sort_by(|a, b| a.content_key.cmp(&b.content_key));
         Ok(infos)
     }
@@ -435,9 +444,17 @@ impl PlanRegistry {
     /// Age is the artifact file's modification time; ties break on
     /// content key, so a sweep is deterministic even when a whole
     /// batch was published in the same instant. Only well-formed plan
-    /// artifacts (what [`PlanRegistry::list`] reports) are candidates —
-    /// foreign or corrupt files in the directory are never touched, for
-    /// the same reason `list` skips them.
+    /// artifacts (what [`PlanRegistry::list`] reports) are the policy's
+    /// candidates — foreign or corrupt files in the directory are never
+    /// touched, for the same reason `list` skips them.
+    ///
+    /// Whatever the policy, every file carrying the plan-artifact
+    /// marker with a `format_version` *below* [`FORMAT_VERSION`] is
+    /// removed first: the version check is strict, so no current or
+    /// later build can load it, and `list` cannot see it. These lead
+    /// [`GcReport::removed`], by file stem (the content key they were
+    /// saved under). Artifacts of a *newer* version are another
+    /// binary's live data and stay.
     ///
     /// # Errors
     ///
@@ -446,15 +463,32 @@ impl PlanRegistry {
     /// failed sweep may have removed a prefix of its victims (each
     /// removal is an independent `unlink`).
     pub fn gc(&self, policy: GcPolicy) -> Result<GcReport, RegistryError> {
+        let io_err = |path: &Path, e: io::Error| RegistryError::Io {
+            path: path.to_path_buf(),
+            message: e.to_string(),
+        };
+        let mut removed = Vec::new();
         let mut aged: Vec<(std::time::SystemTime, ArtifactInfo)> = Vec::new();
-        for info in self.list()? {
-            let mtime = fs::metadata(&info.path)
-                .and_then(|m| m.modified())
-                .map_err(|e| RegistryError::Io {
-                    path: info.path.clone(),
-                    message: e.to_string(),
-                })?;
-            aged.push((mtime, info));
+        for (path, vetted) in self.scan()? {
+            match vetted {
+                Ok(envelope) => {
+                    let Some(info) = artifact_info(&path, &envelope) else {
+                        continue;
+                    };
+                    let mtime = fs::metadata(&path)
+                        .and_then(|m| m.modified())
+                        .map_err(|e| io_err(&path, e))?;
+                    aged.push((mtime, info));
+                }
+                Err(RegistryError::VersionMismatch { found, .. })
+                    if found < u64::from(FORMAT_VERSION) =>
+                {
+                    fs::remove_file(&path).map_err(|e| io_err(&path, e))?;
+                    let stem = path.file_stem().unwrap_or_default();
+                    removed.push(stem.to_string_lossy().into_owned());
+                }
+                Err(_) => {}
+            }
         }
         aged.sort_by(|a, b| (a.0, &a.1.content_key).cmp(&(b.0, &b.1.content_key)));
         let victims: Vec<&ArtifactInfo> = match policy {
@@ -471,16 +505,12 @@ impl PlanRegistry {
                     .collect()
             }
         };
-        let mut removed = Vec::with_capacity(victims.len());
-        for info in victims {
-            fs::remove_file(&info.path).map_err(|e| RegistryError::Io {
-                path: info.path.clone(),
-                message: e.to_string(),
-            })?;
+        for info in &victims {
+            fs::remove_file(&info.path).map_err(|e| io_err(&info.path, e))?;
             removed.push(info.content_key.clone());
         }
         Ok(GcReport {
-            retained: aged.len() - removed.len(),
+            retained: aged.len() - victims.len(),
             removed,
         })
     }
@@ -714,6 +744,13 @@ mod tests {
         assert_eq!(reg.list().expect("lists").len(), 0);
     }
 
+    /// The artifact text with its `format_version` re-stamped.
+    fn restamp(text: &str, version: u64) -> String {
+        let current = format!("\"format_version\": {FORMAT_VERSION}");
+        assert!(text.contains(&current));
+        text.replace(&current, &format!("\"format_version\": {version}"))
+    }
+
     #[test]
     fn future_format_versions_are_rejected() {
         let reg = test_registry("version");
@@ -721,20 +758,19 @@ mod tests {
         let key = reg.save_plan(&plan).expect("saves");
         let path = reg.artifact_path(&key);
         let text = fs::read_to_string(&path).unwrap();
-        fs::write(
-            &path,
-            text.replace("\"format_version\": 1", "\"format_version\": 999"),
-        )
-        .unwrap();
-        let err = reg.load_plan(builder(1, 5)).expect_err("future version");
-        assert_eq!(
-            err,
-            RegistryError::VersionMismatch {
-                found: 999,
-                supported: FORMAT_VERSION
-            }
-        );
-        assert!(err.to_string().contains("v999"));
+        // Strict-exact: a later format and the previous one alike.
+        for found in [999, 1] {
+            fs::write(&path, restamp(&text, found)).unwrap();
+            let err = reg.load_plan(builder(1, 5)).expect_err("other version");
+            assert_eq!(
+                err,
+                RegistryError::VersionMismatch {
+                    found,
+                    supported: FORMAT_VERSION
+                }
+            );
+            assert!(err.to_string().contains(&format!("v{found}")));
+        }
     }
 
     #[test]
@@ -900,6 +936,44 @@ mod tests {
         assert_eq!(report.removed, vec![sorted[2].clone()]);
         assert_eq!(report.retained, 0);
         assert!(reg.list().expect("lists").is_empty());
+    }
+
+    #[test]
+    fn gc_sweeps_superseded_format_versions_only() {
+        let reg = test_registry("gc-versions");
+        let live = reg
+            .save_plan(&builder(1, 11).plan().expect("plannable"))
+            .expect("saves");
+        let old = reg
+            .save_plan(&builder(1, 12).plan().expect("plannable"))
+            .expect("saves");
+        let old_path = reg.artifact_path(&old);
+        let text = fs::read_to_string(&old_path).unwrap();
+        // The previous format can never load again; a later one is
+        // another binary's live data; unmarked JSON is not ours.
+        fs::write(&old_path, restamp(&text, 1)).unwrap();
+        let newer = reg.root().join("from-a-later-build.json");
+        fs::write(&newer, restamp(&text, 999)).unwrap();
+        let foreign = reg.root().join("notes.json");
+        fs::write(&foreign, "{}").unwrap();
+        assert_eq!(reg.list().expect("lists").len(), 1, "only v2 is listed");
+
+        // Swept under a policy that would otherwise remove nothing.
+        let report = reg.gc(GcPolicy::MaxArtifacts(5)).expect("sweeps");
+        assert_eq!(report.removed, std::slice::from_ref(&old));
+        assert_eq!(report.retained, 1);
+        assert!(!old_path.exists());
+        assert!(newer.exists() && foreign.exists());
+        assert_eq!(reg.list().expect("lists")[0].content_key, live);
+
+        // And under the other policy.
+        fs::write(&old_path, restamp(&text, 1)).unwrap();
+        let report = reg
+            .gc(GcPolicy::MaxAge(std::time::Duration::from_secs(3600)))
+            .expect("sweeps");
+        assert_eq!(report.removed, [old]);
+        assert!(!old_path.exists());
+        assert!(newer.exists() && foreign.exists());
     }
 
     #[test]

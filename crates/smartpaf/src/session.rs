@@ -1671,12 +1671,10 @@ impl fmt::Display for PlanReport {
 /// entry and exit limb counts; and every forced refresh at the full
 /// analytic bootstrap cost. A stage that consumes more levels than it
 /// is entered at refreshed inside and ran on from the top of the chain,
-/// so its ct-mults are priced over the whole chain. All these prices
-/// dispatch on the parameters' key-switch gadget
-/// (`CkksParams::ks_digit_limbs`), so a plan re-priced under the hybrid
-/// gadget reflects its cheaper relinearisations. The one conversion
-/// behind the planner's frontier pricing and the hybrid crate's Tab. 1
-/// rows.
+/// so its ct-mults are priced over the whole chain. Every key-switch
+/// price is the executed count at the parameters' digit size
+/// (`CkksParams::ks_digit_limbs`). The one conversion behind the
+/// planner's frontier pricing and the hybrid crate's Tab. 1 rows.
 pub fn trace_modmuls(params: &CkksParams, report: &TraceReport) -> u128 {
     report
         .stages

@@ -2,7 +2,7 @@
 //!
 //! Everything stochastic in the workspace flows through [`Rng64`], a
 //! small splitmix64/xoshiro-style generator with an explicit seed, so
-//! that every experiment in EXPERIMENTS.md is exactly reproducible.
+//! that every experiment is exactly reproducible.
 
 /// A deterministic 64-bit PRNG (xoshiro256++ seeded via splitmix64).
 ///

@@ -21,7 +21,7 @@ fn replacement_without_finetune_costs_accuracy_on_average() {
     // must hurt before any recovery technique runs. A single tiny
     // validation set (24 samples) is too noisy — the PAF's smoothing
     // can flip a few samples either way — so assert on the mean over
-    // seeds, mirroring how EXPERIMENTS.md reports accuracies.
+    // seeds.
     let mut orig = 0.0;
     let mut post = 0.0;
     for seed in [102, 112, 122] {

@@ -1,4 +1,4 @@
-//! Extension experiment (DESIGN.md §5): Progressive Approximation's
+//! Extension experiment: Progressive Approximation's
 //! replacement order, plus scheduler robustness checks.
 
 use smartpaf::{EventKind, TechniqueSet};
