@@ -5,7 +5,8 @@
 //! three ring sizes, and the ciphertext pipeline (encrypt, add,
 //! mul+relin, rescale, rotate, mul_const) at N = 4096 and N = 8192,
 //! with the key-switch gadget's digit count and the host core count
-//! recorded as group metadata. `bench_hoist` fails the bench if 8
+//! recorded as group metadata, plus the 2×2 max-pool fold every CNN
+//! inference runs (`pool_fold_2x2`). `bench_hoist` fails the bench if 8
 //! rotations of one ciphertext from one key-switch decomposition do
 //! not cost < 0.6× eight standalone rotations.
 //! Emits `BENCH_ckks.json` through the criterion shim's JSON hook; CI
@@ -14,7 +15,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use smartpaf_ckks::modular::ntt_primes;
-use smartpaf_ckks::{cost, par, CkksParams, DiagMatrix, Evaluator, KeyChain, NttTable};
+use smartpaf_ckks::{
+    cost, par, CkksParams, DiagMatrix, Evaluator, KeyChain, NttTable, PafEvaluator,
+};
+use smartpaf_polyfit::{CompositePaf, PafForm};
 use smartpaf_tensor::Rng64;
 use std::time::{Duration, Instant};
 
@@ -132,6 +136,38 @@ fn bench_cipher_ops(c: &mut Criterion) {
     bench_cipher_ops_at(c, CkksParams::benchmark());
 }
 
+/// The 2×2 max pool of an 8×8 activation as `heinfer` folds it:
+/// rotate by 1, PAF-max, rotate by a row, PAF-max, on one ciphertext
+/// from the top of the default 13-limb chain to its last limb (f1∘g2,
+/// 6 levels per PAF-max).
+fn bench_pool_fold(c: &mut Criterion) {
+    let params = CkksParams::default_params();
+    let mut g = c.benchmark_group("pool_fold_2x2");
+    g.meta("ks_digit_limbs", params.ks_digit_limbs)
+        .meta("cores", host_cores())
+        .meta("threads", par::max_intra_workers());
+    let mut rng = Rng64::new(3);
+    let keys = KeyChain::generate(&params.build(), &mut rng);
+    let pe = PafEvaluator::new(Evaluator::new(&keys));
+    let paf = CompositePaf::from_form(PafForm::F1G2);
+    let vals: Vec<f64> = (0..64)
+        .map(|i| ((i * 7) % 13) as f64 / 13.0 - 0.5)
+        .collect();
+    let ct = pe.evaluator().encrypt_replicated(&vals, &mut rng);
+    let fold = || {
+        let mut v = ct.clone();
+        for step in [1, 8] {
+            let shifted = pe.evaluator().rotate(&v, step);
+            v = pe.max(&v, &shifted, &paf);
+        }
+        v
+    };
+    let _ = fold(); // relin and Galois keys at every level of the fold
+    g.bench_function(format!("n{}", params.n), |b| {
+        b.iter(|| std::hint::black_box(fold()))
+    });
+}
+
 /// Best-of-`iters` wall time of `f`, measured inline.
 fn min_time(iters: usize, mut f: impl FnMut()) -> Duration {
     (0..iters)
@@ -188,6 +224,6 @@ criterion_group! {
     config = Criterion::default()
         .sample_size(10)
         .json_output("BENCH_ckks.json");
-    targets = bench_ntt, bench_cipher_ops, bench_hoist
+    targets = bench_ntt, bench_cipher_ops, bench_pool_fold, bench_hoist
 }
 criterion_main!(benches);

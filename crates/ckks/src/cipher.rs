@@ -87,14 +87,20 @@ impl Drop for Hoisted {
     }
 }
 
-#[cfg(test)]
 thread_local! {
-    /// Key-switch decompositions and applications executed on this
-    /// thread, so tests can hold the analytic schedule counts to the
-    /// executed loops. Meaningful at a thread budget of 1.
-    pub(crate) static DECOMPOSITIONS: std::cell::Cell<usize> =
-        const { std::cell::Cell::new(0) };
-    pub(crate) static APPLICATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Key-switch `(decompositions, applications)` executed on this
+    /// thread since [`take_key_switch_counts`] last read them.
+    static KEY_SWITCHES: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
+}
+
+/// The key-switch `(decompositions, applications)` this thread executed
+/// since the last call — relinearisations and rotations alike — so
+/// tests can hold analytic schedule counts to the executed loops. The
+/// counts are per thread: run the measured code under
+/// [`crate::par::with_thread_budget`]`(1, …)`, or a matvec's giant
+/// steps land on pool workers and are not seen here.
+pub fn take_key_switch_counts() -> (usize, usize) {
+    KEY_SWITCHES.with(|c| c.replace((0, 0)))
 }
 
 /// Homomorphic evaluator bound to a context and key chain.
@@ -348,8 +354,10 @@ impl Evaluator {
     /// across [`crate::par`] bit-identically to the sequential loop.
     pub(crate) fn decompose(&self, p: &RnsPoly) -> Hoisted {
         assert!(p.is_ntt(), "decompose expects NTT form");
-        #[cfg(test)]
-        DECOMPOSITIONS.with(|c| c.set(c.get() + 1));
+        KEY_SWITCHES.with(|c| {
+            let (decompositions, applications) = c.get();
+            c.set((decompositions + 1, applications));
+        });
         let ctx = &self.ctx;
         let nl = p.num_limbs();
         let n = ctx.n();
@@ -427,8 +435,10 @@ impl Evaluator {
         // Coefficients per accumulation block: both `u128` partial-sum
         // arrays stay in L1 while the digit rows stream past.
         const BLOCK: usize = 128;
-        #[cfg(test)]
-        APPLICATIONS.with(|c| c.set(c.get() + 1));
+        KEY_SWITCHES.with(|c| {
+            let (decompositions, applications) = c.get();
+            c.set((decompositions, applications + 1));
+        });
         let ctx = &self.ctx;
         let nl = hoisted.num_limbs;
         let n = ctx.n();

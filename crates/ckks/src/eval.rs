@@ -120,8 +120,9 @@ impl PafEvaluator {
         xd.drop_to(half_sign.num_limbs());
         let mut prod = self.ev.mul(&xd, &half_sign);
         self.ev.rescale(&mut prod);
-        let mut half_x = self.ev.mul_const(x, 0.5);
-        half_x.drop_to(prod.num_limbs());
+        // The linear term is scaled on the limbs the product runs on,
+        // so both addends leave through the same prime.
+        let half_x = self.ev.mul_const(&xd, 0.5);
         self.ev.add(&prod, &half_x)
     }
 
@@ -134,8 +135,10 @@ impl PafEvaluator {
         dd.drop_to(half_sign.num_limbs());
         let mut prod = self.ev.mul(&dd, &half_sign);
         self.ev.rescale(&mut prod);
-        let mut half_sum = self.ev.mul_const(&self.ev.add(x, y), 0.5);
-        half_sum.drop_to(prod.num_limbs());
+        // As in `relu`: the linear term on the product's limbs.
+        let mut sum = self.ev.add(x, y);
+        sum.drop_to(dd.num_limbs());
+        let half_sum = self.ev.mul_const(&sum, 0.5);
         self.ev.add(&prod, &half_sum)
     }
 }

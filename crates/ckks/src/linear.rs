@@ -109,15 +109,38 @@ impl DiagMatrix {
 
     /// The identity on `dim` slots (`dim` rounded up to a power of two).
     pub fn identity(dim: usize) -> Self {
-        let dim = dim.next_power_of_two();
+        Self::rotation(dim.next_power_of_two(), 0)
+    }
+
+    /// The cyclic left rotation by `step` on `dim` slots,
+    /// `(Rv)[i] = v[(i + step) mod dim]`: one all-ones diagonal. Under
+    /// CKKS this is the one matrix that needs no plaintext multiply and
+    /// no level — a bare [`Evaluator::rotate`] — and
+    /// [`DiagMatrix::as_rotation`] is how an executor recognises it.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `dim` is a power of two.
+    pub fn rotation(dim: usize, step: usize) -> Self {
+        assert!(dim.is_power_of_two(), "dim must be a power of two");
         let mut diags = BTreeMap::new();
-        diags.insert(0, vec![1.0; dim]);
+        diags.insert(step % dim, vec![1.0; dim]);
         DiagMatrix {
             dim,
             out_dim: dim,
             in_dim: dim,
             diags,
             encoded: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// The step of the cyclic rotation this matrix is, if it is one
+    /// ([`DiagMatrix::rotation`]; the identity is the rotation by 0).
+    pub fn as_rotation(&self) -> Option<usize> {
+        let mut diags = self.diags.iter();
+        match (diags.next(), diags.next()) {
+            (Some((&step, diag)), None) if diag.iter().all(|&v| v == 1.0) => Some(step),
+            _ => None,
         }
     }
 
@@ -305,38 +328,23 @@ impl DiagMatrix {
     ///
     /// Panics unless `lanes` is a power of two.
     pub fn bsgs_rotations_lanes(&self, lanes: usize) -> usize {
-        Self::bsgs_counts(std::slice::from_ref(self), lanes).rotations
+        self.bsgs_counts(lanes).rotations
     }
 
-    /// Exact key-switch work of [`Evaluator::matvec_bsgs_many`] on
-    /// `mats` block-diagonally expanded to `lanes` lanes (priced from
-    /// the offsets alone, like [`DiagMatrix::bsgs_rotations_lanes`]).
-    /// The matrices share their baby steps: a baby rotation several of
-    /// them need is counted — and executed — once.
+    /// Exact key-switch work of [`Evaluator::matvec_bsgs`] on
+    /// [`DiagMatrix::block_diag`]`(lanes)` (priced from the offsets
+    /// alone, like [`DiagMatrix::bsgs_rotations_lanes`]).
     ///
     /// # Panics
     ///
-    /// Panics unless `lanes` is a power of two and all `mats` share
-    /// one dimension.
-    pub fn bsgs_counts(mats: &[DiagMatrix], lanes: usize) -> BsgsCounts {
+    /// Panics unless `lanes` is a power of two.
+    pub fn bsgs_counts(&self, lanes: usize) -> BsgsCounts {
         assert!(lanes.is_power_of_two(), "lanes must be a power of two");
-        let Some(first) = mats.first() else {
-            return BsgsCounts::default();
-        };
-        assert!(
-            mats.iter().all(|mat| mat.dim == first.dim),
-            "matrices must share one dimension"
-        );
-        let offsets = mats.iter().map(|mat| {
-            mat.diags
-                .keys()
-                .flat_map(|&d| {
-                    let wrap = (lanes > 1 && d > 0).then(|| (lanes - 1) * mat.dim + d);
-                    std::iter::once(d).chain(wrap)
-                })
-                .collect()
+        let offsets = self.diags.keys().flat_map(|&d| {
+            let wrap = (lanes > 1 && d > 0).then(|| (lanes - 1) * self.dim + d);
+            std::iter::once(d).chain(wrap)
         });
-        BsgsSchedule::new(first.dim * lanes, offsets).counts()
+        BsgsSchedule::new(self.dim * lanes, offsets).counts()
     }
 
     /// Fraction of entries that are nonzero (density diagnostics for
@@ -355,8 +363,8 @@ impl DiagMatrix {
 /// ([`DiagMatrix::bsgs_counts`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BsgsCounts {
-    /// Key-switch applications: one per shared baby step plus one per
-    /// giant step.
+    /// Key-switch applications: one per baby step plus one per giant
+    /// step.
     pub rotations: usize,
     /// Key-switch decompositions: one for all the baby steps (they
     /// rotate the same input) plus one per giant step (each rotates its
@@ -364,44 +372,42 @@ pub struct BsgsCounts {
     pub decompositions: usize,
 }
 
-/// The rotation schedule of the baby-step/giant-step product of one
-/// or more same-dimension matrices with one input. Pricing
-/// ([`DiagMatrix::bsgs_counts`]) and execution
-/// ([`Evaluator::matvec_bsgs_many`]) both read it, so the analytic
+/// The rotation schedule of the baby-step/giant-step product of a
+/// matrix with one input. Pricing ([`DiagMatrix::bsgs_counts`]) and
+/// execution ([`Evaluator::matvec_bsgs`]) both read it, so the analytic
 /// counts mirror the executed loops by construction.
 struct BsgsSchedule {
     /// Baby-step modulus `⌈√dim⌉`: diagonal `d` is baby step `d mod g1`
     /// of giant group `d / g1`.
     g1: usize,
-    /// The distinct nonzero baby steps any matrix needs, ascending.
+    /// The distinct nonzero baby steps the matrix needs, ascending.
     baby: Vec<usize>,
-    /// Per matrix, its nonempty giant groups `k`, ascending. Group
-    /// `k = 0` needs no rotation of its own.
-    giant: Vec<Vec<usize>>,
+    /// Its nonempty giant groups `k`, ascending. Group `k = 0` needs no
+    /// rotation of its own.
+    giant: Vec<usize>,
 }
 
 impl BsgsSchedule {
-    /// Schedules matrices of square dimension `dim` given each one's
-    /// nonzero diagonal offsets.
-    fn new(dim: usize, offsets: impl Iterator<Item = Vec<usize>>) -> Self {
+    /// Schedules a matrix of square dimension `dim` given its nonzero
+    /// diagonal offsets.
+    fn new(dim: usize, offsets: impl Iterator<Item = usize>) -> Self {
         let g1 = (dim as f64).sqrt().ceil() as usize;
-        let mut baby = BTreeSet::new();
-        let giant = offsets
-            .map(|offsets| {
-                baby.extend(offsets.iter().map(|d| d % g1).filter(|&j| j != 0));
-                let groups: BTreeSet<usize> = offsets.iter().map(|d| d / g1).collect();
-                groups.into_iter().collect()
-            })
-            .collect();
+        let (mut baby, mut giant) = (BTreeSet::new(), BTreeSet::new());
+        for d in offsets {
+            if d % g1 != 0 {
+                baby.insert(d % g1);
+            }
+            giant.insert(d / g1);
+        }
         BsgsSchedule {
             g1,
             baby: baby.into_iter().collect(),
-            giant,
+            giant: giant.into_iter().collect(),
         }
     }
 
     fn counts(&self) -> BsgsCounts {
-        let giant_rotations = self.giant.iter().flatten().filter(|&&k| k > 0).count();
+        let giant_rotations = self.giant.iter().filter(|&&k| k > 0).count();
         BsgsCounts {
             rotations: self.baby.len() + giant_rotations,
             decompositions: usize::from(!self.baby.is_empty()) + giant_rotations,
@@ -496,54 +502,29 @@ impl Evaluator {
     /// scheduling: `O(√m)` ciphertext rotations instead of `O(m)`,
     /// trading them for plaintext pre-rotations of the diagonals.
     /// Consumes one level; result matches [`Evaluator::matvec`].
-    /// The many-of-one case of [`Evaluator::matvec_bsgs_many`].
+    ///
+    /// The baby steps `rot_j(ct)` rotate the *same* input, so they come
+    /// from one key-switch decomposition of `ct`
+    /// ([`Evaluator::rotate_many`]); each giant step rotates its own
+    /// partial sum and pays its own. The baby rotations, then the giant
+    /// steps, fan out across [`crate::par`]; results land in schedule
+    /// order, so the output is byte-identical at every thread budget.
     ///
     /// # Panics
     ///
     /// Panics unless `mat.dim()` divides the slot count.
     pub fn matvec_bsgs(&self, mat: &DiagMatrix, ct: &Ciphertext) -> Ciphertext {
-        self.matvec_bsgs_many(std::slice::from_ref(mat), ct)
-            .pop()
-            .expect("one matrix in, one product out")
-    }
-
-    /// Baby-step/giant-step products of several same-dimension
-    /// matrices with one ciphertext (the tap selections of a max
-    /// pool): element `i` is `mats[i] · ct`, one level down.
-    ///
-    /// The baby steps `rot_j(ct)` rotate the *same* input, so the
-    /// union of the `j` any matrix needs is computed once, from one
-    /// key-switch decomposition of `ct`; each matrix then runs only
-    /// its own giant steps (one decomposition each — they rotate
-    /// distinct partial sums). The baby rotations, then each matrix's
-    /// giant steps, fan out across [`crate::par`]; results land in
-    /// schedule order, so the output is byte-identical at every thread
-    /// budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless all `mats` share one dimension dividing the slot
-    /// count.
-    pub fn matvec_bsgs_many(&self, mats: &[DiagMatrix], ct: &Ciphertext) -> Vec<Ciphertext> {
-        let Some(first) = mats.first() else {
-            return Vec::new();
-        };
         let slots = self.context().slots();
-        let m = first.dim();
-        assert!(slots.is_multiple_of(m), "matrix dim must divide slots");
         assert!(
-            mats.iter().all(|mat| mat.dim() == m),
-            "matrices must share one dimension"
+            slots.is_multiple_of(mat.dim()),
+            "matrix dim must divide slots"
         );
-        let sched = BsgsSchedule::new(
-            m,
-            mats.iter().map(|mat| mat.diags.keys().copied().collect()),
-        );
+        let sched = BsgsSchedule::new(mat.dim(), mat.diags.keys().copied());
         let g1 = sched.g1;
 
         // Baby steps: rot_j(ct) for exactly the j values some diagonal
-        // of some matrix needs, all from one decomposition (released
-        // before the giant steps allocate theirs).
+        // needs, all from one decomposition (released before the giant
+        // steps allocate theirs).
         let steps: Vec<i64> = sched.baby.iter().map(|&j| j as i64).collect();
         let rotated = self.rotate_many(ct, &steps);
         let mut baby: Vec<Option<&Ciphertext>> = vec![None; g1];
@@ -552,42 +533,36 @@ impl Evaluator {
             baby[j] = Some(rot);
         }
 
-        // Giant steps, one matrix at a time (so only one matrix's
-        // partial sums are ever alive): group k sums its diagonals
-        // d ∈ [k·g1, (k+1)·g1) against the baby steps, the plaintext
-        // diagonal pre-rotated by -k·g1 (inside the cached encode), so
-        // one outer rotation by k·g1 finishes the job. The groups fold
-        // in ascending k, then the product rescales.
-        mats.iter()
-            .zip(&sched.giant)
-            .map(|(mat, ks)| {
-                let groups = crate::par::map(ks.len(), |i| {
-                    let k = ks[i];
-                    let shift = (k * g1) % slots;
-                    let mut inner: Option<Ciphertext> = None;
-                    for &d in mat.diags.range(k * g1..(k + 1) * g1).map(|(d, _)| d) {
-                        let rot_v = baby[d - k * g1].expect("baby step precomputed");
-                        let term = self.mul_plain(rot_v, &mat.encoded_diag(self, d, shift));
-                        inner = Some(match inner {
-                            None => term,
-                            Some(a) => self.add(&a, &term),
-                        });
-                    }
-                    let sum = inner.expect("scheduled groups are nonempty");
-                    if k == 0 {
-                        sum
-                    } else {
-                        self.rotate(&sum, (k * g1) as i64)
-                    }
+        // Giant steps: group k sums its diagonals d ∈ [k·g1, (k+1)·g1)
+        // against the baby steps, the plaintext diagonal pre-rotated by
+        // -k·g1 (inside the cached encode), so one outer rotation by
+        // k·g1 finishes the job. The groups fold in ascending k, then
+        // the product rescales.
+        let groups = crate::par::map(sched.giant.len(), |i| {
+            let k = sched.giant[i];
+            let shift = (k * g1) % slots;
+            let mut inner: Option<Ciphertext> = None;
+            for &d in mat.diags.range(k * g1..(k + 1) * g1).map(|(d, _)| d) {
+                let rot_v = baby[d - k * g1].expect("baby step precomputed");
+                let term = self.mul_plain(rot_v, &mat.encoded_diag(self, d, shift));
+                inner = Some(match inner {
+                    None => term,
+                    Some(a) => self.add(&a, &term),
                 });
-                let mut out = groups
-                    .into_iter()
-                    .reduce(|a, group| self.add(&a, &group))
-                    .unwrap_or_else(|| self.zero_product(ct));
-                self.rescale(&mut out);
-                out
-            })
-            .collect()
+            }
+            let sum = inner.expect("scheduled groups are nonempty");
+            if k == 0 {
+                sum
+            } else {
+                self.rotate(&sum, (k * g1) as i64)
+            }
+        });
+        let mut out = groups
+            .into_iter()
+            .reduce(|a, group| self.add(&a, &group))
+            .unwrap_or_else(|| self.zero_product(ct));
+        self.rescale(&mut out);
+        out
     }
 
     /// Adds a replicated plaintext bias at the ciphertext's scale.
@@ -992,36 +967,55 @@ mod tests {
         }
     }
 
-    /// `(decompositions, applications)` the evaluator executes inside
-    /// `f`, sequentially (the counters are per thread).
+    /// The key switches the evaluator executes inside `f`, sequentially
+    /// (the counters are per thread).
     fn executed_key_switches(f: impl FnOnce()) -> BsgsCounts {
-        use crate::cipher::{APPLICATIONS, DECOMPOSITIONS};
         crate::par::with_thread_budget(1, || {
-            DECOMPOSITIONS.with(|c| c.set(0));
-            APPLICATIONS.with(|c| c.set(0));
+            crate::take_key_switch_counts();
             f();
+            let (decompositions, rotations) = crate::take_key_switch_counts();
             BsgsCounts {
-                rotations: APPLICATIONS.with(|c| c.get()),
-                decompositions: DECOMPOSITIONS.with(|c| c.get()),
+                rotations,
+                decompositions,
             }
         })
     }
 
-    /// A circulant shift by `offset` at dimension 16: one diagonal.
-    fn shift_matrix(offset: usize) -> DiagMatrix {
-        let mut rows = vec![vec![0.0; 16]; 16];
+    #[test]
+    fn rotations_are_recognised_and_nothing_else_is() {
+        let rot = DiagMatrix::rotation(16, 5);
+        assert_eq!(rot.as_rotation(), Some(5));
+        assert_eq!(DiagMatrix::rotation(16, 21).as_rotation(), Some(5));
+        assert_eq!(DiagMatrix::identity(16).as_rotation(), Some(0));
+        let v = random_vec(16, &mut Rng64::new(60));
+        let want: Vec<f64> = (0..16).map(|i| v[(i + 5) % 16]).collect();
+        assert_eq!(rot.apply_plain(&v), want);
+        // A scaled rotation multiplies, a two-diagonal matrix mixes, a
+        // selection drops slots: none is a bare rotation.
+        assert_eq!(rot.scaled(0.5).as_rotation(), None);
+        assert_eq!(rot.block_diag(2).as_rotation(), None);
+        let mut rows = vec![vec![0.0; 16]; 15];
         for (i, row) in rows.iter_mut().enumerate() {
-            row[(i + offset) % 16] = 1.0;
+            row[i + 1] = 1.0;
         }
-        DiagMatrix::from_rows(&rows)
+        assert_eq!(DiagMatrix::from_rows(&rows).as_rotation(), None);
+        // Encrypted, the rotation is `rotate` by its step.
+        let (ev, mut rng) = setup(61);
+        let ct = ev.encrypt_replicated(&v, &mut rng);
+        let got = ev.decrypt_values(&ev.rotate(&ct, 5), 16);
+        for (g, w) in got.iter().zip(&want) {
+            assert!((g - w).abs() < 1e-3, "{g} vs {w}");
+        }
     }
 
     #[test]
     fn bsgs_rotation_count_mirrors_the_schedule() {
-        let one = |mat: &DiagMatrix| DiagMatrix::bsgs_counts(std::slice::from_ref(mat), 1);
         // Identity: the single 0-diagonal needs no key switch at all.
         assert_eq!(DiagMatrix::identity(16).bsgs_rotations(), 0);
-        assert_eq!(one(&DiagMatrix::identity(16)), BsgsCounts::default());
+        assert_eq!(
+            DiagMatrix::identity(16).bsgs_counts(1),
+            BsgsCounts::default()
+        );
         // Dense 16×16: g1 = 4, all 16 diagonals present → 3 nonzero
         // baby steps + 3 nonempty giant groups beyond k = 0; the baby
         // steps share one decomposition, each giant step has its own.
@@ -1029,34 +1023,20 @@ mod tests {
         let dense = DiagMatrix::from_rows(&random_matrix(16, 16, &mut rng));
         assert_eq!(dense.num_diagonals(), 16);
         assert_eq!(dense.bsgs_rotations(), 6);
-        assert_eq!(one(&dense).decompositions, 4);
+        assert_eq!(dense.bsgs_counts(1).decompositions, 4);
         // And never more than one rotation per diagonal (naive bound).
-        let sparse = shift_matrix(5);
+        let sparse = DiagMatrix::rotation(16, 5);
         assert_eq!(sparse.num_diagonals(), 1);
         assert!(sparse.bsgs_rotations() <= 2);
-
-        // Shared baby steps: offsets 5 and 9 both need baby step 1, 6
-        // needs 2 — two baby rotations, not three — and each matrix
-        // keeps its own giant step.
-        let taps = [shift_matrix(5), shift_matrix(9), shift_matrix(6)];
-        let shared = DiagMatrix::bsgs_counts(&taps, 1);
-        assert_eq!(shared.rotations, 2 + 3);
-        assert_eq!(shared.decompositions, 1 + 3);
-        assert!(shared.rotations < taps.iter().map(DiagMatrix::bsgs_rotations).sum());
 
         // The analytic counts are the executed loops', exactly.
         let (ev, mut rng) = setup(56);
         let ct = ev.encrypt_replicated(&random_vec(16, &mut rng), &mut rng);
-        for mats in [
-            std::slice::from_ref(&dense),
-            std::slice::from_ref(&sparse),
-            &taps[..],
-            &[DiagMatrix::identity(16), shift_matrix(4)][..],
-        ] {
+        for mat in [&dense, &sparse, &DiagMatrix::rotation(16, 4)] {
             let executed = executed_key_switches(|| {
-                ev.matvec_bsgs_many(mats, &ct);
+                ev.matvec_bsgs(mat, &ct);
             });
-            assert_eq!(executed, DiagMatrix::bsgs_counts(mats, 1));
+            assert_eq!(executed, mat.bsgs_counts(1));
         }
         // The naive method hoists too: one decomposition, one
         // application per nonzero diagonal offset.
@@ -1071,8 +1051,7 @@ mod tests {
         // The lane planner's oracle: pricing block_diag's wrap-diagonal
         // doubling from the offsets alone must agree exactly with
         // counting on the materialized expanded matrix, for dense,
-        // sparse, and diagonal-free shapes alike — singly and as a set
-        // of taps sharing their baby steps.
+        // sparse, and diagonal-free shapes alike.
         let mut rng = Rng64::new(55);
         let shapes: Vec<DiagMatrix> = vec![
             DiagMatrix::from_rows(&random_matrix(8, 8, &mut rng)),
@@ -1090,29 +1069,22 @@ mod tests {
         for lanes in [1usize, 2, 4, 8] {
             for mat in &shapes {
                 assert_eq!(
-                    mat.bsgs_rotations_lanes(lanes),
-                    mat.block_diag(lanes).bsgs_rotations(),
+                    mat.bsgs_counts(lanes),
+                    mat.block_diag(lanes).bsgs_counts(1),
                     "dim {} lanes {lanes}",
                     mat.dim()
                 );
             }
-            let taps = &shapes[..3];
-            let expanded: Vec<DiagMatrix> = taps.iter().map(|t| t.block_diag(lanes)).collect();
-            assert_eq!(
-                DiagMatrix::bsgs_counts(taps, lanes),
-                DiagMatrix::bsgs_counts(&expanded, 1),
-                "shared taps at lanes {lanes}"
-            );
         }
         // The expansion's executed loops match the lane-priced counts.
         let (ev, mut rng) = setup(57);
-        let taps = &shapes[..3];
-        let expanded: Vec<DiagMatrix> = taps.iter().map(|t| t.block_diag(4)).collect();
         let ct = ev.encrypt_replicated(&random_vec(32, &mut rng), &mut rng);
-        let executed = executed_key_switches(|| {
-            ev.matvec_bsgs_many(&expanded, &ct);
-        });
-        assert_eq!(executed, DiagMatrix::bsgs_counts(taps, 4));
+        for mat in &shapes[..3] {
+            let executed = executed_key_switches(|| {
+                ev.matvec_bsgs(&mat.block_diag(4), &ct);
+            });
+            assert_eq!(executed, mat.bsgs_counts(4));
+        }
         // Wrap diagonals make packed rotations strictly costlier than
         // lanes·1 would suggest for any matrix with off-diagonals.
         let dense = &shapes[3];
@@ -1120,29 +1092,23 @@ mod tests {
     }
 
     #[test]
-    fn shared_baby_steps_leave_each_product_unchanged() {
-        // Sharing changes which call computes a baby rotation, not its
-        // bytes: every product of the many-matrix form is byte-equal
-        // to the single-matrix product, at any thread budget.
+    fn matvec_bsgs_is_byte_identical_at_every_thread_budget() {
+        // The baby and giant rotations fan out over the worker pool and
+        // land in schedule order: the product's bytes do not depend on
+        // the budget, for a dense and for the all-zero matrix.
         let (ev, mut rng) = setup(58);
-        let mats: Vec<DiagMatrix> = (0..3)
-            .map(|_| DiagMatrix::from_rows(&random_matrix(16, 16, &mut rng)))
-            .chain([DiagMatrix::from_rows(&vec![vec![0.0; 16]; 16])])
-            .collect();
+        let mats = [
+            DiagMatrix::from_rows(&random_matrix(16, 16, &mut rng)),
+            DiagMatrix::from_rows(&vec![vec![0.0; 16]; 16]),
+        ];
         let ct = ev.encrypt_replicated(&random_vec(16, &mut rng), &mut rng);
-        let singles: Vec<Ciphertext> = mats.iter().map(|m| ev.matvec_bsgs(m, &ct)).collect();
-        for budget in [1, 2, 8] {
-            let many = crate::par::with_thread_budget(budget, || ev.matvec_bsgs_many(&mats, &ct));
-            assert_eq!(many.len(), singles.len());
-            for (a, b) in many.iter().zip(&singles) {
-                assert_eq!(
-                    a.c0.limbs().collect::<Vec<_>>(),
-                    b.c0.limbs().collect::<Vec<_>>()
-                );
-                assert_eq!(
-                    a.c1.limbs().collect::<Vec<_>>(),
-                    b.c1.limbs().collect::<Vec<_>>()
-                );
+        for mat in &mats {
+            let sequential = crate::par::with_thread_budget(1, || ev.matvec_bsgs(mat, &ct));
+            for budget in [2, 8] {
+                let fanned = crate::par::with_thread_budget(budget, || ev.matvec_bsgs(mat, &ct));
+                for (a, b) in [(&fanned.c0, &sequential.c0), (&fanned.c1, &sequential.c1)] {
+                    assert_eq!(a.limbs().collect::<Vec<_>>(), b.limbs().collect::<Vec<_>>());
+                }
             }
         }
     }

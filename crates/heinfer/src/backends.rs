@@ -65,30 +65,18 @@ impl InferenceBackend for PlainBackend {
         v: &mut Vec<f64>,
         taps: &[DiagMatrix],
         op: &PafOp<'_>,
-        post_scale: f64,
+        _post_scale: f64,
         _label: &str,
     ) -> Result<(), RunError> {
-        // Pairwise tree fold, mirroring the encrypted schedule exactly
-        // (PAF max is not associative up to approximation error); each
-        // round runs as one batched max over the paired tap vectors.
-        let mut items: Vec<Vec<f64>> = taps.iter().map(|t| t.apply_plain(v)).collect();
-        while items.len() > 1 {
-            let mut next = Vec::with_capacity(items.len().div_ceil(2));
-            let mut it = items.into_iter();
-            while let Some(a) = it.next() {
-                match it.next() {
-                    Some(b) => {
-                        let mut m = vec![0.0; a.len()];
-                        op.engine.max_slice(&a, &b, &mut m);
-                        next.push(m);
-                    }
-                    None => next.push(a),
-                }
-            }
-            items = next;
+        // The encrypted fold, operand order included (PAF max is not
+        // symmetric up to approximation error); each shift is one
+        // batched max over the whole vector.
+        for shift in taps {
+            let shifted = shift.apply_plain(v);
+            let mut folded = vec![0.0; v.len()];
+            op.engine.max_slice(v, &shifted, &mut folded);
+            *v = folded;
         }
-        let acc = items.pop().expect("at least one tap");
-        *v = acc.iter().map(|&a| post_scale * a).collect();
         Ok(())
     }
 }
@@ -106,9 +94,9 @@ impl InferenceBackend for PlainBackend {
 /// [`HePipeline`] at the wider padded dimension, its block-diagonal
 /// affine stages run through the same
 /// [`smartpaf_ckks::Evaluator::matvec_bsgs`] path with its per-matrix
-/// diagonal-encoding cache,
-/// and PAF stages are elementwise per slot so they act per lane for
-/// free.
+/// diagonal-encoding cache, a pool's shifts are the same rotations of
+/// the wider vector, and PAF evaluations are elementwise per slot so
+/// they act per lane for free.
 pub struct CkksBackend<'a> {
     pe: &'a PafEvaluator,
     bootstrapper: Option<&'a Bootstrapper>,
@@ -239,44 +227,20 @@ impl InferenceBackend for CkksBackend<'_> {
         v: &mut Ciphertext,
         taps: &[DiagMatrix],
         op: &PafOp<'_>,
-        post_scale: f64,
+        _post_scale: f64,
         label: &str,
     ) -> Result<(), RunError> {
-        // The stage's ops after the tap selection: one per fold round,
-        // then the post-scale when there is one.
+        // One scheduled op per shift; the first is already entered. A
+        // shift is a bare rotation: no plaintext multiply, no level.
         let ops = self.enter_stage(v, label)?;
-        let mut rest = ops[1..].iter();
-        let ev = self.pe.evaluator();
-        // Every tap selects from the same `v`, so the taps share one
-        // decomposition and one set of baby rotations; the baby and
-        // giant rotations fan out across the intra-op worker pool and
-        // land in tap order, so the fold below is bit-identical to the
-        // sequential schedule.
-        let mut items: Vec<Ciphertext> = ev.matvec_bsgs_many(taps, v);
-        // Pairwise tree fold; all items sit at the same level each
-        // round and are refreshed together.
-        while items.len() > 1 {
-            let round = rest.next().expect("one scheduled op per fold round");
-            for item in &mut items {
-                self.enter(item, round);
+        for (i, (shift, scheduled)) in taps.iter().zip(&ops).enumerate() {
+            if i > 0 {
+                self.enter(v, scheduled);
             }
-            let mut next = Vec::with_capacity(items.len().div_ceil(2));
-            let mut it = items.into_iter();
-            while let Some(a) = it.next() {
-                match it.next() {
-                    Some(b) => next.push(self.pe.max(&a, &b, op.paf)),
-                    None => next.push(a),
-                }
-            }
-            items = next;
+            let step = shift.as_rotation().expect("pool shifts are rotations");
+            let shifted = self.pe.evaluator().rotate(v, step as i64);
+            *v = self.pe.max(v, &shifted, op.paf);
         }
-        let mut m = items.pop().expect("at least one tap");
-        if post_scale != 1.0 {
-            let scale = rest.next().expect("the post-scale is a scheduled op");
-            self.enter(&mut m, scale);
-            m = ev.mul_const(&m, post_scale);
-        }
-        *v = m;
         Ok(())
     }
 
@@ -306,7 +270,7 @@ pub struct StageTrace {
     pub level_in: usize,
     /// Levels the stage consumes ([`crate::Stage::levels`]).
     pub levels: usize,
-    /// Ciphertexts refreshed by this stage, before or inside it.
+    /// Refreshes this stage takes, before or inside it.
     pub bootstraps: usize,
     /// Exact ciphertext-ciphertext multiplications
     /// ([`smartpaf_polyfit::OddPowerSchedule::exact_ct_mults`] per PAF
@@ -314,16 +278,16 @@ pub struct StageTrace {
     /// only ciphertext-plaintext work and count zero).
     pub ct_mults: usize,
     /// Exact ciphertext rotations (each one Galois key-switch
-    /// *application*): the BSGS schedule of every affine matvec and
-    /// maxpool tap selection, at the trace's lane count
-    /// ([`TraceBackend::with_lanes`]) — wrap diagonals of the
-    /// lane-expanded block-diagonal matrices are priced without
-    /// materializing them, and a baby rotation several pool taps need
-    /// counts once ([`DiagMatrix::bsgs_counts`]).
+    /// *application*): the BSGS schedule of an affine matvec at the
+    /// trace's lane count ([`TraceBackend::with_lanes`]) — wrap
+    /// diagonals of the lane-expanded block-diagonal matrix are priced
+    /// without materializing it ([`DiagMatrix::bsgs_counts`]) — and one
+    /// per shift of a max pool, at any lane count.
     pub rotations: usize,
-    /// Exact key-switch *decompositions* behind those rotations: one
-    /// per stage for all of its baby steps (hoisted — they rotate the
-    /// same input) plus one per giant step.
+    /// Exact key-switch *decompositions* behind those rotations: an
+    /// affine's baby steps share one (hoisted — they rotate the same
+    /// input) and each giant step has its own; each pool shift rotates
+    /// a different ciphertext and has its own.
     pub decompositions: usize,
 }
 
@@ -455,9 +419,9 @@ impl TraceBackend {
 
     /// Prices rotations as if the pipeline were slot-packed at `lanes`
     /// lanes ([`HePipeline::expand_lanes`]): each affine matrix is
-    /// costed through [`DiagMatrix::bsgs_rotations_lanes`], which
-    /// accounts for the wrap-diagonal doubling of the block-diagonal
-    /// expansion without building the expanded pipeline. Levels,
+    /// costed through [`DiagMatrix::bsgs_counts`], which accounts for
+    /// the wrap-diagonal doubling of the block-diagonal expansion
+    /// without building the expanded pipeline. Levels,
     /// bootstraps, and ct-mults are lane-invariant, so a lane planner
     /// can sweep candidate lane counts over one compiled pipeline.
     ///
@@ -492,13 +456,13 @@ impl TraceBackend {
     }
 
     /// Records the next stage off the schedule: its levels and
-    /// refreshes are the scheduled ops', `ct_mults` is computed from
-    /// them, and a PAF stage claims the next slot index.
+    /// refreshes are the scheduled ops', and a PAF stage claims the
+    /// next slot index.
     fn record(
         &mut self,
         label: &str,
         is_paf: bool,
-        ct_mults: impl FnOnce(&[ScheduledOp]) -> usize,
+        ct_mults: usize,
         key_switches: BsgsCounts,
     ) -> Result<(), RunError> {
         let ops = self.schedule.stage(self.stages.len(), label)?;
@@ -507,8 +471,8 @@ impl TraceBackend {
             slot: is_paf.then_some(self.next_slot),
             level_in: ops[0].level_in,
             levels: ops.iter().map(|o| o.op.need).sum(),
-            bootstraps: ops.iter().map(ScheduledOp::refreshes).sum(),
-            ct_mults: ct_mults(ops),
+            bootstraps: ops.iter().filter(|o| o.refresh).count(),
+            ct_mults,
             rotations: key_switches.rotations,
             decompositions: key_switches.decompositions,
         };
@@ -540,8 +504,7 @@ impl InferenceBackend for TraceBackend {
         _bias: &[f64],
         label: &str,
     ) -> Result<(), RunError> {
-        let key_switches = DiagMatrix::bsgs_counts(std::slice::from_ref(mat), self.lanes);
-        self.record(label, false, |_| 0, key_switches)
+        self.record(label, false, 0, mat.bsgs_counts(self.lanes))
     }
 
     fn paf_relu(
@@ -555,7 +518,7 @@ impl InferenceBackend for TraceBackend {
         // Sign stages + the x·sign(x) product; the scale
         // multiplications are plaintext-constant, not ct-ct.
         let ct_mults = op.engine.exact_ct_mults() + 1;
-        self.record(label, true, |_| ct_mults, BsgsCounts::default())
+        self.record(label, true, ct_mults, BsgsCounts::default())
     }
 
     fn paf_max(
@@ -566,18 +529,15 @@ impl InferenceBackend for TraceBackend {
         _post_scale: f64,
         label: &str,
     ) -> Result<(), RunError> {
-        // One PAF-max per pair of every fold round (the ops wider than
-        // one ciphertext); the taps share their baby steps, as in
-        // `CkksBackend`.
-        let per_max = op.engine.exact_ct_mults() + 1;
-        let ct_mults =
-            |ops: &[ScheduledOp]| ops.iter().map(|o| o.op.width / 2 * per_max).sum::<usize>();
-        self.record(
-            label,
-            true,
-            ct_mults,
-            DiagMatrix::bsgs_counts(taps, self.lanes),
-        )
+        // Per shift: one rotation of the running fold (its own
+        // decomposition, whatever the lane count) and one PAF-max —
+        // sign of the difference plus the product.
+        let shifts = BsgsCounts {
+            rotations: taps.len(),
+            decompositions: taps.len(),
+        };
+        let ct_mults = taps.len() * (op.engine.exact_ct_mults() + 1);
+        self.record(label, true, ct_mults, shifts)
     }
 
     fn level_of(&self, _v: &()) -> Option<usize> {
@@ -704,12 +664,16 @@ mod tests {
     #[test]
     fn executed_entry_levels_are_the_traced_ones() {
         // One schedule, two readers: the level every stage of an
-        // encrypted run actually enters at is the trace's `level_in` —
-        // on a CNN with a pool, an MLP, and the MLP at all 32 lanes of
-        // the toy ring, at two key-switch digit sizes. Without a
-        // refresher the CNN cannot complete: both backends then stop at
-        // the same stage with the same error, and nothing was dropped
-        // on the way there.
+        // encrypted run actually enters at is the trace's `level_in`,
+        // and the refreshes, rotations, decompositions and ct-mults it
+        // executes are the traced ones — on a CNN with a pool, an MLP,
+        // the MLP at all 32 lanes of the toy ring, and a 3×3 stride-1
+        // and a 2×2 stride-2 pool each followed by an affine, followed
+        // by a ReLU, and ending the pipeline, at two key-switch digit
+        // sizes; the decrypted output is the plain backend's. Without a
+        // refresher a pipeline deeper than the chain cannot complete:
+        // both backends then stop at the same stage with the same
+        // error, and nothing was dropped on the way there.
         let paf = CompositePaf::from_form(PafForm::F1G2);
         let mut rng = Rng64::new(110);
         let cnn = PipelineBuilder::new(&[1, 4, 4])
@@ -727,6 +691,31 @@ mod tests {
             .compile()
             .fold_scales();
         let mlp_packed = mlp.expand_lanes(32);
+        let mut pipes = vec![
+            ("cnn".to_string(), cnn),
+            ("mlp".to_string(), mlp),
+            ("mlp x32".to_string(), mlp_packed),
+        ];
+        for (k, stride) in [(3, 1), (2, 2)] {
+            let pool = || PipelineBuilder::new(&[1, 4, 4]).paf_maxpool(k, stride, &paf, 2.0);
+            let side = (4 - k) / stride + 1;
+            let head = Linear::new(side * side, 3, &mut rng);
+            pipes.extend([
+                (
+                    format!("pool {k}/{stride} + affine"),
+                    pool()
+                        .affine(smartpaf_nn::Flatten::new())
+                        .affine(head)
+                        .compile()
+                        .fold_scales(),
+                ),
+                (
+                    format!("pool {k}/{stride} + relu"),
+                    pool().paf_relu(&paf, 2.0).compile().fold_scales(),
+                ),
+                (format!("pool {k}/{stride}"), pool().compile().fold_scales()),
+            ]);
+        }
         for omega in [1, 3] {
             let params = CkksParams {
                 ks_digit_limbs: omega,
@@ -735,7 +724,7 @@ mod tests {
             let keys = KeyChain::generate(&params.build(), &mut rng);
             let pe = PafEvaluator::new(Evaluator::new(&keys));
             let max_level = pe.evaluator().context().max_level();
-            for (name, pipe) in [("cnn", &cnn), ("mlp", &mlp), ("mlp x32", &mlp_packed)] {
+            for (name, pipe) in &pipes {
                 let x: Vec<f64> = (0..pipe.input_dim())
                     .map(|i| ((i * 7) % 11) as f64 / 5.5 - 1.0)
                     .collect();
@@ -746,19 +735,48 @@ mod tests {
                 for refresher in [Some(&bs), None] {
                     let case = format!("{name}, omega {omega}, refresher {}", refresher.is_some());
                     ENTRY_LEVELS.with(|levels| levels.borrow_mut().clear());
-                    let executed = pipe.try_eval_encrypted(&pe, refresher, &ct);
+                    let refreshed = bs.refresh_count();
+                    // The key-switch counters are per thread.
+                    let (executed, key_switches) =
+                        smartpaf_ckks::par::with_thread_budget(1, || {
+                            smartpaf_ckks::take_key_switch_counts();
+                            let executed = pipe.try_eval_encrypted(&pe, refresher, &ct);
+                            (executed, smartpaf_ckks::take_key_switch_counts())
+                        });
                     let entered = ENTRY_LEVELS.with(|levels| levels.take());
                     match (executed, pipe.dry_run(max_level, refresher.is_some())) {
-                        (Ok((_, stats)), Ok((report, trace_stats))) => {
+                        (Ok((out, stats)), Ok((report, trace_stats))) => {
                             let traced: Vec<usize> =
                                 report.stages.iter().map(|s| s.level_in).collect();
                             assert_eq!(entered, traced, "{case}");
                             assert_eq!(stats.bootstraps, trace_stats.bootstraps, "{case}");
+                            assert_eq!(
+                                bs.refresh_count() - refreshed,
+                                report.total_bootstraps(),
+                                "{case}"
+                            );
+                            // Every ct-mult relinearises: one
+                            // decomposition and one application each,
+                            // beside the rotations'.
+                            let relins = report.total_ct_mults();
+                            assert_eq!(
+                                key_switches,
+                                (
+                                    report.total_decompositions() + relins,
+                                    report.total_rotations() + relins
+                                ),
+                                "{case}"
+                            );
                             assert_eq!(stats.final_level, 0, "{case}");
                             assert_eq!(report.final_level, 0, "{case}");
+                            let got = pe.evaluator().decrypt_values(&out, pipe.output_dim());
+                            for (g, w) in got.iter().zip(&pipe.eval_plain(&x)) {
+                                assert!((g - w).abs() < 5e-2, "{case}: {g} vs {w}");
+                            }
                         }
                         (Err(executed), Err(traced)) => {
-                            assert_eq!((name, refresher.is_some()), ("cnn", false), "{case}");
+                            assert!(refresher.is_none(), "{case}");
+                            assert!(pipe.total_levels() > max_level, "{case}");
                             assert_eq!(executed, traced, "{case}");
                             let mut undropped = max_level;
                             for (level, stage) in entered.iter().zip(pipe.stages()) {
@@ -782,7 +800,7 @@ mod tests {
         // A pipeline that cannot complete has no segment to trim, so
         // the error carries what a walk from the top of the chain finds
         // — the values this error has always carried — at a stage
-        // boundary and inside a pool fold alike.
+        // boundary and between two shifts of a pool fold alike.
         let (pe, mut rng) = setup(111);
         let max_level = pe.evaluator().context().max_level();
         let relu = CompositePaf::from_form(PafForm::F1G2);
@@ -792,6 +810,7 @@ mod tests {
         }
         // Unfolded, a ReLU takes 8 levels: 12 → 11 → 3 → 2, then 2 < 8.
         let blocks = b.compile();
+        // A pool that opens the pipeline: its `1/s` is an affine stage.
         let pool = PipelineBuilder::new(&[1, 4, 4])
             .paf_maxpool(2, 2, &CompositePaf::from_form(PafForm::Alpha7), 4.0)
             .compile();
@@ -806,10 +825,10 @@ mod tests {
                 },
             ),
             (
-                // Taps 12 → 11, one fold round 11 → 4, then 4 < 7.
+                // Scale 12 → 11, the first shift 11 → 4, then 4 < 7.
                 &pool,
                 RunError::OutOfLevels {
-                    label: "paf-max[taps=4 depth=6]".into(),
+                    label: "paf-max[k=2 shifts=2 depth=6]".into(),
                     available: 4,
                     needed: 7,
                     mid_stage: true,
@@ -837,12 +856,20 @@ mod tests {
         assert_eq!(report.stages.len(), 1);
         // Exactly the even-power-ladder count plus the ReLU product.
         assert_eq!(report.total_ct_mults(), paf.exact_ct_mult_count() + 1);
-        // Maxpool: three pairwise folds of four taps.
-        let pool = PipelineBuilder::new(&[1, 2, 2])
-            .paf_maxpool(2, 2, &paf, 1.0)
-            .compile();
-        let (report, _) = pool.dry_run(30, false).expect("fits");
-        assert_eq!(report.total_ct_mults(), 3 * (paf.exact_ct_mult_count() + 1));
+        // Maxpool: one PAF-max per shift, 2·⌈log₂k⌉ of them — two for
+        // a 2×2 window, four for a 3×3 one.
+        for (k, shifts) in [(2, 2), (3, 4)] {
+            let pool = PipelineBuilder::new(&[1, 4, 4])
+                .paf_maxpool(k, 1, &paf, 1.0)
+                .compile();
+            let (report, _) = pool.dry_run(30, false).expect("fits");
+            assert_eq!(
+                report.total_ct_mults(),
+                shifts * (paf.exact_ct_mult_count() + 1)
+            );
+            let fold = report.paf_slots()[0];
+            assert_eq!((fold.rotations, fold.decompositions), (shifts, shifts));
+        }
     }
 
     #[test]
@@ -869,13 +896,14 @@ mod tests {
 
     #[test]
     fn single_tap_pool_needs_no_fold_depth() {
-        // A 1×1 pool compiles to one tap and runs no fold, so a chain
-        // far shallower than the PAF's atomic depth still executes it.
+        // A 1×1 pool is its anchor selection and runs no fold, so a
+        // chain far shallower than the PAF's atomic depth still
+        // executes it.
         let paf = CompositePaf::from_form(PafForm::MinimaxDeg27); // fold depth 11
         let pipe = PipelineBuilder::new(&[1, 2, 2])
             .paf_maxpool(1, 1, &paf, 1.0)
             .compile();
-        let (report, stats) = pipe.dry_run(3, false).expect("tap selection only");
+        let (report, stats) = pipe.dry_run(3, false).expect("selection only");
         assert_eq!(report.total_ct_mults(), 0);
         assert_eq!(stats.total_levels(), 1);
     }
@@ -916,13 +944,13 @@ mod tests {
         assert_eq!(trace_stats.bootstraps, enc_stats.bootstraps);
         assert_eq!(trace_stats.stage_levels, enc_stats.stage_levels);
         // Per-slot attribution: slot 0 is the ReLU (α=7 schedule),
-        // slot 1 the max fold (three pairwise f1∘g2 maxes).
+        // slot 1 the max fold (one f1∘g2 max per shift).
         let slots = report.paf_slots();
         assert_eq!(slots.len(), 2);
         assert_eq!(slots[0].slot, Some(0));
         assert_eq!(slots[1].slot, Some(1));
         assert_eq!(slots[0].ct_mults, deep.exact_ct_mult_count() + 1);
-        assert_eq!(slots[1].ct_mults, 3 * (cheap.exact_ct_mult_count() + 1));
+        assert_eq!(slots[1].ct_mults, 2 * (cheap.exact_ct_mult_count() + 1));
         // Affine stages carry no slot index.
         assert!(report.stages.iter().any(|s| s.slot.is_none()));
     }
@@ -970,69 +998,123 @@ mod tests {
     }
 
     #[test]
-    fn shared_tap_pool_matches_per_tap_matvecs_and_fold() {
-        // The pool stage computes its taps' shared baby rotations once;
-        // that must decrypt to what one `matvec_bsgs` per tap followed
-        // by the same pairwise fold gives, unpacked and with all 32
-        // lanes of the toy ring in use, and land on the plain pool.
+    fn pool_lanes_are_isolated_from_each_other() {
+        // A pool's shifts rotate the whole packed vector, so they do
+        // carry one lane's activations into its neighbour's slots — but
+        // only into slots no window anchor reads. Packed at 2 lanes and
+        // at all 32 of the toy ring: every lane's output is the 1-lane
+        // pipeline's bit for bit, and changing one lane's input leaves
+        // every other lane bit-identical in the clear and within noise
+        // encrypted.
         let (pe, mut rng) = setup(109);
         let ev = pe.evaluator();
         let paf = CompositePaf::from_form(PafForm::F1G2);
         let base = PipelineBuilder::new(&[1, 2, 2])
-            .paf_maxpool(2, 2, &paf, 1.0)
+            .paf_maxpool(2, 2, &paf, 2.0)
+            .affine(smartpaf_nn::Flatten::new())
+            .affine(Linear::new(1, 3, &mut rng))
             .compile();
-        for lanes in [1usize, 32] {
+        let (dim, out) = (base.dim(), base.output_dim());
+        assert_eq!((dim, out), (4, 3));
+        for lanes in [2usize, 32] {
             let pipe = base.expand_lanes(lanes);
             let x: Vec<f64> = (0..pipe.dim())
                 .map(|i| ((i * 7) % 13) as f64 / 13.0 - 0.5)
                 .collect();
-            let ct = ev.encrypt_replicated(&x, &mut rng);
-            let refresher = |seed| Bootstrapper::new(ev.clone(), pipe.dim(), seed);
-
-            let (bs_shared, bs_per_tap) = (refresher(5), refresher(5));
-            let (shared, _) = pipe.eval_encrypted(&pe, Some(&bs_shared), &ct);
-
-            let Stage::PafMax {
-                taps,
-                paf,
-                post_scale,
-            } = &pipe.stages()[0]
-            else {
-                panic!("a pool-only pipeline has one PafMax stage");
+            let changed = lanes / 2;
+            let mut y = x.clone();
+            for v in &mut y[changed * dim..(changed + 1) * dim] {
+                *v = 0.25 - *v;
+            }
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            let (plain_x, plain_y) = (pipe.eval_plain(&x), pipe.eval_plain(&y));
+            let decrypted = |input: &[f64], rng: &mut Rng64| {
+                let bs = Bootstrapper::new(ev.clone(), pipe.dim(), 5);
+                let ct = ev.encrypt_replicated(input, rng);
+                let (out_ct, _) = pipe.eval_encrypted(&pe, Some(&bs), &ct);
+                ev.decrypt_values(&out_ct, pipe.dim())
             };
-            assert_eq!(*post_scale, 1.0);
-            let fold_need = PafEvaluator::relu_depth(paf);
-            let mut items: Vec<Ciphertext> = taps.iter().map(|t| ev.matvec_bsgs(t, &ct)).collect();
-            while items.len() > 1 {
-                if items[0].level() < fold_need {
-                    items = items.iter().map(|c| bs_per_tap.refresh(c)).collect();
-                }
-                items = items
-                    .chunks(2)
-                    .map(|pair| match pair {
-                        [a, b] => pe.max(a, b, paf),
-                        [a] => a.clone(),
-                        _ => unreachable!("chunks(2)"),
-                    })
-                    .collect();
-            }
-            assert_eq!(bs_shared.refresh_count(), bs_per_tap.refresh_count());
-
-            let got = ev.decrypt_values(&shared, pipe.dim());
-            let per_tap = ev.decrypt_values(&items[0], pipe.dim());
+            let (enc_x, enc_y) = (decrypted(&x, &mut rng), decrypted(&y, &mut rng));
             for lane in 0..lanes {
-                let want = base.eval_plain(&x[lane * 4..(lane + 1) * 4]);
-                for (k, w) in want.iter().enumerate() {
-                    let at = lane * base.dim() + k;
-                    assert!(
-                        (got[at] - per_tap[at]).abs() < 1e-2,
-                        "lanes {lanes} slot {at}: shared {} vs per-tap {}",
-                        got[at],
-                        per_tap[at]
+                let at = lane * dim;
+                let alone = base.eval_plain(&x[at..at + dim]);
+                assert_eq!(
+                    bits(&plain_x[at..at + out]),
+                    bits(&alone),
+                    "lanes {lanes}: lane {lane} alone"
+                );
+                if lane == changed {
+                    assert_ne!(bits(&plain_y[at..at + out]), bits(&alone));
+                    assert_eq!(
+                        bits(&plain_y[at..at + out]),
+                        bits(&base.eval_plain(&y[at..at + dim]))
                     );
-                    assert!((got[at] - w).abs() < 0.1, "lanes {lanes} slot {at}");
+                    continue;
+                }
+                assert_eq!(
+                    bits(&plain_y[at..at + out]),
+                    bits(&alone),
+                    "lanes {lanes}: lane {lane} saw lane {changed} change"
+                );
+                for k in at..at + out {
+                    assert!(
+                        (enc_x[k] - plain_x[k]).abs() < 5e-2,
+                        "lanes {lanes} slot {k}"
+                    );
+                    assert!(
+                        (enc_x[k] - enc_y[k]).abs() < 1e-2,
+                        "lanes {lanes} slot {k}: {} became {}",
+                        enc_x[k],
+                        enc_y[k]
+                    );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn pool_filler_stays_in_the_range_of_its_input() {
+        // After the fold every slot — window anchors, slots whose
+        // window wraps around the vector, padding — holds a PAF-max of
+        // inputs: a convex combination of its operands wherever the
+        // sign approximation stays within ±1, and past them by at most
+        // `|d|/2 · (|p(d)| − 1)` per shift where it overshoots.
+        let paf = CompositePaf::from_form(PafForm::F1G2);
+        let pipe = PipelineBuilder::new(&[2, 4, 3])
+            .paf_maxpool(3, 1, &paf, 1.0)
+            .compile();
+        let Stage::PafMax { shifts, paf, .. } = &pipe.stages()[0] else {
+            panic!("an unscaled pool opens with its fold");
+        };
+        assert_eq!(shifts, &[1, 1, 3, 3]);
+        let rotate = |&step| DiagMatrix::rotation(pipe.dim(), step);
+        let shifts: Vec<DiagMatrix> = shifts.iter().map(rotate).collect();
+        let overshoot = (0..=2000)
+            .map(|i| {
+                let d = i as f64 / 1000.0 - 1.0;
+                d.abs() / 2.0 * (paf.eval(d).abs() - 1.0)
+            })
+            .fold(0.0, f64::max);
+        let slack = 1.01 * shifts.len() as f64 * overshoot + 1e-12;
+        let x: Vec<f64> = (0..24)
+            .map(|i| ((i * 11) % 17) as f64 / 20.0 - 0.4)
+            .collect();
+        let mut v = pipe.pad_input(&x);
+        assert_eq!(v.len(), 32);
+        let (lo, hi) = (-0.4, 0.4);
+        let engine = paf.prepare();
+        let op = PafOp {
+            paf,
+            engine: &engine,
+        };
+        PlainBackend
+            .paf_max(&mut v, &shifts, &op, 1.0, "pool")
+            .expect("the plain backend has no failure modes");
+        for (p, value) in v.iter().enumerate() {
+            assert!(
+                (lo - slack..=hi + slack).contains(value),
+                "slot {p} holds {value}, outside [{lo}, {hi}] ± {slack}"
+            );
         }
     }
 

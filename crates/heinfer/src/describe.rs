@@ -7,7 +7,7 @@
 //! probed affine matrices — while staying *form-independent*: two
 //! pipelines that differ only in which composite PAF sits in each slot
 //! describe identically, because [`HePipeline::with_pafs`] keeps the
-//! probed matrices, scales, taps, and slot layout untouched. That is
+//! probed matrices, scales, shifts, and slot layout untouched. That is
 //! exactly the invariance a plan cache needs: a stored plan applies to
 //! any form assignment of the same model.
 //!
@@ -71,14 +71,11 @@ pub enum StageDesc {
         /// Static-Scaling output factor (`s`; 1.0 after folding).
         post_scale: f64,
     },
-    /// A PAF max-pool slot.
+    /// A PAF max-pool slot: the fold alone (its anchor selection is the
+    /// affine stage after it).
     PafMax {
-        /// Number of window taps (the fold's operand count).
-        taps: usize,
-        /// Digest over every tap matrix, in order.
-        taps_digest: u64,
-        /// Static-Scaling output factor.
-        post_scale: f64,
+        /// The fold's rotation steps, in execution order.
+        shifts: Vec<usize>,
     },
 }
 
@@ -155,22 +152,9 @@ impl HePipeline {
                     pre_scale: *pre_scale,
                     post_scale: *post_scale,
                 },
-                Stage::PafMax {
-                    taps, post_scale, ..
-                } => {
-                    let mut h: u64 = 0xcbf29ce484222325;
-                    for tap in taps {
-                        for (d, entries) in tap.diagonals() {
-                            digest_f64s(&mut h, [d as f64]);
-                            digest_f64s(&mut h, entries.iter().copied());
-                        }
-                    }
-                    StageDesc::PafMax {
-                        taps: taps.len(),
-                        taps_digest: h,
-                        post_scale: *post_scale,
-                    }
-                }
+                Stage::PafMax { shifts, .. } => StageDesc::PafMax {
+                    shifts: shifts.clone(),
+                },
             })
             .collect();
         PipelineDesc {
@@ -203,15 +187,9 @@ impl Serialize for StageDesc {
                 ("pre_scale", pre_scale.serialize()),
                 ("post_scale", post_scale.serialize()),
             ]),
-            StageDesc::PafMax {
-                taps,
-                taps_digest,
-                post_scale,
-            } => Value::object([
+            StageDesc::PafMax { shifts } => Value::object([
                 ("kind", "paf_max".serialize()),
-                ("taps", taps.serialize()),
-                ("taps_digest", taps_digest.serialize()),
-                ("post_scale", post_scale.serialize()),
+                ("shifts", shifts.serialize()),
             ]),
         }
     }
@@ -231,9 +209,7 @@ impl Deserialize for StageDesc {
                 post_scale: f64::deserialize(value.req("post_scale")?)?,
             }),
             "paf_max" => Ok(StageDesc::PafMax {
-                taps: usize::deserialize(value.req("taps")?)?,
-                taps_digest: u64::deserialize(value.req("taps_digest")?)?,
-                post_scale: f64::deserialize(value.req("post_scale")?)?,
+                shifts: Vec::<usize>::deserialize(value.req("shifts")?)?,
             }),
             other => Err(Error::custom(format!("unknown stage kind `{other}`"))),
         }

@@ -65,8 +65,8 @@ pub enum RunError {
         available: usize,
         /// Levels the next atomic operation needs.
         needed: usize,
-        /// True when the exhaustion happened inside a stage (a
-        /// max-pool fold round), false at a stage boundary.
+        /// True when the exhaustion happened inside a stage (between
+        /// two shifts of a max-pool fold), false at a stage boundary.
         mid_stage: bool,
     },
     /// A single atomic operation needs more levels than the whole
@@ -233,8 +233,13 @@ pub trait InferenceBackend {
         label: &str,
     ) -> Result<(), RunError>;
 
-    /// PAF max-pool stage: tap selection followed by the pairwise
-    /// PAF-max tree fold, then `post_scale`.
+    /// PAF max-pool fold: for each shift `T` of `taps`, in order,
+    /// `v ← paf_max(v, T·v)`. Every shift is a cyclic rotation
+    /// ([`DiagMatrix::as_rotation`]) and `post_scale` is always `1.0`
+    /// (the pool's scales live in the stages around it). The parameter
+    /// list is the one the frozen benchmark package implements; a
+    /// benchmark PR may later turn `taps` into `&[usize]` steps and
+    /// drop `post_scale`.
     fn paf_max(
         &mut self,
         v: &mut Self::Value,
@@ -287,16 +292,19 @@ impl HePipeline {
                     };
                     backend.paf_relu(&mut value, &op, *pre_scale, *post_scale, &label)?
                 }
-                Stage::PafMax {
-                    taps,
-                    paf,
-                    post_scale,
-                } => {
+                Stage::PafMax { shifts, paf, .. } => {
                     let op = PafOp {
                         paf,
                         engine: prepared.as_deref().expect("PAF stage has an engine"),
                     };
-                    backend.paf_max(&mut value, taps, &op, *post_scale, &label)?
+                    // The trait's parameter list is frozen (see
+                    // `InferenceBackend::paf_max`): the steps travel as
+                    // rotation matrices.
+                    let rotations: Vec<DiagMatrix> = shifts
+                        .iter()
+                        .map(|&step| DiagMatrix::rotation(self.dim, step))
+                        .collect();
+                    backend.paf_max(&mut value, &rotations, &op, 1.0, &label)?
                 }
             }
         }
@@ -328,7 +336,7 @@ mod tests {
         assert!(e.to_string().contains("level exhausted before"));
         assert!(e.to_string().contains("supply a Bootstrapper"));
         let e = RunError::OutOfLevels {
-            label: "paf-max[taps=4 depth=6]".into(),
+            label: "paf-max[k=2 shifts=2 depth=6]".into(),
             available: 2,
             needed: 7,
             mid_stage: true,

@@ -17,12 +17,16 @@
 //!    slots; affine stages run as Halevi–Shoup diagonal matrix–vector
 //!    products with baby-step/giant-step rotations.
 //! 3. **PAF stages** — ReLU slots become `s · paf_relu(x/s)` (Static
-//!    Scaling, paper §4.5); MaxPool slots become window-tap selections
-//!    followed by the nested `paf_max` fold the paper analyses in
-//!    §5.4.3.
+//!    Scaling, paper §4.5); MaxPool slots become a rotate-and-max fold
+//!    on the one ciphertext — `v ← paf_max(v, rot(v, t))` per doubling
+//!    step along x, then along y, the nested `paf_max` the paper
+//!    analyses in §5.4.3 — after which every slot holds the fold of the
+//!    window anchored there, and a 0/1 selection of the anchors that
+//!    composes with the affine stage after the pool. The pool's `1/s`
+//!    and `s` are placed in its neighbours at compile time.
 //! 4. **Scale folding** — the optional [`HePipeline::fold_scales`]
-//!    pass absorbs the `1/s` and `s` multiplications into neighbouring
-//!    affine matrices, saving two levels per activation.
+//!    pass absorbs a ReLU's `1/s` and `s` multiplications into
+//!    neighbouring affine matrices, saving two levels per activation.
 //! 5. **Level management** — a [`LevelSchedule`] cuts the run's atomic
 //!    ops into refresh-free segments: a
 //!    [`Bootstrapper`](smartpaf_ckks::Bootstrapper) refreshes the
@@ -108,7 +112,6 @@ pub use backends::{CkksBackend, PlainBackend, StageTrace, TraceBackend, TraceRep
 pub use batch::{BatchRun, BatchRunner};
 pub use describe::{fnv1a_64, PipelineDesc, StageDesc};
 pub use exec::{InferenceBackend, PafOp, RunError, RunStats};
-pub use maxpool::pool_taps;
 pub use pack::{LanePacker, PackError, PackedBatch, SlotLayout};
 pub use pipeline::{HePipeline, PipelineBuilder, Stage};
 pub use schedule::{AtomicOp, LevelSchedule, ScheduledOp};

@@ -27,12 +27,15 @@
 //!   the per-matrix diagonal-encoding cache exactly like the base
 //!   pipeline.
 //!
-//! PAF stages are elementwise per slot, so they pack for free; all
-//! slot *mixing* in a compiled pipeline happens through
-//! [`DiagMatrix`](smartpaf_ckks::DiagMatrix) stages (maxpool window
-//! taps included), which
+//! PAF evaluations are elementwise per slot, so they pack for free.
+//! Affine stages mix slots through
+//! [`DiagMatrix`](smartpaf_ckks::DiagMatrix) products, which
 //! [`block_diag`](smartpaf_ckks::DiagMatrix::block_diag) replicates
-//! block-diagonally so no rotation ever reads another lane's slots.
+//! block-diagonally so no output ever reads another lane's slots. A
+//! max pool's shifts rotate the *whole* packed vector instead (a
+//! block-diagonal shift would cost a level): what they carry across a
+//! lane boundary lands only in slots the pool's anchor selection — an
+//! affine stage — drops.
 
 use crate::pipeline::{HePipeline, Stage};
 use smartpaf_ckks::{Ciphertext, Evaluator};
@@ -134,12 +137,7 @@ impl SlotLayout {
             });
         }
         for stage in pipe.stages() {
-            let mats: &[smartpaf_ckks::DiagMatrix] = match stage {
-                Stage::Affine { mat, .. } => std::slice::from_ref(mat),
-                Stage::PafMax { taps, .. } => taps,
-                Stage::PafRelu { .. } => &[],
-            };
-            for mat in mats {
+            if let Stage::Affine { mat, .. } = stage {
                 if mat.dim() != pipe.dim() {
                     return Err(PackError::LaneCrossing {
                         stage: stage.label(),

@@ -2,7 +2,7 @@
 //! matrices and compiling an alternating affine/PAF stage list.
 
 use crate::exec::RunError;
-use crate::maxpool::pool_taps;
+use crate::maxpool::{pool_out_shape, pool_shifts, selection_rows};
 use smartpaf_ckks::DiagMatrix;
 use smartpaf_nn::{Layer, Mode};
 use smartpaf_polyfit::{CompositeEval, CompositePaf, PafForm, PafSlotKind};
@@ -13,7 +13,8 @@ use std::sync::Arc;
 #[derive(Clone)]
 pub enum Stage {
     /// An affine map `x ↦ Mx + b` (conv / BN / pooling / linear runs,
-    /// linearised by probing). Costs one level.
+    /// linearised by probing, and the anchor selection of a max pool).
+    /// Costs one level.
     Affine {
         /// The padded diagonal matrix.
         mat: DiagMatrix,
@@ -30,16 +31,19 @@ pub enum Stage {
         /// Output scale (normally `s`; 1.0 after folding).
         post_scale: f64,
     },
-    /// A PAF max pool: window taps (pre-scaled by `1/s` at compile
-    /// time, so tap selection costs one level total) followed by the
-    /// nested PAF-max fold of §5.4.3, then `post_scale`.
+    /// The fold of a PAF max pool (see the `maxpool` module docs): for
+    /// each shift `T` in order, `v ← paf_max(v, T·v)` — the nested
+    /// PAF-max of §5.4.3 on one ciphertext. Carries no scale: the
+    /// pool's `1/s` sits in the stage before it and its `s` in the
+    /// anchor selection, an [`Stage::Affine`], after it.
     PafMax {
-        /// One selection matrix per window offset, already scaled.
-        taps: Vec<DiagMatrix>,
+        /// Window size `k`.
+        k: usize,
+        /// The fold's shifts: steps of cyclic left rotations of the
+        /// whole slot vector — the same steps at any lane count.
+        shifts: Vec<usize>,
         /// The composite sign approximation.
         paf: CompositePaf,
-        /// Output scale (normally `s`; 1.0 after folding).
-        post_scale: f64,
     },
 }
 
@@ -48,7 +52,7 @@ impl Stage {
     /// atomic ops (see [`crate::LevelSchedule`]).
     pub fn levels(&self) -> usize {
         let mut levels = 0;
-        self.for_each_atomic_op(|need, _| levels += need);
+        self.for_each_atomic_op(|need| levels += need);
         levels
     }
 
@@ -64,29 +68,57 @@ impl Stage {
                 )
             }
             Stage::PafRelu { paf, .. } => format!("paf-relu[depth={}]", paf.mult_depth()),
-            Stage::PafMax { taps, paf, .. } => {
-                format!("paf-max[taps={} depth={}]", taps.len(), paf.mult_depth())
-            }
+            Stage::PafMax { k, shifts, paf } => format!(
+                "paf-max[k={k} shifts={} depth={}]",
+                shifts.len(),
+                paf.mult_depth()
+            ),
         }
     }
 }
 
+/// A stage before the pipeline dimension is known: affine maps stay
+/// dense rows (they still compose and take scales), PAF stages are
+/// final.
 enum RawStage {
-    Affine {
-        rows: Vec<Vec<f64>>,
-        bias: Vec<f64>,
-    },
-    Relu {
-        paf: CompositePaf,
-        scale: f64,
-    },
-    Max {
-        shape: Vec<usize>,
-        k: usize,
-        stride: usize,
-        paf: CompositePaf,
-        scale: f64,
-    },
+    Affine { rows: Vec<Vec<f64>>, bias: Vec<f64> },
+    Paf(Stage),
+}
+
+/// Appends the affine map `(rows, bias)`, composing it with an affine
+/// stage it directly follows: `x ↦ B(Ax + a) + b` is one stage and one
+/// level, not two.
+fn push_affine(raw: &mut Vec<RawStage>, rows: Vec<Vec<f64>>, bias: Vec<f64>) {
+    let Some(RawStage::Affine {
+        rows: first,
+        bias: first_bias,
+    }) = raw.last_mut()
+    else {
+        raw.push(RawStage::Affine { rows, bias });
+        return;
+    };
+    // Row o of B·A is Σ_j B[o][j]·A[j]; both factors are sparse where
+    // it matters (a pool's selection has one entry per row).
+    let sparse: Vec<Vec<(usize, f64)>> = first
+        .iter()
+        .map(|row| {
+            let nonzero = row.iter().copied().enumerate().filter(|&(_, v)| v != 0.0);
+            nonzero.collect()
+        })
+        .collect();
+    let in_dim = first[0].len();
+    let mut composed = vec![vec![0.0f64; in_dim]; rows.len()];
+    let mut composed_bias = bias;
+    for ((out, out_bias), row) in composed.iter_mut().zip(&mut composed_bias).zip(&rows) {
+        for (j, &b) in row.iter().enumerate().filter(|&(_, &b)| b != 0.0) {
+            for &(i, a) in &sparse[j] {
+                out[i] += b * a;
+            }
+            *out_bias += b * first_bias[j];
+        }
+    }
+    *first = composed;
+    *first_bias = composed_bias;
 }
 
 enum Spec {
@@ -193,6 +225,16 @@ impl PipelineBuilder {
     /// Probes and compiles the pipeline, reporting structural problems
     /// (empty builder, untileable pool window, non-CHW pool input) as
     /// typed [`RunError`]s.
+    ///
+    /// A max pool lowers to its fold ([`Stage::PafMax`]) followed by
+    /// the anchor selection as an affine map, and adjacent affine maps
+    /// compose: conv → ReLU → pool → linear is four stages, the linear
+    /// absorbing selection and post-scale at no level, while a pool
+    /// that ends the pipeline or feeds a PAF stage keeps its selection
+    /// stage. The pool's `1/s` goes into the stage before it — an
+    /// affine's entries, or a PAF-ReLU's post-scale (`s_relu / s_pool`,
+    /// exactly 1.0 for equal scales) — and a pool that opens the
+    /// pipeline gets a scaled-identity stage to carry it.
     pub fn try_compile(self) -> Result<HePipeline, RunError> {
         if self.specs.is_empty() {
             return Err(RunError::EmptyPipeline);
@@ -209,7 +251,7 @@ impl PipelineBuilder {
                 }
                 let (rows, bias, out_shape) = probe_affine(pending, shape);
                 *shape = out_shape;
-                raw.push(RawStage::Affine { rows, bias });
+                push_affine(raw, rows, bias);
                 pending.clear();
             };
 
@@ -218,7 +260,11 @@ impl PipelineBuilder {
                 Spec::Affine(layer) => pending.push(layer),
                 Spec::Relu { paf, scale } => {
                     flush(&mut pending, &mut shape, &mut raw);
-                    raw.push(RawStage::Relu { paf, scale });
+                    raw.push(RawStage::Paf(Stage::PafRelu {
+                        paf,
+                        pre_scale: 1.0 / scale,
+                        post_scale: scale,
+                    }));
                 }
                 Spec::Max {
                     k,
@@ -231,43 +277,60 @@ impl PipelineBuilder {
                         return Err(RunError::NotChw { dims: shape });
                     }
                     let (h, w) = (shape[1], shape[2]);
-                    // k == 0 / stride == 0 are degenerate specs that
-                    // would divide by zero below; fold them into the
+                    // Degenerate specs (k == 0, stride == 0) are the
                     // same typed error as an untileable window.
-                    if k == 0
-                        || stride == 0
-                        || h < k
-                        || w < k
-                        || !(h - k).is_multiple_of(stride)
-                        || !(w - k).is_multiple_of(stride)
-                    {
+                    let Some(out_shape) = pool_out_shape(&shape, k, stride) else {
                         return Err(RunError::PoolUntileable { h, w, k, stride });
+                    };
+                    // A 1×1 window has nothing to fold (and so nothing
+                    // to scale): the pool is its selection alone.
+                    let fold = k > 1;
+                    if fold {
+                        // The fold runs on `x/s`: `1/s` into the stage
+                        // before it (a ReLU's post-scale by division, so
+                        // equal scales cancel to exactly 1.0), `s` into
+                        // the selection after it.
+                        match raw.last_mut() {
+                            Some(RawStage::Affine { rows, bias }) => {
+                                let entries = rows.iter_mut().flatten().chain(bias.iter_mut());
+                                entries.for_each(|v| *v /= scale);
+                            }
+                            Some(RawStage::Paf(Stage::PafRelu { post_scale, .. })) => {
+                                *post_scale /= scale
+                            }
+                            Some(RawStage::Paf(_)) => {
+                                unreachable!("a pool's fold is followed by its selection")
+                            }
+                            None if scale == 1.0 => {}
+                            None => {
+                                let mut rows = vec![vec![0.0; input_dim]; input_dim];
+                                for (i, row) in rows.iter_mut().enumerate() {
+                                    row[i] = 1.0 / scale;
+                                }
+                                let bias = vec![0.0; input_dim];
+                                raw.push(RawStage::Affine { rows, bias });
+                            }
+                        }
+                        let shifts = pool_shifts(k, w);
+                        raw.push(RawStage::Paf(Stage::PafMax { k, shifts, paf }));
                     }
-                    let in_shape = shape.clone();
-                    let ho = (h - k) / stride + 1;
-                    let wo = (w - k) / stride + 1;
-                    shape = vec![shape[0], ho, wo];
-                    raw.push(RawStage::Max {
-                        shape: in_shape,
-                        k,
-                        stride,
-                        paf,
-                        scale,
-                    });
+                    let entry = if fold { scale } else { 1.0 };
+                    let rows = selection_rows(&shape, k, stride, entry);
+                    shape = out_shape;
+                    let bias = vec![0.0; rows.len()];
+                    push_affine(&mut raw, rows, bias);
                 }
             }
         }
         flush(&mut pending, &mut shape, &mut raw);
         let output_dim: usize = shape.iter().product();
 
-        // Global padded dimension: every stage shares one slot layout.
+        // Global padded dimension: every stage shares one slot layout
+        // (a pool's input is its selection's, so the affines cover it).
         let mut dim = input_dim.max(output_dim);
         for r in &raw {
             if let RawStage::Affine { rows, .. } = r {
                 dim = dim.max(rows.len()).max(rows[0].len());
-            }
-            if let RawStage::Max { shape, .. } = r {
-                dim = dim.max(shape.iter().product());
             }
         }
         let dim = dim.next_power_of_two();
@@ -281,26 +344,7 @@ impl PipelineBuilder {
                     b.resize(dim, 0.0);
                     Stage::Affine { mat, bias: b }
                 }
-                RawStage::Relu { paf, scale } => Stage::PafRelu {
-                    paf,
-                    pre_scale: 1.0 / scale,
-                    post_scale: scale,
-                },
-                RawStage::Max {
-                    shape,
-                    k,
-                    stride,
-                    paf,
-                    scale,
-                } => {
-                    let (taps, _) = pool_taps(&shape, k, stride, dim);
-                    let taps = taps.into_iter().map(|t| t.scaled(1.0 / scale)).collect();
-                    Stage::PafMax {
-                        taps,
-                        paf,
-                        post_scale: scale,
-                    }
-                }
+                RawStage::Paf(stage) => stage,
             })
             .collect();
 
@@ -493,7 +537,7 @@ impl HePipeline {
     }
 
     /// Rebuilds this pipeline with every PAF stage's composite replaced
-    /// by `paf`, keeping the probed affine matrices, scales, taps, and
+    /// by `paf`, keeping the probed affine matrices, scales, shifts, and
     /// slot layout untouched and re-preparing the plaintext engines —
     /// the uniform (single-form) case of [`HePipeline::with_pafs`].
     ///
@@ -510,7 +554,7 @@ impl HePipeline {
 
     /// Rebuilds this pipeline with the `i`-th PAF stage's composite
     /// replaced by `pafs[i]` (stage order), keeping the probed affine
-    /// matrices, scales, taps, and slot layout untouched. Slots that
+    /// matrices, scales, shifts, and slot layout untouched. Slots that
     /// pick the same composite share one prepared evaluation engine.
     ///
     /// This is the per-slot generalisation of [`HePipeline::with_paf`]
@@ -611,15 +655,13 @@ impl HePipeline {
                         post_scale: *post_scale,
                     }
                 }
-                Stage::PafMax {
-                    taps, post_scale, ..
-                } => {
+                Stage::PafMax { k, shifts, .. } => {
                     let (paf, eng) = next.next().expect("one composite per PAF slot");
                     prepared.push(Some(Arc::clone(eng)));
                     Stage::PafMax {
-                        taps: taps.clone(),
+                        k: *k,
+                        shifts: shifts.clone(),
                         paf: paf.clone(),
-                        post_scale: *post_scale,
                     }
                 }
             })
@@ -648,10 +690,11 @@ impl HePipeline {
     }
 
     /// Rebuilds this pipeline at `lanes` slot lanes: every affine
-    /// matrix and pool tap is replicated block-diagonally
+    /// matrix is replicated block-diagonally
     /// ([`DiagMatrix::block_diag`]), biases are tiled across lanes, and
-    /// PAF stages — elementwise by construction — carry over untouched,
-    /// sharing their prepared engines with the source pipeline.
+    /// PAF stages carry over untouched — a ReLU is elementwise, a pool's
+    /// shifts rotate the wider vector by the same steps — sharing their
+    /// prepared engines with the source pipeline.
     ///
     /// The expanded pipeline is an ordinary [`HePipeline`] at padded
     /// dimension `lanes · dim` whose plain evaluation applies the base
@@ -690,16 +733,12 @@ impl HePipeline {
                         bias: tiled,
                     }
                 }
-                Stage::PafRelu { .. } => s.clone(),
-                Stage::PafMax {
-                    taps,
-                    paf,
-                    post_scale,
-                } => Stage::PafMax {
-                    taps: taps.iter().map(|t| t.block_diag(lanes)).collect(),
-                    paf: paf.clone(),
-                    post_scale: *post_scale,
-                },
+                // A pool's shifts rotate the whole lane-concatenated
+                // vector by the same steps, not each lane within itself
+                // (two diagonals and a level): a window inside its
+                // image never reads across its lane, and what does
+                // cross lands only in filler slots.
+                Stage::PafRelu { .. } | Stage::PafMax { .. } => s.clone(),
             })
             .collect();
         HePipeline {
@@ -711,11 +750,13 @@ impl HePipeline {
         }
     }
 
-    /// Folds Static-Scaling multiplications into neighbouring affine
-    /// matrices: an affine stage directly before a PAF-ReLU absorbs the
-    /// `1/s` pre-scale, and an affine stage directly after any PAF
-    /// stage absorbs the `s` post-scale. Saves up to two levels per
-    /// activation with bit-identical plaintext semantics.
+    /// Folds a PAF-ReLU's Static-Scaling multiplications into
+    /// neighbouring affine matrices: an affine stage directly before it
+    /// absorbs the `1/s` pre-scale, and one directly after it the `s`
+    /// post-scale. Saves up to two levels per activation with
+    /// bit-identical plaintext semantics. (A max pool's scales never
+    /// reach a stage of their own: [`PipelineBuilder::try_compile`]
+    /// places them in its neighbours.)
     pub fn fold_scales(mut self) -> Self {
         // Pre-fold: affine followed by PafRelu.
         for i in 1..self.stages.len() {
@@ -733,21 +774,16 @@ impl HePipeline {
                 }
             }
         }
-        // Post-fold: PAF stage followed by affine.
+        // Post-fold: PafRelu followed by affine.
         for i in 0..self.stages.len().saturating_sub(1) {
             let post = match &self.stages[i] {
                 Stage::PafRelu { post_scale, .. } if *post_scale != 1.0 => *post_scale,
-                Stage::PafMax { post_scale, .. } if *post_scale != 1.0 => *post_scale,
                 _ => continue,
             };
-            if matches!(self.stages[i + 1], Stage::Affine { .. }) {
-                if let Stage::Affine { mat, .. } = &mut self.stages[i + 1] {
-                    *mat = mat.scaled(post);
-                }
-                match &mut self.stages[i] {
-                    Stage::PafRelu { post_scale, .. } => *post_scale = 1.0,
-                    Stage::PafMax { post_scale, .. } => *post_scale = 1.0,
-                    Stage::Affine { .. } => unreachable!(),
+            if let Stage::Affine { mat, .. } = &mut self.stages[i + 1] {
+                *mat = mat.scaled(post);
+                if let Stage::PafRelu { post_scale, .. } = &mut self.stages[i] {
+                    *post_scale = 1.0;
                 }
             }
         }
@@ -758,6 +794,7 @@ impl HePipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::maxpool::exact_pool;
     use smartpaf_nn::{AvgPool2d, BatchNorm2d, Conv2d, Flatten, Linear};
     use smartpaf_polyfit::PafForm;
     use smartpaf_tensor::Rng64;
@@ -877,6 +914,90 @@ mod tests {
                 assert!((g - m).abs() < 0.25, "window ({oy},{ox}): {g} vs {m}");
             }
         }
+    }
+
+    #[test]
+    fn a_pool_scale_is_pushed_into_the_stage_before_it() {
+        let mut rng = Rng64::new(15);
+        let paf = relu_paf();
+        // Equal scales cancel exactly — also where `s · (1/s)` would
+        // not — and the ReLU loses its post-scale multiplication; the
+        // linear head absorbs the selection: four stages, no more.
+        for s in [4.0, 49.0] {
+            let pipe = PipelineBuilder::new(&[1, 4, 4])
+                .affine(Conv2d::new(1, 1, 3, 1, 1, &mut rng))
+                .paf_relu(&paf, s)
+                .paf_maxpool(2, 2, &paf, s)
+                .affine(Flatten::new())
+                .affine(Linear::new(4, 3, &mut rng))
+                .compile();
+            assert_eq!(pipe.stages().len(), 4);
+            let Stage::PafRelu { post_scale, .. } = &pipe.stages()[1] else {
+                panic!("stage 1 is the ReLU");
+            };
+            assert_eq!(*post_scale, 1.0, "s = {s}");
+        }
+        assert_ne!(49.0 * (1.0 / 49.0), 1.0);
+        // Unequal scales leave the quotient.
+        let pipe = PipelineBuilder::new(&[1, 4, 4])
+            .paf_relu(&paf, 6.0)
+            .paf_maxpool(2, 2, &paf, 8.0)
+            .compile();
+        let Stage::PafRelu { post_scale, .. } = &pipe.stages()[0] else {
+            panic!("stage 0 is the ReLU");
+        };
+        assert_eq!(*post_scale, 0.75);
+        // A pool that ends the pipeline keeps its selection stage, with
+        // the post-scale in it.
+        let labels: Vec<String> = pipe.stages().iter().map(Stage::label).collect();
+        assert_eq!(
+            labels,
+            [
+                "paf-relu[depth=5]",
+                "paf-max[k=2 shifts=2 depth=5]",
+                "affine[4x16 diag=4]"
+            ]
+        );
+        let Stage::Affine { mat, .. } = &pipe.stages()[2] else {
+            panic!("stage 2 is the selection");
+        };
+        assert!(mat
+            .diagonals()
+            .all(|(_, d)| d.iter().all(|&v| v == 0.0 || v == 8.0)));
+    }
+
+    #[test]
+    fn pools_first_and_back_to_back_match_the_exact_pool() {
+        // A pool that opens the pipeline gets a scaled identity to
+        // carry its `1/s` (none when `s = 1`); a pool after a pool
+        // pushes it into the first one's selection.
+        let paf = CompositePaf::from_form(PafForm::Alpha7);
+        let x: Vec<f64> = (0..64)
+            .map(|i| ((i * 29) % 31) as f64 / 5.0 - 3.0)
+            .collect();
+        let first = PipelineBuilder::new(&[1, 8, 8])
+            .paf_maxpool(2, 2, &paf, 8.0)
+            .compile();
+        assert_eq!(first.stages().len(), 3);
+        let unscaled = PipelineBuilder::new(&[1, 8, 8])
+            .paf_maxpool(2, 2, &paf, 1.0)
+            .compile();
+        assert_eq!(unscaled.stages().len(), 2);
+        let twice = PipelineBuilder::new(&[1, 8, 8])
+            .paf_maxpool(2, 2, &paf, 8.0)
+            .paf_maxpool(3, 1, &paf, 6.0)
+            .compile();
+        assert_eq!(twice.stages().len(), 5);
+        assert_eq!(twice.output_dim(), 4);
+        let once = exact_pool(&x, &[1, 8, 8], 2, 2);
+        let close = |got: &[f64], want: &[f64]| {
+            assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(want) {
+                assert!((g - w).abs() < 0.25, "{g} vs {w}");
+            }
+        };
+        close(&first.eval_plain(&x), &once);
+        close(&twice.eval_plain(&x), &exact_pool(&once, &[1, 4, 4], 3, 1));
     }
 
     #[test]

@@ -106,6 +106,47 @@ proptest! {
         }
     }
 
+    /// Every op is one ciphertext wide, so the greedy refresh count is
+    /// monotone in op depth — a cut that works for deeper ops works for
+    /// shallower ones: on random affine / ReLU / max-pool sequences and
+    /// chains of 6 to 14 levels, the deeper of two forms never takes
+    /// fewer refreshes than the shallower.
+    #[test]
+    fn a_deeper_form_never_takes_fewer_refreshes(
+        max_level in 6usize..15,
+        kinds in proptest::collection::vec(0usize..3, 1..8),
+        first in 0usize..6,
+        second in 0usize..6,
+    ) {
+        let form = |i| CompositePaf::from_form(PafForm::all()[i]);
+        let (a, b) = (form(first), form(second));
+        let (shallow, deep) = if a.mult_depth() <= b.mult_depth() { (a, b) } else { (b, a) };
+        let mut builder = PipelineBuilder::new(&[1, 8, 8]);
+        let mut side = 8;
+        for kind in kinds {
+            builder = match kind {
+                1 => builder.paf_relu(&shallow, 2.0),
+                // A 1×1 map has no window left to pool.
+                2 if side > 1 => {
+                    side /= 2;
+                    builder.paf_maxpool(2, 2, &shallow, 3.0)
+                }
+                _ => builder.affine(Conv2d::new(1, 1, 3, 1, 1, &mut Rng64::new(7))),
+            };
+        }
+        let pipe = builder.compile();
+        let refreshes = |paf| {
+            let traced = pipe.with_paf(paf).dry_run(max_level, true);
+            traced.map(|(report, _)| report.total_bootstraps())
+        };
+        match (refreshes(&shallow), refreshes(&deep)) {
+            (Ok(shallow), Ok(deep)) => prop_assert!(shallow <= deep, "{shallow} > {deep}"),
+            // A form too deep for the chain rules out every deeper one.
+            (Err(_), deep) => prop_assert!(deep.is_err()),
+            (Ok(_), Err(_)) => {}
+        }
+    }
+
     /// Stage level accounting is consistent: folding saves exactly the
     /// number of eliminated scale multiplications.
     #[test]

@@ -200,8 +200,8 @@ mod tests {
         let ct = pe
             .evaluator()
             .encrypt_replicated(&pipe.pad_input(&x), &mut rng);
-        // 1 + 2·(depth+1) = 15 levels > the toy chain's 12: the fold
-        // must refresh mid-stage.
+        // Scale, two shifts, selection: 1 + 2·(depth+1) + 1 = 16 levels
+        // > the toy chain's 12, so the fold must refresh mid-stage.
         let bs = Bootstrapper::new(pe.evaluator().clone(), pipe.dim(), 3);
         let (out_ct, stats) = pipe.eval_encrypted(&pe, Some(&bs), &ct);
         assert!(stats.bootstraps >= 1);

@@ -23,50 +23,36 @@ use crate::exec::RunError;
 use crate::pipeline::{HePipeline, Stage};
 use smartpaf_ckks::PafEvaluator;
 
-/// One indivisible level-consuming step of a pipeline.
+/// One indivisible level-consuming step of a pipeline, on one
+/// ciphertext.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AtomicOp {
     /// Index of the stage the op belongs to.
     pub stage: usize,
     /// Levels the op consumes.
     pub need: usize,
-    /// Ciphertexts entering the op: 1, except a max-pool fold round,
-    /// which takes every tap still in the fold. A refresh before the op
-    /// refreshes all of them, and only a fold round can refresh *inside*
-    /// its stage.
-    pub width: usize,
 }
 
 impl Stage {
-    /// Calls `f(need, width)` for each of the stage's atomic ops, in
-    /// execution order (see [`AtomicOp`]): an affine map is one op of
-    /// one level; a PAF-ReLU is one op covering its scale
-    /// multiplications; a max pool is the tap selection, one op per
-    /// pairwise fold round, then its post-scale.
-    pub(crate) fn for_each_atomic_op(&self, mut f: impl FnMut(usize, usize)) {
+    /// Calls `f(need)` for each of the stage's atomic ops, in execution
+    /// order (see [`AtomicOp`]): an affine map is one op of one level;
+    /// a PAF-ReLU is one op covering its scale multiplications; a max
+    /// pool's fold is one PAF-max per shift, and a refresh can fall
+    /// between two of them.
+    pub(crate) fn for_each_atomic_op(&self, mut f: impl FnMut(usize)) {
         match self {
-            Stage::Affine { .. } => f(1, 1),
+            Stage::Affine { .. } => f(1),
             Stage::PafRelu {
                 paf,
                 pre_scale,
                 post_scale,
             } => {
                 let scales = usize::from(*pre_scale != 1.0) + usize::from(*post_scale != 1.0);
-                f(PafEvaluator::relu_depth(paf) + scales, 1);
+                f(PafEvaluator::relu_depth(paf) + scales);
             }
-            Stage::PafMax {
-                taps,
-                paf,
-                post_scale,
-            } => {
-                f(1, 1);
-                let mut items = taps.len();
-                while items > 1 {
-                    f(PafEvaluator::relu_depth(paf), items);
-                    items = items.div_ceil(2);
-                }
-                if *post_scale != 1.0 {
-                    f(1, 1);
+            Stage::PafMax { shifts, paf, .. } => {
+                for _ in shifts {
+                    f(PafEvaluator::relu_depth(paf));
                 }
             }
         }
@@ -78,7 +64,7 @@ impl HePipeline {
     pub fn atomic_ops(&self) -> Vec<AtomicOp> {
         let mut ops = Vec::new();
         for (stage, s) in self.stages.iter().enumerate() {
-            s.for_each_atomic_op(|need, width| ops.push(AtomicOp { stage, need, width }));
+            s.for_each_atomic_op(|need| ops.push(AtomicOp { stage, need }));
         }
         ops
     }
@@ -89,19 +75,12 @@ impl HePipeline {
 pub struct ScheduledOp {
     /// The op.
     pub op: AtomicOp,
-    /// Whether a segment starts here: every ciphertext entering the op
-    /// is refreshed first.
+    /// Whether a segment starts here: the ciphertext is refreshed
+    /// before the op.
     pub refresh: bool,
     /// The level the op is entered at: what it and the rest of its
     /// segment consume.
     pub level_in: usize,
-}
-
-impl ScheduledOp {
-    /// Ciphertexts refreshed before the op.
-    pub fn refreshes(&self) -> usize {
-        usize::from(self.refresh) * self.op.width
-    }
 }
 
 /// Why a walk stopped before the last op.
@@ -110,8 +89,8 @@ enum Stop {
     /// The op needs more than the `available` levels and refreshing is
     /// not allowed.
     OutOfLevels { available: usize },
-    /// An op of the stage needs more levels than a refresh provides.
-    AtomicDepthExceeded { needed: usize },
+    /// The op needs more levels than a refresh provides.
+    AtomicDepthExceeded,
 }
 
 /// The greedy refresh-on-exhaustion schedule of one run (module docs).
@@ -150,20 +129,12 @@ impl LevelSchedule {
         let mut level = start_level;
         let mut segment = 0;
         for (i, &op) in ops.iter().enumerate() {
-            // No refresh can help a stage with an op deeper than the
-            // refresh level, so it stops the run where the stage starts.
-            if i == 0 || ops[i - 1].stage != op.stage {
-                let deepest = ops[i..]
-                    .iter()
-                    .take_while(|o| o.stage == op.stage)
-                    .map(|o| o.need)
-                    .max()
-                    .expect("the stage has this op");
-                if deepest > refresh_level {
-                    let stop = Stop::AtomicDepthExceeded { needed: deepest };
-                    schedule.stopped_at = Some((op, stop));
-                    return schedule;
-                }
+            // No refresh can help an op deeper than the refresh level.
+            // A stage's ops are equally deep, so this stops the run
+            // where the stage starts.
+            if op.need > refresh_level {
+                schedule.stopped_at = Some((op, Stop::AtomicDepthExceeded));
+                return schedule;
             }
             let refresh = level < op.need;
             if refresh {
@@ -206,11 +177,13 @@ impl LevelSchedule {
                     label,
                     available,
                     needed: op.need,
-                    mid_stage: op.width > 1,
+                    // Not the first op of its stage: the op before it
+                    // was scheduled, and belongs to the same stage.
+                    mid_stage: self.ops.last().is_some_and(|o| o.op.stage == stage),
                 },
-                Stop::AtomicDepthExceeded { needed } => RunError::AtomicDepthExceeded {
+                Stop::AtomicDepthExceeded => RunError::AtomicDepthExceeded {
                     label,
-                    needed,
+                    needed: op.need,
                     max_level: self.refresh_level,
                 },
             });
@@ -242,25 +215,16 @@ mod tests {
     use super::*;
 
     fn ops(needs: &[usize]) -> Vec<AtomicOp> {
-        needs
-            .iter()
-            .enumerate()
-            .map(|(stage, &need)| AtomicOp {
-                stage,
-                need,
-                width: 1,
-            })
-            .collect()
+        let op = |(stage, &need)| AtomicOp { stage, need };
+        needs.iter().enumerate().map(op).collect()
     }
 
-    /// One pool stage from its ops' `(need, width)`.
-    fn pool(ops: &[(usize, usize)]) -> Vec<AtomicOp> {
-        let op = |&(need, width)| AtomicOp {
-            stage: 0,
-            need,
-            width,
-        };
-        ops.iter().map(op).collect()
+    /// One pool stage from its shifts' needs.
+    fn pool(needs: &[usize]) -> Vec<AtomicOp> {
+        needs
+            .iter()
+            .map(|&need| AtomicOp { stage: 0, need })
+            .collect()
     }
 
     fn levels_in(s: &LevelSchedule) -> Vec<usize> {
@@ -290,12 +254,14 @@ mod tests {
     }
 
     #[test]
-    fn a_fold_round_refreshes_every_tap_it_takes() {
-        let s = LevelSchedule::cut(&pool(&[(1, 1), (6, 4), (6, 2), (1, 1)]), 3, 12, true);
-        assert_eq!(levels_in(&s), [1, 12, 6, 1]);
-        let refreshes: Vec<usize> = s.ops().iter().map(ScheduledOp::refreshes).collect();
-        assert_eq!(refreshes, [0, 4, 0, 1]);
-        assert_eq!(s.stage(0, "pool").unwrap().len(), 4);
+    fn a_refresh_can_fall_between_two_shifts_of_a_pool() {
+        // 11 + 11 > 12: the second shift starts a segment of its own,
+        // inside the stage, and the refresh is one ciphertext's.
+        let s = LevelSchedule::cut(&pool(&[11, 11]), 12, 12, true);
+        assert_eq!(levels_in(&s), [11, 11]);
+        let refreshed: Vec<bool> = s.ops().iter().map(|o| o.refresh).collect();
+        assert_eq!(refreshed, [false, true]);
+        assert_eq!(s.stage(0, "pool").unwrap().len(), 2);
         assert!(s.stage(1, "none").unwrap().is_empty());
     }
 
@@ -316,8 +282,8 @@ mod tests {
                 mid_stage: false,
             }
         );
-        // A fold round that runs dry is a mid-stage failure.
-        let err = LevelSchedule::cut(&pool(&[(1, 1), (6, 4)]), 3, 12, false)
+        // A pool whose second shift runs dry fails mid-stage.
+        let err = LevelSchedule::cut(&pool(&[6, 6]), 8, 12, false)
             .stage(0, "pool")
             .unwrap_err();
         assert_eq!(
@@ -333,14 +299,14 @@ mod tests {
 
     #[test]
     fn an_op_deeper_than_the_chain_stops_its_stage_at_the_door() {
-        // The fold depth is checked before the tap selection runs, even
-        // when the taps themselves would already be out of levels.
+        // The depth check comes before the level check: a pool deeper
+        // than the chain is infeasible, not out of levels, even when it
+        // is entered with none left.
         for allow_refresh in [false, true] {
-            let err = LevelSchedule::cut(&pool(&[(1, 1), (11, 4)]), 0, 8, allow_refresh)
-                .stage(0, "pool")
-                .unwrap_err();
+            let s = LevelSchedule::cut(&ops(&[1, 11, 11]), 1, 8, allow_refresh);
+            assert_eq!(levels_in(&s), [1]);
             assert_eq!(
-                err,
+                s.stage(1, "pool").unwrap_err(),
                 RunError::AtomicDepthExceeded {
                     label: "pool".into(),
                     needed: 11,

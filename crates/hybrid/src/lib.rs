@@ -228,7 +228,7 @@ fn session_trace(form: PafForm, pool: bool) -> TraceReport {
 /// [`Objective::FixedForm`] (no ciphertext arithmetic), and the
 /// recorded level / bootstrap / exact-ct-mult schedule is priced with
 /// the analytic per-op costs. Unlike the earlier analytic-only model,
-/// the pool row follows the *actual* pairwise fold schedule —
+/// the pool row follows the *actual* rotate-and-max fold schedule —
 /// including any bootstraps the paper-scale chain forces — rather than
 /// a flat 0.75× ReLU heuristic.
 fn fhe_cost(form: PafForm, w: &WorkloadSpec, accuracy_drop_pct: f64) -> SchemeCost {
@@ -240,9 +240,8 @@ fn fhe_cost(form: PafForm, w: &WorkloadSpec, accuracy_drop_pct: f64) -> SchemeCo
     let relu_per_element = trace_modmuls(&params, &relu_trace) as f64 * SECONDS_PER_MODMUL / slots;
 
     // One slot-batch of 2×2 max pooling: the trace covers 4 input
-    // elements per window, 3 pairwise PAF-max folds — per input
-    // element this is the 0.75× sign-eval rate the old heuristic
-    // assumed, but with the fold's real level schedule.
+    // elements per window and folds them with 2 PAF-max on the one
+    // ciphertext (one per shift), at the fold's real level schedule.
     let pool_trace = session_trace(form, true);
     let pool_per_element = trace_modmuls(&params, &pool_trace) as f64 * SECONDS_PER_MODMUL / slots;
 

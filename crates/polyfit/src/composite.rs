@@ -58,13 +58,13 @@ pub enum PafForm {
 pub enum PafSlotKind {
     /// One sign evaluation per activation (`relu(x)` via §5.2).
     Relu,
-    /// A pairwise max-fold over the window taps (§5.4.3): every fold
-    /// round pays the full sign depth again, per operand.
+    /// A nested max-fold over the window (§5.4.3): every step of the
+    /// fold pays the full sign depth again.
     MaxPool,
 }
 
 /// Depth cap for forms worth offering a maxpool slot: the fold pays
-/// the full sign depth per round, so the comparator-class forms
+/// the full sign depth per step, so the comparator-class forms
 /// (depth ≥ 8) mostly burn bootstraps there — they exist for
 /// accuracy-critical ReLU slots.
 const MAX_POOL_FORM_DEPTH: usize = 7;

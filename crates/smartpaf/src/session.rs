@@ -1631,13 +1631,13 @@ impl PlanReport {
             let _ = writeln!(text, "  per-slot ({}):", chosen_cand.label());
             let _ = writeln!(
                 text,
-                "    {:>4} {:<28} {:<10} {:>6} {:>10} {:>9}",
+                "    {:>4} {:<30} {:<10} {:>6} {:>10} {:>9}",
                 "slot", "stage", "form", "levels", "bootstraps", "ct-mults"
             );
             for (stage, form) in chosen_cand.trace.paf_slots().iter().zip(&chosen_cand.forms) {
                 let _ = writeln!(
                     text,
-                    "    {:>4} {:<28} {:<10} {:>6} {:>10} {:>9}",
+                    "    {:>4} {:<30} {:<10} {:>6} {:>10} {:>9}",
                     stage.slot.expect("paf_slots rows carry a slot index"),
                     stage.label,
                     form.short_name(),
@@ -1666,12 +1666,14 @@ impl fmt::Display for PlanReport {
 /// rotations at their key-switch *apply* cost and its decompositions at
 /// their *decompose* cost (hoisted rotations share decompositions, so
 /// the two counts differ), both on the `level_in + 1` limbs the stage
-/// is entered on — its key switches all sit in its first atomic op;
+/// is entered on — an affine's key switches all sit there, and a
+/// pool's later shifts, which run lower, are priced as the first;
 /// every exact ct-mult (plus its rescale) at the mean of the stage's
 /// entry and exit limb counts; and every forced refresh at the full
 /// analytic bootstrap cost. A stage that consumes more levels than it
-/// is entered at refreshed inside and ran on from the top of the chain,
-/// so its ct-mults are priced over the whole chain. Every key-switch
+/// is entered at — a pool with a refresh between two of its shifts —
+/// ran on from the top of the chain, so its ct-mults are priced over
+/// the whole chain. Every key-switch
 /// price is the executed count at the parameters' digit size
 /// (`CkksParams::ks_digit_limbs`). The one conversion behind the
 /// planner's frontier pricing and the hybrid crate's Tab. 1 rows.

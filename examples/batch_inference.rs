@@ -27,8 +27,8 @@ fn main() {
 
     // 1. The instant cost oracle: per-stage schedule, no arithmetic.
     //    The form column shows the per-slot assignment — on this
-    //    conv+pool pipeline the planner picks a *mixed* vector (deep
-    //    comparator ReLU, cheap pool fold).
+    //    conv+pool pipeline f1∘g2 in both slots: with the pool folded
+    //    on one ciphertext the shallowest form never refreshes more.
     let (report, _) = session.dry_run().expect("traceable");
     println!(
         "\n[trace] per-stage schedule with {}:",
@@ -38,7 +38,7 @@ fn main() {
     for s in &report.stages {
         let form = s.slot.map(|i| forms[i].short_name()).unwrap_or("-");
         println!(
-            "  {:<28} form {:<8} enters at {:>2}  levels {:>2}  bootstraps {}  exact ct-mults {}",
+            "  {:<30} form {:<8} enters at {:>2}  levels {:>2}  bootstraps {}  exact ct-mults {}",
             s.label, form, s.level_in, s.levels, s.bootstraps, s.ct_mults
         );
     }

@@ -10,7 +10,9 @@
 //!   rotations (1 level each);
 //! * ReLU → PAF with Static Scaling, the `1/s` and `s` multiplications
 //!   folded into the neighbouring affine stages;
-//! * MaxPool → window taps + the nested PAF-max fold of §5.4.3.
+//! * MaxPool → the nested PAF-max fold of §5.4.3 as rotate-and-max on
+//!   the one ciphertext (two rotations and two PAF-max for a 2×2
+//!   window), its anchor selection absorbed by the linear head.
 //!
 //! Run with: `cargo run -p smartpaf-examples --release --bin encrypted_cnn`
 

@@ -7,9 +7,10 @@
 //! private. Features come from a plaintext extractor (a 4×4 grid of
 //! regional means); the head — where the non-polynomial operators
 //! live — runs encrypted. The planner searches per-slot *form
-//! vectors*, and on this conv+pool head it picks a mixed one: the
-//! deep comparator for the ReLU slot, the cheap f1∘g2 fold for the
-//! pool — printed below as the per-slot table.
+//! vectors* for the fewest refreshes; the pool folds on the one
+//! ciphertext, so every op is one ciphertext wide, shallower never
+//! refreshes more, and on this conv+pool head the search settles on
+//! f1∘g2 in both slots — printed below as the per-slot table.
 //!
 //! Run with: `cargo run -p smartpaf-examples --release --bin private_inference`
 
@@ -21,7 +22,7 @@ use smartpaf_tensor::{Rng64, Tensor};
 const GRID: usize = 4;
 
 fn main() {
-    println!("Private inference demo: encrypted mixed-form PAF head over a synthetic task\n");
+    println!("Private inference demo: encrypted PAF head over a synthetic task\n");
     let spec = SynthSpec::tiny(9);
     let dataset = SynthDataset::new(spec);
     let batch = 8;
