@@ -5,8 +5,8 @@
 //! three ring sizes, and the ciphertext pipeline (encrypt, add,
 //! mul+relin, rescale, rotate, mul_const) at N = 4096 and N = 8192,
 //! with the key-switch gadget's digit count and the host core count
-//! recorded as group metadata, plus the 2×2 max-pool fold every CNN
-//! inference runs (`pool_fold_2x2`). `bench_hoist` fails the bench if 8
+//! recorded as group metadata, plus the PAF-ReLU (`relu_f1g2`) and the
+//! 2×2 max-pool fold (`pool_fold_2x2`) every CNN inference runs. `bench_hoist` fails the bench if 8
 //! rotations of one ciphertext from one key-switch decomposition do
 //! not cost < 0.6× eight standalone rotations.
 //! Emits `BENCH_ckks.json` through the criterion shim's JSON hook; CI
@@ -16,7 +16,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use smartpaf_ckks::modular::ntt_primes;
 use smartpaf_ckks::{
-    cost, par, CkksParams, DiagMatrix, Evaluator, KeyChain, NttTable, PafEvaluator,
+    cost, par, Ciphertext, CkksParams, DiagMatrix, Evaluator, KeyChain, NttTable, PafEvaluator,
 };
 use smartpaf_polyfit::{CompositePaf, PafForm};
 use smartpaf_tensor::Rng64;
@@ -94,12 +94,10 @@ fn bench_cipher_ops_at(c: &mut Criterion, params: CkksParams) {
             std::hint::black_box(p)
         })
     });
+    // The product as the PAF evaluator takes it: one division by
+    // P·q_last (compare `mul_relin` + `rescale`).
     g.bench_function("mul_relin_rescale", |b| {
-        b.iter(|| {
-            let mut p = ev.mul(&ct, &ct);
-            ev.rescale(&mut p);
-            std::hint::black_box(p)
-        })
+        b.iter(|| std::hint::black_box(ev.relinearize_rescale(ev.tensor(&ct, &ct))))
     });
     g.bench_function("rotate", |b| {
         b.iter(|| std::hint::black_box(ev.rotate(&ct, 1)))
@@ -136,16 +134,14 @@ fn bench_cipher_ops(c: &mut Criterion) {
     bench_cipher_ops_at(c, CkksParams::benchmark());
 }
 
-/// The 2×2 max pool of an 8×8 activation as `heinfer` folds it:
-/// rotate by 1, PAF-max, rotate by a row, PAF-max, on one ciphertext
-/// from the top of the default 13-limb chain to its last limb (f1∘g2,
-/// 6 levels per PAF-max).
-fn bench_pool_fold(c: &mut Criterion) {
+/// The PAF evaluator's two composite ops under f1∘g2 on the default
+/// ring. `relu_f1g2`: one PAF-ReLU entered on the 7 limbs it consumes,
+/// as the level schedule enters it. `pool_fold_2x2`: the 2×2 max pool
+/// of an 8×8 activation as `heinfer` folds it — rotate by 1, PAF-max,
+/// rotate by a row, PAF-max, on one ciphertext from the top of the
+/// 13-limb chain to its last limb (6 levels per PAF-max).
+fn bench_paf_ops(c: &mut Criterion) {
     let params = CkksParams::default_params();
-    let mut g = c.benchmark_group("pool_fold_2x2");
-    g.meta("ks_digit_limbs", params.ks_digit_limbs)
-        .meta("cores", host_cores())
-        .meta("threads", par::max_intra_workers());
     let mut rng = Rng64::new(3);
     let keys = KeyChain::generate(&params.build(), &mut rng);
     let pe = PafEvaluator::new(Evaluator::new(&keys));
@@ -154,6 +150,9 @@ fn bench_pool_fold(c: &mut Criterion) {
         .map(|i| ((i * 7) % 13) as f64 / 13.0 - 0.5)
         .collect();
     let ct = pe.evaluator().encrypt_replicated(&vals, &mut rng);
+    let mut entered = ct.clone();
+    entered.drop_to(PafEvaluator::relu_depth(&paf) + 1);
+    let relu = || pe.relu(&entered, &paf);
     let fold = || {
         let mut v = ct.clone();
         for step in [1, 8] {
@@ -162,10 +161,19 @@ fn bench_pool_fold(c: &mut Criterion) {
         }
         v
     };
-    let _ = fold(); // relin and Galois keys at every level of the fold
-    g.bench_function(format!("n{}", params.n), |b| {
-        b.iter(|| std::hint::black_box(fold()))
-    });
+    // Relin and Galois keys at every level the two ops touch.
+    let _ = (relu(), fold());
+    let ops: [(&str, &dyn Fn() -> Ciphertext); 2] =
+        [("relu_f1g2", &relu), ("pool_fold_2x2", &fold)];
+    for (name, op) in ops {
+        let mut g = c.benchmark_group(name);
+        g.meta("ks_digit_limbs", params.ks_digit_limbs)
+            .meta("cores", host_cores())
+            .meta("threads", par::max_intra_workers());
+        g.bench_function(format!("n{}", params.n), |b| {
+            b.iter(|| std::hint::black_box(op()))
+        });
+    }
 }
 
 /// Best-of-`iters` wall time of `f`, measured inline.
@@ -224,6 +232,6 @@ criterion_group! {
     config = Criterion::default()
         .sample_size(10)
         .json_output("BENCH_ckks.json");
-    targets = bench_ntt, bench_cipher_ops, bench_pool_fold, bench_hoist
+    targets = bench_ntt, bench_cipher_ops, bench_paf_ops, bench_hoist
 }
 criterion_main!(benches);

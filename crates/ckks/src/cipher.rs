@@ -1,20 +1,25 @@
 //! Ciphertexts and homomorphic operations.
 
 use crate::encoding::{Encoder, Plaintext};
-use crate::keys::{truncate, KeyChain};
+use crate::keys::{truncate, KeyChain, ModDown};
 use crate::rns::{CkksContext, RnsPoly};
 use smartpaf_tensor::Rng64;
 use std::sync::Arc;
 
 /// Maximum tolerated relative scale mismatch when adding ciphertexts.
 ///
-/// Each rescale divides by a prime within ~1e-4 of the nominal scale
-/// (NTT-friendly primes are spaced by 2n), so an 11-level evaluation
-/// can drift a little over 1e-3 at small ring dimensions. The mismatch
-/// bounds the relative slot error of the addition, so 5e-3 stays well
-/// inside the simulator's noise budget while still catching genuine
-/// scale-management bugs (those are off by a full Δ factor).
-const SCALE_TOLERANCE: f64 = 5e-3;
+/// A rescale divides by a prime, not by Δ, so a product brought back
+/// down sits `|q/Δ − 1|` off the scale of a fresh encryption; this
+/// admits the sum of the two and nothing wider: the default ring's
+/// scale primes are within 1.5e-6 of Δ, the toy ring's within 9.3e-8
+/// (`scale_tolerance_covers_one_rescale_and_not_two_orders_more`).
+/// The mismatch is the relative slot error of the sum, so anything
+/// looser spends precision silently — the 5e-3 this constant used to
+/// be hid a 1e-4 drift per level inside the PAF evaluator, 8 bits of
+/// every inference. The evaluator now encodes its constants so that
+/// its addends agree exactly (`eval.rs`, "Scale management") and does
+/// not rely on this.
+const SCALE_TOLERANCE: f64 = 1e-5;
 
 /// A CKKS ciphertext `(c0, c1)` with `m ≈ c0 + c1·s`.
 #[derive(Debug, Clone)]
@@ -48,6 +53,64 @@ impl Ciphertext {
             self.c1.drop_last_limb();
         }
     }
+}
+
+/// The degree-2 tensor product of two ciphertexts before its key
+/// switch: `m ≈ d0 + d1·s + d2·s²` ([`Evaluator::tensor`]). Products
+/// on the same limbs at the same scale add component-wise, so a sum
+/// of them pays for one relinearisation
+/// ([`Evaluator::relinearize`], [`Evaluator::relinearize_rescale`]).
+#[derive(Debug, Clone)]
+pub struct Product {
+    d0: RnsPoly,
+    d1: RnsPoly,
+    d2: RnsPoly,
+    /// The product of the factors' scales.
+    pub scale: f64,
+}
+
+impl Product {
+    /// Number of RNS limbs (level + 1).
+    pub fn num_limbs(&self) -> usize {
+        self.d0.num_limbs()
+    }
+
+    /// Drops limbs until `num_limbs` remain (plain modulus switch).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_limbs` is zero or larger than the current count.
+    pub fn drop_to(&mut self, num_limbs: usize) {
+        assert!(num_limbs >= 1 && num_limbs <= self.num_limbs());
+        for d in [&mut self.d0, &mut self.d1, &mut self.d2] {
+            while d.num_limbs() > num_limbs {
+                d.drop_last_limb();
+            }
+        }
+    }
+
+    /// Adds another product on the same limbs.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a limb-count mismatch or a scale mismatch beyond
+    /// `SCALE_TOLERANCE`.
+    pub fn add_assign(&mut self, other: &Product) {
+        assert_eq!(self.num_limbs(), other.num_limbs(), "limb mismatch");
+        assert_scales_agree(self.scale, other.scale);
+        self.d0.add_assign(&other.d0);
+        self.d1.add_assign(&other.d1);
+        self.d2.add_assign(&other.d2);
+        self.scale = self.scale.max(other.scale);
+    }
+}
+
+fn assert_scales_agree(a: f64, b: f64) {
+    let rel = (a - b).abs() / a.max(b);
+    assert!(
+        rel < SCALE_TOLERANCE,
+        "scale mismatch beyond tolerance: {a} vs {b}"
+    );
 }
 
 /// The output of the key switch's decompose phase: every gadget digit
@@ -188,13 +251,7 @@ impl Evaluator {
         let mut bb = b.clone();
         aa.drop_to(nl);
         bb.drop_to(nl);
-        let rel = (aa.scale - bb.scale).abs() / aa.scale.max(bb.scale);
-        assert!(
-            rel < SCALE_TOLERANCE,
-            "scale mismatch beyond tolerance: {} vs {}",
-            aa.scale,
-            bb.scale
-        );
+        assert_scales_agree(aa.scale, bb.scale);
         (aa, bb)
     }
 
@@ -236,8 +293,7 @@ impl Evaluator {
     ///
     /// Panics on scale mismatch beyond tolerance or level mismatch.
     pub fn add_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        let rel = (a.scale - pt.scale).abs() / a.scale.max(pt.scale);
-        assert!(rel < SCALE_TOLERANCE, "plain add scale mismatch");
+        assert_scales_agree(a.scale, pt.scale);
         Ciphertext {
             c0: a.c0.add_trunc(&pt.poly),
             c1: a.c1.clone(),
@@ -259,75 +315,133 @@ impl Evaluator {
     }
 
     /// Multiplies by a scalar constant at the default scale and
-    /// rescales, consuming one level. The constant's plaintext has the
-    /// same residue in every NTT position, so both components are
-    /// scaled by that residue per limb — the bytes a
-    /// [`Self::mul_plain`] by the encoded constant would give, without
-    /// building it.
+    /// rescales, consuming one level:
+    /// [`Self::mul_const_at`]`(a, value, ctx.scale())`.
     pub fn mul_const(&self, a: &Ciphertext, value: f64) -> Ciphertext {
-        let scale = self.ctx.scale();
-        let residues = self.encoder.constant_residues(value, scale, a.num_limbs());
-        let mut out = Ciphertext {
-            c0: a.c0.mul_scalar_residues(&residues),
-            c1: a.c1.mul_scalar_residues(&residues),
-            scale: a.scale * scale,
-        };
-        self.rescale(&mut out);
-        out
+        self.mul_const_at(a, value, self.ctx.scale())
+    }
+
+    /// Multiplies by a scalar constant encoded at `const_scale` and
+    /// rescales, consuming one level; the result's scale is
+    /// `a.scale · const_scale / q_last`, which is how a caller steers
+    /// it. The constant's plaintext has the same residue in every NTT
+    /// position, so both components are scaled by that residue per
+    /// limb — the bytes a [`Self::mul_plain`] by the encoded constant
+    /// and a [`Self::rescale`] would give, without building the
+    /// plaintext and with the multiply folded into the rescale's
+    /// divide pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if only one limb remains.
+    pub fn mul_const_at(&self, a: &Ciphertext, value: f64, const_scale: f64) -> Ciphertext {
+        let nl = a.num_limbs();
+        let residues = self.encoder.constant_residues(value, const_scale, nl);
+        Ciphertext {
+            c0: a.c0.rescale_scaled(&residues),
+            c1: a.c1.rescale_scaled(&residues),
+            scale: a.scale * const_scale / self.ctx.primes()[nl - 1] as f64,
+        }
+    }
+
+    /// The tensor product of two ciphertexts on their common limbs, not
+    /// yet key-switched: four ring multiplications, no transform.
+    pub fn tensor(&self, a: &Ciphertext, b: &Ciphertext) -> Product {
+        let nl = a.num_limbs().min(b.num_limbs());
+        let mut aa = a.clone();
+        let mut bb = b.clone();
+        aa.drop_to(nl);
+        bb.drop_to(nl);
+        let d0 = aa.c0.mul(&bb.c0);
+        let mut d1 = aa.c0.mul(&bb.c1);
+        d1.mul_acc(&aa.c1, &bb.c0);
+        let d2 = aa.c1.mul(&bb.c1);
+        Product {
+            d0,
+            d1,
+            d2,
+            scale: aa.scale * bb.scale,
+        }
+    }
+
+    /// [`Self::tensor`] of a ciphertext with itself (saves one ring
+    /// multiplication).
+    pub fn tensor_square(&self, a: &Ciphertext) -> Product {
+        let d0 = a.c0.mul(&a.c0);
+        let cross = a.c0.mul(&a.c1);
+        let d1 = cross.add(&cross);
+        let d2 = a.c1.mul(&a.c1);
+        Product {
+            d0,
+            d1,
+            d2,
+            scale: a.scale * a.scale,
+        }
+    }
+
+    /// Key-switches a product's degree-2 component back to a linear
+    /// ciphertext at the product's scale and limbs: decompose, apply
+    /// the relinearisation key, divide by `P`.
+    pub fn relinearize(&self, product: Product) -> Ciphertext {
+        let Product {
+            mut d0,
+            mut d1,
+            d2,
+            scale,
+        } = product;
+        let rk = self.keys.relin_key(d2.num_limbs());
+        let (r0, r1) = self.apply_key(&self.decompose(&d2), &rk, None);
+        d0.add_assign(&r0);
+        d1.add_assign(&r1);
+        Ciphertext {
+            c0: d0,
+            c1: d1,
+            scale,
+        }
+    }
+
+    /// [`Self::relinearize`] and the [`Self::rescale`] after it as one
+    /// division: `P·d_w` joins the key switch's extended-basis sums and
+    /// the whole is divided by `P·q_last`, to nearest, in a single base
+    /// conversion — the limbs, scale and (to a unit in the last place
+    /// of a coefficient) value of the two calls, for the transform
+    /// passes of the first alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if only one limb remains.
+    pub fn relinearize_rescale(&self, product: Product) -> Ciphertext {
+        let Product { d0, d1, d2, scale } = product;
+        let nl = d2.num_limbs();
+        assert!(nl > 1, "cannot rescale the last limb");
+        let rk = self.keys.relin_key(nl);
+        let mut acc = self.accumulate(&self.decompose(&d2), &rk, None, Some((&d0, &d1)));
+        let basis = self.keys.hybrid_basis(nl);
+        let divide = basis.div_p_q_last.as_ref().expect("more than one limb");
+        let (c0, c1) = self.hybrid_mod_down(&mut acc, nl, divide);
+        crate::pool::release_scratch(acc);
+        Ciphertext {
+            c0,
+            c1,
+            scale: scale / self.ctx.primes()[nl - 1] as f64,
+        }
     }
 
     /// Ciphertext-ciphertext multiplication with relinearisation.
     /// Result scale is the product of input scales; callers usually
     /// [`Self::rescale`] afterwards.
     pub fn mul(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        let (aa, bb) = {
-            let nl = a.num_limbs().min(b.num_limbs());
-            let mut aa = a.clone();
-            let mut bb = b.clone();
-            aa.drop_to(nl);
-            bb.drop_to(nl);
-            (aa, bb)
-        };
-        let mut d0 = aa.c0.mul(&bb.c0);
-        let mut d1 = aa.c0.mul(&bb.c1);
-        d1.mul_acc(&aa.c1, &bb.c0);
-        let d2 = aa.c1.mul(&bb.c1);
-        let (r0, r1) = self.relinearize_d2(&d2);
-        d0.add_assign(&r0);
-        d1.add_assign(&r1);
-        Ciphertext {
-            c0: d0,
-            c1: d1,
-            scale: aa.scale * bb.scale,
-        }
+        self.relinearize(self.tensor(a, b))
     }
 
     /// Squares a ciphertext (saves one ring multiplication vs `mul`).
     pub fn square(&self, a: &Ciphertext) -> Ciphertext {
-        let mut d0 = a.c0.mul(&a.c0);
-        let cross = a.c0.mul(&a.c1);
-        let mut d1 = cross.add(&cross);
-        let d2 = a.c1.mul(&a.c1);
-        let (r0, r1) = self.relinearize_d2(&d2);
-        d0.add_assign(&r0);
-        d1.add_assign(&r1);
-        Ciphertext {
-            c0: d0,
-            c1: d1,
-            scale: a.scale * a.scale,
-        }
+        self.relinearize(self.tensor_square(a))
     }
 
     /// Shared key chain (crate-internal: the Galois module needs it).
     pub(crate) fn keys(&self) -> &Arc<KeyChain> {
         &self.keys
-    }
-
-    /// Key-switches the degree-2 component back to a linear ciphertext:
-    /// decompose, then apply the relinearisation key once.
-    fn relinearize_d2(&self, d2: &RnsPoly) -> (RnsPoly, RnsPoly) {
-        let rk = self.keys.relin_key(d2.num_limbs());
-        self.apply_key(&self.decompose(d2), &rk, None)
     }
 
     /// Key-switch phase 1 (**decompose**): splits `p` (NTT form) into
@@ -413,7 +527,28 @@ impl Evaluator {
     /// `k0 + k1·s ≈ φ(p)·s'` for the polynomial `p` behind `hoisted`,
     /// the key's embedded switched-from secret `s'`, and `φ` the
     /// Galois automorphism whose NTT-domain index table is `perm`
-    /// (`None` = identity, the relinearisation case).
+    /// (`None` = identity, the relinearisation case): the inner
+    /// products of [`Evaluator::accumulate`], scaled down by `P`
+    /// ([`Evaluator::hybrid_mod_down`]).
+    pub(crate) fn apply_key(
+        &self,
+        hoisted: &Hoisted,
+        key: &crate::keys::RelinKey,
+        perm: Option<&[u32]>,
+    ) -> (RnsPoly, RnsPoly) {
+        let nl = hoisted.num_limbs;
+        let mut acc = self.accumulate(hoisted, key, perm, None);
+        let out = self.hybrid_mod_down(&mut acc, nl, &self.keys.hybrid_basis(nl).div_p);
+        crate::pool::release_scratch(acc);
+        out
+    }
+
+    /// The inner products of a key switch, over the extended basis in
+    /// NTT form: `2·(nl + k)` chunks of `n` in one pooled scratch
+    /// buffer, limb `t` of the b-sum in chunk `2t` and of the a-sum in
+    /// chunk `2t + 1`. With `seed = (d0, d1)`, `P·d_w` is added to sum
+    /// `w` (chain limbs only: it vanishes mod every special prime), so
+    /// that one division serves the switched and the unswitched part.
     ///
     /// `φ` of a raised digit is itself a valid raise of `φ(p)`'s digit
     /// — same congruence mod `Q_j`, same coefficient magnitudes — and
@@ -421,17 +556,17 @@ impl Evaluator {
     /// every limb, so a rotation costs no transform before the inner
     /// product. Per basis limb, the products `Σ_j φ(c̃_j) ⊙ b_j` and
     /// `Σ_j φ(c̃_j) ⊙ a_j` accumulate exactly in `u128` and reduce
-    /// once; both sums are then scaled down by `P`
-    /// ([`Evaluator::hybrid_mod_down`]).
+    /// once.
     ///
     /// Limbs are independent, so this fans out across [`crate::par`]
     /// bit-identically to the sequential loop.
-    pub(crate) fn apply_key(
+    fn accumulate(
         &self,
         hoisted: &Hoisted,
         key: &crate::keys::RelinKey,
         perm: Option<&[u32]>,
-    ) -> (RnsPoly, RnsPoly) {
+        seed: Option<(&RnsPoly, &RnsPoly)>,
+    ) -> Vec<u64> {
         // Coefficients per accumulation block: both `u128` partial-sum
         // arrays stay in L1 while the digit rows stream past.
         const BLOCK: usize = 128;
@@ -450,19 +585,33 @@ impl Evaluator {
         // passes from 17 limbs on — the sum flushes to residues there.
         let headroom = ctx.lazy_acc_headroom(nl, width - nl);
         assert!(headroom >= 2, "moduli leave no lazy accumulator headroom");
-        // Limb `t` of the b-sum lands in chunk `2t`, of the a-sum in
-        // chunk `2t + 1`, so one task owns both outputs of its limb.
+        let p_mod = &self.keys.hybrid_basis(nl).p_mod;
         let mut acc = crate::pool::acquire_scratch(2 * width * n);
         crate::par::for_each_chunk_mut(&mut acc, 2 * n, |t, out| {
             let arith = ctx.ext_arith(nl, t);
             let (out0, out1) = out.split_at_mut(n);
+            let seed = seed.filter(|_| t < nl);
             let mut sum0 = [0u128; BLOCK];
             let mut sum1 = [0u128; BLOCK];
             for base in (0..n).step_by(BLOCK) {
                 let len = BLOCK.min(n - base);
-                sum0[..len].fill(0);
-                sum1[..len].fill(0);
                 let mut pending = 0usize;
+                match seed {
+                    // One more raw product below `q_t²`.
+                    Some((d0, d1)) => {
+                        let p = p_mod[t] as u128;
+                        let (d0, d1) = (&d0.limb(t)[base..], &d1.limb(t)[base..]);
+                        for c in 0..len {
+                            sum0[c] = d0[c] as u128 * p;
+                            sum1[c] = d1[c] as u128 * p;
+                        }
+                        pending = 1;
+                    }
+                    None => {
+                        sum0[..len].fill(0);
+                        sum1[..len].fill(0);
+                    }
+                }
                 for j in 0..rows {
                     if pending == headroom {
                         // A flushed residue is below one product.
@@ -498,69 +647,107 @@ impl Evaluator {
                 }
             }
         });
-        let out = self.hybrid_mod_down(&mut acc, nl);
-        crate::pool::release_scratch(acc);
-        out
+        acc
     }
 
     /// Divides both extended-basis accumulators of
-    /// [`Evaluator::apply_key`] (NTT form, `2·(nl + k)` chunks of `n`
-    /// with the two sums interleaved per limb) by the special modulus
-    /// `P`, returning the chain-basis pair:
+    /// [`Evaluator::accumulate`] by the product `D` of the basis'
+    /// trailing limbs — `P`, or `q_last·P` ([`ModDown`]) — returning
+    /// the pair over the chain limbs before them:
     ///
-    /// 1. inverse-NTT the special limbs and scale them by
-    ///    `[(P/p_l)^{-1}]_{p_l}`;
-    /// 2. base-convert their residues back to each chain limb,
+    /// 1. inverse-NTT the divisor limbs and scale them by
+    ///    `[(D/d_l)^{-1}]_{d_l}`;
+    /// 2. base-convert their residues back to each remaining limb,
     ///    forward-NTT that correction, subtract it and scale by
-    ///    `[P^{-1}]_{q_t}`.
+    ///    `[D^{-1}]_{q_t}`.
     ///
-    /// Approximate fast base conversion: per-coefficient error at most
-    /// `k`, negligible against the noise floor. Consumes the special
-    /// limbs of `acc` as scratch.
-    fn hybrid_mod_down(&self, acc: &mut [u64], nl: usize) -> (RnsPoly, RnsPoly) {
+    /// The fast base conversion overshoots the remainder by `u·D` with
+    /// `u` below the divisor count, so the plain quotient is a floor
+    /// less `u`: negligible where a rescale divides it by `q_last`
+    /// next, which is every division by `P`. A fused division's
+    /// quotient is final, so it takes the overshoot out —
+    /// `u' = round(Σ_l y_l/d_l)` is `u` plus the remainder's rounding
+    /// bit, and subtracting `u'·D` makes the quotient a round to
+    /// nearest, as [`RnsPoly::rescale`]'s is.
+    ///
+    /// Consumes the divisor limbs of `acc` as scratch.
+    fn hybrid_mod_down(&self, acc: &mut [u64], nl: usize, div: &ModDown) -> (RnsPoly, RnsPoly) {
         let ctx = &self.ctx;
-        let basis = self.keys.hybrid_basis(nl);
-        let k = basis.k;
         let n = ctx.n();
-        let (chain_acc, sp) = acc.split_at_mut(2 * nl * n);
-        // Special limbs → coefficient domain, scaled; chunk `2l + w`
-        // is special limb `l` of sum `w`.
-        crate::par::for_each_chunk_mut(sp, n, |i, limb| {
+        let out_limbs = div.out_limbs;
+        let divisors = div.inv_hat.len();
+        let (out_acc, dv) = acc.split_at_mut(2 * out_limbs * n);
+        // Divisor limbs → coefficient domain, scaled; chunk `2l + w`
+        // is divisor limb `l` of sum `w`.
+        crate::par::for_each_chunk_mut(dv, n, |i, limb| {
             let l = i / 2;
-            ctx.ntt_special(l).inverse(limb);
-            let arith = ctx.arith_special(l);
-            let (inv, shoup) = basis.inv_phat[l];
+            ctx.ext_ntt(nl, out_limbs + l).inverse(limb);
+            let arith = ctx.ext_arith(nl, out_limbs + l);
+            let (inv, shoup) = div.inv_hat[l];
             for v in limb.iter_mut() {
                 *v = arith.mul_shoup(*v, inv, shoup);
             }
         });
-        let (sp, chain_acc) = (&sp[..], &chain_acc[..]);
+        let (dv, out_acc) = (&dv[..], &out_acc[..]);
+        // `u'` per coefficient of each sum; the terms are summed in
+        // limb order, so the value does not depend on the thread count.
+        let overshoot = (!div.inv_f64.is_empty()).then(|| {
+            let mut u = crate::pool::acquire(2 * n);
+            crate::par::for_each_chunk_mut(&mut u, n, |w, u| {
+                for (c, u_c) in u.iter_mut().enumerate() {
+                    let mut sum = 0.0f64;
+                    for (l, &inv) in div.inv_f64.iter().enumerate() {
+                        sum += dv[(2 * l + w) * n + c] as f64 * inv;
+                    }
+                    *u_c = sum.round() as u64;
+                }
+            });
+            u
+        });
         let mod_down = |w: usize| {
-            let mut out = RnsPoly::uninit(ctx, nl, true);
+            let mut out = RnsPoly::uninit(ctx, out_limbs, true);
             crate::par::for_each_chunk_mut(out.data_mut(), n, |t, dst| {
                 let arith = ctx.arith(t);
-                let (p_inv, p_inv_shoup) = basis.p_inv[t];
-                let phat = &basis.phat[t * k..(t + 1) * k];
+                let (d_inv, d_inv_shoup) = div.d_inv[t];
+                let hat = &div.hat[t * divisors..(t + 1) * divisors];
                 let mut corr = crate::pool::acquire(n);
-                for (c, out_c) in corr.iter_mut().enumerate() {
-                    // k ≤ 8 terms: fits u128 without intermediate reduce.
+                // At most 9 terms below 2^124 and one below 2^66: fits
+                // u128 without intermediate reduce.
+                let convert = |c: usize| {
                     let mut sum = 0u128;
-                    for (l, &ph) in phat.iter().enumerate() {
-                        sum += sp[(2 * l + w) * n + c] as u128 * ph as u128;
+                    for (l, &h) in hat.iter().enumerate() {
+                        sum += dv[(2 * l + w) * n + c] as u128 * h as u128;
                     }
-                    *out_c = arith.reduce_u128(sum);
+                    sum
+                };
+                match overshoot.as_deref() {
+                    None => {
+                        for (c, out_c) in corr.iter_mut().enumerate() {
+                            *out_c = arith.reduce_u128(convert(c));
+                        }
+                    }
+                    Some(u) => {
+                        let neg_d = div.neg_d[t] as u128;
+                        for (c, (out_c, &u)) in corr.iter_mut().zip(&u[w * n..]).enumerate() {
+                            *out_c = arith.reduce_u128(convert(c) + u as u128 * neg_d);
+                        }
+                    }
                 }
                 ctx.ntt(t).forward(&mut corr);
-                let src = &chain_acc[(2 * t + w) * n..(2 * t + w + 1) * n];
+                let src = &out_acc[(2 * t + w) * n..(2 * t + w + 1) * n];
                 for c in 0..n {
                     let diff = arith.sub(src[c], corr[c]);
-                    dst[c] = arith.mul_shoup(diff, p_inv, p_inv_shoup);
+                    dst[c] = arith.mul_shoup(diff, d_inv, d_inv_shoup);
                 }
                 crate::pool::release(corr);
             });
             out
         };
-        (mod_down(0), mod_down(1))
+        let out = (mod_down(0), mod_down(1));
+        if let Some(u) = overshoot {
+            crate::pool::release(u);
+        }
+        out
     }
 
     /// Rescales a ciphertext: divides by the last prime and drops it.
@@ -731,7 +918,10 @@ mod tests {
             let pipeline = || {
                 let mut p = ev.mul(&ct, &ct);
                 ev.rescale(&mut p);
-                p
+                // The fused form of the same, on a sum of products.
+                let mut sum = ev.tensor(&ct, &ct);
+                sum.add_assign(&ev.tensor_square(&ct));
+                (p, ev.relinearize_rescale(sum))
             };
             // Warm-up: builds the relin key digit decomposition
             // buffers and seeds the pool with every buffer shape the
@@ -837,7 +1027,7 @@ mod tests {
         // transform passes; hold both to the kernels at every level of
         // the toy chain (ω = 3, so 1–5 digits, partial last groups
         // included).
-        use crate::cost::{key_switch_ntts, rescale_ntts};
+        use crate::cost::{key_switch_ntts, relin_rescale_ntts, rescale_ntts};
         let params = CkksParams::toy();
         let (ev, mut rng) = setup(57);
         let fresh = ev.encrypt_values(&[0.4, -0.2], &mut rng);
@@ -864,6 +1054,14 @@ mod tests {
                 assert_eq!(
                     executed_ntt_passes(|| ev.rescale(&mut product)),
                     rescale_ntts(limbs - 1)
+                );
+                // The fused division pays for the key switch alone.
+                let fused = relin_rescale_ntts(&params, limbs);
+                assert_eq!(fused, key_switch);
+                assert_eq!(
+                    executed_ntt_passes(|| ev.relinearize_rescale(ev.tensor(&ct, &ct))),
+                    fused,
+                    "{limbs} limbs"
                 );
                 // A constant is its residue in every NTT position: the
                 // multiply transforms nothing, only the rescale does.
@@ -897,6 +1095,204 @@ mod tests {
                     "{limbs} limbs, constant {value}"
                 );
             }
+        }
+    }
+
+    /// Signed difference `a − b` of two residues mod `q`.
+    fn centered_diff(a: u64, b: u64, q: u64) -> f64 {
+        let d = (a + q - b) % q;
+        if d > q / 2 {
+            d as f64 - q as f64
+        } else {
+            d as f64
+        }
+    }
+
+    #[test]
+    fn fused_relinearize_rescale_matches_mul_then_rescale() {
+        // One division by P·q_last against the two it replaces, at
+        // every limb count of the toy and the default ring: the same
+        // limbs and scale, decrypted slots within 2⁻³⁰, no bias between
+        // the two roundings, and the same bytes at any thread budget.
+        for params in [CkksParams::toy(), CkksParams::default_params()] {
+            let ctx = params.build();
+            let mut rng = Rng64::new(59);
+            let ev = Evaluator::new(&KeyChain::generate(&ctx, &mut rng));
+            let slots = ctx.slots();
+            let xs: Vec<f64> = (0..slots).map(|_| rng.next_f64() * 2.0 - 1.0).collect();
+            let ys: Vec<f64> = (0..slots).map(|_| rng.next_f64() * 2.0 - 1.0).collect();
+            let (cx, cy) = (
+                ev.encrypt_values(&xs, &mut rng),
+                ev.encrypt_values(&ys, &mut rng),
+            );
+            for limbs in 2..=13 {
+                let (mut a, mut b) = (cx.clone(), cy.clone());
+                a.drop_to(limbs);
+                b.drop_to(limbs);
+                let mut separate = ev.mul(&a, &b);
+                ev.rescale(&mut separate);
+                let fused = ev.relinearize_rescale(ev.tensor(&a, &b));
+                assert_eq!(fused.num_limbs(), limbs - 1);
+                assert_eq!(fused.scale.to_bits(), separate.scale.to_bits());
+                let got = ev.decrypt_values(&fused, slots);
+                let want = ev.decrypt_values(&separate, slots);
+                for (g, w) in got.iter().zip(&want) {
+                    assert!((g - w).abs() < 2f64.powi(-30), "{limbs} limbs: {g} vs {w}");
+                }
+                // A floor in place of the rounding reads ≈ −2 here.
+                let q0 = ctx.primes()[0];
+                let (mut f0, mut s0) = (fused.c0.clone(), separate.c0.clone());
+                f0.to_coeff();
+                s0.to_coeff();
+                let diffs = f0.limb(0).iter().zip(s0.limb(0));
+                let mean =
+                    diffs.map(|(&f, &s)| centered_diff(f, s, q0)).sum::<f64>() / ctx.n() as f64;
+                assert!(mean.abs() < 0.1, "{limbs} limbs: mean difference {mean}");
+                for budget in [1, 2, 8] {
+                    let again = crate::par::with_thread_budget(budget, || {
+                        ev.relinearize_rescale(ev.tensor(&a, &b))
+                    });
+                    assert_eq!(digest(&again), digest(&fused), "budget {budget}");
+                }
+            }
+            // Squaring is the same product.
+            let mut separate = ev.square(&cx);
+            ev.rescale(&mut separate);
+            let fused = ev.relinearize_rescale(ev.tensor_square(&cx));
+            let got = ev.decrypt_values(&fused, slots);
+            for (g, w) in got.iter().zip(&ev.decrypt_values(&separate, slots)) {
+                assert!((g - w).abs() < 2f64.powi(-30));
+            }
+        }
+    }
+
+    #[test]
+    fn a_sum_of_products_relinearises_once() {
+        // Products add component-wise: one key switch for x·y + z².
+        let (ev, mut rng) = setup(60);
+        let (xs, ys, zs) = ([0.5, -0.25, 0.8], [0.3, 0.9, -0.7], [0.6, -0.4, 0.1]);
+        let cx = ev.encrypt_values(&xs, &mut rng);
+        let cy = ev.encrypt_values(&ys, &mut rng);
+        let mut cz = ev.encrypt_values(&zs, &mut rng);
+        cz.drop_to(9);
+        let (out, key_switches) = crate::par::with_thread_budget(1, || {
+            take_key_switch_counts();
+            let mut sum = ev.tensor(&cx, &cy);
+            sum.drop_to(9);
+            sum.add_assign(&ev.tensor_square(&cz));
+            (ev.relinearize_rescale(sum), take_key_switch_counts())
+        });
+        assert_eq!(key_switches, (1, 1));
+        assert_eq!(out.num_limbs(), 8);
+        let got = ev.decrypt_values(&out, 3);
+        for i in 0..3 {
+            let want = xs[i] * ys[i] + zs[i] * zs[i];
+            assert!((got[i] - want).abs() < 1e-6, "{} vs {want}", got[i]);
+        }
+    }
+
+    #[test]
+    fn scale_tolerance_covers_one_rescale_and_not_two_orders_more() {
+        // What `SCALE_TOLERANCE` is for: a product rescaled once added
+        // to a fresh encryption. Measured over every scale prime of the
+        // working presets (toy 9.3e-8, default 1.5e-6, benchmark
+        // 3.6e-6; the paper-scale chain's 20 primes at n = 32768 reach
+        // 2.0e-5, above it — scales there are managed, as the PAF
+        // evaluator's are everywhere).
+        let drift = |params: CkksParams| {
+            let ctx = params.build();
+            let primes = ctx.primes()[1..].iter();
+            primes
+                .map(|&q| (q as f64 / ctx.scale() - 1.0).abs())
+                .fold(0.0, f64::max)
+        };
+        let (toy, default) = (
+            drift(CkksParams::toy()),
+            drift(CkksParams::default_params()),
+        );
+        assert!(
+            toy < default && default < SCALE_TOLERANCE,
+            "{toy} {default}"
+        );
+        assert!(SCALE_TOLERANCE < 100.0 * default, "{default}");
+        let (ev, mut rng) = setup(61);
+        let ct = ev.encrypt_values(&[0.5], &mut rng);
+        let mut sq = ev.square(&ct);
+        ev.rescale(&mut sq);
+        let sum = ev.decrypt_values(&ev.add(&sq, &ct), 1)[0];
+        assert!((sum - 0.75).abs() < 1e-6, "{sum}");
+    }
+
+    /// FNV-1a over a ciphertext's residue words and scale bits.
+    fn digest(ct: &Ciphertext) -> u64 {
+        let words = ct.c0.limbs().chain(ct.c1.limbs()).flatten().copied();
+        words
+            .chain([ct.scale.to_bits()])
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, w| {
+                (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn primitive_ops_produce_the_recorded_bytes() {
+        // The primitives that did not change must not move a bit: the
+        // literals are the digests the commit before the fused division
+        // produced for the same seed, on the full toy chain and on 7
+        // limbs, at thread budgets 1 and 2.
+        let recorded: [[u64; 7]; 2] = [
+            [
+                0x6386fa2163c5a141,
+                0x799efdd721f6e2a9,
+                0xb92f49cf59d89d16,
+                0x63755ce3db66ad2f,
+                0xbce4f48ab4bd06be,
+                0x4d91a21b35bff1db,
+                0x69fda8b390f69a9e,
+            ],
+            [
+                0x736388b50b49c09f,
+                0x4b4aacf355ed1a3e,
+                0x1a10e54d91d1f1c9,
+                0x21a2bcca8f29c5fe,
+                0x040e90c64dea5cc3,
+                0xf24b3c65037080dd,
+                0xd6a4f5afdd825f03,
+            ],
+        ];
+        for budget in [1, 2] {
+            crate::par::with_thread_budget(budget, || {
+                let (ev, mut rng) = setup(77);
+                let slots = ev.context().slots();
+                let vals: Vec<f64> = (0..slots).map(|i| (i % 17) as f64 / 17.0 - 0.5).collect();
+                let fresh = ev.encrypt_values(&vals, &mut rng);
+                let other = ev.encrypt_values(&vals[..slots / 2], &mut rng);
+                let rows: Vec<Vec<f64>> = (0..8)
+                    .map(|r| {
+                        (0..8)
+                            .map(|c| ((r * 5 + c * 3) % 7) as f64 / 7.0 - 0.4)
+                            .collect()
+                    })
+                    .collect();
+                let mat = crate::linear::DiagMatrix::from_rows(&rows);
+                for (limbs, want) in [13, 7].into_iter().zip(recorded) {
+                    let mut ct = fresh.clone();
+                    ct.drop_to(limbs);
+                    let product = ev.mul(&ct, &other);
+                    let mut rescaled = product.clone();
+                    ev.rescale(&mut rescaled);
+                    let many = ev.rotate_many(&ct, &[1, -2, 5]);
+                    let got = [
+                        digest(&product),
+                        digest(&ev.square(&ct)),
+                        digest(&ev.rotate(&ct, 3)),
+                        many.iter().fold(0, |h, r| h ^ digest(r)),
+                        digest(&ev.matvec_bsgs(&mat, &ct)),
+                        digest(&rescaled),
+                        digest(&ev.mul_const(&ct, -0.37)),
+                    ];
+                    assert_eq!(got, want, "{limbs} limbs, budget {budget}: {got:#x?}");
+                }
+            });
         }
     }
 

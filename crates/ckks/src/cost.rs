@@ -4,6 +4,16 @@
 //! parameters, without executing them. Used to sanity-check measured
 //! latencies and to project costs at the paper's N = 32768 scale
 //! without running it.
+//!
+//! A ciphertext product is priced in its two halves, as the evaluator
+//! executes it: the tensor product ([`tensor_modmuls`]) and the
+//! relinearisation with the rescale fused into its division
+//! ([`relin_rescale_modmuls`], [`relin_rescale_ntts`]) — a stage pays
+//! the first per product and the second per *relinearised* product,
+//! which is fewer (`OddPowerSchedule::exact_relins`).
+//! [`ct_mult_modmuls`] is the standalone `Evaluator::mul`. The pass
+//! counts are held to the executed transforms by
+//! `analytic_ntt_counts_are_the_executed_passes`.
 
 use crate::params::CkksParams;
 use smartpaf_polyfit::{CompositePaf, OddPowerSchedule};
@@ -11,12 +21,16 @@ use smartpaf_polyfit::{CompositePaf, OddPowerSchedule};
 /// Primitive-operation counts for one encrypted PAF-ReLU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpCounts {
-    /// Ciphertext-ciphertext multiplications (each includes a
-    /// relinearisation).
+    /// Ciphertext-ciphertext multiplications (tensor products).
     pub ct_mults: usize,
+    /// Relinearisations, each with its rescale fused in: one per
+    /// product used on its own, one per stage for the sum of its
+    /// terms' last products.
+    pub relins: usize,
     /// Plaintext-constant multiplications.
     pub const_mults: usize,
-    /// Rescale operations.
+    /// Divisions by a chain prime: the rescale of every constant
+    /// multiply and the one fused into every relinearisation.
     pub rescales: usize,
     /// Number-theoretic transforms across all limbs (the dominant
     /// kernel).
@@ -60,6 +74,20 @@ pub fn rescale_ntts(limbs: usize) -> usize {
     2 * (limbs + 1)
 }
 
+/// NTT passes of one relinearisation at `limbs` limbs with the rescale
+/// fused into its division (`Evaluator::relinearize_rescale`): the
+/// decompose phase as in [`key_switch_ntts`], then per accumulator
+/// component `k + 1` inverse passes — the special limbs and the chain
+/// limb being dropped — and `limbs − 1` forward passes of the
+/// correction. That is [`key_switch_ntts`] again: the rescale's own
+/// [`rescale_ntts`]`(limbs − 1)` = `2·limbs` passes are what fusing
+/// saves. At 13 limbs, ω = 3: 112 where relinearise-then-rescale
+/// takes 138.
+pub fn relin_rescale_ntts(params: &CkksParams, limbs: usize) -> usize {
+    let (k, ext, digits) = hybrid_shape(params, limbs);
+    digits * ext + 2 * ((k + 1) + (limbs - 1))
+}
+
 /// Modular multiplies of the key switch's **decompose** phase at
 /// `limbs` limbs: everything that depends on the input polynomial
 /// only, paid once however many keys (rotations) are then applied.
@@ -99,97 +127,125 @@ pub fn key_switch_modmuls(params: &CkksParams, limbs: usize) -> u128 {
     key_switch_decompose_modmuls(params, limbs) + key_switch_apply_modmuls(params, limbs)
 }
 
-/// Work of one ciphertext-ciphertext multiply + relinearisation at
-/// `limbs` limbs, in 64-bit modular multiplies: 4 limb-wise ring mults
-/// for the tensor product plus the gadget key switch of the degree-2
-/// component.
-pub fn ct_mult_modmuls(params: &CkksParams, limbs: usize) -> u128 {
-    4 * (limbs as u128) * (params.n as u128) + key_switch_modmuls(params, limbs)
+/// Work of one tensor product at `limbs` limbs: 4 limb-wise ring
+/// multiplications (`Evaluator::tensor`; a squaring's 3 are priced
+/// the same).
+pub fn tensor_modmuls(params: &CkksParams, limbs: usize) -> u128 {
+    4 * (limbs as u128) * (params.n as u128)
 }
 
-/// Work of one rescale leaving `limbs` limbs, in modular multiplies:
-/// modelled as three passes per remaining limb (the executed NTT
-/// passes are [`rescale_ntts`]).
+/// Work of one relinearisation at `limbs` limbs with the rescale fused
+/// into its division (`Evaluator::relinearize_rescale`), excluding the
+/// tensor product before it: the decompose phase, the inner products
+/// against both key components (`2·digits·ext`·n) seeded with `P·d_w`
+/// (`2·limbs`·n), and the division by `P·q_last` — the
+/// [`relin_rescale_ntts`] mod-down passes at n mults each plus, per
+/// component, scaling the `k + 1` divisor limbs, converting them to
+/// each of the `limbs − 1` remaining limbs and dividing there.
+pub fn relin_rescale_modmuls(params: &CkksParams, limbs: usize) -> u128 {
+    let (k, ext, digits) = hybrid_shape(params, limbs);
+    let out = limbs - 1;
+    let accumulate = 2 * digits * ext + 2 * limbs;
+    let division = 2 * ((k + 1) + out) + 2 * ((k + 1) + out * (k + 1) + out);
+    key_switch_decompose_modmuls(params, limbs)
+        + ((accumulate + division) as u128) * params.n as u128
+}
+
+/// Work of one standalone ciphertext-ciphertext multiply +
+/// relinearisation (`Evaluator::mul`) at `limbs` limbs, in 64-bit
+/// modular multiplies: the tensor product plus the gadget key switch
+/// of the degree-2 component.
+pub fn ct_mult_modmuls(params: &CkksParams, limbs: usize) -> u128 {
+    tensor_modmuls(params, limbs) + key_switch_modmuls(params, limbs)
+}
+
+/// Work of one ciphertext rescale leaving `limbs` limbs, in modular
+/// multiplies: the [`rescale_ntts`] passes at n mults each and the
+/// division in every surviving limb of both components (the lift of
+/// the dropped limb's remainder is a conditional subtract).
 pub fn rescale_modmuls(params: &CkksParams, limbs: usize) -> u128 {
-    (limbs as u128) * (params.n as u128) * 3
+    ((rescale_ntts(limbs) + 2 * limbs) as u128) * (params.n as u128)
 }
 
 /// Work of one plaintext-constant multiply at `limbs` limbs, in
-/// modular multiplies.
+/// modular multiplies: one per coefficient of both components. (The
+/// evaluator folds it into the divide pass of the rescale that
+/// follows, at the same multiply count.)
 pub fn const_mult_modmuls(params: &CkksParams, limbs: usize) -> u128 {
-    (limbs as u128) * (params.n as u128)
+    2 * (limbs as u128) * (params.n as u128)
 }
 
 /// Counts the operations of one PAF-ReLU at the given parameters.
 ///
-/// Mirrors the `PafEvaluator` schedule: per stage, an even-power
-/// ladder by squaring plus one (const-mult + bit-product chain) per
-/// non-zero odd term; then one ct-mult and one const-mult for the ReLU
-/// construction.
+/// Mirrors the `PafEvaluator` schedule op for op: per stage, an
+/// even-power ladder by squaring; per non-zero odd term a constant
+/// multiply and one product per set bit of its index, the last left
+/// un-relinearised; one relinearisation of the stage's summed last
+/// products; then the ReLU's own product and constant multiply.
+/// `ntts` is the executed transform count
+/// (`relu_op_counts_are_the_executed_operations`).
 pub fn relu_op_counts(params: &CkksParams, paf: &CompositePaf) -> OpCounts {
-    let mut level = params.depth + 1; // limbs at the current point
     let mut c = OpCounts {
         ct_mults: 0,
+        relins: 0,
         const_mults: 0,
         rescales: 0,
         ntts: 0,
         modmuls: 0,
     };
-    let add_ct_mult = |c: &mut OpCounts, limbs: usize| {
+    let tensor = |c: &mut OpCounts, limbs: usize| {
         c.ct_mults += 1;
-        c.ntts += key_switch_ntts(params, limbs);
-        c.modmuls += ct_mult_modmuls(params, limbs);
+        c.modmuls += tensor_modmuls(params, limbs);
     };
-    let add_rescale = |c: &mut OpCounts, limbs: usize| {
+    let relin_rescale = |c: &mut OpCounts, limbs: usize| {
+        c.relins += 1;
         c.rescales += 1;
-        c.ntts += rescale_ntts(limbs);
-        c.modmuls += rescale_modmuls(params, limbs);
+        c.ntts += relin_rescale_ntts(params, limbs);
+        c.modmuls += relin_rescale_modmuls(params, limbs);
     };
-    let add_const = |c: &mut OpCounts, limbs: usize| {
+    // A constant multiply with its rescale, from `limbs` limbs.
+    let const_mult = |c: &mut OpCounts, limbs: usize| {
         c.const_mults += 1;
-        c.modmuls += const_mult_modmuls(params, limbs);
+        c.rescales += 1;
+        c.ntts += rescale_ntts(limbs - 1);
+        c.modmuls += const_mult_modmuls(params, limbs) + rescale_modmuls(params, limbs - 1);
     };
 
+    let mut limbs = params.depth + 1;
     for stage in paf.stages() {
         // Same schedule object the PafEvaluator executes.
         let sched = OddPowerSchedule::new(stage);
         let odd = sched.odd_coeffs();
-        if sched.k_max() == 0 {
-            add_const(&mut c, level);
-            add_rescale(&mut c, level - 1);
-            level -= 1;
-            continue;
+        let bits = sched.ladder_bits() as usize;
+        if odd[0] != 0.0 {
+            const_mult(&mut c, limbs);
         }
-        let bits = sched.ladder_bits();
-        // Ladder squarings.
-        for j in 0..bits {
-            let limbs = level - j as usize;
-            add_ct_mult(&mut c, limbs);
-            add_rescale(&mut c, limbs - 1);
-        }
-        // Terms.
-        for (k, &a) in odd.iter().enumerate() {
-            if a == 0.0 {
-                continue;
-            }
-            add_const(&mut c, level);
-            add_rescale(&mut c, level - 1);
-            let mut cur = level - 1;
+        if bits > 0 {
+            // Rung j is squared on `limbs − j` limbs and lands one
+            // lower.
             for j in 0..bits {
-                if (k >> j) & 1 == 1 {
-                    add_ct_mult(&mut c, cur);
-                    add_rescale(&mut c, cur - 1);
-                    cur -= 1;
-                }
+                tensor(&mut c, limbs - j);
+                relin_rescale(&mut c, limbs - j);
             }
+            for (k, _) in odd.iter().enumerate().skip(1).filter(|(_, &a)| a != 0.0) {
+                const_mult(&mut c, limbs);
+                // A product runs on its rung's limbs, `limbs − 1 − j`.
+                let top = k.ilog2() as usize;
+                for j in (0..top).filter(|j| (k >> j) & 1 == 1) {
+                    tensor(&mut c, limbs - 1 - j);
+                    relin_rescale(&mut c, limbs - 1 - j);
+                }
+                tensor(&mut c, limbs - 1 - top);
+            }
+            // The summed last products, on the top rung's limbs.
+            relin_rescale(&mut c, limbs - bits);
         }
-        level -= bits as usize;
+        limbs -= bits + 1;
     }
-    // ReLU construction: x * half_sign + 0.5x.
-    add_ct_mult(&mut c, level);
-    add_rescale(&mut c, level - 1);
-    add_const(&mut c, level);
-    add_rescale(&mut c, level - 1);
+    // ReLU construction: x · half_sign + 0.5·x.
+    tensor(&mut c, limbs);
+    relin_rescale(&mut c, limbs);
+    const_mult(&mut c, limbs);
     c
 }
 
@@ -356,20 +412,53 @@ mod tests {
     fn primitive_helpers_compose_into_relu_counts() {
         // The public per-op helpers must stay the building blocks of
         // the full ReLU model: a hand-assembled degree-1 stage
-        // (const mult + rescale, then the ReLU ct-mult + const + two
-        // rescales) reproduces `relu_op_counts` exactly.
+        // (const mult + rescale, then the ReLU tensor product, fused
+        // relinearisation and const mult) reproduces `relu_op_counts`
+        // exactly.
         let params = CkksParams::default_params();
         let paf = CompositePaf::new(vec![smartpaf_polyfit::Polynomial::from_odd(&[2.0])]);
         let c = relu_op_counts(&params, &paf);
         let top = params.depth + 1;
         let want = const_mult_modmuls(&params, top)
             + rescale_modmuls(&params, top - 1)
-            + ct_mult_modmuls(&params, top - 1)
-            + rescale_modmuls(&params, top - 2)
+            + tensor_modmuls(&params, top - 1)
+            + relin_rescale_modmuls(&params, top - 1)
             + const_mult_modmuls(&params, top - 1)
             + rescale_modmuls(&params, top - 2);
         assert_eq!(c.modmuls, want);
+        assert_eq!(
+            (c.ct_mults, c.relins, c.const_mults, c.rescales),
+            (1, 1, 2, 3)
+        );
         assert!(ct_mult_modmuls(&params, 8) > const_mult_modmuls(&params, 8));
+    }
+
+    #[test]
+    fn relu_counts_follow_the_schedule() {
+        // Tensor products and relinearisations are the schedule's, plus
+        // the ReLU's own product; a fused relinearisation costs less
+        // than the key switch and rescale it replaces at every level.
+        let params = CkksParams::default_params();
+        for form in PafForm::all() {
+            let paf = CompositePaf::from_form(form);
+            let eng = smartpaf_polyfit::CompositeEval::new(&paf);
+            let c = relu_op_counts(&params, &paf);
+            assert_eq!(c.ct_mults, eng.exact_ct_mults() + 1, "{form}");
+            assert_eq!(c.relins, eng.exact_relins() + 1, "{form}");
+            assert_eq!(c.rescales, c.relins + c.const_mults, "{form}");
+        }
+        for limbs in 2..=params.depth + 1 {
+            assert!(
+                relin_rescale_modmuls(&params, limbs)
+                    < key_switch_modmuls(&params, limbs) + rescale_modmuls(&params, limbs - 1)
+            );
+            assert_eq!(
+                relin_rescale_ntts(&params, limbs) + rescale_ntts(limbs - 1),
+                key_switch_ntts(&params, limbs) + 2 * limbs
+            );
+        }
+        assert_eq!(key_switch_ntts(&params, 13) + rescale_ntts(12), 138);
+        assert_eq!(relin_rescale_ntts(&params, 13), 112);
     }
 
     #[test]

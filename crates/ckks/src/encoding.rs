@@ -163,7 +163,7 @@ impl Encoder {
     /// slot is the constant polynomial with that coefficient, whose NTT
     /// is the same residue in every position — so multiplying by it
     /// needs no plaintext at all
-    /// ([`RnsPoly::mul_scalar_residues`]).
+    /// ([`RnsPoly::rescale_scaled`]).
     pub fn constant_residues(&self, value: f64, scale: f64, num_limbs: usize) -> Vec<u64> {
         let c = (value * scale).round() as i128;
         self.ctx.primes()[..num_limbs]

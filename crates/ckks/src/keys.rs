@@ -58,24 +58,52 @@ pub(crate) struct HybridDigitBasis {
     pub(crate) qhat: Vec<u64>,
 }
 
+/// The constants of one exact division of an extended-basis value by
+/// the product `D` of a suffix of that basis — the mod-down of
+/// `Evaluator::hybrid_mod_down`. The divisor limbs are the extended
+/// limbs `out_limbs..`: the special primes alone (`D = P`, the key
+/// switch's own division) or the last chain prime with them
+/// (`D = q_last·P`, the key switch fused with the rescale that follows
+/// it).
+#[derive(Debug, Clone)]
+pub(crate) struct ModDown {
+    /// Chain limbs of the quotient: every limb before the divisors.
+    pub(crate) out_limbs: usize,
+    /// Per divisor limb `l` (modulus `d_l`): `[(D/d_l)^{-1}]_{d_l}` and
+    /// its Shoup companion.
+    pub(crate) inv_hat: Vec<(u64, u64)>,
+    /// Per output limb `t`, per divisor limb `l`: `(D/d_l) mod q_t`,
+    /// laid out `t`-major (`hat[t * divisors + l]`).
+    pub(crate) hat: Vec<u64>,
+    /// Per output limb `t`: `[D^{-1}]_{q_t}` and its Shoup companion.
+    pub(crate) d_inv: Vec<(u64, u64)>,
+    /// Round-to-nearest constants, empty for a plain (floor) division.
+    /// The fast base conversion returns the remainder plus an overshoot
+    /// `u·D`, `u = ⌊Σ_l y_l/d_l⌋`; a quotient that is rescaled
+    /// afterwards divides that away, a final one has to remove it:
+    /// per divisor limb `1/d_l`, and per output limb `−D mod q_t`.
+    pub(crate) inv_f64: Vec<f64>,
+    /// See [`ModDown::inv_f64`].
+    pub(crate) neg_d: Vec<u64>,
+}
+
 /// Everything the hybrid key switch needs at one level that does not
 /// depend on the key: the digit partition with its raise constants
-/// (the decompose phase) and the mod-down-by-`P` constants (the apply
-/// phase). Built once per level at key generation, so a decomposition
-/// can be shared by every key at that level.
+/// (the decompose phase) and the mod-down constants (the apply phase).
+/// Built once per level at key generation, so a decomposition can be
+/// shared by every key at that level.
 #[derive(Debug, Clone)]
 pub(crate) struct HybridBasis {
     /// Special primes in use: `k = min(ω, num_limbs)`.
     pub(crate) k: usize,
     /// The digits, covering `0..num_limbs` in order.
     pub(crate) digits: Vec<HybridDigitBasis>,
-    /// Per special limb `l`: `[(P/p_l)^{-1}]_{p_l}` and Shoup companion.
-    pub(crate) inv_phat: Vec<(u64, u64)>,
-    /// Per chain limb `t`, per special limb `l`: `(P/p_l) mod q_t`,
-    /// laid out `t`-major (`phat[t * k + l]`).
-    pub(crate) phat: Vec<u64>,
-    /// Per chain limb `t`: `[P^{-1}]_{q_t}` and Shoup companion.
-    pub(crate) p_inv: Vec<(u64, u64)>,
+    /// Division by `P`: what every key switch ends in.
+    pub(crate) div_p: ModDown,
+    /// Division by `q_last·P`, rounding to nearest: a relinearisation
+    /// and the rescale after it in one base conversion. `None` on one
+    /// limb, which has no prime to rescale by.
+    pub(crate) div_p_q_last: Option<ModDown>,
     /// Per chain limb `t`: `P mod q_t` (the gadget factor keys embed).
     pub(crate) p_mod: Vec<u64>,
 }
@@ -390,6 +418,11 @@ impl KeyChain {
     }
 }
 
+/// `a·b mod m` for set-up constants (no precomputed reducer).
+fn mulmod(a: u64, b: u64, m: u64) -> u64 {
+    ((a as u128 * b as u128) % m as u128) as u64
+}
+
 impl HybridBasis {
     /// Precomputes the digit partition, base-conversion and mod-down
     /// constants for `num_limbs` limbs of `ctx`'s chain.
@@ -397,9 +430,8 @@ impl HybridBasis {
         let omega_eff = ctx.special_primes().len().min(num_limbs);
         let k = omega_eff;
         let ext = num_limbs + k;
-        let mulmod = |a: u64, b: u64, m: u64| ((a as u128 * b as u128) % m as u128) as u64;
 
-        // Mod-down constants: P = ∏ special[..k].
+        // The gadget factor P = ∏ special[..k].
         let mut p_mod = vec![0u64; num_limbs];
         for (t, dst) in p_mod.iter_mut().enumerate() {
             let q = ctx.primes()[t];
@@ -407,38 +439,6 @@ impl HybridBasis {
                 .iter()
                 .fold(1 % q, |acc, &p| mulmod(acc, p % q, q));
         }
-        let mut inv_phat = Vec::with_capacity(k);
-        for l in 0..k {
-            let p_l = ctx.special_primes()[l];
-            let mut hat = 1 % p_l;
-            for (l2, &p) in ctx.special_primes()[..k].iter().enumerate() {
-                if l2 != l {
-                    hat = mulmod(hat, p % p_l, p_l);
-                }
-            }
-            let inv = inv_mod(hat, p_l);
-            inv_phat.push((inv, ctx.arith_special(l).shoup(inv)));
-        }
-        let mut phat = vec![0u64; num_limbs * k];
-        for t in 0..num_limbs {
-            let q = ctx.primes()[t];
-            for l in 0..k {
-                let mut hat = 1 % q;
-                for (l2, &p) in ctx.special_primes()[..k].iter().enumerate() {
-                    if l2 != l {
-                        hat = mulmod(hat, p % q, q);
-                    }
-                }
-                phat[t * k + l] = hat;
-            }
-        }
-        let p_inv: Vec<(u64, u64)> = (0..num_limbs)
-            .map(|t| {
-                let q = ctx.primes()[t];
-                let inv = inv_mod(p_mod[t], q);
-                (inv, ctx.arith(t).shoup(inv))
-            })
-            .collect();
 
         // The digits.
         let mut digits = Vec::with_capacity(num_limbs.div_ceil(omega_eff));
@@ -484,10 +484,69 @@ impl HybridBasis {
         HybridBasis {
             k,
             digits,
-            inv_phat,
-            phat,
-            p_inv,
+            div_p: ModDown::new(ctx, num_limbs, k, num_limbs, false),
+            div_p_q_last: (num_limbs > 1)
+                .then(|| ModDown::new(ctx, num_limbs, k, num_limbs - 1, true)),
             p_mod,
+        }
+    }
+}
+
+impl ModDown {
+    /// Constants for dividing a value over the extended basis of
+    /// `num_limbs` chain limbs and `k` special limbs by the product of
+    /// its limbs `out_limbs..`, to nearest when `round`.
+    fn new(ctx: &CkksContext, num_limbs: usize, k: usize, out_limbs: usize, round: bool) -> Self {
+        let divisors: Vec<u64> = (out_limbs..num_limbs + k)
+            .map(|t| ctx.ext_modulus(num_limbs, t))
+            .collect();
+        // ∏ of the divisors but the one at `skip`, mod `m`.
+        let hat_mod = |skip: Option<usize>, m: u64| {
+            divisors
+                .iter()
+                .enumerate()
+                .filter(|&(l, _)| Some(l) != skip)
+                .fold(1 % m, |acc, (_, &d)| mulmod(acc, d % m, m))
+        };
+        let inv_hat = divisors
+            .iter()
+            .enumerate()
+            .map(|(l, &d)| {
+                let inv = inv_mod(hat_mod(Some(l), d), d);
+                let arith = ctx.ext_arith(num_limbs, out_limbs + l);
+                (inv, arith.shoup(inv))
+            })
+            .collect();
+        let chain = &ctx.primes()[..out_limbs];
+        let hat = chain
+            .iter()
+            .flat_map(|&q| (0..divisors.len()).map(move |l| (l, q)))
+            .map(|(l, q)| hat_mod(Some(l), q))
+            .collect();
+        let d_mod: Vec<u64> = chain.iter().map(|&q| hat_mod(None, q)).collect();
+        let d_inv = d_mod
+            .iter()
+            .enumerate()
+            .map(|(t, &d)| {
+                let inv = inv_mod(d, chain[t]);
+                (inv, ctx.arith(t).shoup(inv))
+            })
+            .collect();
+        let (inv_f64, neg_d) = if round {
+            (
+                divisors.iter().map(|&d| 1.0 / d as f64).collect(),
+                d_mod.iter().zip(chain).map(|(&d, &q)| q - d).collect(),
+            )
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        ModDown {
+            out_limbs,
+            inv_hat,
+            hat,
+            d_inv,
+            inv_f64,
+            neg_d,
         }
     }
 }

@@ -50,7 +50,7 @@ mod params;
 pub mod pool;
 mod rns;
 
-pub use cipher::{take_key_switch_counts, Ciphertext, Evaluator};
+pub use cipher::{take_key_switch_counts, Ciphertext, Evaluator, Product};
 pub use encoding::{Encoder, Plaintext};
 pub use eval::PafEvaluator;
 pub use keys::{KeyChain, KeySwitchKey, PublicKey, RelinKey, SecretKey};

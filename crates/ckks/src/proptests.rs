@@ -287,6 +287,81 @@ proptest! {
         }
     }
 
+    /// A random odd stage — degree ≤ 15, random coefficients zeroed,
+    /// input scale anywhere within 1e-4 of Δ, any entry level that
+    /// fits — is `Polynomial::eval` on the slots and leaves at exactly
+    /// Δ (every addend of the stage met on one scale, or the
+    /// evaluator's debug assertions would have fired).
+    #[test]
+    fn odd_stage_matches_the_polynomial_at_any_input_scale(
+        coeffs in proptest::collection::vec(-1.5f64..1.5, 1..9),
+        zeroed in 0usize..256,
+        off in -1e-4f64..1e-4,
+        spare in 0usize..8,
+        xs in proptest::collection::vec(-0.9f64..0.9, 8),
+        seed in 0u64..1000,
+    ) {
+        use smartpaf_polyfit::Polynomial;
+        let mut odd: Vec<f64> = coeffs
+            .iter()
+            .enumerate()
+            .map(|(k, &a)| if (zeroed >> k) & 1 == 1 { 0.0 } else { a })
+            .collect();
+        // The leading coefficient fixes the degree.
+        let top = odd.len() - 1;
+        odd[top] = if coeffs[top] < 0.0 { -0.7 } else { 0.7 };
+        let stage = Polynomial::from_odd(&odd);
+        let ev = shared();
+        let pe = crate::eval::PafEvaluator::new(ev.clone());
+        let delta = ev.context().scale();
+        let depth = smartpaf_polyfit::poly_mult_depth(stage.degree());
+        let limbs = (depth + 1 + spare).min(13);
+        let mut rng = Rng64::new(seed);
+        let pt = ev.encoder().encode(&xs, delta * (1.0 + off), limbs);
+        let out = pe.eval_odd_stage(&ev.encrypt(&pt, &mut rng), &stage);
+        prop_assert_eq!(out.scale.to_bits(), delta.to_bits());
+        prop_assert_eq!(out.num_limbs(), limbs - depth);
+        let got = ev.decrypt_values(&out, 8);
+        for (x, g) in xs.iter().zip(&got) {
+            let want = stage.eval(*x);
+            prop_assert!((g - want).abs() < 1e-6, "p({x}) = {g}, want {want}");
+        }
+    }
+
+    /// Relinearising a sum of products once is relinearising each and
+    /// summing: the key switch is linear.
+    #[test]
+    fn lazy_relinearisation_matches_eager(
+        terms in 2usize..5,
+        limbs in 2usize..14,
+        vals in proptest::collection::vec(-1.0f64..1.0, 16),
+        seed in 0u64..1000,
+    ) {
+        let ev = shared();
+        let mut rng = Rng64::new(seed);
+        let products: Vec<_> = (0..terms)
+            .map(|t| {
+                let mut a = ev.encrypt_values(&vals[t..t + 8], &mut rng);
+                let b = ev.encrypt_values(&vals[2 * t..2 * t + 8], &mut rng);
+                a.drop_to(limbs);
+                ev.tensor(&a, &b)
+            })
+            .collect();
+        let mut lazy = products[0].clone();
+        for p in &products[1..] {
+            lazy.add_assign(p);
+        }
+        let lazy = ev.decrypt_values(&ev.relinearize_rescale(lazy), 8);
+        let eager = products
+            .into_iter()
+            .map(|p| ev.relinearize_rescale(p))
+            .reduce(|a, b| ev.add(&a, &b))
+            .expect("at least two terms");
+        for (l, e) in lazy.iter().zip(&ev.decrypt_values(&eager, 8)) {
+            prop_assert!((l - e).abs() < 2f64.powi(-30), "{l} vs {e}");
+        }
+    }
+
     /// Limb-parallel kernels are byte-identical to the sequential
     /// path: the same seeded pipeline (encrypt → mul → relin →
     /// rescale → rotate) produces byte-equal ciphertext limbs for

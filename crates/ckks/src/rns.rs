@@ -31,6 +31,10 @@ struct RescalePre {
     inv: u64,
     /// Shoup companion of `inv`.
     inv_shoup: u64,
+    /// `q_last < 2·q_i`: a residue mod `q_last` is reduced mod `q_i`
+    /// by one conditional subtract. Holds for every pair of every
+    /// preset (equal-size scale primes; the base prime is larger).
+    one_subtract: bool,
 }
 
 /// Shared CKKS ring context: dimension, prime chain, NTT tables and
@@ -106,6 +110,7 @@ impl CkksContext {
                             q_last_mod,
                             inv,
                             inv_shoup: ntt[i].arith().shoup(inv),
+                            one_subtract: q_last < 2 * q,
                         }
                     })
                     .collect()
@@ -729,35 +734,6 @@ impl RnsPoly {
         }
     }
 
-    /// Multiplies every limb by a per-limb scalar residue (Shoup
-    /// product: the scalar's companion is computed once per limb and
-    /// amortized over all `n` coefficients).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scalars.len() != num_limbs()`.
-    pub fn mul_scalar_residues(&self, scalars: &[u64]) -> RnsPoly {
-        let mut out = self.clone();
-        out.mul_scalar_residues_assign(scalars);
-        out
-    }
-
-    /// In-place per-limb scalar multiplication.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scalars.len() != num_limbs()`.
-    pub fn mul_scalar_residues_assign(&mut self, scalars: &[u64]) {
-        assert_eq!(scalars.len(), self.num_limbs(), "scalar count mismatch");
-        for (i, &s) in scalars.iter().enumerate() {
-            let pa = *self.ctx.arith(i);
-            let s_shoup = pa.shoup(s);
-            for x in self.limb_mut(i) {
-                *x = pa.mul_shoup(*x, s, s_shoup);
-            }
-        }
-    }
-
     /// Drops the last limb without rescaling (plain modulus switch;
     /// valid when the represented value is small enough). With the
     /// flat layout this is a truncation — no allocation, no copy.
@@ -794,50 +770,45 @@ impl RnsPoly {
     pub fn rescale(&mut self) {
         assert!(self.num_limbs() > 1, "cannot rescale the last limb");
         let n = self.ctx.n();
-        let ctx = &self.ctx;
         let last_idx = self.num_limbs - 1;
-        let q_last = ctx.primes()[last_idx];
-        let half = q_last / 2;
-        let pre = &ctx.rescale_pre[last_idx];
         let (head, last) = self.data.split_at_mut(last_idx * n);
         let last = &mut last[..n];
-        // `l′ mod q_i` and the division by `q_last` in limb `i`.
-        let lift = |i: usize, l: u64| {
-            let pa = ctx.arith(i);
-            let l_centered = pa.reduce_u128(l as u128);
-            if l >= half {
-                sub_mod(l_centered, pre[i].q_last_mod, pa.q())
-            } else {
-                l_centered
-            }
-        };
-        let divide = |i: usize, x: u64, l_centered: u64| {
-            let pa = ctx.arith(i);
-            pa.mul_shoup(sub_mod(x, l_centered, pa.q()), pre[i].inv, pre[i].inv_shoup)
-        };
         if self.is_ntt {
-            ctx.ntt[last_idx].inverse(last);
-            let last = &*last;
-            crate::par::for_each_chunk_mut(head, n, |i, limb| {
-                let mut corr = pool::acquire(n);
-                for (c, &l) in corr.iter_mut().zip(last) {
-                    *c = lift(i, l);
-                }
-                ctx.ntt[i].forward(&mut corr);
-                for (x, &c) in limb.iter_mut().zip(&corr) {
-                    *x = divide(i, *x, c);
-                }
-                pool::release(corr);
-            });
-        } else {
-            for (i, limb) in head.chunks_exact_mut(n).enumerate() {
-                for (x, &l) in limb.iter_mut().zip(&*last) {
-                    *x = divide(i, *x, lift(i, l));
-                }
-            }
+            self.ctx.ntt[last_idx].inverse(last);
         }
+        rescale_limbs(&self.ctx, self.is_ntt, last, head, None);
         self.num_limbs = last_idx;
         self.data.truncate(self.num_limbs * n);
+    }
+
+    /// Multiplies every limb `i` by the scalar residue `scalars[i]` and
+    /// [`Self::rescale`]s, into a new element and in the rescale's
+    /// passes: limb `i` computes `x·(c_i·inv) − l′·inv` for
+    /// `(x·c_i − l′)·inv`, the same residue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if only one limb remains or
+    /// `scalars.len() != num_limbs()`.
+    pub fn rescale_scaled(&self, scalars: &[u64]) -> RnsPoly {
+        assert_eq!(scalars.len(), self.num_limbs(), "scalar count mismatch");
+        assert!(self.num_limbs() > 1, "cannot rescale the last limb");
+        let n = self.ctx.n();
+        let last_idx = self.num_limbs - 1;
+        let pa = self.ctx.arith(last_idx);
+        let (s, s_shoup) = (scalars[last_idx], pa.shoup(scalars[last_idx]));
+        let mut last = pool::acquire(n);
+        for (l, &x) in last.iter_mut().zip(self.limb(last_idx)) {
+            *l = pa.mul_shoup(x, s, s_shoup);
+        }
+        if self.is_ntt {
+            self.ctx.ntt[last_idx].inverse(&mut last);
+        }
+        let mut out = RnsPoly::uninit(&self.ctx, last_idx, self.is_ntt);
+        let scaled = (&self.data[..last_idx * n], scalars);
+        rescale_limbs(&self.ctx, self.is_ntt, &last, &mut out.data, Some(scaled));
+        pool::release(last);
+        out
     }
 
     /// Applies the Galois automorphism `X ↦ X^g` for odd `g`.
@@ -939,6 +910,72 @@ impl RnsPoly {
             x
         }
     }
+}
+
+/// The surviving limbs of a rescale: `dst` limb `i` becomes
+/// `(x − l′)/q_last`, where `l′` is the centred remainder held in `last`
+/// (the dropped limb, coefficient form) and `x` is `dst`'s own limb —
+/// or, with `scaled = (src, scalars)`, `src`'s limb times `scalars[i]`.
+/// `last.len()` chain limbs precede the dropped one in `dst`.
+fn rescale_limbs(
+    ctx: &CkksContext,
+    is_ntt: bool,
+    last: &[u64],
+    dst: &mut [u64],
+    scaled: Option<(&[u64], &[u64])>,
+) {
+    let n = ctx.n();
+    let last_idx = dst.len() / n;
+    let half = ctx.primes()[last_idx] / 2;
+    let pre = &ctx.rescale_pre[last_idx];
+    crate::par::for_each_chunk_mut(dst, n, |i, limb| {
+        let pa = *ctx.arith(i);
+        let q = pa.q();
+        let RescalePre {
+            q_last_mod,
+            inv,
+            inv_shoup,
+            one_subtract,
+        } = pre[i];
+        // `l′ mod q_i`: the remainder, less `q_last` in its upper half.
+        let center = |l: u64, l_mod: u64| {
+            if l >= half {
+                sub_mod(l_mod, q_last_mod, q)
+            } else {
+                l_mod
+            }
+        };
+        let mut corr = pool::acquire(n);
+        if one_subtract {
+            for (c, &l) in corr.iter_mut().zip(last) {
+                *c = center(l, if l >= q { l - q } else { l });
+            }
+        } else {
+            for (c, &l) in corr.iter_mut().zip(last) {
+                *c = center(l, pa.reduce_u128(l as u128));
+            }
+        }
+        if is_ntt {
+            ctx.ntt[i].forward(&mut corr);
+        }
+        match scaled {
+            None => {
+                for (x, &c) in limb.iter_mut().zip(&corr) {
+                    *x = pa.mul_shoup(sub_mod(*x, c, q), inv, inv_shoup);
+                }
+            }
+            Some((src, scalars)) => {
+                let c_inv = pa.mul_shoup(scalars[i], inv, inv_shoup);
+                let c_inv_shoup = pa.shoup(c_inv);
+                let src = &src[i * n..(i + 1) * n];
+                for ((x, &s), &c) in limb.iter_mut().zip(src).zip(&corr) {
+                    let scaled = pa.mul_shoup(s, c_inv, c_inv_shoup);
+                    *x = sub_mod(scaled, pa.mul_shoup(c, inv, inv_shoup), q);
+                }
+            }
+        }
+        pool::release(corr);
+    });
 }
 
 #[cfg(test)]

@@ -272,11 +272,17 @@ pub struct StageTrace {
     pub levels: usize,
     /// Refreshes this stage takes, before or inside it.
     pub bootstraps: usize,
-    /// Exact ciphertext-ciphertext multiplications
+    /// Exact ciphertext-ciphertext multiplications — tensor products
     /// ([`smartpaf_polyfit::OddPowerSchedule::exact_ct_mults`] per PAF
     /// evaluation, plus one per ReLU/max product; affine stages cost
     /// only ciphertext-plaintext work and count zero).
     pub ct_mults: usize,
+    /// Exact relinearisations, each one key-switch decomposition and
+    /// application with the rescale fused into its division
+    /// ([`smartpaf_polyfit::OddPowerSchedule::exact_relins`] per PAF
+    /// evaluation — a stage's summed term products share one — plus
+    /// one per ReLU/max product).
+    pub relins: usize,
     /// Exact ciphertext rotations (each one Galois key-switch
     /// *application*): the BSGS schedule of an affine matvec at the
     /// trace's lane count ([`TraceBackend::with_lanes`]) — wrap
@@ -304,6 +310,11 @@ impl TraceReport {
     /// Total exact ciphertext multiplications across all stages.
     pub fn total_ct_mults(&self) -> usize {
         self.stages.iter().map(|s| s.ct_mults).sum()
+    }
+
+    /// Total exact relinearisations across all stages.
+    pub fn total_relins(&self) -> usize {
+        self.stages.iter().map(|s| s.relins).sum()
     }
 
     /// Total bootstraps across all stages.
@@ -343,6 +354,7 @@ impl Serialize for StageTrace {
             ("levels", self.levels.serialize()),
             ("bootstraps", self.bootstraps.serialize()),
             ("ct_mults", self.ct_mults.serialize()),
+            ("relins", self.relins.serialize()),
             ("rotations", self.rotations.serialize()),
             ("decompositions", self.decompositions.serialize()),
         ])
@@ -358,6 +370,7 @@ impl Deserialize for StageTrace {
             levels: usize::deserialize(value.req("levels")?)?,
             bootstraps: usize::deserialize(value.req("bootstraps")?)?,
             ct_mults: usize::deserialize(value.req("ct_mults")?)?,
+            relins: usize::deserialize(value.req("relins")?)?,
             rotations: usize::deserialize(value.req("rotations")?)?,
             decompositions: usize::deserialize(value.req("decompositions")?)?,
         })
@@ -457,14 +470,15 @@ impl TraceBackend {
 
     /// Records the next stage off the schedule: its levels and
     /// refreshes are the scheduled ops', and a PAF stage claims the
-    /// next slot index.
+    /// next slot index and brings its `(ct_mults, relins)`.
     fn record(
         &mut self,
         label: &str,
-        is_paf: bool,
-        ct_mults: usize,
+        products: Option<(usize, usize)>,
         key_switches: BsgsCounts,
     ) -> Result<(), RunError> {
+        let is_paf = products.is_some();
+        let (ct_mults, relins) = products.unwrap_or_default();
         let ops = self.schedule.stage(self.stages.len(), label)?;
         let trace = StageTrace {
             label: label.to_string(),
@@ -473,6 +487,7 @@ impl TraceBackend {
             levels: ops.iter().map(|o| o.op.need).sum(),
             bootstraps: ops.iter().filter(|o| o.refresh).count(),
             ct_mults,
+            relins,
             rotations: key_switches.rotations,
             decompositions: key_switches.decompositions,
         };
@@ -504,7 +519,7 @@ impl InferenceBackend for TraceBackend {
         _bias: &[f64],
         label: &str,
     ) -> Result<(), RunError> {
-        self.record(label, false, 0, mat.bsgs_counts(self.lanes))
+        self.record(label, None, mat.bsgs_counts(self.lanes))
     }
 
     fn paf_relu(
@@ -517,8 +532,8 @@ impl InferenceBackend for TraceBackend {
     ) -> Result<(), RunError> {
         // Sign stages + the x·sign(x) product; the scale
         // multiplications are plaintext-constant, not ct-ct.
-        let ct_mults = op.engine.exact_ct_mults() + 1;
-        self.record(label, true, ct_mults, BsgsCounts::default())
+        let products = (op.engine.exact_ct_mults() + 1, op.engine.exact_relins() + 1);
+        self.record(label, Some(products), BsgsCounts::default())
     }
 
     fn paf_max(
@@ -536,8 +551,11 @@ impl InferenceBackend for TraceBackend {
             rotations: taps.len(),
             decompositions: taps.len(),
         };
-        let ct_mults = taps.len() * (op.engine.exact_ct_mults() + 1);
-        self.record(label, true, ct_mults, shifts)
+        let products = (
+            taps.len() * (op.engine.exact_ct_mults() + 1),
+            taps.len() * (op.engine.exact_relins() + 1),
+        );
+        self.record(label, Some(products), shifts)
     }
 
     fn level_of(&self, _v: &()) -> Option<usize> {
@@ -755,10 +773,16 @@ mod tests {
                                 report.total_bootstraps(),
                                 "{case}"
                             );
-                            // Every ct-mult relinearises: one
-                            // decomposition and one application each,
-                            // beside the rotations'.
-                            let relins = report.total_ct_mults();
+                            // Every relinearisation is one
+                            // decomposition and one application,
+                            // beside the rotations' — fewer than the
+                            // ct-mults, a stage's term products
+                            // sharing one.
+                            let relins = report.total_relins();
+                            if name == "cnn" {
+                                // One ReLU and two pool shifts of f1∘g2.
+                                assert_eq!((report.total_ct_mults(), relins), (21, 18));
+                            }
                             assert_eq!(
                                 key_switches,
                                 (
@@ -1127,6 +1151,7 @@ mod tests {
             levels: 1,
             bootstraps: 0,
             ct_mults: 0,
+            relins: 0,
             rotations: 7,
             decompositions: 4,
         };
@@ -1137,7 +1162,7 @@ mod tests {
         let Value::Object(fields) = &wire else {
             panic!("a stage record serializes to an object");
         };
-        assert_eq!(fields.len(), 8);
+        assert_eq!(fields.len(), 9);
         for missing in 0..fields.len() {
             let mut partial = fields.clone();
             let (name, _) = partial.remove(missing);

@@ -632,17 +632,27 @@ impl OddPowerSchedule {
     }
 
     /// Exact ciphertext-ciphertext multiplication count of the ladder
-    /// schedule: every ladder squaring, plus one product per set bit of
-    /// each non-zero term's packed index.
+    /// schedule — tensor products: every ladder squaring, plus one
+    /// product per set bit of each non-zero term's packed index.
     pub fn exact_ct_mults(&self) -> usize {
-        let terms: u32 = self
-            .odd
-            .iter()
-            .enumerate()
+        self.ladder_bits as usize + self.term_products().sum::<usize>()
+    }
+
+    /// Exact relinearisation count of the same schedule: every ladder
+    /// squaring and every term product but each term's last, which
+    /// stays in degree-2 form — the stage sums those and relinearises
+    /// the sum once.
+    pub fn exact_relins(&self) -> usize {
+        let inner: usize = self.term_products().map(|products| products - 1).sum();
+        self.ladder_bits as usize + inner + usize::from(self.term_products().next().is_some())
+    }
+
+    /// Products in the chain of each non-zero term `k ≥ 1`.
+    fn term_products(&self) -> impl Iterator<Item = usize> + '_ {
+        let terms = self.odd.iter().enumerate().skip(1);
+        terms
             .filter(|(_, &a)| a != 0.0)
-            .map(|(k, _)| k.count_ones())
-            .sum();
-        self.ladder_bits as usize + terms as usize
+            .map(|(k, _)| k.count_ones() as usize)
     }
 }
 
@@ -702,6 +712,18 @@ impl CompositeEval {
             .iter()
             .flatten()
             .map(OddPowerSchedule::exact_ct_mults)
+            .sum()
+    }
+
+    /// Exact relinearisations of one composite (sign) evaluation
+    /// ([`OddPowerSchedule::exact_relins`] summed): fewer than
+    /// [`CompositeEval::exact_ct_mults`], a stage relinearising the
+    /// sum of its terms once.
+    pub fn exact_relins(&self) -> usize {
+        self.schedules
+            .iter()
+            .flatten()
+            .map(OddPowerSchedule::exact_relins)
             .sum()
     }
 
@@ -927,13 +949,22 @@ mod tests {
         assert_eq!(s.modelled_ct_mults(), 4);
         // Exact ladder: 2 squarings + popcounts(1,2,3 -> 1+1+2) + k=0 free.
         assert_eq!(s.exact_ct_mults(), 6);
-        // x^5-only stage: ladder 2, single term popcount(2) = 1.
+        // Two of the six are ladder squarings and one is the inner
+        // product of k = 3; the three terms' last products share a key
+        // switch.
+        assert_eq!(s.exact_relins(), 4);
+        let g2 = OddPowerSchedule::new(&Polynomial::from_odd(&[2.0, -1.5, 0.4]));
+        assert_eq!((g2.exact_ct_mults(), g2.exact_relins()), (4, 3));
+        // x^5-only stage: ladder 2, single term popcount(2) = 1 — and
+        // a lone product has nothing to share its key switch with.
         let sparse = OddPowerSchedule::new(&Polynomial::from_odd(&[0.0, 0.0, 1.0]));
         assert_eq!(sparse.exact_ct_mults(), 3);
+        assert_eq!(sparse.exact_relins(), 3);
         // Degree-1 stage needs no ladder at all.
         let lin = OddPowerSchedule::new(&Polynomial::from_odd(&[2.0]));
         assert_eq!(lin.ladder_bits(), 0);
         assert_eq!(lin.exact_ct_mults(), 0);
+        assert_eq!(lin.exact_relins(), 0);
     }
 
     #[test]
@@ -953,6 +984,13 @@ mod tests {
         // The exact ladder schedule charges the per-term bit products
         // the coarse model folds into one product per term.
         assert!(eng.exact_ct_mults() >= eng.modelled_ct_mults());
+        let relins: usize = paf
+            .stages()
+            .iter()
+            .map(|p| OddPowerSchedule::new(p).exact_relins())
+            .sum();
+        assert_eq!(eng.exact_relins(), relins);
+        assert!(relins < exact);
     }
 
     #[test]

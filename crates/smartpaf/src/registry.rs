@@ -75,7 +75,7 @@ use crate::session::Objective;
 /// Version of the on-disk envelope this build reads and writes.
 /// Bumped on any breaking schema change; readers reject other versions
 /// with [`RegistryError::VersionMismatch`] instead of guessing.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// The envelope's `format` marker, so arbitrary JSON is rejected
 /// before any field is interpreted.
@@ -759,7 +759,7 @@ mod tests {
         let path = reg.artifact_path(&key);
         let text = fs::read_to_string(&path).unwrap();
         // Strict-exact: a later format and the previous one alike.
-        for found in [999, 2] {
+        for found in [999, 3] {
             fs::write(&path, restamp(&text, found)).unwrap();
             let err = reg.load_plan(builder(1, 5)).expect_err("other version");
             assert_eq!(
@@ -951,12 +951,12 @@ mod tests {
         let text = fs::read_to_string(&old_path).unwrap();
         // The previous format can never load again; a later one is
         // another binary's live data; unmarked JSON is not ours.
-        fs::write(&old_path, restamp(&text, 2)).unwrap();
+        fs::write(&old_path, restamp(&text, 3)).unwrap();
         let newer = reg.root().join("from-a-later-build.json");
         fs::write(&newer, restamp(&text, 999)).unwrap();
         let foreign = reg.root().join("notes.json");
         fs::write(&foreign, "{}").unwrap();
-        assert_eq!(reg.list().expect("lists").len(), 1, "only v3 is listed");
+        assert_eq!(reg.list().expect("lists").len(), 1, "only v4 is listed");
 
         // Swept under a policy that would otherwise remove nothing.
         let report = reg.gc(GcPolicy::MaxArtifacts(5)).expect("sweeps");
@@ -967,7 +967,7 @@ mod tests {
         assert_eq!(reg.list().expect("lists")[0].content_key, live);
 
         // And under the other policy.
-        fs::write(&old_path, restamp(&text, 2)).unwrap();
+        fs::write(&old_path, restamp(&text, 3)).unwrap();
         let report = reg
             .gc(GcPolicy::MaxAge(std::time::Duration::from_secs(3600)))
             .expect("sweeps");

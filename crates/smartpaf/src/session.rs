@@ -62,8 +62,8 @@ use crate::pareto::{vector_pareto_frontier, ParetoPoint, VectorParetoPoint};
 use crate::registry::PlanRegistry;
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use smartpaf_ckks::cost::{
-    bootstrap_modmuls, ct_mult_modmuls, key_switch_decompose_modmuls, rescale_modmuls,
-    rotation_apply_modmuls,
+    bootstrap_modmuls, key_switch_decompose_modmuls, relin_rescale_modmuls, rotation_apply_modmuls,
+    tensor_modmuls,
 };
 use smartpaf_ckks::{Bootstrapper, Ciphertext, CkksParams, Evaluator, KeyChain, PafEvaluator};
 use smartpaf_heinfer::{
@@ -1631,19 +1631,20 @@ impl PlanReport {
             let _ = writeln!(text, "  per-slot ({}):", chosen_cand.label());
             let _ = writeln!(
                 text,
-                "    {:>4} {:<30} {:<10} {:>6} {:>10} {:>9}",
-                "slot", "stage", "form", "levels", "bootstraps", "ct-mults"
+                "    {:>4} {:<30} {:<10} {:>6} {:>10} {:>9} {:>7}",
+                "slot", "stage", "form", "levels", "bootstraps", "ct-mults", "relins"
             );
             for (stage, form) in chosen_cand.trace.paf_slots().iter().zip(&chosen_cand.forms) {
                 let _ = writeln!(
                     text,
-                    "    {:>4} {:<30} {:<10} {:>6} {:>10} {:>9}",
+                    "    {:>4} {:<30} {:<10} {:>6} {:>10} {:>9} {:>7}",
                     stage.slot.expect("paf_slots rows carry a slot index"),
                     stage.label,
                     form.short_name(),
                     stage.levels,
                     stage.bootstraps,
                     stage.ct_mults,
+                    stage.relins,
                 );
             }
         }
@@ -1668,8 +1669,11 @@ impl fmt::Display for PlanReport {
 /// the two counts differ), both on the `level_in + 1` limbs the stage
 /// is entered on — an affine's key switches all sit there, and a
 /// pool's later shifts, which run lower, are priced as the first;
-/// every exact ct-mult (plus its rescale) at the mean of the stage's
-/// entry and exit limb counts; and every forced refresh at the full
+/// every exact ct-mult as a tensor product and every exact
+/// relinearisation — decompose, apply, and the division by `P·q_last`
+/// that is also its rescale — at the mean of the stage's entry and exit
+/// limb counts (a stage relinearises the sum of its terms once, so it
+/// has fewer of the second); and every forced refresh at the full
 /// analytic bootstrap cost. A stage that consumes more levels than it
 /// is entered at — a pool with a refresh between two of its shifts —
 /// ran on from the top of the chain, so its ct-mults are priced over
@@ -1688,9 +1692,8 @@ pub fn trace_modmuls(params: &CkksParams, report: &TraceReport) -> u128 {
                 None => (params.depth, 0),
             };
             let mean_limbs = (top + exit + 2).div_ceil(2);
-            let per_ct_mult =
-                ct_mult_modmuls(params, mean_limbs) + rescale_modmuls(params, mean_limbs - 1);
-            stage.ct_mults as u128 * per_ct_mult
+            stage.ct_mults as u128 * tensor_modmuls(params, mean_limbs)
+                + stage.relins as u128 * relin_rescale_modmuls(params, mean_limbs)
                 + stage.rotations as u128 * rotation_apply_modmuls(params, entry_limbs)
                 + stage.decompositions as u128 * key_switch_decompose_modmuls(params, entry_limbs)
                 + stage.bootstraps as u128 * bootstrap_modmuls(params)
@@ -2013,13 +2016,14 @@ mod tests {
     fn a_trace_is_priced_at_the_limbs_each_stage_runs_on() {
         use smartpaf_heinfer::StageTrace;
         let params = CkksParams::default_params();
-        let stage = |level_in, levels, ct_mults, rotations| StageTrace {
+        let stage = |level_in, levels, (ct_mults, relins), rotations| StageTrace {
             label: "stage".into(),
             slot: None,
             level_in,
             levels,
             bootstraps: 0,
             ct_mults,
+            relins,
             rotations,
             decompositions: rotations,
         };
@@ -2034,27 +2038,28 @@ mod tests {
         };
         // A matvec's key switches sit on the limbs the stage enters on.
         assert_eq!(
-            price(vec![stage(1, 1, 0, 4)]),
+            price(vec![stage(1, 1, (0, 0), 4)]),
             4 * (rotation_apply_modmuls(&params, 2) + key_switch_decompose_modmuls(&params, 2))
         );
-        assert!(price(vec![stage(1, 1, 0, 4)]) < price(vec![stage(12, 1, 0, 4)]));
-        // A ReLU entered at 6 runs from 7 limbs down to 1: mean 4.
+        assert!(price(vec![stage(1, 1, (0, 0), 4)]) < price(vec![stage(12, 1, (0, 0), 4)]));
+        // A ReLU entered at 6 runs from 7 limbs down to 1: mean 4. Its
+        // 7 tensor products pay for 6 relinearisations.
         assert_eq!(
-            price(vec![stage(6, 6, 7, 0)]),
-            7 * (ct_mult_modmuls(&params, 4) + rescale_modmuls(&params, 3))
+            price(vec![stage(6, 6, (7, 6), 0)]),
+            7 * tensor_modmuls(&params, 4) + 6 * relin_rescale_modmuls(&params, 4)
         );
         // A pool fold that refreshes inside (14 levels from level 1)
         // ran on from the top of the chain: 13 limbs down to 1, mean 7.
         assert_eq!(
-            price(vec![stage(1, 14, 21, 0)]),
-            21 * (ct_mult_modmuls(&params, 7) + rescale_modmuls(&params, 6))
+            price(vec![stage(1, 14, (14, 12), 0)]),
+            14 * tensor_modmuls(&params, 7) + 12 * relin_rescale_modmuls(&params, 7)
         );
         // Stages add up, and a refresh is the analytic bootstrap.
-        let mut refreshed = stage(1, 1, 0, 0);
+        let mut refreshed = stage(1, 1, (0, 0), 0);
         refreshed.bootstraps = 2;
         assert_eq!(
-            price(vec![stage(6, 6, 7, 0), refreshed]),
-            price(vec![stage(6, 6, 7, 0)]) + 2 * bootstrap_modmuls(&params)
+            price(vec![stage(6, 6, (7, 6), 0), refreshed]),
+            price(vec![stage(6, 6, (7, 6), 0)]) + 2 * bootstrap_modmuls(&params)
         );
     }
 

@@ -38,8 +38,8 @@ fn main() {
     for s in &report.stages {
         let form = s.slot.map(|i| forms[i].short_name()).unwrap_or("-");
         println!(
-            "  {:<30} form {:<8} enters at {:>2}  levels {:>2}  bootstraps {}  exact ct-mults {}",
-            s.label, form, s.level_in, s.levels, s.bootstraps, s.ct_mults
+            "  {:<30} form {:<8} enters at {:>2}  levels {:>2}  bootstraps {}  exact ct-mults {}  relins {}",
+            s.label, form, s.level_in, s.levels, s.bootstraps, s.ct_mults, s.relins
         );
     }
 

@@ -23,7 +23,7 @@ fn every_form_relu_matches_plaintext() {
         for (x, got) in xs.iter().zip(&out) {
             let want = paf.relu(*x);
             assert!(
-                (got - want).abs() < 5e-2,
+                (got - want).abs() < 3e-7,
                 "{form}: relu({x}) = {got}, want {want}"
             );
         }
@@ -60,6 +60,6 @@ fn static_scale_folding_matches_encrypted_path() {
         .decrypt_values(&pe.eval_composite(&ct, &folded), xs.len());
     for (x, got) in xs.iter().zip(&out) {
         let want = paf.eval(x / s);
-        assert!((got - want).abs() < 5e-2, "x={x}: {got} vs {want}");
+        assert!((got - want).abs() < 3e-7, "x={x}: {got} vs {want}");
     }
 }

@@ -62,7 +62,7 @@ fn ct_tuned_paf_runs_encrypted() {
         .decrypt_values(&pe.relu(&ct, &tuned), xs.len());
     for (x, got) in xs.iter().zip(&out) {
         let want = tuned.relu(*x);
-        assert!((got - want).abs() < 4e-2, "relu({x}) = {got}, want {want}");
+        assert!((got - want).abs() < 5e-9, "relu({x}) = {got}, want {want}");
     }
 }
 
@@ -157,7 +157,7 @@ fn encrypted_cnn_matches_plain_and_exact() {
     let (out_ct, stats) = pipe.eval_encrypted(&pe, Some(&bs), &ct);
     let enc = pe.evaluator().decrypt_values(&out_ct, pipe.output_dim());
     for (g, p) in enc.iter().zip(&plain) {
-        assert!((g - p).abs() < 0.1, "encrypted {g} vs plain {p}");
+        assert!((g - p).abs() < 2e-8, "encrypted {g} vs plain {p}");
     }
     assert!(stats.final_level <= pe.evaluator().context().max_level());
 }

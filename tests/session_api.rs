@@ -277,24 +277,30 @@ fn level_schedule_moves_entry_levels_and_no_count() {
             .plan()
             .expect("every form runs on the toy chain with refreshes")
     };
-    // (form, CNN refreshes, CNN ct-mults, MLP refreshes, MLP ct-mults)
+    // (form, CNN refreshes, CNN (ct-mults, relins), MLP refreshes,
+    // MLP (ct-mults, relins)) — a stage relinearises the sum of its
+    // terms once, so the second count is the smaller.
     let recorded = [
-        (PafForm::F1G2, 2, 21, 0, 7),
-        (PafForm::F2G2, 2, 27, 0, 9),
-        (PafForm::F2G3, 2, 33, 0, 11),
-        (PafForm::Alpha7, 2, 39, 0, 13),
-        (PafForm::F1SqG1Sq, 2, 27, 0, 9),
-        (PafForm::MinimaxDeg27, 2, 75, 1, 25),
+        (PafForm::F1G2, 2, (21, 18), 0, (7, 6)),
+        (PafForm::F2G2, 2, (27, 21), 0, (9, 7)),
+        (PafForm::F2G3, 2, (33, 24), 0, (11, 8)),
+        (PafForm::Alpha7, 2, (39, 27), 0, (13, 9)),
+        (PafForm::F1SqG1Sq, 2, (27, 27), 0, (9, 9)),
+        (PafForm::MinimaxDeg27, 2, (75, 48), 1, (25, 16)),
     ];
     assert_eq!(recorded.map(|row| row.0), PafForm::all());
-    for (form, cnn_refreshes, cnn_ct_mults, mlp_refreshes, mlp_ct_mults) in recorded {
-        for (plan, refreshes, ct_mults, key_switches, key_switches_32) in [
-            (cnn(form), cnn_refreshes, cnn_ct_mults, (21, 14), (65, 10)),
-            (mlp(form), mlp_refreshes, mlp_ct_mults, (12, 8), (48, 6)),
+    for (form, cnn_refreshes, cnn_products, mlp_refreshes, mlp_products) in recorded {
+        for (plan, refreshes, products, key_switches, key_switches_32) in [
+            (cnn(form), cnn_refreshes, cnn_products, (21, 14), (65, 10)),
+            (mlp(form), mlp_refreshes, mlp_products, (12, 8), (48, 6)),
         ] {
             let trace = plan.chosen_trace();
             assert_eq!(trace.total_bootstraps(), refreshes, "{form}");
-            assert_eq!(trace.total_ct_mults(), ct_mults, "{form}");
+            assert_eq!(
+                (trace.total_ct_mults(), trace.total_relins()),
+                products,
+                "{form}"
+            );
             assert_eq!(
                 (trace.total_rotations(), trace.total_decompositions()),
                 key_switches,
@@ -317,6 +323,12 @@ fn level_schedule_moves_entry_levels_and_no_count() {
             assert!(plan.input_level() <= plan.params().depth);
         }
     }
+    // Relinearisations are priced, so the forms they spare most move
+    // up: f1²∘g1² — four degree-3 stages with one term each, nothing
+    // to share — was priced third on the CNN and is now fifth, behind
+    // f2∘g3 and α=7 (which sheds 12 of its 39).
+    let priced = PafForm::all().map(|form| cnn(form).chosen().priced_ms);
+    assert!(priced.windows(2).all(|w| w[0] < w[1]), "{priced:?}");
     // The benchmark's CNN under f1∘g2: conv + ReLU, the pool's two
     // shifts, and the linear head are segments of 7, 12 and 1 levels.
     let levels_in: Vec<usize> = cnn(PafForm::F1G2)
