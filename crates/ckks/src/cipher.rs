@@ -1,7 +1,7 @@
 //! Ciphertexts and homomorphic operations.
 
 use crate::encoding::{Encoder, Plaintext};
-use crate::keys::{truncate, KeyChain, ModDown};
+use crate::keys::{KeyChain, ModDown};
 use crate::rns::{CkksContext, RnsPoly};
 use smartpaf_tensor::Rng64;
 use std::sync::Arc;
@@ -230,9 +230,8 @@ impl Evaluator {
 
     /// Decrypts to a plaintext.
     pub fn decrypt(&self, ct: &Ciphertext) -> Plaintext {
-        let s = truncate(self.keys.secret_key_internal(), ct.num_limbs());
         let mut poly = ct.c0.clone();
-        poly.mul_acc(&ct.c1, &s);
+        poly.mul_acc(&ct.c1, self.keys.secret_key_internal());
         Plaintext {
             poly,
             scale: ct.scale,
@@ -347,20 +346,21 @@ impl Evaluator {
     /// The tensor product of two ciphertexts on their common limbs, not
     /// yet key-switched: four ring multiplications, no transform.
     pub fn tensor(&self, a: &Ciphertext, b: &Ciphertext) -> Product {
-        let nl = a.num_limbs().min(b.num_limbs());
-        let mut aa = a.clone();
-        let mut bb = b.clone();
-        aa.drop_to(nl);
-        bb.drop_to(nl);
-        let d0 = aa.c0.mul(&bb.c0);
-        let mut d1 = aa.c0.mul(&bb.c1);
-        d1.mul_acc(&aa.c1, &bb.c0);
-        let d2 = aa.c1.mul(&bb.c1);
+        // The products read the higher operand through a limb prefix.
+        let (lo, hi) = if a.num_limbs() <= b.num_limbs() {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        let d0 = lo.c0.mul_trunc(&hi.c0);
+        let mut d1 = lo.c0.mul_trunc(&hi.c1);
+        d1.mul_acc(&lo.c1, &hi.c0);
+        let d2 = lo.c1.mul_trunc(&hi.c1);
         Product {
             d0,
             d1,
             d2,
-            scale: aa.scale * bb.scale,
+            scale: a.scale * b.scale,
         }
     }
 
@@ -900,6 +900,30 @@ mod tests {
         let out = ev.decrypt_values(&ca, 2);
         assert!((out[0] - 0.7).abs() < 1e-3);
         assert!((out[1] + 0.3).abs() < 1e-3);
+    }
+
+    #[test]
+    fn tensor_reads_the_higher_operand_through_a_prefix() {
+        // Operands at different levels, either way round: the bytes of
+        // the tensor of two copies dropped to the common limbs.
+        let (ev, mut rng) = setup(9);
+        let hi = ev.encrypt_values(&[0.7, -0.3], &mut rng);
+        let mut lo = ev.encrypt_values(&[0.2, 0.5], &mut rng);
+        lo.drop_to(2);
+        let mut hi_dropped = hi.clone();
+        hi_dropped.drop_to(2);
+        let expect = ev.tensor(&hi_dropped, &lo);
+        for got in [ev.tensor(&hi, &lo), ev.tensor(&lo, &hi)] {
+            assert_eq!(got.num_limbs(), 2);
+            assert_eq!(got.scale, expect.scale);
+            for (g, e) in [
+                (&got.d0, &expect.d0),
+                (&got.d1, &expect.d1),
+                (&got.d2, &expect.d2),
+            ] {
+                assert!(g.limbs().eq(e.limbs()));
+            }
+        }
     }
 
     #[test]

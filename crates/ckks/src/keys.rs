@@ -559,13 +559,6 @@ enum SwitchedSecret {
     Auto(usize),
 }
 
-/// Copies the first `num_limbs` limbs of an NTT-form element (one
-/// flat prefix `memcpy` into a pooled buffer).
-pub(crate) fn truncate(p: &RnsPoly, num_limbs: usize) -> RnsPoly {
-    assert!(p.is_ntt(), "truncate expects NTT form");
-    p.truncated(num_limbs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

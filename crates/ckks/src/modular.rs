@@ -18,25 +18,28 @@
 //! require `q < 2^62` so `4q` fits in a `u64` — enforced by
 //! [`PrimeArith::new`] and by [`ntt_primes`].
 
+use core::hint::select_unpredictable;
+
+/// `a - m` if `a >= m`, else `a`, as a select: the one conditional
+/// correction every kernel below is built from. Both arms are computed
+/// and the condition picks one, so the subtraction wraps (and is
+/// discarded) when `a < m`.
+#[inline(always)]
+fn sub_if_ge(a: u64, m: u64) -> u64 {
+    select_unpredictable(a >= m, a.wrapping_sub(m), a)
+}
+
 /// Modular addition in `[0, q)`.
 #[inline]
 pub fn add_mod(a: u64, b: u64, q: u64) -> u64 {
-    let s = a + b; // q < 2^62 so no overflow
-    if s >= q {
-        s - q
-    } else {
-        s
-    }
+    sub_if_ge(a + b, q) // q < 2^62 so no overflow
 }
 
 /// Modular subtraction in `[0, q)`.
 #[inline]
 pub fn sub_mod(a: u64, b: u64, q: u64) -> u64 {
-    if a >= b {
-        a - b
-    } else {
-        a + q - b
-    }
+    let d = a.wrapping_sub(b);
+    select_unpredictable(a >= b, d, d.wrapping_add(q))
 }
 
 /// Modular multiplication via 128-bit intermediate.
@@ -111,6 +114,16 @@ pub fn is_prime(n: u64) -> bool {
 /// canonical residue (or, for `*_lazy` variants, a representative that
 /// normalizes to it). The point is raw speed — no hardware division
 /// anywhere on the hot path.
+///
+/// The kernels are also branch-free on data: every conditional
+/// correction is a [`core::hint::select_unpredictable`], because a
+/// ciphertext residue is uniformly random and "is it at least `q`" is
+/// a coin flip no predictor learns. That is a performance property — a
+/// kernel's time depends on how many values it is handed, not which.
+/// It also takes a data-dependent timing signal out of `decrypt`'s
+/// `c1·s` product, but it is not a constant-time audit. No other file
+/// of this crate compares a residue with a modulus
+/// (`residues_are_compared_with_moduli_only_here`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrimeArith {
     /// The prime modulus.
@@ -162,23 +175,14 @@ impl PrimeArith {
     #[inline]
     pub fn add(&self, a: u64, b: u64) -> u64 {
         debug_assert!(a < self.q && b < self.q);
-        let s = a + b;
-        if s >= self.q {
-            s - self.q
-        } else {
-            s
-        }
+        add_mod(a, b, self.q)
     }
 
     /// Modular subtraction in `[0, q)`. Same result as [`sub_mod`].
     #[inline]
     pub fn sub(&self, a: u64, b: u64) -> u64 {
         debug_assert!(a < self.q && b < self.q);
-        if a >= b {
-            a - b
-        } else {
-            a + self.q - b
-        }
+        sub_mod(a, b, self.q)
     }
 
     /// Reduces a 128-bit value to `[0, q)` by Barrett reduction —
@@ -208,11 +212,7 @@ impl PrimeArith {
             .wrapping_add(carry2);
         let r = x_lo.wrapping_sub(q_hat.wrapping_mul(self.q));
         debug_assert!(r < self.two_q, "Barrett estimate off by more than one");
-        if r >= self.q {
-            r - self.q
-        } else {
-            r
-        }
+        self.canonical(r)
     }
 
     /// Modular multiplication in `[0, q)` without division. Same
@@ -247,35 +247,38 @@ impl PrimeArith {
     /// this equals `mul_mod(a, w, q)` exactly.
     #[inline]
     pub fn mul_shoup(&self, a: u64, w: u64, w_shoup: u64) -> u64 {
-        let r = self.mul_shoup_lazy(a, w, w_shoup);
-        if r >= self.q {
-            r - self.q
-        } else {
-            r
-        }
+        self.canonical(self.mul_shoup_lazy(a, w, w_shoup))
     }
 
     /// Folds a `[0, 4q)` lazy representative down to `[0, 2q)`.
     #[inline]
     pub fn reduce_once(&self, a: u64) -> u64 {
         debug_assert!(a < 2 * self.two_q, "lazy representative escaped [0, 4q)");
-        if a >= self.two_q {
-            a - self.two_q
-        } else {
-            a
-        }
+        sub_if_ge(a, self.two_q)
+    }
+
+    /// Folds a `[0, 2q)` lazy representative to canonical `[0, q)`.
+    #[inline]
+    pub fn canonical(&self, a: u64) -> u64 {
+        debug_assert!(a < self.two_q, "lazy representative escaped [0, 2q)");
+        sub_if_ge(a, self.q)
     }
 
     /// Normalizes a `[0, 4q)` lazy representative to canonical
     /// `[0, q)` form.
     #[inline]
     pub fn normalize(&self, a: u64) -> u64 {
-        let a = self.reduce_once(a);
-        if a >= self.q {
-            a - self.q
-        } else {
-            a
-        }
+        self.canonical(self.reduce_once(a))
+    }
+
+    /// The residue mod `q` of the centred remainder of a division by
+    /// `d`: given a remainder `l` in `[0, d)` with `l_mod = l mod q`
+    /// and `d_mod = d mod q`, returns `l_mod`, less `d_mod` when `l`
+    /// lies in the upper half `l >= half_d` (where the centred
+    /// remainder is `l - d`). This is a rescale's `l′ mod q_i`.
+    #[inline]
+    pub fn center(&self, l: u64, half_d: u64, l_mod: u64, d_mod: u64) -> u64 {
+        select_unpredictable(l >= half_d, self.sub(l_mod, d_mod), l_mod)
     }
 }
 
@@ -485,6 +488,153 @@ mod tests {
         for r in 0..2 * q {
             assert_eq!(pa.reduce_once(r + 2 * q), r);
             assert_eq!(pa.reduce_once(r), r);
+        }
+    }
+
+    /// Every select below evaluates both arms, the wrapped one too, so
+    /// each rewritten helper is held to `%` on `u128` over its whole
+    /// domain at primes small enough to enumerate.
+    #[test]
+    fn select_helpers_match_u128_remainder_exhaustively() {
+        for q in [3u64, 97, 257] {
+            let pa = PrimeArith::new(q);
+            let rem = |x: u128| (x % q as u128) as u64;
+            for a in 0..q {
+                for b in 0..q {
+                    let (sum, diff) = (rem(a as u128 + b as u128), rem((a + q - b) as u128));
+                    assert_eq!(add_mod(a, b, q), sum, "add_mod {a} {b} q={q}");
+                    assert_eq!(pa.add(a, b), sum, "add {a} {b} q={q}");
+                    assert_eq!(sub_mod(a, b, q), diff, "sub_mod {a} {b} q={q}");
+                    assert_eq!(pa.sub(a, b), diff, "sub {a} {b} q={q}");
+                }
+            }
+            for a in 0..4 * q {
+                let once = pa.reduce_once(a);
+                assert!(once < 2 * q && rem(once as u128) == rem(a as u128));
+                assert_eq!(pa.normalize(a), rem(a as u128), "normalize {a} q={q}");
+                if a < 2 * q {
+                    assert_eq!(pa.canonical(a), rem(a as u128), "canonical {a} q={q}");
+                }
+                // A lazy `[0, 4q)` operand against every twiddle.
+                for w in 0..q {
+                    let got = pa.mul_shoup(a, w, pa.shoup(w));
+                    assert_eq!(got, rem(a as u128 * w as u128), "mul_shoup {a} {w} q={q}");
+                }
+            }
+            for x in 0..(q * q) as u128 {
+                assert_eq!(pa.reduce_u128(x), rem(x), "reduce_u128 {x} q={q}");
+            }
+            let mut x = 0x243F6A8885A308D3u128;
+            for _ in 0..4000 {
+                x = x
+                    .wrapping_mul(0x2360ED051FC65DA44385DF649FCCF645)
+                    .wrapping_add(1);
+                assert_eq!(pa.reduce_u128(x), rem(x), "reduce_u128 {x} q={q}");
+            }
+        }
+    }
+
+    #[test]
+    fn center_is_the_centred_remainder_mod_q() {
+        // d < 2q (one conditional subtract lifts l), d > 2q, d < q.
+        for (q, d) in [(97u64, 101u64), (97, 193), (97, 257), (257, 97), (3, 97)] {
+            let pa = PrimeArith::new(q);
+            for l in 0..d {
+                let centred = if l >= d / 2 {
+                    l as i64 - d as i64
+                } else {
+                    l as i64
+                };
+                let expect = centred.rem_euclid(q as i64) as u64;
+                assert_eq!(
+                    pa.center(l, d / 2, l % q, d % q),
+                    expect,
+                    "l={l} d={d} q={q}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn select_helpers_hold_at_the_largest_modulus() {
+        // The first NTT prime below 2^62: `4q - 1` is the largest value
+        // any lazy kernel sees, and the discarded arm of each select
+        // wraps around zero here.
+        let q = ntt_primes(62, 1, 256)[0];
+        let pa = PrimeArith::new(q);
+        let rem = |x: u128| (x % q as u128) as u64;
+        for &a in &[0u64, 1, q - 1] {
+            for &b in &[0u64, 1, q - 1] {
+                assert_eq!(pa.add(a, b), rem(a as u128 + b as u128));
+                assert_eq!(add_mod(a, b, q), rem(a as u128 + b as u128));
+                assert_eq!(pa.sub(a, b), rem(a as u128 + q as u128 - b as u128));
+                assert_eq!(sub_mod(a, b, q), rem(a as u128 + q as u128 - b as u128));
+                assert_eq!(pa.mul_shoup(a, b, pa.shoup(b)), rem(a as u128 * b as u128));
+            }
+        }
+        for a in [0, 1, q - 1, q, q + 1, 2 * q - 2, 2 * q - 1] {
+            assert_eq!(pa.canonical(a), rem(a as u128), "canonical {a}");
+        }
+        for a in [0, q, 2 * q - 1, 2 * q, 2 * q + 1, 3 * q, 4 * q - 1] {
+            assert_eq!(pa.reduce_once(a), if a >= 2 * q { a - 2 * q } else { a });
+            assert_eq!(pa.normalize(a), rem(a as u128), "normalize {a}");
+            let w = q - 1;
+            assert_eq!(pa.mul_shoup(a, w, pa.shoup(w)), rem(a as u128 * w as u128));
+        }
+        assert_eq!(pa.reduce_u128(u128::MAX), rem(u128::MAX));
+        assert_eq!(pa.center(q - 1, q / 2, q - 1, 0), q - 1);
+    }
+
+    /// Whether a source line branches on a residue compared with a
+    /// modulus: an `if` with `>=` against `q`, `two_q` or `half`
+    /// (bare, or as a field or accessor of anything).
+    fn branches_on_residue(line: &str) -> bool {
+        let code = line.split("//").next().unwrap_or("");
+        code.contains("if ")
+            && code.match_indices(">= ").any(|(at, pat)| {
+                let rhs = &code[at + pat.len()..];
+                let end = rhs
+                    .find(|c: char| !(c.is_alphanumeric() || c == '_' || c == '.'))
+                    .unwrap_or(rhs.len());
+                let name = rhs[..end].rsplit('.').next().unwrap_or("");
+                ["q", "two_q", "half"].contains(&name)
+            })
+    }
+
+    /// The structural half of "the kernels are branch-free on data": a
+    /// residue is compared with a modulus only in this file, where the
+    /// comparison feeds a select. A timing test of the same property
+    /// would be flaky; this names the line instead.
+    #[test]
+    fn residues_are_compared_with_moduli_only_here() {
+        assert!(branches_on_residue("            if l >= half {"));
+        assert!(branches_on_residue(
+            "*c = center(l, if l >= q { l - q } else { l });"
+        ));
+        assert!(branches_on_residue("if r >= self.q {"));
+        assert!(branches_on_residue("if a >= pa.two_q() {"));
+        assert!(!branches_on_residue(
+            "if t >= digit.start && t < digit.end {"
+        ));
+        assert!(!branches_on_residue("// if l >= q, subtract"));
+        let sources = [
+            ("ntt.rs", include_str!("ntt.rs")),
+            ("rns.rs", include_str!("rns.rs")),
+            ("cipher.rs", include_str!("cipher.rs")),
+            ("galois.rs", include_str!("galois.rs")),
+            ("linear.rs", include_str!("linear.rs")),
+        ];
+        for (file, text) in sources {
+            let non_test = text.split("#[cfg(test)]\nmod tests").next().unwrap_or(text);
+            for (i, line) in non_test.lines().enumerate() {
+                assert!(
+                    !branches_on_residue(line),
+                    "{file}:{}: residue compared with a modulus outside modular.rs \
+                     (use a PrimeArith helper): {}",
+                    i + 1,
+                    line.trim()
+                );
+            }
         }
     }
 

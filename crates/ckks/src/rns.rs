@@ -654,18 +654,8 @@ impl RnsPoly {
     /// Panics on level mismatch or if either operand is in coefficient
     /// form.
     pub fn mul(&self, other: &RnsPoly) -> RnsPoly {
-        assert!(self.is_ntt && other.is_ntt, "mul requires NTT form");
         self.assert_binop_compatible(other);
-        let mut out = Self::uninit(&self.ctx, self.num_limbs, true);
-        let n = self.ctx.n();
-        for i in 0..self.num_limbs {
-            let pa = *self.ctx.arith(i);
-            let (a, b) = (self.limb(i), other.limb(i));
-            for j in 0..n {
-                out.data[i * n + j] = pa.reduce_u128(a[j] as u128 * b[j] as u128);
-            }
-        }
-        out
+        self.mul_trunc(other)
     }
 
     /// In-place pointwise multiplication (`self *= other`; both in NTT
@@ -687,21 +677,25 @@ impl RnsPoly {
         }
     }
 
-    /// Fused multiply-add: `self += a * b` (all three in NTT form, same
-    /// level). Saves one pooled temporary per accumulation versus
-    /// `add_assign(&a.mul(&b))` — the relinearization inner loop runs
-    /// entirely on this.
+    /// Fused multiply-add: `self += a * b` (all three in NTT form),
+    /// reading only the first `self.num_limbs()` limbs of `a` and `b`.
+    /// Saves one pooled temporary per accumulation versus
+    /// `add_assign(&a.mul(&b))`, and the truncated copy of an operand
+    /// that sits at a higher level.
     ///
     /// # Panics
     ///
-    /// Panics on level mismatch or coefficient-form operands.
+    /// Panics on coefficient-form operands or if `a` or `b` has fewer
+    /// limbs than `self`.
     pub fn mul_acc(&mut self, a: &RnsPoly, b: &RnsPoly) {
         assert!(
             self.is_ntt && a.is_ntt && b.is_ntt,
             "mul_acc requires NTT form"
         );
-        a.assert_binop_compatible(b);
-        self.assert_binop_compatible(a);
+        assert!(
+            a.num_limbs() >= self.num_limbs() && b.num_limbs() >= self.num_limbs(),
+            "level mismatch"
+        );
         for i in 0..self.num_limbs {
             let pa = *self.ctx.arith(i);
             let q = pa.q();
@@ -938,17 +932,11 @@ fn rescale_limbs(
             one_subtract,
         } = pre[i];
         // `l′ mod q_i`: the remainder, less `q_last` in its upper half.
-        let center = |l: u64, l_mod: u64| {
-            if l >= half {
-                sub_mod(l_mod, q_last_mod, q)
-            } else {
-                l_mod
-            }
-        };
+        let center = |l: u64, l_mod: u64| pa.center(l, half, l_mod, q_last_mod);
         let mut corr = pool::acquire(n);
         if one_subtract {
             for (c, &l) in corr.iter_mut().zip(last) {
-                *c = center(l, if l >= q { l - q } else { l });
+                *c = center(l, pa.canonical(l));
             }
         } else {
             for (c, &l) in corr.iter_mut().zip(last) {
