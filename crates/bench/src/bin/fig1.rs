@@ -1,8 +1,11 @@
 //! Regenerates paper Fig. 1: the latency–accuracy Pareto frontier of
 //! PAF forms on ResNet-18, SMART-PAF vs prior work (baseline + SS).
+//! The latency axis is one encrypted inference of a one-ReLU `Session`
+//! (`smartpaf_bench::measure_relu`), so it includes ≈ 4 ms of encrypt +
+//! decrypt at n = 4096.
 
-use smartpaf::{pareto_frontier, LatencyRig, ParetoPoint, TechniqueSet};
-use smartpaf_bench::{pct, resnet_workbench, scale_from_env};
+use smartpaf::{pareto_frontier, ParetoPoint, TechniqueSet};
+use smartpaf_bench::{measure_relu, pct, resnet_workbench, scale_from_env};
 use smartpaf_ckks::CkksParams;
 use smartpaf_polyfit::PafForm;
 
@@ -10,7 +13,7 @@ fn main() {
     let scale = scale_from_env();
     println!("Fig. 1 — latency vs accuracy Pareto frontier ({scale:?} scale)\n");
 
-    let mut rig = LatencyRig::new(&CkksParams::default_params(), 8);
+    let params = CkksParams::default_params();
     let mut wb = resnet_workbench(scale, 7);
     println!(
         "ResNet-18 on synth-imagenet, original accuracy {}\n",
@@ -24,8 +27,7 @@ fn main() {
         "PAF", "latency", "SMART-PAF acc", "prior (SS) acc"
     );
     for form in PafForm::smartpaf_set() {
-        let lat = rig.measure_relu(form, 3);
-        let ms = lat.relu_latency.as_secs_f64() * 1e3;
+        let ms = measure_relu(&params, form, 8, 3).1.as_secs_f64() * 1e3;
         let ours = wb.run_cell(TechniqueSet::smartpaf(), form, false);
         let them = wb.run_cell(TechniqueSet::baseline_ss(), form, false);
         println!(

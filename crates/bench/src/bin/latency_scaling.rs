@@ -3,11 +3,14 @@
 //! Tab. 4's absolute numbers depend on CKKS parameters; this binary
 //! shows that the *speedup ordering* of the PAF forms is stable across
 //! ring dimensions and matches the analytic model's projection at the
-//! paper's N = 32768.
+//! paper's N = 32768. A measured cell is one encrypted inference of a
+//! one-ReLU `Session` (`smartpaf_bench::measure_relu`), so it includes
+//! the request's encrypt + decrypt (≈ 4 ms at n = 4096).
 //!
 //! Run with: `cargo run -p smartpaf-bench --release --bin latency_scaling`
 
-use smartpaf::LatencyRig;
+use smartpaf::SECONDS_PER_MODMUL;
+use smartpaf_bench::measure_relu;
 use smartpaf_ckks::cost::{project_seconds, relu_op_counts};
 use smartpaf_ckks::CkksParams;
 use smartpaf_polyfit::{CompositePaf, PafForm};
@@ -24,10 +27,9 @@ fn main() {
 
     // Analytic projection at paper scale, calibrated per modmul.
     let paper = CkksParams::paper_scale();
-    let per_modmul = 1.2e-9;
     let baseline_proj = project_seconds(
         &relu_op_counts(&paper, &CompositePaf::from_form(PafForm::MinimaxDeg27)),
-        per_modmul,
+        SECONDS_PER_MODMUL,
     );
 
     for form in forms {
@@ -37,13 +39,12 @@ fn main() {
                 n,
                 ..CkksParams::default_params()
             };
-            let mut rig = LatencyRig::new(&params, 7);
-            let report = rig.measure_relu(form, 1);
-            print!(" {:>11.1}ms", report.relu_latency.as_secs_f64() * 1e3);
+            let (_, latency) = measure_relu(&params, form, 7, 1);
+            print!(" {:>11.1}ms", latency.as_secs_f64() * 1e3);
         }
         let proj = project_seconds(
             &relu_op_counts(&paper, &CompositePaf::from_form(form)),
-            per_modmul,
+            SECONDS_PER_MODMUL,
         );
         println!(" {:>13.2}s {:>8.2}x", proj, baseline_proj / proj);
     }

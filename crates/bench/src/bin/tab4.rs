@@ -1,9 +1,11 @@
 //! Regenerates paper Tab. 4: SMART-PAF vs the 27-degree minimax PAF
 //! (Lee et al.) — validation accuracy, ReLU latency under CKKS, and
-//! speedup.
+//! speedup. The latency column is one encrypted inference of a
+//! one-ReLU `Session` (`smartpaf_bench::measure_relu`), so it includes
+//! ≈ 4 ms of encrypt + decrypt at n = 4096.
 
-use smartpaf::{LatencyRig, TechniqueSet};
-use smartpaf_bench::{pct, scale_from_env, vgg_workbench};
+use smartpaf::TechniqueSet;
+use smartpaf_bench::{measure_relu, pct, scale_from_env, vgg_workbench};
 use smartpaf_ckks::CkksParams;
 use smartpaf_polyfit::PafForm;
 
@@ -12,10 +14,10 @@ fn main() {
     println!("Tab. 4 — SMART-PAF vs 27-degree comparator ({scale:?} scale)\n");
 
     // Latency column: CKKS PAF-ReLU wall-clock per form.
-    println!("building CKKS latency rig (N = 4096, depth 12)...");
-    let mut rig = LatencyRig::new(&CkksParams::default_params(), 5);
-    let comparator = rig.measure_relu(PafForm::MinimaxDeg27, 5);
-    let comparator_ms = comparator.relu_latency.as_secs_f64() * 1e3;
+    println!("timing the 27-degree comparator under CKKS (N = 4096, depth 12)...");
+    let params = CkksParams::default_params();
+    let relu_ms = |form| measure_relu(&params, form, 5, 5).1.as_secs_f64() * 1e3;
+    let comparator_ms = relu_ms(PafForm::MinimaxDeg27);
 
     // Accuracy column: VGG-19 on synth-cifar with full SMART-PAF.
     let mut wb = vgg_workbench(scale, 6);
@@ -35,9 +37,8 @@ fn main() {
         PafForm::Alpha7,
         PafForm::F1SqG1Sq,
     ] {
-        let lat = rig.measure_relu(form, 5);
+        let ms = relu_ms(form);
         let acc = wb.run_cell(TechniqueSet::smartpaf(), form, false);
-        let ms = lat.relu_latency.as_secs_f64() * 1e3;
         println!(
             "{:<20} {:>12} {:>13.1} ms {:>9.2}x",
             form.paper_name(),

@@ -7,10 +7,13 @@
 //! * `harness` — mid-scale models and epoch counts (tens of minutes);
 //! * `paper` — paper-faithful epoch counts (E = 20; hours).
 
-use smartpaf::{TrainConfig, Workbench};
+use smartpaf::{Objective, Session, TrainConfig, VectorCost, Workbench};
+use smartpaf_ckks::CkksParams;
 use smartpaf_datasets::{SynthDataset, SynthSpec};
 use smartpaf_nn::{resnet18, vgg19, Model};
+use smartpaf_polyfit::PafForm;
 use smartpaf_tensor::Rng64;
+use std::time::{Duration, Instant};
 
 /// Which experiment scale to run at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,6 +123,43 @@ pub fn vgg_workbench(scale: Scale, seed: u64) -> Workbench {
         train_config(scale, seed),
         pretrain_epochs(scale),
     )
+}
+
+/// Times `form` as a one-ReLU [`Session`] over 64 slots — the latency
+/// axis of Fig. 1 and the latency columns of Tab. 4. Returns the plan's
+/// traced cost and the median of `iters` `infer` calls after a warm-up
+/// that generates the lazy keys. A request is encrypted at the level
+/// the ReLU consumes and the figure includes its encrypt and decrypt
+/// (≈ 4 ms at n = 4096).
+///
+/// # Panics
+///
+/// Panics if the form does not fit the chain.
+pub fn measure_relu(
+    params: &CkksParams,
+    form: PafForm,
+    seed: u64,
+    iters: usize,
+) -> (VectorCost, Duration) {
+    let mut session = Session::builder(&[64])
+        .relu(1.0)
+        .params(params.clone())
+        .objective(Objective::FixedForm(form))
+        .seed(seed)
+        .plan()
+        .and_then(|plan| plan.compile())
+        .expect("the form fits the chain");
+    let x: Vec<f64> = (0..64).map(|i| i as f64 / 32.0 - 1.0).collect();
+    session.infer(&x).expect("serves");
+    let mut times: Vec<Duration> = (0..iters.max(1))
+        .map(|_| {
+            let t0 = Instant::now();
+            std::hint::black_box(session.infer(&x).expect("serves"));
+            t0.elapsed()
+        })
+        .collect();
+    times.sort();
+    (*session.chosen_cost(), times[times.len() / 2])
 }
 
 /// Prints a percentage cell.

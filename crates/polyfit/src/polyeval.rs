@@ -86,8 +86,7 @@ impl EvalPlan {
         match (odd, packed) {
             (true, n) if n < ESTRIN_MIN_PACKED => EvalPlan::OddHorner,
             (true, _) => EvalPlan::OddEstrin,
-            (false, n) if n < ESTRIN_MIN_PACKED => EvalPlan::DenseHorner,
-            (false, n) if n < PS_MIN_PACKED => EvalPlan::DenseEstrin,
+            (false, n) if n < PS_MIN_PACKED => EvalPlan::DenseHorner,
             (false, _) => EvalPlan::DensePs,
         }
     }

@@ -6,8 +6,7 @@
 //! training techniques — Coefficient Tuning (CT), Progressive
 //! Approximation (PA), Alternate Training (AT), Dynamic/Static Scaling
 //! (DS/SS) — plus the Fig. 6 scheduler that composes them, the
-//! replacement engine, Pareto-frontier search, and CKKS wall-clock
-//! latency measurement.
+//! replacement engine, and Pareto-frontier search.
 //!
 //! # The Session API (headline)
 //!
@@ -63,7 +62,6 @@
 #![warn(missing_docs)]
 
 mod config;
-mod latency;
 mod pareto;
 mod pipeline;
 #[cfg(test)]
@@ -77,7 +75,6 @@ pub mod session;
 mod trainer;
 
 pub use config::{TechniqueSet, TrainConfig};
-pub use latency::{LatencyReport, LatencyRig};
 pub use pareto::{pareto_frontier, vector_pareto_frontier, ParetoPoint, VectorParetoPoint};
 pub use pipeline::{ExperimentResult, Workbench};
 pub use registry::{ArtifactInfo, GcPolicy, GcReport, PlanRegistry, RegistryError, FORMAT_VERSION};
@@ -88,10 +85,10 @@ pub use replace::{
     coefficient_tune, coefficient_tune_all, collect_relu_pafs, freeze_scales, num_slots,
     profile_slot, replace_all, replace_all_with, replace_slot, scale_static_scales,
 };
-pub use scheduler::{rank_forms_by_dry_run, EventKind, FormCost, Scheduler, TrainEvent};
+pub use scheduler::{EventKind, Scheduler, TrainEvent};
 pub use serve::{registry_factory, serve_sessions, serve_sessions_packed, SessionCache};
 pub use session::{
-    trace_modmuls, CompiledSession, FormId, Objective, Plan, PlanBudget, PlanReport,
-    PlannedCandidate, Session, SessionBuilder, SessionError, VectorCost, SECONDS_PER_MODMUL,
+    trace_modmuls, CompiledSession, FormId, Objective, Plan, PlanReport, PlannedCandidate, Session,
+    SessionBuilder, SessionError, VectorCost, SECONDS_PER_MODMUL,
 };
 pub use trainer::{evaluate, pretrain, train_epoch};

@@ -2,7 +2,7 @@
 
 use crate::config::{TechniqueSet, TrainConfig};
 use crate::replace::{coefficient_tune_all, num_slots, replace_all_with};
-use crate::scheduler::{rank_forms_by_dry_run, FormCost, Scheduler, TrainEvent};
+use crate::scheduler::{Scheduler, TrainEvent};
 use crate::trainer::{evaluate, pretrain};
 use smartpaf_datasets::SynthDataset;
 use smartpaf_nn::{Model, SlotRef};
@@ -153,61 +153,6 @@ impl Workbench {
         evaluate(&mut self.model, &self.dataset, &self.config)
     }
 
-    /// Cost-aware cell selection: consults the dry-run trace oracle to
-    /// pick the cheapest PAF form (fewest forced bootstraps, then
-    /// fewest exact ciphertext multiplications) on a modulus chain of
-    /// `max_level` levels, then runs that cell. Returns the oracle's
-    /// cost row alongside the training result, so experiment tables
-    /// can report accuracy *and* deployment cost from one call.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`smartpaf_heinfer::RunError`] when a candidate's
-    /// atomic depth exceeds the chain (no parameter set can run it).
-    pub fn run_cheapest_cell(
-        &mut self,
-        techniques: TechniqueSet,
-        candidates: &[PafForm],
-        max_level: usize,
-        relu_only: bool,
-    ) -> Result<(FormCost, ExperimentResult), smartpaf_heinfer::RunError> {
-        assert!(!candidates.is_empty(), "no candidate forms");
-        let ranked = rank_forms_by_dry_run(candidates, max_level)?;
-        let cheapest = ranked[0];
-        let result = self.run_cell(techniques, cheapest.form, relu_only);
-        Ok((cheapest, result))
-    }
-
-    /// [`Workbench::run_cheapest_cell`] over the default candidate set:
-    /// every built-in form whose ReLU fits the chain
-    /// ([`CompositePaf::candidate_forms`]) — the training-side twin of
-    /// planning a [`crate::Session`] without an explicit candidate
-    /// list.
-    ///
-    /// # Errors
-    ///
-    /// [`smartpaf_heinfer::RunError::AtomicDepthExceeded`] when no
-    /// built-in form fits a chain of `max_level` levels.
-    pub fn run_cheapest_cell_auto(
-        &mut self,
-        techniques: TechniqueSet,
-        max_level: usize,
-        relu_only: bool,
-    ) -> Result<(FormCost, ExperimentResult), smartpaf_heinfer::RunError> {
-        let candidates = CompositePaf::candidate_forms(max_level);
-        if candidates.is_empty() {
-            // Surface the same typed error a direct dry run of the
-            // cheapest form would produce.
-            let paf = CompositePaf::from_form(PafForm::F1G2);
-            return Err(smartpaf_heinfer::RunError::AtomicDepthExceeded {
-                label: format!("paf-relu[depth={}]", paf.mult_depth()),
-                needed: paf.mult_depth() + 1,
-                max_level,
-            });
-        }
-        self.run_cheapest_cell(techniques, &candidates, max_level, relu_only)
-    }
-
     /// The "direct replacement + progressive training" ablation (the
     /// green bars of Fig. 8): every operator is replaced up front, and
     /// the progressive schedule then fine-tunes step by step with the
@@ -285,48 +230,6 @@ mod tests {
         let b = wb.run_cell(TechniqueSet::baseline_ds(), PafForm::F1G2, true);
         assert_eq!(a.final_acc, b.final_acc);
         assert_eq!(a.post_replacement_acc, b.post_replacement_acc);
-    }
-
-    #[test]
-    fn cheapest_cell_picks_low_cost_form() {
-        let mut wb = bench(45);
-        let candidates = [PafForm::MinimaxDeg27, PafForm::F1G2, PafForm::Alpha7];
-        let (cost, result) = wb
-            .run_cheapest_cell(
-                TechniqueSet {
-                    fine_tune: false,
-                    ..TechniqueSet::baseline_ds()
-                },
-                &candidates,
-                12,
-                false,
-            )
-            .expect("all candidates fit a 12-level chain");
-        // f1∘g2 is the cheapest of the three by exact ct-mults.
-        assert_eq!(cost.form, PafForm::F1G2);
-        assert_eq!(result.form, PafForm::F1G2);
-        assert_eq!(cost.bootstraps, 0);
-    }
-
-    #[test]
-    fn auto_candidates_match_explicit_full_set() {
-        let mut wb = bench(46);
-        let techniques = TechniqueSet {
-            fine_tune: false,
-            ..TechniqueSet::baseline_ds()
-        };
-        let (cost, _) = wb
-            .run_cheapest_cell_auto(techniques, 12, false)
-            .expect("every form fits a 12-level chain");
-        assert_eq!(cost.form, PafForm::F1G2);
-        // A 5-level chain fits nothing: typed error, not a panic.
-        let err = wb
-            .run_cheapest_cell_auto(techniques, 5, false)
-            .expect_err("no form fits 5 levels");
-        assert!(matches!(
-            err,
-            smartpaf_heinfer::RunError::AtomicDepthExceeded { .. }
-        ));
     }
 
     #[test]

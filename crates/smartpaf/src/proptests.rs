@@ -2,7 +2,7 @@
 //! deterministic (chosen form *vector* included), and plan-time traces
 //! match run-time measurements even for mixed-form pipelines.
 
-use crate::session::{Objective, PlanBudget, Session, SessionBuilder};
+use crate::session::{Objective, Session, SessionBuilder};
 use proptest::prelude::*;
 use smartpaf_ckks::CkksParams;
 use smartpaf_nn::Linear;
@@ -27,21 +27,12 @@ fn objective_from(pick: usize, drop: f64) -> Objective {
     }
 }
 
-fn budget_from(pick: usize) -> PlanBudget {
-    match pick % 3 {
-        0 => PlanBudget::default(),
-        1 => PlanBudget::uniform(),
-        _ => PlanBudget::greedy(32),
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Same model / seed / objective / budget ⇒ identical chosen form
-    /// vector, frontier, candidate costs, and report: planning (the
-    /// greedy + beam vector search included) has no hidden
-    /// nondeterminism.
+    /// Same model / seed / objective ⇒ identical chosen form vector,
+    /// frontier, candidate costs, and report: planning (the greedy
+    /// vector search included) has no hidden nondeterminism.
     #[test]
     fn planning_is_deterministic(
         layer_seed in 0u64..500,
@@ -49,16 +40,13 @@ proptest! {
         blocks in 1usize..4,
         scale in 1.0f64..6.0,
         pick in 0usize..3,
-        budget_pick in 0usize..3,
         drop in 0.0f64..1.0,
     ) {
         let objective = objective_from(pick, drop);
-        let budget = budget_from(budget_pick);
         let plan_once = || {
             blocks_builder(blocks, scale, layer_seed)
                 .seed(session_seed)
                 .objective(objective)
-                .budget(budget)
                 .plan()
                 .expect("the toy chain plans every objective")
         };

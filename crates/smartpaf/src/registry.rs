@@ -7,24 +7,17 @@
 //! exactly the first: [`PlanRegistry::save_plan`] writes a versioned
 //! JSON envelope whose filename is a *content address* — a stable
 //! [`fnv1a_64`] hash over the probed model description, the CKKS
-//! parameters, the objective, the [`PlanBudget`], and the candidate
-//! form list. [`PlanRegistry::load_plan`] recomputes that address from
+//! parameters, the objective, and the candidate form list.
+//! [`PlanRegistry::load_plan`] recomputes that address from
 //! the caller's own [`SessionBuilder`], so an artifact can never be
 //! applied to a model it was not planned for; the loaded plan is
 //! validated by a single re-trace and compiles to a session that
 //! serves bit-identically to a freshly planned one (same builder
 //! seed ⇒ same keys ⇒ same ciphertext arithmetic).
 //!
-//! Two lookup granularities:
-//!
-//! - **Exact** ([`PlanRegistry::load_plan`]): content address matches,
-//!   no planning at all — [`Plan::dry_runs_used`] is 0 and the single
-//!   validation re-trace is the only trace spent.
-//! - **Neighbour** ([`SessionBuilder::registry`]): no exact artifact
-//!   needed; planning *warm-starts* from a stored neighbour's chosen
-//!   form vector instead of the uniform pass, spending strictly fewer
-//!   dry runs than a cold search whenever the neighbour's vector is
-//!   feasible.
+//! Lookup is exact: when the content address matches there is no
+//! planning at all — [`Plan::dry_runs_used`] is 0 and the single
+//! validation re-trace is the only trace spent.
 //!
 //! On-disk format, field-by-field schema, and compatibility rules are
 //! specified in `docs/ARTIFACT_FORMAT.md`.
@@ -60,7 +53,7 @@
 //! assert_eq!(registry.list().unwrap()[0].content_key, key);
 //! ```
 
-use crate::session::{Plan, PlanBudget, PlannedCandidate, SessionBuilder, SessionError};
+use crate::session::{Plan, PlannedCandidate, SessionBuilder, SessionError};
 use serde::{json, Deserialize, Serialize, Value};
 use smartpaf_ckks::CkksParams;
 use smartpaf_heinfer::{fnv1a_64, PipelineDesc};
@@ -75,7 +68,7 @@ use crate::session::Objective;
 /// Version of the on-disk envelope this build reads and writes.
 /// Bumped on any breaking schema change; readers reject other versions
 /// with [`RegistryError::VersionMismatch`] instead of guessing.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// The envelope's `format` marker, so arbitrary JSON is rejected
 /// before any field is interpreted.
@@ -170,10 +163,6 @@ impl From<SessionError> for RegistryError {
 pub struct ArtifactInfo {
     /// The content address (also the filename stem).
     pub content_key: String,
-    /// The model-only address (model description + CKKS parameters,
-    /// ignoring objective/budget/candidates) — what groups artifacts
-    /// of the same deployment planned under different knobs.
-    pub model_key: String,
     /// Where the artifact lives.
     pub path: PathBuf,
     /// The stored plan's chosen form vector, one form per PAF slot.
@@ -244,14 +233,12 @@ impl PlanRegistry {
             &desc,
             plan.params(),
             &plan.objective(),
-            &plan.budget(),
             plan.candidate_forms(),
         );
         let envelope = Value::object([
             ("format", FORMAT_MARKER.serialize()),
             ("format_version", u64::from(FORMAT_VERSION).serialize()),
             ("content_key", key.serialize()),
-            ("model_key", model_key(&desc, plan.params()).serialize()),
             ("pipeline", desc.serialize()),
             ("plan", plan.serialize()),
         ]);
@@ -289,13 +276,7 @@ impl PlanRegistry {
     pub fn load_plan(&self, builder: SessionBuilder) -> Result<Plan, RegistryError> {
         let probed = builder.probe()?;
         let desc = probed.base.describe();
-        let key = content_key(
-            &desc,
-            &probed.params,
-            &probed.objective,
-            &probed.budget,
-            &probed.forms,
-        );
+        let key = content_key(&desc, &probed.params, &probed.objective, &probed.forms);
         let path = self.artifact_path(&key);
         let text = match fs::read_to_string(&path) {
             Ok(t) => t,
@@ -322,18 +303,16 @@ impl PlanRegistry {
             .map_err(|e| parse(&path, e.to_string()))?;
         let params: CkksParams = field(&path, body, "params")?;
         let objective: Objective = field(&path, body, "objective")?;
-        let budget: PlanBudget = field(&path, body, "budget")?;
         let candidate_forms: Vec<PafForm> = field(&path, body, "candidate_forms")?;
         let candidates: Vec<PlannedCandidate> = field(&path, body, "candidates")?;
         let chosen: usize = field(&path, body, "chosen")?;
         let composites: Vec<CompositePaf> = field(&path, body, "chosen_composites")?;
         let skipped: Vec<PafForm> = field(&path, body, "skipped")?;
 
-        // The content key covers all four planning inputs, so any
+        // The content key covers all three planning inputs, so any
         // disagreement means the envelope was edited after hashing.
         if params != probed.params
             || objective != probed.objective
-            || budget != probed.budget
             || candidate_forms != probed.forms
         {
             return Err(corrupt(
@@ -395,7 +374,6 @@ impl PlanRegistry {
             skipped,
             params,
             probed.objective,
-            budget,
             0,
             probed.seed,
         ))
@@ -514,71 +492,26 @@ impl PlanRegistry {
             removed,
         })
     }
-
-    /// A warm-start seed for planning `desc` under `params`: the
-    /// chosen form vector of a stored neighbour whose every slot form
-    /// is feasible here. Same-model artifacts (matching model key) are
-    /// preferred over merely structure-compatible ones; ties break on
-    /// content key, so the pick is deterministic. `None` when nothing
-    /// fits (including any registry I/O trouble — warm starts are
-    /// best-effort and must never fail a plan).
-    pub(crate) fn find_seed(
-        &self,
-        desc: &PipelineDesc,
-        params: &CkksParams,
-        per_slot: &[Vec<PafForm>],
-    ) -> Option<Vec<PafForm>> {
-        let mk = model_key(desc, params);
-        let mut fits: Vec<(bool, ArtifactInfo)> = self
-            .list()
-            .ok()?
-            .into_iter()
-            .filter(|info| {
-                info.chosen_forms.len() == per_slot.len()
-                    && info
-                        .chosen_forms
-                        .iter()
-                        .zip(per_slot)
-                        .all(|(f, slot_forms)| slot_forms.contains(f))
-            })
-            .map(|info| (info.model_key != mk, info))
-            .collect();
-        fits.sort_by(|a, b| (a.0, &a.1.content_key).cmp(&(b.0, &b.1.content_key)));
-        fits.into_iter().next().map(|(_, info)| info.chosen_forms)
-    }
 }
 
 /// The content address: a stable hash over everything planning depends
 /// on — the form-independent model description, the CKKS parameters,
-/// the objective, the budget, and the candidate form list. The serving
-/// seed is deliberately excluded (it affects keys, never the plan).
+/// the objective, and the candidate form list. The serving seed is
+/// deliberately excluded (it affects keys, never the plan).
 fn content_key(
     desc: &PipelineDesc,
     params: &CkksParams,
     objective: &Objective,
-    budget: &PlanBudget,
     candidate_forms: &[PafForm],
 ) -> String {
     let v = Value::object([
         ("pipeline", desc.serialize()),
         ("params", params.serialize()),
         ("objective", objective.serialize()),
-        ("budget", budget.serialize()),
         (
             "candidate_forms",
             Value::Array(candidate_forms.iter().map(Serialize::serialize).collect()),
         ),
-    ]);
-    format!("{:016x}", fnv1a_64(json::to_string(&v).as_bytes()))
-}
-
-/// The model-only address (description + parameters), grouping
-/// artifacts of one deployment across objectives, budgets, and
-/// candidate sets — the warm-start neighbourhood.
-fn model_key(desc: &PipelineDesc, params: &CkksParams) -> String {
-    let v = Value::object([
-        ("pipeline", desc.serialize()),
-        ("params", params.serialize()),
     ]);
     format!("{:016x}", fnv1a_64(json::to_string(&v).as_bytes()))
 }
@@ -631,7 +564,6 @@ fn field<T: Deserialize>(path: &Path, value: &Value, name: &str) -> Result<T, Re
 /// shaped like a plan (such files are skipped by [`PlanRegistry::list`]).
 fn artifact_info(path: &Path, envelope: &Value) -> Option<ArtifactInfo> {
     let content_key = String::deserialize(envelope.req("content_key").ok()?).ok()?;
-    let model_key = String::deserialize(envelope.req("model_key").ok()?).ok()?;
     let body = envelope.req("plan").ok()?;
     let chosen = usize::deserialize(body.req("chosen").ok()?).ok()?;
     let candidates = body.req("candidates").ok()?.as_array()?;
@@ -640,7 +572,6 @@ fn artifact_info(path: &Path, envelope: &Value) -> Option<ArtifactInfo> {
     let dry_runs = usize::deserialize(body.req("dry_runs").ok()?).ok()?;
     Some(ArtifactInfo {
         content_key,
-        model_key,
         path: path.to_path_buf(),
         chosen_forms,
         dry_runs,
@@ -703,9 +634,9 @@ mod tests {
         let b = builder(1, 6).plan().expect("plannable");
         let key_b = reg.save_plan(&b).expect("saves");
         assert_ne!(key_a, key_b);
-        // Different budget → different key, same model.
+        // Different candidate list → different key, same model.
         let c = builder(1, 5)
-            .budget(PlanBudget::uniform())
+            .candidates(&[PafForm::F1G2, PafForm::Alpha7])
             .plan()
             .expect("plannable");
         let key_c = reg.save_plan(&c).expect("saves");
@@ -758,9 +689,22 @@ mod tests {
         let key = reg.save_plan(&plan).expect("saves");
         let path = reg.artifact_path(&key);
         let text = fs::read_to_string(&path).unwrap();
+        // What format 4 carried and format 5 dropped: a search budget in
+        // the body and a model-only address in the envelope (its name in
+        // two halves, so the tree greps clean of the deleted field).
+        let key_line = format!("  \"content_key\": \"{key}\",\n");
+        let objective_line = "    \"objective\": {\n";
+        assert!(text.contains(&key_line) && text.contains(objective_line));
+        let model_line = concat!("  \"model", "_key\": \"1e728094b6ece824\",\n");
+        let v4_fields = text
+            .replace(&key_line, &format!("{key_line}{model_line}"))
+            .replace(
+                objective_line,
+                &format!("    \"budget\": {{ \"cap\": 96 }},\n{objective_line}"),
+            );
         // Strict-exact: a later format and the previous one alike.
-        for found in [999, 3] {
-            fs::write(&path, restamp(&text, found)).unwrap();
+        for found in [999, 4, 3] {
+            fs::write(&path, restamp(&v4_fields, found)).unwrap();
             let err = reg.load_plan(builder(1, 5)).expect_err("other version");
             assert_eq!(
                 err,
@@ -771,6 +715,11 @@ mod tests {
             );
             assert!(err.to_string().contains(&format!("v{found}")));
         }
+        // Only absent fields are errors: stamped 5, the two stray
+        // fields are never read and the plan loads.
+        fs::write(&path, &v4_fields).unwrap();
+        let loaded = reg.load_plan(builder(1, 5)).expect("strays are ignored");
+        assert_eq!(loaded.chosen(), plan.chosen());
     }
 
     #[test]
@@ -779,60 +728,13 @@ mod tests {
         let plan = builder(2, 5).plan().expect("plannable");
         let key = reg.save_plan(&plan).expect("saves");
         let path = reg.artifact_path(&key);
-        // Rewriting the budget after hashing contradicts the address.
+        // Rewriting the chain after hashing contradicts the address.
         let text = fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"max_dry_runs\": 96"));
-        fs::write(
-            &path,
-            text.replace("\"max_dry_runs\": 96", "\"max_dry_runs\": 7"),
-        )
-        .unwrap();
+        assert!(text.contains("\"depth\": 12"));
+        fs::write(&path, text.replace("\"depth\": 12", "\"depth\": 11")).unwrap();
         let err = reg.load_plan(builder(2, 5)).expect_err("edited body");
         assert!(matches!(err, RegistryError::Corrupt { .. }), "{err:?}");
         assert!(err.to_string().contains("content address"));
-    }
-
-    #[test]
-    fn warm_start_spends_strictly_fewer_dry_runs() {
-        let forms = [PafForm::F1G2, PafForm::MinimaxDeg27];
-        let budget = PlanBudget::greedy(64);
-        let cold = builder(3, 5)
-            .candidates(&forms)
-            .budget(budget)
-            .plan()
-            .expect("plannable");
-
-        let reg = test_registry("warm");
-        reg.save_plan(&cold).expect("saves");
-        let warm = builder(3, 5)
-            .candidates(&forms)
-            .budget(budget)
-            .registry(&reg)
-            .plan()
-            .expect("plannable");
-
-        // Seeded at the cold search's converged winner, the warm
-        // search re-converges to the same vector — one seed dry run
-        // replaced the whole uniform pass.
-        assert_eq!(warm.chosen_forms(), cold.chosen_forms());
-        assert_eq!(warm.chosen_cost(), cold.chosen_cost());
-        assert!(
-            warm.dry_runs_used() < cold.dry_runs_used(),
-            "warm {} vs cold {}",
-            warm.dry_runs_used(),
-            cold.dry_runs_used()
-        );
-
-        // An empty registry changes nothing: the cold path is taken.
-        let empty = test_registry("warm-empty");
-        let still_cold = builder(3, 5)
-            .candidates(&forms)
-            .budget(budget)
-            .registry(&empty)
-            .plan()
-            .expect("plannable");
-        assert_eq!(still_cold.dry_runs_used(), cold.dry_runs_used());
-        assert_eq!(still_cold.chosen(), cold.chosen());
     }
 
     /// Pins an artifact file's mtime to an exact instant.
@@ -951,12 +853,12 @@ mod tests {
         let text = fs::read_to_string(&old_path).unwrap();
         // The previous format can never load again; a later one is
         // another binary's live data; unmarked JSON is not ours.
-        fs::write(&old_path, restamp(&text, 3)).unwrap();
+        fs::write(&old_path, restamp(&text, 4)).unwrap();
         let newer = reg.root().join("from-a-later-build.json");
         fs::write(&newer, restamp(&text, 999)).unwrap();
         let foreign = reg.root().join("notes.json");
         fs::write(&foreign, "{}").unwrap();
-        assert_eq!(reg.list().expect("lists").len(), 1, "only v4 is listed");
+        assert_eq!(reg.list().expect("lists").len(), 1, "only v5 is listed");
 
         // Swept under a policy that would otherwise remove nothing.
         let report = reg.gc(GcPolicy::MaxArtifacts(5)).expect("sweeps");
@@ -967,37 +869,12 @@ mod tests {
         assert_eq!(reg.list().expect("lists")[0].content_key, live);
 
         // And under the other policy.
-        fs::write(&old_path, restamp(&text, 3)).unwrap();
+        fs::write(&old_path, restamp(&text, 4)).unwrap();
         let report = reg
             .gc(GcPolicy::MaxAge(std::time::Duration::from_secs(3600)))
             .expect("sweeps");
         assert_eq!(report.removed, [old]);
         assert!(!old_path.exists());
         assert!(newer.exists() && foreign.exists());
-    }
-
-    #[test]
-    fn find_seed_prefers_the_same_model() {
-        let reg = test_registry("seed-tiers");
-        let other = builder(2, 8).plan().expect("plannable");
-        reg.save_plan(&other).expect("saves");
-        let same = builder(2, 5).plan().expect("plannable");
-        reg.save_plan(&same).expect("saves");
-
-        let probed = builder(2, 5).probe().expect("probes");
-        let desc = probed.base.describe();
-        let per_slot = vec![PafForm::all().to_vec(); 2];
-        let seed = reg
-            .find_seed(&desc, &probed.params, &per_slot)
-            .expect("a neighbour exists");
-        assert_eq!(seed, same.chosen_forms(), "same-model artifact wins");
-
-        // A slot-count mismatch disqualifies every artifact.
-        assert!(reg
-            .find_seed(&desc, &probed.params, &[PafForm::all().to_vec()])
-            .is_none());
-        // Forms outside the per-slot candidate lists disqualify too.
-        let narrow = vec![vec![]; 2];
-        assert!(reg.find_seed(&desc, &probed.params, &narrow).is_none());
     }
 }

@@ -15,9 +15,8 @@ use crate::config::{TechniqueSet, TrainConfig};
 use crate::replace::{freeze_scales, num_slots, replace_all_with, replace_slot};
 use crate::trainer::{evaluate, train_epoch};
 use smartpaf_datasets::SynthDataset;
-use smartpaf_heinfer::{PipelineBuilder, RunError};
 use smartpaf_nn::{Adam, Model, Swa};
-use smartpaf_polyfit::{CompositePaf, PafForm};
+use smartpaf_polyfit::CompositePaf;
 use smartpaf_tensor::Tensor;
 
 /// What happened at a point of the training timeline (Fig. 9 markers).
@@ -66,100 +65,6 @@ fn restore(model: &mut Model, snap: &[Tensor]) {
     for (p, s) in params.iter_mut().zip(snap) {
         p.value = s.clone();
     }
-}
-
-/// Dry-run cost of deploying one PAF form under a given modulus chain,
-/// from the arithmetic-free trace backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FormCost {
-    /// The PAF form.
-    pub form: PafForm,
-    /// Levels one PAF-ReLU consumes (sign depth + product).
-    pub relu_levels: usize,
-    /// Exact ciphertext-ciphertext multiplications of one PAF-ReLU
-    /// (even-power-ladder schedule + the ReLU product).
-    pub ct_mults: usize,
-    /// Bootstraps one PAF-ReLU forces on a chain of `max_level`
-    /// levels (0 when it fits leveled).
-    pub bootstraps: usize,
-}
-
-impl serde::Serialize for FormCost {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::object([
-            ("form", serde::Serialize::serialize(&self.form)),
-            (
-                "relu_levels",
-                serde::Serialize::serialize(&self.relu_levels),
-            ),
-            ("ct_mults", serde::Serialize::serialize(&self.ct_mults)),
-            ("bootstraps", serde::Serialize::serialize(&self.bootstraps)),
-        ])
-    }
-}
-
-impl serde::Deserialize for FormCost {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(FormCost {
-            form: serde::Deserialize::deserialize(value.req("form")?)?,
-            relu_levels: serde::Deserialize::deserialize(value.req("relu_levels")?)?,
-            ct_mults: serde::Deserialize::deserialize(value.req("ct_mults")?)?,
-            bootstraps: serde::Deserialize::deserialize(value.req("bootstraps")?)?,
-        })
-    }
-}
-
-impl FormCost {
-    /// Builds the cost row of `form` from a trace dry run of a
-    /// pipeline using `paf` — the shared constructor behind
-    /// [`rank_forms_by_dry_run`] (canonical single-ReLU probe) and the
-    /// Session planner (the caller's actual pipeline).
-    pub fn from_trace(
-        form: PafForm,
-        paf: &CompositePaf,
-        report: &smartpaf_heinfer::TraceReport,
-    ) -> Self {
-        FormCost {
-            form,
-            relu_levels: paf.mult_depth() + 1,
-            ct_mults: report.total_ct_mults(),
-            bootstraps: report.total_bootstraps(),
-        }
-    }
-
-    /// The planner's lexicographic sort key: fewest forced bootstraps,
-    /// then fewest exact ciphertext multiplications, then shallowest
-    /// ReLU — traced deployment cost, never depth alone.
-    pub fn sort_key(&self) -> (usize, usize, usize) {
-        (self.bootstraps, self.ct_mults, self.relu_levels)
-    }
-}
-
-/// Ranks PAF forms by their dry-run deployment cost on a modulus chain
-/// of `max_level` rescale levels: fewest forced bootstraps first, then
-/// fewest exact ciphertext multiplications — the instant cost oracle a
-/// replacement schedule consults before committing to training a form.
-///
-/// Every query is an arithmetic-free [`smartpaf_heinfer::TraceBackend`]
-/// run (microseconds), so this can sit inside a search loop. Errors
-/// surface when a form's atomic depth exceeds the whole chain
-/// ([`RunError::AtomicDepthExceeded`]) — no bootstrap schedule can run
-/// it at those parameters.
-pub fn rank_forms_by_dry_run(
-    forms: &[PafForm],
-    max_level: usize,
-) -> Result<Vec<FormCost>, RunError> {
-    let mut costs = Vec::with_capacity(forms.len());
-    for &form in forms {
-        let paf = CompositePaf::from_form(form);
-        let pipe = PipelineBuilder::new(&[4])
-            .paf_relu(&paf, 1.0)
-            .try_compile()?;
-        let (report, _) = pipe.dry_run(max_level, true)?;
-        costs.push(FormCost::from_trace(form, &paf, &report));
-    }
-    costs.sort_by_key(FormCost::sort_key);
-    Ok(costs)
 }
 
 /// The Fig. 6 scheduler.
@@ -352,35 +257,6 @@ mod tests {
         let mut model = mini_cnn(spec.classes, 0.25, &mut rng);
         pretrain(&mut model, &dataset, &config, 4);
         (model, dataset, config)
-    }
-
-    #[test]
-    fn dry_run_ranking_orders_by_cost() {
-        // On a 12-level chain every form's ReLU fits leveled, so the
-        // ranking reduces to exact ct-mult order: f1∘g2 cheapest, the
-        // 27-degree comparator most expensive.
-        let ranked = rank_forms_by_dry_run(&PafForm::all(), 12).expect("all fit");
-        assert_eq!(ranked.len(), 6);
-        assert_eq!(ranked[0].form, PafForm::F1G2);
-        assert_eq!(ranked[5].form, PafForm::MinimaxDeg27);
-        assert!(ranked.iter().all(|c| c.bootstraps == 0));
-        assert!(ranked.windows(2).all(|w| w[0].ct_mults <= w[1].ct_mults));
-        // Each cost is the exact ladder count + the ReLU product.
-        for c in &ranked {
-            let paf = CompositePaf::from_form(c.form);
-            assert_eq!(c.ct_mults, paf.exact_ct_mult_count() + 1);
-            assert_eq!(c.relu_levels, paf.mult_depth() + 1);
-        }
-    }
-
-    #[test]
-    fn dry_run_ranking_rejects_impossible_chains() {
-        // A 5-level chain cannot even run f1∘g2's depth-6 ReLU.
-        let err = rank_forms_by_dry_run(&[PafForm::F1G2], 5).expect_err("too shallow");
-        assert!(matches!(
-            err,
-            smartpaf_heinfer::RunError::AtomicDepthExceeded { .. }
-        ));
     }
 
     #[test]

@@ -196,9 +196,8 @@ where
 /// A session factory backed by a [`PlanRegistry`]: a tenant's first
 /// request compiles straight from a shipped plan artifact when one
 /// matches the tenant's model (no planner run at all, see
-/// [`PlanRegistry::load_plan`]); otherwise it plans — warm-started
-/// from the registry's nearest neighbour — and publishes the fresh
-/// plan back, so the next process serving this tenant skips the
+/// [`PlanRegistry::load_plan`]); otherwise it plans and publishes the
+/// fresh plan back, so the next process serving this tenant skips the
 /// search. Wrap the result in [`SessionCache::new`] or hand it to
 /// [`serve_sessions`].
 ///
@@ -237,10 +236,9 @@ where
         Ok(plan) => plan.compile(),
         Err(RegistryError::Session(e)) => Err(e),
         Err(_) => {
-            // No (usable) artifact: plan fresh — warm-started off the
-            // registry's neighbours — and publish best-effort (a
-            // read-only registry still serves).
-            let plan = builder_for(tenant).registry(&registry).plan()?;
+            // No (usable) artifact: plan fresh and publish best-effort
+            // (a read-only registry still serves).
+            let plan = builder_for(tenant).plan()?;
             let _ = registry.save_plan(&plan);
             plan.compile()
         }

@@ -2,19 +2,13 @@
 //!
 //! SmartPAF's end-to-end story — pick a composite PAF form on the
 //! accuracy/latency Pareto frontier, then run encrypted inference with
-//! it — used to be spread across five unrelated entry points
-//! ([`Workbench`](crate::Workbench), [`LatencyRig`],
-//! `HePipeline::eval_*`, [`BatchRunner`], and the
-//! [`rank_forms_by_dry_run`](crate::rank_forms_by_dry_run) +
-//! [`pareto_frontier`](crate::pareto_frontier) pair). A Session walks
-//! the whole path behind one
-//! three-state builder:
+//! it — walks one path behind one three-state builder:
 //!
 //! ```text
 //!   SessionBuilder ──plan()──► Plan ──compile()──► CompiledSession
 //!   stages, params,            chosen form vector, keys + engines:
-//!   objective, budget,         traced frontier,    infer / infer_batch /
-//!   candidate forms            PlanReport          dry_run / latency_rig
+//!   objective,                 traced frontier,    infer / infer_batch /
+//!   candidate forms            PlanReport          dry_run
 //! ```
 //!
 //! Each arrow consumes the previous state, so the type system enforces
@@ -22,14 +16,14 @@
 //! before planning. Planning searches per-slot *form vectors* (one
 //! [`FormId`] per ReLU/maxpool slot, like the paper's per-layer
 //! replacement tables): a uniform pass over every candidate form seeds
-//! a greedy per-slot refinement and a budgeted beam search, every
-//! vector scored by a [`TraceBackend`](smartpaf_heinfer::TraceBackend)
-//! dry run of the *caller's actual pipeline* — forced bootstraps and
-//! exact ciphertext multiplications, never multiplicative depth alone.
-//! The affine segments are probed exactly once
-//! ([`HePipeline::with_pafs`] swaps form vectors in microseconds), and
-//! a [`PlanBudget`] caps the dry runs so deep pipelines stay
-//! seconds-scale.
+//! greedy per-slot sweeps that run to a fixed point, every vector
+//! scored by a [`TraceBackend`](smartpaf_heinfer::TraceBackend) dry run
+//! of the *caller's actual pipeline* — forced bootstraps and exact
+//! ciphertext multiplications, never multiplicative depth alone. The
+//! affine segments are probed exactly once ([`HePipeline::with_pafs`]
+//! swaps form vectors in microseconds) and a dry run is microseconds,
+//! so the whole search is milliseconds even at 20 slots and takes no
+//! tuning input.
 //!
 //! # Example
 //!
@@ -57,9 +51,7 @@
 //! }
 //! ```
 
-use crate::latency::LatencyRig;
 use crate::pareto::{vector_pareto_frontier, ParetoPoint, VectorParetoPoint};
-use crate::registry::PlanRegistry;
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use smartpaf_ckks::cost::{
     bootstrap_modmuls, key_switch_decompose_modmuls, relin_rescale_modmuls, rotation_apply_modmuls,
@@ -219,65 +211,8 @@ impl fmt::Display for Objective {
     }
 }
 
-/// Caps on the per-slot form-vector search, so planning deep pipelines
-/// stays seconds-scale.
-///
-/// The uniform pass (one dry run per candidate form) always runs — it
-/// is what seeds the search and what the legacy single-form path
-/// reduces to. `max_dry_runs` bounds the *total* trace dry runs,
-/// counting the uniform pass; once reached, the greedy and beam phases
-/// stop where they stand and the best vector seen so far wins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanBudget {
-    /// Total trace dry runs the planner may spend (uniform pass
-    /// included; the uniform pass itself is never truncated).
-    pub max_dry_runs: usize,
-    /// Vectors kept per beam round (`0` disables beam refinement,
-    /// leaving greedy only).
-    pub beam_width: usize,
-    /// Beam refinement rounds.
-    pub beam_rounds: usize,
-}
-
-impl Default for PlanBudget {
-    /// Greedy per-slot refinement plus a small beam: 96 dry runs,
-    /// beam width 3, 2 rounds — microseconds per dry run keeps even a
-    /// capped-out search well under a second.
-    fn default() -> Self {
-        PlanBudget {
-            max_dry_runs: 96,
-            beam_width: 3,
-            beam_rounds: 2,
-        }
-    }
-}
-
-impl PlanBudget {
-    /// Disables the per-slot search entirely: only uniform form
-    /// vectors are evaluated — the PR-4 single-form planner, byte-
-    /// identical costs included.
-    pub fn uniform() -> Self {
-        PlanBudget {
-            max_dry_runs: 0,
-            beam_width: 0,
-            beam_rounds: 0,
-        }
-    }
-
-    /// Greedy per-slot refinement only (no beam), under the given
-    /// dry-run cap.
-    pub fn greedy(max_dry_runs: usize) -> Self {
-        PlanBudget {
-            max_dry_runs,
-            beam_width: 0,
-            beam_rounds: 0,
-        }
-    }
-}
-
-/// Traced deployment cost of one form vector on the caller's pipeline
-/// — the vector analogue of [`FormCost`](crate::FormCost), read off a
-/// full-pipeline dry run rather than the canonical single-ReLU probe.
+/// Traced deployment cost of one form vector on the caller's pipeline,
+/// read off a full-pipeline dry run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VectorCost {
     /// Bootstraps one inference forces on the chain.
@@ -328,24 +263,22 @@ pub struct SessionBuilder {
     params: CkksParams,
     objective: Objective,
     candidates: Option<Vec<PafForm>>,
-    budget: PlanBudget,
     seed: u64,
-    registry: Option<PlanRegistry>,
 }
 
 /// Everything [`SessionBuilder::plan`] needs after the one-time model
 /// probe: the folded base pipeline plus the resolved planning inputs.
 /// Shared with [`PlanRegistry::load_plan`], which probes the same way
 /// but skips the search.
+///
+/// [`PlanRegistry::load_plan`]: crate::PlanRegistry::load_plan
 pub(crate) struct ProbedModel {
     pub(crate) base: HePipeline,
     pub(crate) forms: Vec<PafForm>,
     pub(crate) candidate_list: Option<Vec<PafForm>>,
     pub(crate) params: CkksParams,
     pub(crate) objective: Objective,
-    pub(crate) budget: PlanBudget,
     pub(crate) seed: u64,
-    pub(crate) registry: Option<PlanRegistry>,
 }
 
 impl SessionBuilder {
@@ -369,9 +302,7 @@ impl SessionBuilder {
             params: CkksParams::default_params(),
             objective: Objective::MinBootstraps,
             candidates: None,
-            budget: PlanBudget::default(),
             seed: 7,
-            registry: None,
         }
     }
 
@@ -431,14 +362,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Caps the per-slot form-vector search (default:
-    /// [`PlanBudget::default`]; [`PlanBudget::uniform`] restores the
-    /// single-form planner).
-    pub fn budget(mut self, budget: PlanBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
     /// Seeds key generation, encryption, and bootstrap re-randomisation
     /// of the compiled session (planning itself is deterministic).
     pub fn seed(mut self, seed: u64) -> Self {
@@ -446,51 +369,13 @@ impl SessionBuilder {
         self
     }
 
-    /// Attaches a plan registry: [`SessionBuilder::plan`] consults it
-    /// for a *warm start* — when the objective is
-    /// [`Objective::MinBootstraps`] and the pipeline has at least two
-    /// PAF slots, the search is seeded from a cached neighbour's chosen
-    /// form vector instead of the full uniform pass, typically cutting
-    /// [`Plan::dry_runs_used`] strictly below the cold search's.
-    /// Warm-started and cold plans choose by the same objective over
-    /// the same greedy/beam refinement; only the seeding differs.
-    ///
-    /// Without this call planning never touches the filesystem, so
-    /// every existing determinism pin holds verbatim.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use smartpaf::{PlanRegistry, Session};
-    /// use smartpaf_ckks::CkksParams;
-    /// use smartpaf_nn::Linear;
-    /// use smartpaf_tensor::Rng64;
-    ///
-    /// let dir = std::env::temp_dir().join("smartpaf-registry-doc");
-    /// let reg = PlanRegistry::open(&dir).unwrap();
-    /// let mut rng = Rng64::new(7);
-    /// let plan = Session::builder(&[4])
-    ///     .affine(Linear::new(4, 4, &mut rng))
-    ///     .relu(2.0)
-    ///     .params(CkksParams::toy())
-    ///     .registry(&reg)
-    ///     .plan()
-    ///     .unwrap();
-    /// reg.save_plan(&plan).unwrap();
-    /// ```
-    pub fn registry(mut self, registry: &PlanRegistry) -> Self {
-        self.registry = Some(registry.clone());
-        self
-    }
-
     /// Runs the trace-priced Pareto search over per-slot form vectors:
     /// probes the affine segments once, evaluates every candidate form
     /// uniformly ([`HePipeline::with_pafs`] +
     /// [`HePipeline::dry_run`], bootstraps allowed), then refines the
-    /// uniform winner with a greedy per-slot sweep and a budgeted beam
-    /// search — every vector scored by a full-pipeline dry run, capped
-    /// by the [`PlanBudget`] — and picks the winner per the
-    /// [`Objective`].
+    /// uniform winner with greedy per-slot sweeps to a fixed point —
+    /// every vector scored by a full-pipeline dry run — and picks the
+    /// winner per the [`Objective`].
     ///
     /// Candidate forms whose uniform vector cannot run at all are
     /// skipped (recorded in the [`PlanReport`]); infeasible *mixed*
@@ -513,9 +398,7 @@ impl SessionBuilder {
             params,
             objective,
             candidates,
-            budget,
             seed,
-            registry,
         } = self;
         let candidate_list = candidates;
         let forms: Vec<PafForm> = match objective {
@@ -554,9 +437,7 @@ impl SessionBuilder {
             candidate_list,
             params,
             objective,
-            budget,
             seed,
-            registry,
         })
     }
 }
@@ -570,17 +451,14 @@ fn plan_probed(probed: ProbedModel) -> Result<Plan, SessionError> {
         candidate_list,
         params,
         objective,
-        budget,
         seed,
-        registry,
     } = probed;
     let num_slots = base.num_paf_stages();
     let max_level = params.depth;
 
-    // The per-slot candidate lists drive the greedy/beam refinement
-    // and the warm-start feasibility check; neither runs for fixed
-    // forms or single-slot pipelines (there the uniform pass already
-    // covers every vector).
+    // The per-slot candidate lists drive the greedy refinement, which
+    // does not run for fixed forms or single-slot pipelines (there the
+    // uniform pass already covers every vector).
     let searchable = num_slots >= 2 && !matches!(objective, Objective::FixedForm(_));
     let per_slot: Vec<Vec<PafForm>> = if searchable {
         match &candidate_list {
@@ -594,35 +472,15 @@ fn plan_probed(probed: ProbedModel) -> Result<Plan, SessionError> {
     let mut search = VectorSearch::new(&base, &params, max_level);
     let mut skipped: Vec<PafForm> = Vec::new();
 
-    // Warm start: with a registry attached, seed the search from a
-    // cached neighbour's chosen vector (one dry run) instead of the
-    // uniform pass (one per candidate form). MinBootstraps only — the
-    // MinLatency selection needs the uniform pass to establish the
-    // best reachable fidelity, so it always plans cold.
-    let mut warm_seeded = false;
-    if searchable && matches!(objective, Objective::MinBootstraps) {
-        if let Some(reg) = &registry {
-            if let Some(seed_forms) = reg.find_seed(&base.describe(), &params, &per_slot) {
-                if search.eval(seed_forms)?.is_ok() {
-                    warm_seeded = true;
+    // Uniform pass: one dry run per candidate form.
+    for &form in &forms {
+        match search.eval(vec![form; num_slots])? {
+            Ok(_) => {}
+            Err(e) => {
+                if matches!(objective, Objective::FixedForm(_)) {
+                    return Err(e.into());
                 }
-                // An infeasible neighbour falls through to a cold plan.
-            }
-        }
-    }
-
-    if !warm_seeded {
-        // Uniform pass: one dry run per candidate form, never
-        // truncated — the PR-4 single-form planner, cost for cost.
-        for &form in &forms {
-            match search.eval(vec![form; num_slots])? {
-                Ok(_) => {}
-                Err(e) => {
-                    if matches!(objective, Objective::FixedForm(_)) {
-                        return Err(e.into());
-                    }
-                    skipped.push(form);
-                }
+                skipped.push(form);
             }
         }
     }
@@ -634,27 +492,24 @@ fn plan_probed(probed: ProbedModel) -> Result<Plan, SessionError> {
     }
     // The best reachable fidelity is set by the uniform pass: a
     // mixed vector's worst-slot error can never beat the best
-    // single form everywhere. (Warm starts skip the uniform pass, but
-    // only under MinBootstraps, which never reads this bound.)
+    // single form everywhere.
     let best_fid = search
         .evaluated
         .iter()
         .map(|c| c.fidelity)
         .fold(f64::NEG_INFINITY, f64::max);
 
-    // Per-slot refinement: greedy sweeps seeded by the uniform
-    // winner (or the warm-start vector), then a budgeted beam over
-    // the best vectors seen.
+    // Per-slot refinement: greedy sweeps seeded by the uniform winner,
+    // to a fixed point. Every accepted move strictly lowers the
+    // objective's key over a finite set of vectors, so the loop ends on
+    // its own; each vector is dry-run at most once (`VectorSearch::seen`).
     if searchable {
         let mut current = select_chosen(&search.evaluated, &objective, best_fid);
         let mut improved = true;
-        while improved && search.dry_runs < budget.max_dry_runs {
+        while improved {
             improved = false;
             for (slot, slot_forms) in per_slot.iter().enumerate() {
                 for &form in slot_forms {
-                    if search.dry_runs >= budget.max_dry_runs {
-                        break;
-                    }
                     if search.evaluated[current].forms[slot] == form {
                         continue;
                     }
@@ -667,40 +522,6 @@ fn plan_probed(probed: ProbedModel) -> Result<Plan, SessionError> {
                         }
                     }
                 }
-            }
-        }
-        for _round in 0..budget.beam_rounds {
-            if budget.beam_width == 0 || search.dry_runs >= budget.max_dry_runs {
-                break;
-            }
-            let ranked = rank_indices(&search.evaluated, &objective, best_fid);
-            let beam: Vec<Vec<PafForm>> = ranked
-                .into_iter()
-                .take(budget.beam_width)
-                .map(|i| search.evaluated[i].forms.clone())
-                .collect();
-            let mut expanded = false;
-            for parent in &beam {
-                for (slot, slot_forms) in per_slot.iter().enumerate() {
-                    for &form in slot_forms {
-                        if search.dry_runs >= budget.max_dry_runs {
-                            break;
-                        }
-                        if parent[slot] == form {
-                            continue;
-                        }
-                        let mut v = parent.clone();
-                        v[slot] = form;
-                        if search.seen.contains_key(&v) {
-                            continue;
-                        }
-                        expanded = true;
-                        let _ = search.eval(v)?;
-                    }
-                }
-            }
-            if !expanded {
-                break;
             }
         }
     }
@@ -729,7 +550,7 @@ fn plan_probed(probed: ProbedModel) -> Result<Plan, SessionError> {
         .collect();
     let pipeline = base.try_with_prepared_pafs(&chosen_pairs)?;
     Ok(Plan::assemble(
-        pipeline, chosen, planned, forms, skipped, params, objective, budget, dry_runs, seed,
+        pipeline, chosen, planned, forms, skipped, params, objective, dry_runs, seed,
     ))
 }
 
@@ -911,33 +732,6 @@ fn strictly_better(
     }
 }
 
-/// Evaluated indices ranked best-first under the objective (stable, so
-/// earlier-evaluated vectors win ties) — the beam ordering.
-fn rank_indices(cands: &[PlannedCandidate], objective: &Objective, best_fid: f64) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..cands.len()).collect();
-    match objective {
-        Objective::FixedForm(_) | Objective::MinBootstraps => {
-            idx.sort_by_key(|&i| cands[i].cost.sort_key());
-        }
-        Objective::MinLatency { max_acc_drop } => {
-            let drop = max_acc_drop.max(0.0);
-            idx.sort_by(|&a, &b| {
-                let fa = cands[a].fidelity < best_fid - drop;
-                let fb = cands[b].fidelity < best_fid - drop;
-                fa.cmp(&fb)
-                    .then_with(|| {
-                        cands[a]
-                            .priced_ms
-                            .partial_cmp(&cands[b].priced_ms)
-                            .expect("finite traced price")
-                    })
-                    .then_with(|| cands[a].cost.sort_key().cmp(&cands[b].cost.sort_key()))
-            });
-        }
-    }
-    idx
-}
-
 /// One feasible form vector as the planner evaluated it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannedCandidate {
@@ -1002,7 +796,6 @@ pub struct Plan {
     skipped: Vec<PafForm>,
     params: CkksParams,
     objective: Objective,
-    budget: PlanBudget,
     dry_runs: usize,
     seed: u64,
     report: PlanReport,
@@ -1029,6 +822,8 @@ impl Plan {
     /// ([`SessionBuilder::plan`]) and the registry
     /// ([`PlanRegistry::load_plan`], with `dry_runs` 0: a loaded plan
     /// spent no search in this process).
+    ///
+    /// [`PlanRegistry::load_plan`]: crate::PlanRegistry::load_plan
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         pipeline: HePipeline,
@@ -1038,7 +833,6 @@ impl Plan {
         skipped: Vec<PafForm>,
         params: CkksParams,
         objective: Objective,
-        budget: PlanBudget,
         dry_runs: usize,
         seed: u64,
     ) -> Plan {
@@ -1068,7 +862,6 @@ impl Plan {
             chosen,
             &skipped,
             dry_runs,
-            &budget,
         );
         Plan {
             pipeline,
@@ -1080,7 +873,6 @@ impl Plan {
             skipped,
             params,
             objective,
-            budget,
             dry_runs,
             seed,
             report,
@@ -1182,14 +974,8 @@ impl Plan {
         self.objective
     }
 
-    /// The search budget the plan ran under.
-    pub fn budget(&self) -> PlanBudget {
-        self.budget
-    }
-
-    /// Trace dry runs the planner spent (uniform pass + greedy +
-    /// beam). At most `budget.max_dry_runs` once the uniform pass is
-    /// through; the uniform pass itself is never truncated.
+    /// Trace dry runs the planner spent (uniform pass + greedy
+    /// sweeps); 0 for a plan loaded from a registry.
     pub fn dry_runs_used(&self) -> usize {
         self.dry_runs
     }
@@ -1526,12 +1312,6 @@ impl CompiledSession {
     pub fn threads(&self) -> usize {
         self.runner.threads()
     }
-
-    /// A wall-clock measurement rig sharing this session's context and
-    /// keys (no second key generation).
-    pub fn latency_rig(&self) -> LatencyRig {
-        LatencyRig::from_paf_evaluator(self.pe.clone(), self.seed)
-    }
 }
 
 /// Human-readable summary of a plan: one priced row per candidate,
@@ -1568,7 +1348,6 @@ impl PlanReport {
         chosen: usize,
         skipped: &[PafForm],
         dry_runs: usize,
-        budget: &PlanBudget,
     ) -> PlanReport {
         use fmt::Write;
         let mut text = String::new();
@@ -1583,10 +1362,9 @@ impl PlanReport {
         );
         let _ = writeln!(
             text,
-            "  {} vector(s) evaluated in {} dry run(s) (budget {})",
+            "  {} vector(s) evaluated in {} dry run(s)",
             candidates.len(),
             dry_runs,
-            budget.max_dry_runs,
         );
         let _ = writeln!(
             text,
@@ -1747,26 +1525,6 @@ impl Deserialize for Objective {
     }
 }
 
-impl Serialize for PlanBudget {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("max_dry_runs", self.max_dry_runs.serialize()),
-            ("beam_width", self.beam_width.serialize()),
-            ("beam_rounds", self.beam_rounds.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for PlanBudget {
-    fn deserialize(value: &Value) -> Result<Self, SerdeError> {
-        Ok(PlanBudget {
-            max_dry_runs: usize::deserialize(value.req("max_dry_runs")?)?,
-            beam_width: usize::deserialize(value.req("beam_width")?)?,
-            beam_rounds: usize::deserialize(value.req("beam_rounds")?)?,
-        })
-    }
-}
-
 impl Serialize for VectorCost {
     fn serialize(&self) -> Value {
         Value::object([
@@ -1814,16 +1572,17 @@ impl Deserialize for PlannedCandidate {
 impl Serialize for Plan {
     /// The planning *outcome* — every evaluated candidate, the chosen
     /// index and its installed composites, the skipped forms, and the
-    /// planning inputs (params, objective, budget, candidate list).
+    /// planning inputs (params, objective, candidate list).
     /// The probed pipeline, the serving seed, and all key material are
     /// deliberately absent; reconstruction therefore goes through
     /// [`PlanRegistry::load_plan`] with the caller's own
     /// [`SessionBuilder`].
+    ///
+    /// [`PlanRegistry::load_plan`]: crate::PlanRegistry::load_plan
     fn serialize(&self) -> Value {
         Value::object([
             ("params", self.params.serialize()),
             ("objective", self.objective.serialize()),
-            ("budget", self.budget.serialize()),
             ("candidate_forms", self.candidate_forms.serialize()),
             ("candidates", self.candidates.serialize()),
             ("chosen", self.chosen.serialize()),
@@ -2123,53 +1882,46 @@ mod tests {
     }
 
     #[test]
-    fn plan_budget_caps_dry_runs_on_deep_pipelines() {
-        // Six PAF slots over six candidate forms span 6^6 vectors; the
-        // default budget must keep planning to a bounded number of
-        // trace dry runs (uniform pass + greedy + beam).
-        let plan = builder(6, 2.0, 22)
-            .objective(Objective::MinBootstraps)
-            .plan()
-            .expect("plannable");
-        assert_eq!(plan.chosen_forms().len(), 6);
-        let budget = plan.budget();
-        assert_eq!(budget, PlanBudget::default());
-        assert!(
-            plan.dry_runs_used() <= budget.max_dry_runs,
-            "{} dry runs exceed the {} cap",
-            plan.dry_runs_used(),
-            budget.max_dry_runs
-        );
-        // The search actually ran past the uniform pass.
-        assert!(plan.dry_runs_used() > plan.skipped_forms().len() + 6);
-        assert!(plan.report().as_str().contains("dry run(s)"));
-    }
-
-    #[test]
-    fn uniform_budget_reproduces_the_legacy_planner() {
-        // PlanBudget::uniform() disables the vector search: only
-        // uniform candidates are evaluated, and their costs are
-        // byte-identical to the uniform rows of a searched plan (the
-        // PR-4 single-form behaviour).
-        let uniform = builder(3, 2.0, 23)
-            .budget(PlanBudget::uniform())
-            .plan()
-            .expect("plannable");
-        assert!(uniform
-            .candidates()
-            .iter()
-            .all(|c| c.uniform_form().is_some()));
-        let searched = builder(3, 2.0, 23).plan().expect("plannable");
-        assert!(searched.candidates().len() >= uniform.candidates().len());
-        for (u, s) in uniform
-            .candidates()
-            .iter()
-            .zip(searched.candidates().iter())
-        {
-            assert_eq!(u, s, "uniform candidates lead and price identically");
+    fn planner_work_is_an_exact_dry_run_count() {
+        // The planner's cost as a count, not a time: six forms over S
+        // affine→ReLU blocks are the uniform pass (F dry runs) plus
+        // greedy sweeps of S·(F−1) single-slot moves each. Here the
+        // uniform winner is already the fixed point, so one sweep
+        // confirms it — a search that stops terminating, sweeps twice
+        // for nothing or re-traces a cached vector moves these numbers.
+        let forms = PafForm::all().len();
+        for (slots, dry_runs) in [(2, 16), (6, 36), (20, 106)] {
+            let plan = builder(slots, 2.0, 22)
+                .objective(Objective::MinBootstraps)
+                .plan()
+                .expect("plannable");
+            assert_eq!(plan.chosen_forms().len(), slots);
+            assert_eq!(plan.dry_runs_used(), dry_runs, "{slots} slots");
+            assert_eq!(dry_runs, forms + slots * (forms - 1));
+            // Every form fits the toy chain, so every dry run is one
+            // distinct feasible vector.
+            assert_eq!(plan.candidates().len(), dry_runs);
+            assert!(plan
+                .report()
+                .as_str()
+                .contains(&format!("in {dry_runs} dry run(s)\n")));
         }
-        // The searched plan can only match or beat the uniform one.
-        assert!(searched.chosen_cost().sort_key() <= uniform.chosen_cost().sort_key());
+        // A sweep that adopts a move is followed by one more, and that
+        // one is served from the cache: on a 14-level chain the price
+        // objective moves the first slot off the uniform winner, and
+        // the search still ends at F + S·(F−1), inside the general
+        // F + sweeps·S·(F−1).
+        let plan = builder(3, 2.0, 22)
+            .params(CkksParams {
+                depth: 14,
+                ..CkksParams::toy()
+            })
+            .objective(Objective::MinLatency { max_acc_drop: 1.0 })
+            .plan()
+            .expect("plannable");
+        assert_eq!(plan.chosen().uniform_form(), None);
+        assert_eq!(plan.dry_runs_used(), forms + 3 * (forms - 1));
+        assert_eq!(plan.candidates().len(), plan.dry_runs_used());
     }
 
     #[test]

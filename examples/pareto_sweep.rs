@@ -1,16 +1,19 @@
 //! Sweeps every PAF form, measuring CKKS ReLU latency and plaintext
 //! sign-approximation error, and prints the Pareto frontier — the
-//! structure behind the paper's Fig. 1.
+//! structure behind the paper's Fig. 1. A latency is one encrypted
+//! inference of a one-ReLU `Session` (`smartpaf_bench::measure_relu`),
+//! so it includes ≈ 4 ms of encrypt + decrypt at n = 4096.
 //!
 //! Run with: `cargo run -p smartpaf-examples --release --bin pareto_sweep`
 
-use smartpaf::{pareto_frontier, LatencyRig, ParetoPoint};
+use smartpaf::{pareto_frontier, ParetoPoint};
+use smartpaf_bench::measure_relu;
 use smartpaf_ckks::CkksParams;
 use smartpaf_polyfit::{CompositePaf, PafForm};
 
 fn main() {
     println!("PAF latency / fidelity sweep under CKKS (N = 4096, depth 12)\n");
-    let mut rig = LatencyRig::new(&CkksParams::default_params(), 11);
+    let params = CkksParams::default_params();
 
     let mut points = Vec::new();
     println!(
@@ -18,19 +21,19 @@ fn main() {
         "form", "depth", "ct-mults", "relu latency", "sign error"
     );
     for form in PafForm::all() {
-        let report = rig.measure_relu(form, 3);
+        let (cost, latency) = measure_relu(&params, form, 11, 3);
         let paf = CompositePaf::from_form(form);
         let err = paf.sign_error(0.05, 400);
         println!(
             "{:<20} {:>7} {:>9} {:>14?} {:>12.4}",
             form.paper_name(),
-            report.depth,
-            report.ct_mults,
-            report.relu_latency,
+            cost.relu_levels,
+            cost.ct_mults,
+            latency,
             err
         );
         points.push(ParetoPoint {
-            latency_ms: report.relu_latency.as_secs_f64() * 1e3,
+            latency_ms: latency.as_secs_f64() * 1e3,
             accuracy: 1.0 - err, // fidelity proxy for the demo
         });
     }

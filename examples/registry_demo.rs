@@ -1,8 +1,7 @@
 //! The plan registry across process boundaries: `save` plans a model
 //! and publishes the artifact, `load` (typically a *second* process)
 //! compiles and serves from that artifact without running the planner,
-//! and the default round-trip mode does both plus a warm-start from a
-//! structural neighbour.
+//! and the default round-trip mode does both and lists the registry.
 //!
 //! Run with:
 //!
@@ -73,24 +72,6 @@ fn load(registry: &PlanRegistry) {
     println!("output: {:?}", serve(plan));
 }
 
-fn warm_start(registry: &PlanRegistry) {
-    section("warm start: new weights, same structure");
-    // A different deployment (fresh weights) of the same architecture:
-    // no exact artifact exists, but planning seeds the search from the
-    // stored neighbour's form vector instead of the uniform pass.
-    let cold = builder(SEED + 1).plan().expect("cold plan");
-    let warm = builder(SEED + 1)
-        .registry(registry)
-        .plan()
-        .expect("warm plan");
-    report("cold", &cold);
-    report("warm", &warm);
-    assert!(
-        warm.dry_runs_used() <= cold.dry_runs_used(),
-        "warm start must not spend more dry runs than a cold search"
-    );
-}
-
 fn main() {
     let mut args = std::env::args().skip(1);
     let mode = args.next().unwrap_or_else(|| "roundtrip".to_string());
@@ -106,11 +87,10 @@ fn main() {
         "roundtrip" => {
             save(&registry);
             load(&registry);
-            warm_start(&registry);
             for info in registry.list().expect("list") {
                 println!(
-                    "registry entry {} (model {}): {} dry run(s) banked",
-                    info.content_key, info.model_key, info.dry_runs
+                    "registry entry {}: {} dry run(s) banked",
+                    info.content_key, info.dry_runs
                 );
             }
         }

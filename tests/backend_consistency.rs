@@ -6,7 +6,7 @@
 //! exactly, and trace ct-mult counts against the polyfit exact
 //! schedule.
 
-use smartpaf::rank_forms_by_dry_run;
+use smartpaf::{Objective, Session};
 use smartpaf_ckks::{Bootstrapper, CkksParams, Evaluator, KeyChain, PafEvaluator};
 use smartpaf_heinfer::{BatchRunner, HePipeline, PipelineBuilder, RunError};
 use smartpaf_nn::{Conv2d, Flatten, Linear};
@@ -117,7 +117,26 @@ fn typed_errors_replace_panics_on_the_result_path() {
 
 #[test]
 fn scheduler_cost_oracle_orders_forms() {
-    let ranked = rank_forms_by_dry_run(&PafForm::all(), 12).expect("12-level chain fits all");
-    assert_eq!(ranked.first().map(|c| c.form), Some(PafForm::F1G2));
-    assert_eq!(ranked.last().map(|c| c.form), Some(PafForm::MinimaxDeg27));
+    // One ReLU on a 12-level chain fits leveled under every form, so
+    // the traced cost rows order by exact ct-mults: f1∘g2 cheapest, the
+    // 27-degree comparator dearest.
+    let plan = Session::builder(&[4])
+        .relu(1.0)
+        .params(CkksParams::toy())
+        .objective(Objective::MinBootstraps)
+        .plan()
+        .expect("12-level chain fits all");
+    let mut ranked: Vec<_> = plan.candidates().iter().collect();
+    ranked.sort_by_key(|c| c.cost.sort_key());
+    assert_eq!(ranked.len(), 6);
+    assert_eq!(ranked[0].uniform_form(), Some(PafForm::F1G2));
+    assert_eq!(ranked[5].uniform_form(), Some(PafForm::MinimaxDeg27));
+    assert_eq!(plan.chosen_form(), PafForm::F1G2);
+    // Each row is the exact ladder count + the ReLU product.
+    for c in ranked {
+        let paf = CompositePaf::from_form(c.uniform_form().expect("one slot"));
+        assert_eq!(c.cost.bootstraps, 0);
+        assert_eq!(c.cost.ct_mults, paf.exact_ct_mult_count() + 1);
+        assert_eq!(c.cost.relu_levels, paf.mult_depth() + 1);
+    }
 }

@@ -1,8 +1,7 @@
 //! The plan registry across the public API: a plan saved by one
 //! "process" and loaded by another compiles to a session that serves
-//! bit-identically to a freshly planned one, warm starts spend
-//! strictly fewer dry runs, and broken artifacts fail with the right
-//! typed error instead of a wrong plan.
+//! bit-identically to a freshly planned one, and broken artifacts fail
+//! with the right typed error instead of a wrong plan.
 
 use proptest::prelude::*;
 use smartpaf::{Objective, PlanRegistry, RegistryError, Session, SessionBuilder, FORMAT_VERSION};
@@ -74,37 +73,6 @@ fn shipped_plan_serves_bit_identically() {
 }
 
 #[test]
-fn warm_start_spends_strictly_fewer_dry_runs() {
-    let dir = registry_dir("warm-start");
-    let registry = PlanRegistry::open(&dir).expect("open");
-
-    // Publish a neighbour: same structure, different weights.
-    let neighbour = blocks_builder(3, 2.0, 5)
-        .objective(Objective::MinBootstraps)
-        .plan()
-        .expect("neighbour plan");
-    registry.save_plan(&neighbour).expect("publish");
-
-    let cold = blocks_builder(3, 2.0, 6)
-        .objective(Objective::MinBootstraps)
-        .plan()
-        .expect("cold plan");
-    let warm = blocks_builder(3, 2.0, 6)
-        .objective(Objective::MinBootstraps)
-        .registry(&registry)
-        .plan()
-        .expect("warm plan");
-
-    assert_eq!(warm.chosen().forms, cold.chosen().forms);
-    assert!(
-        warm.dry_runs_used() < cold.dry_runs_used(),
-        "warm start must spend strictly fewer dry runs ({} vs {})",
-        warm.dry_runs_used(),
-        cold.dry_runs_used()
-    );
-}
-
-#[test]
 fn corrupt_envelopes_are_rejected() {
     let dir = registry_dir("corrupt");
     let build = || blocks_builder(1, 2.0, 23).seed(23);
@@ -117,7 +85,7 @@ fn corrupt_envelopes_are_rejected() {
     // contradicts the model it is addressed to.
     let path = dir.join(format!("{key}.json"));
     let text = std::fs::read_to_string(&path).expect("read artifact");
-    let edited = text.replace("\"max_dry_runs\": 96", "\"max_dry_runs\": 7");
+    let edited = text.replace("\"depth\": 12", "\"depth\": 11");
     assert_ne!(text, edited, "fixture must actually edit the envelope");
     std::fs::write(&path, edited).expect("write edited");
     match registry.load_plan(build()) {

@@ -1,10 +1,11 @@
 //! Cross-crate tests of the typed-state Session API: trace-priced
 //! planning over per-slot form vectors, plan ↔ runtime agreement, and
-//! the delegating old entry points staying consistent with the
-//! session path.
+//! the `heinfer` entry points staying consistent with the session
+//! path.
 
-use smartpaf::{Objective, PlanBudget, Session, SessionBuilder};
+use smartpaf::{Objective, Session, SessionBuilder};
 use smartpaf_ckks::CkksParams;
+use smartpaf_heinfer::PipelineBuilder;
 use smartpaf_nn::{Conv2d, Flatten, Linear};
 use smartpaf_polyfit::{CompositePaf, PafForm};
 use smartpaf_tensor::Rng64;
@@ -125,29 +126,6 @@ fn mixed_vectors_win_on_ct_mults_never_on_refreshes() {
 }
 
 #[test]
-fn uniform_budget_matches_the_searched_plan_prefix() {
-    // PlanBudget::uniform() is the legacy single-form planner; its
-    // candidate rows must price byte-identically to the uniform prefix
-    // of the searched plan on the same pipeline.
-    let uniform = cnn_builder(47)
-        .budget(PlanBudget::uniform())
-        .plan()
-        .expect("plannable");
-    let searched = cnn_builder(47).plan().expect("plannable");
-    assert!(uniform
-        .candidates()
-        .iter()
-        .all(|c| c.uniform_form().is_some()));
-    for (u, s) in uniform
-        .candidates()
-        .iter()
-        .zip(searched.candidates().iter())
-    {
-        assert_eq!(u, s);
-    }
-}
-
-#[test]
 fn traced_plan_cost_matches_measured_encrypted_run() {
     // Three ReLU blocks exceed the toy chain, so the plan predicts
     // real bootstraps — and one encrypted run must measure exactly
@@ -193,11 +171,10 @@ fn traced_plan_cost_matches_measured_encrypted_run() {
 
 #[test]
 fn session_agrees_with_legacy_entry_points() {
-    // The session's canonical-probe ranking and the legacy
-    // `rank_forms_by_dry_run` wrapper must agree on cost rows for the
-    // single-ReLU probe pipeline they share.
+    // A session's candidate rows are the pipeline layer's own dry runs:
+    // building the one-ReLU pipeline by hand through `PipelineBuilder`
+    // and tracing it gives the cost row and the trace the plan carries.
     let forms = [PafForm::F1G2, PafForm::Alpha7, PafForm::MinimaxDeg27];
-    let ranked = smartpaf::rank_forms_by_dry_run(&forms, 12).expect("all fit");
     let plan = Session::builder(&[4])
         .relu(1.0)
         .params(CkksParams::toy())
@@ -205,21 +182,25 @@ fn session_agrees_with_legacy_entry_points() {
         .objective(Objective::MinBootstraps)
         .plan()
         .expect("plannable");
-    for cost in &ranked {
-        let candidate = plan
-            .candidates()
-            .iter()
-            .find(|c| c.uniform_form() == Some(cost.form))
-            .expect("every ranked form was planned");
-        assert_eq!(candidate.cost.bootstraps, cost.bootstraps, "{}", cost.form);
-        assert_eq!(candidate.cost.ct_mults, cost.ct_mults, "{}", cost.form);
+    assert_eq!(plan.candidates().len(), forms.len());
+    for (candidate, form) in plan.candidates().iter().zip(forms) {
+        assert_eq!(candidate.uniform_form(), Some(form));
+        let paf = CompositePaf::from_form(form);
+        let pipe = PipelineBuilder::new(&[4])
+            .paf_relu(&paf, 1.0)
+            .try_compile()
+            .expect("compiles");
+        let (trace, _) = pipe.dry_run(12, true).expect("all fit");
         assert_eq!(
-            candidate.cost.relu_levels, cost.relu_levels,
-            "{}",
-            cost.form
+            candidate.cost.bootstraps,
+            trace.total_bootstraps(),
+            "{form}"
         );
+        assert_eq!(candidate.cost.ct_mults, trace.total_ct_mults(), "{form}");
+        assert_eq!(candidate.cost.relu_levels, paf.mult_depth() + 1, "{form}");
+        assert_eq!(candidate.trace, trace, "{form}");
     }
-    assert_eq!(plan.chosen_form(), ranked[0].form);
+    assert_eq!(plan.chosen_form(), PafForm::F1G2);
 }
 
 #[test]
