@@ -7,7 +7,9 @@
 //! (encrypt, add, mul+relin, rescale, rotate, mul_const) at N = 4096 and
 //! N = 8192,
 //! with the key-switch gadget's digit count and the host core count
-//! recorded as group metadata, plus the PAF-ReLU (`relu_f1g2`) and the
+//! recorded as group metadata, the two key-switching ops again on 7 of
+//! the 13 limbs (`…/n4096_l7`: the per-level ratio the level schedule's
+//! price is held to), plus the PAF-ReLU (`relu_f1g2`) and the
 //! 2×2 max-pool fold (`pool_fold_2x2`) every CNN inference runs. `bench_hoist` fails the bench if 8
 //! rotations of one ciphertext from one key-switch decomposition do
 //! not cost < 0.6× eight standalone rotations.
@@ -197,6 +199,39 @@ fn bench_paf_ops(c: &mut Criterion) {
     }
 }
 
+/// The two key-switching ops of `ckks_n4096` again, on the same
+/// ciphertext dropped to 7 of its 13 limbs: the per-level point the
+/// level schedule's price relies on. It places refreshes so the
+/// benchmark CNN's PAF-max folds enter on 7 and 8 limbs instead of 13
+/// and 7; `mul_relin_rescale` at 13 limbs over this row is the ratio
+/// `cost::relin_rescale_modmuls` puts at 2.4 by count (ARCHITECTURE,
+/// "Level schedule").
+fn bench_level_curve(c: &mut Criterion) {
+    let params = CkksParams::default_params();
+    let mut rng = Rng64::new(1);
+    let keys = KeyChain::generate(&params.build(), &mut rng);
+    let ev = Evaluator::new(&keys);
+    let vals: Vec<f64> = (0..64).map(|i| i as f64 / 64.0 - 0.5).collect();
+    let mut ct = ev.encrypt_values(&vals, &mut rng);
+    ct.drop_to(7);
+    let product = || ev.relinearize_rescale(ev.tensor(&ct, &ct));
+    let rotate = || ev.rotate(&ct, 1);
+    // Relin and Galois keys at 7 limbs.
+    let _ = (product(), rotate());
+    let ops: [(&str, &dyn Fn() -> Ciphertext); 2] =
+        [("mul_relin_rescale", &product), ("rotate", &rotate)];
+    for (name, op) in ops {
+        let mut g = c.benchmark_group(name);
+        g.meta("ks_digit_limbs", params.ks_digit_limbs)
+            .meta("digits", cost::hybrid_digits(&params, 7))
+            .meta("cores", host_cores())
+            .meta("threads", par::max_intra_workers());
+        g.bench_function(format!("n{}_l7", params.n), |b| {
+            b.iter(|| std::hint::black_box(op()))
+        });
+    }
+}
+
 /// Best-of-`iters` wall time of `f`, measured inline.
 fn min_time(iters: usize, mut f: impl FnMut()) -> Duration {
     (0..iters)
@@ -253,6 +288,6 @@ criterion_group! {
     config = Criterion::default()
         .sample_size(10)
         .json_output("BENCH_ckks.json");
-    targets = bench_ntt, bench_cipher_ops, bench_paf_ops, bench_hoist
+    targets = bench_ntt, bench_cipher_ops, bench_level_curve, bench_paf_ops, bench_hoist
 }
 criterion_main!(benches);

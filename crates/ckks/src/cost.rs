@@ -14,6 +14,11 @@
 //! [`ct_mult_modmuls`] is the standalone `Evaluator::mul`. The pass
 //! counts are held to the executed transforms by
 //! `analytic_ntt_counts_are_the_executed_passes`.
+//!
+//! [`OpPrices`] composes those per-limb prices into the price of one
+//! atomic op of an inference pipeline ([`OpWork`]) entered at a given
+//! level: what `heinfer`'s level schedule minimises when it places
+//! refreshes, and what a traced plan reports.
 
 use crate::params::CkksParams;
 use smartpaf_polyfit::{CompositePaf, OddPowerSchedule};
@@ -173,6 +178,95 @@ pub fn rescale_modmuls(params: &CkksParams, limbs: usize) -> u128 {
 /// follows, at the same multiply count.)
 pub fn const_mult_modmuls(params: &CkksParams, limbs: usize) -> u128 {
     2 * (limbs as u128) * (params.n as u128)
+}
+
+/// The parameter-free work of one atomic op of a pipeline — an affine
+/// map, a PAF-ReLU, or one shift of a max-pool fold: exact counts, read
+/// off the op itself (`CompositeEval::{exact_ct_mults, exact_relins}`,
+/// `DiagMatrix::{bsgs_counts, num_diagonals_lanes}`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OpWork {
+    /// Tensor products ([`tensor_modmuls`] each).
+    pub tensors: usize,
+    /// Relinearisations with the rescale fused in
+    /// ([`relin_rescale_modmuls`] each).
+    pub relins: usize,
+    /// Rotations: Galois key-switch applications
+    /// ([`rotation_apply_modmuls`] each).
+    pub rotations: usize,
+    /// Key-switch decompositions behind those rotations
+    /// ([`key_switch_decompose_modmuls`] each).
+    pub decompositions: usize,
+    /// Plaintext multiplies — a matvec's diagonals
+    /// ([`const_mult_modmuls`] each).
+    pub plain_mults: usize,
+}
+
+/// What an [`OpWork`] costs at the level it is entered at: the one
+/// price the level schedule minimises and a traced plan reports.
+///
+/// An op's rotations, decompositions and plaintext multiplies run on
+/// the `level_in + 1` limbs it is entered on. Its products do not: an
+/// op that consumes `need` levels loses a limb with every level, so
+/// one `need`-th of its tensor products and relinearisations is priced
+/// on each of the limb counts `level_in + 1, …, level_in + 2 − need`
+/// it passes through.
+///
+/// The per-limb prices are tabulated once (with running sums for the
+/// products), so pricing an op is a handful of multiplies — a schedule
+/// prices every op at every level it could be entered at, per request.
+#[derive(Debug, Clone)]
+pub struct OpPrices {
+    /// `[rotation apply, decompose, plaintext multiply]` at `l` limbs,
+    /// by `l` (entry 0 unused).
+    at_limbs: Vec<[u128; 3]>,
+    /// `[tensor, relin + rescale]` summed over `1..=l` limbs, by `l`.
+    products_up_to: Vec<[u128; 2]>,
+}
+
+impl OpPrices {
+    /// Tabulates the prices at `params` for ops entered at up to
+    /// `max_level`.
+    pub fn new(params: &CkksParams, max_level: usize) -> Self {
+        let mut at_limbs = vec![[0; 3]];
+        let mut products_up_to = vec![[0; 2]];
+        for limbs in 1..=max_level + 1 {
+            at_limbs.push([
+                rotation_apply_modmuls(params, limbs),
+                key_switch_decompose_modmuls(params, limbs),
+                const_mult_modmuls(params, limbs),
+            ]);
+            let [tensors, relins] = products_up_to[limbs - 1];
+            products_up_to.push([
+                tensors + tensor_modmuls(params, limbs),
+                relins + relin_rescale_modmuls(params, limbs),
+            ]);
+        }
+        OpPrices {
+            at_limbs,
+            products_up_to,
+        }
+    }
+
+    /// Modular multiplies of `work` entered at `level_in` and consuming
+    /// `need ≥ 1` levels from there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level_in` is above the tabulated `max_level` or below
+    /// `need`.
+    pub fn op_modmuls(&self, work: &OpWork, level_in: usize, need: usize) -> u128 {
+        let limbs = level_in + 1;
+        let [apply, decompose, plain_mult] = self.at_limbs[limbs];
+        let [tensors_hi, relins_hi] = self.products_up_to[limbs];
+        let [tensors_lo, relins_lo] = self.products_up_to[limbs - need];
+        work.rotations as u128 * apply
+            + work.decompositions as u128 * decompose
+            + work.plain_mults as u128 * plain_mult
+            + (work.tensors as u128 * (tensors_hi - tensors_lo)
+                + work.relins as u128 * (relins_hi - relins_lo))
+                / need as u128
+    }
 }
 
 /// Counts the operations of one PAF-ReLU at the given parameters.
@@ -431,6 +525,70 @@ mod tests {
             (1, 1, 2, 3)
         );
         assert!(ct_mult_modmuls(&params, 8) > const_mult_modmuls(&params, 8));
+    }
+
+    #[test]
+    fn an_op_is_priced_on_the_limbs_it_passes_through() {
+        let params = CkksParams::default_params();
+        let prices = OpPrices::new(&params, params.depth);
+        // A matvec's key switches and plaintext multiplies sit on the
+        // limbs it is entered on.
+        let matvec = OpWork {
+            rotations: 7,
+            decompositions: 4,
+            plain_mults: 9,
+            ..OpWork::default()
+        };
+        let at = |limbs| {
+            7 * rotation_apply_modmuls(&params, limbs)
+                + 4 * key_switch_decompose_modmuls(&params, limbs)
+                + 9 * const_mult_modmuls(&params, limbs)
+        };
+        assert_eq!(prices.op_modmuls(&matvec, 1, 1), at(2));
+        assert_eq!(prices.op_modmuls(&matvec, 12, 1), at(13));
+        // A ReLU entered at level 6 runs from 7 limbs down to 2: a
+        // sixth of its 7 tensor products and 6 relinearisations on each.
+        let relu = OpWork {
+            tensors: 7,
+            relins: 6,
+            ..OpWork::default()
+        };
+        let over = |limbs: std::ops::RangeInclusive<usize>| {
+            let levels = limbs.clone().count() as u128;
+            let products =
+                |l| 7 * tensor_modmuls(&params, l) + 6 * relin_rescale_modmuls(&params, l);
+            limbs.map(products).sum::<u128>() / levels
+        };
+        assert_eq!(prices.op_modmuls(&relu, 6, 6), over(2..=7));
+        // The same work entered at the top of the chain costs what 13
+        // limbs down to 8 cost: 3.0× as much, where one relinearisation
+        // on 13 limbs is 2.4× one on 7 — the op entered at 6 spends
+        // most of its levels well below 7 limbs.
+        assert_eq!(prices.op_modmuls(&relu, 12, 6), over(8..=13));
+        let ratio = over(8..=13) as f64 / over(2..=7) as f64;
+        assert!((2.9..3.1).contains(&ratio), "{ratio}");
+        let one =
+            relin_rescale_modmuls(&params, 13) as f64 / relin_rescale_modmuls(&params, 7) as f64;
+        assert!((2.3..2.5).contains(&one), "{one}");
+        // One shift of a pool: the rotation at entry, the max below it.
+        let shift = OpWork {
+            rotations: 1,
+            decompositions: 1,
+            ..relu
+        };
+        assert_eq!(
+            prices.op_modmuls(&shift, 7, 6),
+            rotation_modmuls(&params, 8) + over(3..=8)
+        );
+        // Every price is a count × n.
+        let twice = CkksParams {
+            n: 2 * params.n,
+            ..params.clone()
+        };
+        assert_eq!(
+            OpPrices::new(&twice, 12).op_modmuls(&shift, 7, 1),
+            2 * prices.op_modmuls(&shift, 7, 1)
+        );
     }
 
     #[test]

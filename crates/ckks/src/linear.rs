@@ -17,7 +17,7 @@ use crate::cipher::{Ciphertext, Evaluator};
 use crate::encoding::Plaintext;
 use smartpaf_tensor::Rng64;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Cache key for an encoded diagonal: (diagonal offset, plaintext
 /// pre-rotation shift, slot count, scale bits). The limb count is NOT
@@ -204,10 +204,19 @@ impl DiagMatrix {
         out
     }
 
+    /// The encoding cache. A serving thread that panicked while
+    /// holding the lock poisons it, but the map is insert-only and an
+    /// entry is complete before it goes in, so the data is valid at
+    /// every step and the guard is recovered: one request's panic must
+    /// not fail every later `matvec_bsgs` on this matrix.
+    fn encoded(&self) -> MutexGuard<'_, HashMap<DiagKey, Arc<Plaintext>>> {
+        self.encoded.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of encoded diagonal plaintexts currently cached
     /// (diagnostics; see the caching tests).
     pub fn encoded_cache_len(&self) -> usize {
-        self.encoded.lock().expect("cache poisoned").len()
+        self.encoded().len()
     }
 
     /// Returns the encoded plaintext for generalized diagonal `d`
@@ -222,7 +231,7 @@ impl DiagMatrix {
         let slots = ev.context().slots();
         let scale = ev.context().scale();
         let key = (d, shift, slots, scale.to_bits());
-        if let Some(pt) = self.encoded.lock().expect("cache poisoned").get(&key) {
+        if let Some(pt) = self.encoded().get(&key) {
             return Arc::clone(pt);
         }
         let diag = &self.diags[&d];
@@ -240,13 +249,7 @@ impl DiagMatrix {
             ev.encoder()
                 .encode(&pre, scale, ev.context().primes().len()),
         );
-        Arc::clone(
-            self.encoded
-                .lock()
-                .expect("cache poisoned")
-                .entry(key)
-                .or_insert(pt),
-        )
+        Arc::clone(self.encoded().entry(key).or_insert(pt))
     }
 
     /// Replicates the matrix block-diagonally across `lanes` lanes: the
@@ -345,6 +348,15 @@ impl DiagMatrix {
             std::iter::once(d).chain(wrap)
         });
         BsgsSchedule::new(self.dim * lanes, offsets).counts()
+    }
+
+    /// Number of nonzero diagonals of [`DiagMatrix::block_diag`]`(lanes)`
+    /// — the plaintext multiplies of a matvec on it — from the offsets
+    /// alone: every diagonal but the main one gains its wrap-around
+    /// twin.
+    pub fn num_diagonals_lanes(&self, lanes: usize) -> usize {
+        let wraps = self.diags.keys().filter(|&&d| lanes > 1 && d > 0).count();
+        self.diags.len() + wraps
     }
 
     /// Fraction of entries that are nonzero (density diagnostics for
@@ -891,6 +903,54 @@ mod tests {
         let base = ev.decrypt_values(&ev.matvec(&mat, &ct), 8);
         for i in 0..8 {
             assert!((out[i] - 2.0 * base[i]).abs() < 2e-2, "slot {i}");
+        }
+    }
+
+    #[test]
+    fn a_poisoned_encoding_cache_still_serves() {
+        // A thread that panics while holding the cache lock poisons the
+        // mutex; the matrix must go on applying — cached entries read,
+        // new ones inserted — and give the answer it gave before.
+        let (ev, mut rng) = setup(52);
+        let m = 8;
+        let mat = DiagMatrix::from_rows(&random_matrix(m, m, &mut rng));
+        let ct = ev.encrypt_replicated(&random_vec(m, &mut rng), &mut rng);
+        let before = ev.decrypt_values(&ev.matvec(&mat, &ct), m);
+        let cached = mat.encoded_cache_len();
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = mat.encoded.lock().unwrap();
+                panic!("a serving thread dies holding the cache");
+            })
+            .join()
+        });
+        assert!(panicked.is_err() && mat.encoded.is_poisoned());
+        assert_eq!(mat.encoded_cache_len(), cached);
+        assert_eq!(ev.decrypt_values(&ev.matvec(&mat, &ct), m), before);
+        // The BSGS product encodes pre-rotated diagonals the naive one
+        // never cached: inserts go through the poisoned lock too.
+        let bsgs = ev.decrypt_values(&ev.matvec_bsgs(&mat, &ct), m);
+        assert!(mat.encoded_cache_len() > cached);
+        for (b, w) in bsgs.iter().zip(&before) {
+            assert!((b - w).abs() < 5e-2, "{b} vs {w}");
+        }
+    }
+
+    #[test]
+    fn lane_diagonal_count_is_the_expanded_matrix() {
+        let mut rng = Rng64::new(53);
+        for mat in [
+            DiagMatrix::from_rows(&random_matrix(8, 8, &mut rng)),
+            DiagMatrix::identity(8),
+            DiagMatrix::rotation(8, 3),
+        ] {
+            assert_eq!(mat.num_diagonals_lanes(1), mat.num_diagonals());
+            for lanes in [2, 4] {
+                assert_eq!(
+                    mat.num_diagonals_lanes(lanes),
+                    mat.block_diag(lanes).num_diagonals()
+                );
+            }
         }
     }
 

@@ -142,6 +142,27 @@ impl CkksParams {
     }
 }
 
+impl CkksContext {
+    /// The parameters this context's shape answers to: ring dimension,
+    /// chain depth and key-switch digit size (the special-prime count)
+    /// are the context's own, and the two bit sizes are the bit lengths
+    /// of its base prime and its last chain prime. [`CkksParams::build`]
+    /// round-trips every preset; whatever the primes, the first three
+    /// are exact, and they are all [`crate::cost`] reads — which is
+    /// what lets a backend holding only an evaluator price a schedule
+    /// exactly as the plan did.
+    pub fn params(&self) -> CkksParams {
+        let bits = |p: &u64| u64::BITS - p.leading_zeros();
+        CkksParams {
+            n: self.n(),
+            base_prime_bits: bits(&self.primes()[0]),
+            scale_prime_bits: bits(self.primes().last().expect("a chain has a prime")),
+            depth: self.max_level(),
+            ks_digit_limbs: self.special_primes().len(),
+        }
+    }
+}
+
 impl Serialize for CkksParams {
     fn serialize(&self) -> Value {
         Value::object([
@@ -208,6 +229,18 @@ mod tests {
         for &p in ctx.special_primes() {
             assert!(!ctx.primes().contains(&p), "special prime {p} collides");
             assert_eq!((p - 1) % (2 * 256), 0);
+        }
+    }
+
+    #[test]
+    fn a_context_answers_to_the_params_it_was_built_from() {
+        let omega_one = CkksParams {
+            ks_digit_limbs: 1,
+            depth: 5,
+            ..CkksParams::toy()
+        };
+        for params in [CkksParams::toy(), CkksParams::default_params(), omega_one] {
+            assert_eq!(params.build().params(), params);
         }
     }
 

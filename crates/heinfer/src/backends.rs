@@ -6,16 +6,15 @@
 //!   [`LevelSchedule`]: refresh where a segment starts, enter every
 //!   atomic op at the level the rest of its segment consumes.
 //! - [`TraceBackend`] — no arithmetic at all: records the same
-//!   schedule's levels and refreshes plus exact ciphertext-multiplication
-//!   and key-switch counts per stage, giving schedulers an instant
-//!   dry-run cost oracle.
+//!   schedule's levels, refreshes and price plus exact
+//!   ciphertext-multiplication and key-switch counts per stage, giving
+//!   schedulers an instant dry-run cost oracle.
 
 use crate::exec::{InferenceBackend, PafOp, RunError, RunStats};
 use crate::pipeline::HePipeline;
 use crate::schedule::{AtomicOp, LevelSchedule, ScheduledOp};
 use serde::{Deserialize, Error, Serialize, Value};
-use smartpaf_ckks::linear::BsgsCounts;
-use smartpaf_ckks::{Bootstrapper, Ciphertext, DiagMatrix, PafEvaluator};
+use smartpaf_ckks::{Bootstrapper, Ciphertext, CkksParams, DiagMatrix, PafEvaluator};
 
 /// The batched plaintext backend: the activation is a padded `f64`
 /// vector, PAF stages run through the compile-time-prepared
@@ -100,7 +99,9 @@ impl InferenceBackend for PlainBackend {
 pub struct CkksBackend<'a> {
     pe: &'a PafEvaluator,
     bootstrapper: Option<&'a Bootstrapper>,
-    max_level: usize,
+    /// The evaluator's parameters ([`smartpaf_ckks::CkksContext::params`]):
+    /// what the schedule is priced at.
+    params: CkksParams,
     bootstraps: usize,
     /// The pipeline's atomic ops, held from `begin` until the first
     /// stage shows the level the input arrived at.
@@ -113,9 +114,9 @@ pub struct CkksBackend<'a> {
 
 #[cfg(test)]
 thread_local! {
-    /// The level every stage executed on this thread actually entered
-    /// its first op at, so tests can hold the trace's
-    /// [`StageTrace::level_in`] to the executed run.
+    /// The level every atomic op executed on this thread was actually
+    /// entered at, so tests can hold the trace's
+    /// [`StageTrace::op_levels`] to the executed run.
     pub(crate) static ENTRY_LEVELS: std::cell::RefCell<Vec<usize>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
@@ -126,7 +127,7 @@ impl<'a> CkksBackend<'a> {
         CkksBackend {
             pe,
             bootstrapper,
-            max_level: pe.evaluator().context().max_level(),
+            params: pe.evaluator().context().params(),
             bootstraps: 0,
             ops: Vec::new(),
             schedule: None,
@@ -147,6 +148,8 @@ impl<'a> CkksBackend<'a> {
             *v = bs.refresh(v);
         }
         v.drop_to(op.level_in + 1);
+        #[cfg(test)]
+        ENTRY_LEVELS.with(|levels| levels.borrow_mut().push(v.level()));
     }
 
     /// Starts the next stage: returns its scheduled ops with `v`
@@ -160,13 +163,12 @@ impl<'a> CkksBackend<'a> {
     ) -> Result<Vec<ScheduledOp>, RunError> {
         let schedule = self.schedule.get_or_insert_with(|| {
             let refresher = self.bootstrapper.is_some();
-            LevelSchedule::cut(&self.ops, v.level(), self.max_level, refresher)
+            let max_level = self.params.depth;
+            LevelSchedule::cut(&self.ops, &self.params, v.level(), max_level, refresher)
         });
         let ops = schedule.stage(self.stage, label)?.to_vec();
         self.stage += 1;
         self.enter(v, &ops[0]);
-        #[cfg(test)]
-        ENTRY_LEVELS.with(|levels| levels.borrow_mut().push(v.level()));
         Ok(ops)
     }
 }
@@ -182,7 +184,7 @@ impl InferenceBackend for CkksBackend<'_> {
                 slots,
             });
         }
-        self.ops = pipe.atomic_ops();
+        self.ops = pipe.atomic_ops(1);
         self.schedule = None;
         self.stage = 0;
         Ok(())
@@ -264,10 +266,12 @@ pub struct StageTrace {
     /// ([`crate::HePipeline::with_pafs`]), so planners can read
     /// per-slot levels/bootstraps/ct-mults straight off the trace.
     pub slot: Option<usize>,
-    /// The level the stage's first atomic op is entered at
-    /// ([`ScheduledOp::level_in`]), after any refresh before it: the
-    /// stage starts on `level_in + 1` limbs.
-    pub level_in: usize,
+    /// The level each of the stage's atomic ops is entered at
+    /// ([`ScheduledOp::level_in`]), after any refresh before it, in
+    /// execution order: one entry for an affine map or a ReLU, one per
+    /// shift for a max pool — which a refresh between two shifts enters
+    /// at unrelated levels.
+    pub op_levels: Vec<usize>,
     /// Levels the stage consumes ([`crate::Stage::levels`]).
     pub levels: usize,
     /// Refreshes this stage takes, before or inside it.
@@ -295,6 +299,18 @@ pub struct StageTrace {
     /// input) and each giant step has its own; each pool shift rotates
     /// a different ciphertext and has its own.
     pub decompositions: usize,
+    /// The stage's price in modular multiplies: its ops', each at the
+    /// level it is entered at ([`ScheduledOp::modmuls`]) — the quantity
+    /// the schedule minimised. Refreshes are not in it.
+    pub modmuls: u64,
+}
+
+impl StageTrace {
+    /// The level the stage's first atomic op is entered at: the stage
+    /// starts on `level_in() + 1` limbs.
+    pub fn level_in(&self) -> usize {
+        self.op_levels[0]
+    }
 }
 
 /// Aggregate result of a trace dry run.
@@ -337,6 +353,12 @@ impl TraceReport {
         self.stages.iter().map(|s| s.decompositions).sum()
     }
 
+    /// Total price of the stages' ops in modular multiplies
+    /// ([`StageTrace::modmuls`]; refreshes excluded).
+    pub fn total_op_modmuls(&self) -> u128 {
+        self.stages.iter().map(|s| u128::from(s.modmuls)).sum()
+    }
+
     /// The PAF-slot records only (stages with a
     /// [`StageTrace::slot`] index), in slot order — one row per entry
     /// of a per-slot form vector.
@@ -350,29 +372,35 @@ impl Serialize for StageTrace {
         Value::object([
             ("label", self.label.serialize()),
             ("slot", self.slot.serialize()),
-            ("level_in", self.level_in.serialize()),
+            ("op_levels", self.op_levels.serialize()),
             ("levels", self.levels.serialize()),
             ("bootstraps", self.bootstraps.serialize()),
             ("ct_mults", self.ct_mults.serialize()),
             ("relins", self.relins.serialize()),
             ("rotations", self.rotations.serialize()),
             ("decompositions", self.decompositions.serialize()),
+            ("modmuls", self.modmuls.serialize()),
         ])
     }
 }
 
 impl Deserialize for StageTrace {
     fn deserialize(value: &Value) -> Result<Self, Error> {
+        let op_levels = Vec::<usize>::deserialize(value.req("op_levels")?)?;
+        if op_levels.is_empty() {
+            return Err(Error::custom("a stage has at least one atomic op"));
+        }
         Ok(StageTrace {
             label: String::deserialize(value.req("label")?)?,
             slot: Option::<usize>::deserialize(value.req("slot")?)?,
-            level_in: usize::deserialize(value.req("level_in")?)?,
+            op_levels,
             levels: usize::deserialize(value.req("levels")?)?,
             bootstraps: usize::deserialize(value.req("bootstraps")?)?,
             ct_mults: usize::deserialize(value.req("ct_mults")?)?,
             relins: usize::deserialize(value.req("relins")?)?,
             rotations: usize::deserialize(value.req("rotations")?)?,
             decompositions: usize::deserialize(value.req("decompositions")?)?,
+            modmuls: u64::deserialize(value.req("modmuls")?)?,
         })
     }
 }
@@ -395,14 +423,14 @@ impl Deserialize for TraceReport {
     }
 }
 
-/// The arithmetic-free cost backend: records, per stage, the levels and
-/// refreshes of the [`LevelSchedule`] that [`CkksBackend`] executes,
-/// plus exact ct-mult and key-switch counts, without touching a single
-/// coefficient. A full dry run costs microseconds, so schedulers can
-/// query it per candidate configuration.
+/// The arithmetic-free cost backend: records, per stage, the levels,
+/// refreshes and price of the [`LevelSchedule`] that [`CkksBackend`]
+/// executes, plus exact ct-mult and key-switch counts, without touching
+/// a single coefficient. A full dry run costs microseconds, so
+/// schedulers can query it per candidate configuration.
 #[derive(Debug, Clone)]
 pub struct TraceBackend {
-    max_level: usize,
+    params: CkksParams,
     start_level: usize,
     allow_bootstrap: bool,
     lanes: usize,
@@ -414,27 +442,29 @@ pub struct TraceBackend {
 
 impl TraceBackend {
     /// Creates a trace starting from a fresh ciphertext at the top of
-    /// a modulus chain with `max_level` rescale levels. With
+    /// the modulus chain of `params`, priced at them. With
     /// `allow_bootstrap`, exhaustion refreshes (and is charged);
     /// without, it surfaces as [`RunError::OutOfLevels`] exactly where
     /// the CKKS backend would fail.
-    pub fn new(max_level: usize, allow_bootstrap: bool) -> Self {
+    pub fn new(params: &CkksParams, allow_bootstrap: bool) -> Self {
         TraceBackend {
-            max_level,
-            start_level: max_level,
+            params: params.clone(),
+            start_level: params.depth,
             allow_bootstrap,
             lanes: 1,
-            schedule: LevelSchedule::cut(&[], max_level, max_level, allow_bootstrap),
+            schedule: LevelSchedule::cut(&[], params, params.depth, params.depth, allow_bootstrap),
             next_slot: 0,
             stages: Vec::new(),
         }
     }
 
-    /// Prices rotations as if the pipeline were slot-packed at `lanes`
-    /// lanes ([`HePipeline::expand_lanes`]): each affine matrix is
-    /// costed through [`DiagMatrix::bsgs_counts`], which accounts for
-    /// the wrap-diagonal doubling of the block-diagonal expansion
-    /// without building the expanded pipeline. Levels,
+    /// Traces the pipeline as if it were slot-packed at `lanes` lanes
+    /// ([`HePipeline::expand_lanes`]): each affine matrix is counted
+    /// through [`DiagMatrix::bsgs_counts`] and
+    /// [`DiagMatrix::num_diagonals_lanes`], which account for the
+    /// wrap-diagonal doubling of the block-diagonal expansion without
+    /// building the expanded pipeline, and the schedule is cut at that
+    /// work — the cut the expanded pipeline executes. Levels,
     /// bootstraps, and ct-mults are lane-invariant, so a lane planner
     /// can sweep candidate lane counts over one compiled pipeline.
     ///
@@ -450,7 +480,7 @@ impl TraceBackend {
     /// Starts the trace below the top of the chain (a partially
     /// consumed input ciphertext): the level the schedule is cut from.
     pub fn with_start_level(mut self, level: usize) -> Self {
-        assert!(level <= self.max_level, "start level above the chain");
+        assert!(level <= self.params.depth, "start level above the chain");
         self.start_level = level;
         self
     }
@@ -468,28 +498,24 @@ impl TraceBackend {
         self.schedule.level_after(self.stages.len())
     }
 
-    /// Records the next stage off the schedule: its levels and
-    /// refreshes are the scheduled ops', and a PAF stage claims the
-    /// next slot index and brings its `(ct_mults, relins)`.
-    fn record(
-        &mut self,
-        label: &str,
-        products: Option<(usize, usize)>,
-        key_switches: BsgsCounts,
-    ) -> Result<(), RunError> {
-        let is_paf = products.is_some();
-        let (ct_mults, relins) = products.unwrap_or_default();
+    /// Records the next stage off the schedule — its levels, refreshes,
+    /// work and price are its scheduled ops' — a PAF stage claiming the
+    /// next slot index.
+    fn record(&mut self, label: &str, is_paf: bool) -> Result<(), RunError> {
         let ops = self.schedule.stage(self.stages.len(), label)?;
+        let total = |count: fn(&ScheduledOp) -> usize| ops.iter().map(count).sum();
+        let modmuls: u128 = ops.iter().map(|o| o.modmuls).sum();
         let trace = StageTrace {
             label: label.to_string(),
             slot: is_paf.then_some(self.next_slot),
-            level_in: ops[0].level_in,
-            levels: ops.iter().map(|o| o.op.need).sum(),
-            bootstraps: ops.iter().filter(|o| o.refresh).count(),
-            ct_mults,
-            relins,
-            rotations: key_switches.rotations,
-            decompositions: key_switches.decompositions,
+            op_levels: ops.iter().map(|o| o.level_in).collect(),
+            levels: total(|o| o.op.need),
+            bootstraps: total(|o| usize::from(o.refresh)),
+            ct_mults: total(|o| o.op.work.tensors),
+            relins: total(|o| o.op.work.relins),
+            rotations: total(|o| o.op.work.rotations),
+            decompositions: total(|o| o.op.work.decompositions),
+            modmuls: u64::try_from(modmuls).expect("a stage's price fits 64 bits"),
         };
         self.next_slot += usize::from(is_paf);
         self.stages.push(trace);
@@ -502,9 +528,10 @@ impl InferenceBackend for TraceBackend {
 
     fn begin(&mut self, pipe: &HePipeline) -> Result<(), RunError> {
         self.schedule = LevelSchedule::cut(
-            &pipe.atomic_ops(),
+            &pipe.atomic_ops(self.lanes),
+            &self.params,
             self.start_level,
-            self.max_level,
+            self.params.depth,
             self.allow_bootstrap,
         );
         self.next_slot = 0;
@@ -515,47 +542,33 @@ impl InferenceBackend for TraceBackend {
     fn affine(
         &mut self,
         _v: &mut (),
-        mat: &DiagMatrix,
+        _mat: &DiagMatrix,
         _bias: &[f64],
         label: &str,
     ) -> Result<(), RunError> {
-        self.record(label, None, mat.bsgs_counts(self.lanes))
+        self.record(label, false)
     }
 
     fn paf_relu(
         &mut self,
         _v: &mut (),
-        op: &PafOp<'_>,
+        _op: &PafOp<'_>,
         _pre_scale: f64,
         _post_scale: f64,
         label: &str,
     ) -> Result<(), RunError> {
-        // Sign stages + the x·sign(x) product; the scale
-        // multiplications are plaintext-constant, not ct-ct.
-        let products = (op.engine.exact_ct_mults() + 1, op.engine.exact_relins() + 1);
-        self.record(label, Some(products), BsgsCounts::default())
+        self.record(label, true)
     }
 
     fn paf_max(
         &mut self,
         _v: &mut (),
-        taps: &[DiagMatrix],
-        op: &PafOp<'_>,
+        _taps: &[DiagMatrix],
+        _op: &PafOp<'_>,
         _post_scale: f64,
         label: &str,
     ) -> Result<(), RunError> {
-        // Per shift: one rotation of the running fold (its own
-        // decomposition, whatever the lane count) and one PAF-max —
-        // sign of the difference plus the product.
-        let shifts = BsgsCounts {
-            rotations: taps.len(),
-            decompositions: taps.len(),
-        };
-        let products = (
-            taps.len() * (op.engine.exact_ct_mults() + 1),
-            taps.len() * (op.engine.exact_relins() + 1),
-        );
-        self.record(label, Some(products), shifts)
+        self.record(label, true)
     }
 
     fn level_of(&self, _v: &()) -> Option<usize> {
@@ -569,31 +582,45 @@ impl InferenceBackend for TraceBackend {
 
 impl HePipeline {
     /// Traces the pipeline through [`TraceBackend`] without any
-    /// arithmetic: an instant dry-run cost oracle over a modulus chain
-    /// of `max_level` rescale levels.
+    /// arithmetic: an instant dry-run cost oracle over the modulus
+    /// chain of `params`, priced at them, as if slot-packed at `lanes`
+    /// lanes ([`TraceBackend::with_lanes`]; 1 for the pipeline as it
+    /// is).
+    pub fn trace(
+        &self,
+        params: &CkksParams,
+        allow_bootstrap: bool,
+        lanes: usize,
+    ) -> Result<(TraceReport, RunStats), RunError> {
+        let mut backend = TraceBackend::new(params, allow_bootstrap).with_lanes(lanes);
+        let ((), stats) = self.run(&mut backend, ())?;
+        Ok((backend.report(), stats))
+    }
+
+    /// [`HePipeline::trace`] over a `max_level`-level chain of
+    /// otherwise default parameters, for the frozen benchmark package,
+    /// which reads counts no parameter moves off it; the next library
+    /// PR after the benchmark repoints deletes it.
     pub fn dry_run(
         &self,
         max_level: usize,
         allow_bootstrap: bool,
     ) -> Result<(TraceReport, RunStats), RunError> {
-        let mut backend = TraceBackend::new(max_level, allow_bootstrap);
-        let ((), stats) = self.run(&mut backend, ())?;
-        Ok((backend.report(), stats))
+        self.dry_run_lanes(max_level, allow_bootstrap, 1)
     }
 
-    /// [`HePipeline::dry_run`] priced at `lanes` slot-packing lanes:
-    /// rotation counts reflect the block-diagonal expansion's wrap
-    /// diagonals without ever building the expanded pipeline
-    /// ([`TraceBackend::with_lanes`]).
+    /// [`HePipeline::dry_run`] at `lanes` lanes: the same forward.
     pub fn dry_run_lanes(
         &self,
         max_level: usize,
         allow_bootstrap: bool,
         lanes: usize,
     ) -> Result<(TraceReport, RunStats), RunError> {
-        let mut backend = TraceBackend::new(max_level, allow_bootstrap).with_lanes(lanes);
-        let ((), stats) = self.run(&mut backend, ())?;
-        Ok((backend.report(), stats))
+        let params = CkksParams {
+            depth: max_level,
+            ..CkksParams::default_params()
+        };
+        self.trace(&params, allow_bootstrap, lanes)
     }
 }
 
@@ -605,6 +632,14 @@ mod tests {
     use smartpaf_nn::{Conv2d, Linear};
     use smartpaf_polyfit::{CompositePaf, PafForm};
     use smartpaf_tensor::Rng64;
+
+    /// The toy parameters over a `depth`-level chain.
+    fn chain(depth: usize) -> CkksParams {
+        CkksParams {
+            depth,
+            ..CkksParams::toy()
+        }
+    }
 
     fn setup(seed: u64) -> (PafEvaluator, Rng64) {
         let ctx = CkksParams::toy().build();
@@ -648,8 +683,9 @@ mod tests {
             .evaluator()
             .encrypt_replicated(&pipe.pad_input(&x), &mut rng);
         let (_, enc_stats) = pipe.eval_encrypted(&pe, None, &ct);
-        let max_level = pe.evaluator().context().max_level();
-        let (report, trace_stats) = pipe.dry_run(max_level, false).expect("fits the chain");
+        let (report, trace_stats) = pipe
+            .trace(&CkksParams::toy(), false, 1)
+            .expect("fits the chain");
         assert_eq!(trace_stats.stage_levels, enc_stats.stage_levels);
         assert_eq!(trace_stats.bootstraps, enc_stats.bootstraps);
         assert_eq!(trace_stats.final_level, enc_stats.final_level);
@@ -672,8 +708,9 @@ mod tests {
             .encrypt_replicated(&pipe.pad_input(&[0.2, -0.4, 0.6, -0.8]), &mut rng);
         let (_, enc_stats) = pipe.eval_encrypted(&pe, Some(&bs), &ct);
         assert!(enc_stats.bootstraps >= 1);
-        let max_level = pe.evaluator().context().max_level();
-        let (report, trace_stats) = pipe.dry_run(max_level, true).expect("bootstrap allowed");
+        let (report, trace_stats) = pipe
+            .trace(&CkksParams::toy(), true, 1)
+            .expect("bootstrap allowed");
         assert_eq!(trace_stats.bootstraps, enc_stats.bootstraps);
         assert_eq!(trace_stats.stage_levels, enc_stats.stage_levels);
         assert_eq!(report.total_bootstraps(), enc_stats.bootstraps);
@@ -681,14 +718,18 @@ mod tests {
 
     #[test]
     fn executed_entry_levels_are_the_traced_ones() {
-        // One schedule, two readers: the level every stage of an
-        // encrypted run actually enters at is the trace's `level_in`,
-        // and the refreshes, rotations, decompositions and ct-mults it
-        // executes are the traced ones — on a CNN with a pool, an MLP,
-        // the MLP at all 32 lanes of the toy ring, and a 3×3 stride-1
-        // and a 2×2 stride-2 pool each followed by an affine, followed
-        // by a ReLU, and ending the pipeline, at two key-switch digit
-        // sizes; the decrypted output is the plain backend's. Without a
+        // One schedule, two readers: the level every atomic op of an
+        // encrypted run is actually entered at is the trace's
+        // `op_levels`, and the refreshes, rotations, decompositions and
+        // ct-mults it executes are the traced ones — on a CNN with a
+        // pool, an MLP, and a 3×3 stride-1 and a 2×2 stride-2 pool each
+        // followed by an affine, followed by a ReLU, and ending the
+        // pipeline, at two key-switch digit sizes; the decrypted output
+        // is the plain backend's. Packed serving executes a
+        // lane-expanded pipeline but plans on the base one: the CNN at
+        // all 8 lanes and the MLP at all 32 of the toy ring run the
+        // block-diagonal expansion against the base pipeline traced at
+        // that lane count, so the two cannot cut differently. Without a
         // refresher a pipeline deeper than the chain cannot complete:
         // both backends then stop at the same stage with the same
         // error, and nothing was dropped on the way there.
@@ -708,31 +749,25 @@ mod tests {
             .affine(Linear::new(4, 4, &mut rng))
             .compile()
             .fold_scales();
-        let mlp_packed = mlp.expand_lanes(32);
-        let mut pipes = vec![
-            ("cnn".to_string(), cnn),
-            ("mlp".to_string(), mlp),
-            ("mlp x32".to_string(), mlp_packed),
-        ];
+        let mut pipes = vec![("cnn".to_string(), cnn), ("mlp".to_string(), mlp)];
         for (k, stride) in [(3, 1), (2, 2)] {
             let pool = || PipelineBuilder::new(&[1, 4, 4]).paf_maxpool(k, stride, &paf, 2.0);
             let side = (4 - k) / stride + 1;
             let head = Linear::new(side * side, 3, &mut rng);
-            pipes.extend([
-                (
-                    format!("pool {k}/{stride} + affine"),
-                    pool()
-                        .affine(smartpaf_nn::Flatten::new())
-                        .affine(head)
-                        .compile()
-                        .fold_scales(),
-                ),
-                (
-                    format!("pool {k}/{stride} + relu"),
-                    pool().paf_relu(&paf, 2.0).compile().fold_scales(),
-                ),
-                (format!("pool {k}/{stride}"), pool().compile().fold_scales()),
-            ]);
+            let with_affine = pool()
+                .affine(smartpaf_nn::Flatten::new())
+                .affine(head)
+                .compile()
+                .fold_scales();
+            let with_relu = pool().paf_relu(&paf, 2.0).compile().fold_scales();
+            let alone = pool().compile().fold_scales();
+            for (suffix, pipe) in [
+                (" + affine", with_affine),
+                (" + relu", with_relu),
+                ("", alone),
+            ] {
+                pipes.push((format!("pool {k}/{stride}{suffix}"), pipe));
+            }
         }
         for omega in [1, 3] {
             let params = CkksParams {
@@ -742,7 +777,12 @@ mod tests {
             let keys = KeyChain::generate(&params.build(), &mut rng);
             let pe = PafEvaluator::new(Evaluator::new(&keys));
             let max_level = pe.evaluator().context().max_level();
-            for (name, pipe) in &pipes {
+            // (the pipeline traced, at lanes, the pipeline executed)
+            let packed = [(&pipes[0], 8), (&pipes[1], 32)]
+                .map(|((name, base), lanes)| (name, base, lanes, Some(base.expand_lanes(lanes))));
+            let unpacked = pipes.iter().map(|(name, base)| (name, base, 1, None));
+            for (name, base, lanes, wide) in packed.into_iter().chain(unpacked) {
+                let pipe = wide.as_ref().unwrap_or(base);
                 let x: Vec<f64> = (0..pipe.input_dim())
                     .map(|i| ((i * 7) % 11) as f64 / 5.5 - 1.0)
                     .collect();
@@ -751,7 +791,10 @@ mod tests {
                     .encrypt_replicated(&pipe.pad_input(&x), &mut rng);
                 let bs = Bootstrapper::new(pe.evaluator().clone(), pipe.dim(), 11);
                 for refresher in [Some(&bs), None] {
-                    let case = format!("{name}, omega {omega}, refresher {}", refresher.is_some());
+                    let case = format!(
+                        "{name} x{lanes}, omega {omega}, refresher {}",
+                        refresher.is_some()
+                    );
                     ENTRY_LEVELS.with(|levels| levels.borrow_mut().clear());
                     let refreshed = bs.refresh_count();
                     // The key-switch counters are per thread.
@@ -762,10 +805,13 @@ mod tests {
                             (executed, smartpaf_ckks::take_key_switch_counts())
                         });
                     let entered = ENTRY_LEVELS.with(|levels| levels.take());
-                    match (executed, pipe.dry_run(max_level, refresher.is_some())) {
+                    match (executed, base.trace(&params, refresher.is_some(), lanes)) {
                         (Ok((out, stats)), Ok((report, trace_stats))) => {
-                            let traced: Vec<usize> =
-                                report.stages.iter().map(|s| s.level_in).collect();
+                            let traced: Vec<usize> = report
+                                .stages
+                                .iter()
+                                .flat_map(|s| s.op_levels.iter().copied())
+                                .collect();
                             assert_eq!(entered, traced, "{case}");
                             assert_eq!(stats.bootstraps, trace_stats.bootstraps, "{case}");
                             assert_eq!(
@@ -779,7 +825,7 @@ mod tests {
                             // ct-mults, a stage's term products
                             // sharing one.
                             let relins = report.total_relins();
-                            if name == "cnn" {
+                            if name.starts_with("cnn") {
                                 // One ReLU and two pool shifts of f1∘g2.
                                 assert_eq!((report.total_ct_mults(), relins), (21, 18));
                             }
@@ -803,9 +849,9 @@ mod tests {
                             assert!(pipe.total_levels() > max_level, "{case}");
                             assert_eq!(executed, traced, "{case}");
                             let mut undropped = max_level;
-                            for (level, stage) in entered.iter().zip(pipe.stages()) {
+                            for (level, op) in entered.iter().zip(pipe.atomic_ops(1)) {
                                 assert_eq!(*level, undropped, "{case}");
-                                undropped -= stage.levels();
+                                undropped -= op.need;
                             }
                         }
                         (executed, traced) => panic!(
@@ -826,7 +872,6 @@ mod tests {
         // — the values this error has always carried — at a stage
         // boundary and between two shifts of a pool fold alike.
         let (pe, mut rng) = setup(111);
-        let max_level = pe.evaluator().context().max_level();
         let relu = CompositePaf::from_form(PafForm::F1G2);
         let mut b = PipelineBuilder::new(&[4]);
         for _ in 0..3 {
@@ -867,7 +912,9 @@ mod tests {
                 .try_eval_encrypted(&pe, None, &ct)
                 .map(|(_, stats)| stats);
             assert_eq!(executed.expect_err("no refresher"), want);
-            let traced = pipe.dry_run(max_level, false).map(|(report, _)| report);
+            let traced = pipe
+                .trace(&CkksParams::toy(), false, 1)
+                .map(|(report, _)| report);
             assert_eq!(traced.expect_err("no refresher"), want);
         }
     }
@@ -876,7 +923,7 @@ mod tests {
     fn trace_ct_mults_match_exact_schedule() {
         let paf = CompositePaf::from_form(PafForm::Alpha7);
         let pipe = PipelineBuilder::new(&[8]).paf_relu(&paf, 1.0).compile();
-        let (report, _) = pipe.dry_run(12, false).expect("fits");
+        let (report, _) = pipe.trace(&chain(12), false, 1).expect("fits");
         assert_eq!(report.stages.len(), 1);
         // Exactly the even-power-ladder count plus the ReLU product.
         assert_eq!(report.total_ct_mults(), paf.exact_ct_mult_count() + 1);
@@ -886,7 +933,7 @@ mod tests {
             let pool = PipelineBuilder::new(&[1, 4, 4])
                 .paf_maxpool(k, 1, &paf, 1.0)
                 .compile();
-            let (report, _) = pool.dry_run(30, false).expect("fits");
+            let (report, _) = pool.trace(&chain(30), false, 1).expect("fits");
             assert_eq!(
                 report.total_ct_mults(),
                 shifts * (paf.exact_ct_mult_count() + 1)
@@ -905,7 +952,9 @@ mod tests {
             b = b.affine(Linear::new(4, 4, &mut rng)).paf_relu(&paf, 2.0);
         }
         let pipe = b.compile();
-        let err = pipe.dry_run(12, false).expect_err("chain too short");
+        let err = pipe
+            .trace(&chain(12), false, 1)
+            .expect_err("chain too short");
         assert!(matches!(err, RunError::OutOfLevels { .. }));
         assert!(err.to_string().contains("level exhausted"));
     }
@@ -914,7 +963,9 @@ mod tests {
     fn trace_rejects_atomic_depth_beyond_chain() {
         let paf = CompositePaf::from_form(PafForm::MinimaxDeg27); // depth 10 + 1
         let pipe = PipelineBuilder::new(&[4]).paf_relu(&paf, 1.0).compile();
-        let err = pipe.dry_run(8, true).expect_err("atomic op too deep");
+        let err = pipe
+            .trace(&chain(8), true, 1)
+            .expect_err("atomic op too deep");
         assert!(matches!(err, RunError::AtomicDepthExceeded { .. }));
     }
 
@@ -927,7 +978,7 @@ mod tests {
         let pipe = PipelineBuilder::new(&[1, 2, 2])
             .paf_maxpool(1, 1, &paf, 1.0)
             .compile();
-        let (report, stats) = pipe.dry_run(3, false).expect("selection only");
+        let (report, stats) = pipe.trace(&chain(3), false, 1).expect("selection only");
         assert_eq!(report.total_ct_mults(), 0);
         assert_eq!(stats.total_levels(), 1);
     }
@@ -963,8 +1014,7 @@ mod tests {
         for (g, w) in got.iter().zip(&want) {
             assert!((g - w).abs() < 0.2, "{g} vs {w}");
         }
-        let max_level = pe.evaluator().context().max_level();
-        let (report, trace_stats) = pipe.dry_run(max_level, true).expect("traceable");
+        let (report, trace_stats) = pipe.trace(&CkksParams::toy(), true, 1).expect("traceable");
         assert_eq!(trace_stats.bootstraps, enc_stats.bootstraps);
         assert_eq!(trace_stats.stage_levels, enc_stats.stage_levels);
         // Per-slot attribution: slot 0 is the ReLU (α=7 schedule),
@@ -981,10 +1031,12 @@ mod tests {
 
     #[test]
     fn lane_priced_trace_matches_materialized_expansion() {
-        // The lane planner's contract: dry_run_lanes on the base
-        // pipeline must report exactly the rotation counts of tracing
-        // the materialized expand_lanes pipeline, stage by stage —
-        // wrap-diagonal doubling priced before any expansion exists.
+        // The lane planner's contract: a trace of the base pipeline at
+        // `lanes` must report exactly what tracing the materialized
+        // expand_lanes pipeline reports, stage by stage — wrap-diagonal
+        // doubling counted before any expansion exists — and cut the
+        // schedule the expansion executes, at the same price, with
+        // refreshes to place (12 levels) and without (30).
         let mut rng = Rng64::new(108);
         let paf = CompositePaf::from_form(PafForm::F1G2);
         let pipe = PipelineBuilder::new(&[1, 4, 4])
@@ -995,29 +1047,38 @@ mod tests {
             .affine(Linear::new(8, 4, &mut rng))
             .compile()
             .fold_scales();
-        for lanes in [1usize, 2, 4] {
-            let (base, _) = pipe.dry_run_lanes(30, false, lanes).expect("fits");
-            let (wide, _) = pipe.expand_lanes(lanes).dry_run(30, false).expect("fits");
-            assert_eq!(base.stages.len(), wide.stages.len());
-            for (b, w) in base.stages.iter().zip(&wide.stages) {
-                assert_eq!(b.rotations, w.rotations, "lanes {lanes} stage {}", b.label);
-                assert_eq!(b.ct_mults, w.ct_mults);
-                assert_eq!(b.levels, w.levels);
+        for (depth, refresh) in [(30, false), (12, true)] {
+            for lanes in [1usize, 2, 4] {
+                let (base, _) = pipe.trace(&chain(depth), refresh, lanes).expect("fits");
+                let (wide, _) = pipe
+                    .expand_lanes(lanes)
+                    .trace(&chain(depth), refresh, 1)
+                    .expect("fits");
+                assert_eq!(base.stages.len(), wide.stages.len());
+                for (b, w) in base.stages.iter().zip(&wide.stages) {
+                    let stage = format!("depth {depth} lanes {lanes} stage {}", b.label);
+                    assert_eq!(b.rotations, w.rotations, "{stage}");
+                    assert_eq!(b.decompositions, w.decompositions, "{stage}");
+                    assert_eq!(b.ct_mults, w.ct_mults, "{stage}");
+                    assert_eq!(b.levels, w.levels, "{stage}");
+                    assert_eq!(b.op_levels, w.op_levels, "{stage}");
+                    assert_eq!(b.bootstraps, w.bootstraps, "{stage}");
+                    assert_eq!(b.modmuls, w.modmuls, "{stage}");
+                }
             }
-            assert_eq!(base.total_rotations(), wide.total_rotations());
         }
         // Packing is not free: more lanes means strictly more
-        // rotations for any pipeline with off-diagonal affine work.
-        let r1 = pipe
-            .dry_run_lanes(30, false, 1)
-            .unwrap()
-            .0
-            .total_rotations();
-        let r4 = pipe
-            .dry_run_lanes(30, false, 4)
-            .unwrap()
-            .0
-            .total_rotations();
+        // rotations for any pipeline with off-diagonal affine work. (The
+        // counts the frozen benchmark reads off the `dry_run_lanes`
+        // forward are these.)
+        let rotations = |lanes| {
+            let (report, _) = pipe.trace(&chain(30), false, lanes).expect("fits");
+            let (forwarded, _) = pipe.dry_run_lanes(30, false, lanes).expect("fits");
+            assert_eq!(report.total_rotations(), forwarded.total_rotations());
+            assert_eq!(report.total_ct_mults(), forwarded.total_ct_mults());
+            report.total_rotations()
+        };
+        let (r1, r4) = (rotations(1), rotations(4));
         assert!(r4 > r1, "lanes=4 {r4} vs lanes=1 {r1}");
     }
 
@@ -1147,14 +1208,16 @@ mod tests {
         let st = StageTrace {
             label: "fc".to_string(),
             slot: None,
-            level_in: 9,
+            op_levels: vec![9],
             levels: 1,
             bootstraps: 0,
             ct_mults: 0,
             relins: 0,
             rotations: 7,
             decompositions: 4,
+            modmuls: 1 << 40,
         };
+        assert_eq!(st.level_in(), 9);
         let wire = st.serialize();
         assert_eq!(StageTrace::deserialize(&wire).unwrap(), st);
         // No field has a default (format v1 let three be absent): a
@@ -1162,7 +1225,7 @@ mod tests {
         let Value::Object(fields) = &wire else {
             panic!("a stage record serializes to an object");
         };
-        assert_eq!(fields.len(), 9);
+        assert_eq!(fields.len(), 10);
         for missing in 0..fields.len() {
             let mut partial = fields.clone();
             let (name, _) = partial.remove(missing);
@@ -1171,6 +1234,14 @@ mod tests {
                 "a record without `{name}` must not parse"
             );
         }
+        // A stage has an op to be entered at.
+        let mut opless = fields.clone();
+        for (name, value) in &mut opless {
+            if name == "op_levels" {
+                *value = Vec::<usize>::new().serialize();
+            }
+        }
+        assert!(StageTrace::deserialize(&Value::Object(opless)).is_err());
     }
 
     #[test]

@@ -182,10 +182,10 @@ impl BatchRunner {
                 slots,
             });
         }
-        let max_level = ctx.max_level();
+        let params = ctx.params();
         for ct in inputs {
-            let mut trace = TraceBackend::new(max_level, bootstrapper.is_some())
-                .with_start_level(ct.level().min(max_level));
+            let mut trace = TraceBackend::new(&params, bootstrapper.is_some())
+                .with_start_level(ct.level().min(params.depth));
             pipe.run(&mut trace, ())?;
         }
         self.run_sharded(

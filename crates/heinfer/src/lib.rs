@@ -47,9 +47,9 @@
 //!   on exactly the limbs the rest of its segment consumes;
 //!   `eval_encrypted` is a thin wrapper over it.
 //! - [`TraceBackend`] — no arithmetic: records the same schedule's
-//!   per-stage entry level, levels and bootstraps plus exact ct-mult
-//!   and key-switch counts ([`HePipeline::dry_run`]), an instant cost
-//!   oracle for schedulers whose levels are the executed ones by
+//!   per-stage entry levels, levels, bootstraps and price plus exact
+//!   ct-mult and key-switch counts ([`HePipeline::trace`]), an instant
+//!   cost oracle for schedulers whose levels are the executed ones by
 //!   construction.
 //!
 //! [`BatchRunner`] shards batches of inputs across `std::thread`
@@ -61,7 +61,7 @@
 //! share one prepared engine), and [`HePipeline::with_paf`] is its
 //! uniform single-form case; planners (the `smartpaf` Session API) use
 //! the pair to enumerate candidate form vectors and price each one
-//! with [`HePipeline::dry_run`] in microseconds, reading per-slot
+//! with [`HePipeline::trace`] in microseconds, reading per-slot
 //! costs off [`StageTrace::slot`].
 //!
 //! # Example

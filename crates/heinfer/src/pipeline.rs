@@ -51,9 +51,8 @@ impl Stage {
     /// Multiplicative levels this stage consumes: the sum over its
     /// atomic ops (see [`crate::LevelSchedule`]).
     pub fn levels(&self) -> usize {
-        let mut levels = 0;
-        self.for_each_atomic_op(|need| levels += need);
-        levels
+        let (ops, need) = self.atomic_shape();
+        ops * need
     }
 
     /// Short label for logs.

@@ -4,8 +4,10 @@
 use crate::backends::ENTRY_LEVELS;
 use crate::pack::LanePacker;
 use crate::pipeline::PipelineBuilder;
-use crate::schedule::LevelSchedule;
+use crate::schedule::tests::price_of_cut;
+use crate::schedule::{greedy_refreshes, AtomicOp, LevelSchedule};
 use proptest::prelude::*;
+use smartpaf_ckks::cost::{OpPrices, OpWork};
 use smartpaf_ckks::{Bootstrapper, CkksParams, Evaluator, KeyChain, PafEvaluator};
 use smartpaf_nn::{Conv2d, Layer, Linear};
 use smartpaf_polyfit::{CompositePaf, PafForm};
@@ -167,6 +169,83 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// The cut is exact. For random ops (up to 12, each 1 to 12 levels
+    /// deep with random work), chains of up to 20 levels, inputs at or
+    /// below the refresh level and three key-switch digit sizes, the
+    /// schedule's (refreshes, price) is the lexicographic minimum over
+    /// every one of the `2^(ops − 1)` ways to place refreshes between
+    /// ops; its refresh count is the greedy walk's; every op is entered
+    /// at what the rest of its segment consumes; and cutting again from
+    /// the level it enters the first op at changes nothing (but that
+    /// the first segment, which had to be refreshed to get there, no
+    /// longer is).
+    #[test]
+    fn the_cut_is_the_cheapest_minimum_refresh_cut(
+        // One op per entry: need, products, rotations and plaintext
+        // multiplies are its mixed-radix digits.
+        raw in proptest::collection::vec(0usize..12 * 20 * 70 * 130, 1..13),
+        refresh_level in 1usize..21,
+        start_below in 0usize..21,
+        omega in 0usize..3,
+    ) {
+        let start_level = refresh_level - start_below.min(refresh_level);
+        let params = CkksParams { ks_digit_limbs: [1, 3, 8][omega], ..CkksParams::toy() };
+        let ops: Vec<AtomicOp> = raw
+            .iter()
+            .enumerate()
+            .map(|(stage, &raw)| {
+                let (products, rotations) = (raw / 12 % 20, raw / (12 * 20) % 70);
+                AtomicOp {
+                    stage,
+                    need: 1 + raw % 12 % refresh_level,
+                    work: OpWork {
+                        tensors: products,
+                        relins: products * 6 / 7,
+                        rotations,
+                        decompositions: rotations.div_ceil(7),
+                        plain_mults: raw / (12 * 20 * 70),
+                    },
+                }
+            })
+            .collect();
+        let schedule = LevelSchedule::cut(&ops, &params, start_level, refresh_level, true);
+        prop_assert_eq!(schedule.ops().len(), ops.len());
+
+        let prices = OpPrices::new(&params, refresh_level);
+        let cheapest = (0..1u32 << (ops.len() - 1))
+            .filter_map(|cuts| price_of_cut(&ops, &prices, (start_level, refresh_level), cuts))
+            .min()
+            .expect("ops no deeper than a refresh can be cut");
+        let refreshes = schedule.ops().iter().filter(|o| o.refresh).count();
+        let price: u128 = schedule.ops().iter().map(|o| o.modmuls).sum();
+        prop_assert_eq!((refreshes, price), cheapest);
+
+        let needs = ops.iter().map(|op| op.need);
+        prop_assert_eq!(refreshes, greedy_refreshes(needs, start_level, refresh_level));
+
+        let mut rest_of_segment = 0;
+        for op in schedule.ops().iter().rev() {
+            rest_of_segment += op.op.need;
+            prop_assert_eq!(op.level_in, rest_of_segment);
+            prop_assert_eq!(op.modmuls, prices.op_modmuls(&op.op.work, op.level_in, op.op.need));
+            if op.refresh {
+                rest_of_segment = 0;
+            }
+        }
+
+        let mut again =
+            LevelSchedule::cut(&ops, &params, schedule.ops()[0].level_in, refresh_level, true)
+                .ops()
+                .to_vec();
+        prop_assert!(!again[0].refresh);
+        again[0].refresh = schedule.ops()[0].refresh;
+        prop_assert_eq!(again.as_slice(), schedule.ops());
+    }
+}
+
+proptest! {
     // CKKS keygen per case keeps these heavier: a handful of cases
     // still covers random shapes, scales, and inputs.
     #![proptest_config(ProptestConfig::with_cases(6))]
@@ -207,9 +286,8 @@ proptest! {
         }
 
         // TraceBackend level counts == levels CkksBackend consumed.
-        let max_level = pe.evaluator().context().max_level();
         let (report, trace_stats) = pipe
-            .dry_run(max_level, false)
+            .trace(&CkksParams::toy(), false, 1)
             .expect("pipeline fits the toy chain");
         prop_assert_eq!(&trace_stats.stage_levels, &enc_stats.stage_levels);
         prop_assert_eq!(trace_stats.bootstraps, enc_stats.bootstraps);
@@ -220,15 +298,19 @@ proptest! {
     /// Random affine / ReLU / max-pool sequences on chains of 6 to 14
     /// levels run the schedule they trace: every refresh-free segment
     /// is entered at exactly the levels it consumes, the last one ends
-    /// on the last limb, the stages of the encrypted run enter where
-    /// the trace says, and the decrypted result still matches the plain
-    /// backend within the simulator's noise bound.
+    /// on the last limb, the ops of the encrypted run enter where the
+    /// trace says, and the decrypted result still matches the plain
+    /// backend within the simulator's noise bound — as the pipeline is,
+    /// and slot-packed at all 8 lanes of the toy ring, where the
+    /// block-diagonal expansion executes and the base pipeline is
+    /// traced at that lane count.
     #[test]
     fn random_pipelines_run_their_level_schedule(
         seed in 0u64..500,
         max_level in 6usize..15,
         kinds in proptest::collection::vec(0usize..3, 1..6),
         x in proptest::collection::vec(-1.0f64..1.0, 16),
+        packed in proptest::bool::ANY,
     ) {
         let mut rng = Rng64::new(seed);
         // A 3×3 convolution scaled to an ℓ¹ norm of one: no sequence of
@@ -255,23 +337,28 @@ proptest! {
             };
         }
         let pipe = builder.compile().fold_scales();
+        let lanes = if packed { 8 } else { 1 };
+        let wide = pipe.expand_lanes(lanes);
 
         let params = CkksParams { depth: max_level, ..CkksParams::toy() };
         let keys = KeyChain::generate(&params.build(), &mut rng);
         let pe = PafEvaluator::new(Evaluator::new(&keys));
-        let bs = Bootstrapper::new(pe.evaluator().clone(), pipe.dim(), seed);
+        let bs = Bootstrapper::new(pe.evaluator().clone(), wide.dim(), seed);
+        // Every lane carries the same input.
         let ct = pe
             .evaluator()
-            .encrypt_replicated(&pipe.pad_input(&x), &mut rng);
+            .encrypt_replicated(&pipe.pad_input(&x).repeat(lanes), &mut rng);
         ENTRY_LEVELS.with(|levels| levels.borrow_mut().clear());
-        let executed = pipe.try_eval_encrypted(&pe, Some(&bs), &ct);
+        let executed = wide.try_eval_encrypted(&pe, Some(&bs), &ct);
         let entered = ENTRY_LEVELS.with(|levels| levels.take());
-        match pipe.dry_run(max_level, true) {
+        match pipe.trace(&params, true, lanes) {
             Ok((report, trace_stats)) => {
                 // The schedule itself: a segment starts at the input
                 // and at every refresh, and each op is entered at what
                 // the rest of its segment consumes.
-                let schedule = LevelSchedule::cut(&pipe.atomic_ops(), max_level, max_level, true);
+                let ops = pipe.atomic_ops(lanes);
+                prop_assert_eq!(&ops, &wide.atomic_ops(1));
+                let schedule = LevelSchedule::cut(&ops, &params, max_level, max_level, true);
                 let mut rest_of_segment = 0;
                 for op in schedule.ops().iter().rev() {
                     rest_of_segment += op.op.need;
@@ -282,7 +369,10 @@ proptest! {
                 }
 
                 let (out_ct, stats) = executed.expect("a traceable pipeline runs");
-                let traced: Vec<usize> = report.stages.iter().map(|s| s.level_in).collect();
+                let traced: Vec<usize> = schedule.ops().iter().map(|o| o.level_in).collect();
+                prop_assert_eq!(&entered, &traced);
+                let traced: Vec<usize> =
+                    report.stages.iter().flat_map(|s| s.op_levels.iter().copied()).collect();
                 prop_assert_eq!(entered, traced);
                 prop_assert_eq!(stats.bootstraps, trace_stats.bootstraps);
                 prop_assert_eq!(stats.bootstraps, bs.refresh_count());

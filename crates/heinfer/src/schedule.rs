@@ -3,25 +3,35 @@
 //!
 //! A pipeline is a sequence of **atomic ops** — level-consuming steps a
 //! refresh can fall before but never inside ([`HePipeline::atomic_ops`]).
-//! Walking them greedily (refresh only when the next op no longer fits)
-//! cuts the run into refresh-free **segments**, and the positions of
-//! those cuts are forced: a later cut would overflow the chain, an
-//! earlier one could only add refreshes. What is *not* forced is the
-//! level a segment is entered at. A fresh or refreshed ciphertext sits
-//! at the top of the chain whatever the segment goes on to consume, and
-//! every limb it does not consume is carried through each NTT, key
-//! switch and rescale of the segment for nothing. So the schedule keeps,
-//! per op, the levels the rest of its segment consumes
-//! ([`ScheduledOp::level_in`]): entering the op there — dropping the
-//! spare limbs, an exact truncation — makes the segment end at level 0.
+//! Refreshes cut the run into refresh-free **segments**, and two things
+//! about a cut are decided separately.
+//!
+//! *How many* refreshes it takes is forced: the fewest any cut of the
+//! run can have — the number a greedy walk (refresh only when the next
+//! op no longer fits) arrives at. The schedule never takes one more
+//! than that; a refresh is never traded for cheaper ops.
+//!
+//! *Where* they fall is not. conv 1, ReLU 6, max 6, max 6, linear 1 on
+//! a 12-level chain takes two refreshes as `[1, 6 | 6, 6 | 1]` and as
+//! `[1, 6 | 6 | 6, 1]`, but the first enters a PAF-max on 13 limbs
+//! where the second never runs anything on more than 8. An op's work is
+//! fixed ([`AtomicOp::work`]); what it costs depends on the level it is
+//! entered at ([`OpPrices`]), and that is what the rest of its segment
+//! consumes ([`ScheduledOp::level_in`]) — a refreshed ciphertext sits
+//! at the top of the chain whatever the segment goes on to use, so the
+//! limbs it will not use are dropped first (an exact truncation) and a
+//! segment ends at level 0. Among the cuts with the minimum refresh
+//! count [`LevelSchedule::cut`] takes the cheapest, exactly.
 //!
 //! [`CkksBackend`](crate::CkksBackend) executes the schedule and
 //! [`TraceBackend`](crate::TraceBackend) records it, so a dry run's
-//! levels are the executed levels by construction.
+//! levels are the executed levels and its price is the one that was
+//! minimised, by construction.
 
 use crate::exec::RunError;
 use crate::pipeline::{HePipeline, Stage};
-use smartpaf_ckks::PafEvaluator;
+use smartpaf_ckks::cost::{OpPrices, OpWork};
+use smartpaf_ckks::{CkksParams, PafEvaluator};
 
 /// One indivisible level-consuming step of a pipeline, on one
 /// ciphertext.
@@ -31,40 +41,74 @@ pub struct AtomicOp {
     pub stage: usize,
     /// Levels the op consumes.
     pub need: usize,
+    /// What the op computes, whatever level it is entered at.
+    pub work: OpWork,
 }
 
 impl Stage {
-    /// Calls `f(need)` for each of the stage's atomic ops, in execution
-    /// order (see [`AtomicOp`]): an affine map is one op of one level;
-    /// a PAF-ReLU is one op covering its scale multiplications; a max
+    /// `(ops, need)`: the stage's atomic ops (see [`AtomicOp`]) and the
+    /// levels each consumes. An affine map is one op of one level; a
+    /// PAF-ReLU is one op covering its scale multiplications; a max
     /// pool's fold is one PAF-max per shift, and a refresh can fall
     /// between two of them.
-    pub(crate) fn for_each_atomic_op(&self, mut f: impl FnMut(usize)) {
+    pub(crate) fn atomic_shape(&self) -> (usize, usize) {
         match self {
-            Stage::Affine { .. } => f(1),
+            Stage::Affine { .. } => (1, 1),
             Stage::PafRelu {
                 paf,
                 pre_scale,
                 post_scale,
             } => {
                 let scales = usize::from(*pre_scale != 1.0) + usize::from(*post_scale != 1.0);
-                f(PafEvaluator::relu_depth(paf) + scales);
+                (1, PafEvaluator::relu_depth(paf) + scales)
             }
-            Stage::PafMax { shifts, paf, .. } => {
-                for _ in shifts {
-                    f(PafEvaluator::relu_depth(paf));
-                }
-            }
+            Stage::PafMax { shifts, paf, .. } => (shifts.len(), PafEvaluator::relu_depth(paf)),
         }
     }
 }
 
 impl HePipeline {
-    /// The pipeline's atomic ops, in execution order.
-    pub fn atomic_ops(&self) -> Vec<AtomicOp> {
+    /// The pipeline's atomic ops, in execution order, with the work of
+    /// the pipeline slot-packed at `lanes` lanes
+    /// ([`HePipeline::expand_lanes`]): an affine's key switches and
+    /// plaintext multiplies are those of its block-diagonal expansion,
+    /// counted without building it; a PAF acts per slot and a pool's
+    /// shift is one rotation at any lane count.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `lanes` is a power of two.
+    pub fn atomic_ops(&self, lanes: usize) -> Vec<AtomicOp> {
         let mut ops = Vec::new();
-        for (stage, s) in self.stages.iter().enumerate() {
-            s.for_each_atomic_op(|need| ops.push(AtomicOp { stage, need }));
+        let stages = self.stages.iter().zip(self.prepared_engines());
+        for (stage, (s, engine)) in stages.enumerate() {
+            let work = match s {
+                Stage::Affine { mat, .. } => {
+                    let key_switches = mat.bsgs_counts(lanes);
+                    OpWork {
+                        rotations: key_switches.rotations,
+                        decompositions: key_switches.decompositions,
+                        plain_mults: mat.num_diagonals_lanes(lanes),
+                        ..OpWork::default()
+                    }
+                }
+                Stage::PafRelu { .. } | Stage::PafMax { .. } => {
+                    // The sign stages plus the `x·sign(x)` product; a
+                    // max also rotates the running fold, which has its
+                    // own decomposition.
+                    let engine = engine.as_deref().expect("PAF stage has an engine");
+                    let shift = usize::from(matches!(s, Stage::PafMax { .. }));
+                    OpWork {
+                        tensors: engine.exact_ct_mults() + 1,
+                        relins: engine.exact_relins() + 1,
+                        rotations: shift,
+                        decompositions: shift,
+                        plain_mults: 0,
+                    }
+                }
+            };
+            let (count, need) = s.atomic_shape();
+            ops.extend(std::iter::repeat_n(AtomicOp { stage, need, work }, count));
         }
         ops
     }
@@ -81,9 +125,11 @@ pub struct ScheduledOp {
     /// The level the op is entered at: what it and the rest of its
     /// segment consume.
     pub level_in: usize,
+    /// The op's price entered there ([`OpPrices::op_modmuls`]).
+    pub modmuls: u128,
 }
 
-/// Why a walk stopped before the last op.
+/// Why a run stops before the last op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Stop {
     /// The op needs more than the `available` levels and refreshing is
@@ -93,7 +139,7 @@ enum Stop {
     AtomicDepthExceeded,
 }
 
-/// The greedy refresh-on-exhaustion schedule of one run (module docs).
+/// The cheapest minimum-refresh schedule of one run (module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LevelSchedule {
     /// The scheduled ops: all of them, or those before `stopped_at`.
@@ -108,14 +154,24 @@ impl LevelSchedule {
     /// Cuts `ops` into refresh-free segments for an input at
     /// `start_level`, refreshes that return a ciphertext at
     /// `refresh_level`, and `allow_refresh` saying whether there is a
-    /// refresher at all.
+    /// refresher at all: of the cuts with the fewest refreshes, the one
+    /// whose ops cost least at `params` (exact — a dynamic program over
+    /// the position of each segment's start, quadratic in the op count
+    /// and a few microseconds at 40 ops). A first segment deeper than
+    /// `start_level` is refreshed on entry. Equal prices go to the
+    /// shorter last segment, so cutting again from the level the
+    /// schedule enters the first op at — where a plan has its requests
+    /// encrypted — changes nothing.
     ///
     /// A run that cannot complete keeps its failure for
     /// [`LevelSchedule::stage`] to report when execution reaches it.
-    /// Its open segment has no consumption to be entered at, so that
-    /// segment keeps the levels it would have had undropped.
+    /// Without a refresher it is one open segment with no consumption
+    /// to be entered at, and keeps the levels it would have had
+    /// undropped; with one, the ops before one too deep for any refresh
+    /// are cut as a run of their own.
     pub fn cut(
         ops: &[AtomicOp],
+        params: &CkksParams,
         start_level: usize,
         refresh_level: usize,
         allow_refresh: bool,
@@ -126,44 +182,126 @@ impl LevelSchedule {
             start_level,
             refresh_level,
         };
-        let mut level = start_level;
-        let mut segment = 0;
-        for (i, &op) in ops.iter().enumerate() {
-            // No refresh can help an op deeper than the refresh level.
-            // A stage's ops are equally deep, so this stops the run
-            // where the stage starts.
-            if op.need > refresh_level {
-                schedule.stopped_at = Some((op, Stop::AtomicDepthExceeded));
-                return schedule;
-            }
-            let refresh = level < op.need;
-            if refresh {
-                if !allow_refresh {
-                    let stop = Stop::OutOfLevels { available: level };
-                    schedule.stopped_at = Some((op, stop));
-                    return schedule;
-                }
-                schedule.close_segment(segment, level);
-                segment = i;
-                level = refresh_level;
-            }
-            schedule.ops.push(ScheduledOp {
-                op,
-                refresh,
-                level_in: level,
-            });
-            level -= op.need;
+        // No refresh can help an op deeper than the refresh level. A
+        // stage's ops are equally deep, so this stops the run where the
+        // stage starts.
+        let too_deep = ops.iter().position(|op| op.need > refresh_level);
+        if let Some(at) = too_deep {
+            schedule.stopped_at = Some((ops[at], Stop::AtomicDepthExceeded));
         }
-        schedule.close_segment(segment, level);
+        let ops = &ops[..too_deep.unwrap_or(ops.len())];
+        let prices = OpPrices::new(params, start_level.max(refresh_level));
+        if allow_refresh {
+            schedule.cut_by_price(ops, &prices);
+        } else {
+            schedule.walk_one_segment(ops, &prices);
+        }
         schedule
     }
 
-    /// Lowers the segment `ops[from..]` by the `spare` levels it was
-    /// found not to consume.
-    fn close_segment(&mut self, from: usize, spare: usize) {
-        for op in &mut self.ops[from..] {
-            op.level_in -= spare;
+    /// The schedule without a refresher: one segment from the start
+    /// level, entered at what it consumes if the run gets through it.
+    fn walk_one_segment(&mut self, ops: &[AtomicOp], prices: &OpPrices) {
+        let mut level = self.start_level;
+        for &op in ops {
+            if level < op.need {
+                self.stopped_at = Some((op, Stop::OutOfLevels { available: level }));
+                break;
+            }
+            self.ops.push(ScheduledOp {
+                op,
+                refresh: false,
+                level_in: level,
+                modmuls: 0,
+            });
+            level -= op.need;
         }
+        let spare = if self.stopped_at.is_none() { level } else { 0 };
+        for op in &mut self.ops {
+            op.level_in -= spare;
+            op.modmuls = prices.op_modmuls(&op.op.work, op.level_in, op.op.need);
+        }
+    }
+
+    /// The schedule with a refresher: the cheapest of the
+    /// minimum-refresh cuts of `ops`, none of which is deeper than a
+    /// refresh.
+    fn cut_by_price(&mut self, ops: &[AtomicOp], prices: &OpPrices) {
+        let (start_level, refresh_level) = (self.start_level, self.refresh_level);
+        // `before[i]`: the levels `ops[..i]` consume.
+        let mut before = vec![0];
+        for op in ops {
+            before.push(before[before.len() - 1] + op.need);
+        }
+        // `best[j]`: the best cut of `ops[..j]` as (refreshes, price,
+        // start of its last segment). A segment `ops[i..j]` enters op
+        // `t` at what `ops[t..j]` consume.
+        let mut best: Vec<(usize, u128, usize)> = vec![(0, 0, 0)];
+        for j in 1..=ops.len() {
+            let mut last_segment = 0;
+            let mut choice: Option<(usize, u128, usize)> = None;
+            for i in (0..j).rev() {
+                let consumed = before[j] - before[i];
+                if consumed > start_level.max(refresh_level) {
+                    break;
+                }
+                last_segment += prices.op_modmuls(&ops[i].work, consumed, ops[i].need);
+                let refresh = i > 0 || consumed > start_level;
+                if refresh && consumed > refresh_level {
+                    continue;
+                }
+                let (refreshes, price, _) = best[i];
+                let cut = (refreshes + usize::from(refresh), price + last_segment, i);
+                if choice.is_none_or(|c| (cut.0, cut.1) < (c.0, c.1)) {
+                    choice = Some(cut);
+                }
+            }
+            best.push(choice.expect("an op no deeper than a refresh is a segment"));
+        }
+        let mut segments = Vec::new();
+        let mut to = ops.len();
+        while to > 0 {
+            let from = best[to].2;
+            segments.push(from..to);
+            to = from;
+        }
+        for segment in segments.into_iter().rev() {
+            let (from, to) = (segment.start, segment.end);
+            for t in segment {
+                let level_in = before[to] - before[t];
+                self.ops.push(ScheduledOp {
+                    op: ops[t],
+                    refresh: t == from && (from > 0 || level_in > start_level),
+                    level_in,
+                    modmuls: prices.op_modmuls(&ops[t].work, level_in, ops[t].need),
+                });
+            }
+        }
+        #[cfg(debug_assertions)]
+        self.check_cut();
+    }
+
+    /// The invariants of a completed cut: every op is entered at what
+    /// the rest of its segment consumes, no segment is deeper than the
+    /// ciphertext it starts from, and the refreshes are as few as the
+    /// greedy walk takes.
+    #[cfg(debug_assertions)]
+    fn check_cut(&self) {
+        let mut rest_of_segment = 0;
+        for op in self.ops.iter().rev() {
+            rest_of_segment += op.op.need;
+            assert_eq!(op.level_in, rest_of_segment);
+            if op.refresh {
+                assert!(rest_of_segment <= self.refresh_level);
+                rest_of_segment = 0;
+            }
+        }
+        assert!(rest_of_segment <= self.start_level);
+        let needs = self.ops.iter().map(|o| o.op.need);
+        assert_eq!(
+            self.ops.iter().filter(|o| o.refresh).count(),
+            greedy_refreshes(needs, self.start_level, self.refresh_level)
+        );
     }
 
     /// The scheduled ops of stage `stage`, or — when the run cannot get
@@ -210,59 +348,195 @@ impl LevelSchedule {
     }
 }
 
+/// The refreshes of the greedy walk over ops consuming `needs` —
+/// refresh only when the next op no longer fits — which no cut can
+/// undercut: the reference [`LevelSchedule::cut`]'s count is held to.
+#[cfg(any(test, debug_assertions))]
+pub(crate) fn greedy_refreshes(
+    needs: impl Iterator<Item = usize>,
+    start_level: usize,
+    refresh_level: usize,
+) -> usize {
+    let (mut level, mut refreshes) = (start_level, 0);
+    for need in needs {
+        if level < need {
+            refreshes += 1;
+            level = refresh_level;
+        }
+        level -= need;
+    }
+    refreshes
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
+    /// A PAF-shaped op: products over `need` levels, nothing else.
+    fn paf(stage: usize, need: usize) -> AtomicOp {
+        let work = OpWork {
+            tensors: need + 1,
+            relins: need,
+            ..OpWork::default()
+        };
+        AtomicOp { stage, need, work }
+    }
+
     fn ops(needs: &[usize]) -> Vec<AtomicOp> {
-        let op = |(stage, &need)| AtomicOp { stage, need };
+        let op = |(stage, &need)| paf(stage, need);
         needs.iter().enumerate().map(op).collect()
     }
 
     /// One pool stage from its shifts' needs.
     fn pool(needs: &[usize]) -> Vec<AtomicOp> {
-        needs
-            .iter()
-            .map(|&need| AtomicOp { stage: 0, need })
-            .collect()
+        needs.iter().map(|&need| paf(0, need)).collect()
+    }
+
+    fn cut(ops: &[AtomicOp], start: usize, refresh: usize, allow: bool) -> LevelSchedule {
+        LevelSchedule::cut(ops, &CkksParams::default_params(), start, refresh, allow)
     }
 
     fn levels_in(s: &LevelSchedule) -> Vec<usize> {
         s.ops().iter().map(|o| o.level_in).collect()
     }
 
+    fn refreshed(s: &LevelSchedule) -> Vec<bool> {
+        s.ops().iter().map(|o| o.refresh).collect()
+    }
+
+    /// `(refreshes, price)` of `ops` cut before every op whose bit is
+    /// set in `cuts` (bit `i` ↔ a refresh before `ops[i + 1]`), or
+    /// `None` when a segment is deeper than the ciphertext it starts
+    /// from. A first segment deeper than `start` is refreshed on entry.
+    pub(crate) fn price_of_cut(
+        ops: &[AtomicOp],
+        prices: &OpPrices,
+        (start, refresh): (usize, usize),
+        cuts: u32,
+    ) -> Option<(usize, u128)> {
+        let (mut refreshes, mut price, mut rest_of_segment) = (0, 0, 0);
+        for (i, op) in ops.iter().enumerate().rev() {
+            rest_of_segment += op.need;
+            if rest_of_segment > start.max(refresh) {
+                return None;
+            }
+            price += prices.op_modmuls(&op.work, rest_of_segment, op.need);
+            let cut_here = i > 0 && cuts >> (i - 1) & 1 == 1;
+            if cut_here || (i == 0 && rest_of_segment > start) {
+                if rest_of_segment > refresh {
+                    return None;
+                }
+                refreshes += 1;
+                rest_of_segment = 0;
+            }
+        }
+        Some((refreshes, price))
+    }
+
     #[test]
     fn segments_are_entered_at_what_they_consume() {
-        // 1 + 7 + 1 fit the 12-level chain and the next 6 do not; then
-        // 6 + 6 fill it exactly; the last two ops are a segment of 2.
-        let s = LevelSchedule::cut(&ops(&[1, 7, 1, 6, 6, 1, 1]), 12, 12, true);
-        assert_eq!(levels_in(&s), [9, 8, 1, 12, 6, 2, 1]);
-        let refreshed: Vec<bool> = s.ops().iter().map(|o| o.refresh).collect();
-        assert_eq!(refreshed, [false, false, false, true, false, true, false]);
+        // 1 + 7 + 1 + 6 + 6 + 1 + 1 on a 12-level chain cannot take
+        // fewer than two refreshes, and the walk that refreshes on
+        // exhaustion takes them as [1 7 1 | 6 6 | 1 1]: levels
+        // [9 8 1 | 12 6 | 2 1], the first 6-level op at the top of the
+        // chain. Re-recorded for the priced cut: [1 7 | 1 6 | 6 1 1]
+        // takes the same two and never runs anything above 9 limbs.
+        let s = cut(&ops(&[1, 7, 1, 6, 6, 1, 1]), 12, 12, true);
+        assert_eq!(
+            levels_in(&s),
+            [8, 7, 7, 6, 8, 2, 1],
+            "the cheapest of the two-refresh cuts, not the greedy one"
+        );
+        assert_eq!(
+            refreshed(&s),
+            [false, false, true, false, true, false, false]
+        );
         assert_eq!(s.level_after(0), 12);
-        assert_eq!(s.level_after(3), 0);
+        assert_eq!(s.level_after(2), 0);
+        assert_eq!(s.level_after(3), 6);
+        assert_eq!(s.level_after(4), 0);
         assert_eq!(s.level_after(7), 0);
+    }
+
+    #[test]
+    fn the_benchmark_cnn_never_runs_above_eight_limbs() {
+        // conv, ReLU, a two-shift pool, linear∘selection under each of
+        // the six forms' needs (the sign's depth plus the product; the
+        // ReLU's scales are folded away): a deeper-than-6 form takes a
+        // refresh before each max and one more before the head or not
+        // at all, and for f1∘g2 the table of ARCHITECTURE "Level
+        // schedule" — conv 7, ReLU 6 | max 6 | max 7, head 1.
+        let cnn = |need: usize| {
+            let mut ops = vec![paf(0, 1), paf(1, need)];
+            ops.extend([paf(2, need), paf(2, need)]);
+            ops.push(paf(3, 1));
+            ops
+        };
+        let s = cut(&cnn(6), 12, 12, true);
+        assert_eq!(levels_in(&s), [7, 6, 6, 7, 1]);
+        assert_eq!(refreshed(&s), [false, false, true, true, false]);
+        let prices = OpPrices::new(&CkksParams::default_params(), 12);
+        let price = |s: &LevelSchedule| s.ops().iter().map(|o| o.modmuls).sum::<u128>();
+        // [1 6 | 6 6 | 1], what the greedy walk cut, is the dearest of
+        // the two-refresh cuts.
+        let greedy = price_of_cut(&cnn(6), &prices, (12, 12), 0b1010).unwrap();
+        assert_eq!(greedy.0, 2);
+        assert!(price(&s) < greedy.1, "{} vs {}", price(&s), greedy.1);
+        for need in [7, 8, 10, 11] {
+            let s = cut(&cnn(need), 12, 12, true);
+            let refreshes = s.ops().iter().filter(|o| o.refresh).count();
+            let needs = cnn(need).into_iter().map(|o| o.need);
+            assert_eq!(refreshes, greedy_refreshes(needs, 12, 12), "need {need}");
+            assert_eq!(refreshes, 2, "need {need}");
+            assert_eq!(levels_in(&s), [1 + need, need, need, need + 1, 1]);
+        }
     }
 
     #[test]
     fn the_cut_is_a_fixed_point_of_its_own_input_level() {
         // Encrypting at the schedule's input level must not move a cut.
         let needs = [1, 7, 1, 6, 6, 1, 1];
-        let top = LevelSchedule::cut(&ops(&needs), 12, 12, true);
-        let low = LevelSchedule::cut(&ops(&needs), top.ops()[0].level_in, 12, true);
+        let top = cut(&ops(&needs), 12, 12, true);
+        let low = cut(&ops(&needs), top.ops()[0].level_in, 12, true);
         assert_eq!(top.ops(), low.ops());
+        // Equal prices — ops with no work — go to the shorter last
+        // segment from either start.
+        let idle: Vec<AtomicOp> = (0..6)
+            .map(|stage| AtomicOp {
+                stage,
+                need: 5,
+                work: OpWork::default(),
+            })
+            .collect();
+        let top = cut(&idle, 12, 12, true);
+        assert_eq!(levels_in(&top), [10, 5, 10, 5, 10, 5]);
+        assert_eq!(cut(&idle, top.ops()[0].level_in, 12, true).ops(), top.ops());
     }
 
     #[test]
     fn a_refresh_can_fall_between_two_shifts_of_a_pool() {
         // 11 + 11 > 12: the second shift starts a segment of its own,
         // inside the stage, and the refresh is one ciphertext's.
-        let s = LevelSchedule::cut(&pool(&[11, 11]), 12, 12, true);
+        let s = cut(&pool(&[11, 11]), 12, 12, true);
         assert_eq!(levels_in(&s), [11, 11]);
-        let refreshed: Vec<bool> = s.ops().iter().map(|o| o.refresh).collect();
-        assert_eq!(refreshed, [false, true]);
+        assert_eq!(refreshed(&s), [false, true]);
         assert_eq!(s.stage(0, "pool").unwrap().len(), 2);
         assert!(s.stage(1, "none").unwrap().is_empty());
+    }
+
+    #[test]
+    fn an_input_below_its_first_segment_is_refreshed_on_entry() {
+        // A request that arrives with 2 levels cannot start a 6-level
+        // op: the refresh comes first, and buys the whole chain.
+        let s = cut(&ops(&[6, 5, 1]), 2, 12, true);
+        assert_eq!(levels_in(&s), [12, 6, 1]);
+        assert_eq!(refreshed(&s), [true, false, false]);
+        // An input above what a refresh returns (a real bootstrap hands
+        // back fewer levels than the chain has) may open with a segment
+        // no refresh could host.
+        let s = cut(&ops(&[6, 6, 3, 6, 6]), 16, 12, true);
+        assert_eq!(levels_in(&s), [15, 9, 3, 12, 6]);
+        assert_eq!(refreshed(&s), [false, false, false, true, false]);
     }
 
     #[test]
@@ -270,7 +544,7 @@ mod tests {
         // No refresher: the third op finds 4 < 7 — the values an
         // undropped walk from level 12 meets — and the ops before it
         // stay at their undropped levels.
-        let s = LevelSchedule::cut(&ops(&[1, 7, 7]), 12, 12, false);
+        let s = cut(&ops(&[1, 7, 7]), 12, 12, false);
         assert_eq!(levels_in(&s), [12, 11]);
         assert!(s.stage(1, "relu").is_ok());
         assert_eq!(
@@ -283,7 +557,7 @@ mod tests {
             }
         );
         // A pool whose second shift runs dry fails mid-stage.
-        let err = LevelSchedule::cut(&pool(&[6, 6]), 8, 12, false)
+        let err = cut(&pool(&[6, 6]), 8, 12, false)
             .stage(0, "pool")
             .unwrap_err();
         assert_eq!(
@@ -295,6 +569,8 @@ mod tests {
                 mid_stage: true,
             }
         );
+        // One that fits is one segment, entered at what it consumes.
+        assert_eq!(levels_in(&cut(&ops(&[1, 7, 1]), 12, 12, false)), [9, 8, 1]);
     }
 
     #[test]
@@ -303,7 +579,7 @@ mod tests {
         // than the chain is infeasible, not out of levels, even when it
         // is entered with none left.
         for allow_refresh in [false, true] {
-            let s = LevelSchedule::cut(&ops(&[1, 11, 11]), 1, 8, allow_refresh);
+            let s = cut(&ops(&[1, 11, 11]), 1, 8, allow_refresh);
             assert_eq!(levels_in(&s), [1]);
             assert_eq!(
                 s.stage(1, "pool").unwrap_err(),

@@ -68,7 +68,7 @@ use crate::session::Objective;
 /// Version of the on-disk envelope this build reads and writes.
 /// Bumped on any breaking schema change; readers reject other versions
 /// with [`RegistryError::VersionMismatch`] instead of guessing.
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
 /// The envelope's `format` marker, so arbitrary JSON is rejected
 /// before any field is interpreted.
@@ -358,7 +358,7 @@ impl PlanRegistry {
             )
         })?;
         let (trace, _) = pipeline
-            .dry_run(probed.params.depth, true)
+            .trace(&probed.params, true, 1)
             .map_err(|e| corrupt(&path, format!("stored plan no longer traces: {e}")))?;
         if trace != chosen_cand.trace {
             return Err(corrupt(
@@ -702,8 +702,10 @@ mod tests {
                 objective_line,
                 &format!("    \"budget\": {{ \"cap\": 96 }},\n{objective_line}"),
             );
-        // Strict-exact: a later format and the previous one alike.
-        for found in [999, 4, 3] {
+        // Strict-exact: a later format and the previous ones alike —
+        // format 5's stage records carry the one `level_in` the greedy
+        // cut entered a stage at and no price.
+        for found in [999, 5, 4, 3] {
             fs::write(&path, restamp(&v4_fields, found)).unwrap();
             let err = reg.load_plan(builder(1, 5)).expect_err("other version");
             assert_eq!(
@@ -715,11 +717,19 @@ mod tests {
             );
             assert!(err.to_string().contains(&format!("v{found}")));
         }
-        // Only absent fields are errors: stamped 5, the two stray
-        // fields are never read and the plan loads.
+        // Only absent fields are errors: stamped 6, the two stray
+        // fields are never read and the plan loads — and a format 5
+        // stage record, whatever it is stamped, does not.
         fs::write(&path, &v4_fields).unwrap();
         let loaded = reg.load_plan(builder(1, 5)).expect("strays are ignored");
         assert_eq!(loaded.chosen(), plan.chosen());
+        assert!(text.contains("\"op_levels\": ["));
+        fs::write(&path, text.replace("\"op_levels\": [", "\"level_in\": [")).unwrap();
+        let err = reg.load_plan(builder(1, 5)).expect_err("no op levels");
+        assert!(
+            !matches!(err, RegistryError::VersionMismatch { .. }),
+            "{err}"
+        );
     }
 
     #[test]
@@ -853,12 +863,12 @@ mod tests {
         let text = fs::read_to_string(&old_path).unwrap();
         // The previous format can never load again; a later one is
         // another binary's live data; unmarked JSON is not ours.
-        fs::write(&old_path, restamp(&text, 4)).unwrap();
+        fs::write(&old_path, restamp(&text, 5)).unwrap();
         let newer = reg.root().join("from-a-later-build.json");
         fs::write(&newer, restamp(&text, 999)).unwrap();
         let foreign = reg.root().join("notes.json");
         fs::write(&foreign, "{}").unwrap();
-        assert_eq!(reg.list().expect("lists").len(), 1, "only v5 is listed");
+        assert_eq!(reg.list().expect("lists").len(), 1, "only v6 is listed");
 
         // Swept under a policy that would otherwise remove nothing.
         let report = reg.gc(GcPolicy::MaxArtifacts(5)).expect("sweeps");
@@ -869,7 +879,7 @@ mod tests {
         assert_eq!(reg.list().expect("lists")[0].content_key, live);
 
         // And under the other policy.
-        fs::write(&old_path, restamp(&text, 4)).unwrap();
+        fs::write(&old_path, restamp(&text, 5)).unwrap();
         let report = reg
             .gc(GcPolicy::MaxAge(std::time::Duration::from_secs(3600)))
             .expect("sweeps");

@@ -53,14 +53,11 @@
 
 use crate::pareto::{vector_pareto_frontier, ParetoPoint, VectorParetoPoint};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
-use smartpaf_ckks::cost::{
-    bootstrap_modmuls, key_switch_decompose_modmuls, relin_rescale_modmuls, rotation_apply_modmuls,
-    tensor_modmuls,
-};
+use smartpaf_ckks::cost::bootstrap_modmuls;
 use smartpaf_ckks::{Bootstrapper, Ciphertext, CkksParams, Evaluator, KeyChain, PafEvaluator};
 use smartpaf_heinfer::{
     BatchRun, BatchRunner, HePipeline, LanePacker, PackError, PipelineBuilder, RunError, RunStats,
-    Stage, TraceReport,
+    Stage, StageTrace, TraceReport,
 };
 use smartpaf_nn::Layer;
 use smartpaf_polyfit::{CompositeEval, CompositePaf, PafForm};
@@ -372,7 +369,7 @@ impl SessionBuilder {
     /// Runs the trace-priced Pareto search over per-slot form vectors:
     /// probes the affine segments once, evaluates every candidate form
     /// uniformly ([`HePipeline::with_pafs`] +
-    /// [`HePipeline::dry_run`], bootstraps allowed), then refines the
+    /// [`HePipeline::trace`], bootstraps allowed), then refines the
     /// uniform winner with greedy per-slot sweeps to a fixed point —
     /// every vector scored by a full-pipeline dry run — and picks the
     /// winner per the [`Objective`].
@@ -469,7 +466,7 @@ fn plan_probed(probed: ProbedModel) -> Result<Plan, SessionError> {
         Vec::new()
     };
 
-    let mut search = VectorSearch::new(&base, &params, max_level);
+    let mut search = VectorSearch::new(&base, &params);
     let mut skipped: Vec<PafForm> = Vec::new();
 
     // Uniform pass: one dry run per candidate form.
@@ -554,7 +551,7 @@ fn plan_probed(probed: ProbedModel) -> Result<Plan, SessionError> {
     ))
 }
 
-/// Memoised form-vector evaluation: one [`HePipeline::dry_run`] per
+/// Memoised form-vector evaluation: one [`HePipeline::trace`] per
 /// distinct vector, with per-form composites and fidelity grids built
 /// once and shared across every vector that uses the form.
 /// Everything the planner caches about one candidate form: the
@@ -570,7 +567,6 @@ struct FormInfo {
 struct VectorSearch<'a> {
     base: &'a HePipeline,
     params: &'a CkksParams,
-    max_level: usize,
     /// Per-form cache, filled lazily.
     form_info: Vec<(PafForm, FormInfo)>,
     /// Every feasible vector evaluated, in evaluation order (uniform
@@ -583,11 +579,10 @@ struct VectorSearch<'a> {
 }
 
 impl<'a> VectorSearch<'a> {
-    fn new(base: &'a HePipeline, params: &'a CkksParams, max_level: usize) -> Self {
+    fn new(base: &'a HePipeline, params: &'a CkksParams) -> Self {
         VectorSearch {
             base,
             params,
-            max_level,
             form_info: Vec::new(),
             evaluated: Vec::new(),
             seen: HashMap::new(),
@@ -630,7 +625,7 @@ impl<'a> VectorSearch<'a> {
             .collect();
         let pipe = self.base.try_with_prepared_pafs(&pairs)?;
         self.dry_runs += 1;
-        match pipe.dry_run(self.max_level, true) {
+        match pipe.trace(self.params, true, 1) {
             Ok((trace, _)) => {
                 let worst_err = idxs
                     .iter()
@@ -757,7 +752,7 @@ impl PlannedCandidate {
     /// See [`Plan::input_level`].
     fn input_level(&self) -> usize {
         let first = self.trace.stages.first();
-        first.expect("a planned pipeline has a stage").level_in
+        first.expect("a planned pipeline has a stage").level_in()
     }
 
     /// The single form when every slot agrees (`None` for genuinely
@@ -1074,9 +1069,10 @@ pub struct CompiledSession {
     seed: u64,
     last_stats: Option<RunStats>,
     /// Lane-expanded packing runtimes, one per lane count served, each
-    /// with its own [`Bootstrapper`] at the expanded dimension (built
-    /// lazily by [`CompiledSession::infer_batch_packed`]).
-    packers: HashMap<usize, (LanePacker, Bootstrapper)>,
+    /// with its own [`Bootstrapper`] at the expanded dimension and the
+    /// level its schedule enters a packed request at (built lazily by
+    /// [`CompiledSession::infer_batch_packed`]).
+    packers: HashMap<usize, (LanePacker, Bootstrapper, usize)>,
 }
 
 impl CompiledSession {
@@ -1193,18 +1189,25 @@ impl CompiledSession {
                 packer.expanded().dim(),
                 self.seed ^ 0xc2b2_ae3d_27d4_eb4f ^ lanes as u64,
             );
-            self.packers.insert(lanes, (packer, bs));
+            // Lane expansion moves no level and no refresh, but it does
+            // move an affine's work, and with it possibly a cut: the
+            // packed request enters where the expanded pipeline's own
+            // schedule starts.
+            let params = self.pe.evaluator().context().params();
+            let (trace, _) = self.pipeline.trace(&params, true, lanes)?;
+            let level = trace
+                .stages
+                .first()
+                .map_or(params.depth, StageTrace::level_in);
+            self.packers.insert(lanes, (packer, bs, level));
         }
-        let (packer, bs) = self.packers.get(&lanes).expect("cached above");
+        let (packer, bs, level) = self.packers.get(&lanes).expect("cached above");
         let mut batches = Vec::with_capacity(inputs.len().div_ceil(lanes));
         let mut cts = Vec::with_capacity(batches.capacity());
-        // Lane expansion leaves the level schedule as it is, so a packed
-        // request enters at the same level as an unpacked one.
-        let level = self.chosen.input_level();
         for group in inputs.chunks(lanes) {
             let batch = packer.pack(group)?;
             let ev = self.pe.evaluator();
-            cts.push(ev.encrypt_replicated_at(batch.values(), level, &mut self.rng));
+            cts.push(ev.encrypt_replicated_at(batch.values(), *level, &mut self.rng));
             batches.push(batch);
         }
         let run = self.runner.run_packed(packer, &self.pe, Some(bs), &cts)?;
@@ -1238,8 +1241,8 @@ impl CompiledSession {
     /// Arithmetic-free trace of one inference over the runtime chain —
     /// the instant cost oracle, identical to the plan-time trace.
     pub fn dry_run(&self) -> Result<(TraceReport, RunStats), SessionError> {
-        let max_level = self.pe.evaluator().context().max_level();
-        Ok(self.pipeline.dry_run(max_level, true)?)
+        let params = self.pe.evaluator().context().params();
+        Ok(self.pipeline.trace(&params, true, 1)?)
     }
 
     /// The planning report carried over from [`Plan`].
@@ -1293,7 +1296,7 @@ impl CompiledSession {
             + self
                 .packers
                 .values()
-                .map(|(_, bs)| bs.refresh_count())
+                .map(|(_, bs, _)| bs.refresh_count())
                 .sum::<usize>()
     }
 
@@ -1439,44 +1442,16 @@ impl fmt::Display for PlanReport {
     }
 }
 
-/// Converts a traced schedule into modelled 64-bit modular multiplies,
-/// stage by stage at the limb counts the stage runs on
-/// ([`StageTrace::level_in`](smartpaf_heinfer::StageTrace)): its
-/// rotations at their key-switch *apply* cost and its decompositions at
-/// their *decompose* cost (hoisted rotations share decompositions, so
-/// the two counts differ), both on the `level_in + 1` limbs the stage
-/// is entered on — an affine's key switches all sit there, and a
-/// pool's later shifts, which run lower, are priced as the first;
-/// every exact ct-mult as a tensor product and every exact
-/// relinearisation — decompose, apply, and the division by `P·q_last`
-/// that is also its rescale — at the mean of the stage's entry and exit
-/// limb counts (a stage relinearises the sum of its terms once, so it
-/// has fewer of the second); and every forced refresh at the full
-/// analytic bootstrap cost. A stage that consumes more levels than it
-/// is entered at — a pool with a refresh between two of its shifts —
-/// ran on from the top of the chain, so its ct-mults are priced over
-/// the whole chain. Every key-switch
-/// price is the executed count at the parameters' digit size
-/// (`CkksParams::ks_digit_limbs`). The one conversion behind the
-/// planner's frontier pricing and the hybrid crate's Tab. 1 rows.
+/// The price of a traced schedule in modelled 64-bit modular
+/// multiplies: the sum of its atomic ops' prices, each at the level the
+/// op is entered at ([`StageTrace::modmuls`](smartpaf_heinfer::StageTrace)
+/// — the very sum [`LevelSchedule::cut`](smartpaf_heinfer::LevelSchedule)
+/// minimised when it placed the refreshes, at the digit size of the
+/// parameters the trace was taken at), plus every forced refresh at the
+/// full analytic bootstrap cost of `params`. The one conversion behind
+/// the planner's frontier pricing and the hybrid crate's Tab. 1 rows.
 pub fn trace_modmuls(params: &CkksParams, report: &TraceReport) -> u128 {
-    report
-        .stages
-        .iter()
-        .map(|stage| {
-            let entry_limbs = stage.level_in + 1;
-            let (top, exit) = match stage.level_in.checked_sub(stage.levels) {
-                Some(exit) => (stage.level_in, exit),
-                None => (params.depth, 0),
-            };
-            let mean_limbs = (top + exit + 2).div_ceil(2);
-            stage.ct_mults as u128 * tensor_modmuls(params, mean_limbs)
-                + stage.relins as u128 * relin_rescale_modmuls(params, mean_limbs)
-                + stage.rotations as u128 * rotation_apply_modmuls(params, entry_limbs)
-                + stage.decompositions as u128 * key_switch_decompose_modmuls(params, entry_limbs)
-                + stage.bootstraps as u128 * bootstrap_modmuls(params)
-        })
-        .sum()
+    report.total_op_modmuls() + report.total_bootstraps() as u128 * bootstrap_modmuls(params)
 }
 
 /// Prices a traced schedule in milliseconds with
@@ -1771,55 +1746,59 @@ mod tests {
         assert_eq!(runtime_trace, trace);
     }
 
+    /// The benchmark CNN under f1∘g2 on the default chain.
+    fn benchmark_cnn() -> Plan {
+        use smartpaf_nn::{Conv2d, Flatten};
+        let mut rng = Rng64::new(9001);
+        Session::builder(&[1, 8, 8])
+            .affine(Conv2d::new(1, 1, 3, 1, 1, &mut rng))
+            .relu(4.0)
+            .maxpool(2, 2, 4.0)
+            .affine(Flatten::new())
+            .affine(Linear::new(16, 16, &mut rng))
+            .params(CkksParams::default_params())
+            .objective(Objective::FixedForm(PafForm::F1G2))
+            .plan()
+            .expect("plannable")
+    }
+
     #[test]
     fn a_trace_is_priced_at_the_limbs_each_stage_runs_on() {
-        use smartpaf_heinfer::StageTrace;
-        let params = CkksParams::default_params();
-        let stage = |level_in, levels, (ct_mults, relins), rotations| StageTrace {
-            label: "stage".into(),
-            slot: None,
-            level_in,
-            levels,
-            bootstraps: 0,
-            ct_mults,
-            relins,
-            rotations,
-            decompositions: rotations,
-        };
-        let price = |stages: Vec<StageTrace>| {
-            trace_modmuls(
-                &params,
-                &TraceReport {
-                    stages,
-                    final_level: 0,
-                },
-            )
-        };
-        // A matvec's key switches sit on the limbs the stage enters on.
+        use smartpaf_ckks::cost::OpPrices;
+        use smartpaf_heinfer::LevelSchedule;
+        // What a plan prices is the schedule's own sum: every atomic op
+        // at the level the cut enters it at, plus the refreshes.
+        let plan = benchmark_cnn();
+        let (params, trace) = (plan.params(), plan.chosen_trace());
+        let ops = plan.pipeline().atomic_ops(1);
+        let schedule = LevelSchedule::cut(&ops, params, params.depth, params.depth, true);
+        let scheduled: u128 = schedule.ops().iter().map(|o| o.modmuls).sum();
+        assert_eq!(trace.total_bootstraps(), 2);
         assert_eq!(
-            price(vec![stage(1, 1, (0, 0), 4)]),
-            4 * (rotation_apply_modmuls(&params, 2) + key_switch_decompose_modmuls(&params, 2))
+            trace_modmuls(params, trace),
+            scheduled + 2 * bootstrap_modmuls(params)
         );
-        assert!(price(vec![stage(1, 1, (0, 0), 4)]) < price(vec![stage(12, 1, (0, 0), 4)]));
-        // A ReLU entered at 6 runs from 7 limbs down to 1: mean 4. Its
-        // 7 tensor products pay for 6 relinearisations.
         assert_eq!(
-            price(vec![stage(6, 6, (7, 6), 0)]),
-            7 * tensor_modmuls(&params, 4) + 6 * relin_rescale_modmuls(&params, 4)
+            plan.chosen().priced_ms,
+            trace_modmuls(params, trace) as f64 * SECONDS_PER_MODMUL * 1e3
         );
-        // A pool fold that refreshes inside (14 levels from level 1)
-        // ran on from the top of the chain: 13 limbs down to 1, mean 7.
+        // Stage by stage it is the ops' prices at the traced levels:
+        // conv 7, ReLU 6 | shift 1 at 6 | shift 8 at 7, head 1.
+        let levels: Vec<usize> = schedule.ops().iter().map(|o| o.level_in).collect();
+        assert_eq!(levels, [7, 6, 6, 7, 1]);
+        let prices = OpPrices::new(params, params.depth);
+        let op = |i: usize, level| prices.op_modmuls(&ops[i].work, level, ops[i].need);
+        let per_stage: Vec<u128> = trace.stages.iter().map(|s| s.modmuls.into()).collect();
         assert_eq!(
-            price(vec![stage(1, 14, (14, 12), 0)]),
-            14 * tensor_modmuls(&params, 7) + 12 * relin_rescale_modmuls(&params, 7)
+            per_stage,
+            [op(0, 7), op(1, 6), op(2, 6) + op(3, 7), op(4, 1)]
         );
-        // Stages add up, and a refresh is the analytic bootstrap.
-        let mut refreshed = stage(1, 1, (0, 0), 0);
-        refreshed.bootstraps = 2;
-        assert_eq!(
-            price(vec![stage(6, 6, (7, 6), 0), refreshed]),
-            price(vec![stage(6, 6, (7, 6), 0)]) + 2 * bootstrap_modmuls(&params)
-        );
+        assert_eq!(per_stage.iter().sum::<u128>(), scheduled);
+        // The cut the refresh-on-exhaustion walk made — the same two
+        // refreshes, after the ReLU and after the pool, the first max
+        // at the top of the chain — costs strictly more.
+        let greedy = op(0, 7) + op(1, 6) + op(2, 12) + op(3, 6) + op(4, 1);
+        assert!(scheduled < greedy, "{scheduled} vs {greedy}");
     }
 
     #[test]
@@ -1907,20 +1886,31 @@ mod tests {
                 .contains(&format!("in {dry_runs} dry run(s)\n")));
         }
         // A sweep that adopts a move is followed by one more, and that
-        // one is served from the cache: on a 14-level chain the price
-        // objective moves the first slot off the uniform winner, and
-        // the search still ends at F + S·(F−1), inside the general
-        // F + sweeps·S·(F−1).
+        // one is served from the cache: of f1²∘g1² (fewer ct-mults) and
+        // α=7 (shallower) on a 16-level chain the first slot alone
+        // keeps the uniform winner's one refresh as f1²∘g1², and the
+        // search still ends at F + S·(F−1), inside the general
+        // F + sweeps·S·(F−1). (Until the cut was priced this was a
+        // 14-level `MinLatency` plan that moved slot 0 to f2∘g2: the
+        // deeper form pushed the greedy walk into a cheaper cut than
+        // it found for uniform f1∘g2. Under the exact cut more
+        // ct-mults are never cheaper, and no price objective adopts a
+        // move on these blocks.)
+        let pair = [PafForm::F1SqG1Sq, PafForm::Alpha7];
         let plan = builder(3, 2.0, 22)
             .params(CkksParams {
-                depth: 14,
+                depth: 16,
                 ..CkksParams::toy()
             })
-            .objective(Objective::MinLatency { max_acc_drop: 1.0 })
+            .candidates(&pair)
+            .objective(Objective::MinBootstraps)
             .plan()
             .expect("plannable");
-        assert_eq!(plan.chosen().uniform_form(), None);
-        assert_eq!(plan.dry_runs_used(), forms + 3 * (forms - 1));
+        assert_eq!(
+            plan.chosen_forms(),
+            [PafForm::F1SqG1Sq, PafForm::Alpha7, PafForm::Alpha7]
+        );
+        assert_eq!(plan.dry_runs_used(), pair.len() + 3 * (pair.len() - 1));
         assert_eq!(plan.candidates().len(), plan.dry_runs_used());
     }
 
@@ -2045,6 +2035,39 @@ mod tests {
         );
         assert!(!err.poisons_session());
         assert!(err.to_string().contains("exceeds pipeline input dim"));
+    }
+
+    #[test]
+    fn a_packed_request_enters_where_its_own_schedule_starts() {
+        // Packing moves work, and work places cuts: at 2 lanes the
+        // conv's expansion takes 12 rotations for the base matrix's 5,
+        // and the cheapest two-refresh cut runs it alone on 2 limbs
+        // where the unpacked plan enters conv + ReLU at level 7. The
+        // packed request is encrypted for the schedule that will run
+        // it, and that run is the base pipeline's trace at 2 lanes.
+        let plan = benchmark_cnn();
+        assert_eq!(plan.input_level(), 7);
+        let (packed_trace, _) = plan.pipeline().trace(plan.params(), true, 2).unwrap();
+        assert_eq!(packed_trace.stages[0].level_in(), 1);
+        let mut session = plan.compile().unwrap();
+        session.set_batch_runner(BatchRunner::new(1));
+        let inputs: Vec<Vec<f64>> = (0..2)
+            .map(|i| {
+                (0..64)
+                    .map(|j| ((i + j * 7) % 13) as f64 / 6.5 - 1.0)
+                    .collect()
+            })
+            .collect();
+        let run = session.infer_batch_packed(&inputs).unwrap();
+        assert_eq!(session.packers[&2].2, 1);
+        assert_eq!(run.stats.len(), 1);
+        assert_eq!(run.stats[0].bootstraps, packed_trace.total_bootstraps());
+        assert_eq!(run.stats[0].final_level, 0);
+        for (x, got) in inputs.iter().zip(&run.outputs) {
+            for (g, w) in got.iter().zip(&session.infer_plain(x).unwrap()) {
+                assert!((g - w).abs() < 0.1, "{g} vs {w}");
+            }
+        }
     }
 
     #[test]

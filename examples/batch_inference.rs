@@ -34,12 +34,15 @@ fn main() {
         "\n[trace] per-stage schedule with {}:",
         session.chosen_label()
     );
+    //    A pool enters once per shift, and a refresh can fall between
+    //    two of them.
     let forms = session.chosen_forms();
     for s in &report.stages {
         let form = s.slot.map(|i| forms[i].short_name()).unwrap_or("-");
+        let entries: Vec<String> = s.op_levels.iter().map(usize::to_string).collect();
         println!(
-            "  {:<30} form {:<8} enters at {:>2}  levels {:>2}  bootstraps {}  exact ct-mults {}  relins {}",
-            s.label, form, s.level_in, s.levels, s.bootstraps, s.ct_mults, s.relins
+            "  {:<30} form {:<8} enters at {:>5}  levels {:>2}  bootstraps {}  exact ct-mults {}  relins {}",
+            s.label, form, entries.join(","), s.levels, s.bootstraps, s.ct_mults, s.relins
         );
     }
 

@@ -47,8 +47,7 @@ fn all_backends_agree_end_to_end() {
     }
 
     // Trace path replays the identical schedule without arithmetic.
-    let max_level = pe.evaluator().context().max_level();
-    let (report, trace_stats) = pipe.dry_run(max_level, false).expect("fits");
+    let (report, trace_stats) = pipe.trace(&CkksParams::toy(), false, 1).expect("fits");
     assert_eq!(trace_stats.stage_levels, enc_stats.stage_levels);
     assert_eq!(trace_stats.final_level, enc_stats.final_level);
 

@@ -3,7 +3,7 @@
 //! the `heinfer` entry points staying consistent with the session
 //! path.
 
-use smartpaf::{Objective, Session, SessionBuilder};
+use smartpaf::{Objective, Plan, Session, SessionBuilder};
 use smartpaf_ckks::CkksParams;
 use smartpaf_heinfer::PipelineBuilder;
 use smartpaf_nn::{Conv2d, Flatten, Linear};
@@ -190,7 +190,7 @@ fn session_agrees_with_legacy_entry_points() {
             .paf_relu(&paf, 1.0)
             .try_compile()
             .expect("compiles");
-        let (trace, _) = pipe.dry_run(12, true).expect("all fit");
+        let (trace, _) = pipe.trace(&CkksParams::toy(), true, 1).expect("all fit");
         assert_eq!(
             candidate.cost.bootstraps,
             trace.total_bootstraps(),
@@ -289,7 +289,7 @@ fn level_schedule_moves_entry_levels_and_no_count() {
             );
             let (packed, _) = plan
                 .pipeline()
-                .dry_run_lanes(plan.params().depth, true, 32)
+                .trace(plan.params(), true, 32)
                 .expect("lanes change no level");
             assert_eq!(
                 (packed.total_rotations(), packed.total_decompositions()),
@@ -300,7 +300,7 @@ fn level_schedule_moves_entry_levels_and_no_count() {
             // What did move: the run ends on its last limb, and the
             // request enters on as many as its first segment consumes.
             assert_eq!(trace.final_level, 0, "{form}");
-            assert_eq!(plan.input_level(), trace.stages[0].level_in);
+            assert_eq!(plan.input_level(), trace.stages[0].level_in());
             assert!(plan.input_level() <= plan.params().depth);
         }
     }
@@ -310,22 +310,25 @@ fn level_schedule_moves_entry_levels_and_no_count() {
     // f2∘g3 and α=7 (which sheds 12 of its 39).
     let priced = PafForm::all().map(|form| cnn(form).chosen().priced_ms);
     assert!(priced.windows(2).all(|w| w[0] < w[1]), "{priced:?}");
-    // The benchmark's CNN under f1∘g2: conv + ReLU, the pool's two
-    // shifts, and the linear head are segments of 7, 12 and 1 levels.
-    let levels_in: Vec<usize> = cnn(PafForm::F1G2)
-        .chosen_trace()
-        .stages
-        .iter()
-        .map(|s| s.level_in)
-        .collect();
-    assert_eq!(levels_in, [7, 6, 12, 1]);
-    let levels_in: Vec<usize> = mlp(PafForm::F1G2)
-        .chosen_trace()
-        .stages
-        .iter()
-        .map(|s| s.level_in)
-        .collect();
-    assert_eq!(levels_in, [8, 7, 1]);
+    // The benchmark's CNN under f1∘g2 is conv + ReLU, the pool's first
+    // shift, and its second shift with the linear head: segments of 7,
+    // 6 and 7 levels.
+    let op_levels = |plan: Plan| -> Vec<Vec<usize>> {
+        let stages = plan.chosen_trace().stages.iter();
+        stages.map(|s| s.op_levels.clone()).collect()
+    };
+    assert_eq!(
+        op_levels(cnn(PafForm::F1G2)),
+        [vec![7], vec![6], vec![6, 7], vec![1]],
+        "re-recorded from [7, 6, 12, 1]: the second refresh falls between the pool's \
+         shifts, not after them — the same two refreshes, and the first max runs on 7 \
+         limbs instead of 13"
+    );
+    assert_eq!(
+        op_levels(mlp(PafForm::F1G2)),
+        [vec![8], vec![7], vec![1]],
+        "one segment, no cut to place: unmoved"
+    );
 }
 
 #[test]
