@@ -25,7 +25,7 @@ fn main() {
     }
     println!(" {:>14} {:>9}", "proj N=32768", "speedup");
 
-    // Analytic projection at paper scale, calibrated per modmul.
+    // Analytic projection at paper scale, at the assumed cost per modmul.
     let paper = CkksParams::paper_scale();
     let baseline_proj = project_seconds(
         &relu_op_counts(&paper, &CompositePaf::from_form(PafForm::MinimaxDeg27)),

@@ -114,5 +114,5 @@ pub use describe::{fnv1a_64, PipelineDesc, StageDesc};
 pub use exec::{InferenceBackend, PafOp, RunError, RunStats};
 pub use pack::{LanePacker, PackError, PackedBatch, SlotLayout};
 pub use pipeline::{HePipeline, PipelineBuilder, Stage};
-pub use schedule::{AtomicOp, LevelSchedule, ScheduledOp};
+pub use schedule::{AtomicOp, CutKey, LevelSchedule, ScheduledOp, Tiebreak};
 pub use serve::{BatchService, ServeConfig, ServeError, ServeStats, Server, TenantId, Ticket};

@@ -5,7 +5,7 @@ use crate::exec::RunError;
 use crate::maxpool::{pool_out_shape, pool_shifts, selection_rows};
 use smartpaf_ckks::DiagMatrix;
 use smartpaf_nn::{Layer, Mode};
-use smartpaf_polyfit::{CompositeEval, CompositePaf, PafForm, PafSlotKind};
+use smartpaf_polyfit::{CompositeEval, CompositePaf, PafForm};
 use smartpaf_tensor::Tensor;
 use std::sync::Arc;
 
@@ -521,20 +521,6 @@ impl HePipeline {
             .collect()
     }
 
-    /// What each PAF slot computes, in stage order — the input to
-    /// kind-aware candidate enumeration
-    /// ([`CompositePaf::candidate_forms_per_slot`]).
-    pub fn paf_slot_kinds(&self) -> Vec<PafSlotKind> {
-        self.stages
-            .iter()
-            .filter_map(|s| match s {
-                Stage::Affine { .. } => None,
-                Stage::PafRelu { .. } => Some(PafSlotKind::Relu),
-                Stage::PafMax { .. } => Some(PafSlotKind::MaxPool),
-            })
-            .collect()
-    }
-
     /// Rebuilds this pipeline with every PAF stage's composite replaced
     /// by `paf`, keeping the probed affine matrices, scales, shifts, and
     /// slot layout untouched and re-preparing the plaintext engines —
@@ -617,9 +603,9 @@ impl HePipeline {
     /// The engine paired with each composite **must** be that
     /// composite's own [`CompositePaf::prepare`] output; the pairing
     /// is the caller's contract (the smartpaf planner holds one
-    /// prepared engine per distinct candidate form and reuses it
-    /// across every vector of a search — one preparation per form per
-    /// search, not per swap).
+    /// prepared engine per candidate form and reuses it across every
+    /// vector it installs — one preparation per form per plan, not per
+    /// swap).
     pub fn try_with_prepared_pafs(
         &self,
         pafs: &[(CompositePaf, Arc<CompositeEval>)],

@@ -23,6 +23,13 @@
 //! segment ends at level 0. Among the cuts with the minimum refresh
 //! count [`LevelSchedule::cut`] takes the cheapest, exactly.
 //!
+//! A planner asks one question more: which form each PAF slot should
+//! take. A slot's form fixes only its ops' `need` and `work`, so
+//! [`LevelSchedule::cut_forms`] answers it inside the same dynamic
+//! program — one alternative op list per form, the ops of one stage
+//! sharing a form — and [`LevelSchedule::cut`] is its one-alternative
+//! call.
+//!
 //! [`CkksBackend`](crate::CkksBackend) executes the schedule and
 //! [`TraceBackend`](crate::TraceBackend) records it, so a dry run's
 //! levels are the executed levels and its price is the one that was
@@ -129,6 +136,57 @@ pub struct ScheduledOp {
     pub modmuls: u128,
 }
 
+/// What a cut costs, compared lexicographically: refreshes first — a
+/// refresh is never traded for cheaper ops — then tensor products when
+/// the [`Tiebreak`] counts them, then the ops' price.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub struct CutKey {
+    /// Refreshes the run takes.
+    pub refreshes: usize,
+    /// Tensor products ([`OpWork::tensors`]), or 0 under
+    /// [`Tiebreak::Price`].
+    pub products: usize,
+    /// Modular multiplies of the ops at the levels they are entered
+    /// at ([`OpPrices::op_modmuls`]).
+    pub price: u128,
+}
+
+impl std::ops::Add for CutKey {
+    type Output = CutKey;
+
+    fn add(self, other: CutKey) -> CutKey {
+        CutKey {
+            refreshes: self.refreshes + other.refreshes,
+            products: self.products + other.products,
+            price: self.price + other.price,
+        }
+    }
+}
+
+/// What decides between two cuts that take equally few refreshes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tiebreak {
+    /// The ops' price.
+    Price,
+    /// Tensor products, then the ops' price.
+    ProductsThenPrice,
+}
+
+impl Tiebreak {
+    /// The key of a run with these totals.
+    pub fn key(self, refreshes: usize, products: usize, price: u128) -> CutKey {
+        let products = match self {
+            Tiebreak::Price => 0,
+            Tiebreak::ProductsThenPrice => products,
+        };
+        CutKey {
+            refreshes,
+            products,
+            price,
+        }
+    }
+}
+
 /// Why a run stops before the last op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Stop {
@@ -155,13 +213,11 @@ impl LevelSchedule {
     /// `start_level`, refreshes that return a ciphertext at
     /// `refresh_level`, and `allow_refresh` saying whether there is a
     /// refresher at all: of the cuts with the fewest refreshes, the one
-    /// whose ops cost least at `params` (exact — a dynamic program over
-    /// the position of each segment's start, quadratic in the op count
-    /// and a few microseconds at 40 ops). A first segment deeper than
-    /// `start_level` is refreshed on entry. Equal prices go to the
-    /// shorter last segment, so cutting again from the level the
-    /// schedule enters the first op at — where a plan has its requests
-    /// encrypted — changes nothing.
+    /// whose ops cost least at `params` — [`LevelSchedule::cut_forms`]
+    /// with one form. A first segment deeper than `start_level` is
+    /// refreshed on entry. Equal prices go to the shorter last segment,
+    /// so cutting again from the level the schedule enters the first op
+    /// at — where a plan has its requests encrypted — changes nothing.
     ///
     /// A run that cannot complete keeps its failure for
     /// [`LevelSchedule::stage`] to report when execution reaches it.
@@ -176,27 +232,68 @@ impl LevelSchedule {
         refresh_level: usize,
         allow_refresh: bool,
     ) -> LevelSchedule {
-        let mut schedule = LevelSchedule {
+        if allow_refresh {
+            let forms = [ops];
+            return Self::cut_forms(&forms, params, start_level, refresh_level, Tiebreak::Price).0;
+        }
+        let (mut schedule, runnable) = LevelSchedule::open(&[ops], start_level, refresh_level);
+        let prices = OpPrices::new(params, start_level.max(refresh_level));
+        schedule.walk_one_segment(&ops[..runnable], &prices);
+        schedule
+    }
+
+    /// Cuts a run whose PAF slots may each take one of several forms,
+    /// choosing the forms with the cut. `forms[a]` is the run with
+    /// every slot under form `a`: the same stages and op count, each op
+    /// with the `need` and `work` the form gives it. The ops of a stage
+    /// share its form, so a pool's shifts take their slot's. Of every
+    /// cut of every choice, the one with the least [`CutKey`] under
+    /// `tiebreak`, exactly — a dynamic program over (op, the levels the
+    /// rest of its segment consumes, its form), linear in the op count —
+    /// with the form each stage takes, indexed by stage. An op is
+    /// hosted only by the forms no deeper than a refresh; where none
+    /// is, the run stops as [`LevelSchedule::cut`]'s does.
+    ///
+    /// Equal keys go to the later cut, then to the lower form index.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `forms` is non-empty and its runs agree op for op
+    /// on the stage.
+    pub fn cut_forms(
+        forms: &[&[AtomicOp]],
+        params: &CkksParams,
+        start_level: usize,
+        refresh_level: usize,
+        tiebreak: Tiebreak,
+    ) -> (LevelSchedule, Vec<usize>) {
+        let ops = forms.first().expect("at least one form");
+        assert!(
+            forms.iter().all(|run| run.len() == ops.len()
+                && run.iter().zip(*ops).all(|(a, b)| a.stage == b.stage)),
+            "every form's run has the same stages"
+        );
+        let (mut schedule, runnable) = LevelSchedule::open(forms, start_level, refresh_level);
+        let prices = OpPrices::new(params, start_level.max(refresh_level));
+        let stage_forms = schedule.cut_by_key(forms, runnable, &prices, tiebreak);
+        (schedule, stage_forms)
+    }
+
+    /// An empty schedule of the run, stopped at its first op no form
+    /// can host — no refresh helps an op deeper than the refresh level,
+    /// and a stage's ops are equally deep, so the run stops where the
+    /// stage starts — and the number of ops before it.
+    fn open(forms: &[&[AtomicOp]], start_level: usize, refresh_level: usize) -> (Self, usize) {
+        let ops = forms[0];
+        let too_deep =
+            (0..ops.len()).position(|t| forms.iter().all(|run| run[t].need > refresh_level));
+        let schedule = LevelSchedule {
             ops: Vec::with_capacity(ops.len()),
-            stopped_at: None,
+            stopped_at: too_deep.map(|t| (ops[t], Stop::AtomicDepthExceeded)),
             start_level,
             refresh_level,
         };
-        // No refresh can help an op deeper than the refresh level. A
-        // stage's ops are equally deep, so this stops the run where the
-        // stage starts.
-        let too_deep = ops.iter().position(|op| op.need > refresh_level);
-        if let Some(at) = too_deep {
-            schedule.stopped_at = Some((ops[at], Stop::AtomicDepthExceeded));
-        }
-        let ops = &ops[..too_deep.unwrap_or(ops.len())];
-        let prices = OpPrices::new(params, start_level.max(refresh_level));
-        if allow_refresh {
-            schedule.cut_by_price(ops, &prices);
-        } else {
-            schedule.walk_one_segment(ops, &prices);
-        }
-        schedule
+        (schedule, too_deep.unwrap_or(ops.len()))
     }
 
     /// The schedule without a refresher: one segment from the start
@@ -223,62 +320,123 @@ impl LevelSchedule {
         }
     }
 
-    /// The schedule with a refresher: the cheapest of the
-    /// minimum-refresh cuts of `ops`, none of which is deeper than a
-    /// refresh.
-    fn cut_by_price(&mut self, ops: &[AtomicOp], prices: &OpPrices) {
+    /// The schedule with a refresher: of every cut of the first
+    /// `runnable` ops under every choice of one form per stage, the one
+    /// with the least key. Returns the form each stage takes.
+    fn cut_by_key(
+        &mut self,
+        forms: &[&[AtomicOp]],
+        runnable: usize,
+        prices: &OpPrices,
+        tiebreak: Tiebreak,
+    ) -> Vec<usize> {
         let (start_level, refresh_level) = (self.start_level, self.refresh_level);
-        // `before[i]`: the levels `ops[..i]` consume.
-        let mut before = vec![0];
-        for op in ops {
-            before.push(before[before.len() - 1] + op.need);
-        }
-        // `best[j]`: the best cut of `ops[..j]` as (refreshes, price,
-        // start of its last segment). A segment `ops[i..j]` enters op
-        // `t` at what `ops[t..j]` consume.
-        let mut best: Vec<(usize, u128, usize)> = vec![(0, 0, 0)];
-        for j in 1..=ops.len() {
-            let mut last_segment = 0;
-            let mut choice: Option<(usize, u128, usize)> = None;
-            for i in (0..j).rev() {
-                let consumed = before[j] - before[i];
-                if consumed > start_level.max(refresh_level) {
-                    break;
-                }
-                last_segment += prices.op_modmuls(&ops[i].work, consumed, ops[i].need);
-                let refresh = i > 0 || consumed > start_level;
-                if refresh && consumed > refresh_level {
+        let top = start_level.max(refresh_level);
+        let mut stage_forms = vec![0; forms[0].last().map_or(0, |op| op.stage + 1)];
+        let Some(last) = runnable.checked_sub(1) else {
+            return stage_forms;
+        };
+        // `best[at(t, level, form)]`: the least key of `ops[..=t]` with
+        // op `t` under `form` entered at `level` — what the rest of its
+        // segment consumes — as (key, the form of op `t − 1`, whether a
+        // refresh falls between the two). A refresh ends the segment of
+        // op `t − 1` at its own need.
+        let at = |t: usize, level: usize, form: usize| (t * (top + 1) + level) * forms.len() + form;
+        let refreshes = |refresh: bool| CutKey {
+            refreshes: usize::from(refresh),
+            ..CutKey::default()
+        };
+        let mut best: Vec<Option<(CutKey, usize, bool)>> =
+            vec![None; runnable * (top + 1) * forms.len()];
+        for t in 0..runnable {
+            for (form, run) in forms.iter().enumerate() {
+                let op = run[t];
+                if op.need > refresh_level {
                     continue;
                 }
-                let (refreshes, price, _) = best[i];
-                let cut = (refreshes + usize::from(refresh), price + last_segment, i);
-                if choice.is_none_or(|c| (cut.0, cut.1) < (c.0, c.1)) {
-                    choice = Some(cut);
+                // Op `t − 1` shares the form when it is of the same stage.
+                let previous = if t > 0 && forms[0][t - 1].stage == op.stage {
+                    form..form + 1
+                } else {
+                    0..forms.len()
+                };
+                for level in op.need..=top {
+                    let price = prices.op_modmuls(&op.work, level, op.need);
+                    let cost = tiebreak.key(0, op.work.tensors, price);
+                    let mut choice: Option<(CutKey, usize, bool)> = None;
+                    if t == 0 {
+                        let refresh = level > start_level;
+                        if !refresh || level <= refresh_level {
+                            choice = Some((cost + refreshes(refresh), 0, refresh));
+                        }
+                    } else {
+                        // Equal keys go to the refresh — the later cut —
+                        // and then to the lower form.
+                        for refresh in [true, false] {
+                            if refresh && level > refresh_level {
+                                continue;
+                            }
+                            for prev in previous.clone() {
+                                let need = forms[prev][t - 1].need;
+                                let prev_level = if refresh { need } else { level + need };
+                                if prev_level > top {
+                                    continue;
+                                }
+                                if let Some((key, ..)) = best[at(t - 1, prev_level, prev)] {
+                                    let key = key + cost + refreshes(refresh);
+                                    if choice.is_none_or(|(k, ..)| key < k) {
+                                        choice = Some((key, prev, refresh));
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    best[at(t, level, form)] = choice;
                 }
             }
-            best.push(choice.expect("an op no deeper than a refresh is a segment"));
         }
-        let mut segments = Vec::new();
-        let mut to = ops.len();
-        while to > 0 {
-            let from = best[to].2;
-            segments.push(from..to);
-            to = from;
-        }
-        for segment in segments.into_iter().rev() {
-            let (from, to) = (segment.start, segment.end);
-            for t in segment {
-                let level_in = before[to] - before[t];
-                self.ops.push(ScheduledOp {
-                    op: ops[t],
-                    refresh: t == from && (from > 0 || level_in > start_level),
-                    level_in,
-                    modmuls: prices.op_modmuls(&ops[t].work, level_in, ops[t].need),
-                });
+        // The run ends on its last limb: the last op is entered at its
+        // own need.
+        let (_, mut form) = (0..forms.len())
+            .filter(|&form| forms[form][last].need <= refresh_level)
+            .filter_map(|form| {
+                let end = best[at(last, forms[form][last].need, form)];
+                end.map(|(key, ..)| (key, form))
+            })
+            .min()
+            .expect("an op no deeper than a refresh is a segment");
+        let mut level = forms[form][last].need;
+        for t in (0..runnable).rev() {
+            let op = forms[form][t];
+            let (_, prev, refresh) = best[at(t, level, form)].expect("on the best path");
+            self.ops.push(ScheduledOp {
+                op,
+                refresh,
+                level_in: level,
+                modmuls: prices.op_modmuls(&op.work, level, op.need),
+            });
+            stage_forms[op.stage] = form;
+            if t > 0 {
+                let need = forms[prev][t - 1].need;
+                level = if refresh { need } else { level + need };
+                form = prev;
             }
         }
+        self.ops.reverse();
         #[cfg(debug_assertions)]
         self.check_cut();
+        stage_forms
+    }
+
+    /// The schedule's [`CutKey`] under `tiebreak`.
+    pub fn key(&self, tiebreak: Tiebreak) -> CutKey {
+        let refreshes = self.ops.iter().filter(|o| o.refresh).count();
+        let products = self.ops.iter().map(|o| o.op.work.tensors).sum();
+        tiebreak.key(
+            refreshes,
+            products,
+            self.ops.iter().map(|o| o.modmuls).sum(),
+        )
     }
 
     /// The invariants of a completed cut: every op is entered at what
@@ -522,6 +680,41 @@ pub(crate) mod tests {
         assert_eq!(refreshed(&s), [false, true]);
         assert_eq!(s.stage(0, "pool").unwrap().len(), 2);
         assert!(s.stage(1, "none").unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_pools_shifts_share_their_slots_form() {
+        let op = |stage, need, tensors| AtomicOp {
+            stage,
+            need,
+            work: OpWork {
+                tensors,
+                ..OpWork::default()
+            },
+        };
+        // A ReLU of 1 level, then a two-shift pool: form 0 is cheap
+        // and 6 levels a shift, form 1 dear and 5. Uniform form 0
+        // takes 13 levels, so a refresh; the ReLU under form 0 and the
+        // pool under form 1 fit 11 without one. A pool that mixed its
+        // shifts (6 + 5) would fit too with fewer products, but a slot
+        // has one form.
+        let cheap = [op(0, 1, 1), op(1, 6, 2), op(1, 6, 2)];
+        let shallow = [op(0, 1, 5), op(1, 5, 10), op(1, 5, 10)];
+        let params = CkksParams::default_params();
+        let key = |ops: &[AtomicOp]| cut(ops, 12, 12, true).key(Tiebreak::ProductsThenPrice);
+        assert_eq!(key(&cheap).refreshes, 1);
+        let (s, forms) = LevelSchedule::cut_forms(
+            &[&cheap, &shallow],
+            &params,
+            12,
+            12,
+            Tiebreak::ProductsThenPrice,
+        );
+        assert_eq!(forms, [0, 1]);
+        assert_eq!(levels_in(&s), [11, 10, 5]);
+        let mixed = [cheap[0], shallow[1], shallow[2]];
+        assert_eq!(s.key(Tiebreak::ProductsThenPrice), key(&mixed));
+        assert_eq!((key(&mixed).refreshes, key(&mixed).products), (0, 21));
     }
 
     #[test]

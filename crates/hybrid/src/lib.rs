@@ -30,8 +30,9 @@ use smartpaf_heinfer::TraceReport;
 use smartpaf_polyfit::PafForm;
 use std::fmt;
 
-/// Calibrated cost of one 64-bit modular multiply on a workstation
-/// core (order-of-magnitude of the paper's AMD 2990WX) — re-exported
+/// The assumed cost of one 64-bit modular multiply on a workstation
+/// core (order-of-magnitude of the paper's AMD 2990WX; nothing
+/// calibrates it) — re-exported
 /// from [`smartpaf::SECONDS_PER_MODMUL`] so the Tab. 1 rows and the
 /// Session planner's priced frontier can never drift apart.
 pub const SECONDS_PER_MODMUL: f64 = smartpaf::SECONDS_PER_MODMUL;

@@ -52,23 +52,6 @@ pub enum PafForm {
     MinimaxDeg27,
 }
 
-/// What a PAF slot computes — per-slot candidate enumeration prunes
-/// differently for the two ([`CompositePaf::candidate_forms_per_slot`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PafSlotKind {
-    /// One sign evaluation per activation (`relu(x)` via §5.2).
-    Relu,
-    /// A nested max-fold over the window (§5.4.3): every step of the
-    /// fold pays the full sign depth again.
-    MaxPool,
-}
-
-/// Depth cap for forms worth offering a maxpool slot: the fold pays
-/// the full sign depth per step, so the comparator-class forms
-/// (depth ≥ 8) mostly burn bootstraps there — they exist for
-/// accuracy-critical ReLU slots.
-const MAX_POOL_FORM_DEPTH: usize = 7;
-
 impl PafForm {
     /// All forms, cheapest first (the x-axis order of Fig. 1).
     pub fn all() -> [PafForm; 6] {
@@ -364,39 +347,6 @@ impl CompositePaf {
             .collect()
     }
 
-    /// Per-slot candidate enumeration: one candidate list per PAF slot,
-    /// pruned by what the slot computes. ReLU slots get the full
-    /// [`CompositePaf::candidate_forms`] set for the chain; maxpool
-    /// slots drop the deep comparator-class forms (depth above
-    /// `MAX_POOL_FORM_DEPTH`), whose per-fold-round sign cost mostly
-    /// burns bootstraps in a pairwise fold. The per-slot shape is what
-    /// planners search *form vectors* over (the paper's per-layer
-    /// replacement tables pick a different form per slot). Should
-    /// pruning ever empty a maxpool list (it cannot with the built-in
-    /// six), the slot falls back to the shared set so every slot stays
-    /// plannable.
-    pub fn candidate_forms_per_slot(max_levels: usize, kinds: &[PafSlotKind]) -> Vec<Vec<PafForm>> {
-        let shared = CompositePaf::candidate_forms(max_levels);
-        kinds
-            .iter()
-            .map(|kind| match kind {
-                PafSlotKind::Relu => shared.clone(),
-                PafSlotKind::MaxPool => {
-                    let pruned: Vec<PafForm> = shared
-                        .iter()
-                        .copied()
-                        .filter(|&f| CompositePaf::from_form(f).mult_depth() <= MAX_POOL_FORM_DEPTH)
-                        .collect();
-                    if pruned.is_empty() {
-                        shared.clone()
-                    } else {
-                        pruned
-                    }
-                }
-            })
-            .collect()
-    }
-
     /// Folds a static input scale into the first stage:
     /// evaluating the result at `x` equals evaluating `self` at `s·x`.
     pub fn with_input_scale(&self, s: f64) -> CompositePaf {
@@ -570,34 +520,6 @@ mod tests {
         assert!(CompositePaf::candidate_forms(5).is_empty());
         // Cheapest-first ordering is preserved.
         assert_eq!(eight[0], PafForm::F1G2);
-    }
-
-    #[test]
-    fn per_slot_enumeration_prunes_by_slot_kind() {
-        // On a 12-level chain the ReLU slot sees all six forms but the
-        // maxpool slot drops the depth-8/10 comparator-class forms —
-        // the per-kind lists genuinely differ.
-        let kinds = [PafSlotKind::Relu, PafSlotKind::MaxPool];
-        let per_slot = CompositePaf::candidate_forms_per_slot(12, &kinds);
-        assert_eq!(per_slot.len(), 2);
-        assert_eq!(per_slot[0], CompositePaf::candidate_forms(12));
-        assert_ne!(per_slot[0], per_slot[1], "per-kind lists must differ");
-        assert_eq!(
-            per_slot[1],
-            vec![PafForm::F1G2, PafForm::F2G2, PafForm::F2G3, PafForm::Alpha7]
-        );
-        // Every pruned list is a subset of the shared set, so any
-        // vector drawn from it is still a valid plan candidate.
-        assert!(per_slot[1].iter().all(|f| per_slot[0].contains(f)));
-
-        // On an 8-level chain the depth filter already removed the
-        // deep forms, so both kinds see the same four — pruning never
-        // empties a maxpool slot.
-        let eight = CompositePaf::candidate_forms_per_slot(8, &kinds);
-        assert_eq!(eight[0], eight[1]);
-        assert_eq!(eight[1], CompositePaf::candidate_forms(8));
-
-        assert!(CompositePaf::candidate_forms_per_slot(12, &[]).is_empty());
     }
 
     #[test]

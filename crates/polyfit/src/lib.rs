@@ -41,7 +41,7 @@ pub use bounds::{
 };
 pub use cheb::{chebyshev_fit, chebyshev_nodes};
 pub use composite::{
-    max_via_sign, quadratic_paf, relu_via_sign, sign_exact, CompositePaf, PafForm, PafSlotKind,
+    max_via_sign, quadratic_paf, relu_via_sign, sign_exact, CompositePaf, PafForm,
 };
 pub use ct::{tune_composite, ActivationProfile, TuneConfig, TuneReport};
 pub use depth::{poly_mult_depth, DepthStep, DepthTrace};

@@ -1,6 +1,6 @@
 //! Latency-accuracy Pareto frontier (paper Fig. 1), plus the
-//! three-axis frontier over per-slot *form vectors* the Session
-//! planner searches (traced bootstraps × exact ct-mults × worst-slot
+//! three-axis frontier over the per-slot *form vectors* the Session
+//! planner traces (traced bootstraps × exact ct-mults × worst-slot
 //! sign error).
 
 use smartpaf_polyfit::PafForm;
@@ -89,8 +89,7 @@ impl VectorParetoPoint {
 /// and strictly better on one), sorted by
 /// `(bootstraps, ct_mults, sign_error)`.
 ///
-/// Duplicate handling — both are the norm in a budgeted beam search,
-/// where the same vector can be re-proposed from several parents and
+/// Duplicate handling — a candidate list may name a form twice, and
 /// discrete traced costs collide constantly:
 ///
 /// - **identical form vectors** are deduplicated *before* frontier
@@ -236,7 +235,7 @@ mod tests {
     #[test]
     fn vector_frontier_dedupes_identical_form_vectors() {
         use PafForm::{Alpha7, F1G2};
-        // The same vector re-proposed by a beam search must enter the
+        // The same vector traced twice must enter the
         // frontier at most once, keeping the first occurrence even
         // when a later duplicate claims a different (stale) cost.
         let pts = vec![

@@ -2,9 +2,10 @@
 //! JSON artifact, load it elsewhere, serve bit-identically.
 //!
 //! Planning is the expensive deterministic half of a deployment (a
-//! trace-priced search over form vectors); keys and weights are the
-//! cheap-to-rederive, never-shipped half. A [`PlanRegistry`] persists
-//! exactly the first: [`PlanRegistry::save_plan`] writes a versioned
+//! probe, a trace per candidate form, and the choice of form vector);
+//! keys and weights are the cheap-to-rederive, never-shipped half. A
+//! [`PlanRegistry`] persists exactly the first:
+//! [`PlanRegistry::save_plan`] writes a versioned
 //! JSON envelope whose filename is a *content address* — a stable
 //! [`fnv1a_64`] hash over the probed model description, the CKKS
 //! parameters, the objective, and the candidate form list.
@@ -167,7 +168,7 @@ pub struct ArtifactInfo {
     pub path: PathBuf,
     /// The stored plan's chosen form vector, one form per PAF slot.
     pub chosen_forms: Vec<PafForm>,
-    /// Dry runs the original search spent producing the plan.
+    /// Dry runs the original planner spent producing the plan.
     pub dry_runs: usize,
 }
 

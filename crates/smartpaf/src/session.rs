@@ -13,16 +13,18 @@
 //!
 //! Each arrow consumes the previous state, so the type system enforces
 //! the order: you cannot serve before compiling and you cannot compile
-//! before planning. Planning searches per-slot *form vectors* (one
+//! before planning. Planning chooses a per-slot *form vector* (one
 //! [`FormId`] per ReLU/maxpool slot, like the paper's per-layer
-//! replacement tables): a uniform pass over every candidate form seeds
-//! greedy per-slot sweeps that run to a fixed point, every vector
-//! scored by a [`TraceBackend`](smartpaf_heinfer::TraceBackend) dry run
-//! of the *caller's actual pipeline* — forced bootstraps and exact
-//! ciphertext multiplications, never multiplicative depth alone. The
-//! affine segments are probed exactly once ([`HePipeline::with_pafs`]
-//! swaps form vectors in microseconds) and a dry run is microseconds,
-//! so the whole search is milliseconds even at 20 slots and takes no
+//! replacement tables) exactly: every candidate form is traced once as
+//! a uniform vector by a [`TraceBackend`](smartpaf_heinfer::TraceBackend)
+//! dry run of the *caller's actual pipeline* — forced bootstraps and
+//! exact ciphertext multiplications, never multiplicative depth alone —
+//! and one dynamic program over those runs
+//! ([`LevelSchedule::cut_forms`]) chooses the slots' forms with the
+//! refresh positions. Its vector is traced too when it beats every
+//! uniform one. The affine segments are probed exactly once
+//! ([`HePipeline::with_pafs`] swaps form vectors in microseconds), so
+//! planning is about a millisecond even at 20 slots and takes no
 //! tuning input.
 //!
 //! # Example
@@ -56,8 +58,8 @@ use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use smartpaf_ckks::cost::bootstrap_modmuls;
 use smartpaf_ckks::{Bootstrapper, Ciphertext, CkksParams, Evaluator, KeyChain, PafEvaluator};
 use smartpaf_heinfer::{
-    BatchRun, BatchRunner, HePipeline, LanePacker, PackError, PipelineBuilder, RunError, RunStats,
-    Stage, StageTrace, TraceReport,
+    AtomicOp, BatchRun, BatchRunner, HePipeline, LanePacker, LevelSchedule, PackError,
+    PipelineBuilder, RunError, RunStats, Stage, StageTrace, Tiebreak, TraceReport,
 };
 use smartpaf_nn::Layer;
 use smartpaf_polyfit::{CompositeEval, CompositePaf, PafForm};
@@ -69,13 +71,16 @@ use std::sync::Arc;
 /// A per-slot PAF form identifier — one entry of a *form vector*
 /// (`Vec<FormId>`, one per ReLU/maxpool slot in stage order). Today
 /// every slot draws from the built-in [`PafForm`] set, so this is an
-/// alias; it names the planner's per-slot search axis.
+/// alias; it names the planner's per-slot axis.
 pub type FormId = PafForm;
 
-/// Calibrated cost of one 64-bit modular multiply on a workstation
+/// The assumed cost of one 64-bit modular multiply on a workstation
 /// core (order-of-magnitude of the paper's AMD 2990WX) — the single
 /// constant behind both the planner's priced frontier and the hybrid
-/// crate's Tab. 1 rows.
+/// crate's Tab. 1 rows. Nothing calibrates it. Against measurement on
+/// the benchmark CNN it under-prices the ops ≈ 3.3× and over-prices a
+/// refresh ≈ 20× (a refresh is priced as an analytic bootstrap, and
+/// what runs is a secret-key recryption).
 pub const SECONDS_PER_MODMUL: f64 = 1.2e-9;
 
 /// Accurate-range edge of the fidelity grid (`sign_error` on
@@ -173,12 +178,17 @@ impl From<PackError> for SessionError {
     }
 }
 
-/// What the planner optimises when choosing the PAF form.
+/// What the planner optimises when choosing the form vector. Every
+/// objective minimises refreshes first: a refresh is never traded for
+/// cheaper ops, the rule [`LevelSchedule::cut`] applies within one
+/// vector.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Objective {
-    /// Cheapest traced deployment cost among the candidates whose
-    /// sign-approximation fidelity stays within `max_acc_drop` of the
-    /// most accurate candidate's.
+    /// Fewest traced bootstraps, then the cheapest ops at the levels
+    /// they are entered at, over the vectors whose every slot takes a
+    /// form with sign-approximation fidelity within `max_acc_drop` of
+    /// the most accurate uniform candidate's — the worst slot passes
+    /// exactly when every slot does.
     MinLatency {
         /// Largest acceptable fidelity drop versus the best candidate,
         /// in absolute `[0, 1]` fidelity units. Negative or NaN values
@@ -186,10 +196,10 @@ pub enum Objective {
         /// qualify).
         max_acc_drop: f64,
     },
-    /// Fewest traced bootstraps outright (ties broken by exact
-    /// ct-mults, then ReLU depth).
+    /// Fewest traced bootstraps, then fewest exact ct-mults, then the
+    /// cheapest ops at the levels they are entered at.
     MinBootstraps,
-    /// Skip the search and deploy this form — still traced, so the
+    /// Deploy this form in every slot — still traced, so the
     /// plan carries its cost and the report prices it. Planning fails
     /// with the underlying [`RunError`] when the form cannot run on
     /// the chain at all.
@@ -220,15 +230,6 @@ pub struct VectorCost {
     /// (`mult_depth() + 1`, maximised over the vector's slots; equals
     /// the single form's value for uniform vectors).
     pub relu_levels: usize,
-}
-
-impl VectorCost {
-    /// The planner's lexicographic sort key: fewest forced bootstraps,
-    /// then fewest exact ciphertext multiplications, then shallowest
-    /// worst-slot ReLU — traced deployment cost, never depth alone.
-    pub fn sort_key(&self) -> (usize, usize, usize) {
-        (self.bootstraps, self.ct_mults, self.relu_levels)
-    }
 }
 
 /// Namespace entry point of the typed-state chain;
@@ -266,13 +267,12 @@ pub struct SessionBuilder {
 /// Everything [`SessionBuilder::plan`] needs after the one-time model
 /// probe: the folded base pipeline plus the resolved planning inputs.
 /// Shared with [`PlanRegistry::load_plan`], which probes the same way
-/// but skips the search.
+/// but does not plan.
 ///
 /// [`PlanRegistry::load_plan`]: crate::PlanRegistry::load_plan
 pub(crate) struct ProbedModel {
     pub(crate) base: HePipeline,
     pub(crate) forms: Vec<PafForm>,
-    pub(crate) candidate_list: Option<Vec<PafForm>>,
     pub(crate) params: CkksParams,
     pub(crate) objective: Objective,
     pub(crate) seed: u64,
@@ -366,18 +366,20 @@ impl SessionBuilder {
         self
     }
 
-    /// Runs the trace-priced Pareto search over per-slot form vectors:
-    /// probes the affine segments once, evaluates every candidate form
-    /// uniformly ([`HePipeline::with_pafs`] +
-    /// [`HePipeline::trace`], bootstraps allowed), then refines the
-    /// uniform winner with greedy per-slot sweeps to a fixed point —
-    /// every vector scored by a full-pipeline dry run — and picks the
-    /// winner per the [`Objective`].
+    /// Plans the per-slot form vector in three steps: probes the affine
+    /// segments once and traces every candidate form as a uniform
+    /// vector ([`HePipeline::with_pafs`] + [`HePipeline::trace`],
+    /// bootstraps allowed) — the plan's rows and frontier; runs one
+    /// dynamic program over those runs ([`LevelSchedule::cut_forms`]),
+    /// which finds the [`Objective`]'s optimum over every vector and
+    /// every cut exactly; and installs and traces that vector only when
+    /// it is strictly better than the best uniform row, which is chosen
+    /// otherwise.
     ///
     /// Candidate forms whose uniform vector cannot run at all are
-    /// skipped (recorded in the [`PlanReport`]); infeasible *mixed*
-    /// vectors are silently dropped from the search. Structural
-    /// pipeline errors (empty builder, untileable pool, …) surface as
+    /// skipped (recorded in the [`PlanReport`]); the dynamic program
+    /// still offers them to the slots they fit. Structural pipeline
+    /// errors (empty builder, untileable pool, …) surface as
     /// [`SessionError::Run`]. A pipeline with no PAF slot collapses to
     /// a single empty-vector candidate.
     pub fn plan(self) -> Result<Plan, SessionError> {
@@ -397,10 +399,9 @@ impl SessionBuilder {
             candidates,
             seed,
         } = self;
-        let candidate_list = candidates;
         let forms: Vec<PafForm> = match objective {
             Objective::FixedForm(form) => vec![form],
-            _ => match &candidate_list {
+            _ => match &candidates {
                 Some(c) if c.is_empty() => return Err(SessionError::NoCandidates),
                 Some(c) => c.clone(),
                 None => {
@@ -431,7 +432,6 @@ impl SessionBuilder {
         Ok(ProbedModel {
             base,
             forms,
-            candidate_list,
             params,
             objective,
             seed,
@@ -439,290 +439,150 @@ impl SessionBuilder {
     }
 }
 
-/// The search half of [`SessionBuilder::plan`], over an already-probed
-/// model.
+/// The planning half of [`SessionBuilder::plan`], over an
+/// already-probed model: one trace per candidate form, one dynamic
+/// program over all of them, and one more trace when its vector wins.
 fn plan_probed(probed: ProbedModel) -> Result<Plan, SessionError> {
     let ProbedModel {
         base,
         forms,
-        candidate_list,
         params,
         objective,
         seed,
     } = probed;
     let num_slots = base.num_paf_stages();
-    let max_level = params.depth;
-
-    // The per-slot candidate lists drive the greedy refinement, which
-    // does not run for fixed forms or single-slot pipelines (there the
-    // uniform pass already covers every vector).
-    let searchable = num_slots >= 2 && !matches!(objective, Objective::FixedForm(_));
-    let per_slot: Vec<Vec<PafForm>> = if searchable {
-        match &candidate_list {
-            Some(c) => vec![c.clone(); num_slots],
-            None => CompositePaf::candidate_forms_per_slot(max_level, &base.paf_slot_kinds()),
-        }
+    // A pipeline without PAF slots has one vector, the empty one.
+    let tried = if num_slots == 0 {
+        &forms[..1]
     } else {
-        Vec::new()
+        &forms[..]
+    };
+    let infos: Vec<FormInfo> = tried.iter().map(|&form| FormInfo::new(form)).collect();
+    let install = |vector: &[usize]| {
+        let pairs: Vec<(CompositePaf, Arc<CompositeEval>)> = vector
+            .iter()
+            .map(|&i| (infos[i].paf.clone(), Arc::clone(&infos[i].engine)))
+            .collect();
+        base.try_with_prepared_pafs(&pairs)
     };
 
-    let mut search = VectorSearch::new(&base, &params);
-    let mut skipped: Vec<PafForm> = Vec::new();
-
-    // Uniform pass: one dry run per candidate form.
-    for &form in &forms {
-        match search.eval(vec![form; num_slots])? {
-            Ok(_) => {}
-            Err(e) => {
-                if matches!(objective, Objective::FixedForm(_)) {
-                    return Err(e.into());
-                }
-                skipped.push(form);
+    // Every form as a uniform vector: a row of the plan, and the run
+    // the dynamic program draws that form's ops from. `rows[r]` is the
+    // form of `planned[r]`.
+    let (mut planned, mut rows, mut skipped, mut runs) = (vec![], vec![], vec![], vec![]);
+    for (i, info) in infos.iter().enumerate() {
+        let vector = vec![i; num_slots];
+        let pipeline = install(&vector)?;
+        runs.push(pipeline.atomic_ops(1));
+        match pipeline.trace(&params, true, 1) {
+            Ok((trace, _)) => {
+                planned.push(PlannedCandidate::traced(&infos, &vector, trace, &params));
+                rows.push(i);
             }
+            Err(e) if e.is_infeasible_form() && !matches!(objective, Objective::FixedForm(_)) => {
+                skipped.push(info.form);
+            }
+            Err(e) => return Err(e.into()),
         }
     }
-    if search.evaluated.is_empty() {
+    if planned.is_empty() {
         return Err(SessionError::NoFeasibleForm {
             tried: forms.len(),
-            max_level,
+            max_level: params.depth,
         });
     }
-    // The best reachable fidelity is set by the uniform pass: a
-    // mixed vector's worst-slot error can never beat the best
-    // single form everywhere.
-    let best_fid = search
-        .evaluated
-        .iter()
-        .map(|c| c.fidelity)
-        .fold(f64::NEG_INFINITY, f64::max);
+    let mut dry_runs = infos.len();
 
-    // Per-slot refinement: greedy sweeps seeded by the uniform winner,
-    // to a fixed point. Every accepted move strictly lowers the
-    // objective's key over a finite set of vectors, so the loop ends on
-    // its own; each vector is dry-run at most once (`VectorSearch::seen`).
-    if searchable {
-        let mut current = select_chosen(&search.evaluated, &objective, best_fid);
-        let mut improved = true;
-        while improved {
-            improved = false;
-            for (slot, slot_forms) in per_slot.iter().enumerate() {
-                for &form in slot_forms {
-                    if search.evaluated[current].forms[slot] == form {
-                        continue;
-                    }
-                    let mut v = search.evaluated[current].forms.clone();
-                    v[slot] = form;
-                    if let Ok(idx) = search.eval(v)? {
-                        if strictly_better(&search.evaluated, idx, current, &objective, best_fid) {
-                            current = idx;
-                            improved = true;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    let VectorSearch {
-        evaluated: planned,
-        dry_runs,
-        form_info,
-        ..
-    } = search;
-    let chosen = select_chosen(&planned, &objective, best_fid);
-
-    // Install the winner from the search's own per-form cache —
-    // no composite rebuild or engine re-preparation.
-    let chosen_pairs: Vec<(CompositePaf, Arc<CompositeEval>)> = planned[chosen]
-        .forms
-        .iter()
-        .map(|f| {
-            let info = &form_info
+    // The objective's key, the one the cut is chosen by: refreshes
+    // first, then ct-mults for `MinBootstraps`, then price.
+    let tiebreak = match objective {
+        Objective::MinBootstraps => Tiebreak::ProductsThenPrice,
+        _ => Tiebreak::Price,
+    };
+    let key = |c: &PlannedCandidate| {
+        tiebreak.key(
+            c.cost.bootstraps,
+            c.cost.ct_mults,
+            c.trace.total_op_modmuls(),
+        )
+    };
+    // `MinLatency`'s fidelity bound holds per slot: a vector's worst
+    // slot is within the drop of the best uniform row exactly when
+    // every slot's form is. Negative or NaN drops are 0.0, so the best
+    // row's form always qualifies.
+    let floor = match objective {
+        Objective::MinLatency { max_acc_drop } => {
+            let best = planned
                 .iter()
-                .find(|(known, _)| known == f)
-                .expect("every planned form is in the search cache")
-                .1;
-            (info.paf.clone(), Arc::clone(&info.engine))
-        })
+                .map(|c| c.fidelity)
+                .fold(f64::NEG_INFINITY, f64::max);
+            best - max_acc_drop.max(0.0)
+        }
+        _ => f64::NEG_INFINITY,
+    };
+    let allowed: Vec<usize> = (0..infos.len())
+        .filter(|&i| infos[i].fidelity >= floor)
         .collect();
-    let pipeline = base.try_with_prepared_pafs(&chosen_pairs)?;
+    let mut chosen = (0..planned.len())
+        .filter(|&r| infos[rows[r]].fidelity >= floor)
+        .min_by_key(|&r| key(&planned[r]))
+        .expect("the best-fidelity row is allowed");
+
+    // The exact optimum over every vector of the allowed forms and
+    // every cut of it — complete, because an allowed uniform vector
+    // runs. It is traced only when it beats every uniform row.
+    let runs: Vec<&[AtomicOp]> = allowed.iter().map(|&i| &runs[i][..]).collect();
+    let (cut, stage_forms) =
+        LevelSchedule::cut_forms(&runs, &params, params.depth, params.depth, tiebreak);
+    let mixed_wins = cut.key(tiebreak) < key(&planned[chosen]);
+    let vector: Vec<usize> = if mixed_wins {
+        let paf_stages = base.stages().iter().enumerate();
+        let paf_stages = paf_stages.filter(|(_, s)| !matches!(s, Stage::Affine { .. }));
+        paf_stages
+            .map(|(stage, _)| allowed[stage_forms[stage]])
+            .collect()
+    } else {
+        vec![rows[chosen]; num_slots]
+    };
+    let pipeline = install(&vector)?;
+    if mixed_wins {
+        let (trace, _) = pipeline.trace(&params, true, 1)?;
+        dry_runs += 1;
+        planned.push(PlannedCandidate::traced(&infos, &vector, trace, &params));
+        chosen = planned.len() - 1;
+        debug_assert_eq!(key(&planned[chosen]), cut.key(tiebreak));
+    }
     Ok(Plan::assemble(
         pipeline, chosen, planned, forms, skipped, params, objective, dry_runs, seed,
     ))
 }
 
-/// Memoised form-vector evaluation: one [`HePipeline::trace`] per
-/// distinct vector, with per-form composites and fidelity grids built
-/// once and shared across every vector that uses the form.
-/// Everything the planner caches about one candidate form: the
+/// The sign-approximation fidelity of a composite,
+/// `1 − max|paf − sign|` on the accurate range `[ε, 1]`: the
+/// frontier's accuracy axis.
+pub(crate) fn fidelity(paf: &CompositePaf) -> f64 {
+    1.0 - paf.sign_error(FIDELITY_EPS, FIDELITY_SAMPLES)
+}
+
+/// Everything the planner knows about one candidate form: the
 /// composite, its prepared evaluation engine (one schedule packing per
-/// distinct form per *search*, shared by every vector and slot that
-/// picks the form), and its sign-error grid.
+/// form, shared by every vector and slot that takes it), and its
+/// fidelity.
 struct FormInfo {
+    form: PafForm,
     paf: CompositePaf,
     engine: Arc<CompositeEval>,
-    sign_error: f64,
+    fidelity: f64,
 }
 
-struct VectorSearch<'a> {
-    base: &'a HePipeline,
-    params: &'a CkksParams,
-    /// Per-form cache, filled lazily.
-    form_info: Vec<(PafForm, FormInfo)>,
-    /// Every feasible vector evaluated, in evaluation order (uniform
-    /// candidates first).
-    evaluated: Vec<PlannedCandidate>,
-    /// Vector → evaluated index, or the error that made it infeasible.
-    seen: HashMap<Vec<PafForm>, Result<usize, RunError>>,
-    /// Trace dry runs spent.
-    dry_runs: usize,
-}
-
-impl<'a> VectorSearch<'a> {
-    fn new(base: &'a HePipeline, params: &'a CkksParams) -> Self {
-        VectorSearch {
-            base,
-            params,
-            form_info: Vec::new(),
-            evaluated: Vec::new(),
-            seen: HashMap::new(),
-            dry_runs: 0,
-        }
-    }
-
-    fn form_index(&mut self, form: PafForm) -> usize {
-        if let Some(i) = self.form_info.iter().position(|(f, _)| *f == form) {
-            return i;
-        }
+impl FormInfo {
+    fn new(form: PafForm) -> Self {
         let paf = CompositePaf::from_form(form);
-        let engine = Arc::new(paf.prepare());
-        let sign_error = paf.sign_error(FIDELITY_EPS, FIDELITY_SAMPLES);
-        self.form_info.push((
+        FormInfo {
             form,
-            FormInfo {
-                paf,
-                engine,
-                sign_error,
-            },
-        ));
-        self.form_info.len() - 1
-    }
-
-    /// Scores one vector: `Ok(Ok(idx))` feasible (possibly cached),
-    /// `Ok(Err(e))` infeasible on this chain (cached too), outer `Err`
-    /// a structural failure that aborts the plan.
-    fn eval(&mut self, forms: Vec<PafForm>) -> Result<Result<usize, RunError>, SessionError> {
-        if let Some(cached) = self.seen.get(&forms) {
-            return Ok(cached.clone());
-        }
-        let idxs: Vec<usize> = forms.iter().map(|&f| self.form_index(f)).collect();
-        let pairs: Vec<(CompositePaf, Arc<CompositeEval>)> = idxs
-            .iter()
-            .map(|&i| {
-                let info = &self.form_info[i].1;
-                (info.paf.clone(), Arc::clone(&info.engine))
-            })
-            .collect();
-        let pipe = self.base.try_with_prepared_pafs(&pairs)?;
-        self.dry_runs += 1;
-        match pipe.trace(self.params, true, 1) {
-            Ok((trace, _)) => {
-                let worst_err = idxs
-                    .iter()
-                    .map(|&i| self.form_info[i].1.sign_error)
-                    .fold(0.0, f64::max);
-                let relu_levels = idxs
-                    .iter()
-                    .map(|&i| self.form_info[i].1.paf.mult_depth() + 1)
-                    .max()
-                    .unwrap_or(0);
-                let cost = VectorCost {
-                    bootstraps: trace.total_bootstraps(),
-                    ct_mults: trace.total_ct_mults(),
-                    relu_levels,
-                };
-                let priced_ms = trace_price_ms(self.params, &trace);
-                let idx = self.evaluated.len();
-                self.evaluated.push(PlannedCandidate {
-                    forms: forms.clone(),
-                    cost,
-                    trace,
-                    fidelity: 1.0 - worst_err,
-                    priced_ms,
-                });
-                self.seen.insert(forms, Ok(idx));
-                Ok(Ok(idx))
-            }
-            Err(e) if e.is_infeasible_form() => {
-                self.seen.insert(forms, Err(e.clone()));
-                Ok(Err(e))
-            }
-            Err(e) => Err(e.into()),
-        }
-    }
-}
-
-/// The objective's winner among every evaluated vector — uniform
-/// candidates come first, so a mixed vector must be *strictly* better
-/// to displace the single-form choice.
-fn select_chosen(cands: &[PlannedCandidate], objective: &Objective, best_fid: f64) -> usize {
-    match objective {
-        Objective::FixedForm(_) => 0,
-        Objective::MinBootstraps => cands
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| c.cost.sort_key())
-            .map(|(i, _)| i)
-            .expect("non-empty candidate set"),
-        Objective::MinLatency { max_acc_drop } => {
-            // Negative or NaN budgets degrade to 0.0 (strictest), so
-            // the best-fidelity candidate always qualifies and the
-            // selection below cannot come up empty.
-            let drop = max_acc_drop.max(0.0);
-            cands
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.fidelity >= best_fid - drop)
-                .min_by(|(_, a), (_, b)| {
-                    a.priced_ms
-                        .partial_cmp(&b.priced_ms)
-                        .expect("finite traced price")
-                        .then_with(|| a.cost.sort_key().cmp(&b.cost.sort_key()))
-                })
-                .map(|(i, _)| i)
-                .expect("the best-fidelity candidate always satisfies the drop bound")
-        }
-    }
-}
-
-/// Whether candidate `idx` strictly improves on `cur` under the
-/// objective (the greedy acceptance test).
-fn strictly_better(
-    cands: &[PlannedCandidate],
-    idx: usize,
-    cur: usize,
-    objective: &Objective,
-    best_fid: f64,
-) -> bool {
-    match objective {
-        Objective::FixedForm(_) => false,
-        Objective::MinBootstraps => cands[idx].cost.sort_key() < cands[cur].cost.sort_key(),
-        Objective::MinLatency { max_acc_drop } => {
-            let drop = max_acc_drop.max(0.0);
-            if cands[idx].fidelity < best_fid - drop {
-                return false;
-            }
-            match cands[idx]
-                .priced_ms
-                .partial_cmp(&cands[cur].priced_ms)
-                .expect("finite traced price")
-            {
-                std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Greater => false,
-                std::cmp::Ordering::Equal => {
-                    cands[idx].cost.sort_key() < cands[cur].cost.sort_key()
-                }
-            }
+            engine: Arc::new(paf.prepare()),
+            fidelity: fidelity(&paf),
+            paf,
         }
     }
 }
@@ -749,6 +609,31 @@ pub struct PlannedCandidate {
 }
 
 impl PlannedCandidate {
+    /// The row of `vector` (indices into `infos`, one per slot), read
+    /// off its trace.
+    fn traced(
+        infos: &[FormInfo],
+        vector: &[usize],
+        trace: TraceReport,
+        params: &CkksParams,
+    ) -> Self {
+        let slots = || vector.iter().map(|&i| &infos[i]);
+        PlannedCandidate {
+            forms: slots().map(|info| info.form).collect(),
+            cost: VectorCost {
+                bootstraps: trace.total_bootstraps(),
+                ct_mults: trace.total_ct_mults(),
+                relu_levels: slots()
+                    .map(|info| info.paf.mult_depth() + 1)
+                    .max()
+                    .unwrap_or(0),
+            },
+            fidelity: slots().map(|info| info.fidelity).fold(1.0, f64::min),
+            priced_ms: trace_price_ms(params, &trace),
+            trace,
+        }
+    }
+
     /// See [`Plan::input_level`].
     fn input_level(&self) -> usize {
         let first = self.trace.stages.first();
@@ -777,9 +662,9 @@ impl PlannedCandidate {
     }
 }
 
-/// State 2 of the typed-state chain: the outcome of the trace-priced
-/// Pareto search — chosen form, the full frontier, every candidate's
-/// traced cost, and a human-readable [`PlanReport`].
+/// State 2 of the typed-state chain: the outcome of planning — chosen
+/// form vector, the frontier, every traced candidate's cost, and a
+/// human-readable [`PlanReport`].
 /// [`Plan::compile`] consumes it.
 pub struct Plan {
     pipeline: HePipeline,
@@ -812,11 +697,10 @@ impl fmt::Debug for Plan {
 
 impl Plan {
     /// Derives the Pareto points, frontier, and report from the
-    /// evaluated candidates and assembles the plan — the one
-    /// constructor shared by the search
-    /// ([`SessionBuilder::plan`]) and the registry
-    /// ([`PlanRegistry::load_plan`], with `dry_runs` 0: a loaded plan
-    /// spent no search in this process).
+    /// traced candidates and assembles the plan — the one constructor
+    /// shared by the planner ([`SessionBuilder::plan`]) and the
+    /// registry ([`PlanRegistry::load_plan`], with `dry_runs` 0: a
+    /// loaded plan traced nothing to plan in this process).
     ///
     /// [`PlanRegistry::load_plan`]: crate::PlanRegistry::load_plan
     #[allow(clippy::too_many_arguments)]
@@ -882,7 +766,7 @@ impl Plan {
 
     /// The single chosen form of a *uniform* plan — the legacy
     /// single-form path ([`Objective::FixedForm`], one-slot pipelines,
-    /// or a search that kept the uniform winner).
+    /// or a plan no mixed vector beats).
     ///
     /// # Panics
     ///
@@ -931,8 +815,9 @@ impl Plan {
         self.candidates[self.chosen].input_level()
     }
 
-    /// Every feasible vector evaluated, in evaluation order (uniform
-    /// candidates first, then searched vectors).
+    /// Every vector traced that runs: the uniform vectors in candidate
+    /// order, then the dynamic program's mixed vector when it is
+    /// strictly better than all of them.
     pub fn candidates(&self) -> &[PlannedCandidate] {
         &self.candidates
     }
@@ -969,16 +854,18 @@ impl Plan {
         self.objective
     }
 
-    /// Trace dry runs the planner spent (uniform pass + greedy
-    /// sweeps); 0 for a plan loaded from a registry.
+    /// Trace dry runs the planner spent: one per candidate form, plus
+    /// one when a mixed vector wins (a pipeline without PAF slots
+    /// traces its one vector once); 0 for a plan loaded from a
+    /// registry.
     pub fn dry_runs_used(&self) -> usize {
         self.dry_runs
     }
 
-    /// The resolved candidate form list the search drew uniform
-    /// vectors from (explicit [`SessionBuilder::candidates`], or every
-    /// form fitting the chain) — part of the registry's content
-    /// address, because it changes what the search can find.
+    /// The resolved candidate form list every slot draws from
+    /// (explicit [`SessionBuilder::candidates`], or every form fitting
+    /// the chain) — part of the registry's content address, because it
+    /// changes what the planner can choose.
     pub fn candidate_forms(&self) -> &[PafForm] {
         &self.candidate_forms
     }
@@ -1588,7 +1475,7 @@ mod tests {
         // Three ReLU blocks exceed the 12-level toy chain for every
         // form, so the ranking is decided by traced bootstraps +
         // ct-mults: the uniform f1∘g2 vector beats the 27-degree
-        // comparator, and the per-slot search can only improve on it.
+        // comparator, and the planner's optimum can only improve on it.
         let plan = builder(3, 2.0, 11)
             .candidates(&[PafForm::MinimaxDeg27, PafForm::F1G2])
             .objective(Objective::MinBootstraps)
@@ -1606,7 +1493,8 @@ mod tests {
         assert!(deep.cost.ct_mults > cheap.cost.ct_mults);
         // The chosen vector is at least as cheap as the best uniform,
         // and every entry comes from the candidate set.
-        assert!(plan.chosen_cost().sort_key() <= cheap.cost.sort_key());
+        let (chosen, cheap) = (plan.chosen_cost(), &cheap.cost);
+        assert!((chosen.bootstraps, chosen.ct_mults) <= (cheap.bootstraps, cheap.ct_mults));
         assert_eq!(plan.chosen_forms().len(), 3);
         assert!(plan
             .chosen_forms()
@@ -1862,40 +1750,35 @@ mod tests {
 
     #[test]
     fn planner_work_is_an_exact_dry_run_count() {
-        // The planner's cost as a count, not a time: six forms over S
-        // affine→ReLU blocks are the uniform pass (F dry runs) plus
-        // greedy sweeps of S·(F−1) single-slot moves each. Here the
-        // uniform winner is already the fixed point, so one sweep
-        // confirms it — a search that stops terminating, sweeps twice
-        // for nothing or re-traces a cached vector moves these numbers.
+        // The planner's cost as a count, not a time: one dry run per
+        // candidate form, and one more when the dynamic program's
+        // vector beats every uniform one. Here uniform f1∘g2 is the
+        // optimum, so S slots cost F dry runs whatever S is.
         let forms = PafForm::all().len();
-        for (slots, dry_runs) in [(2, 16), (6, 36), (20, 106)] {
+        for slots in [2, 6, 20] {
             let plan = builder(slots, 2.0, 22)
                 .objective(Objective::MinBootstraps)
                 .plan()
                 .expect("plannable");
             assert_eq!(plan.chosen_forms().len(), slots);
-            assert_eq!(plan.dry_runs_used(), dry_runs, "{slots} slots");
-            assert_eq!(dry_runs, forms + slots * (forms - 1));
+            assert_eq!(
+                plan.dry_runs_used(),
+                forms,
+                "{slots} slots: re-recorded from F + S·(F−1) (16 / 36 / 106) — the greedy \
+                 sweeps traced every single-slot move; the exact optimum is found without \
+                 tracing a vector, and here it is uniform"
+            );
+            assert_eq!(plan.chosen_form(), PafForm::F1G2);
             // Every form fits the toy chain, so every dry run is one
             // distinct feasible vector.
-            assert_eq!(plan.candidates().len(), dry_runs);
-            assert!(plan
-                .report()
-                .as_str()
-                .contains(&format!("in {dry_runs} dry run(s)\n")));
+            assert_eq!(plan.candidates().len(), forms);
+            assert!(plan.report().as_str().contains(&format!(
+                "{forms} vector(s) evaluated in {forms} dry run(s)\n"
+            )));
         }
-        // A sweep that adopts a move is followed by one more, and that
-        // one is served from the cache: of f1²∘g1² (fewer ct-mults) and
-        // α=7 (shallower) on a 16-level chain the first slot alone
-        // keeps the uniform winner's one refresh as f1²∘g1², and the
-        // search still ends at F + S·(F−1), inside the general
-        // F + sweeps·S·(F−1). (Until the cut was priced this was a
-        // 14-level `MinLatency` plan that moved slot 0 to f2∘g2: the
-        // deeper form pushed the greedy walk into a cheaper cut than
-        // it found for uniform f1∘g2. Under the exact cut more
-        // ct-mults are never cheaper, and no price objective adopts a
-        // move on these blocks.)
+        // Of f1²∘g1² (fewer ct-mults) and α=7 (shallower) on a 16-level
+        // chain, two mixed vectors keep uniform α=7's one refresh with
+        // fewer ct-mults; the cheaper is traced as the (F + 1)-th row.
         let pair = [PafForm::F1SqG1Sq, PafForm::Alpha7];
         let plan = builder(3, 2.0, 22)
             .params(CkksParams {
@@ -1910,7 +1793,12 @@ mod tests {
             plan.chosen_forms(),
             [PafForm::F1SqG1Sq, PafForm::Alpha7, PafForm::Alpha7]
         );
-        assert_eq!(plan.dry_runs_used(), pair.len() + 3 * (pair.len() - 1));
+        assert_eq!(
+            plan.dry_runs_used(),
+            pair.len() + 1,
+            "re-recorded from F + S·(F−1) = 5: the mixed winner is the one vector traced \
+             beyond the uniform rows"
+        );
         assert_eq!(plan.candidates().len(), plan.dry_runs_used());
     }
 

@@ -6,10 +6,10 @@
 //! The deployment model is the paper's: weights public, inputs
 //! private. Features come from a plaintext extractor (a 4×4 grid of
 //! regional means); the head — where the non-polynomial operators
-//! live — runs encrypted. The planner searches per-slot *form
-//! vectors* for the fewest refreshes; the pool folds on the one
+//! live — runs encrypted. The planner chooses a per-slot *form
+//! vector* for the fewest refreshes; the pool folds on the one
 //! ciphertext, so every op is one ciphertext wide, shallower never
-//! refreshes more, and on this conv+pool head the search settles on
+//! refreshes more, and on this conv+pool head the plan settles on
 //! f1∘g2 in both slots — printed below as the per-slot table.
 //!
 //! Run with: `cargo run -p smartpaf-examples --release --bin private_inference`
@@ -29,8 +29,8 @@ fn main() {
     let (x, labels) = dataset.batch(Split::Val, 0, batch);
     let feats = plain_features(&x); // [batch, 1, GRID, GRID]
 
-    // Plan + compile the head; min-bootstraps searches the per-slot
-    // form vector (uniform pass -> greedy -> beam, all trace-priced).
+    // Plan + compile the head; min-bootstraps chooses the per-slot
+    // form vector (uniform rows traced, then one exact dynamic program).
     let mut rng = Rng64::new(77);
     let plan = Session::builder(&[1, GRID, GRID])
         .affine(Conv2d::new(1, 2, 3, 1, 1, &mut rng))

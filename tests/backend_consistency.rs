@@ -126,7 +126,7 @@ fn scheduler_cost_oracle_orders_forms() {
         .plan()
         .expect("12-level chain fits all");
     let mut ranked: Vec<_> = plan.candidates().iter().collect();
-    ranked.sort_by_key(|c| c.cost.sort_key());
+    ranked.sort_by_key(|c| (c.cost.bootstraps, c.cost.ct_mults, c.cost.relu_levels));
     assert_eq!(ranked.len(), 6);
     assert_eq!(ranked[0].uniform_form(), Some(PafForm::F1G2));
     assert_eq!(ranked[5].uniform_form(), Some(PafForm::MinimaxDeg27));
