@@ -47,11 +47,8 @@ impl Ciphertext {
     ///
     /// Panics if `num_limbs` is zero or larger than the current count.
     pub fn drop_to(&mut self, num_limbs: usize) {
-        assert!(num_limbs >= 1 && num_limbs <= self.num_limbs());
-        while self.num_limbs() > num_limbs {
-            self.c0.drop_last_limb();
-            self.c1.drop_last_limb();
-        }
+        self.c0.drop_to(num_limbs);
+        self.c1.drop_to(num_limbs);
     }
 }
 
@@ -81,11 +78,8 @@ impl Product {
     ///
     /// Panics if `num_limbs` is zero or larger than the current count.
     pub fn drop_to(&mut self, num_limbs: usize) {
-        assert!(num_limbs >= 1 && num_limbs <= self.num_limbs());
         for d in [&mut self.d0, &mut self.d1, &mut self.d2] {
-            while d.num_limbs() > num_limbs {
-                d.drop_last_limb();
-            }
+            d.drop_to(num_limbs);
         }
     }
 
@@ -205,12 +199,10 @@ impl Evaluator {
         e0.to_ntt();
         let mut e1 = RnsPoly::random_error(&self.ctx, nl, rng);
         e1.to_ntt();
-        let mut c0 = pk.b.truncated(nl);
-        c0.mul_assign(&u);
+        let mut c0 = pk.b.mul(&u);
         c0.add_assign(&e0);
         c0.add_assign(&pt.poly);
-        let mut c1 = pk.a.truncated(nl);
-        c1.mul_assign(&u);
+        let mut c1 = pk.a.mul(&u);
         c1.add_assign(&e1);
         Ciphertext {
             c0,
@@ -244,71 +236,69 @@ impl Evaluator {
         self.encoder.decode(&pt, count)
     }
 
-    fn align(&self, a: &Ciphertext, b: &Ciphertext) -> (Ciphertext, Ciphertext) {
-        let nl = a.num_limbs().min(b.num_limbs());
-        let mut aa = a.clone();
-        let mut bb = b.clone();
-        aa.drop_to(nl);
-        bb.drop_to(nl);
-        assert_scales_agree(aa.scale, bb.scale);
-        (aa, bb)
-    }
-
-    /// Homomorphic addition (auto-aligns levels; scales must agree to
-    /// within the internal `SCALE_TOLERANCE`).
+    /// Homomorphic addition on the operands' common limbs: the higher
+    /// one is read through its limb prefix, neither is copied. Scales
+    /// must agree to within the internal `SCALE_TOLERANCE`.
     ///
     /// # Panics
     ///
     /// Panics on scale mismatch beyond tolerance.
     pub fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        let (aa, bb) = self.align(a, b);
+        assert_scales_agree(a.scale, b.scale);
         Ciphertext {
-            c0: aa.c0.add(&bb.c0),
-            c1: aa.c1.add(&bb.c1),
-            scale: aa.scale.max(bb.scale),
+            c0: a.c0.add(&b.c0),
+            c1: a.c1.add(&b.c1),
+            scale: a.scale.max(b.scale),
         }
     }
 
-    /// Homomorphic subtraction.
+    /// Homomorphic subtraction, on the common limbs like [`Self::add`].
     ///
     /// # Panics
     ///
     /// Panics on scale mismatch beyond tolerance.
     pub fn sub(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        let (aa, bb) = self.align(a, b);
+        assert_scales_agree(a.scale, b.scale);
         Ciphertext {
-            c0: aa.c0.sub(&bb.c0),
-            c1: aa.c1.sub(&bb.c1),
-            scale: aa.scale.max(bb.scale),
+            c0: a.c0.sub(&b.c0),
+            c1: a.c1.sub(&b.c1),
+            scale: a.scale.max(b.scale),
         }
     }
 
-    /// Adds an encoded plaintext.
+    /// Adds an encoded plaintext at the ciphertext's level or above.
     ///
-    /// The (full-level) plaintext poly is read through a limb prefix —
-    /// no clone, no limb-dropping, no domain conversion per call.
+    /// The (usually full-level) plaintext poly is read through a limb
+    /// prefix — no clone, no limb-dropping, no domain conversion per
+    /// call.
     ///
     /// # Panics
     ///
-    /// Panics on scale mismatch beyond tolerance or level mismatch.
+    /// Panics on scale mismatch beyond tolerance or if the plaintext
+    /// has fewer limbs.
     pub fn add_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
         assert_scales_agree(a.scale, pt.scale);
+        assert!(pt.poly.num_limbs() >= a.num_limbs(), "level mismatch");
         Ciphertext {
-            c0: a.c0.add_trunc(&pt.poly),
+            c0: a.c0.add(&pt.poly),
             c1: a.c1.clone(),
             scale: a.scale,
         }
     }
 
-    /// Multiplies by an encoded plaintext. Result scale is the product;
-    /// callers usually [`Self::rescale`] afterwards.
+    /// Multiplies by an encoded plaintext at the ciphertext's level or
+    /// above, read through a limb prefix like [`Self::add_plain`].
+    /// Result scale is the product; callers usually [`Self::rescale`]
+    /// afterwards.
     ///
-    /// Like [`Self::add_plain`], reads the plaintext through a limb
-    /// prefix instead of cloning and truncating it per call.
+    /// # Panics
+    ///
+    /// Panics if the plaintext has fewer limbs.
     pub fn mul_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
+        assert!(pt.poly.num_limbs() >= a.num_limbs(), "level mismatch");
         Ciphertext {
-            c0: a.c0.mul_trunc(&pt.poly),
-            c1: a.c1.mul_trunc(&pt.poly),
+            c0: a.c0.mul(&pt.poly),
+            c1: a.c1.mul(&pt.poly),
             scale: a.scale * pt.scale,
         }
     }
@@ -346,16 +336,10 @@ impl Evaluator {
     /// The tensor product of two ciphertexts on their common limbs, not
     /// yet key-switched: four ring multiplications, no transform.
     pub fn tensor(&self, a: &Ciphertext, b: &Ciphertext) -> Product {
-        // The products read the higher operand through a limb prefix.
-        let (lo, hi) = if a.num_limbs() <= b.num_limbs() {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        let d0 = lo.c0.mul_trunc(&hi.c0);
-        let mut d1 = lo.c0.mul_trunc(&hi.c1);
-        d1.mul_acc(&lo.c1, &hi.c0);
-        let d2 = lo.c1.mul_trunc(&hi.c1);
+        let d0 = a.c0.mul(&b.c0);
+        let mut d1 = a.c0.mul(&b.c1);
+        d1.mul_acc(&a.c1, &b.c0);
+        let d2 = a.c1.mul(&b.c1);
         Product {
             d0,
             d1,
@@ -903,9 +887,9 @@ mod tests {
     }
 
     #[test]
-    fn tensor_reads_the_higher_operand_through_a_prefix() {
-        // Operands at different levels, either way round: the bytes of
-        // the tensor of two copies dropped to the common limbs.
+    fn tensor_add_sub_read_the_higher_operand_through_a_prefix() {
+        // Operands at different levels, either way round: the bytes and
+        // scale of the op on two copies dropped to the common limbs.
         let (ev, mut rng) = setup(9);
         let hi = ev.encrypt_values(&[0.7, -0.3], &mut rng);
         let mut lo = ev.encrypt_values(&[0.2, 0.5], &mut rng);
@@ -922,6 +906,17 @@ mod tests {
                 (&got.d2, &expect.d2),
             ] {
                 assert!(g.limbs().eq(e.limbs()));
+            }
+        }
+        type Op = fn(&Evaluator, &Ciphertext, &Ciphertext) -> Ciphertext;
+        for (name, op) in [("add", Evaluator::add as Op), ("sub", Evaluator::sub)] {
+            for (a, b, a_dropped, b_dropped) in
+                [(&hi, &lo, &hi_dropped, &lo), (&lo, &hi, &lo, &hi_dropped)]
+            {
+                let (got, want) = (op(&ev, a, b), op(&ev, a_dropped, b_dropped));
+                assert_eq!(got.num_limbs(), 2, "{name}");
+                assert_eq!(got.scale.to_bits(), want.scale.to_bits(), "{name}");
+                assert_eq!(digest(&got), digest(&want), "{name}");
             }
         }
     }

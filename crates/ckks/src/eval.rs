@@ -157,9 +157,7 @@ impl PafEvaluator {
         let mut out = ev.relinearize_rescale(sum.expect("a non-constant stage has a term k >= 1"));
         settle(&mut out.scale, target);
         if odd[0] != 0.0 {
-            let mut lin = linear();
-            lin.drop_to(out.num_limbs());
-            out = ev.add(&out, &lin);
+            out = ev.add(&out, &linear());
         }
         out
     }
@@ -214,10 +212,11 @@ impl PafEvaluator {
         let last = half_stages.last_mut().expect("non-empty composite");
         *last = last.scale(0.5);
         let half_sign = self.composite_at(d, &half_stages, sign_scale);
-        let (mut d, mut sum) = (d.clone(), sum.clone());
-        d.drop_to(sign_limbs);
+        debug_assert_eq!(half_sign.num_limbs(), sign_limbs);
+        // `mul_const_at` rescales from its input's top limb.
+        let mut sum = sum.clone();
         sum.drop_to(sign_limbs);
-        let mut prod = ev.relinearize_rescale(ev.tensor(&d, &half_sign));
+        let mut prod = ev.relinearize_rescale(ev.tensor(d, &half_sign));
         let mut half_sum = ev.mul_const_at(&sum, 0.5, sign_scale);
         settle(&mut prod.scale, ctx.scale());
         settle(&mut half_sum.scale, ctx.scale());

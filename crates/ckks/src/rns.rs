@@ -10,11 +10,21 @@
 //! thread-local [`crate::pool`] so steady-state ciphertext pipelines
 //! do not allocate. See `docs/ARCHITECTURE.md` ("Memory & kernels").
 //!
+//! # The prefix rule
+//!
+//! An op runs on the limbs both operands have. An allocating op
+//! (`add`, `sub`, `mul`) returns `min(self, other)` limbs; an in-place
+//! op (`add_assign`, `mul_acc`) reads the first `self.num_limbs()`
+//! limbs of operands at the same or a higher level. The residues of a
+//! prefix are the residues of a truncation, so an operand is never
+//! copied or dropped to meet another's level, and a plaintext encoded
+//! once at the full chain serves every level.
+//!
 //! All modular arithmetic goes through the per-prime
 //! [`crate::modular::PrimeArith`] Barrett/Shoup kernels — same
 //! residues as the portable `% q` helpers, no hardware division.
 
-use crate::modular::{add_mod, inv_mod, sub_mod, PrimeArith};
+use crate::modular::{inv_mod, sub_mod, PrimeArith};
 use crate::ntt::NttTable;
 use crate::pool;
 use smartpaf_tensor::Rng64;
@@ -504,241 +514,143 @@ impl RnsPoly {
         self.is_ntt = false;
     }
 
-    fn assert_binop_compatible(&self, other: &RnsPoly) {
+    /// Panics unless `other` is in `self`'s domain and has at least
+    /// `self`'s limbs — the operand an in-place op reads a prefix of.
+    fn assert_prefix_operand(&self, other: &RnsPoly) {
         assert_eq!(self.is_ntt, other.is_ntt, "domain mismatch");
-        assert_eq!(self.num_limbs(), other.num_limbs(), "level mismatch");
+        assert!(other.num_limbs >= self.num_limbs, "level mismatch");
     }
 
-    /// Copies the first `num_limbs` limbs into a new (pooled) element,
-    /// preserving the domain flag. With the flat layout this is a
-    /// single prefix `memcpy`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_limbs` is zero or exceeds the current count.
-    pub fn truncated(&self, num_limbs: usize) -> RnsPoly {
-        assert!(
-            num_limbs >= 1 && num_limbs <= self.num_limbs(),
-            "invalid truncation"
-        );
-        let n = self.ctx.n();
-        let mut out = Self::uninit(&self.ctx, num_limbs, self.is_ntt);
-        out.data.copy_from_slice(&self.data[..num_limbs * n]);
-        out
-    }
-
-    /// `self + other`, reading only the first `self.num_limbs()` limbs
-    /// of `other` (which must sit at the same or a higher level). This
-    /// is how plaintext application avoids cloning and limb-dropping
-    /// the (full-level) encoded plaintext on every call.
-    ///
-    /// # Panics
-    ///
-    /// Panics on domain mismatch or if `other` has fewer limbs.
-    pub fn add_trunc(&self, other: &RnsPoly) -> RnsPoly {
-        assert_eq!(self.is_ntt, other.is_ntt, "domain mismatch");
-        assert!(other.num_limbs() >= self.num_limbs(), "level mismatch");
-        let mut out = Self::uninit(&self.ctx, self.num_limbs, self.is_ntt);
-        let n = self.ctx.n();
-        for i in 0..self.num_limbs {
-            let q = self.ctx.primes()[i];
-            let (a, b) = (self.limb(i), other.limb(i));
-            let dst = &mut out.data[i * n..(i + 1) * n];
-            for j in 0..n {
-                dst[j] = add_mod(a[j], b[j], q);
-            }
-        }
-        out
-    }
-
-    /// Pointwise `self * other` (both NTT form), reading only the
-    /// first `self.num_limbs()` limbs of `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on coefficient-form operands or if `other` has fewer
-    /// limbs.
-    pub fn mul_trunc(&self, other: &RnsPoly) -> RnsPoly {
-        assert!(self.is_ntt && other.is_ntt, "mul requires NTT form");
-        assert!(other.num_limbs() >= self.num_limbs(), "level mismatch");
-        let mut out = Self::uninit(&self.ctx, self.num_limbs, true);
+    /// The per-limb loop of every binary op: limb `i` of `self` becomes
+    /// `f(arith_i, x, y)` element-wise, with `y` from limb `i` of `rhs`
+    /// and `x` from limb `i` of `lhs` — or of `self` itself, for the
+    /// in-place form (`lhs = None`). Either operand is read through
+    /// its first `self.num_limbs()` limbs.
+    fn zip_limbs(
+        &mut self,
+        lhs: Option<&RnsPoly>,
+        rhs: &RnsPoly,
+        f: impl Fn(&PrimeArith, u64, u64) -> u64,
+    ) {
         let n = self.ctx.n();
         for i in 0..self.num_limbs {
             let pa = *self.ctx.arith(i);
-            let (a, b) = (self.limb(i), other.limb(i));
-            let dst = &mut out.data[i * n..(i + 1) * n];
-            for j in 0..n {
-                dst[j] = pa.reduce_u128(a[j] as u128 * b[j] as u128);
+            let (dst, y) = (&mut self.data[i * n..(i + 1) * n], rhs.limb(i));
+            match lhs {
+                Some(lhs) => {
+                    for ((d, &x), &y) in dst.iter_mut().zip(lhs.limb(i)).zip(y) {
+                        *d = f(&pa, x, y);
+                    }
+                }
+                None => {
+                    for (d, &y) in dst.iter_mut().zip(y) {
+                        *d = f(&pa, *d, y);
+                    }
+                }
             }
         }
+    }
+
+    /// `f` of `self` and `other` on their common limbs, into a new
+    /// element.
+    fn zip_new(&self, other: &RnsPoly, f: impl Fn(&PrimeArith, u64, u64) -> u64) -> RnsPoly {
+        assert_eq!(self.is_ntt, other.is_ntt, "domain mismatch");
+        let limbs = self.num_limbs.min(other.num_limbs);
+        let mut out = Self::uninit(&self.ctx, limbs, self.is_ntt);
+        out.zip_limbs(Some(self), other, f);
         out
     }
 
-    /// Ring addition.
+    /// Ring addition on the common limbs.
     ///
     /// # Panics
     ///
-    /// Panics on level or domain mismatch.
+    /// Panics on domain mismatch.
     pub fn add(&self, other: &RnsPoly) -> RnsPoly {
-        self.assert_binop_compatible(other);
-        let mut out = Self::uninit(&self.ctx, self.num_limbs, self.is_ntt);
-        let n = self.ctx.n();
-        for i in 0..self.num_limbs {
-            let q = self.ctx.primes()[i];
-            let (a, b) = (self.limb(i), other.limb(i));
-            for j in 0..n {
-                out.data[i * n + j] = add_mod(a[j], b[j], q);
-            }
-        }
-        out
+        self.zip_new(other, PrimeArith::add)
     }
 
     /// In-place ring addition (`self += other`).
     ///
     /// # Panics
     ///
-    /// Panics on level or domain mismatch.
+    /// Panics on domain mismatch or if `other` has fewer limbs.
     pub fn add_assign(&mut self, other: &RnsPoly) {
-        self.assert_binop_compatible(other);
-        for i in 0..self.num_limbs {
-            let q = self.ctx.primes()[i];
-            let n = self.ctx.n();
-            let (dst, src) = (&mut self.data[i * n..(i + 1) * n], other.limb(i));
-            for (x, &y) in dst.iter_mut().zip(src) {
-                *x = add_mod(*x, y, q);
-            }
-        }
+        self.assert_prefix_operand(other);
+        self.zip_limbs(None, other, PrimeArith::add);
     }
 
-    /// Ring subtraction.
+    /// Ring subtraction on the common limbs.
     ///
     /// # Panics
     ///
-    /// Panics on level or domain mismatch.
+    /// Panics on domain mismatch.
     pub fn sub(&self, other: &RnsPoly) -> RnsPoly {
-        self.assert_binop_compatible(other);
-        let mut out = Self::uninit(&self.ctx, self.num_limbs, self.is_ntt);
-        let n = self.ctx.n();
-        for i in 0..self.num_limbs {
-            let q = self.ctx.primes()[i];
-            let (a, b) = (self.limb(i), other.limb(i));
-            for j in 0..n {
-                out.data[i * n + j] = sub_mod(a[j], b[j], q);
-            }
-        }
-        out
+        self.zip_new(other, PrimeArith::sub)
     }
 
-    /// In-place ring subtraction (`self -= other`).
+    /// Ring multiplication on the common limbs (pointwise; both
+    /// operands must be in NTT form). Products reduce through the
+    /// per-prime Barrett constants.
     ///
     /// # Panics
     ///
-    /// Panics on level or domain mismatch.
-    pub fn sub_assign(&mut self, other: &RnsPoly) {
-        self.assert_binop_compatible(other);
-        for i in 0..self.num_limbs {
-            let q = self.ctx.primes()[i];
-            let n = self.ctx.n();
-            let (dst, src) = (&mut self.data[i * n..(i + 1) * n], other.limb(i));
-            for (x, &y) in dst.iter_mut().zip(src) {
-                *x = sub_mod(*x, y, q);
-            }
-        }
-    }
-
-    /// Ring multiplication (pointwise; both operands must be in NTT
-    /// form). Products reduce through the per-prime Barrett constants.
-    ///
-    /// # Panics
-    ///
-    /// Panics on level mismatch or if either operand is in coefficient
-    /// form.
+    /// Panics if either operand is in coefficient form.
     pub fn mul(&self, other: &RnsPoly) -> RnsPoly {
-        self.assert_binop_compatible(other);
-        self.mul_trunc(other)
-    }
-
-    /// In-place pointwise multiplication (`self *= other`; both in NTT
-    /// form).
-    ///
-    /// # Panics
-    ///
-    /// Panics on level mismatch or coefficient-form operands.
-    pub fn mul_assign(&mut self, other: &RnsPoly) {
         assert!(self.is_ntt && other.is_ntt, "mul requires NTT form");
-        self.assert_binop_compatible(other);
-        for i in 0..self.num_limbs {
-            let pa = *self.ctx.arith(i);
-            let n = self.ctx.n();
-            let (dst, src) = (&mut self.data[i * n..(i + 1) * n], other.limb(i));
-            for (x, &y) in dst.iter_mut().zip(src) {
-                *x = pa.reduce_u128(*x as u128 * y as u128);
-            }
-        }
+        self.zip_new(other, PrimeArith::mul)
     }
 
-    /// Fused multiply-add: `self += a * b` (all three in NTT form),
-    /// reading only the first `self.num_limbs()` limbs of `a` and `b`.
+    /// Fused multiply-add: `self += a * b` (all three in NTT form).
     /// Saves one pooled temporary per accumulation versus
-    /// `add_assign(&a.mul(&b))`, and the truncated copy of an operand
-    /// that sits at a higher level.
+    /// `add_assign(&a.mul(&b))`.
     ///
     /// # Panics
     ///
     /// Panics on coefficient-form operands or if `a` or `b` has fewer
     /// limbs than `self`.
     pub fn mul_acc(&mut self, a: &RnsPoly, b: &RnsPoly) {
-        assert!(
-            self.is_ntt && a.is_ntt && b.is_ntt,
-            "mul_acc requires NTT form"
-        );
-        assert!(
-            a.num_limbs() >= self.num_limbs() && b.num_limbs() >= self.num_limbs(),
-            "level mismatch"
-        );
+        assert!(self.is_ntt, "mul_acc requires NTT form");
+        self.assert_prefix_operand(a);
+        self.assert_prefix_operand(b);
+        let n = self.ctx.n();
         for i in 0..self.num_limbs {
             let pa = *self.ctx.arith(i);
-            let q = pa.q();
-            let n = self.ctx.n();
             let dst = &mut self.data[i * n..(i + 1) * n];
-            let (x, y) = (a.limb(i), b.limb(i));
-            for j in 0..n {
-                let prod = pa.reduce_u128(x[j] as u128 * y[j] as u128);
-                dst[j] = add_mod(dst[j], prod, q);
+            for ((d, &x), &y) in dst.iter_mut().zip(a.limb(i)).zip(b.limb(i)) {
+                *d = pa.add(*d, pa.mul(x, y));
             }
         }
     }
 
     /// Negation.
     pub fn neg(&self) -> RnsPoly {
-        let mut out = self.clone();
-        out.neg_assign();
+        let mut out = Self::uninit(&self.ctx, self.num_limbs, self.is_ntt);
+        let n = self.ctx.n();
+        for i in 0..self.num_limbs {
+            let pa = self.ctx.arith(i);
+            for (d, &x) in out.data[i * n..(i + 1) * n].iter_mut().zip(self.limb(i)) {
+                *d = pa.sub(0, x);
+            }
+        }
         out
     }
 
-    /// In-place negation.
-    pub fn neg_assign(&mut self) {
-        for i in 0..self.num_limbs {
-            let q = self.ctx.primes()[i];
-            for x in self.limb_mut(i) {
-                if *x != 0 {
-                    *x = q - *x;
-                }
-            }
-        }
-    }
-
-    /// Drops the last limb without rescaling (plain modulus switch;
-    /// valid when the represented value is small enough). With the
-    /// flat layout this is a truncation — no allocation, no copy.
+    /// Drops limbs until `num_limbs` remain, without rescaling (plain
+    /// modulus switch; valid when the represented value is small
+    /// enough). With the flat layout this is a truncation — no
+    /// allocation, no copy.
     ///
     /// # Panics
     ///
-    /// Panics if only one limb remains.
-    pub fn drop_last_limb(&mut self) {
-        assert!(self.num_limbs() > 1, "cannot drop the last limb");
-        self.num_limbs -= 1;
-        self.data.truncate(self.num_limbs * self.ctx.n());
+    /// Panics if `num_limbs` is zero or exceeds the current count.
+    pub fn drop_to(&mut self, num_limbs: usize) {
+        assert!(
+            num_limbs >= 1 && num_limbs <= self.num_limbs,
+            "invalid truncation"
+        );
+        self.num_limbs = num_limbs;
+        self.data.truncate(num_limbs * self.ctx.n());
     }
 
     /// CKKS rescale: divides by the last prime (rounding) and drops
@@ -771,8 +683,7 @@ impl RnsPoly {
             self.ctx.ntt[last_idx].inverse(last);
         }
         rescale_limbs(&self.ctx, self.is_ntt, last, head, None);
-        self.num_limbs = last_idx;
-        self.data.truncate(self.num_limbs * n);
+        self.drop_to(last_idx);
     }
 
     /// Multiplies every limb `i` by the scalar residue `scalars[i]` and
@@ -1014,48 +925,89 @@ mod tests {
         }
     }
 
+    /// A copy of `p` dropped to `limbs` limbs.
+    fn dropped(p: &RnsPoly, limbs: usize) -> RnsPoly {
+        let mut d = p.clone();
+        d.drop_to(limbs);
+        d
+    }
+
     #[test]
-    fn assign_ops_match_allocating_ops() {
+    fn binary_ops_read_the_common_prefix() {
+        // Every public binary op against the same op on copies dropped
+        // to the common limbs: the operand at the same level, 1 or 3
+        // higher, and — where the op allocates — `self` higher as well;
+        // in both domains, the NTT form only for the product.
+        type Alloc = fn(&RnsPoly, &RnsPoly) -> RnsPoly;
+        type InPlace = fn(&mut RnsPoly, &RnsPoly);
+        let allocating: [(&str, Alloc, bool); 3] = [
+            ("add", RnsPoly::add, true),
+            ("sub", RnsPoly::sub, true),
+            ("mul", RnsPoly::mul, false),
+        ];
+        let in_place: [(&str, InPlace, bool); 1] = [("add_assign", RnsPoly::add_assign, true)];
         let c = ctx();
-        let a: Vec<i64> = (0..64).map(|i| (i as i64 * 37) % 101 - 50).collect();
-        let b: Vec<i64> = (0..64).map(|i| (i as i64 * 53) % 97 - 48).collect();
-        let mut pa = RnsPoly::from_signed_coeffs(&c, &a, 3);
-        let mut pb = RnsPoly::from_signed_coeffs(&c, &b, 3);
-        pa.to_ntt();
-        pb.to_ntt();
-        for (fresh, op) in [
-            (
-                pa.add(&pb),
-                Box::new(|x: &mut RnsPoly| x.add_assign(&pb)) as Box<dyn Fn(&mut RnsPoly)>,
-            ),
-            (pa.sub(&pb), Box::new(|x: &mut RnsPoly| x.sub_assign(&pb))),
-            (pa.mul(&pb), Box::new(|x: &mut RnsPoly| x.mul_assign(&pb))),
-            (pa.neg(), Box::new(|x: &mut RnsPoly| x.neg_assign())),
-        ] {
-            let mut inplace = pa.clone();
-            op(&mut inplace);
-            for i in 0..3 {
-                assert_eq!(fresh.limb(i), inplace.limb(i));
+        let mut rng = Rng64::new(28);
+        for ntt in [true, false] {
+            for (lo, hi) in [(1, 1), (3, 3), (1, 2), (3, 4), (1, 4)] {
+                let mut a = RnsPoly::random_uniform(&c, lo, &mut rng);
+                let mut b = RnsPoly::random_uniform(&c, hi, &mut rng);
+                if !ntt {
+                    a.to_coeff();
+                    b.to_coeff();
+                }
+                let b_lo = dropped(&b, lo);
+                for (name, op, any_domain) in allocating {
+                    if !(ntt || any_domain) {
+                        continue;
+                    }
+                    for (got, want) in [(op(&a, &b), op(&a, &b_lo)), (op(&b, &a), op(&b_lo, &a))] {
+                        assert_eq!((got.num_limbs(), got.is_ntt()), (lo, ntt));
+                        assert_eq!(got.data, want.data, "{name} {lo}/{hi} ntt {ntt}");
+                    }
+                }
+                for (name, op, any_domain) in in_place {
+                    if !(ntt || any_domain) {
+                        continue;
+                    }
+                    let (mut got, mut want) = (a.clone(), a.clone());
+                    op(&mut got, &b);
+                    op(&mut want, &b_lo);
+                    assert_eq!((got.num_limbs(), got.is_ntt()), (lo, ntt));
+                    assert_eq!(got.data, want.data, "{name} {lo}/{hi} ntt {ntt}");
+                }
             }
         }
     }
 
     #[test]
+    #[should_panic(expected = "level mismatch")]
+    fn in_place_ops_reject_a_lower_operand() {
+        // An in-place op keeps `self`'s limbs, so it cannot read an
+        // operand that lacks one.
+        let c = ctx();
+        let mut p = RnsPoly::zero(&c, 3);
+        p.add_assign(&RnsPoly::zero(&c, 2));
+    }
+
+    #[test]
     fn mul_acc_matches_mul_then_add() {
+        // At one level, and with factors 1 or 3 limbs above the
+        // accumulator.
         let c = ctx();
         let a: Vec<i64> = (0..64).map(|i| (i as i64 * 11) % 61 - 30).collect();
         let b: Vec<i64> = (0..64).map(|i| (i as i64 * 19) % 71 - 35).collect();
         let s: Vec<i64> = (0..64).map(|i| (i as i64 * 5) % 41 - 20).collect();
-        let mut pa = RnsPoly::from_signed_coeffs(&c, &a, 2);
-        let mut pb = RnsPoly::from_signed_coeffs(&c, &b, 2);
-        let mut acc = RnsPoly::from_signed_coeffs(&c, &s, 2);
-        pa.to_ntt();
-        pb.to_ntt();
-        acc.to_ntt();
-        let expect = acc.add(&pa.mul(&pb));
-        acc.mul_acc(&pa, &pb);
-        for i in 0..2 {
-            assert_eq!(acc.limb(i), expect.limb(i));
+        for (limbs, a_limbs, b_limbs) in [(2, 2, 2), (1, 2, 4), (3, 4, 3)] {
+            let mut pa = RnsPoly::from_signed_coeffs(&c, &a, a_limbs);
+            let mut pb = RnsPoly::from_signed_coeffs(&c, &b, b_limbs);
+            let mut acc = RnsPoly::from_signed_coeffs(&c, &s, limbs);
+            pa.to_ntt();
+            pb.to_ntt();
+            acc.to_ntt();
+            let expect = acc.add(&dropped(&pa, limbs).mul(&dropped(&pb, limbs)));
+            acc.mul_acc(&pa, &pb);
+            assert_eq!(acc.data, expect.data, "{limbs}/{a_limbs}/{b_limbs} limbs");
         }
     }
 
@@ -1276,32 +1228,12 @@ mod tests {
         let c = ctx();
         let coeffs: Vec<i64> = (0..64).map(|i| i as i64).collect();
         let mut p = RnsPoly::from_signed_coeffs(&c, &coeffs, 3);
-        p.drop_last_limb();
+        let full = p.clone();
+        p.drop_to(2);
         assert_eq!(p.num_limbs(), 2);
+        assert!(p.limbs().eq(full.limbs().take(2)));
         for (i, &v) in coeffs.iter().enumerate() {
             assert_eq!(p.coeff_to_i128(i, 2), v as i128);
-        }
-    }
-
-    #[test]
-    fn trunc_ops_match_clone_and_drop() {
-        let c = ctx();
-        let a: Vec<i64> = (0..64).map(|i| (i as i64 * 7) % 91 - 45).collect();
-        let b: Vec<i64> = (0..64).map(|i| (i as i64 * 3) % 83 - 41).collect();
-        let mut pa = RnsPoly::from_signed_coeffs(&c, &a, 2);
-        let mut pb = RnsPoly::from_signed_coeffs(&c, &b, 4);
-        pa.to_ntt();
-        pb.to_ntt();
-        let pb_dropped = pb.truncated(2);
-        assert_eq!(pb_dropped.num_limbs(), 2);
-        let sum = pa.add_trunc(&pb);
-        let prod = pa.mul_trunc(&pb);
-        let sum_ref = pa.add(&pb_dropped);
-        let prod_ref = pa.mul(&pb_dropped);
-        for i in 0..2 {
-            assert_eq!(sum.limb(i), sum_ref.limb(i));
-            assert_eq!(prod.limb(i), prod_ref.limb(i));
-            assert_eq!(pb_dropped.limb(i), pb.limb(i));
         }
     }
 

@@ -598,18 +598,9 @@ impl HePipeline {
     }
 
     /// [`HePipeline::trace`] over a `max_level`-level chain of
-    /// otherwise default parameters, for the frozen benchmark package,
-    /// which reads counts no parameter moves off it; the next library
-    /// PR after the benchmark repoints deletes it.
-    pub fn dry_run(
-        &self,
-        max_level: usize,
-        allow_bootstrap: bool,
-    ) -> Result<(TraceReport, RunStats), RunError> {
-        self.dry_run_lanes(max_level, allow_bootstrap, 1)
-    }
-
-    /// [`HePipeline::dry_run`] at `lanes` lanes: the same forward.
+    /// otherwise default parameters at `lanes` lanes, for the frozen
+    /// benchmark package, which reads counts no parameter moves off
+    /// it; the next library PR after the benchmark repoints deletes it.
     pub fn dry_run_lanes(
         &self,
         max_level: usize,
@@ -682,7 +673,7 @@ mod tests {
         let ct = pe
             .evaluator()
             .encrypt_replicated(&pipe.pad_input(&x), &mut rng);
-        let (_, enc_stats) = pipe.eval_encrypted(&pe, None, &ct);
+        let (_, enc_stats) = pipe.try_eval_encrypted(&pe, None, &ct).unwrap();
         let (report, trace_stats) = pipe
             .trace(&CkksParams::toy(), false, 1)
             .expect("fits the chain");
@@ -706,7 +697,7 @@ mod tests {
         let ct = pe
             .evaluator()
             .encrypt_replicated(&pipe.pad_input(&[0.2, -0.4, 0.6, -0.8]), &mut rng);
-        let (_, enc_stats) = pipe.eval_encrypted(&pe, Some(&bs), &ct);
+        let (_, enc_stats) = pipe.try_eval_encrypted(&pe, Some(&bs), &ct).unwrap();
         assert!(enc_stats.bootstraps >= 1);
         let (report, trace_stats) = pipe
             .trace(&CkksParams::toy(), true, 1)
@@ -1008,7 +999,7 @@ mod tests {
         let ct = pe
             .evaluator()
             .encrypt_replicated(&pipe.pad_input(&x), &mut rng);
-        let (out_ct, enc_stats) = pipe.eval_encrypted(&pe, Some(&bs), &ct);
+        let (out_ct, enc_stats) = pipe.try_eval_encrypted(&pe, Some(&bs), &ct).unwrap();
         let got = pe.evaluator().decrypt_values(&out_ct, pipe.output_dim());
         let want = pipe.eval_plain(&x);
         for (g, w) in got.iter().zip(&want) {
@@ -1116,7 +1107,7 @@ mod tests {
             let decrypted = |input: &[f64], rng: &mut Rng64| {
                 let bs = Bootstrapper::new(ev.clone(), pipe.dim(), 5);
                 let ct = ev.encrypt_replicated(input, rng);
-                let (out_ct, _) = pipe.eval_encrypted(&pe, Some(&bs), &ct);
+                let (out_ct, _) = pipe.try_eval_encrypted(&pe, Some(&bs), &ct).unwrap();
                 ev.decrypt_values(&out_ct, pipe.dim())
             };
             let (enc_x, enc_y) = (decrypted(&x, &mut rng), decrypted(&y, &mut rng));
@@ -1266,7 +1257,7 @@ mod tests {
             flat.extend_from_slice(&pipe.pad_input(x));
         }
         let ct = pe.evaluator().encrypt_replicated(&flat, &mut rng);
-        let (out_ct, _) = wide.eval_encrypted(&pe, None, &ct);
+        let (out_ct, _) = wide.try_eval_encrypted(&pe, None, &ct).unwrap();
         for (l, x) in xs.iter().enumerate() {
             let want = pipe.eval_plain(x);
             let got = pe.evaluator().decrypt_values(&out_ct, (l + 1) * pipe.dim());

@@ -484,7 +484,7 @@ mod tests {
             }
         }
         // Per-input stats mirror the single-input wrapper.
-        let (_, solo) = pipe.eval_encrypted(&pe, None, &cts[0]);
+        let (_, solo) = pipe.try_eval_encrypted(&pe, None, &cts[0]).unwrap();
         assert_eq!(run.stats[0].stage_levels, solo.stage_levels);
     }
 

@@ -18,10 +18,11 @@ use std::time::{Duration, Instant};
 
 /// Typed failure of pipeline compilation or execution.
 ///
-/// The legacy `panic!`/`assert!` exits of `eval_encrypted` and
-/// `PipelineBuilder::compile` map onto these variants; the panicking
-/// entry points remain as thin wrappers whose messages are exactly the
-/// `Display` strings below.
+/// The legacy `panic!`/`assert!` exits of encrypted execution and
+/// compilation map onto these variants. The panicking entry points
+/// that remain — `PipelineBuilder::compile`, `HePipeline::pad_input`
+/// and `HePipeline::with_pafs` — are thin wrappers whose messages are
+/// exactly the `Display` strings below.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
     /// The builder was compiled with no stages.
@@ -263,7 +264,7 @@ pub trait InferenceBackend {
 
 impl HePipeline {
     /// Runs the compiled stage list through a backend — the single
-    /// interpreter loop behind `eval_plain`, `eval_encrypted`, and the
+    /// interpreter loop behind `eval_plain`, `try_eval_encrypted`, and the
     /// trace dry run.
     ///
     /// Each stage is charged the levels its atomic ops consume

@@ -45,7 +45,7 @@
 //! - [`CkksBackend`] — leveled CKKS executing the run's
 //!   [`LevelSchedule`]: refresh where a segment starts, enter every op
 //!   on exactly the limbs the rest of its segment consumes;
-//!   `eval_encrypted` is a thin wrapper over it.
+//!   [`HePipeline::try_eval_encrypted`] is a thin wrapper over it.
 //! - [`TraceBackend`] — no arithmetic: records the same schedule's
 //!   per-stage entry levels, levels, bootstraps and price plus exact
 //!   ct-mult and key-switch counts ([`HePipeline::trace`]), an instant
@@ -58,9 +58,8 @@
 //! `SMARTPAF_THREADS` override). [`HePipeline::with_pafs`] installs a
 //! per-slot *form vector* — one composite per ReLU/maxpool slot —
 //! without re-probing the affine segments (slots picking the same form
-//! share one prepared engine), and [`HePipeline::with_paf`] is its
-//! uniform single-form case; planners (the `smartpaf` Session API) use
-//! the pair to enumerate candidate form vectors and price each one
+//! share one prepared engine); planners (the `smartpaf` Session API)
+//! use it to enumerate candidate form vectors and price each one
 //! with [`HePipeline::trace`] in microseconds, reading per-slot
 //! costs off [`StageTrace::slot`].
 //!
@@ -86,7 +85,7 @@
 //! let pe = PafEvaluator::new(Evaluator::new(&keys));
 //! let x: Vec<f64> = (0..8).map(|i| (i as f64 - 4.0) / 2.0).collect();
 //! let ct = pe.evaluator().encrypt_replicated(&pipeline.pad_input(&x), &mut rng);
-//! let (out_ct, stats) = pipeline.eval_encrypted(&pe, None, &ct);
+//! let (out_ct, stats) = pipeline.try_eval_encrypted(&pe, None, &ct).unwrap();
 //! let enc = pe.evaluator().decrypt_values(&out_ct, 4);
 //! let plain = pipeline.eval_plain(&x);
 //! for (e, p) in enc.iter().zip(&plain) {

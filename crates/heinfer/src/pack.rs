@@ -510,7 +510,10 @@ mod tests {
         let bs =
             smartpaf_ckks::Bootstrapper::new(pe.evaluator().clone(), packer.expanded().dim(), 67);
         let ct = packer.encrypt(&batch, pe.evaluator(), &mut rng);
-        let (out_ct, _) = packer.expanded().eval_encrypted(&pe, Some(&bs), &ct);
+        let (out_ct, _) = packer
+            .expanded()
+            .try_eval_encrypted(&pe, Some(&bs), &ct)
+            .unwrap();
         let got = packer.decrypt(&out_ct, &batch, pe.evaluator());
         assert_eq!(got.len(), 4);
         for (x, out) in xs.iter().zip(&got) {

@@ -521,31 +521,16 @@ impl HePipeline {
             .collect()
     }
 
-    /// Rebuilds this pipeline with every PAF stage's composite replaced
-    /// by `paf`, keeping the probed affine matrices, scales, shifts, and
-    /// slot layout untouched and re-preparing the plaintext engines —
-    /// the uniform (single-form) case of [`HePipeline::with_pafs`].
-    ///
-    /// Probing affine runs is the expensive part of
-    /// [`PipelineBuilder::try_compile`]; this hook lets a planner probe
-    /// once and then enumerate candidate PAF forms in microseconds (one
-    /// engine preparation per swap), which is what makes trace-priced
-    /// Pareto search over forms practical.
-    pub fn with_paf(&self, paf: &CompositePaf) -> HePipeline {
-        let uniform = vec![paf.clone(); self.num_paf_stages()];
-        self.try_with_pafs(&uniform)
-            .expect("uniform vector length matches by construction")
-    }
-
     /// Rebuilds this pipeline with the `i`-th PAF stage's composite
     /// replaced by `pafs[i]` (stage order), keeping the probed affine
     /// matrices, scales, shifts, and slot layout untouched. Slots that
     /// pick the same composite share one prepared evaluation engine.
     ///
-    /// This is the per-slot generalisation of [`HePipeline::with_paf`]
-    /// that lets a planner search *form vectors* — the paper's
-    /// per-layer replacement tables assign a different form to every
-    /// ReLU/maxpool slot.
+    /// Probing affine runs is the expensive part of
+    /// [`PipelineBuilder::try_compile`]; this hook lets a planner probe
+    /// once and then search *form vectors* in microseconds — the
+    /// paper's per-layer replacement tables assign a different form to
+    /// every ReLU/maxpool slot.
     ///
     /// # Panics
     ///
@@ -1070,7 +1055,7 @@ mod tests {
             .compile()
             .fold_scales();
         let rich = CompositePaf::from_form(PafForm::Alpha7);
-        let swapped = base.with_paf(&rich);
+        let swapped = base.with_pafs(std::slice::from_ref(&rich));
         assert_eq!(swapped.dim(), base.dim());
         assert_eq!(swapped.num_paf_stages(), 1);
         // The swapped pipeline equals compiling with the new form
@@ -1120,11 +1105,6 @@ mod tests {
             assert!((ai - bi).abs() < 1e-12, "{ai} vs {bi}");
         }
         assert_eq!(mixed.total_levels(), direct.total_levels());
-        // The uniform hook is the trivial length-n case of the vector.
-        let uniform = base.with_paf(&rich);
-        let via_vector = base.with_pafs(&[rich.clone(), rich.clone()]);
-        assert_eq!(uniform.paf_forms(), via_vector.paf_forms());
-        assert_eq!(uniform.eval_plain(&x), via_vector.eval_plain(&x));
     }
 
     #[test]

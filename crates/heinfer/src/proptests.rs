@@ -137,8 +137,10 @@ proptest! {
             };
         }
         let pipe = builder.compile();
-        let refreshes = |paf| {
-            let traced = pipe.with_paf(paf).dry_run(max_level, true);
+        let params = CkksParams { depth: max_level, ..CkksParams::default_params() };
+        let refreshes = |paf: &CompositePaf| {
+            let uniform = pipe.with_pafs(&vec![paf.clone(); pipe.num_paf_stages()]);
+            let traced = uniform.trace(&params, true, 1);
             traced.map(|(report, _)| report.total_bootstraps())
         };
         match (refreshes(&shallow), refreshes(&deep)) {
@@ -276,7 +278,7 @@ proptest! {
         let ct = pe
             .evaluator()
             .encrypt_replicated(&pipe.pad_input(&x), &mut rng);
-        let (out_ct, enc_stats) = pipe.eval_encrypted(&pe, None, &ct);
+        let (out_ct, enc_stats) = pipe.try_eval_encrypted(&pe, None, &ct).unwrap();
 
         // PlainBackend ≈ decrypt(CkksBackend ...) within noise.
         let plain = pipe.eval_plain(&x);

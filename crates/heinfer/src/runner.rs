@@ -1,5 +1,5 @@
 //! Encrypted execution of a compiled pipeline with level management —
-//! thin wrappers over the shared interpreter ([`HePipeline::run`])
+//! a thin wrapper over the shared interpreter ([`HePipeline::run`])
 //! driving the [`CkksBackend`]. The threaded batch driver is
 //! [`crate::BatchRunner`] (defined in [`crate::batch`]).
 
@@ -13,27 +13,11 @@ impl HePipeline {
     ///
     /// Pass a [`Bootstrapper`] to refresh the ciphertext when a stage
     /// needs more levels than remain; without one, running out of
-    /// levels panics — exactly the constraint that makes high-degree
-    /// PAFs expensive in the paper.
-    /// [`HePipeline::try_eval_encrypted`] reports the same conditions
-    /// as typed [`RunError`]s instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a stage needs more levels than the whole chain offers,
-    /// or the chain runs dry and `bootstrapper` is `None`.
-    pub fn eval_encrypted(
-        &self,
-        pe: &PafEvaluator,
-        bootstrapper: Option<&Bootstrapper>,
-        ct: &Ciphertext,
-    ) -> (Ciphertext, RunStats) {
-        self.try_eval_encrypted(pe, bootstrapper, ct)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Runs the pipeline on an encrypted input, reporting level
-    /// exhaustion and packing mismatches as typed [`RunError`]s.
+    /// levels is a [`RunError::OutOfLevels`] — exactly the constraint
+    /// that makes high-degree PAFs expensive in the paper. A stage
+    /// that needs more levels than the whole chain offers is a
+    /// [`RunError::AtomicDepthExceeded`], and a packing mismatch a
+    /// [`RunError::SlotMismatch`].
     pub fn try_eval_encrypted(
         &self,
         pe: &PafEvaluator,
@@ -47,6 +31,7 @@ impl HePipeline {
 
 #[cfg(test)]
 mod tests {
+    use crate::exec::RunError;
     use crate::pipeline::PipelineBuilder;
     use smartpaf_ckks::{Bootstrapper, CkksParams, Evaluator, KeyChain, PafEvaluator};
     use smartpaf_nn::{Conv2d, Flatten, Linear};
@@ -70,7 +55,7 @@ mod tests {
         let ct = pe
             .evaluator()
             .encrypt_replicated(&pipe.pad_input(&x), &mut rng);
-        let (out_ct, stats) = pipe.eval_encrypted(&pe, None, &ct);
+        let (out_ct, stats) = pipe.try_eval_encrypted(&pe, None, &ct).unwrap();
         let got = pe.evaluator().decrypt_values(&out_ct, 8);
         let want = pipe.eval_plain(&x);
         for i in 0..8 {
@@ -99,7 +84,7 @@ mod tests {
         let ct = pe
             .evaluator()
             .encrypt_replicated(&pipe.pad_input(&x), &mut rng);
-        let (out_ct, stats) = pipe.eval_encrypted(&pe, None, &ct);
+        let (out_ct, stats) = pipe.try_eval_encrypted(&pe, None, &ct).unwrap();
         let got = pe.evaluator().decrypt_values(&out_ct, 4);
         let want = pipe.eval_plain(&x);
         for i in 0..4 {
@@ -128,7 +113,7 @@ mod tests {
         let ct = pe
             .evaluator()
             .encrypt_replicated(&pipe.pad_input(&x), &mut rng);
-        let (out_ct, _) = pipe.eval_encrypted(&pe, None, &ct);
+        let (out_ct, _) = pipe.try_eval_encrypted(&pe, None, &ct).unwrap();
         let got = pe.evaluator().decrypt_values(&out_ct, 4);
         let want = pipe.eval_plain(&x);
         for i in 0..4 {
@@ -158,7 +143,7 @@ mod tests {
         let ct = pe
             .evaluator()
             .encrypt_replicated(&pipe.pad_input(&x), &mut rng);
-        let (out_ct, stats) = pipe.eval_encrypted(&pe, Some(&bs), &ct);
+        let (out_ct, stats) = pipe.try_eval_encrypted(&pe, Some(&bs), &ct).unwrap();
         assert!(stats.bootstraps >= 1);
         assert_eq!(stats.bootstraps, bs.refresh_count());
         let got = pe.evaluator().decrypt_values(&out_ct, 4);
@@ -174,8 +159,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "level exhausted")]
-    fn no_bootstrapper_panics_on_exhaustion() {
+    fn no_bootstrapper_is_out_of_levels_at_a_stage_boundary() {
         let (pe, mut rng) = setup(65);
         let paf = CompositePaf::from_form(PafForm::F1G2);
         let mut b = PipelineBuilder::new(&[4]);
@@ -186,7 +170,17 @@ mod tests {
         let ct = pe
             .evaluator()
             .encrypt_replicated(&pipe.pad_input(&[0.1; 4]), &mut rng);
-        let _ = pipe.eval_encrypted(&pe, None, &ct);
+        let err = pipe.try_eval_encrypted(&pe, None, &ct).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                RunError::OutOfLevels {
+                    mid_stage: false,
+                    ..
+                }
+            ),
+            "{err}"
+        );
     }
 
     #[test]
@@ -203,7 +197,7 @@ mod tests {
         // Scale, two shifts, selection: 1 + 2·(depth+1) + 1 = 16 levels
         // > the toy chain's 12, so the fold must refresh mid-stage.
         let bs = Bootstrapper::new(pe.evaluator().clone(), pipe.dim(), 3);
-        let (out_ct, stats) = pipe.eval_encrypted(&pe, Some(&bs), &ct);
+        let (out_ct, stats) = pipe.try_eval_encrypted(&pe, Some(&bs), &ct).unwrap();
         assert!(stats.bootstraps >= 1);
         let got = pe.evaluator().decrypt_values(&out_ct, 4);
         let want = pipe.eval_plain(&x);

@@ -78,7 +78,9 @@ fn main() {
         .encrypt_replicated(&pipeline.pad_input(&image), &mut rng);
 
     let t0 = std::time::Instant::now();
-    let (out_ct, stats) = pipeline.eval_encrypted(&pe, Some(&bootstrapper), &ct);
+    let (out_ct, stats) = pipeline
+        .try_eval_encrypted(&pe, Some(&bootstrapper), &ct)
+        .expect("the bootstrapper refreshes before the chain runs dry");
     let wall = t0.elapsed();
 
     let enc_logits = pe

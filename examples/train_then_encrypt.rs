@@ -206,7 +206,9 @@ fn main() {
         let ct = pe
             .evaluator()
             .encrypt_replicated(&pipeline.pad_input(&flat), &mut rng);
-        let (out_ct, _) = pipeline.eval_encrypted(&pe, Some(&bs), &ct);
+        let (out_ct, _) = pipeline
+            .try_eval_encrypted(&pe, Some(&bs), &ct)
+            .expect("the bootstrapper refreshes before the chain runs dry");
         let enc_logits = pe
             .evaluator()
             .decrypt_values(&out_ct, pipeline.output_dim());

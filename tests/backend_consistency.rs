@@ -40,7 +40,7 @@ fn all_backends_agree_end_to_end() {
     let ct = pe
         .evaluator()
         .encrypt_replicated(&pipe.pad_input(&x), &mut rng);
-    let (out_ct, enc_stats) = pipe.eval_encrypted(&pe, None, &ct);
+    let (out_ct, enc_stats) = pipe.try_eval_encrypted(&pe, None, &ct).unwrap();
     let dec = pe.evaluator().decrypt_values(&out_ct, 4);
     for (p, d) in plain.iter().zip(&dec) {
         assert!((p - d).abs() < 0.1, "plain {p} vs decrypted {d}");

@@ -154,7 +154,7 @@ fn encrypted_cnn_matches_plain_and_exact() {
     let ct = pe
         .evaluator()
         .encrypt_replicated(&pipe.pad_input(&flat_x), &mut rng);
-    let (out_ct, stats) = pipe.eval_encrypted(&pe, Some(&bs), &ct);
+    let (out_ct, stats) = pipe.try_eval_encrypted(&pe, Some(&bs), &ct).unwrap();
     let enc = pe.evaluator().decrypt_values(&out_ct, pipe.output_dim());
     for (g, p) in enc.iter().zip(&plain) {
         assert!((g - p).abs() < 2e-8, "encrypted {g} vs plain {p}");
@@ -189,7 +189,7 @@ fn encrypted_maxpool_error_bounded() {
     let ct = pe
         .evaluator()
         .encrypt_replicated(&pipe.pad_input(&x), &mut rng);
-    let (out_ct, _) = pipe.eval_encrypted(&pe, Some(&bs), &ct);
+    let (out_ct, _) = pipe.try_eval_encrypted(&pe, Some(&bs), &ct).unwrap();
     let got = pe.evaluator().decrypt_values(&out_ct, 4);
     for i in 0..4 {
         assert!(
