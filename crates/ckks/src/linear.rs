@@ -21,8 +21,9 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Cache key for an encoded diagonal: (diagonal offset, plaintext
 /// pre-rotation shift, slot count, scale bits). The limb count is NOT
-/// part of the key — diagonals encode once at the full modulus chain
-/// and `mul_plain` reads them through a limb prefix at any level.
+/// part of the key — an entry holds its diagonal on the most limbs any
+/// caller has asked for, and `mul_plain` reads it through a limb prefix
+/// at every level at or below that.
 type DiagKey = (usize, usize, usize, u64);
 
 /// A real matrix stored by its nonzero generalized diagonals, padded to
@@ -33,10 +34,14 @@ type DiagKey = (usize, usize, usize, u64);
 /// rotation plus one plaintext multiply under CKKS.
 ///
 /// Encoded diagonal plaintexts are cached inside the matrix after
-/// first use (one FFT per diagonal per slot layout, ever), so a matrix
+/// first use, on the limbs of the ciphertext that asked, so a matrix
 /// applied across many ciphertexts — the steady state of every
 /// encrypted inference pipeline — pays encoding cost only on its first
-/// application.
+/// application, and holds no limb its products never read. A later
+/// application on more limbs re-encodes and replaces the entry; one on
+/// fewer reads the entry through its prefix. The cache grows and never
+/// shrinks, so a matrix used at several levels holds each diagonal on
+/// the highest of them.
 #[derive(Debug)]
 pub struct DiagMatrix {
     dim: usize,
@@ -213,26 +218,43 @@ impl DiagMatrix {
         self.encoded.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Number of encoded diagonal plaintexts currently cached
-    /// (diagnostics; see the caching tests).
-    pub fn encoded_cache_len(&self) -> usize {
-        self.encoded().len()
+    /// The limb count of each encoded diagonal plaintext currently
+    /// cached, ascending (diagnostics; its `len()` is the number of
+    /// entries — see the caching tests).
+    pub fn encoded_limbs(&self) -> Vec<usize> {
+        let mut limbs: Vec<usize> = self
+            .encoded()
+            .values()
+            .map(|pt| pt.poly.num_limbs())
+            .collect();
+        limbs.sort_unstable();
+        limbs
     }
 
     /// Returns the encoded plaintext for generalized diagonal `d`
-    /// pre-rotated right by `shift` slots, encoding on first use.
+    /// pre-rotated right by `shift` slots on at least `num_limbs`
+    /// limbs, encoding on first use.
     ///
-    /// Encodes at the **full** modulus chain: `mul_plain` reads
-    /// plaintexts through a limb prefix, and per-limb residues are
-    /// computed independently, so the prefix limbs are bit-identical
-    /// to what a per-level encoding would produce. One cache entry
-    /// therefore serves ciphertexts at every level.
-    fn encoded_diag(&self, ev: &Evaluator, d: usize, shift: usize) -> Arc<Plaintext> {
+    /// Encodes on the `num_limbs` limbs of the asking ciphertext, not
+    /// the full chain. Per-limb residues are computed independently, so
+    /// the first `k` limbs of any encoding are the bytes of a `k`-limb
+    /// one: an entry on more limbs than asked serves through its prefix
+    /// (`mul_plain` reads it so), and an entry on fewer is re-encoded
+    /// and replaced.
+    fn encoded_diag(
+        &self,
+        ev: &Evaluator,
+        d: usize,
+        shift: usize,
+        num_limbs: usize,
+    ) -> Arc<Plaintext> {
         let slots = ev.context().slots();
         let scale = ev.context().scale();
         let key = (d, shift, slots, scale.to_bits());
         if let Some(pt) = self.encoded().get(&key) {
-            return Arc::clone(pt);
+            if pt.poly.num_limbs() >= num_limbs {
+                return Arc::clone(pt);
+            }
         }
         let diag = &self.diags[&d];
         let tiled = replicate(diag, slots);
@@ -245,11 +267,13 @@ impl DiagMatrix {
             }
             pre
         };
-        let pt = Arc::new(
-            ev.encoder()
-                .encode(&pre, scale, ev.context().primes().len()),
-        );
-        Arc::clone(self.encoded().entry(key).or_insert(pt))
+        let pt = Arc::new(ev.encoder().encode(&pre, scale, num_limbs));
+        let mut cache = self.encoded();
+        let entry = cache.entry(key).or_insert_with(|| Arc::clone(&pt));
+        if entry.poly.num_limbs() < num_limbs {
+            *entry = pt;
+        }
+        Arc::clone(entry)
     }
 
     /// Replicates the matrix block-diagonally across `lanes` lanes: the
@@ -503,7 +527,7 @@ impl Evaluator {
             .diags
             .keys()
             .zip(&rotated)
-            .map(|(&d, rot)| self.mul_plain(rot, &mat.encoded_diag(self, d, 0)))
+            .map(|(&d, rot)| self.mul_plain(rot, &mat.encoded_diag(self, d, 0, ct.num_limbs())))
             .reduce(|a, term| self.add(&a, &term))
             .unwrap_or_else(|| self.zero_product(ct));
         self.rescale(&mut out);
@@ -556,7 +580,8 @@ impl Evaluator {
             let mut inner: Option<Ciphertext> = None;
             for &d in mat.diags.range(k * g1..(k + 1) * g1).map(|(d, _)| d) {
                 let rot_v = baby[d - k * g1].expect("baby step precomputed");
-                let term = self.mul_plain(rot_v, &mat.encoded_diag(self, d, shift));
+                let pt = mat.encoded_diag(self, d, shift, ct.num_limbs());
+                let term = self.mul_plain(rot_v, &pt);
                 inner = Some(match inner {
                     None => term,
                     Some(a) => self.add(&a, &term),
@@ -864,27 +889,47 @@ mod tests {
         }
     }
 
+    /// Every residue of a ciphertext, `c0`'s limbs then `c1`'s.
+    fn residues(ct: &Ciphertext) -> Vec<&[u64]> {
+        ct.c0.limbs().chain(ct.c1.limbs()).collect()
+    }
+
     #[test]
     fn encoded_diagonals_are_cached_across_calls() {
         let (ev, mut rng) = setup(49);
         let m = 8;
         let rows = random_matrix(m, m, &mut rng);
-        let mat = DiagMatrix::from_rows(&rows);
-        assert_eq!(mat.encoded_cache_len(), 0);
-        let v = random_vec(m, &mut rng);
-        let ct = ev.encrypt_replicated(&v, &mut rng);
-        let first = ev.decrypt_values(&ev.matvec(&mat, &ct), m);
-        let after_first = mat.encoded_cache_len();
-        assert_eq!(after_first, mat.num_diagonals());
-        // Second application: no new encodes, identical result.
-        let second = ev.decrypt_values(&ev.matvec(&mat, &ct), m);
-        assert_eq!(mat.encoded_cache_len(), after_first);
-        assert_eq!(first, second);
-        // Applying at a lower level reuses the same full-chain entries.
+        let ct = ev.encrypt_replicated(&random_vec(m, &mut rng), &mut rng);
+        let full = ct.num_limbs();
         let mut low = ct.clone();
-        low.drop_to(ct.num_limbs() - 2);
-        let _ = ev.matvec(&mat, &low);
-        assert_eq!(mat.encoded_cache_len(), after_first);
+        low.drop_to(3);
+        type Product = fn(&Evaluator, &DiagMatrix, &Ciphertext) -> Ciphertext;
+        for product in [Evaluator::matvec as Product, Evaluator::matvec_bsgs] {
+            let mat = DiagMatrix::from_rows(&rows);
+            assert!(mat.encoded_limbs().is_empty());
+            // A first application at a low level caches every diagonal
+            // on exactly that level's limbs; a second encodes nothing.
+            let first = product(&ev, &mat, &low);
+            assert_eq!(mat.encoded_limbs(), vec![3; mat.num_diagonals()]);
+            let second = product(&ev, &mat, &low);
+            assert_eq!(mat.encoded_limbs(), vec![3; mat.num_diagonals()]);
+            // A full-chain application grows every entry, and a low one
+            // after it reads the grown entries through their prefix.
+            let top = product(&ev, &mat, &ct);
+            assert_eq!(mat.encoded_limbs(), vec![full; mat.num_diagonals()]);
+            let after = product(&ev, &mat, &low);
+            assert_eq!(mat.encoded_limbs(), vec![full; mat.num_diagonals()]);
+            // Each product has the bytes of a matrix whose cache was
+            // filled at the full chain, applied at the same level.
+            let reference = DiagMatrix::from_rows(&rows);
+            product(&ev, &reference, &ct);
+            assert_eq!(reference.encoded_limbs(), mat.encoded_limbs());
+            for (got, input) in [(&first, &low), (&second, &low), (&top, &ct), (&after, &low)] {
+                let want = product(&ev, &reference, input);
+                assert_eq!(got.num_limbs(), want.num_limbs());
+                assert_eq!(residues(got), residues(&want));
+            }
+        }
     }
 
     #[test]
@@ -893,12 +938,12 @@ mod tests {
         let mat = DiagMatrix::identity(8);
         let ct = ev.encrypt_replicated(&random_vec(8, &mut rng), &mut rng);
         let _ = ev.matvec(&mat, &ct);
-        assert!(mat.encoded_cache_len() > 0);
+        assert!(!mat.encoded_limbs().is_empty());
         let copy = mat.clone();
-        assert_eq!(copy.encoded_cache_len(), 0);
+        assert_eq!(copy.encoded_limbs().len(), 0);
         // Scaled copies must not inherit stale plaintexts.
         let scaled = mat.scaled(2.0);
-        assert_eq!(scaled.encoded_cache_len(), 0);
+        assert_eq!(scaled.encoded_limbs().len(), 0);
         let out = ev.decrypt_values(&ev.matvec(&scaled, &ct), 8);
         let base = ev.decrypt_values(&ev.matvec(&mat, &ct), 8);
         for i in 0..8 {
@@ -916,7 +961,7 @@ mod tests {
         let mat = DiagMatrix::from_rows(&random_matrix(m, m, &mut rng));
         let ct = ev.encrypt_replicated(&random_vec(m, &mut rng), &mut rng);
         let before = ev.decrypt_values(&ev.matvec(&mat, &ct), m);
-        let cached = mat.encoded_cache_len();
+        let cached = mat.encoded_limbs().len();
         let panicked = std::thread::scope(|s| {
             s.spawn(|| {
                 let _guard = mat.encoded.lock().unwrap();
@@ -925,12 +970,12 @@ mod tests {
             .join()
         });
         assert!(panicked.is_err() && mat.encoded.is_poisoned());
-        assert_eq!(mat.encoded_cache_len(), cached);
+        assert_eq!(mat.encoded_limbs().len(), cached);
         assert_eq!(ev.decrypt_values(&ev.matvec(&mat, &ct), m), before);
         // The BSGS product encodes pre-rotated diagonals the naive one
         // never cached: inserts go through the poisoned lock too.
         let bsgs = ev.decrypt_values(&ev.matvec_bsgs(&mat, &ct), m);
-        assert!(mat.encoded_cache_len() > cached);
+        assert!(mat.encoded_limbs().len() > cached);
         for (b, w) in bsgs.iter().zip(&before) {
             assert!((b - w).abs() < 5e-2, "{b} vs {w}");
         }

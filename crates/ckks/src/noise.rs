@@ -5,16 +5,18 @@
 //! PAFs fit in a leveled budget. This module provides (a) slot-level
 //! noise measurement so experiments can report precision loss per
 //! depth consumed, and (b) a **simulated** bootstrap — a secret-key
-//! recryption that refreshes a ciphertext to the top level while
-//! charging the analytic cost model ([`crate::cost`]). It reproduces
+//! recryption that refreshes a ciphertext to the level its next op is
+//! entered at (the top of the chain at most) while charging the
+//! analytic cost model ([`crate::cost`]). It reproduces
 //! the *accounting* of bootstrapping (when it triggers, what it costs),
 //! not the cryptographic procedure itself; this substitution is
 //! documented in docs/ARCHITECTURE.md ("Execution backends").
 
 use crate::cipher::{Ciphertext, Evaluator};
+use crate::linear::replicate;
 use smartpaf_tensor::Rng64;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Slot-error statistics of a ciphertext against expected values.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,9 +58,9 @@ pub fn measure_noise(ev: &Evaluator, ct: &Ciphertext, expected: &[f64]) -> Noise
     }
 }
 
-/// A simulated bootstrapper: refreshes ciphertexts back to the top of
-/// the modulus chain by secret-key recryption, counting invocations so
-/// experiments can charge the analytic bootstrap cost.
+/// A simulated bootstrapper: refreshes ciphertexts back up the modulus
+/// chain by secret-key recryption, counting invocations so experiments
+/// can charge the analytic bootstrap cost.
 pub struct Bootstrapper {
     ev: Evaluator,
     slots_in_use: usize,
@@ -100,21 +102,39 @@ impl Bootstrapper {
         &self.ev
     }
 
-    /// Refreshes a ciphertext to the top level, preserving slot values.
+    /// Refreshes a ciphertext to the top of the chain:
+    /// [`Bootstrapper::refresh_to`] at the maximum level.
+    pub fn refresh(&self, ct: &Ciphertext) -> Ciphertext {
+        self.refresh_to(ct, self.ev.context().max_level())
+    }
+
+    /// Refreshes a ciphertext to `level`, preserving slot values: the
+    /// values are re-encoded and re-encrypted on `level + 1` limbs, for
+    /// a next op entered there. The randomness of an encryption does
+    /// not depend on its limb count, so the result is, byte for byte,
+    /// [`Bootstrapper::refresh`] with the limbs above `level` dropped.
     ///
     /// When `slots_in_use` divides the slot count the decrypted logical
     /// vector is re-encrypted **replicated** (the [`crate::linear`]
     /// packing), so rotation-based pipelines keep working across a
     /// refresh; otherwise the remaining slots are zero.
-    pub fn refresh(&self, ct: &Ciphertext) -> Ciphertext {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level` is above the top of the chain.
+    pub fn refresh_to(&self, ct: &Ciphertext, level: usize) -> Ciphertext {
         self.refreshes.fetch_add(1, Ordering::Relaxed);
-        let values = self.ev.decrypt_values(ct, self.slots_in_use);
-        let mut rng = self.rng.lock().expect("poisoned");
-        if self.ev.context().slots().is_multiple_of(self.slots_in_use) {
-            self.ev.encrypt_replicated(&values, &mut rng)
-        } else {
-            self.ev.encrypt_values(&values, &mut rng)
+        let ctx = self.ev.context();
+        let mut values = self.ev.decrypt_values(ct, self.slots_in_use);
+        if ctx.slots().is_multiple_of(self.slots_in_use) {
+            values = replicate(&values, ctx.slots());
         }
+        let pt = self.ev.encoder().encode(&values, ctx.scale(), level + 1);
+        // The generator's state is valid between any two draws, so a
+        // thread that panicked holding the lock leaves nothing to
+        // repair: one request's panic must not fail every later refresh.
+        let mut rng = self.rng.lock().unwrap_or_else(PoisonError::into_inner);
+        self.ev.encrypt(&pt, &mut rng)
     }
 
     /// Returns `ct` untouched when it still has at least
@@ -190,6 +210,46 @@ mod tests {
         assert_eq!(bs.refresh_count(), 1);
         let rep = measure_noise(&ev, &fresh, &vals);
         assert!(rep.max_abs_error < 1e-3, "{rep:?}");
+    }
+
+    #[test]
+    fn refreshing_to_a_level_is_the_full_refresh_truncated() {
+        let (ev, mut rng) = setup(56);
+        let vals = vec![0.3, -0.6, 0.9, 0.1];
+        let ct = ev.mul_const(&ev.encrypt_values(&vals, &mut rng), 1.0);
+        for level in [0, 3, ev.context().max_level()] {
+            let mut full = Bootstrapper::new(ev.clone(), 4, 21).refresh(&ct);
+            full.drop_to(level + 1);
+            let at = Bootstrapper::new(ev.clone(), 4, 21).refresh_to(&ct, level);
+            assert_eq!(at.level(), level);
+            for (a, f) in [(&at.c0, &full.c0), (&at.c1, &full.c1)] {
+                assert_eq!(a.limbs().collect::<Vec<_>>(), f.limbs().collect::<Vec<_>>());
+            }
+        }
+    }
+
+    #[test]
+    fn a_poisoned_refresh_lock_still_refreshes() {
+        // A thread that panics while holding the generator's lock
+        // poisons the mutex; later refreshes must still decrypt to the
+        // values they were given.
+        let (ev, mut rng) = setup(57);
+        let vals = vec![0.4, -0.7];
+        let ct = ev.mul_const(&ev.encrypt_values(&vals, &mut rng), 1.0);
+        let bs = Bootstrapper::new(ev.clone(), 2, 13);
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = bs.rng.lock().unwrap();
+                panic!("a serving thread dies holding the generator");
+            })
+            .join()
+        });
+        assert!(panicked.is_err() && bs.rng.is_poisoned());
+        for fresh in [bs.refresh(&ct), bs.refresh_to(&ct, 2)] {
+            let rep = measure_noise(&ev, &fresh, &vals);
+            assert!(rep.max_abs_error < 1e-3, "{rep:?}");
+        }
+        assert_eq!(bs.refresh_count(), 2);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! limbs of operands at the same or a higher level. The residues of a
 //! prefix are the residues of a truncation, so an operand is never
 //! copied or dropped to meet another's level, and a plaintext encoded
-//! once at the full chain serves every level.
+//! on `k` limbs serves every level below `k`.
 //!
 //! All modular arithmetic goes through the per-prime
 //! [`crate::modular::PrimeArith`] Barrett/Shoup kernels — same

@@ -136,16 +136,16 @@ impl<'a> CkksBackend<'a> {
     }
 
     /// Brings `v` to the level the schedule enters `op` at: a refresh
-    /// when a segment starts here, then a drop of the limbs the segment
-    /// will not consume (a truncation — exact, and a no-op inside a
-    /// segment).
+    /// when a segment starts here, straight onto the limbs the segment
+    /// will consume, else a drop of the ones it will not (a truncation
+    /// — exact, and a no-op inside a segment).
     fn enter(&mut self, v: &mut Ciphertext, op: &ScheduledOp) {
         if op.refresh {
             let bs = self
                 .bootstrapper
                 .expect("a schedule cut without a refresher has no refresh");
             self.bootstraps += 1;
-            *v = bs.refresh(v);
+            *v = bs.refresh_to(v, op.level_in);
         }
         v.drop_to(op.level_in + 1);
         #[cfg(test)]

@@ -1959,6 +1959,45 @@ mod tests {
     }
 
     #[test]
+    fn diagonals_are_encoded_on_the_limbs_their_stage_is_entered_at() {
+        // An affine stage's plaintext diagonals are encoded on the limbs
+        // its schedule enters it at, not on the full chain: the conv on
+        // 8 of the 13 limbs and the linear head on 2, and at 2 lanes the
+        // expanded matrices on their own schedule's limbs.
+        fn encoded_limbs(pipe: &HePipeline, trace: &TraceReport) -> Vec<usize> {
+            let stages = pipe.stages().iter().zip(&trace.stages);
+            stages
+                .filter_map(|(stage, traced)| {
+                    let Stage::Affine { mat, .. } = stage else {
+                        return None;
+                    };
+                    let limbs = traced.level_in() + 1;
+                    assert_eq!(mat.encoded_limbs(), vec![limbs; mat.num_diagonals()]);
+                    Some(limbs)
+                })
+                .collect()
+        }
+        let plan = benchmark_cnn();
+        let mut session = plan.compile().unwrap();
+        session.set_batch_runner(BatchRunner::new(1));
+        let inputs: Vec<Vec<f64>> = (0..2)
+            .map(|i| {
+                (0..64)
+                    .map(|j| ((i + j * 5) % 11) as f64 / 5.5 - 1.0)
+                    .collect()
+            })
+            .collect();
+        session.infer(&inputs[0]).unwrap();
+        let unpacked = encoded_limbs(session.pipeline(), session.chosen_trace());
+        assert_eq!(unpacked, [8, 2]);
+        session.infer_batch_packed(&inputs).unwrap();
+        let params = session.pe.evaluator().context().params();
+        let (packed_trace, _) = session.pipeline().trace(&params, true, 2).unwrap();
+        let packed = encoded_limbs(session.packers[&2].0.expanded(), &packed_trace);
+        assert_eq!(packed, [2, 2]);
+    }
+
+    #[test]
     fn packed_single_input_falls_back_to_the_unpacked_path() {
         let mut session = builder(1, 2.0, 28).plan().unwrap().compile().unwrap();
         session.set_batch_runner(BatchRunner::new(1));
