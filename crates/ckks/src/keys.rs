@@ -8,24 +8,23 @@
 //! at the top of a deep chain cheap. ω is the context's
 //! [`CkksContext::special_primes`] count.
 //!
-//! Key-switching keys are level-specific (the RNS gadget depends on
-//! the active prime set), so [`KeyChain`] generates them lazily per
-//! level and caches them. A production deployment would generate all
-//! levels offline once; the lazy generation here is a simulator
-//! convenience and is excluded from benchmark timings by Criterion's
-//! warm-up iterations. Each lazy key's randomness is a function of the
-//! chain's seed and the key's `(kind, g, limbs)` tag alone, so which
-//! keys were requested first — or from which thread — never changes
-//! key material. The hybrid gadget's key-independent constants
-//! ([`HybridBasis`]: digit partition, raise and mod-down factors) are
-//! built for every level at key generation, so one key-switch
-//! decomposition serves every key of its level.
+//! Digit `j`'s gadget residue, `P mod q_t` on its own chain limbs and 0
+//! elsewhere, is a CRT idempotent: a key on `L` limbs read through its
+//! first `L′` chain limbs and its special limbs is a key at `L′` with
+//! the same `k = min(ω, L′)`. So [`KeyChain`] lazily generates one key
+//! per (switched secret, `k`), on the most limbs asked for (a simulator
+//! convenience). Each key limb's randomness is a function of the
+//! chain's seed and its `(secret, k, digit, modulus)` tags alone: a
+//! shorter key is a longer one's prefix, word for word, and request
+//! order never changes key material. The key-independent gadget
+//! constants ([`HybridBasis`]: digit partition, raise and mod-down
+//! factors) are built for every level at key generation.
 
 use crate::modular::inv_mod;
 use crate::rns::{CkksContext, RnsPoly};
 use smartpaf_tensor::Rng64;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The secret key: a ternary ring element (NTT form, full chain).
 #[derive(Debug, Clone)]
@@ -118,8 +117,8 @@ pub(crate) struct HybridDigit {
     pub(crate) a: Vec<u64>,
 }
 
-/// A gadget-decomposed key-switching key for one level: one `(b, a)`
-/// pair per gadget digit.
+/// A gadget-decomposed key-switching key: one `(b, a)` pair per gadget
+/// digit, serving every level with its `k` up to its own limbs.
 ///
 /// The same structure serves relinearisation (switching from `s²`) and
 /// Galois rotations (switching from `φ_g(s)`); only the embedded
@@ -131,12 +130,8 @@ pub struct RelinKey {
     pub(crate) num_limbs: usize,
 }
 
-/// Alias making call sites that key-switch under Galois automorphisms
-/// read naturally.
-pub type KeySwitchKey = RelinKey;
-
 impl RelinKey {
-    /// The level (limb count) this key was generated for.
+    /// The chain limbs this key holds: the most it serves.
     pub fn num_limbs(&self) -> usize {
         self.num_limbs
     }
@@ -146,16 +141,17 @@ impl RelinKey {
         self.digits.len()
     }
 
-    /// Limb `t` of component `j`'s `(b, a)` pair (NTT form) over the
-    /// extended basis.
-    pub(crate) fn component_limb(&self, j: usize, t: usize, n: usize) -> (&[u64], &[u64]) {
+    /// Limb `t` of component `j`'s `[b, a]` (NTT form) over the extended
+    /// basis of `nl` chain limbs: the key read through its chain prefix.
+    pub(crate) fn component_limb(&self, j: usize, t: usize, nl: usize, n: usize) -> [&[u64]; 2] {
+        let t = if t < nl { t } else { t - nl + self.num_limbs };
         let d = &self.digits[j];
-        (&d.b[t * n..(t + 1) * n], &d.a[t * n..(t + 1) * n])
+        [&d.b[t * n..(t + 1) * n], &d.a[t * n..(t + 1) * n]]
     }
 }
 
-/// Holds the key material and lazily generates per-level relin keys
-/// and per-(element, level) Galois keys.
+/// Holds the key material and lazily generates the key-switching keys:
+/// one per (switched secret, special-prime count).
 pub struct KeyChain {
     ctx: Arc<CkksContext>,
     sk: SecretKey,
@@ -166,12 +162,12 @@ pub struct KeyChain {
     pk: PublicKey,
     /// Hybrid gadget constants per level (`bases[num_limbs - 1]`).
     bases: Vec<HybridBasis>,
-    relin_cache: Mutex<HashMap<usize, Arc<RelinKey>>>,
-    galois_cache: Mutex<HashMap<(usize, usize), Arc<RelinKey>>>,
-    /// Parent of every lazily generated key's RNG. Never advanced:
-    /// each key forks a *copy* by its `(kind, g, limbs)` tag, so key
-    /// material does not depend on the order (or the thread) keys are
-    /// first requested in.
+    /// Each key on the most chain limbs any caller has asked for.
+    switch_keys: Mutex<BTreeMap<(SwitchedSecret, usize), Arc<RelinKey>>>,
+    /// Parent of every key limb's RNG. Never advanced: each limb forks
+    /// a *copy* down its `(secret, k, digit, modulus)` tags, so key
+    /// material depends neither on how many limbs a key holds nor on
+    /// the order (or the thread) keys are first requested in.
     ksk_rng: Rng64,
 }
 
@@ -215,16 +211,9 @@ impl KeyChain {
             sk_coeffs,
             pk: PublicKey { b, a },
             bases,
-            relin_cache: Mutex::new(HashMap::new()),
-            galois_cache: Mutex::new(HashMap::new()),
+            switch_keys: Mutex::new(BTreeMap::new()),
             ksk_rng: rng.fork(0x52454C4E),
         })
-    }
-
-    /// The RNG of the lazily generated key tagged `tag`: a function of
-    /// the chain's seed and the tag alone.
-    fn key_rng(&self, tag: u64) -> Rng64 {
-        self.ksk_rng.clone().fork(tag)
     }
 
     /// The hybrid gadget constants for `num_limbs` limbs.
@@ -252,54 +241,61 @@ impl KeyChain {
         &self.sk
     }
 
-    /// Returns (generating and caching if needed) the relinearisation
-    /// key for ciphertexts with `num_limbs` limbs.
+    /// The relinearisation key for `num_limbs` limbs: the key switching
+    /// from `s²`, on at least `num_limbs` chain limbs.
     ///
     /// # Panics
     ///
-    /// Panics if `num_limbs` exceeds the chain length.
+    /// Panics if `num_limbs` is zero or exceeds the chain length.
     pub fn relin_key(&self, num_limbs: usize) -> Arc<RelinKey> {
-        assert!(num_limbs <= self.ctx.primes().len());
-        if let Some(k) = self.relin_cache.lock().expect("poisoned").get(&num_limbs) {
-            return Arc::clone(k);
-        }
-        // Generated outside the lock; a racing thread derives the
-        // identical key from the same tag, and the first insert wins.
-        let mut rng = self.key_rng(num_limbs as u64);
-        let key = Arc::new(self.generate_hybrid_ksk(SwitchedSecret::Square, num_limbs, &mut rng));
-        Arc::clone(
-            self.relin_cache
-                .lock()
-                .expect("poisoned")
-                .entry(num_limbs)
-                .or_insert(key),
-        )
+        self.switch_key(SwitchedSecret::Square, num_limbs)
     }
 
-    /// Returns (generating and caching if needed) the Galois key for
-    /// automorphism element `g` at `num_limbs` limbs, switching
-    /// ciphertext components from `φ_g(s)` back to `s`.
+    /// The Galois key for element `g` at `num_limbs` limbs: the key
+    /// switching from `φ_g(s)`, on at least `num_limbs` chain limbs.
     ///
     /// # Panics
     ///
-    /// Panics if `g` is not a valid odd Galois element or `num_limbs`
-    /// exceeds the chain length.
+    /// Panics if `num_limbs` is zero or exceeds the chain length.
     pub fn galois_key(&self, g: usize, num_limbs: usize) -> Arc<RelinKey> {
-        assert!(num_limbs <= self.ctx.primes().len());
-        let cache_key = (g, num_limbs);
-        if let Some(k) = self.galois_cache.lock().expect("poisoned").get(&cache_key) {
-            return Arc::clone(k);
+        self.switch_key(SwitchedSecret::Auto(g), num_limbs)
+    }
+
+    /// The key switching from `secret` at `num_limbs` limbs: the cached
+    /// one for the level's special-prime count if it holds that many
+    /// chain limbs, else a new one on `num_limbs` that replaces it.
+    fn switch_key(&self, secret: SwitchedSecret, num_limbs: usize) -> Arc<RelinKey> {
+        let slot = (secret, self.hybrid_basis(num_limbs).k);
+        if let Some(key) = self.switch_keys().get(&slot) {
+            if key.num_limbs >= num_limbs {
+                return Arc::clone(key);
+            }
         }
-        let mut rng = self.key_rng(0x47414C ^ ((g as u64) << 16) ^ num_limbs as u64);
-        let key = self.generate_hybrid_ksk(SwitchedSecret::Auto(g), num_limbs, &mut rng);
-        // As in `relin_key`: racing generations are identical.
-        Arc::clone(
-            self.galois_cache
-                .lock()
-                .expect("poisoned")
-                .entry(cache_key)
-                .or_insert(Arc::new(key)),
-        )
+        // Generated outside the lock; a racing generation holds the
+        // same words on the limbs both keys have, and the longer stays.
+        let key = Arc::new(self.generate_hybrid_ksk(secret, num_limbs));
+        let mut keys = self.switch_keys();
+        let entry = keys.entry(slot).or_insert_with(|| Arc::clone(&key));
+        if entry.num_limbs < num_limbs {
+            *entry = key;
+        }
+        Arc::clone(entry)
+    }
+
+    /// The key cache, recovered from poison: it only holds whole keys.
+    fn switch_keys(&self) -> MutexGuard<'_, BTreeMap<(SwitchedSecret, usize), Arc<RelinKey>>> {
+        self.switch_keys
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Each cached key as `(secret, k, chain limbs)`, sorted
+    /// (diagnostics: what the key cache holds).
+    pub fn key_limbs(&self) -> Vec<(SwitchedSecret, usize, usize)> {
+        self.switch_keys()
+            .iter()
+            .map(|(&(secret, k), key)| (secret, k, key.num_limbs))
+            .collect()
     }
 
     /// Residues of signed coefficients modulo every limb of the
@@ -326,25 +322,20 @@ impl KeyChain {
         out
     }
 
-    /// Generates a hybrid key-switching key embedding the
-    /// switched-from secret (`s²` or `φ_g(s)`) over the digits of the
-    /// level's [`HybridBasis`]. One-time per (kind, level) — cached by
-    /// the callers.
-    fn generate_hybrid_ksk(
-        &self,
-        which: SwitchedSecret,
-        num_limbs: usize,
-        rng: &mut Rng64,
-    ) -> RelinKey {
+    /// Generates the hybrid key embedding `s²` or `φ_g(s)` on `num_limbs`
+    /// chain limbs. Digit `j`'s `a` limb mod `m` draws from a stream
+    /// tagged `(secret, k, j, m)`, its error from `(secret, k, j)`: on
+    /// fewer limbs the key is this one's prefix, word for word.
+    fn generate_hybrid_ksk(&self, which: SwitchedSecret, num_limbs: usize) -> RelinKey {
         let ctx = &self.ctx;
         let n = ctx.n();
         let basis = self.hybrid_basis(num_limbs);
         let k = basis.k;
         let ext = num_limbs + k;
 
-        // Secrets over the extended basis (NTT form, flat limb-major).
+        // Secrets over the extended basis (NTT form), and the tag of s'.
         let s_ext = self.ext_residues_ntt(&self.sk_coeffs, num_limbs, k);
-        let sp_ext = match which {
+        let (tag, sp_ext) = match which {
             SwitchedSecret::Square => {
                 let mut sq = s_ext.clone();
                 for t in 0..ext {
@@ -353,7 +344,7 @@ impl KeyChain {
                         *v = arith.mul(*v, *v);
                     }
                 }
-                sq
+                (0, sq)
             }
             SwitchedSecret::Auto(g) => {
                 let two_n = 2 * n;
@@ -366,21 +357,25 @@ impl KeyChain {
                         coeffs[e - n] = -c;
                     }
                 }
-                self.ext_residues_ntt(&coeffs, num_limbs, k)
+                (g as u64, self.ext_residues_ntt(&coeffs, num_limbs, k))
             }
         };
 
+        let secret_rng = self.ksk_rng.clone().fork(tag).fork(k as u64);
         let digits = basis
             .digits
             .iter()
-            .map(|digit| {
-                // Component (b, a) over the extended basis. Draw order
-                // is limb-major like `random_uniform` / `random_error`.
+            .enumerate()
+            .map(|(j, digit)| {
+                // Component (b, a) over the extended basis; each `a` limb
+                // is tagged by its modulus (no chain prime is special).
+                let mut rng = secret_rng.clone().fork(j as u64);
                 let mut a = vec![0u64; ext * n];
                 for t in 0..ext {
                     let m = ctx.ext_modulus(num_limbs, t);
+                    let mut limb_rng = rng.clone().fork(m);
                     for dst in &mut a[t * n..(t + 1) * n] {
-                        *dst = rng.next_u64() % m;
+                        *dst = limb_rng.next_u64() % m;
                     }
                 }
                 let sigma = ctx.sigma();
@@ -551,8 +546,9 @@ impl ModDown {
     }
 }
 
-/// Which switched-from secret a hybrid key embeds.
-enum SwitchedSecret {
+/// The secret a key switches from: with `k`, what [`KeyChain`] caches by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum SwitchedSecret {
     /// `s'` = `s²` (relinearisation).
     Square,
     /// `s'` = `φ_g(s)` (Galois rotation by element `g`).
@@ -596,17 +592,21 @@ mod tests {
     }
 
     #[test]
-    fn relin_cache_reuses() {
+    fn a_relin_key_is_reused_through_its_prefix() {
         let ctx = CkksParams::toy().build();
         let mut rng = Rng64::new(1);
         let kc = KeyChain::generate(&ctx, &mut rng);
         let a = kc.relin_key(2);
         let b = kc.relin_key(2);
         assert!(Arc::ptr_eq(&a, &b));
+        // 4 and 5 limbs share k = 3 special primes, so one key.
+        let c = kc.relin_key(5);
+        assert!(Arc::ptr_eq(&c, &kc.relin_key(4)));
+        assert!(!Arc::ptr_eq(&a, &c));
     }
 
     #[test]
-    fn galois_cache_reuses_and_distinguishes() {
+    fn galois_keys_are_reused_and_distinguished() {
         let ctx = CkksParams::toy().build();
         let mut rng = Rng64::new(2);
         let kc = KeyChain::generate(&ctx, &mut rng);
@@ -617,20 +617,30 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &c));
     }
 
-    /// Every word of a key, digit by digit.
-    fn key_words(key: &RelinKey) -> Vec<u64> {
-        key.digits
-            .iter()
-            .flat_map(|d| d.b.iter().chain(&d.a).copied())
-            .collect()
+    /// Every word of `key` read through its first `nl` chain limbs,
+    /// digit by digit: `b` then `a`, limb by limb.
+    fn key_words(kc: &KeyChain, key: &RelinKey, nl: usize) -> Vec<u64> {
+        let (n, basis) = (kc.context().n(), kc.hybrid_basis(nl));
+        let mut words = Vec::new();
+        for j in 0..basis.digits.len() {
+            let limbs: Vec<_> = (0..nl + basis.k)
+                .map(|t| key.component_limb(j, t, nl, n))
+                .collect();
+            for half in 0..2 {
+                words.extend(limbs.iter().flat_map(|pair| pair[half]));
+            }
+        }
+        words
     }
 
     #[test]
     fn lazy_keys_do_not_depend_on_request_order() {
-        // Two chains from one seed, asked for the same keys in
-        // opposite orders — one of them from 4 threads released
-        // together — must hold byte-identical key material: each key's
-        // RNG is a function of the chain seed and the key's tag alone.
+        // Three chains from one seed asked for the same keys — in order
+        // (low limb counts, then grown), in reverse from 4 threads
+        // released together, and at the top of each (secret, k) first —
+        // must hold byte-identical key material at every request's
+        // limbs: each key limb's RNG is a function of the chain seed and
+        // its tags alone.
         #[derive(Clone, Copy)]
         enum Req {
             Relin(usize),
@@ -642,6 +652,8 @@ mod tests {
             Req::Galois(25, 2),
             Req::Relin(2),
             Req::Galois(5, 3),
+            Req::Relin(7),
+            Req::Galois(5, 6),
             Req::Galois(511, 2),
         ];
         let fetch = |kc: &KeyChain, r: Req| match r {
@@ -649,8 +661,8 @@ mod tests {
             Req::Galois(g, nl) => kc.galois_key(g, nl),
         };
         let ctx = CkksParams::toy().build();
-        let forward = KeyChain::generate(&ctx, &mut Rng64::new(17));
-        let backward = KeyChain::generate(&ctx, &mut Rng64::new(17));
+        let chain = || KeyChain::generate(&ctx, &mut Rng64::new(17));
+        let (forward, backward, top) = (chain(), chain(), chain());
         for &r in &reqs {
             fetch(&forward, r);
         }
@@ -666,22 +678,104 @@ mod tests {
                 });
             }
         });
+        fetch(&top, Req::Relin(7));
+        fetch(&top, Req::Galois(5, 6));
         for &r in &reqs {
+            let nl = match r {
+                Req::Relin(nl) | Req::Galois(_, nl) => nl,
+            };
+            let words = |kc: &KeyChain| key_words(kc, &fetch(kc, r), nl);
+            let want = words(&forward);
             assert_eq!(
-                key_words(&fetch(&forward, r)),
-                key_words(&fetch(&backward, r)),
+                want,
+                words(&backward),
                 "key material must not depend on request order"
             );
+            assert_eq!(
+                want,
+                words(&top),
+                "a key must be the prefix of a longer one"
+            );
+        }
+        use SwitchedSecret::{Auto, Square};
+        let held = [
+            (Square, 2, 2),
+            (Square, 3, 7),
+            (Auto(5), 2, 2),
+            (Auto(5), 3, 6),
+            (Auto(25), 2, 2),
+            (Auto(511), 2, 2),
+        ];
+        for kc in [&forward, &backward, &top] {
+            assert_eq!(kc.key_limbs(), held);
         }
     }
 
-    /// Checks the hybrid key relation `b + a·s − P·G_j·s' = e` limb by
-    /// limb over the extended basis: the residual must be a
-    /// centered-small error in every limb.
+    #[test]
+    fn a_key_is_the_prefix_of_a_longer_one() {
+        // A key first generated at L′ limbs on a fresh chain is, word for
+        // word, the 13-limb key read through its first L′ chain limbs and
+        // its special limbs, and that read satisfies the gadget relation
+        // at L′.
+        let ctx = CkksParams::toy().build();
+        let chain = || KeyChain::generate(&ctx, &mut Rng64::new(31));
+        let conj = 2 * ctx.n() - 1;
+        for which in [
+            SwitchedSecret::Square,
+            SwitchedSecret::Auto(5),
+            SwitchedSecret::Auto(conj),
+        ] {
+            let kc = chain();
+            let long = kc.switch_key(which, 13);
+            for nl in [3, 5, 7] {
+                let fresh = chain();
+                let short = fresh.switch_key(which, nl);
+                assert_eq!(short.num_limbs(), nl);
+                assert_eq!(
+                    key_words(&fresh, &short, nl),
+                    key_words(&kc, &long, nl),
+                    "{which:?} at {nl} limbs"
+                );
+                assert_prefix_relation(&kc, &long, nl, which);
+            }
+        }
+    }
+
+    #[test]
+    fn a_poisoned_key_cache_still_serves() {
+        // A thread that panics while holding the key cache lock poisons
+        // the mutex; cached keys must still read, and new and longer
+        // ones insert, each a valid key.
+        let ctx = CkksParams::toy().build();
+        let kc = KeyChain::generate(&ctx, &mut Rng64::new(23));
+        let relin = kc.relin_key(4);
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = kc.switch_keys.lock().unwrap();
+                panic!("a serving thread dies holding the key cache");
+            })
+            .join()
+        });
+        assert!(panicked.is_err() && kc.switch_keys.is_poisoned());
+        assert!(Arc::ptr_eq(&kc.relin_key(4), &relin));
+        assert_hybrid_relation(&kc, &kc.relin_key(7), SwitchedSecret::Square);
+        assert_hybrid_relation(&kc, &kc.galois_key(5, 4), SwitchedSecret::Auto(5));
+        use SwitchedSecret::{Auto, Square};
+        assert_eq!(kc.key_limbs(), [(Square, 3, 7), (Auto(5), 3, 4)]);
+    }
+
+    /// [`assert_prefix_relation`] over every limb the key holds.
     fn assert_hybrid_relation(kc: &KeyChain, key: &RelinKey, which: SwitchedSecret) {
+        assert_prefix_relation(kc, key, key.num_limbs(), which);
+    }
+
+    /// Checks the hybrid key relation `b + a·s − P·G_j·s' = e` limb by
+    /// limb over the extended basis of `nl` chain limbs, reading `key`
+    /// through its prefix: the residual must be a centered-small error
+    /// in every limb.
+    fn assert_prefix_relation(kc: &KeyChain, key: &RelinKey, nl: usize, which: SwitchedSecret) {
         let ctx = kc.context();
         let n = ctx.n();
-        let nl = key.num_limbs();
         let basis = kc.hybrid_basis(nl);
         let k = basis.k;
         let ext = nl + k;
@@ -708,8 +802,9 @@ mod tests {
                     .collect()
             }
         };
-        for (digit, range) in key.digits.iter().zip(&basis.digits) {
+        for (j, range) in basis.digits.iter().enumerate() {
             for t in 0..ext {
+                let [b, a] = key.component_limb(j, t, nl, n);
                 let arith = ctx.ext_arith(nl, t);
                 let gadget = if t >= range.start && t < range.end {
                     p_mod[t]
@@ -718,9 +813,9 @@ mod tests {
                 };
                 let mut resid = vec![0u64; n];
                 for c in 0..n {
-                    let a_s = arith.mul(digit.a[t * n + c], s_ext[t * n + c]);
+                    let a_s = arith.mul(a[c], s_ext[t * n + c]);
                     let g_sp = arith.mul(gadget, sp_ext[t * n + c]);
-                    resid[c] = arith.sub(arith.add(digit.b[t * n + c], a_s), g_sp);
+                    resid[c] = arith.sub(arith.add(b[c], a_s), g_sp);
                 }
                 ctx.ext_ntt(nl, t).inverse(&mut resid);
                 let m = arith.q() as i128;

@@ -53,7 +53,7 @@ mod rns;
 pub use cipher::{take_key_switch_counts, Ciphertext, Evaluator, Product};
 pub use encoding::{Encoder, Plaintext};
 pub use eval::PafEvaluator;
-pub use keys::{KeyChain, KeySwitchKey, PublicKey, RelinKey, SecretKey};
+pub use keys::{KeyChain, PublicKey, RelinKey, SecretKey, SwitchedSecret};
 pub use linear::DiagMatrix;
 pub use noise::Bootstrapper;
 pub use ntt::NttTable;

@@ -29,7 +29,7 @@ use crate::ntt::NttTable;
 use crate::pool;
 use smartpaf_tensor::Rng64;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Precomputed constants for one rescale step: dividing by the prime
 /// at `last_idx` inside the limb at `i < last_idx`.
@@ -63,7 +63,7 @@ pub struct CkksContext {
     /// `0..last_idx` when rescaling away the prime at `last_idx`.
     rescale_pre: Vec<Vec<RescalePre>>,
     /// NTT-domain index tables of the Galois automorphisms used so
-    /// far, by element (see [`CkksContext::galois_perm`]).
+    /// far, by element: insert-only, so a poisoned map is still valid.
     galois_perms: Mutex<HashMap<usize, Arc<[u32]>>>,
     scale: f64,
     sigma: f64,
@@ -268,7 +268,10 @@ impl CkksContext {
             g % 2 == 1 && g >= 1 && g < 2 * n,
             "invalid Galois element {g}"
         );
-        let mut cache = self.galois_perms.lock().expect("galois cache poisoned");
+        let mut cache = self
+            .galois_perms
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         Arc::clone(cache.entry(g).or_insert_with(|| {
             let log_n = n.trailing_zeros();
             let brv = |i: usize| crate::ntt::bit_reverse(i, log_n);
@@ -923,6 +926,26 @@ mod tests {
         for i in 0..64 {
             assert_eq!(s.coeff_to_i128(i, 2), (a[i] + b[i]) as i128);
         }
+    }
+
+    #[test]
+    fn a_poisoned_galois_table_cache_still_serves() {
+        // A thread that panics while holding the table lock poisons the
+        // mutex; cached tables must still read and new ones insert.
+        let c = ctx();
+        let rot = c.galois_perm(5);
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = c.galois_perms.lock().unwrap();
+                panic!("a serving thread dies holding the table cache");
+            })
+            .join()
+        });
+        assert!(panicked.is_err() && c.galois_perms.is_poisoned());
+        assert!(Arc::ptr_eq(&c.galois_perm(5), &rot));
+        // The conjugation is an involution: its table is its own inverse.
+        let conj = c.galois_perm(2 * c.n() - 1);
+        assert!((0..c.n()).all(|i| conj[conj[i] as usize] as usize == i));
     }
 
     /// A copy of `p` dropped to `limbs` limbs.

@@ -1998,6 +1998,50 @@ mod tests {
     }
 
     #[test]
+    fn one_switching_key_per_secret_holds_the_most_limbs_it_is_used_at() {
+        // After one request the key chain holds one key per (switched
+        // secret, special-prime count k = min(ω, limbs)). The PAFs
+        // relinearise at every limb count from 8 down to 2, and one key
+        // on 8 limbs — the highest the schedule enters a relinearising
+        // stage at — serves every one of them with k = 3; a Galois key
+        // with k = 3 holds a limb count a rotating stage is entered at.
+        use smartpaf_ckks::SwitchedSecret;
+        let mut session = benchmark_cnn().compile().unwrap();
+        session.set_batch_runner(BatchRunner::new(1));
+        let input: Vec<f64> = (0..64).map(|j| (j * 5 % 11) as f64 / 5.5 - 1.0).collect();
+        session.infer(&input).unwrap();
+        let ev = session.pe.evaluator();
+        let (keys, omega) = (ev.keys().key_limbs(), ev.context().special_primes().len());
+        let (mut relin_limbs, mut rotation_limbs) = (Vec::new(), Vec::new());
+        for stage in &session.chosen_trace().stages {
+            let limbs = stage.op_levels.iter().map(|l| l + 1);
+            if stage.relins > 0 {
+                relin_limbs.extend(limbs.clone());
+            }
+            if stage.rotations > 0 {
+                rotation_limbs.extend(limbs);
+            }
+        }
+        assert_eq!(relin_limbs.iter().max(), Some(&8));
+        let mut slots: Vec<_> = keys.iter().map(|&(secret, k, _)| (secret, k)).collect();
+        slots.dedup();
+        assert_eq!(slots.len(), keys.len(), "one key per (secret, k): {keys:?}");
+        assert!(
+            keys.contains(&(SwitchedSecret::Square, omega, 8)),
+            "{keys:?}"
+        );
+        for &(secret, k, limbs) in &keys {
+            assert_eq!(k, omega.min(limbs), "{keys:?}");
+            match secret {
+                // Below ω limbs a key holds exactly its k limbs.
+                _ if k < omega => {}
+                SwitchedSecret::Square => assert_eq!(limbs, 8, "{keys:?}"),
+                SwitchedSecret::Auto(_) => assert!(rotation_limbs.contains(&limbs), "{keys:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn packed_single_input_falls_back_to_the_unpacked_path() {
         let mut session = builder(1, 2.0, 28).plan().unwrap().compile().unwrap();
         session.set_batch_runner(BatchRunner::new(1));
