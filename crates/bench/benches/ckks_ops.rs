@@ -3,7 +3,8 @@
 //!
 //! Covers the raw-speed hot path end to end: the lazy-reduction NTT at
 //! three ring sizes on uniformly random residues (plus one row on the
-//! structured input, for the ratio), and the ciphertext pipeline
+//! structured input, for the ratio, and a 60-bit-prime pair at N = 4096
+//! for the scalar kernel beside the vector one), and the ciphertext pipeline
 //! (encrypt, add, mul+relin, rescale, rotate, mul_const) at N = 4096 and
 //! N = 8192,
 //! with the key-switch gadget's digit count and the host core count
@@ -35,22 +36,34 @@ use std::time::{Duration, Instant};
 /// these rows used to have; the ratio of `ntt_forward_4096` to it is
 /// ≈ 1 while the corrections are selects and ≈ 1.6 when one has
 /// turned back into a branch.
+///
+/// The rows without a suffix run on a 40-bit scale prime, which takes
+/// the AVX-512 IFMA kernel on a CPU that has it; the `_q60` pair runs
+/// on a 60-bit prime, which always takes the scalar kernel, so a run
+/// shows both kernels side by side. Each table's kernel is printed.
 fn bench_ntt(c: &mut Criterion) {
     // One input per timed call of a row: the shim's warm-up + 10 samples.
     const INPUTS: usize = 11;
     let mut rng = Rng64::new(0x5EED_0177);
-    for n in [2048usize, 4096, 8192] {
-        let q = ntt_primes(40, 1, n)[0];
+    let tables = [(2048usize, 40u32), (4096, 40), (8192, 40), (4096, 60)];
+    for (n, bits) in tables {
+        let q = ntt_primes(bits, 1, n)[0];
         let table = NttTable::new(q, n);
+        println!("ntt n={n} {bits}-bit q: {} kernel", table.kernel());
         let random: Vec<Vec<u64>> = (0..INPUTS)
             .map(|_| (0..n).map(|_| rng.next_u64() % q).collect())
             .collect();
         let structured = vec![(0..n).map(|i| (i as u64 * 7919) % q).collect::<Vec<u64>>()];
+        let suffix = if bits == 40 {
+            String::new()
+        } else {
+            format!("_q{bits}")
+        };
         let mut rows = vec![
-            (format!("ntt_forward_{n}"), true, &random),
-            (format!("ntt_inverse_{n}"), false, &random),
+            (format!("ntt_forward_{n}{suffix}"), true, &random),
+            (format!("ntt_inverse_{n}{suffix}"), false, &random),
         ];
-        if n == 4096 {
+        if (n, bits) == (4096, 40) {
             rows.insert(1, ("ntt_forward_structured_4096".into(), true, &structured));
         }
         for (id, forward, inputs) in rows {

@@ -1,6 +1,6 @@
 //! Ciphertexts and homomorphic operations.
 
-use crate::encoding::{Encoder, Plaintext};
+use crate::encoding::{Encoder, Plaintext, DECODE_LIMBS};
 use crate::keys::{KeyChain, ModDown};
 use crate::rns::{CkksContext, RnsPoly};
 use smartpaf_tensor::Rng64;
@@ -222,7 +222,12 @@ impl Evaluator {
 
     /// Decrypts to a plaintext.
     pub fn decrypt(&self, ct: &Ciphertext) -> Plaintext {
-        let mut poly = ct.c0.clone();
+        self.decrypt_prefix(ct, ct.num_limbs())
+    }
+
+    /// Decrypts `ct`'s first `num_limbs` limbs.
+    fn decrypt_prefix(&self, ct: &Ciphertext, num_limbs: usize) -> Plaintext {
+        let mut poly = ct.c0.clone_prefix(num_limbs);
         poly.mul_acc(&ct.c1, self.keys.secret_key_internal());
         Plaintext {
             poly,
@@ -230,9 +235,10 @@ impl Evaluator {
         }
     }
 
-    /// Convenience: decrypt + decode `count` slots.
+    /// Convenience: decrypt + decode `count` slots. Only the limbs the
+    /// decode reads are decrypted.
     pub fn decrypt_values(&self, ct: &Ciphertext, count: usize) -> Vec<f64> {
-        let pt = self.decrypt(ct);
+        let pt = self.decrypt_prefix(ct, ct.num_limbs().min(DECODE_LIMBS));
         self.encoder.decode(&pt, count)
     }
 
@@ -1038,6 +1044,22 @@ mod tests {
             std::hint::black_box(f());
             NTT_PASSES.with(|c| c.get())
         })
+    }
+
+    #[test]
+    fn decrypt_values_transforms_only_the_limbs_decode_reads() {
+        let (ev, mut rng) = setup(58);
+        let mut ct = ev.encrypt_values(&[0.4, -0.2, 1.5], &mut rng);
+        ct.drop_to(8);
+        // Two inverse passes, one per decoded limb, and no forward one.
+        assert_eq!(executed_ntt_passes(|| ev.decrypt_values(&ct, 3)), 2);
+        let full = ev.encoder().decode(&ev.decrypt(&ct), 3);
+        let got = ev.decrypt_values(&ct, 3);
+        assert_eq!(
+            got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            full.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            "decrypting fewer limbs changed the decoded bits"
+        );
     }
 
     #[test]

@@ -15,6 +15,11 @@
 use crate::rns::{CkksContext, RnsPoly};
 use std::sync::Arc;
 
+/// The limbs decoding reads: the first two, or a plaintext's only one.
+/// Whatever a decode is handed above them it never reads, so callers
+/// may drop a ciphertext to this many limbs before decrypting it.
+pub(crate) const DECODE_LIMBS: usize = 2;
+
 /// A CKKS plaintext: an integer ring element carrying a scale.
 #[derive(Debug, Clone)]
 pub struct Plaintext {
@@ -189,7 +194,8 @@ impl Encoder {
 
     /// Decodes a plaintext back to `count` real slot values.
     ///
-    /// Uses exact CRT over the first `min(2, limbs)` primes, so every
+    /// Uses exact CRT over the first `min(2, limbs)` primes (the only
+    /// limbs it copies and transforms), so every
     /// (noisy) coefficient must be smaller in magnitude than half that
     /// product. A coefficient is at most `scale` times the largest slot
     /// magnitude, so a **level-0** plaintext — one limb, which is where
@@ -202,11 +208,21 @@ impl Encoder {
     ///
     /// Panics if `count > slots()`.
     pub fn decode(&self, pt: &Plaintext, count: usize) -> Vec<f64> {
+        let vals = self.unscaled_slots(pt, count);
+        (0..count)
+            .map(|j| vals[self.orbit[j]].re / pt.scale)
+            .collect()
+    }
+
+    /// The inverse DFT of `pt`'s untwisted coefficients, read through
+    /// its first [`DECODE_LIMBS`]: slot `j` times the scale is entry
+    /// `orbit[j]`. Only those limbs are copied and inverse-transformed.
+    fn unscaled_slots(&self, pt: &Plaintext, count: usize) -> Vec<Complex> {
         let n = self.ctx.n();
         assert!(count <= self.ctx.slots(), "count exceeds slot capacity");
-        let mut poly = pt.poly.clone();
+        let use_limbs = pt.poly.num_limbs().min(DECODE_LIMBS);
+        let mut poly = pt.poly.clone_prefix(use_limbs);
         poly.to_coeff();
-        let use_limbs = poly.num_limbs().min(2);
         let mut vals = vec![Complex::new(0.0, 0.0); n];
         for (idx, v) in vals.iter_mut().enumerate() {
             let c = poly.coeff_to_i128(idx, use_limbs) as f64;
@@ -215,9 +231,7 @@ impl Encoder {
             *v = Complex::new(c * ang.cos(), c * ang.sin());
         }
         fft(&mut vals, true); // inverse DFT without 1/n (encode had 1/n)
-        (0..count)
-            .map(|j| vals[self.orbit[j]].re / pt.scale)
-            .collect()
+        vals
     }
 
     /// Decodes a lane-packed plaintext: reads `lanes · lane_dim` slots
@@ -248,18 +262,7 @@ impl Encoder {
 
     /// Decodes slot `j` taking the imaginary part too (diagnostics).
     pub fn decode_complex(&self, pt: &Plaintext, count: usize) -> Vec<(f64, f64)> {
-        let n = self.ctx.n();
-        assert!(count <= self.ctx.slots(), "count exceeds slot capacity");
-        let mut poly = pt.poly.clone();
-        poly.to_coeff();
-        let use_limbs = poly.num_limbs().min(2);
-        let mut vals = vec![Complex::new(0.0, 0.0); n];
-        for (idx, v) in vals.iter_mut().enumerate() {
-            let c = poly.coeff_to_i128(idx, use_limbs) as f64;
-            let ang = std::f64::consts::PI * idx as f64 / n as f64;
-            *v = Complex::new(c * ang.cos(), c * ang.sin());
-        }
-        fft(&mut vals, true);
+        let vals = self.unscaled_slots(pt, count);
         (0..count)
             .map(|j| {
                 let c = vals[self.orbit[j]];

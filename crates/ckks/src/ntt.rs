@@ -24,8 +24,69 @@
 //! random residues as on a structured vector (as branches, the five
 //! corrections of the final forward stage mispredicted half the time
 //! on the former: 65 µs against 36 at n = 4096).
+//!
+//! # Vector kernel
+//!
+//! A table for a prime `q < 2^50` and `n >= 16` runs the same lazy
+//! butterflies eight coefficients at a time on AVX-512 IFMA, when the
+//! CPU reports `avx512f` and `avx512ifma`. [`NttTable::new`] makes
+//! that choice once per table, from the CPU, the prime width and `n`
+//! alone; nothing else selects a kernel, and [`NttTable::kernel`]
+//! names the one a table runs. Every other table — the 60-bit base
+//! and special primes, any table on a CPU without IFMA, and `n < 16`
+//! — runs the scalar kernel.
+//!
+//! - **Why `2^50`.** The 52-bit multiplier (`vpmadd52huq` /
+//!   `vpmadd52luq`) reads the low 52 bits of its inputs. Every lazy
+//!   value is below `4q`, so `q < 2^50` keeps it below `2^52`, and
+//!   with `β = 2^52` Shoup's bound still puts each product in
+//!   `[0, 2q)`: `a·w/q − floor(a·w′/β) < a/β + 1 < 2` for `a < β`.
+//! - **No second table.** The 52-bit Shoup companion
+//!   `w′ = floor(w·2^52/q)` is the stored 64-bit one shifted right by
+//!   12, `floor(floor(w·2^64/q)/2^12)`; the kernel derives it with one
+//!   shift per twiddle load.
+//! - **Stages.** A stage whose blocks hold `t >= 8` coefficients per
+//!   half broadcasts one twiddle per block. The three short stages
+//!   (`t = 4, 2, 1`) run together on each group of 16 coefficients
+//!   held in two registers, regrouping the halves with lane permutes
+//!   between stages and spreading consecutive twiddles across lanes.
+//!   The forward's last stage normalizes to `[0, q)` and the
+//!   inverse's `n⁻¹` scaling is a vector sweep, as in the scalar
+//!   kernel.
+//! - **Bit identity.** Both kernels compute the same butterflies on
+//!   representatives of the same residues; a lazy value of the vector
+//!   kernel differs from the scalar one by at most a multiple of `q`
+//!   (its quotient estimate may differ by one), and both fold their
+//!   output to the canonical residue. So the two return the same
+//!   words (`vector_kernel_matches_the_scalar_kernel_word_for_word`),
+//!   and every ciphertext, key and digest keeps its bytes. Under
+//!   `cfg(debug_assertions)` every lane is held to the scalar kernel's
+//!   lazy bounds, with the same messages.
 
 use crate::modular::{add_mod, inv_mod, mul_mod, primitive_root_2n, sub_mod, PrimeArith};
+
+/// Which butterfly kernel a table runs; fixed by [`NttTable::new`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    /// `PrimeArith` butterflies, one coefficient at a time.
+    Scalar,
+    /// The AVX-512 IFMA butterflies of [`ifma`], eight at a time.
+    #[cfg(target_arch = "x86_64")]
+    Ifma,
+}
+
+impl Kernel {
+    /// The vector kernel for a prime and ring it can take, on a CPU
+    /// that reports the instructions it needs; otherwise the scalar
+    /// kernel.
+    fn choose(q: u64, n: usize) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if q < ifma::MAX_Q && n >= ifma::MIN_N && ifma::detected() {
+            return Kernel::Ifma;
+        }
+        Kernel::Scalar
+    }
+}
 
 /// Precomputed NTT tables for one prime.
 #[derive(Debug, Clone)]
@@ -34,6 +95,7 @@ pub struct NttTable {
     pub q: u64,
     n: usize,
     arith: PrimeArith,
+    kernel: Kernel,
     psi_brv: Vec<u64>,
     psi_brv_shoup: Vec<u64>,
     ipsi_brv: Vec<u64>,
@@ -58,7 +120,8 @@ impl NttTable {
     /// Builds tables for ring dimension `n` (power of two) and prime
     /// `q ≡ 1 mod 2n`. Each twiddle is stored together with its Shoup
     /// companion `floor(w * 2^64 / q)` so the butterflies never touch
-    /// a hardware division.
+    /// a hardware division. Also picks the table's kernel (see the
+    /// module's "Vector kernel").
     ///
     /// # Panics
     ///
@@ -86,6 +149,7 @@ impl NttTable {
             q,
             n,
             arith,
+            kernel: Kernel::choose(q, n),
             psi_brv,
             psi_brv_shoup,
             ipsi_brv,
@@ -107,6 +171,16 @@ impl NttTable {
         &self.arith
     }
 
+    /// The kernel this table's transforms run: `"avx512ifma"` or
+    /// `"scalar"`. Both return the same words.
+    pub fn kernel(&self) -> &'static str {
+        match self.kernel {
+            Kernel::Scalar => "scalar",
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Ifma => "avx512ifma",
+        }
+    }
+
     /// In-place forward negacyclic NTT.
     ///
     /// Cooley-Tukey butterflies with lazy reduction: working values
@@ -119,9 +193,46 @@ impl NttTable {
     ///
     /// Panics if `a.len() != n`.
     pub fn forward(&self, a: &mut [u64]) {
+        self.count_pass(a);
+        #[cfg(target_arch = "x86_64")]
+        if self.kernel == Kernel::Ifma {
+            // SAFETY: `Kernel::choose`, called by `new`, picks `Ifma`
+            // only after `is_x86_feature_detected!` reported both
+            // `avx512f` and `avx512ifma` on this CPU.
+            return unsafe { ifma::forward(self, a) };
+        }
+        self.forward_scalar(a);
+    }
+
+    /// In-place inverse negacyclic NTT.
+    ///
+    /// Gentleman-Sande butterflies with lazy reduction (values in
+    /// `[0, 2q)` between passes); the final multiply by `n^-1` is a
+    /// Shoup product normalized to `[0, q)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a.len() != n`.
+    pub fn inverse(&self, a: &mut [u64]) {
+        self.count_pass(a);
+        #[cfg(target_arch = "x86_64")]
+        if self.kernel == Kernel::Ifma {
+            // SAFETY: as in `forward`.
+            return unsafe { ifma::inverse(self, a) };
+        }
+        self.inverse_scalar(a);
+    }
+
+    /// Checks a pass's input length, and counts the pass under test.
+    fn count_pass(&self, a: &[u64]) {
         assert_eq!(a.len(), self.n, "length mismatch");
         #[cfg(test)]
         NTT_PASSES.with(|c| c.set(c.get() + 1));
+    }
+
+    /// The scalar forward kernel: the only one for primes from 2^50
+    /// up, and the reference the vector kernel is tested against.
+    pub(crate) fn forward_scalar(&self, a: &mut [u64]) {
         let pa = self.arith;
         let two_q = pa.two_q();
         if self.n == 1 {
@@ -163,19 +274,8 @@ impl NttTable {
         }
     }
 
-    /// In-place inverse negacyclic NTT.
-    ///
-    /// Gentleman-Sande butterflies with lazy reduction (values in
-    /// `[0, 2q)` between passes); the final multiply by `n^-1` is a
-    /// Shoup product normalized to `[0, q)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != n`.
-    pub fn inverse(&self, a: &mut [u64]) {
-        assert_eq!(a.len(), self.n, "length mismatch");
-        #[cfg(test)]
-        NTT_PASSES.with(|c| c.set(c.get() + 1));
+    /// The scalar inverse kernel.
+    pub(crate) fn inverse_scalar(&self, a: &mut [u64]) {
         let pa = self.arith;
         let two_q = pa.two_q();
         let mut t = 1;
@@ -226,6 +326,316 @@ impl NttTable {
             }
         }
         out
+    }
+}
+
+/// The AVX-512 IFMA kernel: the scalar kernel's butterflies on eight
+/// coefficients per instruction, for primes below [`ifma::MAX_Q`]
+/// (see the module's "Vector kernel"). `forward` and `inverse` are the
+/// entry points, and calling them needs the CPU features [`ifma::detected`]
+/// checks; the helpers below inline into them.
+#[cfg(target_arch = "x86_64")]
+mod ifma {
+    use super::NttTable;
+    use core::arch::x86_64::*;
+
+    /// Primes the kernel takes: every lazy value (below `4q`) then
+    /// fits the multiplier's 52-bit inputs.
+    pub(super) const MAX_Q: u64 = 1 << 50;
+    /// The short stages work on groups of 16 coefficients.
+    pub(super) const MIN_N: usize = 16;
+
+    /// Whether the CPU runs the kernel's instructions.
+    pub(super) fn detected() -> bool {
+        std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512ifma")
+    }
+
+    // Lane indices for `_mm512_permutex2var_epi64` over two registers
+    // holding a group of 16 coefficients (lanes 0..8 of the first,
+    // 8..16 of the second); each pair lists the lanes of the first and
+    // of the second output register. Between the short stages they move
+    // the coefficients from one stage's butterfly halves (`lo`, `hi`)
+    // to the next one's. The first three are their own inverses, so the
+    // inverse transform runs them in the opposite order.
+    /// Natural order ↔ halves of the `t = 4` stage.
+    const NAT_T4: ([u64; 8], [u64; 8]) = ([0, 1, 2, 3, 8, 9, 10, 11], [4, 5, 6, 7, 12, 13, 14, 15]);
+    /// Halves of `t = 4` ↔ halves of `t = 2`.
+    const T4_T2: ([u64; 8], [u64; 8]) = ([0, 1, 8, 9, 4, 5, 12, 13], [2, 3, 10, 11, 6, 7, 14, 15]);
+    /// Halves of `t = 2` ↔ halves of `t = 1`.
+    const T2_T1: ([u64; 8], [u64; 8]) = ([0, 8, 2, 10, 4, 12, 6, 14], [1, 9, 3, 11, 5, 13, 7, 15]);
+    /// Halves of `t = 1` → natural order.
+    const T1_NAT: ([u64; 8], [u64; 8]) = ([0, 8, 1, 9, 2, 10, 3, 11], [4, 12, 5, 13, 6, 14, 7, 15]);
+    /// Natural order → halves of `t = 1`.
+    const NAT_T1: ([u64; 8], [u64; 8]) = ([0, 2, 4, 6, 8, 10, 12, 14], [1, 3, 5, 7, 9, 11, 13, 15]);
+    /// Twiddle spreads: lane `j` of a `t = 4` / `t = 2` / `t = 1` half
+    /// belongs to block `j / 4` / `j / 2` / `j` of its group.
+    const SPREAD_T4: [u64; 8] = [0, 0, 0, 0, 1, 1, 1, 1];
+    const SPREAD_T2: [u64; 8] = [0, 0, 1, 1, 2, 2, 3, 3];
+    const LANES: [u64; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
+
+    /// Regroups the 16 lanes of `a` and `b` by `lanes`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn regroup((a, b): (__m512i, __m512i), lanes: ([u64; 8], [u64; 8])) -> (__m512i, __m512i) {
+        (
+            _mm512_permutex2var_epi64(a, load(&lanes.0), b),
+            _mm512_permutex2var_epi64(a, load(&lanes.1), b),
+        )
+    }
+
+    /// The prime's constants, broadcast.
+    #[derive(Clone, Copy)]
+    struct Consts {
+        q: __m512i,
+        two_q: __m512i,
+        four_q: __m512i,
+        /// `2^52 − q`: `x·(2^52 − q) ≡ −x·q (mod 2^52)`.
+        neg_q: __m512i,
+        mask52: __m512i,
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn consts(q: u64) -> Consts {
+        let lane = |x: u64| _mm512_set1_epi64(x as i64);
+        Consts {
+            q: lane(q),
+            two_q: lane(2 * q),
+            four_q: lane(4 * q),
+            neg_q: lane((1 << 52) - q),
+            mask52: lane((1 << 52) - 1),
+        }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn load(a: &[u64; 8]) -> __m512i {
+        // SAFETY: `a` is eight readable `u64`s; the load is unaligned.
+        unsafe { _mm512_loadu_epi64(a.as_ptr().cast()) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn store(a: &mut [u64; 8], v: __m512i) {
+        // SAFETY: `a` is eight writable `u64`s; the store is unaligned.
+        unsafe { _mm512_storeu_epi64(a.as_mut_ptr().cast(), v) }
+    }
+
+    /// The first (at most 8) words of `w`, lane `j` holding
+    /// `w[spread[j]]`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn load_spread(w: &[u64], spread: __m512i) -> __m512i {
+        let mask = ((1u16 << w.len().min(8)) - 1) as u8;
+        // SAFETY: the mask enables the first `min(w.len(), 8)` lanes
+        // only, and a masked-off lane is neither read nor able to fault.
+        let v = unsafe { _mm512_maskz_loadu_epi64(mask, w.as_ptr().cast()) };
+        _mm512_permutexvar_epi64(spread, v)
+    }
+
+    /// `x − m` in lanes where `x >= m`, else `x`: the scalar kernel's
+    /// `reduce_once`/`canonical` fold (the wrapped difference of a
+    /// lane below `m` is the larger of the two).
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn fold(x: __m512i, m: __m512i) -> __m512i {
+        _mm512_min_epu64(x, _mm512_sub_epi64(x, m))
+    }
+
+    /// Under `cfg(debug_assertions)`, panics with `msg` unless every
+    /// lane of `v` is below `bound`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn debug_below(v: __m512i, bound: __m512i, msg: &str) {
+        debug_assert!(_mm512_cmpge_epu64_mask(v, bound) == 0, "{msg}");
+    }
+
+    /// Shoup product `a·w mod q` in `[0, 2q)` for lanes `a < 2^52`,
+    /// with `w52 = floor(w·2^52 / q)`: the quotient estimate is the
+    /// high word of `a·w52`, and `a·w − q_est·q` (below `2q < 2^52`)
+    /// is read off the low 52 bits of the two products.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn mul_shoup_lazy(a: __m512i, w: __m512i, w52: __m512i, c: Consts) -> __m512i {
+        let zero = _mm512_setzero_si512();
+        let q_est = _mm512_madd52hi_epu64(zero, a, w52);
+        let r = _mm512_madd52lo_epu64(_mm512_madd52lo_epu64(zero, a, w), q_est, c.neg_q);
+        let r = _mm512_and_si512(r, c.mask52);
+        debug_below(r, c.two_q, "Shoup product escaped [0, 2q)");
+        r
+    }
+
+    /// The 52-bit Shoup companions of 64-bit ones.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn shoup52(w_shoup: __m512i) -> __m512i {
+        _mm512_srli_epi64::<12>(w_shoup)
+    }
+
+    /// Cooley-Tukey butterfly on lazy `[0, 4q)` halves: outputs in
+    /// `[0, 4q)`, or canonical when `last`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn forward_butterfly(
+        (x, y): (__m512i, __m512i),
+        (w, w52): (__m512i, __m512i),
+        c: Consts,
+        last: bool,
+    ) -> (__m512i, __m512i) {
+        debug_below(x, c.four_q, "lazy representative escaped [0, 4q)");
+        debug_below(y, c.four_q, "lazy representative escaped [0, 4q)");
+        let u = fold(x, c.two_q);
+        let v = mul_shoup_lazy(y, w, w52, c);
+        let x = _mm512_add_epi64(u, v);
+        let y = _mm512_sub_epi64(_mm512_add_epi64(u, c.two_q), v);
+        debug_below(x, c.four_q, "lazy representative escaped [0, 4q)");
+        debug_below(y, c.four_q, "lazy representative escaped [0, 4q)");
+        if last {
+            (fold(fold(x, c.two_q), c.q), fold(fold(y, c.two_q), c.q))
+        } else {
+            (x, y)
+        }
+    }
+
+    /// Gentleman-Sande butterfly on lazy `[0, 2q)` halves: outputs in
+    /// `[0, 2q)`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn inverse_butterfly(
+        (x, y): (__m512i, __m512i),
+        (w, w52): (__m512i, __m512i),
+        c: Consts,
+    ) -> (__m512i, __m512i) {
+        debug_below(x, c.two_q, "lazy representative escaped [0, 2q)");
+        debug_below(y, c.two_q, "lazy representative escaped [0, 2q)");
+        let sum = fold(_mm512_add_epi64(x, y), c.two_q);
+        debug_below(sum, c.two_q, "lazy representative escaped [0, 2q)");
+        let diff = _mm512_sub_epi64(_mm512_add_epi64(x, c.two_q), y);
+        (sum, mul_shoup_lazy(diff, w, w52, c))
+    }
+
+    /// Twiddles `w[at]` and their 52-bit Shoup companions, from the
+    /// 64-bit ones in `w_shoup[at]`, lane `j` holding entry `spread[j]`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn twiddles(
+        (w, w_shoup): (&[u64], &[u64]),
+        at: std::ops::Range<usize>,
+        spread: __m512i,
+    ) -> (__m512i, __m512i) {
+        let w52 = shoup52(load_spread(&w_shoup[at.clone()], spread));
+        (load_spread(&w[at], spread), w52)
+    }
+
+    /// One `t >= 8` stage: block `i` of `2t` coefficients pairs its
+    /// halves under twiddle `w[i]`, whose 64-bit Shoup companion is
+    /// `w_shoup[i]`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn wide_stage(
+        a: &mut [u64],
+        t: usize,
+        (w, w_shoup): (&[u64], &[u64]),
+        butterfly: impl Fn((__m512i, __m512i), (__m512i, __m512i)) -> (__m512i, __m512i),
+    ) {
+        for ((block, &w), &ws) in a.chunks_exact_mut(2 * t).zip(w).zip(w_shoup) {
+            let (lo, hi) = block.split_at_mut(t);
+            let tw = (
+                _mm512_set1_epi64(w as i64),
+                shoup52(_mm512_set1_epi64(ws as i64)),
+            );
+            for (x, y) in lo
+                .as_chunks_mut::<8>()
+                .0
+                .iter_mut()
+                .zip(hi.as_chunks_mut::<8>().0)
+            {
+                let (u, v) = butterfly((load(x), load(y)), tw);
+                store(x, u);
+                store(y, v);
+            }
+        }
+    }
+
+    /// The three short stages (`t = 4, 2, 1`, either order) of group
+    /// `g`: the 16 coefficients `a[16g..16g + 16]`, loaded once into two
+    /// registers that `stage` regroups and transforms.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn short_stages(
+        a: &mut [u64],
+        stage: impl Fn(usize, (__m512i, __m512i)) -> (__m512i, __m512i),
+    ) {
+        for (g, group) in a.as_chunks_mut::<16>().0.iter_mut().enumerate() {
+            let (lo, hi) = group.split_at_mut(8);
+            let (lo, hi): (&mut [u64; 8], &mut [u64; 8]) =
+                (lo.try_into().expect("8"), hi.try_into().expect("8"));
+            let (x, y) = stage(g, (load(lo), load(hi)));
+            store(lo, x);
+            store(hi, y);
+        }
+    }
+
+    /// Forward transform of `a` with `t`'s tables.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) fn forward(t: &NttTable, a: &mut [u64]) {
+        let n = t.n;
+        let c = consts(t.q);
+        let psi = (&t.psi_brv[..], &t.psi_brv_shoup[..]);
+        let (mut half, mut m) = (n / 2, 1);
+        while half >= 8 {
+            let tables = (&psi.0[m..2 * m], &psi.1[m..2 * m]);
+            wide_stage(a, half, tables, |xy, tw| {
+                forward_butterfly(xy, tw, c, false)
+            });
+            (half, m) = (half / 2, m * 2);
+        }
+        // Group g holds blocks 2g.. of t = 4, 4g.. of t = 2 and 8g.. of
+        // t = 1, whose twiddles start at n/8, n/4 and n/2.
+        let (spread4, spread2, lanes) = (load(&SPREAD_T4), load(&SPREAD_T2), load(&LANES));
+        short_stages(a, |g, v| {
+            let tw = twiddles(psi, n / 8 + 2 * g..n / 8 + 2 * g + 2, spread4);
+            let (x, y) = forward_butterfly(regroup(v, NAT_T4), tw, c, false);
+            let tw = twiddles(psi, n / 4 + 4 * g..n / 4 + 4 * g + 4, spread2);
+            let (x, y) = forward_butterfly(regroup((x, y), T4_T2), tw, c, false);
+            let tw = twiddles(psi, n / 2 + 8 * g..n / 2 + 8 * g + 8, lanes);
+            let (x, y) = forward_butterfly(regroup((x, y), T2_T1), tw, c, true);
+            regroup((x, y), T1_NAT)
+        });
+    }
+
+    /// Inverse transform of `a` with `t`'s tables.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) fn inverse(t: &NttTable, a: &mut [u64]) {
+        let n = t.n;
+        let c = consts(t.q);
+        let ipsi = (&t.ipsi_brv[..], &t.ipsi_brv_shoup[..]);
+        // Group g holds blocks 8g.. of t = 1, 4g.. of t = 2 and 2g.. of
+        // t = 4, whose twiddles start at n/2, n/4 and n/8.
+        let (spread4, spread2, lanes) = (load(&SPREAD_T4), load(&SPREAD_T2), load(&LANES));
+        short_stages(a, |g, v| {
+            let tw = twiddles(ipsi, n / 2 + 8 * g..n / 2 + 8 * g + 8, lanes);
+            let (x, y) = inverse_butterfly(regroup(v, NAT_T1), tw, c);
+            let tw = twiddles(ipsi, n / 4 + 4 * g..n / 4 + 4 * g + 4, spread2);
+            let (x, y) = inverse_butterfly(regroup((x, y), T2_T1), tw, c);
+            let tw = twiddles(ipsi, n / 8 + 2 * g..n / 8 + 2 * g + 2, spread4);
+            let (x, y) = inverse_butterfly(regroup((x, y), T4_T2), tw, c);
+            regroup((x, y), NAT_T4)
+        });
+        let (mut half, mut h) = (8, n / 16);
+        while h >= 1 {
+            let tables = (&ipsi.0[h..2 * h], &ipsi.1[h..2 * h]);
+            wide_stage(a, half, tables, |xy, tw| inverse_butterfly(xy, tw, c));
+            (half, h) = (half * 2, h / 2);
+        }
+        let n_inv = _mm512_set1_epi64(t.n_inv as i64);
+        let n_inv52 = shoup52(_mm512_set1_epi64(t.n_inv_shoup as i64));
+        for x in a.as_chunks_mut::<8>().0 {
+            let v = load(x);
+            debug_below(v, c.two_q, "lazy representative escaped [0, 2q)");
+            store(x, fold(mul_shoup_lazy(v, n_inv, n_inv52, c), c.q));
+        }
     }
 }
 
@@ -420,6 +830,88 @@ mod tests {
             t.inverse(&mut lazy);
             reference_inverse(&t, &mut plain);
             assert_eq!(lazy, plain, "lazy inverse NTT diverged, q={}", t.q);
+        }
+    }
+
+    /// The inputs each kernel case runs on: uniform residues, all
+    /// zero, and all `q − 1` (the largest lazy values).
+    fn kernel_inputs(q: u64, n: usize, rng: &mut smartpaf_tensor::Rng64) -> [Vec<u64>; 3] {
+        [
+            (0..n).map(|_| rng.next_u64() % q).collect(),
+            vec![0; n],
+            vec![q - 1; n],
+        ]
+    }
+
+    #[test]
+    fn vector_kernel_matches_the_scalar_kernel_word_for_word() {
+        let mut rng = smartpaf_tensor::Rng64::new(0x1F3A_0052);
+        let mut vector_tables = 0;
+        // 30 to 50 bits: `ntt_primes(50, ..)` is the widest prime the
+        // vector kernel takes (below 2^50), where its lazy values come
+        // closest to the multiplier's 52 bits.
+        for bits in [30u32, 40, 49, 50] {
+            for log_n in 4..=13 {
+                let n = 1usize << log_n;
+                let t = NttTable::new(ntt_primes(bits, 1, n)[0], n);
+                if t.kernel() != "scalar" {
+                    vector_tables += 1;
+                }
+                for input in kernel_inputs(t.q, n, &mut rng) {
+                    let (mut got, mut want) = (input.clone(), input.clone());
+                    t.forward(&mut got);
+                    t.forward_scalar(&mut want);
+                    assert_eq!(
+                        got,
+                        want,
+                        "forward: {} kernel, {bits}-bit q, n={n}",
+                        t.kernel()
+                    );
+                    let (mut got, mut want) = (input.clone(), input);
+                    t.inverse(&mut got);
+                    t.inverse_scalar(&mut want);
+                    assert_eq!(
+                        got,
+                        want,
+                        "inverse: {} kernel, {bits}-bit q, n={n}",
+                        t.kernel()
+                    );
+                }
+            }
+        }
+        if vector_tables == 0 {
+            println!(
+                "this CPU does not report avx512f + avx512ifma: \
+                 the scalar kernel was compared with itself"
+            );
+        } else {
+            println!(
+                "compared the avx512ifma kernel with the scalar kernel on {vector_tables} tables"
+            );
+        }
+    }
+
+    #[test]
+    fn wide_primes_and_short_rings_take_the_scalar_kernel() {
+        for n in [2usize, 4, 8] {
+            assert_eq!(table(n).kernel(), "scalar", "n={n}");
+        }
+        for n in [16usize, 4096] {
+            let t = NttTable::new(ntt_primes(60, 1, n)[0], n);
+            assert_eq!(t.kernel(), "scalar", "60-bit prime, n={n}");
+        }
+        #[cfg(target_arch = "x86_64")]
+        {
+            let vector = if ifma::detected() {
+                "avx512ifma"
+            } else {
+                "scalar"
+            };
+            assert_eq!(table(16).kernel(), vector);
+            let t = NttTable::new(ntt_primes(50, 1, 4096)[0], 4096);
+            assert_eq!(t.kernel(), vector, "largest prime below 2^50");
+            let t = NttTable::new(ntt_primes(51, 1, 4096)[0], 4096);
+            assert_eq!(t.kernel(), "scalar", "51-bit prime");
         }
     }
 }

@@ -308,14 +308,7 @@ impl Drop for RnsPoly {
 
 impl Clone for RnsPoly {
     fn clone(&self) -> Self {
-        let mut data = pool::acquire(self.data.len());
-        data.copy_from_slice(&self.data);
-        RnsPoly {
-            ctx: Arc::clone(&self.ctx),
-            data,
-            num_limbs: self.num_limbs,
-            is_ntt: self.is_ntt,
-        }
+        self.clone_prefix(self.num_limbs)
     }
 }
 
@@ -637,6 +630,28 @@ impl RnsPoly {
             }
         }
         out
+    }
+
+    /// A copy of the first `num_limbs` limbs: `clone` then
+    /// [`Self::drop_to`], without copying the limbs dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_limbs` is zero or exceeds the current count.
+    pub(crate) fn clone_prefix(&self, num_limbs: usize) -> RnsPoly {
+        assert!(
+            num_limbs >= 1 && num_limbs <= self.num_limbs,
+            "invalid truncation"
+        );
+        let len = num_limbs * self.ctx.n();
+        let mut data = pool::acquire(len);
+        data.copy_from_slice(&self.data[..len]);
+        RnsPoly {
+            ctx: Arc::clone(&self.ctx),
+            data,
+            num_limbs,
+            is_ntt: self.is_ntt,
+        }
     }
 
     /// Drops limbs until `num_limbs` remain, without rescaling (plain
