@@ -2,13 +2,11 @@
 //!
 //! Two layers:
 //!
-//! - the original odd-Horner vs dense-Horner head-to-head
-//!   (`horner_dense_deg7` / `horner_odd_deg7`) that flagged the PR-1
-//!   hot-path regression, now the regression guard for the packed
-//!   reverse-walk fix in `Polynomial::eval_odd`;
-//! - the evaluation-engine ablation matrix: backend
-//!   (dense / odd / estrin / batched) × degree (7 / 15 / 27), all
-//!   through `smartpaf_polyfit::PolyEval`.
+//! - batched PAF-ReLU over a 4096-point grid for every Tab. 2 form;
+//! - the evaluation-engine ablation matrix: plan
+//!   (dense / odd / batched) × degree (7 / 15 / 27), all through
+//!   `smartpaf_polyfit::PolyEval`. The `dense` vs `odd` rows are the
+//!   odd-Horner vs dense-Horner head-to-head.
 //!
 //! The run emits a machine-readable `BENCH_paf.json` (in the bench
 //! package directory) via the criterion shim's JSON hook; the CI
@@ -60,24 +58,7 @@ fn bench_plain_forms(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_odd_vs_dense(c: &mut Criterion) {
-    let p = Polynomial::from_odd(&[7.3, -34.7, 59.9, -31.9]);
-    let xs = grid(4096);
-    c.bench_function("horner_dense_deg7", |b| {
-        b.iter(|| {
-            let s: f64 = xs.iter().map(|&x| p.eval(x)).sum();
-            std::hint::black_box(s)
-        })
-    });
-    c.bench_function("horner_odd_deg7", |b| {
-        b.iter(|| {
-            let s: f64 = xs.iter().map(|&x| p.eval_odd(x)).sum();
-            std::hint::black_box(s)
-        })
-    });
-}
-
-/// The engine ablation matrix: backend × degree, 4096-point grid.
+/// The engine ablation matrix: plan × degree, 4096-point grid.
 fn bench_eval_ablation(c: &mut Criterion) {
     let xs = grid(4096);
     for degree in [7usize, 15, 27] {
@@ -100,14 +81,6 @@ fn bench_eval_ablation(c: &mut Criterion) {
             })
         });
 
-        let estrin = PolyEval::with_plan(&p, EvalPlan::OddEstrin);
-        group.bench_function("estrin", |b| {
-            b.iter(|| {
-                let s: f64 = xs.iter().map(|&x| estrin.eval(x)).sum();
-                std::hint::black_box(s)
-            })
-        });
-
         // The auto-selected plan through the batch lane loop.
         let auto = PolyEval::new(&p);
         let mut out = vec![0.0; xs.len()];
@@ -125,6 +98,6 @@ fn bench_eval_ablation(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().json_output("BENCH_paf.json");
-    targets = bench_plain_forms, bench_odd_vs_dense, bench_eval_ablation
+    targets = bench_plain_forms, bench_eval_ablation
 }
 criterion_main!(benches);

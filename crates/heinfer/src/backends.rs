@@ -917,7 +917,7 @@ mod tests {
         let (report, _) = pipe.trace(&chain(12), false, 1).expect("fits");
         assert_eq!(report.stages.len(), 1);
         // Exactly the even-power-ladder count plus the ReLU product.
-        assert_eq!(report.total_ct_mults(), paf.exact_ct_mult_count() + 1);
+        assert_eq!(report.total_ct_mults(), paf.prepare().exact_ct_mults() + 1);
         // Maxpool: one PAF-max per shift, 2·⌈log₂k⌉ of them — two for
         // a 2×2 window, four for a 3×3 one.
         for (k, shifts) in [(2, 2), (3, 4)] {
@@ -927,7 +927,7 @@ mod tests {
             let (report, _) = pool.trace(&chain(30), false, 1).expect("fits");
             assert_eq!(
                 report.total_ct_mults(),
-                shifts * (paf.exact_ct_mult_count() + 1)
+                shifts * (paf.prepare().exact_ct_mults() + 1)
             );
             let fold = report.paf_slots()[0];
             assert_eq!((fold.rotations, fold.decompositions), (shifts, shifts));
@@ -1014,8 +1014,11 @@ mod tests {
         assert_eq!(slots.len(), 2);
         assert_eq!(slots[0].slot, Some(0));
         assert_eq!(slots[1].slot, Some(1));
-        assert_eq!(slots[0].ct_mults, deep.exact_ct_mult_count() + 1);
-        assert_eq!(slots[1].ct_mults, 2 * (cheap.exact_ct_mult_count() + 1));
+        assert_eq!(slots[0].ct_mults, deep.prepare().exact_ct_mults() + 1);
+        assert_eq!(
+            slots[1].ct_mults,
+            2 * (cheap.prepare().exact_ct_mults() + 1)
+        );
         // Affine stages carry no slot index.
         assert!(report.stages.iter().any(|s| s.slot.is_none()));
     }

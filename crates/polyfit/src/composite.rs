@@ -6,7 +6,7 @@
 
 use crate::depth::poly_mult_depth;
 use crate::poly::Polynomial;
-use crate::polyeval::{CompositeEval, OddPowerSchedule};
+use crate::polyeval::CompositeEval;
 use crate::remez::minimax_sign_composite;
 use std::fmt;
 
@@ -296,42 +296,6 @@ impl CompositePaf {
     /// grids).
     pub fn prepare(&self) -> CompositeEval {
         CompositeEval::new(self)
-    }
-
-    /// Number of ciphertext-ciphertext multiplications needed to
-    /// evaluate all stages with the odd power basis
-    /// (per stage: powers x², x³, then x⁵, x⁷, ... plus products).
-    ///
-    /// This is the latency-dominating count under CKKS; the per-stage
-    /// model lives in [`OddPowerSchedule::modelled_ct_mults`].
-    pub fn ct_mult_count(&self) -> usize {
-        self.stages
-            .iter()
-            .map(|p| {
-                if p.degree() == 0 {
-                    0
-                } else {
-                    OddPowerSchedule::new(p).modelled_ct_mults()
-                }
-            })
-            .sum()
-    }
-
-    /// Exact ciphertext-ciphertext multiplication count of evaluating
-    /// all stages with the even-power-ladder schedule
-    /// ([`OddPowerSchedule::exact_ct_mults`] summed) — the number the
-    /// trace execution backend records per PAF stage.
-    pub fn exact_ct_mult_count(&self) -> usize {
-        self.stages
-            .iter()
-            .map(|p| {
-                if p.degree() == 0 {
-                    0
-                } else {
-                    OddPowerSchedule::new(p).exact_ct_mults()
-                }
-            })
-            .sum()
     }
 
     /// Enumerates the built-in candidate forms (Tab. 2) whose PAF-ReLU

@@ -30,7 +30,6 @@ mod linalg;
 pub mod paper_coeffs;
 mod poly;
 pub mod polyeval;
-mod ps;
 mod remez;
 pub mod search;
 mod serde_impls;
@@ -48,7 +47,6 @@ pub use depth::{poly_mult_depth, DepthStep, DepthTrace};
 pub use linalg::{solve_dense, weighted_lsq_polyfit};
 pub use poly::Polynomial;
 pub use polyeval::{CompositeEval, EvalPlan, OddPowerSchedule, PolyEval};
-pub use ps::{ps_eval, ps_plan, squaring_schedule_mults, PsPlan};
 pub use remez::{minimax_sign, minimax_sign_composite, RemezReport};
 pub use search::{
     enumerate_composites, min_depth_composite, min_depth_under_degree, pareto_frontier, BaseStage,

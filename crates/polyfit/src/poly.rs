@@ -85,44 +85,16 @@ impl Polynomial {
     }
 
     /// Horner evaluation.
+    ///
+    /// For repeated evaluation prefer [`crate::PolyEval`], which packs
+    /// an odd function's odd coefficients once (Horner in `y = x²`)
+    /// and evaluates slices through a lane loop.
     pub fn eval(&self, x: f64) -> f64 {
         let mut acc = 0.0;
         for &c in self.coeffs.iter().rev() {
             acc = acc * x + c;
         }
         acc
-    }
-
-    /// Evaluation exploiting odd symmetry: Horner in `y = x^2` on the
-    /// odd coefficients, then one multiply by `x`. Roughly halves the
-    /// multiplication count for sign bases; used by the CKKS evaluator.
-    ///
-    /// For repeated evaluation prefer [`crate::PolyEval`], which packs
-    /// the odd coefficients once and offers batch backends.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if the polynomial is not an odd function.
-    /// (The full-coefficient scan is as expensive as the evaluation
-    /// itself, so release builds skip it — this call sits on the PAF
-    /// hot path.)
-    pub fn eval_odd(&self, x: f64) -> f64 {
-        debug_assert!(self.is_odd_function(), "eval_odd on a non-odd polynomial");
-        if self.coeffs.len() < 2 {
-            return 0.0; // the zero polynomial
-        }
-        let y = x * x;
-        let mut acc = 0.0;
-        // A trimmed odd polynomial has even coefficient length, so each
-        // exact reverse chunk is `[even, odd]` and `ch[1]` walks the
-        // odd coefficients highest-first without the `step_by(2).rev()`
-        // adaptor chain (whose backward stepping, plus the per-call
-        // odd-function scan, made this path ~2.5x slower than dense
-        // Horner in the PR-1 baseline).
-        for ch in self.coeffs.rchunks_exact(2) {
-            acc = acc * y + ch[1];
-        }
-        acc * x
     }
 
     /// First derivative.
@@ -261,33 +233,21 @@ mod tests {
     }
 
     #[test]
-    fn eval_odd_matches_eval() {
-        let p = Polynomial::from_odd(&[2.0762, -1.3271]);
-        for i in -10..=10 {
-            let x = i as f64 / 10.0;
-            assert!((p.eval(x) - p.eval_odd(x)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "non-odd")]
-    fn eval_odd_rejects_even_terms() {
-        Polynomial::new(vec![1.0, 1.0]).eval_odd(0.5);
-    }
-
-    #[test]
     fn eval_odd_zero_polynomial() {
-        assert_eq!(Polynomial::zero().eval_odd(0.7), 0.0);
+        // The packed-odd evaluation that replaced Polynomial::eval_odd
+        // must handle an empty odd-coefficient vector.
+        let pe = crate::PolyEval::with_plan(&Polynomial::zero(), crate::EvalPlan::OddHorner);
+        assert_eq!(pe.eval(0.7), 0.0);
     }
 
     #[test]
     fn eval_odd_with_zero_leading_odd_coeff() {
         // coeffs_mut can zero the top odd coefficient without trimming;
-        // the packed reverse walk must still be correct.
+        // the packed odd evaluation must still be correct.
         let mut p = Polynomial::from_odd(&[1.5, -0.5]);
         p.coeffs_mut()[3] = 0.0;
-        assert!((p.eval_odd(0.5) - 0.75).abs() < 1e-15);
+        let pe = crate::PolyEval::with_plan(&p, crate::EvalPlan::OddHorner);
+        assert!((pe.eval(0.5) - 0.75).abs() < 1e-15);
     }
 
     #[test]

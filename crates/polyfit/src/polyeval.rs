@@ -1,21 +1,19 @@
 //! The unified polynomial-evaluation engine.
 //!
-//! Every plaintext consumer of a [`Polynomial`] used to re-decide
-//! dense-vs-odd Horner at each call site (and the odd path paid a
-//! `skip(1).step_by(2).rev()` iterator chain per call). This module
-//! centralises that decision behind a prepared plan:
+//! Plaintext consumers of a [`Polynomial`] decide dense-vs-odd Horner
+//! once, behind a prepared plan, instead of at each call site:
 //!
-//! - [`EvalPlan`] names the backend: dense or odd-packed Horner,
-//!   Estrin's log-depth splitting, or Paterson–Stockmeyer baby/giant
-//!   steps. [`EvalPlan::select`] picks one from the polynomial's
-//!   symmetry and degree.
+//! - [`EvalPlan`] names the backend: Horner over the dense
+//!   coefficients, or Horner in `y = x²` over the packed odd ones.
+//!   [`EvalPlan::select`] picks one from the polynomial's symmetry.
+//!   Every PAF stage has degree ≤ 27 (≤ 14 packed odd coefficients),
+//!   where Horner's short chain is all a stage needs.
 //! - [`PolyEval`] packs the coefficient vector once (odd coefficients
 //!   extracted up front for odd functions) and offers scalar
 //!   ([`PolyEval::eval`]) and batch ([`PolyEval::eval_slice`])
-//!   evaluation. The batch path runs a fixed-width lane loop — for
-//!   every backend, Horner and Estrin / Paterson–Stockmeyer alike — so
-//!   per-element dependency chains interleave across `LANES`
-//!   explicit accumulators.
+//!   evaluation. The batch path runs a fixed-width lane loop, so
+//!   per-element dependency chains interleave across `LANES` explicit
+//!   accumulators.
 //! - [`OddPowerSchedule`] is the ciphertext-side twin: the packed odd
 //!   coefficients plus the even-power-ladder shape that
 //!   `smartpaf-ckks`'s `PafEvaluator` and cost model both consume.
@@ -25,32 +23,11 @@
 
 use crate::composite::CompositePaf;
 use crate::poly::Polynomial;
-use crate::ps::ps_plan;
 
 /// Width of the batch lane loop in [`PolyEval::eval_slice`]. Eight
 /// independent accumulators are enough for the FMA latency×throughput
 /// product on current x86/aarch64 cores.
 const LANES: usize = 8;
-
-/// Packed length at which Estrin's shorter dependency chain starts to
-/// pay for its extra squarings on the odd path. Re-calibrated for the
-/// explicit-lane batch loop (`calibrate_thresholds` harness, x86-64):
-/// eight interleaved Horner chains hide FMA latency so thoroughly that
-/// batched Horner beats batched Estrin at every measured size, and
-/// scalar Horner holds through packed 48 (33 vs 37 ns/point). From
-/// packed 64 the scalar chain's latency dominates (Estrin 42 vs Horner
-/// 53 ns/point), so the odd plans switch there. Every PAF stage in the
-/// paper stays far below this (packed ≤ 14).
-const ESTRIN_MIN_PACKED: usize = 64;
-
-/// Packed length at which Paterson–Stockmeyer's baby/giant blocks take
-/// over on the dense path. Re-calibrated alongside the lane loop: PS
-/// wins batch from packed 64 (12.2 vs Horner 13.4 / Estrin 17.5
-/// ns/point) and scalar from 96, so dense selection now goes straight
-/// Horner → PS and `DenseEstrin` remains an explicit-plan backend only
-/// (the lane interleave subsumes its depth advantage below 64, PS wins
-/// above).
-const PS_MIN_PACKED: usize = 64;
 
 /// The evaluation strategy a [`PolyEval`] was prepared with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,45 +38,28 @@ pub enum EvalPlan {
     /// multiply by `x`. Roughly halves the multiply count for the
     /// odd sign bases (paper App. B).
     OddHorner,
-    /// Estrin's scheme over the full coefficient vector: pairwise
-    /// combine with `x`, `x²`, `x⁴`, … in `ceil(log2(n))` rounds.
-    DenseEstrin,
-    /// Estrin's scheme in `y = x²` over the packed odd coefficients.
-    OddEstrin,
-    /// Paterson–Stockmeyer baby-step/giant-step blocks over the full
-    /// coefficient vector (the schedule [`crate::ps_plan`] describes).
-    DensePs,
 }
 
 impl EvalPlan {
-    /// Picks the backend for a polynomial: odd functions use the
-    /// packed-odd plans, and Estrin / Paterson–Stockmeyer take over
-    /// from Horner once the packed vector grows past the latency
-    /// break-even points.
+    /// Picks the backend for a polynomial: odd non-constant functions
+    /// use the packed-odd plan, everything else dense Horner.
     pub fn select(p: &Polynomial) -> EvalPlan {
-        let odd = p.is_odd_function() && p.degree() >= 1;
-        let packed = if odd {
-            p.degree().div_ceil(2)
+        if p.is_odd_function() && p.degree() >= 1 {
+            EvalPlan::OddHorner
         } else {
-            p.degree() + 1
-        };
-        match (odd, packed) {
-            (true, n) if n < ESTRIN_MIN_PACKED => EvalPlan::OddHorner,
-            (true, _) => EvalPlan::OddEstrin,
-            (false, n) if n < PS_MIN_PACKED => EvalPlan::DenseHorner,
-            (false, _) => EvalPlan::DensePs,
+            EvalPlan::DenseHorner
         }
     }
 
-    /// True for the plans that evaluate in `y = x²` over packed odd
+    /// True for the plan that evaluates in `y = x²` over packed odd
     /// coefficients.
     pub fn is_odd(self) -> bool {
-        matches!(self, EvalPlan::OddHorner | EvalPlan::OddEstrin)
+        self == EvalPlan::OddHorner
     }
 }
 
 /// A prepared evaluation plan for one polynomial: coefficients packed
-/// once, backend fixed, no per-call allocation on the Horner paths.
+/// once, backend fixed, no per-call allocation.
 ///
 /// # Example
 ///
@@ -119,7 +79,7 @@ impl EvalPlan {
 #[derive(Debug, Clone)]
 pub struct PolyEval {
     /// Dense ascending coefficients, or odd-packed (`packed[i]`
-    /// multiplies `x^(2i+1)`) for the odd plans.
+    /// multiplies `x^(2i+1)`) for the odd plan.
     packed: Vec<f64>,
     plan: EvalPlan,
     degree: usize,
@@ -135,7 +95,7 @@ impl PolyEval {
     ///
     /// # Panics
     ///
-    /// Panics if an odd plan is requested for a non-odd polynomial.
+    /// Panics if the odd plan is requested for a non-odd polynomial.
     pub fn with_plan(p: &Polynomial, plan: EvalPlan) -> Self {
         let packed = if plan.is_odd() {
             assert!(
@@ -163,71 +123,23 @@ impl PolyEval {
         self.degree
     }
 
-    /// The packed coefficient vector (dense ascending, or odd-packed
-    /// for the odd plans).
-    pub fn packed_coeffs(&self) -> &[f64] {
-        &self.packed
-    }
-
-    /// `f64` multiplications one scalar evaluation executes — the
-    /// plaintext cost model the micro-benchmarks assert against. The
-    /// Horner counts include the bootstrap `0·x` fma the uniform
-    /// internal Horner loop performs (one per chain), so the model
-    /// matches the instruction stream, not the algebraic minimum.
-    pub fn mults_per_eval(&self) -> usize {
-        let n = self.packed.len();
-        match self.plan {
-            EvalPlan::DenseHorner => n,
-            // x·x, Horner in y (n fmas), final ·x.
-            EvalPlan::OddHorner => {
-                if n == 0 {
-                    0
-                } else {
-                    1 + n + 1
-                }
-            }
-            EvalPlan::DenseEstrin => estrin_mults(n),
-            EvalPlan::OddEstrin => {
-                if n == 0 {
-                    0
-                } else {
-                    1 + estrin_mults(n) + 1
-                }
-            }
-            EvalPlan::DensePs => {
-                if n <= 1 {
-                    0
-                } else {
-                    let plan = ps_plan(n - 1);
-                    // Baby powers + x^k, one mult per coefficient term,
-                    // one per giant Horner step.
-                    plan.block + (n - plan.blocks) + plan.blocks.saturating_sub(1)
-                }
-            }
-        }
-    }
-
     /// Evaluates at one point.
     #[inline]
     pub fn eval(&self, x: f64) -> f64 {
         match self.plan {
             EvalPlan::DenseHorner => horner(&self.packed, x),
             EvalPlan::OddHorner => horner(&self.packed, x * x) * x,
-            EvalPlan::DenseEstrin => estrin(&self.packed, x),
-            EvalPlan::OddEstrin => estrin(&self.packed, x * x) * x,
-            EvalPlan::DensePs => ps_packed(&self.packed, x),
         }
     }
 
     /// Batch evaluation: `out[i] = p(xs[i])`.
     ///
-    /// Every backend runs the same fixed-width lane loop: `LANES`
-    /// independent accumulator arrays per chunk so the per-element
+    /// Both backends run the same fixed-width lane loop: `LANES`
+    /// independent accumulators per chunk so the per-element
     /// dependency chains overlap (explicit-lane code on stable Rust —
-    /// no `std::simd`). The Estrin backends reuse one array-of-lanes
-    /// scratch buffer across the whole slice. Each lane executes the
-    /// scalar backend's exact operation sequence, so batch output is
-    /// bit-identical to [`PolyEval::eval`] per element.
+    /// no `std::simd`). Each lane executes the scalar backend's exact
+    /// operation sequence, so batch output is bit-identical to
+    /// [`PolyEval::eval`] per element.
     ///
     /// # Panics
     ///
@@ -274,54 +186,14 @@ impl PolyEval {
                     },
                 );
             }
-            EvalPlan::DenseEstrin => {
-                let mut wide = vec![[0.0; LANES]; self.packed.len()];
-                let mut scratch = vec![0.0; self.packed.len()];
-                lanes(
-                    xs,
-                    out,
-                    |x| estrin_with(&self.packed, x, &mut scratch),
-                    |lane| estrin_lanes(&self.packed, lane, &mut wide),
-                );
-            }
-            EvalPlan::OddEstrin => {
-                let mut wide = vec![[0.0; LANES]; self.packed.len()];
-                let mut scratch = vec![0.0; self.packed.len()];
-                lanes(
-                    xs,
-                    out,
-                    |x| estrin_with(&self.packed, x * x, &mut scratch) * x,
-                    |lane| {
-                        let mut y = [0.0; LANES];
-                        for (yi, &x) in y.iter_mut().zip(lane) {
-                            *yi = x * x;
-                        }
-                        let mut acc = estrin_lanes(&self.packed, &y, &mut wide);
-                        for (a, &x) in acc.iter_mut().zip(lane) {
-                            *a *= x;
-                        }
-                        acc
-                    },
-                );
-            }
-            EvalPlan::DensePs => {
-                lanes(
-                    xs,
-                    out,
-                    |x| ps_packed(&self.packed, x),
-                    |lane| ps_lanes(&self.packed, lane),
-                );
-            }
         }
     }
 
     /// In-place batch evaluation: `xs[i] = p(xs[i])`.
     pub fn eval_slice_in_place(&self, xs: &mut [f64]) {
         // Each output depends only on its own input, so staging through
-        // a fixed stack buffer keeps this allocation-free on the Horner
-        // paths while still hitting eval_slice's lane loop; the buffer
-        // spans several lane widths so the Estrin backends amortise
-        // their scratch allocation too.
+        // a fixed stack buffer keeps this allocation-free while still
+        // hitting eval_slice's lane loop.
         const STAGE: usize = 8 * LANES;
         let mut staged = [0.0; STAGE];
         let mut i = 0;
@@ -348,8 +220,7 @@ impl PolyEval {
 /// Deliberately seeds the accumulator with `0.0` and walks the whole
 /// slice: the uniform loop optimises measurably better than a
 /// peel-the-top-coefficient variant (benchmarked at ~2x on the deg-7
-/// scalar path), at the cost of one bootstrap `0·x` fma that
-/// [`PolyEval::mults_per_eval`] counts as executed.
+/// scalar path), at the cost of one bootstrap `0·x` fma.
 #[inline]
 fn horner(packed: &[f64], x: f64) -> f64 {
     let mut acc = 0.0;
@@ -380,196 +251,6 @@ fn lanes(
     {
         *o = tail(x);
     }
-}
-
-/// Estrin evaluation without heap traffic: scalar calls stage through a
-/// stack buffer up to degree 63 and only spill to the heap beyond.
-#[inline]
-fn estrin(packed: &[f64], x: f64) -> f64 {
-    if packed.len() <= 64 {
-        let mut scratch = [0.0; 64];
-        estrin_with(packed, x, &mut scratch)
-    } else {
-        let mut scratch = vec![0.0; packed.len()];
-        estrin_with(packed, x, &mut scratch)
-    }
-}
-
-/// Estrin evaluation reusing `scratch` (`scratch.len() >= packed.len()`).
-fn estrin_with(packed: &[f64], x: f64, scratch: &mut [f64]) -> f64 {
-    match packed.len() {
-        0 => return 0.0,
-        1 => return packed[0],
-        _ => {}
-    }
-    let mut len = packed.len();
-    scratch[..len].copy_from_slice(packed);
-    let mut p = x;
-    while len > 1 {
-        let half = len / 2;
-        for i in 0..half {
-            scratch[i] = scratch[2 * i] + scratch[2 * i + 1] * p;
-        }
-        if len % 2 == 1 {
-            scratch[half] = scratch[len - 1];
-        }
-        len = half + len % 2;
-        if len > 1 {
-            p *= p; // next round's power; skipped once reduced to one value
-        }
-    }
-    scratch[0]
-}
-
-/// Estrin reduction over [`LANES`] points at once. `wide` is the
-/// array-of-lanes scratch (`wide.len() >= packed.len()`), reused across
-/// the whole slice. Per element this performs exactly the operation
-/// sequence of [`estrin_with`], so batch results stay bit-identical to
-/// the scalar path; the lane structure exists purely so the compiler
-/// can keep [`LANES`] independent reductions in flight (auto-vectorised
-/// on stable Rust, no `std::simd`).
-fn estrin_lanes(packed: &[f64], lane: &[f64; LANES], wide: &mut [[f64; LANES]]) -> [f64; LANES] {
-    match packed.len() {
-        0 => return [0.0; LANES],
-        1 => return [packed[0]; LANES],
-        _ => {}
-    }
-    let mut len = packed.len();
-    for (w, &c) in wide.iter_mut().zip(packed) {
-        *w = [c; LANES];
-    }
-    let mut p = *lane;
-    while len > 1 {
-        let half = len / 2;
-        for i in 0..half {
-            let lo = wide[2 * i];
-            let hi = wide[2 * i + 1];
-            let dst = &mut wide[i];
-            for l in 0..LANES {
-                dst[l] = lo[l] + hi[l] * p[l];
-            }
-        }
-        if len % 2 == 1 {
-            wide[half] = wide[len - 1];
-        }
-        len = half + len % 2;
-        if len > 1 {
-            for pl in &mut p {
-                *pl *= *pl;
-            }
-        }
-    }
-    wide[0]
-}
-
-/// Multiplications one Estrin reduction of `n` packed coefficients
-/// performs (pair combines + power squarings).
-fn estrin_mults(n: usize) -> usize {
-    let mut len = n;
-    let mut mults = 0;
-    while len > 1 {
-        mults += len / 2; // pair combines
-        len = len / 2 + len % 2;
-        if len > 1 {
-            mults += 1; // next power squaring
-        }
-    }
-    mults
-}
-
-/// Paterson–Stockmeyer over a dense ascending coefficient slice. Baby
-/// powers live on the stack up to degree 255 (block ≈ sqrt(d+1) ≤ 16).
-fn ps_packed(coeffs: &[f64], x: f64) -> f64 {
-    let d = coeffs.len() - 1;
-    if d == 0 {
-        return coeffs[0];
-    }
-    let plan = ps_plan(d);
-    let k = plan.block;
-    let mut baby_stack = [1.0; 16];
-    let mut baby_heap;
-    let baby: &mut [f64] = if k <= 16 {
-        &mut baby_stack[..k]
-    } else {
-        baby_heap = vec![1.0; k];
-        &mut baby_heap
-    };
-    for i in 1..k {
-        baby[i] = baby[i - 1] * x;
-    }
-    let xk = baby[k - 1] * x;
-    // baby[0] is 1, so each block's lowest coefficient needs no
-    // multiply, and the top block seeds the giant-step Horner without
-    // the zero-accumulator product — this is exactly the multiply
-    // count `mults_per_eval` models for `DensePs`.
-    let block_val = |blk: usize| {
-        let start = blk * k;
-        let mut v = coeffs[start];
-        for (i, &pow) in baby.iter().enumerate().skip(1) {
-            if let Some(&c) = coeffs.get(start + i) {
-                v += c * pow;
-            }
-        }
-        v
-    };
-    let top = plan.blocks - 1;
-    let mut acc = block_val(top);
-    for blk in (0..top).rev() {
-        acc = acc * xk + block_val(blk);
-    }
-    acc
-}
-
-/// Paterson–Stockmeyer over [`LANES`] points at once: the baby-power
-/// table holds one [`LANES`]-wide row per power, and the giant-step
-/// Horner runs all lanes in lockstep. Same per-element operation
-/// sequence as [`ps_packed`], so results are bit-identical to scalar.
-fn ps_lanes(coeffs: &[f64], lane: &[f64; LANES]) -> [f64; LANES] {
-    let d = coeffs.len() - 1;
-    if d == 0 {
-        return [coeffs[0]; LANES];
-    }
-    let plan = ps_plan(d);
-    let k = plan.block;
-    let mut baby_stack = [[1.0; LANES]; 16];
-    let mut baby_heap;
-    let baby: &mut [[f64; LANES]] = if k <= 16 {
-        &mut baby_stack[..k]
-    } else {
-        baby_heap = vec![[1.0; LANES]; k];
-        &mut baby_heap
-    };
-    for i in 1..k {
-        let prev = baby[i - 1];
-        for l in 0..LANES {
-            baby[i][l] = prev[l] * lane[l];
-        }
-    }
-    let mut xk = [0.0; LANES];
-    for l in 0..LANES {
-        xk[l] = baby[k - 1][l] * lane[l];
-    }
-    let block_val = |blk: usize, baby: &[[f64; LANES]]| -> [f64; LANES] {
-        let start = blk * k;
-        let mut v = [coeffs[start]; LANES];
-        for (i, pow) in baby.iter().enumerate().skip(1) {
-            if let Some(&c) = coeffs.get(start + i) {
-                for l in 0..LANES {
-                    v[l] += c * pow[l];
-                }
-            }
-        }
-        v
-    };
-    let top = plan.blocks - 1;
-    let mut acc = block_val(top, baby);
-    for blk in (0..top).rev() {
-        let bv = block_val(blk, baby);
-        for l in 0..LANES {
-            acc[l] = acc[l] * xk[l] + bv[l];
-        }
-    }
-    acc
 }
 
 /// The even-power-ladder schedule the CKKS `PafEvaluator` executes for
@@ -615,19 +296,6 @@ impl OddPowerSchedule {
     /// Squarings in the even power ladder (`x² … x^(2^bits)`).
     pub fn ladder_bits(&self) -> u32 {
         self.ladder_bits
-    }
-
-    /// The coarse non-scalar multiplication model used throughout the
-    /// latency accounting (`CompositePaf::ct_mult_count`,
-    /// `ps::squaring_schedule_mults`): one squaring plus one product
-    /// per odd term beyond the first.
-    pub fn modelled_ct_mults(&self) -> usize {
-        let n_odd = self.odd.len();
-        if n_odd <= 1 {
-            0
-        } else {
-            n_odd
-        }
     }
 
     /// Exact ciphertext-ciphertext multiplication count of the ladder
@@ -726,16 +394,6 @@ impl CompositeEval {
             .sum()
     }
 
-    /// Coarse modelled ciphertext multiplications of one composite
-    /// evaluation ([`OddPowerSchedule::modelled_ct_mults`] summed).
-    pub fn modelled_ct_mults(&self) -> usize {
-        self.schedules
-            .iter()
-            .flatten()
-            .map(OddPowerSchedule::modelled_ct_mults)
-            .sum()
-    }
-
     /// Composite sign approximation at one point.
     pub fn eval(&self, x: f64) -> f64 {
         self.stages.iter().fold(x, |acc, s| s.eval(acc))
@@ -794,7 +452,7 @@ impl CompositeEval {
 mod tests {
     use super::*;
     use crate::composite::PafForm;
-    use crate::ps::squaring_schedule_mults;
+    use crate::paper_coeffs;
 
     fn naive_eval(p: &Polynomial, x: f64) -> f64 {
         p.coeffs()
@@ -808,49 +466,64 @@ mod tests {
     fn plan_selection_by_symmetry_and_degree() {
         let f1 = Polynomial::from_odd(&[1.5, -0.5]);
         assert_eq!(EvalPlan::select(&f1), EvalPlan::OddHorner);
-        // Every PAF stage degree in the paper stays in Horner range.
         let deg27 = Polynomial::from_odd(&[1.0; 14]);
         assert_eq!(EvalPlan::select(&deg27), EvalPlan::OddHorner);
-        // The lane loop keeps Horner ahead well past the old Estrin
-        // break-even (packed 33); the switch now sits at packed 64.
-        let deg_odd_40 = Polynomial::from_odd(&[1.0; 40]);
-        assert_eq!(EvalPlan::select(&deg_odd_40), EvalPlan::OddHorner);
+        // Symmetry alone decides: no degree moves the plan off Horner.
         let deg_odd_huge = Polynomial::from_odd(&[1.0; 64]);
-        assert_eq!(EvalPlan::select(&deg_odd_huge), EvalPlan::OddEstrin);
+        assert_eq!(EvalPlan::select(&deg_odd_huge), EvalPlan::OddHorner);
         let dense7 = Polynomial::new(vec![1.0; 8]);
         assert_eq!(EvalPlan::select(&dense7), EvalPlan::DenseHorner);
-        let dense48 = Polynomial::new(vec![1.0; 48]);
-        assert_eq!(EvalPlan::select(&dense48), EvalPlan::DenseHorner);
-        // Dense selection goes straight Horner → PS: the explicit-lane
-        // batch loop subsumes Estrin's depth advantage below the PS
-        // crossover, so DenseEstrin is explicit-plan-only now.
-        let dense64 = Polynomial::new(vec![1.0; 64]);
-        assert_eq!(EvalPlan::select(&dense64), EvalPlan::DensePs);
         let dense160 = Polynomial::new(vec![1.0; 160]);
-        assert_eq!(EvalPlan::select(&dense160), EvalPlan::DensePs);
+        assert_eq!(EvalPlan::select(&dense160), EvalPlan::DenseHorner);
+        // Constants (the zero polynomial included) are never odd plans.
+        assert_eq!(EvalPlan::select(&Polynomial::zero()), EvalPlan::DenseHorner);
+    }
+
+    #[test]
+    fn every_paf_stage_takes_odd_horner() {
+        let per_layer = (0..paper_coeffs::RESNET18_RELU_LAYERS).flat_map(|l| {
+            [
+                paper_coeffs::f1g2_layer(l),
+                paper_coeffs::f1sq_g1sq_layer(l),
+                paper_coeffs::f2g3_layer(l),
+                paper_coeffs::f2g2_layer(l),
+            ]
+        });
+        let composites = PafForm::all()
+            .into_iter()
+            .map(CompositePaf::from_form)
+            .chain(per_layer)
+            .chain([paper_coeffs::alpha7_paf()]);
+        for paf in composites {
+            for stage in paf.prepare().stages() {
+                assert_eq!(stage.plan(), EvalPlan::OddHorner, "{paf:?}");
+            }
+        }
     }
 
     #[test]
     fn all_backends_agree_on_odd_poly() {
+        // The second input zeroes the top odd coefficient without
+        // trimming it: the packed walk must still read it as zero.
+        let mut zeroed_top = Polynomial::from_odd(&[1.5, -0.5]);
+        zeroed_top.coeffs_mut()[3] = 0.0;
         let p = Polynomial::from_odd(&[7.3, -34.7, 59.9, -31.9]);
-        for plan in [
-            EvalPlan::DenseHorner,
-            EvalPlan::OddHorner,
-            EvalPlan::DenseEstrin,
-            EvalPlan::OddEstrin,
-            EvalPlan::DensePs,
-        ] {
-            let pe = PolyEval::with_plan(&p, plan);
-            for i in -20..=20 {
-                let x = i as f64 / 10.0;
-                let want = naive_eval(&p, x);
-                let got = pe.eval(x);
-                assert!(
-                    (got - want).abs() < 1e-9 * (1.0 + want.abs()),
-                    "{plan:?} at {x}: {got} vs {want}"
-                );
+        for p in [&p, &zeroed_top] {
+            for plan in [EvalPlan::DenseHorner, EvalPlan::OddHorner] {
+                let pe = PolyEval::with_plan(p, plan);
+                for i in -20..=20 {
+                    let x = i as f64 / 10.0;
+                    let want = naive_eval(p, x);
+                    let got = pe.eval(x);
+                    assert!(
+                        (got - want).abs() < 1e-9 * (1.0 + want.abs()),
+                        "{plan:?} at {x}: {got} vs {want}"
+                    );
+                }
             }
         }
+        let pe = PolyEval::with_plan(&zeroed_top, EvalPlan::OddHorner);
+        assert!((pe.eval(0.5) - 0.75).abs() < 1e-15);
     }
 
     #[test]
@@ -871,9 +544,9 @@ mod tests {
 
     #[test]
     fn lane_backends_bit_identical_to_scalar() {
-        // The explicit-lane Estrin / Paterson–Stockmeyer chunks must
-        // reproduce the scalar backends exactly (same per-element
-        // operation order), across chunk and remainder paths.
+        // The explicit-lane Horner chunks must reproduce the scalar
+        // backends exactly (same per-element operation order), across
+        // chunk and remainder paths, at long coefficient vectors too.
         let odd_big =
             Polynomial::from_odd(&(0..40).map(|i| 0.01 * i as f64 - 0.2).collect::<Vec<_>>());
         let dense_big = Polynomial::new(
@@ -882,9 +555,9 @@ mod tests {
                 .collect(),
         );
         for (p, plan) in [
-            (&odd_big, EvalPlan::OddEstrin),
-            (&dense_big, EvalPlan::DenseEstrin),
-            (&dense_big, EvalPlan::DensePs),
+            (&odd_big, EvalPlan::OddHorner),
+            (&odd_big, EvalPlan::DenseHorner),
+            (&dense_big, EvalPlan::DenseHorner),
         ] {
             let pe = PolyEval::with_plan(p, plan);
             for len in [1, 7, 8, 9, 16, 23, 64] {
@@ -911,41 +584,11 @@ mod tests {
     }
 
     #[test]
-    fn odd_plan_halves_multiplies_vs_dense() {
-        // The micro cost-model assertion behind the bench fix: the
-        // deg-7 odd stage executes 6 multiplies (x², 4 Horner fmas
-        // incl. the bootstrap one, final ·x) against dense Horner's 8,
-        // mirroring the non-scalar schedule model.
-        let p = Polynomial::from_odd(&[7.3, -34.7, 59.9, -31.9]);
-        let dense = PolyEval::with_plan(&p, EvalPlan::DenseHorner);
-        let odd = PolyEval::with_plan(&p, EvalPlan::OddHorner);
-        assert_eq!(dense.mults_per_eval(), 8);
-        assert_eq!(odd.mults_per_eval(), 6);
-        assert!(odd.mults_per_eval() < dense.mults_per_eval());
-        // Consistent with the ciphertext-side schedule model: the odd
-        // schedule also beats one mult per degree.
-        assert!(squaring_schedule_mults(4) < 7);
-        assert_eq!(
-            OddPowerSchedule::new(&p).modelled_ct_mults(),
-            squaring_schedule_mults(4)
-        );
-    }
-
-    #[test]
-    fn estrin_mult_model_matches_backend_structure() {
-        // n=4: rounds (4->2->1) combine 2+1 pairs + 1 squaring.
-        assert_eq!(estrin_mults(4), 4);
-        assert_eq!(estrin_mults(1), 0);
-        assert_eq!(estrin_mults(2), 1);
-    }
-
-    #[test]
     fn odd_power_schedule_counts() {
         let deg7 = Polynomial::from_odd(&[7.3, -34.7, 59.9, -31.9]);
         let s = OddPowerSchedule::new(&deg7);
         assert_eq!(s.k_max(), 3);
         assert_eq!(s.ladder_bits(), 2);
-        assert_eq!(s.modelled_ct_mults(), 4);
         // Exact ladder: 2 squarings + popcounts(1,2,3 -> 1+1+2) + k=0 free.
         assert_eq!(s.exact_ct_mults(), 6);
         // Two of the six are ladder squarings and one is the inner
@@ -978,11 +621,6 @@ mod tests {
             .map(|p| OddPowerSchedule::new(p).exact_ct_mults())
             .sum();
         assert_eq!(eng.exact_ct_mults(), exact);
-        assert_eq!(eng.exact_ct_mults(), paf.exact_ct_mult_count());
-        assert_eq!(eng.modelled_ct_mults(), paf.ct_mult_count());
-        // The exact ladder schedule charges the per-term bit products
-        // the coarse model folds into one product per term.
-        assert!(eng.exact_ct_mults() >= eng.modelled_ct_mults());
         let relins: usize = paf
             .stages()
             .iter()
@@ -1024,87 +662,6 @@ mod tests {
         }
     }
 
-    /// Calibration harness behind `ESTRIN_MIN_PACKED` /
-    /// `PS_MIN_PACKED`: times each batch backend across packed sizes
-    /// and prints ns/point. Run with
-    /// `cargo test -p smartpaf_polyfit --release -- --ignored --nocapture calibrate`.
-    #[test]
-    #[ignore = "manual calibration harness, run with --release"]
-    fn calibrate_thresholds() {
-        use std::time::Instant;
-        let pts = 4096;
-        let xs: Vec<f64> = (0..pts)
-            .map(|i| i as f64 / pts as f64 * 1.8 - 0.9)
-            .collect();
-        let mut out = vec![0.0; pts];
-        let time = |pe: &PolyEval, out: &mut Vec<f64>| {
-            // Warm up, then best-of-5.
-            pe.eval_slice(&xs, out);
-            let mut best = f64::INFINITY;
-            for _ in 0..5 {
-                let t = Instant::now();
-                for _ in 0..20 {
-                    pe.eval_slice(&xs, out);
-                }
-                best = best.min(t.elapsed().as_secs_f64() / 20.0 / pts as f64 * 1e9);
-            }
-            best
-        };
-        let time_scalar = |pe: &PolyEval| {
-            let mut sink = 0.0;
-            for &x in &xs {
-                sink += pe.eval(x);
-            }
-            std::hint::black_box(sink);
-            let mut best = f64::INFINITY;
-            for _ in 0..5 {
-                let t = Instant::now();
-                for _ in 0..20 {
-                    let mut s = 0.0;
-                    for &x in &xs {
-                        s += pe.eval(x);
-                    }
-                    std::hint::black_box(s);
-                }
-                best = best.min(t.elapsed().as_secs_f64() / 20.0 / pts as f64 * 1e9);
-            }
-            best
-        };
-        println!(
-            "packed  horner  estrin      ps | scalar: horner  estrin      ps   (dense, ns/point)"
-        );
-        for packed in [8, 16, 24, 32, 48, 64, 96, 128, 192, 256] {
-            let p = Polynomial::new(
-                (0..packed)
-                    .map(|i| ((i * 37) % 19) as f64 / 19.0 - 0.5)
-                    .collect(),
-            );
-            let ph = PolyEval::with_plan(&p, EvalPlan::DenseHorner);
-            let pe_ = PolyEval::with_plan(&p, EvalPlan::DenseEstrin);
-            let pp = PolyEval::with_plan(&p, EvalPlan::DensePs);
-            let (h, e, s) = (
-                time(&ph, &mut out),
-                time(&pe_, &mut out),
-                time(&pp, &mut out),
-            );
-            let (sh, se, ss) = (time_scalar(&ph), time_scalar(&pe_), time_scalar(&pp));
-            println!(
-                "{packed:6}  {h:6.2}  {e:6.2}  {s:6.2} |         {sh:6.2}  {se:6.2}  {ss:6.2}"
-            );
-        }
-        println!("packed  horner  estrin   (odd-packed, ns/point)");
-        for packed in [8, 16, 24, 32, 48, 64, 96] {
-            let p = Polynomial::from_odd(
-                &(0..packed)
-                    .map(|i| ((i * 37) % 19) as f64 / 19.0 - 0.5)
-                    .collect::<Vec<_>>(),
-            );
-            let h = time(&PolyEval::with_plan(&p, EvalPlan::OddHorner), &mut out);
-            let e = time(&PolyEval::with_plan(&p, EvalPlan::OddEstrin), &mut out);
-            println!("{packed:6}  {h:6.2}  {e:6.2}");
-        }
-    }
-
     #[test]
     #[should_panic(expected = "non-odd")]
     fn odd_plan_rejects_dense_poly() {
@@ -1114,15 +671,13 @@ mod tests {
     #[test]
     fn zero_and_constant_polynomials() {
         let zero = Polynomial::zero();
-        let pe = PolyEval::new(&zero);
-        assert_eq!(pe.eval(3.0), 0.0);
-        let c = Polynomial::new(vec![4.25]);
-        for plan in [
-            EvalPlan::DenseHorner,
-            EvalPlan::DenseEstrin,
-            EvalPlan::DensePs,
-        ] {
-            assert_eq!(PolyEval::with_plan(&c, plan).eval(-2.0), 4.25);
+        for plan in [EvalPlan::DenseHorner, EvalPlan::OddHorner] {
+            let pe = PolyEval::with_plan(&zero, plan);
+            assert_eq!(pe.eval(3.0), 0.0);
+            assert_eq!(pe.eval(0.7), 0.0);
+            assert_eq!(pe.eval_vec(&[0.7; 9]), vec![0.0; 9]);
         }
+        let c = Polynomial::new(vec![4.25]);
+        assert_eq!(PolyEval::new(&c).eval(-2.0), 4.25);
     }
 }

@@ -341,11 +341,13 @@ impl PlanRegistry {
                 ),
             ));
         }
-        for (i, (c, f)) in composites.iter().zip(&chosen_cand.forms).enumerate() {
-            if c.form() != Some(*f) {
+        // The planner installs each chosen form's composite unchanged,
+        // so a stored composite is exactly its form's coefficients.
+        for (i, (c, &f)) in composites.iter().zip(&chosen_cand.forms).enumerate() {
+            if *c != CompositePaf::from_form(f) {
                 return Err(corrupt(
                     &path,
-                    format!("slot {i} composite is not tagged with the chosen form {f}"),
+                    format!("slot {i} composite is not the chosen form {f}"),
                 ));
             }
         }
@@ -365,6 +367,16 @@ impl PlanRegistry {
             return Err(corrupt(
                 &path,
                 "stored trace does not match a re-trace of the model".to_string(),
+            ));
+        }
+        // The chosen row is rebuilt the way the planner built it, so
+        // its cost, fidelity and price are checked, not trusted. The
+        // other rows stay informational: checking them would re-trace
+        // every candidate.
+        if PlannedCandidate::traced_forms(&chosen_cand.forms, trace, &params) != *chosen_cand {
+            return Err(corrupt(
+                &path,
+                "stored chosen candidate does not match the one its trace yields".to_string(),
             ));
         }
         Ok(Plan::assemble(
@@ -746,6 +758,67 @@ mod tests {
         let err = reg.load_plan(builder(2, 5)).expect_err("edited body");
         assert!(matches!(err, RegistryError::Corrupt { .. }), "{err:?}");
         assert!(err.to_string().contains("content address"));
+
+        // A chosen composite's coefficients are its form's (f1's 1.5
+        // rewritten to 2.5 is another PAF), and the chosen row's cost,
+        // fidelity and price are what its trace yields.
+        let envelope = json::from_str(&text).unwrap();
+        let chosen: usize = field(&path, envelope.req("plan").unwrap(), "chosen").unwrap();
+        let chosen = chosen.to_string();
+        let row = ["plan", "candidates", &chosen];
+        let cost = plan.chosen().cost;
+        let edits: [(&[&str], Value, Value); 4] = [
+            (
+                &["plan", "chosen_composites", "0", "stages", "0", "1"],
+                Value::Float(1.5),
+                Value::Float(2.5),
+            ),
+            (
+                &[&row[..], &["cost", "bootstraps"]].concat(),
+                cost.bootstraps.serialize(),
+                (cost.bootstraps + 1).serialize(),
+            ),
+            (
+                &[&row[..], &["cost", "relu_levels"]].concat(),
+                cost.relu_levels.serialize(),
+                (cost.relu_levels + 10).serialize(),
+            ),
+            (
+                &[&row[..], &["priced_ms"]].concat(),
+                plan.chosen().priced_ms.serialize(),
+                (plan.chosen().priced_ms * 2.0).serialize(),
+            ),
+        ];
+        for (at, was, now) in edits {
+            let mut edited = envelope.clone();
+            let field = member(&mut edited, at);
+            assert_eq!(*field, was, "{at:?}");
+            *field = now;
+            fs::write(&path, json::to_string_pretty(&edited)).unwrap();
+            let err = reg
+                .load_plan(builder(2, 5))
+                .expect_err("edited chosen record");
+            assert!(
+                matches!(err, RegistryError::Corrupt { .. }),
+                "{at:?}: {err:?}"
+            );
+        }
+        // The untouched envelope still loads.
+        fs::write(&path, &text).unwrap();
+        assert_eq!(
+            reg.load_plan(builder(2, 5)).expect("honest").chosen(),
+            plan.chosen()
+        );
+    }
+
+    /// The member of a parsed envelope at `at`: object keys, or array
+    /// indices written as numbers.
+    fn member<'a>(value: &'a mut Value, at: &[&str]) -> &'a mut Value {
+        at.iter().fold(value, |v, key| match v {
+            Value::Object(pairs) => &mut pairs.iter_mut().find(|(k, _)| k == key).expect(key).1,
+            Value::Array(items) => &mut items[key.parse::<usize>().expect(key)],
+            other => panic!("no `{key}` in {other:?}"),
+        })
     }
 
     /// Pins an artifact file's mtime to an exact instant.

@@ -634,6 +634,25 @@ impl PlannedCandidate {
         }
     }
 
+    /// The row the planner records for the form vector `forms` with
+    /// this trace: one [`FormInfo`] per distinct form.
+    pub(crate) fn traced_forms(forms: &[FormId], trace: TraceReport, params: &CkksParams) -> Self {
+        let mut infos: Vec<FormInfo> = Vec::new();
+        let vector: Vec<usize> = forms
+            .iter()
+            .map(
+                |&form| match infos.iter().position(|info| info.form == form) {
+                    Some(i) => i,
+                    None => {
+                        infos.push(FormInfo::new(form));
+                        infos.len() - 1
+                    }
+                },
+            )
+            .collect();
+        Self::traced(&infos, &vector, trace, params)
+    }
+
     /// See [`Plan::input_level`].
     fn input_level(&self) -> usize {
         let first = self.trace.stages.first();

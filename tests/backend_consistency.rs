@@ -59,7 +59,7 @@ fn all_backends_agree_end_to_end() {
         .iter()
         .find(|s| s.label.starts_with("paf-relu"))
         .expect("relu stage traced");
-    assert_eq!(relu_stage.ct_mults, relu.exact_ct_mult_count() + 1);
+    assert_eq!(relu_stage.ct_mults, relu.prepare().exact_ct_mults() + 1);
 }
 
 #[test]
@@ -135,7 +135,7 @@ fn scheduler_cost_oracle_orders_forms() {
     for c in ranked {
         let paf = CompositePaf::from_form(c.uniform_form().expect("one slot"));
         assert_eq!(c.cost.bootstraps, 0);
-        assert_eq!(c.cost.ct_mults, paf.exact_ct_mult_count() + 1);
+        assert_eq!(c.cost.ct_mults, paf.prepare().exact_ct_mults() + 1);
         assert_eq!(c.cost.relu_levels, paf.mult_depth() + 1);
     }
 }
