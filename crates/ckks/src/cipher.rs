@@ -2,6 +2,8 @@
 
 use crate::encoding::{Encoder, Plaintext, DECODE_LIMBS};
 use crate::keys::{KeyChain, ModDown};
+use crate::modular::PrimeArith;
+use crate::ntt::NttTable;
 use crate::rns::{CkksContext, RnsPoly};
 use smartpaf_tensor::Rng64;
 use std::sync::Arc;
@@ -469,6 +471,7 @@ impl Evaluator {
         coeff.to_coeff();
         let basis = self.keys.hybrid_basis(nl);
         let ext = nl + basis.k;
+        let headroom = ctx.lazy_acc_headroom(nl, basis.k);
         // Step 1: per-limb digit scaling (the in-group inverse
         // CRT factors), limb-parallel.
         let mut y = crate::pool::acquire(nl * n);
@@ -493,16 +496,19 @@ impl Evaluator {
             }
             let group = digit.end - digit.start;
             let qh = &digit.qhat[t * group..(t + 1) * group];
-            let arith = ctx.ext_arith(nl, t);
-            for (c, out) in raised.iter_mut().enumerate() {
-                // ω ≤ 8 terms of < 2^124 each: fits u128.
-                let mut sum = 0u128;
-                for (i, &w) in qh.iter().enumerate() {
-                    sum += y[(digit.start + i) * n + c] as u128 * w as u128;
-                }
-                *out = arith.reduce_u128(sum);
-            }
-            ctx.ext_ntt(nl, t).forward(raised);
+            let raise = Products {
+                extra: [None],
+                gather: None,
+                terms: group,
+                term: |i| Term {
+                    x: &y[(digit.start + i) * n..][..n],
+                    w: [Weight::Word(qh[i])],
+                },
+            };
+            let table = ctx.ext_ntt(nl, t);
+            let sources = (digit.start..digit.end).map(|i| ctx.ntt(i));
+            raise.reduce(table, sources, headroom, [raised]);
+            table.forward(raised);
         });
         crate::pool::release(y);
         Hoisted {
@@ -545,8 +551,8 @@ impl Evaluator {
     /// in NTT form it is the gather `row[perm[c]]`, identical for
     /// every limb, so a rotation costs no transform before the inner
     /// product. Per basis limb, the products `Σ_j φ(c̃_j) ⊙ b_j` and
-    /// `Σ_j φ(c̃_j) ⊙ a_j` accumulate exactly in `u128` and reduce
-    /// once.
+    /// `Σ_j φ(c̃_j) ⊙ a_j` accumulate lazily and reduce once
+    /// ([`Products`]).
     ///
     /// Limbs are independent, so this fans out across [`crate::par`]
     /// bit-identically to the sequential loop.
@@ -557,9 +563,6 @@ impl Evaluator {
         perm: Option<&[u32]>,
         seed: Option<(&RnsPoly, &RnsPoly)>,
     ) -> Vec<u64> {
-        // Coefficients per accumulation block: both `u128` partial-sum
-        // arrays stay in L1 while the digit rows stream past.
-        const BLOCK: usize = 128;
         KEY_SWITCHES.with(|c| {
             let (decompositions, applications) = c.get();
             c.set((decompositions, applications + 1));
@@ -570,72 +573,29 @@ impl Evaluator {
         let (rows, width) = (hoisted.rows, hoisted.width);
         assert!(key.num_limbs() >= nl, "key level mismatch");
         assert!(key.component_count() >= rows, "key gadget mismatch");
-        // Raw products that fit one `u128` accumulator: 256 at 60-bit
-        // primes, above any digit count, but 16 at 62 bits, which ω = 1
-        // passes from 17 limbs on — the sum flushes to residues there.
         let headroom = ctx.lazy_acc_headroom(nl, width - nl);
-        assert!(headroom >= 2, "moduli leave no lazy accumulator headroom");
         let p_mod = &self.keys.hybrid_basis(nl).p_mod;
         let mut acc = crate::pool::acquire_scratch(2 * width * n);
         crate::par::for_each_chunk_mut(&mut acc, 2 * n, |t, out| {
-            let arith = ctx.ext_arith(nl, t);
             let (out0, out1) = out.split_at_mut(n);
-            let seed = seed.filter(|_| t < nl);
-            let mut sum0 = [0u128; BLOCK];
-            let mut sum1 = [0u128; BLOCK];
-            for base in (0..n).step_by(BLOCK) {
-                let len = BLOCK.min(n - base);
-                let mut pending = 0usize;
-                match seed {
-                    // One more raw product below `q_t²`.
-                    Some((d0, d1)) => {
-                        let p = p_mod[t] as u128;
-                        let (d0, d1) = (&d0.limb(t)[base..], &d1.limb(t)[base..]);
-                        for c in 0..len {
-                            sum0[c] = d0[c] as u128 * p;
-                            sum1[c] = d1[c] as u128 * p;
-                        }
-                        pending = 1;
-                    }
-                    None => {
-                        sum0[..len].fill(0);
-                        sum1[..len].fill(0);
-                    }
-                }
-                for j in 0..rows {
-                    if pending == headroom {
-                        // A flushed residue is below one product.
-                        for c in 0..len {
-                            sum0[c] = arith.reduce_u128(sum0[c]) as u128;
-                            sum1[c] = arith.reduce_u128(sum1[c]) as u128;
-                        }
-                        pending = 1;
-                    }
-                    pending += 1;
-                    let row = hoisted.row(j, t, n);
+            // `P·d_w`: one more product below `q_t²`.
+            let extra = match seed.filter(|_| t < nl) {
+                Some((d0, d1)) => [Some((d0.limb(t), p_mod[t])), Some((d1.limb(t), p_mod[t]))],
+                None => [None, None],
+            };
+            let inner = Products {
+                extra,
+                gather: perm,
+                terms: rows,
+                term: |j| {
                     let [b, a] = key.component_limb(j, t, nl, n);
-                    let (b, a) = (&b[base..base + len], &a[base..base + len]);
-                    match perm {
-                        None => {
-                            for (c, &r) in row[base..base + len].iter().enumerate() {
-                                sum0[c] += r as u128 * b[c] as u128;
-                                sum1[c] += r as u128 * a[c] as u128;
-                            }
-                        }
-                        Some(perm) => {
-                            for (c, &p) in perm[base..base + len].iter().enumerate() {
-                                let r = row[p as usize] as u128;
-                                sum0[c] += r * b[c] as u128;
-                                sum1[c] += r * a[c] as u128;
-                            }
-                        }
+                    Term {
+                        x: hoisted.row(j, t, n),
+                        w: [Weight::Words(b), Weight::Words(a)],
                     }
-                }
-                for c in 0..len {
-                    out0[base + c] = arith.reduce_u128(sum0[c]);
-                    out1[base + c] = arith.reduce_u128(sum1[c]);
-                }
-            }
+                },
+            };
+            inner.reduce(ctx.ext_ntt(nl, t), [], headroom, [out0, out1]);
         });
         acc
     }
@@ -679,6 +639,8 @@ impl Evaluator {
             }
         });
         let (dv, out_acc) = (&dv[..], &out_acc[..]);
+        let headroom = ctx.lazy_acc_headroom(nl, out_limbs + divisors - nl);
+        let sources = || (out_limbs..out_limbs + divisors).map(|l| ctx.ext_ntt(nl, l));
         // `u'` per coefficient of each sum; the terms are summed in
         // limb order, so the value does not depend on the thread count.
         let overshoot = (!div.inv_f64.is_empty()).then(|| {
@@ -697,38 +659,35 @@ impl Evaluator {
         let mod_down = |w: usize| {
             let mut out = RnsPoly::uninit(ctx, out_limbs, true);
             crate::par::for_each_chunk_mut(out.data_mut(), n, |t, dst| {
-                let arith = ctx.arith(t);
-                let (d_inv, d_inv_shoup) = div.d_inv[t];
                 let hat = &div.hat[t * divisors..(t + 1) * divisors];
                 let mut corr = crate::pool::acquire(n);
-                // At most 9 terms below 2^124 and one below 2^66: fits
-                // u128 without intermediate reduce.
-                let convert = |c: usize| {
-                    let mut sum = 0u128;
-                    for (l, &h) in hat.iter().enumerate() {
-                        sum += dv[(2 * l + w) * n + c] as u128 * h as u128;
-                    }
-                    sum
+                // The overshoot's `u'·(−D mod q_t)`, when rounding.
+                let extra = overshoot
+                    .as_deref()
+                    .map(|u| (&u[w * n..(w + 1) * n], div.neg_d[t]));
+                let convert = Products {
+                    extra: [extra],
+                    gather: None,
+                    terms: divisors,
+                    term: |l| Term {
+                        x: &dv[(2 * l + w) * n..][..n],
+                        w: [Weight::Word(hat[l])],
+                    },
                 };
-                match overshoot.as_deref() {
-                    None => {
-                        for (c, out_c) in corr.iter_mut().enumerate() {
-                            *out_c = arith.reduce_u128(convert(c));
-                        }
-                    }
-                    Some(u) => {
-                        let neg_d = div.neg_d[t] as u128;
-                        for (c, (out_c, &u)) in corr.iter_mut().zip(&u[w * n..]).enumerate() {
-                            *out_c = arith.reduce_u128(convert(c) + u as u128 * neg_d);
-                        }
-                    }
-                }
+                convert.reduce(ctx.ntt(t), sources(), headroom, [&mut corr]);
                 ctx.ntt(t).forward(&mut corr);
-                let src = &out_acc[(2 * t + w) * n..(2 * t + w + 1) * n];
-                for c in 0..n {
-                    let diff = arith.sub(src[c], corr[c]);
-                    dst[c] = arith.mul_shoup(diff, d_inv, d_inv_shoup);
-                }
+                // `(src − corr)·D⁻¹`, as the sum `src·D⁻¹ + corr·(−D⁻¹)`.
+                let d_inv = div.d_inv[t];
+                let scale = Products {
+                    extra: [Some((&out_acc[(2 * t + w) * n..][..n], d_inv))],
+                    gather: None,
+                    terms: 1,
+                    term: |_| Term {
+                        x: &corr[..],
+                        w: [Weight::Word(ctx.primes()[t] - d_inv)],
+                    },
+                };
+                scale.reduce(ctx.ntt(t), [], headroom, [dst]);
                 crate::pool::release(corr);
             });
             out
@@ -753,6 +712,168 @@ impl Evaluator {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Sends every [`Products::reduce`] on this thread to `u128`
+    /// accumulators, so tests can hold whole ops on the vector loops to
+    /// the `u128` ones. Meaningful at a thread budget of 1.
+    static U128_ONLY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// How a [`Term`]'s `x` is weighted: one word for every coefficient
+/// (a base-conversion constant), or a word per coefficient (a key
+/// limb).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Weight<'a> {
+    Word(u64),
+    Words(&'a [u64]),
+}
+
+/// The extra product `(e, v)` of one output of a [`Products`] sum: `e`
+/// read at `c` (never gathered) times the word `v`.
+pub(crate) type Extra<'a> = Option<(&'a [u64], u64)>;
+
+/// One product of a [`Products`] sum: `x` (read through the sum's
+/// gather) times `w[s]` in output `s`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Term<'a, const S: usize> {
+    pub(crate) x: &'a [u64],
+    pub(crate) w: [Weight<'a>; S],
+}
+
+/// The sums of products a key switch reduces, per coefficient `c` of
+/// `S` outputs mod one prime `q`:
+///
+/// `out_s[c] = (e_s[c]·v_s + Σ_i x_i[g(c)]·w_{i,s}) mod q`,
+///
+/// with the optional extra product `(e_s, v_s)` and the gather `g`
+/// (identity when `None`). The raise of a digit to one limb and the
+/// mod-down's base conversion are `S = 1` sums against constants; the
+/// inner products against a key's `b` and `a` limbs are one `S = 2`
+/// sum over the digit rows, gathered by a rotation's index table and
+/// seeded with `P·d_w` by a fused relinearise-rescale. Every term and
+/// extra product is a pair of residues below their moduli, and a sum's
+/// weights are all words or all per-coefficient.
+///
+/// [`Products::reduce`] is the one place a key-switch loop picks its
+/// arithmetic; both paths return the canonical residue of the exact
+/// sum, so they agree word for word.
+pub(crate) struct Products<'a, const S: usize, F> {
+    pub(crate) extra: [Extra<'a>; S],
+    pub(crate) gather: Option<&'a [u32]>,
+    pub(crate) terms: usize,
+    /// Term `i`, for `i < terms`.
+    pub(crate) term: F,
+}
+
+impl<'a, const S: usize, F: Fn(usize) -> Term<'a, S>> Products<'a, S, F> {
+    /// Writes the sums mod `target.q` to `out` — on the IFMA dot kernel
+    /// ([`crate::ifma`]) when `target` and every table in `sources` (the
+    /// moduli the terms' `x` residues live in, when not `target`'s) run
+    /// the vector NTT kernel, on [`Self::reduce_u128`] otherwise.
+    pub(crate) fn reduce<'t>(
+        &self,
+        target: &NttTable,
+        sources: impl IntoIterator<Item = &'t NttTable>,
+        headroom: usize,
+        out: [&mut [u64]; S],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(ifma) = sources
+            .into_iter()
+            .fold(target.ifma(), |v, t| v.and(t.ifma()))
+        {
+            #[cfg(test)]
+            if U128_ONLY.with(std::cell::Cell::get) {
+                return self.reduce_u128(target.arith(), headroom, out);
+            }
+            return ifma.dot(target.q, out, self);
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = sources;
+        self.reduce_u128(target.arith(), headroom, out);
+    }
+
+    /// The sums on `u128` accumulators: raw products add unreduced and
+    /// reduce once, flushing to residues every `headroom` products
+    /// ([`CkksContext::lazy_acc_headroom`]); a flushed residue counts
+    /// as one product. The reference the vector kernel is held to.
+    pub(crate) fn reduce_u128(
+        &self,
+        arith: &PrimeArith,
+        headroom: usize,
+        mut out: [&mut [u64]; S],
+    ) {
+        // Coefficients per block: the `u128` partial sums stay in L1
+        // while the terms stream past.
+        const BLOCK: usize = 128;
+        assert!(headroom >= 2, "moduli leave no lazy accumulator headroom");
+        let n = out[0].len();
+        let mut sums = [[0u128; BLOCK]; S];
+        for base in (0..n).step_by(BLOCK) {
+            let len = BLOCK.min(n - base);
+            let at = base..base + len;
+            for (sum, extra) in sums.iter_mut().zip(self.extra) {
+                match extra {
+                    Some((x, v)) => {
+                        for (acc, &x) in sum.iter_mut().zip(&x[at.clone()]) {
+                            *acc = x as u128 * v as u128;
+                        }
+                    }
+                    None => sum.fill(0),
+                }
+            }
+            let mut pending = usize::from(self.extra.iter().any(Option::is_some));
+            for i in 0..self.terms {
+                if pending == headroom {
+                    for sum in &mut sums {
+                        for acc in &mut sum[..len] {
+                            *acc = arith.reduce_u128(*acc) as u128;
+                        }
+                    }
+                    pending = 1;
+                }
+                pending += 1;
+                let Term { x, w } = (self.term)(i);
+                for (sum, w) in sums.iter_mut().zip(w) {
+                    let sum = &mut sum[..len];
+                    match (self.gather, w) {
+                        (None, Weight::Word(w)) => {
+                            for (acc, &x) in sum.iter_mut().zip(&x[at.clone()]) {
+                                *acc += x as u128 * w as u128;
+                            }
+                        }
+                        (None, Weight::Words(w)) => {
+                            for ((acc, &x), &w) in
+                                sum.iter_mut().zip(&x[at.clone()]).zip(&w[at.clone()])
+                            {
+                                *acc += x as u128 * w as u128;
+                            }
+                        }
+                        (Some(g), Weight::Word(w)) => {
+                            for (acc, &g) in sum.iter_mut().zip(&g[at.clone()]) {
+                                *acc += x[g as usize] as u128 * w as u128;
+                            }
+                        }
+                        (Some(g), Weight::Words(w)) => {
+                            for ((acc, &g), &w) in
+                                sum.iter_mut().zip(&g[at.clone()]).zip(&w[at.clone()])
+                            {
+                                *acc += x[g as usize] as u128 * w as u128;
+                            }
+                        }
+                    }
+                }
+            }
+            for (out, sum) in out.iter_mut().zip(&sums) {
+                for (o, &acc) in out[at.clone()].iter_mut().zip(sum) {
+                    *o = arith.reduce_u128(acc);
+                }
+            }
+        }
+    }
+}
+
 impl KeyChain {
     /// Internal secret-key accessor for the evaluator.
     pub(crate) fn secret_key_internal(&self) -> &RnsPoly {
@@ -766,7 +887,11 @@ mod tests {
     use crate::params::CkksParams;
 
     fn setup(seed: u64) -> (Evaluator, Rng64) {
-        let ctx = CkksParams::toy().build();
+        setup_with(&CkksParams::toy(), seed)
+    }
+
+    fn setup_with(params: &CkksParams, seed: u64) -> (Evaluator, Rng64) {
+        let ctx = params.build();
         let mut rng = Rng64::new(seed);
         let keys = KeyChain::generate(&ctx, &mut rng);
         (Evaluator::new(&keys), rng)
@@ -1003,35 +1128,45 @@ mod tests {
 
     #[test]
     fn digits_beyond_lazy_headroom_flush() {
-        // A 62-bit base prime leaves 16 raw products of headroom; at
-        // ω = 1 eighteen limbs are eighteen digits, so the key switch
-        // must flush its accumulators mid-sum. Rotate and relinearise
-        // across that boundary.
-        let params = CkksParams {
+        // A 62-bit base prime leaves the `u128` loops 16 raw products
+        // of headroom, and the vector loops reduce every 15 products
+        // below 2^50; at ω = 1 eighteen limbs are eighteen digits, so
+        // the key switch must flush its sums mid-way on either chain.
+        // Rotate, relinearise and relinearise-rescale across it.
+        let chain = |base_prime_bits, scale_prime_bits| CkksParams {
             n: 64,
-            base_prime_bits: 62,
-            scale_prime_bits: 50,
+            base_prime_bits,
+            scale_prime_bits,
             depth: 17,
             ks_digit_limbs: 1,
         };
-        let ctx = params.build();
-        assert!(crate::cost::hybrid_digits(&params, 18) > ctx.lazy_acc_headroom(18, 1));
-        let mut rng = Rng64::new(40);
-        let ev = Evaluator::new(&KeyChain::generate(&ctx, &mut rng));
-        let slots = ctx.slots();
-        let vals: Vec<f64> = (0..slots).map(|i| i as f64 / slots as f64 - 0.5).collect();
-        let ct = ev.encrypt_values(&vals, &mut rng);
-        let rot = ev.rotate(&ct, 3);
-        let mut sq = ev.square(&rot);
-        ev.rescale(&mut sq);
-        let out = ev.decrypt_values(&sq, slots);
-        for j in 0..slots {
-            let want = vals[(j + 3) % slots].powi(2);
-            assert!(
-                (out[j] - want).abs() < 1e-6,
-                "slot {j}: {} vs {want}",
-                out[j]
-            );
+        let (u128_chain, vector_chain) = (chain(62, 50), chain(50, 40));
+        let headroom = u128_chain.build().lazy_acc_headroom(18, 1);
+        assert!(crate::cost::hybrid_digits(&u128_chain, 18) > headroom);
+        assert!(crate::cost::hybrid_digits(&vector_chain, 18) > 15);
+        for params in [u128_chain, vector_chain] {
+            let (ev, mut rng) = setup_with(&params, 40);
+            let slots = ev.context().slots();
+            let vals: Vec<f64> = (0..slots).map(|i| i as f64 / slots as f64 - 0.5).collect();
+            let ct = ev.encrypt_values(&vals, &mut rng);
+            let rot = ev.rotate(&ct, 3);
+            let mut sq = ev.square(&rot);
+            ev.rescale(&mut sq);
+            let fused = ev.relinearize_rescale(ev.tensor_square(&rot));
+            for out in [
+                ev.decrypt_values(&sq, slots),
+                ev.decrypt_values(&fused, slots),
+            ] {
+                for j in 0..slots {
+                    let want = vals[(j + 3) % slots].powi(2);
+                    assert!(
+                        (out[j] - want).abs() < 1e-6,
+                        "{} base bits, slot {j}: {} vs {want}",
+                        params.base_prime_bits,
+                        out[j]
+                    );
+                }
+            }
         }
     }
 
@@ -1264,6 +1399,227 @@ mod tests {
         assert!((sum - 0.75).abs() < 1e-6, "{sum}");
     }
 
+    /// `n` residues mod `q`: uniform, all zero, or all `q − 1` (the
+    /// largest products).
+    fn residues(fill: usize, q: u64, n: usize, rng: &mut Rng64) -> Vec<u64> {
+        match fill {
+            0 => (0..n).map(|_| rng.next_u64() % q).collect(),
+            1 => vec![0; n],
+            _ => vec![q - 1; n],
+        }
+    }
+
+    /// Reduces `products` on every path this CPU has — the IFMA kernel
+    /// when it runs, `u128` accumulators at the chain's headroom, and at
+    /// a headroom of 2, which flushes after every product — and asserts
+    /// they return the same words. Whether the vector kernel ran.
+    fn assert_paths_agree<'a, const S: usize>(
+        q: u64,
+        n: usize,
+        products: &Products<'a, S, impl Fn(usize) -> Term<'a, S>>,
+        case: &str,
+    ) -> bool {
+        let arith = PrimeArith::new(q);
+        let run = |f: &dyn Fn([&mut [u64]; S])| {
+            let mut out = [(); S].map(|_| vec![0u64; n]);
+            f(out.each_mut().map(|v| v.as_mut_slice()));
+            out
+        };
+        let want = run(&|out| products.reduce_u128(&arith, 1 << 20, out));
+        let flushed = run(&|out| products.reduce_u128(&arith, 2, out));
+        assert_eq!(flushed, want, "u128 flushing at every product: {case}");
+        #[cfg(target_arch = "x86_64")]
+        if let Some(ifma) = crate::ifma::Ifma::detect() {
+            let got = run(&|out| ifma.dot(q, out, products));
+            assert_eq!(got, want, "avx512ifma: {case}");
+            return true;
+        }
+        false
+    }
+
+    #[test]
+    fn vector_key_switch_loops_match_the_u128_loops_word_for_word() {
+        // The three loops' shapes on 50-bit primes, the widest the
+        // kernel takes: the raise of a digit of ω limbs, the inner
+        // products of 1..=13 limbs' digits against a key (gathered or
+        // not, seeded or not), and the floor and round mod-down
+        // conversions from the special primes (and `q_last`).
+        let mut rng = Rng64::new(0x1F3A_0054);
+        let mut vector = 0;
+        for n in [16usize, 256, 4096] {
+            let primes = crate::modular::ntt_primes(50, 13 + 8, n);
+            let (chain, special) = primes.split_at(13);
+            let mut perm: Vec<u32> = (0..n as u32).collect();
+            rng.shuffle(&mut perm);
+            for fill in 0..3 {
+                for omega in [1usize, 3, 8] {
+                    for limbs in 1..=13usize {
+                        let k = omega.min(limbs);
+                        let q = chain[limbs - 1];
+                        // Raise: digit `j`'s limbs to special prime 0.
+                        let group = omega.min(limbs);
+                        let xs: Vec<Vec<u64>> = chain[..group]
+                            .iter()
+                            .map(|&p| residues(fill, p, n, &mut rng))
+                            .collect();
+                        let ws = residues(fill, special[0], group, &mut rng);
+                        let raise = Products {
+                            extra: [None],
+                            gather: None,
+                            terms: group,
+                            term: |i: usize| Term {
+                                x: &xs[i][..],
+                                w: [Weight::Word(ws[i])],
+                            },
+                        };
+                        let case = format!("raise, n={n}, fill {fill}, ω={omega}, {limbs} limbs");
+                        vector += usize::from(assert_paths_agree(special[0], n, &raise, &case));
+                        // Inner products: one row per digit.
+                        let rows = limbs.div_ceil(omega);
+                        let row: Vec<Vec<u64>> =
+                            (0..rows).map(|_| residues(fill, q, n, &mut rng)).collect();
+                        let key: Vec<[Vec<u64>; 2]> = (0..rows)
+                            .map(|_| {
+                                [
+                                    residues(fill, q, n, &mut rng),
+                                    residues(fill, q, n, &mut rng),
+                                ]
+                            })
+                            .collect();
+                        let seed = [
+                            residues(fill, q, n, &mut rng),
+                            residues(fill, q, n, &mut rng),
+                        ];
+                        let p_mod = residues(fill, q, 1, &mut rng)[0];
+                        for gather in [None, Some(&perm[..])] {
+                            for seeded in [false, true] {
+                                let inner = Products {
+                                    extra: [0, 1].map(|w| seeded.then(|| (&seed[w][..], p_mod))),
+                                    gather,
+                                    terms: rows,
+                                    term: |j: usize| Term {
+                                        x: &row[j][..],
+                                        w: [
+                                            Weight::Words(&key[j][0][..]),
+                                            Weight::Words(&key[j][1][..]),
+                                        ],
+                                    },
+                                };
+                                let case = format!(
+                                    "accumulate, n={n}, fill {fill}, ω={omega}, {limbs} limbs, \
+                                     gather {}, seeded {seeded}",
+                                    gather.is_some()
+                                );
+                                vector += usize::from(assert_paths_agree(q, n, &inner, &case));
+                            }
+                        }
+                        // Mod-down: divide by P (floor) or q_last·P (round).
+                        for round in [false, true] {
+                            let divisors: Vec<u64> = if round {
+                                [chain[limbs - 1]]
+                                    .iter()
+                                    .chain(&special[..k])
+                                    .copied()
+                                    .collect()
+                            } else {
+                                special[..k].to_vec()
+                            };
+                            let q = chain[0];
+                            let dv: Vec<Vec<u64>> = divisors
+                                .iter()
+                                .map(|&d| residues(fill, d, n, &mut rng))
+                                .collect();
+                            let hat = residues(fill, q, divisors.len(), &mut rng);
+                            let u: Vec<u64> = match fill {
+                                0 => (0..n)
+                                    .map(|_| rng.next_u64() % (divisors.len() as u64 + 1))
+                                    .collect(),
+                                1 => vec![0; n],
+                                _ => vec![divisors.len() as u64; n],
+                            };
+                            let neg_d = residues(fill, q, 1, &mut rng)[0];
+                            let convert = Products {
+                                extra: [round.then_some((&u[..], neg_d))],
+                                gather: None,
+                                terms: divisors.len(),
+                                term: |l: usize| Term {
+                                    x: &dv[l][..],
+                                    w: [Weight::Word(hat[l])],
+                                },
+                            };
+                            let case = format!(
+                                "mod-down, n={n}, fill {fill}, ω={omega}, {limbs} limbs, round {round}"
+                            );
+                            vector += usize::from(assert_paths_agree(q, n, &convert, &case));
+                        }
+                    }
+                }
+                // Past the kernel's 15 products per lane: ω = 1 on 16 to
+                // 21 digits, seeded and gathered, reduces in runs.
+                let q = chain[0];
+                let rows: Vec<Vec<u64>> = (0..21).map(|_| residues(fill, q, n, &mut rng)).collect();
+                let seed = residues(fill, q, n, &mut rng);
+                for terms in [14, 15, 16, 21] {
+                    let flush = Products {
+                        extra: [Some((&seed[..], q - 1)), None],
+                        gather: Some(&perm[..]),
+                        terms,
+                        term: |j: usize| Term {
+                            x: &rows[j][..],
+                            w: [Weight::Words(&rows[20 - j][..]), Weight::Words(&seed[..])],
+                        },
+                    };
+                    let case = format!("flush, n={n}, fill {fill}, {terms} terms");
+                    vector += usize::from(assert_paths_agree(q, n, &flush, &case));
+                }
+            }
+        }
+        if vector == 0 {
+            println!(
+                "this CPU does not report avx512f + avx512ifma: \
+                 the u128 loops were compared with themselves"
+            );
+        } else {
+            println!(
+                "compared the avx512ifma inner-product kernel with the u128 loops on {vector} sums"
+            );
+        }
+    }
+
+    #[test]
+    fn vector_key_switches_match_the_u128_ones_word_for_word() {
+        // Whole ops, every loop on its own path against every loop on
+        // `u128` accumulators: rotate (gathered), mul (floor mod-down)
+        // and the fused relinearise-rescale (seeded, round mod-down) at
+        // ω ∈ {1, 3, 8} on every limb count of the toy chain.
+        crate::par::with_thread_budget(1, || {
+            for omega in [1, 3, 8] {
+                let params = CkksParams {
+                    ks_digit_limbs: omega,
+                    ..CkksParams::toy()
+                };
+                let (ev, mut rng) = setup_with(&params, 62);
+                let fresh = ev.encrypt_values(&[0.4, -0.2, 0.7], &mut rng);
+                for limbs in 1..=13 {
+                    let mut ct = fresh.clone();
+                    ct.drop_to(limbs);
+                    let ops = || {
+                        let mut got = vec![digest(&ev.rotate(&ct, 3)), digest(&ev.mul(&ct, &ct))];
+                        if limbs > 1 {
+                            got.push(digest(&ev.relinearize_rescale(ev.tensor(&ct, &ct))));
+                        }
+                        got
+                    };
+                    let got = ops();
+                    U128_ONLY.with(|f| f.set(true));
+                    let want = ops();
+                    U128_ONLY.with(|f| f.set(false));
+                    assert_eq!(got, want, "ω={omega}, {limbs} limbs");
+                }
+            }
+        });
+    }
+
     /// FNV-1a over a ciphertext's residue words and scale bits.
     fn digest(ct: &Ciphertext) -> u64 {
         let words = ct.c0.limbs().chain(ct.c1.limbs()).flatten().copied();
@@ -1282,60 +1638,105 @@ mod tests {
         // key limb began drawing from its own (secret, k, digit,
         // modulus) stream — new key material, same arithmetic; the
         // `mul_const` digest, which switches no key, kept its value.
-        let recorded: [[u64; 7]; 2] = [
-            [
-                0x2a0cad658bb52d4a,
-                0xc134c5e9059ff37c,
-                0xf5d2e00fa4396e16,
-                0xd003fc55769d2b3f,
-                0xf85666199d012201,
-                0xb3cb94e205febb6c,
-                0x69fda8b390f69a9e,
-            ],
-            [
-                0x387918bd7520fcba,
-                0x715b6ef76b9f5fea,
-                0x36381791988e3f68,
-                0x6bc22c4ac9182fa7,
-                0x53a31bcdb86005c8,
-                0x00e27509f743c6d7,
-                0xd6a4f5afdd825f03,
-            ],
+        //
+        // The first table is the toy chain at its old shape, a 60-bit
+        // base prime (and so 60-bit special primes) under 40-bit scale
+        // primes: its digests predate the vector key-switch loops, which
+        // already run its 40-bit limbs' inner products and raises, and
+        // must not move. The second is the toy preset itself, whose
+        // primes all moved below 2^50 — new primes, new bytes.
+        let sixty_forty = CkksParams {
+            base_prime_bits: 60,
+            ..CkksParams::toy()
+        };
+        let recorded: [(CkksParams, [[u64; 7]; 2]); 2] = [
+            (
+                sixty_forty,
+                [
+                    [
+                        0x2a0cad658bb52d4a,
+                        0xc134c5e9059ff37c,
+                        0xf5d2e00fa4396e16,
+                        0xd003fc55769d2b3f,
+                        0xf85666199d012201,
+                        0xb3cb94e205febb6c,
+                        0x69fda8b390f69a9e,
+                    ],
+                    [
+                        0x387918bd7520fcba,
+                        0x715b6ef76b9f5fea,
+                        0x36381791988e3f68,
+                        0x6bc22c4ac9182fa7,
+                        0x53a31bcdb86005c8,
+                        0x00e27509f743c6d7,
+                        0xd6a4f5afdd825f03,
+                    ],
+                ],
+            ),
+            (
+                CkksParams::toy(),
+                [
+                    [
+                        0x35dfe42fe1ee56fc,
+                        0x9de23db27f56f9fa,
+                        0x525ca1c856b31b50,
+                        0x471643b3c61e44b9,
+                        0xbe6a16e58d717a91,
+                        0xf5061c35c180219a,
+                        0xfefd0bdba30902a4,
+                    ],
+                    [
+                        0xea87503c4674b959,
+                        0x8932a1a9d4eb5519,
+                        0x6e6e697cb6c222bf,
+                        0xf05958942e632cd4,
+                        0x424bb3d129338b09,
+                        0x51428c7e6cd97fc5,
+                        0x6bbc8c8590043d7a,
+                    ],
+                ],
+            ),
         ];
-        for budget in [1, 2] {
-            crate::par::with_thread_budget(budget, || {
-                let (ev, mut rng) = setup(77);
-                let slots = ev.context().slots();
-                let vals: Vec<f64> = (0..slots).map(|i| (i % 17) as f64 / 17.0 - 0.5).collect();
-                let fresh = ev.encrypt_values(&vals, &mut rng);
-                let other = ev.encrypt_values(&vals[..slots / 2], &mut rng);
-                let rows: Vec<Vec<f64>> = (0..8)
-                    .map(|r| {
-                        (0..8)
-                            .map(|c| ((r * 5 + c * 3) % 7) as f64 / 7.0 - 0.4)
-                            .collect()
-                    })
-                    .collect();
-                let mat = crate::linear::DiagMatrix::from_rows(&rows);
-                for (limbs, want) in [13, 7].into_iter().zip(recorded) {
-                    let mut ct = fresh.clone();
-                    ct.drop_to(limbs);
-                    let product = ev.mul(&ct, &other);
-                    let mut rescaled = product.clone();
-                    ev.rescale(&mut rescaled);
-                    let many = ev.rotate_many(&ct, &[1, -2, 5]);
-                    let got = [
-                        digest(&product),
-                        digest(&ev.square(&ct)),
-                        digest(&ev.rotate(&ct, 3)),
-                        many.iter().fold(0, |h, r| h ^ digest(r)),
-                        digest(&ev.matvec_bsgs(&mat, &ct)),
-                        digest(&rescaled),
-                        digest(&ev.mul_const(&ct, -0.37)),
-                    ];
-                    assert_eq!(got, want, "{limbs} limbs, budget {budget}: {got:#x?}");
-                }
-            });
+        for (params, recorded) in recorded {
+            for budget in [1, 2] {
+                crate::par::with_thread_budget(budget, || {
+                    let (ev, mut rng) = setup_with(&params, 77);
+                    let slots = ev.context().slots();
+                    let vals: Vec<f64> = (0..slots).map(|i| (i % 17) as f64 / 17.0 - 0.5).collect();
+                    let fresh = ev.encrypt_values(&vals, &mut rng);
+                    let other = ev.encrypt_values(&vals[..slots / 2], &mut rng);
+                    let rows: Vec<Vec<f64>> = (0..8)
+                        .map(|r| {
+                            (0..8)
+                                .map(|c| ((r * 5 + c * 3) % 7) as f64 / 7.0 - 0.4)
+                                .collect()
+                        })
+                        .collect();
+                    let mat = crate::linear::DiagMatrix::from_rows(&rows);
+                    for (limbs, want) in [13, 7].into_iter().zip(recorded) {
+                        let mut ct = fresh.clone();
+                        ct.drop_to(limbs);
+                        let product = ev.mul(&ct, &other);
+                        let mut rescaled = product.clone();
+                        ev.rescale(&mut rescaled);
+                        let many = ev.rotate_many(&ct, &[1, -2, 5]);
+                        let got = [
+                            digest(&product),
+                            digest(&ev.square(&ct)),
+                            digest(&ev.rotate(&ct, 3)),
+                            many.iter().fold(0, |h, r| h ^ digest(r)),
+                            digest(&ev.matvec_bsgs(&mat, &ct)),
+                            digest(&rescaled),
+                            digest(&ev.mul_const(&ct, -0.37)),
+                        ];
+                        assert_eq!(
+                            got, want,
+                            "{} base bits, {limbs} limbs, budget {budget}: {got:#x?}",
+                            params.base_prime_bits
+                        );
+                    }
+                });
+            }
         }
     }
 

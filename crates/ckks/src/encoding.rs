@@ -200,9 +200,9 @@ impl Encoder {
     /// product. A coefficient is at most `scale` times the largest slot
     /// magnitude, so a **level-0** plaintext — one limb, which is where
     /// the level schedule leaves every result — decodes slots up to
-    /// `q₀ / (2·scale)`: about 2¹⁹ with the presets' 60-bit base prime
-    /// at Δ = 2⁴⁰. Larger values wrap silently; two or more limbs leave
-    /// 2⁵⁹ of room.
+    /// `q₀ / (2·scale)`: about 2⁹ = 512 with the presets' 50-bit base
+    /// prime at Δ = 2⁴⁰ (2¹⁹ with a 60-bit one). Larger values wrap
+    /// silently; two or more limbs leave 2⁴⁹ of room.
     ///
     /// # Panics
     ///
@@ -341,27 +341,33 @@ mod tests {
     #[test]
     fn level_zero_decodes_up_to_half_the_base_prime_over_the_scale() {
         // One limb is where the level schedule leaves every result. At
-        // the presets' shape — 60-bit base prime, Δ = 2⁴⁰ — a slot
-        // magnitude just under q₀/(2Δ) ≈ 2¹⁹ survives the single-limb
+        // the presets' shape — 50-bit base prime, Δ = 2⁴⁰ — a slot
+        // magnitude just under q₀/(2Δ) ≈ 2⁹ survives the single-limb
         // decode and one just over it wraps; a second limb lifts the
-        // bound.
-        let ctx = crate::params::CkksParams::toy().build();
-        let enc = Encoder::new(&ctx);
-        let bound = ctx.primes()[0] as f64 / (2.0 * ctx.scale());
-        assert!((18.9..19.1).contains(&bound.log2()), "{}", bound.log2());
-        for (value, limbs, survives) in [
-            (0.99 * bound, 1, true),
-            (-0.99 * bound, 1, true),
-            (1.01 * bound, 1, false),
-            (1.01 * bound, 2, true),
-        ] {
-            let pt = enc.encode_constant(value, ctx.scale(), limbs);
-            let got = enc.decode(&pt, 1)[0];
-            assert_eq!(
-                (got - value).abs() < 1e-3,
-                survives,
-                "{value} on {limbs} limb(s) decoded as {got}"
-            );
+        // bound. A spelled-out 60-bit base prime moves it to ≈ 2¹⁹.
+        let wide = crate::params::CkksParams {
+            base_prime_bits: 60,
+            ..crate::params::CkksParams::toy()
+        };
+        for (params, log2_bound) in [(crate::params::CkksParams::toy(), 9.0), (wide, 19.0)] {
+            let ctx = params.build();
+            let enc = Encoder::new(&ctx);
+            let bound = ctx.primes()[0] as f64 / (2.0 * ctx.scale());
+            assert!((bound.log2() - log2_bound).abs() < 0.1, "{}", bound.log2());
+            for (value, limbs, survives) in [
+                (0.99 * bound, 1, true),
+                (-0.99 * bound, 1, true),
+                (1.01 * bound, 1, false),
+                (1.01 * bound, 2, true),
+            ] {
+                let pt = enc.encode_constant(value, ctx.scale(), limbs);
+                let got = enc.decode(&pt, 1)[0];
+                assert_eq!(
+                    (got - value).abs() < 1e-3,
+                    survives,
+                    "{value} on {limbs} limb(s) decoded as {got}"
+                );
+            }
         }
     }
 

@@ -74,8 +74,8 @@ pub(crate) struct ModDown {
     /// Per output limb `t`, per divisor limb `l`: `(D/d_l) mod q_t`,
     /// laid out `t`-major (`hat[t * divisors + l]`).
     pub(crate) hat: Vec<u64>,
-    /// Per output limb `t`: `[D^{-1}]_{q_t}` and its Shoup companion.
-    pub(crate) d_inv: Vec<(u64, u64)>,
+    /// Per output limb `t`: `[D^{-1}]_{q_t}`.
+    pub(crate) d_inv: Vec<u64>,
     /// Round-to-nearest constants, empty for a plain (floor) division.
     /// The fast base conversion returns the remainder plus an overshoot
     /// `u·D`, `u = ⌊Σ_l y_l/d_l⌋`; a quotient that is rescaled
@@ -521,11 +521,8 @@ impl ModDown {
         let d_mod: Vec<u64> = chain.iter().map(|&q| hat_mod(None, q)).collect();
         let d_inv = d_mod
             .iter()
-            .enumerate()
-            .map(|(t, &d)| {
-                let inv = inv_mod(d, chain[t]);
-                (inv, ctx.arith(t).shoup(inv))
-            })
+            .zip(chain)
+            .map(|(&d, &q)| inv_mod(d, q))
             .collect();
         let (inv_f64, neg_d) = if round {
             (

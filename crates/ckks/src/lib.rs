@@ -34,6 +34,8 @@
 //! assert!(out[1].abs() < 0.06);         // relu(-0.5) ~ 0
 //! ```
 
+#[cfg(target_arch = "x86_64")]
+mod ifma;
 pub mod modular;
 mod ntt;
 

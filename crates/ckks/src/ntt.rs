@@ -29,12 +29,15 @@
 //!
 //! A table for a prime `q < 2^50` and `n >= 16` runs the same lazy
 //! butterflies eight coefficients at a time on AVX-512 IFMA, when the
-//! CPU reports `avx512f` and `avx512ifma`. [`NttTable::new`] makes
-//! that choice once per table, from the CPU, the prime width and `n`
-//! alone; nothing else selects a kernel, and [`NttTable::kernel`]
-//! names the one a table runs. Every other table — the 60-bit base
-//! and special primes, any table on a CPU without IFMA, and `n < 16`
-//! — runs the scalar kernel.
+//! CPU reports `avx512f` and `avx512ifma`, from the Shoup product and
+//! folds of [`crate::ifma`]. [`NttTable::new`] makes that choice once
+//! per table, from the CPU, the prime width and `n` alone; nothing else
+//! selects a kernel, and [`NttTable::kernel`] names the one a table
+//! runs. Every other table — a prime from `2^50` up (the 60-bit base
+//! and special primes of `paper_scale`), any table on a CPU without
+//! IFMA, and `n < 16` — runs the scalar kernel. The same choice decides
+//! the key switch's inner products: a vector table holds the proof of
+//! IFMA that the dot kernel needs ([`NttTable`]'s `ifma`).
 //!
 //! - **Why `2^50`.** The 52-bit multiplier (`vpmadd52huq` /
 //!   `vpmadd52luq`) reads the low 52 bits of its inputs. Every lazy
@@ -63,6 +66,8 @@
 //!   `cfg(debug_assertions)` every lane is held to the scalar kernel's
 //!   lazy bounds, with the same messages.
 
+#[cfg(target_arch = "x86_64")]
+use crate::ifma::{self, Ifma};
 use crate::modular::{add_mod, inv_mod, mul_mod, primitive_root_2n, sub_mod, PrimeArith};
 
 /// Which butterfly kernel a table runs; fixed by [`NttTable::new`].
@@ -70,9 +75,9 @@ use crate::modular::{add_mod, inv_mod, mul_mod, primitive_root_2n, sub_mod, Prim
 enum Kernel {
     /// `PrimeArith` butterflies, one coefficient at a time.
     Scalar,
-    /// The AVX-512 IFMA butterflies of [`ifma`], eight at a time.
+    /// The AVX-512 IFMA butterflies of [`vector`], eight at a time.
     #[cfg(target_arch = "x86_64")]
-    Ifma,
+    Ifma(Ifma),
 }
 
 impl Kernel {
@@ -81,8 +86,10 @@ impl Kernel {
     /// kernel.
     fn choose(q: u64, n: usize) -> Self {
         #[cfg(target_arch = "x86_64")]
-        if q < ifma::MAX_Q && n >= ifma::MIN_N && ifma::detected() {
-            return Kernel::Ifma;
+        if q < ifma::MAX_Q && n >= ifma::MIN_N {
+            if let Some(ifma) = Ifma::detect() {
+                return Kernel::Ifma(ifma);
+            }
         }
         Kernel::Scalar
     }
@@ -177,7 +184,18 @@ impl NttTable {
         match self.kernel {
             Kernel::Scalar => "scalar",
             #[cfg(target_arch = "x86_64")]
-            Kernel::Ifma => "avx512ifma",
+            Kernel::Ifma(_) => "avx512ifma",
+        }
+    }
+
+    /// The proof of IFMA this table's vector kernel holds, `None` for a
+    /// scalar table: what decides whether a key-switch loop over this
+    /// modulus runs on [`Ifma::dot`].
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn ifma(&self) -> Option<Ifma> {
+        match self.kernel {
+            Kernel::Ifma(ifma) => Some(ifma),
+            Kernel::Scalar => None,
         }
     }
 
@@ -195,11 +213,10 @@ impl NttTable {
     pub fn forward(&self, a: &mut [u64]) {
         self.count_pass(a);
         #[cfg(target_arch = "x86_64")]
-        if self.kernel == Kernel::Ifma {
-            // SAFETY: `Kernel::choose`, called by `new`, picks `Ifma`
-            // only after `is_x86_feature_detected!` reported both
-            // `avx512f` and `avx512ifma` on this CPU.
-            return unsafe { ifma::forward(self, a) };
+        if let Kernel::Ifma(_) = self.kernel {
+            // SAFETY: the kernel holds an `Ifma`, which exists only
+            // once both `avx512f` and `avx512ifma` were detected.
+            return unsafe { vector::forward(self, a) };
         }
         self.forward_scalar(a);
     }
@@ -216,9 +233,9 @@ impl NttTable {
     pub fn inverse(&self, a: &mut [u64]) {
         self.count_pass(a);
         #[cfg(target_arch = "x86_64")]
-        if self.kernel == Kernel::Ifma {
+        if let Kernel::Ifma(_) = self.kernel {
             // SAFETY: as in `forward`.
-            return unsafe { ifma::inverse(self, a) };
+            return unsafe { vector::inverse(self, a) };
         }
         self.inverse_scalar(a);
     }
@@ -331,25 +348,15 @@ impl NttTable {
 
 /// The AVX-512 IFMA kernel: the scalar kernel's butterflies on eight
 /// coefficients per instruction, for primes below [`ifma::MAX_Q`]
-/// (see the module's "Vector kernel"). `forward` and `inverse` are the
-/// entry points, and calling them needs the CPU features [`ifma::detected`]
-/// checks; the helpers below inline into them.
+/// (see the module's "Vector kernel"), built from [`crate::ifma`]'s
+/// Shoup product and folds. `forward` and `inverse` are the entry
+/// points, and calling them needs the CPU features an [`Ifma`] proves;
+/// the helpers below inline into them.
 #[cfg(target_arch = "x86_64")]
-mod ifma {
+mod vector {
     use super::NttTable;
+    use crate::ifma::{consts, debug_below, fold, load, mul_shoup_lazy, shoup52, store, Consts};
     use core::arch::x86_64::*;
-
-    /// Primes the kernel takes: every lazy value (below `4q`) then
-    /// fits the multiplier's 52-bit inputs.
-    pub(super) const MAX_Q: u64 = 1 << 50;
-    /// The short stages work on groups of 16 coefficients.
-    pub(super) const MIN_N: usize = 16;
-
-    /// Whether the CPU runs the kernel's instructions.
-    pub(super) fn detected() -> bool {
-        std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512ifma")
-    }
 
     // Lane indices for `_mm512_permutex2var_epi64` over two registers
     // holding a group of 16 coefficients (lanes 0..8 of the first,
@@ -384,44 +391,6 @@ mod ifma {
         )
     }
 
-    /// The prime's constants, broadcast.
-    #[derive(Clone, Copy)]
-    struct Consts {
-        q: __m512i,
-        two_q: __m512i,
-        four_q: __m512i,
-        /// `2^52 − q`: `x·(2^52 − q) ≡ −x·q (mod 2^52)`.
-        neg_q: __m512i,
-        mask52: __m512i,
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    fn consts(q: u64) -> Consts {
-        let lane = |x: u64| _mm512_set1_epi64(x as i64);
-        Consts {
-            q: lane(q),
-            two_q: lane(2 * q),
-            four_q: lane(4 * q),
-            neg_q: lane((1 << 52) - q),
-            mask52: lane((1 << 52) - 1),
-        }
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    fn load(a: &[u64; 8]) -> __m512i {
-        // SAFETY: `a` is eight readable `u64`s; the load is unaligned.
-        unsafe { _mm512_loadu_epi64(a.as_ptr().cast()) }
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    fn store(a: &mut [u64; 8], v: __m512i) {
-        // SAFETY: `a` is eight writable `u64`s; the store is unaligned.
-        unsafe { _mm512_storeu_epi64(a.as_mut_ptr().cast(), v) }
-    }
-
     /// The first (at most 8) words of `w`, lane `j` holding
     /// `w[spread[j]]`.
     #[inline]
@@ -432,45 +401,6 @@ mod ifma {
         // only, and a masked-off lane is neither read nor able to fault.
         let v = unsafe { _mm512_maskz_loadu_epi64(mask, w.as_ptr().cast()) };
         _mm512_permutexvar_epi64(spread, v)
-    }
-
-    /// `x − m` in lanes where `x >= m`, else `x`: the scalar kernel's
-    /// `reduce_once`/`canonical` fold (the wrapped difference of a
-    /// lane below `m` is the larger of the two).
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    fn fold(x: __m512i, m: __m512i) -> __m512i {
-        _mm512_min_epu64(x, _mm512_sub_epi64(x, m))
-    }
-
-    /// Under `cfg(debug_assertions)`, panics with `msg` unless every
-    /// lane of `v` is below `bound`.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    fn debug_below(v: __m512i, bound: __m512i, msg: &str) {
-        debug_assert!(_mm512_cmpge_epu64_mask(v, bound) == 0, "{msg}");
-    }
-
-    /// Shoup product `a·w mod q` in `[0, 2q)` for lanes `a < 2^52`,
-    /// with `w52 = floor(w·2^52 / q)`: the quotient estimate is the
-    /// high word of `a·w52`, and `a·w − q_est·q` (below `2q < 2^52`)
-    /// is read off the low 52 bits of the two products.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512ifma")]
-    fn mul_shoup_lazy(a: __m512i, w: __m512i, w52: __m512i, c: Consts) -> __m512i {
-        let zero = _mm512_setzero_si512();
-        let q_est = _mm512_madd52hi_epu64(zero, a, w52);
-        let r = _mm512_madd52lo_epu64(_mm512_madd52lo_epu64(zero, a, w), q_est, c.neg_q);
-        let r = _mm512_and_si512(r, c.mask52);
-        debug_below(r, c.two_q, "Shoup product escaped [0, 2q)");
-        r
-    }
-
-    /// The 52-bit Shoup companions of 64-bit ones.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    fn shoup52(w_shoup: __m512i) -> __m512i {
-        _mm512_srli_epi64::<12>(w_shoup)
     }
 
     /// Cooley-Tukey butterfly on lazy `[0, 4q)` halves: outputs in
@@ -902,7 +832,7 @@ mod tests {
         }
         #[cfg(target_arch = "x86_64")]
         {
-            let vector = if ifma::detected() {
+            let vector = if Ifma::detect().is_some() {
                 "avx512ifma"
             } else {
                 "scalar"

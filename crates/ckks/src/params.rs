@@ -18,7 +18,10 @@ use std::sync::Arc;
 pub struct CkksParams {
     /// Ring dimension (power of two).
     pub n: usize,
-    /// Bit size of the base (decode) prime.
+    /// Bit size of the base (decode) prime, above `scale_prime_bits`.
+    /// A result decoded on one limb — where the level schedule leaves
+    /// every result — must hold `|v| < q₀/(2Δ)`: about `2⁹` at the
+    /// presets' 50-bit base prime and Δ = 2⁴⁰ (`2¹⁹` at 60 bits).
     pub base_prime_bits: u32,
     /// Bit size of each rescaling prime.
     pub scale_prime_bits: u32,
@@ -32,15 +35,16 @@ pub struct CkksParams {
 
 /// Largest supported hybrid digit size. The fast base conversion sums
 /// ω products of two sub-2^62 residues in a `u128`; ω ≤ 8 keeps the
-/// sum below 2^127 with no intermediate reduction.
+/// sum below 2^127 with no intermediate reduction, and within the 15
+/// products below 2^100 a lane of the IFMA dot kernel holds.
 pub const MAX_KS_DIGIT_LIMBS: usize = 8;
 
 impl CkksParams {
-    /// Tiny parameters for unit tests: N = 256, depth 8.
+    /// Tiny parameters for unit tests: N = 256, depth 12.
     pub fn toy() -> Self {
         CkksParams {
             n: 256,
-            base_prime_bits: 60,
+            base_prime_bits: 50,
             scale_prime_bits: 40,
             depth: 12,
             ks_digit_limbs: 3,
@@ -50,10 +54,16 @@ impl CkksParams {
     /// Default working parameters: N = 4096, depth 12 — enough for the
     /// 27-degree comparator's depth-10 sign evaluation plus the ReLU
     /// construction multiply, with margin.
+    ///
+    /// The serving presets ([`Self::toy`], this one and
+    /// [`Self::benchmark`]) put every prime — chain and special — below
+    /// `2^50`, where every transform and every key-switch base
+    /// conversion and inner product runs on the AVX-512 IFMA kernels
+    /// when the CPU has them ([`crate::NttTable::kernel`]).
     pub fn default_params() -> Self {
         CkksParams {
             n: 4096,
-            base_prime_bits: 60,
+            base_prime_bits: 50,
             scale_prime_bits: 40,
             depth: 12,
             ks_digit_limbs: 3,
@@ -65,7 +75,7 @@ impl CkksParams {
     pub fn benchmark() -> Self {
         CkksParams {
             n: 8192,
-            base_prime_bits: 60,
+            base_prime_bits: 50,
             scale_prime_bits: 40,
             depth: 12,
             ks_digit_limbs: 3,
@@ -93,8 +103,10 @@ impl CkksParams {
     /// Checks the conditions every consumer of the parameters relies
     /// on: `n` a power of two ≥ 8, both prime sizes in
     /// `(log2(2n), 62]` bits (an NTT-friendly prime exceeds `2n`; the
-    /// kernels need moduli below 2^62) and `ks_digit_limbs` in
-    /// `1..=MAX_KS_DIGIT_LIMBS`.
+    /// kernels need moduli below 2^62), a base prime wider than the
+    /// scale primes (at equal widths both prime scans start at the same
+    /// prime, and a narrower one wraps every decoded result) and
+    /// `ks_digit_limbs` in `1..=MAX_KS_DIGIT_LIMBS`.
     pub fn validate(&self) -> Result<(), String> {
         if !self.n.is_power_of_two() || self.n < 8 {
             return Err(format!(
@@ -110,6 +122,12 @@ impl CkksParams {
             if bits <= log_2n || bits > 62 {
                 return Err(format!("{name} {bits} is outside ({log_2n}, 62]"));
             }
+        }
+        if self.base_prime_bits <= self.scale_prime_bits {
+            return Err(format!(
+                "base_prime_bits {} is not above scale_prime_bits {}",
+                self.base_prime_bits, self.scale_prime_bits
+            ));
         }
         if self.ks_digit_limbs == 0 || self.ks_digit_limbs > MAX_KS_DIGIT_LIMBS {
             return Err(format!(
@@ -211,10 +229,48 @@ mod tests {
             r#"{"n":256,"base_prime_bits":60,"scale_prime_bits":40,"depth":12}"#,
             r#"{"n":256,"base_prime_bits":60,"scale_prime_bits":40,"depth":12,"ks_digit_limbs":0}"#,
             r#"{"n":256,"base_prime_bits":60,"scale_prime_bits":0,"depth":12,"ks_digit_limbs":3}"#,
+            r#"{"n":256,"base_prime_bits":40,"scale_prime_bits":40,"depth":12,"ks_digit_limbs":3}"#,
         ] {
             let v = serde::json::from_str(bad).unwrap();
             assert!(CkksParams::deserialize(&v).is_err(), "{bad}");
         }
+        // At equal widths the base prime would be the first scale prime.
+        let equal = CkksParams {
+            base_prime_bits: 40,
+            ..CkksParams::toy()
+        };
+        assert_eq!(
+            equal.validate(),
+            Err("base_prime_bits 40 is not above scale_prime_bits 40".into())
+        );
+    }
+
+    #[test]
+    fn serving_presets_are_one_vector_width() {
+        // Every chain and special prime of the serving presets is below
+        // 2^50, the vector kernels' bound, whatever the CPU; the paper's
+        // 60-bit base and special primes are not.
+        let primes = |params: CkksParams| {
+            let ctx = params.build();
+            let mut all = ctx.primes().to_vec();
+            all.extend(ctx.special_primes());
+            all
+        };
+        for params in [
+            CkksParams::toy(),
+            CkksParams::default_params(),
+            CkksParams::benchmark(),
+        ] {
+            for q in primes(params.clone()) {
+                assert!(q < 1 << 50, "{params:?}: prime {q} is not below 2^50");
+            }
+        }
+        let paper = CkksParams {
+            n: 256,
+            ..CkksParams::paper_scale()
+        };
+        let wide = primes(paper).into_iter().filter(|&q| q >= 1 << 50).count();
+        assert_eq!(wide, 1 + 3, "the base prime and the three special primes");
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! use smartpaf_nn::Linear;
 //! use smartpaf_tensor::Rng64;
 //!
-//! let dir = std::env::temp_dir().join("smartpaf-registry-mod-doc");
+//! let dir = std::env::temp_dir().join(format!("smartpaf-registry-mod-doc-{}", std::process::id()));
 //! let registry = PlanRegistry::open(&dir).unwrap();
 //!
 //! // One process plans and publishes…
@@ -51,7 +51,8 @@
 //! let mut session = plan.compile().unwrap();
 //! let out = session.infer(&[0.5, -0.5, 0.25, -0.25]).unwrap();
 //! assert_eq!(out.len(), 4);
-//! assert_eq!(registry.list().unwrap()[0].content_key, key);
+//! assert!(registry.list().unwrap().iter().any(|info| info.content_key == key));
+//! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
 use crate::session::{Plan, PlannedCandidate, SessionBuilder, SessionError};

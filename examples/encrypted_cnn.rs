@@ -51,8 +51,11 @@ fn main() {
     // would need ~26 levels; depth 12 forces refreshes, which is
     // exactly the paper's "deep PAF chains need bootstrapping". The
     // 45-bit scale primes keep the noise floor comfortably below the
-    // logit gaps after the dense final layer amplifies it.
+    // logit gaps after the dense final layer amplifies it, and the
+    // 60-bit base prime keeps a one-limb result's q₀/(2Δ) at 2¹⁴ (the
+    // preset's 50 bits would leave 2⁴ = 16 at Δ = 2⁴⁵).
     let ctx = CkksParams {
+        base_prime_bits: 60,
         scale_prime_bits: 45,
         ..CkksParams::default_params()
     }

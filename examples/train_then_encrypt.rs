@@ -181,7 +181,10 @@ fn main() {
         pipeline.total_levels()
     );
 
+    // 45-bit scale primes over a 60-bit base prime: a one-limb result
+    // decodes up to q₀/(2Δ) = 2¹⁴ (the preset's 50 bits would leave 16).
     let ctx = CkksParams {
+        base_prime_bits: 60,
         scale_prime_bits: 45,
         ..CkksParams::default_params()
     }
