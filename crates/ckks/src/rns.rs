@@ -192,12 +192,6 @@ impl CkksContext {
         &self.ntt_sp[l]
     }
 
-    /// Barrett/Shoup constants for special prime index `l`.
-    #[inline]
-    pub fn arith_special(&self, l: usize) -> &PrimeArith {
-        self.ntt_sp[l].arith()
-    }
-
     /// Modulus of limb `t` in the extended basis
     /// `[q_0 .. q_{num_limbs-1}, p_0 .. ]`: chain prime for
     /// `t < num_limbs`, special prime after.

@@ -1,20 +1,24 @@
-//! The three [`InferenceBackend`] implementations.
+//! The two [`InferenceBackend`] implementations, and the dry run that
+//! reads the schedule one of them executes.
 //!
 //! - [`PlainBackend`] — batched `f64` slices through the prepared
 //!   `polyfit` evaluation engines (the exact plaintext reference).
 //! - [`CkksBackend`] — leveled CKKS execution of the run's
 //!   [`LevelSchedule`]: refresh where a segment starts, enter every
 //!   atomic op at the level the rest of its segment consumes.
-//! - [`TraceBackend`] — no arithmetic at all: records the same
-//!   schedule's levels, refreshes and price plus exact
-//!   ciphertext-multiplication and key-switch counts per stage, giving
-//!   schedulers an instant dry-run cost oracle.
+//!
+//! The trace reads the schedule: [`HePipeline::trace`] cuts the same
+//! [`LevelSchedule`] once and reports each stage's levels, refreshes
+//! and price plus exact ciphertext-multiplication and key-switch
+//! counts, no arithmetic at all — an instant dry-run cost oracle for
+//! schedulers.
 
 use crate::exec::{InferenceBackend, PafOp, RunError, RunStats};
-use crate::pipeline::HePipeline;
+use crate::pipeline::{HePipeline, Stage};
 use crate::schedule::{AtomicOp, LevelSchedule, ScheduledOp};
 use serde::{Deserialize, Error, Serialize, Value};
 use smartpaf_ckks::{Bootstrapper, Ciphertext, CkksParams, DiagMatrix, PafEvaluator};
+use std::time::Duration;
 
 /// The batched plaintext backend: the activation is a padded `f64`
 /// vector, PAF stages run through the compile-time-prepared
@@ -255,7 +259,7 @@ impl InferenceBackend for CkksBackend<'_> {
     }
 }
 
-/// Per-stage record of a [`TraceBackend`] dry run.
+/// Per-stage record of a dry run ([`HePipeline::trace`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageTrace {
     /// Stage label (matches [`crate::Stage::label`]).
@@ -263,7 +267,7 @@ pub struct StageTrace {
     /// PAF slot index of this stage (stage order, counting only
     /// ReLU/maxpool stages), `None` for affine stages. This is the
     /// index a per-slot form vector assigns
-    /// ([`crate::HePipeline::with_pafs`]), so planners can read
+    /// ([`crate::HePipeline::try_with_pafs`]), so planners can read
     /// per-slot levels/bootstraps/ct-mults straight off the trace.
     pub slot: Option<usize>,
     /// The level each of the stage's atomic ops is entered at
@@ -289,7 +293,7 @@ pub struct StageTrace {
     pub relins: usize,
     /// Exact ciphertext rotations (each one Galois key-switch
     /// *application*): the BSGS schedule of an affine matvec at the
-    /// trace's lane count ([`TraceBackend::with_lanes`]) — wrap
+    /// trace's lane count ([`HePipeline::trace`]'s `lanes`) — wrap
     /// diagonals of the lane-expanded block-diagonal matrix are priced
     /// without materializing it ([`DiagMatrix::bsgs_counts`]) — and one
     /// per shift of a max pool, at any lane count.
@@ -423,178 +427,78 @@ impl Deserialize for TraceReport {
     }
 }
 
-/// The arithmetic-free cost backend: records, per stage, the levels,
-/// refreshes and price of the [`LevelSchedule`] that [`CkksBackend`]
-/// executes, plus exact ct-mult and key-switch counts, without touching
-/// a single coefficient. A full dry run costs microseconds, so
-/// schedulers can query it per candidate configuration.
-#[derive(Debug, Clone)]
-pub struct TraceBackend {
-    params: CkksParams,
-    start_level: usize,
-    allow_bootstrap: bool,
-    lanes: usize,
-    /// The run's schedule, cut in `begin`.
-    schedule: LevelSchedule,
-    next_slot: usize,
-    stages: Vec<StageTrace>,
-}
-
-impl TraceBackend {
-    /// Creates a trace starting from a fresh ciphertext at the top of
-    /// the modulus chain of `params`, priced at them. With
+impl HePipeline {
+    /// The dry run: the [`LevelSchedule`] [`CkksBackend`] executes,
+    /// cut over the modulus chain of `params` and priced at them, read
+    /// off stage by stage — its levels, refreshes and price plus exact
+    /// ct-mult and key-switch counts, without touching a coefficient. A
+    /// fresh ciphertext enters at the top of the chain. With
     /// `allow_bootstrap`, exhaustion refreshes (and is charged);
     /// without, it surfaces as [`RunError::OutOfLevels`] exactly where
     /// the CKKS backend would fail.
-    pub fn new(params: &CkksParams, allow_bootstrap: bool) -> Self {
-        TraceBackend {
-            params: params.clone(),
-            start_level: params.depth,
-            allow_bootstrap,
-            lanes: 1,
-            schedule: LevelSchedule::cut(&[], params, params.depth, params.depth, allow_bootstrap),
-            next_slot: 0,
-            stages: Vec::new(),
-        }
-    }
-
-    /// Traces the pipeline as if it were slot-packed at `lanes` lanes
-    /// ([`HePipeline::expand_lanes`]): each affine matrix is counted
-    /// through [`DiagMatrix::bsgs_counts`] and
-    /// [`DiagMatrix::num_diagonals_lanes`], which account for the
-    /// wrap-diagonal doubling of the block-diagonal expansion without
-    /// building the expanded pipeline, and the schedule is cut at that
-    /// work — the cut the expanded pipeline executes. Levels,
-    /// bootstraps, and ct-mults are lane-invariant, so a lane planner
-    /// can sweep candidate lane counts over one compiled pipeline.
+    ///
+    /// At `lanes` > 1 the work is that of the pipeline slot-packed at
+    /// `lanes` lanes ([`HePipeline::atomic_ops`]), counted without
+    /// building the expansion, and the cut is the one the expanded
+    /// pipeline executes. Levels, bootstraps and ct-mults are
+    /// lane-invariant, so a lane planner can sweep lane counts over one
+    /// compiled pipeline.
     ///
     /// # Panics
     ///
     /// Panics unless `lanes` is a power of two.
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        assert!(lanes.is_power_of_two(), "lanes must be a power of two");
-        self.lanes = lanes;
-        self
-    }
-
-    /// Starts the trace below the top of the chain (a partially
-    /// consumed input ciphertext): the level the schedule is cut from.
-    pub fn with_start_level(mut self, level: usize) -> Self {
-        assert!(level <= self.params.depth, "start level above the chain");
-        self.start_level = level;
-        self
-    }
-
-    /// The per-stage records collected so far, as a report.
-    pub fn report(&self) -> TraceReport {
-        TraceReport {
-            stages: self.stages.clone(),
-            final_level: self.level(),
-        }
-    }
-
-    /// The level the run stands at after the stages recorded so far.
-    fn level(&self) -> usize {
-        self.schedule.level_after(self.stages.len())
-    }
-
-    /// Records the next stage off the schedule — its levels, refreshes,
-    /// work and price are its scheduled ops' — a PAF stage claiming the
-    /// next slot index.
-    fn record(&mut self, label: &str, is_paf: bool) -> Result<(), RunError> {
-        let ops = self.schedule.stage(self.stages.len(), label)?;
-        let total = |count: fn(&ScheduledOp) -> usize| ops.iter().map(count).sum();
-        let modmuls: u128 = ops.iter().map(|o| o.modmuls).sum();
-        let trace = StageTrace {
-            label: label.to_string(),
-            slot: is_paf.then_some(self.next_slot),
-            op_levels: ops.iter().map(|o| o.level_in).collect(),
-            levels: total(|o| o.op.need),
-            bootstraps: total(|o| usize::from(o.refresh)),
-            ct_mults: total(|o| o.op.work.tensors),
-            relins: total(|o| o.op.work.relins),
-            rotations: total(|o| o.op.work.rotations),
-            decompositions: total(|o| o.op.work.decompositions),
-            modmuls: u64::try_from(modmuls).expect("a stage's price fits 64 bits"),
-        };
-        self.next_slot += usize::from(is_paf);
-        self.stages.push(trace);
-        Ok(())
-    }
-}
-
-impl InferenceBackend for TraceBackend {
-    type Value = ();
-
-    fn begin(&mut self, pipe: &HePipeline) -> Result<(), RunError> {
-        self.schedule = LevelSchedule::cut(
-            &pipe.atomic_ops(self.lanes),
-            &self.params,
-            self.start_level,
-            self.params.depth,
-            self.allow_bootstrap,
-        );
-        self.next_slot = 0;
-        self.stages.clear();
-        Ok(())
-    }
-
-    fn affine(
-        &mut self,
-        _v: &mut (),
-        _mat: &DiagMatrix,
-        _bias: &[f64],
-        label: &str,
-    ) -> Result<(), RunError> {
-        self.record(label, false)
-    }
-
-    fn paf_relu(
-        &mut self,
-        _v: &mut (),
-        _op: &PafOp<'_>,
-        _pre_scale: f64,
-        _post_scale: f64,
-        label: &str,
-    ) -> Result<(), RunError> {
-        self.record(label, true)
-    }
-
-    fn paf_max(
-        &mut self,
-        _v: &mut (),
-        _taps: &[DiagMatrix],
-        _op: &PafOp<'_>,
-        _post_scale: f64,
-        label: &str,
-    ) -> Result<(), RunError> {
-        self.record(label, true)
-    }
-
-    fn level_of(&self, _v: &()) -> Option<usize> {
-        Some(self.level())
-    }
-
-    fn bootstraps(&self) -> usize {
-        self.stages.iter().map(|s| s.bootstraps).sum()
-    }
-}
-
-impl HePipeline {
-    /// Traces the pipeline through [`TraceBackend`] without any
-    /// arithmetic: an instant dry-run cost oracle over the modulus
-    /// chain of `params`, priced at them, as if slot-packed at `lanes`
-    /// lanes ([`TraceBackend::with_lanes`]; 1 for the pipeline as it
-    /// is).
     pub fn trace(
         &self,
         params: &CkksParams,
         allow_bootstrap: bool,
         lanes: usize,
-    ) -> Result<(TraceReport, RunStats), RunError> {
-        let mut backend = TraceBackend::new(params, allow_bootstrap).with_lanes(lanes);
-        let ((), stats) = self.run(&mut backend, ())?;
-        Ok((backend.report(), stats))
+    ) -> Result<TraceReport, RunError> {
+        self.trace_from(params, params.depth, allow_bootstrap, lanes)
+    }
+
+    /// [`HePipeline::trace`] of an input that arrives at `start_level`
+    /// (a partially consumed ciphertext): the level the schedule is cut
+    /// from.
+    pub(crate) fn trace_from(
+        &self,
+        params: &CkksParams,
+        start_level: usize,
+        allow_bootstrap: bool,
+        lanes: usize,
+    ) -> Result<TraceReport, RunError> {
+        let schedule = LevelSchedule::cut(
+            &self.atomic_ops(lanes),
+            params,
+            start_level,
+            params.depth,
+            allow_bootstrap,
+        );
+        let mut next_slot = 0;
+        let mut stages = Vec::with_capacity(self.stages.len());
+        for (i, stage) in self.stages.iter().enumerate() {
+            let label = stage.label();
+            let ops = schedule.stage(i, &label)?;
+            let total = |count: fn(&ScheduledOp) -> usize| ops.iter().map(count).sum();
+            let modmuls: u128 = ops.iter().map(|o| o.modmuls).sum();
+            let is_paf = !matches!(stage, Stage::Affine { .. });
+            stages.push(StageTrace {
+                label,
+                slot: is_paf.then_some(next_slot),
+                op_levels: ops.iter().map(|o| o.level_in).collect(),
+                levels: total(|o| o.op.need),
+                bootstraps: total(|o| usize::from(o.refresh)),
+                ct_mults: total(|o| o.op.work.tensors),
+                relins: total(|o| o.op.work.relins),
+                rotations: total(|o| o.op.work.rotations),
+                decompositions: total(|o| o.op.work.decompositions),
+                modmuls: u64::try_from(modmuls).expect("a stage's price fits 64 bits"),
+            });
+            next_slot += usize::from(is_paf);
+        }
+        Ok(TraceReport {
+            final_level: schedule.level_after(stages.len()),
+            stages,
+        })
     }
 
     /// [`HePipeline::trace`] over a `max_level`-level chain of
@@ -611,7 +515,14 @@ impl HePipeline {
             depth: max_level,
             ..CkksParams::default_params()
         };
-        self.trace(&params, allow_bootstrap, lanes)
+        let report = self.trace(&params, allow_bootstrap, lanes)?;
+        let stats = RunStats {
+            stage_levels: report.stages.iter().map(|s| s.levels).collect(),
+            bootstraps: report.total_bootstraps(),
+            final_level: report.final_level,
+            wall: Duration::ZERO,
+        };
+        Ok((report, stats))
     }
 }
 
@@ -630,6 +541,11 @@ mod tests {
             depth,
             ..CkksParams::toy()
         }
+    }
+
+    /// The levels each stage of a trace consumes, as `RunStats` lists them.
+    fn stage_levels(report: &TraceReport) -> Vec<usize> {
+        report.stages.iter().map(|s| s.levels).collect()
     }
 
     fn setup(seed: u64) -> (PafEvaluator, Rng64) {
@@ -674,12 +590,11 @@ mod tests {
             .evaluator()
             .encrypt_replicated(&pipe.pad_input(&x), &mut rng);
         let (_, enc_stats) = pipe.try_eval_encrypted(&pe, None, &ct).unwrap();
-        let (report, trace_stats) = pipe
+        let report = pipe
             .trace(&CkksParams::toy(), false, 1)
             .expect("fits the chain");
-        assert_eq!(trace_stats.stage_levels, enc_stats.stage_levels);
-        assert_eq!(trace_stats.bootstraps, enc_stats.bootstraps);
-        assert_eq!(trace_stats.final_level, enc_stats.final_level);
+        assert_eq!(stage_levels(&report), enc_stats.stage_levels);
+        assert_eq!(report.total_bootstraps(), enc_stats.bootstraps);
         assert_eq!(report.final_level, enc_stats.final_level);
         assert_eq!(report.total_levels(), enc_stats.total_levels());
     }
@@ -699,11 +614,10 @@ mod tests {
             .encrypt_replicated(&pipe.pad_input(&[0.2, -0.4, 0.6, -0.8]), &mut rng);
         let (_, enc_stats) = pipe.try_eval_encrypted(&pe, Some(&bs), &ct).unwrap();
         assert!(enc_stats.bootstraps >= 1);
-        let (report, trace_stats) = pipe
+        let report = pipe
             .trace(&CkksParams::toy(), true, 1)
             .expect("bootstrap allowed");
-        assert_eq!(trace_stats.bootstraps, enc_stats.bootstraps);
-        assert_eq!(trace_stats.stage_levels, enc_stats.stage_levels);
+        assert_eq!(stage_levels(&report), enc_stats.stage_levels);
         assert_eq!(report.total_bootstraps(), enc_stats.bootstraps);
     }
 
@@ -797,14 +711,14 @@ mod tests {
                         });
                     let entered = ENTRY_LEVELS.with(|levels| levels.take());
                     match (executed, base.trace(&params, refresher.is_some(), lanes)) {
-                        (Ok((out, stats)), Ok((report, trace_stats))) => {
+                        (Ok((out, stats)), Ok(report)) => {
                             let traced: Vec<usize> = report
                                 .stages
                                 .iter()
                                 .flat_map(|s| s.op_levels.iter().copied())
                                 .collect();
                             assert_eq!(entered, traced, "{case}");
-                            assert_eq!(stats.bootstraps, trace_stats.bootstraps, "{case}");
+                            assert_eq!(stats.bootstraps, report.total_bootstraps(), "{case}");
                             assert_eq!(
                                 bs.refresh_count() - refreshed,
                                 report.total_bootstraps(),
@@ -848,7 +762,7 @@ mod tests {
                         (executed, traced) => panic!(
                             "{case}: executed {:?} but traced {:?}",
                             executed.map(|(_, stats)| stats),
-                            traced.map(|(report, _)| report)
+                            traced
                         ),
                     }
                 }
@@ -903,9 +817,7 @@ mod tests {
                 .try_eval_encrypted(&pe, None, &ct)
                 .map(|(_, stats)| stats);
             assert_eq!(executed.expect_err("no refresher"), want);
-            let traced = pipe
-                .trace(&CkksParams::toy(), false, 1)
-                .map(|(report, _)| report);
+            let traced = pipe.trace(&CkksParams::toy(), false, 1);
             assert_eq!(traced.expect_err("no refresher"), want);
         }
     }
@@ -914,7 +826,7 @@ mod tests {
     fn trace_ct_mults_match_exact_schedule() {
         let paf = CompositePaf::from_form(PafForm::Alpha7);
         let pipe = PipelineBuilder::new(&[8]).paf_relu(&paf, 1.0).compile();
-        let (report, _) = pipe.trace(&chain(12), false, 1).expect("fits");
+        let report = pipe.trace(&chain(12), false, 1).expect("fits");
         assert_eq!(report.stages.len(), 1);
         // Exactly the even-power-ladder count plus the ReLU product.
         assert_eq!(report.total_ct_mults(), paf.prepare().exact_ct_mults() + 1);
@@ -924,7 +836,7 @@ mod tests {
             let pool = PipelineBuilder::new(&[1, 4, 4])
                 .paf_maxpool(k, 1, &paf, 1.0)
                 .compile();
-            let (report, _) = pool.trace(&chain(30), false, 1).expect("fits");
+            let report = pool.trace(&chain(30), false, 1).expect("fits");
             assert_eq!(
                 report.total_ct_mults(),
                 shifts * (paf.prepare().exact_ct_mults() + 1)
@@ -969,9 +881,9 @@ mod tests {
         let pipe = PipelineBuilder::new(&[1, 2, 2])
             .paf_maxpool(1, 1, &paf, 1.0)
             .compile();
-        let (report, stats) = pipe.trace(&chain(3), false, 1).expect("selection only");
+        let report = pipe.trace(&chain(3), false, 1).expect("selection only");
         assert_eq!(report.total_ct_mults(), 0);
-        assert_eq!(stats.total_levels(), 1);
+        assert_eq!(report.total_levels(), 1);
     }
 
     #[test]
@@ -989,7 +901,8 @@ mod tests {
             .paf_maxpool(2, 2, &cheap, 6.0)
             .compile()
             .fold_scales()
-            .with_pafs(&[deep.clone(), cheap.clone()]);
+            .try_with_pafs(&[deep.clone(), cheap.clone()])
+            .expect("two PAF slots");
         assert_eq!(
             pipe.paf_forms(),
             vec![Some(PafForm::Alpha7), Some(PafForm::F1G2)]
@@ -1005,9 +918,9 @@ mod tests {
         for (g, w) in got.iter().zip(&want) {
             assert!((g - w).abs() < 0.2, "{g} vs {w}");
         }
-        let (report, trace_stats) = pipe.trace(&CkksParams::toy(), true, 1).expect("traceable");
-        assert_eq!(trace_stats.bootstraps, enc_stats.bootstraps);
-        assert_eq!(trace_stats.stage_levels, enc_stats.stage_levels);
+        let report = pipe.trace(&CkksParams::toy(), true, 1).expect("traceable");
+        assert_eq!(report.total_bootstraps(), enc_stats.bootstraps);
+        assert_eq!(stage_levels(&report), enc_stats.stage_levels);
         // Per-slot attribution: slot 0 is the ReLU (α=7 schedule),
         // slot 1 the max fold (one f1∘g2 max per shift).
         let slots = report.paf_slots();
@@ -1043,8 +956,8 @@ mod tests {
             .fold_scales();
         for (depth, refresh) in [(30, false), (12, true)] {
             for lanes in [1usize, 2, 4] {
-                let (base, _) = pipe.trace(&chain(depth), refresh, lanes).expect("fits");
-                let (wide, _) = pipe
+                let base = pipe.trace(&chain(depth), refresh, lanes).expect("fits");
+                let wide = pipe
                     .expand_lanes(lanes)
                     .trace(&chain(depth), refresh, 1)
                     .expect("fits");
@@ -1066,7 +979,7 @@ mod tests {
         // counts the frozen benchmark reads off the `dry_run_lanes`
         // forward are these.)
         let rotations = |lanes| {
-            let (report, _) = pipe.trace(&chain(30), false, lanes).expect("fits");
+            let report = pipe.trace(&chain(30), false, lanes).expect("fits");
             let (forwarded, _) = pipe.dry_run_lanes(30, false, lanes).expect("fits");
             assert_eq!(report.total_rotations(), forwarded.total_rotations());
             assert_eq!(report.total_ct_mults(), forwarded.total_ct_mults());

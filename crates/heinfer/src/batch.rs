@@ -11,7 +11,7 @@
 //! the exact ciphertext bits (not the decrypted values) depend on
 //! thread interleaving.
 
-use crate::backends::{CkksBackend, PlainBackend, TraceBackend};
+use crate::backends::{CkksBackend, PlainBackend};
 use crate::exec::{RunError, RunStats};
 use crate::pack::LanePacker;
 use crate::pipeline::HePipeline;
@@ -171,9 +171,10 @@ impl BatchRunner {
         // Validate the whole batch up front so no evaluator clone or
         // worker thread spawns for a malformed batch — the encrypted
         // twin of `run_plain`'s padding check. The slot-layout check
-        // mirrors `CkksBackend::begin`, and a per-ciphertext trace dry
-        // run (microseconds each) fails with exactly the error the
-        // CKKS backend would otherwise hit mid-shard.
+        // mirrors `CkksBackend::begin`, and a per-ciphertext dry run
+        // (the schedule cut from the ciphertext's level, microseconds
+        // each) fails with exactly the error the CKKS backend would
+        // otherwise hit mid-shard.
         let ctx = pe.evaluator().context();
         let slots = ctx.slots();
         if !slots.is_multiple_of(pipe.dim()) {
@@ -184,9 +185,8 @@ impl BatchRunner {
         }
         let params = ctx.params();
         for ct in inputs {
-            let mut trace = TraceBackend::new(&params, bootstrapper.is_some())
-                .with_start_level(ct.level().min(params.depth));
-            pipe.run(&mut trace, ())?;
+            let level = ct.level().min(params.depth);
+            pipe.trace_from(&params, level, bootstrapper.is_some(), 1)?;
         }
         self.run_sharded(
             inputs,
@@ -631,6 +631,10 @@ mod tests {
         assert!(
             matches!(err, RunError::OutOfLevels { .. }),
             "expected OutOfLevels, got {err:?}"
+        );
+        assert_eq!(
+            err,
+            pipe.try_eval_encrypted(&pe, None, &cts[1]).unwrap_err()
         );
 
         // A pipeline wider than the ring's slot count is rejected

@@ -6,7 +6,7 @@
 //! dimensions, Static-Scaling factors, and content digests of the
 //! probed affine matrices — while staying *form-independent*: two
 //! pipelines that differ only in which composite PAF sits in each slot
-//! describe identically, because [`HePipeline::with_pafs`] keeps the
+//! describe identically, because [`HePipeline::try_with_pafs`] keeps the
 //! probed matrices, scales, shifts, and slot layout untouched. That is
 //! exactly the invariance a plan cache needs: a stored plan applies to
 //! any form assignment of the same model.
@@ -261,7 +261,9 @@ mod tests {
     fn describe_is_form_independent() {
         let base = sample_pipeline(3);
         let rich = CompositePaf::from_form(PafForm::Alpha7);
-        let swapped = base.with_pafs(&[rich.clone(), rich]);
+        let swapped = base
+            .try_with_pafs(&[rich.clone(), rich])
+            .expect("one composite per slot");
         assert_eq!(base.describe(), swapped.describe());
     }
 

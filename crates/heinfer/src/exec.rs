@@ -1,13 +1,13 @@
 //! The shared stage interpreter and the [`InferenceBackend`] trait.
 //!
 //! A compiled [`HePipeline`] is a list of [`Stage`]s; *how* each stage
-//! executes — batched `f64` arithmetic, leveled CKKS, or a pure cost
-//! trace — is a backend concern. This module owns the single
-//! interpreter loop ([`HePipeline::run`]) that walks the stage list,
-//! delegates every operation to an [`InferenceBackend`], and reports
-//! the run's level/bootstrap statistics. Where a run refreshes and the
+//! executes — batched `f64` arithmetic or leveled CKKS — is a backend
+//! concern. This module owns the single interpreter loop
+//! ([`HePipeline::run`]) that walks the stage list, delegates every
+//! operation to an [`InferenceBackend`], and reports the run's
+//! level/bootstrap statistics. Where a run refreshes and the
 //! level each op is entered at is the [`crate::LevelSchedule`]'s
-//! business; the three backends live in [`crate::backends`], the
+//! business; the two backends live in [`crate::backends`], the
 //! threaded batch driver in [`crate::batch`].
 
 use crate::pipeline::{HePipeline, Stage};
@@ -20,8 +20,8 @@ use std::time::{Duration, Instant};
 ///
 /// The legacy `panic!`/`assert!` exits of encrypted execution and
 /// compilation map onto these variants. The panicking entry points
-/// that remain — `PipelineBuilder::compile`, `HePipeline::pad_input`
-/// and `HePipeline::with_pafs` — are thin wrappers whose messages are
+/// that remain — `PipelineBuilder::compile` and
+/// `HePipeline::pad_input` — are thin wrappers whose messages are
 /// exactly the `Display` strings below.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
@@ -202,8 +202,7 @@ pub struct PafOp<'a> {
 /// The interpreter ([`HePipeline::run`]) calls exactly one method per
 /// stage; backends own all representation- and level-specific
 /// behaviour. `Value` is the activation representation flowing through
-/// the stages: `Vec<f64>` for plain slices, `Ciphertext` for CKKS, and
-/// `()` for the arithmetic-free trace.
+/// the stages: `Vec<f64>` for plain slices, `Ciphertext` for CKKS.
 pub trait InferenceBackend {
     /// The activation representation this backend transforms.
     type Value;
@@ -264,11 +263,10 @@ pub trait InferenceBackend {
 
 impl HePipeline {
     /// Runs the compiled stage list through a backend — the single
-    /// interpreter loop behind `eval_plain`, `try_eval_encrypted`, and the
-    /// trace dry run.
+    /// interpreter loop behind `eval_plain` and `try_eval_encrypted`.
     ///
     /// Each stage is charged the levels its atomic ops consume
-    /// ([`Stage::levels`]) on every backend: entering a refresh-free
+    /// ([`Stage::levels`]) on either backend: entering a refresh-free
     /// segment below the level the ciphertext arrived at drops limbs
     /// nobody would have used, which is not consumption.
     pub fn run<B: InferenceBackend>(

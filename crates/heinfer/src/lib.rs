@@ -46,16 +46,17 @@
 //!   [`LevelSchedule`]: refresh where a segment starts, enter every op
 //!   on exactly the limbs the rest of its segment consumes;
 //!   [`HePipeline::try_eval_encrypted`] is a thin wrapper over it.
-//! - [`TraceBackend`] — no arithmetic: records the same schedule's
-//!   per-stage entry levels, levels, bootstraps and price plus exact
-//!   ct-mult and key-switch counts ([`HePipeline::trace`]), an instant
-//!   cost oracle for schedulers whose levels are the executed ones by
-//!   construction.
+//!
+//! The trace reads the schedule: [`HePipeline::trace`] cuts the same
+//! [`LevelSchedule`] and reports, with no arithmetic, each stage's
+//! entry levels, levels, bootstraps and price plus exact ct-mult and
+//! key-switch counts — an instant cost oracle for schedulers whose
+//! levels are the executed ones by construction.
 //!
 //! [`BatchRunner`] shards batches of inputs across `std::thread`
-//! workers over any of these, with deterministic input-order results;
+//! workers over either backend, with deterministic input-order results;
 //! [`BatchRunner::auto`] sizes the pool from the machine (or the
-//! `SMARTPAF_THREADS` override). [`HePipeline::with_pafs`] installs a
+//! `SMARTPAF_THREADS` override). [`HePipeline::try_with_pafs`] installs a
 //! per-slot *form vector* — one composite per ReLU/maxpool slot —
 //! without re-probing the affine segments (slots picking the same form
 //! share one prepared engine); planners (the `smartpaf` Session API)
@@ -107,7 +108,7 @@ mod runner;
 mod schedule;
 pub mod serve;
 
-pub use backends::{CkksBackend, PlainBackend, StageTrace, TraceBackend, TraceReport};
+pub use backends::{CkksBackend, PlainBackend, StageTrace, TraceReport};
 pub use batch::{BatchRun, BatchRunner};
 pub use describe::{fnv1a_64, PipelineDesc, StageDesc};
 pub use exec::{InferenceBackend, PafOp, RunError, RunStats};

@@ -524,26 +524,15 @@ impl HePipeline {
     /// Rebuilds this pipeline with the `i`-th PAF stage's composite
     /// replaced by `pafs[i]` (stage order), keeping the probed affine
     /// matrices, scales, shifts, and slot layout untouched. Slots that
-    /// pick the same composite share one prepared evaluation engine.
+    /// pick the same composite share one prepared evaluation engine. A
+    /// length mismatch between `pafs` and the pipeline's PAF slot count
+    /// is a typed [`RunError::FormCountMismatch`].
     ///
     /// Probing affine runs is the expensive part of
     /// [`PipelineBuilder::try_compile`]; this hook lets a planner probe
     /// once and then search *form vectors* in microseconds — the
     /// paper's per-layer replacement tables assign a different form to
     /// every ReLU/maxpool slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `pafs.len() != self.num_paf_stages()`
-    /// ([`HePipeline::try_with_pafs`] reports the same condition as a
-    /// typed [`RunError::FormCountMismatch`] instead).
-    pub fn with_pafs(&self, pafs: &[CompositePaf]) -> HePipeline {
-        self.try_with_pafs(pafs).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Rebuilds this pipeline with per-slot composites, reporting a
-    /// length mismatch between `pafs` and the pipeline's PAF slot
-    /// count as a typed [`RunError::FormCountMismatch`].
     ///
     /// Engines for composites already installed in this pipeline are
     /// reused rather than re-prepared; a planner that evaluates many
@@ -1055,7 +1044,9 @@ mod tests {
             .compile()
             .fold_scales();
         let rich = CompositePaf::from_form(PafForm::Alpha7);
-        let swapped = base.with_pafs(std::slice::from_ref(&rich));
+        let swapped = base
+            .try_with_pafs(std::slice::from_ref(&rich))
+            .expect("one composite per slot");
         assert_eq!(swapped.dim(), base.dim());
         assert_eq!(swapped.num_paf_stages(), 1);
         // The swapped pipeline equals compiling with the new form
@@ -1086,7 +1077,9 @@ mod tests {
             .compile()
             .fold_scales();
         assert_eq!(base.num_paf_stages(), 2);
-        let mixed = base.with_pafs(&[rich.clone(), cheap.clone()]);
+        let mixed = base
+            .try_with_pafs(&[rich.clone(), cheap.clone()])
+            .expect("one composite per slot");
         assert_eq!(
             mixed.paf_forms(),
             vec![Some(PafForm::Alpha7), Some(PafForm::F1G2)]
@@ -1135,14 +1128,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "form vector has 0 composite(s)")]
-    fn with_pafs_panicking_wrapper_formats_the_error() {
-        let paf = relu_paf();
-        let pipe = PipelineBuilder::new(&[4]).paf_relu(&paf, 1.0).compile();
-        let _ = pipe.with_pafs(&[]);
-    }
-
-    #[test]
     fn slots_sharing_a_form_share_one_prepared_engine() {
         let paf = relu_paf();
         let pipe = PipelineBuilder::new(&[1, 4, 4])
@@ -1156,7 +1141,9 @@ mod tests {
             "same composite must share one prepared engine"
         );
         // Distinct forms keep distinct engines.
-        let mixed = pipe.with_pafs(&[paf.clone(), CompositePaf::from_form(PafForm::Alpha7)]);
+        let mixed = pipe
+            .try_with_pafs(&[paf.clone(), CompositePaf::from_form(PafForm::Alpha7)])
+            .expect("one composite per slot");
         let engines: Vec<_> = mixed.prepared_engines().iter().flatten().collect();
         assert!(!std::sync::Arc::ptr_eq(engines[0], engines[1]));
     }
@@ -1176,7 +1163,9 @@ mod tests {
         let base_engines: Vec<_> = base.prepared_engines().iter().flatten().collect();
         // Keep slot 0, change slot 1 to slot 0's form: both slots of
         // the swap reuse the base's slot-0 engine.
-        let swapped = base.with_pafs(&[cheap.clone(), cheap.clone()]);
+        let swapped = base
+            .try_with_pafs(&[cheap.clone(), cheap.clone()])
+            .expect("one composite per slot");
         let swapped_engines: Vec<_> = swapped.prepared_engines().iter().flatten().collect();
         assert!(std::sync::Arc::ptr_eq(base_engines[0], swapped_engines[0]));
         assert!(std::sync::Arc::ptr_eq(base_engines[0], swapped_engines[1]));

@@ -139,9 +139,11 @@ proptest! {
         let pipe = builder.compile();
         let params = CkksParams { depth: max_level, ..CkksParams::default_params() };
         let refreshes = |paf: &CompositePaf| {
-            let uniform = pipe.with_pafs(&vec![paf.clone(); pipe.num_paf_stages()]);
+            let uniform = pipe
+                .try_with_pafs(&vec![paf.clone(); pipe.num_paf_stages()])
+                .expect("one composite per slot");
             let traced = uniform.trace(&params, true, 1);
-            traced.map(|(report, _)| report.total_bootstraps())
+            traced.map(|report| report.total_bootstraps())
         };
         match (refreshes(&shallow), refreshes(&deep)) {
             (Ok(shallow), Ok(deep)) => prop_assert!(shallow <= deep, "{shallow} > {deep}"),
@@ -287,13 +289,14 @@ proptest! {
             prop_assert!((p - d).abs() < 0.1, "slot {i}: plain {p} vs decrypted {d}");
         }
 
-        // TraceBackend level counts == levels CkksBackend consumed.
-        let (report, trace_stats) = pipe
+        // Traced level counts == levels CkksBackend consumed.
+        let report = pipe
             .trace(&CkksParams::toy(), false, 1)
             .expect("pipeline fits the toy chain");
-        prop_assert_eq!(&trace_stats.stage_levels, &enc_stats.stage_levels);
-        prop_assert_eq!(trace_stats.bootstraps, enc_stats.bootstraps);
-        prop_assert_eq!(trace_stats.final_level, enc_stats.final_level);
+        let stage_levels: Vec<usize> = report.stages.iter().map(|s| s.levels).collect();
+        prop_assert_eq!(&stage_levels, &enc_stats.stage_levels);
+        prop_assert_eq!(report.total_bootstraps(), enc_stats.bootstraps);
+        prop_assert_eq!(report.final_level, enc_stats.final_level);
         prop_assert_eq!(report.total_levels(), enc_stats.total_levels());
     }
 
@@ -354,7 +357,7 @@ proptest! {
         let executed = wide.try_eval_encrypted(&pe, Some(&bs), &ct);
         let entered = ENTRY_LEVELS.with(|levels| levels.take());
         match pipe.trace(&params, true, lanes) {
-            Ok((report, trace_stats)) => {
+            Ok(report) => {
                 // The schedule itself: a segment starts at the input
                 // and at every refresh, and each op is entered at what
                 // the rest of its segment consumes.
@@ -376,7 +379,7 @@ proptest! {
                 let traced: Vec<usize> =
                     report.stages.iter().flat_map(|s| s.op_levels.iter().copied()).collect();
                 prop_assert_eq!(entered, traced);
-                prop_assert_eq!(stats.bootstraps, trace_stats.bootstraps);
+                prop_assert_eq!(stats.bootstraps, report.total_bootstraps());
                 prop_assert_eq!(stats.bootstraps, bs.refresh_count());
                 prop_assert_eq!(stats.final_level, 0);
                 let plain = pipe.eval_plain(&x);

@@ -30,10 +30,10 @@
 //! sharing a form — and [`LevelSchedule::cut`] is its one-alternative
 //! call.
 //!
-//! [`CkksBackend`](crate::CkksBackend) executes the schedule and
-//! [`TraceBackend`](crate::TraceBackend) records it, so a dry run's
-//! levels are the executed levels and its price is the one that was
-//! minimised, by construction.
+//! [`CkksBackend`](crate::CkksBackend) executes the schedule and the
+//! trace reads it ([`HePipeline::trace`]), so a dry run's levels are
+//! the executed levels and its price is the one that was minimised, by
+//! construction.
 
 use crate::exec::RunError;
 use crate::pipeline::{HePipeline, Stage};
@@ -86,6 +86,7 @@ impl HePipeline {
     ///
     /// Panics unless `lanes` is a power of two.
     pub fn atomic_ops(&self, lanes: usize) -> Vec<AtomicOp> {
+        assert!(lanes.is_power_of_two(), "lanes must be a power of two");
         let mut ops = Vec::new();
         let stages = self.stages.iter().zip(self.prepared_engines());
         for (stage, (s, engine)) in stages.enumerate() {

@@ -285,11 +285,6 @@ impl CompositePaf {
         self.stages.iter().map(Polynomial::degree).sum()
     }
 
-    /// True polynomial degree of the expanded composition.
-    pub fn composed_degree(&self) -> usize {
-        self.stages.iter().map(Polynomial::degree).product()
-    }
-
     /// Prepares the evaluation engine for this composite: one packed
     /// [`crate::PolyEval`] plan per stage. Use this on hot paths that
     /// evaluate the same composite many times (batch ReLU, error

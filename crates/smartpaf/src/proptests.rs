@@ -150,7 +150,7 @@ fn assert_plan_is_exact(
             .expect("one form per slot")
     };
     let trace = |vector: &[usize]| match install(vector).trace(params, true, 1) {
-        Ok((trace, _)) => Some(trace),
+        Ok(trace) => Some(trace),
         Err(e) => {
             assert!(e.is_infeasible_form(), "{e}");
             None

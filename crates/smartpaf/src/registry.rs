@@ -361,7 +361,7 @@ impl PlanRegistry {
                 format!("stored composites do not fit the model: {e}"),
             )
         })?;
-        let (trace, _) = pipeline
+        let trace = pipeline
             .trace(&probed.params, true, 1)
             .map_err(|e| corrupt(&path, format!("stored plan no longer traces: {e}")))?;
         if trace != chosen_cand.trace {

@@ -8,7 +8,7 @@
 //!   SessionBuilder ──plan()──► Plan ──compile()──► CompiledSession
 //!   stages, params,            chosen form vector, keys + engines:
 //!   objective,                 traced frontier,    infer / infer_batch /
-//!   candidate forms            PlanReport          dry_run
+//!   candidate forms            PlanReport          chosen_trace
 //! ```
 //!
 //! Each arrow consumes the previous state, so the type system enforces
@@ -16,15 +16,15 @@
 //! before planning. Planning chooses a per-slot *form vector* (one
 //! [`FormId`] per ReLU/maxpool slot, like the paper's per-layer
 //! replacement tables) exactly: every candidate form is traced once as
-//! a uniform vector by a [`TraceBackend`](smartpaf_heinfer::TraceBackend)
-//! dry run of the *caller's actual pipeline* — forced bootstraps and
-//! exact ciphertext multiplications, never multiplicative depth alone —
-//! and one dynamic program over those runs
+//! a uniform vector by a dry run of the *caller's actual pipeline* —
+//! the trace reads the schedule ([`HePipeline::trace`]): forced
+//! bootstraps and exact ciphertext multiplications, never
+//! multiplicative depth alone — and one dynamic program over those runs
 //! ([`LevelSchedule::cut_forms`]) chooses the slots' forms with the
 //! refresh positions. Its vector is traced too when it beats every
 //! uniform one. The affine segments are probed exactly once
-//! ([`HePipeline::with_pafs`] swaps form vectors in microseconds), so
-//! planning is about a millisecond even at 20 slots and takes no
+//! ([`HePipeline::try_with_pafs`] swaps form vectors in microseconds),
+//! so planning is about a millisecond even at 20 slots and takes no
 //! tuning input.
 //!
 //! # Example
@@ -368,7 +368,7 @@ impl SessionBuilder {
 
     /// Plans the per-slot form vector in three steps: probes the affine
     /// segments once and traces every candidate form as a uniform
-    /// vector ([`HePipeline::with_pafs`] + [`HePipeline::trace`],
+    /// vector ([`HePipeline::try_with_pafs`] + [`HePipeline::trace`],
     /// bootstraps allowed) — the plan's rows and frontier; runs one
     /// dynamic program over those runs ([`LevelSchedule::cut_forms`]),
     /// which finds the [`Objective`]'s optimum over every vector and
@@ -475,7 +475,7 @@ fn plan_probed(probed: ProbedModel) -> Result<Plan, SessionError> {
         let pipeline = install(&vector)?;
         runs.push(pipeline.atomic_ops(1));
         match pipeline.trace(&params, true, 1) {
-            Ok((trace, _)) => {
+            Ok(trace) => {
                 planned.push(PlannedCandidate::traced(&infos, &vector, trace, &params));
                 rows.push(i);
             }
@@ -546,7 +546,7 @@ fn plan_probed(probed: ProbedModel) -> Result<Plan, SessionError> {
     };
     let pipeline = install(&vector)?;
     if mixed_wins {
-        let (trace, _) = pipeline.trace(&params, true, 1)?;
+        let trace = pipeline.trace(&params, true, 1)?;
         dry_runs += 1;
         planned.push(PlannedCandidate::traced(&infos, &vector, trace, &params));
         chosen = planned.len() - 1;
@@ -1100,7 +1100,7 @@ impl CompiledSession {
             // packed request enters where the expanded pipeline's own
             // schedule starts.
             let params = self.pe.evaluator().context().params();
-            let (trace, _) = self.pipeline.trace(&params, true, lanes)?;
+            let trace = self.pipeline.trace(&params, true, lanes)?;
             let level = trace
                 .stages
                 .first()
@@ -1142,13 +1142,6 @@ impl CompiledSession {
         inputs: &[Vec<f64>],
     ) -> Result<BatchRun<Vec<f64>>, SessionError> {
         Ok(self.runner.run_plain(&self.pipeline, inputs)?)
-    }
-
-    /// Arithmetic-free trace of one inference over the runtime chain —
-    /// the instant cost oracle, identical to the plan-time trace.
-    pub fn dry_run(&self) -> Result<(TraceReport, RunStats), SessionError> {
-        let params = self.pe.evaluator().context().params();
-        Ok(self.pipeline.trace(&params, true, 1)?)
     }
 
     /// The planning report carried over from [`Plan`].
@@ -1648,9 +1641,10 @@ mod tests {
         assert_eq!(stats.bootstraps, traced);
         let stage_levels: Vec<usize> = trace.stages.iter().map(|s| s.levels).collect();
         assert_eq!(stats.stage_levels, stage_levels);
-        // The runtime dry run replays the plan-time trace verbatim.
-        let (runtime_trace, _) = session.dry_run().expect("traceable");
-        assert_eq!(runtime_trace, trace);
+        // The served pipeline, traced on the runtime chain, replays the
+        // plan-time trace verbatim.
+        let params = session.pe.evaluator().context().params();
+        assert_eq!(session.pipeline().trace(&params, true, 1), Ok(trace));
     }
 
     /// The benchmark CNN under f1∘g2 on the default chain.
@@ -1667,6 +1661,18 @@ mod tests {
             .objective(Objective::FixedForm(PafForm::F1G2))
             .plan()
             .expect("plannable")
+    }
+
+    #[test]
+    fn the_benchmark_cnn_plan_serializes_to_a_pinned_digest() {
+        // Every candidate's trace — per-stage entry levels, refreshes,
+        // ct-mults, modmuls — is inside the serialized plan, so this
+        // pins the dry run byte for byte.
+        let text = serde::json::to_string(&benchmark_cnn().serialize());
+        assert_eq!(
+            smartpaf_heinfer::fnv1a_64(text.as_bytes()),
+            0xcac8_c7e3_5f0d_d229
+        );
     }
 
     #[test]
@@ -1954,7 +1960,7 @@ mod tests {
         // it, and that run is the base pipeline's trace at 2 lanes.
         let plan = benchmark_cnn();
         assert_eq!(plan.input_level(), 7);
-        let (packed_trace, _) = plan.pipeline().trace(plan.params(), true, 2).unwrap();
+        let packed_trace = plan.pipeline().trace(plan.params(), true, 2).unwrap();
         assert_eq!(packed_trace.stages[0].level_in(), 1);
         let mut session = plan.compile().unwrap();
         session.set_batch_runner(BatchRunner::new(1));
@@ -2011,7 +2017,7 @@ mod tests {
         assert_eq!(unpacked, [8, 2]);
         session.infer_batch_packed(&inputs).unwrap();
         let params = session.pe.evaluator().context().params();
-        let (packed_trace, _) = session.pipeline().trace(&params, true, 2).unwrap();
+        let packed_trace = session.pipeline().trace(&params, true, 2).unwrap();
         let packed = encoded_limbs(session.packers[&2].0.expanded(), &packed_trace);
         assert_eq!(packed, [2, 2]);
     }

@@ -136,11 +136,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns the backing vector.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element at a multi-dimensional index.
     ///
     /// # Panics
@@ -178,21 +173,6 @@ impl Tensor {
             data: self.data.clone(),
             shape,
         }
-    }
-
-    /// In-place reshape (no copy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if element counts differ.
-    pub fn reshape_in_place(&mut self, dims: &[usize]) {
-        let shape = Shape::new(dims);
-        assert_eq!(
-            shape.numel(),
-            self.numel(),
-            "reshape element count mismatch"
-        );
-        self.shape = shape;
     }
 
     /// Applies `f` to every element, returning a new tensor.

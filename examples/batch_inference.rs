@@ -29,7 +29,7 @@ fn main() {
     //    The form column shows the per-slot assignment — on this
     //    conv+pool pipeline f1∘g2 in both slots: with the pool folded
     //    on one ciphertext the shallowest form never refreshes more.
-    let (report, _) = session.dry_run().expect("traceable");
+    let report = session.chosen_trace();
     println!(
         "\n[trace] per-stage schedule with {}:",
         session.chosen_label()

@@ -47,9 +47,10 @@ fn all_backends_agree_end_to_end() {
     }
 
     // Trace path replays the identical schedule without arithmetic.
-    let (report, trace_stats) = pipe.trace(&CkksParams::toy(), false, 1).expect("fits");
-    assert_eq!(trace_stats.stage_levels, enc_stats.stage_levels);
-    assert_eq!(trace_stats.final_level, enc_stats.final_level);
+    let report = pipe.trace(&CkksParams::toy(), false, 1).expect("fits");
+    let stage_levels: Vec<usize> = report.stages.iter().map(|s| s.levels).collect();
+    assert_eq!(stage_levels, enc_stats.stage_levels);
+    assert_eq!(report.final_level, enc_stats.final_level);
 
     // Exact ct-mult acceptance: the traced ReLU stage equals the
     // polyfit exact-ladder count plus the ReLU product.

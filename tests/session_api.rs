@@ -195,7 +195,7 @@ fn session_agrees_with_legacy_entry_points() {
             .paf_relu(&paf, 1.0)
             .try_compile()
             .expect("compiles");
-        let (trace, _) = pipe.trace(&CkksParams::toy(), true, 1).expect("all fit");
+        let trace = pipe.trace(&CkksParams::toy(), true, 1).expect("all fit");
         assert_eq!(
             candidate.cost.bootstraps,
             trace.total_bootstraps(),
@@ -292,7 +292,7 @@ fn level_schedule_moves_entry_levels_and_no_count() {
                 key_switches,
                 "{form}"
             );
-            let (packed, _) = plan
+            let packed = plan
                 .pipeline()
                 .trace(plan.params(), true, 32)
                 .expect("lanes change no level");
