@@ -5,8 +5,8 @@
 //! three ring sizes on uniformly random residues (plus one row on the
 //! structured input, for the ratio, and a 60-bit-prime pair at N = 4096
 //! for the scalar kernel beside the vector one), and the ciphertext pipeline
-//! (encrypt, add, mul+relin, rescale, rotate, mul_const) at N = 4096 and
-//! N = 8192,
+//! (encrypt, add, mul+relin, rescale, rotate, mul_const, and the pointwise
+//! ring products alone: `tensor`, `mul_plain`) at N = 4096 and N = 8192,
 //! with the key-switch gadget's digit count and the host core count
 //! recorded as group metadata, the two key-switching ops again on 7 of
 //! the 13 limbs (`…/n4096_l7`: the per-level ratio the level schedule's
@@ -117,6 +117,16 @@ fn bench_cipher_ops_at(c: &mut Criterion, params: CkksParams) {
         b.iter(|| std::hint::black_box(ev.encrypt(&pt, &mut r)))
     });
     g.bench_function("add", |b| b.iter(|| std::hint::black_box(ev.add(&ct, &ct))));
+    // The pointwise ring products with no key switch around them: the
+    // tensor's four products (its cross term one two-product sum) and a
+    // plaintext multiply's two.
+    g.bench_function("tensor", |b| {
+        b.iter(|| std::hint::black_box(ev.tensor(&ct, &ct)))
+    });
+    let pt = ev.encoder().encode(&vals, ctx.scale(), ctx.primes().len());
+    g.bench_function("mul_plain", |b| {
+        b.iter(|| std::hint::black_box(ev.mul_plain(&ct, &pt)))
+    });
     g.bench_function("mul_relin", |b| {
         b.iter(|| std::hint::black_box(ev.mul(&ct, &ct)))
     });

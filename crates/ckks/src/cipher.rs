@@ -227,12 +227,12 @@ impl Evaluator {
         self.decrypt_prefix(ct, ct.num_limbs())
     }
 
-    /// Decrypts `ct`'s first `num_limbs` limbs.
+    /// Decrypts `ct`'s first `num_limbs` limbs: `c0 + c1·s` as one sum
+    /// per limb.
     fn decrypt_prefix(&self, ct: &Ciphertext, num_limbs: usize) -> Plaintext {
-        let mut poly = ct.c0.clone_prefix(num_limbs);
-        poly.mul_acc(&ct.c1, self.keys.secret_key_internal());
+        let s = self.keys.secret_key_internal();
         Plaintext {
-            poly,
+            poly: RnsPoly::dot(num_limbs, Some(&ct.c0), &[(&ct.c1, s)]),
             scale: ct.scale,
         }
     }
@@ -303,11 +303,35 @@ impl Evaluator {
     ///
     /// Panics if the plaintext has fewer limbs.
     pub fn mul_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        assert!(pt.poly.num_limbs() >= a.num_limbs(), "level mismatch");
+        self.mul_plain_sum(&[(a, pt)])
+    }
+
+    /// `Σ_j ct_j ⊙ pt_j` on the ciphertexts' common limbs, as one sum
+    /// per limb per component: the bytes and scale of a
+    /// [`Self::mul_plain`] per term folded by [`Self::add`], with every
+    /// product reduced once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `terms` is empty, on a plaintext with fewer limbs than
+    /// the ciphertexts, or on scales that disagree beyond tolerance.
+    pub(crate) fn mul_plain_sum(&self, terms: &[(&Ciphertext, &Plaintext)]) -> Ciphertext {
+        let scale = terms.iter().map(|(ct, pt)| ct.scale * pt.scale);
+        let scale = scale.reduce(|sum, term| {
+            assert_scales_agree(sum, term);
+            sum.max(term)
+        });
+        let scale = scale.expect("a sum of products has a product");
+        let limbs = terms.iter().map(|(ct, _)| ct.num_limbs()).min();
+        let limbs = limbs.expect("a sum of products has a product");
+        let component = |c: fn(&Ciphertext) -> &RnsPoly| {
+            let pairs: Vec<_> = terms.iter().map(|&(ct, pt)| (c(ct), &pt.poly)).collect();
+            RnsPoly::dot(limbs, None, &pairs)
+        };
         Ciphertext {
-            c0: a.c0.mul(&pt.poly),
-            c1: a.c1.mul(&pt.poly),
-            scale: a.scale * pt.scale,
+            c0: component(|ct| &ct.c0),
+            c1: component(|ct| &ct.c1),
+            scale,
         }
     }
 
@@ -342,31 +366,26 @@ impl Evaluator {
     }
 
     /// The tensor product of two ciphertexts on their common limbs, not
-    /// yet key-switched: four ring multiplications, no transform.
+    /// yet key-switched: four ring multiplications, the cross term
+    /// `a0·b1 + a1·b0` one two-product sum, no transform.
     pub fn tensor(&self, a: &Ciphertext, b: &Ciphertext) -> Product {
-        let d0 = a.c0.mul(&b.c0);
-        let mut d1 = a.c0.mul(&b.c1);
-        d1.mul_acc(&a.c1, &b.c0);
-        let d2 = a.c1.mul(&b.c1);
+        let limbs = a.num_limbs().min(b.num_limbs());
         Product {
-            d0,
-            d1,
-            d2,
+            d0: a.c0.mul(&b.c0),
+            d1: RnsPoly::dot(limbs, None, &[(&a.c0, &b.c1), (&a.c1, &b.c0)]),
+            d2: a.c1.mul(&b.c1),
             scale: a.scale * b.scale,
         }
     }
 
-    /// [`Self::tensor`] of a ciphertext with itself (saves one ring
-    /// multiplication).
+    /// [`Self::tensor`] of a ciphertext with itself: `2·c0·c1` is the
+    /// sum of the same product twice.
     pub fn tensor_square(&self, a: &Ciphertext) -> Product {
-        let d0 = a.c0.mul(&a.c0);
-        let cross = a.c0.mul(&a.c1);
-        let d1 = cross.add(&cross);
-        let d2 = a.c1.mul(&a.c1);
+        let limbs = a.num_limbs();
         Product {
-            d0,
-            d1,
-            d2,
+            d0: a.c0.mul(&a.c0),
+            d1: RnsPoly::dot(limbs, None, &[(&a.c0, &a.c1); 2]),
+            d2: a.c1.mul(&a.c1),
             scale: a.scale * a.scale,
         }
     }
@@ -477,11 +496,16 @@ impl Evaluator {
         let mut y = crate::pool::acquire(nl * n);
         crate::par::for_each_chunk_mut(&mut y, n, |i, dst| {
             let digit = &basis.digits[i / basis.k];
-            let (inv, shoup) = digit.inv_qhat[i - digit.start];
-            let arith = ctx.arith(i);
-            for (out, &x) in dst.iter_mut().zip(coeff.limb(i)) {
-                *out = arith.mul_shoup(x, inv, shoup);
-            }
+            let scale = Products {
+                extra: [None],
+                gather: None,
+                terms: 1,
+                term: |_| Term {
+                    x: coeff.limb(i),
+                    w: [Weight::Word(digit.inv_qhat[i - digit.start])],
+                },
+            };
+            scale.reduce(ctx.ntt(i), [], headroom, [dst]);
         });
         // Steps 2–3, one task per (digit, extended limb) row.
         let mut data = crate::pool::acquire_scratch(basis.digits.len() * ext * n);
@@ -627,19 +651,28 @@ impl Evaluator {
         let out_limbs = div.out_limbs;
         let divisors = div.inv_hat.len();
         let (out_acc, dv) = acc.split_at_mut(2 * out_limbs * n);
+        let headroom = ctx.lazy_acc_headroom(nl, out_limbs + divisors - nl);
         // Divisor limbs → coefficient domain, scaled; chunk `2l + w`
         // is divisor limb `l` of sum `w`.
         crate::par::for_each_chunk_mut(dv, n, |i, limb| {
             let l = i / 2;
-            ctx.ext_ntt(nl, out_limbs + l).inverse(limb);
-            let arith = ctx.ext_arith(nl, out_limbs + l);
-            let (inv, shoup) = div.inv_hat[l];
-            for v in limb.iter_mut() {
-                *v = arith.mul_shoup(*v, inv, shoup);
-            }
+            let table = ctx.ext_ntt(nl, out_limbs + l);
+            let mut coeff = crate::pool::acquire(n);
+            coeff.copy_from_slice(limb);
+            table.inverse(&mut coeff);
+            let scale = Products {
+                extra: [None],
+                gather: None,
+                terms: 1,
+                term: |_| Term {
+                    x: &coeff[..],
+                    w: [Weight::Word(div.inv_hat[l])],
+                },
+            };
+            scale.reduce(table, [], headroom, [limb]);
+            crate::pool::release(coeff);
         });
         let (dv, out_acc) = (&dv[..], &out_acc[..]);
-        let headroom = ctx.lazy_acc_headroom(nl, out_limbs + divisors - nl);
         let sources = || (out_limbs..out_limbs + divisors).map(|l| ctx.ext_ntt(nl, l));
         // `u'` per coefficient of each sum; the terms are summed in
         // limb order, so the value does not depend on the thread count.
@@ -741,21 +774,26 @@ pub(crate) struct Term<'a, const S: usize> {
     pub(crate) w: [Weight<'a>; S],
 }
 
-/// The sums of products a key switch reduces, per coefficient `c` of
-/// `S` outputs mod one prime `q`:
+/// Every per-coefficient product of a request is a sum of this shape,
+/// per coefficient `c` of `S` outputs mod one prime `q`:
 ///
 /// `out_s[c] = (e_s[c]·v_s + Σ_i x_i[g(c)]·w_{i,s}) mod q`,
 ///
 /// with the optional extra product `(e_s, v_s)` and the gather `g`
-/// (identity when `None`). The raise of a digit to one limb and the
-/// mod-down's base conversion are `S = 1` sums against constants; the
-/// inner products against a key's `b` and `a` limbs are one `S = 2`
-/// sum over the digit rows, gathered by a rotation's index table and
-/// seeded with `P·d_w` by a fused relinearise-rescale. Every term and
-/// extra product is a pair of residues below their moduli, and a sum's
-/// weights are all words or all per-coefficient.
+/// (identity when `None`). In a key switch, the raise of a digit to one
+/// limb and the mod-down's base conversion are `S = 1` sums against
+/// constants, and the inner products against a key's `b` and `a` limbs
+/// are one `S = 2` sum over the digit rows, gathered by a rotation's
+/// index table and seeded with `P·d_w` by a fused relinearise-rescale.
+/// Outside it, a ring product is an `S = 1` sum of per-coefficient
+/// words ([`RnsPoly::dot`]: `tensor`, `mul_plain`, `decrypt`'s
+/// `c0 + c1·s` with `c0` as the extra product at word 1, a BSGS giant
+/// group's diagonals), and a rescale's divide the constant sum
+/// `x·w + l′·(q − q_last⁻¹)`. Every term and extra product is a pair
+/// of residues below their moduli, and a sum's weights are all words
+/// or all per-coefficient.
 ///
-/// [`Products::reduce`] is the one place a key-switch loop picks its
+/// [`Products::reduce`] is the one place a product loop picks its
 /// arithmetic; both paths return the canonical residue of the exact
 /// sum, so they agree word for word.
 pub(crate) struct Products<'a, const S: usize, F> {
@@ -1618,6 +1656,92 @@ mod tests {
                 }
             }
         });
+    }
+
+    #[test]
+    fn vector_ring_products_match_the_u128_ones_word_for_word() {
+        // The pointwise sums, the rescale's divides and the BSGS inner
+        // sums as whole ops, every sum on its own path against every one
+        // on `u128` accumulators: tensor, tensor_square, mul_plain,
+        // decrypt, rescale, mul_const and matvec_bsgs on every limb count
+        // of the toy chain — at n = 256 with an 8×8 matrix, and at
+        // n = 1024 with a 256×256 band of 18 diagonals, whose first giant
+        // group sums 16 products: one more than a dot-kernel run holds,
+        // so its sum carries a residue into a second run.
+        let band = |dim: usize, width: usize| {
+            let rows: Vec<Vec<f64>> = (0..dim)
+                .map(|i| {
+                    let mut row = vec![0.0; dim];
+                    for d in 0..width {
+                        row[(i + d) % dim] = ((i * 7 + d * 3) % 11) as f64 / 11.0 - 0.45;
+                    }
+                    row
+                })
+                .collect();
+            crate::linear::DiagMatrix::from_rows(&rows)
+        };
+        let wide = CkksParams {
+            n: 1024,
+            ..CkksParams::toy()
+        };
+        let mut sums = 0;
+        crate::par::with_thread_budget(1, || {
+            for (params, mat) in [(CkksParams::toy(), band(8, 8)), (wide, band(256, 18))] {
+                let (ev, mut rng) = setup_with(&params, 63);
+                let slots = ev.context().slots();
+                let vals: Vec<f64> = (0..slots).map(|i| (i % 13) as f64 / 13.0 - 0.5).collect();
+                let fresh = ev.encrypt_values(&vals, &mut rng);
+                let other = ev.encrypt_values(&vals[..slots / 3], &mut rng);
+                let limbs = fresh.num_limbs();
+                let pt = ev
+                    .encoder()
+                    .encode(&vals[..slots / 2], ev.context().scale(), limbs);
+                for limbs in (1..=limbs).rev() {
+                    let mut ct = fresh.clone();
+                    ct.drop_to(limbs);
+                    let ops = || {
+                        let products = [ev.tensor(&ct, &other), ev.tensor_square(&ct)];
+                        let mut got: Vec<u64> = products
+                            .iter()
+                            .map(|p| poly_digest(&[&p.d0, &p.d1, &p.d2]))
+                            .collect();
+                        got.push(digest(&ev.mul_plain(&ct, &pt)));
+                        got.push(poly_digest(&[&ev.decrypt(&ct).poly]));
+                        if limbs > 1 {
+                            let mut rescaled = ct.clone();
+                            ev.rescale(&mut rescaled);
+                            got.push(digest(&rescaled));
+                            got.push(digest(&ev.mul_const(&ct, -0.37)));
+                            got.push(digest(&ev.matvec_bsgs(&mat, &ct)));
+                        }
+                        got
+                    };
+                    let got = ops();
+                    U128_ONLY.with(|f| f.set(true));
+                    let want = ops();
+                    U128_ONLY.with(|f| f.set(false));
+                    assert_eq!(got, want, "n={}, {limbs} limbs", params.n);
+                    sums += got.len();
+                }
+            }
+        });
+        let ifma = crate::ifma::Ifma::detect().is_some();
+        println!(
+            "compared {sums} ring-product ops {}",
+            if ifma {
+                "on the avx512ifma dot kernel with the u128 loops"
+            } else {
+                "on the u128 loops with themselves: no avx512ifma on this CPU"
+            }
+        );
+    }
+
+    /// FNV-1a over polys' residue words.
+    fn poly_digest(polys: &[&RnsPoly]) -> u64 {
+        let words = polys.iter().flat_map(|p| p.limbs()).flatten();
+        words.fold(0xcbf2_9ce4_8422_2325u64, |h, &w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+        })
     }
 
     /// FNV-1a over a ciphertext's residue words and scale bits.

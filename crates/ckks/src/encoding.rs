@@ -224,8 +224,9 @@ impl Encoder {
         let mut poly = pt.poly.clone_prefix(use_limbs);
         poly.to_coeff();
         let mut vals = vec![Complex::new(0.0, 0.0); n];
-        for (idx, v) in vals.iter_mut().enumerate() {
-            let c = poly.coeff_to_i128(idx, use_limbs) as f64;
+        let coeffs = poly.coeffs_to_i128(use_limbs);
+        for ((idx, v), c) in vals.iter_mut().enumerate().zip(coeffs) {
+            let c = c as f64;
             // Untwist: multiply by e^{+iπ j/n} before the inverse DFT.
             let ang = std::f64::consts::PI * idx as f64 / n as f64;
             *v = Complex::new(c * ang.cos(), c * ang.sin());

@@ -1,8 +1,10 @@
 //! AVX-512 IFMA arithmetic for primes below 2^50: the 52-bit Shoup
 //! product, the folds and the broadcast prime constants the vector NTT
 //! kernel's butterflies are made of (`ntt.rs`, "Vector kernel"), and
-//! the dot kernel the key switch's base conversions and inner products
-//! run on ([`Ifma::dot`]).
+//! the dot kernel every sum of products runs on ([`Ifma::dot`]): the key
+//! switch's base conversions and inner products, the pointwise ring
+//! products (`RnsPoly::dot`: `tensor`, `mul_plain`, `decrypt`), the
+//! rescale's divides and the BSGS inner sums.
 //!
 //! Everything here needs `avx512f` and `avx512ifma`. An [`Ifma`] value
 //! is the proof that the CPU has them: [`Ifma::detect`] is the only way

@@ -48,9 +48,8 @@ pub(crate) struct HybridDigitBasis {
     pub(crate) start: usize,
     /// One past the last chain limb of the group.
     pub(crate) end: usize,
-    /// Per in-group limb `i`: `[(Q_j/q_i)^{-1}]_{q_i}` and its Shoup
-    /// companion.
-    pub(crate) inv_qhat: Vec<(u64, u64)>,
+    /// Per in-group limb `i`: `[(Q_j/q_i)^{-1}]_{q_i}`.
+    pub(crate) inv_qhat: Vec<u64>,
     /// Per extended-basis target limb `t`, per in-group limb `i`:
     /// `[(Q_j/q_i)] mod m_t`, laid out `t`-major
     /// (`qhat[t * group + i]`).
@@ -68,9 +67,8 @@ pub(crate) struct HybridDigitBasis {
 pub(crate) struct ModDown {
     /// Chain limbs of the quotient: every limb before the divisors.
     pub(crate) out_limbs: usize,
-    /// Per divisor limb `l` (modulus `d_l`): `[(D/d_l)^{-1}]_{d_l}` and
-    /// its Shoup companion.
-    pub(crate) inv_hat: Vec<(u64, u64)>,
+    /// Per divisor limb `l` (modulus `d_l`): `[(D/d_l)^{-1}]_{d_l}`.
+    pub(crate) inv_hat: Vec<u64>,
     /// Per output limb `t`, per divisor limb `l`: `(D/d_l) mod q_t`,
     /// laid out `t`-major (`hat[t * divisors + l]`).
     pub(crate) hat: Vec<u64>,
@@ -451,8 +449,7 @@ impl HybridBasis {
                         hat = mulmod(hat, q % q_i, q_i);
                     }
                 }
-                let inv = inv_mod(hat, q_i);
-                inv_qhat.push((inv, ctx.arith(i).shoup(inv)));
+                inv_qhat.push(inv_mod(hat, q_i));
             }
             let mut qhat = vec![0u64; ext * group];
             for t in 0..ext {
@@ -506,11 +503,7 @@ impl ModDown {
         let inv_hat = divisors
             .iter()
             .enumerate()
-            .map(|(l, &d)| {
-                let inv = inv_mod(hat_mod(Some(l), d), d);
-                let arith = ctx.ext_arith(num_limbs, out_limbs + l);
-                (inv, arith.shoup(inv))
-            })
+            .map(|(l, &d)| inv_mod(hat_mod(Some(l), d), d))
             .collect();
         let chain = &ctx.primes()[..out_limbs];
         let hat = chain

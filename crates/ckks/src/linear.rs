@@ -572,22 +572,22 @@ impl Evaluator {
         // Giant steps: group k sums its diagonals d ∈ [k·g1, (k+1)·g1)
         // against the baby steps, the plaintext diagonal pre-rotated by
         // -k·g1 (inside the cached encode), so one outer rotation by
-        // k·g1 finishes the job. The groups fold in ascending k, then
-        // the product rescales.
+        // k·g1 finishes the job. A group's products are one sum per limb
+        // per component, reduced once; the groups fold in ascending k,
+        // then the product rescales.
         let groups = crate::par::map(sched.giant.len(), |i| {
             let k = sched.giant[i];
             let shift = (k * g1) % slots;
-            let mut inner: Option<Ciphertext> = None;
-            for &d in mat.diags.range(k * g1..(k + 1) * g1).map(|(d, _)| d) {
-                let rot_v = baby[d - k * g1].expect("baby step precomputed");
-                let pt = mat.encoded_diag(self, d, shift, ct.num_limbs());
-                let term = self.mul_plain(rot_v, &pt);
-                inner = Some(match inner {
-                    None => term,
-                    Some(a) => self.add(&a, &term),
-                });
-            }
-            let sum = inner.expect("scheduled groups are nonempty");
+            let diags: Vec<(&Ciphertext, Arc<Plaintext>)> = mat
+                .diags
+                .range(k * g1..(k + 1) * g1)
+                .map(|(&d, _)| {
+                    let rot_v = baby[d - k * g1].expect("baby step precomputed");
+                    (rot_v, mat.encoded_diag(self, d, shift, ct.num_limbs()))
+                })
+                .collect();
+            let terms: Vec<_> = diags.iter().map(|(ct, pt)| (*ct, &**pt)).collect();
+            let sum = self.mul_plain_sum(&terms);
             if k == 0 {
                 sum
             } else {

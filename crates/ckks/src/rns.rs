@@ -14,17 +14,20 @@
 //!
 //! An op runs on the limbs both operands have. An allocating op
 //! (`add`, `sub`, `mul`) returns `min(self, other)` limbs; an in-place
-//! op (`add_assign`, `mul_acc`) reads the first `self.num_limbs()`
-//! limbs of operands at the same or a higher level. The residues of a
+//! op (`add_assign`) reads the first `self.num_limbs()` limbs of
+//! operands at the same or a higher level. The residues of a
 //! prefix are the residues of a truncation, so an operand is never
 //! copied or dropped to meet another's level, and a plaintext encoded
 //! on `k` limbs serves every level below `k`.
 //!
-//! All modular arithmetic goes through the per-prime
-//! [`crate::modular::PrimeArith`] Barrett/Shoup kernels — same
-//! residues as the portable `% q` helpers, no hardware division.
+//! Additions go through the per-prime [`crate::modular::PrimeArith`]
+//! kernels, and every per-coefficient product — a ring product, a
+//! rescale's divide — is a [`Products`] sum: the IFMA dot kernel where
+//! the limb's table has one, `u128` accumulators otherwise, the same
+//! residues either way.
 
-use crate::modular::{inv_mod, sub_mod, PrimeArith};
+use crate::cipher::{Products, Term, Weight};
+use crate::modular::{inv_mod, PrimeArith};
 use crate::ntt::NttTable;
 use crate::pool;
 use smartpaf_tensor::Rng64;
@@ -39,8 +42,6 @@ struct RescalePre {
     q_last_mod: u64,
     /// `(q_last mod q_i)^-1 mod q_i`.
     inv: u64,
-    /// Shoup companion of `inv`.
-    inv_shoup: u64,
     /// `q_last < 2·q_i`: a residue mod `q_last` is reduced mod `q_i`
     /// by one conditional subtract. Holds for every pair of every
     /// preset (equal-size scale primes; the base prime is larger).
@@ -119,7 +120,6 @@ impl CkksContext {
                         RescalePre {
                             q_last_mod,
                             inv,
-                            inv_shoup: ntt[i].arith().shoup(inv),
                             one_subtract: q_last < 2 * q,
                         }
                     })
@@ -350,7 +350,7 @@ impl RnsPoly {
                 let r = if c >= 0 {
                     c as u64 % q
                 } else {
-                    q - ((-c) as u64 % q)
+                    q - (c.unsigned_abs() % q)
                 };
                 *dst = if r == q { 0 } else { r };
             }
@@ -511,7 +511,8 @@ impl RnsPoly {
         assert!(other.num_limbs >= self.num_limbs, "level mismatch");
     }
 
-    /// The per-limb loop of every binary op: limb `i` of `self` becomes
+    /// The per-limb loop of addition and subtraction (products are
+    /// [`Products`] sums): limb `i` of `self` becomes
     /// `f(arith_i, x, y)` element-wise, with `y` from limb `i` of `rhs`
     /// and `x` from limb `i` of `lhs` — or of `self` itself, for the
     /// in-place form (`lhs = None`). Either operand is read through
@@ -580,37 +581,53 @@ impl RnsPoly {
     }
 
     /// Ring multiplication on the common limbs (pointwise; both
-    /// operands must be in NTT form). Products reduce through the
-    /// per-prime Barrett constants.
+    /// operands must be in NTT form), as one sum of one product per
+    /// limb on the IFMA dot kernel where the limb's table has it.
     ///
     /// # Panics
     ///
     /// Panics if either operand is in coefficient form.
     pub fn mul(&self, other: &RnsPoly) -> RnsPoly {
         assert!(self.is_ntt && other.is_ntt, "mul requires NTT form");
-        self.zip_new(other, PrimeArith::mul)
+        Self::dot(self.num_limbs.min(other.num_limbs), None, &[(self, other)])
     }
 
-    /// Fused multiply-add: `self += a * b` (all three in NTT form).
-    /// Saves one pooled temporary per accumulation versus
-    /// `add_assign(&a.mul(&b))`.
+    /// `plus + Σ_j a_j ⊙ b_j` on the first `limbs` limbs of every
+    /// operand (all in NTT form), as one [`Products`] sum per limb: the
+    /// products reduce once, whatever their count, on the IFMA dot
+    /// kernel where the limb's table has it.
     ///
     /// # Panics
     ///
-    /// Panics on coefficient-form operands or if `a` or `b` has fewer
-    /// limbs than `self`.
-    pub fn mul_acc(&mut self, a: &RnsPoly, b: &RnsPoly) {
-        assert!(self.is_ntt, "mul_acc requires NTT form");
-        self.assert_prefix_operand(a);
-        self.assert_prefix_operand(b);
-        let n = self.ctx.n();
-        for i in 0..self.num_limbs {
-            let pa = *self.ctx.arith(i);
-            let dst = &mut self.data[i * n..(i + 1) * n];
-            for ((d, &x), &y) in dst.iter_mut().zip(a.limb(i)).zip(b.limb(i)) {
-                *d = pa.add(*d, pa.mul(x, y));
-            }
+    /// Panics if `pairs` is empty, on a coefficient-form operand, or if
+    /// an operand has fewer than `limbs` limbs.
+    pub(crate) fn dot(
+        limbs: usize,
+        plus: Option<&RnsPoly>,
+        pairs: &[(&RnsPoly, &RnsPoly)],
+    ) -> RnsPoly {
+        let (first, _) = pairs.first().expect("a sum of products has a product");
+        let ctx = &first.ctx;
+        for p in pairs.iter().flat_map(|&(a, b)| [a, b]).chain(plus) {
+            assert!(p.is_ntt, "products require NTT form");
+            assert!(p.num_limbs >= limbs, "level mismatch");
         }
+        let headroom = ctx.lazy_acc_headroom(limbs, 0);
+        let n = ctx.n();
+        let mut out = Self::uninit(ctx, limbs, true);
+        for (i, dst) in out.data.chunks_exact_mut(n).enumerate() {
+            let sum = Products {
+                extra: [plus.map(|p| (p.limb(i), 1))],
+                gather: None,
+                terms: pairs.len(),
+                term: |j: usize| Term {
+                    x: pairs[j].0.limb(i),
+                    w: [Weight::Words(pairs[j].1.limb(i))],
+                },
+            };
+            sum.reduce(ctx.ntt(i), [], headroom, [dst]);
+        }
+        out
     }
 
     /// Negation.
@@ -678,24 +695,14 @@ impl RnsPoly {
     /// transform's linearity the same residues. The surviving limbs are
     /// independent, so they fan out across [`crate::par`].
     ///
-    /// The last limb is read in place through a split borrow of the
-    /// flat buffer while the surviving limbs are rewritten, then
-    /// truncated away.
+    /// The surviving limbs are written to a new pooled buffer, which
+    /// replaces this one ([`Self::rescale_scaled`]'s path).
     ///
     /// # Panics
     ///
     /// Panics if only one limb remains.
     pub fn rescale(&mut self) {
-        assert!(self.num_limbs() > 1, "cannot rescale the last limb");
-        let n = self.ctx.n();
-        let last_idx = self.num_limbs - 1;
-        let (head, last) = self.data.split_at_mut(last_idx * n);
-        let last = &mut last[..n];
-        if self.is_ntt {
-            self.ctx.ntt[last_idx].inverse(last);
-        }
-        rescale_limbs(&self.ctx, self.is_ntt, last, head, None);
-        self.drop_to(last_idx);
+        *self = self.rescale_by(None);
     }
 
     /// Multiplies every limb `i` by the scalar residue `scalars[i]` and
@@ -709,21 +716,39 @@ impl RnsPoly {
     /// `scalars.len() != num_limbs()`.
     pub fn rescale_scaled(&self, scalars: &[u64]) -> RnsPoly {
         assert_eq!(scalars.len(), self.num_limbs(), "scalar count mismatch");
+        self.rescale_by(Some(scalars))
+    }
+
+    /// The rescale of `self` times `scalars` (1 when `None`), into a
+    /// new element.
+    fn rescale_by(&self, scalars: Option<&[u64]>) -> RnsPoly {
         assert!(self.num_limbs() > 1, "cannot rescale the last limb");
-        let n = self.ctx.n();
+        let ctx = &self.ctx;
+        let n = ctx.n();
         let last_idx = self.num_limbs - 1;
-        let pa = self.ctx.arith(last_idx);
-        let (s, s_shoup) = (scalars[last_idx], pa.shoup(scalars[last_idx]));
         let mut last = pool::acquire(n);
-        for (l, &x) in last.iter_mut().zip(self.limb(last_idx)) {
-            *l = pa.mul_shoup(x, s, s_shoup);
+        match scalars {
+            None => last.copy_from_slice(self.limb(last_idx)),
+            Some(scalars) => {
+                let scale = Products {
+                    extra: [None],
+                    gather: None,
+                    terms: 1,
+                    term: |_| Term {
+                        x: self.limb(last_idx),
+                        w: [Weight::Word(scalars[last_idx])],
+                    },
+                };
+                let headroom = ctx.lazy_acc_headroom(self.num_limbs, 0);
+                scale.reduce(ctx.ntt(last_idx), [], headroom, [&mut last]);
+            }
         }
         if self.is_ntt {
-            self.ctx.ntt[last_idx].inverse(&mut last);
+            ctx.ntt[last_idx].inverse(&mut last);
         }
-        let mut out = RnsPoly::uninit(&self.ctx, last_idx, self.is_ntt);
-        let scaled = (&self.data[..last_idx * n], scalars);
-        rescale_limbs(&self.ctx, self.is_ntt, &last, &mut out.data, Some(scaled));
+        let mut out = RnsPoly::uninit(ctx, last_idx, self.is_ntt);
+        let src = &self.data[..last_idx * n];
+        rescale_limbs(ctx, self.is_ntt, &last, src, scalars, &mut out.data);
         pool::release(last);
         out
     }
@@ -799,6 +824,9 @@ impl RnsPoly {
     ///
     /// Panics in NTT form, or if `use_limbs` is 0, exceeds the limb
     /// count, or the prime product overflows `i128` headroom.
+    ///
+    /// The reference for the decoder's loop over every coefficient,
+    /// which hoists the CRT constants out of it.
     pub fn coeff_to_i128(&self, idx: usize, use_limbs: usize) -> i128 {
         assert!(!self.is_ntt, "coefficient access requires coefficient form");
         assert!(use_limbs >= 1 && use_limbs <= self.num_limbs());
@@ -827,31 +855,73 @@ impl RnsPoly {
             x
         }
     }
+
+    /// [`Self::coeff_to_i128`] of every coefficient in order, with the
+    /// Garner constants computed once: per limb `i ≥ 1`, the product
+    /// `m_i` of the primes before it and `m_i⁻¹ mod q_i`. Each step is
+    /// then word arithmetic mod `q_i` and one `i128` multiply-add.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::coeff_to_i128`].
+    pub(crate) fn coeffs_to_i128(&self, use_limbs: usize) -> impl Iterator<Item = i128> + '_ {
+        assert!(!self.is_ntt, "coefficient access requires coefficient form");
+        assert!(use_limbs >= 1 && use_limbs <= self.num_limbs());
+        let primes = &self.ctx.primes()[..use_limbs];
+        let mut modulus = primes[0] as i128;
+        let garner: Vec<(i128, u64)> = primes[1..]
+            .iter()
+            .map(|&q| {
+                let step = (modulus, inv_mod(modulus.rem_euclid(q as i128) as u64, q));
+                modulus = modulus
+                    .checked_mul(q as i128)
+                    .expect("prime product overflow");
+                step
+            })
+            .collect();
+        (0..self.ctx.n()).map(move |idx| {
+            let mut x = self.limb(0)[idx] as i128;
+            for (i, &(m, m_inv)) in (1..).zip(&garner) {
+                // `t = (r_i − x)·m⁻¹ mod q_i`, with `0 <= x < m`.
+                let pa = self.ctx.arith(i);
+                let x_mod = pa.reduce_u128(x as u128);
+                let t = pa.mul(pa.sub(self.limb(i)[idx], x_mod), m_inv);
+                x += m * t as i128;
+            }
+            if x > modulus / 2 {
+                x - modulus
+            } else {
+                x
+            }
+        })
+    }
 }
 
 /// The surviving limbs of a rescale: `dst` limb `i` becomes
-/// `(x − l′)/q_last`, where `l′` is the centred remainder held in `last`
-/// (the dropped limb, coefficient form) and `x` is `dst`'s own limb —
-/// or, with `scaled = (src, scalars)`, `src`'s limb times `scalars[i]`.
-/// `last.len()` chain limbs precede the dropped one in `dst`.
+/// `(x·c_i − l′)/q_last`, where `x` is `src`'s limb `i`, `c_i` is
+/// `scalars[i]` (1 when `None`) and `l′` is the centred remainder held
+/// in `last` (the dropped limb, coefficient form). With
+/// `inv = q_last⁻¹ mod q_i` that is the two-product sum
+/// `x·(c_i·inv) + l′·(q_i − inv)`. `dst.len() / n` chain limbs precede
+/// the dropped one.
 fn rescale_limbs(
     ctx: &CkksContext,
     is_ntt: bool,
     last: &[u64],
+    src: &[u64],
+    scalars: Option<&[u64]>,
     dst: &mut [u64],
-    scaled: Option<(&[u64], &[u64])>,
 ) {
     let n = ctx.n();
     let last_idx = dst.len() / n;
     let half = ctx.primes()[last_idx] / 2;
     let pre = &ctx.rescale_pre[last_idx];
+    let headroom = ctx.lazy_acc_headroom(last_idx, 0);
     crate::par::for_each_chunk_mut(dst, n, |i, limb| {
         let pa = *ctx.arith(i);
-        let q = pa.q();
         let RescalePre {
             q_last_mod,
             inv,
-            inv_shoup,
             one_subtract,
         } = pre[i];
         // `l′ mod q_i`: the remainder, less `q_last` in its upper half.
@@ -869,22 +939,17 @@ fn rescale_limbs(
         if is_ntt {
             ctx.ntt[i].forward(&mut corr);
         }
-        match scaled {
-            None => {
-                for (x, &c) in limb.iter_mut().zip(&corr) {
-                    *x = pa.mul_shoup(sub_mod(*x, c, q), inv, inv_shoup);
-                }
-            }
-            Some((src, scalars)) => {
-                let c_inv = pa.mul_shoup(scalars[i], inv, inv_shoup);
-                let c_inv_shoup = pa.shoup(c_inv);
-                let src = &src[i * n..(i + 1) * n];
-                for ((x, &s), &c) in limb.iter_mut().zip(src).zip(&corr) {
-                    let scaled = pa.mul_shoup(s, c_inv, c_inv_shoup);
-                    *x = sub_mod(scaled, pa.mul_shoup(c, inv, inv_shoup), q);
-                }
-            }
-        }
+        let w = scalars.map_or(inv, |s| pa.mul(s[i], inv));
+        let divide = Products {
+            extra: [Some((&src[i * n..(i + 1) * n], w))],
+            gather: None,
+            terms: 1,
+            term: |_| Term {
+                x: &corr[..],
+                w: [Weight::Word(pa.q() - inv)],
+            },
+        };
+        divide.reduce(ctx.ntt(i), [], headroom, [limb]);
         pool::release(corr);
     });
 }
@@ -907,6 +972,48 @@ mod tests {
         let p = RnsPoly::from_signed_coeffs(&c, &coeffs, 2);
         for (i, &v) in coeffs.iter().enumerate() {
             assert_eq!(p.coeff_to_i128(i, 2), v as i128);
+        }
+    }
+
+    #[test]
+    fn from_signed_coeffs_reduces_the_i64_extremes() {
+        // `i64::MIN` has no positive counterpart: its residue comes from
+        // its unsigned magnitude, on every chain prime of every preset.
+        let extremes = [i64::MIN, i64::MIN + 1, i64::MAX, -1, 0];
+        for params in [
+            crate::params::CkksParams::toy(),
+            crate::params::CkksParams::default_params(),
+            crate::params::CkksParams::benchmark(),
+            crate::params::CkksParams::paper_scale(),
+        ] {
+            let primes = params.build().primes().to_vec();
+            let c = CkksContext::new(16, primes, 1.0);
+            let coeffs: Vec<i64> = (0..16).map(|i| extremes[i % extremes.len()]).collect();
+            let p = RnsPoly::from_signed_coeffs(&c, &coeffs, c.primes().len());
+            for (limb, &q) in p.limbs().zip(c.primes()) {
+                for (&r, &v) in limb.iter().zip(&coeffs) {
+                    assert_eq!(r as i128, (v as i128).rem_euclid(q as i128), "{v} mod {q}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn coeffs_to_i128_is_coeff_to_i128_at_every_coefficient() {
+        // The hoisted Garner constants against the per-coefficient
+        // reference: a random 2-limb poly on the 50 + 40-bit chain, a
+        // random 3-limb one on three 40-bit primes (120 bits, inside the
+        // `i128` headroom), and a 1-limb read of each.
+        let c3 = CkksContext::new(64, ntt_primes(40, 3, 64), 1.0);
+        let mut rng = Rng64::new(41);
+        for (c, limbs) in [(ctx(), 2), (c3, 3)] {
+            let mut p = RnsPoly::random_uniform(&c, limbs, &mut rng);
+            p.to_coeff();
+            for use_limbs in [1, limbs] {
+                let want: Vec<i128> = (0..64).map(|i| p.coeff_to_i128(i, use_limbs)).collect();
+                let got: Vec<i128> = p.coeffs_to_i128(use_limbs).collect();
+                assert_eq!(got, want, "{limbs} limbs, reading {use_limbs}");
+            }
         }
     }
 
@@ -1023,9 +1130,9 @@ mod tests {
     }
 
     #[test]
-    fn mul_acc_matches_mul_then_add() {
-        // At one level, and with factors 1 or 3 limbs above the
-        // accumulator.
+    fn dot_matches_mul_then_add() {
+        // `acc + a·b` and `a·b + b·a` as one sum, at one level and with
+        // factors 1 or 3 limbs above the accumulator.
         let c = ctx();
         let a: Vec<i64> = (0..64).map(|i| (i as i64 * 11) % 61 - 30).collect();
         let b: Vec<i64> = (0..64).map(|i| (i as i64 * 19) % 71 - 35).collect();
@@ -1037,9 +1144,23 @@ mod tests {
             pa.to_ntt();
             pb.to_ntt();
             acc.to_ntt();
-            let expect = acc.add(&dropped(&pa, limbs).mul(&dropped(&pb, limbs)));
-            acc.mul_acc(&pa, &pb);
-            assert_eq!(acc.data, expect.data, "{limbs}/{a_limbs}/{b_limbs} limbs");
+            // The reference: per coefficient, on the Barrett words.
+            let (mut plus, mut twice) = (Vec::new(), Vec::new());
+            for i in 0..limbs {
+                let arith = c.arith(i);
+                for ((&s, &x), &y) in acc.limb(i).iter().zip(pa.limb(i)).zip(pb.limb(i)) {
+                    let xy = arith.mul(x, y);
+                    plus.push(arith.add(s, xy));
+                    twice.push(arith.add(xy, xy));
+                }
+            }
+            let case = format!("{limbs}/{a_limbs}/{b_limbs} limbs");
+            let got = RnsPoly::dot(limbs, Some(&acc), &[(&pa, &pb)]);
+            assert_eq!(got.data, plus, "{case}");
+            let got = RnsPoly::dot(limbs, None, &[(&pa, &pb), (&pb, &pa)]);
+            assert_eq!(got.data, twice, "{case}");
+            let product = dropped(&pa, limbs).mul(&dropped(&pb, limbs));
+            assert_eq!(product.add(&product).data, twice, "{case}");
         }
     }
 
