@@ -7,6 +7,10 @@
 //! for the scalar kernel beside the vector one), and the ciphertext pipeline
 //! (encrypt, add, mul+relin, rescale, rotate, mul_const, and the pointwise
 //! ring products alone: `tensor`, `mul_plain`) at N = 4096 and N = 8192,
+//! with the cold-start path beside it (`encode`, `decrypt_values`,
+//! `refresh_to_l7`, and the relinearisation and Galois keys on 8 limbs,
+//! `relin_key_l8` and `galois_key_l8`, each on a key chain that has
+//! generated no key yet),
 //! with the key-switch gadget's digit count and the host core count
 //! recorded as group metadata, the two key-switching ops again on 7 of
 //! the 13 limbs (`…/n4096_l7`: the per-level ratio the level schedule's
@@ -22,10 +26,12 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use smartpaf_ckks::modular::ntt_primes;
 use smartpaf_ckks::{
-    cost, par, Ciphertext, CkksParams, DiagMatrix, Evaluator, KeyChain, NttTable, PafEvaluator,
+    cost, galois, par, Bootstrapper, Ciphertext, CkksContext, CkksParams, DiagMatrix, Evaluator,
+    KeyChain, NttTable, PafEvaluator,
 };
 use smartpaf_polyfit::{CompositePaf, PafForm};
 use smartpaf_tensor::Rng64;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The transforms on what the system feeds them: a ciphertext residue
@@ -116,6 +122,35 @@ fn bench_cipher_ops_at(c: &mut Criterion, params: CkksParams) {
         let mut r = Rng64::new(2);
         b.iter(|| std::hint::black_box(ev.encrypt(&pt, &mut r)))
     });
+    // What a request pays around its evaluation, and a tenant before
+    // its first answer: an encoding, a decrypt + decode, a refresh to
+    // level 7, and the switching keys first generated on 8 limbs.
+    g.bench_function("encode", |b| {
+        b.iter(|| std::hint::black_box(ev.encoder().encode(&vals, ctx.scale(), ctx.primes().len())))
+    });
+    g.bench_function("decrypt_values", |b| {
+        b.iter(|| std::hint::black_box(ev.decrypt_values(&ct, vals.len())))
+    });
+    let bootstrapper = Bootstrapper::new(ev.clone(), vals.len(), 4);
+    g.bench_function("refresh_to_l7", |b| {
+        b.iter(|| std::hint::black_box(bootstrapper.refresh_to(&ct, 7)))
+    });
+    let rotation = galois::rotation_element(n, 1);
+    for (id, galois) in [("relin_key_l8", None), ("galois_key_l8", Some(rotation))] {
+        // Used chains are dropped after the row, not inside a sample.
+        let (mut fresh, mut used) = (fresh_chains(&ctx), Vec::new());
+        g.bench_function(id, |b| {
+            b.iter(|| {
+                let kc = fresh.pop().expect("one fresh key chain per timed call");
+                let key = std::hint::black_box(match galois {
+                    None => kc.relin_key(8),
+                    Some(g) => kc.galois_key(g, 8),
+                });
+                used.push(kc);
+                key
+            })
+        });
+    }
     g.bench_function("add", |b| b.iter(|| std::hint::black_box(ev.add(&ct, &ct))));
     // The pointwise ring products with no key switch around them: the
     // tensor's four products (its cross term one two-product sum) and a
@@ -171,6 +206,18 @@ fn bench_cipher_ops_at(c: &mut Criterion, params: CkksParams) {
     g.bench_function("matvec_bsgs_16x16", |b| {
         b.iter(|| std::hint::black_box(ev.matvec_bsgs(&mat, &ct)))
     });
+}
+
+/// Timed samples per benchmark, set on the whole group.
+const SAMPLES: usize = 10;
+
+/// Key chains that have generated no switching key, one per call of a
+/// key row (the untimed warm-up + [`SAMPLES`]): a key row times a key's
+/// generation, not a cache hit.
+fn fresh_chains(ctx: &Arc<CkksContext>) -> Vec<Arc<KeyChain>> {
+    (0..SAMPLES as u64 + 1)
+        .map(|seed| KeyChain::generate(ctx, &mut Rng64::new(100 + seed)))
+        .collect()
 }
 
 /// The eight rotation steps of the hoisting rows and gate.
@@ -317,7 +364,7 @@ fn bench_hoist(_c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default()
-        .sample_size(10)
+        .sample_size(SAMPLES)
         .json_output("BENCH_ckks.json");
     targets = bench_ntt, bench_cipher_ops, bench_level_curve, bench_paf_ops, bench_hoist
 }

@@ -56,68 +56,114 @@ impl Complex {
     }
 }
 
-/// Iterative radix-2 FFT. `invert` selects the inverse transform
-/// (without the 1/n scaling).
-fn fft(a: &mut [Complex], invert: bool) {
-    let n = a.len();
-    assert!(n.is_power_of_two(), "fft length must be a power of two");
-    // Bit reversal permutation.
-    let mut j = 0;
-    for i in 1..n {
-        let mut bit = n >> 1;
-        while j & bit != 0 {
-            j ^= bit;
-            bit >>= 1;
-        }
-        j |= bit;
-        if i < j {
-            a.swap(i, j);
-        }
-    }
-    let mut len = 2;
-    while len <= n {
-        let ang = 2.0 * std::f64::consts::PI / len as f64 * if invert { 1.0 } else { -1.0 };
-        let wl = Complex::new(ang.cos(), ang.sin());
-        let mut i = 0;
-        while i < n {
-            let mut w = Complex::new(1.0, 0.0);
-            for k in 0..len / 2 {
-                let u = a[i + k];
-                let v = a[i + k + len / 2].mul(w);
-                a[i + k] = u.add(v);
-                a[i + k + len / 2] = u.sub(v);
-                w = w.mul(wl);
-            }
-            i += len;
-        }
-        len <<= 1;
-    }
-}
-
-/// The CKKS encoder for a given context.
-#[derive(Debug, Clone)]
-pub struct Encoder {
-    ctx: Arc<CkksContext>,
+/// The encoder's tables for one ring dimension, built once per context
+/// ([`CkksContext::encoding_tables`]) and read by every [`Encoder`] on
+/// it. Each entry is the `f64` the per-call expression or recurrence
+/// it replaces computed, so encodings and decodes are unchanged.
+#[derive(Debug)]
+pub(crate) struct EncodingTables {
     /// `orbit[j]` = natural evaluation index `m` with root exponent
     /// `2m+1 = 5^j mod 2n`; the conjugate position is `n-1-m`.
     orbit: Vec<usize>,
+    /// `e^{−iπj/n}`: the twist `encode` applies after the forward DFT.
+    /// Decoding's untwist `e^{+iπj/n}` is its conjugate.
+    twist: Vec<Complex>,
+    /// The forward FFT's twiddles: stage `len`'s `w_k`, `k < len/2`,
+    /// at `len/2 − 1 + k`, from the stage's recurrence `w_0 = 1`,
+    /// `w_{k+1} = w_k·e^{−2πi/len}`. The inverse FFT's are their
+    /// conjugates: the same recurrence on the conjugate root gives
+    /// exactly the conjugate words (`cos` is even, `sin` odd, and a
+    /// product of conjugates is the conjugate of the product).
+    twiddles: Vec<Complex>,
 }
 
-impl Encoder {
-    /// Creates an encoder bound to a context.
-    pub fn new(ctx: &Arc<CkksContext>) -> Self {
-        let n = ctx.n();
-        let slots = ctx.slots();
+impl EncodingTables {
+    /// The tables for ring dimension `n` (a power of two).
+    pub(crate) fn new(n: usize) -> Self {
+        use std::f64::consts::PI;
+        let slots = n / 2;
         let mut orbit = Vec::with_capacity(slots);
         let mut e = 1usize;
         for _ in 0..slots {
             orbit.push((e - 1) / 2);
-            e = (e * 5) % (2 * n);
+            e = (e * 5) & (2 * n - 1);
         }
+        let unit = |ang: f64| Complex::new(ang.cos(), ang.sin());
+        let twist = (0..n).map(|j| unit(-PI * j as f64 / n as f64)).collect();
+        let mut twiddles = Vec::with_capacity(n - 1);
+        let mut len = 2;
+        while len <= n {
+            let wl = unit(-2.0 * PI / len as f64);
+            let mut w = Complex::new(1.0, 0.0);
+            for _ in 0..len / 2 {
+                twiddles.push(w);
+                w = w.mul(wl);
+            }
+            len <<= 1;
+        }
+        EncodingTables {
+            orbit,
+            twist,
+            twiddles,
+        }
+    }
+
+    /// Iterative radix-2 FFT of length `n`. `invert` selects the
+    /// inverse transform (without the 1/n scaling).
+    fn fft(&self, a: &mut [Complex], invert: bool) {
+        let n = a.len();
+        assert_eq!(n, self.twist.len(), "fft length is not the ring dimension");
+        // Bit reversal permutation.
+        let mut j = 0;
+        for i in 1..n {
+            let mut bit = n >> 1;
+            while j & bit != 0 {
+                j ^= bit;
+                bit >>= 1;
+            }
+            j |= bit;
+            if i < j {
+                a.swap(i, j);
+            }
+        }
+        let mut len = 2;
+        while len <= n {
+            let half = len / 2;
+            let w = &self.twiddles[half - 1..len - 1];
+            for block in a.chunks_exact_mut(len) {
+                let (lo, hi) = block.split_at_mut(half);
+                for ((u, v), &w) in lo.iter_mut().zip(hi).zip(w) {
+                    let w = if invert { w.conj() } else { w };
+                    let (x, y) = (*u, v.mul(w));
+                    *u = x.add(y);
+                    *v = x.sub(y);
+                }
+            }
+            len <<= 1;
+        }
+    }
+}
+
+/// The CKKS encoder for a given context. Its twist, twiddle and
+/// slot-order tables belong to the context, built once and shared by
+/// every encoder on it, so a clone copies one pointer.
+#[derive(Debug, Clone)]
+pub struct Encoder {
+    ctx: Arc<CkksContext>,
+}
+
+impl Encoder {
+    /// Creates an encoder bound to a context, building the context's
+    /// encoding tables if no encoder on it has yet.
+    pub fn new(ctx: &Arc<CkksContext>) -> Self {
+        ctx.encoding_tables();
         Encoder {
             ctx: Arc::clone(ctx),
-            orbit,
         }
+    }
+
+    fn tables(&self) -> &EncodingTables {
+        self.ctx.encoding_tables()
     }
 
     /// Number of real slots available (`n/2`).
@@ -136,27 +182,25 @@ impl Encoder {
         let n = self.ctx.n();
         let slots = self.ctx.slots();
         assert!(values.len() <= slots, "too many values for {slots} slots");
+        let tables = self.tables();
         // Build the conjugate-symmetric evaluation vector: slot j lives
         // at natural index orbit[j], its conjugate at n-1-orbit[j].
         let mut sigma = vec![Complex::new(0.0, 0.0); n];
-        for (j, &v) in values.iter().enumerate() {
-            let m = self.orbit[j];
+        for (&v, &m) in values.iter().zip(&tables.orbit) {
             sigma[m] = Complex::new(v, 0.0);
             sigma[n - 1 - m] = sigma[m].conj();
         }
         // c_j = (1/n) * e^{-iπ j/n} * DFT(sigma)_j
-        fft(&mut sigma, false);
+        tables.fft(&mut sigma, false);
         let mut coeffs = vec![0i128; n];
-        for (idx, s) in sigma.iter().enumerate() {
-            let ang = -std::f64::consts::PI * idx as f64 / n as f64;
-            let tw = Complex::new(ang.cos(), ang.sin());
+        for ((dst, s), &tw) in coeffs.iter_mut().zip(&sigma).zip(&tables.twist) {
             let c = s.mul(tw);
             let real = c.re / n as f64 * scale;
             assert!(
                 real.abs() < 1.2e30,
                 "scaled coefficient overflow: {real} (scale too large?)"
             );
-            coeffs[idx] = real.round() as i128;
+            *dst = real.round() as i128;
         }
         let mut poly = RnsPoly::from_signed_coeffs_i128(&self.ctx, &coeffs, num_limbs);
         poly.to_ntt();
@@ -209,8 +253,9 @@ impl Encoder {
     /// Panics if `count > slots()`.
     pub fn decode(&self, pt: &Plaintext, count: usize) -> Vec<f64> {
         let vals = self.unscaled_slots(pt, count);
-        (0..count)
-            .map(|j| vals[self.orbit[j]].re / pt.scale)
+        self.tables().orbit[..count]
+            .iter()
+            .map(|&m| vals[m].re / pt.scale)
             .collect()
     }
 
@@ -218,20 +263,22 @@ impl Encoder {
     /// its first [`DECODE_LIMBS`]: slot `j` times the scale is entry
     /// `orbit[j]`. Only those limbs are copied and inverse-transformed.
     fn unscaled_slots(&self, pt: &Plaintext, count: usize) -> Vec<Complex> {
-        let n = self.ctx.n();
         assert!(count <= self.ctx.slots(), "count exceeds slot capacity");
         let use_limbs = pt.poly.num_limbs().min(DECODE_LIMBS);
         let mut poly = pt.poly.clone_prefix(use_limbs);
         poly.to_coeff();
-        let mut vals = vec![Complex::new(0.0, 0.0); n];
-        let coeffs = poly.coeffs_to_i128(use_limbs);
-        for ((idx, v), c) in vals.iter_mut().enumerate().zip(coeffs) {
-            let c = c as f64;
-            // Untwist: multiply by e^{+iπ j/n} before the inverse DFT.
-            let ang = std::f64::consts::PI * idx as f64 / n as f64;
-            *v = Complex::new(c * ang.cos(), c * ang.sin());
-        }
-        fft(&mut vals, true); // inverse DFT without 1/n (encode had 1/n)
+        let tables = self.tables();
+        // Untwist: multiply by e^{+iπ j/n}, the twist's conjugate,
+        // before the inverse DFT.
+        let mut vals: Vec<Complex> = poly
+            .coeffs_to_i128(use_limbs)
+            .zip(&tables.twist)
+            .map(|(c, tw)| {
+                let u = tw.conj();
+                Complex::new(c as f64 * u.re, c as f64 * u.im)
+            })
+            .collect();
+        tables.fft(&mut vals, true); // inverse DFT without 1/n (encode had 1/n)
         vals
     }
 
@@ -264,11 +311,9 @@ impl Encoder {
     /// Decodes slot `j` taking the imaginary part too (diagnostics).
     pub fn decode_complex(&self, pt: &Plaintext, count: usize) -> Vec<(f64, f64)> {
         let vals = self.unscaled_slots(pt, count);
-        (0..count)
-            .map(|j| {
-                let c = vals[self.orbit[j]];
-                (c.re / pt.scale, c.im / pt.scale)
-            })
+        self.tables().orbit[..count]
+            .iter()
+            .map(|&m| (vals[m].re / pt.scale, vals[m].im / pt.scale))
             .collect()
     }
 }
@@ -284,6 +329,147 @@ mod tests {
         let ctx = CkksContext::new(64, primes, (1u64 << 30) as f64);
         let enc = Encoder::new(&ctx);
         (ctx, enc)
+    }
+
+    /// The FFT as it ran before its twiddles were tabled: each stage's
+    /// `w` advanced by one product per butterfly.
+    fn reference_fft(a: &mut [Complex], invert: bool) {
+        let n = a.len();
+        let mut j = 0;
+        for i in 1..n {
+            let mut bit = n >> 1;
+            while j & bit != 0 {
+                j ^= bit;
+                bit >>= 1;
+            }
+            j |= bit;
+            if i < j {
+                a.swap(i, j);
+            }
+        }
+        let mut len = 2;
+        while len <= n {
+            let ang = 2.0 * std::f64::consts::PI / len as f64 * if invert { 1.0 } else { -1.0 };
+            let wl = Complex::new(ang.cos(), ang.sin());
+            let mut i = 0;
+            while i < n {
+                let mut w = Complex::new(1.0, 0.0);
+                for k in 0..len / 2 {
+                    let u = a[i + k];
+                    let v = a[i + k + len / 2].mul(w);
+                    a[i + k] = u.add(v);
+                    a[i + k + len / 2] = u.sub(v);
+                    w = w.mul(wl);
+                }
+                i += len;
+            }
+            len <<= 1;
+        }
+    }
+
+    /// `encode` as it ran before the tables, flat limb-major in NTT
+    /// form: the twist's `cos` and `sin` per coefficient, residues by
+    /// `rem_euclid`.
+    fn reference_encode(ctx: &CkksContext, values: &[f64], scale: f64, limbs: usize) -> Vec<u64> {
+        let n = ctx.n();
+        let orbit = &ctx.encoding_tables().orbit;
+        let mut sigma = vec![Complex::new(0.0, 0.0); n];
+        for (j, &v) in values.iter().enumerate() {
+            sigma[orbit[j]] = Complex::new(v, 0.0);
+            sigma[n - 1 - orbit[j]] = sigma[orbit[j]].conj();
+        }
+        reference_fft(&mut sigma, false);
+        let coeffs: Vec<i128> = sigma
+            .iter()
+            .enumerate()
+            .map(|(idx, s)| {
+                let ang = -std::f64::consts::PI * idx as f64 / n as f64;
+                let c = s.mul(Complex::new(ang.cos(), ang.sin()));
+                (c.re / n as f64 * scale).round() as i128
+            })
+            .collect();
+        let mut words = Vec::with_capacity(limbs * n);
+        for i in 0..limbs {
+            let q = ctx.primes()[i] as i128;
+            let mut limb: Vec<u64> = coeffs.iter().map(|c| c.rem_euclid(q) as u64).collect();
+            ctx.ntt(i).forward(&mut limb);
+            words.extend(limb);
+        }
+        words
+    }
+
+    /// `decode_complex` as it ran before the tables: the untwist's
+    /// `cos` and `sin` per coefficient, then the recurrence FFT.
+    fn reference_decode(ctx: &CkksContext, pt: &Plaintext, count: usize) -> Vec<(f64, f64)> {
+        let n = ctx.n();
+        let use_limbs = pt.poly.num_limbs().min(DECODE_LIMBS);
+        let mut poly = pt.poly.clone_prefix(use_limbs);
+        poly.to_coeff();
+        let mut vals: Vec<Complex> = (0..n)
+            .map(|idx| {
+                let c = poly.coeff_to_i128(idx, use_limbs) as f64;
+                let ang = std::f64::consts::PI * idx as f64 / n as f64;
+                Complex::new(c * ang.cos(), c * ang.sin())
+            })
+            .collect();
+        reference_fft(&mut vals, true);
+        let orbit = &ctx.encoding_tables().orbit;
+        (0..count)
+            .map(|j| (vals[orbit[j]].re / pt.scale, vals[orbit[j]].im / pt.scale))
+            .collect()
+    }
+
+    #[test]
+    fn tabled_encode_and_decode_are_the_reference_word_for_word() {
+        // Random vectors, full and partial, on the toy and default rings
+        // at one, two and eight limbs: `encode`'s residue words and
+        // every decoded `f64`'s bits match the per-call trigonometry.
+        let bits = |v: &[(f64, f64)]| -> Vec<(u64, u64)> {
+            v.iter()
+                .map(|(re, im)| (re.to_bits(), im.to_bits()))
+                .collect()
+        };
+        for params in [
+            crate::params::CkksParams::toy(),
+            crate::params::CkksParams::default_params(),
+        ] {
+            let ctx = params.build();
+            let enc = Encoder::new(&ctx);
+            let mut rng = smartpaf_tensor::Rng64::new(params.n as u64);
+            let slots = ctx.slots();
+            for count in [slots, slots / 2 + 3, 7, 1] {
+                let values: Vec<f64> = (0..count)
+                    .map(|_| (rng.next_u64() % 20_001) as f64 / 1000.0 - 10.0)
+                    .collect();
+                for limbs in [1, 2, 8] {
+                    let pt = enc.encode(&values, ctx.scale(), limbs);
+                    let words: Vec<u64> = pt.poly.limbs().flatten().copied().collect();
+                    let case = format!("n {} count {count} limbs {limbs}", params.n);
+                    assert_eq!(
+                        words,
+                        reference_encode(&ctx, &values, ctx.scale(), limbs),
+                        "{case}"
+                    );
+                    for take in [count, count.div_ceil(2)] {
+                        let want = reference_decode(&ctx, &pt, take);
+                        assert_eq!(bits(&enc.decode_complex(&pt, take)), bits(&want), "{case}");
+                        let re: Vec<u64> = want.iter().map(|v| v.0.to_bits()).collect();
+                        let got: Vec<u64> =
+                            enc.decode(&pt, take).iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(got, re, "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_encoder_on_a_context_reads_one_set_of_tables() {
+        let (ctx, enc) = setup();
+        let (clone, fresh) = (enc.clone(), Encoder::new(&ctx));
+        assert!(std::ptr::eq(enc.tables(), clone.tables()));
+        assert!(std::ptr::eq(enc.tables(), fresh.tables()));
+        assert!(std::ptr::eq(enc.tables(), ctx.encoding_tables()));
     }
 
     #[test]

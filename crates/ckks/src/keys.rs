@@ -20,8 +20,10 @@
 //! constants ([`HybridBasis`]: digit partition, raise and mod-down
 //! factors) are built for every level at key generation.
 
+use crate::cipher::{Products, Term, Weight};
 use crate::modular::inv_mod;
 use crate::rns::{CkksContext, RnsPoly};
+use crate::{par, pool};
 use smartpaf_tensor::Rng64;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -153,10 +155,10 @@ impl RelinKey {
 pub struct KeyChain {
     ctx: Arc<CkksContext>,
     sk: SecretKey,
-    /// The ternary secret coefficients behind `sk`: the hybrid gadget
-    /// needs `s` residues over the special primes, which the chain-only
-    /// `RnsPoly` cannot produce.
-    sk_coeffs: Vec<i64>,
+    /// `s` modulo each special prime, NTT form, flat limb-major: with
+    /// `sk`'s chain limbs, `s` over every extended basis
+    /// ([`KeyChain::s_limb`]).
+    s_special: Vec<u64>,
     pk: PublicKey,
     /// Hybrid gadget constants per level (`bases[num_limbs - 1]`).
     bases: Vec<HybridBasis>,
@@ -193,11 +195,16 @@ impl KeyChain {
         );
         let full = ctx.primes().len();
         // Same draws as `RnsPoly::random_ternary` (keygen determinism
-        // per seed is pinned by tests), but the raw coefficients are
-        // retained for special-prime residue construction.
+        // per seed is pinned by tests), but the raw coefficients also
+        // give the special-prime limbs, transformed once here.
         let sk_coeffs: Vec<i64> = (0..ctx.n()).map(|_| rng.next_below(3) as i64 - 1).collect();
         let mut s = RnsPoly::from_signed_coeffs(ctx, &sk_coeffs, full);
         s.to_ntt();
+        let mut s_special = vec![0u64; ctx.special_primes().len() * ctx.n()];
+        par::for_each_chunk_mut(&mut s_special, ctx.n(), |l, limb| {
+            ctx.ext_signed_residues(full, full + l, &sk_coeffs, limb);
+            ctx.ntt_special(l).forward(limb);
+        });
         let a = RnsPoly::random_uniform(ctx, full, rng);
         let mut e = RnsPoly::random_error(ctx, full, rng);
         e.to_ntt();
@@ -206,7 +213,7 @@ impl KeyChain {
         Arc::new(KeyChain {
             ctx: Arc::clone(ctx),
             sk: SecretKey { s },
-            sk_coeffs,
+            s_special,
             pk: PublicKey { b, a },
             bases,
             switch_keys: Mutex::new(BTreeMap::new()),
@@ -296,70 +303,75 @@ impl KeyChain {
             .collect()
     }
 
-    /// Residues of signed coefficients modulo every limb of the
-    /// extended basis `[q_0..q_{nl-1}, p_0..p_{k-1}]`, NTT-transformed
-    /// per limb, as one flat limb-major buffer.
-    fn ext_residues_ntt(&self, coeffs: &[i64], num_limbs: usize, k: usize) -> Vec<u64> {
-        let ctx = &self.ctx;
-        let n = ctx.n();
-        let ext = num_limbs + k;
-        let mut out = vec![0u64; ext * n];
-        for t in 0..ext {
-            let m = ctx.ext_modulus(num_limbs, t);
-            let limb = &mut out[t * n..(t + 1) * n];
-            for (dst, &c) in limb.iter_mut().zip(coeffs) {
-                let r = if c >= 0 {
-                    c as u64 % m
-                } else {
-                    m - ((-c) as u64 % m)
-                };
-                *dst = if r == m { 0 } else { r };
-            }
-            ctx.ext_ntt(num_limbs, t).forward(limb);
+    /// Limb `t` of `s` over the extended basis of `num_limbs` chain
+    /// limbs, NTT form: a chain limb of the secret key, or a special
+    /// limb transformed at generation.
+    fn s_limb(&self, num_limbs: usize, t: usize) -> &[u64] {
+        let n = self.ctx.n();
+        match t.checked_sub(num_limbs) {
+            None => self.sk.s.limb(t),
+            Some(l) => &self.s_special[l * n..(l + 1) * n],
         }
-        out
     }
 
     /// Generates the hybrid key embedding `s²` or `φ_g(s)` on `num_limbs`
     /// chain limbs. Digit `j`'s `a` limb mod `m` draws from a stream
     /// tagged `(secret, k, j, m)`, its error from `(secret, k, j)`: on
     /// fewer limbs the key is this one's prefix, word for word.
+    ///
+    /// Every operand is read in NTT form: `s` from the secret key,
+    /// `φ_g(s)` as its gather through [`CkksContext::galois_perm`], and
+    /// each limb of `b = a·(−s) + e + P·G_j·s'` is one [`Products`] sum.
+    /// Limbs are independent, so they fan out across [`crate::par`].
     fn generate_hybrid_ksk(&self, which: SwitchedSecret, num_limbs: usize) -> RelinKey {
         let ctx = &self.ctx;
         let n = ctx.n();
         let basis = self.hybrid_basis(num_limbs);
         let k = basis.k;
         let ext = num_limbs + k;
+        let headroom = ctx.lazy_acc_headroom(num_limbs, k);
 
-        // Secrets over the extended basis (NTT form), and the tag of s'.
-        let s_ext = self.ext_residues_ntt(&self.sk_coeffs, num_limbs, k);
-        let (tag, sp_ext) = match which {
-            SwitchedSecret::Square => {
-                let mut sq = s_ext.clone();
-                for t in 0..ext {
-                    let arith = ctx.ext_arith(num_limbs, t);
-                    for v in &mut sq[t * n..(t + 1) * n] {
-                        *v = arith.mul(*v, *v);
-                    }
-                }
-                (0, sq)
+        // −s over the extended basis, and s' on the chain limbs: the
+        // gadget factor `P·G_j` is 0 on every special limb, and each
+        // chain limb lies in one digit.
+        let mut neg_s = vec![0u64; ext * n];
+        par::for_each_chunk_mut(&mut neg_s, n, |t, limb| {
+            let arith = ctx.ext_arith(num_limbs, t);
+            for (d, &s) in limb.iter_mut().zip(self.s_limb(num_limbs, t)) {
+                *d = arith.sub(0, s);
             }
-            SwitchedSecret::Auto(g) => {
-                let two_n = 2 * n;
-                let mut coeffs = vec![0i64; n];
-                for (i, &c) in self.sk_coeffs.iter().enumerate() {
-                    let e = (i * g) % two_n;
-                    if e < n {
-                        coeffs[e] = c;
-                    } else {
-                        coeffs[e - n] = -c;
-                    }
-                }
-                (g as u64, self.ext_residues_ntt(&coeffs, num_limbs, k))
-            }
+        });
+        let (tag, perm) = match which {
+            SwitchedSecret::Square => (0, None),
+            SwitchedSecret::Auto(g) => (g as u64, Some(ctx.galois_perm(g))),
         };
+        let mut s_prime = vec![0u64; num_limbs * n];
+        par::for_each_chunk_mut(&mut s_prime, n, |t, limb| {
+            let s = self.sk.s.limb(t);
+            match &perm {
+                Some(perm) => {
+                    for (d, &p) in limb.iter_mut().zip(perm.iter()) {
+                        *d = s[p as usize];
+                    }
+                }
+                None => {
+                    let square = Products {
+                        extra: [None],
+                        gather: None,
+                        terms: 1,
+                        term: |_| Term {
+                            x: s,
+                            w: [Weight::Words(s)],
+                        },
+                    };
+                    square.reduce(ctx.ntt(t), [], headroom, [limb]);
+                }
+            }
+        });
+        let ones = vec![1u64; n];
 
         let secret_rng = self.ksk_rng.clone().fork(tag).fork(k as u64);
+        let sigma = ctx.sigma();
         let digits = basis
             .digits
             .iter()
@@ -369,41 +381,53 @@ impl KeyChain {
                 // is tagged by its modulus (no chain prime is special).
                 let mut rng = secret_rng.clone().fork(j as u64);
                 let mut a = vec![0u64; ext * n];
-                for t in 0..ext {
-                    let m = ctx.ext_modulus(num_limbs, t);
-                    let mut limb_rng = rng.clone().fork(m);
-                    for dst in &mut a[t * n..(t + 1) * n] {
-                        *dst = limb_rng.next_u64() % m;
+                par::for_each_chunk_mut(&mut a, n, |t, limb| {
+                    let arith = ctx.ext_arith(num_limbs, t);
+                    let mut limb_rng = rng.clone().fork(arith.q());
+                    for dst in limb {
+                        *dst = arith.reduce_u64(limb_rng.next_u64());
                     }
-                }
-                let sigma = ctx.sigma();
+                });
                 let e_coeffs: Vec<i64> = (0..n)
                     .map(|_| (rng.next_gaussian() as f64 * sigma).round() as i64)
                     .collect();
-                let e_ext = self.ext_residues_ntt(&e_coeffs, num_limbs, k);
-                // b = -a·s + e + gadget·s', where the gadget residue is
-                // `P mod q_t` on in-group chain limbs and 0 elsewhere
-                // (every special prime divides P, and G_j ≡ 0 modulo
-                // out-of-group chain primes).
                 let mut b = vec![0u64; ext * n];
-                for t in 0..ext {
-                    let arith = ctx.ext_arith(num_limbs, t);
-                    let gadget = if t >= digit.start && t < digit.end {
-                        basis.p_mod[t]
+                par::for_each_chunk_mut(&mut b, n, |t, bt| {
+                    let table = ctx.ext_ntt(num_limbs, t);
+                    let mut e = pool::acquire(n);
+                    ctx.ext_signed_residues(num_limbs, t, &e_coeffs, &mut e);
+                    table.forward(&mut e);
+                    // The gadget residue is `P mod q_t` on the digit's
+                    // own chain limbs and 0 elsewhere (every special
+                    // prime divides P, and G_j ≡ 0 modulo out-of-group
+                    // chain primes). Where it is 0, `e` is the sum's
+                    // extra product; on the digit's limbs that slot
+                    // holds `s'·(P mod q_t)` and `e` joins as `e·1`.
+                    let in_group = (digit.start..digit.end).contains(&t);
+                    let extra = if in_group {
+                        (&s_prime[t * n..(t + 1) * n], basis.p_mod[t])
                     } else {
-                        0
+                        (&e[..], 1)
                     };
-                    let (bt, at) = (&mut b[t * n..(t + 1) * n], &a[t * n..(t + 1) * n]);
-                    let st = &s_ext[t * n..(t + 1) * n];
-                    let spt = &sp_ext[t * n..(t + 1) * n];
-                    let et = &e_ext[t * n..(t + 1) * n];
-                    for c in 0..n {
-                        let neg_as = arith.q() - arith.mul(at[c], st[c]);
-                        let neg_as = if neg_as == arith.q() { 0 } else { neg_as };
-                        let g_sp = arith.mul(gadget, spt[c]);
-                        bt[c] = arith.add(arith.add(neg_as, et[c]), g_sp);
-                    }
-                }
+                    let (at, neg_st) = (&a[t * n..(t + 1) * n], &neg_s[t * n..(t + 1) * n]);
+                    let sum = Products {
+                        extra: [Some(extra)],
+                        gather: None,
+                        terms: 1 + usize::from(in_group),
+                        term: |i| match i {
+                            0 => Term {
+                                x: at,
+                                w: [Weight::Words(neg_st)],
+                            },
+                            _ => Term {
+                                x: &e,
+                                w: [Weight::Words(&ones)],
+                            },
+                        },
+                    };
+                    sum.reduce(table, [], headroom, [bt]);
+                    pool::release(e);
+                });
                 HybridDigit { b, a }
             })
             .collect();
@@ -754,6 +778,164 @@ mod tests {
         assert_eq!(kc.key_limbs(), [(Square, 3, 7), (Auto(5), 3, 4)]);
     }
 
+    /// The ternary secret's coefficients, read back from the secret
+    /// key's first limb: independent of what key generation caches.
+    fn secret_coeffs(kc: &KeyChain) -> Vec<i64> {
+        let mut s = kc.sk.s.clone_prefix(1);
+        s.to_coeff();
+        let q = kc.context().primes()[0];
+        s.limb(0)
+            .iter()
+            .map(|&r| {
+                if r > q / 2 {
+                    r as i64 - q as i64
+                } else {
+                    r as i64
+                }
+            })
+            .collect()
+    }
+
+    /// Residues of signed coefficients modulo every limb of the
+    /// extended basis `[q_0..q_{nl-1}, p_0..p_{k-1}]`, NTT-transformed
+    /// per limb, as one flat limb-major buffer: the conversion key
+    /// generation used to run per key, by `%` on the magnitude.
+    fn ext_residues_ntt(ctx: &CkksContext, coeffs: &[i64], nl: usize, k: usize) -> Vec<u64> {
+        let n = ctx.n();
+        let mut out = vec![0u64; (nl + k) * n];
+        for t in 0..nl + k {
+            let m = ctx.ext_modulus(nl, t);
+            let limb = &mut out[t * n..(t + 1) * n];
+            for (dst, &c) in limb.iter_mut().zip(coeffs) {
+                let r = c.unsigned_abs() % m;
+                *dst = if c < 0 && r != 0 { m - r } else { r };
+            }
+            ctx.ext_ntt(nl, t).forward(limb);
+        }
+        out
+    }
+
+    /// `φ_g` on signed coefficients: `X^i ↦ ±X^{i·g mod n}`, negated
+    /// where `i·g mod 2n ≥ n`.
+    fn automorphism(coeffs: &[i64], g: usize) -> Vec<i64> {
+        let n = coeffs.len();
+        let mut out = vec![0i64; n];
+        for (i, &c) in coeffs.iter().enumerate() {
+            let e = (i * g) % (2 * n);
+            if e < n {
+                out[e] = c;
+            } else {
+                out[e - n] = -c;
+            }
+        }
+        out
+    }
+
+    /// Key generation as it ran before it read `s` from the secret key:
+    /// `s` and `s'` rebuilt from coefficients per key (the automorphism
+    /// mapped in the coefficient domain), `a` drawn by `%`, and `b`
+    /// summed coefficient by coefficient on Barrett products. The
+    /// reference [`KeyChain::generate_hybrid_ksk`] is pinned to.
+    fn reference_hybrid_ksk(kc: &KeyChain, which: SwitchedSecret, num_limbs: usize) -> RelinKey {
+        let ctx = kc.context();
+        let n = ctx.n();
+        let basis = kc.hybrid_basis(num_limbs);
+        let k = basis.k;
+        let ext = num_limbs + k;
+        let sk_coeffs = secret_coeffs(kc);
+        let s_ext = ext_residues_ntt(ctx, &sk_coeffs, num_limbs, k);
+        let (tag, sp_ext) = match which {
+            SwitchedSecret::Square => {
+                let mut sq = s_ext.clone();
+                for t in 0..ext {
+                    let arith = ctx.ext_arith(num_limbs, t);
+                    for v in &mut sq[t * n..(t + 1) * n] {
+                        *v = arith.mul(*v, *v);
+                    }
+                }
+                (0, sq)
+            }
+            SwitchedSecret::Auto(g) => (
+                g as u64,
+                ext_residues_ntt(ctx, &automorphism(&sk_coeffs, g), num_limbs, k),
+            ),
+        };
+        let secret_rng = kc.ksk_rng.clone().fork(tag).fork(k as u64);
+        let digits = basis
+            .digits
+            .iter()
+            .enumerate()
+            .map(|(j, digit)| {
+                let mut rng = secret_rng.clone().fork(j as u64);
+                let mut a = vec![0u64; ext * n];
+                for t in 0..ext {
+                    let m = ctx.ext_modulus(num_limbs, t);
+                    let mut limb_rng = rng.clone().fork(m);
+                    for dst in &mut a[t * n..(t + 1) * n] {
+                        *dst = limb_rng.next_u64() % m;
+                    }
+                }
+                let sigma = ctx.sigma();
+                let e_coeffs: Vec<i64> = (0..n)
+                    .map(|_| (rng.next_gaussian() as f64 * sigma).round() as i64)
+                    .collect();
+                let e_ext = ext_residues_ntt(ctx, &e_coeffs, num_limbs, k);
+                let mut b = vec![0u64; ext * n];
+                for t in 0..ext {
+                    let arith = ctx.ext_arith(num_limbs, t);
+                    let gadget = if t >= digit.start && t < digit.end {
+                        basis.p_mod[t]
+                    } else {
+                        0
+                    };
+                    for c in t * n..(t + 1) * n {
+                        let neg_as = arith.sub(0, arith.mul(a[c], s_ext[c]));
+                        let g_sp = arith.mul(gadget, sp_ext[c]);
+                        b[c] = arith.add(arith.add(neg_as, e_ext[c]), g_sp);
+                    }
+                }
+                HybridDigit { b, a }
+            })
+            .collect();
+        RelinKey { digits, num_limbs }
+    }
+
+    #[test]
+    fn keys_are_the_reference_generation_word_for_word() {
+        // Relinearisation and Galois keys (two rotations and the
+        // conjugation) on every toy limb count and on the default ring
+        // at 2 and 8 limbs, at thread budgets 1 and 2.
+        let toy = CkksParams::toy().build();
+        let default = CkksParams::default_params().build();
+        let cases = [(&toy, (1..=13).collect::<Vec<_>>()), (&default, vec![2, 8])];
+        for (ctx, limb_counts) in cases {
+            let kc = KeyChain::generate(ctx, &mut Rng64::new(ctx.n() as u64 + 5));
+            let conj = 2 * ctx.n() - 1;
+            let secrets = [
+                SwitchedSecret::Square,
+                SwitchedSecret::Auto(5),
+                SwitchedSecret::Auto(crate::galois::rotation_element(ctx.n(), 3)),
+                SwitchedSecret::Auto(conj),
+            ];
+            for &nl in &limb_counts {
+                for which in secrets {
+                    let want = reference_hybrid_ksk(&kc, which, nl);
+                    for budget in [1, 2] {
+                        let got =
+                            par::with_thread_budget(budget, || kc.generate_hybrid_ksk(which, nl));
+                        assert_eq!(got.num_limbs, nl);
+                        assert_eq!(
+                            key_words(&kc, &got, nl),
+                            key_words(&kc, &want, nl),
+                            "n {} {which:?} at {nl} limbs, budget {budget}",
+                            ctx.n()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     /// [`assert_prefix_relation`] over every limb the key holds.
     fn assert_hybrid_relation(kc: &KeyChain, key: &RelinKey, which: SwitchedSecret) {
         assert_prefix_relation(kc, key, key.num_limbs(), which);
@@ -769,7 +951,7 @@ mod tests {
         let basis = kc.hybrid_basis(nl);
         let k = basis.k;
         let ext = nl + k;
-        let s_ext = kc.ext_residues_ntt(&kc.sk_coeffs, nl, k);
+        let s_ext = ext_residues_ntt(ctx, &secret_coeffs(kc), nl, k);
         // P mod q_t, recomputed independently of keygen.
         let p_mod: Vec<u64> = (0..nl)
             .map(|t| {
@@ -779,17 +961,14 @@ mod tests {
                 })
             })
             .collect();
-        // s' in NTT form, likewise: a pointwise square, or the
-        // NTT-domain gather of φ_g (keygen maps coefficients instead).
+        // s' in NTT form, likewise: a pointwise square, or φ_g mapped
+        // on the coefficients (keygen gathers the NTT form instead).
         let sp_ext: Vec<u64> = match which {
             SwitchedSecret::Square => (0..ext * n)
                 .map(|i| ctx.ext_arith(nl, i / n).mul(s_ext[i], s_ext[i]))
                 .collect(),
             SwitchedSecret::Auto(g) => {
-                let perm = ctx.galois_perm(g);
-                (0..ext * n)
-                    .map(|i| s_ext[i / n * n + perm[i % n] as usize])
-                    .collect()
+                ext_residues_ntt(ctx, &automorphism(&secret_coeffs(kc), g), nl, k)
             }
         };
         for (j, range) in basis.digits.iter().enumerate() {

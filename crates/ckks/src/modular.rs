@@ -215,6 +215,47 @@ impl PrimeArith {
         self.canonical(r)
     }
 
+    /// `x mod q` for any `u64`, without division: the quotient
+    /// estimate `⌊x·⌊2^64/q⌋ / 2^64⌋` (the high word of the Barrett
+    /// ratio) is short by at most one, so one conditional subtract
+    /// finishes. The same word as `x % q`.
+    #[inline]
+    pub fn reduce_u64(&self, x: u64) -> u64 {
+        let q_hat = ((x as u128 * self.ratio_hi as u128) >> 64) as u64;
+        self.canonical(x.wrapping_sub(q_hat.wrapping_mul(self.q)))
+    }
+
+    /// The canonical residue of a signed integer: its magnitude
+    /// reduced, negated when the integer is. For `|c| < q` the
+    /// reduction returns `|c|` and the whole map is one select; it is
+    /// exact for every `i64`, `i64::MIN` included.
+    #[inline]
+    pub fn reduce_i64(&self, c: i64) -> u64 {
+        self.negate_if(c < 0, self.reduce_u64(c.unsigned_abs()))
+    }
+
+    /// [`Self::reduce_i64`] for an `i128`, exact for every `i128`: a
+    /// magnitude that fits a word goes through [`Self::reduce_u64`],
+    /// a wider one through [`Self::reduce_u128`]. The width test is a
+    /// branch, not a select: an encoding's coefficients all take the
+    /// same side, and the word path is the cheaper one.
+    #[inline]
+    pub fn reduce_i128(&self, c: i128) -> u64 {
+        let m = c.unsigned_abs();
+        let r = if m >> 64 == 0 {
+            self.reduce_u64(m as u64)
+        } else {
+            self.reduce_u128(m)
+        };
+        self.negate_if(c < 0, r)
+    }
+
+    /// `−r mod q` when `negative`, else `r`, as a select (`r < q`).
+    #[inline(always)]
+    fn negate_if(&self, negative: bool, r: u64) -> u64 {
+        select_unpredictable(negative, self.sub(0, r), r)
+    }
+
     /// Modular multiplication in `[0, q)` without division. Same
     /// result as [`mul_mod`] for canonical inputs.
     #[inline]
@@ -535,6 +576,62 @@ mod tests {
     }
 
     #[test]
+    fn word_and_signed_reductions_match_the_remainder() {
+        // The 64-bit reduction and both signed forms against `%` and
+        // `rem_euclid`: the extremes of each type, the words around
+        // multiples of q, and a pseudo-random sweep of magnitudes.
+        let ntt_prime = |bits| ntt_primes(bits, 1, 256)[0];
+        for q in [3, 97].into_iter().chain([40, 50, 60, 62].map(ntt_prime)) {
+            let pa = PrimeArith::new(q);
+            let mut words = vec![
+                0,
+                1,
+                q - 1,
+                q,
+                q + 1,
+                2 * q - 1,
+                2 * q,
+                u64::MAX,
+                u64::MAX - 1,
+            ];
+            words.push(u64::MAX - u64::MAX % q);
+            words.push((u64::MAX - u64::MAX % q).wrapping_sub(1));
+            let mut x = 0x243F6A8885A308D3u64;
+            for i in 0..4000 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                words.push(x >> (i % 64));
+            }
+            let qi = q as i128;
+            for &w in &words {
+                assert_eq!(pa.reduce_u64(w), w % q, "reduce_u64 {w} q={q}");
+                for c in [w as i64, (w as i64).wrapping_neg()] {
+                    let want = (c as i128).rem_euclid(qi) as u64;
+                    assert_eq!(pa.reduce_i64(c), want, "reduce_i64 {c} q={q}");
+                }
+                let (narrow, wide) = (w as i128, w as i128 * 0x1_0000_0001);
+                for c in [narrow, -narrow, wide, -wide] {
+                    assert_eq!(pa.reduce_i128(c), c.rem_euclid(qi) as u64, "{c} q={q}");
+                }
+            }
+            for c in [i64::MIN, i64::MIN + 1, i64::MAX] {
+                assert_eq!(pa.reduce_i64(c), (c as i128).rem_euclid(qi) as u64);
+            }
+            let word = 1i128 << 64;
+            for c in [
+                i128::MIN,
+                i128::MIN + 1,
+                i128::MAX,
+                word,
+                -word,
+                word - 1,
+                1 - word,
+            ] {
+                assert_eq!(pa.reduce_i128(c), c.rem_euclid(qi) as u64);
+            }
+        }
+    }
+
+    #[test]
     fn center_is_the_centred_remainder_mod_q() {
         // d < 2q (one conditional subtract lifts l), d > 2q, d < q.
         for (q, d) in [(97u64, 101u64), (97, 193), (97, 257), (257, 97), (3, 97)] {
@@ -623,6 +720,9 @@ mod tests {
             ("cipher.rs", include_str!("cipher.rs")),
             ("galois.rs", include_str!("galois.rs")),
             ("linear.rs", include_str!("linear.rs")),
+            ("keys.rs", include_str!("keys.rs")),
+            ("encoding.rs", include_str!("encoding.rs")),
+            ("noise.rs", include_str!("noise.rs")),
         ];
         for (file, text) in sources {
             let non_test = text.split("#[cfg(test)]\nmod tests").next().unwrap_or(text);

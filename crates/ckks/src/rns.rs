@@ -27,12 +27,13 @@
 //! residues either way.
 
 use crate::cipher::{Products, Term, Weight};
+use crate::encoding::EncodingTables;
 use crate::modular::{inv_mod, PrimeArith};
 use crate::ntt::NttTable;
 use crate::pool;
 use smartpaf_tensor::Rng64;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Precomputed constants for one rescale step: dividing by the prime
 /// at `last_idx` inside the limb at `i < last_idx`.
@@ -66,6 +67,8 @@ pub struct CkksContext {
     /// NTT-domain index tables of the Galois automorphisms used so
     /// far, by element: insert-only, so a poisoned map is still valid.
     galois_perms: Mutex<HashMap<usize, Arc<[u32]>>>,
+    /// The encoder's tables, built by the first [`crate::Encoder`].
+    encoding: OnceLock<EncodingTables>,
     scale: f64,
     sigma: f64,
 }
@@ -134,6 +137,7 @@ impl CkksContext {
             ntt_sp,
             rescale_pre,
             galois_perms: Mutex::new(HashMap::new()),
+            encoding: OnceLock::new(),
             scale,
             sigma: 3.2,
         })
@@ -222,6 +226,22 @@ impl CkksContext {
         self.ext_ntt(num_limbs, t).arith()
     }
 
+    /// The canonical residues of `coeffs` modulo extended-basis limb
+    /// `t` (see [`CkksContext::ext_modulus`]), into `dst`: exact for
+    /// every `i64`, with no division.
+    pub(crate) fn ext_signed_residues(
+        &self,
+        num_limbs: usize,
+        t: usize,
+        coeffs: &[i64],
+        dst: &mut [u64],
+    ) {
+        let pa = *self.ext_arith(num_limbs, t);
+        for (d, &c) in dst.iter_mut().zip(coeffs) {
+            *d = pa.reduce_i64(c);
+        }
+    }
+
     /// How many raw `u128` products `(m-1)^2` fit in one lazy `u128`
     /// accumulator, minimized over the extended basis of `num_limbs`
     /// chain primes plus the first `k` special primes (`k = 0` for the
@@ -239,6 +259,12 @@ impl CkksContext {
             })
             .min()
             .expect("non-empty chain")
+    }
+
+    /// The encoder's twist, twiddle and slot-order tables for this
+    /// ring, built on first use and shared by every encoder on it.
+    pub(crate) fn encoding_tables(&self) -> &EncodingTables {
+        self.encoding.get_or_init(|| EncodingTables::new(self.n))
     }
 
     /// The NTT-domain index table of the Galois automorphism
@@ -271,7 +297,7 @@ impl CkksContext {
             let brv = |i: usize| crate::ntt::bit_reverse(i, log_n);
             (0..n)
                 .map(|i| {
-                    let e = ((2 * brv(i) + 1) * g) % (2 * n);
+                    let e = ((2 * brv(i) + 1) * g) & (2 * n - 1);
                     brv((e - 1) / 2) as u32
                 })
                 .collect()
@@ -345,15 +371,7 @@ impl RnsPoly {
         assert_eq!(coeffs.len(), ctx.n(), "coefficient count mismatch");
         let mut out = Self::uninit(ctx, num_limbs, false);
         for i in 0..num_limbs {
-            let q = ctx.primes()[i];
-            for (dst, &c) in out.limb_mut(i).iter_mut().zip(coeffs) {
-                let r = if c >= 0 {
-                    c as u64 % q
-                } else {
-                    q - (c.unsigned_abs() % q)
-                };
-                *dst = if r == q { 0 } else { r };
-            }
+            ctx.ext_signed_residues(num_limbs, i, coeffs, out.limb_mut(i));
         }
         out
     }
@@ -372,9 +390,9 @@ impl RnsPoly {
         assert_eq!(coeffs.len(), ctx.n(), "coefficient count mismatch");
         let mut out = Self::uninit(ctx, num_limbs, false);
         for i in 0..num_limbs {
-            let q = ctx.primes()[i] as i128;
+            let pa = *ctx.arith(i);
             for (dst, &c) in out.limb_mut(i).iter_mut().zip(coeffs) {
-                *dst = c.rem_euclid(q) as u64;
+                *dst = pa.reduce_i128(c);
             }
         }
         out
@@ -409,9 +427,9 @@ impl RnsPoly {
     pub fn random_uniform(ctx: &Arc<CkksContext>, num_limbs: usize, rng: &mut Rng64) -> Self {
         let mut out = Self::uninit(ctx, num_limbs, true);
         for i in 0..num_limbs {
-            let q = ctx.primes()[i];
+            let pa = *ctx.arith(i);
             for dst in out.limb_mut(i) {
-                *dst = rng.next_u64() % q;
+                *dst = pa.reduce_u64(rng.next_u64());
             }
         }
         out
@@ -869,10 +887,10 @@ impl RnsPoly {
         assert!(use_limbs >= 1 && use_limbs <= self.num_limbs());
         let primes = &self.ctx.primes()[..use_limbs];
         let mut modulus = primes[0] as i128;
-        let garner: Vec<(i128, u64)> = primes[1..]
-            .iter()
-            .map(|&q| {
-                let step = (modulus, inv_mod(modulus.rem_euclid(q as i128) as u64, q));
+        let garner: Vec<(i128, u64)> = (1..use_limbs)
+            .map(|i| {
+                let q = primes[i];
+                let step = (modulus, inv_mod(self.ctx.arith(i).reduce_i128(modulus), q));
                 modulus = modulus
                     .checked_mul(q as i128)
                     .expect("prime product overflow");
@@ -978,21 +996,60 @@ mod tests {
     #[test]
     fn from_signed_coeffs_reduces_the_i64_extremes() {
         // `i64::MIN` has no positive counterpart: its residue comes from
-        // its unsigned magnitude, on every chain prime of every preset.
-        let extremes = [i64::MIN, i64::MIN + 1, i64::MAX, -1, 0];
+        // its unsigned magnitude, on every chain prime of every preset,
+        // and on its special primes through the extended-basis residues
+        // key generation takes of the secret and of each error.
+        let extremes = [i64::MIN, i64::MIN + 1, i64::MAX, i64::MAX - 1, -1, 0, 1, -3];
         for params in [
             crate::params::CkksParams::toy(),
             crate::params::CkksParams::default_params(),
             crate::params::CkksParams::benchmark(),
             crate::params::CkksParams::paper_scale(),
         ] {
-            let primes = params.build().primes().to_vec();
-            let c = CkksContext::new(16, primes, 1.0);
+            let preset = params.build();
+            let (primes, special) = (preset.primes().to_vec(), preset.special_primes().to_vec());
+            assert!(!special.is_empty());
+            let c = CkksContext::with_special_primes(16, primes, special, 1.0);
             let coeffs: Vec<i64> = (0..16).map(|i| extremes[i % extremes.len()]).collect();
+            let want = |v: i64, m: u64| (v as i128).rem_euclid(m as i128) as u64;
             let p = RnsPoly::from_signed_coeffs(&c, &coeffs, c.primes().len());
             for (limb, &q) in p.limbs().zip(c.primes()) {
                 for (&r, &v) in limb.iter().zip(&coeffs) {
-                    assert_eq!(r as i128, (v as i128).rem_euclid(q as i128), "{v} mod {q}");
+                    assert_eq!(r, want(v, q), "{v} mod {q}");
+                }
+            }
+            for nl in [1, c.primes().len()] {
+                for t in 0..nl + c.special_primes().len() {
+                    let m = c.ext_modulus(nl, t);
+                    let mut limb = vec![0u64; 16];
+                    c.ext_signed_residues(nl, t, &coeffs, &mut limb);
+                    for (&r, &v) in limb.iter().zip(&coeffs) {
+                        assert_eq!(r, want(v, m), "{v} mod {m} (limb {t} of {nl})");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn from_signed_coeffs_i128_reduces_narrow_and_wide_coefficients() {
+        // Coefficients inside the `i64` range and beyond it, each
+        // against `rem_euclid` on every chain prime.
+        let c = ctx();
+        let narrow = [i64::MIN as i128, i64::MAX as i128, -1, 0, 7, -(1 << 40)];
+        let wide = [
+            i128::MIN,
+            i128::MAX,
+            i64::MIN as i128 - 1,
+            i64::MAX as i128 + 1,
+            -(1 << 100),
+        ];
+        for extremes in [&narrow[..], &wide[..]] {
+            let coeffs: Vec<i128> = (0..64).map(|i| extremes[i % extremes.len()]).collect();
+            let p = RnsPoly::from_signed_coeffs_i128(&c, &coeffs, c.primes().len());
+            for (limb, &q) in p.limbs().zip(c.primes()) {
+                for (&r, &v) in limb.iter().zip(&coeffs) {
+                    assert_eq!(r, v.rem_euclid(q as i128) as u64, "{v} mod {q}");
                 }
             }
         }
