@@ -159,7 +159,7 @@ pub fn measure_relu(
         })
         .collect();
     times.sort();
-    (*session.chosen_cost(), times[times.len() / 2])
+    (session.chosen().cost, times[times.len() / 2])
 }
 
 /// Prints a percentage cell.

@@ -137,16 +137,6 @@ impl Bootstrapper {
         self.ev.encrypt(&pt, &mut rng)
     }
 
-    /// Returns `ct` untouched when it still has at least
-    /// `needed_levels` rescales left, otherwise a refreshed copy.
-    pub fn ensure_level(&self, ct: &Ciphertext, needed_levels: usize) -> Ciphertext {
-        if ct.level() >= needed_levels {
-            ct.clone()
-        } else {
-            self.refresh(ct)
-        }
-    }
-
     /// Number of refreshes performed so far.
     pub fn refresh_count(&self) -> usize {
         self.refreshes.load(Ordering::Relaxed)
@@ -250,21 +240,6 @@ mod tests {
             assert!(rep.max_abs_error < 1e-3, "{rep:?}");
         }
         assert_eq!(bs.refresh_count(), 2);
-    }
-
-    #[test]
-    fn ensure_level_is_lazy() {
-        let (ev, mut rng) = setup(54);
-        let ct = ev.encrypt_values(&[0.1], &mut rng);
-        let bs = Bootstrapper::new(ev.clone(), 1, 7);
-        let same = bs.ensure_level(&ct, 2);
-        assert_eq!(bs.refresh_count(), 0);
-        assert_eq!(same.level(), ct.level());
-        let low = ev.mul_const(&ct, 1.0);
-        let needed = ct.level() + 1; // more than `low` has
-        let refreshed = bs.ensure_level(&low, needed);
-        assert_eq!(bs.refresh_count(), 1);
-        assert_eq!(refreshed.level(), ev.context().max_level());
     }
 
     #[test]

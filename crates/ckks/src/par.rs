@@ -8,11 +8,12 @@
 //!
 //! Design rules (see docs/ARCHITECTURE.md, *Memory & kernels*):
 //!
-//! - **One thread budget.** [`max_intra_workers`] reads the same
-//!   `SMARTPAF_THREADS` knob as `BatchRunner`; when the runner shards a
-//!   batch across `W` workers it hands each shard `budget / W` intra-op
-//!   threads via [`with_thread_budget`], so the two layers share cores
-//!   instead of oversubscribing them.
+//! - **One thread budget.** [`configured_threads`] is the one reader
+//!   of the `SMARTPAF_THREADS` knob, for [`max_intra_workers`] and
+//!   `BatchRunner` alike; when the runner shards a batch across `W`
+//!   workers it hands each shard `budget / W` intra-op threads via
+//!   [`with_thread_budget`], so the two layers share cores instead of
+//!   oversubscribing them.
 //! - **Bit-identical.** Tasks are indexed and side-effect-free on
 //!   shared state: each task owns a disjoint slice (or returns a value
 //!   into its own slot), and no arithmetic is reassociated. The
@@ -76,27 +77,37 @@ thread_local! {
     static BUDGET: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-fn default_budget() -> usize {
-    static DEFAULT: OnceLock<usize> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var("SMARTPAF_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&t| t > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1)
-            })
-    })
+/// The thread budget a `SMARTPAF_THREADS` value asks for: a positive
+/// integer, surrounding whitespace ignored. An unset, unparsable or
+/// zero value falls back to `available_parallelism()` (1 when that
+/// query fails).
+fn parse_threads(value: Option<&str>) -> usize {
+    value
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&t| t > 0)
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|p| p.get())
+                .unwrap_or(1)
+        })
+}
+
+/// The process's thread budget, read once: `SMARTPAF_THREADS` when it
+/// holds a positive integer (surrounding whitespace ignored), else
+/// `available_parallelism()`. `BatchRunner::auto` sizes its shards from
+/// it and [`max_intra_workers`] defaults to it, so the two layers never
+/// read the variable two ways.
+pub fn configured_threads() -> usize {
+    static CONFIGURED: OnceLock<usize> = OnceLock::new();
+    *CONFIGURED.get_or_init(|| parse_threads(std::env::var("SMARTPAF_THREADS").ok().as_deref()))
 }
 
 /// The intra-op thread budget for the current thread: the scoped
 /// [`with_thread_budget`] override if one is active, else
-/// `SMARTPAF_THREADS`, else `available_parallelism()`. A budget of 1
-/// disables intra-op parallelism entirely.
+/// [`configured_threads`]. A budget of 1 disables intra-op parallelism
+/// entirely.
 pub fn max_intra_workers() -> usize {
-    BUDGET.with(|b| b.get()).unwrap_or_else(default_budget)
+    BUDGET.with(|b| b.get()).unwrap_or_else(configured_threads)
 }
 
 /// Runs `f` with the intra-op thread budget capped at `n` on this
@@ -312,6 +323,19 @@ pub fn reset_aggregated_pool_stats() {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+
+    #[test]
+    fn thread_override_parses_one_way() {
+        assert_eq!(parse_threads(Some("3")), 3);
+        assert_eq!(parse_threads(Some(" 5 ")), 5);
+        assert_eq!(parse_threads(Some(" 2")), 2);
+        // Unset, unparsable and zero overrides fall back to detection.
+        let detected = parse_threads(None);
+        assert!(detected >= 1);
+        assert_eq!(parse_threads(Some("not-a-number")), detected);
+        assert_eq!(parse_threads(Some("0")), detected);
+        assert!(configured_threads() >= 1);
+    }
 
     #[test]
     fn sequential_when_budget_is_one() {

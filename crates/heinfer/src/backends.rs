@@ -563,11 +563,12 @@ mod tests {
             .affine(Linear::new(4, 4, &mut rng))
             .paf_relu(&paf, 2.0)
             .affine(Linear::new(4, 3, &mut rng))
-            .compile();
+            .try_compile()
+            .unwrap();
         let x = [0.3, -0.7, 1.1, -0.2];
         let via_wrapper = pipe.eval_plain(&x);
         let (mut out, stats) = pipe
-            .run(&mut PlainBackend, pipe.pad_input(&x))
+            .run(&mut PlainBackend, pipe.try_pad_input(&x).unwrap())
             .expect("plain backend cannot fail");
         out.truncate(pipe.output_dim());
         assert_eq!(out, via_wrapper);
@@ -584,11 +585,12 @@ mod tests {
             .affine(Linear::new(8, 8, &mut rng))
             .paf_relu(&paf, 4.0)
             .affine(Linear::new(8, 4, &mut rng))
-            .compile();
+            .try_compile()
+            .unwrap();
         let x: Vec<f64> = (0..8).map(|i| (i as f64 - 4.0) / 4.0).collect();
         let ct = pe
             .evaluator()
-            .encrypt_replicated(&pipe.pad_input(&x), &mut rng);
+            .encrypt_replicated(&pipe.try_pad_input(&x).unwrap(), &mut rng);
         let (_, enc_stats) = pipe.try_eval_encrypted(&pe, None, &ct).unwrap();
         let report = pipe
             .trace(&CkksParams::toy(), false, 1)
@@ -607,11 +609,12 @@ mod tests {
         for _ in 0..3 {
             b = b.affine(Linear::new(4, 4, &mut rng)).paf_relu(&paf, 2.0);
         }
-        let pipe = b.compile().fold_scales();
+        let pipe = b.try_compile().unwrap().fold_scales();
         let bs = Bootstrapper::new(pe.evaluator().clone(), pipe.dim(), 5);
-        let ct = pe
-            .evaluator()
-            .encrypt_replicated(&pipe.pad_input(&[0.2, -0.4, 0.6, -0.8]), &mut rng);
+        let ct = pe.evaluator().encrypt_replicated(
+            &pipe.try_pad_input(&[0.2, -0.4, 0.6, -0.8]).unwrap(),
+            &mut rng,
+        );
         let (_, enc_stats) = pipe.try_eval_encrypted(&pe, Some(&bs), &ct).unwrap();
         assert!(enc_stats.bootstraps >= 1);
         let report = pipe
@@ -646,13 +649,15 @@ mod tests {
             .paf_maxpool(2, 2, &paf, 4.0)
             .affine(smartpaf_nn::Flatten::new())
             .affine(Linear::new(4, 4, &mut rng))
-            .compile()
+            .try_compile()
+            .unwrap()
             .fold_scales();
         let mlp = PipelineBuilder::new(&[4])
             .affine(Linear::new(4, 4, &mut rng))
             .paf_relu(&paf, 2.0)
             .affine(Linear::new(4, 4, &mut rng))
-            .compile()
+            .try_compile()
+            .unwrap()
             .fold_scales();
         let mut pipes = vec![("cnn".to_string(), cnn), ("mlp".to_string(), mlp)];
         for (k, stride) in [(3, 1), (2, 2)] {
@@ -662,10 +667,15 @@ mod tests {
             let with_affine = pool()
                 .affine(smartpaf_nn::Flatten::new())
                 .affine(head)
-                .compile()
+                .try_compile()
+                .unwrap()
                 .fold_scales();
-            let with_relu = pool().paf_relu(&paf, 2.0).compile().fold_scales();
-            let alone = pool().compile().fold_scales();
+            let with_relu = pool()
+                .paf_relu(&paf, 2.0)
+                .try_compile()
+                .unwrap()
+                .fold_scales();
+            let alone = pool().try_compile().unwrap().fold_scales();
             for (suffix, pipe) in [
                 (" + affine", with_affine),
                 (" + relu", with_relu),
@@ -693,7 +703,7 @@ mod tests {
                     .collect();
                 let ct = pe
                     .evaluator()
-                    .encrypt_replicated(&pipe.pad_input(&x), &mut rng);
+                    .encrypt_replicated(&pipe.try_pad_input(&x).unwrap(), &mut rng);
                 let bs = Bootstrapper::new(pe.evaluator().clone(), pipe.dim(), 11);
                 for refresher in [Some(&bs), None] {
                     let case = format!(
@@ -783,11 +793,12 @@ mod tests {
             b = b.affine(Linear::new(4, 4, &mut rng)).paf_relu(&relu, 2.0);
         }
         // Unfolded, a ReLU takes 8 levels: 12 → 11 → 3 → 2, then 2 < 8.
-        let blocks = b.compile();
+        let blocks = b.try_compile().unwrap();
         // A pool that opens the pipeline: its `1/s` is an affine stage.
         let pool = PipelineBuilder::new(&[1, 4, 4])
             .paf_maxpool(2, 2, &CompositePaf::from_form(PafForm::Alpha7), 4.0)
-            .compile();
+            .try_compile()
+            .unwrap();
         for (pipe, want) in [
             (
                 &blocks,
@@ -812,7 +823,7 @@ mod tests {
             let x = vec![0.25; pipe.input_dim()];
             let ct = pe
                 .evaluator()
-                .encrypt_replicated(&pipe.pad_input(&x), &mut rng);
+                .encrypt_replicated(&pipe.try_pad_input(&x).unwrap(), &mut rng);
             let executed = pipe
                 .try_eval_encrypted(&pe, None, &ct)
                 .map(|(_, stats)| stats);
@@ -825,7 +836,10 @@ mod tests {
     #[test]
     fn trace_ct_mults_match_exact_schedule() {
         let paf = CompositePaf::from_form(PafForm::Alpha7);
-        let pipe = PipelineBuilder::new(&[8]).paf_relu(&paf, 1.0).compile();
+        let pipe = PipelineBuilder::new(&[8])
+            .paf_relu(&paf, 1.0)
+            .try_compile()
+            .unwrap();
         let report = pipe.trace(&chain(12), false, 1).expect("fits");
         assert_eq!(report.stages.len(), 1);
         // Exactly the even-power-ladder count plus the ReLU product.
@@ -835,7 +849,8 @@ mod tests {
         for (k, shifts) in [(2, 2), (3, 4)] {
             let pool = PipelineBuilder::new(&[1, 4, 4])
                 .paf_maxpool(k, 1, &paf, 1.0)
-                .compile();
+                .try_compile()
+                .unwrap();
             let report = pool.trace(&chain(30), false, 1).expect("fits");
             assert_eq!(
                 report.total_ct_mults(),
@@ -854,7 +869,7 @@ mod tests {
         for _ in 0..3 {
             b = b.affine(Linear::new(4, 4, &mut rng)).paf_relu(&paf, 2.0);
         }
-        let pipe = b.compile();
+        let pipe = b.try_compile().unwrap();
         let err = pipe
             .trace(&chain(12), false, 1)
             .expect_err("chain too short");
@@ -865,7 +880,10 @@ mod tests {
     #[test]
     fn trace_rejects_atomic_depth_beyond_chain() {
         let paf = CompositePaf::from_form(PafForm::MinimaxDeg27); // depth 10 + 1
-        let pipe = PipelineBuilder::new(&[4]).paf_relu(&paf, 1.0).compile();
+        let pipe = PipelineBuilder::new(&[4])
+            .paf_relu(&paf, 1.0)
+            .try_compile()
+            .unwrap();
         let err = pipe
             .trace(&chain(8), true, 1)
             .expect_err("atomic op too deep");
@@ -880,7 +898,8 @@ mod tests {
         let paf = CompositePaf::from_form(PafForm::MinimaxDeg27); // fold depth 11
         let pipe = PipelineBuilder::new(&[1, 2, 2])
             .paf_maxpool(1, 1, &paf, 1.0)
-            .compile();
+            .try_compile()
+            .unwrap();
         let report = pipe.trace(&chain(3), false, 1).expect("selection only");
         assert_eq!(report.total_ct_mults(), 0);
         assert_eq!(report.total_levels(), 1);
@@ -899,7 +918,8 @@ mod tests {
             .affine(Conv2d::new(1, 1, 3, 1, 1, &mut rng))
             .paf_relu(&cheap, 4.0)
             .paf_maxpool(2, 2, &cheap, 6.0)
-            .compile()
+            .try_compile()
+            .unwrap()
             .fold_scales()
             .try_with_pafs(&[deep.clone(), cheap.clone()])
             .expect("two PAF slots");
@@ -911,7 +931,7 @@ mod tests {
         let x: Vec<f64> = (0..16).map(|i| ((i * 7) % 11) as f64 / 5.0 - 1.0).collect();
         let ct = pe
             .evaluator()
-            .encrypt_replicated(&pipe.pad_input(&x), &mut rng);
+            .encrypt_replicated(&pipe.try_pad_input(&x).unwrap(), &mut rng);
         let (out_ct, enc_stats) = pipe.try_eval_encrypted(&pe, Some(&bs), &ct).unwrap();
         let got = pe.evaluator().decrypt_values(&out_ct, pipe.output_dim());
         let want = pipe.eval_plain(&x);
@@ -952,7 +972,8 @@ mod tests {
             .paf_maxpool(2, 2, &paf, 6.0)
             .affine(smartpaf_nn::Flatten::new())
             .affine(Linear::new(8, 4, &mut rng))
-            .compile()
+            .try_compile()
+            .unwrap()
             .fold_scales();
         for (depth, refresh) in [(30, false), (12, true)] {
             for lanes in [1usize, 2, 4] {
@@ -1005,7 +1026,8 @@ mod tests {
             .paf_maxpool(2, 2, &paf, 2.0)
             .affine(smartpaf_nn::Flatten::new())
             .affine(Linear::new(1, 3, &mut rng))
-            .compile();
+            .try_compile()
+            .unwrap();
         let (dim, out) = (base.dim(), base.output_dim());
         assert_eq!((dim, out), (4, 3));
         for lanes in [2usize, 32] {
@@ -1074,7 +1096,8 @@ mod tests {
         let paf = CompositePaf::from_form(PafForm::F1G2);
         let pipe = PipelineBuilder::new(&[2, 4, 3])
             .paf_maxpool(3, 1, &paf, 1.0)
-            .compile();
+            .try_compile()
+            .unwrap();
         let Stage::PafMax { shifts, paf, .. } = &pipe.stages()[0] else {
             panic!("an unscaled pool opens with its fold");
         };
@@ -1091,7 +1114,7 @@ mod tests {
         let x: Vec<f64> = (0..24)
             .map(|i| ((i * 11) % 17) as f64 / 20.0 - 0.4)
             .collect();
-        let mut v = pipe.pad_input(&x);
+        let mut v = pipe.try_pad_input(&x).unwrap();
         assert_eq!(v.len(), 32);
         let (lo, hi) = (-0.4, 0.4);
         let engine = paf.prepare();
@@ -1161,7 +1184,8 @@ mod tests {
         let pipe = PipelineBuilder::new(&[8])
             .affine(Linear::new(8, 8, &mut rng))
             .paf_relu(&paf, 4.0)
-            .compile()
+            .try_compile()
+            .unwrap()
             .fold_scales();
         let lanes = 2;
         let wide = pipe.expand_lanes(lanes);
@@ -1170,7 +1194,7 @@ mod tests {
             .collect();
         let mut flat = Vec::new();
         for x in &xs {
-            flat.extend_from_slice(&pipe.pad_input(x));
+            flat.extend_from_slice(&pipe.try_pad_input(x).unwrap());
         }
         let ct = pe.evaluator().encrypt_replicated(&flat, &mut rng);
         let (out_ct, _) = wide.try_eval_encrypted(&pe, None, &ct).unwrap();
@@ -1194,7 +1218,8 @@ mod tests {
         // than slots.
         let pipe = PipelineBuilder::new(&[300])
             .affine(Linear::new(300, 4, &mut rng))
-            .compile();
+            .try_compile()
+            .unwrap();
         assert!(pipe.dim() > pe.evaluator().context().slots());
         let ct = pe.evaluator().encrypt_values(&[0.0; 4], &mut rng);
         let err = pipe

@@ -73,7 +73,8 @@ impl<T> BatchRun<T> {
 /// let pipe = PipelineBuilder::new(&[4])
 ///     .affine(Linear::new(4, 4, &mut rng))
 ///     .paf_relu(&paf, 2.0)
-///     .compile();
+///     .try_compile()
+///     .unwrap();
 /// let inputs: Vec<Vec<f64>> = (0..8)
 ///     .map(|i| vec![i as f64 / 4.0 - 1.0; 4])
 ///     .collect();
@@ -104,28 +105,14 @@ impl BatchRunner {
         BatchRunner { threads }
     }
 
-    /// Creates a runner sized for this machine: the `SMARTPAF_THREADS`
-    /// environment variable when set to a positive integer, otherwise
-    /// [`std::thread::available_parallelism`] (falling back to 1 when
-    /// the parallelism query fails). Prefer this over hard-coding a
-    /// worker count.
+    /// Creates a runner sized for this machine: the process's thread
+    /// budget ([`smartpaf_ckks::par::configured_threads`] — the
+    /// `SMARTPAF_THREADS` environment variable when set to a positive
+    /// integer, otherwise [`std::thread::available_parallelism`]), the
+    /// same budget the intra-op pool splits between the shards. Prefer
+    /// this over hard-coding a worker count.
     pub fn auto() -> Self {
-        Self::auto_from(std::env::var("SMARTPAF_THREADS").ok().as_deref())
-    }
-
-    /// The override-parsing core of [`BatchRunner::auto`], taking the
-    /// env value as a parameter so tests never mutate process-global
-    /// state.
-    fn auto_from(override_threads: Option<&str>) -> Self {
-        let threads = override_threads
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&t| t >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            });
-        BatchRunner::new(threads)
+        BatchRunner::new(smartpaf_ckks::par::configured_threads())
     }
 
     /// The configured worker-thread count.
@@ -365,7 +352,8 @@ mod tests {
             .paf_maxpool(2, 2, &pool, 8.0)
             .affine(Flatten::new())
             .affine(Linear::new(32, 10, &mut rng))
-            .compile()
+            .try_compile()
+            .unwrap()
             .fold_scales()
     }
 
@@ -413,16 +401,11 @@ mod tests {
 
     #[test]
     fn auto_runner_honours_env_override() {
-        assert_eq!(BatchRunner::auto_from(Some("3")).threads(), 3);
-        assert_eq!(BatchRunner::auto_from(Some(" 5 ")).threads(), 5);
-        // Unparsable and zero overrides fall back to detection.
-        let detected = BatchRunner::auto_from(None).threads();
-        assert!(detected >= 1);
+        // The runner and the intra-op pool read one parsed budget.
         assert_eq!(
-            BatchRunner::auto_from(Some("not-a-number")).threads(),
-            detected
+            BatchRunner::auto().threads(),
+            smartpaf_ckks::par::configured_threads()
         );
-        assert_eq!(BatchRunner::auto_from(Some("0")).threads(), detected);
         assert!(BatchRunner::default().threads() >= 1);
     }
 
@@ -454,7 +437,8 @@ mod tests {
             .affine(Linear::new(8, 8, &mut rng))
             .paf_relu(&paf, 4.0)
             .affine(Linear::new(8, 4, &mut rng))
-            .compile()
+            .try_compile()
+            .unwrap()
             .fold_scales();
         let batch: Vec<Vec<f64>> = (0..4)
             .map(|i| (0..8).map(|j| ((i + j) as f64 - 5.0) / 5.0).collect())
@@ -463,7 +447,7 @@ mod tests {
             .iter()
             .map(|x| {
                 pe.evaluator()
-                    .encrypt_replicated(&pipe.pad_input(x), &mut rng)
+                    .encrypt_replicated(&pipe.try_pad_input(x).unwrap(), &mut rng)
             })
             .collect();
         let run = BatchRunner::new(2)
@@ -502,7 +486,8 @@ mod tests {
             .affine(Linear::new(8, 8, &mut rng))
             .paf_relu(&paf, 4.0)
             .affine(Linear::new(8, 4, &mut rng))
-            .compile()
+            .try_compile()
+            .unwrap()
             .fold_scales();
         let packer = crate::pack::LanePacker::new(&pipe, ctx.slots(), 4).unwrap();
         let groups: Vec<Vec<Vec<f64>>> = (0..2)
@@ -615,13 +600,14 @@ mod tests {
         let pipe = PipelineBuilder::new(&[8])
             .affine(Linear::new(8, 8, &mut rng))
             .paf_relu(&paf, 4.0)
-            .compile()
+            .try_compile()
+            .unwrap()
             .fold_scales();
         let mut cts: Vec<_> = (0..3)
             .map(|i| {
                 let x = vec![i as f64 / 3.0; 8];
                 pe.evaluator()
-                    .encrypt_replicated(&pipe.pad_input(&x), &mut rng)
+                    .encrypt_replicated(&pipe.try_pad_input(&x).unwrap(), &mut rng)
             })
             .collect();
         cts[1].drop_to(1); // level 0: nothing left to rescale
@@ -641,7 +627,8 @@ mod tests {
         // before any evaluator clone is made.
         let wide = PipelineBuilder::new(&[1, 16, 16])
             .affine(Flatten::new())
-            .compile();
+            .try_compile()
+            .unwrap();
         let ct = pe.evaluator().encrypt_replicated(&vec![0.0; 128], &mut rng);
         let err = BatchRunner::new(2)
             .run_encrypted(&wide, &pe, None, &[ct])

@@ -94,7 +94,8 @@ pub enum StageDesc {
 ///     PipelineBuilder::new(&[4])
 ///         .affine(Linear::new(4, 4, &mut Rng64::new(7)))
 ///         .paf_relu(&CompositePaf::from_form(form), 2.0)
-///         .compile()
+///         .try_compile()
+///         .unwrap()
 /// };
 /// // Same model, different PAF form: identical description.
 /// let a = build(PafForm::F1G2).describe();
@@ -254,7 +255,8 @@ mod tests {
             .affine(Conv2d::new(1, 1, 3, 1, 1, &mut rng))
             .paf_relu(&paf, 4.0)
             .paf_maxpool(2, 2, &paf, 8.0)
-            .compile()
+            .try_compile()
+            .unwrap()
     }
 
     #[test]

@@ -18,11 +18,13 @@ use std::time::{Duration, Instant};
 
 /// Typed failure of pipeline compilation or execution.
 ///
-/// The legacy `panic!`/`assert!` exits of encrypted execution and
-/// compilation map onto these variants. The panicking entry points
-/// that remain — `PipelineBuilder::compile` and
-/// `HePipeline::pad_input` — are thin wrappers whose messages are
-/// exactly the `Display` strings below.
+/// Every fallible heinfer entry point returns these
+/// ([`PipelineBuilder::try_compile`](crate::PipelineBuilder::try_compile),
+/// [`HePipeline::try_pad_input`](crate::HePipeline::try_pad_input),
+/// [`HePipeline::try_with_pafs`](crate::HePipeline::try_with_pafs),
+/// [`HePipeline::run`]). [`HePipeline::eval_plain`] is the one
+/// documented panic, and its message is exactly the `Display` string
+/// below.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
     /// The builder was compiled with no stages.
@@ -193,7 +195,8 @@ impl RunStats {
 pub struct PafOp<'a> {
     /// The composite sign approximation.
     pub paf: &'a CompositePaf,
-    /// The prepared plaintext engine (built once at pipeline compile).
+    /// The prepared plaintext engine the stage owns (built when the
+    /// composite is installed).
     pub engine: &'a CompositeEval,
 }
 
@@ -276,7 +279,7 @@ impl HePipeline {
     ) -> Result<(B::Value, RunStats), RunError> {
         backend.begin(self)?;
         let start = Instant::now();
-        for (stage, prepared) in self.stages.iter().zip(self.prepared_engines()) {
+        for stage in &self.stages {
             let label = stage.label();
             match stage {
                 Stage::Affine { mat, bias } => backend.affine(&mut value, mat, bias, &label)?,
@@ -284,18 +287,18 @@ impl HePipeline {
                     paf,
                     pre_scale,
                     post_scale,
+                    engine,
                 } => {
-                    let op = PafOp {
-                        paf,
-                        engine: prepared.as_deref().expect("PAF stage has an engine"),
-                    };
+                    let op = PafOp { paf, engine };
                     backend.paf_relu(&mut value, &op, *pre_scale, *post_scale, &label)?
                 }
-                Stage::PafMax { shifts, paf, .. } => {
-                    let op = PafOp {
-                        paf,
-                        engine: prepared.as_deref().expect("PAF stage has an engine"),
-                    };
+                Stage::PafMax {
+                    shifts,
+                    paf,
+                    engine,
+                    ..
+                } => {
+                    let op = PafOp { paf, engine };
                     // The trait's parameter list is frozen (see
                     // `InferenceBackend::paf_max`): the steps travel as
                     // rotation matrices.
@@ -323,8 +326,8 @@ mod tests {
 
     #[test]
     fn run_error_display_strings_are_stable() {
-        // The panicking wrappers format these errors verbatim; seed
-        // tests match on the substrings, so the wording is load-bearing.
+        // `eval_plain` panics with these strings verbatim and callers
+        // match on the substrings, so the wording is load-bearing.
         assert_eq!(RunError::EmptyPipeline.to_string(), "empty pipeline");
         let e = RunError::OutOfLevels {
             label: "paf-relu[depth=5]".into(),

@@ -56,13 +56,24 @@
 //! [`BatchRunner`] shards batches of inputs across `std::thread`
 //! workers over either backend, with deterministic input-order results;
 //! [`BatchRunner::auto`] sizes the pool from the machine (or the
-//! `SMARTPAF_THREADS` override). [`HePipeline::try_with_pafs`] installs a
-//! per-slot *form vector* — one composite per ReLU/maxpool slot —
-//! without re-probing the affine segments (slots picking the same form
-//! share one prepared engine); planners (the `smartpaf` Session API)
-//! use it to enumerate candidate form vectors and price each one
-//! with [`HePipeline::trace`] in microseconds, reading per-slot
-//! costs off [`StageTrace::slot`].
+//! `SMARTPAF_THREADS` override).
+//!
+//! # PAF engines
+//!
+//! Every [`Stage::PafRelu`] and [`Stage::PafMax`] owns its composite's
+//! prepared plaintext engine (`engine`, an `Arc`'d
+//! [`CompositeEval`](smartpaf_polyfit::CompositeEval)); backends read
+//! it through [`PafOp`] and the schedule reads its exact ct-mult counts
+//! off it. Engines are prepared where composites are installed, and
+//! there are two such places:
+//! [`PipelineBuilder::try_compile`] and [`HePipeline::try_with_pafs`].
+//! Both share one `Arc` between stages with equal composites, and
+//! `try_with_pafs` also reuses the engines of the pipeline it swaps
+//! from. `try_with_pafs` installs a per-slot *form vector* — one
+//! composite per ReLU/maxpool slot — without re-probing the affine
+//! segments; planners (the `smartpaf` Session API) use it to install
+//! every candidate vector and price each one with [`HePipeline::trace`]
+//! in microseconds, reading per-slot costs off [`StageTrace::slot`].
 //!
 //! # Example
 //!
@@ -79,20 +90,21 @@
 //!     .affine(Linear::new(8, 8, &mut rng))
 //!     .paf_relu(&paf, 4.0)
 //!     .affine(Linear::new(8, 4, &mut rng))
-//!     .compile();
+//!     .try_compile()?;
 //!
 //! let ctx = CkksParams::toy().build();
 //! let keys = KeyChain::generate(&ctx, &mut rng);
 //! let pe = PafEvaluator::new(Evaluator::new(&keys));
 //! let x: Vec<f64> = (0..8).map(|i| (i as f64 - 4.0) / 2.0).collect();
-//! let ct = pe.evaluator().encrypt_replicated(&pipeline.pad_input(&x), &mut rng);
-//! let (out_ct, stats) = pipeline.try_eval_encrypted(&pe, None, &ct).unwrap();
+//! let ct = pe.evaluator().encrypt_replicated(&pipeline.try_pad_input(&x)?, &mut rng);
+//! let (out_ct, stats) = pipeline.try_eval_encrypted(&pe, None, &ct)?;
 //! let enc = pe.evaluator().decrypt_values(&out_ct, 4);
 //! let plain = pipeline.eval_plain(&x);
 //! for (e, p) in enc.iter().zip(&plain) {
 //!     assert!((e - p).abs() < 0.1);
 //! }
 //! assert!(stats.bootstraps == 0);
+//! # Ok::<(), smartpaf_heinfer::RunError>(())
 //! ```
 
 mod backends;

@@ -391,7 +391,8 @@ mod tests {
             .paf_maxpool(2, 2, &paf, 4.0)
             .affine(Flatten::new())
             .affine(Linear::new(4, 4, &mut rng))
-            .compile()
+            .try_compile()
+            .unwrap()
     }
 
     fn inputs(n: usize) -> Vec<Vec<f64>> {

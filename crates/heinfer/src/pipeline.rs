@@ -30,6 +30,9 @@ pub enum Stage {
         pre_scale: f64,
         /// Output scale (normally `s`; 1.0 after folding).
         post_scale: f64,
+        /// The composite's prepared plaintext engine, shared by every
+        /// stage of the pipeline that installs an equal composite.
+        engine: Arc<CompositeEval>,
     },
     /// The fold of a PAF max pool (see the `maxpool` module docs): for
     /// each shift `T` in order, `v ← paf_max(v, T·v)` — the nested
@@ -44,6 +47,9 @@ pub enum Stage {
         shifts: Vec<usize>,
         /// The composite sign approximation.
         paf: CompositePaf,
+        /// The composite's prepared plaintext engine (see
+        /// [`Stage::PafRelu`]).
+        engine: Arc<CompositeEval>,
     },
 }
 
@@ -67,7 +73,7 @@ impl Stage {
                 )
             }
             Stage::PafRelu { paf, .. } => format!("paf-relu[depth={}]", paf.mult_depth()),
-            Stage::PafMax { k, shifts, paf } => format!(
+            Stage::PafMax { k, shifts, paf, .. } => format!(
                 "paf-max[k={k} shifts={} depth={}]",
                 shifts.len(),
                 paf.mult_depth()
@@ -82,6 +88,15 @@ impl Stage {
 enum RawStage {
     Affine { rows: Vec<Vec<f64>>, bias: Vec<f64> },
     Paf(Stage),
+}
+
+impl RawStage {
+    fn paf(&self) -> Option<&Stage> {
+        match self {
+            RawStage::Paf(stage) => Some(stage),
+            RawStage::Affine { .. } => None,
+        }
+    }
 }
 
 /// Appends the affine map `(rows, bias)`, composing it with an affine
@@ -210,17 +225,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// Probes and compiles the pipeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a max-pool window does not tile its input, or the
-    /// builder is empty ([`PipelineBuilder::try_compile`] returns the
-    /// same conditions as typed [`RunError`]s instead).
-    pub fn compile(self) -> HePipeline {
-        self.try_compile().unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Probes and compiles the pipeline, reporting structural problems
     /// (empty builder, untileable pool window, non-CHW pool input) as
     /// typed [`RunError`]s.
@@ -259,10 +263,12 @@ impl PipelineBuilder {
                 Spec::Affine(layer) => pending.push(layer),
                 Spec::Relu { paf, scale } => {
                     flush(&mut pending, &mut shape, &mut raw);
+                    let engine = shared_engine(raw.iter().filter_map(RawStage::paf), &paf);
                     raw.push(RawStage::Paf(Stage::PafRelu {
                         paf,
                         pre_scale: 1.0 / scale,
                         post_scale: scale,
+                        engine,
                     }));
                 }
                 Spec::Max {
@@ -311,7 +317,13 @@ impl PipelineBuilder {
                             }
                         }
                         let shifts = pool_shifts(k, w);
-                        raw.push(RawStage::Paf(Stage::PafMax { k, shifts, paf }));
+                        let engine = shared_engine(raw.iter().filter_map(RawStage::paf), &paf);
+                        raw.push(RawStage::Paf(Stage::PafMax {
+                            k,
+                            shifts,
+                            paf,
+                            engine,
+                        }));
                     }
                     let entry = if fold { scale } else { 1.0 };
                     let rows = selection_rows(&shape, k, stride, entry);
@@ -347,10 +359,8 @@ impl PipelineBuilder {
             })
             .collect();
 
-        let prepared = prepare_stage_engines(&stages);
         Ok(HePipeline {
             stages,
-            prepared,
             dim,
             input_dim,
             output_dim,
@@ -358,30 +368,27 @@ impl PipelineBuilder {
     }
 }
 
-/// One prepared plaintext evaluation engine per PAF stage (`None` for
-/// affine stages), built once at compile time so `eval_plain` pays no
-/// per-call preparation.
-///
-/// Stages sharing the same composite share one `Arc`'d engine: the
-/// packed `OddPowerSchedule`s inside a [`CompositeEval`] are prepared
-/// once per *distinct* form, not once per slot — the cost that matters
-/// when a planner swaps form vectors thousands of times.
-fn prepare_stage_engines(stages: &[Stage]) -> Vec<Option<Arc<CompositeEval>>> {
-    let mut cache: Vec<(&CompositePaf, Arc<CompositeEval>)> = Vec::new();
-    stages
-        .iter()
-        .map(|s| match s {
-            Stage::Affine { .. } => None,
-            Stage::PafRelu { paf, .. } | Stage::PafMax { paf, .. } => {
-                if let Some((_, eng)) = cache.iter().find(|(p, _)| *p == paf) {
-                    return Some(Arc::clone(eng));
-                }
-                let eng = Arc::new(paf.prepare());
-                cache.push((paf, Arc::clone(&eng)));
-                Some(eng)
+/// The prepared engine for `paf`: the one a stage of `known` holds for
+/// an equal composite, else a fresh [`CompositePaf::prepare`]. Both
+/// install paths ([`PipelineBuilder::try_compile`] and
+/// [`HePipeline::try_with_pafs`]) take their engines here, so slots
+/// with equal composites share one `Arc` and a form is packed once per
+/// pipeline, not once per slot.
+fn shared_engine<'a>(
+    known: impl IntoIterator<Item = &'a Stage>,
+    paf: &CompositePaf,
+) -> Arc<CompositeEval> {
+    known
+        .into_iter()
+        .find_map(|s| match s {
+            Stage::PafRelu { paf: p, engine, .. } | Stage::PafMax { paf: p, engine, .. }
+                if p == paf =>
+            {
+                Some(Arc::clone(engine))
             }
+            _ => None,
         })
-        .collect()
+        .unwrap_or_else(|| Arc::new(paf.prepare()))
 }
 
 /// Linearises a run of affine layers by an exact batched probe:
@@ -419,9 +426,6 @@ fn probe_affine(
 /// A compiled encrypted inference pipeline (see the crate docs).
 pub struct HePipeline {
     pub(crate) stages: Vec<Stage>,
-    /// Prepared plaintext engines, parallel to `stages` (shared
-    /// between stages that use the same composite).
-    prepared: Vec<Option<Arc<CompositeEval>>>,
     pub(crate) dim: usize,
     input_dim: usize,
     output_dim: usize,
@@ -454,23 +458,8 @@ impl HePipeline {
         self.stages.iter().map(Stage::levels).sum()
     }
 
-    /// The prepared plaintext engines, parallel to the stage list
-    /// (`None` for affine stages).
-    pub(crate) fn prepared_engines(&self) -> &[Option<Arc<CompositeEval>>] {
-        &self.prepared
-    }
-
-    /// Zero-pads a logical input to the pipeline dimension.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is longer than [`HePipeline::input_dim`].
-    pub fn pad_input(&self, x: &[f64]) -> Vec<f64> {
-        self.try_pad_input(x).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Zero-pads a logical input, reporting an over-long input as a
-    /// typed [`RunError`].
+    /// Zero-pads a logical input to the pipeline dimension, reporting
+    /// an over-long input as a typed [`RunError`].
     pub fn try_pad_input(&self, x: &[f64]) -> Result<Vec<f64>, RunError> {
         if x.len() > self.input_dim {
             return Err(RunError::InputTooLong {
@@ -492,8 +481,9 @@ impl HePipeline {
     ///
     /// Panics if `x` is longer than the input dimension.
     pub fn eval_plain(&self, x: &[f64]) -> Vec<f64> {
+        let padded = self.try_pad_input(x).unwrap_or_else(|e| panic!("{e}"));
         let (mut out, _) = self
-            .run(&mut crate::backends::PlainBackend, self.pad_input(x))
+            .run(&mut crate::backends::PlainBackend, padded)
             .expect("the plain backend has no failure modes");
         out.truncate(self.output_dim);
         out
@@ -523,10 +513,9 @@ impl HePipeline {
 
     /// Rebuilds this pipeline with the `i`-th PAF stage's composite
     /// replaced by `pafs[i]` (stage order), keeping the probed affine
-    /// matrices, scales, shifts, and slot layout untouched. Slots that
-    /// pick the same composite share one prepared evaluation engine. A
-    /// length mismatch between `pafs` and the pipeline's PAF slot count
-    /// is a typed [`RunError::FormCountMismatch`].
+    /// matrices, scales, shifts, and slot layout untouched. A length
+    /// mismatch between `pafs` and the pipeline's PAF slot count is a
+    /// typed [`RunError::FormCountMismatch`].
     ///
     /// Probing affine runs is the expensive part of
     /// [`PipelineBuilder::try_compile`]; this hook lets a planner probe
@@ -534,56 +523,12 @@ impl HePipeline {
     /// paper's per-layer replacement tables assign a different form to
     /// every ReLU/maxpool slot.
     ///
-    /// Engines for composites already installed in this pipeline are
-    /// reused rather than re-prepared; a planner that evaluates many
-    /// vectors over a small form set should prepare one engine per
-    /// distinct form itself and use
-    /// [`HePipeline::try_with_prepared_pafs`].
+    /// Each new stage owns a prepared engine for its composite: the one
+    /// this pipeline (or an earlier slot of the new one) already holds
+    /// for an equal composite, else a fresh preparation. Slots that pick
+    /// the same composite share one engine, and swapping from a
+    /// pipeline that holds a form never prepares that form again.
     pub fn try_with_pafs(&self, pafs: &[CompositePaf]) -> Result<HePipeline, RunError> {
-        // Seed the engine cache with this pipeline's prepared engines:
-        // slots keeping (or reusing) a composite already installed
-        // here skip the re-preparation entirely.
-        let mut cache: Vec<(&CompositePaf, Arc<CompositeEval>)> = self
-            .stages
-            .iter()
-            .zip(&self.prepared)
-            .filter_map(|(s, eng)| match (s, eng) {
-                (Stage::PafRelu { paf, .. } | Stage::PafMax { paf, .. }, Some(e)) => {
-                    Some((paf, Arc::clone(e)))
-                }
-                _ => None,
-            })
-            .collect();
-        let pairs: Vec<(CompositePaf, Arc<CompositeEval>)> = pafs
-            .iter()
-            .map(|paf| {
-                let eng = match cache.iter().find(|(p, _)| *p == paf) {
-                    Some((_, eng)) => Arc::clone(eng),
-                    None => {
-                        let eng = Arc::new(paf.prepare());
-                        cache.push((paf, Arc::clone(&eng)));
-                        eng
-                    }
-                };
-                (paf.clone(), eng)
-            })
-            .collect();
-        self.try_with_prepared_pafs(&pairs)
-    }
-
-    /// Per-slot swap with caller-prepared engines: no schedule packing
-    /// happens at all — each slot's engine is the supplied `Arc`.
-    ///
-    /// The engine paired with each composite **must** be that
-    /// composite's own [`CompositePaf::prepare`] output; the pairing
-    /// is the caller's contract (the smartpaf planner holds one
-    /// prepared engine per candidate form and reuses it across every
-    /// vector it installs — one preparation per form per plan, not per
-    /// swap).
-    pub fn try_with_prepared_pafs(
-        &self,
-        pafs: &[(CompositePaf, Arc<CompositeEval>)],
-    ) -> Result<HePipeline, RunError> {
         let expected = self.num_paf_stages();
         if pafs.len() != expected {
             return Err(RunError::FormCountMismatch {
@@ -592,42 +537,20 @@ impl HePipeline {
             });
         }
         let mut next = pafs.iter();
-        let mut prepared: Vec<Option<Arc<CompositeEval>>> = Vec::with_capacity(self.stages.len());
-        let stages: Vec<Stage> = self
-            .stages
-            .iter()
-            .map(|s| match s {
-                Stage::Affine { .. } => {
-                    prepared.push(None);
-                    s.clone()
-                }
-                Stage::PafRelu {
-                    pre_scale,
-                    post_scale,
-                    ..
-                } => {
-                    let (paf, eng) = next.next().expect("one composite per PAF slot");
-                    prepared.push(Some(Arc::clone(eng)));
-                    Stage::PafRelu {
-                        paf: paf.clone(),
-                        pre_scale: *pre_scale,
-                        post_scale: *post_scale,
-                    }
-                }
-                Stage::PafMax { k, shifts, .. } => {
-                    let (paf, eng) = next.next().expect("one composite per PAF slot");
-                    prepared.push(Some(Arc::clone(eng)));
-                    Stage::PafMax {
-                        k: *k,
-                        shifts: shifts.clone(),
-                        paf: paf.clone(),
-                    }
-                }
-            })
-            .collect();
+        let mut stages: Vec<Stage> = Vec::with_capacity(self.stages.len());
+        for s in &self.stages {
+            let mut stage = s.clone();
+            if let Stage::PafRelu { paf, engine, .. } | Stage::PafMax { paf, engine, .. } =
+                &mut stage
+            {
+                let installed = next.next().expect("one composite per PAF slot");
+                *engine = shared_engine(self.stages.iter().chain(&stages), installed);
+                *paf = installed.clone();
+            }
+            stages.push(stage);
+        }
         Ok(HePipeline {
             stages,
-            prepared,
             dim: self.dim,
             input_dim: self.input_dim,
             output_dim: self.output_dim,
@@ -671,7 +594,6 @@ impl HePipeline {
         if lanes == 1 {
             return HePipeline {
                 stages: self.stages.clone(),
-                prepared: self.prepared.clone(),
                 dim: self.dim,
                 input_dim: self.input_dim,
                 output_dim: self.output_dim,
@@ -702,7 +624,6 @@ impl HePipeline {
             .collect();
         HePipeline {
             stages,
-            prepared: self.prepared.clone(),
             dim,
             input_dim: dim,
             output_dim: dim,
@@ -762,11 +683,23 @@ mod tests {
         CompositePaf::from_form(PafForm::F1G2)
     }
 
+    /// The engines of a pipeline's PAF stages, in stage order.
+    fn stage_engines(pipe: &HePipeline) -> Vec<&Arc<CompositeEval>> {
+        let engines = pipe.stages().iter().filter_map(|s| match s {
+            Stage::PafRelu { engine, .. } | Stage::PafMax { engine, .. } => Some(engine),
+            Stage::Affine { .. } => None,
+        });
+        engines.collect()
+    }
+
     #[test]
     fn probe_linear_layer_matches_weights() {
         let mut rng = Rng64::new(3);
         let lin = Linear::new(4, 3, &mut rng);
-        let pipe = PipelineBuilder::new(&[4]).affine(lin).compile();
+        let pipe = PipelineBuilder::new(&[4])
+            .affine(lin)
+            .try_compile()
+            .unwrap();
         assert_eq!(pipe.input_dim(), 4);
         assert_eq!(pipe.output_dim(), 3);
         assert_eq!(pipe.dim(), 4);
@@ -789,7 +722,10 @@ mod tests {
         let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
         let x = Tensor::rand_normal(&[1, 2, 4, 4], 0.0, 1.0, &mut rng);
         let want = conv.forward(&x, Mode::Eval);
-        let pipe = PipelineBuilder::new(&[2, 4, 4]).affine(conv).compile();
+        let pipe = PipelineBuilder::new(&[2, 4, 4])
+            .affine(conv)
+            .try_compile()
+            .unwrap();
         let flat: Vec<f64> = x.data().iter().map(|&v| v as f64).collect();
         let got = pipe.eval_plain(&flat);
         assert_eq!(got.len(), 3 * 4 * 4);
@@ -807,7 +743,8 @@ mod tests {
             .affine(AvgPool2d::new(2, 2))
             .affine(Flatten::new())
             .affine(Linear::new(8, 4, &mut rng))
-            .compile();
+            .try_compile()
+            .unwrap();
         assert_eq!(pipe.stages().len(), 1);
         assert_eq!(pipe.output_dim(), 4);
     }
@@ -836,7 +773,8 @@ mod tests {
             .affine(pool)
             .affine(flat)
             .affine(lin)
-            .compile();
+            .try_compile()
+            .unwrap();
         let flat_x: Vec<f64> = x.data().iter().map(|&v| v as f64).collect();
         let got = pipe.eval_plain(&flat_x);
         for (g, w) in got.iter().zip(want.data()) {
@@ -852,14 +790,16 @@ mod tests {
         let pipe = PipelineBuilder::new(&[1, 4, 4])
             .affine(conv)
             .paf_maxpool(2, 2, &paf, 8.0)
-            .compile();
+            .try_compile()
+            .unwrap();
         let x: Vec<f64> = (0..16).map(|i| ((i * 7) % 5) as f64 - 2.0).collect();
         let got = pipe.eval_plain(&x);
         assert_eq!(got.len(), 4);
         // Compare against exact max pooling of the conv output.
         let probe = PipelineBuilder::new(&[1, 4, 4])
             .affine(Conv2d::new(1, 1, 3, 1, 1, &mut Rng64::new(13)))
-            .compile();
+            .try_compile()
+            .unwrap();
         let conv_out = probe.eval_plain(&x);
         for oy in 0..2 {
             for ox in 0..2 {
@@ -889,7 +829,8 @@ mod tests {
                 .paf_maxpool(2, 2, &paf, s)
                 .affine(Flatten::new())
                 .affine(Linear::new(4, 3, &mut rng))
-                .compile();
+                .try_compile()
+                .unwrap();
             assert_eq!(pipe.stages().len(), 4);
             let Stage::PafRelu { post_scale, .. } = &pipe.stages()[1] else {
                 panic!("stage 1 is the ReLU");
@@ -901,7 +842,8 @@ mod tests {
         let pipe = PipelineBuilder::new(&[1, 4, 4])
             .paf_relu(&paf, 6.0)
             .paf_maxpool(2, 2, &paf, 8.0)
-            .compile();
+            .try_compile()
+            .unwrap();
         let Stage::PafRelu { post_scale, .. } = &pipe.stages()[0] else {
             panic!("stage 0 is the ReLU");
         };
@@ -936,16 +878,19 @@ mod tests {
             .collect();
         let first = PipelineBuilder::new(&[1, 8, 8])
             .paf_maxpool(2, 2, &paf, 8.0)
-            .compile();
+            .try_compile()
+            .unwrap();
         assert_eq!(first.stages().len(), 3);
         let unscaled = PipelineBuilder::new(&[1, 8, 8])
             .paf_maxpool(2, 2, &paf, 1.0)
-            .compile();
+            .try_compile()
+            .unwrap();
         assert_eq!(unscaled.stages().len(), 2);
         let twice = PipelineBuilder::new(&[1, 8, 8])
             .paf_maxpool(2, 2, &paf, 8.0)
             .paf_maxpool(3, 1, &paf, 6.0)
-            .compile();
+            .try_compile()
+            .unwrap();
         assert_eq!(twice.stages().len(), 5);
         assert_eq!(twice.output_dim(), 4);
         let once = exact_pool(&x, &[1, 8, 8], 2, 2);
@@ -967,7 +912,8 @@ mod tests {
             .affine(Linear::new(4, 4, &mut rng))
             .paf_relu(&paf, 2.0)
             .affine(Linear::new(4, 2, &mut rng))
-            .compile();
+            .try_compile()
+            .unwrap();
         // affine(1) + relu(pre 1 + depth+1 + post 1) + affine(1)
         let relu_levels = paf.mult_depth() + 3;
         assert_eq!(pipe.total_levels(), 2 + relu_levels);
@@ -984,7 +930,8 @@ mod tests {
                 .affine(Linear::new(4, 4, rng))
                 .paf_relu(&paf, 5.0)
                 .affine(Linear::new(4, 2, rng))
-                .compile()
+                .try_compile()
+                .unwrap()
         };
         let plain = build(&mut Rng64::new(19));
         let folded = build(&mut rng).fold_scales();
@@ -1002,18 +949,22 @@ mod tests {
         let mut rng = Rng64::new(23);
         let pipe = PipelineBuilder::new(&[3])
             .affine(Linear::new(3, 5, &mut rng))
-            .compile();
+            .try_compile()
+            .unwrap();
         assert_eq!(pipe.dim(), 8);
-        let padded = pipe.pad_input(&[1.0, 2.0, 3.0]);
+        let padded = pipe.try_pad_input(&[1.0, 2.0, 3.0]).unwrap();
         assert_eq!(padded.len(), 8);
         assert_eq!(&padded[..3], &[1.0, 2.0, 3.0]);
         assert!(padded[3..].iter().all(|&v| v == 0.0));
+        let err = pipe.try_pad_input(&[0.0; 4]).unwrap_err();
+        assert_eq!(err, RunError::InputTooLong { len: 4, max: 3 });
     }
 
     #[test]
-    #[should_panic(expected = "empty pipeline")]
     fn empty_builder_rejected() {
-        let _ = PipelineBuilder::new(&[4]).compile();
+        let err = PipelineBuilder::new(&[4]).try_compile().err();
+        assert_eq!(err, Some(RunError::EmptyPipeline));
+        assert_eq!(err.unwrap().to_string(), "empty pipeline");
     }
 
     #[test]
@@ -1041,7 +992,8 @@ mod tests {
         let base = PipelineBuilder::new(&[4])
             .affine(Linear::new(4, 4, &mut rng))
             .paf_relu(&relu_paf(), scale)
-            .compile()
+            .try_compile()
+            .unwrap()
             .fold_scales();
         let rich = CompositePaf::from_form(PafForm::Alpha7);
         let swapped = base
@@ -1054,7 +1006,8 @@ mod tests {
         let direct = PipelineBuilder::new(&[4])
             .affine(Linear::new(4, 4, &mut Rng64::new(31)))
             .paf_relu(&rich, scale)
-            .compile()
+            .try_compile()
+            .unwrap()
             .fold_scales();
         let x = [0.4, -0.8, 1.2, -0.1];
         let a = swapped.eval_plain(&x);
@@ -1074,7 +1027,8 @@ mod tests {
             .affine(Conv2d::new(1, 1, 3, 1, 1, &mut rng))
             .paf_relu(&cheap, 4.0)
             .paf_maxpool(2, 2, &cheap, 8.0)
-            .compile()
+            .try_compile()
+            .unwrap()
             .fold_scales();
         assert_eq!(base.num_paf_stages(), 2);
         let mixed = base
@@ -1089,7 +1043,8 @@ mod tests {
             .affine(Conv2d::new(1, 1, 3, 1, 1, &mut Rng64::new(37)))
             .paf_relu(&rich, 4.0)
             .paf_maxpool(2, 2, &cheap, 8.0)
-            .compile()
+            .try_compile()
+            .unwrap()
             .fold_scales();
         let x: Vec<f64> = (0..16).map(|i| ((i * 5) % 9) as f64 / 4.0 - 1.0).collect();
         let a = mixed.eval_plain(&x);
@@ -1107,7 +1062,8 @@ mod tests {
         let pipe = PipelineBuilder::new(&[4])
             .affine(Linear::new(4, 4, &mut rng))
             .paf_relu(&paf, 2.0)
-            .compile();
+            .try_compile()
+            .unwrap();
         let err = pipe
             .try_with_pafs(&[paf.clone(), paf.clone()])
             .err()
@@ -1123,7 +1079,8 @@ mod tests {
         // Empty vector against a slotless pipeline is fine.
         let slotless = PipelineBuilder::new(&[4])
             .affine(Linear::new(4, 4, &mut rng))
-            .compile();
+            .try_compile()
+            .unwrap();
         assert!(slotless.try_with_pafs(&[]).is_ok());
     }
 
@@ -1133,8 +1090,9 @@ mod tests {
         let pipe = PipelineBuilder::new(&[1, 4, 4])
             .paf_relu(&paf, 2.0)
             .paf_maxpool(2, 2, &paf, 4.0)
-            .compile();
-        let engines: Vec<_> = pipe.prepared_engines().iter().flatten().collect();
+            .try_compile()
+            .unwrap();
+        let engines: Vec<_> = stage_engines(&pipe);
         assert_eq!(engines.len(), 2);
         assert!(
             std::sync::Arc::ptr_eq(engines[0], engines[1]),
@@ -1144,7 +1102,7 @@ mod tests {
         let mixed = pipe
             .try_with_pafs(&[paf.clone(), CompositePaf::from_form(PafForm::Alpha7)])
             .expect("one composite per slot");
-        let engines: Vec<_> = mixed.prepared_engines().iter().flatten().collect();
+        let engines: Vec<_> = stage_engines(&mixed);
         assert!(!std::sync::Arc::ptr_eq(engines[0], engines[1]));
     }
 
@@ -1159,14 +1117,15 @@ mod tests {
         let base = PipelineBuilder::new(&[1, 4, 4])
             .paf_relu(&cheap, 2.0)
             .paf_maxpool(2, 2, &rich, 4.0)
-            .compile();
-        let base_engines: Vec<_> = base.prepared_engines().iter().flatten().collect();
+            .try_compile()
+            .unwrap();
+        let base_engines: Vec<_> = stage_engines(&base);
         // Keep slot 0, change slot 1 to slot 0's form: both slots of
         // the swap reuse the base's slot-0 engine.
         let swapped = base
             .try_with_pafs(&[cheap.clone(), cheap.clone()])
             .expect("one composite per slot");
-        let swapped_engines: Vec<_> = swapped.prepared_engines().iter().flatten().collect();
+        let swapped_engines: Vec<_> = stage_engines(&swapped);
         assert!(std::sync::Arc::ptr_eq(base_engines[0], swapped_engines[0]));
         assert!(std::sync::Arc::ptr_eq(base_engines[0], swapped_engines[1]));
         // And the dropped form's engine is gone, not leaked into the
@@ -1181,7 +1140,8 @@ mod tests {
         let pipe = PipelineBuilder::new(&[4])
             .affine(Linear::new(4, 4, &mut rng))
             .paf_relu(&paf, 2.0)
-            .compile();
+            .try_compile()
+            .unwrap();
         assert!(pipe.stages()[0].label().starts_with("affine"));
         assert!(pipe.stages()[1].label().starts_with("paf-relu"));
     }
@@ -1191,7 +1151,8 @@ mod tests {
         let mut rng = Rng64::new(31);
         let pipe = PipelineBuilder::new(&[4])
             .affine(Linear::new(4, 4, &mut rng))
-            .compile();
+            .try_compile()
+            .unwrap();
         assert_eq!(pipe.dim(), 4);
         assert_eq!(pipe.lane_capacity(128), 32);
         assert_eq!(pipe.lane_capacity(4), 1);
@@ -1213,7 +1174,8 @@ mod tests {
             .paf_maxpool(2, 2, &paf, 4.0)
             .affine(Flatten::new())
             .affine(Linear::new(4, 4, &mut rng))
-            .compile();
+            .try_compile()
+            .unwrap();
         let lanes = 4;
         let wide = pipe.expand_lanes(lanes);
         assert_eq!(wide.dim(), lanes * pipe.dim());
@@ -1248,10 +1210,13 @@ mod tests {
     #[test]
     fn expanded_lanes_share_prepared_paf_engines() {
         let paf = relu_paf();
-        let pipe = PipelineBuilder::new(&[4]).paf_relu(&paf, 2.0).compile();
+        let pipe = PipelineBuilder::new(&[4])
+            .paf_relu(&paf, 2.0)
+            .try_compile()
+            .unwrap();
         let wide = pipe.expand_lanes(8);
-        let base: Vec<_> = pipe.prepared_engines().iter().flatten().collect();
-        let exp: Vec<_> = wide.prepared_engines().iter().flatten().collect();
+        let base: Vec<_> = stage_engines(&pipe);
+        let exp: Vec<_> = stage_engines(&wide);
         assert_eq!(base.len(), exp.len());
         assert!(
             std::sync::Arc::ptr_eq(base[0], exp[0]),
@@ -1265,7 +1230,8 @@ mod tests {
         let mut rng = Rng64::new(35);
         let pipe = PipelineBuilder::new(&[4])
             .affine(Linear::new(4, 4, &mut rng))
-            .compile();
+            .try_compile()
+            .unwrap();
         let _ = pipe.expand_lanes(3);
     }
 }

@@ -28,7 +28,7 @@ proptest! {
         let pipe = PipelineBuilder::new(&[6])
             .affine(Linear::new(6, 5, &mut rng))
             .affine(Linear::new(5, 4, &mut rng))
-            .compile();
+            .try_compile().unwrap();
         let zero = pipe.eval_plain(&[0.0; 6]);
         let fx = pipe.eval_plain(&x);
         let fy = pipe.eval_plain(&y);
@@ -58,7 +58,7 @@ proptest! {
                 .affine(Linear::new(4, 4, rng))
                 .paf_relu(&paf, s2)
                 .affine(Linear::new(4, 3, rng))
-                .compile()
+                .try_compile().unwrap()
         };
         let plain = build(&mut Rng64::new(seed));
         let folded = build(&mut Rng64::new(seed)).fold_scales();
@@ -87,7 +87,7 @@ proptest! {
             .affine(Linear::new(4, 4, &mut rng))
             .paf_relu(&paf, scale)
             .affine(Linear::new(4, 4, &mut rng))
-            .compile();
+            .try_compile().unwrap();
 
         let lanes = 1usize << lanes_log2;
         let inputs = &raw[..raw.len().min(lanes)];
@@ -136,7 +136,7 @@ proptest! {
                 _ => builder.affine(Conv2d::new(1, 1, 3, 1, 1, &mut Rng64::new(7))),
             };
         }
-        let pipe = builder.compile();
+        let pipe = builder.try_compile().unwrap();
         let params = CkksParams { depth: max_level, ..CkksParams::default_params() };
         let refreshes = |paf: &CompositePaf| {
             let uniform = pipe
@@ -163,7 +163,7 @@ proptest! {
                 .affine(Linear::new(4, 4, rng))
                 .paf_relu(&paf, s)
                 .affine(Linear::new(4, 2, rng))
-                .compile()
+                .try_compile().unwrap()
         };
         let plain = build(&mut Rng64::new(seed));
         let folded = build(&mut Rng64::new(seed)).fold_scales();
@@ -272,14 +272,14 @@ proptest! {
             .affine(Linear::new(8, hidden, &mut rng))
             .paf_relu(&paf, scale)
             .affine(Linear::new(hidden, 4, &mut rng))
-            .compile();
+            .try_compile().unwrap();
 
         let ctx = CkksParams::toy().build();
         let keys = KeyChain::generate(&ctx, &mut rng);
         let pe = PafEvaluator::new(Evaluator::new(&keys));
         let ct = pe
             .evaluator()
-            .encrypt_replicated(&pipe.pad_input(&x), &mut rng);
+            .encrypt_replicated(&pipe.try_pad_input(&x).unwrap(), &mut rng);
         let (out_ct, enc_stats) = pipe.try_eval_encrypted(&pe, None, &ct).unwrap();
 
         // PlainBackend ≈ decrypt(CkksBackend ...) within noise.
@@ -341,7 +341,7 @@ proptest! {
                 _ => builder.affine(contraction()),
             };
         }
-        let pipe = builder.compile().fold_scales();
+        let pipe = builder.try_compile().unwrap().fold_scales();
         let lanes = if packed { 8 } else { 1 };
         let wide = pipe.expand_lanes(lanes);
 
@@ -352,7 +352,7 @@ proptest! {
         // Every lane carries the same input.
         let ct = pe
             .evaluator()
-            .encrypt_replicated(&pipe.pad_input(&x).repeat(lanes), &mut rng);
+            .encrypt_replicated(&pipe.try_pad_input(&x).unwrap().repeat(lanes), &mut rng);
         ENTRY_LEVELS.with(|levels| levels.borrow_mut().clear());
         let executed = wide.try_eval_encrypted(&pe, Some(&bs), &ct);
         let entered = ENTRY_LEVELS.with(|levels| levels.take());

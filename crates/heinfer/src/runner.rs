@@ -50,11 +50,12 @@ mod tests {
         let (pe, mut rng) = setup(61);
         let pipe = PipelineBuilder::new(&[8])
             .affine(Linear::new(8, 8, &mut rng))
-            .compile();
+            .try_compile()
+            .unwrap();
         let x: Vec<f64> = (0..8).map(|i| (i as f64 - 4.0) / 4.0).collect();
         let ct = pe
             .evaluator()
-            .encrypt_replicated(&pipe.pad_input(&x), &mut rng);
+            .encrypt_replicated(&pipe.try_pad_input(&x).unwrap(), &mut rng);
         let (out_ct, stats) = pipe.try_eval_encrypted(&pe, None, &ct).unwrap();
         let got = pe.evaluator().decrypt_values(&out_ct, 8);
         let want = pipe.eval_plain(&x);
@@ -78,12 +79,13 @@ mod tests {
             .affine(Linear::new(8, 8, &mut rng))
             .paf_relu(&paf, 4.0)
             .affine(Linear::new(8, 4, &mut rng))
-            .compile()
+            .try_compile()
+            .unwrap()
             .fold_scales();
         let x: Vec<f64> = (0..8).map(|i| (i as f64 - 3.0) / 3.0).collect();
         let ct = pe
             .evaluator()
-            .encrypt_replicated(&pipe.pad_input(&x), &mut rng);
+            .encrypt_replicated(&pipe.try_pad_input(&x).unwrap(), &mut rng);
         let (out_ct, stats) = pipe.try_eval_encrypted(&pe, None, &ct).unwrap();
         let got = pe.evaluator().decrypt_values(&out_ct, 4);
         let want = pipe.eval_plain(&x);
@@ -107,12 +109,13 @@ mod tests {
             .paf_relu(&paf, 6.0)
             .affine(Flatten::new())
             .affine(Linear::new(32, 4, &mut rng))
-            .compile()
+            .try_compile()
+            .unwrap()
             .fold_scales();
         let x: Vec<f64> = (0..16).map(|i| ((i % 5) as f64 - 2.0) / 2.0).collect();
         let ct = pe
             .evaluator()
-            .encrypt_replicated(&pipe.pad_input(&x), &mut rng);
+            .encrypt_replicated(&pipe.try_pad_input(&x).unwrap(), &mut rng);
         let (out_ct, _) = pipe.try_eval_encrypted(&pe, None, &ct).unwrap();
         let got = pe.evaluator().decrypt_values(&out_ct, 4);
         let want = pipe.eval_plain(&x);
@@ -136,13 +139,13 @@ mod tests {
         for _ in 0..3 {
             b = b.affine(Linear::new(4, 4, &mut rng)).paf_relu(&paf, 2.0);
         }
-        let pipe = b.compile().fold_scales();
+        let pipe = b.try_compile().unwrap().fold_scales();
         assert!(pipe.total_levels() > 12);
         let bs = Bootstrapper::new(pe.evaluator().clone(), pipe.dim(), 5);
         let x = [0.2, -0.4, 0.6, -0.8];
         let ct = pe
             .evaluator()
-            .encrypt_replicated(&pipe.pad_input(&x), &mut rng);
+            .encrypt_replicated(&pipe.try_pad_input(&x).unwrap(), &mut rng);
         let (out_ct, stats) = pipe.try_eval_encrypted(&pe, Some(&bs), &ct).unwrap();
         assert!(stats.bootstraps >= 1);
         assert_eq!(stats.bootstraps, bs.refresh_count());
@@ -166,10 +169,10 @@ mod tests {
         for _ in 0..3 {
             b = b.affine(Linear::new(4, 4, &mut rng)).paf_relu(&paf, 2.0);
         }
-        let pipe = b.compile();
+        let pipe = b.try_compile().unwrap();
         let ct = pe
             .evaluator()
-            .encrypt_replicated(&pipe.pad_input(&[0.1; 4]), &mut rng);
+            .encrypt_replicated(&pipe.try_pad_input(&[0.1; 4]).unwrap(), &mut rng);
         let err = pipe.try_eval_encrypted(&pe, None, &ct).unwrap_err();
         assert!(
             matches!(
@@ -189,11 +192,12 @@ mod tests {
         let paf = CompositePaf::from_form(PafForm::Alpha7);
         let pipe = PipelineBuilder::new(&[1, 4, 4])
             .paf_maxpool(2, 2, &paf, 4.0)
-            .compile();
+            .try_compile()
+            .unwrap();
         let x: Vec<f64> = (0..16).map(|i| ((i * 3) % 7) as f64 / 2.0 - 1.5).collect();
         let ct = pe
             .evaluator()
-            .encrypt_replicated(&pipe.pad_input(&x), &mut rng);
+            .encrypt_replicated(&pipe.try_pad_input(&x).unwrap(), &mut rng);
         // Scale, two shifts, selection: 1 + 2·(depth+1) + 1 = 16 levels
         // > the toy chain's 12, so the fold must refresh mid-stage.
         let bs = Bootstrapper::new(pe.evaluator().clone(), pipe.dim(), 3);

@@ -65,6 +65,7 @@ impl Stage {
                 paf,
                 pre_scale,
                 post_scale,
+                ..
             } => {
                 let scales = usize::from(*pre_scale != 1.0) + usize::from(*post_scale != 1.0);
                 (1, PafEvaluator::relu_depth(paf) + scales)
@@ -88,8 +89,7 @@ impl HePipeline {
     pub fn atomic_ops(&self, lanes: usize) -> Vec<AtomicOp> {
         assert!(lanes.is_power_of_two(), "lanes must be a power of two");
         let mut ops = Vec::new();
-        let stages = self.stages.iter().zip(self.prepared_engines());
-        for (stage, (s, engine)) in stages.enumerate() {
+        for (stage, s) in self.stages.iter().enumerate() {
             let work = match s {
                 Stage::Affine { mat, .. } => {
                     let key_switches = mat.bsgs_counts(lanes);
@@ -100,11 +100,10 @@ impl HePipeline {
                         ..OpWork::default()
                     }
                 }
-                Stage::PafRelu { .. } | Stage::PafMax { .. } => {
+                Stage::PafRelu { engine, .. } | Stage::PafMax { engine, .. } => {
                     // The sign stages plus the `x·sign(x)` product; a
                     // max also rotates the running fold, which has its
                     // own decomposition.
-                    let engine = engine.as_deref().expect("PAF stage has an engine");
                     let shift = usize::from(matches!(s, Stage::PafMax { .. }));
                     OpWork {
                         tensors: engine.exact_ct_mults() + 1,

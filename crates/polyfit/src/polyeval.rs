@@ -335,7 +335,8 @@ impl OddPowerSchedule {
 /// let paf = CompositePaf::from_form(PafForm::F1G2);
 /// let eng = CompositeEval::new(&paf);
 /// assert!((eng.eval(0.5) - paf.eval(0.5)).abs() < 1e-15);
-/// let out = eng.relu_vec(&[-0.5, 0.5]);
+/// let mut out = [0.0; 2];
+/// eng.relu_slice(&[-0.5, 0.5], &mut out);
 /// assert!(out[0].abs() < 0.05 && (out[1] - 0.5).abs() < 0.05);
 /// ```
 #[derive(Debug, Clone)]
@@ -419,13 +420,6 @@ impl CompositeEval {
         for (o, &x) in out.iter_mut().zip(xs) {
             *o = (x + x * *o) / 2.0;
         }
-    }
-
-    /// Allocating wrapper over [`CompositeEval::relu_slice`].
-    pub fn relu_vec(&self, xs: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; xs.len()];
-        self.relu_slice(xs, &mut out);
-        out
     }
 
     /// Max approximation `((x+y) + (x−y)·paf(x−y))/2` at one point.

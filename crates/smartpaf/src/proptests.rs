@@ -10,7 +10,6 @@ use smartpaf_heinfer::{AtomicOp, LevelSchedule, Tiebreak, TraceReport};
 use smartpaf_nn::{Conv2d, Flatten, Linear};
 use smartpaf_polyfit::{CompositePaf, PafForm};
 use smartpaf_tensor::Rng64;
-use std::sync::Arc;
 
 /// `blocks` affine→ReLU blocks over a flat 4-vector on the toy ring.
 fn blocks_builder(blocks: usize, scale: f64, layer_seed: u64) -> SessionBuilder {
@@ -85,10 +84,9 @@ proptest! {
         };
         let a = plan_once();
         let b = plan_once();
-        prop_assert_eq!(a.chosen_forms(), b.chosen_forms());
+        prop_assert_eq!(a.chosen().forms, b.chosen().forms);
         prop_assert_eq!(a.frontier_indices(), b.frontier_indices());
         prop_assert_eq!(a.candidates(), b.candidates());
-        prop_assert_eq!(a.pareto_points(), b.pareto_points());
         prop_assert_eq!(a.dry_runs_used(), b.dry_runs_used());
         prop_assert_eq!(a.report().as_str(), b.report().as_str());
     }
@@ -113,8 +111,8 @@ proptest! {
             .objective(Objective::MinBootstraps)
             .plan()
             .expect("the toy chain plans min-bootstraps");
-        prop_assert_eq!(plan.chosen_forms().len(), blocks);
-        let traced = plan.traced_bootstraps();
+        prop_assert_eq!(plan.chosen().forms.len(), blocks);
+        let traced = plan.chosen().cost.bootstraps;
         let stage_levels: Vec<usize> =
             plan.chosen_trace().stages.iter().map(|s| s.levels).collect();
         let mut session = plan.compile().expect("the toy ring compiles");
@@ -136,18 +134,10 @@ fn assert_plan_is_exact(
     forms: &[PafForm],
     objective: Objective,
 ) {
-    let prepared: Vec<_> = forms
-        .iter()
-        .map(|&form| {
-            let paf = CompositePaf::from_form(form);
-            let engine = Arc::new(paf.prepare());
-            (paf, engine)
-        })
-        .collect();
+    let pafs: Vec<CompositePaf> = forms.iter().map(|&f| CompositePaf::from_form(f)).collect();
     let install = |vector: &[usize]| {
-        let pairs: Vec<_> = vector.iter().map(|&i| prepared[i].clone()).collect();
-        base.try_with_prepared_pafs(&pairs)
-            .expect("one form per slot")
+        let vector: Vec<CompositePaf> = vector.iter().map(|&i| pafs[i].clone()).collect();
+        base.try_with_pafs(&vector).expect("one form per slot")
     };
     let trace = |vector: &[usize]| match install(vector).trace(params, true, 1) {
         Ok(trace) => Some(trace),
@@ -171,7 +161,7 @@ fn assert_plan_is_exact(
         Objective::MinBootstraps => Tiebreak::ProductsThenPrice,
         _ => Tiebreak::Price,
     };
-    let fidelities: Vec<f64> = prepared.iter().map(|(paf, _)| fidelity(paf)).collect();
+    let fidelities: Vec<f64> = pafs.iter().map(fidelity).collect();
     let floor = match objective {
         Objective::MinLatency { max_acc_drop } => {
             let feasible = uniform.iter().zip(&fidelities).filter(|(t, _)| t.is_some());

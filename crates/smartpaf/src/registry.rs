@@ -623,7 +623,6 @@ mod tests {
         let plan = builder(2, 5).plan().expect("plannable");
         let key = reg.save_plan(&plan).expect("saves");
         let loaded = reg.load_plan(builder(2, 5)).expect("loads");
-        assert_eq!(loaded.chosen_forms(), plan.chosen_forms());
         assert_eq!(loaded.chosen(), plan.chosen());
         assert_eq!(loaded.candidates(), plan.candidates());
         assert_eq!(loaded.frontier_indices(), plan.frontier_indices());
@@ -635,7 +634,7 @@ mod tests {
         let infos = reg.list().expect("lists");
         assert_eq!(infos.len(), 1);
         assert_eq!(infos[0].content_key, key);
-        assert_eq!(infos[0].chosen_forms, plan.chosen_forms());
+        assert_eq!(infos[0].chosen_forms, plan.chosen().forms);
         assert_eq!(infos[0].dry_runs, plan.dry_runs_used());
     }
 

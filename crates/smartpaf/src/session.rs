@@ -53,7 +53,7 @@
 //! }
 //! ```
 
-use crate::pareto::{vector_pareto_frontier, ParetoPoint, VectorParetoPoint};
+use crate::pareto::{vector_pareto_frontier, VectorParetoPoint};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use smartpaf_ckks::cost::bootstrap_modmuls;
 use smartpaf_ckks::{Bootstrapper, Ciphertext, CkksParams, Evaluator, KeyChain, PafEvaluator};
@@ -62,11 +62,10 @@ use smartpaf_heinfer::{
     PipelineBuilder, RunError, RunStats, Stage, StageTrace, Tiebreak, TraceReport,
 };
 use smartpaf_nn::Layer;
-use smartpaf_polyfit::{CompositeEval, CompositePaf, PafForm};
+use smartpaf_polyfit::{CompositePaf, PafForm};
 use smartpaf_tensor::Rng64;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// A per-slot PAF form identifier — one entry of a *form vector*
 /// (`Vec<FormId>`, one per ReLU/maxpool slot in stage order). Today
@@ -222,7 +221,8 @@ impl fmt::Display for Objective {
 /// read off a full-pipeline dry run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VectorCost {
-    /// Bootstraps one inference forces on the chain.
+    /// Bootstraps one inference forces on the chain — by construction
+    /// what the compiled session measures on an encrypted run.
     pub bootstraps: usize,
     /// Exact ciphertext-ciphertext multiplications of one inference.
     pub ct_mults: usize,
@@ -459,11 +459,8 @@ fn plan_probed(probed: ProbedModel) -> Result<Plan, SessionError> {
     };
     let infos: Vec<FormInfo> = tried.iter().map(|&form| FormInfo::new(form)).collect();
     let install = |vector: &[usize]| {
-        let pairs: Vec<(CompositePaf, Arc<CompositeEval>)> = vector
-            .iter()
-            .map(|&i| (infos[i].paf.clone(), Arc::clone(&infos[i].engine)))
-            .collect();
-        base.try_with_prepared_pafs(&pairs)
+        let pafs: Vec<CompositePaf> = vector.iter().map(|&i| infos[i].paf.clone()).collect();
+        base.try_with_pafs(&pafs)
     };
 
     // Every form as a uniform vector: a row of the plan, and the run
@@ -565,13 +562,11 @@ pub(crate) fn fidelity(paf: &CompositePaf) -> f64 {
 }
 
 /// Everything the planner knows about one candidate form: the
-/// composite, its prepared evaluation engine (one schedule packing per
-/// form, shared by every vector and slot that takes it), and its
-/// fidelity.
+/// composite and its fidelity. The prepared engine belongs to the
+/// stages [`HePipeline::try_with_pafs`] installs the composite in.
 struct FormInfo {
     form: PafForm,
     paf: CompositePaf,
-    engine: Arc<CompositeEval>,
     fidelity: f64,
 }
 
@@ -580,7 +575,6 @@ impl FormInfo {
         let paf = CompositePaf::from_form(form);
         FormInfo {
             form,
-            engine: Arc::new(paf.prepare()),
             fidelity: fidelity(&paf),
             paf,
         }
@@ -690,7 +684,6 @@ pub struct Plan {
     chosen: usize,
     candidates: Vec<PlannedCandidate>,
     candidate_forms: Vec<PafForm>,
-    points: Vec<ParetoPoint>,
     frontier: Vec<usize>,
     skipped: Vec<PafForm>,
     params: CkksParams,
@@ -705,7 +698,7 @@ impl fmt::Debug for Plan {
         // HePipeline holds prepared engines without a Debug form; show
         // the planning outcome instead.
         f.debug_struct("Plan")
-            .field("chosen", &self.chosen_forms())
+            .field("chosen", &self.chosen().forms)
             .field("objective", &self.objective)
             .field("candidates", &self.candidates)
             .field("frontier", &self.frontier)
@@ -715,11 +708,11 @@ impl fmt::Debug for Plan {
 }
 
 impl Plan {
-    /// Derives the Pareto points, frontier, and report from the
-    /// traced candidates and assembles the plan — the one constructor
-    /// shared by the planner ([`SessionBuilder::plan`]) and the
-    /// registry ([`PlanRegistry::load_plan`], with `dry_runs` 0: a
-    /// loaded plan traced nothing to plan in this process).
+    /// Derives the frontier and report from the traced candidates and
+    /// assembles the plan — the one constructor shared by the planner
+    /// ([`SessionBuilder::plan`]) and the registry
+    /// ([`PlanRegistry::load_plan`], with `dry_runs` 0: a loaded plan
+    /// traced nothing to plan in this process).
     ///
     /// [`PlanRegistry::load_plan`]: crate::PlanRegistry::load_plan
     #[allow(clippy::too_many_arguments)]
@@ -734,13 +727,6 @@ impl Plan {
         dry_runs: usize,
         seed: u64,
     ) -> Plan {
-        let points: Vec<ParetoPoint> = candidates
-            .iter()
-            .map(|c| ParetoPoint {
-                latency_ms: c.priced_ms,
-                accuracy: c.fidelity,
-            })
-            .collect();
         let vector_points: Vec<VectorParetoPoint> = candidates
             .iter()
             .map(|c| VectorParetoPoint {
@@ -766,7 +752,6 @@ impl Plan {
             chosen,
             candidates,
             candidate_forms,
-            points,
             frontier,
             skipped,
             params,
@@ -777,40 +762,12 @@ impl Plan {
         }
     }
 
-    /// The form vector the objective selected — one [`FormId`] per PAF
-    /// slot, in stage order.
-    pub fn chosen_forms(&self) -> &[FormId] {
-        &self.candidates[self.chosen].forms
-    }
-
-    /// The single chosen form of a *uniform* plan — the legacy
-    /// single-form path ([`Objective::FixedForm`], one-slot pipelines,
-    /// or a plan no mixed vector beats).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the chosen vector is mixed or the pipeline has no
-    /// PAF slot; use [`Plan::chosen_forms`] there.
-    pub fn chosen_form(&self) -> PafForm {
-        self.candidates[self.chosen]
-            .uniform_form()
-            .expect("mixed-form plan: use chosen_forms()")
-    }
-
-    /// Human-readable name of the chosen vector (paper name when
-    /// uniform, compact per-slot list when mixed).
-    pub fn chosen_label(&self) -> String {
-        self.candidates[self.chosen].label()
-    }
-
-    /// The chosen candidate (cost, trace, fidelity, price).
+    /// The chosen candidate: one [`FormId`] per PAF slot in stage order
+    /// (a uniform plan's single form is
+    /// [`PlannedCandidate::uniform_form`]), its traced cost, trace,
+    /// fidelity, price and label.
     pub fn chosen(&self) -> &PlannedCandidate {
         &self.candidates[self.chosen]
-    }
-
-    /// Traced deployment cost of the chosen vector.
-    pub fn chosen_cost(&self) -> &VectorCost {
-        &self.candidates[self.chosen].cost
     }
 
     /// Full per-stage trace of the chosen vector on the parameter
@@ -818,13 +775,6 @@ impl Plan {
     /// rows via [`TraceReport::paf_slots`].
     pub fn chosen_trace(&self) -> &TraceReport {
         &self.candidates[self.chosen].trace
-    }
-
-    /// Bootstraps one inference of the chosen vector will trigger — by
-    /// construction equal to what the compiled session measures on an
-    /// encrypted run.
-    pub fn traced_bootstraps(&self) -> usize {
-        self.candidates[self.chosen].cost.bootstraps
     }
 
     /// The level the chosen vector's schedule enters its first stage
@@ -841,12 +791,6 @@ impl Plan {
         &self.candidates
     }
 
-    /// One `(priced latency, fidelity)` point per feasible candidate,
-    /// parallel to [`Plan::candidates`].
-    pub fn pareto_points(&self) -> &[ParetoPoint] {
-        &self.points
-    }
-
     /// Indices (into [`Plan::candidates`]) of the Pareto-optimal
     /// vectors under three-axis dominance — traced bootstraps, exact
     /// ct-mults, worst-slot sign error
@@ -854,12 +798,6 @@ impl Plan {
     /// duplicate form vectors deduplicated.
     pub fn frontier_indices(&self) -> &[usize] {
         &self.frontier
-    }
-
-    /// The Pareto frontier as `(priced latency, fidelity)` points, in
-    /// frontier order.
-    pub fn frontier_points(&self) -> Vec<ParetoPoint> {
-        self.frontier.iter().map(|&i| self.points[i]).collect()
     }
 
     /// Candidate forms skipped because their *uniform* vector cannot
@@ -1149,38 +1087,10 @@ impl CompiledSession {
         &self.report
     }
 
-    /// The form vector the plan selected — one [`FormId`] per PAF
-    /// slot, in stage order.
-    pub fn chosen_forms(&self) -> &[FormId] {
-        &self.chosen.forms
-    }
-
-    /// The single chosen form of a *uniform* plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the served vector is mixed or the pipeline has no
-    /// PAF slot; use [`CompiledSession::chosen_forms`] there.
-    pub fn chosen_form(&self) -> PafForm {
-        self.chosen
-            .uniform_form()
-            .expect("mixed-form plan: use chosen_forms()")
-    }
-
-    /// Human-readable name of the served vector (paper name when
-    /// uniform, compact per-slot list when mixed).
-    pub fn chosen_label(&self) -> String {
-        self.chosen.label()
-    }
-
-    /// Traced deployment cost of the chosen vector.
-    pub fn chosen_cost(&self) -> &VectorCost {
-        &self.chosen.cost
-    }
-
-    /// The chosen vector's plan-time trace.
-    pub fn chosen_trace(&self) -> &TraceReport {
-        &self.chosen.trace
+    /// The served vector as the planner traced it: one [`FormId`] per
+    /// PAF slot, its cost, trace, fidelity and label.
+    pub fn chosen(&self) -> &PlannedCandidate {
+        &self.chosen
     }
 
     /// Statistics of the most recent [`CompiledSession::infer`] run.
@@ -1505,11 +1415,12 @@ mod tests {
         assert!(deep.cost.ct_mults > cheap.cost.ct_mults);
         // The chosen vector is at least as cheap as the best uniform,
         // and every entry comes from the candidate set.
-        let (chosen, cheap) = (plan.chosen_cost(), &cheap.cost);
+        let (chosen, cheap) = (&plan.chosen().cost, &cheap.cost);
         assert!((chosen.bootstraps, chosen.ct_mults) <= (cheap.bootstraps, cheap.ct_mults));
-        assert_eq!(plan.chosen_forms().len(), 3);
+        assert_eq!(plan.chosen().forms.len(), 3);
         assert!(plan
-            .chosen_forms()
+            .chosen()
+            .forms
             .iter()
             .all(|f| [PafForm::MinimaxDeg27, PafForm::F1G2].contains(f)));
         // The frontier dedupes and dominates over the vector axes;
@@ -1528,7 +1439,7 @@ mod tests {
             .objective(Objective::MinLatency { max_acc_drop: 0.0 })
             .plan()
             .expect("plannable");
-        assert_eq!(strict.chosen_form(), PafForm::MinimaxDeg27);
+        assert_eq!(strict.chosen().uniform_form(), Some(PafForm::MinimaxDeg27));
         // A generous budget flips the choice to the cheap form (f1∘g2's
         // fidelity on [0.05, 1] is ~0.24 vs the comparator's ~0.98).
         let relaxed = builder(1, 2.0, 12)
@@ -1536,7 +1447,7 @@ mod tests {
             .objective(Objective::MinLatency { max_acc_drop: 0.8 })
             .plan()
             .expect("plannable");
-        assert_eq!(relaxed.chosen_form(), PafForm::F1G2);
+        assert_eq!(relaxed.chosen().uniform_form(), Some(PafForm::F1G2));
         assert!(relaxed.chosen().priced_ms < strict.chosen().priced_ms);
     }
 
@@ -1550,7 +1461,11 @@ mod tests {
                 .objective(Objective::MinLatency { max_acc_drop: bad })
                 .plan()
                 .expect("degenerate budget must not panic");
-            assert_eq!(plan.chosen_form(), PafForm::MinimaxDeg27, "drop {bad}");
+            assert_eq!(
+                plan.chosen().uniform_form(),
+                Some(PafForm::MinimaxDeg27),
+                "drop {bad}"
+            );
         }
     }
 
@@ -1560,7 +1475,7 @@ mod tests {
             .objective(Objective::FixedForm(PafForm::Alpha7))
             .plan()
             .expect("alpha7 fits");
-        assert_eq!(plan.chosen_form(), PafForm::Alpha7);
+        assert_eq!(plan.chosen().uniform_form(), Some(PafForm::Alpha7));
         assert_eq!(plan.candidates().len(), 1);
         assert!(plan.report().as_str().contains("fixed form"));
     }
@@ -1591,7 +1506,7 @@ mod tests {
             .candidates(&[PafForm::MinimaxDeg27, PafForm::F1G2])
             .plan()
             .expect("f1∘g2 still fits 8 levels");
-        assert_eq!(plan.chosen_form(), PafForm::F1G2);
+        assert_eq!(plan.chosen().uniform_form(), Some(PafForm::F1G2));
         assert_eq!(plan.skipped_forms(), &[PafForm::MinimaxDeg27]);
         assert!(plan.report().as_str().contains("skipped"));
     }
@@ -1627,7 +1542,7 @@ mod tests {
             .objective(Objective::FixedForm(PafForm::F1G2))
             .plan()
             .expect("plannable");
-        let traced = plan.traced_bootstraps();
+        let traced = plan.chosen().cost.bootstraps;
         let trace = plan.chosen_trace().clone();
         let mut session = plan.compile().expect("toy ring compiles");
         let x = [0.4, -0.8, 0.2, -0.1];
@@ -1785,7 +1700,7 @@ mod tests {
                 .objective(Objective::MinBootstraps)
                 .plan()
                 .expect("plannable");
-            assert_eq!(plan.chosen_forms().len(), slots);
+            assert_eq!(plan.chosen().forms.len(), slots);
             assert_eq!(
                 plan.dry_runs_used(),
                 forms,
@@ -1793,7 +1708,7 @@ mod tests {
                  sweeps traced every single-slot move; the exact optimum is found without \
                  tracing a vector, and here it is uniform"
             );
-            assert_eq!(plan.chosen_form(), PafForm::F1G2);
+            assert_eq!(plan.chosen().uniform_form(), Some(PafForm::F1G2));
             // Every form fits the toy chain, so every dry run is one
             // distinct feasible vector.
             assert_eq!(plan.candidates().len(), forms);
@@ -1815,7 +1730,7 @@ mod tests {
             .plan()
             .expect("plannable");
         assert_eq!(
-            plan.chosen_forms(),
+            plan.chosen().forms,
             [PafForm::F1SqG1Sq, PafForm::Alpha7, PafForm::Alpha7]
         );
         assert_eq!(
@@ -1834,7 +1749,7 @@ mod tests {
             .plan()
             .expect("plannable");
         assert_eq!(fixed.candidates().len(), 1);
-        assert_eq!(fixed.chosen_form(), PafForm::F1G2);
+        assert_eq!(fixed.chosen().uniform_form(), Some(PafForm::F1G2));
         let searched = builder(3, 2.0, 24)
             .objective(Objective::MinBootstraps)
             .plan()
@@ -1890,7 +1805,7 @@ mod tests {
         assert!(text.contains("slot"), "{text}");
         // One row per PAF slot of the chosen vector.
         let rows = plan.chosen_trace().paf_slots().len();
-        assert_eq!(rows, plan.chosen_forms().len());
+        assert_eq!(rows, plan.chosen().forms.len());
     }
 
     #[test]
@@ -1904,8 +1819,7 @@ mod tests {
         assert!(text.contains("α=7"));
         assert!(text.contains("est-ms"));
         assert!(text.starts_with("plan: objective min-bootstraps"));
-        assert_eq!(plan.pareto_points().len(), 2);
-        assert_eq!(plan.frontier_points().len(), plan.frontier_indices().len());
+        assert_eq!(plan.candidates().len(), 2);
     }
 
     #[test]
@@ -2013,7 +1927,7 @@ mod tests {
             })
             .collect();
         session.infer(&inputs[0]).unwrap();
-        let unpacked = encoded_limbs(session.pipeline(), session.chosen_trace());
+        let unpacked = encoded_limbs(session.pipeline(), &session.chosen().trace);
         assert_eq!(unpacked, [8, 2]);
         session.infer_batch_packed(&inputs).unwrap();
         let params = session.pe.evaluator().context().params();
@@ -2038,7 +1952,7 @@ mod tests {
         let ev = session.pe.evaluator();
         let (keys, omega) = (ev.keys().key_limbs(), ev.context().special_primes().len());
         let (mut relin_limbs, mut rotation_limbs) = (Vec::new(), Vec::new());
-        for stage in &session.chosen_trace().stages {
+        for stage in &session.chosen().trace.stages {
             let limbs = stage.op_levels.iter().map(|l| l + 1);
             if stage.relins > 0 {
                 relin_limbs.extend(limbs.clone());

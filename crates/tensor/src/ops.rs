@@ -59,11 +59,6 @@ impl Tensor {
         self.map(|x| x * alpha)
     }
 
-    /// Adds a scalar to every element, returning a new tensor.
-    pub fn add_scalar(&self, c: f32) -> Tensor {
-        self.map(|x| x + c)
-    }
-
     /// Sum of all elements (f64 accumulator for stability).
     pub fn sum(&self) -> f32 {
         self.data().iter().map(|&x| x as f64).sum::<f64>() as f32
@@ -240,7 +235,6 @@ mod tests {
         assert_eq!(b.sub(&a).data(), &[3.0, 3.0, 3.0]);
         assert_eq!(a.mul(&b).data(), &[4.0, 10.0, 18.0]);
         assert_eq!(a.scale(2.0).data(), &[2.0, 4.0, 6.0]);
-        assert_eq!(a.add_scalar(1.0).data(), &[2.0, 3.0, 4.0]);
     }
 
     #[test]

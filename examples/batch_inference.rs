@@ -29,14 +29,14 @@ fn main() {
     //    The form column shows the per-slot assignment — on this
     //    conv+pool pipeline f1∘g2 in both slots: with the pool folded
     //    on one ciphertext the shallowest form never refreshes more.
-    let report = session.chosen_trace();
+    let report = &session.chosen().trace;
     println!(
         "\n[trace] per-stage schedule with {}:",
-        session.chosen_label()
+        session.chosen().label()
     );
     //    A pool enters once per shift, and a refresh can fall between
     //    two of them.
-    let forms = session.chosen_forms();
+    let forms = &session.chosen().forms;
     for s in &report.stages {
         let form = s.slot.map(|i| forms[i].short_name()).unwrap_or("-");
         let entries: Vec<String> = s.op_levels.iter().map(usize::to_string).collect();

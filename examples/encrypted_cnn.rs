@@ -35,7 +35,8 @@ fn main() {
         .paf_maxpool(2, 2, &paf, 8.0)
         .affine(Flatten::new())
         .affine(Linear::new(2 * 4 * 4, 10, &mut rng))
-        .compile()
+        .try_compile()
+        .expect("the pipeline compiles")
         .fold_scales();
     println!(
         "  {} stages, padded dim {}, total depth {} levels",
@@ -76,9 +77,10 @@ fn main() {
         "\nencrypting one {}-pixel image into one ciphertext...",
         image.len()
     );
-    let ct = pe
-        .evaluator()
-        .encrypt_replicated(&pipeline.pad_input(&image), &mut rng);
+    let ct = pe.evaluator().encrypt_replicated(
+        &pipeline.try_pad_input(&image).expect("the input fits"),
+        &mut rng,
+    );
 
     let t0 = std::time::Instant::now();
     let (out_ct, stats) = pipeline

@@ -49,9 +49,9 @@ fn main() {
         .expect("the candidate forms fit the chain");
     println!(
         "planned {}: {} exact ct-mults, {} traced bootstraps per inference",
-        plan.chosen_label(),
-        plan.chosen_cost().ct_mults,
-        plan.traced_bootstraps()
+        plan.chosen().label(),
+        plan.chosen().cost.ct_mults,
+        plan.chosen().cost.bootstraps
     );
 
     // The per-slot form table (which form each ReLU/maxpool slot

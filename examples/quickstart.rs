@@ -36,7 +36,7 @@ fn main() {
 
     println!(
         "\nencrypted inference with {} took {wall:?} ({} bootstraps)",
-        session.chosen_label(),
+        session.chosen().label(),
         session.total_bootstraps()
     );
     println!(

@@ -172,7 +172,8 @@ fn main() {
         .paf_relu(&trained_paf, scale)
         .affine(pool)
         .affine(lin)
-        .compile()
+        .try_compile()
+        .expect("the pipeline compiles")
         .fold_scales();
     println!(
         "[5] compiled: {} stages, dim {}, {} levels per inference",
@@ -206,9 +207,10 @@ fn main() {
         let (x, label) = dataset.sample(Split::Val, i);
         let flat: Vec<f64> = x.data().iter().map(|&v| v as f64).collect();
         let plain_logits = pipeline.eval_plain(&flat);
-        let ct = pe
-            .evaluator()
-            .encrypt_replicated(&pipeline.pad_input(&flat), &mut rng);
+        let ct = pe.evaluator().encrypt_replicated(
+            &pipeline.try_pad_input(&flat).expect("the input fits"),
+            &mut rng,
+        );
         let (out_ct, _) = pipeline
             .try_eval_encrypted(&pe, Some(&bs), &ct)
             .expect("the bootstrapper refreshes before the chain runs dry");

@@ -21,7 +21,8 @@ fn cnn_pipeline(seed: u64) -> HePipeline {
         .paf_relu(&relu, 6.0)
         .affine(Flatten::new())
         .affine(Linear::new(32, 4, &mut rng))
-        .compile()
+        .try_compile()
+        .unwrap()
         .fold_scales()
 }
 
@@ -39,7 +40,7 @@ fn all_backends_agree_end_to_end() {
     // Encrypted path through the shared interpreter.
     let ct = pe
         .evaluator()
-        .encrypt_replicated(&pipe.pad_input(&x), &mut rng);
+        .encrypt_replicated(&pipe.try_pad_input(&x).unwrap(), &mut rng);
     let (out_ct, enc_stats) = pipe.try_eval_encrypted(&pe, None, &ct).unwrap();
     let dec = pe.evaluator().decrypt_values(&out_ct, 4);
     for (p, d) in plain.iter().zip(&dec) {
@@ -88,14 +89,14 @@ fn typed_errors_replace_panics_on_the_result_path() {
     for _ in 0..3 {
         b = b.affine(Linear::new(4, 4, &mut rng)).paf_relu(&paf, 2.0);
     }
-    let pipe = b.compile();
+    let pipe = b.try_compile().unwrap();
 
     let ctx = CkksParams::toy().build();
     let keys = KeyChain::generate(&ctx, &mut rng);
     let pe = PafEvaluator::new(Evaluator::new(&keys));
     let ct = pe
         .evaluator()
-        .encrypt_replicated(&pipe.pad_input(&[0.1; 4]), &mut rng);
+        .encrypt_replicated(&pipe.try_pad_input(&[0.1; 4]).unwrap(), &mut rng);
     // Without a bootstrapper: typed OutOfLevels instead of a panic.
     let err = pipe.try_eval_encrypted(&pe, None, &ct).unwrap_err();
     assert!(matches!(err, RunError::OutOfLevels { .. }));
@@ -131,7 +132,7 @@ fn scheduler_cost_oracle_orders_forms() {
     assert_eq!(ranked.len(), 6);
     assert_eq!(ranked[0].uniform_form(), Some(PafForm::F1G2));
     assert_eq!(ranked[5].uniform_form(), Some(PafForm::MinimaxDeg27));
-    assert_eq!(plan.chosen_form(), PafForm::F1G2);
+    assert_eq!(plan.chosen().uniform_form(), Some(PafForm::F1G2));
     // Each row is the exact ladder count + the ReLU product.
     for c in ranked {
         let paf = CompositePaf::from_form(c.uniform_form().expect("one slot"));

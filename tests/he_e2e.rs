@@ -134,7 +134,8 @@ fn encrypted_cnn_matches_plain_and_exact() {
         .paf_relu(&paf, scale)
         .affine(Flatten::new())
         .affine(lin2)
-        .compile()
+        .try_compile()
+        .unwrap()
         .fold_scales();
 
     let flat_x: Vec<f64> = x.data().iter().map(|&v| v as f64).collect();
@@ -153,7 +154,7 @@ fn encrypted_cnn_matches_plain_and_exact() {
     let bs = Bootstrapper::new(pe.evaluator().clone(), pipe.dim(), 9);
     let ct = pe
         .evaluator()
-        .encrypt_replicated(&pipe.pad_input(&flat_x), &mut rng);
+        .encrypt_replicated(&pipe.try_pad_input(&flat_x).unwrap(), &mut rng);
     let (out_ct, stats) = pipe.try_eval_encrypted(&pe, Some(&bs), &ct).unwrap();
     let enc = pe.evaluator().decrypt_values(&out_ct, pipe.output_dim());
     for (g, p) in enc.iter().zip(&plain) {
@@ -170,7 +171,8 @@ fn encrypted_maxpool_error_bounded() {
     let paf = CompositePaf::from_form(PafForm::Alpha7);
     let pipe = PipelineBuilder::new(&[1, 4, 4])
         .paf_maxpool(2, 2, &paf, 4.0)
-        .compile();
+        .try_compile()
+        .unwrap();
     let x: Vec<f64> = (0..16).map(|i| ((i * 5) % 9) as f64 / 3.0 - 1.2).collect();
     // True max pooling.
     let mut want = [f64::NEG_INFINITY; 4];
@@ -188,7 +190,7 @@ fn encrypted_maxpool_error_bounded() {
     let bs = Bootstrapper::new(pe.evaluator().clone(), pipe.dim(), 11);
     let ct = pe
         .evaluator()
-        .encrypt_replicated(&pipe.pad_input(&x), &mut rng);
+        .encrypt_replicated(&pipe.try_pad_input(&x).unwrap(), &mut rng);
     let (out_ct, _) = pipe.try_eval_encrypted(&pe, Some(&bs), &ct).unwrap();
     let got = pe.evaluator().decrypt_values(&out_ct, 4);
     for i in 0..4 {

@@ -101,7 +101,7 @@ fn mixed_vectors_win_on_ct_mults_never_on_refreshes() {
         .objective(Objective::MinBootstraps)
         .plan()
         .expect("both forms fit a 15-level chain");
-    assert_eq!(plan.chosen_forms(), [PafForm::F1SqG1Sq, PafForm::Alpha7]);
+    assert_eq!(plan.chosen().forms, [PafForm::F1SqG1Sq, PafForm::Alpha7]);
     let chosen = &plan.chosen().cost;
     assert_eq!((chosen.bootstraps, chosen.ct_mults), (1, 35));
     let best_uniform = plan
@@ -116,10 +116,10 @@ fn mixed_vectors_win_on_ct_mults_never_on_refreshes() {
     // The compiled session executes the mixed vector: measured
     // bootstraps equal the traced count, and the encrypted output
     // agrees with the plain backend within CKKS noise.
-    let traced = plan.traced_bootstraps();
-    let forms = plan.chosen_forms().to_vec();
+    let traced = plan.chosen().cost.bootstraps;
+    let forms = plan.chosen().forms.to_vec();
     let mut session = plan.compile().expect("toy ring compiles");
-    assert_eq!(session.chosen_forms(), &forms[..]);
+    assert_eq!(session.chosen().forms, &forms[..]);
     let x: Vec<f64> = (0..64).map(|i| ((i % 9) as f64 - 4.0) / 4.0).collect();
     let enc = session.infer(&x).expect("serves the mixed vector");
     let plain = session.infer_plain(&x).expect("valid input");
@@ -144,7 +144,7 @@ fn traced_plan_cost_matches_measured_encrypted_run() {
         .objective(Objective::FixedForm(PafForm::F1G2))
         .plan()
         .expect("f1∘g2 fits the toy chain");
-    let traced = plan.traced_bootstraps();
+    let traced = plan.chosen().cost.bootstraps;
     assert!(traced >= 1, "the deep pipeline must force bootstraps");
     let trace_levels: Vec<usize> = plan
         .chosen_trace()
@@ -205,7 +205,7 @@ fn session_agrees_with_legacy_entry_points() {
         assert_eq!(candidate.cost.relu_levels, paf.mult_depth() + 1, "{form}");
         assert_eq!(candidate.trace, trace, "{form}");
     }
-    assert_eq!(plan.chosen_form(), PafForm::F1G2);
+    assert_eq!(plan.chosen().uniform_form(), Some(PafForm::F1G2));
 }
 
 #[test]

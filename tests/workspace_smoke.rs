@@ -50,7 +50,8 @@ fn polyfit_and_heinfer_construct() {
     let paf = CompositePaf::from_form(PafForm::F1G2);
     let pipe = PipelineBuilder::new(&[1, 4, 4])
         .paf_relu(&paf, 1.0)
-        .compile();
+        .try_compile()
+        .unwrap();
     let x = vec![0.25f64; 16];
     let y = pipe.eval_plain(&x);
     assert_eq!(y.len(), 16);
