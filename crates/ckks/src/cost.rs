@@ -369,29 +369,6 @@ pub fn rotation_modmuls(params: &CkksParams, limbs: usize) -> u128 {
     key_switch_decompose_modmuls(params, limbs) + rotation_apply_modmuls(params, limbs)
 }
 
-/// Work of one Halevi–Shoup matrix–vector product with `diagonals`
-/// nonzero diagonals using the baby-step/giant-step schedule, in
-/// modular multiplies: the baby steps rotate the same input and share
-/// one decomposition; each giant step rotates its own partial sum and
-/// pays a whole rotation.
-pub fn matvec_bsgs_modmuls(
-    params: &CkksParams,
-    dim: usize,
-    diagonals: usize,
-    limbs: usize,
-) -> u128 {
-    let n = params.n as u128;
-    let g1 = (dim as f64).sqrt().ceil() as usize;
-    let g2 = dim.div_ceil(g1);
-    let baby = g1.min(diagonals).saturating_sub(1) as u128;
-    let giant = g2.min(diagonals) as u128;
-    let plain_mults = diagonals as u128 * (limbs as u128) * n;
-    u128::from(baby > 0) * key_switch_decompose_modmuls(params, limbs)
-        + baby * rotation_apply_modmuls(params, limbs)
-        + giant * rotation_modmuls(params, limbs)
-        + plain_mults
-}
-
 /// Modeled cost of one simulated bootstrap, in modular multiplies.
 ///
 /// Calibrated to the published CKKS bootstrapping structure: roughly
@@ -481,25 +458,6 @@ mod tests {
         let params = CkksParams::default_params();
         let paf = relu_op_counts(&params, &CompositePaf::from_form(PafForm::F1G2));
         assert!(bootstrap_modmuls(&params) > paf.modmuls);
-    }
-
-    #[test]
-    fn bsgs_beats_naive_rotation_count_model() {
-        // For a dense 64-dim matrix, BSGS work is well below 64 naive
-        // rotations + mults.
-        let params = CkksParams::default_params();
-        let limbs = 8;
-        let dense = matvec_bsgs_modmuls(&params, 64, 64, limbs);
-        let naive = 64 * rotation_modmuls(&params, limbs) + 64 * (limbs as u128) * params.n as u128;
-        assert!(dense < naive, "bsgs {dense} vs naive {naive}");
-    }
-
-    #[test]
-    fn sparse_matvec_cheaper_than_dense() {
-        let params = CkksParams::default_params();
-        let sparse = matvec_bsgs_modmuls(&params, 64, 4, 8);
-        let dense = matvec_bsgs_modmuls(&params, 64, 64, 8);
-        assert!(sparse < dense);
     }
 
     #[test]

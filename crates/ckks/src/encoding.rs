@@ -282,32 +282,6 @@ impl Encoder {
         vals
     }
 
-    /// Decodes a lane-packed plaintext: reads `lanes · lane_dim` slots
-    /// and splits them into `lanes` vectors of `take` values each (the
-    /// first `take` slots of every stride-`lane_dim` lane). The demux
-    /// half of ciphertext-level slot packing — see the `heinfer::pack`
-    /// subsystem.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `take > lane_dim` or `lanes * lane_dim > slots()`.
-    pub fn decode_lanes(
-        &self,
-        pt: &Plaintext,
-        lanes: usize,
-        lane_dim: usize,
-        take: usize,
-    ) -> Vec<Vec<f64>> {
-        assert!(
-            take <= lane_dim,
-            "take {take} exceeds lane width {lane_dim}"
-        );
-        let flat = self.decode(pt, lanes * lane_dim);
-        (0..lanes)
-            .map(|l| flat[l * lane_dim..l * lane_dim + take].to_vec())
-            .collect()
-    }
-
     /// Decodes slot `j` taking the imaginary part too (diagnostics).
     pub fn decode_complex(&self, pt: &Plaintext, count: usize) -> Vec<(f64, f64)> {
         let vals = self.unscaled_slots(pt, count);
@@ -648,28 +622,6 @@ mod tests {
         let pt = enc.encode(&vals, ctx.scale(), 2);
         for (re, im) in enc.decode_complex(&pt, 3) {
             assert!(im.abs() < 1e-6, "imaginary leak {im} at re={re}");
-        }
-    }
-
-    #[test]
-    fn decode_lanes_splits_at_stride() {
-        let (ctx, enc) = setup();
-        // 4 lanes of width 8, payload 3 values per lane.
-        let mut vals = vec![0.0; 32];
-        for l in 0..4 {
-            for i in 0..3 {
-                vals[l * 8 + i] = (l * 10 + i) as f64 / 10.0;
-            }
-        }
-        let pt = enc.encode(&vals, ctx.scale(), 2);
-        let lanes = enc.decode_lanes(&pt, 4, 8, 3);
-        assert_eq!(lanes.len(), 4);
-        for (l, lane) in lanes.iter().enumerate() {
-            assert_eq!(lane.len(), 3);
-            for (i, v) in lane.iter().enumerate() {
-                let want = (l * 10 + i) as f64 / 10.0;
-                assert!((v - want).abs() < 1e-6, "lane {l} slot {i}");
-            }
         }
     }
 

@@ -336,31 +336,14 @@ impl DiagMatrix {
         }
     }
 
-    /// Exact ciphertext-rotation count of [`Evaluator::matvec_bsgs`]
-    /// on this matrix: one rotation per distinct nonzero baby step
-    /// `d mod g1`, plus one per nonempty giant group `k ≥ 1`
-    /// (rotation by zero is a clone, not a key switch).
-    pub fn bsgs_rotations(&self) -> usize {
-        self.bsgs_rotations_lanes(1)
-    }
-
-    /// Exact rotation count of `matvec_bsgs` on
-    /// [`DiagMatrix::block_diag`]`(lanes)`, computed from the diagonal
-    /// offsets alone — the wrap-diagonal doubling (source diagonal `d`
-    /// keeps offset `d` and, when `d > 0`, adds `(lanes−1)·dim + d`)
-    /// is priced without materializing the expanded matrix, so lane
-    /// planners can query it per candidate lane count for free.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lanes` is a power of two.
-    pub fn bsgs_rotations_lanes(&self, lanes: usize) -> usize {
-        self.bsgs_counts(lanes).rotations
-    }
-
     /// Exact key-switch work of [`Evaluator::matvec_bsgs`] on
-    /// [`DiagMatrix::block_diag`]`(lanes)` (priced from the offsets
-    /// alone, like [`DiagMatrix::bsgs_rotations_lanes`]).
+    /// [`DiagMatrix::block_diag`]`(lanes)`: one rotation per distinct
+    /// nonzero baby step `d mod g1`, plus one per nonempty giant group
+    /// `k ≥ 1` (rotation by zero is a clone, not a key switch). It is
+    /// computed from the diagonal offsets alone — source diagonal `d`
+    /// keeps offset `d` and, when `d > 0`, adds `(lanes−1)·dim + d` —
+    /// so lane planners price each candidate lane count without
+    /// materializing the expanded matrix.
     ///
     /// # Panics
     ///
@@ -1116,7 +1099,6 @@ mod tests {
     #[test]
     fn bsgs_rotation_count_mirrors_the_schedule() {
         // Identity: the single 0-diagonal needs no key switch at all.
-        assert_eq!(DiagMatrix::identity(16).bsgs_rotations(), 0);
         assert_eq!(
             DiagMatrix::identity(16).bsgs_counts(1),
             BsgsCounts::default()
@@ -1127,12 +1109,12 @@ mod tests {
         let mut rng = Rng64::new(54);
         let dense = DiagMatrix::from_rows(&random_matrix(16, 16, &mut rng));
         assert_eq!(dense.num_diagonals(), 16);
-        assert_eq!(dense.bsgs_rotations(), 6);
+        assert_eq!(dense.bsgs_counts(1).rotations, 6);
         assert_eq!(dense.bsgs_counts(1).decompositions, 4);
         // And never more than one rotation per diagonal (naive bound).
         let sparse = DiagMatrix::rotation(16, 5);
         assert_eq!(sparse.num_diagonals(), 1);
-        assert!(sparse.bsgs_rotations() <= 2);
+        assert!(sparse.bsgs_counts(1).rotations <= 2);
 
         // The analytic counts are the executed loops', exactly.
         let (ev, mut rng) = setup(56);
@@ -1193,7 +1175,7 @@ mod tests {
         // Wrap diagonals make packed rotations strictly costlier than
         // lanes·1 would suggest for any matrix with off-diagonals.
         let dense = &shapes[3];
-        assert!(dense.bsgs_rotations_lanes(4) > dense.bsgs_rotations());
+        assert!(dense.bsgs_counts(4).rotations > dense.bsgs_counts(1).rotations);
     }
 
     #[test]

@@ -362,14 +362,7 @@ impl LanePacker {
     /// Decrypts a packed output ciphertext and demultiplexes it into
     /// one `output_dim`-wide vector per real input of `batch`.
     pub fn decrypt(&self, ct: &Ciphertext, batch: &PackedBatch, ev: &Evaluator) -> Vec<Vec<f64>> {
-        let pt = ev.decrypt(ct);
-        let lanes = ev.encoder().decode_lanes(
-            &pt,
-            self.lanes,
-            self.layout.lane_stride(),
-            self.layout.output_dim(),
-        );
-        lanes.into_iter().take(batch.count()).collect()
+        batch.unpack(&ev.decrypt_values(ct, self.lanes * self.layout.lane_stride()))
     }
 }
 

@@ -158,7 +158,7 @@ impl ServeStats {
     /// Served latency at percentile `p` in `[0, 100]` (nearest-rank on
     /// the sorted record), in milliseconds; 0.0 before anything was
     /// served.
-    pub fn percentile_ms(&self, p: f64) -> f64 {
+    fn percentile_ms(&self, p: f64) -> f64 {
         if self.latencies_ms.is_empty() {
             return 0.0;
         }

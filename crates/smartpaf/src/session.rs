@@ -27,6 +27,17 @@
 //! so planning is about a millisecond even at 20 slots and takes no
 //! tuning input.
 //!
+//! Serving has one shape: every request runs as lane groups, each
+//! group of up to [`CompiledSession::lane_capacity`] inputs packed into
+//! one ciphertext ([`LanePacker`]), under one layout per lane count —
+//! the lane-expanded pipeline, a bootstrapper at its dimension, and the
+//! level its schedule enters a request at. The one-lane layout is the
+//! unpacked runtime: the planned pipeline entered at
+//! [`Plan::input_level`], which [`CompiledSession::infer`] and
+//! [`CompiledSession::infer_batch`] serve;
+//! [`CompiledSession::infer_batch_packed`] takes as many lanes as the
+//! batch fills.
+//!
 //! # Example
 //!
 //! ```
@@ -56,7 +67,7 @@
 use crate::pareto::{vector_pareto_frontier, VectorParetoPoint};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use smartpaf_ckks::cost::bootstrap_modmuls;
-use smartpaf_ckks::{Bootstrapper, Ciphertext, CkksParams, Evaluator, KeyChain, PafEvaluator};
+use smartpaf_ckks::{Bootstrapper, CkksParams, Evaluator, KeyChain, PafEvaluator};
 use smartpaf_heinfer::{
     AtomicOp, BatchRun, BatchRunner, HePipeline, LanePacker, LevelSchedule, PackError,
     PipelineBuilder, RunError, RunStats, Stage, StageTrace, Tiebreak, TraceReport,
@@ -64,7 +75,6 @@ use smartpaf_heinfer::{
 use smartpaf_nn::Layer;
 use smartpaf_polyfit::{CompositePaf, PafForm};
 use smartpaf_tensor::Rng64;
-use std::collections::HashMap;
 use std::fmt;
 
 /// A per-slot PAF form identifier — one entry of a *form vector*
@@ -108,9 +118,10 @@ pub enum SessionError {
         /// Rescale levels the chain offers.
         max_level: usize,
     },
-    /// A slot-packing failure from `heinfer::pack` — a malformed
-    /// packed batch (too many inputs, overlong input) or a pipeline
-    /// with no packing capacity on this ring.
+    /// A slot-packing failure from `heinfer::pack` — a pipeline the
+    /// packer cannot lay out on this ring. Every input is checked
+    /// before it is packed, so an overlong one is a
+    /// [`RunError::InputTooLong`] at any batch size.
     Pack(PackError),
 }
 
@@ -857,10 +868,11 @@ impl Plan {
         &self.report
     }
 
-    /// Builds the runtime: CKKS context, key chain, evaluator, and
-    /// bootstrapper — the expensive one-time setup — and returns the
-    /// serving state. The pipeline traced at plan time is the exact
-    /// pipeline served, so plan-time costs match run-time measurements.
+    /// Builds the runtime: CKKS context, key chain, evaluator, and the
+    /// one-lane layout with its bootstrapper — the expensive one-time
+    /// setup — and returns the serving state. The pipeline traced at
+    /// plan time is the exact pipeline served, so plan-time costs match
+    /// run-time measurements.
     ///
     /// # Errors
     ///
@@ -877,73 +889,72 @@ impl Plan {
         let mut rng = Rng64::new(self.seed);
         let keys = KeyChain::generate(&ctx, &mut rng);
         let pe = PafEvaluator::new(Evaluator::new(&keys));
-        let bootstrapper = Bootstrapper::new(
-            pe.evaluator().clone(),
-            self.pipeline.dim(),
-            self.seed ^ 0x9e37_79b9_7f4a_7c15,
-        );
         let chosen = self.candidates[self.chosen].clone();
+        // The one-lane layout is the plan itself: the planned pipeline,
+        // entered at the plan's input level.
+        let one_lane = Layout {
+            packer: LanePacker::new(&self.pipeline, ctx.slots(), 1)?,
+            bootstrapper: Bootstrapper::new(
+                pe.evaluator().clone(),
+                self.pipeline.dim(),
+                self.seed ^ 0x9e37_79b9_7f4a_7c15,
+            ),
+            level: chosen.input_level(),
+        };
         Ok(CompiledSession {
-            pipeline: self.pipeline,
+            layouts: vec![one_lane],
             pe,
-            bootstrapper,
             rng,
             runner: BatchRunner::auto(),
             report: self.report,
             chosen,
             seed: self.seed,
             last_stats: None,
-            packers: HashMap::new(),
         })
     }
 }
 
-/// State 3 of the typed-state chain: keys generated, engines prepared,
-/// ready to serve. Single inputs go through [`CompiledSession::infer`],
-/// batches through [`CompiledSession::infer_batch`] (sharded across
-/// worker threads by a [`BatchRunner`]).
-pub struct CompiledSession {
-    pipeline: HePipeline,
-    pe: PafEvaluator,
+/// One served slot layout: a lane count's packer (its lane-expanded
+/// pipeline), the bootstrapper that refreshes at its dimension, and
+/// the level its schedule enters a request at.
+struct Layout {
+    packer: LanePacker,
     bootstrapper: Bootstrapper,
+    level: usize,
+}
+
+/// State 3 of the typed-state chain: keys generated, engines prepared,
+/// ready to serve. Every request runs as lane groups under one layout
+/// per lane count: [`CompiledSession::infer`] and
+/// [`CompiledSession::infer_batch`] on the one-lane layout (the planned
+/// pipeline itself), [`CompiledSession::infer_batch_packed`] on as many
+/// lanes as the batch fills. Batches are sharded across worker threads
+/// by a [`BatchRunner`].
+pub struct CompiledSession {
+    /// The layouts built so far; `layouts[0]` is the one-lane layout,
+    /// built by [`Plan::compile`], the others on first use.
+    layouts: Vec<Layout>,
+    pe: PafEvaluator,
     rng: Rng64,
     runner: BatchRunner,
     report: PlanReport,
     chosen: PlannedCandidate,
     seed: u64,
     last_stats: Option<RunStats>,
-    /// Lane-expanded packing runtimes, one per lane count served, each
-    /// with its own [`Bootstrapper`] at the expanded dimension and the
-    /// level its schedule enters a packed request at (built lazily by
-    /// [`CompiledSession::infer_batch_packed`]).
-    packers: HashMap<usize, (LanePacker, Bootstrapper, usize)>,
 }
 
 impl CompiledSession {
-    /// Encrypts a padded input at the plan's [`Plan::input_level`]: the
-    /// backend would drop any limb above it before the first stage.
-    fn encrypt_input(&mut self, padded: &[f64]) -> Ciphertext {
-        let level = self.chosen.input_level();
-        self.pe
-            .evaluator()
-            .encrypt_replicated_at(padded, level, &mut self.rng)
-    }
-
     /// Encrypts `x`, runs the pipeline under CKKS (bootstrapping when
     /// the chain runs dry), and decrypts the logical output. The run's
     /// statistics are retained in [`CompiledSession::last_stats`].
     pub fn infer(&mut self, x: &[f64]) -> Result<Vec<f64>, SessionError> {
-        let padded = self.pipeline.try_pad_input(x)?;
-        let ct = self.encrypt_input(&padded);
-        let (out_ct, stats) =
-            self.pipeline
-                .try_eval_encrypted(&self.pe, Some(&self.bootstrapper), &ct)?;
-        let out = self
-            .pe
-            .evaluator()
-            .decrypt_values(&out_ct, self.pipeline.output_dim());
-        self.last_stats = Some(stats);
-        Ok(out)
+        let BatchRun {
+            mut outputs,
+            mut stats,
+            ..
+        } = self.serve(1, &[x.to_vec()])?;
+        self.last_stats = stats.pop();
+        Ok(outputs.pop().expect("one input, one answer"))
     }
 
     /// Encrypts a batch and shards it across the session's
@@ -951,49 +962,19 @@ impl CompiledSession {
     /// returning decrypted outputs and per-input statistics in input
     /// order.
     pub fn infer_batch(&mut self, inputs: &[Vec<f64>]) -> Result<BatchRun<Vec<f64>>, SessionError> {
-        let mut cts = Vec::with_capacity(inputs.len());
-        for x in inputs {
-            let padded = self.pipeline.try_pad_input(x)?;
-            cts.push(self.encrypt_input(&padded));
-        }
-        let run =
-            self.runner
-                .run_encrypted(&self.pipeline, &self.pe, Some(&self.bootstrapper), &cts)?;
-        let outputs: Vec<Vec<f64>> = run
-            .outputs
-            .iter()
-            .map(|ct| {
-                self.pe
-                    .evaluator()
-                    .decrypt_values(ct, self.pipeline.output_dim())
-            })
-            .collect();
-        Ok(BatchRun {
-            outputs,
-            stats: run.stats,
-            wall: run.wall,
-            threads: run.threads,
-        })
-    }
-
-    /// Slots one input occupies in a ciphertext: the pipeline's padded
-    /// dimension, i.e. the slot-packing lane stride.
-    pub fn slots_per_input(&self) -> usize {
-        self.pipeline.dim()
+        self.serve(1, inputs)
     }
 
     /// How many inputs one ciphertext can multiplex for this session —
     /// the slot-packing capacity `K = slots / padded_dim` (1 means
     /// packing cannot help at these parameters).
     pub fn lane_capacity(&self) -> usize {
-        self.pipeline
-            .lane_capacity(self.pe.evaluator().context().slots())
-            .max(1)
+        self.layouts[0].packer.layout().capacity()
     }
 
     /// Slot-packed batch inference: multiplexes up to
-    /// [`CompiledSession::lane_capacity`] inputs per ciphertext at
-    /// stride [`CompiledSession::slots_per_input`], runs the
+    /// [`CompiledSession::lane_capacity`] inputs per ciphertext at a
+    /// stride of the pipeline's padded dimension, runs the
     /// lane-expanded pipeline once per ciphertext (sharded across the
     /// session's [`BatchRunner`] workers), and demultiplexes the
     /// decrypted outputs — one full encrypted eval amortized over a
@@ -1001,63 +982,56 @@ impl CompiledSession {
     ///
     /// The lane count adapts to the batch: `min(capacity,
     /// next_power_of_two(len))`, so a 4-request batch on a 32-capacity
-    /// ring pays a 4-lane expansion, not a 32-lane one. Expanded
-    /// pipelines (and their bootstrappers, seeded independently of the
-    /// unpacked path) are cached per lane count, so the expansion cost
-    /// is paid once per session.
+    /// ring pays a 4-lane expansion, not a 32-lane one, and a batch of
+    /// one (or any batch on a 1-capacity ring) runs on the one-lane
+    /// layout [`CompiledSession::infer`] serves. Each lane count's
+    /// layout (expanded pipeline, bootstrapper seeded for that count)
+    /// is built once per session.
     ///
     /// Outputs are in input order and match sequential
-    /// [`CompiledSession::infer`] calls within CKKS noise; on
-    /// 1-capacity rings (or batches of one) this falls back to
-    /// [`CompiledSession::infer_batch`]. The returned
+    /// [`CompiledSession::infer`] calls within CKKS noise. The returned
     /// [`BatchRun::stats`] hold one record per *packed ciphertext*, in
     /// dispatch order — not one per input.
     pub fn infer_batch_packed(
         &mut self,
         inputs: &[Vec<f64>],
     ) -> Result<BatchRun<Vec<f64>>, SessionError> {
-        let capacity = self.lane_capacity();
-        if capacity <= 1 || inputs.len() <= 1 {
-            return self.infer_batch(inputs);
+        let lanes = inputs.len().next_power_of_two().min(self.lane_capacity());
+        self.serve(lanes, inputs)
+    }
+
+    /// The one request path: checks every input, then packs, encrypts
+    /// and runs `inputs` in groups of `lanes` under that lane count's
+    /// layout and splits the answers back out in input order.
+    fn serve(
+        &mut self,
+        lanes: usize,
+        inputs: &[Vec<f64>],
+    ) -> Result<BatchRun<Vec<f64>>, SessionError> {
+        // A rejected batch draws no randomness.
+        for x in inputs {
+            self.pipeline().try_pad_input(x)?;
         }
-        let lanes = inputs.len().next_power_of_two().min(capacity);
-        if !self.packers.contains_key(&lanes) {
-            let slots = self.pe.evaluator().context().slots();
-            let packer = LanePacker::new(&self.pipeline, slots, lanes)?;
-            // The packed path refreshes at the expanded dimension with
-            // its own randomness stream: a different derivation
-            // constant than the unpacked bootstrapper, plus the lane
-            // count, so no stream is shared across layouts.
-            let bs = Bootstrapper::new(
-                self.pe.evaluator().clone(),
-                packer.expanded().dim(),
-                self.seed ^ 0xc2b2_ae3d_27d4_eb4f ^ lanes as u64,
-            );
-            // Lane expansion moves no level and no refresh, but it does
-            // move an affine's work, and with it possibly a cut: the
-            // packed request enters where the expanded pipeline's own
-            // schedule starts.
-            let params = self.pe.evaluator().context().params();
-            let trace = self.pipeline.trace(&params, true, lanes)?;
-            let level = trace
-                .stages
-                .first()
-                .map_or(params.depth, StageTrace::level_in);
-            self.packers.insert(lanes, (packer, bs, level));
-        }
-        let (packer, bs, level) = self.packers.get(&lanes).expect("cached above");
+        let layout = self.layout(lanes)?;
+        let Layout {
+            packer,
+            bootstrapper,
+            level,
+        } = &self.layouts[layout];
+        let ev = self.pe.evaluator();
         let mut batches = Vec::with_capacity(inputs.len().div_ceil(lanes));
         let mut cts = Vec::with_capacity(batches.capacity());
         for group in inputs.chunks(lanes) {
             let batch = packer.pack(group)?;
-            let ev = self.pe.evaluator();
             cts.push(ev.encrypt_replicated_at(batch.values(), *level, &mut self.rng));
             batches.push(batch);
         }
-        let run = self.runner.run_packed(packer, &self.pe, Some(bs), &cts)?;
+        let run = self
+            .runner
+            .run_packed(packer, &self.pe, Some(bootstrapper), &cts)?;
         let mut outputs = Vec::with_capacity(inputs.len());
         for (batch, out_ct) in batches.iter().zip(&run.outputs) {
-            outputs.extend(packer.decrypt(out_ct, batch, self.pe.evaluator()));
+            outputs.extend(packer.decrypt(out_ct, batch, ev));
         }
         Ok(BatchRun {
             outputs,
@@ -1067,11 +1041,44 @@ impl CompiledSession {
         })
     }
 
+    /// Index of the `lanes`-lane layout, built on first use.
+    fn layout(&mut self, lanes: usize) -> Result<usize, SessionError> {
+        if let Some(i) = self.layouts.iter().position(|l| l.packer.lanes() == lanes) {
+            return Ok(i);
+        }
+        let ev = self.pe.evaluator();
+        let packer = LanePacker::new(self.pipeline(), ev.context().slots(), lanes)?;
+        // Each lane count refreshes at its expanded dimension with its
+        // own randomness stream: a different derivation constant than
+        // the one-lane layout's, plus the lane count.
+        let bootstrapper = Bootstrapper::new(
+            ev.clone(),
+            packer.expanded().dim(),
+            self.seed ^ 0xc2b2_ae3d_27d4_eb4f ^ lanes as u64,
+        );
+        // Lane expansion moves no level and no refresh, but it does
+        // move an affine's work, and with it possibly a cut: the packed
+        // request enters where the expanded pipeline's own schedule
+        // starts.
+        let params = ev.context().params();
+        let trace = self.pipeline().trace(&params, true, lanes)?;
+        let level = trace
+            .stages
+            .first()
+            .map_or(params.depth, StageTrace::level_in);
+        self.layouts.push(Layout {
+            packer,
+            bootstrapper,
+            level,
+        });
+        Ok(self.layouts.len() - 1)
+    }
+
     /// Exact plaintext reference of the served pipeline (same
     /// arithmetic, PAF approximation included).
     pub fn infer_plain(&self, x: &[f64]) -> Result<Vec<f64>, SessionError> {
-        self.pipeline.try_pad_input(x)?;
-        Ok(self.pipeline.eval_plain(x))
+        self.pipeline().try_pad_input(x)?;
+        Ok(self.pipeline().eval_plain(x))
     }
 
     /// Plaintext batch through the session's [`BatchRunner`] workers.
@@ -1079,7 +1086,7 @@ impl CompiledSession {
         &self,
         inputs: &[Vec<f64>],
     ) -> Result<BatchRun<Vec<f64>>, SessionError> {
-        Ok(self.runner.run_plain(&self.pipeline, inputs)?)
+        Ok(self.runner.run_plain(self.pipeline(), inputs)?)
     }
 
     /// The planning report carried over from [`Plan`].
@@ -1098,20 +1105,18 @@ impl CompiledSession {
         self.last_stats.as_ref()
     }
 
-    /// Bootstraps performed by this session so far, across all runs —
-    /// the unpacked path plus every cached packed layout.
+    /// Bootstraps performed by this session so far, across all runs
+    /// and every layout served.
     pub fn total_bootstraps(&self) -> usize {
-        self.bootstrapper.refresh_count()
-            + self
-                .packers
-                .values()
-                .map(|(_, bs, _)| bs.refresh_count())
-                .sum::<usize>()
+        self.layouts
+            .iter()
+            .map(|l| l.bootstrapper.refresh_count())
+            .sum()
     }
 
-    /// The served pipeline.
+    /// The served pipeline: the one-lane layout's.
     pub fn pipeline(&self) -> &HePipeline {
-        &self.pipeline
+        self.layouts[0].packer.expanded()
     }
 
     /// Replaces the batch sharding policy (default:
@@ -1645,8 +1650,7 @@ mod tests {
             assert_eq!(plan.input_level(), input_level);
             let mut session = plan.compile().expect("toy ring compiles");
             let x = [0.4, -0.8, 0.2, -0.1];
-            let padded = session.pipeline.try_pad_input(&x).expect("fits");
-            assert_eq!(session.encrypt_input(&padded).level(), input_level);
+            assert_eq!(session.layouts[0].level, input_level);
             let enc = session.infer(&x).expect("serves");
             for (e, p) in enc
                 .iter()
@@ -1826,7 +1830,7 @@ mod tests {
     fn session_exposes_its_slot_packing_geometry() {
         let session = builder(1, 2.0, 26).plan().unwrap().compile().unwrap();
         // Toy ring: 128 slots over a dim-4 pipeline → 32 lanes.
-        assert_eq!(session.slots_per_input(), 4);
+        assert_eq!(session.pipeline().dim(), 4);
         assert_eq!(session.lane_capacity(), 32);
     }
 
@@ -1851,17 +1855,17 @@ mod tests {
         let again = session.infer_batch_packed(&inputs).unwrap();
         assert_eq!(again.outputs.len(), 5);
 
-        // Packed errors are typed: an overlong input is the client's
-        // fault and must not poison the session.
+        // An overlong input is the client's fault, the same error at
+        // any batch size, and must not poison the session.
         let err = session
             .infer_batch_packed(&[vec![0.0; 9], vec![0.0; 4]])
             .unwrap_err();
         assert_eq!(
             err,
-            SessionError::Pack(PackError::InputTooLong { len: 9, max: 4 })
+            SessionError::Run(RunError::InputTooLong { len: 9, max: 4 })
         );
         assert!(!err.poisons_session());
-        assert!(err.to_string().contains("exceeds pipeline input dim"));
+        assert!(err.to_string().contains("input too long"));
     }
 
     #[test]
@@ -1886,7 +1890,8 @@ mod tests {
             })
             .collect();
         let run = session.infer_batch_packed(&inputs).unwrap();
-        assert_eq!(session.packers[&2].2, 1);
+        let two_lanes = &session.layouts[1];
+        assert_eq!((two_lanes.packer.lanes(), two_lanes.level), (2, 1));
         assert_eq!(run.stats.len(), 1);
         assert_eq!(run.stats[0].bootstraps, packed_trace.total_bootstraps());
         assert_eq!(run.stats[0].final_level, 0);
@@ -1932,7 +1937,9 @@ mod tests {
         session.infer_batch_packed(&inputs).unwrap();
         let params = session.pe.evaluator().context().params();
         let packed_trace = session.pipeline().trace(&params, true, 2).unwrap();
-        let packed = encoded_limbs(session.packers[&2].0.expanded(), &packed_trace);
+        let two_lanes = &session.layouts[1].packer;
+        assert_eq!(two_lanes.lanes(), 2);
+        let packed = encoded_limbs(two_lanes.expanded(), &packed_trace);
         assert_eq!(packed, [2, 2]);
     }
 
@@ -1981,18 +1988,51 @@ mod tests {
     }
 
     #[test]
-    fn packed_single_input_falls_back_to_the_unpacked_path() {
-        let mut session = builder(1, 2.0, 28).plan().unwrap().compile().unwrap();
-        session.set_batch_runner(BatchRunner::new(1));
-        let x = vec![0.3, -0.2, 0.5, -0.4];
-        let run = session
-            .infer_batch_packed(std::slice::from_ref(&x))
-            .unwrap();
-        let want = session.infer(&x).unwrap();
-        for (g, w) in run.outputs[0].iter().zip(&want) {
-            assert!((g - w).abs() < 0.05, "{g} vs {w}");
-        }
-        let empty = session.infer_batch_packed(&[]).unwrap();
+    fn every_session_path_serves_one_input_bit_identically() {
+        // A one-input request is the one-lane layout whatever entry
+        // point serves it: the same encryption, refresh and decode
+        // streams, so the same bits.
+        let plan = || {
+            builder(2, 4.0, 23)
+                .objective(Objective::FixedForm(PafForm::F1G2))
+                .plan()
+                .expect("plannable")
+        };
+        let x = vec![0.4, -0.8, 0.2, -0.1];
+        let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let single = plan().compile().unwrap().infer(&x).unwrap();
+        let batch = plan()
+            .compile()
+            .unwrap()
+            .infer_batch(std::slice::from_ref(&x));
+        let mut packed_session = plan().compile().unwrap();
+        let packed = packed_session.infer_batch_packed(std::slice::from_ref(&x));
+        assert_eq!(bits(&batch.unwrap().outputs[0]), bits(&single));
+        assert_eq!(bits(&packed.unwrap().outputs[0]), bits(&single));
+        // An empty batch answers nothing on any path.
+        let empty = packed_session.infer_batch_packed(&[]).unwrap();
         assert!(empty.outputs.is_empty());
+    }
+
+    #[test]
+    fn served_bits_are_pinned() {
+        // The first three answers of a refreshing toy session, bit for
+        // bit: a reseeded or reordered encryption or refresh stream
+        // changes this digest.
+        let mut session = builder(2, 4.0, 23)
+            .objective(Objective::FixedForm(PafForm::F1G2))
+            .plan()
+            .expect("plannable")
+            .compile()
+            .expect("compiles");
+        let mut bytes = Vec::new();
+        for i in 0..3 {
+            let x: Vec<f64> = (0..4).map(|j| ((i * 4 + j) as f64 - 6.0) / 6.0).collect();
+            for v in session.infer(&x).unwrap() {
+                bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+            }
+        }
+        assert_eq!(session.total_bootstraps(), 3);
+        assert_eq!(smartpaf_heinfer::fnv1a_64(&bytes), 0x17c6_07ae_7e32_19f3);
     }
 }
