@@ -9,7 +9,6 @@
 
 use crate::modular::{ntt_primes, ntt_primes_excluding};
 use crate::rns::CkksContext;
-use serde::{Deserialize, Error, Serialize, Value};
 use std::sync::Arc;
 
 /// A CKKS parameter preset: ring dimension, modulus chain layout and
@@ -181,37 +180,15 @@ impl CkksContext {
     }
 }
 
-impl Serialize for CkksParams {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("n", self.n.serialize()),
-            ("base_prime_bits", self.base_prime_bits.serialize()),
-            ("scale_prime_bits", self.scale_prime_bits.serialize()),
-            ("depth", self.depth.serialize()),
-            ("ks_digit_limbs", self.ks_digit_limbs.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for CkksParams {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        let params = CkksParams {
-            n: usize::deserialize(value.req("n")?)?,
-            base_prime_bits: u32::deserialize(value.req("base_prime_bits")?)?,
-            scale_prime_bits: u32::deserialize(value.req("scale_prime_bits")?)?,
-            depth: usize::deserialize(value.req("depth")?)?,
-            ks_digit_limbs: usize::deserialize(value.req("ks_digit_limbs")?)?,
-        };
-        // Reported as a parse error so a corrupt artifact cannot take
-        // the process down in `build()` later.
-        params.validate().map_err(Error::custom)?;
-        Ok(params)
-    }
-}
+// `validate` runs on read, so a corrupt artifact is a parse error
+// rather than a panic in `build()` later.
+serde::wire_struct!(CkksParams { n, base_prime_bits, scale_prime_bits, depth, ks_digit_limbs }
+    check CkksParams::validate);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::{Deserialize, Serialize};
 
     #[test]
     fn serde_round_trip_and_validation() {

@@ -16,7 +16,6 @@
 use crate::exec::{InferenceBackend, PafOp, RunError, RunStats};
 use crate::pipeline::{HePipeline, Stage};
 use crate::schedule::{AtomicOp, LevelSchedule, ScheduledOp};
-use serde::{Deserialize, Error, Serialize, Value};
 use smartpaf_ckks::{Bootstrapper, Ciphertext, CkksParams, DiagMatrix, PafEvaluator};
 use std::time::Duration;
 
@@ -371,61 +370,21 @@ impl TraceReport {
     }
 }
 
-impl Serialize for StageTrace {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("label", self.label.serialize()),
-            ("slot", self.slot.serialize()),
-            ("op_levels", self.op_levels.serialize()),
-            ("levels", self.levels.serialize()),
-            ("bootstraps", self.bootstraps.serialize()),
-            ("ct_mults", self.ct_mults.serialize()),
-            ("relins", self.relins.serialize()),
-            ("rotations", self.rotations.serialize()),
-            ("decompositions", self.decompositions.serialize()),
-            ("modmuls", self.modmuls.serialize()),
-        ])
+serde::wire_struct!(StageTrace {
+    label, slot, op_levels, levels, bootstraps, ct_mults, relins, rotations, decompositions,
+    modmuls,
+} check |stage: &StageTrace| {
+    if stage.op_levels.is_empty() {
+        Err("a stage has at least one atomic op")
+    } else {
+        Ok(())
     }
-}
+});
 
-impl Deserialize for StageTrace {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        let op_levels = Vec::<usize>::deserialize(value.req("op_levels")?)?;
-        if op_levels.is_empty() {
-            return Err(Error::custom("a stage has at least one atomic op"));
-        }
-        Ok(StageTrace {
-            label: String::deserialize(value.req("label")?)?,
-            slot: Option::<usize>::deserialize(value.req("slot")?)?,
-            op_levels,
-            levels: usize::deserialize(value.req("levels")?)?,
-            bootstraps: usize::deserialize(value.req("bootstraps")?)?,
-            ct_mults: usize::deserialize(value.req("ct_mults")?)?,
-            relins: usize::deserialize(value.req("relins")?)?,
-            rotations: usize::deserialize(value.req("rotations")?)?,
-            decompositions: usize::deserialize(value.req("decompositions")?)?,
-            modmuls: u64::deserialize(value.req("modmuls")?)?,
-        })
-    }
-}
-
-impl Serialize for TraceReport {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("stages", self.stages.serialize()),
-            ("final_level", self.final_level.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for TraceReport {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(TraceReport {
-            stages: Vec::<StageTrace>::deserialize(value.req("stages")?)?,
-            final_level: usize::deserialize(value.req("final_level")?)?,
-        })
-    }
-}
+serde::wire_struct!(TraceReport {
+    stages,
+    final_level
+});
 
 impl HePipeline {
     /// The dry run: the [`LevelSchedule`] [`CkksBackend`] executes,
@@ -530,6 +489,7 @@ impl HePipeline {
 mod tests {
     use super::*;
     use crate::pipeline::{PipelineBuilder, Stage};
+    use serde::{Deserialize, Serialize, Value};
     use smartpaf_ckks::{Bootstrapper, CkksParams, Evaluator, KeyChain};
     use smartpaf_nn::{Conv2d, Linear};
     use smartpaf_polyfit::{CompositePaf, PafForm};

@@ -16,7 +16,6 @@
 //! loading process's responsibility; see `docs/ARTIFACT_FORMAT.md`).
 
 use crate::pipeline::{HePipeline, Stage};
-use serde::{Deserialize, Error, Serialize, Value};
 
 /// 64-bit FNV-1a over a byte stream — the stable, dependency-free hash
 /// behind matrix digests and registry content addresses. Not
@@ -101,7 +100,7 @@ pub enum StageDesc {
 /// let a = build(PafForm::F1G2).describe();
 /// let b = build(PafForm::Alpha7).describe();
 /// assert_eq!(a, b);
-/// assert_eq!(a.num_paf_slots(), 1);
+/// assert_eq!(a.stages.len(), 2); // the affine map and the ReLU slot
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineDesc {
@@ -113,16 +112,6 @@ pub struct PipelineDesc {
     pub output_dim: usize,
     /// Per-stage descriptions, in execution order.
     pub stages: Vec<StageDesc>,
-}
-
-impl PipelineDesc {
-    /// Number of PAF slots (ReLU + max-pool stages).
-    pub fn num_paf_slots(&self) -> usize {
-        self.stages
-            .iter()
-            .filter(|s| !matches!(s, StageDesc::Affine { .. }))
-            .count()
-    }
 }
 
 impl HePipeline {
@@ -167,83 +156,24 @@ impl HePipeline {
     }
 }
 
-impl Serialize for StageDesc {
-    fn serialize(&self) -> Value {
-        match self {
-            StageDesc::Affine {
-                out_dim,
-                in_dim,
-                digest,
-            } => Value::object([
-                ("kind", "affine".serialize()),
-                ("out_dim", out_dim.serialize()),
-                ("in_dim", in_dim.serialize()),
-                ("digest", digest.serialize()),
-            ]),
-            StageDesc::PafRelu {
-                pre_scale,
-                post_scale,
-            } => Value::object([
-                ("kind", "paf_relu".serialize()),
-                ("pre_scale", pre_scale.serialize()),
-                ("post_scale", post_scale.serialize()),
-            ]),
-            StageDesc::PafMax { shifts } => Value::object([
-                ("kind", "paf_max".serialize()),
-                ("shifts", shifts.serialize()),
-            ]),
-        }
-    }
-}
+serde::wire_enum!(StageDesc, "kind" {
+    Affine = "affine" { out_dim, in_dim, digest },
+    PafRelu = "paf_relu" { pre_scale, post_scale },
+    PafMax = "paf_max" { shifts },
+});
 
-impl Deserialize for StageDesc {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        let kind = String::deserialize(value.req("kind")?)?;
-        match kind.as_str() {
-            "affine" => Ok(StageDesc::Affine {
-                out_dim: usize::deserialize(value.req("out_dim")?)?,
-                in_dim: usize::deserialize(value.req("in_dim")?)?,
-                digest: u64::deserialize(value.req("digest")?)?,
-            }),
-            "paf_relu" => Ok(StageDesc::PafRelu {
-                pre_scale: f64::deserialize(value.req("pre_scale")?)?,
-                post_scale: f64::deserialize(value.req("post_scale")?)?,
-            }),
-            "paf_max" => Ok(StageDesc::PafMax {
-                shifts: Vec::<usize>::deserialize(value.req("shifts")?)?,
-            }),
-            other => Err(Error::custom(format!("unknown stage kind `{other}`"))),
-        }
-    }
-}
-
-impl Serialize for PipelineDesc {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("dim", self.dim.serialize()),
-            ("input_dim", self.input_dim.serialize()),
-            ("output_dim", self.output_dim.serialize()),
-            ("stages", self.stages.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for PipelineDesc {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(PipelineDesc {
-            dim: usize::deserialize(value.req("dim")?)?,
-            input_dim: usize::deserialize(value.req("input_dim")?)?,
-            output_dim: usize::deserialize(value.req("output_dim")?)?,
-            stages: Vec::<StageDesc>::deserialize(value.req("stages")?)?,
-        })
-    }
-}
+serde::wire_struct!(PipelineDesc {
+    dim,
+    input_dim,
+    output_dim,
+    stages
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::PipelineBuilder;
-    use serde::json;
+    use serde::{json, Deserialize, Serialize};
     use smartpaf_nn::Conv2d;
     use smartpaf_polyfit::{CompositePaf, PafForm};
     use smartpaf_tensor::Rng64;
@@ -275,7 +205,15 @@ mod tests {
         let b = sample_pipeline(4).describe();
         assert_ne!(a, b, "different weights must change affine digests");
         assert_eq!(a.stages.len(), b.stages.len());
-        assert_eq!(a.num_paf_slots(), 2);
+        assert!(matches!(
+            a.stages[..],
+            [
+                StageDesc::Affine { .. },
+                StageDesc::PafRelu { .. },
+                StageDesc::PafMax { .. },
+                StageDesc::Affine { .. }
+            ]
+        ));
     }
 
     #[test]

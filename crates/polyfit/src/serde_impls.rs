@@ -4,7 +4,7 @@
 //! at the repository root:
 //!
 //! - [`Polynomial`] ⇄ a JSON array of ascending coefficients.
-//! - [`PafForm`] ⇄ a stable ASCII tag string ([`PafForm::tag`]), not
+//! - [`PafForm`] ⇄ a stable ASCII tag string (`PafForm::tag`), not
 //!   the unicode display name, so artifacts stay grep-able and the
 //!   display names stay free to change.
 //! - [`CompositePaf`] ⇄ `{"form": tag|null, "stages": [[...], ...]}` —
@@ -21,17 +21,7 @@ impl PafForm {
     /// Stable ASCII identifier used in serialized artifacts. Unlike
     /// [`PafForm::paper_name`] these tags are a compatibility
     /// surface: changing one invalidates stored plans.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use smartpaf_polyfit::PafForm;
-    ///
-    /// assert_eq!(PafForm::F1SqG1Sq.tag(), "f1sq_g1sq");
-    /// assert_eq!(PafForm::from_tag("f1sq_g1sq"), Some(PafForm::F1SqG1Sq));
-    /// assert_eq!(PafForm::from_tag("nope"), None);
-    /// ```
-    pub fn tag(&self) -> &'static str {
+    fn tag(&self) -> &'static str {
         match self {
             PafForm::F1G2 => "f1_g2",
             PafForm::F2G2 => "f2_g2",
@@ -43,7 +33,7 @@ impl PafForm {
     }
 
     /// Inverse of [`PafForm::tag`]; `None` for unknown tags.
-    pub fn from_tag(tag: &str) -> Option<PafForm> {
+    fn from_tag(tag: &str) -> Option<PafForm> {
         PafForm::all().into_iter().find(|f| f.tag() == tag)
     }
 }
@@ -65,7 +55,7 @@ impl Deserialize for PafForm {
 
 impl Serialize for Polynomial {
     fn serialize(&self) -> Value {
-        self.coeffs().to_vec().serialize()
+        self.coeffs().serialize()
     }
 }
 
@@ -86,7 +76,7 @@ impl Serialize for CompositePaf {
     fn serialize(&self) -> Value {
         Value::object([
             ("form", self.form().serialize()),
-            ("stages", self.stages().to_vec().serialize()),
+            ("stages", self.stages().serialize()),
         ])
     }
 }
@@ -118,6 +108,7 @@ mod tests {
             let v = form.serialize();
             assert_eq!(PafForm::deserialize(&v).unwrap(), form);
         }
+        assert_eq!(PafForm::from_tag("nope"), None);
     }
 
     #[test]

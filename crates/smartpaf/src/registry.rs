@@ -55,7 +55,7 @@
 //! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
-use crate::session::{Plan, PlannedCandidate, SessionBuilder, SessionError};
+use crate::session::{Objective, Plan, PlanBody, PlannedCandidate, SessionBuilder, SessionError};
 use serde::{json, Deserialize, Serialize, Value};
 use smartpaf_ckks::CkksParams;
 use smartpaf_heinfer::{fnv1a_64, PipelineDesc};
@@ -64,8 +64,6 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-
-use crate::session::Objective;
 
 /// Version of the on-disk envelope this build reads and writes.
 /// Bumped on any breaking schema change; readers reject other versions
@@ -300,51 +298,43 @@ impl PlanRegistry {
                 format!("stored content key {stored_key} does not match the model's {key}"),
             ));
         }
-        let body = envelope
-            .req("plan")
-            .map_err(|e| parse(&path, e.to_string()))?;
-        let params: CkksParams = field(&path, body, "params")?;
-        let objective: Objective = field(&path, body, "objective")?;
-        let candidate_forms: Vec<PafForm> = field(&path, body, "candidate_forms")?;
-        let candidates: Vec<PlannedCandidate> = field(&path, body, "candidates")?;
-        let chosen: usize = field(&path, body, "chosen")?;
-        let composites: Vec<CompositePaf> = field(&path, body, "chosen_composites")?;
-        let skipped: Vec<PafForm> = field(&path, body, "skipped")?;
+        let mut body: PlanBody = field(&path, &envelope, "plan")?;
 
         // The content key covers all three planning inputs, so any
         // disagreement means the envelope was edited after hashing.
-        if params != probed.params
-            || objective != probed.objective
-            || candidate_forms != probed.forms
+        if body.params != probed.params
+            || body.objective != probed.objective
+            || body.candidate_forms != probed.forms
         {
             return Err(corrupt(
                 &path,
                 "planning inputs disagree with the content address".to_string(),
             ));
         }
-        if chosen >= candidates.len() {
+        let Some(chosen) = body.candidates.get(body.chosen) else {
             return Err(corrupt(
                 &path,
                 format!(
-                    "chosen index {chosen} out of range ({} candidates)",
-                    candidates.len()
+                    "chosen index {} out of range ({} candidates)",
+                    body.chosen,
+                    body.candidates.len()
                 ),
             ));
-        }
-        let chosen_cand = &candidates[chosen];
-        if composites.len() != chosen_cand.forms.len() {
+        };
+        let composites = &body.chosen_composites;
+        if composites.len() != chosen.forms.len() {
             return Err(corrupt(
                 &path,
                 format!(
                     "{} stored composites for {} chosen slots",
                     composites.len(),
-                    chosen_cand.forms.len()
+                    chosen.forms.len()
                 ),
             ));
         }
         // The planner installs each chosen form's composite unchanged,
         // so a stored composite is exactly its form's coefficients.
-        for (i, (c, &f)) in composites.iter().zip(&chosen_cand.forms).enumerate() {
+        for (i, (c, &f)) in composites.iter().zip(&chosen.forms).enumerate() {
             if *c != CompositePaf::from_form(f) {
                 return Err(corrupt(
                     &path,
@@ -355,7 +345,7 @@ impl PlanRegistry {
 
         // Rebuild and validate: the stored schedule must replay on the
         // freshly probed model, trace for trace.
-        let pipeline = probed.base.try_with_pafs(&composites).map_err(|e| {
+        let pipeline = probed.base.try_with_pafs(composites).map_err(|e| {
             corrupt(
                 &path,
                 format!("stored composites do not fit the model: {e}"),
@@ -364,7 +354,7 @@ impl PlanRegistry {
         let trace = pipeline
             .trace(&probed.params, true, 1)
             .map_err(|e| corrupt(&path, format!("stored plan no longer traces: {e}")))?;
-        if trace != chosen_cand.trace {
+        if trace != chosen.trace {
             return Err(corrupt(
                 &path,
                 "stored trace does not match a re-trace of the model".to_string(),
@@ -374,23 +364,15 @@ impl PlanRegistry {
         // its cost, fidelity and price are checked, not trusted. The
         // other rows stay informational: checking them would re-trace
         // every candidate.
-        if PlannedCandidate::traced_forms(&chosen_cand.forms, trace, &params) != *chosen_cand {
+        if PlannedCandidate::traced_forms(&chosen.forms, trace, &body.params) != *chosen {
             return Err(corrupt(
                 &path,
                 "stored chosen candidate does not match the one its trace yields".to_string(),
             ));
         }
-        Ok(Plan::assemble(
-            pipeline,
-            chosen,
-            candidates,
-            candidate_forms,
-            skipped,
-            params,
-            probed.objective,
-            0,
-            probed.seed,
-        ))
+        // The artifact's count stays on disk; this process planned nothing.
+        body.dry_runs = 0;
+        Ok(Plan::assemble(pipeline, body, probed.seed))
     }
 
     /// Every `.json` file under the root with the outcome of vetting
@@ -522,10 +504,7 @@ fn content_key(
         ("pipeline", desc.serialize()),
         ("params", params.serialize()),
         ("objective", objective.serialize()),
-        (
-            "candidate_forms",
-            Value::Array(candidate_forms.iter().map(Serialize::serialize).collect()),
-        ),
+        ("candidate_forms", candidate_forms.serialize()),
     ]);
     format!("{:016x}", fnv1a_64(json::to_string(&v).as_bytes()))
 }
@@ -574,21 +553,15 @@ fn field<T: Deserialize>(path: &Path, value: &Value, name: &str) -> Result<T, Re
         .map_err(|e| parse(path, e.to_string()))
 }
 
-/// The listing row of a vetted envelope; `None` when the body is not
-/// shaped like a plan (such files are skipped by [`PlanRegistry::list`]).
+/// The listing row of a vetted envelope; `None` when its body is not
+/// a plan body (such files are skipped by [`PlanRegistry::list`]).
 fn artifact_info(path: &Path, envelope: &Value) -> Option<ArtifactInfo> {
-    let content_key = String::deserialize(envelope.req("content_key").ok()?).ok()?;
-    let body = envelope.req("plan").ok()?;
-    let chosen = usize::deserialize(body.req("chosen").ok()?).ok()?;
-    let candidates = body.req("candidates").ok()?.as_array()?;
-    let chosen_forms =
-        Vec::<PafForm>::deserialize(candidates.get(chosen)?.req("forms").ok()?).ok()?;
-    let dry_runs = usize::deserialize(body.req("dry_runs").ok()?).ok()?;
+    let body: PlanBody = field(path, envelope, "plan").ok()?;
     Some(ArtifactInfo {
-        content_key,
+        content_key: field(path, envelope, "content_key").ok()?,
         path: path.to_path_buf(),
-        chosen_forms,
-        dry_runs,
+        chosen_forms: body.candidates.get(body.chosen)?.forms.clone(),
+        dry_runs: body.dry_runs,
     })
 }
 
@@ -639,6 +612,30 @@ mod tests {
     }
 
     #[test]
+    fn the_worked_example_artifact_is_pinned_byte_for_byte() {
+        // The model of docs/ARTIFACT_FORMAT.md's worked example (and of
+        // `registry_demo` at test scale). The whole file is hashed:
+        // envelope, pipeline description and plan body, key order and
+        // pretty-printing included.
+        let reg = test_registry("worked-example");
+        let mut rng = Rng64::new(41);
+        let builder = Session::builder(&[4])
+            .affine(Linear::new(4, 4, &mut rng))
+            .relu(2.0)
+            .affine(Linear::new(4, 4, &mut rng))
+            .relu(2.0)
+            .params(CkksParams::toy())
+            .objective(Objective::MinBootstraps)
+            .seed(41);
+        let key = reg
+            .save_plan(&builder.plan().expect("plannable"))
+            .expect("saves");
+        assert_eq!(key, "b25adf86415dd292");
+        let text = fs::read_to_string(reg.artifact_path(&key)).unwrap();
+        assert_eq!(fnv1a_64(text.as_bytes()), 0x2e35_b670_793e_17c4);
+    }
+
+    #[test]
     fn content_address_separates_planning_inputs() {
         let reg = test_registry("addressing");
         let a = builder(1, 5).plan().expect("plannable");
@@ -686,6 +683,46 @@ mod tests {
 
         // Broken artifacts are skipped by list(), not fatal to it.
         assert_eq!(reg.list().expect("lists").len(), 0);
+    }
+
+    #[test]
+    fn every_plan_body_key_is_required_at_load_and_in_the_listing() {
+        let reg = test_registry("body-keys");
+        let key = reg
+            .save_plan(&builder(1, 5).plan().expect("plannable"))
+            .expect("saves");
+        let path = reg.artifact_path(&key);
+        let envelope = json::from_str(&fs::read_to_string(&path).unwrap()).unwrap();
+        let names = [
+            "params",
+            "objective",
+            "candidate_forms",
+            "candidates",
+            "chosen",
+            "chosen_composites",
+            "skipped",
+            "dry_runs",
+        ];
+        let Some(Value::Object(body)) = envelope.get("plan") else {
+            panic!("a plan body is an object");
+        };
+        let keys: Vec<&str> = body.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, names);
+        for name in names {
+            let mut edited = envelope.clone();
+            let Value::Object(body) = member(&mut edited, &["plan"]) else {
+                unreachable!("checked above");
+            };
+            body.retain(|(k, _)| k != name);
+            fs::write(&path, json::to_string_pretty(&edited)).unwrap();
+            let err = reg.load_plan(builder(1, 5)).expect_err(name);
+            assert!(
+                matches!(&err, RegistryError::Parse { message, .. }
+                    if message.contains(&format!("`{name}`"))),
+                "{name}: {err:?}"
+            );
+            assert!(reg.list().expect("lists").is_empty(), "{name}");
+        }
     }
 
     /// The artifact text with its `format_version` re-stamped.

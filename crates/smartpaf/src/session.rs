@@ -469,9 +469,8 @@ fn plan_probed(probed: ProbedModel) -> Result<Plan, SessionError> {
         &forms[..]
     };
     let infos: Vec<FormInfo> = tried.iter().map(|&form| FormInfo::new(form)).collect();
-    let install = |vector: &[usize]| {
-        let pafs: Vec<CompositePaf> = vector.iter().map(|&i| infos[i].paf.clone()).collect();
-        base.try_with_pafs(&pafs)
+    let pafs = |vector: &[usize]| -> Vec<CompositePaf> {
+        vector.iter().map(|&i| infos[i].paf.clone()).collect()
     };
 
     // Every form as a uniform vector: a row of the plan, and the run
@@ -480,7 +479,7 @@ fn plan_probed(probed: ProbedModel) -> Result<Plan, SessionError> {
     let (mut planned, mut rows, mut skipped, mut runs) = (vec![], vec![], vec![], vec![]);
     for (i, info) in infos.iter().enumerate() {
         let vector = vec![i; num_slots];
-        let pipeline = install(&vector)?;
+        let pipeline = base.try_with_pafs(&pafs(&vector))?;
         runs.push(pipeline.atomic_ops(1));
         match pipeline.trace(&params, true, 1) {
             Ok(trace) => {
@@ -552,7 +551,8 @@ fn plan_probed(probed: ProbedModel) -> Result<Plan, SessionError> {
     } else {
         vec![rows[chosen]; num_slots]
     };
-    let pipeline = install(&vector)?;
+    let chosen_composites = pafs(&vector);
+    let pipeline = base.try_with_pafs(&chosen_composites)?;
     if mixed_wins {
         let trace = pipeline.trace(&params, true, 1)?;
         dry_runs += 1;
@@ -560,9 +560,17 @@ fn plan_probed(probed: ProbedModel) -> Result<Plan, SessionError> {
         chosen = planned.len() - 1;
         debug_assert_eq!(key(&planned[chosen]), cut.key(tiebreak));
     }
-    Ok(Plan::assemble(
-        pipeline, chosen, planned, forms, skipped, params, objective, dry_runs, seed,
-    ))
+    let body = PlanBody {
+        params,
+        objective,
+        candidate_forms: forms,
+        candidates: planned,
+        chosen,
+        chosen_composites,
+        skipped,
+        dry_runs,
+    };
+    Ok(Plan::assemble(pipeline, body, seed))
 }
 
 /// The sign-approximation fidelity of a composite,
@@ -691,15 +699,11 @@ impl PlannedCandidate {
 /// human-readable [`PlanReport`].
 /// [`Plan::compile`] consumes it.
 pub struct Plan {
+    /// What a registry artifact stores.
+    body: PlanBody,
+    /// The probed model with `body.chosen_composites` installed.
     pipeline: HePipeline,
-    chosen: usize,
-    candidates: Vec<PlannedCandidate>,
-    candidate_forms: Vec<PafForm>,
     frontier: Vec<usize>,
-    skipped: Vec<PafForm>,
-    params: CkksParams,
-    objective: Objective,
-    dry_runs: usize,
     seed: u64,
     report: PlanReport,
 }
@@ -710,10 +714,10 @@ impl fmt::Debug for Plan {
         // the planning outcome instead.
         f.debug_struct("Plan")
             .field("chosen", &self.chosen().forms)
-            .field("objective", &self.objective)
-            .field("candidates", &self.candidates)
+            .field("objective", &self.body.objective)
+            .field("candidates", &self.body.candidates)
             .field("frontier", &self.frontier)
-            .field("skipped", &self.skipped)
+            .field("skipped", &self.body.skipped)
             .finish_non_exhaustive()
     }
 }
@@ -723,22 +727,13 @@ impl Plan {
     /// assembles the plan — the one constructor shared by the planner
     /// ([`SessionBuilder::plan`]) and the registry
     /// ([`PlanRegistry::load_plan`], with `dry_runs` 0: a loaded plan
-    /// traced nothing to plan in this process).
+    /// traced nothing to plan in this process). `pipeline` is the
+    /// probed model with the body's chosen composites installed.
     ///
     /// [`PlanRegistry::load_plan`]: crate::PlanRegistry::load_plan
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn assemble(
-        pipeline: HePipeline,
-        chosen: usize,
-        candidates: Vec<PlannedCandidate>,
-        candidate_forms: Vec<PafForm>,
-        skipped: Vec<PafForm>,
-        params: CkksParams,
-        objective: Objective,
-        dry_runs: usize,
-        seed: u64,
-    ) -> Plan {
-        let vector_points: Vec<VectorParetoPoint> = candidates
+    pub(crate) fn assemble(pipeline: HePipeline, body: PlanBody, seed: u64) -> Plan {
+        let vector_points: Vec<VectorParetoPoint> = body
+            .candidates
             .iter()
             .map(|c| VectorParetoPoint {
                 forms: c.forms.clone(),
@@ -749,25 +744,19 @@ impl Plan {
             .collect();
         let frontier = vector_pareto_frontier(&vector_points);
         let report = PlanReport::render(
-            &objective,
-            &params,
+            &body.objective,
+            &body.params,
             &pipeline,
-            &candidates,
+            &body.candidates,
             &frontier,
-            chosen,
-            &skipped,
-            dry_runs,
+            body.chosen,
+            &body.skipped,
+            body.dry_runs,
         );
         Plan {
+            body,
             pipeline,
-            chosen,
-            candidates,
-            candidate_forms,
             frontier,
-            skipped,
-            params,
-            objective,
-            dry_runs,
             seed,
             report,
         }
@@ -778,28 +767,28 @@ impl Plan {
     /// [`PlannedCandidate::uniform_form`]), its traced cost, trace,
     /// fidelity, price and label.
     pub fn chosen(&self) -> &PlannedCandidate {
-        &self.candidates[self.chosen]
+        &self.body.candidates[self.body.chosen]
     }
 
     /// Full per-stage trace of the chosen vector on the parameter
     /// chain — level schedule, bootstraps, exact ct-mults, per-slot
     /// rows via [`TraceReport::paf_slots`].
     pub fn chosen_trace(&self) -> &TraceReport {
-        &self.candidates[self.chosen].trace
+        &self.body.candidates[self.body.chosen].trace
     }
 
     /// The level the chosen vector's schedule enters its first stage
     /// at: all its first refresh-free segment consumes, so all a request
     /// ciphertext needs to carry (`input_level() + 1` limbs).
     pub fn input_level(&self) -> usize {
-        self.candidates[self.chosen].input_level()
+        self.body.candidates[self.body.chosen].input_level()
     }
 
     /// Every vector traced that runs: the uniform vectors in candidate
     /// order, then the dynamic program's mixed vector when it is
     /// strictly better than all of them.
     pub fn candidates(&self) -> &[PlannedCandidate] {
-        &self.candidates
+        &self.body.candidates
     }
 
     /// Indices (into [`Plan::candidates`]) of the Pareto-optimal
@@ -814,12 +803,12 @@ impl Plan {
     /// Candidate forms skipped because their *uniform* vector cannot
     /// run on the chain at all.
     pub fn skipped_forms(&self) -> &[PafForm] {
-        &self.skipped
+        &self.body.skipped
     }
 
     /// The objective the plan optimised.
     pub fn objective(&self) -> Objective {
-        self.objective
+        self.body.objective
     }
 
     /// Trace dry runs the planner spent: one per candidate form, plus
@@ -827,7 +816,7 @@ impl Plan {
     /// traces its one vector once); 0 for a plan loaded from a
     /// registry.
     pub fn dry_runs_used(&self) -> usize {
-        self.dry_runs
+        self.body.dry_runs
     }
 
     /// The resolved candidate form list every slot draws from
@@ -835,26 +824,12 @@ impl Plan {
     /// the chain) — part of the registry's content address, because it
     /// changes what the planner can choose.
     pub fn candidate_forms(&self) -> &[PafForm] {
-        &self.candidate_forms
-    }
-
-    /// The composites installed in the planned pipeline's PAF slots,
-    /// in stage order — what a registry artifact stores so loading can
-    /// rebuild the exact pipeline without re-deriving coefficients.
-    pub(crate) fn chosen_composites(&self) -> Vec<CompositePaf> {
-        self.pipeline
-            .stages()
-            .iter()
-            .filter_map(|s| match s {
-                Stage::Affine { .. } => None,
-                Stage::PafRelu { paf, .. } | Stage::PafMax { paf, .. } => Some(paf.clone()),
-            })
-            .collect()
+        &self.body.candidate_forms
     }
 
     /// The CKKS parameters the plan was traced against.
     pub fn params(&self) -> &CkksParams {
-        &self.params
+        &self.body.params
     }
 
     /// The compiled pipeline (chosen form vector installed, scales
@@ -879,7 +854,7 @@ impl Plan {
     /// [`RunError::SlotMismatch`] when the pipeline's padded dimension
     /// does not divide the ring's slot count.
     pub fn compile(self) -> Result<CompiledSession, SessionError> {
-        let ctx = self.params.build();
+        let ctx = self.body.params.build();
         if !ctx.slots().is_multiple_of(self.pipeline.dim()) {
             return Err(SessionError::Run(RunError::SlotMismatch {
                 dim: self.pipeline.dim(),
@@ -889,7 +864,7 @@ impl Plan {
         let mut rng = Rng64::new(self.seed);
         let keys = KeyChain::generate(&ctx, &mut rng);
         let pe = PafEvaluator::new(Evaluator::new(&keys));
-        let chosen = self.candidates[self.chosen].clone();
+        let chosen = self.body.candidates[self.body.chosen].clone();
         // The one-lane layout is the plan itself: the planned pipeline,
         // entered at the plan's input level.
         let one_lane = Layout {
@@ -1314,71 +1289,56 @@ impl Deserialize for Objective {
     }
 }
 
-impl Serialize for VectorCost {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("bootstraps", self.bootstraps.serialize()),
-            ("ct_mults", self.ct_mults.serialize()),
-            ("relu_levels", self.relu_levels.serialize()),
-        ])
-    }
+serde::wire_struct!(VectorCost {
+    bootstraps,
+    ct_mults,
+    relu_levels
+});
+
+serde::wire_struct!(PlannedCandidate {
+    forms,
+    cost,
+    trace,
+    fidelity,
+    priced_ms
+});
+
+/// The plan body of an artifact: the planning *outcome* — every
+/// evaluated candidate, the chosen index and its installed composites,
+/// the skipped forms, the dry runs spent — and the planning inputs
+/// (params, objective, candidate list). A [`Plan`] is its body plus
+/// what the loading process rebuilds: the pipeline, the frontier and
+/// report, and the serving seed. The pipeline, the seed and all key
+/// material are deliberately absent from the artifact; reconstruction
+/// therefore goes through [`PlanRegistry::load_plan`] with the
+/// caller's own [`SessionBuilder`].
+///
+/// [`PlanRegistry::load_plan`]: crate::PlanRegistry::load_plan
+pub(crate) struct PlanBody {
+    pub(crate) params: CkksParams,
+    pub(crate) objective: Objective,
+    pub(crate) candidate_forms: Vec<PafForm>,
+    pub(crate) candidates: Vec<PlannedCandidate>,
+    pub(crate) chosen: usize,
+    pub(crate) chosen_composites: Vec<CompositePaf>,
+    pub(crate) skipped: Vec<PafForm>,
+    pub(crate) dry_runs: usize,
 }
 
-impl Deserialize for VectorCost {
-    fn deserialize(value: &Value) -> Result<Self, SerdeError> {
-        Ok(VectorCost {
-            bootstraps: usize::deserialize(value.req("bootstraps")?)?,
-            ct_mults: usize::deserialize(value.req("ct_mults")?)?,
-            relu_levels: usize::deserialize(value.req("relu_levels")?)?,
-        })
-    }
-}
-
-impl Serialize for PlannedCandidate {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("forms", self.forms.serialize()),
-            ("cost", self.cost.serialize()),
-            ("trace", self.trace.serialize()),
-            ("fidelity", self.fidelity.serialize()),
-            ("priced_ms", self.priced_ms.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for PlannedCandidate {
-    fn deserialize(value: &Value) -> Result<Self, SerdeError> {
-        Ok(PlannedCandidate {
-            forms: Vec::<PafForm>::deserialize(value.req("forms")?)?,
-            cost: VectorCost::deserialize(value.req("cost")?)?,
-            trace: TraceReport::deserialize(value.req("trace")?)?,
-            fidelity: f64::deserialize(value.req("fidelity")?)?,
-            priced_ms: f64::deserialize(value.req("priced_ms")?)?,
-        })
-    }
-}
+serde::wire_struct!(PlanBody {
+    params,
+    objective,
+    candidate_forms,
+    candidates,
+    chosen,
+    chosen_composites,
+    skipped,
+    dry_runs,
+});
 
 impl Serialize for Plan {
-    /// The planning *outcome* — every evaluated candidate, the chosen
-    /// index and its installed composites, the skipped forms, and the
-    /// planning inputs (params, objective, candidate list).
-    /// The probed pipeline, the serving seed, and all key material are
-    /// deliberately absent; reconstruction therefore goes through
-    /// [`PlanRegistry::load_plan`] with the caller's own
-    /// [`SessionBuilder`].
-    ///
-    /// [`PlanRegistry::load_plan`]: crate::PlanRegistry::load_plan
     fn serialize(&self) -> Value {
-        Value::object([
-            ("params", self.params.serialize()),
-            ("objective", self.objective.serialize()),
-            ("candidate_forms", self.candidate_forms.serialize()),
-            ("candidates", self.candidates.serialize()),
-            ("chosen", self.chosen.serialize()),
-            ("chosen_composites", self.chosen_composites().serialize()),
-            ("skipped", self.skipped.serialize()),
-            ("dry_runs", self.dry_runs.serialize()),
-        ])
+        self.body.serialize()
     }
 }
 

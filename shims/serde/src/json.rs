@@ -66,16 +66,8 @@ impl Value {
         }
     }
 
-    /// The elements of a [`Value::Array`].
-    pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
     /// One-word name of the value's JSON type (for error messages).
-    pub fn type_name(&self) -> &'static str {
+    fn type_name(&self) -> &'static str {
         match self {
             Value::Null => "null",
             Value::Bool(_) => "bool",
@@ -438,7 +430,10 @@ mod tests {
     fn parses_nested_documents() {
         let v = from_str(r#"{"a": [1, -2, 3.5], "b": {"c": null, "d": true}, "e": "x\ny"}"#)
             .expect("valid document");
-        assert_eq!(v.req("a").unwrap().as_array().unwrap().len(), 3);
+        assert_eq!(
+            v.req("a").unwrap(),
+            &Value::Array(vec![Value::UInt(1), Value::Int(-2), Value::Float(3.5)])
+        );
         assert_eq!(v.req("b").unwrap().get("c"), Some(&Value::Null));
         assert_eq!(v.req("b").unwrap().get("d"), Some(&Value::Bool(true)));
         assert_eq!(v.req("e").unwrap().as_str(), Some("x\ny"));

@@ -7,9 +7,16 @@
 //! ([`Serialize`] renders a type into a [`json::Value`],
 //! [`Deserialize`] reads one back) plus a JSON writer and parser in
 //! [`json`]. There is no derive macro and no streaming `Serializer`
-//! trait; types implement the two traits by hand, which keeps the
-//! on-disk format of every artifact explicit and reviewable (see
-//! `docs/ARTIFACT_FORMAT.md` in the repository root).
+//! trait. A record whose wire shape is its field list implements both
+//! traits with one [`wire_struct!`] or [`wire_enum!`] invocation, so
+//! its format is stated once and the two directions cannot drift:
+//! `CkksParams`, `StageTrace`, `TraceReport`, `PipelineDesc`,
+//! `StageDesc`, `VectorCost`, `PlannedCandidate` and the plan body.
+//! Four types write their traits by hand because their shape is not
+//! field-for-field: `PafForm` (a tag string), `Polynomial` (a bare
+//! array), `CompositePaf` (its form is set after construction) and
+//! `Objective` (a tuple variant). Every on-disk format is specified
+//! in `docs/ARTIFACT_FORMAT.md` in the repository root.
 //!
 //! Two properties the plan registry depends on:
 //!
@@ -192,9 +199,15 @@ impl Serialize for &str {
     }
 }
 
-impl<T: Serialize> Serialize for Vec<T> {
+impl<T: Serialize> Serialize for [T] {
     fn serialize(&self) -> Value {
         Value::Array(self.iter().map(Serialize::serialize).collect())
+    }
+}
+
+impl<T: Serialize> Serialize for Vec<T> {
+    fn serialize(&self) -> Value {
+        self.as_slice().serialize()
     }
 }
 
@@ -223,6 +236,116 @@ impl<T: Deserialize> Deserialize for Option<T> {
             other => T::deserialize(other).map(Some),
         }
     }
+}
+
+/// Implements [`Serialize`] and [`Deserialize`] for a struct from one
+/// field list: a JSON object whose keys are the field names, written
+/// in the listed order. Every key is required on read (an absent one
+/// is an [`Error`] naming it); keys not listed are never looked at.
+/// Each field's type is the struct's own. An optional `check` — any
+/// `Fn(&T) -> Result<(), E>` with `E: Into<String>` — runs on the read
+/// record and turns its `Err` into an [`Error`].
+///
+/// # Example
+///
+/// ```
+/// use serde::{json, wire_struct, Deserialize, Serialize};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Span {
+///     lo: u64,
+///     hi: u64,
+/// }
+///
+/// wire_struct!(Span { lo, hi } check |s: &Span| {
+///     if s.lo <= s.hi { Ok(()) } else { Err("an empty span") }
+/// });
+///
+/// let text = json::to_string(&Span { lo: 1, hi: 3 }.serialize());
+/// assert_eq!(text, r#"{"lo":1,"hi":3}"#);
+/// let bad = json::from_str(r#"{"lo":3,"hi":1}"#).unwrap();
+/// assert_eq!(Span::deserialize(&bad).unwrap_err().to_string(), "an empty span");
+/// ```
+#[macro_export]
+macro_rules! wire_struct {
+    ($ty:ident { $($field:ident),+ $(,)? } $(check $check:expr)?) => {
+        impl $crate::Serialize for $ty {
+            fn serialize(&self) -> $crate::Value {
+                $crate::Value::object([
+                    $((stringify!($field), $crate::Serialize::serialize(&self.$field)),)+
+                ])
+            }
+        }
+
+        impl $crate::Deserialize for $ty {
+            fn deserialize(value: &$crate::Value) -> ::core::result::Result<Self, $crate::Error> {
+                let record = $ty {
+                    $($field: $crate::Deserialize::deserialize(value.req(stringify!($field))?)?,)+
+                };
+                $(($check)(&record).map_err($crate::Error::custom)?;)?
+                Ok(record)
+            }
+        }
+    };
+}
+
+/// Implements [`Serialize`] and [`Deserialize`] for an enum of struct
+/// and unit variants, tagged by the string under the key `$kind`: each
+/// variant is an object holding its tag first, then its fields in the
+/// listed order, read as [`wire_struct!`] reads them. An unknown tag
+/// is an [`Error`] naming it.
+///
+/// # Example
+///
+/// ```
+/// use serde::{json, wire_enum, Deserialize, Serialize};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Shape {
+///     Dot,
+///     Circle { r: f64 },
+/// }
+///
+/// wire_enum!(Shape, "kind" { Dot = "dot", Circle = "circle" { r } });
+///
+/// let text = json::to_string(&Shape::Circle { r: 2.0 }.serialize());
+/// assert_eq!(text, r#"{"kind":"circle","r":2.0}"#);
+/// assert_eq!(json::to_string(&Shape::Dot.serialize()), r#"{"kind":"dot"}"#);
+/// let back = Shape::deserialize(&json::from_str(&text).unwrap()).unwrap();
+/// assert_eq!(back, Shape::Circle { r: 2.0 });
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    ($ty:ident, $kind:literal {
+        $($variant:ident = $tag:literal $({ $($field:ident),+ $(,)? })?),+ $(,)?
+    }) => {
+        impl $crate::Serialize for $ty {
+            fn serialize(&self) -> $crate::Value {
+                match self {
+                    $($ty::$variant $({ $($field),+ })? => $crate::Value::object([
+                        ($kind, $crate::Serialize::serialize(&$tag)),
+                        $($((stringify!($field), $crate::Serialize::serialize($field)),)+)?
+                    ]),)+
+                }
+            }
+        }
+
+        impl $crate::Deserialize for $ty {
+            fn deserialize(value: &$crate::Value) -> ::core::result::Result<Self, $crate::Error> {
+                let tag = <String as $crate::Deserialize>::deserialize(value.req($kind)?)?;
+                match tag.as_str() {
+                    $($tag => Ok($ty::$variant $({
+                        $($field: $crate::Deserialize::deserialize(value.req(stringify!($field))?)?,)+
+                    })?),)+
+                    other => Err($crate::Error::custom(format!(
+                        "unknown {} {} `{other}`",
+                        stringify!($ty),
+                        $kind
+                    ))),
+                }
+            }
+        }
+    };
 }
 
 #[cfg(test)]
@@ -289,6 +412,82 @@ mod tests {
         assert!(u64::deserialize(&v).is_err());
         assert!(bool::deserialize(&v).is_err());
         assert!(Vec::<f64>::deserialize(&v).is_err());
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Probe {
+        name: String,
+        span: Vec<u64>,
+        at: Option<usize>,
+    }
+
+    wire_struct!(Probe { name, span, at } check |p: &Probe| {
+        if p.span.is_empty() { Err("an empty span") } else { Ok(()) }
+    });
+
+    #[derive(Debug, PartialEq)]
+    enum Event {
+        Start { probe: Probe, x: f64 },
+        Stop,
+    }
+
+    wire_enum!(Event, "kind" { Start = "start" { probe, x }, Stop = "stop" });
+
+    #[test]
+    fn wire_macros_read_and_write_one_field_list() {
+        let start = Event::Start {
+            probe: Probe {
+                name: "p".to_string(),
+                span: vec![3, 1],
+                at: None,
+            },
+            x: -0.5,
+        };
+        // Round trips, keys in the listed order (the tag first).
+        for (event, text) in [
+            (
+                start,
+                r#"{"kind":"start","probe":{"name":"p","span":[3,1],"at":null},"x":-0.5}"#,
+            ),
+            (Event::Stop, r#"{"kind":"stop"}"#),
+        ] {
+            assert_eq!(json::to_string(&event.serialize()), text);
+            let back = Event::deserialize(&json::from_str(text).unwrap()).unwrap();
+            assert_eq!(back, event);
+        }
+        let read = |text: &str| Probe::deserialize(&json::from_str(text).unwrap());
+        assert_eq!(
+            read(r#"{"at":7,"span":[1],"name":"q","extra":0}"#)
+                .unwrap()
+                .at,
+            Some(7)
+        );
+        // Every listed key is required, however it is misspelt.
+        let error = |result: Result<_, Error>| result.map(|_: Probe| ()).unwrap_err().to_string();
+        for (text, message) in [
+            (r#"{"span":[1],"at":null}"#, "missing field `name`"),
+            (
+                r#"{"name":"p","spans":[1],"at":null}"#,
+                "missing field `span`",
+            ),
+            (r#"{"name":"p","span":[1]}"#, "missing field `at`"),
+            (r#"{"name":"p","span":[],"at":null}"#, "an empty span"),
+            (
+                r#"{"name":"p","span":[-1],"at":null}"#,
+                "expected u64, found integer",
+            ),
+        ] {
+            assert_eq!(error(read(text)), message, "{text}");
+        }
+        let event = |text: &str| Event::deserialize(&json::from_str(text).unwrap());
+        for (text, message) in [
+            (r#"{"kind":"pause"}"#, "unknown Event kind `pause`"),
+            (r#"{"kind":1}"#, "expected string, found integer"),
+            (r#"{"x":1.0}"#, "missing field `kind`"),
+            (r#"{"kind":"start","x":1.0}"#, "missing field `probe`"),
+        ] {
+            assert_eq!(event(text).unwrap_err().to_string(), message, "{text}");
+        }
     }
 
     #[test]
