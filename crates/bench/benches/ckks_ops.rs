@@ -16,7 +16,9 @@
 //! the 13 limbs (`…/n4096_l7`: the per-level ratio the level schedule's
 //! price is held to) and a 13-limb plus 7-limb add (`add/n4096_l13_l7`),
 //! plus the PAF-ReLU (`relu_f1g2`) and the
-//! 2×2 max-pool fold (`pool_fold_2x2`) every CNN inference runs. `bench_hoist` fails the bench if 8
+//! 2×2 max-pool fold (`pool_fold_2x2`) every CNN inference runs, and
+//! the CNN's linear head expanded to 32 lanes on 2 limbs
+//! (`matvec_bsgs_block_diag_x32`), the packed server's affine. `bench_hoist` fails the bench if 8
 //! rotations of one ciphertext from one key-switch decomposition do
 //! not cost < 0.6× eight standalone rotations.
 //! Emits `BENCH_ckks.json` through the criterion shim's JSON hook; CI
@@ -310,6 +312,57 @@ fn bench_level_curve(c: &mut Criterion) {
     }
 }
 
+/// The benchmark CNN's linear head (linear ∘ the pool's selection, a
+/// dense 64-dimensional matrix) expanded block-diagonally to 32 lanes,
+/// applied on the 2 limbs the level schedule enters it at: the
+/// lane-packed affine whose key switches the BSGS split decides. Its
+/// fewest-rotation split takes 22 rotations and 8 decompositions
+/// (`⌈√2048⌉` baby steps took 48).
+fn bench_block_diag(c: &mut Criterion) {
+    use smartpaf::{Objective, Session};
+    use smartpaf_heinfer::Stage;
+    use smartpaf_nn::{Conv2d, Flatten, Linear};
+    const LANES: usize = 32;
+    let params = CkksParams::default_params();
+    let mut rng = Rng64::new(9001);
+    let plan = Session::builder(&[1, 8, 8])
+        .affine(Conv2d::new(1, 1, 3, 1, 1, &mut rng))
+        .relu(4.0)
+        .maxpool(2, 2, 4.0)
+        .affine(Flatten::new())
+        .affine(Linear::new(16, 16, &mut rng))
+        .params(params.clone())
+        .objective(Objective::FixedForm(PafForm::F1G2))
+        .plan()
+        .expect("the benchmark CNN plans");
+    let head = plan
+        .pipeline()
+        .stages()
+        .iter()
+        .rev()
+        .find_map(|stage| match stage {
+            Stage::Affine { mat, .. } => Some(mat.block_diag(LANES)),
+            _ => None,
+        })
+        .expect("the CNN ends in an affine head");
+    let keys = KeyChain::generate(&params.build(), &mut rng);
+    let ev = Evaluator::new(&keys);
+    let vals: Vec<f64> = (0..head.dim())
+        .map(|i| ((i * 7) % 13) as f64 / 13.0 - 0.5)
+        .collect();
+    let mut ct = ev.encrypt_replicated(&vals, &mut rng);
+    ct.drop_to(2);
+    let _ = ev.matvec_bsgs(&head, &ct); // diagonal encodings + Galois keys
+    let mut g = c.benchmark_group(format!("matvec_bsgs_block_diag_x{LANES}"));
+    g.meta("ks_digit_limbs", params.ks_digit_limbs)
+        .meta("digits", cost::hybrid_digits(&params, 2))
+        .meta("cores", host_cores())
+        .meta("threads", par::max_intra_workers());
+    g.bench_function(format!("n{}_l2", params.n), |b| {
+        b.iter(|| std::hint::black_box(ev.matvec_bsgs(&head, &ct)))
+    });
+}
+
 /// Best-of-`iters` wall time of `f`, measured inline.
 fn min_time(iters: usize, mut f: impl FnMut()) -> Duration {
     (0..iters)
@@ -366,6 +419,6 @@ criterion_group! {
     config = Criterion::default()
         .sample_size(SAMPLES)
         .json_output("BENCH_ckks.json");
-    targets = bench_ntt, bench_cipher_ops, bench_level_curve, bench_paf_ops, bench_hoist
+    targets = bench_ntt, bench_cipher_ops, bench_level_curve, bench_paf_ops, bench_block_diag, bench_hoist
 }
 criterion_main!(benches);

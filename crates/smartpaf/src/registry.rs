@@ -612,6 +612,51 @@ mod tests {
     }
 
     #[test]
+    fn degenerate_min_latency_drops_round_trip_under_one_key() {
+        // The builder stores a min-latency drop normalised into [0, 1]:
+        // NaN, -0.0 and negative drops as 0.0, drops above 1 as 1.0.
+        // Every built-in form's fidelity lies in [0, 1], so a drop of
+        // 1.0 admits every candidate as +∞ does and each class plans
+        // alike. Each value plans, saves, loads and lists, and a class
+        // shares one content key — a NaN drop used to be written as
+        // `null` and never load, and -0.0 and 0.0 took two keys.
+        use crate::session::fidelity;
+        for form in PafForm::all() {
+            let f = fidelity(&CompositePaf::from_form(form));
+            assert!((0.0..=1.0).contains(&f), "{form}: {f}");
+        }
+        let reg = test_registry("degenerate-drops");
+        let classes: [(&[f64], f64); 2] = [
+            (&[0.0, -0.0, -1.0, f64::NEG_INFINITY, f64::NAN], 0.0),
+            (&[1.0, 1.5, f64::INFINITY], 1.0),
+        ];
+        for (drops, normal) in classes {
+            let mut keys = Vec::new();
+            for &drop in drops {
+                let planned = || {
+                    let objective = Objective::MinLatency { max_acc_drop: drop };
+                    builder(1, 7).objective(objective)
+                };
+                let plan = planned().plan().expect("plans");
+                let Objective::MinLatency { max_acc_drop } = plan.objective() else {
+                    panic!("objective kept its kind");
+                };
+                assert_eq!(max_acc_drop.to_bits(), normal.to_bits(), "drop {drop}");
+                let key = reg.save_plan(&plan).expect("saves");
+                let loaded = reg.load_plan(planned()).expect("loads");
+                assert_eq!(loaded.objective(), plan.objective(), "drop {drop}");
+                assert_eq!(loaded.chosen(), plan.chosen(), "drop {drop}");
+                let listed = reg.list().expect("lists");
+                assert!(listed.iter().any(|info| info.content_key == key));
+                keys.push(key);
+            }
+            keys.dedup();
+            assert_eq!(keys.len(), 1, "drops {drops:?}: {keys:?}");
+        }
+        assert_eq!(reg.list().expect("lists").len(), 2);
+    }
+
+    #[test]
     fn the_worked_example_artifact_is_pinned_byte_for_byte() {
         // The model of docs/ARTIFACT_FORMAT.md's worked example (and of
         // `registry_demo` at test scale). The whole file is hashed:

@@ -201,9 +201,11 @@ pub enum Objective {
     /// exactly when every slot does.
     MinLatency {
         /// Largest acceptable fidelity drop versus the best candidate,
-        /// in absolute `[0, 1]` fidelity units. Negative or NaN values
-        /// are treated as `0.0` (only the best-fidelity candidates
-        /// qualify).
+        /// in absolute `[0, 1]` fidelity units.
+        /// [`SessionBuilder::objective`] stores a NaN, negative or
+        /// `-0.0` drop as `0.0` (only the best-fidelity candidates
+        /// qualify) and one above 1, `+∞` included, as `1.0` (every
+        /// candidate qualifies).
         max_acc_drop: f64,
     },
     /// Fewest traced bootstraps, then fewest exact ct-mults, then the
@@ -354,9 +356,25 @@ impl SessionBuilder {
         self
     }
 
-    /// Sets the planning objective.
+    /// Sets the planning objective. A [`Objective::MinLatency`] drop is
+    /// normalised into `[0, 1]` — NaN, `-0.0` and negative values
+    /// become `0.0`, values above 1 become `1.0` — which plans exactly
+    /// as the raw value would (fidelities lie in `[0, 1]`), so the plan
+    /// stores, serializes and is content-addressed by the objective
+    /// that was planned: every equivalent drop shares one registry
+    /// key, and none is written as a non-finite number.
     pub fn objective(mut self, objective: Objective) -> Self {
-        self.objective = objective;
+        self.objective = match objective {
+            Objective::MinLatency { max_acc_drop } => Objective::MinLatency {
+                // NaN and -0.0 both fail `> 0.0`.
+                max_acc_drop: if max_acc_drop > 0.0 {
+                    max_acc_drop.min(1.0)
+                } else {
+                    0.0
+                },
+            },
+            other => other,
+        };
         self
     }
 
@@ -515,15 +533,15 @@ fn plan_probed(probed: ProbedModel) -> Result<Plan, SessionError> {
     };
     // `MinLatency`'s fidelity bound holds per slot: a vector's worst
     // slot is within the drop of the best uniform row exactly when
-    // every slot's form is. Negative or NaN drops are 0.0, so the best
-    // row's form always qualifies.
+    // every slot's form is. The builder keeps the drop in [0, 1], so
+    // the best row's form always qualifies.
     let floor = match objective {
         Objective::MinLatency { max_acc_drop } => {
             let best = planned
                 .iter()
                 .map(|c| c.fidelity)
                 .fold(f64::NEG_INFINITY, f64::max);
-            best - max_acc_drop.max(0.0)
+            best - max_acc_drop
         }
         _ => f64::NEG_INFINITY,
     };
@@ -1828,17 +1846,63 @@ mod tests {
         assert!(err.to_string().contains("input too long"));
     }
 
+    /// The benchmark CNN with a two-channel conv, whose lane expansion
+    /// still moves the cut.
+    fn two_channel_cnn() -> Plan {
+        use smartpaf_nn::{Conv2d, Flatten};
+        let mut rng = Rng64::new(9001);
+        Session::builder(&[1, 8, 8])
+            .affine(Conv2d::new(1, 2, 3, 1, 1, &mut rng))
+            .relu(4.0)
+            .maxpool(2, 2, 4.0)
+            .affine(Flatten::new())
+            .affine(Linear::new(32, 16, &mut rng))
+            .params(CkksParams::default_params())
+            .objective(Objective::FixedForm(PafForm::F1G2))
+            .plan()
+            .expect("plannable")
+    }
+
+    #[test]
+    fn the_benchmark_cnn_cuts_alike_at_every_lane_count() {
+        // The fewest-rotation BSGS split sizes a lane expansion's baby
+        // steps to its two bands of diagonals, so packing adds too few
+        // rotations to move a refresh: every lane count runs conv +
+        // ReLU from level 7, the pool's shifts at 6 and 7 and the head
+        // on 2 limbs, as the unpacked plan does. At 32 lanes that is 32
+        // rotations and 14 decompositions (65 and 10 when the split was
+        // ⌈√dim⌉, which cut `[1 | 6 6 | 6 1]`).
+        let plan = benchmark_cnn();
+        for lanes in [1, 2, 4, 8, 16, 32] {
+            let trace = plan.pipeline().trace(plan.params(), true, lanes).unwrap();
+            let op_levels: Vec<Vec<usize>> =
+                trace.stages.iter().map(|s| s.op_levels.clone()).collect();
+            assert_eq!(
+                op_levels,
+                [vec![7], vec![6], vec![6, 7], vec![1]],
+                "{lanes} lanes"
+            );
+            if lanes == 32 {
+                let key_switches = (trace.total_rotations(), trace.total_decompositions());
+                assert_eq!(key_switches, (32, 14));
+            }
+        }
+    }
+
     #[test]
     fn a_packed_request_enters_where_its_own_schedule_starts() {
         // Packing moves work, and work places cuts: at 2 lanes the
-        // conv's expansion takes 12 rotations for the base matrix's 5,
-        // and the cheapest two-refresh cut runs it alone on 2 limbs
-        // where the unpacked plan enters conv + ReLU at level 7. The
-        // packed request is encrypted for the schedule that will run
-        // it, and that run is the base pipeline's trace at 2 lanes.
-        let plan = benchmark_cnn();
+        // two-channel conv's expansion takes more rotations than its
+        // base matrix, and the cheapest two-refresh cut runs it alone
+        // on 2 limbs where the unpacked plan enters conv + ReLU at
+        // level 7. The packed request is encrypted for the schedule
+        // that will run it, and that run is the base pipeline's trace
+        // at 2 lanes.
+        let plan = two_channel_cnn();
         assert_eq!(plan.input_level(), 7);
         let packed_trace = plan.pipeline().trace(plan.params(), true, 2).unwrap();
+        let conv_rotations = |trace: &TraceReport| trace.stages[0].rotations;
+        assert!(conv_rotations(&packed_trace) > conv_rotations(plan.chosen_trace()));
         assert_eq!(packed_trace.stages[0].level_in(), 1);
         let mut session = plan.compile().unwrap();
         session.set_batch_runner(BatchRunner::new(1));
@@ -1866,8 +1930,9 @@ mod tests {
     fn diagonals_are_encoded_on_the_limbs_their_stage_is_entered_at() {
         // An affine stage's plaintext diagonals are encoded on the limbs
         // its schedule enters it at, not on the full chain: the conv on
-        // 8 of the 13 limbs and the linear head on 2, and at 2 lanes the
-        // expanded matrices on their own schedule's limbs.
+        // 8 of the 13 limbs and the linear head on 2, and at 2 lanes —
+        // where the two-channel conv's cut moves — the expanded
+        // matrices on their own schedule's limbs.
         fn encoded_limbs(pipe: &HePipeline, trace: &TraceReport) -> Vec<usize> {
             let stages = pipe.stages().iter().zip(&trace.stages);
             stages
@@ -1881,7 +1946,7 @@ mod tests {
                 })
                 .collect()
         }
-        let plan = benchmark_cnn();
+        let plan = two_channel_cnn();
         let mut session = plan.compile().unwrap();
         session.set_batch_runner(BatchRunner::new(1));
         let inputs: Vec<Vec<f64>> = (0..2)
