@@ -17,8 +17,8 @@
 //! price is held to) and a 13-limb plus 7-limb add (`add/n4096_l13_l7`),
 //! plus the PAF-ReLU (`relu_f1g2`) and the
 //! 2×2 max-pool fold (`pool_fold_2x2`) every CNN inference runs, and
-//! the CNN's linear head expanded to 32 lanes on 2 limbs
-//! (`matvec_bsgs_block_diag_x32`), the packed server's affine. `bench_hoist` fails the bench if 8
+//! the CNN's linear head interleaved across 32 lanes on 2 limbs
+//! (`matvec_bsgs_interleaved_x32`), the packed server's affine. `bench_hoist` fails the bench if 8
 //! rotations of one ciphertext from one key-switch decomposition do
 //! not cost < 0.6× eight standalone rotations.
 //! Emits `BENCH_ckks.json` through the criterion shim's JSON hook; CI
@@ -313,12 +313,11 @@ fn bench_level_curve(c: &mut Criterion) {
 }
 
 /// The benchmark CNN's linear head (linear ∘ the pool's selection, a
-/// dense 64-dimensional matrix) expanded block-diagonally to 32 lanes,
-/// applied on the 2 limbs the level schedule enters it at: the
-/// lane-packed affine whose key switches the BSGS split decides. Its
-/// fewest-rotation split takes 22 rotations and 8 decompositions
-/// (`⌈√2048⌉` baby steps took 48).
-fn bench_block_diag(c: &mut Criterion) {
+/// dense 64-dimensional matrix) interleaved across 32 lanes, applied on
+/// the 2 limbs the level schedule enters it at: the lane-packed affine
+/// of the packed server. It keeps the one-lane head's 64 diagonals and
+/// split, so it takes the one-lane key switches.
+fn bench_interleaved(c: &mut Criterion) {
     use smartpaf::{Objective, Session};
     use smartpaf_heinfer::Stage;
     use smartpaf_nn::{Conv2d, Flatten, Linear};
@@ -341,7 +340,7 @@ fn bench_block_diag(c: &mut Criterion) {
         .iter()
         .rev()
         .find_map(|stage| match stage {
-            Stage::Affine { mat, .. } => Some(mat.block_diag(LANES)),
+            Stage::Affine { mat, .. } => Some(mat.interleave(LANES)),
             _ => None,
         })
         .expect("the CNN ends in an affine head");
@@ -353,7 +352,7 @@ fn bench_block_diag(c: &mut Criterion) {
     let mut ct = ev.encrypt_replicated(&vals, &mut rng);
     ct.drop_to(2);
     let _ = ev.matvec_bsgs(&head, &ct); // diagonal encodings + Galois keys
-    let mut g = c.benchmark_group(format!("matvec_bsgs_block_diag_x{LANES}"));
+    let mut g = c.benchmark_group(format!("matvec_bsgs_interleaved_x{LANES}"));
     g.meta("ks_digit_limbs", params.ks_digit_limbs)
         .meta("digits", cost::hybrid_digits(&params, 2))
         .meta("cores", host_cores())
@@ -419,6 +418,6 @@ criterion_group! {
     config = Criterion::default()
         .sample_size(SAMPLES)
         .json_output("BENCH_ckks.json");
-    targets = bench_ntt, bench_cipher_ops, bench_level_curve, bench_paf_ops, bench_block_diag, bench_hoist
+    targets = bench_ntt, bench_cipher_ops, bench_level_curve, bench_paf_ops, bench_interleaved, bench_hoist
 }
 criterion_main!(benches);

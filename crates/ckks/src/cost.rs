@@ -183,7 +183,7 @@ pub fn const_mult_modmuls(params: &CkksParams, limbs: usize) -> u128 {
 /// The parameter-free work of one atomic op of a pipeline — an affine
 /// map, a PAF-ReLU, or one shift of a max-pool fold: exact counts, read
 /// off the op itself (`CompositeEval::{exact_ct_mults, exact_relins}`,
-/// `DiagMatrix::{bsgs_counts, num_diagonals_lanes}`).
+/// `DiagMatrix::{bsgs_counts, num_diagonals}`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpWork {
     /// Tensor products ([`tensor_modmuls`] each).

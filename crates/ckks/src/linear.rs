@@ -7,12 +7,12 @@
 //! decompositions, then the smallest size, searched over every size
 //! from 1 to `dim` on the matrix's nonzero diagonal offsets
 //! ([`DiagMatrix::bsgs_counts`]). A dense matrix lands near `√dim`
-//! either way; a block-diagonal expansion
-//! ([`DiagMatrix::block_diag`]), whose diagonals sit in two narrow
-//! bands at the two ends of `[0, dim)`, takes a split sized to its
-//! bands instead — at 32 lanes the benchmark CNN's linear head takes
-//! 22 rotations where `⌈√dim⌉` took 48. Fewest rotations is also
-//! fewest Galois keys.
+//! either way; a sparse one (a convolution's few bands) takes a split
+//! sized to its offsets. Fewest rotations is also fewest Galois keys.
+//! A lane-interleaved matrix ([`DiagMatrix::interleave`]) keeps its
+//! base matrix's diagonals at scaled offsets and its split scaled
+//! alike, so a packed product takes exactly the one-lane key switches
+//! and encodes the one-lane number of diagonals.
 //!
 //! This is the substrate that turns the paper's Fig. 2 into a runnable
 //! pipeline: convolutions, average pooling and fully-connected layers
@@ -56,8 +56,8 @@ type DiagKey = (usize, usize, usize, u64);
 /// the highest of them.
 ///
 /// The BSGS split depends only on the diagonal offsets, so it is chosen
-/// once, when they are fixed (the constructors and
-/// [`DiagMatrix::block_diag`]), and every product reads it.
+/// once, when they are fixed (the constructors; [`DiagMatrix::interleave`]
+/// scales its base matrix's), and every product reads it.
 #[derive(Debug)]
 pub struct DiagMatrix {
     dim: usize,
@@ -65,7 +65,8 @@ pub struct DiagMatrix {
     in_dim: usize,
     diags: BTreeMap<usize, Vec<f64>>,
     /// Baby-step size of [`Evaluator::matvec_bsgs`]
-    /// ([`fewest_rotation_split`] of the diagonal offsets).
+    /// ([`fewest_rotation_split`] of the diagonal offsets, or of the
+    /// base matrix's scaled by the lane count).
     g1: usize,
     encoded: Mutex<HashMap<DiagKey, Arc<Plaintext>>>,
 }
@@ -303,104 +304,60 @@ impl DiagMatrix {
         Arc::clone(entry)
     }
 
-    /// Replicates the matrix block-diagonally across `lanes` lanes: the
-    /// result is the `(lanes·dim) × (lanes·dim)` map that applies this
-    /// matrix independently to each length-`dim` lane of a
-    /// lane-concatenated vector — the slot-packing transform that lets
-    /// one ciphertext carry `lanes` activations at stride `dim`.
+    /// Interleaves the matrix across `lanes` lanes: the result is the
+    /// `(lanes·dim) × (lanes·dim)` map that applies this matrix
+    /// independently to each lane of an interleaved vector, where lane
+    /// `l`'s position `p` sits at slot `p·lanes + l` — the slot-packing
+    /// transform that lets one ciphertext carry `lanes` activations.
     ///
-    /// Each stored generalized diagonal `d` splits into at most two
-    /// expanded diagonals: the in-lane part keeps offset `d` (entries
-    /// `i < dim − d`), and the wrap-around part moves to offset
-    /// `(lanes−1)·dim + d` (entries `i ≥ dim − d`), so a lane's cyclic
-    /// indexing never reads a neighbouring lane's slots. Applied plain,
-    /// each lane of the expanded product is **bit-identical** to
-    /// [`DiagMatrix::apply_plain`] on that lane alone: per output slot
-    /// the nonzero terms arrive in the same ascending-`d` order (the
-    /// in-lane offsets are exactly the ascending prefix with
-    /// `d < dim − i`), and the extra structural-zero terms add `±0.0`
-    /// to a never-negative-zero accumulator.
+    /// Diagonal `d` moves to offset `d·lanes` with each entry repeated
+    /// `lanes` times, so a rotation by `r·lanes` shifts every lane by
+    /// `r` within itself, cyclically, exactly as the one-lane replicated
+    /// layout does. Applied plain, each lane of the interleaved product
+    /// is **bit-identical** to [`DiagMatrix::apply_plain`] on that lane
+    /// alone: per output slot the same terms arrive in the same
+    /// ascending-`d` order. The BSGS split is this matrix's, scaled:
+    /// baby step `j` becomes `j·lanes` and giant group `k` stays `k`,
+    /// so the product executes the key switches
+    /// [`DiagMatrix::bsgs_counts`] prices for this matrix at any lane
+    /// count. A fresh split search over the scaled offsets could tie on
+    /// one that is not a multiple of `lanes` and execute other counts.
     ///
-    /// The encoded-plaintext cache starts empty (the expanded
-    /// diagonals tile differently across slots), and the BSGS split is
-    /// chosen anew for the expanded offsets — the one
-    /// [`DiagMatrix::bsgs_counts`]`(lanes)` prices.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lanes` is a power of two.
-    pub fn block_diag(&self, lanes: usize) -> DiagMatrix {
-        assert!(lanes.is_power_of_two(), "lanes must be a power of two");
-        if lanes == 1 {
-            return self.clone();
-        }
-        let dim = self.dim * lanes;
-        let mut diags: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
-        for (&d, diag) in &self.diags {
-            // Entries i < split stay in-lane at offset d; entries
-            // i ≥ split would cross into the next lane, so they move to
-            // the wrap offset (lanes−1)·dim + d, which steps back one
-            // lane cyclically. The two offset ranges are disjoint, so
-            // distinct source diagonals never collide.
-            let split = self.dim - d;
-            let in_lane = diags.entry(d).or_insert_with(|| vec![0.0; dim]);
-            for l in 0..lanes {
-                in_lane[l * self.dim..l * self.dim + split].copy_from_slice(&diag[..split]);
-            }
-            if d > 0 {
-                let wrap = diags
-                    .entry((lanes - 1) * self.dim + d)
-                    .or_insert_with(|| vec![0.0; dim]);
-                for l in 0..lanes {
-                    wrap[l * self.dim + split..(l + 1) * self.dim].copy_from_slice(&diag[split..]);
-                }
-            }
-        }
-        Self::with_diagonals(
-            dim,
-            (lanes - 1) * self.dim + self.out_dim,
-            (lanes - 1) * self.dim + self.in_dim,
-            diags,
-        )
-    }
-
-    /// Exact key-switch work of [`Evaluator::matvec_bsgs`] on
-    /// [`DiagMatrix::block_diag`]`(lanes)`: one rotation per distinct
-    /// nonzero baby step `d mod g1`, plus one per nonempty giant group
-    /// `k ≥ 1` (rotation by zero is a clone, not a key switch), at the
-    /// split the expansion executes — the fewest rotations, then the
-    /// fewest decompositions, then the smallest `g1` (module docs). It
-    /// is computed from the diagonal offsets alone — source diagonal
-    /// `d` keeps offset `d` and, when `d > 0`, adds `(lanes−1)·dim + d`
-    /// — so lane planners price each candidate lane count without
-    /// materializing the expanded matrix, in `O(lanes·dim · diagonals)`
-    /// integer work.
+    /// The encoded-plaintext cache starts empty (the interleaved
+    /// diagonals tile differently across slots).
     ///
     /// # Panics
     ///
     /// Panics unless `lanes` is a power of two.
-    pub fn bsgs_counts(&self, lanes: usize) -> BsgsCounts {
+    pub fn interleave(&self, lanes: usize) -> DiagMatrix {
         assert!(lanes.is_power_of_two(), "lanes must be a power of two");
-        // In-lane offsets are below `dim`, wrap offsets at or above it:
-        // the chain is ascending, as the split search needs.
-        let wraps = self.diags.keys().filter(|&&d| lanes > 1 && d > 0);
-        let offsets: Vec<usize> = self
+        let diags = self
             .diags
-            .keys()
-            .copied()
-            .chain(wraps.map(|&d| (lanes - 1) * self.dim + d))
+            .iter()
+            .map(|(&d, diag)| {
+                let repeated = diag.iter().flat_map(|&v| std::iter::repeat_n(v, lanes));
+                (d * lanes, repeated.collect())
+            })
             .collect();
-        let g1 = fewest_rotation_split(&offsets);
-        BsgsSchedule::new(g1, offsets.into_iter()).counts()
+        DiagMatrix {
+            dim: self.dim * lanes,
+            out_dim: self.out_dim * lanes,
+            in_dim: self.in_dim * lanes,
+            diags,
+            g1: self.g1 * lanes,
+            encoded: Mutex::new(HashMap::new()),
+        }
     }
 
-    /// Number of nonzero diagonals of [`DiagMatrix::block_diag`]`(lanes)`
-    /// — the plaintext multiplies of a matvec on it — from the offsets
-    /// alone: every diagonal but the main one gains its wrap-around
-    /// twin.
-    pub fn num_diagonals_lanes(&self, lanes: usize) -> usize {
-        let wraps = self.diags.keys().filter(|&&d| lanes > 1 && d > 0).count();
-        self.diags.len() + wraps
+    /// Exact key-switch work of [`Evaluator::matvec_bsgs`] on this
+    /// matrix, and on its [`DiagMatrix::interleave`] at any lane count:
+    /// one rotation per distinct nonzero baby step `d mod g1`, plus one
+    /// per nonempty giant group `k ≥ 1` (rotation by zero is a clone,
+    /// not a key switch), at the split the product executes — the
+    /// fewest rotations, then the fewest decompositions, then the
+    /// smallest `g1` (module docs).
+    pub fn bsgs_counts(&self) -> BsgsCounts {
+        BsgsSchedule::new(self.g1, self.diags.keys().copied()).counts()
     }
 
     /// Fraction of entries that are nonzero (density diagnostics for
@@ -431,9 +388,9 @@ pub struct BsgsCounts {
 /// The rotation schedule of the baby-step/giant-step product of a
 /// matrix with one input at baby-step size `g1`. Pricing
 /// ([`DiagMatrix::bsgs_counts`]) and execution
-/// ([`Evaluator::matvec_bsgs`]) both read it, at the size
-/// [`fewest_rotation_split`] chooses from the same offsets, so the
-/// analytic counts mirror the executed loops by construction.
+/// ([`Evaluator::matvec_bsgs`]) both read it, at the matrix's own
+/// split, so the analytic counts mirror the executed loops by
+/// construction.
 struct BsgsSchedule {
     /// Baby-step size: diagonal `d` is baby step `d mod g1` of giant
     /// group `d / g1`.
@@ -606,7 +563,7 @@ impl Evaluator {
     /// The baby-step size is the matrix's fewest-rotation split (module
     /// docs), chosen when its diagonals were fixed: a product searches
     /// nothing, and executes exactly the key switches
-    /// [`DiagMatrix::bsgs_counts`]`(1)` prices.
+    /// [`DiagMatrix::bsgs_counts`] prices.
     ///
     /// The baby steps `rot_j(ct)` rotate the *same* input, so they come
     /// from one key-switch decomposition of `ct`
@@ -1052,18 +1009,16 @@ mod tests {
 
     #[test]
     fn lane_diagonal_count_is_the_expanded_matrix() {
+        // Interleaving moves diagonals and adds none: a packed matvec
+        // encodes and multiplies the base matrix's diagonals, once each.
         let mut rng = Rng64::new(53);
         for mat in [
             DiagMatrix::from_rows(&random_matrix(8, 8, &mut rng)),
             DiagMatrix::identity(8),
             DiagMatrix::rotation(8, 3),
         ] {
-            assert_eq!(mat.num_diagonals_lanes(1), mat.num_diagonals());
-            for lanes in [2, 4] {
-                assert_eq!(
-                    mat.num_diagonals_lanes(lanes),
-                    mat.block_diag(lanes).num_diagonals()
-                );
+            for lanes in [1, 2, 4] {
+                assert_eq!(mat.interleave(lanes).num_diagonals(), mat.num_diagonals());
             }
         }
     }
@@ -1074,69 +1029,73 @@ mod tests {
         let _ = replicate(&[1.0, 2.0, 3.0], 128);
     }
 
+    /// `lanes` vectors interleaved: lane `l`'s position `p` at `p·lanes + l`.
+    fn interleaved(lanes_in: &[Vec<f64>]) -> Vec<f64> {
+        let m = lanes_in[0].len();
+        (0..m * lanes_in.len())
+            .map(|s| lanes_in[s % lanes_in.len()][s / lanes_in.len()])
+            .collect()
+    }
+
     #[test]
-    fn block_diag_lanes_are_bitwise_independent() {
-        // The slot-packing pin: each lane of the expanded plain product
-        // is bit-identical to applying the base matrix to that lane
-        // alone — same nonzero terms in the same addition order.
+    fn interleaved_lanes_are_bitwise_independent() {
+        // The slot-packing pin: each lane of the interleaved plain
+        // product is bit-identical to applying the base matrix to that
+        // lane alone — same terms in the same addition order — and the
+        // interleaving keeps the base matrix's diagonals, one each.
         let mut rng = Rng64::new(51);
         let m = 8;
         let lanes = 4;
-        let rows = random_matrix(m, m, &mut rng);
-        let mat = DiagMatrix::from_rows(&rows);
-        let big = mat.block_diag(lanes);
+        let mat = DiagMatrix::from_rows(&random_matrix(m, m, &mut rng));
+        let big = mat.interleave(lanes);
         assert_eq!(big.dim(), lanes * m);
-        // Each source diagonal splits into at most two.
-        assert!(big.num_diagonals() <= 2 * mat.num_diagonals());
+        assert_eq!(big.num_diagonals(), mat.num_diagonals());
+        let offsets: Vec<usize> = big.diagonals().map(|(d, _)| d).collect();
+        let base: Vec<usize> = mat.diagonals().map(|(d, _)| d * lanes).collect();
+        assert_eq!(offsets, base);
 
         let lanes_in: Vec<Vec<f64>> = (0..lanes).map(|_| random_vec(m, &mut rng)).collect();
-        let packed: Vec<f64> = lanes_in.iter().flatten().copied().collect();
-        let out = big.apply_plain(&packed);
+        let out = big.apply_plain(&interleaved(&lanes_in));
         for (l, lane) in lanes_in.iter().enumerate() {
-            let want = mat.apply_plain(lane);
+            let got: Vec<f64> = (0..m).map(|p| out[p * lanes + l]).collect();
             assert_eq!(
-                &out[l * m..(l + 1) * m],
-                want.as_slice(),
+                got,
+                mat.apply_plain(lane),
                 "lane {l} must be bit-identical to the standalone product"
             );
         }
     }
 
     #[test]
-    fn block_diag_single_lane_is_the_same_matrix() {
+    fn interleaving_one_lane_is_the_same_matrix() {
         let mut rng = Rng64::new(52);
         let mat = DiagMatrix::from_rows(&random_matrix(4, 4, &mut rng));
-        let same = mat.block_diag(1);
-        assert_eq!(same.dim(), mat.dim());
+        let same = mat.interleave(1);
+        assert_eq!((same.dim(), same.g1), (mat.dim(), mat.g1));
         assert_eq!(same.num_diagonals(), mat.num_diagonals());
         let v = random_vec(4, &mut rng);
         assert_eq!(same.apply_plain(&v), mat.apply_plain(&v));
     }
 
     #[test]
-    fn block_diag_encrypted_matvec_stays_in_lane() {
-        // Encrypted path: a lane-concatenated replicated ciphertext
-        // through the expanded matrix decrypts to the per-lane
-        // products — rotations never leak a neighbouring lane.
+    fn interleaved_encrypted_matvec_stays_in_lane() {
+        // Encrypted path: an interleaved replicated ciphertext through
+        // the interleaved matrix decrypts to the per-lane products —
+        // rotations by multiples of the lane count never leak a
+        // neighbouring lane.
         let (ev, mut rng) = setup(53);
         let m = 8;
         let lanes = 4;
-        let rows = random_matrix(m, m, &mut rng);
-        let mat = DiagMatrix::from_rows(&rows);
-        let big = mat.block_diag(lanes);
+        let mat = DiagMatrix::from_rows(&random_matrix(m, m, &mut rng));
+        let big = mat.interleave(lanes);
         let lanes_in: Vec<Vec<f64>> = (0..lanes).map(|_| random_vec(m, &mut rng)).collect();
-        let packed: Vec<f64> = lanes_in.iter().flatten().copied().collect();
-        let ct = ev.encrypt_replicated(&packed, &mut rng);
+        let ct = ev.encrypt_replicated(&interleaved(&lanes_in), &mut rng);
         let got = ev.decrypt_values(&ev.matvec_bsgs(&big, &ct), lanes * m);
         for (l, lane) in lanes_in.iter().enumerate() {
             let want = mat.apply_plain(lane);
-            for i in 0..m {
-                assert!(
-                    (got[l * m + i] - want[i]).abs() < 5e-2,
-                    "lane {l} slot {i}: {} vs {}",
-                    got[l * m + i],
-                    want[i]
-                );
+            for (p, w) in want.iter().enumerate() {
+                let g = got[p * lanes + l];
+                assert!((g - w).abs() < 5e-2, "lane {l} position {p}: {g} vs {w}");
             }
         }
     }
@@ -1164,10 +1123,11 @@ mod tests {
         let v = random_vec(16, &mut Rng64::new(60));
         let want: Vec<f64> = (0..16).map(|i| v[(i + 5) % 16]).collect();
         assert_eq!(rot.apply_plain(&v), want);
-        // A scaled rotation multiplies, a two-diagonal matrix mixes, a
-        // selection drops slots: none is a bare rotation.
+        // A scaled rotation multiplies and a selection drops slots:
+        // neither is a bare rotation. Interleaved, a rotation is the
+        // rotation by its step times the lane count.
         assert_eq!(rot.scaled(0.5).as_rotation(), None);
-        assert_eq!(rot.block_diag(2).as_rotation(), None);
+        assert_eq!(rot.interleave(2).as_rotation(), Some(10));
         let mut rows = vec![vec![0.0; 16]; 15];
         for (i, row) in rows.iter_mut().enumerate() {
             row[i + 1] = 1.0;
@@ -1186,7 +1146,7 @@ mod tests {
     fn bsgs_rotation_count_mirrors_the_schedule() {
         // Identity: the single 0-diagonal needs no key switch at all.
         assert_eq!(
-            DiagMatrix::identity(16).bsgs_counts(1),
+            DiagMatrix::identity(16).bsgs_counts(),
             BsgsCounts::default()
         );
         // Dense 16×16: g1 = 4, all 16 diagonals present → 3 nonzero
@@ -1195,12 +1155,12 @@ mod tests {
         let mut rng = Rng64::new(54);
         let dense = DiagMatrix::from_rows(&random_matrix(16, 16, &mut rng));
         assert_eq!(dense.num_diagonals(), 16);
-        assert_eq!(dense.bsgs_counts(1).rotations, 6);
-        assert_eq!(dense.bsgs_counts(1).decompositions, 4);
+        assert_eq!(dense.bsgs_counts().rotations, 6);
+        assert_eq!(dense.bsgs_counts().decompositions, 4);
         // And never more than one rotation per diagonal (naive bound).
         let sparse = DiagMatrix::rotation(16, 5);
         assert_eq!(sparse.num_diagonals(), 1);
-        assert!(sparse.bsgs_counts(1).rotations <= 2);
+        assert!(sparse.bsgs_counts().rotations <= 2);
 
         // The analytic counts are the executed loops', exactly.
         let (ev, mut rng) = setup(56);
@@ -1209,7 +1169,7 @@ mod tests {
             let executed = executed_key_switches(|| {
                 ev.matvec_bsgs(mat, &ct);
             });
-            assert_eq!(executed, mat.bsgs_counts(1));
+            assert_eq!(executed, mat.bsgs_counts());
         }
         // The naive method hoists too: one decomposition, one
         // application per nonzero diagonal offset.
@@ -1221,10 +1181,9 @@ mod tests {
 
     #[test]
     fn lane_rotation_pricing_matches_materialized_expansion() {
-        // The lane planner's oracle: pricing block_diag's wrap-diagonal
-        // doubling from the offsets alone must agree exactly with
-        // counting on the materialized expanded matrix, for dense,
-        // sparse, and diagonal-free shapes alike.
+        // Interleaving scales the offsets and the split alike, so every
+        // lane count prices, and executes, the base matrix's counts —
+        // for dense, sparse, and diagonal-free shapes alike.
         let mut rng = Rng64::new(55);
         let shapes: Vec<DiagMatrix> = vec![
             DiagMatrix::from_rows(&random_matrix(8, 8, &mut rng)),
@@ -1241,27 +1200,24 @@ mod tests {
         ];
         for lanes in [1usize, 2, 4, 8] {
             for mat in &shapes {
+                let big = mat.interleave(lanes);
                 assert_eq!(
-                    mat.bsgs_counts(lanes),
-                    mat.block_diag(lanes).bsgs_counts(1),
+                    big.bsgs_counts(),
+                    mat.bsgs_counts(),
                     "dim {} lanes {lanes}",
                     mat.dim()
                 );
+                assert_eq!(big.g1, mat.g1 * lanes);
             }
         }
-        // The expansion's executed loops match the lane-priced counts.
         let (ev, mut rng) = setup(57);
         let ct = ev.encrypt_replicated(&random_vec(32, &mut rng), &mut rng);
         for mat in &shapes[..3] {
             let executed = executed_key_switches(|| {
-                ev.matvec_bsgs(&mat.block_diag(4), &ct);
+                ev.matvec_bsgs(&mat.interleave(4), &ct);
             });
-            assert_eq!(executed, mat.bsgs_counts(4));
+            assert_eq!(executed, mat.bsgs_counts());
         }
-        // Wrap diagonals make packed rotations strictly costlier than
-        // lanes·1 would suggest for any matrix with off-diagonals.
-        let dense = &shapes[3];
-        assert!(dense.bsgs_counts(4).rotations > dense.bsgs_counts(1).rotations);
     }
 
     /// A `dim`-square matrix whose nonzero diagonals are exactly those
@@ -1297,11 +1253,10 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
-        /// The split of a lane expansion is the brute-force optimum over
-        /// every `g1 ∈ 1..=dim`, never has more rotations than the
-        /// `⌈√dim⌉` split, is priced from the base offsets exactly as
-        /// the materialized expansion chooses it, and is the split that
-        /// expansion executes.
+        /// A matrix's split is the brute-force optimum over every
+        /// `g1 ∈ 1..=dim` and never has more rotations than the
+        /// `⌈√dim⌉` split; interleaved at any lane count the matrix
+        /// keeps that split, scaled, and its counts.
         #[test]
         fn the_split_is_the_fewest_rotation_one(
             log_dim in 1u32..7,
@@ -1311,20 +1266,21 @@ mod tests {
         ) {
             let (dim, lanes) = (1usize << log_dim, 1usize << log_lanes);
             let mat = with_offsets(dim, &present[..dim], &mut Rng64::new(seed));
-            let big = mat.block_diag(lanes);
-            let offsets: Vec<usize> = big.diags.keys().copied().collect();
-            let (best, g1) = brute_force_split(big.dim(), &offsets);
-            proptest::prop_assert_eq!(mat.bsgs_counts(lanes), best);
-            proptest::prop_assert_eq!(big.bsgs_counts(1), best);
-            proptest::prop_assert_eq!(big.g1, g1);
-            let sqrt = (big.dim() as f64).sqrt().ceil() as usize;
+            let offsets: Vec<usize> = mat.diags.keys().copied().collect();
+            let (best, g1) = brute_force_split(dim, &offsets);
+            proptest::prop_assert_eq!(mat.bsgs_counts(), best);
+            proptest::prop_assert_eq!(mat.g1, g1);
+            let sqrt = (dim as f64).sqrt().ceil() as usize;
             let fixed = BsgsSchedule::new(sqrt, offsets.into_iter()).counts();
             proptest::prop_assert!(best.rotations <= fixed.rotations, "{best:?} vs {fixed:?}");
+            let big = mat.interleave(lanes);
+            proptest::prop_assert_eq!(big.g1, g1 * lanes);
+            proptest::prop_assert_eq!(big.bsgs_counts(), best);
         }
 
-        /// Encrypted, a lane expansion's BSGS product executes exactly
-        /// the key switches its lane count is priced at, and agrees
-        /// with the naive product within noise.
+        /// Encrypted, an interleaved BSGS product executes exactly its
+        /// base matrix's key switches, and agrees with the naive
+        /// product within noise.
         #[test]
         fn a_lane_expansion_executes_its_priced_split(
             log_dim in 1u32..5,
@@ -1335,13 +1291,12 @@ mod tests {
             let (dim, lanes) = (1usize << log_dim, 1usize << log_lanes);
             let mut rng = Rng64::new(seed);
             let mat = with_offsets(dim, &present[..dim], &mut rng);
-            let big = mat.block_diag(lanes);
+            let big = mat.interleave(lanes);
             let (ev, mut rng) = setup(seed);
             let ct = ev.encrypt_replicated(&random_vec(big.dim(), &mut rng), &mut rng);
             let mut product = None;
             let executed = executed_key_switches(|| product = Some(ev.matvec_bsgs(&big, &ct)));
-            proptest::prop_assert_eq!(executed, mat.bsgs_counts(lanes));
-            proptest::prop_assert_eq!(executed, big.bsgs_counts(1));
+            proptest::prop_assert_eq!(executed, mat.bsgs_counts());
             let bsgs = ev.decrypt_values(&product.expect("ran"), big.dim());
             let naive = ev.decrypt_values(&ev.matvec(&big, &ct), big.dim());
             for (i, (b, n)) in bsgs.iter().zip(&naive).enumerate() {

@@ -93,12 +93,12 @@ impl InferenceBackend for PlainBackend {
 ///
 /// Slot-packed execution (see [`crate::pack`]) needs no special
 /// backend support: a lane-expanded pipeline is an ordinary
-/// [`HePipeline`] at the wider padded dimension, its block-diagonal
+/// [`HePipeline`] at the wider padded dimension, its interleaved
 /// affine stages run through the same
 /// [`smartpaf_ckks::Evaluator::matvec_bsgs`] path with its per-matrix
-/// diagonal-encoding cache, a pool's shifts are the same rotations of
-/// the wider vector, and PAF evaluations are elementwise per slot so
-/// they act per lane for free.
+/// diagonal-encoding cache, a pool's shifts are rotations of the wider
+/// vector by the lane count's multiples, and PAF evaluations are
+/// elementwise per slot so they act per lane for free.
 pub struct CkksBackend<'a> {
     pe: &'a PafEvaluator,
     bootstrapper: Option<&'a Bootstrapper>,
@@ -187,7 +187,7 @@ impl InferenceBackend for CkksBackend<'_> {
                 slots,
             });
         }
-        self.ops = pipe.atomic_ops(1);
+        self.ops = pipe.atomic_ops();
         self.schedule = None;
         self.stage = 0;
         Ok(())
@@ -291,11 +291,9 @@ pub struct StageTrace {
     /// one per ReLU/max product).
     pub relins: usize,
     /// Exact ciphertext rotations (each one Galois key-switch
-    /// *application*): the BSGS schedule of an affine matvec at the
-    /// trace's lane count ([`HePipeline::trace`]'s `lanes`) — wrap
-    /// diagonals of the lane-expanded block-diagonal matrix are priced
-    /// without materializing it ([`DiagMatrix::bsgs_counts`]) — and one
-    /// per shift of a max pool, at any lane count.
+    /// *application*): the BSGS schedule of an affine matvec
+    /// ([`DiagMatrix::bsgs_counts`]) and one per shift of a max pool —
+    /// the same at any lane count.
     pub rotations: usize,
     /// Exact key-switch *decompositions* behind those rotations: an
     /// affine's baby steps share one (hoisted — they rotate the same
@@ -396,23 +394,15 @@ impl HePipeline {
     /// without, it surfaces as [`RunError::OutOfLevels`] exactly where
     /// the CKKS backend would fail.
     ///
-    /// At `lanes` > 1 the work is that of the pipeline slot-packed at
-    /// `lanes` lanes ([`HePipeline::atomic_ops`]), counted without
-    /// building the expansion, and the cut is the one the expanded
-    /// pipeline executes. Levels, bootstraps and ct-mults are
-    /// lane-invariant, so a lane planner can sweep lane counts over one
-    /// compiled pipeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lanes` is a power of two.
+    /// A lane expansion ([`HePipeline::expand_lanes`]) does this
+    /// pipeline's work at every lane count, so this is also the trace
+    /// of a packed request.
     pub fn trace(
         &self,
         params: &CkksParams,
         allow_bootstrap: bool,
-        lanes: usize,
     ) -> Result<TraceReport, RunError> {
-        self.trace_from(params, params.depth, allow_bootstrap, lanes)
+        self.trace_from(params, params.depth, allow_bootstrap)
     }
 
     /// [`HePipeline::trace`] of an input that arrives at `start_level`
@@ -423,10 +413,9 @@ impl HePipeline {
         params: &CkksParams,
         start_level: usize,
         allow_bootstrap: bool,
-        lanes: usize,
     ) -> Result<TraceReport, RunError> {
         let schedule = LevelSchedule::cut(
-            &self.atomic_ops(lanes),
+            &self.atomic_ops(),
             params,
             start_level,
             params.depth,
@@ -461,20 +450,22 @@ impl HePipeline {
     }
 
     /// [`HePipeline::trace`] over a `max_level`-level chain of
-    /// otherwise default parameters at `lanes` lanes, for the frozen
-    /// benchmark package, which reads counts no parameter moves off
-    /// it; the next library PR after the benchmark repoints deletes it.
+    /// otherwise default parameters, for the frozen benchmark package,
+    /// which reads counts no parameter moves off it; the next library
+    /// PR after the benchmark repoints deletes it. Packing moves no
+    /// count, so `lanes` is accepted and ignored: every lane count
+    /// reads the one-lane trace.
     pub fn dry_run_lanes(
         &self,
         max_level: usize,
         allow_bootstrap: bool,
-        lanes: usize,
+        _lanes: usize,
     ) -> Result<(TraceReport, RunStats), RunError> {
         let params = CkksParams {
             depth: max_level,
             ..CkksParams::default_params()
         };
-        let report = self.trace(&params, allow_bootstrap, lanes)?;
+        let report = self.trace(&params, allow_bootstrap)?;
         let stats = RunStats {
             stage_levels: report.stages.iter().map(|s| s.levels).collect(),
             bootstraps: report.total_bootstraps(),
@@ -553,7 +544,7 @@ mod tests {
             .encrypt_replicated(&pipe.try_pad_input(&x).unwrap(), &mut rng);
         let (_, enc_stats) = pipe.try_eval_encrypted(&pe, None, &ct).unwrap();
         let report = pipe
-            .trace(&CkksParams::toy(), false, 1)
+            .trace(&CkksParams::toy(), false)
             .expect("fits the chain");
         assert_eq!(stage_levels(&report), enc_stats.stage_levels);
         assert_eq!(report.total_bootstraps(), enc_stats.bootstraps);
@@ -578,7 +569,7 @@ mod tests {
         let (_, enc_stats) = pipe.try_eval_encrypted(&pe, Some(&bs), &ct).unwrap();
         assert!(enc_stats.bootstraps >= 1);
         let report = pipe
-            .trace(&CkksParams::toy(), true, 1)
+            .trace(&CkksParams::toy(), true)
             .expect("bootstrap allowed");
         assert_eq!(stage_levels(&report), enc_stats.stage_levels);
         assert_eq!(report.total_bootstraps(), enc_stats.bootstraps);
@@ -596,8 +587,8 @@ mod tests {
         // is the plain backend's. Packed serving executes a
         // lane-expanded pipeline but plans on the base one: the CNN at
         // all 8 lanes and the MLP at all 32 of the toy ring run the
-        // block-diagonal expansion against the base pipeline traced at
-        // that lane count, so the two cannot cut differently. Without a
+        // interleaved expansion against the base pipeline's one-lane
+        // trace, so the two cannot cut differently. Without a
         // refresher a pipeline deeper than the chain cannot complete:
         // both backends then stop at the same stage with the same
         // error, and nothing was dropped on the way there.
@@ -680,7 +671,7 @@ mod tests {
                             (executed, smartpaf_ckks::take_key_switch_counts())
                         });
                     let entered = ENTRY_LEVELS.with(|levels| levels.take());
-                    match (executed, base.trace(&params, refresher.is_some(), lanes)) {
+                    match (executed, base.trace(&params, refresher.is_some())) {
                         (Ok((out, stats)), Ok(report)) => {
                             let traced: Vec<usize> = report
                                 .stages
@@ -724,7 +715,7 @@ mod tests {
                             assert!(pipe.total_levels() > max_level, "{case}");
                             assert_eq!(executed, traced, "{case}");
                             let mut undropped = max_level;
-                            for (level, op) in entered.iter().zip(pipe.atomic_ops(1)) {
+                            for (level, op) in entered.iter().zip(pipe.atomic_ops()) {
                                 assert_eq!(*level, undropped, "{case}");
                                 undropped -= op.need;
                             }
@@ -788,7 +779,7 @@ mod tests {
                 .try_eval_encrypted(&pe, None, &ct)
                 .map(|(_, stats)| stats);
             assert_eq!(executed.expect_err("no refresher"), want);
-            let traced = pipe.trace(&CkksParams::toy(), false, 1);
+            let traced = pipe.trace(&CkksParams::toy(), false);
             assert_eq!(traced.expect_err("no refresher"), want);
         }
     }
@@ -800,7 +791,7 @@ mod tests {
             .paf_relu(&paf, 1.0)
             .try_compile()
             .unwrap();
-        let report = pipe.trace(&chain(12), false, 1).expect("fits");
+        let report = pipe.trace(&chain(12), false).expect("fits");
         assert_eq!(report.stages.len(), 1);
         // Exactly the even-power-ladder count plus the ReLU product.
         assert_eq!(report.total_ct_mults(), paf.prepare().exact_ct_mults() + 1);
@@ -811,7 +802,7 @@ mod tests {
                 .paf_maxpool(k, 1, &paf, 1.0)
                 .try_compile()
                 .unwrap();
-            let report = pool.trace(&chain(30), false, 1).expect("fits");
+            let report = pool.trace(&chain(30), false).expect("fits");
             assert_eq!(
                 report.total_ct_mults(),
                 shifts * (paf.prepare().exact_ct_mults() + 1)
@@ -830,9 +821,7 @@ mod tests {
             b = b.affine(Linear::new(4, 4, &mut rng)).paf_relu(&paf, 2.0);
         }
         let pipe = b.try_compile().unwrap();
-        let err = pipe
-            .trace(&chain(12), false, 1)
-            .expect_err("chain too short");
+        let err = pipe.trace(&chain(12), false).expect_err("chain too short");
         assert!(matches!(err, RunError::OutOfLevels { .. }));
         assert!(err.to_string().contains("level exhausted"));
     }
@@ -844,9 +833,7 @@ mod tests {
             .paf_relu(&paf, 1.0)
             .try_compile()
             .unwrap();
-        let err = pipe
-            .trace(&chain(8), true, 1)
-            .expect_err("atomic op too deep");
+        let err = pipe.trace(&chain(8), true).expect_err("atomic op too deep");
         assert!(matches!(err, RunError::AtomicDepthExceeded { .. }));
     }
 
@@ -860,7 +847,7 @@ mod tests {
             .paf_maxpool(1, 1, &paf, 1.0)
             .try_compile()
             .unwrap();
-        let report = pipe.trace(&chain(3), false, 1).expect("selection only");
+        let report = pipe.trace(&chain(3), false).expect("selection only");
         assert_eq!(report.total_ct_mults(), 0);
         assert_eq!(report.total_levels(), 1);
     }
@@ -898,7 +885,7 @@ mod tests {
         for (g, w) in got.iter().zip(&want) {
             assert!((g - w).abs() < 0.2, "{g} vs {w}");
         }
-        let report = pipe.trace(&CkksParams::toy(), true, 1).expect("traceable");
+        let report = pipe.trace(&CkksParams::toy(), true).expect("traceable");
         assert_eq!(report.total_bootstraps(), enc_stats.bootstraps);
         assert_eq!(stage_levels(&report), enc_stats.stage_levels);
         // Per-slot attribution: slot 0 is the ReLU (α=7 schedule),
@@ -918,12 +905,13 @@ mod tests {
 
     #[test]
     fn lane_priced_trace_matches_materialized_expansion() {
-        // The lane planner's contract: a trace of the base pipeline at
-        // `lanes` must report exactly what tracing the materialized
-        // expand_lanes pipeline reports, stage by stage — wrap-diagonal
-        // doubling counted before any expansion exists — and cut the
-        // schedule the expansion executes, at the same price, with
-        // refreshes to place (12 levels) and without (30).
+        // Lanes are interleaved, so a lane expansion keeps every
+        // affine's diagonals and split and every pool's shift count:
+        // tracing the materialized expansion reports the base
+        // pipeline's trace stage by stage — the same cut, counts and
+        // price — with refreshes to place (12 levels) and without (30).
+        // The `dry_run_lanes` forward the frozen benchmark reads is
+        // that trace at every lane count.
         let mut rng = Rng64::new(108);
         let paf = CompositePaf::from_form(PafForm::F1G2);
         let pipe = PipelineBuilder::new(&[1, 4, 4])
@@ -935,47 +923,42 @@ mod tests {
             .try_compile()
             .unwrap()
             .fold_scales();
+        let unlabelled = |report: TraceReport| -> TraceReport {
+            let stages = report.stages.into_iter();
+            TraceReport {
+                stages: stages
+                    .map(|s| StageTrace {
+                        label: String::new(),
+                        ..s
+                    })
+                    .collect(),
+                ..report
+            }
+        };
         for (depth, refresh) in [(30, false), (12, true)] {
-            for lanes in [1usize, 2, 4] {
-                let base = pipe.trace(&chain(depth), refresh, lanes).expect("fits");
-                let wide = pipe
-                    .expand_lanes(lanes)
-                    .trace(&chain(depth), refresh, 1)
-                    .expect("fits");
-                assert_eq!(base.stages.len(), wide.stages.len());
-                for (b, w) in base.stages.iter().zip(&wide.stages) {
-                    let stage = format!("depth {depth} lanes {lanes} stage {}", b.label);
-                    assert_eq!(b.rotations, w.rotations, "{stage}");
-                    assert_eq!(b.decompositions, w.decompositions, "{stage}");
-                    assert_eq!(b.ct_mults, w.ct_mults, "{stage}");
-                    assert_eq!(b.levels, w.levels, "{stage}");
-                    assert_eq!(b.op_levels, w.op_levels, "{stage}");
-                    assert_eq!(b.bootstraps, w.bootstraps, "{stage}");
-                    assert_eq!(b.modmuls, w.modmuls, "{stage}");
-                }
+            let base = pipe.trace(&chain(depth), refresh).expect("fits");
+            for lanes in [1usize, 2, 4, 32] {
+                let wide = pipe.expand_lanes(lanes).trace(&chain(depth), refresh);
+                let case = format!("depth {depth} lanes {lanes}");
+                assert_eq!(
+                    unlabelled(wide.expect("fits")),
+                    unlabelled(base.clone()),
+                    "{case}"
+                );
             }
         }
-        // Packing is not free: more lanes means strictly more
-        // rotations for any pipeline with off-diagonal affine work. (The
-        // counts the frozen benchmark reads off the `dry_run_lanes`
-        // forward are these.)
-        let rotations = |lanes| {
-            let report = pipe.trace(&chain(30), false, lanes).expect("fits");
+        let (report, _) = pipe.dry_run_lanes(30, false, 1).expect("fits");
+        for lanes in [2usize, 32] {
             let (forwarded, _) = pipe.dry_run_lanes(30, false, lanes).expect("fits");
-            assert_eq!(report.total_rotations(), forwarded.total_rotations());
-            assert_eq!(report.total_ct_mults(), forwarded.total_ct_mults());
-            report.total_rotations()
-        };
-        let (r1, r4) = (rotations(1), rotations(4));
-        assert!(r4 > r1, "lanes=4 {r4} vs lanes=1 {r1}");
+            assert_eq!(forwarded, report, "lanes {lanes}");
+        }
     }
 
     #[test]
     fn pool_lanes_are_isolated_from_each_other() {
-        // A pool's shifts rotate the whole packed vector, so they do
-        // carry one lane's activations into its neighbour's slots — but
-        // only into slots no window anchor reads. Packed at 2 lanes and
-        // at all 32 of the toy ring: every lane's output is the 1-lane
+        // A pool's shifts, times the lane count, rotate each
+        // interleaved lane within itself. Packed at 2 lanes and at all
+        // 32 of the toy ring: every lane's output is the 1-lane
         // pipeline's bit for bit, and changing one lane's input leaves
         // every other lane bit-identical in the clear and within noise
         // encrypted.
@@ -992,12 +975,16 @@ mod tests {
         assert_eq!((dim, out), (4, 3));
         for lanes in [2usize, 32] {
             let pipe = base.expand_lanes(lanes);
+            // Lane `l`'s first `len` positions of an interleaved vector.
+            let lane = |v: &[f64], l: usize, len: usize| -> Vec<f64> {
+                (0..len).map(|p| v[p * lanes + l]).collect()
+            };
             let x: Vec<f64> = (0..pipe.dim())
                 .map(|i| ((i * 7) % 13) as f64 / 13.0 - 0.5)
                 .collect();
             let changed = lanes / 2;
             let mut y = x.clone();
-            for v in &mut y[changed * dim..(changed + 1) * dim] {
+            for v in y.iter_mut().skip(changed).step_by(lanes) {
                 *v = 0.25 - *v;
             }
             let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
@@ -1009,28 +996,27 @@ mod tests {
                 ev.decrypt_values(&out_ct, pipe.dim())
             };
             let (enc_x, enc_y) = (decrypted(&x, &mut rng), decrypted(&y, &mut rng));
-            for lane in 0..lanes {
-                let at = lane * dim;
-                let alone = base.eval_plain(&x[at..at + dim]);
+            for l in 0..lanes {
+                let alone = base.eval_plain(&lane(&x, l, dim));
                 assert_eq!(
-                    bits(&plain_x[at..at + out]),
+                    bits(&lane(&plain_x, l, out)),
                     bits(&alone),
-                    "lanes {lanes}: lane {lane} alone"
+                    "lanes {lanes}: lane {l} alone"
                 );
-                if lane == changed {
-                    assert_ne!(bits(&plain_y[at..at + out]), bits(&alone));
+                if l == changed {
+                    assert_ne!(bits(&lane(&plain_y, l, out)), bits(&alone));
                     assert_eq!(
-                        bits(&plain_y[at..at + out]),
-                        bits(&base.eval_plain(&y[at..at + dim]))
+                        bits(&lane(&plain_y, l, out)),
+                        bits(&base.eval_plain(&lane(&y, l, dim)))
                     );
                     continue;
                 }
                 assert_eq!(
-                    bits(&plain_y[at..at + out]),
+                    bits(&lane(&plain_y, l, out)),
                     bits(&alone),
-                    "lanes {lanes}: lane {lane} saw lane {changed} change"
+                    "lanes {lanes}: lane {l} saw lane {changed} change"
                 );
-                for k in at..at + out {
+                for k in (0..out).map(|p| p * lanes + l) {
                     assert!(
                         (enc_x[k] - plain_x[k]).abs() < 5e-2,
                         "lanes {lanes} slot {k}"
@@ -1152,18 +1138,18 @@ mod tests {
         let xs: Vec<Vec<f64>> = (0..lanes)
             .map(|l| (0..8).map(|j| ((l * 3 + j) as f64 - 4.0) / 4.0).collect())
             .collect();
-        let mut flat = Vec::new();
-        for x in &xs {
-            flat.extend_from_slice(&pipe.try_pad_input(x).unwrap());
-        }
+        // Interleaved: lane `l`'s position `p` at slot `p·lanes + l`.
+        let padded: Vec<Vec<f64>> = xs.iter().map(|x| pipe.try_pad_input(x).unwrap()).collect();
+        let flat: Vec<f64> = (0..wide.dim())
+            .map(|s| padded[s % lanes][s / lanes])
+            .collect();
         let ct = pe.evaluator().encrypt_replicated(&flat, &mut rng);
         let (out_ct, _) = wide.try_eval_encrypted(&pe, None, &ct).unwrap();
+        let got = pe.evaluator().decrypt_values(&out_ct, wide.dim());
         for (l, x) in xs.iter().enumerate() {
-            let want = pipe.eval_plain(x);
-            let got = pe.evaluator().decrypt_values(&out_ct, (l + 1) * pipe.dim());
-            for (k, w) in want.iter().enumerate() {
-                let g = got[l * pipe.dim() + k];
-                assert!((g - w).abs() < 6e-2, "lane {l} slot {k}: {g} vs {w}");
+            for (p, w) in pipe.eval_plain(x).iter().enumerate() {
+                let g = got[p * lanes + l];
+                assert!((g - w).abs() < 6e-2, "lane {l} position {p}: {g} vs {w}");
             }
         }
     }

@@ -173,7 +173,7 @@ impl BatchRunner {
         let params = ctx.params();
         for ct in inputs {
             let level = ct.level().min(params.depth);
-            pipe.trace_from(&params, level, bootstrapper.is_some(), 1)?;
+            pipe.trace_from(&params, level, bootstrapper.is_some())?;
         }
         self.run_sharded(
             inputs,

@@ -19,11 +19,12 @@
 //!
 //! Slots that are not anchors hold bounded filler: the PAF-max of real
 //! activations with padding zeros or whatever a shift wrapped around to
-//! (slot-packed, a neighbouring lane's activations) — values of the
-//! range real windows fold, so the PAF stays inside its domain — and
-//! the selection's zero columns drop it. A window that lies inside its
-//! image never reads outside it, which is why the shifts can be plain
-//! cyclic rotations of the whole slot vector.
+//! — values of the range real windows fold, so the PAF stays inside its
+//! domain — and the selection's zero columns drop it. A window that
+//! lies inside its image never reads outside it, which is why the
+//! shifts can be plain cyclic rotations of the slot vector. Slot-packed
+//! lanes are interleaved, so a shift times the lane count rotates each
+//! lane within itself and no lane ever reads another.
 
 /// The doubling steps that fold a window of `k` along one axis: each
 /// step `t` turns "slot `p` holds the fold of `[p, p+w)`" into the same

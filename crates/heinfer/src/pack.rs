@@ -1,43 +1,46 @@
 //! Cross-request slot packing: a ciphertext-level SIMD multiplexer.
 //!
 //! A compiled pipeline of padded dimension `dim` running on a ring
-//! with `slots` slots uses only the first `dim` slots of every
-//! replication period — on the default N=4096 ring a dim-64 pipeline
-//! wastes 2048−64 slots per encrypted eval. This module packs up to
-//! `K = slots / dim` independent same-tenant inputs into one
-//! ciphertext at stride `dim` (one *lane* per input), lane-expands the
-//! pipeline so a single encrypted eval applies it to every lane at
-//! once, and demultiplexes the K outputs afterwards:
+//! with `slots` slots uses only `dim` distinct slots of its replicated
+//! layout — on the default N=4096 ring a dim-64 pipeline wastes 2048−64
+//! slots per encrypted eval. This module packs up to `K = slots / dim`
+//! independent same-tenant inputs into one ciphertext (one *lane* per
+//! input), lane-expands the pipeline so a single encrypted eval applies
+//! it to every lane at once, and demultiplexes the K outputs
+//! afterwards. Lanes are **interleaved**: lane `l`'s position `p` sits
+//! at slot `p·L + l`, replicated at period `dim·L`:
 //!
 //! ```text
-//! slots:  |  lane 0  |  lane 1  |  lane 2  |  lane 3  |
-//!         |<- dim  ->|<- dim  ->|<- dim  ->|<- dim  ->|
-//!  input:   x⁽⁰⁾ pad    x⁽¹⁾ pad    x⁽²⁾ pad    0 (idle)
+//! slots:  | x⁽⁰⁾₀ x⁽¹⁾₀ x⁽²⁾₀ 0 | x⁽⁰⁾₁ x⁽¹⁾₁ x⁽²⁾₁ 0 | … | x⁽⁰⁾_dim−1 … 0 |
+//!         |<-  position 0   ->|<-  position 1   ->|   |<- position dim−1 ->|
+//!                                                  (L = 4, lane 3 idle)
 //! ```
 //!
+//! A rotation by `r·L` then shifts every lane's vector by `r` inside
+//! that lane, cyclically — exactly what the one-lane replicated layout
+//! does with a rotation by `r`. So the lane-expanded pipeline
+//! ([`HePipeline::expand_lanes`]) keeps the base pipeline's diagonals,
+//! BSGS splits and rotation count: a packed request cuts, keys and
+//! encodes like a one-lane request.
+//!
 //! - [`SlotLayout`] computes the capacity rule `K = slots / dim` from
-//!   a compiled [`HePipeline`] and rejects pipelines whose stages
-//!   would rotate across a lane boundary (typed [`PackError`]).
+//!   a compiled [`HePipeline`] (typed [`PackError`]).
 //! - [`PackedBatch`] is the multiplexed flat vector: inputs padded to
-//!   the lane stride and concatenated, idle lanes zeroed.
-//! - [`LanePacker`] owns the lane-expanded pipeline
-//!   ([`HePipeline::expand_lanes`]) plus the packed encode / encrypt /
-//!   decrypt paths; its plain eval is bit-identical per lane to the
-//!   sequential per-input evals, and the expanded affine stages reuse
-//!   the per-matrix diagonal-encoding cache exactly like the base
-//!   pipeline.
+//!   the pipeline dimension and interleaved, idle lanes zeroed.
+//! - [`LanePacker`] owns the lane-expanded pipeline plus the packed
+//!   encode / encrypt / decrypt paths; its plain eval is bit-identical
+//!   per lane to the sequential per-input evals, and the expanded
+//!   affine stages reuse the per-matrix diagonal-encoding cache exactly
+//!   like the base pipeline.
 //!
 //! PAF evaluations are elementwise per slot, so they pack for free.
 //! Affine stages mix slots through
 //! [`DiagMatrix`](smartpaf_ckks::DiagMatrix) products, which
-//! [`block_diag`](smartpaf_ckks::DiagMatrix::block_diag) replicates
-//! block-diagonally so no output ever reads another lane's slots. A
-//! max pool's shifts rotate the *whole* packed vector instead (a
-//! block-diagonal shift would cost a level): what they carry across a
-//! lane boundary lands only in slots the pool's anchor selection — an
-//! affine stage — drops.
+//! [`interleave`](smartpaf_ckks::DiagMatrix::interleave) spreads across
+//! the lanes, and a max pool's shifts are multiplied by the lane count:
+//! no output ever reads another lane's slots.
 
-use crate::pipeline::{HePipeline, Stage};
+use crate::pipeline::HePipeline;
 use smartpaf_ckks::{Ciphertext, Evaluator};
 use smartpaf_tensor::Rng64;
 use std::fmt;
@@ -70,19 +73,6 @@ pub enum PackError {
     },
     /// No inputs to pack.
     EmptyBatch,
-    /// A stage mixes slots at a stride other than the pipeline's
-    /// padded dimension, so its rotations would cross a lane boundary.
-    /// Compiled pipelines share one slot layout across stages, so this
-    /// is a defensive check; it cannot fire for `PipelineBuilder`
-    /// output.
-    LaneCrossing {
-        /// Label of the offending stage.
-        stage: String,
-        /// The stage matrix's slot stride.
-        mat_dim: usize,
-        /// The lane stride it would have to respect.
-        dim: usize,
-    },
 }
 
 impl fmt::Display for PackError {
@@ -93,24 +83,24 @@ impl fmt::Display for PackError {
                 "pipeline dim {dim} must divide slot count {slots}: no packing capacity"
             ),
             PackError::TooManyInputs { got, capacity } => {
-                write!(f, "{got} inputs exceed the slot-packing capacity {capacity}")
+                write!(
+                    f,
+                    "{got} inputs exceed the slot-packing capacity {capacity}"
+                )
             }
             PackError::InputTooLong { len, max } => {
                 write!(f, "input length {len} exceeds pipeline input dim {max}")
             }
             PackError::EmptyBatch => write!(f, "cannot pack an empty batch"),
-            PackError::LaneCrossing { stage, mat_dim, dim } => write!(
-                f,
-                "stage `{stage}` mixes slots at stride {mat_dim}, crossing the {dim}-slot lane boundary"
-            ),
         }
     }
 }
 
 impl std::error::Error for PackError {}
 
-/// The slot layout of a packed ciphertext: lane stride, logical
-/// input/output widths, and the capacity rule `K = slots / dim`.
+/// The slot layout of a packed ciphertext: the pipeline dimension,
+/// logical input/output widths, and the capacity rule
+/// `K = slots / dim`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotLayout {
     dim: usize,
@@ -124,10 +114,7 @@ impl SlotLayout {
     /// Computes the layout for `pipe` on a ring with `slots` slots.
     ///
     /// Fails with [`PackError::NoCapacity`] when the padded dimension
-    /// does not divide the slot count, and with
-    /// [`PackError::LaneCrossing`] if any stage mixes slots at a
-    /// stride other than the pipeline dimension (a defensive check —
-    /// compiled pipelines share one slot layout across stages).
+    /// does not divide the slot count.
     pub fn for_pipeline(pipe: &HePipeline, slots: usize) -> Result<SlotLayout, PackError> {
         let capacity = pipe.lane_capacity(slots);
         if capacity == 0 {
@@ -135,17 +122,6 @@ impl SlotLayout {
                 dim: pipe.dim(),
                 slots,
             });
-        }
-        for stage in pipe.stages() {
-            if let Stage::Affine { mat, .. } = stage {
-                if mat.dim() != pipe.dim() {
-                    return Err(PackError::LaneCrossing {
-                        stage: stage.label(),
-                        mat_dim: mat.dim(),
-                        dim: pipe.dim(),
-                    });
-                }
-            }
         }
         Ok(SlotLayout {
             dim: pipe.dim(),
@@ -159,11 +135,6 @@ impl SlotLayout {
     /// Lane capacity `K = slots / dim` (always a power of two).
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// The lane stride: the pipeline's padded dimension.
-    pub fn lane_stride(&self) -> usize {
-        self.dim
     }
 
     /// Logical per-input width (pre-padding).
@@ -196,8 +167,9 @@ impl SlotLayout {
     }
 }
 
-/// A slot-multiplexed batch: up to `lanes` inputs padded to the lane
-/// stride and concatenated into one flat vector, idle lanes zeroed.
+/// A slot-multiplexed batch: up to `lanes` inputs padded to the
+/// pipeline dimension and interleaved into one flat vector (input `l`'s
+/// position `p` at `p·lanes + l`), idle lanes zeroed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedBatch {
     layout: SlotLayout,
@@ -240,7 +212,9 @@ impl PackedBatch {
                     max: layout.input_dim,
                 });
             }
-            values[l * layout.dim..l * layout.dim + x.len()].copy_from_slice(x);
+            for (p, &v) in x.iter().enumerate() {
+                values[p * lanes + l] = v;
+            }
         }
         Ok(PackedBatch {
             layout: *layout,
@@ -270,7 +244,7 @@ impl PackedBatch {
         self.count as f64 / self.lanes as f64
     }
 
-    /// The multiplexed flat vector, `lanes · lane_stride` long.
+    /// The multiplexed flat vector, `lanes · dim` long.
     pub fn values(&self) -> &[f64] {
         &self.values
     }
@@ -283,13 +257,16 @@ impl PackedBatch {
     ///
     /// Panics if `flat` is shorter than the packed extent.
     pub fn unpack(&self, flat: &[f64]) -> Vec<Vec<f64>> {
+        let lanes = self.lanes;
         assert!(
-            flat.len() >= (self.lanes - 1) * self.layout.dim + self.layout.output_dim,
+            flat.len() >= self.layout.output_dim * lanes,
             "flat output shorter than the packed extent"
         );
         (0..self.count)
             .map(|l| {
-                flat[l * self.layout.dim..l * self.layout.dim + self.layout.output_dim].to_vec()
+                (0..self.layout.output_dim)
+                    .map(|p| flat[p * lanes + l])
+                    .collect()
             })
             .collect()
     }
@@ -298,7 +275,7 @@ impl PackedBatch {
 /// The packed execution engine: a [`SlotLayout`] plus the
 /// lane-expanded pipeline and the packed encrypt / decrypt paths.
 ///
-/// The expansion cost (block-diagonal matrices, fresh encoding caches)
+/// The expansion cost (interleaved matrices, fresh encoding caches)
 /// is paid once per `(pipeline, lanes)` pair; callers cache one
 /// `LanePacker` per lane count they serve.
 pub struct LanePacker {
@@ -335,7 +312,7 @@ impl LanePacker {
         self.lanes
     }
 
-    /// The lane-expanded pipeline (padded dim `lanes · lane_stride`).
+    /// The lane-expanded pipeline (padded dim `lanes · dim`).
     pub fn expanded(&self) -> &HePipeline {
         &self.expanded
     }
@@ -353,8 +330,7 @@ impl LanePacker {
     }
 
     /// Encrypts the multiplexed vector (replicated across the ring, so
-    /// full-ring rotations act cyclically on the lane-expanded
-    /// layout).
+    /// full-ring rotations act cyclically on the interleaved layout).
     pub fn encrypt(&self, batch: &PackedBatch, ev: &Evaluator, rng: &mut Rng64) -> Ciphertext {
         ev.encrypt_replicated(batch.values(), rng)
     }
@@ -362,7 +338,7 @@ impl LanePacker {
     /// Decrypts a packed output ciphertext and demultiplexes it into
     /// one `output_dim`-wide vector per real input of `batch`.
     pub fn decrypt(&self, ct: &Ciphertext, batch: &PackedBatch, ev: &Evaluator) -> Vec<Vec<f64>> {
-        batch.unpack(&ev.decrypt_values(ct, self.lanes * self.layout.lane_stride()))
+        batch.unpack(&ev.decrypt_values(ct, self.expanded.dim()))
     }
 }
 
@@ -402,7 +378,6 @@ mod tests {
     fn layout_computes_capacity_from_the_pipeline() {
         let pipe = demo_pipeline(61);
         let layout = SlotLayout::for_pipeline(&pipe, 128).expect("fits");
-        assert_eq!(layout.lane_stride(), 16);
         assert_eq!(layout.capacity(), 8);
         assert_eq!(layout.input_dim(), 16);
         assert_eq!(layout.output_dim(), 4);
@@ -432,11 +407,13 @@ mod tests {
         assert_eq!(batch.count(), 3);
         assert!((batch.fill() - 0.75).abs() < 1e-12);
         assert_eq!(batch.values().len(), 4 * 16);
-        // Lane l carries input l; the idle lane is zero.
+        // Lane l carries input l at every fourth slot from l; the idle
+        // lane is zero.
         for (l, x) in xs.iter().enumerate() {
-            assert_eq!(&batch.values()[l * 16..l * 16 + 16], x.as_slice());
+            let lane: Vec<f64> = batch.values().iter().skip(l).step_by(4).copied().collect();
+            assert_eq!(&lane, x);
         }
-        assert!(batch.values()[3 * 16..].iter().all(|&v| v == 0.0));
+        assert!(batch.values().iter().skip(3).step_by(4).all(|&v| v == 0.0));
         // Unpacking the input vector itself returns the output-width
         // prefixes of the real lanes.
         let outs = batch.unpack(batch.values());

@@ -7,6 +7,7 @@ use smartpaf_ckks::DiagMatrix;
 use smartpaf_nn::{Layer, Mode};
 use smartpaf_polyfit::{CompositeEval, CompositePaf, PafForm};
 use smartpaf_tensor::Tensor;
+use std::iter::repeat_n;
 use std::sync::Arc;
 
 /// One compiled stage of an encrypted inference pipeline.
@@ -43,7 +44,7 @@ pub enum Stage {
         /// Window size `k`.
         k: usize,
         /// The fold's shifts: steps of cyclic left rotations of the
-        /// whole slot vector — the same steps at any lane count.
+        /// slot vector, times the lane count in a lane expansion.
         shifts: Vec<usize>,
         /// The composite sign approximation.
         paf: CompositePaf,
@@ -571,17 +572,20 @@ impl HePipeline {
         }
     }
 
-    /// Rebuilds this pipeline at `lanes` slot lanes: every affine
-    /// matrix is replicated block-diagonally
-    /// ([`DiagMatrix::block_diag`]), biases are tiled across lanes, and
-    /// PAF stages carry over untouched — a ReLU is elementwise, a pool's
-    /// shifts rotate the wider vector by the same steps — sharing their
-    /// prepared engines with the source pipeline.
+    /// Rebuilds this pipeline at `lanes` interleaved slot lanes (lane
+    /// `l`'s position `p` at slot `p·lanes + l`): every affine matrix
+    /// is interleaved ([`DiagMatrix::interleave`]), each bias entry is
+    /// repeated `lanes` times, and a pool's shifts are multiplied by
+    /// `lanes`, so every rotation moves each lane within itself by the
+    /// base pipeline's step. PAF stages share their prepared engines
+    /// with the source pipeline.
     ///
     /// The expanded pipeline is an ordinary [`HePipeline`] at padded
     /// dimension `lanes · dim` whose plain evaluation applies the base
-    /// pipeline independently (and bit-identically) to each
-    /// length-`dim` lane of a lane-concatenated input. Its logical
+    /// pipeline independently (and bit-identically) to each lane of an
+    /// interleaved input, and whose atomic ops do the base pipeline's
+    /// work: the same levels, key switches and plaintext diagonals, so
+    /// it cuts and keys alike at every lane count. Its logical
     /// input/output dimensions are the full `lanes · dim` flat vector;
     /// per-lane padding and demultiplexing are the packing layer's job
     /// (see the `pack` module).
@@ -604,22 +608,22 @@ impl HePipeline {
             .stages
             .iter()
             .map(|s| match s {
-                Stage::Affine { mat, bias } => {
-                    let mut tiled = Vec::with_capacity(dim);
-                    for _ in 0..lanes {
-                        tiled.extend_from_slice(bias);
-                    }
-                    Stage::Affine {
-                        mat: mat.block_diag(lanes),
-                        bias: tiled,
-                    }
-                }
-                // A pool's shifts rotate the whole lane-concatenated
-                // vector by the same steps, not each lane within itself
-                // (two diagonals and a level): a window inside its
-                // image never reads across its lane, and what does
-                // cross lands only in filler slots.
-                Stage::PafRelu { .. } | Stage::PafMax { .. } => s.clone(),
+                Stage::Affine { mat, bias } => Stage::Affine {
+                    mat: mat.interleave(lanes),
+                    bias: bias.iter().flat_map(|&b| repeat_n(b, lanes)).collect(),
+                },
+                Stage::PafMax {
+                    k,
+                    shifts,
+                    paf,
+                    engine,
+                } => Stage::PafMax {
+                    k: *k,
+                    shifts: shifts.iter().map(|t| t * lanes).collect(),
+                    paf: paf.clone(),
+                    engine: Arc::clone(engine),
+                },
+                Stage::PafRelu { .. } => s.clone(),
             })
             .collect();
         HePipeline {
@@ -1164,7 +1168,7 @@ mod tests {
     #[test]
     fn expanded_lanes_eval_each_lane_bit_identically() {
         // A conv + PAF-relu + maxpool pipeline covers every stage
-        // kind; the lane-expanded pipeline applied to concatenated
+        // kind; the lane-expanded pipeline applied to interleaved
         // inputs must reproduce each per-lane base eval bit for bit.
         let mut rng = Rng64::new(33);
         let paf = relu_paf();
@@ -1189,16 +1193,14 @@ mod tests {
                     .collect()
             })
             .collect();
-        let mut flat = Vec::new();
-        for x in &inputs {
-            let mut padded = x.clone();
-            padded.resize(pipe.dim(), 0.0);
-            flat.extend_from_slice(&padded);
-        }
+        // Interleaved: lane `l`'s position `p` at slot `p·lanes + l`.
+        let flat: Vec<f64> = (0..wide.dim())
+            .map(|s| inputs[s % lanes].get(s / lanes).copied().unwrap_or(0.0))
+            .collect();
         let got = wide.eval_plain(&flat);
         for (l, x) in inputs.iter().enumerate() {
             let want = pipe.eval_plain(x);
-            let lane = &got[l * pipe.dim()..l * pipe.dim() + want.len()];
+            let lane: Vec<f64> = (0..want.len()).map(|p| got[p * lanes + l]).collect();
             assert_eq!(
                 lane.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),

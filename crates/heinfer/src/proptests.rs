@@ -142,7 +142,7 @@ proptest! {
             let uniform = pipe
                 .try_with_pafs(&vec![paf.clone(); pipe.num_paf_stages()])
                 .expect("one composite per slot");
-            let traced = uniform.trace(&params, true, 1);
+            let traced = uniform.trace(&params, true);
             traced.map(|report| report.total_bootstraps())
         };
         match (refreshes(&shallow), refreshes(&deep)) {
@@ -291,7 +291,7 @@ proptest! {
 
         // Traced level counts == levels CkksBackend consumed.
         let report = pipe
-            .trace(&CkksParams::toy(), false, 1)
+            .trace(&CkksParams::toy(), false)
             .expect("pipeline fits the toy chain");
         let stage_levels: Vec<usize> = report.stages.iter().map(|s| s.levels).collect();
         prop_assert_eq!(&stage_levels, &enc_stats.stage_levels);
@@ -305,64 +305,32 @@ proptest! {
     /// is entered at exactly the levels it consumes, the last one ends
     /// on the last limb, the ops of the encrypted run enter where the
     /// trace says, and the decrypted result still matches the plain
-    /// backend within the simulator's noise bound — as the pipeline is,
-    /// and slot-packed at all 8 lanes of the toy ring, where the
-    /// block-diagonal expansion executes and the base pipeline is
-    /// traced at that lane count.
+    /// backend within the simulator's noise bound.
     #[test]
     fn random_pipelines_run_their_level_schedule(
         seed in 0u64..500,
         max_level in 6usize..15,
         kinds in proptest::collection::vec(0usize..3, 1..6),
         x in proptest::collection::vec(-1.0f64..1.0, 16),
-        packed in proptest::bool::ANY,
     ) {
         let mut rng = Rng64::new(seed);
-        // A 3×3 convolution scaled to an ℓ¹ norm of one: no sequence of
-        // stages can push a value out of the PAF's domain.
-        let mut contraction = || {
-            let mut conv = Conv2d::new(1, 1, 3, 1, 1, &mut rng);
-            let weight = &mut conv.params_mut()[0].value;
-            let norm: f32 = weight.data().iter().map(|w| w.abs()).sum();
-            weight.map_in_place(|w| w / norm);
-            conv
-        };
-        let paf = CompositePaf::from_form(PafForm::F1G2);
-        let mut builder = PipelineBuilder::new(&[1, 4, 4]);
-        let mut side = 4;
-        for kind in kinds {
-            builder = match kind {
-                1 => builder.paf_relu(&paf, 2.0),
-                // A 1×1 map has no window left to pool.
-                2 if side > 1 => {
-                    side /= 2;
-                    builder.paf_maxpool(2, 2, &paf, 2.0)
-                }
-                _ => builder.affine(contraction()),
-            };
-        }
-        let pipe = builder.try_compile().unwrap().fold_scales();
-        let lanes = if packed { 8 } else { 1 };
-        let wide = pipe.expand_lanes(lanes);
-
+        let pipe = random_pipeline(&kinds, &mut rng);
         let params = CkksParams { depth: max_level, ..CkksParams::toy() };
         let keys = KeyChain::generate(&params.build(), &mut rng);
         let pe = PafEvaluator::new(Evaluator::new(&keys));
-        let bs = Bootstrapper::new(pe.evaluator().clone(), wide.dim(), seed);
-        // Every lane carries the same input.
+        let bs = Bootstrapper::new(pe.evaluator().clone(), pipe.dim(), seed);
         let ct = pe
             .evaluator()
-            .encrypt_replicated(&pipe.try_pad_input(&x).unwrap().repeat(lanes), &mut rng);
+            .encrypt_replicated(&pipe.try_pad_input(&x).unwrap(), &mut rng);
         ENTRY_LEVELS.with(|levels| levels.borrow_mut().clear());
-        let executed = wide.try_eval_encrypted(&pe, Some(&bs), &ct);
+        let executed = pipe.try_eval_encrypted(&pe, Some(&bs), &ct);
         let entered = ENTRY_LEVELS.with(|levels| levels.take());
-        match pipe.trace(&params, true, lanes) {
+        match pipe.trace(&params, true) {
             Ok(report) => {
                 // The schedule itself: a segment starts at the input
                 // and at every refresh, and each op is entered at what
                 // the rest of its segment consumes.
-                let ops = pipe.atomic_ops(lanes);
-                prop_assert_eq!(&ops, &wide.atomic_ops(1));
+                let ops = pipe.atomic_ops();
                 let schedule = LevelSchedule::cut(&ops, &params, max_level, max_level, true);
                 let mut rest_of_segment = 0;
                 for op in schedule.ops().iter().rev() {
@@ -393,4 +361,96 @@ proptest! {
             Err(traced) => prop_assert_eq!(executed.map(|(_, stats)| stats).unwrap_err(), traced),
         }
     }
+
+    /// The same random pipelines slot-packed at 2 and at all 8 lanes
+    /// of the toy ring, a distinct input per lane, run the one-lane
+    /// schedule: each lane's plain answer is the sequential eval's bit
+    /// for bit, the encrypted ops enter at the one-lane trace's levels
+    /// and execute its key switches exactly, and each lane decrypts
+    /// within the simulator's noise bound of its plain answer.
+    #[test]
+    fn packed_pipelines_run_the_one_lane_schedule(
+        seed in 0u64..500,
+        max_level in 6usize..15,
+        kinds in proptest::collection::vec(0usize..3, 1..6),
+        xs in proptest::collection::vec(proptest::collection::vec(-1.0f64..1.0, 16), 8),
+        all_lanes in proptest::bool::ANY,
+    ) {
+        let mut rng = Rng64::new(seed);
+        let pipe = random_pipeline(&kinds, &mut rng);
+        let params = CkksParams { depth: max_level, ..CkksParams::toy() };
+        let keys = KeyChain::generate(&params.build(), &mut rng);
+        let pe = PafEvaluator::new(Evaluator::new(&keys));
+        let ev = pe.evaluator();
+        let lanes = if all_lanes { 8 } else { 2 };
+        let packer = LanePacker::new(&pipe, ev.context().slots(), lanes).expect("dim 16 fits");
+        let batch = packer.pack(&xs[..lanes]).expect("one input per lane");
+        let plain = packer.eval_plain(&batch);
+        for (x, lane) in xs.iter().zip(&plain) {
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(lane), bits(&pipe.eval_plain(x)));
+        }
+
+        let wide = packer.expanded();
+        let bs = Bootstrapper::new(ev.clone(), wide.dim(), seed);
+        let ct = packer.encrypt(&batch, ev, &mut rng);
+        ENTRY_LEVELS.with(|levels| levels.borrow_mut().clear());
+        // The key-switch counters are per thread.
+        let (executed, key_switches) = smartpaf_ckks::par::with_thread_budget(1, || {
+            smartpaf_ckks::take_key_switch_counts();
+            let executed = wide.try_eval_encrypted(&pe, Some(&bs), &ct);
+            (executed, smartpaf_ckks::take_key_switch_counts())
+        });
+        let entered = ENTRY_LEVELS.with(|levels| levels.take());
+        match pipe.trace(&params, true) {
+            Ok(report) => {
+                let (out_ct, stats) = executed.expect("a traceable pipeline runs");
+                let traced: Vec<usize> =
+                    report.stages.iter().flat_map(|s| s.op_levels.iter().copied()).collect();
+                prop_assert_eq!(entered, traced);
+                let relins = report.total_relins();
+                prop_assert_eq!(
+                    key_switches,
+                    (report.total_decompositions() + relins, report.total_rotations() + relins)
+                );
+                prop_assert_eq!(stats.bootstraps, report.total_bootstraps());
+                for (i, (got, want)) in packer.decrypt(&out_ct, &batch, ev).iter().zip(&plain).enumerate() {
+                    for (g, w) in got.iter().zip(want) {
+                        prop_assert!((g - w).abs() < 0.1, "lane {i}: plain {w} vs decrypted {g}");
+                    }
+                }
+            }
+            Err(traced) => prop_assert_eq!(executed.map(|(_, stats)| stats).unwrap_err(), traced),
+        }
+    }
+}
+
+/// A random sequence of `kinds` stages over a 1×4×4 input (0: a 3×3
+/// convolution, 1: a PAF-ReLU, 2: a 2×2 max pool while the map is
+/// wider than one pixel), with every scale folded.
+fn random_pipeline(kinds: &[usize], rng: &mut Rng64) -> crate::HePipeline {
+    // A 3×3 convolution scaled to an ℓ¹ norm of one: no sequence of
+    // stages can push a value out of the PAF's domain.
+    let mut contraction = || {
+        let mut conv = Conv2d::new(1, 1, 3, 1, 1, rng);
+        let weight = &mut conv.params_mut()[0].value;
+        let norm: f32 = weight.data().iter().map(|w| w.abs()).sum();
+        weight.map_in_place(|w| w / norm);
+        conv
+    };
+    let paf = CompositePaf::from_form(PafForm::F1G2);
+    let mut builder = PipelineBuilder::new(&[1, 4, 4]);
+    let mut side = 4;
+    for &kind in kinds {
+        builder = match kind {
+            1 => builder.paf_relu(&paf, 2.0),
+            // A 1×1 map has no window left to pool.
+            2 if side > 1 => {
+                side /= 2;
+                builder.paf_maxpool(2, 2, &paf, 2.0)
+            }
+            _ => builder.affine(contraction()),
+        };
+    }
+    builder.try_compile().unwrap().fold_scales()
 }

@@ -76,27 +76,21 @@ impl Stage {
 }
 
 impl HePipeline {
-    /// The pipeline's atomic ops, in execution order, with the work of
-    /// the pipeline slot-packed at `lanes` lanes
-    /// ([`HePipeline::expand_lanes`]): an affine's key switches and
-    /// plaintext multiplies are those of its block-diagonal expansion,
-    /// counted without building it; a PAF acts per slot and a pool's
-    /// shift is one rotation at any lane count.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lanes` is a power of two.
-    pub fn atomic_ops(&self, lanes: usize) -> Vec<AtomicOp> {
-        assert!(lanes.is_power_of_two(), "lanes must be a power of two");
+    /// The pipeline's atomic ops, in execution order, with their work:
+    /// an affine's key switches and plaintext multiplies are those of
+    /// its BSGS product, a PAF acts per slot and a pool's shift is one
+    /// rotation. A lane expansion ([`HePipeline::expand_lanes`]) has
+    /// the same ops, so this is the work of a packed request too.
+    pub fn atomic_ops(&self) -> Vec<AtomicOp> {
         let mut ops = Vec::new();
         for (stage, s) in self.stages.iter().enumerate() {
             let work = match s {
                 Stage::Affine { mat, .. } => {
-                    let key_switches = mat.bsgs_counts(lanes);
+                    let key_switches = mat.bsgs_counts();
                     OpWork {
                         rotations: key_switches.rotations,
                         decompositions: key_switches.decompositions,
-                        plain_mults: mat.num_diagonals_lanes(lanes),
+                        plain_mults: mat.num_diagonals(),
                         ..OpWork::default()
                     }
                 }

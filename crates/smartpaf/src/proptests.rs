@@ -139,7 +139,7 @@ fn assert_plan_is_exact(
         let vector: Vec<CompositePaf> = vector.iter().map(|&i| pafs[i].clone()).collect();
         base.try_with_pafs(&vector).expect("one form per slot")
     };
-    let trace = |vector: &[usize]| match install(vector).trace(params, true, 1) {
+    let trace = |vector: &[usize]| match install(vector).trace(params, true) {
         Ok(trace) => Some(trace),
         Err(e) => {
             assert!(e.is_infeasible_form(), "{e}");
@@ -201,7 +201,7 @@ fn assert_plan_is_exact(
     // forms, is what the chosen row traced.
     let runs: Vec<Vec<AtomicOp>> = allowed
         .iter()
-        .map(|&i| install(&vec![i; slots]).atomic_ops(1))
+        .map(|&i| install(&vec![i; slots]).atomic_ops())
         .collect();
     let runs: Vec<&[AtomicOp]> = runs.iter().map(Vec::as_slice).collect();
     let (cut, _) = LevelSchedule::cut_forms(&runs, params, params.depth, params.depth, tiebreak);

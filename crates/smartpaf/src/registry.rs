@@ -352,7 +352,7 @@ impl PlanRegistry {
             )
         })?;
         let trace = pipeline
-            .trace(&probed.params, true, 1)
+            .trace(&probed.params, true)
             .map_err(|e| corrupt(&path, format!("stored plan no longer traces: {e}")))?;
         if trace != chosen.trace {
             return Err(corrupt(

@@ -30,10 +30,11 @@
 //! Serving has one shape: every request runs as lane groups, each
 //! group of up to [`CompiledSession::lane_capacity`] inputs packed into
 //! one ciphertext ([`LanePacker`]), under one layout per lane count —
-//! the lane-expanded pipeline, a bootstrapper at its dimension, and the
-//! level its schedule enters a request at. The one-lane layout is the
-//! unpacked runtime: the planned pipeline entered at
-//! [`Plan::input_level`], which [`CompiledSession::infer`] and
+//! the lane-expanded pipeline and a bootstrapper at its dimension.
+//! Lanes are interleaved, so every layout runs the plan's schedule,
+//! keys and encodings, and a request enters at [`Plan::input_level`]
+//! under any of them. The one-lane layout is the unpacked runtime: the
+//! planned pipeline, which [`CompiledSession::infer`] and
 //! [`CompiledSession::infer_batch`] serve;
 //! [`CompiledSession::infer_batch_packed`] takes as many lanes as the
 //! batch fills.
@@ -69,8 +70,8 @@ use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use smartpaf_ckks::cost::bootstrap_modmuls;
 use smartpaf_ckks::{Bootstrapper, CkksParams, Evaluator, KeyChain, PafEvaluator};
 use smartpaf_heinfer::{
-    AtomicOp, BatchRun, BatchRunner, HePipeline, LanePacker, LevelSchedule, PackError,
-    PipelineBuilder, RunError, RunStats, Stage, StageTrace, Tiebreak, TraceReport,
+    AtomicOp, BatchRun, BatchRunner, HePipeline, LanePacker, LevelSchedule, PipelineBuilder,
+    RunError, RunStats, Stage, Tiebreak, TraceReport,
 };
 use smartpaf_nn::Layer;
 use smartpaf_polyfit::{CompositePaf, PafForm};
@@ -118,11 +119,6 @@ pub enum SessionError {
         /// Rescale levels the chain offers.
         max_level: usize,
     },
-    /// A slot-packing failure from `heinfer::pack` — a pipeline the
-    /// packer cannot lay out on this ring. Every input is checked
-    /// before it is packed, so an overlong one is a
-    /// [`RunError::InputTooLong`] at any batch size.
-    Pack(PackError),
 }
 
 impl SessionError {
@@ -161,7 +157,6 @@ impl fmt::Display for SessionError {
                 f,
                 "none of the {tried} candidate form(s) fits a {max_level}-level chain"
             ),
-            SessionError::Pack(e) => write!(f, "{e}"),
         }
     }
 }
@@ -170,7 +165,6 @@ impl std::error::Error for SessionError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SessionError::Run(e) => Some(e),
-            SessionError::Pack(e) => Some(e),
             _ => None,
         }
     }
@@ -179,12 +173,6 @@ impl std::error::Error for SessionError {
 impl From<RunError> for SessionError {
     fn from(e: RunError) -> Self {
         SessionError::Run(e)
-    }
-}
-
-impl From<PackError> for SessionError {
-    fn from(e: PackError) -> Self {
-        SessionError::Pack(e)
     }
 }
 
@@ -498,8 +486,8 @@ fn plan_probed(probed: ProbedModel) -> Result<Plan, SessionError> {
     for (i, info) in infos.iter().enumerate() {
         let vector = vec![i; num_slots];
         let pipeline = base.try_with_pafs(&pafs(&vector))?;
-        runs.push(pipeline.atomic_ops(1));
-        match pipeline.trace(&params, true, 1) {
+        runs.push(pipeline.atomic_ops());
+        match pipeline.trace(&params, true) {
             Ok(trace) => {
                 planned.push(PlannedCandidate::traced(&infos, &vector, trace, &params));
                 rows.push(i);
@@ -572,7 +560,7 @@ fn plan_probed(probed: ProbedModel) -> Result<Plan, SessionError> {
     let chosen_composites = pafs(&vector);
     let pipeline = base.try_with_pafs(&chosen_composites)?;
     if mixed_wins {
-        let trace = pipeline.trace(&params, true, 1)?;
+        let trace = pipeline.trace(&params, true)?;
         dry_runs += 1;
         planned.push(PlannedCandidate::traced(&infos, &vector, trace, &params));
         chosen = planned.len() - 1;
@@ -883,16 +871,15 @@ impl Plan {
         let keys = KeyChain::generate(&ctx, &mut rng);
         let pe = PafEvaluator::new(Evaluator::new(&keys));
         let chosen = self.body.candidates[self.body.chosen].clone();
-        // The one-lane layout is the plan itself: the planned pipeline,
-        // entered at the plan's input level.
+        // The one-lane layout is the plan itself: the planned pipeline.
         let one_lane = Layout {
-            packer: LanePacker::new(&self.pipeline, ctx.slots(), 1)?,
+            packer: LanePacker::new(&self.pipeline, ctx.slots(), 1)
+                .expect("the pipeline dimension divides the slot count"),
             bootstrapper: Bootstrapper::new(
                 pe.evaluator().clone(),
                 self.pipeline.dim(),
                 self.seed ^ 0x9e37_79b9_7f4a_7c15,
             ),
-            level: chosen.input_level(),
         };
         Ok(CompiledSession {
             layouts: vec![one_lane],
@@ -908,12 +895,12 @@ impl Plan {
 }
 
 /// One served slot layout: a lane count's packer (its lane-expanded
-/// pipeline), the bootstrapper that refreshes at its dimension, and
-/// the level its schedule enters a request at.
+/// pipeline) and the bootstrapper that refreshes at its dimension.
+/// Every layout runs the plan's schedule, so a request enters at
+/// [`Plan::input_level`] under any of them.
 struct Layout {
     packer: LanePacker,
     bootstrapper: Bootstrapper,
-    level: usize,
 }
 
 /// State 3 of the typed-state chain: keys generated, engines prepared,
@@ -965,21 +952,20 @@ impl CompiledSession {
         self.layouts[0].packer.layout().capacity()
     }
 
-    /// Slot-packed batch inference: multiplexes up to
-    /// [`CompiledSession::lane_capacity`] inputs per ciphertext at a
-    /// stride of the pipeline's padded dimension, runs the
-    /// lane-expanded pipeline once per ciphertext (sharded across the
-    /// session's [`BatchRunner`] workers), and demultiplexes the
-    /// decrypted outputs — one full encrypted eval amortized over a
-    /// whole lane-group instead of one per request.
+    /// Slot-packed batch inference: interleaves up to
+    /// [`CompiledSession::lane_capacity`] inputs per ciphertext, runs
+    /// the lane-expanded pipeline once per ciphertext (sharded across
+    /// the session's [`BatchRunner`] workers), and demultiplexes the
+    /// decrypted outputs — one encrypted eval, at the work of one
+    /// request, amortized over a whole lane-group.
     ///
     /// The lane count adapts to the batch: `min(capacity,
-    /// next_power_of_two(len))`, so a 4-request batch on a 32-capacity
-    /// ring pays a 4-lane expansion, not a 32-lane one, and a batch of
-    /// one (or any batch on a 1-capacity ring) runs on the one-lane
-    /// layout [`CompiledSession::infer`] serves. Each lane count's
-    /// layout (expanded pipeline, bootstrapper seeded for that count)
-    /// is built once per session.
+    /// next_power_of_two(len))`, so a batch of one (or any batch on a
+    /// 1-capacity ring) runs on the one-lane layout
+    /// [`CompiledSession::infer`] serves. Each lane count's layout
+    /// (expanded pipeline with its own encodings and rotation steps,
+    /// each step's Galois key generated on first use, bootstrapper
+    /// seeded for that count) is built once per session.
     ///
     /// Outputs are in input order and match sequential
     /// [`CompiledSession::infer`] calls within CKKS noise. The returned
@@ -1005,18 +991,19 @@ impl CompiledSession {
         for x in inputs {
             self.pipeline().try_pad_input(x)?;
         }
-        let layout = self.layout(lanes)?;
+        let layout = self.layout(lanes);
         let Layout {
             packer,
             bootstrapper,
-            level,
         } = &self.layouts[layout];
-        let ev = self.pe.evaluator();
+        let (ev, level) = (self.pe.evaluator(), self.chosen.input_level());
         let mut batches = Vec::with_capacity(inputs.len().div_ceil(lanes));
         let mut cts = Vec::with_capacity(batches.capacity());
         for group in inputs.chunks(lanes) {
-            let batch = packer.pack(group)?;
-            cts.push(ev.encrypt_replicated_at(batch.values(), *level, &mut self.rng));
+            let batch = packer
+                .pack(group)
+                .expect("checked inputs, at most `lanes` of them");
+            cts.push(ev.encrypt_replicated_at(batch.values(), level, &mut self.rng));
             batches.push(batch);
         }
         let run = self
@@ -1034,13 +1021,15 @@ impl CompiledSession {
         })
     }
 
-    /// Index of the `lanes`-lane layout, built on first use.
-    fn layout(&mut self, lanes: usize) -> Result<usize, SessionError> {
+    /// Index of the `lanes`-lane layout, built on first use. `lanes` is
+    /// a power of two within the lane capacity.
+    fn layout(&mut self, lanes: usize) -> usize {
         if let Some(i) = self.layouts.iter().position(|l| l.packer.lanes() == lanes) {
-            return Ok(i);
+            return i;
         }
         let ev = self.pe.evaluator();
-        let packer = LanePacker::new(self.pipeline(), ev.context().slots(), lanes)?;
+        let packer = LanePacker::new(self.pipeline(), ev.context().slots(), lanes)
+            .expect("a power-of-two lane count within capacity");
         // Each lane count refreshes at its expanded dimension with its
         // own randomness stream: a different derivation constant than
         // the one-lane layout's, plus the lane count.
@@ -1049,22 +1038,11 @@ impl CompiledSession {
             packer.expanded().dim(),
             self.seed ^ 0xc2b2_ae3d_27d4_eb4f ^ lanes as u64,
         );
-        // Lane expansion moves no level and no refresh, but it does
-        // move an affine's work, and with it possibly a cut: the packed
-        // request enters where the expanded pipeline's own schedule
-        // starts.
-        let params = ev.context().params();
-        let trace = self.pipeline().trace(&params, true, lanes)?;
-        let level = trace
-            .stages
-            .first()
-            .map_or(params.depth, StageTrace::level_in);
         self.layouts.push(Layout {
             packer,
             bootstrapper,
-            level,
         });
-        Ok(self.layouts.len() - 1)
+        self.layouts.len() - 1
     }
 
     /// Exact plaintext reference of the served pipeline (same
@@ -1542,7 +1520,7 @@ mod tests {
         // The served pipeline, traced on the runtime chain, replays the
         // plan-time trace verbatim.
         let params = session.pe.evaluator().context().params();
-        assert_eq!(session.pipeline().trace(&params, true, 1), Ok(trace));
+        assert_eq!(session.pipeline().trace(&params, true), Ok(trace));
     }
 
     /// The benchmark CNN under f1∘g2 on the default chain.
@@ -1581,7 +1559,7 @@ mod tests {
         // at the level the cut enters it at, plus the refreshes.
         let plan = benchmark_cnn();
         let (params, trace) = (plan.params(), plan.chosen_trace());
-        let ops = plan.pipeline().atomic_ops(1);
+        let ops = plan.pipeline().atomic_ops();
         let schedule = LevelSchedule::cut(&ops, params, params.depth, params.depth, true);
         let scheduled: u128 = schedule.ops().iter().map(|o| o.modmuls).sum();
         assert_eq!(trace.total_bootstraps(), 2);
@@ -1628,7 +1606,7 @@ mod tests {
             assert_eq!(plan.input_level(), input_level);
             let mut session = plan.compile().expect("toy ring compiles");
             let x = [0.4, -0.8, 0.2, -0.1];
-            assert_eq!(session.layouts[0].level, input_level);
+            assert_eq!(session.chosen().input_level(), input_level);
             let enc = session.infer(&x).expect("serves");
             for (e, p) in enc
                 .iter()
@@ -1846,8 +1824,9 @@ mod tests {
         assert!(err.to_string().contains("input too long"));
     }
 
-    /// The benchmark CNN with a two-channel conv, whose lane expansion
-    /// still moves the cut.
+    /// The benchmark CNN with a two-channel conv: a conv with enough
+    /// diagonals that any lane expansion adding work to it would move
+    /// its cut at 2 lanes.
     fn two_channel_cnn() -> Plan {
         use smartpaf_nn::{Conv2d, Flatten};
         let mut rng = Rng64::new(9001);
@@ -1865,16 +1844,15 @@ mod tests {
 
     #[test]
     fn the_benchmark_cnn_cuts_alike_at_every_lane_count() {
-        // The fewest-rotation BSGS split sizes a lane expansion's baby
-        // steps to its two bands of diagonals, so packing adds too few
-        // rotations to move a refresh: every lane count runs conv +
+        // Interleaved lanes keep every affine's diagonals and split, so
+        // each lane expansion runs the unpacked plan's schedule: conv +
         // ReLU from level 7, the pool's shifts at 6 and 7 and the head
-        // on 2 limbs, as the unpacked plan does. At 32 lanes that is 32
-        // rotations and 14 decompositions (65 and 10 when the split was
-        // ⌈√dim⌉, which cut `[1 | 6 6 | 6 1]`).
+        // on 2 limbs, with the unpacked 21 rotations and 14
+        // decompositions.
         let plan = benchmark_cnn();
         for lanes in [1, 2, 4, 8, 16, 32] {
-            let trace = plan.pipeline().trace(plan.params(), true, lanes).unwrap();
+            let wide = plan.pipeline().expand_lanes(lanes);
+            let trace = wide.trace(plan.params(), true).unwrap();
             let op_levels: Vec<Vec<usize>> =
                 trace.stages.iter().map(|s| s.op_levels.clone()).collect();
             assert_eq!(
@@ -1882,28 +1860,35 @@ mod tests {
                 [vec![7], vec![6], vec![6, 7], vec![1]],
                 "{lanes} lanes"
             );
-            if lanes == 32 {
-                let key_switches = (trace.total_rotations(), trace.total_decompositions());
-                assert_eq!(key_switches, (32, 14));
-            }
+            let key_switches = (trace.total_rotations(), trace.total_decompositions());
+            assert_eq!(key_switches, (21, 14), "{lanes} lanes");
         }
     }
 
     #[test]
     fn a_packed_request_enters_where_its_own_schedule_starts() {
-        // Packing moves work, and work places cuts: at 2 lanes the
-        // two-channel conv's expansion takes more rotations than its
-        // base matrix, and the cheapest two-refresh cut runs it alone
-        // on 2 limbs where the unpacked plan enters conv + ReLU at
-        // level 7. The packed request is encrypted for the schedule
-        // that will run it, and that run is the base pipeline's trace
-        // at 2 lanes.
+        // A packed request runs the plan's schedule: at 2 lanes the
+        // two-channel conv's expansion takes its base matrix's
+        // rotations, and the expanded pipeline's own trace enters conv
+        // + ReLU at level 7, where the plan does. The packed request is
+        // encrypted for that schedule, refreshes where the plan does
+        // and ends on the last limb.
         let plan = two_channel_cnn();
         assert_eq!(plan.input_level(), 7);
-        let packed_trace = plan.pipeline().trace(plan.params(), true, 2).unwrap();
-        let conv_rotations = |trace: &TraceReport| trace.stages[0].rotations;
-        assert!(conv_rotations(&packed_trace) > conv_rotations(plan.chosen_trace()));
-        assert_eq!(packed_trace.stages[0].level_in(), 1);
+        let packed_trace = plan
+            .pipeline()
+            .expand_lanes(2)
+            .trace(plan.params(), true)
+            .unwrap();
+        let op_levels = |trace: &TraceReport| -> Vec<Vec<usize>> {
+            trace.stages.iter().map(|s| s.op_levels.clone()).collect()
+        };
+        assert_eq!(op_levels(&packed_trace), op_levels(plan.chosen_trace()));
+        assert_eq!(
+            packed_trace.total_rotations(),
+            plan.chosen_trace().total_rotations()
+        );
+        assert_eq!(packed_trace.stages[0].level_in(), 7);
         let mut session = plan.compile().unwrap();
         session.set_batch_runner(BatchRunner::new(1));
         let inputs: Vec<Vec<f64>> = (0..2)
@@ -1914,8 +1899,7 @@ mod tests {
             })
             .collect();
         let run = session.infer_batch_packed(&inputs).unwrap();
-        let two_lanes = &session.layouts[1];
-        assert_eq!((two_lanes.packer.lanes(), two_lanes.level), (2, 1));
+        assert_eq!(session.layouts[1].packer.lanes(), 2);
         assert_eq!(run.stats.len(), 1);
         assert_eq!(run.stats[0].bootstraps, packed_trace.total_bootstraps());
         assert_eq!(run.stats[0].final_level, 0);
@@ -1926,26 +1910,30 @@ mod tests {
         }
     }
 
+    /// The limb count of each affine stage's cached encodings, checking
+    /// that the stage holds one encoding per diagonal on the limbs its
+    /// traced schedule enters it at.
+    fn encoded_limbs(pipe: &HePipeline, trace: &TraceReport) -> Vec<usize> {
+        let stages = pipe.stages().iter().zip(&trace.stages);
+        stages
+            .filter_map(|(stage, traced)| {
+                let Stage::Affine { mat, .. } = stage else {
+                    return None;
+                };
+                let limbs = traced.level_in() + 1;
+                assert_eq!(mat.encoded_limbs(), vec![limbs; mat.num_diagonals()]);
+                Some(limbs)
+            })
+            .collect()
+    }
+
     #[test]
     fn diagonals_are_encoded_on_the_limbs_their_stage_is_entered_at() {
         // An affine stage's plaintext diagonals are encoded on the limbs
         // its schedule enters it at, not on the full chain: the conv on
-        // 8 of the 13 limbs and the linear head on 2, and at 2 lanes —
-        // where the two-channel conv's cut moves — the expanded
-        // matrices on their own schedule's limbs.
-        fn encoded_limbs(pipe: &HePipeline, trace: &TraceReport) -> Vec<usize> {
-            let stages = pipe.stages().iter().zip(&trace.stages);
-            stages
-                .filter_map(|(stage, traced)| {
-                    let Stage::Affine { mat, .. } = stage else {
-                        return None;
-                    };
-                    let limbs = traced.level_in() + 1;
-                    assert_eq!(mat.encoded_limbs(), vec![limbs; mat.num_diagonals()]);
-                    Some(limbs)
-                })
-                .collect()
-        }
+        // 8 of the 13 limbs and the linear head on 2, and at 2 lanes the
+        // interleaved matrices on the same limbs, since they run the
+        // same schedule.
         let plan = two_channel_cnn();
         let mut session = plan.compile().unwrap();
         session.set_batch_runner(BatchRunner::new(1));
@@ -1957,15 +1945,61 @@ mod tests {
             })
             .collect();
         session.infer(&inputs[0]).unwrap();
-        let unpacked = encoded_limbs(session.pipeline(), &session.chosen().trace);
+        let trace = session.chosen().trace.clone();
+        let unpacked = encoded_limbs(session.pipeline(), &trace);
         assert_eq!(unpacked, [8, 2]);
         session.infer_batch_packed(&inputs).unwrap();
-        let params = session.pe.evaluator().context().params();
-        let packed_trace = session.pipeline().trace(&params, true, 2).unwrap();
         let two_lanes = &session.layouts[1].packer;
         assert_eq!(two_lanes.lanes(), 2);
-        let packed = encoded_limbs(two_lanes.expanded(), &packed_trace);
-        assert_eq!(packed, [2, 2]);
+        let packed = encoded_limbs(two_lanes.expanded(), &trace);
+        assert_eq!(packed, [8, 2]);
+    }
+
+    #[test]
+    fn a_packed_request_holds_the_one_lane_keys_and_encodings() {
+        // One 32-lane request of the benchmark CNN generates as many
+        // switching keys, on the same limbs, as one one-lane request —
+        // its rotation steps are the one-lane steps times 32 — and each
+        // interleaved affine caches exactly its base matrix's diagonals.
+        use smartpaf_ckks::SwitchedSecret;
+        let key_shapes = |session: &CompiledSession| {
+            let keys = session.pe.evaluator().keys().key_limbs();
+            let mut shapes: Vec<_> = keys
+                .iter()
+                .map(|&(secret, k, limbs)| (secret == SwitchedSecret::Square, k, limbs))
+                .collect();
+            shapes.sort_unstable();
+            shapes
+        };
+        let inputs: Vec<Vec<f64>> = (0..32)
+            .map(|i| {
+                (0..64)
+                    .map(|j| ((i + j * 5) % 11) as f64 / 5.5 - 1.0)
+                    .collect()
+            })
+            .collect();
+        let mut single = benchmark_cnn().compile().unwrap();
+        single.set_batch_runner(BatchRunner::new(1));
+        single.infer(&inputs[0]).unwrap();
+        let mut packed = benchmark_cnn().compile().unwrap();
+        packed.set_batch_runner(BatchRunner::new(1));
+        let run = packed.infer_batch_packed(&inputs).unwrap();
+        assert_eq!(run.stats.len(), 1);
+        let wide = &packed.layouts[1].packer;
+        assert_eq!(wide.lanes(), 32);
+        assert_eq!(key_shapes(&packed), key_shapes(&single));
+        let trace = &packed.chosen().trace;
+        let stages = wide
+            .expanded()
+            .stages()
+            .iter()
+            .zip(packed.pipeline().stages());
+        for (expanded, base) in stages {
+            if let (Stage::Affine { mat, .. }, Stage::Affine { mat: base, .. }) = (expanded, base) {
+                assert_eq!(mat.encoded_limbs().len(), base.num_diagonals());
+            }
+        }
+        assert_eq!(encoded_limbs(wide.expanded(), trace), [8, 2]);
     }
 
     #[test]

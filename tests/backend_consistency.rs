@@ -48,7 +48,7 @@ fn all_backends_agree_end_to_end() {
     }
 
     // Trace path replays the identical schedule without arithmetic.
-    let report = pipe.trace(&CkksParams::toy(), false, 1).expect("fits");
+    let report = pipe.trace(&CkksParams::toy(), false).expect("fits");
     let stage_levels: Vec<usize> = report.stages.iter().map(|s| s.levels).collect();
     assert_eq!(stage_levels, enc_stats.stage_levels);
     assert_eq!(report.final_level, enc_stats.final_level);

@@ -195,7 +195,7 @@ fn session_agrees_with_legacy_entry_points() {
             .paf_relu(&paf, 1.0)
             .try_compile()
             .expect("compiles");
-        let trace = pipe.trace(&CkksParams::toy(), true, 1).expect("all fit");
+        let trace = pipe.trace(&CkksParams::toy(), true).expect("all fit");
         assert_eq!(
             candidate.cost.bootstraps,
             trace.total_bootstraps(),
@@ -275,16 +275,13 @@ fn level_schedule_moves_entry_levels_and_no_count() {
         (PafForm::MinimaxDeg27, 2, (75, 48), 1, (25, 16)),
     ];
     assert_eq!(recorded.map(|row| row.0), PafForm::all());
-    // The 32-lane (rotations, decompositions) were re-recorded when
-    // the BSGS split became the fewest-rotation one: (65, 10) → (32,
-    // 14) on the CNN and (48, 6) → (20, 8) on the MLP. A block-diagonal
-    // expansion's diagonals sit in two narrow bands, which ⌈√dim⌉ baby
-    // steps straddled with many giant groups; the one-lane pairs are
-    // unchanged.
+    // The 32-lane (rotations, decompositions) are the one-lane pairs:
+    // lanes are interleaved, so an expanded affine keeps its base
+    // matrix's diagonals and split.
     for (form, cnn_refreshes, cnn_products, mlp_refreshes, mlp_products) in recorded {
         for (plan, refreshes, products, key_switches, key_switches_32) in [
-            (cnn(form), cnn_refreshes, cnn_products, (21, 14), (32, 14)),
-            (mlp(form), mlp_refreshes, mlp_products, (12, 8), (20, 8)),
+            (cnn(form), cnn_refreshes, cnn_products, (21, 14), (21, 14)),
+            (mlp(form), mlp_refreshes, mlp_products, (12, 8), (12, 8)),
         ] {
             let trace = plan.chosen_trace();
             assert_eq!(trace.total_bootstraps(), refreshes, "{form}");
@@ -300,7 +297,8 @@ fn level_schedule_moves_entry_levels_and_no_count() {
             );
             let packed = plan
                 .pipeline()
-                .trace(plan.params(), true, 32)
+                .expand_lanes(32)
+                .trace(plan.params(), true)
                 .expect("lanes change no level");
             assert_eq!(
                 (packed.total_rotations(), packed.total_decompositions()),
