@@ -11,7 +11,7 @@
 //! ([`relin_rescale_modmuls`], [`relin_rescale_ntts`]) — a stage pays
 //! the first per product and the second per *relinearised* product,
 //! which is fewer (`OddPowerSchedule::exact_relins`).
-//! [`ct_mult_modmuls`] is the standalone `Evaluator::mul`. The pass
+//! `ct_mult_modmuls` is the standalone `Evaluator::mul`. The pass
 //! counts are held to the executed transforms by
 //! `analytic_ntt_counts_are_the_executed_passes`.
 //!
@@ -128,7 +128,7 @@ pub fn key_switch_apply_modmuls(params: &CkksParams, limbs: usize) -> u128 {
 /// Modular multiplies of one whole key switch (decompose + apply once)
 /// at `limbs` limbs — the relinearisation core, excluding the tensor
 /// product around it.
-pub fn key_switch_modmuls(params: &CkksParams, limbs: usize) -> u128 {
+fn key_switch_modmuls(params: &CkksParams, limbs: usize) -> u128 {
     key_switch_decompose_modmuls(params, limbs) + key_switch_apply_modmuls(params, limbs)
 }
 
@@ -160,7 +160,7 @@ pub fn relin_rescale_modmuls(params: &CkksParams, limbs: usize) -> u128 {
 /// relinearisation (`Evaluator::mul`) at `limbs` limbs, in 64-bit
 /// modular multiplies: the tensor product plus the gadget key switch
 /// of the degree-2 component.
-pub fn ct_mult_modmuls(params: &CkksParams, limbs: usize) -> u128 {
+fn ct_mult_modmuls(params: &CkksParams, limbs: usize) -> u128 {
     tensor_modmuls(params, limbs) + key_switch_modmuls(params, limbs)
 }
 
@@ -168,7 +168,7 @@ pub fn ct_mult_modmuls(params: &CkksParams, limbs: usize) -> u128 {
 /// multiplies: the [`rescale_ntts`] passes at n mults each and the
 /// division in every surviving limb of both components (the lift of
 /// the dropped limb's remainder is a conditional subtract).
-pub fn rescale_modmuls(params: &CkksParams, limbs: usize) -> u128 {
+fn rescale_modmuls(params: &CkksParams, limbs: usize) -> u128 {
     ((rescale_ntts(limbs) + 2 * limbs) as u128) * (params.n as u128)
 }
 
@@ -365,7 +365,7 @@ pub fn rotation_apply_modmuls(params: &CkksParams, limbs: usize) -> u128 {
 /// multiplies. Consumes no level. `r` rotations of one ciphertext
 /// cost one [`key_switch_decompose_modmuls`] plus `r`
 /// [`rotation_apply_modmuls`], not `r` of these.
-pub fn rotation_modmuls(params: &CkksParams, limbs: usize) -> u128 {
+fn rotation_modmuls(params: &CkksParams, limbs: usize) -> u128 {
     key_switch_decompose_modmuls(params, limbs) + rotation_apply_modmuls(params, limbs)
 }
 

@@ -281,15 +281,6 @@ impl Encoder {
         tables.fft(&mut vals, true); // inverse DFT without 1/n (encode had 1/n)
         vals
     }
-
-    /// Decodes slot `j` taking the imaginary part too (diagnostics).
-    pub fn decode_complex(&self, pt: &Plaintext, count: usize) -> Vec<(f64, f64)> {
-        let vals = self.unscaled_slots(pt, count);
-        self.tables().orbit[..count]
-            .iter()
-            .map(|&m| (vals[m].re / pt.scale, vals[m].im / pt.scale))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -372,6 +363,15 @@ mod tests {
         words
     }
 
+    /// Decodes `count` slots taking the imaginary part too.
+    fn decode_complex(enc: &Encoder, pt: &Plaintext, count: usize) -> Vec<(f64, f64)> {
+        let vals = enc.unscaled_slots(pt, count);
+        enc.tables().orbit[..count]
+            .iter()
+            .map(|&m| (vals[m].re / pt.scale, vals[m].im / pt.scale))
+            .collect()
+    }
+
     /// `decode_complex` as it ran before the tables: the untwist's
     /// `cos` and `sin` per coefficient, then the recurrence FFT.
     fn reference_decode(ctx: &CkksContext, pt: &Plaintext, count: usize) -> Vec<(f64, f64)> {
@@ -426,7 +426,11 @@ mod tests {
                     );
                     for take in [count, count.div_ceil(2)] {
                         let want = reference_decode(&ctx, &pt, take);
-                        assert_eq!(bits(&enc.decode_complex(&pt, take)), bits(&want), "{case}");
+                        assert_eq!(
+                            bits(&decode_complex(&enc, &pt, take)),
+                            bits(&want),
+                            "{case}"
+                        );
                         let re: Vec<u64> = want.iter().map(|v| v.0.to_bits()).collect();
                         let got: Vec<u64> =
                             enc.decode(&pt, take).iter().map(|v| v.to_bits()).collect();
@@ -620,7 +624,7 @@ mod tests {
         let (ctx, enc) = setup();
         let vals = vec![0.5, -0.5, 2.0];
         let pt = enc.encode(&vals, ctx.scale(), 2);
-        for (re, im) in enc.decode_complex(&pt, 3) {
+        for (re, im) in decode_complex(&enc, &pt, 3) {
             assert!(im.abs() < 1e-6, "imaginary leak {im} at re={re}");
         }
     }

@@ -20,7 +20,7 @@
 //!   pure permutation in NTT form, no transform — then inner-product
 //!   them against the element's Galois key and mod-down.
 //!
-//! [`Evaluator::rotate`] and [`Evaluator::apply_galois`] decompose and
+//! [`Evaluator::rotate`] and [`Evaluator::conjugate`] decompose and
 //! apply once; [`Evaluator::rotate_many`] and the matvecs in
 //! [`crate::linear`] decompose once and apply per rotation, so `r`
 //! rotations of one ciphertext cost one decomposition, not `r`.
@@ -61,14 +61,14 @@ impl Evaluator {
     /// # Panics
     ///
     /// Panics if `g` is not a valid odd Galois element.
-    pub fn apply_galois(&self, ct: &Ciphertext, g: usize) -> Ciphertext {
+    fn apply_galois(&self, ct: &Ciphertext, g: usize) -> Ciphertext {
         if g == 1 {
             return ct.clone();
         }
         self.apply_galois_hoisted(ct, &self.decompose(&ct.c1), g)
     }
 
-    /// [`Evaluator::apply_galois`] given `ct.c1`'s decomposition: the
+    /// `apply_galois` given `ct.c1`'s decomposition: the
     /// per-element half of the key switch only. `c0` is permuted in
     /// NTT form with the same index table as the digits.
     ///

@@ -359,17 +359,6 @@ impl DiagMatrix {
     pub fn bsgs_counts(&self) -> BsgsCounts {
         BsgsSchedule::new(self.g1, self.diags.keys().copied()).counts()
     }
-
-    /// Fraction of entries that are nonzero (density diagnostics for
-    /// structured matrices like pooling or Toeplitz convolutions).
-    pub fn density(&self) -> f64 {
-        let nnz: usize = self
-            .diags
-            .values()
-            .map(|d| d.iter().filter(|&&v| v != 0.0).count())
-            .sum();
-        nnz as f64 / (self.dim * self.dim) as f64
-    }
 }
 
 /// Exact key-switch work of one baby-step/giant-step schedule
@@ -849,7 +838,6 @@ mod tests {
         }
         let mat = DiagMatrix::from_rows(&rows);
         assert_eq!(mat.num_diagonals(), 1);
-        assert!(mat.density() < 0.2);
     }
 
     #[test]

@@ -106,7 +106,6 @@ pub struct SlotLayout {
     dim: usize,
     input_dim: usize,
     output_dim: usize,
-    slots: usize,
     capacity: usize,
 }
 
@@ -127,7 +126,6 @@ impl SlotLayout {
             dim: pipe.dim(),
             input_dim: pipe.input_dim(),
             output_dim: pipe.output_dim(),
-            slots,
             capacity,
         })
     }
@@ -135,35 +133,6 @@ impl SlotLayout {
     /// Lane capacity `K = slots / dim` (always a power of two).
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Logical per-input width (pre-padding).
-    pub fn input_dim(&self) -> usize {
-        self.input_dim
-    }
-
-    /// Logical per-output width.
-    pub fn output_dim(&self) -> usize {
-        self.output_dim
-    }
-
-    /// Ring slot count the layout was computed for.
-    pub fn slots(&self) -> usize {
-        self.slots
-    }
-
-    /// The smallest power-of-two lane count that fits `count` inputs.
-    pub fn lanes_for(&self, count: usize) -> Result<usize, PackError> {
-        if count == 0 {
-            return Err(PackError::EmptyBatch);
-        }
-        if count > self.capacity {
-            return Err(PackError::TooManyInputs {
-                got: count,
-                capacity: self.capacity,
-            });
-        }
-        Ok(count.next_power_of_two())
     }
 }
 
@@ -181,8 +150,7 @@ pub struct PackedBatch {
 impl PackedBatch {
     /// Packs `inputs` into `lanes` slot lanes under `layout`.
     ///
-    /// `lanes` must be a power of two within the layout's capacity;
-    /// [`SlotLayout::lanes_for`] picks the smallest such count.
+    /// `lanes` must be a power of two within the layout's capacity.
     pub fn pack(
         layout: &SlotLayout,
         lanes: usize,
@@ -224,24 +192,9 @@ impl PackedBatch {
         })
     }
 
-    /// The layout this batch was packed under.
-    pub fn layout(&self) -> &SlotLayout {
-        &self.layout
-    }
-
     /// Lane count of the multiplexed vector (power of two).
     pub fn lanes(&self) -> usize {
         self.lanes
-    }
-
-    /// Number of real inputs packed (the rest of the lanes are idle).
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Slot-fill of this batch: real inputs over lanes carried.
-    pub fn fill(&self) -> f64 {
-        self.count as f64 / self.lanes as f64
     }
 
     /// The multiplexed flat vector, `lanes · dim` long.
@@ -276,8 +229,9 @@ impl PackedBatch {
 /// lane-expanded pipeline and the packed encrypt / decrypt paths.
 ///
 /// The expansion cost (interleaved matrices, fresh encoding caches)
-/// is paid once per `(pipeline, lanes)` pair; callers cache one
-/// `LanePacker` per lane count they serve.
+/// is paid once per `(pipeline, lanes)` pair; a server builds one
+/// `LanePacker` at the lane capacity and packs every request group
+/// into it, filled or not.
 pub struct LanePacker {
     layout: SlotLayout,
     lanes: usize,
@@ -379,18 +333,6 @@ mod tests {
         let pipe = demo_pipeline(61);
         let layout = SlotLayout::for_pipeline(&pipe, 128).expect("fits");
         assert_eq!(layout.capacity(), 8);
-        assert_eq!(layout.input_dim(), 16);
-        assert_eq!(layout.output_dim(), 4);
-        assert_eq!(layout.lanes_for(3), Ok(4));
-        assert_eq!(layout.lanes_for(8), Ok(8));
-        assert_eq!(layout.lanes_for(0), Err(PackError::EmptyBatch));
-        assert_eq!(
-            layout.lanes_for(9),
-            Err(PackError::TooManyInputs {
-                got: 9,
-                capacity: 8
-            })
-        );
         // A ring smaller than the pipeline has no capacity at all.
         let err = SlotLayout::for_pipeline(&pipe, 8).expect_err("dim > slots");
         assert_eq!(err, PackError::NoCapacity { dim: 16, slots: 8 });
@@ -404,8 +346,6 @@ mod tests {
         let xs = inputs(3);
         let batch = PackedBatch::pack(&layout, 4, &xs).expect("packs");
         assert_eq!(batch.lanes(), 4);
-        assert_eq!(batch.count(), 3);
-        assert!((batch.fill() - 0.75).abs() < 1e-12);
         assert_eq!(batch.values().len(), 4 * 16);
         // Lane l carries input l at every fourth slot from l; the idle
         // lane is zero.

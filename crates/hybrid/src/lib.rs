@@ -99,7 +99,7 @@ impl WorkloadSpec {
     }
 
     /// All non-polynomial elements.
-    pub fn total_elements(&self) -> usize {
+    fn total_elements(&self) -> usize {
         self.relu_elements + self.maxpool_elements
     }
 }

@@ -68,12 +68,6 @@ impl PafActivation {
         CompositePaf::new(stages)
     }
 
-    /// The running max |input| observed during training — the value
-    /// Static Scaling freezes to (paper §4.5).
-    pub fn running_max(&self) -> f32 {
-        self.running_max
-    }
-
     /// Converts Dynamic Scaling to Static Scaling at the running max.
     /// This is the DS→SS conversion applied before FHE deployment.
     pub fn freeze_scale(&mut self) {
@@ -210,7 +204,7 @@ impl PafActivation {
     }
 
     /// Mutable access to the coefficient parameter.
-    pub fn param_mut(&mut self) -> &mut Param {
+    fn param_mut(&mut self) -> &mut Param {
         &mut self.coeffs
     }
 }
@@ -702,9 +696,9 @@ mod tests {
         let x1 = Tensor::from_vec(vec![-3.0, 1.0], &[1, 2]);
         let x2 = Tensor::from_vec(vec![5.0, -1.0], &[1, 2]);
         paf.forward(&x1, Mode::Train);
-        assert_eq!(paf.running_max(), 3.0);
+        assert_eq!(paf.running_max, 3.0);
         paf.forward(&x2, Mode::Train);
-        assert_eq!(paf.running_max(), 5.0);
+        assert_eq!(paf.running_max, 5.0);
         paf.freeze_scale();
         assert_eq!(paf.scale_mode, ScaleMode::Static(5.0));
     }
@@ -716,7 +710,7 @@ mod tests {
             ScaleMode::Dynamic,
         );
         paf.forward(&Tensor::from_vec(vec![10.0], &[1, 1]), Mode::Eval);
-        assert_eq!(paf.running_max(), 0.0);
+        assert_eq!(paf.running_max, 0.0);
     }
 
     #[test]

@@ -52,11 +52,6 @@ impl Model {
         });
         (relu, pool)
     }
-
-    /// Total scalar parameter count.
-    pub fn num_parameters(&mut self) -> usize {
-        self.params_mut().iter().map(|p| p.numel()).sum()
-    }
 }
 
 fn ch(base: usize, width_mult: f32) -> usize {
@@ -273,6 +268,7 @@ mod tests {
         let mut rng = Rng64::new(7);
         let mut small = mini_cnn(10, 0.125, &mut rng);
         let mut big = mini_cnn(10, 0.5, &mut rng);
-        assert!(big.num_parameters() > 4 * small.num_parameters());
+        let count = |m: &mut Model| -> usize { m.params_mut().iter().map(|p| p.numel()).sum() };
+        assert!(count(&mut big) > 4 * count(&mut small));
     }
 }

@@ -60,7 +60,7 @@ impl Interval {
     }
 
     /// Largest distance of any point of the interval from `y`.
-    pub fn max_distance_to(&self, y: f64) -> f64 {
+    fn max_distance_to(&self, y: f64) -> f64 {
         (self.lo - y).abs().max((self.hi - y).abs())
     }
 

@@ -60,18 +60,13 @@ impl ActivationProfile {
         ActivationProfile { centers, weights }
     }
 
-    /// Bin centres.
-    pub fn centers(&self) -> &[f64] {
-        &self.centers
-    }
-
     /// Probability weight per bin (sums to 1).
     pub fn weights(&self) -> &[f64] {
         &self.weights
     }
 
     /// Distribution-weighted squared sign-approximation error of a PAF.
-    pub fn weighted_error(&self, paf: &CompositePaf) -> f64 {
+    fn weighted_error(&self, paf: &CompositePaf) -> f64 {
         self.centers
             .iter()
             .zip(&self.weights)
@@ -153,7 +148,7 @@ pub fn tune_composite(
 
     for it in 1..=config.iters {
         let mut grad = vec![0.0f64; nparam];
-        for (&x, &w) in profile.centers().iter().zip(profile.weights()) {
+        for (&x, &w) in profile.centers.iter().zip(profile.weights()) {
             if x.abs() < config.dead_zone || w == 0.0 {
                 continue;
             }
@@ -226,7 +221,7 @@ mod tests {
         let p = ActivationProfile::from_samples(&gaussian_samples(0.0, 0.3, 5000), 64);
         let s: f64 = p.weights().iter().sum();
         assert!((s - 1.0).abs() < 1e-9);
-        assert_eq!(p.centers().len(), 64);
+        assert_eq!(p.centers.len(), 64);
     }
 
     #[test]
@@ -237,7 +232,7 @@ mod tests {
             .iter()
             .enumerate()
             .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-            .map(|(i, _)| p.centers()[i])
+            .map(|(i, _)| p.centers[i])
             .expect("non-empty");
         assert!((peak - 0.5).abs() < 0.15, "peak at {peak}");
     }

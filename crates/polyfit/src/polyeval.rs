@@ -190,7 +190,7 @@ impl PolyEval {
     }
 
     /// In-place batch evaluation: `xs[i] = p(xs[i])`.
-    pub fn eval_slice_in_place(&self, xs: &mut [f64]) {
+    fn eval_slice_in_place(&self, xs: &mut [f64]) {
         // Each output depends only on its own input, so staging through
         // a fixed stack buffer keeps this allocation-free while still
         // hitting eval_slice's lane loop.

@@ -69,11 +69,6 @@ impl TrainConfig {
             seed,
         }
     }
-
-    /// Training samples per epoch.
-    pub fn samples_per_epoch(&self) -> usize {
-        self.batch_size * self.batches_per_epoch
-    }
 }
 
 /// Which SMART-PAF techniques an experiment enables — the rows of the
@@ -169,11 +164,5 @@ mod tests {
     fn technique_labels() {
         assert_eq!(TechniqueSet::baseline_ds().label(), "baseline+DS");
         assert_eq!(TechniqueSet::smartpaf().label(), "baseline+CT+PA+AT+SS");
-    }
-
-    #[test]
-    fn samples_per_epoch() {
-        let c = TrainConfig::test_scale(0);
-        assert_eq!(c.samples_per_epoch(), 24);
     }
 }

@@ -29,7 +29,6 @@ pub struct SessionCache<F> {
     sessions: HashMap<TenantId, CompiledSession>,
     hits: usize,
     misses: usize,
-    evictions: usize,
     packed: bool,
 }
 
@@ -44,7 +43,6 @@ where
             sessions: HashMap::new(),
             hits: 0,
             misses: 0,
-            evictions: 0,
             packed: false,
         }
     }
@@ -100,11 +98,6 @@ where
         self.misses
     }
 
-    /// Sessions evicted because a serving failure poisoned them.
-    pub fn evictions(&self) -> usize {
-        self.evictions
-    }
-
     /// Applies the poisoning policy to a serving failure: when `err`
     /// [poisons the session](SessionError::poisons_session), the
     /// tenant's entry is dropped (returning `true`) so the next
@@ -112,11 +105,7 @@ where
     /// running sessions outside [`BatchService::run_batch`] — which
     /// applies this automatically — should report failures here.
     pub fn evict_if_poisoned(&mut self, tenant: TenantId, err: &SessionError) -> bool {
-        if err.poisons_session() && self.sessions.remove(&tenant).is_some() {
-            self.evictions += 1;
-            return true;
-        }
-        false
+        err.poisons_session() && self.sessions.remove(&tenant).is_some()
     }
 
     /// Tenants with a built session.
@@ -326,7 +315,6 @@ mod tests {
             SessionError::Run(RunError::InputTooLong { len: 9, max: 4 })
         ));
         assert_eq!(cache.len(), 1, "input errors must not evict");
-        assert_eq!(cache.evictions(), 0);
         cache.run_batch(3, &[vec![0.1, 0.2, 0.3, 0.4]]).unwrap();
         assert_eq!((cache.misses(), cache.hits()), (1, 2), "no rebuild");
     }
@@ -341,16 +329,15 @@ mod tests {
         // A non-poisoning failure leaves the entry alone…
         let benign = SessionError::Run(RunError::InputTooLong { len: 9, max: 4 });
         assert!(!cache.evict_if_poisoned(5, &benign));
-        assert_eq!((cache.len(), cache.evictions()), (1, 0));
+        assert_eq!(cache.len(), 1);
 
         // …a poisoning one drops it, and the next request rebuilds a
         // session that serves identically (same tenant seed).
         let poison = SessionError::Run(RunError::WorkerPanicked);
         assert!(cache.evict_if_poisoned(5, &poison));
-        assert_eq!((cache.len(), cache.evictions()), (0, 1));
+        assert_eq!(cache.len(), 0);
         // Evicting an already-absent tenant is a no-op.
         assert!(!cache.evict_if_poisoned(5, &poison));
-        assert_eq!(cache.evictions(), 1);
 
         let after = cache.run_batch(5, &[x.to_vec()]).unwrap();
         assert_eq!(cache.misses(), 2, "the poisoned entry was rebuilt");

@@ -27,17 +27,16 @@
 //! so planning is about a millisecond even at 20 slots and takes no
 //! tuning input.
 //!
-//! Serving has one shape: every request runs as lane groups, each
-//! group of up to [`CompiledSession::lane_capacity`] inputs packed into
-//! one ciphertext ([`LanePacker`]), under one layout per lane count —
-//! the lane-expanded pipeline and a bootstrapper at its dimension.
-//! Lanes are interleaved, so every layout runs the plan's schedule,
-//! keys and encodings, and a request enters at [`Plan::input_level`]
-//! under any of them. The one-lane layout is the unpacked runtime: the
-//! planned pipeline, which [`CompiledSession::infer`] and
-//! [`CompiledSession::infer_batch`] serve;
-//! [`CompiledSession::infer_batch_packed`] takes as many lanes as the
-//! batch fills.
+//! Serving has one shape: one layout per session, built by
+//! [`Plan::compile`] — the pipeline expanded to
+//! [`CompiledSession::lane_capacity`] interleaved lanes
+//! ([`LanePacker`]) and a bootstrapper at its dimension. Interleaved
+//! lanes run the plan's schedule, keys and encodings, so a request
+//! enters at [`Plan::input_level`]. Every request rides that layout as
+//! lane groups, one ciphertext each, and only the group size differs:
+//! [`CompiledSession::infer`] and [`CompiledSession::infer_batch`]
+//! send each input as its own group, leaving the other lanes empty;
+//! [`CompiledSession::infer_batch_packed`] fills whole groups.
 //!
 //! # Example
 //!
@@ -850,9 +849,10 @@ impl Plan {
     }
 
     /// Builds the runtime: CKKS context, key chain, evaluator, and the
-    /// one-lane layout with its bootstrapper — the expensive one-time
-    /// setup — and returns the serving state. The pipeline traced at
-    /// plan time is the exact pipeline served, so plan-time costs match
+    /// session's one layout — the pipeline expanded to the lane
+    /// capacity, with its bootstrapper — the expensive one-time setup
+    /// — and returns the serving state. The pipeline traced at plan
+    /// time is the exact pipeline served, so plan-time costs match
     /// run-time measurements.
     ///
     /// # Errors
@@ -861,7 +861,8 @@ impl Plan {
     /// does not divide the ring's slot count.
     pub fn compile(self) -> Result<CompiledSession, SessionError> {
         let ctx = self.body.params.build();
-        if !ctx.slots().is_multiple_of(self.pipeline.dim()) {
+        let lanes = self.pipeline.lane_capacity(ctx.slots());
+        if lanes == 0 {
             return Err(SessionError::Run(RunError::SlotMismatch {
                 dim: self.pipeline.dim(),
                 slots: ctx.slots(),
@@ -870,56 +871,48 @@ impl Plan {
         let mut rng = Rng64::new(self.seed);
         let keys = KeyChain::generate(&ctx, &mut rng);
         let pe = PafEvaluator::new(Evaluator::new(&keys));
-        let chosen = self.body.candidates[self.body.chosen].clone();
-        // The one-lane layout is the plan itself: the planned pipeline.
-        let one_lane = Layout {
-            packer: LanePacker::new(&self.pipeline, ctx.slots(), 1)
-                .expect("the pipeline dimension divides the slot count"),
-            bootstrapper: Bootstrapper::new(
-                pe.evaluator().clone(),
-                self.pipeline.dim(),
-                self.seed ^ 0x9e37_79b9_7f4a_7c15,
-            ),
-        };
+        let packer = LanePacker::new(&self.pipeline, ctx.slots(), lanes)
+            .expect("the capacity lane count fits the slots");
+        let bootstrapper = Bootstrapper::new(
+            pe.evaluator().clone(),
+            packer.expanded().dim(),
+            self.seed ^ 0xc2b2_ae3d_27d4_eb4f ^ lanes as u64,
+        );
         Ok(CompiledSession {
-            layouts: vec![one_lane],
+            pipeline: self.pipeline,
+            packer,
+            bootstrapper,
             pe,
             rng,
             runner: BatchRunner::auto(),
             report: self.report,
-            chosen,
-            seed: self.seed,
+            chosen: self.body.candidates[self.body.chosen].clone(),
             last_stats: None,
         })
     }
 }
 
-/// One served slot layout: a lane count's packer (its lane-expanded
-/// pipeline) and the bootstrapper that refreshes at its dimension.
-/// Every layout runs the plan's schedule, so a request enters at
-/// [`Plan::input_level`] under any of them.
-struct Layout {
-    packer: LanePacker,
-    bootstrapper: Bootstrapper,
-}
-
 /// State 3 of the typed-state chain: keys generated, engines prepared,
-/// ready to serve. Every request runs as lane groups under one layout
-/// per lane count: [`CompiledSession::infer`] and
-/// [`CompiledSession::infer_batch`] on the one-lane layout (the planned
-/// pipeline itself), [`CompiledSession::infer_batch_packed`] on as many
-/// lanes as the batch fills. Batches are sharded across worker threads
-/// by a [`BatchRunner`].
+/// ready to serve. Every request runs as lane groups under the
+/// session's one layout, the pipeline expanded to
+/// [`CompiledSession::lane_capacity`] lanes:
+/// [`CompiledSession::infer`] and [`CompiledSession::infer_batch`] send
+/// one input per group, [`CompiledSession::infer_batch_packed`] fills
+/// each group. Batches are sharded across worker threads by a
+/// [`BatchRunner`].
 pub struct CompiledSession {
-    /// The layouts built so far; `layouts[0]` is the one-lane layout,
-    /// built by [`Plan::compile`], the others on first use.
-    layouts: Vec<Layout>,
+    /// The planned pipeline, which [`CompiledSession::infer_plain`]
+    /// evaluates.
+    pipeline: HePipeline,
+    /// The served layout: the pipeline at capacity lanes.
+    packer: LanePacker,
+    /// Refreshes at the served layout's dimension.
+    bootstrapper: Bootstrapper,
     pe: PafEvaluator,
     rng: Rng64,
     runner: BatchRunner,
     report: PlanReport,
     chosen: PlannedCandidate,
-    seed: u64,
     last_stats: Option<RunStats>,
 }
 
@@ -947,9 +940,10 @@ impl CompiledSession {
 
     /// How many inputs one ciphertext can multiplex for this session —
     /// the slot-packing capacity `K = slots / padded_dim` (1 means
-    /// packing cannot help at these parameters).
+    /// packing cannot help at these parameters), and the lane count of
+    /// its one layout.
     pub fn lane_capacity(&self) -> usize {
-        self.layouts[0].packer.layout().capacity()
+        self.packer.lanes()
     }
 
     /// Slot-packed batch inference: interleaves up to
@@ -959,13 +953,9 @@ impl CompiledSession {
     /// decrypted outputs — one encrypted eval, at the work of one
     /// request, amortized over a whole lane-group.
     ///
-    /// The lane count adapts to the batch: `min(capacity,
-    /// next_power_of_two(len))`, so a batch of one (or any batch on a
-    /// 1-capacity ring) runs on the one-lane layout
-    /// [`CompiledSession::infer`] serves. Each lane count's layout
-    /// (expanded pipeline with its own encodings and rotation steps,
-    /// each step's Galois key generated on first use, bootstrapper
-    /// seeded for that count) is built once per session.
+    /// It runs on the layout [`CompiledSession::infer`] serves, with
+    /// every group filled but the last, so a batch of one is answered
+    /// exactly as `infer` answers it.
     ///
     /// Outputs are in input order and match sequential
     /// [`CompiledSession::infer`] calls within CKKS noise. The returned
@@ -975,43 +965,38 @@ impl CompiledSession {
         &mut self,
         inputs: &[Vec<f64>],
     ) -> Result<BatchRun<Vec<f64>>, SessionError> {
-        let lanes = inputs.len().next_power_of_two().min(self.lane_capacity());
-        self.serve(lanes, inputs)
+        self.serve(self.lane_capacity(), inputs)
     }
 
     /// The one request path: checks every input, then packs, encrypts
-    /// and runs `inputs` in groups of `lanes` under that lane count's
+    /// and runs `inputs` in groups of `group` under the session's
     /// layout and splits the answers back out in input order.
     fn serve(
         &mut self,
-        lanes: usize,
+        group: usize,
         inputs: &[Vec<f64>],
     ) -> Result<BatchRun<Vec<f64>>, SessionError> {
         // A rejected batch draws no randomness.
         for x in inputs {
-            self.pipeline().try_pad_input(x)?;
+            self.pipeline.try_pad_input(x)?;
         }
-        let layout = self.layout(lanes);
-        let Layout {
-            packer,
-            bootstrapper,
-        } = &self.layouts[layout];
         let (ev, level) = (self.pe.evaluator(), self.chosen.input_level());
-        let mut batches = Vec::with_capacity(inputs.len().div_ceil(lanes));
+        let mut batches = Vec::with_capacity(inputs.len().div_ceil(group));
         let mut cts = Vec::with_capacity(batches.capacity());
-        for group in inputs.chunks(lanes) {
-            let batch = packer
-                .pack(group)
-                .expect("checked inputs, at most `lanes` of them");
+        for chunk in inputs.chunks(group) {
+            let batch = self
+                .packer
+                .pack(chunk)
+                .expect("checked inputs, at most `lane_capacity` of them");
             cts.push(ev.encrypt_replicated_at(batch.values(), level, &mut self.rng));
             batches.push(batch);
         }
         let run = self
             .runner
-            .run_packed(packer, &self.pe, Some(bootstrapper), &cts)?;
+            .run_packed(&self.packer, &self.pe, Some(&self.bootstrapper), &cts)?;
         let mut outputs = Vec::with_capacity(inputs.len());
         for (batch, out_ct) in batches.iter().zip(&run.outputs) {
-            outputs.extend(packer.decrypt(out_ct, batch, ev));
+            outputs.extend(self.packer.decrypt(out_ct, batch, ev));
         }
         Ok(BatchRun {
             outputs,
@@ -1021,35 +1006,11 @@ impl CompiledSession {
         })
     }
 
-    /// Index of the `lanes`-lane layout, built on first use. `lanes` is
-    /// a power of two within the lane capacity.
-    fn layout(&mut self, lanes: usize) -> usize {
-        if let Some(i) = self.layouts.iter().position(|l| l.packer.lanes() == lanes) {
-            return i;
-        }
-        let ev = self.pe.evaluator();
-        let packer = LanePacker::new(self.pipeline(), ev.context().slots(), lanes)
-            .expect("a power-of-two lane count within capacity");
-        // Each lane count refreshes at its expanded dimension with its
-        // own randomness stream: a different derivation constant than
-        // the one-lane layout's, plus the lane count.
-        let bootstrapper = Bootstrapper::new(
-            ev.clone(),
-            packer.expanded().dim(),
-            self.seed ^ 0xc2b2_ae3d_27d4_eb4f ^ lanes as u64,
-        );
-        self.layouts.push(Layout {
-            packer,
-            bootstrapper,
-        });
-        self.layouts.len() - 1
-    }
-
     /// Exact plaintext reference of the served pipeline (same
     /// arithmetic, PAF approximation included).
     pub fn infer_plain(&self, x: &[f64]) -> Result<Vec<f64>, SessionError> {
-        self.pipeline().try_pad_input(x)?;
-        Ok(self.pipeline().eval_plain(x))
+        self.pipeline.try_pad_input(x)?;
+        Ok(self.pipeline.eval_plain(x))
     }
 
     /// Plaintext batch through the session's [`BatchRunner`] workers.
@@ -1057,7 +1018,7 @@ impl CompiledSession {
         &self,
         inputs: &[Vec<f64>],
     ) -> Result<BatchRun<Vec<f64>>, SessionError> {
-        Ok(self.runner.run_plain(self.pipeline(), inputs)?)
+        Ok(self.runner.run_plain(&self.pipeline, inputs)?)
     }
 
     /// The planning report carried over from [`Plan`].
@@ -1076,18 +1037,17 @@ impl CompiledSession {
         self.last_stats.as_ref()
     }
 
-    /// Bootstraps performed by this session so far, across all runs
-    /// and every layout served.
+    /// Bootstraps performed by this session so far, across all runs:
+    /// one per refreshed ciphertext, however many lanes it carried.
     pub fn total_bootstraps(&self) -> usize {
-        self.layouts
-            .iter()
-            .map(|l| l.bootstrapper.refresh_count())
-            .sum()
+        self.bootstrapper.refresh_count()
     }
 
-    /// The served pipeline: the one-lane layout's.
+    /// The planned pipeline, one input wide: what
+    /// [`CompiledSession::infer_plain`] evaluates and what the served
+    /// layout expands to capacity lanes.
     pub fn pipeline(&self) -> &HePipeline {
-        self.layouts[0].packer.expanded()
+        &self.pipeline
     }
 
     /// Replaces the batch sharding policy (default:
@@ -1799,7 +1759,7 @@ mod tests {
             .collect();
         let packed = session.infer_batch_packed(&inputs).unwrap();
         assert_eq!(packed.outputs.len(), 5);
-        // 5 inputs → 8 lanes → one ciphertext, one stats record.
+        // 5 inputs share one 32-lane ciphertext: one stats record.
         assert_eq!(packed.stats.len(), 1);
         for (x, got) in inputs.iter().zip(&packed.outputs) {
             let want = session.infer(x).unwrap();
@@ -1807,7 +1767,7 @@ mod tests {
                 assert!((g - w).abs() < 0.1, "{g} vs {w}");
             }
         }
-        // The 8-lane runtime is cached; a second batch reuses it.
+        // A second batch runs on the same layout.
         let again = session.infer_batch_packed(&inputs).unwrap();
         assert_eq!(again.outputs.len(), 5);
 
@@ -1867,30 +1827,29 @@ mod tests {
 
     #[test]
     fn a_packed_request_enters_where_its_own_schedule_starts() {
-        // A packed request runs the plan's schedule: at 2 lanes the
-        // two-channel conv's expansion takes its base matrix's
-        // rotations, and the expanded pipeline's own trace enters conv
-        // + ReLU at level 7, where the plan does. The packed request is
-        // encrypted for that schedule, refreshes where the plan does
-        // and ends on the last limb.
+        // A packed request runs the plan's schedule: at the session's
+        // capacity the two-channel conv's expansion takes its base
+        // matrix's rotations, and the served layout's own trace enters
+        // conv + ReLU at level 7, where the plan does. The packed
+        // request is encrypted for that schedule, refreshes where the
+        // plan does and ends on the last limb.
         let plan = two_channel_cnn();
         assert_eq!(plan.input_level(), 7);
-        let packed_trace = plan
-            .pipeline()
-            .expand_lanes(2)
-            .trace(plan.params(), true)
-            .unwrap();
+        let params = plan.params().clone();
+        let mut session = plan.compile().unwrap();
+        session.set_batch_runner(BatchRunner::new(1));
+        // 2048 slots over a dim-128 pipeline.
+        assert_eq!(session.packer.lanes(), 16);
+        let packed_trace = session.packer.expanded().trace(&params, true).unwrap();
         let op_levels = |trace: &TraceReport| -> Vec<Vec<usize>> {
             trace.stages.iter().map(|s| s.op_levels.clone()).collect()
         };
-        assert_eq!(op_levels(&packed_trace), op_levels(plan.chosen_trace()));
+        assert_eq!(op_levels(&packed_trace), op_levels(&session.chosen().trace));
         assert_eq!(
             packed_trace.total_rotations(),
-            plan.chosen_trace().total_rotations()
+            session.chosen().trace.total_rotations()
         );
         assert_eq!(packed_trace.stages[0].level_in(), 7);
-        let mut session = plan.compile().unwrap();
-        session.set_batch_runner(BatchRunner::new(1));
         let inputs: Vec<Vec<f64>> = (0..2)
             .map(|i| {
                 (0..64)
@@ -1899,7 +1858,6 @@ mod tests {
             })
             .collect();
         let run = session.infer_batch_packed(&inputs).unwrap();
-        assert_eq!(session.layouts[1].packer.lanes(), 2);
         assert_eq!(run.stats.len(), 1);
         assert_eq!(run.stats[0].bootstraps, packed_trace.total_bootstraps());
         assert_eq!(run.stats[0].final_level, 0);
@@ -1930,46 +1888,33 @@ mod tests {
     #[test]
     fn diagonals_are_encoded_on_the_limbs_their_stage_is_entered_at() {
         // An affine stage's plaintext diagonals are encoded on the limbs
-        // its schedule enters it at, not on the full chain: the conv on
-        // 8 of the 13 limbs and the linear head on 2, and at 2 lanes the
-        // interleaved matrices on the same limbs, since they run the
-        // same schedule.
+        // its schedule enters it at, not on the full chain: the served
+        // layout's interleaved conv on 8 of the 13 limbs and its linear
+        // head on 2, since the layout runs the plan's schedule.
         let plan = two_channel_cnn();
         let mut session = plan.compile().unwrap();
         session.set_batch_runner(BatchRunner::new(1));
-        let inputs: Vec<Vec<f64>> = (0..2)
-            .map(|i| {
-                (0..64)
-                    .map(|j| ((i + j * 5) % 11) as f64 / 5.5 - 1.0)
-                    .collect()
-            })
-            .collect();
-        session.infer(&inputs[0]).unwrap();
+        let x: Vec<f64> = (0..64).map(|j| ((j * 5) % 11) as f64 / 5.5 - 1.0).collect();
+        session.infer(&x).unwrap();
         let trace = session.chosen().trace.clone();
-        let unpacked = encoded_limbs(session.pipeline(), &trace);
-        assert_eq!(unpacked, [8, 2]);
-        session.infer_batch_packed(&inputs).unwrap();
-        let two_lanes = &session.layouts[1].packer;
-        assert_eq!(two_lanes.lanes(), 2);
-        let packed = encoded_limbs(two_lanes.expanded(), &trace);
-        assert_eq!(packed, [8, 2]);
+        assert_eq!(encoded_limbs(session.packer.expanded(), &trace), [8, 2]);
     }
 
     #[test]
     fn a_packed_request_holds_the_one_lane_keys_and_encodings() {
-        // One 32-lane request of the benchmark CNN generates as many
-        // switching keys, on the same limbs, as one one-lane request —
-        // its rotation steps are the one-lane steps times 32 — and each
+        // One session of the benchmark CNN serves a single request, then
+        // packed batches of every size, on its one capacity layout: the
+        // switching keys of the first request — its rotation steps are
+        // the one-lane steps times 32 — serve every later one, and each
         // interleaved affine caches exactly its base matrix's diagonals.
-        use smartpaf_ckks::SwitchedSecret;
-        let key_shapes = |session: &CompiledSession| {
+        let mut session = benchmark_cnn().compile().unwrap();
+        session.set_batch_runner(BatchRunner::new(1));
+        let key_count = |session: &CompiledSession| {
             let keys = session.pe.evaluator().keys().key_limbs();
-            let mut shapes: Vec<_> = keys
-                .iter()
-                .map(|&(secret, k, limbs)| (secret == SwitchedSecret::Square, k, limbs))
-                .collect();
-            shapes.sort_unstable();
-            shapes
+            (
+                keys.len(),
+                keys.iter().map(|&(_, _, limbs)| limbs).sum::<usize>(),
+            )
         };
         let inputs: Vec<Vec<f64>> = (0..32)
             .map(|i| {
@@ -1978,28 +1923,23 @@ mod tests {
                     .collect()
             })
             .collect();
-        let mut single = benchmark_cnn().compile().unwrap();
-        single.set_batch_runner(BatchRunner::new(1));
-        single.infer(&inputs[0]).unwrap();
-        let mut packed = benchmark_cnn().compile().unwrap();
-        packed.set_batch_runner(BatchRunner::new(1));
-        let run = packed.infer_batch_packed(&inputs).unwrap();
-        assert_eq!(run.stats.len(), 1);
-        let wide = &packed.layouts[1].packer;
-        assert_eq!(wide.lanes(), 32);
-        assert_eq!(key_shapes(&packed), key_shapes(&single));
-        let trace = &packed.chosen().trace;
-        let stages = wide
-            .expanded()
-            .stages()
-            .iter()
-            .zip(packed.pipeline().stages());
-        for (expanded, base) in stages {
-            if let (Stage::Affine { mat, .. }, Stage::Affine { mat: base, .. }) = (expanded, base) {
-                assert_eq!(mat.encoded_limbs().len(), base.num_diagonals());
+        session.infer(&inputs[0]).unwrap();
+        assert_eq!(key_count(&session), (21, 78));
+        for batch in [32, 2, 4, 8, 16] {
+            let run = session.infer_batch_packed(&inputs[..batch]).unwrap();
+            assert_eq!(run.stats.len(), 1);
+            assert_eq!(key_count(&session), (21, 78), "after {batch} inputs");
+            let stages = session.packer.expanded().stages().iter();
+            for (expanded, base) in stages.zip(session.pipeline().stages()) {
+                if let (Stage::Affine { mat, .. }, Stage::Affine { mat: base, .. }) =
+                    (expanded, base)
+                {
+                    assert_eq!(mat.encoded_limbs().len(), base.num_diagonals());
+                }
             }
         }
-        assert_eq!(encoded_limbs(wide.expanded(), trace), [8, 2]);
+        let trace = &session.chosen().trace;
+        assert_eq!(encoded_limbs(session.packer.expanded(), trace), [8, 2]);
     }
 
     #[test]
@@ -2077,7 +2017,8 @@ mod tests {
     fn served_bits_are_pinned() {
         // The first three answers of a refreshing toy session, bit for
         // bit: a reseeded or reordered encryption or refresh stream
-        // changes this digest.
+        // changes this digest. Each request rides the 32-lane layout
+        // with 31 lanes empty.
         let mut session = builder(2, 4.0, 23)
             .objective(Objective::FixedForm(PafForm::F1G2))
             .plan()
@@ -2092,6 +2033,34 @@ mod tests {
             }
         }
         assert_eq!(session.total_bootstraps(), 3);
-        assert_eq!(smartpaf_heinfer::fnv1a_64(&bytes), 0x17c6_07ae_7e32_19f3);
+        assert_eq!(smartpaf_heinfer::fnv1a_64(&bytes), 0x14a7_1ea6_12cf_d336);
+    }
+
+    #[test]
+    fn packed_bits_are_pinned() {
+        // The answers of one full-capacity packed request on the
+        // refreshing toy session, bit for bit: its encryption and
+        // refresh streams, and the interleaved layout they run on.
+        let mut session = builder(2, 4.0, 23)
+            .objective(Objective::FixedForm(PafForm::F1G2))
+            .plan()
+            .expect("plannable")
+            .compile()
+            .expect("compiles");
+        let inputs: Vec<Vec<f64>> = (0..session.lane_capacity())
+            .map(|i| {
+                (0..4)
+                    .map(|j| ((i * 4 + j) % 13) as f64 / 6.5 - 1.0)
+                    .collect()
+            })
+            .collect();
+        let run = session.infer_batch_packed(&inputs).unwrap();
+        assert_eq!(run.stats.len(), 1);
+        let mut bytes = Vec::new();
+        for v in run.outputs.iter().flatten() {
+            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+        assert_eq!(session.total_bootstraps(), 1);
+        assert_eq!(smartpaf_heinfer::fnv1a_64(&bytes), 0xd149_61ac_11d8_3d98);
     }
 }

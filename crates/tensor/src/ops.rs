@@ -69,20 +69,6 @@ impl Tensor {
         self.sum() / self.numel() as f32
     }
 
-    /// Population variance of all elements.
-    pub fn variance(&self) -> f32 {
-        let m = self.mean() as f64;
-        let ss: f64 = self
-            .data()
-            .iter()
-            .map(|&x| {
-                let d = x as f64 - m;
-                d * d
-            })
-            .sum();
-        (ss / self.numel() as f64) as f32
-    }
-
     /// Maximum element.
     pub fn max(&self) -> f32 {
         self.data()
@@ -207,16 +193,6 @@ impl Tensor {
     pub fn norm(&self) -> f32 {
         self.dot(self).sqrt()
     }
-
-    /// Mean squared error against another tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn mse(&self, other: &Tensor) -> f32 {
-        let d = self.sub(other);
-        d.dot(&d) / d.numel() as f32
-    }
 }
 
 #[cfg(test)]
@@ -253,7 +229,6 @@ mod tests {
         assert_eq!(a.min(), -3.0);
         assert_eq!(a.abs_max(), 3.0);
         assert_eq!(a.argmax(), 2);
-        assert!((a.variance() - 3.5).abs() < 1e-6);
     }
 
     #[test]
@@ -290,12 +265,5 @@ mod tests {
         let a = t(&[3.0, 4.0], &[2]);
         assert_eq!(a.dot(&a), 25.0);
         assert_eq!(a.norm(), 5.0);
-    }
-
-    #[test]
-    fn mse_zero_for_equal() {
-        let a = t(&[1.0, 2.0], &[2]);
-        assert_eq!(a.mse(&a), 0.0);
-        assert_eq!(a.mse(&t(&[2.0, 3.0], &[2])), 1.0);
     }
 }

@@ -13,7 +13,7 @@ use std::fmt;
 ///
 /// let s = Shape::new(&[2, 3, 4]);
 /// assert_eq!(s.numel(), 24);
-/// assert_eq!(s.strides(), vec![12, 4, 1]);
+/// assert_eq!(s.offset(&[1, 2, 3]), 23);
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Shape {
@@ -63,7 +63,7 @@ impl Shape {
     }
 
     /// Row-major strides, in elements.
-    pub fn strides(&self) -> Vec<usize> {
+    fn strides(&self) -> Vec<usize> {
         let mut strides = vec![1; self.dims.len()];
         for i in (0..self.dims.len().saturating_sub(1)).rev() {
             strides[i] = strides[i + 1] * self.dims[i + 1];

@@ -99,18 +99,6 @@ impl Tensor {
         Tensor::from_vec(data, &[n])
     }
 
-    /// `n` points linearly spaced over `[lo, hi]` inclusive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2`.
-    pub fn linspace(lo: f32, hi: f32, n: usize) -> Self {
-        assert!(n >= 2, "linspace needs at least two points");
-        let step = (hi - lo) / (n - 1) as f32;
-        let data = (0..n).map(|i| lo + step * i as f32).collect();
-        Tensor::from_vec(data, &[n])
-    }
-
     /// The tensor's shape.
     pub fn shape(&self) -> &Shape {
         &self.shape
@@ -330,12 +318,6 @@ mod tests {
         assert_eq!(s.dims(), &[2, 2, 2]);
         assert_eq!(s.slice_batch(0), a);
         assert_eq!(s.slice_batch(1), b);
-    }
-
-    #[test]
-    fn linspace_endpoints() {
-        let t = Tensor::linspace(-1.0, 1.0, 5);
-        assert_eq!(t.data(), &[-1.0, -0.5, 0.0, 0.5, 1.0]);
     }
 
     #[test]
