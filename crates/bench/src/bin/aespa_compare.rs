@@ -33,6 +33,7 @@ fn run_variant(
     replace_all(&mut model, paf, false);
     let dropped = evaluate(&mut model, &dataset, config);
     let mut opt = Adam::new(config.optim);
+    model.set_batch_norm_tracking(false);
     for e in 0..ft_epochs {
         let _ = train_epoch(&mut model, &dataset, &mut opt, config, e);
     }

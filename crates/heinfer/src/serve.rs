@@ -4,9 +4,10 @@
 //!
 //! The serving shape is the classic MLSys one: clients [`Server::submit`]
 //! single inputs and get a [`Ticket`] back; a batcher thread coalesces
-//! queued requests *of the same tenant* into one batch — up to
-//! [`ServeConfig::max_batch`] or until [`ServeConfig::batch_deadline`]
-//! passes, whichever comes first — and hands it to the tenant's
+//! the queued requests *of the same tenant* into one batch of up to
+//! [`ServeConfig::max_batch`] — waiting up to
+//! [`ServeConfig::batch_deadline`] only while a packed batch's last
+//! lane-group has a free lane — and hands it to the tenant's
 //! [`BatchService`] (in the full stack, a cached `CompiledSession`
 //! driving [`BatchRunner`](crate::BatchRunner)). Admission control is a
 //! bounded queue: once [`ServeConfig::queue_capacity`] requests are
@@ -101,18 +102,24 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Most requests one batch carries.
     pub max_batch: usize,
-    /// How long the batcher waits for more same-tenant requests before
-    /// dispatching a partial batch. `Duration::ZERO` dispatches
-    /// whatever is queued immediately (deterministic, good for tests).
+    /// How long the batcher waits for a same-tenant request to fill a
+    /// free lane before dispatching. It waits only while the batch's
+    /// last lane-group has an empty lane: a request there rides a
+    /// ciphertext already paid for, while one that opens a new group
+    /// costs a whole evaluation. An unpacked server therefore never
+    /// waits. `Duration::ZERO` dispatches whatever is queued
+    /// immediately (deterministic, good for tests).
     pub batch_deadline: Duration,
     /// Fill slot lanes first: when set, the batcher asks the service
     /// for each tenant's [`BatchService::lane_capacity`] `K` and
     /// coalesces up to `max_batch · K` same-tenant requests per
     /// dispatch, so the service can multiplex each group of `K` inputs
-    /// into one ciphertext (`heinfer::pack`). [`ServeStats`] then
-    /// records slot-occupancy metrics alongside the request batch-fill
-    /// histogram. Off by default — the service must actually pack for
-    /// this to help.
+    /// into one ciphertext (`heinfer::pack`); it holds a batch for up
+    /// to `batch_deadline` only while its last group has fewer than
+    /// `K` inputs. [`ServeStats`] then records slot-occupancy metrics
+    /// alongside the request batch-fill histogram. Off by default —
+    /// the service must actually pack for this to help; unpacked, the
+    /// batcher never waits.
     pub pack_lanes: bool,
 }
 
@@ -449,9 +456,10 @@ fn drain_tenant<E>(
     out
 }
 
-/// The batcher: wait → coalesce one tenant's requests (cap or
-/// deadline) → run the batch → answer every member. Exits once
-/// shutdown is flagged *and* the queue is drained.
+/// The batcher: wait → coalesce one tenant's requests (up to the cap,
+/// waiting at most the deadline for a free lane to fill) → run the
+/// batch → answer every member. Exits once shutdown is flagged *and*
+/// the queue is drained.
 fn batcher_loop<S: BatchService>(
     mut service: S,
     shared: Arc<Shared<S::Error>>,
@@ -483,14 +491,18 @@ fn batcher_loop<S: BatchService>(
             };
             let cap = max_batch.saturating_mul(lanes);
             let mut batch = drain_tenant(&mut st.queue, tenant, cap);
-            // Coalescing window: wait out the deadline for more
-            // same-tenant arrivals unless the batch is already full or
-            // we are draining.
-            if batch.len() < cap && !st.shutting_down && !config.batch_deadline.is_zero() {
+            // Coalescing window: a request that joins the last
+            // lane-group's empty lane rides its ciphertext for free,
+            // while one that would open a new group costs a whole
+            // evaluation. So wait out the deadline only while the last
+            // group has a free lane — never on an unpacked server —
+            // and not once we are draining.
+            let has_free_lane = |n: usize| n < cap && !n.is_multiple_of(lanes);
+            if has_free_lane(batch.len()) && !st.shutting_down && !config.batch_deadline.is_zero() {
                 let deadline = Instant::now() + config.batch_deadline;
                 loop {
                     let now = Instant::now();
-                    if now >= deadline || batch.len() >= cap || st.shutting_down {
+                    if now >= deadline || !has_free_lane(batch.len()) || st.shutting_down {
                         break;
                     }
                     let (guard, timeout) = shared
@@ -803,16 +815,18 @@ mod tests {
     #[test]
     fn deadline_coalesces_trickling_arrivals() {
         // With a generous deadline, requests submitted one by one
-        // still share a batch: the batcher picks up the first and
-        // waits out the window.
-        let (svc, _) = Recorder::new();
+        // still share a packed batch: the batcher picks up the first,
+        // whose lane-group has three free lanes, and waits out the
+        // window for them.
+        let (mut svc, _) = Recorder::new();
+        svc.lanes = 4;
         let server = Server::start(
             svc,
             ServeConfig {
                 queue_capacity: 16,
                 max_batch: 8,
                 batch_deadline: Duration::from_millis(200),
-                pack_lanes: false,
+                pack_lanes: true,
             },
         );
         let t0 = server.submit(0, vec![0.0]).unwrap();
@@ -826,6 +840,60 @@ mod tests {
         // recorded either way.
         assert!(stats.batches <= 2);
         assert!(stats.mean_fill() >= 1.0);
+    }
+
+    #[test]
+    fn an_unpacked_request_is_not_held_for_company() {
+        // Unpacked, every input is its own evaluation: a companion
+        // would only delay this request, so the window never opens.
+        let (svc, calls) = Recorder::new();
+        let server = Server::start(
+            svc,
+            ServeConfig {
+                batch_deadline: Duration::from_secs(5),
+                ..burst_config()
+            },
+        );
+        let start = Instant::now();
+        assert_eq!(
+            server.submit(2, vec![1.0]).unwrap().wait().unwrap(),
+            vec![3.0]
+        );
+        let waited = start.elapsed();
+        assert!(waited < Duration::from_secs(1), "held for {waited:?}");
+        server.shutdown();
+        assert_eq!(calls.lock().unwrap().as_slice(), &[(2, 1)]);
+    }
+
+    #[test]
+    fn a_full_lane_group_dispatches_without_waiting() {
+        // 4 requests fill one 4-lane ciphertext: a fifth would open a
+        // second group, so the batch goes out without waiting for the
+        // 16 that `max_batch · K` would allow.
+        let (mut svc, calls) = Recorder::new();
+        svc.lanes = 4;
+        let server = Server::start(
+            svc,
+            ServeConfig {
+                batch_deadline: Duration::from_secs(5),
+                pack_lanes: true,
+                ..burst_config()
+            },
+        );
+        server.pause();
+        let tickets: Vec<_> = (0..4)
+            .map(|i| server.submit(7, vec![i as f64]).unwrap())
+            .collect();
+        let start = Instant::now();
+        server.resume();
+        for (i, t) in tickets.into_iter().enumerate() {
+            assert_eq!(t.wait().unwrap(), vec![i as f64 + 7.0]);
+        }
+        let waited = start.elapsed();
+        assert!(waited < Duration::from_secs(1), "held for {waited:?}");
+        let stats = server.shutdown();
+        assert_eq!(calls.lock().unwrap().as_slice(), &[(7, 4)]);
+        assert_eq!(stats.slot_fill[4], 1);
     }
 
     #[test]

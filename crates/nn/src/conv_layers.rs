@@ -129,8 +129,9 @@ impl Layer for Linear {
 /// parameters and running statistics.
 ///
 /// Tab. 5 sets `BatchNorm Tracking = False` during PAF fine-tuning:
-/// construct with [`BatchNorm2d::set_tracking`] to control whether
-/// running statistics are updated.
+/// [`BatchNorm2d::set_tracking`] controls whether running statistics
+/// are updated, and [`Model::set_batch_norm_tracking`](crate::Model::set_batch_norm_tracking)
+/// sets it on every batch-norm layer of a model.
 pub struct BatchNorm2d {
     gamma: Param,
     beta: Param,
@@ -169,6 +170,12 @@ impl BatchNorm2d {
     /// `false` during fine-tuning).
     pub fn set_tracking(&mut self, on: bool) {
         self.tracking = on;
+    }
+
+    /// The running `(mean, variance)` per channel that
+    /// [`Mode::Eval`] normalises with.
+    pub fn running_stats(&self) -> (&[f32], &[f32]) {
+        (&self.running_mean, &self.running_var)
     }
 
     fn stats(&self, x: &Tensor, c: usize) -> (f32, f32) {
@@ -292,6 +299,10 @@ impl Layer for BatchNorm2d {
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.gamma, &mut self.beta]
+    }
+
+    fn visit_batch_norms(&mut self, f: &mut dyn FnMut(&mut BatchNorm2d)) {
+        f(self);
     }
 }
 

@@ -1,6 +1,7 @@
 //! The layer abstraction and structural containers.
 
 use crate::act::{MaxPoolSlot, ReluSlot};
+use crate::conv_layers::BatchNorm2d;
 use crate::param::Param;
 use smartpaf_tensor::Tensor;
 
@@ -47,6 +48,9 @@ pub trait Layer {
 
     /// Visits every non-polynomial slot in inference order.
     fn visit_slots(&mut self, _f: &mut dyn FnMut(SlotRef<'_>)) {}
+
+    /// Visits every batch-norm layer in inference order.
+    fn visit_batch_norms(&mut self, _f: &mut dyn FnMut(&mut BatchNorm2d)) {}
 }
 
 /// A sequential stack of layers.
@@ -117,6 +121,12 @@ impl Layer for Sequential {
     fn visit_slots(&mut self, f: &mut dyn FnMut(SlotRef<'_>)) {
         for layer in &mut self.layers {
             layer.visit_slots(f);
+        }
+    }
+
+    fn visit_batch_norms(&mut self, f: &mut dyn FnMut(&mut BatchNorm2d)) {
+        for layer in &mut self.layers {
+            layer.visit_batch_norms(f);
         }
     }
 }

@@ -42,6 +42,17 @@ impl Model {
         self.net.visit_slots(f);
     }
 
+    /// Visits batch-norm layers in inference order.
+    pub fn visit_batch_norms(&mut self, f: &mut dyn FnMut(&mut BatchNorm2d)) {
+        self.net.visit_batch_norms(f);
+    }
+
+    /// Turns running-statistics updates on or off in every batch-norm
+    /// layer: on for pretraining, off for PAF fine-tuning (Tab. 5).
+    pub fn set_batch_norm_tracking(&mut self, on: bool) {
+        self.visit_batch_norms(&mut |bn| bn.set_tracking(on));
+    }
+
     /// Counts `(relu, maxpool)` slots.
     pub fn slot_counts(&mut self) -> (usize, usize) {
         let mut relu = 0;

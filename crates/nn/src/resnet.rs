@@ -1,6 +1,7 @@
 //! Residual block (ResNet basic block).
 
 use crate::act::ReluSlot;
+use crate::conv_layers::BatchNorm2d;
 use crate::layer::{Layer, Mode, SlotRef};
 use crate::param::Param;
 use crate::Sequential;
@@ -73,6 +74,13 @@ impl Layer for ResidualBlock {
             s.visit_slots(f);
         }
         self.post_relu.visit_slots(f);
+    }
+
+    fn visit_batch_norms(&mut self, f: &mut dyn FnMut(&mut BatchNorm2d)) {
+        self.main.visit_batch_norms(f);
+        if let Some(s) = &mut self.shortcut {
+            s.visit_batch_norms(f);
+        }
     }
 }
 

@@ -191,6 +191,7 @@ impl Workbench {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::EventKind;
     use smartpaf_datasets::SynthSpec;
     use smartpaf_nn::mini_cnn;
     use smartpaf_tensor::Rng64;
@@ -212,6 +213,27 @@ mod tests {
         wb.reset();
         let acc = evaluate(&mut wb.model, &wb.dataset.clone(), &wb.config.clone());
         assert_eq!(acc, base_acc);
+    }
+
+    #[test]
+    fn a_cell_leaves_batch_norm_running_stats_untouched() {
+        // Tab. 5 fine-tunes with tracking off: every cell starts from
+        // the pretrained statistics, since `reset` restores parameters
+        // only.
+        fn running_stats(model: &mut Model) -> Vec<u32> {
+            let mut bits = Vec::new();
+            model.visit_batch_norms(&mut |bn| {
+                let (mean, var) = bn.running_stats();
+                bits.extend(mean.iter().chain(var).map(|v| v.to_bits()));
+            });
+            bits
+        }
+        let mut wb = bench(45);
+        let before = running_stats(&mut wb.model);
+        assert!(!before.is_empty(), "mini_cnn has batch-norm layers");
+        let r = wb.run_cell(TechniqueSet::baseline_ds(), PafForm::F1G2, false);
+        assert!(r.events.iter().any(|e| e.kind == EventKind::Epoch));
+        assert_eq!(running_stats(&mut wb.model), before);
     }
 
     #[test]

@@ -103,6 +103,10 @@ impl Scheduler {
     /// one PAF per slot (post-CT when CT is enabled; copies of the
     /// base PAF otherwise). Returns the final validation accuracy
     /// (after DS→SS conversion when the technique set asks for it).
+    /// Fine-tuning leaves batch-norm running statistics as pretraining
+    /// left them (Tab. 5: `BatchNorm Tracking = False`), so every
+    /// parameter snapshot, the restored best one included, is
+    /// evaluated with the same statistics.
     pub fn run(
         &mut self,
         model: &mut Model,
@@ -112,6 +116,7 @@ impl Scheduler {
     ) -> f32 {
         let total = num_slots(model);
         assert!(!pafs.is_empty(), "no PAFs supplied");
+        model.set_batch_norm_tracking(false);
         if self.techniques.pa {
             // Progressive: replace one slot per step, fine-tune after
             // each replacement.

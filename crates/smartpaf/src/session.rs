@@ -1988,9 +1988,10 @@ mod tests {
 
     #[test]
     fn every_session_path_serves_one_input_bit_identically() {
-        // A one-input request is the one-lane layout whatever entry
-        // point serves it: the same encryption, refresh and decode
-        // streams, so the same bits.
+        // A one-input request is one lane group of the session's one
+        // layout, the other lanes empty, whatever entry point serves
+        // it: the same encryption, refresh and decode streams, so the
+        // same bits.
         let plan = || {
             builder(2, 4.0, 23)
                 .objective(Objective::FixedForm(PafForm::F1G2))

@@ -43,7 +43,8 @@ pub fn evaluate(model: &mut Model, dataset: &SynthDataset, config: &TrainConfig)
 
 /// Pre-trains a model (all operators exact) for `epochs` epochs and
 /// returns the final validation accuracy. This stands in for the
-/// paper's pretrained VGG-19/ResNet-18 checkpoints.
+/// paper's pretrained VGG-19/ResNet-18 checkpoints, so batch-norm
+/// layers track their running statistics.
 pub fn pretrain(
     model: &mut Model,
     dataset: &SynthDataset,
@@ -61,6 +62,7 @@ pub fn pretrain(
             weight_decay: 1e-4,
         },
     });
+    model.set_batch_norm_tracking(true);
     for e in 0..epochs {
         train_epoch(model, dataset, &mut opt, config, e);
     }
