@@ -627,47 +627,6 @@ impl Evaluator {
         let pt = self.encoder().encode(&tiled, ct.scale, ct.num_limbs());
         self.add_plain(ct, &pt)
     }
-
-    /// Sums a replicated length-`m` vector: after `log2(m)` rotations
-    /// every slot holds `Σ_i v[i]`. Depth-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `m` is a power of two dividing the slot count.
-    pub fn sum_replicated(&self, ct: &Ciphertext, m: usize) -> Ciphertext {
-        assert!(m.is_power_of_two(), "m must be a power of two");
-        assert!(
-            self.context().slots().is_multiple_of(m),
-            "m must divide slots"
-        );
-        let mut acc = ct.clone();
-        let mut step = 1usize;
-        while step < m {
-            let rot = self.rotate(&acc, step as i64);
-            acc = self.add(&acc, &rot);
-            step <<= 1;
-        }
-        acc
-    }
-
-    /// Inner product of an encrypted replicated vector with a plaintext
-    /// weight vector; every slot of the result holds `Σ_i v[i]·w[i]`.
-    /// Consumes one level.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `w.len()` is a power of two dividing the slot
-    /// count.
-    pub fn inner_product_plain(&self, ct: &Ciphertext, w: &[f64]) -> Ciphertext {
-        let slots = self.context().slots();
-        let tiled = replicate(w, slots);
-        let pt = self
-            .encoder()
-            .encode(&tiled, self.context().scale(), ct.num_limbs());
-        let mut prod = self.mul_plain(ct, &pt);
-        self.rescale(&mut prod);
-        self.sum_replicated(&prod, w.len())
-    }
 }
 
 #[cfg(test)]
@@ -851,31 +810,6 @@ mod tests {
         for i in 0..m {
             assert!((out[i] - (v[i] + bias[i])).abs() < 1e-3, "slot {i}");
         }
-    }
-
-    #[test]
-    fn sum_replicated_totals_vector() {
-        let (ev, mut rng) = setup(45);
-        let m = 16;
-        let v = random_vec(m, &mut rng);
-        let total: f64 = v.iter().sum();
-        let ct = ev.encrypt_replicated(&v, &mut rng);
-        let out = ev.decrypt_values(&ev.sum_replicated(&ct, m), m);
-        for (i, got) in out.iter().enumerate() {
-            assert!((got - total).abs() < 1e-2, "slot {i}: {got} vs {total}");
-        }
-    }
-
-    #[test]
-    fn inner_product_matches_plain() {
-        let (ev, mut rng) = setup(46);
-        let m = 8;
-        let v = random_vec(m, &mut rng);
-        let w = random_vec(m, &mut rng);
-        let want: f64 = v.iter().zip(&w).map(|(a, b)| a * b).sum();
-        let ct = ev.encrypt_replicated(&v, &mut rng);
-        let out = ev.decrypt_values(&ev.inner_product_plain(&ct, &w), 1);
-        assert!((out[0] - want).abs() < 1e-2, "{} vs {want}", out[0]);
     }
 
     #[test]

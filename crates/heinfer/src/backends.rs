@@ -181,7 +181,7 @@ impl InferenceBackend for CkksBackend<'_> {
 
     fn begin(&mut self, pipe: &HePipeline) -> Result<(), RunError> {
         let slots = self.pe.evaluator().context().slots();
-        if !slots.is_multiple_of(pipe.dim()) {
+        if pipe.lane_capacity(slots) == 0 {
             return Err(RunError::SlotMismatch {
                 dim: pipe.dim(),
                 slots,
@@ -402,22 +402,10 @@ impl HePipeline {
         params: &CkksParams,
         allow_bootstrap: bool,
     ) -> Result<TraceReport, RunError> {
-        self.trace_from(params, params.depth, allow_bootstrap)
-    }
-
-    /// [`HePipeline::trace`] of an input that arrives at `start_level`
-    /// (a partially consumed ciphertext): the level the schedule is cut
-    /// from.
-    pub(crate) fn trace_from(
-        &self,
-        params: &CkksParams,
-        start_level: usize,
-        allow_bootstrap: bool,
-    ) -> Result<TraceReport, RunError> {
         let schedule = LevelSchedule::cut(
             &self.atomic_ops(),
             params,
-            start_level,
+            params.depth,
             params.depth,
             allow_bootstrap,
         );

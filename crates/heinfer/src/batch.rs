@@ -148,6 +148,14 @@ impl BatchRunner {
     /// Runs a batch of encrypted inputs, one evaluator clone per
     /// worker. The optional [`Bootstrapper`] is shared — its refresh
     /// counter aggregates across the whole batch.
+    ///
+    /// Each ciphertext is checked where it runs: [`CkksBackend`] tests
+    /// the slot fit when it begins and cuts the ciphertext's one
+    /// [`LevelSchedule`](crate::LevelSchedule) at the level it arrived
+    /// at, failing with the error that schedule hits. A malformed
+    /// ciphertext therefore fails the batch after the shards before it
+    /// ran (their outputs are discarded, and their refreshes drew
+    /// randomness), not before any ran.
     pub fn run_encrypted(
         &self,
         pipe: &HePipeline,
@@ -155,26 +163,6 @@ impl BatchRunner {
         bootstrapper: Option<&Bootstrapper>,
         inputs: &[Ciphertext],
     ) -> Result<BatchRun<Ciphertext>, RunError> {
-        // Validate the whole batch up front so no evaluator clone or
-        // worker thread spawns for a malformed batch — the encrypted
-        // twin of `run_plain`'s padding check. The slot-layout check
-        // mirrors `CkksBackend::begin`, and a per-ciphertext dry run
-        // (the schedule cut from the ciphertext's level, microseconds
-        // each) fails with exactly the error the CKKS backend would
-        // otherwise hit mid-shard.
-        let ctx = pe.evaluator().context();
-        let slots = ctx.slots();
-        if !slots.is_multiple_of(pipe.dim()) {
-            return Err(RunError::SlotMismatch {
-                dim: pipe.dim(),
-                slots,
-            });
-        }
-        let params = ctx.params();
-        for ct in inputs {
-            let level = ct.level().min(params.depth);
-            pipe.trace_from(&params, level, bootstrapper.is_some())?;
-        }
         self.run_sharded(
             inputs,
             || pe.clone(),
@@ -186,12 +174,12 @@ impl BatchRunner {
     }
 
     /// Runs a batch of slot-packed ciphertexts through a
-    /// [`LanePacker`]'s lane-expanded pipeline, sharding the packed
-    /// ciphertexts across workers exactly like
-    /// [`BatchRunner::run_encrypted`]. Each input ciphertext carries up
-    /// to `packer.lanes()` multiplexed inputs (see [`crate::pack`]), so
-    /// one entry of `BatchRun::outputs` demultiplexes into a whole
-    /// lane-group of results via [`crate::PackedBatch::unpack`].
+    /// [`LanePacker`]'s lane-expanded pipeline, exactly as
+    /// [`BatchRunner::run_encrypted`] runs it (and failing as it
+    /// fails). Each input ciphertext carries up to `packer.lanes()`
+    /// multiplexed inputs (see [`crate::pack`]), so one entry of
+    /// `BatchRun::outputs` demultiplexes into a whole lane-group of
+    /// results via [`crate::PackedBatch::unpack`].
     pub fn run_packed(
         &self,
         packer: &LanePacker,
@@ -594,8 +582,8 @@ mod tests {
         let pe = smartpaf_ckks::PafEvaluator::new(Evaluator::new(&keys));
 
         // A consumed ciphertext in the middle of the batch with no
-        // bootstrapper: the up-front trace rejects it with the exact
-        // error the CKKS backend would hit mid-shard.
+        // bootstrapper: its shard fails with the error its own schedule
+        // cut hits, exactly as a lone run of it fails.
         let paf = CompositePaf::from_form(PafForm::F1G2);
         let pipe = PipelineBuilder::new(&[8])
             .affine(Linear::new(8, 8, &mut rng))
@@ -623,8 +611,8 @@ mod tests {
             pipe.try_eval_encrypted(&pe, None, &cts[1]).unwrap_err()
         );
 
-        // A pipeline wider than the ring's slot count is rejected
-        // before any evaluator clone is made.
+        // A pipeline wider than the ring's slot count is rejected by
+        // the backend's slot check before any stage runs.
         let wide = PipelineBuilder::new(&[1, 16, 16])
             .affine(Flatten::new())
             .try_compile()

@@ -23,15 +23,18 @@
 //! BSGS splits and rotation count: a packed request cuts, keys and
 //! encodes like a one-lane request.
 //!
-//! - [`SlotLayout`] computes the capacity rule `K = slots / dim` from
-//!   a compiled [`HePipeline`] (typed [`PackError`]).
+//! - [`HePipeline::lane_capacity`] is the capacity rule `K = slots / dim`;
+//!   [`LanePacker::new`] answers [`RunError::SlotMismatch`] for a lane
+//!   count whose expanded dimension `lanes·dim` does not divide the slot
+//!   count.
 //! - [`PackedBatch`] is the multiplexed flat vector: inputs padded to
 //!   the pipeline dimension and interleaved, idle lanes zeroed.
 //! - [`LanePacker`] owns the lane-expanded pipeline plus the packed
-//!   encode / encrypt / decrypt paths; its plain eval is bit-identical
-//!   per lane to the sequential per-input evals, and the expanded
-//!   affine stages reuse the per-matrix diagonal-encoding cache exactly
-//!   like the base pipeline.
+//!   pack / encrypt / decrypt paths ([`LanePacker::pack`] is the only
+//!   way to pack); its plain eval is bit-identical per lane to the
+//!   sequential per-input evals, and the expanded affine stages reuse
+//!   the per-matrix diagonal-encoding cache exactly like the base
+//!   pipeline.
 //!
 //! PAF evaluations are elementwise per slot, so they pack for free.
 //! Affine stages mix slots through
@@ -40,158 +43,28 @@
 //! the lanes, and a max pool's shifts are multiplied by the lane count:
 //! no output ever reads another lane's slots.
 
+use crate::exec::RunError;
 use crate::pipeline::HePipeline;
 use smartpaf_ckks::{Ciphertext, Evaluator};
 use smartpaf_tensor::Rng64;
-use std::fmt;
 
-/// Typed slot-packing failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PackError {
-    /// The pipeline's padded dimension does not divide the slot count
-    /// (or exceeds it): the ciphertext cannot carry even one lane.
-    NoCapacity {
-        /// Pipeline padded dimension (the would-be lane stride).
-        dim: usize,
-        /// Ring slot count.
-        slots: usize,
-    },
-    /// More inputs (or requested lanes) than the layout has capacity
-    /// for.
-    TooManyInputs {
-        /// Inputs or lanes requested.
-        got: usize,
-        /// Lanes available.
-        capacity: usize,
-    },
-    /// An input is longer than the pipeline's logical input dimension.
-    InputTooLong {
-        /// Offending input length.
-        len: usize,
-        /// Pipeline input dimension.
-        max: usize,
-    },
-    /// No inputs to pack.
-    EmptyBatch,
-}
-
-impl fmt::Display for PackError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PackError::NoCapacity { dim, slots } => write!(
-                f,
-                "pipeline dim {dim} must divide slot count {slots}: no packing capacity"
-            ),
-            PackError::TooManyInputs { got, capacity } => {
-                write!(
-                    f,
-                    "{got} inputs exceed the slot-packing capacity {capacity}"
-                )
-            }
-            PackError::InputTooLong { len, max } => {
-                write!(f, "input length {len} exceeds pipeline input dim {max}")
-            }
-            PackError::EmptyBatch => write!(f, "cannot pack an empty batch"),
-        }
-    }
-}
-
-impl std::error::Error for PackError {}
-
-/// The slot layout of a packed ciphertext: the pipeline dimension,
-/// logical input/output widths, and the capacity rule
-/// `K = slots / dim`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlotLayout {
-    dim: usize,
-    input_dim: usize,
-    output_dim: usize,
-    capacity: usize,
-}
-
-impl SlotLayout {
-    /// Computes the layout for `pipe` on a ring with `slots` slots.
-    ///
-    /// Fails with [`PackError::NoCapacity`] when the padded dimension
-    /// does not divide the slot count.
-    pub fn for_pipeline(pipe: &HePipeline, slots: usize) -> Result<SlotLayout, PackError> {
-        let capacity = pipe.lane_capacity(slots);
-        if capacity == 0 {
-            return Err(PackError::NoCapacity {
-                dim: pipe.dim(),
-                slots,
-            });
-        }
-        Ok(SlotLayout {
-            dim: pipe.dim(),
-            input_dim: pipe.input_dim(),
-            output_dim: pipe.output_dim(),
-            capacity,
-        })
-    }
-
-    /// Lane capacity `K = slots / dim` (always a power of two).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
+/// Packing fails with [`RunError`]; this name stays for the frozen
+/// benchmark package until it is repointed.
+#[doc(hidden)]
+pub type PackError = RunError;
 
 /// A slot-multiplexed batch: up to `lanes` inputs padded to the
 /// pipeline dimension and interleaved into one flat vector (input `l`'s
 /// position `p` at `p·lanes + l`), idle lanes zeroed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedBatch {
-    layout: SlotLayout,
     lanes: usize,
     count: usize,
+    output_dim: usize,
     values: Vec<f64>,
 }
 
 impl PackedBatch {
-    /// Packs `inputs` into `lanes` slot lanes under `layout`.
-    ///
-    /// `lanes` must be a power of two within the layout's capacity.
-    pub fn pack(
-        layout: &SlotLayout,
-        lanes: usize,
-        inputs: &[Vec<f64>],
-    ) -> Result<PackedBatch, PackError> {
-        assert!(lanes.is_power_of_two(), "lanes must be a power of two");
-        if lanes > layout.capacity {
-            return Err(PackError::TooManyInputs {
-                got: lanes,
-                capacity: layout.capacity,
-            });
-        }
-        if inputs.is_empty() {
-            return Err(PackError::EmptyBatch);
-        }
-        if inputs.len() > lanes {
-            return Err(PackError::TooManyInputs {
-                got: inputs.len(),
-                capacity: lanes,
-            });
-        }
-        let mut values = vec![0.0; lanes * layout.dim];
-        for (l, x) in inputs.iter().enumerate() {
-            if x.len() > layout.input_dim {
-                return Err(PackError::InputTooLong {
-                    len: x.len(),
-                    max: layout.input_dim,
-                });
-            }
-            for (p, &v) in x.iter().enumerate() {
-                values[p * lanes + l] = v;
-            }
-        }
-        Ok(PackedBatch {
-            layout: *layout,
-            lanes,
-            count: inputs.len(),
-            values,
-        })
-    }
-
     /// Lane count of the multiplexed vector (power of two).
     pub fn lanes(&self) -> usize {
         self.lanes
@@ -212,28 +85,26 @@ impl PackedBatch {
     pub fn unpack(&self, flat: &[f64]) -> Vec<Vec<f64>> {
         let lanes = self.lanes;
         assert!(
-            flat.len() >= self.layout.output_dim * lanes,
+            flat.len() >= self.output_dim * lanes,
             "flat output shorter than the packed extent"
         );
         (0..self.count)
-            .map(|l| {
-                (0..self.layout.output_dim)
-                    .map(|p| flat[p * lanes + l])
-                    .collect()
-            })
+            .map(|l| (0..self.output_dim).map(|p| flat[p * lanes + l]).collect())
             .collect()
     }
 }
 
-/// The packed execution engine: a [`SlotLayout`] plus the
-/// lane-expanded pipeline and the packed encrypt / decrypt paths.
+/// The packed execution engine: the lane-expanded pipeline, the base
+/// pipeline's input/output widths, and the packed encrypt / decrypt
+/// paths.
 ///
 /// The expansion cost (interleaved matrices, fresh encoding caches)
 /// is paid once per `(pipeline, lanes)` pair; a server builds one
 /// `LanePacker` at the lane capacity and packs every request group
 /// into it, filled or not.
 pub struct LanePacker {
-    layout: SlotLayout,
+    input_dim: usize,
+    output_dim: usize,
     lanes: usize,
     expanded: HePipeline,
 }
@@ -241,24 +112,28 @@ pub struct LanePacker {
 impl LanePacker {
     /// Builds a packer for `pipe` on a `slots`-slot ring carrying
     /// `lanes` inputs per ciphertext.
-    pub fn new(pipe: &HePipeline, slots: usize, lanes: usize) -> Result<LanePacker, PackError> {
-        let layout = SlotLayout::for_pipeline(pipe, slots)?;
-        if !lanes.is_power_of_two() || lanes > layout.capacity() {
-            return Err(PackError::TooManyInputs {
-                got: lanes,
-                capacity: layout.capacity(),
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::SlotMismatch`] with `dim = lanes · pipe.dim()` when
+    /// that expanded dimension does not divide the slot count: a lane
+    /// count of zero, one that is not a power of two, or one above
+    /// [`HePipeline::lane_capacity`].
+    pub fn new(pipe: &HePipeline, slots: usize, lanes: usize) -> Result<LanePacker, RunError> {
+        // The capacity is a power of two (or 0), so exactly its
+        // power-of-two divisors expand to a dimension dividing `slots`.
+        if !lanes.is_power_of_two() || lanes > pipe.lane_capacity(slots) {
+            return Err(RunError::SlotMismatch {
+                dim: lanes.saturating_mul(pipe.dim()),
+                slots,
             });
         }
         Ok(LanePacker {
-            layout,
+            input_dim: pipe.input_dim(),
+            output_dim: pipe.output_dim(),
             lanes,
             expanded: pipe.expand_lanes(lanes),
         })
-    }
-
-    /// The slot layout (of the *base* pipeline).
-    pub fn layout(&self) -> &SlotLayout {
-        &self.layout
     }
 
     /// Lanes carried per ciphertext.
@@ -271,9 +146,43 @@ impl LanePacker {
         &self.expanded
     }
 
-    /// Packs `inputs` into this packer's lane count.
-    pub fn pack(&self, inputs: &[Vec<f64>]) -> Result<PackedBatch, PackError> {
-        PackedBatch::pack(&self.layout, self.lanes, inputs)
+    /// Packs one lane group: input `l` into lane `l`, the lanes past
+    /// the group (all of them for an empty group) left idle.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::InputTooLong`] when an input is longer than the
+    /// pipeline's input dimension.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the group has more inputs than [`LanePacker::lanes`]:
+    /// callers split their batches with `chunks(lanes)`.
+    pub fn pack(&self, inputs: &[Vec<f64>]) -> Result<PackedBatch, RunError> {
+        let lanes = self.lanes;
+        assert!(
+            inputs.len() <= lanes,
+            "a group of {} inputs exceeds the packer's {lanes} lanes",
+            inputs.len()
+        );
+        let mut values = vec![0.0; self.expanded.dim()];
+        for (l, x) in inputs.iter().enumerate() {
+            if x.len() > self.input_dim {
+                return Err(RunError::InputTooLong {
+                    len: x.len(),
+                    max: self.input_dim,
+                });
+            }
+            for (p, &v) in x.iter().enumerate() {
+                values[p * lanes + l] = v;
+            }
+        }
+        Ok(PackedBatch {
+            lanes,
+            count: inputs.len(),
+            output_dim: self.output_dim,
+            values,
+        })
     }
 
     /// Evaluates the packed batch on the plain backend and
@@ -329,22 +238,36 @@ mod tests {
     }
 
     #[test]
-    fn layout_computes_capacity_from_the_pipeline() {
+    fn lane_counts_that_do_not_fit_the_slots_are_a_slot_mismatch() {
+        // Dim 16 on 128 slots: capacity 8 (pinned in pipeline.rs). A
+        // lane count fits exactly when `lanes · 16` divides 128.
         let pipe = demo_pipeline(61);
-        let layout = SlotLayout::for_pipeline(&pipe, 128).expect("fits");
-        assert_eq!(layout.capacity(), 8);
-        // A ring smaller than the pipeline has no capacity at all.
-        let err = SlotLayout::for_pipeline(&pipe, 8).expect_err("dim > slots");
-        assert_eq!(err, PackError::NoCapacity { dim: 16, slots: 8 });
-        assert!(err.to_string().contains("no packing capacity"));
+        for lanes in [1, 2, 4, 8] {
+            assert_eq!(LanePacker::new(&pipe, 128, lanes).unwrap().lanes(), lanes);
+        }
+        for lanes in [0, 3, 16] {
+            let err = LanePacker::new(&pipe, 128, lanes).err();
+            assert_eq!(
+                err,
+                Some(RunError::SlotMismatch {
+                    dim: lanes * 16,
+                    slots: 128
+                }),
+                "{lanes} lanes"
+            );
+        }
+        // A ring smaller than the pipeline cannot carry even one lane.
+        let err = LanePacker::new(&pipe, 8, 1).err().expect("dim > slots");
+        assert_eq!(err, RunError::SlotMismatch { dim: 16, slots: 8 });
+        assert_eq!(err.to_string(), "pipeline dim 16 must divide slot count 8");
     }
 
     #[test]
     fn pack_round_trips_lane_values() {
         let pipe = demo_pipeline(62);
-        let layout = SlotLayout::for_pipeline(&pipe, 128).expect("fits");
+        let packer = LanePacker::new(&pipe, 128, 4).expect("fits");
         let xs = inputs(3);
-        let batch = PackedBatch::pack(&layout, 4, &xs).expect("packs");
+        let batch = packer.pack(&xs).expect("packs");
         assert_eq!(batch.lanes(), 4);
         assert_eq!(batch.values().len(), 4 * 16);
         // Lane l carries input l at every fourth slot from l; the idle
@@ -364,30 +287,24 @@ mod tests {
     #[test]
     fn pack_reports_typed_errors() {
         let pipe = demo_pipeline(63);
-        let layout = SlotLayout::for_pipeline(&pipe, 128).expect("fits");
+        let packer = LanePacker::new(&pipe, 128, 4).expect("fits");
+        let long = vec![inputs(1).remove(0), vec![0.0; 17]];
         assert_eq!(
-            PackedBatch::pack(&layout, 4, &[]),
-            Err(PackError::EmptyBatch)
+            packer.pack(&long),
+            Err(RunError::InputTooLong { len: 17, max: 16 })
         );
-        assert_eq!(
-            PackedBatch::pack(&layout, 4, &inputs(5)),
-            Err(PackError::TooManyInputs {
-                got: 5,
-                capacity: 4
-            })
-        );
-        assert_eq!(
-            PackedBatch::pack(&layout, 16, &inputs(2)),
-            Err(PackError::TooManyInputs {
-                got: 16,
-                capacity: 8
-            })
-        );
-        let long = vec![vec![0.0; 17]];
-        assert_eq!(
-            PackedBatch::pack(&layout, 4, &long),
-            Err(PackError::InputTooLong { len: 17, max: 16 })
-        );
+        // An empty group is all idle lanes and demultiplexes to nothing.
+        let empty = packer.pack(&[]).expect("packs");
+        assert_eq!(empty.values(), &[0.0; 64][..]);
+        assert!(empty.unpack(empty.values()).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "a group of 5 inputs exceeds the packer's 4 lanes")]
+    fn a_group_larger_than_the_lanes_is_a_caller_bug() {
+        let pipe = demo_pipeline(63);
+        let packer = LanePacker::new(&pipe, 128, 4).expect("fits");
+        let _ = packer.pack(&inputs(5));
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub use act::{AvgPool2d, GlobalAvgPool, MaxPoolSlot, PafActivation, ReluSlot, Sc
 pub use conv_layers::{BatchNorm2d, Conv2d, Linear};
 pub use layer::{Dropout, Flatten, Layer, Mode, Sequential, SlotRef};
 pub use loss::cross_entropy;
-pub use metrics::{top1_accuracy, AccuracyMeter};
+pub use metrics::AccuracyMeter;
 pub use models::{mini_cnn, resnet18, vgg19, Model};
 pub use optim::{Adam, GroupConfig, OptimConfig, Sgd};
 pub use param::{Param, ParamGroup};

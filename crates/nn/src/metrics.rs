@@ -2,19 +2,6 @@
 
 use smartpaf_tensor::Tensor;
 
-/// Top-1 accuracy of logits `[N, C]` against integer labels.
-///
-/// # Panics
-///
-/// Panics unless logits are 2-D with one label per row.
-pub fn top1_accuracy(logits: &Tensor, labels: &[usize]) -> f32 {
-    assert_eq!(logits.shape().ndim(), 2, "logits must be [N, C]");
-    assert_eq!(logits.dims()[0], labels.len(), "one label per sample");
-    let preds = logits.argmax_rows();
-    let correct = preds.iter().zip(labels).filter(|(p, l)| p == l).count();
-    correct as f32 / labels.len() as f32
-}
-
 /// Streaming accuracy accumulator over many batches.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct AccuracyMeter {
@@ -53,13 +40,6 @@ impl AccuracyMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn perfect_and_zero_accuracy() {
-        let logits = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]);
-        assert_eq!(top1_accuracy(&logits, &[0, 1]), 1.0);
-        assert_eq!(top1_accuracy(&logits, &[1, 0]), 0.0);
-    }
 
     #[test]
     fn meter_accumulates() {

@@ -6,8 +6,7 @@
 //!
 //! The pipeline is exactly the paper's four steps:
 //! 1. start from coefficients given by a traditional approximation
-//!    (Chebyshev/minimax, see [`crate::chebyshev_fit`] /
-//!    [`crate::minimax_sign`]);
+//!    (minimax, see [`crate::minimax_sign`]);
 //! 2. profile the layer's input distribution ([`ActivationProfile`]);
 //! 3. tune the coefficients to minimise the distribution-weighted
 //!    approximation error ([`tune_composite`], Adam in `f64`);

@@ -20,9 +20,7 @@
 //! assert!((approx - 0.7).abs() < 0.05);
 //! ```
 
-mod alpha;
 pub mod bounds;
-mod cheb;
 mod composite;
 mod ct;
 mod depth;
@@ -34,11 +32,9 @@ mod remez;
 pub mod search;
 mod serde_impls;
 
-pub use alpha::{alpha_composite, AlphaComposite};
 pub use bounds::{
     certified_sign_error, certified_value_bound, composite_enclosure, poly_enclosure, Interval,
 };
-pub use cheb::{chebyshev_fit, chebyshev_nodes};
 pub use composite::{
     max_via_sign, quadratic_paf, relu_via_sign, sign_exact, CompositePaf, PafForm,
 };

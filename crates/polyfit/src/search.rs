@@ -201,21 +201,41 @@ pub fn enumerate_composites(cfg: &SearchConfig) -> Vec<Candidate> {
 /// The (depth, error) Pareto frontier of a candidate set: candidates
 /// not dominated by any other in both depth and error, sorted by depth
 /// with strictly decreasing error.
-pub fn pareto_frontier(mut cands: Vec<Candidate>) -> Vec<Candidate> {
-    cands.sort_by(|a, b| {
-        a.depth
-            .cmp(&b.depth)
-            .then(a.max_error.partial_cmp(&b.max_error).expect("finite"))
-    });
-    let mut out: Vec<Candidate> = Vec::new();
-    let mut best = f64::INFINITY;
-    for c in cands {
-        if c.max_error < best {
-            best = c.max_error;
-            out.push(c);
+pub fn pareto_frontier(cands: Vec<Candidate>) -> Vec<Candidate> {
+    let keys: Vec<[f64; 2]> = cands
+        .iter()
+        .map(|c| [c.depth as f64, c.max_error])
+        .collect();
+    non_dominated(&keys)
+        .into_iter()
+        .map(|i| cands[i].clone())
+        .collect()
+}
+
+/// The one non-dominated filter behind every Pareto frontier in the
+/// workspace, each axis of `keys` minimised: the indices of the points
+/// no other point matches or beats on every axis while beating on
+/// one, keeping the first of exact duplicates, sorted by key and then
+/// index.
+///
+/// # Panics
+///
+/// Panics if a key holds a NaN.
+pub fn non_dominated<const D: usize>(keys: &[[f64; D]]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    // Stable: equal keys stay in index order.
+    order.sort_by(|&a, &b| keys[a].partial_cmp(&keys[b]).expect("finite keys"));
+    // A dominating point sorts before the point it dominates, and a
+    // dominated dominator has a kept one before it, so a point is off
+    // the frontier exactly when a kept point is no worse on any axis.
+    let mut front: Vec<usize> = Vec::new();
+    for i in order {
+        let weakly_dominated = |&f: &usize| keys[f].iter().zip(&keys[i]).all(|(a, b)| a <= b);
+        if !front.iter().any(weakly_dominated) {
+            front.push(i);
         }
     }
-    out
+    front
 }
 
 /// The minimal-depth composite achieving `max_error ≤ tolerance`

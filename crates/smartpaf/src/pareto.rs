@@ -3,6 +3,7 @@
 //! planner traces (traced bootstraps × exact ct-mults × worst-slot
 //! sign error).
 
+use smartpaf_polyfit::search::non_dominated;
 use smartpaf_polyfit::PafForm;
 
 /// A candidate operating point.
@@ -25,35 +26,8 @@ pub struct ParetoPoint {
 /// the norm. Exact duplicates (equal cost *and* accuracy) keep the
 /// first input index.
 pub fn pareto_frontier(points: &[ParetoPoint]) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..points.len()).collect();
-    // Stable sort by latency alone; dominance among ties is resolved
-    // explicitly below rather than through a sort tiebreaker.
-    idx.sort_by(|&a, &b| {
-        points[a]
-            .latency_ms
-            .partial_cmp(&points[b].latency_ms)
-            .expect("finite latency")
-    });
-    let mut frontier: Vec<usize> = Vec::new();
-    for &i in &idx {
-        let p = points[i];
-        // Equal cost, strictly better accuracy: evict the dominated
-        // point already on the frontier.
-        while let Some(&last) = frontier.last() {
-            if points[last].latency_ms == p.latency_ms && p.accuracy > points[last].accuracy {
-                frontier.pop();
-            } else {
-                break;
-            }
-        }
-        let dominated = frontier
-            .last()
-            .is_some_and(|&last| points[last].accuracy >= p.accuracy);
-        if !dominated {
-            frontier.push(i);
-        }
-    }
-    frontier
+    let keys: Vec<[f64; 2]> = points.iter().map(|p| [p.latency_ms, -p.accuracy]).collect();
+    non_dominated(&keys)
 }
 
 /// A planned form-vector operating point: the per-slot PAF assignment
@@ -72,17 +46,6 @@ pub struct VectorParetoPoint {
     pub sign_error: f64,
 }
 
-impl VectorParetoPoint {
-    fn dominated_by(&self, other: &VectorParetoPoint) -> bool {
-        other.bootstraps <= self.bootstraps
-            && other.ct_mults <= self.ct_mults
-            && other.sign_error <= self.sign_error
-            && (other.bootstraps < self.bootstraps
-                || other.ct_mults < self.ct_mults
-                || other.sign_error < self.sign_error)
-    }
-}
-
 /// Returns the indices of the Pareto-optimal form-vector points under
 /// three-axis minimisation (no other point is at least as good on all
 /// of traced bootstraps, exact ct-mults, and worst-slot sign error,
@@ -98,42 +61,20 @@ impl VectorParetoPoint {
 ///   only the first input index, mirroring the exact-duplicate rule of
 ///   [`pareto_frontier`].
 pub fn vector_pareto_frontier(points: &[VectorParetoPoint]) -> Vec<usize> {
-    // Dedupe identical form vectors (first occurrence wins).
-    let mut unique: Vec<usize> = Vec::new();
-    for (i, p) in points.iter().enumerate() {
-        if !unique.iter().any(|&j| points[j].forms == p.forms) {
-            unique.push(i);
-        }
-    }
-    let mut frontier: Vec<usize> = Vec::new();
-    'candidates: for &i in &unique {
-        for &j in &unique {
-            if j != i && points[i].dominated_by(&points[j]) {
-                continue 'candidates;
-            }
-            // Identical cost triple: keep the earliest index only.
-            if j < i
-                && points[j].bootstraps == points[i].bootstraps
-                && points[j].ct_mults == points[i].ct_mults
-                && points[j].sign_error == points[i].sign_error
-            {
-                continue 'candidates;
-            }
-        }
-        frontier.push(i);
-    }
-    frontier.sort_by(|&a, &b| {
-        let ka = (points[a].bootstraps, points[a].ct_mults);
-        let kb = (points[b].bootstraps, points[b].ct_mults);
-        ka.cmp(&kb).then_with(|| {
-            points[a]
-                .sign_error
-                .partial_cmp(&points[b].sign_error)
-                .expect("finite sign error")
-                .then(a.cmp(&b))
+    let unique: Vec<usize> = (0..points.len())
+        .filter(|&i| !points[..i].iter().any(|p| p.forms == points[i].forms))
+        .collect();
+    let keys: Vec<[f64; 3]> = unique
+        .iter()
+        .map(|&i| {
+            let p = &points[i];
+            [p.bootstraps as f64, p.ct_mults as f64, p.sign_error]
         })
-    });
-    frontier
+        .collect();
+    non_dominated(&keys)
+        .into_iter()
+        .map(|k| unique[k])
+        .collect()
 }
 
 #[cfg(test)]

@@ -7,8 +7,9 @@
 //! ```text
 //!   SessionBuilder ──plan()──► Plan ──compile()──► CompiledSession
 //!   stages, params,            chosen form vector, keys + engines:
-//!   objective,                 traced frontier,    infer / infer_batch /
-//!   candidate forms            PlanReport          chosen_trace
+//!   objective,                 chosen_trace,       infer / infer_batch /
+//!   candidate forms            traced frontier,    infer_batch_packed
+//!                              PlanReport
 //! ```
 //!
 //! Each arrow consumes the previous state, so the type system enforces
@@ -861,18 +862,12 @@ impl Plan {
     /// does not divide the ring's slot count.
     pub fn compile(self) -> Result<CompiledSession, SessionError> {
         let ctx = self.body.params.build();
-        let lanes = self.pipeline.lane_capacity(ctx.slots());
-        if lanes == 0 {
-            return Err(SessionError::Run(RunError::SlotMismatch {
-                dim: self.pipeline.dim(),
-                slots: ctx.slots(),
-            }));
-        }
+        // A pipeline with no capacity fails as its one-lane layout.
+        let lanes = self.pipeline.lane_capacity(ctx.slots()).max(1);
+        let packer = LanePacker::new(&self.pipeline, ctx.slots(), lanes)?;
         let mut rng = Rng64::new(self.seed);
         let keys = KeyChain::generate(&ctx, &mut rng);
         let pe = PafEvaluator::new(Evaluator::new(&keys));
-        let packer = LanePacker::new(&self.pipeline, ctx.slots(), lanes)
-            .expect("the capacity lane count fits the slots");
         let bootstrapper = Bootstrapper::new(
             pe.evaluator().clone(),
             packer.expanded().dim(),
@@ -968,29 +963,25 @@ impl CompiledSession {
         self.serve(self.lane_capacity(), inputs)
     }
 
-    /// The one request path: checks every input, then packs, encrypts
-    /// and runs `inputs` in groups of `group` under the session's
-    /// layout and splits the answers back out in input order.
+    /// The one request path: packs `inputs` in groups of `group`
+    /// under the session's layout, then encrypts and runs the groups
+    /// and splits the answers back out in input order.
     fn serve(
         &mut self,
         group: usize,
         inputs: &[Vec<f64>],
     ) -> Result<BatchRun<Vec<f64>>, SessionError> {
-        // A rejected batch draws no randomness.
-        for x in inputs {
-            self.pipeline.try_pad_input(x)?;
-        }
+        // Every group packs before any encrypts: a rejected batch draws
+        // no randomness.
+        let batches = inputs
+            .chunks(group)
+            .map(|chunk| self.packer.pack(chunk))
+            .collect::<Result<Vec<_>, _>>()?;
         let (ev, level) = (self.pe.evaluator(), self.chosen.input_level());
-        let mut batches = Vec::with_capacity(inputs.len().div_ceil(group));
-        let mut cts = Vec::with_capacity(batches.capacity());
-        for chunk in inputs.chunks(group) {
-            let batch = self
-                .packer
-                .pack(chunk)
-                .expect("checked inputs, at most `lane_capacity` of them");
-            cts.push(ev.encrypt_replicated_at(batch.values(), level, &mut self.rng));
-            batches.push(batch);
-        }
+        let cts: Vec<_> = batches
+            .iter()
+            .map(|batch| ev.encrypt_replicated_at(batch.values(), level, &mut self.rng))
+            .collect();
         let run = self
             .runner
             .run_packed(&self.packer, &self.pe, Some(&self.bootstrapper), &cts)?;
@@ -2012,6 +2003,50 @@ mod tests {
         // An empty batch answers nothing on any path.
         let empty = packed_session.infer_batch_packed(&[]).unwrap();
         assert!(empty.outputs.is_empty());
+    }
+
+    #[test]
+    fn a_rejected_batch_draws_no_randomness() {
+        // Every group packs before any encrypts, so a batch with one
+        // overlong input leaves the encryption stream where it was: the
+        // next answer is a fresh session's first, bit for bit.
+        let session = || {
+            builder(2, 4.0, 23)
+                .objective(Objective::FixedForm(PafForm::F1G2))
+                .plan()
+                .expect("plannable")
+                .compile()
+                .expect("compiles")
+        };
+        let x = vec![0.4, -0.8, 0.2, -0.1];
+        let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut rejected = session();
+        assert_eq!(
+            rejected
+                .infer_batch(&[x.clone(), vec![0.0; 5]])
+                .unwrap_err(),
+            SessionError::Run(RunError::InputTooLong { len: 5, max: 4 })
+        );
+        let fresh = session().infer(&x).unwrap();
+        assert_eq!(bits(&rejected.infer(&x).unwrap()), bits(&fresh));
+    }
+
+    #[test]
+    fn a_pipeline_wider_than_the_ring_does_not_compile() {
+        // 256 inputs on the toy ring's 128 slots: not even one lane.
+        let mut rng = Rng64::new(31);
+        let plan = Session::builder(&[256])
+            .affine(Linear::new(256, 4, &mut rng))
+            .params(CkksParams::toy())
+            .plan()
+            .expect("plannable");
+        assert_eq!(
+            plan.compile().err(),
+            Some(SessionError::Run(RunError::SlotMismatch {
+                dim: 256,
+                slots: 128
+            }))
+        );
     }
 
     #[test]
