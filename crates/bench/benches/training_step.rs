@@ -8,7 +8,7 @@
 //! diffs a timed run against the committed `BENCH_train.reference.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use smartpaf::replace_all;
+use smartpaf::replace_all_with;
 use smartpaf_nn::{cross_entropy, mini_cnn, Adam, Mode, OptimConfig};
 use smartpaf_polyfit::{CompositePaf, PafForm};
 use smartpaf_tensor::{conv2d, conv2d_backward, ConvSpec, Rng64, Tensor};
@@ -16,9 +16,9 @@ use smartpaf_tensor::{conv2d, conv2d_backward, ConvSpec, Rng64, Tensor};
 fn bench_step(c: &mut Criterion) {
     let mut rng = Rng64::new(6);
     let mut model = mini_cnn(8, 0.125, &mut rng);
-    replace_all(
+    replace_all_with(
         &mut model,
-        &CompositePaf::from_form(PafForm::F1SqG1Sq),
+        &[CompositePaf::from_form(PafForm::F1SqG1Sq)],
         false,
     );
     let mut opt = Adam::new(OptimConfig::paper_tab5());

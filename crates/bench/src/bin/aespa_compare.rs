@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run -p smartpaf-bench --release --bin aespa_compare`
 
-use smartpaf::{evaluate, pretrain, replace_all, train_epoch, TrainConfig};
+use smartpaf::{evaluate, pretrain, replace_all_with, train_epoch, TrainConfig};
 use smartpaf_bench::{pretrain_epochs, scale_from_env, train_config, width};
 use smartpaf_datasets::{SynthDataset, SynthSpec};
 use smartpaf_nn::{mini_cnn, Adam};
@@ -30,7 +30,7 @@ fn run_variant(
     let Some(paf) = paf else {
         return (exact, exact, exact);
     };
-    replace_all(&mut model, paf, false);
+    replace_all_with(&mut model, std::slice::from_ref(paf), false);
     let dropped = evaluate(&mut model, &dataset, config);
     let mut opt = Adam::new(config.optim);
     model.set_batch_norm_tracking(false);

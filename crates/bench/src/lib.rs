@@ -7,7 +7,7 @@
 //! * `harness` — mid-scale models and epoch counts (tens of minutes);
 //! * `paper` — paper-faithful epoch counts (E = 20; hours).
 
-use smartpaf::{Objective, Session, TrainConfig, VectorCost, Workbench};
+use smartpaf::{Objective, PlannedCandidate, Session, TrainConfig, Workbench};
 use smartpaf_ckks::CkksParams;
 use smartpaf_datasets::{SynthDataset, SynthSpec};
 use smartpaf_nn::{resnet18, vgg19, Model};
@@ -125,12 +125,13 @@ pub fn vgg_workbench(scale: Scale, seed: u64) -> Workbench {
     )
 }
 
-/// Times `form` as a one-ReLU [`Session`] over 64 slots — the latency
-/// axis of Fig. 1 and the latency columns of Tab. 4. Returns the plan's
-/// traced cost and the median of `iters` `infer` calls after a warm-up
-/// that generates the lazy keys. A request is encrypted at the level
-/// the ReLU consumes and the figure includes its encrypt and decrypt
-/// (≈ 4 ms at n = 4096).
+/// Times `form` as a one-ReLU [`Session`] over 64 slots — the measured
+/// latency column of Fig. 1 and the latency columns of Tab. 4. Returns
+/// the plan's chosen candidate (its traced cost and `priced_ms`, the
+/// planner's reproducible latency axis) and the median of `iters`
+/// `infer` calls after a warm-up that generates the lazy keys. A
+/// request is encrypted at the level the ReLU consumes and the timing
+/// includes its encrypt and decrypt (≈ 4 ms at n = 4096).
 ///
 /// # Panics
 ///
@@ -140,7 +141,7 @@ pub fn measure_relu(
     form: PafForm,
     seed: u64,
     iters: usize,
-) -> (VectorCost, Duration) {
+) -> (PlannedCandidate, Duration) {
     let mut session = Session::builder(&[64])
         .relu(1.0)
         .params(params.clone())
@@ -159,7 +160,7 @@ pub fn measure_relu(
         })
         .collect();
     times.sort();
-    (session.chosen().cost, times[times.len() / 2])
+    (session.chosen().clone(), times[times.len() / 2])
 }
 
 /// Prints a percentage cell.

@@ -5,9 +5,9 @@
 //! PAF approximation — that switch *is* the paper's "replacement", and
 //! Progressive Approximation performs it one slot at a time.
 
-use crate::layer::{Layer, Mode, SlotRef};
+use crate::layer::{Layer, Mode};
 use crate::param::{Param, ParamGroup};
-use smartpaf_polyfit::{CompositePaf, Polynomial};
+use smartpaf_polyfit::{CompositePaf, EvalPlan, PolyEval, Polynomial};
 use smartpaf_tensor::{
     avg_pool2d, avg_pool2d_backward, global_avg_pool, global_avg_pool_backward, max_pool2d,
     max_pool2d_backward, MaxPoolIndices, PoolSpec, Tensor,
@@ -23,14 +23,71 @@ pub enum ScaleMode {
     Static(f32),
 }
 
+/// The scaling state of a replaced slot: its [`ScaleMode`] and the
+/// running max, over training batches, of the statistic the slot
+/// scales by (max |x| for a ReLU, the max window difference for a
+/// pool).
+struct Scaling {
+    mode: ScaleMode,
+    running_max: f32,
+}
+
+impl Scaling {
+    fn new(mode: ScaleMode) -> Self {
+        Scaling {
+            mode,
+            running_max: 0.0,
+        }
+    }
+
+    /// The scale for a batch whose statistic is `batch_stat`; a
+    /// training batch also folds the statistic into the running max.
+    fn pick(&mut self, batch_stat: f32, mode: Mode) -> f32 {
+        if mode == Mode::Train {
+            self.running_max = self.running_max.max(batch_stat);
+        }
+        match self.mode {
+            ScaleMode::Dynamic => batch_stat,
+            ScaleMode::Static(s) => s.max(1e-6),
+        }
+    }
+
+    /// DS→SS conversion: a dynamic scale freezes at the running max.
+    fn freeze(&mut self) {
+        if self.mode == ScaleMode::Dynamic {
+            self.mode = ScaleMode::Static(self.running_max.max(1e-6));
+        }
+    }
+
+    /// Multiplies a static scale by `factor` (no-op in dynamic mode).
+    fn scale_by(&mut self, factor: f32) {
+        if let ScaleMode::Static(s) = self.mode {
+            self.mode = ScaleMode::Static((s * factor).max(1e-6));
+        }
+    }
+}
+
+/// A slot's input recorder: while attached, every forward pass appends
+/// a subsample of its input.
+#[derive(Default)]
+struct Probe(Option<Vec<f32>>);
+
+impl Probe {
+    fn record(&mut self, x: &Tensor) {
+        if let Some(buf) = &mut self.0 {
+            // Subsample to keep profiling cheap on big feature maps.
+            let stride = (x.numel() / 512).max(1);
+            buf.extend(x.data().iter().step_by(stride).copied());
+        }
+    }
+}
+
 /// A trainable PAF activation replacing ReLU:
 /// `y = (x + x·p(x/s)) / 2` with `p` the composite sign approximation.
 pub struct PafActivation {
     stage_sizes: Vec<usize>,
     coeffs: Param,
-    /// Current scaling mode.
-    pub scale_mode: ScaleMode,
-    running_max: f32,
+    scale: Scaling,
     cache: Option<(Tensor, f32)>,
 }
 
@@ -47,8 +104,7 @@ impl PafActivation {
         PafActivation {
             stage_sizes,
             coeffs: Param::new(Tensor::from_vec(flat, &[n]), ParamGroup::PafCoeff),
-            scale_mode,
-            running_max: 0.0,
+            scale: Scaling::new(scale_mode),
             cache: None,
         }
     }
@@ -68,46 +124,14 @@ impl PafActivation {
         CompositePaf::new(stages)
     }
 
-    /// Converts Dynamic Scaling to Static Scaling at the running max.
-    /// This is the DS→SS conversion applied before FHE deployment.
-    pub fn freeze_scale(&mut self) {
-        if self.scale_mode == ScaleMode::Dynamic {
-            self.scale_mode = ScaleMode::Static(self.running_max.max(1e-6));
-        }
-    }
-
-    /// Multiplies a static scale by `factor` — the §4.5 sensitivity
-    /// experiment (both larger and smaller scales should hurt).
-    ///
-    /// No-op in dynamic mode.
-    pub fn scale_static_by(&mut self, factor: f32) {
-        if let ScaleMode::Static(s) = self.scale_mode {
-            self.scale_mode = ScaleMode::Static((s * factor).max(1e-6));
-        }
-    }
-
-    fn stage_polys(&self) -> Vec<Vec<f64>> {
-        let mut out = Vec::with_capacity(self.stage_sizes.len());
-        let mut off = 0;
-        for &sz in &self.stage_sizes {
-            out.push(
-                self.coeffs.value.data()[off..off + sz]
-                    .iter()
-                    .map(|&c| c as f64)
-                    .collect(),
-            );
-            off += sz;
-        }
-        out
-    }
-
-    fn eval_stage(odd: &[f64], x: f64) -> f64 {
-        let y = x * x;
-        let mut acc = 0.0;
-        for &c in odd.iter().rev() {
-            acc = acc * y + c;
-        }
-        acc * x
+    /// Each stage of the current coefficients: its odd-Horner plan and
+    /// its odd coefficients (for the derivative).
+    fn stages(&self) -> Vec<(PolyEval, Vec<f64>)> {
+        self.to_composite()
+            .stages()
+            .iter()
+            .map(|p| (PolyEval::with_plan(p, EvalPlan::OddHorner), p.odd_coeffs()))
+            .collect()
     }
 
     fn eval_stage_deriv(odd: &[f64], x: f64) -> f64 {
@@ -122,26 +146,14 @@ impl PafActivation {
         acc
     }
 
-    fn pick_scale(&mut self, x: &Tensor, mode: Mode) -> f32 {
-        let batch_max = x.abs_max().max(1e-6);
-        if mode == Mode::Train {
-            self.running_max = self.running_max.max(batch_max);
-        }
-        match self.scale_mode {
-            ScaleMode::Dynamic => batch_max,
-            ScaleMode::Static(s) => s.max(1e-6),
-        }
-    }
-
     /// Forward pass (see type docs for the formula).
     pub fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let s = self.pick_scale(x, mode);
-        let stages = self.stage_polys();
+        let s = self.scale.pick(x.abs_max().max(1e-6), mode);
+        let stages = self.stages();
         let y = x.map(|v| {
-            let mut z = (v / s) as f64;
-            for st in &stages {
-                z = Self::eval_stage(st, z);
-            }
+            let z = stages
+                .iter()
+                .fold((v / s) as f64, |z, (stage, _)| stage.eval(z));
             0.5 * (v + v * z as f32)
         });
         self.cache = Some((x.clone(), s));
@@ -152,7 +164,7 @@ impl PafActivation {
     /// accumulated into the internal [`Param`].
     pub fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let (x, s) = self.cache.clone().expect("backward before forward");
-        let stages = self.stage_polys();
+        let stages = self.stages();
         let n_stages = stages.len();
         let mut grad_in = Tensor::zeros(x.dims());
         let mut coeff_grad = vec![0.0f64; self.coeffs.numel()];
@@ -168,15 +180,15 @@ impl PafActivation {
             // Forward tape.
             let mut zs = Vec::with_capacity(n_stages + 1);
             zs.push(u);
-            for st in &stages {
+            for (stage, _) in &stages {
                 let z = *zs.last().expect("non-empty");
-                zs.push(Self::eval_stage(st, z));
+                zs.push(stage.eval(z));
             }
             let p = zs[n_stages];
             // dp/du = product of stage derivatives.
             let mut dp_du = 1.0;
-            for (st, &z) in stages.iter().zip(&zs) {
-                dp_du *= Self::eval_stage_deriv(st, z);
+            for ((_, odd), &z) in stages.iter().zip(&zs) {
+                dp_du *= Self::eval_stage_deriv(odd, z);
             }
             // y = (v + v p(u))/2, u = v/s (s treated as constant).
             let dy_dv = 0.5 * (1.0 + p + u * dp_du);
@@ -193,7 +205,7 @@ impl PafActivation {
                         coeff_grad[offsets[sidx] + k] += gv * chain * pow;
                         pow *= y2;
                     }
-                    chain *= Self::eval_stage_deriv(&stages[sidx], z_in);
+                    chain *= Self::eval_stage_deriv(&stages[sidx].1, z_in);
                 }
             }
         }
@@ -223,7 +235,7 @@ enum ReluMode {
 pub struct ReluSlot {
     index: usize,
     mode: ReluMode,
-    probe: Option<Vec<f32>>,
+    probe: Probe,
 }
 
 impl ReluSlot {
@@ -232,19 +244,8 @@ impl ReluSlot {
         ReluSlot {
             index,
             mode: ReluMode::Exact { mask: None },
-            probe: None,
+            probe: Probe::default(),
         }
-    }
-
-    /// Starts recording (subsampled) forward inputs — the profiling
-    /// step of Coefficient Tuning (paper Fig. 3 step 2).
-    pub fn start_probe(&mut self) {
-        self.probe = Some(Vec::new());
-    }
-
-    /// Stops recording and returns the collected input samples.
-    pub fn take_probe(&mut self) -> Vec<f32> {
-        self.probe.take().unwrap_or_default()
     }
 
     /// The slot's position in inference order.
@@ -307,11 +308,7 @@ impl Layer for ReluSlot {
     }
 
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        if let Some(buf) = &mut self.probe {
-            // Subsample to keep profiling cheap on big feature maps.
-            let stride = (x.numel() / 512).max(1);
-            buf.extend(x.data().iter().step_by(stride).copied());
-        }
+        self.probe.record(x);
         match &mut self.mode {
             ReluMode::Exact { mask } => {
                 let m = x.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
@@ -341,18 +338,14 @@ impl Layer for ReluSlot {
         }
     }
 
-    fn visit_slots(&mut self, f: &mut dyn FnMut(SlotRef<'_>)) {
-        f(SlotRef::Relu(self));
+    fn slots_mut(&mut self) -> Vec<SlotRef<'_>> {
+        vec![SlotRef::Relu(self)]
     }
 }
 
 enum PoolMode {
     Exact,
-    Paf {
-        paf: CompositePaf,
-        scale_mode: ScaleMode,
-        running_max: f32,
-    },
+    Paf { paf: CompositePaf, scale: Scaling },
 }
 
 /// A MaxPooling slot: exact pooling until replaced with a PAF-based
@@ -367,7 +360,7 @@ pub struct MaxPoolSlot {
     spec: PoolSpec,
     mode: PoolMode,
     cache: Option<MaxPoolIndices>,
-    probe: Option<Vec<f32>>,
+    probe: Probe,
 }
 
 impl MaxPoolSlot {
@@ -378,18 +371,8 @@ impl MaxPoolSlot {
             spec: PoolSpec::new(k, stride),
             mode: PoolMode::Exact,
             cache: None,
-            probe: None,
+            probe: Probe::default(),
         }
-    }
-
-    /// Starts recording (subsampled) forward inputs for profiling.
-    pub fn start_probe(&mut self) {
-        self.probe = Some(Vec::new());
-    }
-
-    /// Stops recording and returns the collected input samples.
-    pub fn take_probe(&mut self) -> Vec<f32> {
-        self.probe.take().unwrap_or_default()
     }
 
     /// The slot's position in inference order.
@@ -406,37 +389,13 @@ impl MaxPoolSlot {
     pub fn replace_with(&mut self, paf: &CompositePaf, scale_mode: ScaleMode) {
         self.mode = PoolMode::Paf {
             paf: paf.clone(),
-            scale_mode,
-            running_max: 0.0,
+            scale: Scaling::new(scale_mode),
         };
     }
 
     /// Reverts to exact max pooling.
     pub fn restore_exact(&mut self) {
         self.mode = PoolMode::Exact;
-    }
-
-    /// Freezes Dynamic Scaling to the running max (DS→SS conversion).
-    pub fn freeze_scale(&mut self) {
-        if let PoolMode::Paf {
-            scale_mode,
-            running_max,
-            ..
-        } = &mut self.mode
-        {
-            if *scale_mode == ScaleMode::Dynamic {
-                *scale_mode = ScaleMode::Static(running_max.max(1e-6));
-            }
-        }
-    }
-
-    /// Multiplies a static scale by `factor` (no-op in dynamic mode).
-    pub fn scale_static_by(&mut self, factor: f32) {
-        if let PoolMode::Paf { scale_mode, .. } = &mut self.mode {
-            if let ScaleMode::Static(s) = scale_mode {
-                *scale_mode = ScaleMode::Static((*s * factor).max(1e-6));
-            }
-        }
     }
 
     fn paf_pool(&mut self, x: &Tensor, mode: Mode) -> Tensor {
@@ -448,14 +407,6 @@ impl MaxPoolSlot {
         // First pass: find the max |pairwise difference| for scaling.
         let mut batch_diff_max = 1e-6f32;
         let data = x.data();
-        let (paf, scale_mode, running_max) = match &mut self.mode {
-            PoolMode::Paf {
-                paf,
-                scale_mode,
-                running_max,
-            } => (paf.clone(), *scale_mode, running_max),
-            PoolMode::Exact => unreachable!("paf_pool in exact mode"),
-        };
         for b in 0..n {
             for ci in 0..c {
                 let base = (b * c + ci) * h * w;
@@ -475,13 +426,10 @@ impl MaxPoolSlot {
                 }
             }
         }
-        if mode == Mode::Train {
-            *running_max = running_max.max(batch_diff_max);
-        }
-        let s = match scale_mode {
-            ScaleMode::Dynamic => batch_diff_max,
-            ScaleMode::Static(v) => v.max(1e-6),
-        } as f64;
+        let PoolMode::Paf { paf, scale } = &mut self.mode else {
+            unreachable!("paf_pool in exact mode")
+        };
+        let s = scale.pick(batch_diff_max, mode) as f64;
         // Second pass: sequential PAF-max fold over each window.
         let mut out = Vec::with_capacity(n * c * oh * ow);
         for b in 0..n {
@@ -519,10 +467,7 @@ impl Layer for MaxPoolSlot {
     }
 
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        if let Some(buf) = &mut self.probe {
-            let stride = (x.numel() / 512).max(1);
-            buf.extend(x.data().iter().step_by(stride).copied());
-        }
+        self.probe.record(x);
         // Winner indices from the exact pool drive the backward pass in
         // both modes (straight-through for the PAF variant).
         let (exact, idx) = max_pool2d(x, &self.spec);
@@ -540,8 +485,116 @@ impl Layer for MaxPoolSlot {
         )
     }
 
-    fn visit_slots(&mut self, f: &mut dyn FnMut(SlotRef<'_>)) {
-        f(SlotRef::MaxPool(self));
+    fn slots_mut(&mut self) -> Vec<SlotRef<'_>> {
+        vec![SlotRef::MaxPool(self)]
+    }
+}
+
+/// A mutable reference to a replaceable non-polynomial operator slot,
+/// as [`Layer::slots_mut`] lists them in inference order.
+///
+/// Every operation the replacement engine applies to either kind of
+/// slot is one method here: Progressive Approximation replaces slots
+/// one at a time, Coefficient Tuning probes their inputs, and the
+/// DS→SS conversion freezes their scales. The ReLU-only operations
+/// (`cull`, `paf`, `paf_mut`) stay on [`ReluSlot`].
+pub enum SlotRef<'a> {
+    /// A ReLU activation slot.
+    Relu(&'a mut ReluSlot),
+    /// A MaxPooling slot.
+    MaxPool(&'a mut MaxPoolSlot),
+}
+
+impl SlotRef<'_> {
+    /// The slot's position in inference order.
+    pub fn index(&self) -> usize {
+        match self {
+            SlotRef::Relu(r) => r.index(),
+            SlotRef::MaxPool(p) => p.index(),
+        }
+    }
+
+    /// Whether the slot has been replaced by a PAF.
+    pub fn is_replaced(&self) -> bool {
+        match self {
+            SlotRef::Relu(r) => r.is_replaced(),
+            SlotRef::MaxPool(p) => p.is_replaced(),
+        }
+    }
+
+    /// Replaces the exact operator with `paf` under `scale_mode`.
+    pub fn replace_with(&mut self, paf: &CompositePaf, scale_mode: ScaleMode) {
+        match self {
+            SlotRef::Relu(r) => r.replace_with(paf, scale_mode),
+            SlotRef::MaxPool(p) => p.replace_with(paf, scale_mode),
+        }
+    }
+
+    /// Reverts to the exact operator.
+    pub fn restore_exact(&mut self) {
+        match self {
+            SlotRef::Relu(r) => r.restore_exact(),
+            SlotRef::MaxPool(p) => p.restore_exact(),
+        }
+    }
+
+    /// The scaling state of a replaced slot.
+    fn scaling(&mut self) -> Option<&mut Scaling> {
+        match self {
+            SlotRef::Relu(r) => r.paf_mut().map(|p| &mut p.scale),
+            SlotRef::MaxPool(p) => match &mut p.mode {
+                PoolMode::Paf { scale, .. } => Some(scale),
+                PoolMode::Exact => None,
+            },
+        }
+    }
+
+    /// The scaling mode of a replaced slot (`None` for an exact or
+    /// culled one).
+    pub fn scale_mode(&self) -> Option<ScaleMode> {
+        match self {
+            SlotRef::Relu(r) => r.paf().map(|p| p.scale.mode),
+            SlotRef::MaxPool(p) => match &p.mode {
+                PoolMode::Paf { scale, .. } => Some(scale.mode),
+                PoolMode::Exact => None,
+            },
+        }
+    }
+
+    /// Converts Dynamic Scaling to Static Scaling at the running max —
+    /// the DS→SS conversion applied before FHE deployment. No-op
+    /// unless the slot is replaced.
+    pub fn freeze_scale(&mut self) {
+        if let Some(s) = self.scaling() {
+            s.freeze();
+        }
+    }
+
+    /// Multiplies a static scale by `factor` — the §4.5 sensitivity
+    /// experiment (both larger and smaller scales should hurt). No-op
+    /// in dynamic mode and on an unreplaced slot.
+    pub fn scale_static_by(&mut self, factor: f32) {
+        if let Some(s) = self.scaling() {
+            s.scale_by(factor);
+        }
+    }
+
+    fn probe(&mut self) -> &mut Probe {
+        match self {
+            SlotRef::Relu(r) => &mut r.probe,
+            SlotRef::MaxPool(p) => &mut p.probe,
+        }
+    }
+
+    /// Starts recording (subsampled) forward inputs — the profiling
+    /// step of Coefficient Tuning (paper Fig. 3 step 2).
+    pub fn start_probe(&mut self) {
+        self.probe().0 = Some(Vec::new());
+    }
+
+    /// Stops recording and returns the collected input samples.
+    pub fn take_probe(&mut self) -> Vec<f32> {
+        self.probe().0.take().unwrap_or_default()
     }
 }
 
@@ -696,11 +749,11 @@ mod tests {
         let x1 = Tensor::from_vec(vec![-3.0, 1.0], &[1, 2]);
         let x2 = Tensor::from_vec(vec![5.0, -1.0], &[1, 2]);
         paf.forward(&x1, Mode::Train);
-        assert_eq!(paf.running_max, 3.0);
+        assert_eq!(paf.scale.running_max, 3.0);
         paf.forward(&x2, Mode::Train);
-        assert_eq!(paf.running_max, 5.0);
-        paf.freeze_scale();
-        assert_eq!(paf.scale_mode, ScaleMode::Static(5.0));
+        assert_eq!(paf.scale.running_max, 5.0);
+        paf.scale.freeze();
+        assert_eq!(paf.scale.mode, ScaleMode::Static(5.0));
     }
 
     #[test]
@@ -710,7 +763,7 @@ mod tests {
             ScaleMode::Dynamic,
         );
         paf.forward(&Tensor::from_vec(vec![10.0], &[1, 1]), Mode::Eval);
-        assert_eq!(paf.running_max, 0.0);
+        assert_eq!(paf.scale.running_max, 0.0);
     }
 
     #[test]

@@ -301,8 +301,8 @@ impl Layer for BatchNorm2d {
         vec![&mut self.gamma, &mut self.beta]
     }
 
-    fn visit_batch_norms(&mut self, f: &mut dyn FnMut(&mut BatchNorm2d)) {
-        f(self);
+    fn batch_norms_mut(&mut self) -> Vec<&mut BatchNorm2d> {
+        vec![self]
     }
 }
 

@@ -1,6 +1,6 @@
 //! The layer abstraction and structural containers.
 
-use crate::act::{MaxPoolSlot, ReluSlot};
+use crate::act::SlotRef;
 use crate::conv_layers::BatchNorm2d;
 use crate::param::Param;
 use smartpaf_tensor::Tensor;
@@ -13,17 +13,6 @@ pub enum Mode {
     Train,
     /// Evaluation: running statistics, dropout inactive.
     Eval,
-}
-
-/// A mutable reference to a replaceable non-polynomial operator slot.
-///
-/// The SMART-PAF replacement engine walks these in inference order
-/// (Progressive Approximation replaces them one at a time).
-pub enum SlotRef<'a> {
-    /// A ReLU activation slot.
-    Relu(&'a mut ReluSlot),
-    /// A MaxPooling slot.
-    MaxPool(&'a mut MaxPoolSlot),
 }
 
 /// A neural-network layer with explicit forward/backward passes.
@@ -46,11 +35,16 @@ pub trait Layer {
         Vec::new()
     }
 
-    /// Visits every non-polynomial slot in inference order.
-    fn visit_slots(&mut self, _f: &mut dyn FnMut(SlotRef<'_>)) {}
+    /// Every non-polynomial slot, in inference order (empty by
+    /// default).
+    fn slots_mut(&mut self) -> Vec<SlotRef<'_>> {
+        Vec::new()
+    }
 
-    /// Visits every batch-norm layer in inference order.
-    fn visit_batch_norms(&mut self, _f: &mut dyn FnMut(&mut BatchNorm2d)) {}
+    /// Every batch-norm layer, in inference order (empty by default).
+    fn batch_norms_mut(&mut self) -> Vec<&mut BatchNorm2d> {
+        Vec::new()
+    }
 }
 
 /// A sequential stack of layers.
@@ -118,16 +112,15 @@ impl Layer for Sequential {
             .collect()
     }
 
-    fn visit_slots(&mut self, f: &mut dyn FnMut(SlotRef<'_>)) {
-        for layer in &mut self.layers {
-            layer.visit_slots(f);
-        }
+    fn slots_mut(&mut self) -> Vec<SlotRef<'_>> {
+        self.layers.iter_mut().flat_map(|l| l.slots_mut()).collect()
     }
 
-    fn visit_batch_norms(&mut self, f: &mut dyn FnMut(&mut BatchNorm2d)) {
-        for layer in &mut self.layers {
-            layer.visit_batch_norms(f);
-        }
+    fn batch_norms_mut(&mut self) -> Vec<&mut BatchNorm2d> {
+        self.layers
+            .iter_mut()
+            .flat_map(|l| l.batch_norms_mut())
+            .collect()
     }
 }
 
@@ -277,17 +270,17 @@ mod tests {
     }
 
     #[test]
-    fn visit_slots_counts_relus() {
+    fn slots_mut_counts_relus() {
         let mut net = Sequential::new("t")
             .push(ReluSlot::new(0))
             .push(Flatten::new())
             .push(ReluSlot::new(1));
         let mut count = 0;
-        net.visit_slots(&mut |s| {
+        for s in net.slots_mut() {
             if matches!(s, SlotRef::Relu(_)) {
                 count += 1;
             }
-        });
+        }
         assert_eq!(count, 2);
     }
 }

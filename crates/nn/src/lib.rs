@@ -4,11 +4,18 @@
 //! abstractions map one-to-one onto the four SMART-PAF techniques:
 //!
 //! * replaceable non-polynomial **slots** ([`ReluSlot`],
-//!   [`MaxPoolSlot`]) — what Progressive Approximation iterates over;
+//!   [`MaxPoolSlot`]), listed in inference order by
+//!   [`Model::slots_mut`] — the list Progressive Approximation indexes;
+//! * [`SlotRef`], either kind of slot, whose methods are every slot
+//!   operation: replace, restore, probe inputs for Coefficient Tuning,
+//!   freeze or rescale the scale;
 //! * a trainable [`PafActivation`] whose coefficients live in the
 //!   [`ParamGroup::PafCoeff`] optimiser group — what Coefficient
 //!   Tuning initialises and Alternate Training freezes/unfreezes;
-//! * [`ScaleMode`] implementing Dynamic and Static Scaling;
+//! * [`ScaleMode`] implementing Dynamic and Static Scaling, one state
+//!   (mode and running max) shared by both slot kinds;
+//! * [`Model::snapshot`] / [`Model::restore`] for the parameter
+//!   checkpoints the scheduler and the workbench keep;
 //! * [`Adam`]/[`Sgd`] with per-group hyperparameters (paper Tab. 5)
 //!   and [`Swa`] for the framework's training groups.
 //!
@@ -38,9 +45,9 @@ mod param;
 mod resnet;
 mod swa;
 
-pub use act::{AvgPool2d, GlobalAvgPool, MaxPoolSlot, PafActivation, ReluSlot, ScaleMode};
+pub use act::{AvgPool2d, GlobalAvgPool, MaxPoolSlot, PafActivation, ReluSlot, ScaleMode, SlotRef};
 pub use conv_layers::{BatchNorm2d, Conv2d, Linear};
-pub use layer::{Dropout, Flatten, Layer, Mode, Sequential, SlotRef};
+pub use layer::{Dropout, Flatten, Layer, Mode, Sequential};
 pub use loss::cross_entropy;
 pub use metrics::AccuracyMeter;
 pub use models::{mini_cnn, resnet18, vgg19, Model};

@@ -7,9 +7,9 @@
 //! `width_mult` scales widths so CPU-only fine-tuning fits the
 //! experiment harness; `width_mult = 1.0` gives the full-size models.
 
-use crate::act::{GlobalAvgPool, MaxPoolSlot, ReluSlot};
+use crate::act::{GlobalAvgPool, MaxPoolSlot, ReluSlot, SlotRef};
 use crate::conv_layers::{BatchNorm2d, Conv2d, Linear};
-use crate::layer::{Flatten, Layer, Mode, SlotRef};
+use crate::layer::{Flatten, Layer, Mode};
 use crate::resnet::ResidualBlock;
 use crate::Sequential;
 use smartpaf_tensor::{Rng64, Tensor};
@@ -37,31 +37,51 @@ impl Model {
         self.net.params_mut()
     }
 
-    /// Visits non-polynomial slots in inference order.
-    pub fn visit_slots(&mut self, f: &mut dyn FnMut(SlotRef<'_>)) {
-        self.net.visit_slots(f);
+    /// A copy of every parameter value, in [`Model::params_mut`] order.
+    pub fn snapshot(&mut self) -> Vec<Tensor> {
+        self.params_mut().iter().map(|p| p.value.clone()).collect()
     }
 
-    /// Visits batch-norm layers in inference order.
-    pub fn visit_batch_norms(&mut self, f: &mut dyn FnMut(&mut BatchNorm2d)) {
-        self.net.visit_batch_norms(f);
+    /// Writes a [`Model::snapshot`] back into the parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parameter list changed shape since the snapshot.
+    pub fn restore(&mut self, snap: &[Tensor]) {
+        let mut params = self.params_mut();
+        assert_eq!(params.len(), snap.len(), "parameter list changed");
+        for (p, s) in params.iter_mut().zip(snap) {
+            p.value = s.clone();
+        }
+    }
+
+    /// The non-polynomial slots, in inference order: position `i` of
+    /// the list is the slot Progressive Approximation replaces `i`-th.
+    pub fn slots_mut(&mut self) -> Vec<SlotRef<'_>> {
+        self.net.slots_mut()
+    }
+
+    /// The batch-norm layers, in inference order.
+    pub fn batch_norms_mut(&mut self) -> Vec<&mut BatchNorm2d> {
+        self.net.batch_norms_mut()
     }
 
     /// Turns running-statistics updates on or off in every batch-norm
     /// layer: on for pretraining, off for PAF fine-tuning (Tab. 5).
     pub fn set_batch_norm_tracking(&mut self, on: bool) {
-        self.visit_batch_norms(&mut |bn| bn.set_tracking(on));
+        for bn in self.batch_norms_mut() {
+            bn.set_tracking(on);
+        }
     }
 
     /// Counts `(relu, maxpool)` slots.
     pub fn slot_counts(&mut self) -> (usize, usize) {
-        let mut relu = 0;
-        let mut pool = 0;
-        self.visit_slots(&mut |s| match s {
-            SlotRef::Relu(_) => relu += 1,
-            SlotRef::MaxPool(_) => pool += 1,
-        });
-        (relu, pool)
+        let slots = self.slots_mut();
+        let relu = slots
+            .iter()
+            .filter(|s| matches!(s, SlotRef::Relu(_)))
+            .count();
+        (relu, slots.len() - relu)
     }
 }
 
@@ -263,13 +283,7 @@ mod tests {
     fn slot_indices_are_inference_ordered() {
         let mut rng = Rng64::new(6);
         let mut m = resnet18(10, 0.0625, &mut rng);
-        let mut indices = Vec::new();
-        m.visit_slots(&mut |s| {
-            indices.push(match s {
-                SlotRef::Relu(r) => r.index(),
-                SlotRef::MaxPool(p) => p.index(),
-            });
-        });
+        let indices: Vec<usize> = m.slots_mut().iter().map(SlotRef::index).collect();
         let sorted: Vec<usize> = (0..indices.len()).collect();
         assert_eq!(indices, sorted);
     }

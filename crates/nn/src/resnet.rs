@@ -1,8 +1,8 @@
 //! Residual block (ResNet basic block).
 
-use crate::act::ReluSlot;
+use crate::act::{ReluSlot, SlotRef};
 use crate::conv_layers::BatchNorm2d;
-use crate::layer::{Layer, Mode, SlotRef};
+use crate::layer::{Layer, Mode};
 use crate::param::Param;
 use crate::Sequential;
 use smartpaf_tensor::Tensor;
@@ -68,19 +68,21 @@ impl Layer for ResidualBlock {
         p
     }
 
-    fn visit_slots(&mut self, f: &mut dyn FnMut(SlotRef<'_>)) {
-        self.main.visit_slots(f);
-        if let Some(s) = &mut self.shortcut {
-            s.visit_slots(f);
+    fn slots_mut(&mut self) -> Vec<SlotRef<'_>> {
+        let mut s = self.main.slots_mut();
+        if let Some(short) = &mut self.shortcut {
+            s.extend(short.slots_mut());
         }
-        self.post_relu.visit_slots(f);
+        s.extend(self.post_relu.slots_mut());
+        s
     }
 
-    fn visit_batch_norms(&mut self, f: &mut dyn FnMut(&mut BatchNorm2d)) {
-        self.main.visit_batch_norms(f);
-        if let Some(s) = &mut self.shortcut {
-            s.visit_batch_norms(f);
+    fn batch_norms_mut(&mut self) -> Vec<&mut BatchNorm2d> {
+        let mut b = self.main.batch_norms_mut();
+        if let Some(short) = &mut self.shortcut {
+            b.extend(short.batch_norms_mut());
         }
+        b
     }
 }
 
@@ -146,11 +148,11 @@ mod tests {
         let mut rng = Rng64::new(3);
         let mut block = tiny_block(&mut rng);
         let mut order = Vec::new();
-        block.visit_slots(&mut |s| {
+        for s in block.slots_mut() {
             if let SlotRef::Relu(r) = s {
                 order.push(r.index());
             }
-        });
+        }
         assert_eq!(order, vec![0, 1]);
     }
 }

@@ -83,7 +83,7 @@ pub use relu_reduce::{
 };
 pub use replace::{
     coefficient_tune, coefficient_tune_all, collect_relu_pafs, freeze_scales, num_slots,
-    profile_slot, replace_all, replace_all_with, replace_slot, scale_static_scales,
+    profile_slot, replace_all_with, replace_slot, scale_static_scales,
 };
 pub use scheduler::{EventKind, Scheduler, TrainEvent};
 pub use serve::{registry_factory, serve_sessions, serve_sessions_packed, SessionCache};

@@ -5,7 +5,7 @@ use crate::replace::{coefficient_tune_all, num_slots, replace_all_with};
 use crate::scheduler::{Scheduler, TrainEvent};
 use crate::trainer::{evaluate, pretrain};
 use smartpaf_datasets::SynthDataset;
-use smartpaf_nn::{Model, SlotRef};
+use smartpaf_nn::Model;
 use smartpaf_polyfit::{CompositePaf, PafForm};
 use smartpaf_tensor::Tensor;
 
@@ -48,7 +48,7 @@ impl Workbench {
         pretrain_epochs: usize,
     ) -> Self {
         let original_acc = pretrain(&mut model, &dataset, &config, pretrain_epochs);
-        let pretrained = model.params_mut().iter().map(|p| p.value.clone()).collect();
+        let pretrained = model.snapshot();
         Workbench {
             model,
             dataset,
@@ -76,14 +76,11 @@ impl Workbench {
     /// Restores the pretrained checkpoint and reverts every slot to
     /// its exact operator.
     pub fn reset(&mut self) {
-        self.model.visit_slots(&mut |s| match s {
-            SlotRef::Relu(r) => r.restore_exact(),
-            SlotRef::MaxPool(p) => p.restore_exact(),
-        });
-        let mut params = self.model.params_mut();
-        assert_eq!(params.len(), self.pretrained.len(), "parameter drift");
-        for (p, s) in params.iter_mut().zip(&self.pretrained) {
-            p.value = s.clone();
+        for mut s in self.model.slots_mut() {
+            s.restore_exact();
+        }
+        self.model.restore(&self.pretrained);
+        for p in self.model.params_mut() {
             p.zero_grad();
         }
     }
@@ -111,10 +108,9 @@ impl Workbench {
         let post_replacement_acc = evaluate(&mut self.model, &self.dataset, &self.config);
 
         // Reset replacement state; the scheduler owns the real run.
-        self.model.visit_slots(&mut |s| match s {
-            SlotRef::Relu(r) => r.restore_exact(),
-            SlotRef::MaxPool(p) => p.restore_exact(),
-        });
+        for mut s in self.model.slots_mut() {
+            s.restore_exact();
+        }
 
         let mut sched = Scheduler::new(self.config, techniques);
         let final_acc = sched.run(&mut self.model, &self.dataset, &pafs, relu_only);
@@ -222,10 +218,10 @@ mod tests {
         // only.
         fn running_stats(model: &mut Model) -> Vec<u32> {
             let mut bits = Vec::new();
-            model.visit_batch_norms(&mut |bn| {
+            for bn in model.batch_norms_mut() {
                 let (mean, var) = bn.running_stats();
                 bits.extend(mean.iter().chain(var).map(|v| v.to_bits()));
-            });
+            }
             bits
         }
         let mut wb = bench(45);

@@ -30,33 +30,15 @@ pub fn relu_sensitivity(
     let n = crate::replace::num_slots(model);
     let mut out = Vec::with_capacity(n);
     for pos in 0..n {
-        let mut is_relu = false;
-        let mut i = 0;
-        model.visit_slots(&mut |s| {
-            if i == pos {
-                if let SlotRef::Relu(r) = s {
-                    r.cull();
-                    is_relu = true;
-                }
-            }
-            i += 1;
-        });
-        if !is_relu {
+        if let SlotRef::Relu(r) = &mut model.slots_mut()[pos] {
+            r.cull();
+        } else {
             out.push(f32::INFINITY);
             continue;
         }
         let acc = evaluate(model, dataset, config);
         out.push(baseline - acc);
-        // Restore the slot.
-        let mut i = 0;
-        model.visit_slots(&mut |s| {
-            if i == pos {
-                if let SlotRef::Relu(r) = s {
-                    r.restore_exact();
-                }
-            }
-            i += 1;
-        });
+        model.slots_mut()[pos].restore_exact();
     }
     out
 }
@@ -82,29 +64,23 @@ pub fn cull_least_sensitive(model: &mut Model, sensitivity: &[f32], k: usize) ->
     ranked.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite sensitivity"));
     let mut targets: Vec<usize> = ranked[..k].iter().map(|&(i, _)| i).collect();
     targets.sort_unstable();
-    let mut i = 0;
-    model.visit_slots(&mut |s| {
-        if targets.contains(&i) {
-            if let SlotRef::Relu(r) = s {
-                r.cull();
-            }
+    let mut slots = model.slots_mut();
+    for &i in &targets {
+        if let SlotRef::Relu(r) = &mut slots[i] {
+            r.cull();
         }
-        i += 1;
-    });
+    }
     targets
 }
 
 /// Replaces every *surviving* (non-culled) ReLU slot with a PAF and
 /// every MaxPool slot too, leaving culled slots as identities.
 pub fn replace_survivors(model: &mut Model, paf: &CompositePaf) {
-    model.visit_slots(&mut |s| match s {
-        SlotRef::Relu(r) => {
-            if !r.is_culled() {
-                r.replace_with(paf, ScaleMode::Dynamic);
-            }
+    for mut s in model.slots_mut() {
+        if !matches!(&s, SlotRef::Relu(r) if r.is_culled()) {
+            s.replace_with(paf, ScaleMode::Dynamic);
         }
-        SlotRef::MaxPool(p) => p.replace_with(paf, ScaleMode::Dynamic),
-    });
+    }
 }
 
 /// Outcome of a ReLU-reduction + PAF-replacement combination.
@@ -198,11 +174,11 @@ mod tests {
         let culled = cull_least_sensitive(&mut model, &sens, 3);
         assert_eq!(culled.len(), 3);
         let mut n_culled = 0;
-        model.visit_slots(&mut |s| {
+        for s in model.slots_mut() {
             if let SlotRef::Relu(r) = s {
                 n_culled += r.is_culled() as usize;
             }
-        });
+        }
         assert_eq!(n_culled, 3);
     }
 
@@ -221,12 +197,12 @@ mod tests {
         let _ = cull_least_sensitive(&mut model, &sens, 2);
         replace_survivors(&mut model, &CompositePaf::from_form(PafForm::F1G2));
         let (mut culled, mut replaced) = (0, 0);
-        model.visit_slots(&mut |s| {
+        for s in model.slots_mut() {
             if let SlotRef::Relu(r) = s {
                 culled += r.is_culled() as usize;
                 replaced += r.is_replaced() as usize;
             }
-        });
+        }
         assert_eq!(culled, 2);
         assert_eq!(replaced, 4);
     }
@@ -254,13 +230,13 @@ mod tests {
         let _ = cull_least_sensitive(&mut model, &sens, k);
         let least_acc = evaluate(&mut model, &dataset, &config);
         // Restore, then cull the most sensitive instead.
-        model.visit_slots(&mut |s| {
+        for s in model.slots_mut() {
             if let SlotRef::Relu(r) = s {
                 if r.is_culled() {
                     r.restore_exact();
                 }
             }
-        });
+        }
         let mut inverted: Vec<f32> = sens
             .iter()
             .map(|&s| if s.is_finite() { -s } else { s })

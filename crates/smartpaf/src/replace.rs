@@ -3,104 +3,65 @@
 
 use crate::config::TrainConfig;
 use smartpaf_datasets::{Split, SynthDataset};
-use smartpaf_nn::{Mode, Model, ScaleMode, SlotRef};
+use smartpaf_nn::{Mode, Model, PafActivation, ScaleMode, SlotRef};
 use smartpaf_polyfit::{tune_composite, ActivationProfile, CompositePaf, TuneConfig};
 
 /// Number of non-polynomial slots in a model.
 pub fn num_slots(model: &mut Model) -> usize {
-    let mut n = 0;
-    model.visit_slots(&mut |_| n += 1);
-    n
+    model.slots_mut().len()
 }
 
 /// Replaces the slot at `position` (inference order) with a PAF in
 /// Dynamic Scaling mode. Returns `true` when a slot was replaced.
 pub fn replace_slot(model: &mut Model, position: usize, paf: &CompositePaf) -> bool {
-    let mut i = 0;
-    let mut done = false;
-    model.visit_slots(&mut |s| {
-        if i == position && !done {
-            match s {
-                SlotRef::Relu(r) => r.replace_with(paf, ScaleMode::Dynamic),
-                SlotRef::MaxPool(p) => p.replace_with(paf, ScaleMode::Dynamic),
-            }
-            done = true;
-        }
-        i += 1;
-    });
-    done
+    if let Some(s) = model.slots_mut().get_mut(position) {
+        s.replace_with(paf, ScaleMode::Dynamic);
+        true
+    } else {
+        false
+    }
 }
 
-/// Replaces every slot with (a copy of) the same PAF — the "direct
-/// replacement" the paper's baselines use. `relu_only` restricts the
-/// replacement to ReLU slots (Tab. 3's "Replace ReLU" block).
-pub fn replace_all(model: &mut Model, paf: &CompositePaf, relu_only: bool) {
-    model.visit_slots(&mut |s| match s {
-        SlotRef::Relu(r) => r.replace_with(paf, ScaleMode::Dynamic),
-        SlotRef::MaxPool(p) => {
-            if !relu_only {
-                p.replace_with(paf, ScaleMode::Dynamic);
-            }
-        }
-    });
-}
-
-/// Per-slot replacement with per-slot PAFs (used after CT).
+/// Replaces slot `i` with `pafs[i % pafs.len()]` — one PAF for every
+/// slot is the "direct replacement" the paper's baselines use, one per
+/// slot what follows CT. `relu_only` restricts the replacement to ReLU
+/// slots (Tab. 3's "Replace ReLU" block).
 pub fn replace_all_with(model: &mut Model, pafs: &[CompositePaf], relu_only: bool) {
-    let mut i = 0;
-    model.visit_slots(&mut |s| {
-        let paf = &pafs[i % pafs.len()];
-        match s {
-            SlotRef::Relu(r) => r.replace_with(paf, ScaleMode::Dynamic),
-            SlotRef::MaxPool(p) => {
-                if !relu_only {
-                    p.replace_with(paf, ScaleMode::Dynamic);
-                }
-            }
+    for (i, mut s) in model.slots_mut().into_iter().enumerate() {
+        if !relu_only || matches!(s, SlotRef::Relu(_)) {
+            s.replace_with(&pafs[i % pafs.len()], ScaleMode::Dynamic);
         }
-        i += 1;
-    });
+    }
 }
 
 /// Converts every replaced slot from Dynamic to Static Scaling at its
 /// running max — the DS→SS conversion required for FHE deployment.
 pub fn freeze_scales(model: &mut Model) {
-    model.visit_slots(&mut |s| match s {
-        SlotRef::Relu(r) => {
-            if let Some(p) = r.paf_mut() {
-                p.freeze_scale();
-            }
-        }
-        SlotRef::MaxPool(p) => p.freeze_scale(),
-    });
+    for mut s in model.slots_mut() {
+        s.freeze_scale();
+    }
 }
 
 /// Multiplies every frozen static scale by `factor` — the §4.5
 /// sensitivity experiment: accuracy should peak at `factor = 1.0`
 /// (the running max) and fall off in both directions.
 pub fn scale_static_scales(model: &mut Model, factor: f32) {
-    model.visit_slots(&mut |s| match s {
-        SlotRef::Relu(r) => {
-            if let Some(p) = r.paf_mut() {
-                p.scale_static_by(factor);
-            }
-        }
-        SlotRef::MaxPool(p) => p.scale_static_by(factor),
-    });
+    for mut s in model.slots_mut() {
+        s.scale_static_by(factor);
+    }
 }
 
 /// Collects the (possibly fine-tuned) PAF of every replaced ReLU slot
 /// in inference order — the data behind the App. B coefficient tables.
 pub fn collect_relu_pafs(model: &mut Model) -> Vec<CompositePaf> {
-    let mut out = Vec::new();
-    model.visit_slots(&mut |s| {
-        if let SlotRef::Relu(r) = s {
-            if let Some(p) = r.paf() {
-                out.push(p.to_composite());
-            }
-        }
-    });
-    out
+    model
+        .slots_mut()
+        .into_iter()
+        .filter_map(|s| match s {
+            SlotRef::Relu(r) => r.paf().map(PafActivation::to_composite),
+            SlotRef::MaxPool(_) => None,
+        })
+        .collect()
 }
 
 /// Profiles the input distribution of slot `position` by running
@@ -114,33 +75,12 @@ pub fn profile_slot(
     config: &TrainConfig,
     position: usize,
 ) -> ActivationProfile {
-    // Attach probe.
-    let mut i = 0;
-    model.visit_slots(&mut |s| {
-        if i == position {
-            match s {
-                SlotRef::Relu(r) => r.start_probe(),
-                SlotRef::MaxPool(p) => p.start_probe(),
-            }
-        }
-        i += 1;
-    });
+    model.slots_mut()[position].start_probe();
     for b in 0..config.val_batches.max(2) {
         let (x, _) = dataset.batch(Split::Train, b * config.batch_size, config.batch_size);
         let _ = model.forward(&x, Mode::Eval);
     }
-    // Detach and collect.
-    let mut samples = Vec::new();
-    let mut i = 0;
-    model.visit_slots(&mut |s| {
-        if i == position {
-            samples = match s {
-                SlotRef::Relu(r) => r.take_probe(),
-                SlotRef::MaxPool(p) => p.take_probe(),
-            };
-        }
-        i += 1;
-    });
+    let mut samples = model.slots_mut()[position].take_probe();
     let max = samples.iter().fold(1e-6f32, |m, &v| m.max(v.abs()));
     for v in &mut samples {
         *v /= max;
@@ -205,13 +145,13 @@ mod tests {
         let paf = CompositePaf::from_form(PafForm::F1G2);
         assert!(replace_slot(&mut model, 0, &paf));
         let mut replaced = 0;
-        model.visit_slots(&mut |s| {
+        for s in model.slots_mut() {
             if let SlotRef::Relu(r) = s {
                 if r.is_replaced() {
                     replaced += 1;
                 }
             }
-        });
+        }
         assert_eq!(replaced, 1);
         // Out-of-range position replaces nothing.
         assert!(!replace_slot(&mut model, 99, &paf));
@@ -221,13 +161,15 @@ mod tests {
     fn replace_all_relu_only() {
         let (mut model, ..) = setup();
         let paf = CompositePaf::from_form(PafForm::F1G2);
-        replace_all(&mut model, &paf, true);
+        replace_all_with(&mut model, &[paf], true);
         let mut pools_replaced = 0;
         let mut relus_replaced = 0;
-        model.visit_slots(&mut |s| match s {
-            SlotRef::Relu(r) => relus_replaced += r.is_replaced() as usize,
-            SlotRef::MaxPool(p) => pools_replaced += p.is_replaced() as usize,
-        });
+        for s in model.slots_mut() {
+            match s {
+                SlotRef::Relu(r) => relus_replaced += r.is_replaced() as usize,
+                SlotRef::MaxPool(p) => pools_replaced += p.is_replaced() as usize,
+            }
+        }
         assert_eq!(relus_replaced, 6);
         assert_eq!(pools_replaced, 0);
     }
@@ -259,25 +201,52 @@ mod tests {
     fn freeze_scales_converts_to_static() {
         let (mut model, dataset, config) = setup();
         let paf = CompositePaf::from_form(PafForm::F1G2);
-        replace_all(&mut model, &paf, false);
+        replace_all_with(&mut model, &[paf], false);
         // Run a training-mode forward so running maxima are populated.
         let (x, _) = dataset.batch(Split::Train, 0, config.batch_size);
         let _ = model.forward(&x, Mode::Train);
         freeze_scales(&mut model);
-        model.visit_slots(&mut |s| {
-            if let SlotRef::Relu(r) = s {
-                if let Some(p) = r.paf_mut() {
-                    assert!(matches!(p.scale_mode, ScaleMode::Static(_)));
-                }
+        for s in model.slots_mut() {
+            if let (SlotRef::Relu(_), Some(mode)) = (&s, s.scale_mode()) {
+                assert!(matches!(mode, ScaleMode::Static(_)));
             }
-        });
+        }
+    }
+
+    #[test]
+    fn freeze_scales_converts_pool_slots_too() {
+        let (mut model, dataset, config) = setup();
+        let paf = CompositePaf::from_form(PafForm::F1G2);
+        replace_all_with(&mut model, &[paf], false);
+        let (x, _) = dataset.batch(Split::Train, 0, config.batch_size);
+        let dynamic = model.forward(&x, Mode::Train);
+        freeze_scales(&mut model);
+        let frozen: Vec<f32> = model
+            .slots_mut()
+            .iter()
+            .map(|s| match s.scale_mode() {
+                Some(ScaleMode::Static(v)) => v,
+                other => panic!("slot {} reads {other:?}", s.index()),
+            })
+            .collect();
+        assert_eq!(frozen.len(), 8); // 6 ReLU + 2 MaxPool
+                                     // After one batch every running max is that batch's statistic,
+                                     // so scales frozen there reproduce the dynamic forward exactly.
+        assert_eq!(model.forward(&x, Mode::Train), dynamic);
+        scale_static_scales(&mut model, 2.0);
+        let doubled: Vec<_> = model.slots_mut().iter().map(SlotRef::scale_mode).collect();
+        let expect: Vec<_> = frozen
+            .iter()
+            .map(|&v| Some(ScaleMode::Static(2.0 * v)))
+            .collect();
+        assert_eq!(doubled, expect);
     }
 
     #[test]
     fn collect_pafs_roundtrip() {
         let (mut model, ..) = setup();
         let paf = CompositePaf::from_form(PafForm::F2G2);
-        replace_all(&mut model, &paf, true);
+        replace_all_with(&mut model, std::slice::from_ref(&paf), true);
         let collected = collect_relu_pafs(&mut model);
         assert_eq!(collected.len(), 6);
         for c in &collected {

@@ -15,9 +15,8 @@ use crate::config::{TechniqueSet, TrainConfig};
 use crate::replace::{freeze_scales, num_slots, replace_all_with, replace_slot};
 use crate::trainer::{evaluate, train_epoch};
 use smartpaf_datasets::SynthDataset;
-use smartpaf_nn::{Adam, Model, Swa};
+use smartpaf_nn::{Adam, Model, SlotRef, Swa};
 use smartpaf_polyfit::CompositePaf;
-use smartpaf_tensor::Tensor;
 
 /// What happened at a point of the training timeline (Fig. 9 markers).
 #[derive(Debug, Clone, PartialEq)]
@@ -47,24 +46,6 @@ pub struct TrainEvent {
     pub val_acc: f32,
     /// Event kind.
     pub kind: EventKind,
-}
-
-/// Snapshot of all parameter values.
-fn snapshot(model: &mut Model) -> Vec<Tensor> {
-    model.params_mut().iter().map(|p| p.value.clone()).collect()
-}
-
-/// Restores a parameter snapshot.
-///
-/// # Panics
-///
-/// Panics if the parameter list changed shape since the snapshot.
-fn restore(model: &mut Model, snap: &[Tensor]) {
-    let mut params = model.params_mut();
-    assert_eq!(params.len(), snap.len(), "parameter list changed");
-    for (p, s) in params.iter_mut().zip(snap) {
-        p.value = s.clone();
-    }
 }
 
 /// The Fig. 6 scheduler.
@@ -121,7 +102,7 @@ impl Scheduler {
             // Progressive: replace one slot per step, fine-tune after
             // each replacement.
             for pos in 0..total {
-                if relu_only && !self.is_relu_slot(model, pos) {
+                if relu_only && !matches!(model.slots_mut()[pos], SlotRef::Relu(_)) {
                     continue;
                 }
                 replace_slot(model, pos, &pafs[pos % pafs.len()]);
@@ -146,22 +127,10 @@ impl Scheduler {
         evaluate(model, dataset, &self.config)
     }
 
-    fn is_relu_slot(&self, model: &mut Model, pos: usize) -> bool {
-        let mut i = 0;
-        let mut is_relu = false;
-        model.visit_slots(&mut |s| {
-            if i == pos {
-                is_relu = matches!(s, smartpaf_nn::SlotRef::Relu(_));
-            }
-            i += 1;
-        });
-        is_relu
-    }
-
     /// One replacement step: training groups until no improvement.
     fn run_step(&mut self, model: &mut Model, dataset: &SynthDataset) {
         let mut best_acc = evaluate(model, dataset, &self.config);
-        let mut best_params = snapshot(model);
+        let mut best_params = model.snapshot();
         let mut optim = self.config.optim;
         let mut at_phase_paf = true; // AT starts by training PAFs
         let mut opt = Adam::new(if self.techniques.at {
@@ -188,22 +157,22 @@ impl Scheduler {
                 }
                 if val > best_acc {
                     best_acc = val;
-                    best_params = snapshot(model);
+                    best_params = model.snapshot();
                 }
             }
             // Apply SWA; keep it only if it helps.
-            let pre_swa = snapshot(model);
+            let pre_swa = model.snapshot();
             swa.apply(&mut model.params_mut());
             let swa_acc = evaluate(model, dataset, &self.config);
             if swa_acc >= group_best {
                 self.record(swa_acc, EventKind::SwaApplied);
                 if swa_acc > best_acc {
                     best_acc = swa_acc;
-                    best_params = snapshot(model);
+                    best_params = model.snapshot();
                 }
                 group_best = swa_acc;
             } else {
-                restore(model, &pre_swa);
+                model.restore(&pre_swa);
             }
 
             let improved = group_best >= best_acc;
@@ -239,7 +208,7 @@ impl Scheduler {
             });
         }
         // Keep the best model seen during this step.
-        restore(model, &best_params);
+        model.restore(&best_params);
         let final_acc = evaluate(model, dataset, &self.config);
         self.record(final_acc, EventKind::StepEnd);
     }
@@ -319,13 +288,11 @@ mod tests {
         let mut sched = Scheduler::new(config, TechniqueSet::smartpaf());
         let paf = CompositePaf::from_form(PafForm::F1G2);
         let _ = sched.run(&mut model, &dataset, &[paf], false);
-        model.visit_slots(&mut |s| {
-            if let smartpaf_nn::SlotRef::Relu(r) = s {
-                if let Some(p) = r.paf_mut() {
-                    assert!(matches!(p.scale_mode, smartpaf_nn::ScaleMode::Static(_)));
-                }
+        for s in model.slots_mut() {
+            if let (SlotRef::Relu(_), Some(mode)) = (&s, s.scale_mode()) {
+                assert!(matches!(mode, smartpaf_nn::ScaleMode::Static(_)));
             }
-        });
+        }
     }
 
     #[test]

@@ -1,8 +1,11 @@
-//! Sweeps every PAF form, measuring CKKS ReLU latency and plaintext
-//! sign-approximation error, and prints the Pareto frontier — the
-//! structure behind the paper's Fig. 1. A latency is one encrypted
-//! inference of a one-ReLU `Session` (`smartpaf_bench::measure_relu`),
-//! so it includes ≈ 4 ms of encrypt + decrypt at n = 4096.
+//! Sweeps every PAF form, pricing and measuring CKKS ReLU latency and
+//! plaintext sign-approximation error, and prints the Pareto frontier —
+//! the structure behind the paper's Fig. 1. The frontier is picked on
+//! the planner's traced price of a one-ReLU `Session`
+//! (`PlannedCandidate::priced_ms`), so two runs print the same
+//! frontier. The measured latency is one encrypted inference of that
+//! session (`smartpaf_bench::measure_relu`), so it includes ≈ 4 ms of
+//! encrypt + decrypt at n = 4096.
 //!
 //! Run with: `cargo run -p smartpaf-examples --release --bin pareto_sweep`
 
@@ -17,29 +20,30 @@ fn main() {
 
     let mut points = Vec::new();
     println!(
-        "{:<20} {:>7} {:>9} {:>14} {:>12}",
-        "form", "depth", "ct-mults", "relu latency", "sign error"
+        "{:<20} {:>7} {:>9} {:>11} {:>14} {:>12}",
+        "form", "depth", "ct-mults", "priced", "measured", "sign error"
     );
     for form in PafForm::all() {
-        let (cost, latency) = measure_relu(&params, form, 11, 3);
+        let (chosen, measured) = measure_relu(&params, form, 11, 3);
         let paf = CompositePaf::from_form(form);
         let err = paf.sign_error(0.05, 400);
         println!(
-            "{:<20} {:>7} {:>9} {:>14?} {:>12.4}",
+            "{:<20} {:>7} {:>9} {:>8.1} ms {:>14?} {:>12.4}",
             form.paper_name(),
-            cost.relu_levels,
-            cost.ct_mults,
-            latency,
+            chosen.cost.relu_levels,
+            chosen.cost.ct_mults,
+            chosen.priced_ms,
+            measured,
             err
         );
         points.push(ParetoPoint {
-            latency_ms: latency.as_secs_f64() * 1e3,
+            latency_ms: chosen.priced_ms,
             accuracy: 1.0 - err, // fidelity proxy for the demo
         });
     }
 
     let frontier = pareto_frontier(&points);
-    println!("\nPareto frontier (fastest to most accurate):");
+    println!("\nPareto frontier on priced latency (fastest to most accurate):");
     for i in frontier {
         println!(
             "  {:<20} {:>10.1} ms   fidelity {:.4}",

@@ -16,7 +16,7 @@ use smartpaf_datasets::{Split, SynthDataset, SynthSpec};
 use smartpaf_heinfer::PipelineBuilder;
 use smartpaf_nn::{
     cross_entropy, Adam, BatchNorm2d, Conv2d, GlobalAvgPool, GroupConfig, Layer, Linear, Mode,
-    OptimConfig, ReluSlot, ScaleMode,
+    OptimConfig, ReluSlot, ScaleMode, SlotRef,
 };
 use smartpaf_polyfit::{CompositePaf, PafForm};
 use smartpaf_tensor::{Rng64, Tensor};
@@ -146,13 +146,14 @@ fn main() {
     );
 
     // Phase 3: DS → SS conversion and extraction of the trained PAF.
-    net.relu.paf_mut().expect("replaced").freeze_scale();
+    let mut slot = SlotRef::Relu(&mut net.relu);
+    slot.freeze_scale();
+    let Some(ScaleMode::Static(scale)) = slot.scale_mode() else {
+        unreachable!("frozen above")
+    };
+    let scale = scale as f64;
     let ss_acc = net.accuracy(&dataset, 8, batch);
     let trained_paf = net.relu.paf().expect("replaced").to_composite();
-    let scale = match net.relu.paf().expect("replaced").scale_mode {
-        ScaleMode::Static(s) => s as f64,
-        ScaleMode::Dynamic => unreachable!("frozen above"),
-    };
     println!(
         "[4] Static Scaling (s = {scale:.3}):       val acc {:.1}%",
         ss_acc * 100.0
