@@ -73,8 +73,8 @@ pub struct DiagMatrix {
 
 impl Clone for DiagMatrix {
     /// Clones the matrix data; the encoded-plaintext cache starts
-    /// empty (entries are cheap to regenerate and usually belong to a
-    /// different scale after [`DiagMatrix::scaled`]).
+    /// empty (entries are cheap to regenerate, and a clone's are
+    /// encoded on the limbs its own schedule enters it at).
     fn clone(&self) -> Self {
         DiagMatrix {
             dim: self.dim,
@@ -217,21 +217,6 @@ impl DiagMatrix {
         for (&d, diag) in &self.diags {
             for (i, o) in out.iter_mut().enumerate() {
                 *o += diag[i] * v[(i + d) % self.dim];
-            }
-        }
-        out
-    }
-
-    /// Returns a copy with every entry multiplied by `factor`
-    /// (plaintext scale folding — see the heinfer crate).
-    pub fn scaled(&self, factor: f64) -> Self {
-        let mut out = self.clone();
-        if factor == 1.0 {
-            return out;
-        }
-        for diag in out.diags.values_mut() {
-            for v in diag.iter_mut() {
-                *v *= factor;
             }
         }
         out
@@ -700,8 +685,8 @@ mod tests {
 
     #[test]
     fn scaled_multiplies_entries() {
-        let rows = vec![vec![1.0, -2.0], vec![0.5, 0.0]];
-        let mat = DiagMatrix::from_rows(&rows).scaled(3.0);
+        let rows = [[1.0, -2.0], [0.5, 0.0]].map(|row| row.map(|v| 3.0 * v).to_vec());
+        let mat = DiagMatrix::from_rows(&rows);
         let v = vec![1.0, 1.0];
         let out = mat.apply_plain(&v);
         assert!((out[0] - -3.0).abs() < 1e-12);
@@ -889,14 +874,6 @@ mod tests {
         assert!(!mat.encoded_limbs().is_empty());
         let copy = mat.clone();
         assert_eq!(copy.encoded_limbs().len(), 0);
-        // Scaled copies must not inherit stale plaintexts.
-        let scaled = mat.scaled(2.0);
-        assert_eq!(scaled.encoded_limbs().len(), 0);
-        let out = ev.decrypt_values(&ev.matvec(&scaled, &ct), 8);
-        let base = ev.decrypt_values(&ev.matvec(&mat, &ct), 8);
-        for i in 0..8 {
-            assert!((out[i] - 2.0 * base[i]).abs() < 2e-2, "slot {i}");
-        }
     }
 
     #[test]
@@ -1048,7 +1025,11 @@ mod tests {
         // A scaled rotation multiplies and a selection drops slots:
         // neither is a bare rotation. Interleaved, a rotation is the
         // rotation by its step times the lane count.
-        assert_eq!(rot.scaled(0.5).as_rotation(), None);
+        let mut half = vec![vec![0.0; 16]; 16];
+        for (i, row) in half.iter_mut().enumerate() {
+            row[(i + 5) % 16] = 0.5;
+        }
+        assert_eq!(DiagMatrix::from_rows(&half).as_rotation(), None);
         assert_eq!(rot.interleave(2).as_rotation(), Some(10));
         let mut rows = vec![vec![0.0; 16]; 15];
         for (i, row) in rows.iter_mut().enumerate() {

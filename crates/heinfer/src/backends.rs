@@ -47,17 +47,14 @@ impl InferenceBackend for PlainBackend {
         &mut self,
         v: &mut Vec<f64>,
         op: &PafOp<'_>,
-        pre_scale: f64,
-        post_scale: f64,
+        _pre_scale: f64,
+        _post_scale: f64,
         _label: &str,
     ) -> Result<(), RunError> {
+        debug_assert_eq!((_pre_scale, _post_scale), (1.0, 1.0));
         // The whole activation vector goes through the batch backend.
-        let scaled: Vec<f64> = v.iter().map(|&xi| pre_scale * xi).collect();
-        let mut out = vec![0.0; scaled.len()];
-        op.engine.relu_slice(&scaled, &mut out);
-        for o in out.iter_mut() {
-            *o *= post_scale;
-        }
+        let mut out = vec![0.0; v.len()];
+        op.engine.relu_slice(v, &mut out);
         *v = out;
         Ok(())
     }
@@ -70,6 +67,7 @@ impl InferenceBackend for PlainBackend {
         _post_scale: f64,
         _label: &str,
     ) -> Result<(), RunError> {
+        debug_assert_eq!(_post_scale, 1.0);
         // The encrypted fold, operand order included (PAF max is not
         // symmetric up to approximation error); each shift is one
         // batched max over the whole vector.
@@ -211,19 +209,13 @@ impl InferenceBackend for CkksBackend<'_> {
         &mut self,
         v: &mut Ciphertext,
         op: &PafOp<'_>,
-        pre_scale: f64,
-        post_scale: f64,
+        _pre_scale: f64,
+        _post_scale: f64,
         label: &str,
     ) -> Result<(), RunError> {
+        debug_assert_eq!((_pre_scale, _post_scale), (1.0, 1.0));
         self.enter_stage(v, label)?;
-        let ev = self.pe.evaluator();
-        if pre_scale != 1.0 {
-            *v = ev.mul_const(v, pre_scale);
-        }
         *v = self.pe.relu(v, op.paf);
-        if post_scale != 1.0 {
-            *v = ev.mul_const(v, post_scale);
-        }
         Ok(())
     }
 
@@ -235,6 +227,7 @@ impl InferenceBackend for CkksBackend<'_> {
         _post_scale: f64,
         label: &str,
     ) -> Result<(), RunError> {
+        debug_assert_eq!(_post_scale, 1.0);
         // One scheduled op per shift; the first is already entered. A
         // shift is a bare rotation: no plaintext multiply, no level.
         let ops = self.enter_stage(v, label)?;
@@ -548,7 +541,7 @@ mod tests {
         for _ in 0..3 {
             b = b.affine(Linear::new(4, 4, &mut rng)).paf_relu(&paf, 2.0);
         }
-        let pipe = b.try_compile().unwrap().fold_scales();
+        let pipe = b.try_compile().unwrap();
         let bs = Bootstrapper::new(pe.evaluator().clone(), pipe.dim(), 5);
         let ct = pe.evaluator().encrypt_replicated(
             &pipe.try_pad_input(&[0.2, -0.4, 0.6, -0.8]).unwrap(),
@@ -589,15 +582,13 @@ mod tests {
             .affine(smartpaf_nn::Flatten::new())
             .affine(Linear::new(4, 4, &mut rng))
             .try_compile()
-            .unwrap()
-            .fold_scales();
+            .unwrap();
         let mlp = PipelineBuilder::new(&[4])
             .affine(Linear::new(4, 4, &mut rng))
             .paf_relu(&paf, 2.0)
             .affine(Linear::new(4, 4, &mut rng))
             .try_compile()
-            .unwrap()
-            .fold_scales();
+            .unwrap();
         let mut pipes = vec![("cnn".to_string(), cnn), ("mlp".to_string(), mlp)];
         for (k, stride) in [(3, 1), (2, 2)] {
             let pool = || PipelineBuilder::new(&[1, 4, 4]).paf_maxpool(k, stride, &paf, 2.0);
@@ -607,14 +598,9 @@ mod tests {
                 .affine(smartpaf_nn::Flatten::new())
                 .affine(head)
                 .try_compile()
-                .unwrap()
-                .fold_scales();
-            let with_relu = pool()
-                .paf_relu(&paf, 2.0)
-                .try_compile()
-                .unwrap()
-                .fold_scales();
-            let alone = pool().try_compile().unwrap().fold_scales();
+                .unwrap();
+            let with_relu = pool().paf_relu(&paf, 2.0).try_compile().unwrap();
+            let alone = pool().try_compile().unwrap();
             for (suffix, pipe) in [
                 (" + affine", with_affine),
                 (" + relu", with_relu),
@@ -731,7 +717,8 @@ mod tests {
         for _ in 0..3 {
             b = b.affine(Linear::new(4, 4, &mut rng)).paf_relu(&relu, 2.0);
         }
-        // Unfolded, a ReLU takes 8 levels: 12 → 11 → 3 → 2, then 2 < 8.
+        // A ReLU takes its depth, 6 levels, and the affines carry its
+        // scales: 12 → 11 → 5 → 4, then 4 < 6.
         let blocks = b.try_compile().unwrap();
         // A pool that opens the pipeline: its `1/s` is an affine stage.
         let pool = PipelineBuilder::new(&[1, 4, 4])
@@ -743,8 +730,8 @@ mod tests {
                 &blocks,
                 RunError::OutOfLevels {
                     label: "paf-relu[depth=5]".into(),
-                    available: 2,
-                    needed: 8,
+                    available: 4,
+                    needed: 6,
                     mid_stage: false,
                 },
             ),
@@ -855,7 +842,6 @@ mod tests {
             .paf_maxpool(2, 2, &cheap, 6.0)
             .try_compile()
             .unwrap()
-            .fold_scales()
             .try_with_pafs(&[deep.clone(), cheap.clone()])
             .expect("two PAF slots");
         assert_eq!(
@@ -909,8 +895,7 @@ mod tests {
             .affine(smartpaf_nn::Flatten::new())
             .affine(Linear::new(8, 4, &mut rng))
             .try_compile()
-            .unwrap()
-            .fold_scales();
+            .unwrap();
         let unlabelled = |report: TraceReport| -> TraceReport {
             let stages = report.stages.into_iter();
             TraceReport {
@@ -1119,8 +1104,7 @@ mod tests {
             .affine(Linear::new(8, 8, &mut rng))
             .paf_relu(&paf, 4.0)
             .try_compile()
-            .unwrap()
-            .fold_scales();
+            .unwrap();
         let lanes = 2;
         let wide = pipe.expand_lanes(lanes);
         let xs: Vec<Vec<f64>> = (0..lanes)

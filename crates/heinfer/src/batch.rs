@@ -145,18 +145,10 @@ impl BatchRunner {
         )
     }
 
-    /// Runs a batch of encrypted inputs, one evaluator clone per
-    /// worker. The optional [`Bootstrapper`] is shared — its refresh
-    /// counter aggregates across the whole batch.
-    ///
-    /// Each ciphertext is checked where it runs: [`CkksBackend`] tests
-    /// the slot fit when it begins and cuts the ciphertext's one
-    /// [`LevelSchedule`](crate::LevelSchedule) at the level it arrived
-    /// at, failing with the error that schedule hits. A malformed
-    /// ciphertext therefore fails the batch after the shards before it
-    /// ran (their outputs are discarded, and their refreshes drew
-    /// randomness), not before any ran.
-    pub fn run_encrypted(
+    /// Runs a batch of encrypted inputs through `pipe`: the body of
+    /// [`BatchRunner::run_packed`], the public encrypted entry point,
+    /// which documents it.
+    fn run_encrypted(
         &self,
         pipe: &HePipeline,
         pe: &PafEvaluator,
@@ -174,12 +166,20 @@ impl BatchRunner {
     }
 
     /// Runs a batch of slot-packed ciphertexts through a
-    /// [`LanePacker`]'s lane-expanded pipeline, exactly as
-    /// [`BatchRunner::run_encrypted`] runs it (and failing as it
-    /// fails). Each input ciphertext carries up to `packer.lanes()`
-    /// multiplexed inputs (see [`crate::pack`]), so one entry of
-    /// `BatchRun::outputs` demultiplexes into a whole lane-group of
-    /// results via [`crate::PackedBatch::unpack`].
+    /// [`LanePacker`]'s lane-expanded pipeline, one evaluator clone per
+    /// worker. The optional [`Bootstrapper`] is shared — its refresh
+    /// counter aggregates across the whole batch — and each ciphertext
+    /// is checked where it runs: [`CkksBackend`] tests the slot fit
+    /// when it begins and cuts the ciphertext's one
+    /// [`LevelSchedule`](crate::LevelSchedule) at the level it arrived
+    /// at, so a malformed ciphertext fails the batch after the shards
+    /// before it ran (their outputs are discarded, and their refreshes
+    /// drew randomness), not before any ran.
+    ///
+    /// Each input ciphertext carries up to `packer.lanes()` multiplexed
+    /// inputs (see [`crate::pack`]), so one entry of `BatchRun::outputs`
+    /// demultiplexes into a whole lane-group of results via
+    /// [`crate::PackedBatch::unpack`].
     pub fn run_packed(
         &self,
         packer: &LanePacker,
@@ -342,7 +342,6 @@ mod tests {
             .affine(Linear::new(32, 10, &mut rng))
             .try_compile()
             .unwrap()
-            .fold_scales()
     }
 
     fn batch_inputs(n: usize) -> Vec<Vec<f64>> {
@@ -426,8 +425,7 @@ mod tests {
             .paf_relu(&paf, 4.0)
             .affine(Linear::new(8, 4, &mut rng))
             .try_compile()
-            .unwrap()
-            .fold_scales();
+            .unwrap();
         let batch: Vec<Vec<f64>> = (0..4)
             .map(|i| (0..8).map(|j| ((i + j) as f64 - 5.0) / 5.0).collect())
             .collect();
@@ -475,8 +473,7 @@ mod tests {
             .paf_relu(&paf, 4.0)
             .affine(Linear::new(8, 4, &mut rng))
             .try_compile()
-            .unwrap()
-            .fold_scales();
+            .unwrap();
         let packer = crate::pack::LanePacker::new(&pipe, ctx.slots(), 4).unwrap();
         let groups: Vec<Vec<Vec<f64>>> = (0..2)
             .map(|g| {
@@ -589,8 +586,7 @@ mod tests {
             .affine(Linear::new(8, 8, &mut rng))
             .paf_relu(&paf, 4.0)
             .try_compile()
-            .unwrap()
-            .fold_scales();
+            .unwrap();
         let mut cts: Vec<_> = (0..3)
             .map(|i| {
                 let x = vec![i as f64 / 3.0; 8];

@@ -3,13 +3,13 @@
 //!
 //! A [`PipelineDesc`] captures everything about a compiled
 //! [`HePipeline`] that planning depends on — stage structure, logical
-//! dimensions, Static-Scaling factors, and content digests of the
-//! probed affine matrices — while staying *form-independent*: two
+//! dimensions, and content digests of the probed affine matrices (which
+//! carry the Static Scales) — while staying *form-independent*: two
 //! pipelines that differ only in which composite PAF sits in each slot
 //! describe identically, because [`HePipeline::try_with_pafs`] keeps the
-//! probed matrices, scales, shifts, and slot layout untouched. That is
-//! exactly the invariance a plan cache needs: a stored plan applies to
-//! any form assignment of the same model.
+//! probed matrices, shifts, and slot layout untouched. That is exactly
+//! the invariance a plan cache needs: a stored plan applies to any form
+//! assignment of the same model.
 //!
 //! The probed weights themselves are **not** serialized — only their
 //! [`fnv1a_64`] digests over exact `f64` bit patterns (weights are the
@@ -64,12 +64,7 @@ pub enum StageDesc {
         digest: u64,
     },
     /// A PAF-ReLU slot (the composite itself is deliberately absent).
-    PafRelu {
-        /// Static-Scaling input factor (`1/s`; 1.0 after folding).
-        pre_scale: f64,
-        /// Static-Scaling output factor (`s`; 1.0 after folding).
-        post_scale: f64,
-    },
+    PafRelu,
     /// A PAF max-pool slot: the fold alone (its anchor selection is the
     /// affine stage after it).
     PafMax {
@@ -100,7 +95,9 @@ pub enum StageDesc {
 /// let a = build(PafForm::F1G2).describe();
 /// let b = build(PafForm::Alpha7).describe();
 /// assert_eq!(a, b);
-/// assert_eq!(a.stages.len(), 2); // the affine map and the ReLU slot
+/// // The affine map, the ReLU slot and the scaled identity that
+/// // carries the ReLU's `s`.
+/// assert_eq!(a.stages.len(), 3);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineDesc {
@@ -134,14 +131,7 @@ impl HePipeline {
                         digest: h,
                     }
                 }
-                Stage::PafRelu {
-                    pre_scale,
-                    post_scale,
-                    ..
-                } => StageDesc::PafRelu {
-                    pre_scale: *pre_scale,
-                    post_scale: *post_scale,
-                },
+                Stage::PafRelu { .. } => StageDesc::PafRelu,
                 Stage::PafMax { shifts, .. } => StageDesc::PafMax {
                     shifts: shifts.clone(),
                 },
@@ -158,7 +148,7 @@ impl HePipeline {
 
 serde::wire_enum!(StageDesc, "kind" {
     Affine = "affine" { out_dim, in_dim, digest },
-    PafRelu = "paf_relu" { pre_scale, post_scale },
+    PafRelu = "paf_relu",
     PafMax = "paf_max" { shifts },
 });
 
@@ -205,11 +195,14 @@ mod tests {
         let b = sample_pipeline(4).describe();
         assert_ne!(a, b, "different weights must change affine digests");
         assert_eq!(a.stages.len(), b.stages.len());
+        // The scaled identity between the PAF stages carries the `4/8`
+        // of their unequal scales.
         assert!(matches!(
             a.stages[..],
             [
                 StageDesc::Affine { .. },
-                StageDesc::PafRelu { .. },
+                StageDesc::PafRelu,
+                StageDesc::Affine { .. },
                 StageDesc::PafMax { .. },
                 StageDesc::Affine { .. }
             ]

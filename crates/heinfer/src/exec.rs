@@ -225,8 +225,12 @@ pub trait InferenceBackend {
         label: &str,
     ) -> Result<(), RunError>;
 
-    /// PAF-ReLU stage with Static Scaling:
-    /// `v ← post_scale · paf_relu(pre_scale · v)`.
+    /// PAF-ReLU stage: `v ← paf_relu(v)`. `pre_scale` and `post_scale`
+    /// are always `1.0` (a Static Scale lives in the affine stages
+    /// around the PAF, see [`crate::PipelineBuilder::try_compile`]);
+    /// they are kept only because the frozen benchmark package's
+    /// `TimedBackend` implements this trait, and the per-op trait on the
+    /// ROADMAP deletes them.
     fn paf_relu(
         &mut self,
         v: &mut Self::Value,
@@ -239,10 +243,10 @@ pub trait InferenceBackend {
     /// PAF max-pool fold: for each shift `T` of `taps`, in order,
     /// `v ← paf_max(v, T·v)`. Every shift is a cyclic rotation
     /// ([`DiagMatrix::as_rotation`]) and `post_scale` is always `1.0`
-    /// (the pool's scales live in the stages around it). The parameter
-    /// list is the one the frozen benchmark package implements; a
-    /// benchmark PR may later turn `taps` into `&[usize]` steps and
-    /// drop `post_scale`.
+    /// (the pool's scales live in the affine stages around it). The
+    /// parameter list is the one the frozen benchmark package's
+    /// `TimedBackend` implements; the per-op trait on the ROADMAP turns
+    /// `taps` into `&[usize]` steps and deletes `post_scale`.
     fn paf_max(
         &mut self,
         v: &mut Self::Value,
@@ -283,14 +287,9 @@ impl HePipeline {
             let label = stage.label();
             match stage {
                 Stage::Affine { mat, bias } => backend.affine(&mut value, mat, bias, &label)?,
-                Stage::PafRelu {
-                    paf,
-                    pre_scale,
-                    post_scale,
-                    engine,
-                } => {
+                Stage::PafRelu { paf, engine } => {
                     let op = PafOp { paf, engine };
-                    backend.paf_relu(&mut value, &op, *pre_scale, *post_scale, &label)?
+                    backend.paf_relu(&mut value, &op, 1.0, 1.0, &label)?
                 }
                 Stage::PafMax {
                     shifts,

@@ -16,18 +16,19 @@
 //! 2. **Packing** — the activation vector lives replicated across CKKS
 //!    slots; affine stages run as Halevi–Shoup diagonal matrix–vector
 //!    products with baby-step/giant-step rotations.
-//! 3. **PAF stages** — ReLU slots become `s · paf_relu(x/s)` (Static
-//!    Scaling, paper §4.5); MaxPool slots become a rotate-and-max fold
-//!    on the one ciphertext — `v ← paf_max(v, rot(v, t))` per doubling
-//!    step along x, then along y, the nested `paf_max` the paper
-//!    analyses in §5.4.3 — after which every slot holds the fold of the
-//!    window anchored there, and a 0/1 selection of the anchors that
-//!    composes with the affine stage after the pool. The pool's `1/s`
-//!    and `s` are placed in its neighbours at compile time.
-//! 4. **Scale folding** — the optional [`HePipeline::fold_scales`]
-//!    pass absorbs a ReLU's `1/s` and `s` multiplications into
-//!    neighbouring affine matrices, saving two levels per activation.
-//! 5. **Level management** — a [`LevelSchedule`] cuts the run's atomic
+//! 3. **PAF stages** — ReLU slots become `paf_relu(x)` and MaxPool
+//!    slots a rotate-and-max fold on the one ciphertext —
+//!    `v ← paf_max(v, rot(v, t))` per doubling step along x, then along
+//!    y, the nested `paf_max` the paper analyses in §5.4.3 — after which
+//!    every slot holds the fold of the window anchored there, and a 0/1
+//!    selection of the anchors that composes with the affine stage
+//!    after the pool. Every Static Scale (paper §4.5) is placed at
+//!    compile time by one rule: a slot of scale `s` computes
+//!    `s · paf(x/s)` with its `1/s` in the affine stage before it and
+//!    its `s` in the one after it, equal neighbouring scales cancel
+//!    exactly, and a scaled identity carries a factor no affine stage
+//!    is there to take.
+//! 4. **Level management** — a [`LevelSchedule`] cuts the run's atomic
 //!    ops into refresh-free segments: a
 //!    [`Bootstrapper`](smartpaf_ckks::Bootstrapper) refreshes the
 //!    ciphertext where the next op no longer fits (simulated bootstrap,

@@ -68,18 +68,13 @@ pub(crate) fn pool_out_shape(shape: &[usize], k: usize, stride: usize) -> Option
 }
 
 /// The anchor selection of a stride-`stride` pool as dense rows: row
-/// `(c, oy, ox)` holds `entry` in column `(c, oy·stride, ox·stride)` and
+/// `(c, oy, ox)` holds a 1 in column `(c, oy·stride, ox·stride)` and
 /// zeros elsewhere.
 ///
 /// # Panics
 ///
 /// Panics where [`pool_out_shape`] does or has no shape to give.
-pub(crate) fn selection_rows(
-    shape: &[usize],
-    k: usize,
-    stride: usize,
-    entry: f64,
-) -> Vec<Vec<f64>> {
+pub(crate) fn selection_rows(shape: &[usize], k: usize, stride: usize) -> Vec<Vec<f64>> {
     let out = pool_out_shape(shape, k, stride).expect("pool window must tile the input exactly");
     let (h, w) = (shape[1], shape[2]);
     let (ho, wo) = (out[1], out[2]);
@@ -88,7 +83,7 @@ pub(crate) fn selection_rows(
         for oy in 0..ho {
             for ox in 0..wo {
                 let anchor = (ci * h + oy * stride) * w + ox * stride;
-                rows[(ci * ho + oy) * wo + ox][anchor] = entry;
+                rows[(ci * ho + oy) * wo + ox][anchor] = 1.0;
             }
         }
     }
@@ -129,7 +124,7 @@ mod tests {
         for t in pool_shifts(k, shape[2]) {
             v = (0..dim).map(|p| v[p].max(v[(p + t) % dim])).collect();
         }
-        selection_rows(shape, k, stride, 1.0)
+        selection_rows(shape, k, stride)
             .iter()
             .map(|row| row.iter().zip(&v).map(|(r, vi)| r * vi).sum())
             .collect()
@@ -183,14 +178,14 @@ mod tests {
 
     #[test]
     fn selection_scatters_its_entry_to_the_anchors() {
-        let rows = selection_rows(&[2, 4, 4], 2, 2, 3.0);
+        let rows = selection_rows(&[2, 4, 4], 2, 2);
         assert_eq!(rows.len(), 8);
         assert!(rows.iter().all(|row| row.len() == 32));
         for (o, row) in rows.iter().enumerate() {
             let (c, oy, ox) = (o / 4, (o / 2) % 2, o % 2);
             let anchor = (c * 4 + oy * 2) * 4 + ox * 2;
             for (i, &v) in row.iter().enumerate() {
-                assert_eq!(v, if i == anchor { 3.0 } else { 0.0 }, "row {o} col {i}");
+                assert_eq!(v, if i == anchor { 1.0 } else { 0.0 }, "row {o} col {i}");
             }
         }
     }
@@ -199,6 +194,6 @@ mod tests {
     #[should_panic(expected = "tile the input exactly")]
     fn rejects_untileable_window() {
         assert_eq!(pool_out_shape(&[1, 5, 5], 2, 2), None);
-        let _ = selection_rows(&[1, 5, 5], 2, 2, 1.0);
+        let _ = selection_rows(&[1, 5, 5], 2, 2);
     }
 }

@@ -22,15 +22,12 @@ pub enum Stage {
         /// Bias, padded to the pipeline dimension.
         bias: Vec<f64>,
     },
-    /// A PAF-ReLU with Static Scaling:
-    /// `y = post_scale · paf_relu(pre_scale · x)`.
+    /// A PAF-ReLU, `y = paf_relu(x)`. Carries no scale: its Static
+    /// Scale's `1/s` and `s` sit in the affine stages around it (see
+    /// [`PipelineBuilder::try_compile`]).
     PafRelu {
         /// The composite sign approximation.
         paf: CompositePaf,
-        /// Input scale (normally `1/s`; 1.0 after folding).
-        pre_scale: f64,
-        /// Output scale (normally `s`; 1.0 after folding).
-        post_scale: f64,
         /// The composite's prepared plaintext engine, shared by every
         /// stage of the pipeline that installs an equal composite.
         engine: Arc<CompositeEval>,
@@ -38,8 +35,8 @@ pub enum Stage {
     /// The fold of a PAF max pool (see the `maxpool` module docs): for
     /// each shift `T` in order, `v ← paf_max(v, T·v)` — the nested
     /// PAF-max of §5.4.3 on one ciphertext. Carries no scale: the
-    /// pool's `1/s` sits in the stage before it and its `s` in the
-    /// anchor selection, an [`Stage::Affine`], after it.
+    /// pool's `1/s` sits in the affine stage before it and its `s` in
+    /// the anchor selection, an [`Stage::Affine`], after it.
     PafMax {
         /// Window size `k`.
         k: usize,
@@ -102,8 +99,13 @@ impl RawStage {
 
 /// Appends the affine map `(rows, bias)`, composing it with an affine
 /// stage it directly follows: `x ↦ B(Ax + a) + b` is one stage and one
-/// level, not two.
-fn push_affine(raw: &mut Vec<RawStage>, rows: Vec<Vec<f64>>, bias: Vec<f64>) {
+/// level, not two. Its rows, not its bias, take the Static Scale
+/// `owed` to the PAF stage before it, which leaves nothing owed.
+fn push_affine(raw: &mut Vec<RawStage>, mut rows: Vec<Vec<f64>>, bias: Vec<f64>, owed: &mut f64) {
+    if *owed != 1.0 {
+        let s = std::mem::replace(owed, 1.0);
+        rows.iter_mut().flatten().for_each(|v| *v *= s);
+    }
     let Some(RawStage::Affine {
         rows: first,
         bias: first_bias,
@@ -134,6 +136,27 @@ fn push_affine(raw: &mut Vec<RawStage>, rows: Vec<Vec<f64>>, bias: Vec<f64>) {
     }
     *first = composed;
     *first_bias = composed_bias;
+}
+
+/// Makes the stage after `raw` run on `factor · x`: the affine stage
+/// `raw` ends with takes `factor` in its rows and bias, and where a PAF
+/// stage or nothing comes before, a scaled identity on `dim` slots
+/// carries it. A factor of exactly 1.0 adds nothing.
+fn carry_factor(raw: &mut Vec<RawStage>, factor: f64, dim: usize) {
+    if factor == 1.0 {
+        return;
+    }
+    if let Some(RawStage::Affine { rows, bias }) = raw.last_mut() {
+        let entries = rows.iter_mut().flatten().chain(bias.iter_mut());
+        entries.for_each(|v| *v *= factor);
+        return;
+    }
+    let mut rows = vec![vec![0.0; dim]; dim];
+    for (i, row) in rows.iter_mut().enumerate() {
+        row[i] = factor;
+    }
+    let bias = vec![0.0; dim];
+    raw.push(RawStage::Affine { rows, bias });
 }
 
 enum Spec {
@@ -233,12 +256,18 @@ impl PipelineBuilder {
     /// A max pool lowers to its fold ([`Stage::PafMax`]) followed by
     /// the anchor selection as an affine map, and adjacent affine maps
     /// compose: conv → ReLU → pool → linear is four stages, the linear
-    /// absorbing selection and post-scale at no level, while a pool
-    /// that ends the pipeline or feeds a PAF stage keeps its selection
-    /// stage. The pool's `1/s` goes into the stage before it — an
-    /// affine's entries, or a PAF-ReLU's post-scale (`s_relu / s_pool`,
-    /// exactly 1.0 for equal scales) — and a pool that opens the
-    /// pipeline gets a scaled-identity stage to carry it.
+    /// absorbing the selection at no level, while a pool that ends the
+    /// pipeline or feeds a PAF stage keeps its selection stage.
+    ///
+    /// Every Static Scale is placed by one rule, the same for a ReLU
+    /// and a pool: a PAF stage of scale `s` runs on `x/s`, and the
+    /// stage after it is owed the `s`. An affine stage takes what it is
+    /// owed in its rows (not its bias); a PAF stage of scale `t` needs
+    /// `owed / t` — exactly 1.0 for equal scales, which adds nothing —
+    /// in the rows and bias of the affine stage before it. Where no
+    /// affine stage is there to take a factor (a PAF stage first, last,
+    /// or after another PAF stage of a different scale) a
+    /// scaled-identity affine stage carries it.
     pub fn try_compile(self) -> Result<HePipeline, RunError> {
         if self.specs.is_empty() {
             return Err(RunError::EmptyPipeline);
@@ -247,30 +276,30 @@ impl PipelineBuilder {
         let mut shape = self.input_shape.clone();
         let mut raw: Vec<RawStage> = Vec::new();
         let mut pending: Vec<Box<dyn Layer>> = Vec::new();
+        let mut owed = 1.0;
 
-        let flush =
-            |pending: &mut Vec<Box<dyn Layer>>, shape: &mut Vec<usize>, raw: &mut Vec<RawStage>| {
-                if pending.is_empty() {
-                    return;
-                }
-                let (rows, bias, out_shape) = probe_affine(pending, shape);
-                *shape = out_shape;
-                push_affine(raw, rows, bias);
-                pending.clear();
-            };
+        let flush = |pending: &mut Vec<Box<dyn Layer>>,
+                     shape: &mut Vec<usize>,
+                     raw: &mut Vec<RawStage>,
+                     owed: &mut f64| {
+            if pending.is_empty() {
+                return;
+            }
+            let (rows, bias, out_shape) = probe_affine(pending, shape);
+            *shape = out_shape;
+            push_affine(raw, rows, bias, owed);
+            pending.clear();
+        };
 
         for spec in self.specs {
             match spec {
                 Spec::Affine(layer) => pending.push(layer),
                 Spec::Relu { paf, scale } => {
-                    flush(&mut pending, &mut shape, &mut raw);
+                    flush(&mut pending, &mut shape, &mut raw, &mut owed);
+                    carry_factor(&mut raw, owed / scale, shape.iter().product());
+                    owed = scale;
                     let engine = shared_engine(raw.iter().filter_map(RawStage::paf), &paf);
-                    raw.push(RawStage::Paf(Stage::PafRelu {
-                        paf,
-                        pre_scale: 1.0 / scale,
-                        post_scale: scale,
-                        engine,
-                    }));
+                    raw.push(RawStage::Paf(Stage::PafRelu { paf, engine }));
                 }
                 Spec::Max {
                     k,
@@ -278,7 +307,7 @@ impl PipelineBuilder {
                     paf,
                     scale,
                 } => {
-                    flush(&mut pending, &mut shape, &mut raw);
+                    flush(&mut pending, &mut shape, &mut raw, &mut owed);
                     if shape.len() != 3 {
                         return Err(RunError::NotChw { dims: shape });
                     }
@@ -290,33 +319,9 @@ impl PipelineBuilder {
                     };
                     // A 1×1 window has nothing to fold (and so nothing
                     // to scale): the pool is its selection alone.
-                    let fold = k > 1;
-                    if fold {
-                        // The fold runs on `x/s`: `1/s` into the stage
-                        // before it (a ReLU's post-scale by division, so
-                        // equal scales cancel to exactly 1.0), `s` into
-                        // the selection after it.
-                        match raw.last_mut() {
-                            Some(RawStage::Affine { rows, bias }) => {
-                                let entries = rows.iter_mut().flatten().chain(bias.iter_mut());
-                                entries.for_each(|v| *v /= scale);
-                            }
-                            Some(RawStage::Paf(Stage::PafRelu { post_scale, .. })) => {
-                                *post_scale /= scale
-                            }
-                            Some(RawStage::Paf(_)) => {
-                                unreachable!("a pool's fold is followed by its selection")
-                            }
-                            None if scale == 1.0 => {}
-                            None => {
-                                let mut rows = vec![vec![0.0; input_dim]; input_dim];
-                                for (i, row) in rows.iter_mut().enumerate() {
-                                    row[i] = 1.0 / scale;
-                                }
-                                let bias = vec![0.0; input_dim];
-                                raw.push(RawStage::Affine { rows, bias });
-                            }
-                        }
+                    if k > 1 {
+                        carry_factor(&mut raw, owed / scale, shape.iter().product());
+                        owed = scale;
                         let shifts = pool_shifts(k, w);
                         let engine = shared_engine(raw.iter().filter_map(RawStage::paf), &paf);
                         raw.push(RawStage::Paf(Stage::PafMax {
@@ -326,16 +331,16 @@ impl PipelineBuilder {
                             engine,
                         }));
                     }
-                    let entry = if fold { scale } else { 1.0 };
-                    let rows = selection_rows(&shape, k, stride, entry);
+                    let rows = selection_rows(&shape, k, stride);
                     shape = out_shape;
                     let bias = vec![0.0; rows.len()];
-                    push_affine(&mut raw, rows, bias);
+                    push_affine(&mut raw, rows, bias, &mut owed);
                 }
             }
         }
-        flush(&mut pending, &mut shape, &mut raw);
+        flush(&mut pending, &mut shape, &mut raw, &mut owed);
         let output_dim: usize = shape.iter().product();
+        carry_factor(&mut raw, owed, output_dim);
 
         // Global padded dimension: every stage shares one slot layout
         // (a pool's input is its selection's, so the affines cover it).
@@ -514,9 +519,9 @@ impl HePipeline {
 
     /// Rebuilds this pipeline with the `i`-th PAF stage's composite
     /// replaced by `pafs[i]` (stage order), keeping the probed affine
-    /// matrices, scales, shifts, and slot layout untouched. A length
-    /// mismatch between `pafs` and the pipeline's PAF slot count is a
-    /// typed [`RunError::FormCountMismatch`].
+    /// matrices (Static Scales included), shifts, and slot layout
+    /// untouched. A length mismatch between `pafs` and the pipeline's
+    /// PAF slot count is a typed [`RunError::FormCountMismatch`].
     ///
     /// Probing affine runs is the expensive part of
     /// [`PipelineBuilder::try_compile`]; this hook lets a planner probe
@@ -633,58 +638,30 @@ impl HePipeline {
             output_dim: dim,
         }
     }
-
-    /// Folds a PAF-ReLU's Static-Scaling multiplications into
-    /// neighbouring affine matrices: an affine stage directly before it
-    /// absorbs the `1/s` pre-scale, and one directly after it the `s`
-    /// post-scale. Saves up to two levels per activation with
-    /// bit-identical plaintext semantics. (A max pool's scales never
-    /// reach a stage of their own: [`PipelineBuilder::try_compile`]
-    /// places them in its neighbours.)
-    pub fn fold_scales(mut self) -> Self {
-        // Pre-fold: affine followed by PafRelu.
-        for i in 1..self.stages.len() {
-            let pre = match &self.stages[i] {
-                Stage::PafRelu { pre_scale, .. } if *pre_scale != 1.0 => *pre_scale,
-                _ => continue,
-            };
-            if let Stage::Affine { mat, bias } = &mut self.stages[i - 1] {
-                *mat = mat.scaled(pre);
-                for b in bias.iter_mut() {
-                    *b *= pre;
-                }
-                if let Stage::PafRelu { pre_scale, .. } = &mut self.stages[i] {
-                    *pre_scale = 1.0;
-                }
-            }
-        }
-        // Post-fold: PafRelu followed by affine.
-        for i in 0..self.stages.len().saturating_sub(1) {
-            let post = match &self.stages[i] {
-                Stage::PafRelu { post_scale, .. } if *post_scale != 1.0 => *post_scale,
-                _ => continue,
-            };
-            if let Stage::Affine { mat, .. } = &mut self.stages[i + 1] {
-                *mat = mat.scaled(post);
-                if let Stage::PafRelu { post_scale, .. } = &mut self.stages[i] {
-                    *post_scale = 1.0;
-                }
-            }
-        }
-        self
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::maxpool::exact_pool;
+    use smartpaf_ckks::PafEvaluator;
     use smartpaf_nn::{AvgPool2d, BatchNorm2d, Conv2d, Flatten, Linear};
     use smartpaf_polyfit::PafForm;
     use smartpaf_tensor::Rng64;
 
     fn relu_paf() -> CompositePaf {
         CompositePaf::from_form(PafForm::F1G2)
+    }
+
+    /// The stage kinds of a pipeline, one letter each: `A`ffine,
+    /// PAF-`R`eLU, PAF-`M`ax.
+    fn kinds(pipe: &HePipeline) -> String {
+        let kind = |s: &Stage| match s {
+            Stage::Affine { .. } => 'A',
+            Stage::PafRelu { .. } => 'R',
+            Stage::PafMax { .. } => 'M',
+        };
+        pipe.stages().iter().map(kind).collect()
     }
 
     /// The engines of a pipeline's PAF stages, in stage order.
@@ -824,8 +801,8 @@ mod tests {
         let mut rng = Rng64::new(15);
         let paf = relu_paf();
         // Equal scales cancel exactly — also where `s · (1/s)` would
-        // not — and the ReLU loses its post-scale multiplication; the
-        // linear head absorbs the selection: four stages, no more.
+        // not — and leave no scale stage; the linear head absorbs the
+        // selection: four stages, no more.
         for s in [4.0, 49.0] {
             let pipe = PipelineBuilder::new(&[1, 4, 4])
                 .affine(Conv2d::new(1, 1, 3, 1, 1, &mut rng))
@@ -835,40 +812,37 @@ mod tests {
                 .affine(Linear::new(4, 3, &mut rng))
                 .try_compile()
                 .unwrap();
-            assert_eq!(pipe.stages().len(), 4);
-            let Stage::PafRelu { post_scale, .. } = &pipe.stages()[1] else {
-                panic!("stage 1 is the ReLU");
-            };
-            assert_eq!(*post_scale, 1.0, "s = {s}");
+            assert_eq!(kinds(&pipe), "ARMA", "s = {s}");
         }
         assert_ne!(49.0 * (1.0 / 49.0), 1.0);
-        // Unequal scales leave the quotient.
+        // Unequal scales leave the quotient, in a scaled identity: one
+        // carries the ReLU's `1/6`, one the `6/8` between the two PAF
+        // stages. A pool that ends the pipeline keeps its selection
+        // stage, with the pool's `s` in it.
         let pipe = PipelineBuilder::new(&[1, 4, 4])
             .paf_relu(&paf, 6.0)
             .paf_maxpool(2, 2, &paf, 8.0)
             .try_compile()
             .unwrap();
-        let Stage::PafRelu { post_scale, .. } = &pipe.stages()[0] else {
-            panic!("stage 0 is the ReLU");
-        };
-        assert_eq!(*post_scale, 0.75);
-        // A pool that ends the pipeline keeps its selection stage, with
-        // the post-scale in it.
         let labels: Vec<String> = pipe.stages().iter().map(Stage::label).collect();
         assert_eq!(
             labels,
             [
+                "affine[16x16 diag=1]",
                 "paf-relu[depth=5]",
+                "affine[16x16 diag=1]",
                 "paf-max[k=2 shifts=2 depth=5]",
                 "affine[4x16 diag=4]"
             ]
         );
-        let Stage::Affine { mat, .. } = &pipe.stages()[2] else {
-            panic!("stage 2 is the selection");
-        };
-        assert!(mat
-            .diagonals()
-            .all(|(_, d)| d.iter().all(|&v| v == 0.0 || v == 8.0)));
+        for (stage, entry) in [(0, 1.0 / 6.0), (2, 0.75), (4, 8.0)] {
+            let Stage::Affine { mat, .. } = &pipe.stages()[stage] else {
+                panic!("stage {stage} is affine");
+            };
+            assert!(mat
+                .diagonals()
+                .all(|(_, d)| d.iter().all(|&v| v == 0.0 || v == entry)));
+        }
     }
 
     #[test]
@@ -918,33 +892,93 @@ mod tests {
             .affine(Linear::new(4, 2, &mut rng))
             .try_compile()
             .unwrap();
-        // affine(1) + relu(pre 1 + depth+1 + post 1) + affine(1)
-        let relu_levels = paf.mult_depth() + 3;
-        assert_eq!(pipe.total_levels(), 2 + relu_levels);
+        // The affines carry the ReLU's `1/s` and `s`: affine(1) +
+        // relu(depth) + affine(1), no level for a scale.
+        assert_eq!(pipe.total_levels(), 2 + PafEvaluator::relu_depth(&paf));
+    }
+
+    /// One stage spec of [`static_scales_keep_the_specs_semantics`], on
+    /// a `(1, side, side)` activation.
+    enum Spec {
+        /// A 3×3 convolution with this weight seed.
+        Conv(u64),
+        Relu(f64),
+        Pool(f64),
     }
 
     #[test]
-    fn fold_scales_preserves_semantics_and_saves_levels() {
-        let mut rng = Rng64::new(19);
+    fn static_scales_keep_the_specs_semantics() {
+        // Each pipeline against its stage specs evaluated by hand: a
+        // ReLU of scale `s` is `s·paf.relu(x/s)`, a pool folds `x/s`
+        // and selects times `s`. Every op needs exactly its own depth
+        // (no scale rides on a PAF stage), and equal scales leave no
+        // scale stage.
+        use Spec::{Conv, Pool, Relu};
         let paf = relu_paf();
-        let build = |rng: &mut Rng64| {
-            PipelineBuilder::new(&[4])
-                .affine(Linear::new(4, 4, rng))
-                .paf_relu(&paf, 3.0)
-                .affine(Linear::new(4, 4, rng))
-                .paf_relu(&paf, 5.0)
-                .affine(Linear::new(4, 2, rng))
-                .try_compile()
-                .unwrap()
+        let cases: [(&[Spec], &str); 7] = [
+            (&[Relu(3.0), Conv(1)], "ARA"),
+            (&[Conv(1), Relu(2.0)], "ARA"),
+            (&[Conv(1), Relu(3.0), Relu(5.0), Conv(2)], "ARARA"),
+            (&[Conv(1), Relu(6.0), Pool(8.0), Conv(2)], "ARAMA"),
+            (&[Conv(1), Relu(4.0), Pool(4.0), Conv(2)], "ARMA"),
+            (&[Conv(1), Relu(49.0), Pool(49.0), Conv(2)], "ARMA"),
+            (&[Pool(8.0), Conv(1)], "AMA"),
+        ];
+        let x: Vec<f64> = (0..16)
+            .map(|i| ((i * 7) % 11) as f64 / 20.0 - 0.25)
+            .collect();
+        // A nonzero bias, so a scale misplaced on it shows.
+        let conv = |seed| {
+            let mut conv = Conv2d::new(1, 1, 3, 1, 1, &mut Rng64::new(seed));
+            conv.params_mut()[1].value.map_in_place(|_| 0.125);
+            conv
         };
-        let plain = build(&mut Rng64::new(19));
-        let folded = build(&mut rng).fold_scales();
-        assert!(folded.total_levels() + 4 == plain.total_levels());
-        let x = [0.4, -0.8, 1.2, -0.1];
-        let a = plain.eval_plain(&x);
-        let b = folded.eval_plain(&x);
-        for (ai, bi) in a.iter().zip(&b) {
-            assert!((ai - bi).abs() < 1e-9, "{ai} vs {bi}");
+        for (specs, want_kinds) in cases {
+            let mut builder = PipelineBuilder::new(&[1, 4, 4]);
+            let (mut want, mut side) = (x.clone(), 4);
+            for spec in specs {
+                match *spec {
+                    Conv(seed) => {
+                        builder = builder.affine(conv(seed));
+                        let alone = PipelineBuilder::new(&[1, side, side]).affine(conv(seed));
+                        want = alone.try_compile().unwrap().eval_plain(&want);
+                    }
+                    Relu(s) => {
+                        builder = builder.paf_relu(&paf, s);
+                        want = want.iter().map(|v| s * paf.relu(v / s)).collect();
+                    }
+                    Pool(s) => {
+                        builder = builder.paf_maxpool(2, 2, &paf, s);
+                        let mut v: Vec<f64> = want.iter().map(|v| v / s).collect();
+                        for t in pool_shifts(2, side) {
+                            let len = v.len();
+                            v = (0..len).map(|p| paf.max(v[p], v[(p + t) % len])).collect();
+                        }
+                        let rows = selection_rows(&[1, side, side], 2, 2);
+                        let select =
+                            |row: &Vec<f64>| row.iter().zip(&v).map(|(r, v)| r * v).sum::<f64>();
+                        want = rows.iter().map(|row| s * select(row)).collect();
+                        side /= 2;
+                    }
+                }
+            }
+            let pipe = builder.try_compile().unwrap();
+            assert_eq!(kinds(&pipe), want_kinds);
+            for (g, w) in pipe.eval_plain(&x).iter().zip(&want) {
+                assert!(
+                    (g - w).abs() <= 1e-12 * (1.0 + w.abs()),
+                    "{want_kinds}: {g} vs {w}"
+                );
+            }
+            for op in pipe.atomic_ops() {
+                let depth = match &pipe.stages()[op.stage] {
+                    Stage::Affine { .. } => 1,
+                    Stage::PafRelu { paf, .. } | Stage::PafMax { paf, .. } => {
+                        PafEvaluator::relu_depth(paf)
+                    }
+                };
+                assert_eq!(op.need, depth, "{want_kinds}: stage {}", op.stage);
+            }
         }
     }
 
@@ -997,8 +1031,7 @@ mod tests {
             .affine(Linear::new(4, 4, &mut rng))
             .paf_relu(&relu_paf(), scale)
             .try_compile()
-            .unwrap()
-            .fold_scales();
+            .unwrap();
         let rich = CompositePaf::from_form(PafForm::Alpha7);
         let swapped = base
             .try_with_pafs(std::slice::from_ref(&rich))
@@ -1011,8 +1044,7 @@ mod tests {
             .affine(Linear::new(4, 4, &mut Rng64::new(31)))
             .paf_relu(&rich, scale)
             .try_compile()
-            .unwrap()
-            .fold_scales();
+            .unwrap();
         let x = [0.4, -0.8, 1.2, -0.1];
         let a = swapped.eval_plain(&x);
         let b = direct.eval_plain(&x);
@@ -1032,8 +1064,7 @@ mod tests {
             .paf_relu(&cheap, 4.0)
             .paf_maxpool(2, 2, &cheap, 8.0)
             .try_compile()
-            .unwrap()
-            .fold_scales();
+            .unwrap();
         assert_eq!(base.num_paf_stages(), 2);
         let mixed = base
             .try_with_pafs(&[rich.clone(), cheap.clone()])
@@ -1048,8 +1079,7 @@ mod tests {
             .paf_relu(&rich, 4.0)
             .paf_maxpool(2, 2, &cheap, 8.0)
             .try_compile()
-            .unwrap()
-            .fold_scales();
+            .unwrap();
         let x: Vec<f64> = (0..16).map(|i| ((i * 5) % 9) as f64 / 4.0 - 1.0).collect();
         let a = mixed.eval_plain(&x);
         let b = direct.eval_plain(&x);

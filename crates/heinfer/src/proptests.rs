@@ -41,34 +41,6 @@ proptest! {
         }
     }
 
-    /// Scale folding never changes plaintext semantics, for arbitrary
-    /// static scales.
-    #[test]
-    fn fold_scales_semantics_invariant(
-        seed in 0u64..1000,
-        s1 in 0.5f64..16.0,
-        s2 in 0.5f64..16.0,
-        x in proptest::collection::vec(-1.0f64..1.0, 4),
-    ) {
-        let paf = CompositePaf::from_form(PafForm::F1G2);
-        let build = |rng: &mut Rng64| {
-            PipelineBuilder::new(&[4])
-                .affine(Linear::new(4, 4, rng))
-                .paf_relu(&paf, s1)
-                .affine(Linear::new(4, 4, rng))
-                .paf_relu(&paf, s2)
-                .affine(Linear::new(4, 3, rng))
-                .try_compile().unwrap()
-        };
-        let plain = build(&mut Rng64::new(seed));
-        let folded = build(&mut Rng64::new(seed)).fold_scales();
-        let a = plain.eval_plain(&x);
-        let b = folded.eval_plain(&x);
-        for (ai, bi) in a.iter().zip(&b) {
-            prop_assert!((ai - bi).abs() < 1e-6 * (1.0 + ai.abs()), "{ai} vs {bi}");
-        }
-    }
-
     /// Slot packing is invisible to plaintext semantics: packing
     /// `count` random inputs into `lanes` lanes, evaluating the
     /// lane-expanded pipeline once, and unpacking is *bit-identical*
@@ -151,24 +123,6 @@ proptest! {
             (Err(_), deep) => prop_assert!(deep.is_err()),
             (Ok(_), Err(_)) => {}
         }
-    }
-
-    /// Stage level accounting is consistent: folding saves exactly the
-    /// number of eliminated scale multiplications.
-    #[test]
-    fn fold_scales_level_accounting(seed in 0u64..1000, s in 1.5f64..8.0) {
-        let paf = CompositePaf::from_form(PafForm::F2G2);
-        let build = |rng: &mut Rng64| {
-            PipelineBuilder::new(&[4])
-                .affine(Linear::new(4, 4, rng))
-                .paf_relu(&paf, s)
-                .affine(Linear::new(4, 2, rng))
-                .try_compile().unwrap()
-        };
-        let plain = build(&mut Rng64::new(seed));
-        let folded = build(&mut Rng64::new(seed)).fold_scales();
-        // One PAF between two affines: both pre and post fold away.
-        prop_assert_eq!(folded.total_levels() + 2, plain.total_levels());
     }
 }
 
@@ -452,5 +406,5 @@ fn random_pipeline(kinds: &[usize], rng: &mut Rng64) -> crate::HePipeline {
             _ => builder.affine(contraction()),
         };
     }
-    builder.try_compile().unwrap().fold_scales()
+    builder.try_compile().unwrap()
 }

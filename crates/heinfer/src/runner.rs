@@ -80,8 +80,7 @@ mod tests {
             .paf_relu(&paf, 4.0)
             .affine(Linear::new(8, 4, &mut rng))
             .try_compile()
-            .unwrap()
-            .fold_scales();
+            .unwrap();
         let x: Vec<f64> = (0..8).map(|i| (i as f64 - 3.0) / 3.0).collect();
         let ct = pe
             .evaluator()
@@ -110,8 +109,7 @@ mod tests {
             .affine(Flatten::new())
             .affine(Linear::new(32, 4, &mut rng))
             .try_compile()
-            .unwrap()
-            .fold_scales();
+            .unwrap();
         let x: Vec<f64> = (0..16).map(|i| ((i % 5) as f64 - 2.0) / 2.0).collect();
         let ct = pe
             .evaluator()
@@ -139,7 +137,7 @@ mod tests {
         for _ in 0..3 {
             b = b.affine(Linear::new(4, 4, &mut rng)).paf_relu(&paf, 2.0);
         }
-        let pipe = b.try_compile().unwrap().fold_scales();
+        let pipe = b.try_compile().unwrap();
         assert!(pipe.total_levels() > 12);
         let bs = Bootstrapper::new(pe.evaluator().clone(), pipe.dim(), 5);
         let x = [0.2, -0.4, 0.6, -0.8];

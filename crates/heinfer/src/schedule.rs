@@ -55,21 +55,13 @@ pub struct AtomicOp {
 impl Stage {
     /// `(ops, need)`: the stage's atomic ops (see [`AtomicOp`]) and the
     /// levels each consumes. An affine map is one op of one level; a
-    /// PAF-ReLU is one op covering its scale multiplications; a max
-    /// pool's fold is one PAF-max per shift, and a refresh can fall
-    /// between two of them.
+    /// PAF-ReLU is one op of its composite's depth; a max pool's fold
+    /// is one PAF-max per shift, and a refresh can fall between two of
+    /// them.
     pub(crate) fn atomic_shape(&self) -> (usize, usize) {
         match self {
             Stage::Affine { .. } => (1, 1),
-            Stage::PafRelu {
-                paf,
-                pre_scale,
-                post_scale,
-                ..
-            } => {
-                let scales = usize::from(*pre_scale != 1.0) + usize::from(*post_scale != 1.0);
-                (1, PafEvaluator::relu_depth(paf) + scales)
-            }
+            Stage::PafRelu { paf, .. } => (1, PafEvaluator::relu_depth(paf)),
             Stage::PafMax { shifts, paf, .. } => (shifts.len(), PafEvaluator::relu_depth(paf)),
         }
     }

@@ -306,17 +306,6 @@ impl CompositePaf {
             .collect()
     }
 
-    /// Folds a static input scale into the first stage:
-    /// evaluating the result at `x` equals evaluating `self` at `s·x`.
-    pub fn with_input_scale(&self, s: f64) -> CompositePaf {
-        let mut stages = self.stages.clone();
-        stages[0] = stages[0].substitute_scaled_input(s);
-        CompositePaf {
-            stages,
-            form: self.form,
-        }
-    }
-
     /// Max |paf(x) − sign(x)| over `[-1, -eps] ∪ [eps, 1]`.
     ///
     /// Prepares the evaluation engine once and sweeps both half-grids
@@ -445,16 +434,6 @@ mod tests {
         assert_eq!(zs.len(), 3);
         assert_eq!(zs[0], 0.4);
         assert!((zs[2] - paf.eval(0.4)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn input_scale_folding() {
-        let paf = CompositePaf::from_form(PafForm::F1G2);
-        let scaled = paf.with_input_scale(0.5);
-        for i in -5..=5 {
-            let x = i as f64 / 5.0;
-            assert!((scaled.eval(x) - paf.eval(0.5 * x)).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -154,18 +154,6 @@ impl Polynomial {
         acc
     }
 
-    /// `p(alpha * x)` — substitute a scaled argument. This is how Static
-    /// Scaling folds the scale factor into the polynomial itself.
-    pub fn substitute_scaled_input(&self, alpha: f64) -> Polynomial {
-        Polynomial::new(
-            self.coeffs
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| c * alpha.powi(i as i32))
-                .collect(),
-        )
-    }
-
     /// Maximum absolute error against `f` on a uniform grid over `[lo, hi]`.
     pub fn max_error_on(&self, f: impl Fn(f64) -> f64, lo: f64, hi: f64, samples: usize) -> f64 {
         let mut worst: f64 = 0.0;
@@ -282,14 +270,6 @@ mod tests {
             let x = i as f64 / 8.0;
             assert!((comp.eval(x) - f.eval(g.eval(x))).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn substitute_scaled_input() {
-        let p = Polynomial::new(vec![0.0, 1.0, 0.0, 1.0]); // x + x^3
-        let q = p.substitute_scaled_input(2.0); // 2x + 8x^3
-        assert_eq!(q.coeffs(), &[0.0, 2.0, 0.0, 8.0]);
-        assert_eq!(q.eval(0.5), p.eval(1.0));
     }
 
     #[test]

@@ -134,17 +134,6 @@ proptest! {
         }
     }
 
-    /// Static-scale folding: paf.with_input_scale(s).eval(x) == paf.eval(s*x).
-    #[test]
-    fn scale_folding_identity(s in 0.1f64..3.0, x in -1.0f64..1.0) {
-        let paf = CompositePaf::from_form(PafForm::F2G2);
-        let folded = paf.with_input_scale(s);
-        let (a, b) = (folded.eval(x), paf.eval(s * x));
-        // Relative tolerance: far outside [-1,1] composite values blow up
-        // and powi-vs-Horner rounding differs in the last bits.
-        prop_assert!((a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs())), "{a} vs {b}");
-    }
-
     /// Dense Horner — scalar and batch — agrees with naive powi
     /// evaluation to ULP scale on random degree ≤ 160 inputs.
     #[test]

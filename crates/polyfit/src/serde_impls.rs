@@ -127,7 +127,6 @@ mod tests {
         for paf in [
             CompositePaf::from_form(PafForm::MinimaxDeg27),
             CompositePaf::new(vec![Polynomial::from_odd(&[1.5, -0.5])]),
-            CompositePaf::from_form(PafForm::F1G2).with_input_scale(0.25),
         ] {
             let text = json::to_string(&paf.serialize());
             let back = CompositePaf::deserialize(&json::from_str(&text).unwrap()).unwrap();

@@ -68,7 +68,7 @@ use std::path::{Path, PathBuf};
 /// Version of the on-disk envelope this build reads and writes.
 /// Bumped on any breaking schema change; readers reject other versions
 /// with [`RegistryError::VersionMismatch`] instead of guessing.
-pub const FORMAT_VERSION: u32 = 6;
+pub const FORMAT_VERSION: u32 = 7;
 
 /// The envelope's `format` marker, so arbitrary JSON is rejected
 /// before any field is interpreted.
@@ -675,9 +675,9 @@ mod tests {
         let key = reg
             .save_plan(&builder.plan().expect("plannable"))
             .expect("saves");
-        assert_eq!(key, "b25adf86415dd292");
+        assert_eq!(key, "e4795fad23dda365");
         let text = fs::read_to_string(reg.artifact_path(&key)).unwrap();
-        assert_eq!(fnv1a_64(text.as_bytes()), 0x2e35_b670_793e_17c4);
+        assert_eq!(fnv1a_64(text.as_bytes()), 0x246a_2305_d3c4_6e09);
     }
 
     #[test]
@@ -798,9 +798,10 @@ mod tests {
                 &format!("    \"budget\": {{ \"cap\": 96 }},\n{objective_line}"),
             );
         // Strict-exact: a later format and the previous ones alike —
-        // format 5's stage records carry the one `level_in` the greedy
-        // cut entered a stage at and no price.
-        for found in [999, 5, 4, 3] {
+        // format 6 described a ReLU slot with two scales, and format 5's
+        // stage records carry the one `level_in` the greedy cut entered
+        // a stage at and no price.
+        for found in [999, 6, 5, 4, 3] {
             fs::write(&path, restamp(&v4_fields, found)).unwrap();
             let err = reg.load_plan(builder(1, 5)).expect_err("other version");
             assert_eq!(
@@ -812,7 +813,7 @@ mod tests {
             );
             assert!(err.to_string().contains(&format!("v{found}")));
         }
-        // Only absent fields are errors: stamped 6, the two stray
+        // Only absent fields are errors: stamped 7, the two stray
         // fields are never read and the plan loads — and a format 5
         // stage record, whatever it is stamped, does not.
         fs::write(&path, &v4_fields).unwrap();
@@ -1019,12 +1020,12 @@ mod tests {
         let text = fs::read_to_string(&old_path).unwrap();
         // The previous format can never load again; a later one is
         // another binary's live data; unmarked JSON is not ours.
-        fs::write(&old_path, restamp(&text, 5)).unwrap();
+        fs::write(&old_path, restamp(&text, 6)).unwrap();
         let newer = reg.root().join("from-a-later-build.json");
         fs::write(&newer, restamp(&text, 999)).unwrap();
         let foreign = reg.root().join("notes.json");
         fs::write(&foreign, "{}").unwrap();
-        assert_eq!(reg.list().expect("lists").len(), 1, "only v6 is listed");
+        assert_eq!(reg.list().expect("lists").len(), 1, "only v7 is listed");
 
         // Swept under a policy that would otherwise remove nothing.
         let report = reg.gc(GcPolicy::MaxArtifacts(5)).expect("sweeps");
@@ -1035,7 +1036,7 @@ mod tests {
         assert_eq!(reg.list().expect("lists")[0].content_key, live);
 
         // And under the other policy.
-        fs::write(&old_path, restamp(&text, 5)).unwrap();
+        fs::write(&old_path, restamp(&text, 6)).unwrap();
         let report = reg
             .gc(GcPolicy::MaxAge(std::time::Duration::from_secs(3600)))
             .expect("sweeps");

@@ -445,7 +445,7 @@ impl SessionBuilder {
                 }
             };
         }
-        let base = builder.try_compile()?.fold_scales();
+        let base = builder.try_compile()?;
         Ok(ProbedModel {
             base,
             forms,

@@ -8,8 +8,8 @@
 //! * convolution / batch-norm / pooling / linear → probed into
 //!   Halevi–Shoup diagonal matrices, evaluated with baby-step/giant-step
 //!   rotations (1 level each);
-//! * ReLU → PAF with Static Scaling, the `1/s` and `s` multiplications
-//!   folded into the neighbouring affine stages;
+//! * ReLU → PAF with Static Scaling, its `1/s` and `s` compiled into
+//!   the neighbouring affine stages;
 //! * MaxPool → the nested PAF-max fold of §5.4.3 as rotate-and-max on
 //!   the one ciphertext (two rotations and two PAF-max for a 2×2
 //!   window), its anchor selection absorbed by the linear head.
@@ -36,8 +36,7 @@ fn main() {
         .affine(Flatten::new())
         .affine(Linear::new(2 * 4 * 4, 10, &mut rng))
         .try_compile()
-        .expect("the pipeline compiles")
-        .fold_scales();
+        .expect("the pipeline compiles");
     println!(
         "  {} stages, padded dim {}, total depth {} levels",
         pipeline.stages().len(),

@@ -174,8 +174,7 @@ fn main() {
         .affine(pool)
         .affine(lin)
         .try_compile()
-        .expect("the pipeline compiles")
-        .fold_scales();
+        .expect("the pipeline compiles");
     println!(
         "[5] compiled: {} stages, dim {}, {} levels per inference",
         pipeline.stages().len(),

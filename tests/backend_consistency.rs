@@ -23,7 +23,6 @@ fn cnn_pipeline(seed: u64) -> HePipeline {
         .affine(Linear::new(32, 4, &mut rng))
         .try_compile()
         .unwrap()
-        .fold_scales()
 }
 
 #[test]

@@ -2,6 +2,7 @@
 //! must compute the same function, form by form.
 
 use smartpaf_ckks::{CkksParams, Evaluator, KeyChain, PafEvaluator};
+use smartpaf_heinfer::PipelineBuilder;
 use smartpaf_polyfit::{CompositePaf, PafForm};
 use smartpaf_tensor::Rng64;
 
@@ -47,19 +48,26 @@ fn depth_consumption_matches_analysis() {
 
 #[test]
 fn static_scale_folding_matches_encrypted_path() {
-    // SS folds the scale into the PAF input; the encrypted evaluation
-    // of the folded PAF on x must match the plain PAF on x/s.
+    // SS puts a slot's `1/s` into the affine stage before its PAF and
+    // its `s` into the one after it — here scaled identities, since the
+    // ReLU is the whole model — and the PAF runs on its input alone.
+    // The encrypted run must match the plain PAF on x/s, times s.
     let (pe, mut rng) = rig(203);
     let paf = CompositePaf::from_form(PafForm::F2G2);
     let s = 4.0;
-    let folded = paf.with_input_scale(1.0 / s);
+    let pipe = PipelineBuilder::new(&[8])
+        .paf_relu(&paf, s)
+        .try_compile()
+        .unwrap();
+    assert_eq!(pipe.total_levels(), PafEvaluator::relu_depth(&paf) + 2);
     let xs = vec![-3.0, -1.0, 0.5, 2.0, 3.5];
-    let ct = pe.evaluator().encrypt_values(&xs, &mut rng);
-    let out = pe
+    let ct = pe
         .evaluator()
-        .decrypt_values(&pe.eval_composite(&ct, &folded), xs.len());
-    for (x, got) in xs.iter().zip(&out) {
-        let want = paf.eval(x / s);
+        .encrypt_replicated(&pipe.try_pad_input(&xs).unwrap(), &mut rng);
+    let (out, _) = pipe.try_eval_encrypted(&pe, None, &ct).unwrap();
+    let got = pe.evaluator().decrypt_values(&out, xs.len());
+    for (x, got) in xs.iter().zip(&got) {
+        let want = s * paf.relu(x / s);
         assert!((got - want).abs() < 3e-7, "x={x}: {got} vs {want}");
     }
 }

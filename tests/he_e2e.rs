@@ -135,8 +135,7 @@ fn encrypted_cnn_matches_plain_and_exact() {
         .affine(Flatten::new())
         .affine(lin2)
         .try_compile()
-        .unwrap()
-        .fold_scales();
+        .unwrap();
 
     let flat_x: Vec<f64> = x.data().iter().map(|&v| v as f64).collect();
     let plain = pipe.eval_plain(&flat_x);

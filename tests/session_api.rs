@@ -31,9 +31,9 @@ fn plan_selects_by_traced_cost_not_depth_alone() {
     // works for shallower ones — and the uniformly shallowest form
     // cannot lose on refreshes (a proptest in heinfer holds the
     // monotonicity). What the trace still decides, and depth would not,
-    // is the rest of the cost: five of the six forms tie at 2 refreshes
-    // on the 12-level chain, and exact ct-mults order them differently
-    // than depth does.
+    // is the rest of the cost: all six forms tie at 2 refreshes on the
+    // 12-level chain, and exact ct-mults order them differently than
+    // depth does.
     let plan = cnn_builder(41)
         .objective(Objective::MinBootstraps)
         .plan()
@@ -44,7 +44,7 @@ fn plan_selects_by_traced_cost_not_depth_alone() {
         &candidate.expect("every uniform form is evaluated").cost
     };
     let refreshes = PafForm::all().map(|form| uniform(form).bootstraps);
-    assert_eq!(refreshes, [2, 2, 2, 2, 2, 3]);
+    assert_eq!(refreshes, [2, 2, 2, 2, 2, 2]);
     let chosen = plan.chosen();
     assert_eq!(chosen.uniform_form(), Some(PafForm::F1G2));
     assert_eq!((chosen.cost.bootstraps, chosen.cost.ct_mults), (2, 21));
