@@ -983,6 +983,46 @@ mod tests {
     }
 
     #[test]
+    fn fold_scales_preserves_semantics_and_saves_levels() {
+        // Two ReLUs of different scales between linear layers: every
+        // `1/s` and `s` folds into the linear stages, so the pipeline
+        // costs its affines and PAFs and nothing for the four scale
+        // multiplies, and still computes `s·paf.relu(x/s)` per ReLU.
+        let paf = relu_paf();
+        let layers = || {
+            let mut rng = Rng64::new(19);
+            [
+                Linear::new(4, 4, &mut rng),
+                Linear::new(4, 4, &mut rng),
+                Linear::new(4, 2, &mut rng),
+            ]
+        };
+        let [l1, l2, l3] = layers();
+        let pipe = PipelineBuilder::new(&[4])
+            .affine(l1)
+            .paf_relu(&paf, 3.0)
+            .affine(l2)
+            .paf_relu(&paf, 5.0)
+            .affine(l3)
+            .try_compile()
+            .unwrap();
+        assert_eq!(kinds(&pipe), "ARARA");
+        assert_eq!(pipe.total_levels(), 3 + 2 * PafEvaluator::relu_depth(&paf));
+        let x = vec![0.4, -0.8, 1.2, -0.1];
+        let affine = |layer: Linear, v: &[f64]| {
+            let alone = PipelineBuilder::new(&[4]).affine(layer);
+            alone.try_compile().unwrap().eval_plain(v)
+        };
+        let relu =
+            |s: f64, v: Vec<f64>| -> Vec<f64> { v.iter().map(|v| s * paf.relu(v / s)).collect() };
+        let [l1, l2, l3] = layers();
+        let want = affine(l3, &relu(5.0, affine(l2, &relu(3.0, affine(l1, &x)))));
+        for (g, w) in pipe.eval_plain(&x).iter().zip(&want) {
+            assert!((g - w).abs() < 1e-9, "{g} vs {w}");
+        }
+    }
+
+    #[test]
     fn pad_input_fills_to_dim() {
         let mut rng = Rng64::new(23);
         let pipe = PipelineBuilder::new(&[3])

@@ -41,6 +41,48 @@ proptest! {
         }
     }
 
+    /// Scale folding never changes plaintext semantics, for arbitrary
+    /// static scales: with every `1/s` and `s` placed in the linear
+    /// stages, the pipeline computes `s·paf.relu(x/s)` per ReLU.
+    #[test]
+    fn fold_scales_semantics_invariant(
+        seed in 0u64..1000,
+        s1 in 0.5f64..16.0,
+        s2 in 0.5f64..16.0,
+        x in proptest::collection::vec(-1.0f64..1.0, 4),
+    ) {
+        let paf = CompositePaf::from_form(PafForm::F1G2);
+        let layers = || {
+            let mut rng = Rng64::new(seed);
+            [
+                Linear::new(4, 4, &mut rng),
+                Linear::new(4, 4, &mut rng),
+                Linear::new(4, 3, &mut rng),
+            ]
+        };
+        let [l1, l2, l3] = layers();
+        let pipe = PipelineBuilder::new(&[4])
+            .affine(l1)
+            .paf_relu(&paf, s1)
+            .affine(l2)
+            .paf_relu(&paf, s2)
+            .affine(l3)
+            .try_compile().unwrap();
+        let affine = |layer: Linear, v: &[f64]| {
+            PipelineBuilder::new(&[4]).affine(layer).try_compile().unwrap().eval_plain(v)
+        };
+        let relu = |s: f64, v: Vec<f64>| -> Vec<f64> {
+            v.iter().map(|v| s * paf.relu(v / s)).collect()
+        };
+        let [l1, l2, l3] = layers();
+        let want = affine(l3, &relu(s2, affine(l2, &relu(s1, affine(l1, &x)))));
+        let got = pipe.eval_plain(&x);
+        prop_assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            prop_assert!((g - w).abs() < 1e-6 * (1.0 + w.abs()), "{g} vs {w}");
+        }
+    }
+
     /// Slot packing is invisible to plaintext semantics: packing
     /// `count` random inputs into `lanes` lanes, evaluating the
     /// lane-expanded pipeline once, and unpacking is *bit-identical*
@@ -123,6 +165,26 @@ proptest! {
             (Err(_), deep) => prop_assert!(deep.is_err()),
             (Ok(_), Err(_)) => {}
         }
+    }
+
+    /// Stage level accounting is consistent: a folded scale costs no
+    /// level, so one PAF between two affines takes the same levels at
+    /// any scale as at scale 1 — the affines' two and the PAF's depth.
+    #[test]
+    fn fold_scales_level_accounting(seed in 0u64..1000, s in 1.5f64..8.0) {
+        let paf = CompositePaf::from_form(PafForm::F2G2);
+        let build = |s: f64| {
+            let mut rng = Rng64::new(seed);
+            PipelineBuilder::new(&[4])
+                .affine(Linear::new(4, 4, &mut rng))
+                .paf_relu(&paf, s)
+                .affine(Linear::new(4, 2, &mut rng))
+                .try_compile().unwrap()
+        };
+        let (scaled, unscaled) = (build(s), build(1.0));
+        prop_assert_eq!(scaled.stages().len(), 3);
+        prop_assert_eq!(scaled.total_levels(), 2 + PafEvaluator::relu_depth(&paf));
+        prop_assert_eq!(scaled.total_levels(), unscaled.total_levels());
     }
 }
 
