@@ -201,7 +201,13 @@ impl InferenceBackend for CkksBackend<'_> {
         self.enter_stage(v, label)?;
         let ev = self.pe.evaluator();
         let y = ev.matvec_bsgs(mat, v);
-        *v = ev.add_bias_replicated(&y, bias);
+        // An all-zero bias encodes to the zero polynomial, so skipping
+        // its add leaves the bytes as they were and saves an encode.
+        *v = if bias.iter().all(|&b| b == 0.0) {
+            y
+        } else {
+            ev.add_bias_replicated(&y, bias)
+        };
         Ok(())
     }
 
