@@ -14,6 +14,22 @@
 //! alike, so a packed product takes exactly the one-lane key switches
 //! and encodes the one-lane number of diagonals.
 //!
+//! A fat matrix — `m′ = out_dim.next_power_of_two()` below the padded
+//! dimension `dim` — has a second, **stacked** form: `m′` diagonals
+//! `ext_k[i] = M[i mod m′][(i + k) mod dim]`, `k < m′`, whose BSGS
+//! product leaves `dim / m′` partial sums of each output row at slots
+//! `m′` apart. `log₂(dim / m′)` rotate-and-add folds, by `dim / 2`, …,
+//! `m′`, sum them into every block, so the output is the product
+//! **replicated at period `m′`** — the replicated-vector convention
+//! below, at the output's own padded length. The folds run on the
+//! un-rescaled sum, on the product's limbs, so the one rescale divides
+//! their noise away with the rest. A constructor builds both forms and
+//! keeps the one with the fewest rotations, then the fewest
+//! decompositions, the square one on a tie: the head of a CNN, a pool
+//! selection composed with a small linear layer, takes `m′` diagonals
+//! instead of up to `dim`. Square and tall matrices have only the
+//! square form.
+//!
 //! This is the substrate that turns the paper's Fig. 2 into a runnable
 //! pipeline: convolutions, average pooling and fully-connected layers
 //! are all plaintext-weight affine maps applied to an encrypted
@@ -23,7 +39,10 @@
 //! Packing convention: a length-`m` vector (`m` a power of two dividing
 //! the slot count) is **replicated** to fill all `n/2` slots, so full-ring
 //! rotations act as cyclic rotations of the logical vector
-//! ([`replicate`], [`Evaluator::encrypt_replicated`]).
+//! ([`replicate`], [`Evaluator::encrypt_replicated`]). A vector
+//! replicated at period `m′` is also replicated at every multiple of
+//! `m′`, so a stacked product's output is a valid input of any matrix
+//! whose columns past the output's length are zero.
 
 use crate::cipher::{Ciphertext, Evaluator};
 use crate::encoding::Plaintext;
@@ -41,9 +60,16 @@ type DiagKey = (usize, usize, usize, u64);
 /// A real matrix stored by its nonzero generalized diagonals, padded to
 /// a power-of-two square dimension.
 ///
-/// Generalized diagonal `d` holds `diag_d[i] = M[i][(i+d) mod dim]`, so
+/// In the square form generalized diagonal `d` holds
+/// `diag_d[i] = M[i][(i+d) mod dim]`, so
 /// `(Mv)[i] = Σ_d diag_d[i] · v[(i+d) mod dim]` — each term is one slot
-/// rotation plus one plaintext multiply under CKKS.
+/// rotation plus one plaintext multiply under CKKS. In the stacked form
+/// of a fat matrix (module docs) diagonal `k < m′` holds
+/// `M[i mod m′][(i+k) mod dim]`, the same sum leaves `dim / m′` partial
+/// sums per row, and `log₂(dim / m′)` rotate-and-add folds finish the
+/// product, replicated at period `m′` ([`DiagMatrix::period`]). The
+/// constructors pick the form once, by the module's rule, and every
+/// product, count and interleaving reads it.
 ///
 /// Encoded diagonal plaintexts are cached inside the matrix after
 /// first use, on the limbs of the ciphertext that asked, so a matrix
@@ -64,6 +90,10 @@ pub struct DiagMatrix {
     out_dim: usize,
     in_dim: usize,
     diags: BTreeMap<usize, Vec<f64>>,
+    /// The output's replication period: `dim` in the square form, `m′`
+    /// (times the lane count) in the stacked form, whose product folds
+    /// by `dim / 2`, …, `period`.
+    period: usize,
     /// Baby-step size of [`Evaluator::matvec_bsgs`]
     /// ([`fewest_rotation_split`] of the diagonal offsets, or of the
     /// base matrix's scaled by the lane count).
@@ -81,6 +111,7 @@ impl Clone for DiagMatrix {
             out_dim: self.out_dim,
             in_dim: self.in_dim,
             diags: self.diags.clone(),
+            period: self.period,
             g1: self.g1,
             encoded: Mutex::new(HashMap::new()),
         }
@@ -101,6 +132,8 @@ impl DiagMatrix {
 
     /// Builds from dense rows padded to an explicit square dimension
     /// (used when several pipeline stages must share one slot layout).
+    /// A fat matrix takes its stacked form when that has fewer
+    /// rotations, or as many and fewer decompositions (module docs).
     ///
     /// # Panics
     ///
@@ -114,25 +147,34 @@ impl DiagMatrix {
         let out_dim = rows.len();
         assert!(dim.is_power_of_two(), "dim must be a power of two");
         assert!(dim >= out_dim.max(in_dim), "dim smaller than matrix");
-        let mut diags: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
-        for (i, row) in rows.iter().enumerate() {
-            for (j, &v) in row.iter().enumerate() {
-                if v == 0.0 {
-                    continue;
-                }
-                let d = (j + dim - i % dim) % dim;
-                diags.entry(d).or_insert_with(|| vec![0.0; dim])[i] = v;
-            }
+        let form = |period| {
+            let diags = stacked_diagonals(rows, dim, period);
+            Self::with_diagonals(dim, out_dim, in_dim, period, diags)
+        };
+        let square = form(dim);
+        let period = out_dim.next_power_of_two();
+        if period == dim {
+            return square;
         }
-        Self::with_diagonals(dim, out_dim, in_dim, diags)
+        let stacked = form(period);
+        let work = |mat: &DiagMatrix| {
+            let counts = mat.bsgs_counts();
+            (counts.rotations, counts.decompositions)
+        };
+        if work(&stacked) < work(&square) {
+            stacked
+        } else {
+            square
+        }
     }
 
-    /// The matrix with these diagonals, its BSGS split chosen from
-    /// their offsets.
+    /// The matrix with these diagonals and output period, its BSGS
+    /// split chosen from their offsets.
     fn with_diagonals(
         dim: usize,
         out_dim: usize,
         in_dim: usize,
+        period: usize,
         diags: BTreeMap<usize, Vec<f64>>,
     ) -> Self {
         let offsets: Vec<usize> = diags.keys().copied().collect();
@@ -140,6 +182,7 @@ impl DiagMatrix {
             dim,
             out_dim,
             in_dim,
+            period,
             g1: fewest_rotation_split(&offsets),
             diags,
             encoded: Mutex::new(HashMap::new()),
@@ -164,12 +207,16 @@ impl DiagMatrix {
         assert!(dim.is_power_of_two(), "dim must be a power of two");
         let mut diags = BTreeMap::new();
         diags.insert(step % dim, vec![1.0; dim]);
-        Self::with_diagonals(dim, dim, dim, diags)
+        Self::with_diagonals(dim, dim, dim, dim, diags)
     }
 
     /// The step of the cyclic rotation this matrix is, if it is one
     /// ([`DiagMatrix::rotation`]; the identity is the rotation by 0).
+    /// A stacked matrix folds its product, so it is never one.
     pub fn as_rotation(&self) -> Option<usize> {
+        if self.period != self.dim {
+            return None;
+        }
         let mut diags = self.diags.iter();
         match (diags.next(), diags.next()) {
             (Some((&step, diag)), None) if diag.iter().all(|&v| v == 1.0) => Some(step),
@@ -192,10 +239,24 @@ impl DiagMatrix {
         self.in_dim
     }
 
-    /// Number of nonzero generalized diagonals (the naive method's
-    /// rotation count).
+    /// Number of stored nonzero generalized diagonals: the plaintext
+    /// multiplies and encodings of a product.
     pub fn num_diagonals(&self) -> usize {
         self.diags.len()
+    }
+
+    /// The period the product's output is replicated at: `dim` in the
+    /// square form, `m′ = out_dim.next_power_of_two()` in the stacked
+    /// form (module docs), times the lane count once interleaved.
+    pub fn period(&self) -> usize {
+        self.period
+    }
+
+    /// The stacked form's fold steps, `dim / 2`, …, `period`, in the
+    /// order the product takes them; none in the square form.
+    fn fold_steps(&self) -> impl Iterator<Item = usize> {
+        let (low, high) = (self.period.trailing_zeros(), self.dim.trailing_zeros());
+        (low..high).rev().map(|b| 1 << b)
     }
 
     /// The stored generalized diagonals as `(offset, entries)` pairs in
@@ -206,7 +267,10 @@ impl DiagMatrix {
         self.diags.iter().map(|(&d, v)| (d, v.as_slice()))
     }
 
-    /// Plaintext reference product on a padded vector.
+    /// Plaintext reference product on a padded vector: the diagonal sum
+    /// and, in the stacked form, the encrypted product's folds in its
+    /// order, so every slot — a stacked output's replicas included —
+    /// is what [`Evaluator::matvec_bsgs`] computes.
     ///
     /// # Panics
     ///
@@ -218,6 +282,11 @@ impl DiagMatrix {
             for (i, o) in out.iter_mut().enumerate() {
                 *o += diag[i] * v[(i + d) % self.dim];
             }
+        }
+        for step in self.fold_steps() {
+            out = (0..self.dim)
+                .map(|i| out[i] + out[(i + step) % self.dim])
+                .collect();
         }
         out
     }
@@ -298,10 +367,12 @@ impl DiagMatrix {
     /// Diagonal `d` moves to offset `d·lanes` with each entry repeated
     /// `lanes` times, so a rotation by `r·lanes` shifts every lane by
     /// `r` within itself, cyclically, exactly as the one-lane replicated
-    /// layout does. Applied plain, each lane of the interleaved product
-    /// is **bit-identical** to [`DiagMatrix::apply_plain`] on that lane
-    /// alone: per output slot the same terms arrive in the same
-    /// ascending-`d` order. The BSGS split is this matrix's, scaled:
+    /// layout does. A stacked matrix's fold steps and period scale by
+    /// `lanes` alike, so every fold adds each lane to itself. Applied
+    /// plain, each lane of the interleaved product is **bit-identical**
+    /// to [`DiagMatrix::apply_plain`] on that lane alone: per output
+    /// slot the same terms arrive in the same ascending-`d` order, and
+    /// the same folds follow. The BSGS split is this matrix's, scaled:
     /// baby step `j` becomes `j·lanes` and giant group `k` stays `k`,
     /// so the product executes the key switches
     /// [`DiagMatrix::bsgs_counts`] prices for this matrix at any lane
@@ -329,6 +400,7 @@ impl DiagMatrix {
             out_dim: self.out_dim * lanes,
             in_dim: self.in_dim * lanes,
             diags,
+            period: self.period * lanes,
             g1: self.g1 * lanes,
             encoded: Mutex::new(HashMap::new()),
         }
@@ -340,9 +412,16 @@ impl DiagMatrix {
     /// per nonempty giant group `k ≥ 1` (rotation by zero is a clone,
     /// not a key switch), at the split the product executes — the
     /// fewest rotations, then the fewest decompositions, then the
-    /// smallest `g1` (module docs).
+    /// smallest `g1` (module docs) — plus, in the stacked form, one
+    /// rotation per fold, each with its own decomposition (it rotates
+    /// its own sum).
     pub fn bsgs_counts(&self) -> BsgsCounts {
-        BsgsSchedule::new(self.g1, self.diags.keys().copied()).counts()
+        let bsgs = BsgsSchedule::new(self.g1, self.diags.keys().copied()).counts();
+        let folds = self.fold_steps().count();
+        BsgsCounts {
+            rotations: bsgs.rotations + folds,
+            decompositions: bsgs.decompositions + folds,
+        }
     }
 }
 
@@ -446,6 +525,25 @@ fn fewest_rotation_split(offsets: &[usize]) -> usize {
     best.2
 }
 
+/// The nonzero diagonals of `rows` padded to `dim`, stacked at `period`
+/// (a power of two, at least the row count, dividing `dim`): entry
+/// `M[r][c]` lands on diagonal `k = (c − r) mod period` at slot
+/// `(c − k) mod dim`, so `diag_k[i] = M[i mod period][(i + k) mod dim]`.
+/// At `period = dim` these are the square form's diagonals.
+fn stacked_diagonals(rows: &[Vec<f64>], dim: usize, period: usize) -> BTreeMap<usize, Vec<f64>> {
+    let mut diags: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
+    for (r, row) in rows.iter().enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            if v == 0.0 {
+                continue;
+            }
+            let k = (c + period - r) % period;
+            diags.entry(k).or_insert_with(|| vec![0.0; dim])[(c + dim - k) % dim] = v;
+        }
+    }
+    diags
+}
+
 /// Tiles `v` to fill `slots` slots (cyclic replication).
 ///
 /// # Panics
@@ -492,6 +590,19 @@ impl Evaluator {
         self.encrypt(&pt, rng)
     }
 
+    /// Finishes a stacked product before its rescale: rotate-and-add by
+    /// each of `mat`'s fold steps, so every block of `mat.period()`
+    /// slots holds the sum of all of them. Each fold rotates its own
+    /// sum (one decomposition each) on the product's limbs. A square
+    /// matrix has no folds and `sum` passes through.
+    fn fold(&self, mat: &DiagMatrix, mut sum: Ciphertext) -> Ciphertext {
+        for step in mat.fold_steps() {
+            let rotated = self.rotate(&sum, step as i64);
+            sum = self.add(&sum, &rotated);
+        }
+        sum
+    }
+
     /// The product of `ct` with the all-zero matrix, before the
     /// rescale: a zero ciphertext at product scale.
     fn zero_product(&self, ct: &Ciphertext) -> Ciphertext {
@@ -505,7 +616,9 @@ impl Evaluator {
     /// and one plaintext multiply per nonzero diagonal. Every rotation
     /// is of the same input, so they share one key-switch
     /// decomposition ([`Evaluator::rotate_many`], which holds all of
-    /// them at once — this is the reference path). Consumes one level.
+    /// them at once — this is the reference path). A stacked matrix's
+    /// folds follow, as in [`Evaluator::matvec_bsgs`]. Consumes one
+    /// level.
     ///
     /// # Panics
     ///
@@ -525,6 +638,7 @@ impl Evaluator {
             .map(|(&d, rot)| self.mul_plain(rot, &mat.encoded_diag(self, d, 0, ct.num_limbs())))
             .reduce(|a, term| self.add(&a, &term))
             .unwrap_or_else(|| self.zero_product(ct));
+        out = self.fold(mat, out);
         self.rescale(&mut out);
         out
     }
@@ -537,7 +651,9 @@ impl Evaluator {
     /// The baby-step size is the matrix's fewest-rotation split (module
     /// docs), chosen when its diagonals were fixed: a product searches
     /// nothing, and executes exactly the key switches
-    /// [`DiagMatrix::bsgs_counts`] prices.
+    /// [`DiagMatrix::bsgs_counts`] prices. A stacked matrix's folds run
+    /// on the summed groups before the rescale, so the one rescale
+    /// divides their noise away too.
     ///
     /// The baby steps `rot_j(ct)` rotate the *same* input, so they come
     /// from one key-switch decomposition of `ct`
@@ -594,10 +710,11 @@ impl Evaluator {
                 self.rotate(&sum, (k * g1) as i64)
             }
         });
-        let mut out = groups
+        let sum = groups
             .into_iter()
             .reduce(|a, group| self.add(&a, &group))
             .unwrap_or_else(|| self.zero_product(ct));
+        let mut out = self.fold(mat, sum);
         self.rescale(&mut out);
         out
     }
@@ -1204,6 +1321,136 @@ mod tests {
             let naive = ev.decrypt_values(&ev.matvec(&big, &ct), big.dim());
             for (i, (b, n)) in bsgs.iter().zip(&naive).enumerate() {
                 proptest::prop_assert!((b - n).abs() < 5e-2, "slot {i}: {b} vs {n}");
+            }
+        }
+    }
+
+    /// One evaluator on a ring wide enough for a dim-64 matrix at 8
+    /// lanes (512 slots), shared by every case: its Galois keys are
+    /// generated once per step.
+    fn wide_evaluator() -> &'static Evaluator {
+        static EV: std::sync::OnceLock<Evaluator> = std::sync::OnceLock::new();
+        EV.get_or_init(|| {
+            let params = CkksParams {
+                n: 1024,
+                ..CkksParams::toy()
+            };
+            let keys = KeyChain::generate(&params.build(), &mut Rng64::new(62));
+            Evaluator::new(&keys)
+        })
+    }
+
+    /// A random `out_dim × in_dim` matrix: each entry nonzero with
+    /// probability `2^-sparsity`, of magnitude at least 0.1.
+    fn sparse_rows(out_dim: usize, in_dim: usize, sparsity: u32, rng: &mut Rng64) -> Vec<Vec<f64>> {
+        let mask = (1u64 << sparsity) - 1;
+        (0..out_dim)
+            .map(|_| {
+                (0..in_dim)
+                    .map(|_| {
+                        let v = 0.1 + 0.9 * rng.next_f32() as f64;
+                        match rng.next_u64() & (2 * mask + 1) {
+                            0 => v,
+                            1 => -v,
+                            _ => 0.0,
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The anchor selection of a 2×2, stride-2 max pool of scale 4 on
+    /// an `h × w` image of `dim` pixels: `dim / 4` rows, one entry each.
+    fn pool_selection(dim: usize) -> Vec<Vec<f64>> {
+        let w = 1usize << dim.trailing_zeros().div_ceil(2);
+        let h = dim / w;
+        let mut rows = Vec::new();
+        for a in 0..h / 2 {
+            for b in 0..w / 2 {
+                let mut row = vec![0.0; dim];
+                row[2 * a * w + 2 * b] = 4.0;
+                rows.push(row);
+            }
+        }
+        rows
+    }
+
+    /// The `(rotations, decompositions)` of `rows` in the form of output
+    /// period `period`, by brute force: every split of its diagonals,
+    /// and one rotation and one decomposition per fold.
+    fn brute_force_form(rows: &[Vec<f64>], dim: usize, period: usize) -> (usize, usize) {
+        let offsets: Vec<usize> = stacked_diagonals(rows, dim, period).into_keys().collect();
+        let (bsgs, _) = brute_force_split(dim, &offsets);
+        let folds = (dim / period).trailing_zeros() as usize;
+        (bsgs.rotations + folds, bsgs.decompositions + folds)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(40))]
+
+        /// A fat matrix — random, of any sparsity and any `m′ < dim`,
+        /// or a pool's selection — takes whichever form has the fewer
+        /// (rotations, decompositions), the square one on a tie; at 1, 2
+        /// and 8 lanes its plain product is the dense one on every slot
+        /// (the stacked form's replicas included) and each lane's is
+        /// bit-identical to the one-lane product; encrypted, it agrees
+        /// with the plain product on every slot and executes exactly
+        /// the key switches it prices.
+        #[test]
+        fn a_fat_matrix_takes_its_cheaper_form(
+            log_dim in 1u32..7,
+            log_period in 0u32..6,
+            rows_pick in 0usize..64,
+            cols_pick in 0usize..64,
+            sparsity in 0u32..4,
+            selection in 0u32..4,
+            lanes_pick in 0usize..3,
+            seed in 0u64..1000,
+        ) {
+            let dim = 1usize << log_dim;
+            let mut rng = Rng64::new(seed);
+            let rows = if selection == 0 && dim >= 4 {
+                pool_selection(dim)
+            } else {
+                let period = 1usize << (log_period % log_dim);
+                let out_dim = period / 2 + 1 + rows_pick % period.div_ceil(2);
+                sparse_rows(out_dim, 1 + cols_pick % dim, sparsity, &mut rng)
+            };
+            let period = rows.len().next_power_of_two();
+            proptest::prop_assert!(period < dim);
+            let mat = DiagMatrix::from_rows_with_dim(&rows, dim);
+
+            let (square, stacked) = (brute_force_form(&rows, dim, dim), brute_force_form(&rows, dim, period));
+            let counts = mat.bsgs_counts();
+            proptest::prop_assert_eq!((counts.rotations, counts.decompositions), square.min(stacked));
+            proptest::prop_assert_eq!(mat.period(), if stacked < square { period } else { dim });
+
+            let lanes = [1, 2, 8][lanes_pick];
+            let big = mat.interleave(lanes);
+            proptest::prop_assert_eq!(big.bsgs_counts(), counts);
+            let xs: Vec<Vec<f64>> = (0..lanes).map(|_| random_vec(dim, &mut rng)).collect();
+            let plain = big.apply_plain(&interleaved(&xs));
+            for (l, x) in xs.iter().enumerate() {
+                let lane: Vec<f64> = (0..dim).map(|p| plain[p * lanes + l]).collect();
+                let alone = mat.apply_plain(x);
+                proptest::prop_assert!(lane.iter().zip(&alone).all(|(a, b)| a.to_bits() == b.to_bits()), "lane {}", l);
+                for (p, got) in lane.iter().enumerate() {
+                    let want: f64 = rows
+                        .get(p % mat.period())
+                        .map_or(0.0, |row| row.iter().zip(x).map(|(m, v)| m * v).sum());
+                    proptest::prop_assert!((got - want).abs() < 1e-12, "lane {} slot {}: {} vs {}", l, p, got, want);
+                }
+            }
+
+            let ev = wide_evaluator();
+            let ct = ev.encrypt_replicated(&interleaved(&xs), &mut rng);
+            let mut product = None;
+            let executed = executed_key_switches(|| product = Some(ev.matvec_bsgs(&big, &ct)));
+            proptest::prop_assert_eq!(executed, counts);
+            let got = ev.decrypt_values(&product.expect("ran"), big.dim());
+            for (i, (g, w)) in got.iter().zip(&plain).enumerate() {
+                proptest::prop_assert!((g - w).abs() < 1e-3, "slot {}: {} vs {}", i, g, w);
             }
         }
     }

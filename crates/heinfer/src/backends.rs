@@ -1133,6 +1133,85 @@ mod tests {
     }
 
     #[test]
+    fn a_fat_affine_answers_as_its_square_form() {
+        // Linear(16 → 4) → ReLU(2) → Linear(4 → 4): the first matrix is
+        // fat, 4 × 16, and takes its stacked form — 4 diagonals and two
+        // folds, its output and its bias replicated at period 4. The
+        // same model with the first layer padded to 16 outputs (rows 4..
+        // zero) and the last to 16 inputs (columns 4.. zero) keeps the
+        // square form. Both answer alike in the clear and under CKKS;
+        // the stacked one takes fewer rotations.
+        use smartpaf_nn::Layer;
+        let linear = |inputs: usize, outputs: usize, w: &dyn Fn(usize, usize) -> f32| {
+            let mut layer = Linear::new(inputs, outputs, &mut Rng64::new(0));
+            let mut params = layer.params_mut();
+            for (i, v) in params[0].value.data_mut().iter_mut().enumerate() {
+                *v = w(i / inputs, i % inputs);
+            }
+            for (r, b) in params[1].value.data_mut().iter_mut().enumerate() {
+                *b = if r < 4 { 0.125 * r as f32 - 0.2 } else { 0.0 };
+            }
+            layer
+        };
+        let first = |r: usize, c: usize| {
+            if r < 4 {
+                ((r * 7 + c * 3) % 11) as f32 / 22.0 - 0.2
+            } else {
+                0.0
+            }
+        };
+        let last = |r: usize, c: usize| {
+            if c < 4 {
+                ((r * 5 + c) % 7) as f32 / 7.0 - 0.4
+            } else {
+                0.0
+            }
+        };
+        let paf = CompositePaf::from_form(PafForm::F1G2);
+        let pipe = |outputs: usize| {
+            PipelineBuilder::new(&[16])
+                .affine(linear(16, outputs, &first))
+                .paf_relu(&paf, 2.0)
+                .affine(linear(outputs, 4, &last))
+                .try_compile()
+                .unwrap()
+        };
+        let (stacked, square) = (pipe(4), pipe(16));
+        let period = |p: &HePipeline| match &p.stages()[0] {
+            Stage::Affine { mat, .. } => mat.period(),
+            _ => unreachable!("the first stage is affine"),
+        };
+        assert_eq!((period(&stacked), period(&square)), (4, 16));
+        let params = CkksParams::toy();
+        let (fat, padded) = (
+            stacked.trace(&params, false).unwrap(),
+            square.trace(&params, false).unwrap(),
+        );
+        assert_eq!(fat.stages[0].rotations, 4);
+        assert_eq!(padded.stages[0].rotations, 6);
+
+        let (pe, mut rng) = setup(113);
+        let ev = pe.evaluator();
+        for i in 0..3 {
+            let x: Vec<f64> = (0..16)
+                .map(|j| ((i * 16 + j) * 7 % 17) as f64 / 8.5 - 1.0)
+                .collect();
+            let want = square.eval_plain(&x);
+            let got = stacked.eval_plain(&x);
+            for (g, w) in got.iter().zip(&want) {
+                assert!((g - w).abs() < 1e-12, "plain: {g} vs {w}");
+            }
+            let ct = ev.encrypt_replicated(&x, &mut rng);
+            for pipe in [&stacked, &square] {
+                let (out_ct, _) = pipe.try_eval_encrypted(&pe, None, &ct).unwrap();
+                for (g, w) in ev.decrypt_values(&out_ct, 4).iter().zip(&want) {
+                    assert!((g - w).abs() < 1e-3, "ckks: {g} vs {w}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn ckks_backend_reports_slot_mismatch() {
         let (pe, mut rng) = setup(105);
         // dim 8 pipeline but a 3-wide builder forced to dim 4? Build a

@@ -3,6 +3,7 @@
 
 use crate::exec::RunError;
 use crate::maxpool::{pool_out_shape, pool_shifts, selection_rows};
+use smartpaf_ckks::linear::replicate;
 use smartpaf_ckks::DiagMatrix;
 use smartpaf_nn::{Layer, Mode};
 use smartpaf_polyfit::{CompositeEval, CompositePaf, PafForm};
@@ -19,7 +20,9 @@ pub enum Stage {
     Affine {
         /// The padded diagonal matrix.
         mat: DiagMatrix,
-        /// Bias, padded to the pipeline dimension.
+        /// Bias on the pipeline dimension: zero-padded to the matrix's
+        /// output period ([`DiagMatrix::period`]) and replicated at it,
+        /// as the product is.
         bias: Vec<f64>,
     },
     /// A PAF-ReLU, `y = paf_relu(x)`. Carries no scale: its Static
@@ -356,10 +359,13 @@ impl PipelineBuilder {
             .into_iter()
             .map(|r| match r {
                 RawStage::Affine { rows, bias } => {
+                    // A stacked product is replicated at its period;
+                    // the bias tiled alike keeps every replica an output.
                     let mat = DiagMatrix::from_rows_with_dim(&rows, dim);
                     let mut b = bias;
-                    b.resize(dim, 0.0);
-                    Stage::Affine { mat, bias: b }
+                    b.resize(mat.period(), 0.0);
+                    let bias = replicate(&b, dim);
+                    Stage::Affine { mat, bias }
                 }
                 RawStage::Paf(stage) => stage,
             })

@@ -1498,7 +1498,7 @@ mod tests {
         let text = serde::json::to_string(&benchmark_cnn().serialize());
         assert_eq!(
             smartpaf_heinfer::fnv1a_64(text.as_bytes()),
-            0xcac8_c7e3_5f0d_d229
+            0x6748_7f64_2ef1_171b
         );
     }
 
@@ -1795,11 +1795,14 @@ mod tests {
 
     #[test]
     fn the_benchmark_cnn_cuts_alike_at_every_lane_count() {
-        // Interleaved lanes keep every affine's diagonals and split, so
-        // each lane expansion runs the unpacked plan's schedule: conv +
-        // ReLU from level 7, the pool's shifts at 6 and 7 and the head
-        // on 2 limbs, with the unpacked 21 rotations and 14
-        // decompositions.
+        // Interleaved lanes keep every affine's diagonals, split and
+        // folds, so each lane expansion runs the unpacked plan's
+        // schedule: conv + ReLU from level 7, the pool's shifts at 6
+        // and 7 and the head on 2 limbs, with the unpacked 15 rotations
+        // and 12 decompositions. The head is the pool's selection
+        // composed with the linear layer, 16×64: stacked, it takes 16
+        // diagonals, 8 rotations and 6 decompositions (64, 14 and 8 as
+        // a square matrix).
         let plan = benchmark_cnn();
         for lanes in [1, 2, 4, 8, 16, 32] {
             let wide = plan.pipeline().expand_lanes(lanes);
@@ -1812,7 +1815,7 @@ mod tests {
                 "{lanes} lanes"
             );
             let key_switches = (trace.total_rotations(), trace.total_decompositions());
-            assert_eq!(key_switches, (21, 14), "{lanes} lanes");
+            assert_eq!(key_switches, (15, 12), "{lanes} lanes");
         }
     }
 
@@ -1915,11 +1918,11 @@ mod tests {
             })
             .collect();
         session.infer(&inputs[0]).unwrap();
-        assert_eq!(key_count(&session), (21, 78));
+        assert_eq!(key_count(&session), (15, 66));
         for batch in [32, 2, 4, 8, 16] {
             let run = session.infer_batch_packed(&inputs[..batch]).unwrap();
             assert_eq!(run.stats.len(), 1);
-            assert_eq!(key_count(&session), (21, 78), "after {batch} inputs");
+            assert_eq!(key_count(&session), (15, 66), "after {batch} inputs");
             let stages = session.packer.expanded().stages().iter();
             for (expanded, base) in stages.zip(session.pipeline().stages()) {
                 if let (Stage::Affine { mat, .. }, Stage::Affine { mat: base, .. }) =

@@ -280,8 +280,8 @@ fn level_schedule_moves_entry_levels_and_no_count() {
     // matrix's diagonals and split.
     for (form, cnn_refreshes, cnn_products, mlp_refreshes, mlp_products) in recorded {
         for (plan, refreshes, products, key_switches, key_switches_32) in [
-            (cnn(form), cnn_refreshes, cnn_products, (21, 14), (21, 14)),
-            (mlp(form), mlp_refreshes, mlp_products, (12, 8), (12, 8)),
+            (cnn(form), cnn_refreshes, cnn_products, (15, 12), (15, 12)),
+            (mlp(form), mlp_refreshes, mlp_products, (10, 8), (10, 8)),
         ] {
             let trace = plan.chosen_trace();
             assert_eq!(trace.total_bootstraps(), refreshes, "{form}");
