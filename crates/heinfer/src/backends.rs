@@ -1182,6 +1182,10 @@ mod tests {
             _ => unreachable!("the first stage is affine"),
         };
         assert_eq!((period(&stacked), period(&square)), (4, 16));
+        let Stage::Affine { bias, .. } = &stacked.stages()[0] else {
+            unreachable!("the first stage is affine");
+        };
+        assert!(bias.iter().enumerate().all(|(i, &b)| b == bias[i % 4]) && bias[1] != 0.0);
         let params = CkksParams::toy();
         let (fat, padded) = (
             stacked.trace(&params, false).unwrap(),
